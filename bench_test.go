@@ -349,8 +349,7 @@ func BenchmarkDAGInvocation(b *testing.B) {
 // interval (an executor report and a scheduler report). Each b.N
 // iteration performs 1000 encode+decode round trips of both so the
 // -benchtime=1x rows bench.sh records carry a stable ns/op for the perf
-// gate; allocs/op is the authoritative signal (the gob fallback this
-// replaced cost hundreds of allocations per round trip).
+// gate; allocs/op is the authoritative signal.
 func BenchmarkCodecStructRoundTrip(b *testing.B) {
 	em := core.ExecutorMetrics{
 		Thread: "exec-vm0-1", VM: "vm0", Utilization: 0.73,

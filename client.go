@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cloudburst/internal/anna"
+	"cloudburst/internal/codec"
 	"cloudburst/internal/core"
 	"cloudburst/internal/executor"
 	"cloudburst/internal/lattice"
@@ -72,7 +73,7 @@ func (cl *Client) Sleep(d time.Duration) { cl.k.Sleep(d) }
 // cluster's consistency mode (§5.2's lattice capsules: an LWW capsule by
 // default, a causal capsule in the causal modes).
 func (cl *Client) Put(key string, val any) error {
-	payload, err := cl.c.in.Codec.Encode(val)
+	payload, err := codec.Encode(val)
 	if err != nil {
 		return err
 	}
@@ -156,7 +157,7 @@ func (cl *Client) decodeCapsule(lat lattice.Lattice) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cl.c.in.Codec.Decode(payload)
+	return codec.Decode(payload)
 }
 
 // encodeArgs converts call arguments to wire form; Ref arguments become
@@ -168,7 +169,7 @@ func (cl *Client) encodeArgs(args []any) ([]core.Arg, error) {
 			out[i] = core.Arg{Ref: string(r)}
 			continue
 		}
-		b, err := cl.c.in.Codec.Encode(a)
+		b, err := codec.Encode(a)
 		if err != nil {
 			return nil, err
 		}
@@ -424,7 +425,7 @@ func (cl *Client) decodeResult(res core.Result) (any, error) {
 		return nil, nil
 	}
 	_, inner := executor.Untag(res.Val)
-	return cl.c.in.Codec.Decode(inner)
+	return codec.Decode(inner)
 }
 
 // Endpoint exposes the client's network endpoint for advanced uses

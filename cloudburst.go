@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cloudburst/internal/cluster"
-	"cloudburst/internal/codec"
 	"cloudburst/internal/core"
 	"cloudburst/internal/dag"
 	"cloudburst/internal/executor"
@@ -131,23 +130,15 @@ type Config struct {
 	// the event schedule).
 	ShadowSingles bool
 
-	// CodecCounters, when set, receives this cluster's codec traffic
-	// (struct fast path vs gob fallback). The process-wide
-	// codec.ReadStats mixes traffic from every concurrently running
-	// cluster; a per-cluster handle keeps zero-gob assertions exact
-	// under the parallel experiment runner. Nil allocates a private
-	// handle internally.
-	CodecCounters *codec.Counters
-
 	// Trace, when set, is this cluster's span collector for the
 	// virtual-time tracing plane: every request's path (client dispatch,
 	// scheduler queue, executor compute, cache and Anna reads, DAG hops,
 	// retries) is recorded as spans on the virtual clock, ready for
 	// critical-path analysis and export. Tracing is CPU-side only — it
 	// never adds wire bytes, sleeps, or random draws, so a traced run's
-	// simulation schedule is byte-identical to an untraced one. Like
-	// CodecCounters the handle is per-cluster for parallel-runner
-	// safety. Nil disables tracing at zero cost.
+	// simulation schedule is byte-identical to an untraced one. The
+	// handle is per-cluster for parallel-runner safety. Nil disables
+	// tracing at zero cost.
 	Trace *trace.Collector
 }
 
@@ -234,7 +225,6 @@ func (c *Cluster) internalConfig(mutate func(*cluster.Config)) cluster.Config {
 		icfg.Monitor.Shards = cfg.MonitorShards
 	}
 	icfg.Scheduler.ShadowSingles = cfg.ShadowSingles
-	icfg.Codec = cfg.CodecCounters
 	icfg.Trace = cfg.Trace
 	if icfg.Trace == nil && traceAll {
 		// The hook allocates a fresh collector per cluster rather than

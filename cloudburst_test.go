@@ -482,6 +482,49 @@ func TestFunctionErrorPropagates(t *testing.T) {
 	})
 }
 
+// TestUnsupportedTypeIsAnError: a value the codec cannot serialize is
+// an error at every surface a user value crosses — client writes and
+// arguments, in-function writes, and function results, single or DAG —
+// never a panic, and the error names the type.
+func TestUnsupportedTypeIsAnError(t *testing.T) {
+	type unregistered struct{ N int }
+	c := testCluster(t, DefaultConfig())
+	registerArith(t, c)
+	if err := c.RegisterFunction("bad-put", func(ctx *Ctx, args []any) (any, error) {
+		return nil, ctx.Put("k", []int64{1})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterFunction("bad-result", func(ctx *Ctx, args []any) (any, error) {
+		return map[string]any{"nested": unregistered{N: 1}}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterDAG(LinearDAG("bad-sink", "increment", "bad-result"), 1); err != nil {
+		t.Fatal(err)
+	}
+	wantErr := func(what string, err error, typ string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "unsupported type "+typ) {
+			t.Errorf("%s: err = %v, want an unsupported-type error naming %s", what, err, typ)
+		}
+	}
+	c.Run(func(cl *Client) {
+		wantErr("Client.Put", cl.Put("k", int32(7)), "int32")
+		_, err := cl.Invoke("square", []any{unregistered{N: 2}}).Wait()
+		wantErr("Invoke argument", err, "cloudburst.unregistered")
+		_, err = cl.Invoke("bad-put", nil).Wait()
+		wantErr("Ctx.Put", err, "[]int64")
+		_, err = cl.Invoke("bad-result", nil).Wait()
+		wantErr("function result", err, "cloudburst.unregistered")
+		_, err = cl.InvokeDAG("bad-sink", map[string][]any{"increment": {1}}).Wait()
+		wantErr("DAG sink result", err, "cloudburst.unregistered")
+		if _, found, err := cl.Get("k"); err != nil || found {
+			t.Errorf("a failed Put left key k behind: found=%v err=%v", found, err)
+		}
+	})
+}
+
 func TestRunNConcurrentClients(t *testing.T) {
 	c := testCluster(t, DefaultConfig())
 	registerArith(t, c)

@@ -143,10 +143,13 @@
 //
 // # The zero-copy data plane
 //
-// User values are serialized by internal/codec: a tagged binary fast
-// path for the hot types ([]byte, string, numbers, flat slices, string
-// maps) with a gob fallback for everything else — the wire format is
-// documented in that package. Once encoded, a payload is immutable: the
+// User values are serialized by internal/codec, the one encoder: a
+// tagged binary format for []byte, string, int/int64/float64/bool, flat
+// slices, string maps, []any/map[string]any of those, and registered
+// wire structs (next section) — the wire format is documented in that
+// package. A value of any other type is an error from Client.Put,
+// Ctx.Put, Invoke (as an argument) or the future (as a function
+// result), never a panic. Once encoded, a payload is immutable: the
 // lattice capsules (LWW, Causal), the co-located caches, the Anna KVS,
 // the simulated cloud storage services, and the executors all share the
 // same byte slice instead of copying it, and executors additionally
@@ -165,9 +168,9 @@
 // # Defining a wire struct
 //
 // Control-plane structs that cross the wire every metrics interval
-// (executor/cache/scheduler metrics, DAG topologies, workload results)
-// do not ride the gob fallback: they implement codec.Struct — a
-// hand-laid-out, reflection-free encoding (wire tag 0x0f) — and
+// (executor/cache/scheduler metrics, DAG topologies, workload results),
+// and any struct a function takes or returns, implement codec.Struct —
+// a hand-laid-out, reflection-free encoding (wire tag 0x0f) — and
 // register a stable wire name. To add one:
 //
 //	type Report struct {
@@ -199,13 +202,12 @@
 // Done(). Slices encode as a count (nil and empty both decode nil,
 // matching gob's struct-field omission); maps carry a presence byte
 // (nil round-trips nil, non-nil empty round-trips non-nil, again
-// matching gob). Parity with the old gob encoding is tested per type,
-// and a CI test asserts the steady-state figure benchmarks hit zero gob
-// fallbacks (codec.ReadStats), so a new hot-path struct that forgets to
-// register is caught immediately. Encoded size is the struct's actual
+// matching gob) — each type's tests compare against a real gob round
+// trip. Forgetting RegisterStruct is an immediate error from the first
+// Encode of the type, naming it. Encoded size is the struct's actual
 // field bytes, which the simulated transfer and KVS service times see —
-// migrating a type changes the control-plane byte schedule, so re-run
-// the figure benches (scripts/bench.sh) when you add one.
+// changing a layout changes the control-plane byte schedule, so re-run
+// the figure benches (scripts/bench.sh) when you do.
 //
 // # The allocation-free simulation substrate
 //
@@ -462,12 +464,32 @@
 // cells that can run at once. A panic in any cell propagates after the
 // pool drains, lowest cell index first, again independent of width.
 //
-// Cross-cell isolation is part of the substrate's contract: codec
-// traffic counts on a per-cluster codec.Counters handle
-// (Config.CodecCounters) as well as the process aggregate, the lattice
-// payload guard is internally locked, and decode caches are
+// Cross-cell isolation is part of the substrate's contract: the codec
+// keeps no per-call state beyond a sync.Pool of scratch buffers and a
+// registry written only by init functions, the lattice payload guard is
+// internally locked, and trace collectors and decode caches are
 // per-cluster — so concurrent cells cannot bleed statistics or state
-// into each other's gates.
+// into each other.
+//
+// # Measuring
+//
+// The repository's benchmark lives in benchmark/ (a Go module of its
+// own; BENCHMARK.json at the root declares its workloads and metrics,
+// benchmark/README.md explains them). It builds from the checkout and
+// runs four workloads that each load a different set of layers:
+//
+//	bash benchmark/run.sh --workload all --seed 1 --out new.json
+//	bash benchmark/run.sh --compare old.json new.json
+//	bash benchmark/run.sh --workload hot-open --trace 1   # per-layer split
+//	go test -C benchmark ./...                            # its own tests
+//
+// Every number names its clock: host (CPU seconds, allocations, live
+// heap — what the harness costs) or simulated (p50/p99 latency,
+// requests per second — what the reproduced system does). A change
+// meant only to simplify or speed the harness must leave every
+// simulated number identical; --compare prints better/within/worse per
+// workload and metric against the bounds in BENCHMARK.json and exits
+// non-zero on a regression.
 //
 // See examples/ for complete programs and EXPERIMENTS.md for the
 // paper-reproduction results.

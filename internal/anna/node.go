@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"cloudburst/internal/codec"
 	"cloudburst/internal/hook"
 	"cloudburst/internal/lattice"
 	"cloudburst/internal/simnet"
@@ -46,9 +45,6 @@ type NodeConfig struct {
 	// Hooks is the cluster's fault-injection point-cut registry (nil
 	// disables point-cuts at zero cost).
 	Hooks *hook.Registry
-	// Codec receives this node's commit-log decodes on the owning
-	// cluster's counters (nil counts only the process aggregate).
-	Codec *codec.Counters
 }
 
 // DefaultNodeConfig returns the calibrated defaults (see DESIGN.md §5).

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"time"
 
+	"cloudburst/internal/codec"
 	"cloudburst/internal/core"
 	"cloudburst/internal/lattice"
 	"cloudburst/internal/simnet"
@@ -184,7 +185,7 @@ func (n *Node) resolveInDoubt(p *preparedTxn) {
 		if !ok {
 			continue
 		}
-		v, err := n.cfg.Codec.Decode(l.Value)
+		v, err := codec.Decode(l.Value)
 		if err != nil {
 			continue
 		}

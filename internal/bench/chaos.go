@@ -37,9 +37,6 @@ type ChaosConfig struct {
 	Faults    int              // fault/heal pairs per randomized plan
 	Probes    int              // post-heal liveness probes per client
 	Seed      int64
-	// Codec, when set, receives every cell cluster's codec traffic —
-	// the per-cluster hook behind the matrix's zero-gob assertion.
-	Codec *codec.Counters
 	// Lifecycle appends three deterministic scenario cells to the
 	// randomized matrix: a rolling upgrade (drain → warm replace → rejoin,
 	// one VM at a time), a correlated rack failure with warm recovery, and
@@ -200,7 +197,6 @@ func runChaosCell(cfg ChaosConfig, wl string, mode cb.Consistency, seed int64, s
 	ccfg.VMSpinUp = 6 * time.Second
 	ccfg.DAGTimeout = 4 * time.Second
 	ccfg.StaleAfter = 4 * time.Second
-	ccfg.CodecCounters = cfg.Codec
 	if scenario == "traffic" {
 		// The open-loop cell runs the whole sharded control plane: a
 		// 3-scheduler group (consistent-hash routed, retries walk the

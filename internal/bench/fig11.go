@@ -6,7 +6,6 @@ import (
 	"time"
 
 	cb "cloudburst"
-	"cloudburst/internal/codec"
 	"cloudburst/internal/parallel"
 	"cloudburst/internal/vtime"
 	"cloudburst/internal/workload"
@@ -18,9 +17,6 @@ type Fig11Config struct {
 	Clients  int // 10 in the paper
 	Requests int // per client (5000 in the paper)
 	Seed     int64
-	// Codec, when set, receives the Cloudburst clusters' codec traffic —
-	// the per-cluster hook behind the zero-gob gate tests.
-	Codec *codec.Counters
 }
 
 // Fig11Quick returns CI-friendly parameters.
@@ -93,7 +89,6 @@ func fig11Cloudburst(cfg Fig11Config, mode cb.Consistency, name string) Fig11Row
 	// the closer equivalent (and lets unordered write-backs race, the
 	// §6.3.2 anomaly mechanism).
 	ccfg.AnnaNodes = 2
-	ccfg.CodecCounters = cfg.Codec
 	c := cb.NewCluster(ccfg)
 	defer c.Close()
 	r := cfg.Retwis

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	cb "cloudburst"
-	"cloudburst/internal/codec"
 	"cloudburst/internal/core"
 	"cloudburst/internal/parallel"
 	"cloudburst/internal/simnet"
@@ -50,9 +49,6 @@ type Fig13Config struct {
 	KneeP99         time.Duration // knee criterion: p99 at or under this
 	KneeFrac        float64       // ...and sustained ≥ frac × offered
 	Seed            int64
-	// Codec, when set, receives every cell cluster's codec traffic —
-	// the per-cluster hook behind the zero-gob gate tests.
-	Codec *codec.Counters
 	// Breakdown, when true, traces every request through the tracing
 	// plane and adds a "dominant" column to the table: the
 	// critical-path category holding the largest share of total request
@@ -260,7 +256,6 @@ func runFig13Point(cfg Fig13Config, scount int, load float64) Fig13Point {
 	ccfg.MaxVMs = cfg.VMs
 	ccfg.MinPinned = threads
 	ccfg.SchedulerDispatchCost = cfg.DispatchCost
-	ccfg.CodecCounters = cfg.Codec
 	if cfg.Breakdown {
 		ccfg.Trace = trace.New()
 	}
@@ -339,13 +334,13 @@ func runFig13Point(cfg Fig13Config, scount int, load float64) Fig13Point {
 			}
 		}
 		// Persist the window through the wire codec and read it back:
-		// the capsule is the measurement of record, so the struct path
-		// (not gob) carries every figure-13 number.
+		// the capsule is the measurement of record, so every figure-13
+		// number has crossed the wire codec.
 		ac := in.AnnaClientFor(in.NewClientEndpoint())
-		if err := traffic.PublishCapsule(in.K, ac, in.Codec, rec.Capsule(name)); err != nil {
+		if err := traffic.PublishCapsule(in.K, ac, rec.Capsule(name)); err != nil {
 			panic(err)
 		}
-		got, err := traffic.LoadCapsule(ac, in.Codec, name)
+		got, err := traffic.LoadCapsule(ac, name)
 		if err != nil {
 			panic(err)
 		}

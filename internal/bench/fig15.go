@@ -8,7 +8,6 @@ import (
 	"time"
 
 	cb "cloudburst"
-	"cloudburst/internal/codec"
 	"cloudburst/internal/core"
 	"cloudburst/internal/fault"
 	"cloudburst/internal/parallel"
@@ -33,9 +32,6 @@ type Fig15Config struct {
 	RunFor   time.Duration
 
 	Seed int64
-	// Codec, when set, receives every cluster's codec traffic (the
-	// zero-gob gate threads its per-test counters through here).
-	Codec *codec.Counters
 }
 
 // Fig15Quick returns CI-friendly parameters.
@@ -143,7 +139,6 @@ func fig15Mode(cfg Fig15Config, mode cb.Consistency) Fig15Row {
 	ccfg.VMs = cfg.VMs
 	ccfg.AnnaNodes = 3
 	ccfg.Replication = 2
-	ccfg.CodecCounters = cfg.Codec
 	c := cb.NewCluster(ccfg)
 	defer c.Close()
 	in := c.Internal()
@@ -214,7 +209,6 @@ func fig15Failure(cfg Fig15Config) Fig15FailurePanel {
 	ccfg.Autoscale = true
 	ccfg.MaxVMs = cfg.VMs
 	ccfg.MinPinned = cfg.VMs * ccfg.ThreadsPerVM
-	ccfg.CodecCounters = cfg.Codec
 	c := cb.NewCluster(ccfg)
 	defer c.Close()
 	in := c.Internal()

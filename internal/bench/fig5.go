@@ -6,7 +6,6 @@ import (
 
 	cb "cloudburst"
 	"cloudburst/internal/baseline"
-	"cloudburst/internal/codec"
 	"cloudburst/internal/parallel"
 	"cloudburst/internal/vtime"
 	"cloudburst/internal/workload"
@@ -20,9 +19,6 @@ type Fig5Config struct {
 	Clients int
 	Trials  int // per client per size
 	Seed    int64
-	// Codec, when set, receives the Cloudburst clusters' codec traffic —
-	// the per-cluster hook behind the zero-gob gate tests.
-	Codec *codec.Counters
 }
 
 // Fig5Quick returns CI-friendly parameters (largest size trimmed).
@@ -125,7 +121,6 @@ func fig5Cloudburst(cfg Fig5Config, a workload.ArraySum, cold bool) (Summary, fl
 	ccfg.Seed = cfg.Seed
 	ccfg.VMs = 7
 	ccfg.AnnaNodes = 4
-	ccfg.CodecCounters = cfg.Codec
 	c := cb.NewCluster(ccfg)
 	defer c.Close()
 	if err := a.Register(c); err != nil {

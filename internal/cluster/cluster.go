@@ -55,17 +55,11 @@ type Config struct {
 	ExecOverhead time.Duration
 	// Tracer, when set, feeds the consistency audit (§6.2.2).
 	Tracer executor.Tracer
-	// Codec, when set, receives this cluster's codec path counters
-	// (struct fast path vs gob fallback). With several clusters running
-	// concurrently the process-wide codec.ReadStats mixes their
-	// traffic; a per-cluster handle keeps the zero-gob gates exact.
-	// Nil allocates a private handle.
-	Codec *codec.Counters
 	// Trace, when set, collects per-request span trees across the whole
-	// request path (client → scheduler → executor → cache → Anna). Like
-	// Codec it is a per-cluster harness observer: it never touches the
-	// wire, so the simulated schedule is byte-identical with or without
-	// it. Nil disables tracing at zero cost.
+	// request path (client → scheduler → executor → cache → Anna). It
+	// is a per-cluster harness observer: it never touches the wire, so
+	// the simulated schedule is byte-identical with or without it. Nil
+	// disables tracing at zero cost.
 	Trace *trace.Collector
 }
 
@@ -115,7 +109,6 @@ type Cluster struct {
 	KV       *anna.KVS
 	Registry *executor.Registry
 	Monitor  *monitor.Monitor
-	Codec    *codec.Counters
 	Trace    *trace.Collector
 
 	cfg          Config
@@ -154,18 +147,14 @@ func New(cfg Config) *Cluster {
 	if cfg.InitialVMs < 1 {
 		cfg.InitialVMs = 1
 	}
-	if cfg.Codec == nil {
-		cfg.Codec = new(codec.Counters)
-	}
 	k := vtime.NewKernel(cfg.Seed)
 	net := simnet.New(k, cfg.Link)
 	hooks := hook.NewRegistry()
 	// The storage nodes participate in 2PC in Transactional mode only;
 	// the sweep daemon stays off everywhere else so no other mode's event
-	// schedule moves. Hooks and Codec are passive (no events of their
-	// own) and are wired unconditionally.
+	// schedule moves. Hooks are passive (no events of their own) and are
+	// wired unconditionally.
 	cfg.Anna.Node.Hooks = hooks
-	cfg.Anna.Node.Codec = cfg.Codec
 	if cfg.Mode == core.TXN {
 		if cfg.Anna.Node.TxnSweepInterval == 0 {
 			cfg.Anna.Node.TxnSweepInterval = time.Second
@@ -179,7 +168,6 @@ func New(cfg Config) *Cluster {
 		Net:      net,
 		KV:       anna.NewKVS(k, net, cfg.Anna),
 		Registry: executor.NewRegistry(),
-		Codec:    cfg.Codec,
 		Trace:    cfg.Trace,
 		cfg:      cfg,
 		vms:      make(map[string]*VMHandle),
@@ -195,11 +183,10 @@ func New(cfg Config) *Cluster {
 	c.lifecycle = c.KV.NewClient(c.lifecycleEP, 0)
 
 	// All control-plane consumers share one decoded-metrics cache: each
-	// publication is gob-decoded once per cluster, not once per poll tick
+	// publication is decoded once per cluster, not once per poll tick
 	// per scheduler.
-	decoded := core.NewDecodeCache(cfg.Codec)
+	decoded := core.NewDecodeCache()
 	cfg.Scheduler.Decoded = decoded
-	cfg.Scheduler.Codec = cfg.Codec
 	cfg.Scheduler.Trace = cfg.Trace
 	cfg.Cache.Trace = cfg.Trace
 	cfg.Monitor.Decoded = decoded
@@ -284,7 +271,6 @@ func (c *Cluster) bootVMNamed(name string) *VMHandle {
 			Alive:          c.Alive,
 			DAGFor:         c.dagFor,
 			InvokeOverhead: c.cfg.ExecOverhead,
-			Codec:          c.Codec,
 			Trace:          c.Trace,
 			Hooks:          c.hooks,
 			TxnRing:        c.KV.Ring(),
@@ -315,7 +301,7 @@ func (c *Cluster) dagFor(name string) (*dag.DAG, bool) {
 	if !ok {
 		return nil, false
 	}
-	v, err := c.Codec.Decode(l.Value)
+	v, err := codec.Decode(l.Value)
 	if err != nil {
 		return nil, false
 	}
@@ -523,7 +509,7 @@ func (c *Cluster) recordWarmSeed(h *VMHandle) {
 		}
 		sort.Strings(seed.Pinned)
 	}
-	payload := c.Codec.MustEncode(seed)
+	payload := codec.MustEncode(seed)
 	ts := lattice.Timestamp{Clock: int64(c.K.Now()), Node: nodeHashCluster(base)}
 	c.K.Go("cluster/seed", func() {
 		c.lifecycle.Put(core.WarmSeedKey(base), lattice.NewLWW(ts, payload))
@@ -544,7 +530,7 @@ func (c *Cluster) warmFill(h *VMHandle, base string) {
 	if !ok {
 		return
 	}
-	v, err := c.Codec.Decode(l.Value)
+	v, err := codec.Decode(l.Value)
 	if err != nil {
 		return
 	}

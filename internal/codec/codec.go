@@ -5,13 +5,16 @@
 //
 // # Wire format
 //
-// Every encoding starts with a one-byte type tag. The hot types of the
-// runtime — raw byte arrays, strings, numbers, flat slices, and string
-// maps — take a fast binary path; everything else falls back to gob
-// (tag 0x00), which handles arbitrary registered types exactly as the
-// seed implementation did.
+// Every encoding starts with a one-byte type tag, and there is exactly
+// one encoder. The supported types are nil, []byte, string, int, int64,
+// float64, bool, []float64, []int, []string, []any, map[string]string,
+// map[string]any, map[string]float64 (container elements drawn from the
+// same list, recursively) and any struct registered with RegisterStruct.
+// Encode of anything else — an int32, a []int64, an unregistered struct,
+// at the top level or nested in a container — returns an error naming
+// the type; nothing is serialized by reflection.
 //
-//	0x00 gob     | gob stream of envelope{V} follows
+//	0x00 reserved| never written; decodes to an "unknown tag" error
 //	0x01 nil     | nothing follows
 //	0x02 []byte  | raw bytes to end of buffer
 //	0x03 string  | raw bytes to end of buffer
@@ -32,25 +35,22 @@
 //	0x0f wire struct      | u8 name length, registered wire name, then
 //	                      |   the struct's hand-laid-out fields
 //
-// Container elements tagged 0x0b/0x0d are full encodings themselves
-// (recursively fast-path or gob), so a map[string]any holding an exotic
-// struct still round-trips. Map entries are emitted in sorted key order
-// so encoding is deterministic, which run-to-run-reproducible simulation
-// output depends on.
+// Container elements tagged 0x0b/0x0d are full encodings themselves, so
+// a map[string]any holding a wire struct round-trips. Map entries are
+// emitted in sorted key order so encoding is deterministic, which
+// run-to-run-reproducible simulation output depends on.
 //
-// Tag 0x0f is the reflection-free struct fast path: a struct that
-// implements the two-method Struct interface (AppendWire/DecodeWire) and
-// registers a wire name via RegisterStruct encodes as its name followed
-// by hand-laid-out fields — no gob engine compilation, no reflection on
-// the hot path. The field layout is whatever AppendWire writes,
-// conventionally built from the Append* helpers (fixed-width
-// little-endian numbers, u32-length-prefixed strings, u32-counted
-// slices/maps in sorted key order); see wire.go and the "Defining a wire
-// struct" section of the module's doc.go. The gob fallback remains for
-// types registered with Register, and Stats counts traffic on both paths
-// so benchmarks can assert the steady state never falls back.
+// Tag 0x0f is the struct path: a struct that implements the two-method
+// Struct interface (AppendWire/DecodeWire) and registers a wire name via
+// RegisterStruct encodes as its name followed by hand-laid-out fields,
+// with no reflection beyond one type lookup. The field layout is
+// whatever AppendWire writes, conventionally built from the Append*
+// helpers (fixed-width little-endian numbers, u32-length-prefixed
+// strings, u32-counted slices/maps in sorted key order); see wire.go and
+// the "Defining a wire struct" section of the module's doc.go.
 //
-// Decoding matches gob's conventions for empty values: zero-length
+// Decoding follows gob's conventions for empty values (the package's
+// parity tests compare against a real gob round trip): zero-length
 // slices decode as nil slices, zero-entry maps as non-nil empty maps.
 //
 // # Zero-copy
@@ -64,9 +64,7 @@
 package codec
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"maps"
 	"math"
@@ -75,25 +73,9 @@ import (
 	"sync"
 )
 
-// envelope lets gob encode interface values uniformly (fallback path).
-type envelope struct {
-	V any
-}
-
-func init() {
-	gob.Register([]any{})
-	gob.Register(map[string]any{})
-	gob.Register([]string{})
-	gob.Register([]float64{})
-	gob.Register([]int{})
-	gob.Register([]byte{})
-	gob.Register(map[string]string{})
-	gob.Register(map[string]float64{})
-}
-
-// Type tags; see the package comment for the wire format.
+// Type tags; see the package comment for the wire format. 0x00 is
+// reserved: never written, and an "unknown tag" error on decode.
 const (
-	tagGob     = 0x00
 	tagNil     = 0x01
 	tagBytes   = 0x02
 	tagString  = 0x03
@@ -111,9 +93,6 @@ const (
 	tagStruct  = 0x0f
 )
 
-// bufPool recycles the scratch buffers the gob fallback encodes into.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // scratchPool recycles the build buffers Encode uses for variable-size
 // values; maxScratch caps how large a grown buffer the pool retains
 // (one figure workload encodes multi-MB values — those must not pin
@@ -122,30 +101,21 @@ var scratchPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return 
 
 const maxScratch = 1 << 20
 
-// Register makes a concrete type encodable when stored in an interface,
-// mirroring gob.Register. Registered types use the gob fallback; hot
-// wire structs should implement Struct and use RegisterStruct instead.
-func Register(v any) { gob.Register(v) }
-
-// Encode serializes v, counting traffic on the process aggregate only.
-// Cluster-owned paths use (*Counters).Encode so per-cluster gob gates
-// stay exact under concurrent runs.
-func Encode(v any) ([]byte, error) { return encodeCounted(nil, v) }
-
-// encodeCounted is Encode with an optional per-handle counter.
-func encodeCounted(cnt *Counters, v any) ([]byte, error) {
+// Encode serializes v. A value of an unsupported type (see the package
+// comment), at any depth, is an error.
+func Encode(v any) ([]byte, error) {
 	if n, exact := exactSize(v); exact {
-		out, err := appendValue(cnt, make([]byte, 0, n), v)
+		out, err := appendValue(make([]byte, 0, n), v)
 		if err != nil {
 			return nil, fmt.Errorf("codec: encode %T: %w", v, err)
 		}
 		return out, nil
 	}
-	// Variable-size values (composites, wire structs, gob fallbacks)
-	// build in a pooled scratch buffer and copy out exactly sized: one
-	// allocation per Encode no matter how often the encoding grew.
+	// Variable-size values (composites, wire structs) build in a pooled
+	// scratch buffer and copy out exactly sized: one allocation per
+	// Encode no matter how often the encoding grew.
 	sp := scratchPool.Get().(*[]byte)
-	buf, err := appendValue(cnt, (*sp)[:0], v)
+	buf, err := appendValue((*sp)[:0], v)
 	if err != nil {
 		scratchPool.Put(sp)
 		return nil, fmt.Errorf("codec: encode %T: %w", v, err)
@@ -170,7 +140,7 @@ func MustEncode(v any) []byte {
 	return b
 }
 
-// exactSize returns the encoded size for the flat fast-path types whose
+// exactSize returns the encoded size for the flat types whose
 // size is knowable up front; everything else builds in a pooled scratch
 // buffer.
 func exactSize(v any) (int, bool) {
@@ -193,9 +163,8 @@ func exactSize(v any) (int, bool) {
 	return 0, false
 }
 
-// appendValue appends v's tagged encoding to dst, counting struct/gob
-// traffic on cnt (nil-safe: nil counts only the process aggregate).
-func appendValue(cnt *Counters, dst []byte, v any) ([]byte, error) {
+// appendValue appends v's tagged encoding to dst.
+func appendValue(dst []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
 		return append(dst, tagNil), nil
@@ -247,7 +216,7 @@ func appendValue(cnt *Counters, dst []byte, v any) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(x)))
 		for _, e := range x {
 			var err error
-			if dst, err = appendBlob(cnt, dst, e); err != nil {
+			if dst, err = appendBlob(dst, e); err != nil {
 				return nil, err
 			}
 		}
@@ -269,7 +238,7 @@ func appendValue(cnt *Counters, dst []byte, v any) ([]byte, error) {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(k)))
 			dst = append(dst, k...)
 			var err error
-			if dst, err = appendBlob(cnt, dst, x[k]); err != nil {
+			if dst, err = appendBlob(dst, x[k]); err != nil {
 				return nil, err
 			}
 		}
@@ -285,35 +254,22 @@ func appendValue(cnt *Counters, dst []byte, v any) ([]byte, error) {
 		return dst, nil
 	}
 	if e, ok := structsByType[reflect.TypeOf(v)]; ok {
-		return appendStruct(cnt, dst, e, v), nil
+		return appendStruct(dst, e, v), nil
 	}
-	return appendGob(cnt, dst, v)
+	return nil, fmt.Errorf("unsupported type %T: implement codec.Struct and register it with codec.RegisterStruct", v)
 }
 
 // appendBlob appends a length-prefixed full encoding of v (container
 // element format).
-func appendBlob(cnt *Counters, dst []byte, v any) ([]byte, error) {
+func appendBlob(dst []byte, v any) ([]byte, error) {
 	lenAt := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, 0) // patched below
-	dst, err := appendValue(cnt, dst, v)
+	dst, err := appendValue(dst, v)
 	if err != nil {
 		return nil, err
 	}
 	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
 	return dst, nil
-}
-
-// appendGob appends the gob-fallback encoding of v.
-func appendGob(cnt *Counters, dst []byte, v any) ([]byte, error) {
-	cnt.addGobEncode()
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer bufPool.Put(buf)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(envelope{V: v}); err != nil {
-		return nil, err
-	}
-	dst = append(dst, tagGob)
-	return append(dst, buf.Bytes()...), nil
 }
 
 func sortedKeysSS(m map[string]string) []string { return slices.Sorted(maps.Keys(m)) }
@@ -325,28 +281,16 @@ func errTruncated(tag byte) error {
 	return fmt.Errorf("codec: decode: truncated input (tag %#x)", tag)
 }
 
-// Decode deserializes a value produced by Encode, counting traffic on
-// the process aggregate only. The result may alias data (the []byte
-// fast path is zero-copy); treat both as read-only. Cluster-owned
-// paths use (*Counters).Decode.
-func Decode(data []byte) (any, error) { return decodeCounted(nil, data) }
-
-// decodeCounted is Decode with an optional per-handle counter.
-func decodeCounted(cnt *Counters, data []byte) (any, error) {
+// Decode deserializes a value produced by Encode. The result may alias
+// data (the []byte path is zero-copy); treat both as read-only.
+func Decode(data []byte) (any, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("codec: decode: empty input")
 	}
 	tag, body := data[0], data[1:]
 	switch tag {
-	case tagGob:
-		cnt.addGobDecode()
-		var env envelope
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {
-			return nil, fmt.Errorf("codec: decode: %w", err)
-		}
-		return env.V, nil
 	case tagStruct:
-		return decodeStruct(cnt, body)
+		return decodeStruct(body)
 	case tagNil:
 		return nil, nil
 	case tagBytes:
@@ -435,7 +379,7 @@ func decodeCounted(cnt *Counters, data []byte) (any, error) {
 			if blob, body, err = readChunk(tag, body); err != nil {
 				return nil, err
 			}
-			v, err := decodeCounted(cnt, blob)
+			v, err := Decode(blob)
 			if err != nil {
 				return nil, err
 			}
@@ -473,7 +417,7 @@ func decodeCounted(cnt *Counters, data []byte) (any, error) {
 			if blob, body, err = readChunk(tag, body); err != nil {
 				return nil, err
 			}
-			v, err := decodeCounted(cnt, blob)
+			v, err := Decode(blob)
 			if err != nil {
 				return nil, err
 			}

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -45,11 +46,33 @@ type custom struct {
 	B string
 }
 
-func TestRegisterCustomType(t *testing.T) {
-	Register(custom{})
-	got := MustDecode(MustEncode(custom{A: 1, B: "x"})).(custom)
-	if got.A != 1 || got.B != "x" {
-		t.Fatalf("custom round trip: %+v", got)
+// TestEncodeUnsupportedType: a type outside the supported list is an
+// Encode error that names the type and says how to make it encodable.
+// The boundary also holds inside containers: one unsupported element
+// fails the whole Encode, naming the element's type.
+func TestEncodeUnsupportedType(t *testing.T) {
+	for _, tc := range []struct {
+		v    any
+		name string
+	}{
+		{int32(7), "int32"},
+		{[]int64{1, 2}, "[]int64"},
+		{custom{A: 1, B: "x"}, "codec.custom"},
+		{&custom{A: 1}, "*codec.custom"},
+		{map[string]any{"cfg": custom{A: 7}, "n": 3}, "codec.custom"},
+		{[]any{custom{A: 7}, "tail"}, "codec.custom"},
+		{[]any{"head", map[string]any{"deep": []any{int32(1)}}}, "int32"},
+		{map[string]any{"xs": []int64{1}}, "[]int64"},
+	} {
+		b, err := Encode(tc.v)
+		if err == nil {
+			t.Fatalf("Encode(%T) = %x, want an error", tc.v, b)
+		}
+		for _, want := range []string{"unsupported type " + tc.name, "codec.Struct", "RegisterStruct"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("Encode(%T) error %q does not mention %q", tc.v, err, want)
+			}
+		}
 	}
 }
 
@@ -65,7 +88,7 @@ func TestNilValue(t *testing.T) {
 }
 
 func TestDecodeGarbageErrors(t *testing.T) {
-	if _, err := Decode([]byte("not gob")); err == nil {
+	if _, err := Decode([]byte("not an encoding")); err == nil {
 		t.Fatal("expected error")
 	}
 }

@@ -1,56 +1,70 @@
 package codec
 
-// Parity tests: the fast binary path must be observationally equivalent
-// to the gob fallback for every hot type — Decode(fast(v)) equals
-// Decode(gob(v)) — including nested map[string]any values and values
-// that cross the gob-fallback boundary (unregistered-in-fast-path
-// types inside containers).
+// Parity tests: the codec must be observationally equivalent to a gob
+// round trip of the same value — Decode(Encode(v)) equals what
+// encoding/gob gives back — for every supported type, including nested
+// map[string]any values. gob is the test-side reference only; no
+// production code imports it.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// gobEncode forces v through the gob fallback, producing a tagged
-// encoding exactly as Encode would for a non-fast-path type.
-func gobEncode(t testing.TB, v any) []byte {
+// envelope lets gob encode interface values uniformly.
+type envelope struct {
+	V any
+}
+
+func init() {
+	gob.Register([]any{})
+	gob.Register(map[string]any{})
+	gob.Register([]string{})
+	gob.Register([]float64{})
+	gob.Register([]int{})
+	gob.Register([]byte{})
+	gob.Register(map[string]string{})
+	gob.Register(map[string]float64{})
+}
+
+// gobRoundTrip is the reference: v through encoding/gob and back.
+func gobRoundTrip(t testing.TB, v any) any {
 	t.Helper()
-	out, err := appendGob(nil, nil, v)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(envelope{V: v}); err != nil {
 		t.Fatalf("gob encode %T: %v", v, err)
 	}
-	return out
-}
-
-// decodeOK decodes or fails the test.
-func decodeOK(t testing.TB, b []byte) any {
-	t.Helper()
-	v, err := Decode(b)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+	var env envelope
+	if err := gob.NewDecoder(&buf).Decode(&env); err != nil {
+		t.Fatalf("gob decode %T: %v", v, err)
 	}
-	return v
+	return env.V
 }
 
-// assertParity checks fast-path and gob round-trips of v agree.
+// assertParity checks the codec and gob round trips of v agree.
 func assertParity(t *testing.T, v any) {
 	t.Helper()
-	fast, err := Encode(v)
+	enc, err := Encode(v)
 	if err != nil {
 		t.Fatalf("encode %T: %v", v, err)
 	}
-	viaFast := decodeOK(t, fast)
-	viaGob := decodeOK(t, gobEncode(t, v))
-	if !reflect.DeepEqual(viaFast, viaGob) {
-		t.Fatalf("parity violation for %T:\n fast: %#v\n gob:  %#v", v, viaFast, viaGob)
+	viaCodec, err := Decode(enc)
+	if err != nil {
+		t.Fatalf("decode %T: %v", v, err)
+	}
+	viaGob := gobRoundTrip(t, v)
+	if !reflect.DeepEqual(viaCodec, viaGob) {
+		t.Fatalf("parity violation for %T:\n codec: %#v\n gob:   %#v", v, viaCodec, viaGob)
 	}
 }
 
-// fastCovered are the types the acceptance criteria require on the fast
-// path; encoding one must not fall back to gob.
-var fastCovered = []any{
+// supported has one value of every supported non-struct type.
+var supported = []any{
 	[]byte{1, 2, 3},
 	"hello",
 	int(-9),
@@ -64,37 +78,31 @@ var fastCovered = []any{
 	map[string]float64{"a": 1.5, "b": -0.25},
 }
 
-func TestHotTypesTakeFastPath(t *testing.T) {
-	for _, v := range fastCovered {
-		b := MustEncode(v)
-		if b[0] == tagGob {
-			t.Errorf("%T fell back to gob", v)
-		}
+func TestSupportedTypesParity(t *testing.T) {
+	for _, v := range supported {
 		assertParity(t, v)
 	}
 }
 
-type fallbackOnly struct {
-	N int
-	S string
-	F []float64
-}
-
-func TestFallbackBoundary(t *testing.T) {
-	Register(fallbackOnly{})
-	v := fallbackOnly{N: 7, S: "x", F: []float64{1, 2}}
-	b := MustEncode(v)
-	if b[0] != tagGob {
-		t.Fatalf("unregistered struct should use gob fallback, tag %#x", b[0])
+// TestDecodeReservedTag: tag 0x00 is never assigned, so it is an error
+// whatever follows it — a real gob stream included — at the top level
+// and as a container element.
+func TestDecodeReservedTag(t *testing.T) {
+	var gobStream bytes.Buffer
+	if err := gob.NewEncoder(&gobStream).Encode(envelope{V: "x"}); err != nil {
+		t.Fatal(err)
 	}
-	if got := MustDecode(b).(fallbackOnly); !reflect.DeepEqual(got, v) {
-		t.Fatalf("fallback round trip: %+v", got)
+	for _, data := range [][]byte{{0x00}, {0x00, 1, 2, 3}, append([]byte{0x00}, gobStream.Bytes()...)} {
+		if v, err := Decode(data); err == nil || !strings.Contains(err.Error(), "unknown tag") {
+			t.Errorf("Decode(%x) = %#v, %v; want an unknown-tag error", data, v, err)
+		}
 	}
-	// The boundary also holds inside containers: a struct nested in a
-	// map[string]any rides the per-value gob fallback and still matches
-	// the all-gob encoding of the whole map.
-	assertParity(t, map[string]any{"cfg": v, "n": 3})
-	assertParity(t, []any{v, "tail"})
+	// Nested, too: a container element carrying the reserved tag.
+	nested := MustEncode([]any{"a"})
+	nested[len(nested)-2] = 0x00 // the element's tag byte
+	if v, err := Decode(nested); err == nil {
+		t.Errorf("Decode of a nested 0x00 element = %#v, want an error", v)
+	}
 }
 
 func TestParityEmptyAndNil(t *testing.T) {
@@ -114,9 +122,9 @@ func TestParityEmptyAndNil(t *testing.T) {
 	}
 }
 
-// randValue builds a random value drawn from the fast-path type set,
-// with nested containers (and the occasional gob-fallback struct) up to
-// the given depth.
+// randValue builds a random value drawn from the supported type set,
+// with nested containers (and the occasional wire struct) up to the
+// given depth.
 func randValue(r *rand.Rand, depth int) any {
 	max := 14
 	if depth <= 0 {
@@ -124,7 +132,7 @@ func randValue(r *rand.Rand, depth int) any {
 	}
 	switch r.Intn(max) {
 	case 12:
-		return randWireProbe(r) // struct fast path (tag 0x0f)
+		return randWireProbe(r) // struct path (tag 0x0f)
 	case 0:
 		return nil
 	case 1:
@@ -225,10 +233,10 @@ func TestDecodedBytesCapacityClamped(t *testing.T) {
 
 // FuzzDecode: Decode must reject or parse arbitrary input without
 // panicking, and whatever parses must re-encode and decode to an equal
-// value (when the value is encodable at all).
+// value.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{tagGob})
+	f.Add([]byte{0x00}) // the reserved tag
 	f.Add([]byte{tagBytes, 1, 2, 3})
 	f.Add(MustEncode(map[string]any{"xs": []float64{1, 2}, "n": 3}))
 	f.Add(MustEncode([]any{"a", []string{"b"}, map[string]string{"c": "d"}}))
@@ -245,7 +253,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		re, err := Encode(v)
 		if err != nil {
-			return // e.g. gob-decoded values of unencodable shape
+			t.Fatalf("decoded value does not re-encode: %v", err)
 		}
 		v2, err := Decode(re)
 		if err != nil {

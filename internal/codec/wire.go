@@ -1,13 +1,10 @@
 package codec
 
-// The reflection-free struct fast path (tag 0x0f). Control-plane wire
-// structs — metrics publications, DAG topologies, workload results —
-// used to ride the gob fallback, which re-compiles an encoder/decoder
-// engine per stream and dominated steady-state allocations once the
-// rest of the data plane was pooled. A wire struct instead lays out its
-// fields by hand through the Append*/Reader helpers below and registers
-// a decode factory under a stable wire name; encoding and decoding then
-// touch no reflection beyond one type lookup.
+// The struct path (tag 0x0f). Control-plane wire structs — metrics
+// publications, DAG topologies, workload results — lay out their fields
+// by hand through the Append*/Reader helpers below and register a decode
+// factory under a stable wire name; encoding and decoding touch no
+// reflection beyond one type lookup.
 //
 // See the package comment for the wire format and doc.go for a guide to
 // defining a wire struct.
@@ -18,7 +15,6 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"sync/atomic"
 )
 
 // Struct is the reflection-free wire interface. AppendWire lays the
@@ -44,12 +40,11 @@ var (
 	structsByName = make(map[string]*structEntry)
 )
 
-// RegisterStruct makes T encodable on the struct fast path under the
-// given wire name (conventionally "pkg.Type"). The name travels in the
-// encoding, so it must be stable and unique; registration normally
-// happens in the defining package's init. Values encode as T (not *T),
-// and Decode returns a T, matching what the gob fallback produced for
-// the same types.
+// RegisterStruct makes T encodable under the given wire name
+// (conventionally "pkg.Type"); an unregistered struct is an Encode
+// error. The name travels in the encoding, so it must be stable and
+// unique; registration normally happens in the defining package's init.
+// Values encode as T (not *T), and Decode returns a T.
 func RegisterStruct[T any, PT interface {
 	*T
 	Struct
@@ -87,10 +82,9 @@ func RegisterStruct[T any, PT interface {
 // struct out of the interface (and re-boxing it) per encode.
 type wireAppender interface{ AppendWire(dst []byte) []byte }
 
-// appendStruct appends the tagged fast-path encoding of a registered
-// wire struct: tag, one-byte name length, name, fields.
-func appendStruct(cnt *Counters, dst []byte, e *structEntry, v any) []byte {
-	cnt.addStructEncode()
+// appendStruct appends the tagged encoding of a registered wire
+// struct: tag, one-byte name length, name, fields.
+func appendStruct(dst []byte, e *structEntry, v any) []byte {
 	dst = append(dst, tagStruct, byte(len(e.name)))
 	dst = append(dst, e.name...)
 	if a, ok := v.(wireAppender); ok {
@@ -100,7 +94,7 @@ func appendStruct(cnt *Counters, dst []byte, e *structEntry, v any) []byte {
 }
 
 // decodeStruct parses a tagStruct body (everything after the tag byte).
-func decodeStruct(cnt *Counters, body []byte) (any, error) {
+func decodeStruct(body []byte) (any, error) {
 	if len(body) < 1 {
 		return nil, errTruncated(tagStruct)
 	}
@@ -112,131 +106,8 @@ func decodeStruct(cnt *Counters, body []byte) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("codec: decode: unregistered wire struct %q", string(body[1:1+n]))
 	}
-	cnt.addStructDecode()
 	return e.decode(body[1+n:])
 }
-
-// --- Stats ---------------------------------------------------------------
-
-// Stats counts codec traffic by path. The gob counters are the fallback
-// tripwire: steady-state figure benchmarks assert they stay zero, so a
-// new wire type silently falling back to reflection is caught in CI
-// rather than in an allocation profile.
-type Stats struct {
-	StructEncodes int64 // struct fast-path encodes (tag 0x0f)
-	StructDecodes int64 // struct fast-path decodes
-	GobEncodes    int64 // gob-fallback encodes (tag 0x00)
-	GobDecodes    int64 // gob-fallback decodes
-}
-
-// Counters is a per-handle set of codec path counters. Every cluster
-// owns one (threaded through its executors, schedulers, and decode
-// caches), so the zero-gob gates stay exact when several clusters run
-// concurrently: the process-wide aggregate (ReadStats) sums traffic
-// from all of them, but a handle counts only its own cluster's.
-//
-// The methods mirror the package-level functions and are nil-safe: a
-// nil *Counters encodes/decodes identically and bumps only the
-// aggregate, so code paths that never met a cluster keep working
-// unchanged.
-type Counters struct {
-	structEncodes atomic.Int64
-	structDecodes atomic.Int64
-	gobEncodes    atomic.Int64
-	gobDecodes    atomic.Int64
-}
-
-// aggregate is the process-lifetime sum behind ReadStats/ResetStats.
-// Every bump lands here whether or not a handle is attached.
-var aggregate Counters
-
-func (c *Counters) addStructEncode() {
-	aggregate.structEncodes.Add(1)
-	if c != nil {
-		c.structEncodes.Add(1)
-	}
-}
-
-func (c *Counters) addStructDecode() {
-	aggregate.structDecodes.Add(1)
-	if c != nil {
-		c.structDecodes.Add(1)
-	}
-}
-
-func (c *Counters) addGobEncode() {
-	aggregate.gobEncodes.Add(1)
-	if c != nil {
-		c.gobEncodes.Add(1)
-	}
-}
-
-func (c *Counters) addGobDecode() {
-	aggregate.gobDecodes.Add(1)
-	if c != nil {
-		c.gobDecodes.Add(1)
-	}
-}
-
-// Encode serializes v, counting the traffic on this handle (and the
-// process aggregate). Nil-safe.
-func (c *Counters) Encode(v any) ([]byte, error) { return encodeCounted(c, v) }
-
-// MustEncode is Encode, panicking on failure.
-func (c *Counters) MustEncode(v any) []byte {
-	b, err := c.Encode(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// Decode deserializes data, counting the traffic on this handle (and
-// the process aggregate). Nil-safe.
-func (c *Counters) Decode(data []byte) (any, error) { return decodeCounted(c, data) }
-
-// MustDecode is Decode, panicking on failure.
-func (c *Counters) MustDecode(data []byte) any {
-	v, err := c.Decode(data)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// Read returns this handle's counters. A nil handle reads all zeros.
-func (c *Counters) Read() Stats {
-	if c == nil {
-		return Stats{}
-	}
-	return Stats{
-		StructEncodes: c.structEncodes.Load(),
-		StructDecodes: c.structDecodes.Load(),
-		GobEncodes:    c.gobEncodes.Load(),
-		GobDecodes:    c.gobDecodes.Load(),
-	}
-}
-
-// Reset zeroes this handle's counters (not the process aggregate).
-func (c *Counters) Reset() {
-	if c == nil {
-		return
-	}
-	c.structEncodes.Store(0)
-	c.structDecodes.Store(0)
-	c.gobEncodes.Store(0)
-	c.gobDecodes.Store(0)
-}
-
-// ReadStats returns the process-lifetime codec counters, summed across
-// every handle and every handleless call.
-func ReadStats() Stats { return (&aggregate).Read() }
-
-// ResetStats zeroes the process-wide counters. Tests that bracket a
-// workload with ResetStats/ReadStats are exact only while nothing else
-// encodes concurrently; under parallel runs, bracket a per-cluster
-// Counters handle instead.
-func ResetStats() { (&aggregate).Reset() }
 
 // --- Append helpers ------------------------------------------------------
 //
@@ -302,7 +173,7 @@ func AppendU64s(dst []byte, xs []uint64) []byte {
 // (string key, int64 value) pairs in sorted key order. Unlike slices,
 // maps keep their nilness on the wire: gob transmits zero-length
 // non-nil maps (they decode non-nil empty) while omitting nil ones, and
-// the struct fast path preserves that parity.
+// the struct path preserves that parity.
 func AppendI64Map(dst []byte, m map[string]int64) []byte {
 	if m == nil {
 		return AppendBool(dst, false)

@@ -1,9 +1,8 @@
 package codec
 
-// Tests for the struct fast path (tag 0x0f): round trips, gob parity
+// Tests for the struct path (tag 0x0f): round trips, gob parity
 // (including inside containers, via the probe type randValue feeds the
-// shared property/fuzz harness), malformed input, and the Stats
-// counters the figure benchmarks gate on.
+// shared property/fuzz harness) and malformed input.
 
 import (
 	"encoding/gob"
@@ -83,7 +82,7 @@ func TestWireStructRoundTrip(t *testing.T) {
 			t.Fatalf("probe missed the struct path: tag %#x", enc[0])
 		}
 		got := MustDecode(enc).(wireProbe)
-		want := MustDecode(gobEncode(t, w)).(wireProbe) // gob-parity reference
+		want := gobRoundTrip(t, w).(wireProbe) // gob-parity reference
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("struct/gob divergence:\n struct: %#v\n gob:    %#v", got, want)
 		}
@@ -118,27 +117,6 @@ func TestDecodeTruncatedWireStruct(t *testing.T) {
 	}
 }
 
-// TestStatsCountPaths: struct traffic counts on the struct counters,
-// gob traffic on the gob counters — the tripwire the steady-state
-// figure benchmarks assert stays at zero gob.
-func TestStatsCountPaths(t *testing.T) {
-	ResetStats()
-	b := MustEncode(wireProbe{S: "x"})
-	MustDecode(b)
-	s := ReadStats()
-	if s.StructEncodes != 1 || s.StructDecodes != 1 || s.GobEncodes != 0 || s.GobDecodes != 0 {
-		t.Fatalf("struct path stats = %+v", s)
-	}
-	ResetStats()
-	Register(custom{})
-	g := MustEncode(custom{A: 1})
-	MustDecode(g)
-	s = ReadStats()
-	if s.GobEncodes != 1 || s.GobDecodes != 1 {
-		t.Fatalf("gob fallback stats = %+v", s)
-	}
-}
-
 // TestEncodeAllocsStructPath pins the pooled encode path: one
 // allocation per Encode (the returned buffer), with the build scratch
 // coming from the pool.
@@ -147,7 +125,7 @@ func TestEncodeAllocsStructPath(t *testing.T) {
 	MustEncode(w) // warm the scratch pool
 	allocs := testing.AllocsPerRun(100, func() { MustEncode(w) })
 	// 1 for the copied-out buffer, plus amortized noise from the sorted
-	// key walk; the gob path this replaced cost hundreds.
+	// key walk.
 	if allocs > 3 {
 		t.Fatalf("struct encode: %.1f allocs/op, want <= 3", allocs)
 	}

@@ -374,13 +374,12 @@ type SchedulerMetrics struct {
 // timestamp). LWW timestamps are unique per write, so an entry never
 // invalidates; re-publication under a new timestamp simply replaces it.
 // Control-plane consumers (schedulers, the monitor) share one cache per
-// cluster so each metrics publication is gob-decoded once process-wide
+// cluster so each metrics publication is decoded once per cluster
 // instead of once per consumer per poll tick. Decoded values are shared
 // read-only, the same convention the data plane's zero-copy payloads
 // follow. The kernel runs one party at a time, so no locking is needed.
 type DecodeCache struct {
-	m   map[string]decodedVersion
-	cnt *codec.Counters
+	m map[string]decodedVersion
 }
 
 // decodedVersion is a key's latest decoded publication.
@@ -389,11 +388,9 @@ type decodedVersion struct {
 	v  any
 }
 
-// NewDecodeCache returns an empty cache whose decodes count against
-// cnt (the owning cluster's codec counters; nil counts only the
-// process aggregate).
-func NewDecodeCache(cnt *codec.Counters) *DecodeCache {
-	return &DecodeCache{m: make(map[string]decodedVersion), cnt: cnt}
+// NewDecodeCache returns an empty cache.
+func NewDecodeCache() *DecodeCache {
+	return &DecodeCache{m: make(map[string]decodedVersion)}
 }
 
 // Get looks up the decoded value for key at exactly ts.
@@ -418,7 +415,7 @@ func (c *DecodeCache) Decode(key string, l *lattice.LWW) (any, bool) {
 	if v, ok := c.Get(key, l.TS); ok {
 		return v, true
 	}
-	v, err := c.cnt.Decode(l.Value)
+	v, err := codec.Decode(l.Value)
 	if err != nil {
 		return nil, false
 	}
@@ -433,11 +430,8 @@ func DAGKey(name string) string           { return "sys/dags/" + name }
 func FuncListKey() string                 { return "sys/funcs" }
 func DAGListKey() string                  { return "sys/dags" }
 func ExecMetricsKey(thread string) string { return "sys/metrics/exec/" + thread }
-func ExecMetricsPrefix() string           { return "sys/metrics/exec/" }
 func CacheKeysKey(vm string) string       { return "sys/metrics/cache/" + vm }
-func CacheKeysPrefix() string             { return "sys/metrics/cache/" }
 func SchedMetricsKey(id string) string    { return "sys/metrics/sched/" + id }
-func SchedMetricsPrefix() string          { return "sys/metrics/sched/" }
 func WarmSeedKey(vm string) string        { return "sys/lifecycle/seed/" + vm }
 func InboxKey(invocationID string) string { return "sys/inbox/" + invocationID }
 func TxnLogKey(reqID string) string       { return "sys/txn/" + reqID }

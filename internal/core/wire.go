@@ -2,11 +2,9 @@ package core
 
 // Reflection-free wire codecs for the metrics structs every executor
 // VM, cache, and scheduler publishes to Anna each metrics interval —
-// the highest-frequency struct traffic in the system. Riding the codec
-// struct fast path (tag 0x0f) instead of the gob fallback removes the
-// per-publication encoder/decoder engine compilation that dominated
-// steady-state allocations, and shrinks the capsules to their fields'
-// actual bytes, which the simulated transfer and service times see.
+// the highest-frequency struct traffic in the system. As codec wire
+// structs (tag 0x0f) the capsules are their fields' actual bytes, which
+// the simulated transfer and service times see.
 
 import (
 	"cloudburst/internal/codec"

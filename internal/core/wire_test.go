@@ -1,10 +1,10 @@
 package core
 
-// Wire-codec parity for the migrated metrics structs: the struct fast
-// path must be observationally equivalent to the gob fallback these
-// types used to ride — Decode(struct-path bytes) equals Decode(gob
-// bytes) — including zero values and the nil/empty slice and map
-// conventions gob's struct-field omission produces.
+// Wire-codec parity for the metrics structs: the struct path must be
+// observationally equivalent to a gob round trip of the same value —
+// Decode(Encode(v)) equals what encoding/gob gives back — including
+// zero values and the nil/empty slice and map conventions gob's
+// struct-field omission produces. gob is the test-side reference only.
 
 import (
 	"bytes"
@@ -21,29 +21,27 @@ func init() {
 	gob.Register(SchedulerMetrics{})
 }
 
-// gobEncode builds the tagged gob-fallback encoding of v, exactly as
-// codec.Encode produced before these types were migrated.
-func gobEncode(t *testing.T, v any) []byte {
+// gobRoundTrip is the reference: v through encoding/gob and back.
+func gobRoundTrip(t *testing.T, v any) any {
 	t.Helper()
-	type envelope struct{ V any } // field-compatible with codec's envelope
+	type envelope struct{ V any }
 	var buf bytes.Buffer
-	buf.WriteByte(0x00) // tagGob
 	if err := gob.NewEncoder(&buf).Encode(envelope{V: v}); err != nil {
 		t.Fatalf("gob encode %T: %v", v, err)
 	}
-	return buf.Bytes()
+	var env envelope
+	if err := gob.NewDecoder(&buf).Decode(&env); err != nil {
+		t.Fatalf("gob decode %T: %v", v, err)
+	}
+	return env.V
 }
 
 func assertWireParity(t *testing.T, v any) {
 	t.Helper()
-	fast := codec.MustEncode(v)
-	if fast[0] != 0x0f {
-		t.Fatalf("%T did not take the struct fast path (tag %#x)", v, fast[0])
-	}
-	viaFast := codec.MustDecode(fast)
-	viaGob := codec.MustDecode(gobEncode(t, v))
-	if !reflect.DeepEqual(viaFast, viaGob) {
-		t.Fatalf("wire parity violation for %T:\n struct: %#v\n gob:    %#v", v, viaFast, viaGob)
+	viaCodec := codec.MustDecode(codec.MustEncode(v))
+	viaGob := gobRoundTrip(t, v)
+	if !reflect.DeepEqual(viaCodec, viaGob) {
+		t.Fatalf("wire parity violation for %T:\n struct: %#v\n gob:    %#v", v, viaCodec, viaGob)
 	}
 }
 

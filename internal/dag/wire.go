@@ -3,8 +3,7 @@ package dag
 // Reflection-free wire codec for DAG topologies. Registered DAGs are
 // the schedulers' only persistent metadata: stored in Anna at
 // registration and re-fetched by every scheduler, executor, and the
-// monitor that first encounters the name, so the topology rides the
-// codec struct fast path instead of the gob fallback.
+// monitor that first encounters the name, as a codec wire struct.
 
 import "cloudburst/internal/codec"
 

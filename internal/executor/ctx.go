@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cloudburst/internal/cache"
+	"cloudburst/internal/codec"
 	"cloudburst/internal/core"
 	"cloudburst/internal/lattice"
 	"cloudburst/internal/vtime"
@@ -103,7 +104,7 @@ func (c *Ctx) GetSiblings(key string) ([]any, error) {
 				WriteID: writeID, Ver: ver, Cache: ver.Cache, At: c.t.k.Now(),
 			})
 		}
-		v, err := c.t.codec.Decode(inner)
+		v, err := codec.Decode(inner)
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +134,7 @@ func (c *Ctx) PutWithDeps(key string, val any, deps ...string) error {
 }
 
 func (c *Ctx) put(key string, val any, deps []string) error {
-	payload, err := c.t.codec.Encode(val)
+	payload, err := codec.Encode(val)
 	if err != nil {
 		return err
 	}
@@ -175,7 +176,7 @@ func (c *Ctx) txnGet(key string) (any, bool, error) {
 	if sw, ok := c.txn.staged[key]; ok {
 		if !sw.decoded {
 			_, inner := untag(sw.payload)
-			v, err := c.t.codec.Decode(inner)
+			v, err := codec.Decode(inner)
 			if err != nil {
 				return nil, true, err
 			}
@@ -237,7 +238,7 @@ func (c *Ctx) CachedLocally(key string) bool {
 // thread is unreachable the message is written to the recipient's Anna
 // inbox instead (§3).
 func (c *Ctx) Send(recvID string, msg any) error {
-	payload, err := c.t.codec.Encode(msg)
+	payload, err := codec.Encode(msg)
 	if err != nil {
 		return err
 	}
@@ -265,7 +266,7 @@ func (c *Ctx) Recv() ([]any, error) {
 		c.t.mailbox = nil
 		out := make([]any, 0, len(msgs))
 		for _, m := range msgs {
-			v, err := c.t.codec.Decode(m.Body)
+			v, err := codec.Decode(m.Body)
 			if err != nil {
 				return nil, err
 			}
@@ -303,7 +304,7 @@ func (c *Ctx) Recv() ([]any, error) {
 				break
 			}
 		}
-		v, err := c.t.codec.Decode([]byte(payload))
+		v, err := codec.Decode([]byte(payload))
 		if err != nil {
 			return nil, err
 		}

@@ -36,7 +36,6 @@ type Thread struct {
 	alive       func(simnet.NodeID) bool
 	dagFor      func(name string) (*dag.DAG, bool)
 	overhead    time.Duration
-	codec       *codec.Counters
 	disp        *simnet.Dispatcher
 	resolveName string // precomputed process name for parallel arg reads
 	hooks       *hook.Registry
@@ -119,9 +118,6 @@ type Deps struct {
 	// executor; ~0.8ms calibrates Figure 1's Cloudburst bar against
 	// Dask's).
 	InvokeOverhead time.Duration
-	// Codec receives this thread's codec traffic on the owning
-	// cluster's counters (nil counts only the process aggregate).
-	Codec *codec.Counters
 	// Trace, when non-nil, records per-request latency spans (queue,
 	// overhead, argument resolution, compute) into the cluster's
 	// collector. CPU-side only; nil disables at zero cost.
@@ -132,9 +128,6 @@ type Deps struct {
 	// TxnRing resolves key ownership for the thread's 2PC coordinator;
 	// nil disables transactional invocations on this thread.
 	TxnRing txn.Router
-	// TxnPrepareTimeout bounds each participant's prepare round trip
-	// (zero uses txn.DefaultPrepareTimeout).
-	TxnPrepareTimeout time.Duration
 }
 
 // NewThread creates a worker bound to ep.
@@ -152,7 +145,6 @@ func NewThread(k *vtime.Kernel, ep *simnet.Endpoint, vm string, d Deps) *Thread 
 		alive:       d.Alive,
 		dagFor:      d.DAGFor,
 		overhead:    d.InvokeOverhead,
-		codec:       d.Codec,
 		resolveName: string(ep.ID()) + "/resolve",
 		pinned:      make(map[string]bool),
 		pending:     make(map[string]*join),
@@ -161,10 +153,7 @@ func NewThread(k *vtime.Kernel, ep *simnet.Endpoint, vm string, d Deps) *Thread 
 		hooks:       d.Hooks,
 	}
 	if d.TxnRing != nil {
-		t.txnCoord = &txn.Coordinator{
-			K: k, EP: ep, Ring: d.TxnRing, KV: d.Anna, Hooks: d.Hooks,
-			Entity: vm, Codec: d.Codec, PrepareTimeout: d.TxnPrepareTimeout,
-		}
+		t.txnCoord = &txn.Coordinator{K: k, EP: ep, Ring: d.TxnRing, KV: d.Anna, Hooks: d.Hooks, Entity: vm}
 	}
 	t.disp = simnet.NewDispatcher(ep, string(t.id))
 	simnet.OnMessage(t.disp, func(m simnet.Message, b core.InvokeRequest) {
@@ -280,7 +269,7 @@ func (t *Thread) resolveArgs(reqID, dagName, fn string, args []core.Arg, meta *c
 			refIdx = append(refIdx, i)
 			continue
 		}
-		v, err := t.codec.Decode(a.Val)
+		v, err := codec.Decode(a.Val)
 		if err != nil {
 			return nil, err
 		}
@@ -357,19 +346,19 @@ func (t *Thread) decodeVersioned(key string, ver core.VersionRef, payload []byte
 	switch {
 	case len(ver.VC) != 0:
 		if ver.VCD == 0 {
-			return t.codec.Decode(payload) // no capsule digest: not memoizable
+			return codec.Decode(payload) // no capsule digest: not memoizable
 		}
 		mk = memoKey{key: key, vcd: ver.VCD}
 	case ver.TS != (lattice.Timestamp{}):
 		mk = memoKey{key: key, ts: ver.TS}
 	default:
-		return t.codec.Decode(payload)
+		return codec.Decode(payload)
 	}
 	if v, ok := t.memo[mk]; ok {
 		t.memoHits++
 		return v, nil
 	}
-	v, err := t.codec.Decode(payload)
+	v, err := codec.Decode(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -413,7 +402,7 @@ func (t *Thread) runSingle(req core.InvokeRequest) {
 		t.completeSingle(req, res, 64)
 		return
 	}
-	payload, encErr := t.codec.Encode(result)
+	payload, encErr := codec.Encode(result)
 	if encErr != nil {
 		res.Err = encErr.Error()
 		t.completeSingle(req, res, 64)
@@ -500,7 +489,7 @@ func (t *Thread) runTrigger(tr core.DAGTrigger) {
 	args := append([]core.Arg(nil), tr.Schedule.Args[tr.Target]...)
 	parentVals := make([]any, 0, len(inputs))
 	for _, in := range inputs {
-		v, err := t.codec.Decode(in.Val)
+		v, err := codec.Decode(in.Val)
 		if err != nil {
 			t.fail(tr.Schedule, err)
 			return
@@ -538,7 +527,7 @@ func (t *Thread) runTrigger(tr core.DAGTrigger) {
 		t.fail(tr.Schedule, err)
 		return
 	}
-	payload, encErr := t.codec.Encode(result)
+	payload, encErr := codec.Encode(result)
 	if encErr != nil {
 		t.fail(tr.Schedule, encErr)
 		return

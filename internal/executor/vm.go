@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cloudburst/internal/anna"
+	"cloudburst/internal/codec"
 	"cloudburst/internal/core"
 	"cloudburst/internal/lattice"
 	"cloudburst/internal/vtime"
@@ -102,12 +103,9 @@ func (vm *VM) metricsLoop() {
 
 func (vm *VM) publishMetrics() {
 	now := int64(vm.k.Now())
-	// Metrics publications count against the owning cluster's codec
-	// handle; the threads carry it in their deps.
-	cnt := vm.Threads[0].codec
 	for _, t := range vm.Threads {
 		m := t.MetricsSnapshot()
-		payload := cnt.MustEncode(m)
+		payload := codec.MustEncode(m)
 		vm.metricsClient.Put(core.ExecMetricsKey(string(t.ID())),
 			lattice.NewLWW(lattice.Timestamp{Clock: now, Node: nodeHashVM(vm.Name)}, payload))
 	}
@@ -118,7 +116,7 @@ func (vm *VM) publishMetrics() {
 		ReportedAtS: vm.k.Now().Seconds(),
 	}
 	vm.metricsClient.Put(core.CacheKeysKey(vm.Name),
-		lattice.NewLWW(lattice.Timestamp{Clock: now, Node: nodeHashVM(vm.Name)}, cnt.MustEncode(cm)))
+		lattice.NewLWW(lattice.Timestamp{Clock: now, Node: nodeHashVM(vm.Name)}, codec.MustEncode(cm)))
 }
 
 func nodeHashVM(name string) uint64 {

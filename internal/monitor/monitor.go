@@ -172,7 +172,7 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, pool ComputePool
 		decoded:       cfg.Decoded,
 	}
 	if m.decoded == nil {
-		m.decoded = core.NewDecodeCache(nil)
+		m.decoded = core.NewDecodeCache()
 	}
 	if cfg.Shards > 1 && cfg.NewShardEP != nil {
 		m.shards = append(m.shards, newShard(ep, ac))

@@ -142,9 +142,6 @@ type Config struct {
 	// Decoded is an optional cluster-shared decoded-metrics cache; nil
 	// gives the scheduler a private one.
 	Decoded *core.DecodeCache
-	// Codec receives the scheduler's codec traffic on the owning
-	// cluster's counters (nil counts only the process aggregate).
-	Codec *codec.Counters
 	// Trace, when set, records per-request spans (network flight, inbox
 	// queueing, dispatch work, §4.5 retries) on the cluster's tracing
 	// plane. CPU-side only; nil disables at zero cost.
@@ -246,11 +243,10 @@ type Scheduler struct {
 	// decoded caches decoded metric payloads by exact LWW version:
 	// metrics publish every MetricsInterval but the view polls every
 	// PollInterval (and every consumer polls the same keys), so most
-	// ticks would otherwise gob-decode identical bytes again — the
+	// ticks would otherwise decode identical bytes again — the
 	// dominant real-CPU cost of an idle scheduler. Shared cluster-wide
 	// when Config.Decoded is set.
 	decoded *core.DecodeCache
-	codec   *codec.Counters
 	// spans is the cluster's tracing plane (distinct from the consistency
 	// audit's executor.Tracer); nil when tracing is off.
 	spans *trace.Collector
@@ -292,11 +288,10 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config) *Sch
 		fnCalls:      make(map[string]int64),
 		dagDone:      make(map[string]int64),
 		decoded:      cfg.Decoded,
-		codec:        cfg.Codec,
 		spans:        cfg.Trace,
 	}
 	if s.decoded == nil {
-		s.decoded = core.NewDecodeCache(cfg.Codec)
+		s.decoded = core.NewDecodeCache()
 	}
 	s.disp = simnet.NewDispatcher(ep, string(s.id))
 	simnet.OnRequest(s.disp, func(req *simnet.Request, b RegisterFunctionReq) {
@@ -380,7 +375,7 @@ func (s *Scheduler) Start() {
 // registerFunction stores the function's metadata in Anna and updates
 // the shared registered-function list (§4.3).
 func (s *Scheduler) registerFunction(req RegisterFunctionReq) RegisterResp {
-	meta := s.codec.MustEncode(map[string]any{"name": req.Name})
+	meta := codec.MustEncode(map[string]any{"name": req.Name})
 	ts := lattice.Timestamp{Clock: int64(s.k.Now()), Node: 1}
 	if err := s.anna.Put(core.FuncKey(req.Name), lattice.NewLWW(ts, meta)); err != nil {
 		return RegisterResp{Err: err.Error()}
@@ -406,7 +401,7 @@ func (s *Scheduler) registerDAG(req RegisterDAGReq) RegisterResp {
 		}
 	}
 	ts := lattice.Timestamp{Clock: int64(s.k.Now()), Node: 1}
-	if err := s.anna.Put(core.DAGKey(d.Name), lattice.NewLWW(ts, s.codec.MustEncode(d))); err != nil {
+	if err := s.anna.Put(core.DAGKey(d.Name), lattice.NewLWW(ts, codec.MustEncode(d))); err != nil {
 		return RegisterResp{Err: err.Error()}
 	}
 	s.anna.Put(core.DAGListKey(), lattice.NewSet(d.Name))
@@ -718,7 +713,7 @@ func (s *Scheduler) dagView(name string) (*dag.DAG, bool) {
 	if !ok {
 		return nil, false
 	}
-	v, err := s.codec.Decode(l.Value)
+	v, err := codec.Decode(l.Value)
 	if err != nil {
 		return nil, false
 	}
@@ -1149,7 +1144,7 @@ func (s *Scheduler) metricsTick() {
 		m.FnCalls["done/"+d] = n
 	}
 	ts := lattice.Timestamp{Clock: int64(s.k.Now()), Node: 2}
-	s.anna.Put(core.SchedMetricsKey(string(s.id)), lattice.NewLWW(ts, s.codec.MustEncode(m)))
+	s.anna.Put(core.SchedMetricsKey(string(s.id)), lattice.NewLWW(ts, codec.MustEncode(m)))
 }
 
 // recordArrival charges a just-dequeued request message's flight and

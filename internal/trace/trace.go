@@ -15,9 +15,9 @@
 // the tracer — so the simulated byte schedule, every service time, and
 // every figure table are byte-identical with tracing on or off
 // (enforced by diff tests in internal/bench). A collector is a harness
-// observer, exactly like codec.Counters: per-cluster handles keep
-// parallel experiment cells isolated, and a package-level atomic
-// aggregate keeps whole-process tripwires possible.
+// observer: per-cluster handles keep parallel experiment cells
+// isolated, and a package-level atomic aggregate keeps whole-process
+// tripwires possible.
 //
 // A nil *Collector (and the zero Ctx) disables everything: every
 // method is nil-receiver-safe and allocation-free, pinned by
@@ -163,7 +163,7 @@ const DefaultRing = 64
 // Collector owns one cluster's traces. It is single-kernel state —
 // the cooperative scheduler serializes all access within a cluster, so
 // plain maps and slices need no locking — and is threaded per cluster
-// like codec.Counters so parallel experiment cells never share one.
+// so parallel experiment cells never share one.
 type Collector struct {
 	active    map[string]*Trace
 	done      []*Trace // ring of finished traces, oldest overwritten

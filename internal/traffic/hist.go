@@ -4,8 +4,8 @@ package traffic
 // per-second completion timeline. Both are incremental — Observe is
 // O(log buckets) and memory is O(buckets + seconds), never
 // O(requests) — so an open-loop window at 10⁵+ req/s records without
-// building a sample slice. Capsule is the wire form (struct codec, no
-// gob) used to persist a window's results in Anna.
+// building a sample slice. Capsule is the wire form (a codec wire
+// struct) used to persist a window's results in Anna.
 
 import (
 	"fmt"
@@ -229,9 +229,8 @@ func (r *Recorder) Capsule(name string) Capsule {
 }
 
 // Capsule is a recorder window on the wire: histogram geometry plus
-// bucket counts plus the timeline and counters. It rides the struct
-// codec (tag 0x0f) so persisting windows in Anna stays on the
-// zero-gob steady-state path.
+// bucket counts plus the timeline and counters, as a codec wire
+// struct (tag 0x0f).
 type Capsule struct {
 	Name    string
 	FirstNS int64
@@ -317,16 +316,14 @@ func (c Capsule) Sustained(window time.Duration) float64 {
 func CapsuleKey(name string) string { return "sys/traffic/" + name }
 
 // PublishCapsule persists a window's capsule in Anna under
-// CapsuleKey(c.Name) so results survive the pool and cross the wire
-// codec (the encode side of the zero-gob guarantee). The encode counts
-// against cnt — the owning cluster's codec counters (nil-safe).
-func PublishCapsule(k *vtime.Kernel, ac *anna.Client, cnt *codec.Counters, c Capsule) error {
+// CapsuleKey(c.Name) so results survive the pool and cross the wire codec.
+func PublishCapsule(k *vtime.Kernel, ac *anna.Client, c Capsule) error {
 	ts := lattice.Timestamp{Clock: int64(k.Now()), Node: 0x7aff1c}
-	return ac.Put(CapsuleKey(c.Name), lattice.NewLWW(ts, cnt.MustEncode(c)))
+	return ac.Put(CapsuleKey(c.Name), lattice.NewLWW(ts, codec.MustEncode(c)))
 }
 
-// LoadCapsule reads a published window back (the decode side).
-func LoadCapsule(ac *anna.Client, cnt *codec.Counters, name string) (Capsule, error) {
+// LoadCapsule reads a published window back.
+func LoadCapsule(ac *anna.Client, name string) (Capsule, error) {
 	lat, found, err := ac.Get(CapsuleKey(name))
 	if err != nil {
 		return Capsule{}, err
@@ -338,7 +335,7 @@ func LoadCapsule(ac *anna.Client, cnt *codec.Counters, name string) (Capsule, er
 	if !ok {
 		return Capsule{}, fmt.Errorf("traffic: capsule %q is %T, not LWW", name, lat)
 	}
-	v, err := cnt.Decode(lww.Value)
+	v, err := codec.Decode(lww.Value)
 	if err != nil {
 		return Capsule{}, err
 	}

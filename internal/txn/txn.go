@@ -5,7 +5,7 @@
 // existing RPC plane. Prepared-but-uncommitted versions live outside
 // the nodes' stores, so readers never observe a partial write set
 // under any consistency mode. The commit decision is durably logged in
-// Anna (a registered codec wire struct — zero gob) before any commit
+// Anna (a registered codec wire struct) before any commit
 // message is sent, so a participant orphaned by a coordinator VM crash
 // resolves itself from the log, and a §4.5 re-execution of the same
 // request finds the log and returns the recorded result instead of
@@ -127,12 +127,6 @@ type AbortError struct{ Reason string }
 
 func (e *AbortError) Error() string { return "txn: aborted: " + e.Reason }
 
-// IsAbort reports whether err is a transaction abort.
-func IsAbort(err error) bool {
-	var ae *AbortError
-	return errors.As(err, &ae)
-}
-
 // Coordinator runs two-phase commit from an executor thread. One
 // coordinator per thread; Commit is called at most once at a time (the
 // thread serves one invocation at a time).
@@ -143,10 +137,6 @@ type Coordinator struct {
 	KV     KV
 	Hooks  *hook.Registry
 	Entity string // VM name, the identity CrashAt point-cuts match on
-	Codec  *codec.Counters
-	// PrepareTimeout bounds each participant's prepare round trip;
-	// a timed-out participant is a no vote (presumed abort).
-	PrepareTimeout time.Duration
 
 	// Counters (report/test hooks).
 	Commits   int64
@@ -154,8 +144,9 @@ type Coordinator struct {
 	Recovered int64 // commits resolved from a prior attempt's log
 }
 
-// DefaultPrepareTimeout is used when PrepareTimeout is zero.
-const DefaultPrepareTimeout = 500 * time.Millisecond
+// prepareTimeout bounds each participant's prepare round trip; a
+// timed-out participant is a no vote (presumed abort).
+const prepareTimeout = 500 * time.Millisecond
 
 // Commit atomically installs writes across their Anna owners. The
 // returned payload is nil on a fresh commit; when a prior attempt of
@@ -193,10 +184,6 @@ func (c *Coordinator) Commit(reqID, txnID string, writes []core.TxnWrite, result
 	// Phase 1: parallel prepare. A vote is yes only if the participant
 	// validated every item and locked every written key; errors and
 	// timeouts are no votes.
-	timeout := c.PrepareTimeout
-	if timeout <= 0 {
-		timeout = DefaultPrepareTimeout
-	}
 	votes := make([]string, len(order))
 	wg := vtime.NewWaitGroup(c.K)
 	for i, o := range order {
@@ -205,7 +192,7 @@ func (c *Coordinator) Commit(reqID, txnID string, writes []core.TxnWrite, result
 		c.K.Go(string(c.EP.ID())+"/txn-prepare", func() {
 			defer wg.Done()
 			req := PrepareReq{TxnID: txnID, ReqID: reqID, Clock: clock, Node: node, Items: parts[o]}
-			resp, cerr := c.EP.Call(o, req, 64+core.TxnWritesSize(parts[o]), timeout)
+			resp, cerr := c.EP.Call(o, req, 64+core.TxnWritesSize(parts[o]), prepareTimeout)
 			if cerr != nil {
 				votes[i] = "prepare " + string(o) + ": " + cerr.Error()
 				return
@@ -236,7 +223,7 @@ func (c *Coordinator) Commit(reqID, txnID string, writes []core.TxnWrite, result
 	// suffices — replica gossip heals partial log writes, and the sweep
 	// treats "found on any owner" as committed.
 	rec := Record{TxnID: txnID, Keys: writtenKeys(writes), Result: resultPayload}
-	body, eerr := c.Codec.Encode(rec)
+	body, eerr := codec.Encode(rec)
 	if eerr != nil {
 		c.sendDecisions(order, txnID, false)
 		c.Aborts++
@@ -302,7 +289,7 @@ func (c *Coordinator) decodeRecord(lat lattice.Lattice) (Record, error) {
 	if !ok {
 		return Record{}, fmt.Errorf("txn: commit log holds %s", lat.TypeName())
 	}
-	v, err := c.Codec.Decode(l.Value)
+	v, err := codec.Decode(l.Value)
 	if err != nil {
 		return Record{}, fmt.Errorf("txn: decode commit record: %w", err)
 	}

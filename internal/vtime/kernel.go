@@ -38,7 +38,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -471,17 +471,20 @@ func (k *Kernel) Stop() {
 	if k.running {
 		panic("vtime: Stop during Run")
 	}
+	// Deterministic order: lowest id first. One sort per pass — a process
+	// spawned while another unwinds has a higher id than every id in the
+	// pass, so the next pass kills it in the same order a per-kill re-sort
+	// would.
 	for len(k.live) > 0 {
-		// Deterministic order: lowest id first.
-		ids := make([]int64, 0, len(k.live))
-		for id := range k.live {
-			ids = append(ids, id)
+		for _, id := range k.liveIDs() {
+			p, ok := k.live[id]
+			if !ok {
+				continue
+			}
+			p.killed = true
+			p.resume <- struct{}{}
+			<-k.yield
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		p := k.live[ids[0]]
-		p.killed = true
-		p.resume <- struct{}{}
-		<-k.yield
 	}
 	// Unwound processes park on the free list; exit their goroutines.
 	for _, p := range k.freeProcs {
@@ -496,13 +499,19 @@ func (k *Kernel) Stop() {
 	k.timers = nil
 }
 
-// dumpLive renders the parked-process table for deadlock diagnostics.
-func (k *Kernel) dumpLive() string {
+// liveIDs returns the ids of the live processes in ascending order.
+func (k *Kernel) liveIDs() []int64 {
 	ids := make([]int64, 0, len(k.live))
 	for id := range k.live {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	return ids
+}
+
+// dumpLive renders the parked-process table for deadlock diagnostics.
+func (k *Kernel) dumpLive() string {
+	ids := k.liveIDs()
 	s := fmt.Sprintf("at t=%v, %d live processes:\n", k.now, len(ids))
 	for _, id := range ids {
 		p := k.live[id]

@@ -44,7 +44,7 @@ func (a ArraySum) Keys(set int) []string {
 func (a ArraySum) TotalBytes() int { return a.NumArrays * a.Elems * 8 }
 
 // Preload stores one set of arrays directly in Anna. Arrays are stored
-// as raw bytes (8 bytes per logical float64 element): gob-decoding large
+// as raw bytes (8 bytes per logical float64 element): decoding large
 // float slices element-wise would dominate the harness's real (not
 // simulated) runtime, while byte slices decode with a copy. The
 // simulated compute model is unchanged.

@@ -1,27 +1,12 @@
 #!/usr/bin/env bash
-# perfgate.sh — the perf-regression tripwire (ROADMAP item, armed for
-# Fig5 in PR 3, extended to Fig7/Fig11 in PR 4, to the struct-codec
-# microbench in PR 5, to the state-lifecycle experiment in PR 6, to
-# the fig13 open-loop saturation sweep in PR 7, and to the fig15
-# transactional-commit figure in PR 10; the current baseline is
-# BENCH_10.json, recorded at runner width 1 so parallel CI runs can
-# only beat its ns/op, never trip it spuriously. The BENCH_10 note
-# explains each simulated figure that shifted in that re-record).
-#
-# Compares each gated benchmark's harness-cost metrics (ns/op,
-# allocs/op) of a fresh bench report against the committed baseline and
-# fails on a >25% regression of either. The bound comes from the noise
-# observed across BENCH_1..BENCH_5 CI artifacts: allocs/op is
-# deterministic to <1% (the simulation replays the same schedule), and
-# min-of-N ns/op stays well inside 25% on same-class runners, so a 25%
-# excursion means a real regression, not noise. Run the benches with
-# -c 2 (or more); the gate takes the minimum across rows to shed
-# one-off scheduling noise. allocs/op is the authoritative signal; if
-# runner hardware ever drifts enough to trip the ns/op bound without a
-# code change, re-record the baseline from a CI bench artifact (see
-# ROADMAP). BenchmarkCodecStructRoundTrip runs 1000 round trips per
-# iteration precisely so its -benchtime=1x ns/op stays inside the same
-# bound.
+# perfgate.sh — the perf-regression tripwire. For each benchmark in
+# BENCHES it compares ns/op and allocs/op of a fresh scripts/bench.sh
+# report against the committed baseline and fails if either is more than
+# 25% above it. It takes the minimum across a benchmark's rows, so run
+# the benches with -c 2 or more. allocs/op is deterministic to <1% (the
+# simulation replays the same schedule) and is the authoritative signal;
+# if runner hardware drifts enough to trip ns/op without a code change,
+# re-record the baseline from a CI bench artifact.
 #
 # Usage: scripts/perfgate.sh <current.json> <baseline.json>
 set -euo pipefail
