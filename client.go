@@ -150,8 +150,7 @@ func capsulePayload(lat lattice.Lattice) ([]byte, error) {
 	return inner, nil
 }
 
-// decodeCapsule unwraps and decodes a capsule to the stored value,
-// counting the decode on the cluster's codec handle.
+// decodeCapsule unwraps and decodes a capsule to the stored value.
 func (cl *Client) decodeCapsule(lat lattice.Lattice) (any, error) {
 	payload, err := capsulePayload(lat)
 	if err != nil {
@@ -415,8 +414,7 @@ func (cl *Client) deliver(res core.Result, m simnet.Message) {
 	f.complete(nil, nil)
 }
 
-// decodeResult unwraps a successful Result's payload, counting the
-// decode on the cluster's codec handle.
+// decodeResult unwraps a successful Result's payload.
 func (cl *Client) decodeResult(res core.Result) (any, error) {
 	if !res.OK() {
 		return nil, errors.New(res.Err)

@@ -467,19 +467,55 @@ func TestUnknownFunctionAndDAGErrors(t *testing.T) {
 	}
 }
 
+// TestFunctionErrorPropagates: a function's error reaches the client, and
+// it ends the request — for a bare Invoke and inside a DAG alike, the
+// body runs exactly once, nothing is re-executed (§4.5 is for lost
+// requests, not failed ones), and the scheduler stops tracking the
+// request right away rather than at DAGTimeout.
 func TestFunctionErrorPropagates(t *testing.T) {
-	c := testCluster(t, DefaultConfig())
-	if err := c.RegisterFunction("boom", func(ctx *Ctx, args []any) (any, error) {
-		return nil, errors.New("kaboom")
-	}); err != nil {
-		t.Fatal(err)
+	kinds := []struct {
+		name   string
+		invoke func(cl *Client) *Future
+	}{
+		{"Invoke", func(cl *Client) *Future { return cl.Invoke("boom", nil) }},
+		{"DAG", func(cl *Client) *Future { return cl.InvokeDAG("boom-dag", nil) }},
 	}
-	c.Run(func(cl *Client) {
-		_, err := cl.Invoke("boom", nil).Wait()
-		if err == nil || !strings.Contains(err.Error(), "kaboom") {
-			t.Fatalf("err = %v", err)
-		}
-	})
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			c := testCluster(t, DefaultConfig())
+			runs := 0
+			if err := c.RegisterFunction("boom", func(ctx *Ctx, args []any) (any, error) {
+				runs++
+				return nil, errors.New("kaboom")
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RegisterFunction("after", func(ctx *Ctx, args []any) (any, error) {
+				return args[0], nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RegisterDAG(LinearDAG("boom-dag", "boom", "after"), 1); err != nil {
+				t.Fatal(err)
+			}
+			sched := c.Internal().Schedulers()[0]
+			c.Run(func(cl *Client) {
+				cl.Sleep(3 * time.Second)
+				_, err := kind.invoke(cl).Wait()
+				if err == nil || !strings.Contains(err.Error(), "kaboom") {
+					t.Errorf("err = %v", err)
+				}
+				cl.Sleep(time.Second) // far short of the 8s DAGTimeout
+				if n := sched.Inflight(); n != 0 {
+					t.Errorf("scheduler still tracks %d requests after the error was delivered", n)
+				}
+				cl.Sleep(3 * time.Minute) // room for every re-execution §4.5 would issue
+			})
+			if runs != 1 || sched.Reexecutions() != 0 {
+				t.Fatalf("failing function ran %d times with %d re-executions, want 1 and 0", runs, sched.Reexecutions())
+			}
+		})
+	}
 }
 
 // TestUnsupportedTypeIsAnError: a value the codec cannot serialize is
@@ -574,215 +610,203 @@ func TestCausalModeEndToEnd(t *testing.T) {
 	})
 }
 
-func TestDAGReexecutionAfterVMFailure(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.VMs = 3
-	c := testCluster(t, cfg)
+// TestNoSnapshotOutlivesItsRequest: the version snapshots a request pins
+// in the caches it read from (Algorithm 1) are released when the request
+// ends, whatever its shape — so is the scheduler's tracking record. At
+// quiescence nothing per-request is left anywhere.
+func TestNoSnapshotOutlivesItsRequest(t *testing.T) {
+	kinds := []struct {
+		name   string
+		invoke func(cl *Client) *Future
+	}{
+		{"Invoke", func(cl *Client) *Future { return cl.Invoke("read", []any{Ref("k")}) }},
+		{"OneNodeDAG", func(cl *Client) *Future {
+			return cl.InvokeDAG("read-dag", map[string][]any{"read": {Ref("k")}})
+		}},
+		{"Chain", func(cl *Client) *Future {
+			return cl.InvokeDAG("read-chain", map[string][]any{"read": {Ref("k")}, "reread": {Ref("k")}, "read3": {Ref("k")}})
+		}},
+	}
+	for _, mode := range []Consistency{RepeatableRead, Causal} {
+		for _, kind := range kinds {
+			t.Run(fmt.Sprintf("%v/%s", mode, kind.name), func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Mode = mode
+				cfg.VMs = 3
+				c := testCluster(t, cfg)
+				first := func(ctx *Ctx, args []any) (any, error) { return args[0], nil }
+				for _, fn := range []string{"read", "reread", "read3"} {
+					if err := c.RegisterFunction(fn, first); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := c.RegisterDAG(LinearDAG("read-dag", "read"), 2); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.RegisterDAG(LinearDAG("read-chain", "read", "reread", "read3"), 2); err != nil {
+					t.Fatal(err)
+				}
+				c.Run(func(cl *Client) {
+					cl.Sleep(3 * time.Second)
+					if err := cl.Put("k", 7); err != nil {
+						t.Errorf("put: %v", err)
+						return
+					}
+					for i := 0; i < 30; i++ {
+						if out, err := kind.invoke(cl).Wait(); err != nil || out.(int) != 7 {
+							t.Errorf("request %d = %v, %v", i, out, err)
+							return
+						}
+					}
+					cl.Sleep(5 * time.Second) // settle: eviction and completion notices land
+				})
+				snapshots := 0
+				for _, vm := range c.Internal().VMs() {
+					snapshots += vm.Cache.SnapshotCount()
+				}
+				if snapshots != 0 {
+					t.Errorf("%d request snapshot tables left in the caches at quiescence", snapshots)
+				}
+				for _, s := range c.Internal().Schedulers() {
+					if n := s.Inflight(); n != 0 {
+						t.Errorf("scheduler %s still tracks %d requests", s.ID(), n)
+					}
+				}
+			})
+		}
+	}
+}
+
+// requestKinds are the two shapes of the one tracked request (§3: a bare
+// Invoke is the DAG of one node); tests of the §4.5 lifecycle run over
+// both.
+var requestKinds = []struct {
+	name   string
+	invoke func(cl *Client, opts ...InvokeOption) *Future
+}{
+	{"Invoke", func(cl *Client, opts ...InvokeOption) *Future { return cl.Invoke("step", nil, opts...) }},
+	{"DAG", func(cl *Client, opts ...InvokeOption) *Future { return cl.InvokeDAG("step-dag", nil, opts...) }},
+}
+
+// registerStep registers what requestKinds invoke — a slow function and
+// its one-node DAG pinned on two executors — and warms up the metric
+// views so re-scheduling sees live executors.
+func registerStep(t *testing.T, c *Cluster) {
+	t.Helper()
 	if err := c.RegisterFunction("step", func(ctx *Ctx, args []any) (any, error) {
-		ctx.Compute(200 * time.Millisecond)
+		ctx.Compute(500 * time.Millisecond)
 		return "done", nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RegisterDAG(LinearDAG("fragile", "step"), 2); err != nil {
+	if err := c.RegisterDAG(LinearDAG("step-dag", "step"), 2); err != nil {
 		t.Fatal(err)
 	}
-	// Warm up the metric views so re-scheduling sees live executors.
 	c.Run(func(cl *Client) { cl.Sleep(5 * time.Second) })
+}
 
-	// Kill two of the three VMs right after issuing the request, so the
-	// executor running it is very likely dead mid-flight: the scheduler
-	// must time out and re-execute the whole DAG elsewhere (§4.5).
-	c.Run(func(cl *Client) {
-		cl.Timeout = 2 * time.Minute
-		victims := c.Internal().VMs()
-		cl.Kernel().Go("killer", func() {
-			cl.Sleep(50 * time.Millisecond)
-			c.Internal().KillVM(victims[0].Name)
-			c.Internal().KillVM(victims[1].Name)
-		})
-		out, err := cl.InvokeDAG("fragile", nil).Wait()
-		if err != nil {
-			t.Fatalf("DAG did not recover from VM failure: %v", err)
-		}
-		if out.(string) != "done" {
-			t.Fatalf("result = %v", out)
-		}
+// killTwoOfThree kills two of the three VMs right after a request was
+// issued, so the executor running it is very likely dead mid-flight.
+func killTwoOfThree(c *Cluster, cl *Client) {
+	victims := c.Internal().VMs()
+	cl.Kernel().Go("killer", func() {
+		cl.Sleep(50 * time.Millisecond)
+		c.Internal().KillVM(victims[0].Name)
+		c.Internal().KillVM(victims[1].Name)
 	})
 }
 
-func TestPerRequestDeadlineDrivesReexecution(t *testing.T) {
-	// WithTimeout has a wire presence: the request's Deadline replaces
-	// the global DAGTimeout as its §4.5 re-execution timer. With the
-	// global timer set absurdly long, recovery from a VM failure must
-	// still happen on the caller's 2s schedule.
-	cfg := DefaultConfig()
-	cfg.VMs = 3
-	cfg.DAGTimeout = 2 * time.Minute
-	cfg.StaleAfter = 3 * time.Second
-	c := testCluster(t, cfg)
-	if err := c.RegisterFunction("step", func(ctx *Ctx, args []any) (any, error) {
-		ctx.Compute(200 * time.Millisecond)
-		return "done", nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RegisterDAG(LinearDAG("impatient", "step"), 2); err != nil {
-		t.Fatal(err)
-	}
-	c.Run(func(cl *Client) { cl.Sleep(5 * time.Second) })
-
-	c.Run(func(cl *Client) {
-		victims := c.Internal().VMs()
-		start := cl.Now()
-		fut := cl.InvokeDAG("impatient", nil, WithTimeout(2*time.Second))
-		cl.Kernel().Go("killer", func() {
-			cl.Sleep(50 * time.Millisecond)
-			c.Internal().KillVM(victims[0].Name)
-			c.Internal().KillVM(victims[1].Name)
-		})
-		// The future's wait bound is also 2s, so poll Wait until the
-		// re-executed attempt lands.
-		var out any
-		var err error
-		for i := 0; i < 20; i++ {
-			out, err = fut.Wait()
-			if err == nil {
-				break
-			}
-		}
-		if err != nil || out.(string) != "done" {
-			t.Fatalf("short-deadline DAG never recovered: %v, %v", out, err)
-		}
-		elapsed := cl.Now() - start
-		if elapsed >= cfg.DAGTimeout {
-			t.Fatalf("recovery took %v — the global timer fired, not the per-request deadline", elapsed)
-		}
-		if elapsed > 30*time.Second {
-			t.Fatalf("recovery took %v, want the ~2s deadline plus staleness horizon", elapsed)
-		}
-	})
-	var reexecs int64
+func reexecutions(c *Cluster) (n int64) {
 	for _, s := range c.Internal().Schedulers() {
-		reexecs += s.Reexecutions()
+		n += s.Reexecutions()
 	}
-	if reexecs == 0 {
-		t.Fatal("no re-execution recorded")
+	return n
+}
+
+// TestReexecutionAfterVMFailure: §4.5 for both kinds. The dispatching
+// scheduler tracks the request, so an executor dying mid-flight makes it
+// time out and re-execute the whole request elsewhere instead of
+// stranding the client until its own timeout.
+func TestReexecutionAfterVMFailure(t *testing.T) {
+	for _, kind := range requestKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.VMs = 3
+			cfg.DAGTimeout = 2 * time.Second
+			cfg.StaleAfter = 3 * time.Second
+			c := testCluster(t, cfg)
+			registerStep(t, c)
+			c.Run(func(cl *Client) {
+				cl.Timeout = 2 * time.Minute
+				killTwoOfThree(c, cl)
+				out, err := kind.invoke(cl).Wait()
+				if err != nil {
+					t.Errorf("request did not recover from VM failure: %v", err)
+					return
+				}
+				if out.(string) != "done" {
+					t.Errorf("result = %v", out)
+					return
+				}
+				// The tracking table must drain once the result is delivered.
+				cl.Sleep(5 * time.Second)
+				for _, s := range c.Internal().Schedulers() {
+					if n := s.Inflight(); n != 0 {
+						t.Errorf("scheduler %s still tracks %d requests", s.ID(), n)
+					}
+				}
+			})
+			if !t.Failed() && reexecutions(c) == 0 {
+				t.Fatal("no re-execution recorded")
+			}
+		})
 	}
 }
 
-func TestSingleInvokeReexecutionAfterVMFailure(t *testing.T) {
-	// §4.5 for bare Invoke: single-function requests are tracked by the
-	// dispatching scheduler like DAGs, so an executor dying mid-flight
-	// triggers a re-execution instead of stranding the client until its
-	// own timeout.
-	cfg := DefaultConfig()
-	cfg.VMs = 3
-	cfg.DAGTimeout = 2 * time.Second
-	cfg.StaleAfter = 3 * time.Second
-	c := testCluster(t, cfg)
-	in := c.Internal()
-	if err := c.RegisterFunction("slowstep", func(ctx *Ctx, args []any) (any, error) {
-		ctx.Compute(500 * time.Millisecond)
-		return "done", nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c.Run(func(cl *Client) { cl.Sleep(5 * time.Second) })
-
-	c.Run(func(cl *Client) {
-		cl.Timeout = 2 * time.Minute
-		victims := in.VMs()
-		cl.Kernel().Go("killer", func() {
-			cl.Sleep(50 * time.Millisecond)
-			in.KillVM(victims[0].Name)
-			in.KillVM(victims[1].Name)
-		})
-		out, err := cl.Invoke("slowstep", nil).Wait()
-		if err != nil {
-			t.Errorf("single did not recover from VM failure: %v", err)
-			return
-		}
-		if out.(string) != "done" {
-			t.Errorf("result = %v", out)
-			return
-		}
-		// The tracking table must drain once the result is delivered.
-		cl.Sleep(5 * time.Second)
-		for _, s := range in.Schedulers() {
-			if n := s.InflightSingles(); n != 0 {
-				t.Errorf("scheduler %s still tracks %d singles", s.ID(), n)
+// TestPerRequestDeadlineDrivesReexecution: WithTimeout has a wire
+// presence for both kinds — the request's Deadline replaces the global
+// DAGTimeout as its §4.5 re-execution timer. With the global timer set
+// absurdly long, recovery from a VM failure must still happen on the
+// caller's 2s schedule.
+func TestPerRequestDeadlineDrivesReexecution(t *testing.T) {
+	for _, kind := range requestKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.VMs = 3
+			cfg.DAGTimeout = 2 * time.Minute
+			cfg.StaleAfter = 3 * time.Second
+			c := testCluster(t, cfg)
+			registerStep(t, c)
+			c.Run(func(cl *Client) {
+				start := cl.Now()
+				fut := kind.invoke(cl, WithTimeout(2*time.Second))
+				killTwoOfThree(c, cl)
+				// The future's wait bound is also 2s, so poll Wait until the
+				// re-executed attempt lands.
+				var out any
+				var err error
+				for i := 0; i < 20; i++ {
+					out, err = fut.Wait()
+					if err == nil {
+						break
+					}
+				}
+				if err != nil || out.(string) != "done" {
+					t.Errorf("short-deadline request never recovered: %v, %v", out, err)
+					return
+				}
+				elapsed := cl.Now() - start
+				if elapsed >= cfg.DAGTimeout {
+					t.Errorf("recovery took %v — the global timer fired, not the per-request deadline", elapsed)
+				}
+				if elapsed > 30*time.Second {
+					t.Errorf("recovery took %v, want the ~2s deadline plus staleness horizon", elapsed)
+				}
+			})
+			if !t.Failed() && reexecutions(c) == 0 {
+				t.Fatal("no re-execution recorded")
 			}
-		}
-	})
-	if t.Failed() {
-		return
-	}
-	var reexecs int64
-	for _, s := range in.Schedulers() {
-		reexecs += s.Reexecutions()
-	}
-	if reexecs == 0 {
-		t.Fatal("no single re-execution recorded")
-	}
-}
-
-func TestSingleInvokeDeadlineDrivesReexecution(t *testing.T) {
-	// WithTimeout on a bare Invoke is the §4.5 re-execution timer, same
-	// as for DAGs: with the global DAGTimeout absurdly long, recovery
-	// must still happen on the caller's 2s schedule.
-	cfg := DefaultConfig()
-	cfg.VMs = 3
-	cfg.DAGTimeout = 2 * time.Minute
-	cfg.StaleAfter = 3 * time.Second
-	c := testCluster(t, cfg)
-	in := c.Internal()
-	if err := c.RegisterFunction("slowstep", func(ctx *Ctx, args []any) (any, error) {
-		ctx.Compute(500 * time.Millisecond)
-		return "done", nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c.Run(func(cl *Client) { cl.Sleep(5 * time.Second) })
-
-	c.Run(func(cl *Client) {
-		victims := in.VMs()
-		start := cl.Now()
-		fut := cl.Invoke("slowstep", nil, WithTimeout(2*time.Second))
-		cl.Kernel().Go("killer", func() {
-			cl.Sleep(50 * time.Millisecond)
-			in.KillVM(victims[0].Name)
-			in.KillVM(victims[1].Name)
 		})
-		var out any
-		var err error
-		for i := 0; i < 20; i++ {
-			out, err = fut.Wait()
-			if err == nil {
-				break
-			}
-		}
-		if err != nil || out.(string) != "done" {
-			t.Errorf("short-deadline single never recovered: %v, %v", out, err)
-			return
-		}
-		elapsed := cl.Now() - start
-		if elapsed >= cfg.DAGTimeout {
-			t.Errorf("recovery took %v — the global timer fired, not the per-request deadline", elapsed)
-		}
-		if elapsed > 30*time.Second {
-			t.Errorf("recovery took %v, want the ~2s deadline plus staleness horizon", elapsed)
-		}
-	})
-	if t.Failed() {
-		return
-	}
-	var reexecs int64
-	for _, s := range in.Schedulers() {
-		reexecs += s.Reexecutions()
-	}
-	if reexecs == 0 {
-		t.Fatal("no re-execution recorded")
 	}
 }
 
@@ -961,7 +985,7 @@ func completedSum(c *Cluster) int64 {
 
 func TestIsolatedSchedulerDrainsAfterPartitionHeals(t *testing.T) {
 	// A scheduler partitioned right after dispatching a DAG misses the
-	// sink's DAGComplete: the request stays outstanding. Once the link
+	// sink's RequestComplete: the request stays outstanding. Once the link
 	// policy clears, the bounded alive-extension policy forces a
 	// re-execution and the table drains — a lost completion notice must
 	// not strand requests forever.
@@ -997,7 +1021,7 @@ func TestIsolatedSchedulerDrainsAfterPartitionHeals(t *testing.T) {
 			return
 		}
 		if sched.Inflight() != 1 {
-			t.Errorf("inflight = %d, want 1 (DAGComplete must have been dropped)", sched.Inflight())
+			t.Errorf("inflight = %d, want 1 (RequestComplete must have been dropped)", sched.Inflight())
 			return
 		}
 		// Hold the partition across a few deadline expiries, then heal.

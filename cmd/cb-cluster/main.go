@@ -115,7 +115,7 @@ func main() {
 		out, err := cl.InvokeDAG("pipeline", map[string][]any{"inc": {41}}).Wait()
 		elapsed := time.Duration(cl.Now() - start)
 		if err != nil {
-			// Also legitimate §4.5 behaviour: after MaxRetries the
+			// Also legitimate §4.5 behaviour: after its retries run out the
 			// scheduler returns the error to the client, who retries.
 			fmt.Printf("first attempt failed after %.1fs (%v); client retries...\n", elapsed.Seconds(), err)
 			start = cl.Now()

@@ -278,10 +278,13 @@
 //     drops into a control-plane partition: one VM blinded from the
 //     monitor's scanner endpoints (or half the scheduler group) while
 //     the rest of the control plane keeps scheduling onto it.
-//   - Compute: CrashVM partitions a VM away mid-flight (§4.5 —
-//     in-flight DAGs and tracked single invocations time out and
-//     re-execute; WithTimeout's deadline travels on the wire and
-//     drives that timer per request). RestartVM boots a replacement
+//   - Compute: CrashVM partitions a VM away mid-flight (§4.5 — the
+//     scheduler keeps one tracked record per request, a bare Invoke
+//     being the DAG of one node, until the executor that ends it, in
+//     a value or an error, sends the one completion notice; a record
+//     that outlives its deadline is re-executed elsewhere, and
+//     WithTimeout's deadline travels on the wire and drives that
+//     timer per request). RestartVM boots a replacement
 //     generation after the spin-up delay: fresh endpoints, a cold
 //     cache, executor threads that re-register with the schedulers
 //     through the ordinary metrics path, and monitor re-admission.

@@ -29,6 +29,9 @@ import (
 	"cloudburst/internal/vtime"
 )
 
+// metricsInterval is the executor metric publication cadence.
+const metricsInterval = 2 * time.Second
+
 // Config sizes a deployment.
 type Config struct {
 	Seed         int64
@@ -48,8 +51,6 @@ type Config struct {
 	VMSpinUp time.Duration
 	// Link is the default datacenter network link.
 	Link simnet.Link
-	// MetricsInterval is the executor metric publication cadence.
-	MetricsInterval time.Duration
 	// ExecOverhead is the per-invocation dispatch cost paid by every
 	// executor thread (see executor.Deps.InvokeOverhead).
 	ExecOverhead time.Duration
@@ -82,8 +83,7 @@ func DefaultConfig(mode core.Mode) Config {
 			Latency:   simnet.LogNormal{Med: 200 * time.Microsecond, Sigma: 0.25},
 			Bandwidth: 1.25e9,
 		},
-		MetricsInterval: 2 * time.Second,
-		ExecOverhead:    800 * time.Microsecond,
+		ExecOverhead: 800 * time.Microsecond,
 	}
 }
 
@@ -280,7 +280,7 @@ func (c *Cluster) bootVMNamed(name string) *VMHandle {
 	}
 	metricsEP := c.Net.AddNode(simnet.NodeID("vmmgr-" + name))
 	h.VM = executor.NewVM(c.K, name, h.Threads, ch.Keys, func() string { return string(ch.ID()) },
-		c.KV.NewClient(metricsEP, 0), c.cfg.MetricsInterval)
+		c.KV.NewClient(metricsEP, 0), metricsInterval)
 	h.nodeIDs = append(h.nodeIDs, metricsEP.ID())
 	h.eps = append(h.eps, metricsEP)
 	h.VM.Start()

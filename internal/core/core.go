@@ -197,7 +197,7 @@ type InvokeRequest struct {
 	Function   string
 	Args       []Arg
 	RespondTo  simnet.NodeID // where the Result goes
-	Scheduler  simnet.NodeID // receives the executor's InvokeComplete (§4.5 tracking)
+	Scheduler  simnet.NodeID // tracks the request (§4.5); receives its RequestComplete
 	Deadline   time.Duration // client timeout; drives scheduler re-execution when lost
 	StoreInKVS bool          // persist the result in the KVS under ResultKey
 	Direct     bool          // carry the value inline in the Result even when storing
@@ -234,7 +234,7 @@ type DAGSchedule struct {
 	Assignments map[string]simnet.NodeID // function name -> executor thread
 	Args        map[string][]Arg         // per-function client-supplied args
 	RespondTo   simnet.NodeID
-	Scheduler   simnet.NodeID // receives the sink's DAGComplete
+	Scheduler   simnet.NodeID // tracks the request (§4.5); receives its RequestComplete
 	StoreInKVS  bool
 	Direct      bool // carry the value inline in the Result even when storing
 	WantHops    bool // report the executor hop count in the Result
@@ -307,20 +307,12 @@ type DAGDone struct {
 	ReqID string
 }
 
-// DAGComplete is the sink's completion notification to the scheduler
-// that issued the request: it clears the §4.5 re-execution tracking and
-// feeds the completion-rate metric the monitor consumes.
-type DAGComplete struct {
+// RequestComplete is the one completion notice of §4.5: the executor on
+// which a request ends — a bare invocation's, a DAG's sink, or wherever a
+// DAG function failed — tells the scheduler tracking the request that the
+// client has its Result, clearing the re-execution record. Fire-and-forget.
+type RequestComplete struct {
 	ReqID string
-	DAG   string
-}
-
-// InvokeComplete is the single-function counterpart of DAGComplete: the
-// executor notifies the issuing scheduler that a tracked InvokeRequest
-// finished, clearing its §4.5 re-execution timer. Fire-and-forget.
-type InvokeComplete struct {
-	ReqID    string
-	Function string
 }
 
 // DirectMessage is executor-to-executor communication (Table 1 send/recv).

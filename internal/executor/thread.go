@@ -1,7 +1,9 @@
 package executor
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -48,10 +50,11 @@ type Thread struct {
 	// errScratch, refScratch, keyScratch, and wg are resolveArgs working
 	// storage, reused across invocations (a thread runs one invocation at
 	// a time, and the WaitGroup is idle again once Wait returns).
-	errScratch []error
-	refScratch []int
-	keyScratch []string
-	wg         *vtime.WaitGroup
+	errScratch  []error
+	refScratch  []int
+	keyScratch  []string
+	wg          *vtime.WaitGroup
+	doneScratch []simnet.NodeID // complete's list of caches to notify
 
 	pending map[string]*join // DAG fan-in assembly: reqID|fn → state
 
@@ -369,9 +372,21 @@ func (t *Thread) decodeVersioned(key string, ver core.VersionRef, payload []byte
 	return v, nil
 }
 
-// runSingle serves a plain function invocation.
+// runSingle serves a bare invocation as the DAG of one node it is (§3):
+// make the session metadata, invoke, complete.
 func (t *Thread) runSingle(req core.InvokeRequest) {
-	start := t.k.Now()
+	// The one-node schedule never leaves this frame, so it costs no
+	// allocation; its empty DAG name marks the request as a bare invoke.
+	s := core.DAGSchedule{
+		ReqID:      req.ReqID,
+		RespondTo:  req.RespondTo,
+		Scheduler:  req.Scheduler,
+		StoreInKVS: req.StoreInKVS,
+		Direct:     req.Direct,
+		WantHops:   req.WantHops,
+		Txn:        req.Txn,
+		ResultKey:  req.ResultKey,
+	}
 	// Session metadata only exists in the session/bolt-on modes; LWW and
 	// SK reads ignore it, so skip the three-map allocation there.
 	var metaP *core.SessionMeta
@@ -380,99 +395,35 @@ func (t *Thread) runSingle(req core.InvokeRequest) {
 		m := core.NewSessionMeta()
 		metaP = &m
 	}
-	var tx *txnState
-	if req.Txn {
-		if t.cache.Mode() != core.TXN || t.txnCoord == nil {
-			t.completeSingle(req, core.Result{
-				ReqID: req.ReqID,
-				Err:   "executor: WithTxn requires the Transactional consistency mode",
-			}, 64)
-			return
-		}
-		tx = newTxnState()
-	}
-	result, invID, err := t.invoke(req.ReqID, "", req.Function, req.Args, nil, metaP, tx)
-	t.finish(start)
-	res := core.Result{ReqID: req.ReqID}
-	if req.WantHops {
-		res.Hops = 1
-	}
-	if err != nil {
-		res.Err = err.Error()
-		t.completeSingle(req, res, 64)
-		return
-	}
-	payload, encErr := codec.Encode(result)
-	if encErr != nil {
-		res.Err = encErr.Error()
-		t.completeSingle(req, res, 64)
-		return
-	}
-	if tx != nil {
-		committed, cerr := t.commitTxn(req.ReqID, "", req.Function, invID, tx, payload)
-		if cerr == txn.ErrCrashed {
-			return // VM died mid-commit; no reply — §4.5 re-executes
-		}
-		if cerr != nil {
-			res.Err = cerr.Error()
-			t.completeSingle(req, res, 64)
-			return
-		}
-		payload = committed
-	}
-	if req.StoreInKVS {
-		if _, werr := t.cache.Write(req.ReqID, req.ResultKey, payload, metaP, string(t.id)); werr != nil {
-			res.Err = werr.Error()
-		} else {
-			res.ResultKey = req.ResultKey
-			if req.Direct {
-				res.Val = payload
-			}
-		}
-		t.completeSingle(req, res, 64+len(res.Val))
-		return
-	}
-	res.Val = payload
-	t.completeSingle(req, res, 48+len(payload))
-}
-
-// completeSingle delivers a single invocation's terminal Result and, when
-// the request was routed through a scheduler, notifies it so the §4.5
-// re-execution tracking entry is cleared.
-func (t *Thread) completeSingle(req core.InvokeRequest, res core.Result, size int) {
-	t.ep.Send(req.RespondTo, res, size)
-	if req.Scheduler != "" {
-		t.ep.Send(req.Scheduler, core.InvokeComplete{ReqID: req.ReqID, Function: req.Function}, 32)
-	}
+	payload, invID, tx, err := t.invoke(&s, req.Function, req.Args, nil, metaP, nil)
+	t.complete(&s, req.Function, metaP, 1, tx, invID, payload, err)
 }
 
 // runTrigger serves one DAG hop: assemble fan-in inputs, execute, and
-// either trigger children or finish the request at the sink.
+// either trigger children or complete the request at the sink.
 func (t *Thread) runTrigger(tr core.DAGTrigger) {
-	d, ok := t.dagFor(tr.Schedule.DAG)
+	s := tr.Schedule
+	d, ok := t.dagFor(s.DAG)
 	if !ok {
-		t.ep.Send(tr.Schedule.RespondTo, core.Result{
-			ReqID: tr.Schedule.ReqID,
-			Err:   fmt.Sprintf("executor: unknown DAG %q", tr.Schedule.DAG),
-		}, 64)
+		t.complete(s, tr.Target, &tr.Meta, tr.Hops+1, nil, "", nil, fmt.Errorf("executor: unknown DAG %q", s.DAG))
 		return
 	}
 	need := len(d.Parents(tr.Target))
 	inputs := tr.Inputs
 	meta := tr.Meta
-	hops := tr.Hops
+	hops := tr.Hops + 1
 	if need > 1 {
-		key := tr.Schedule.ReqID + "|" + tr.Target
+		key := s.ReqID + "|" + tr.Target
 		j, exists := t.pending[key]
 		if !exists {
-			j = &join{schedule: tr.Schedule, meta: core.NewSessionMeta(), need: need}
+			j = &join{schedule: s, meta: core.NewSessionMeta(), need: need}
 			t.pending[key] = j
 		}
 		j.inputs = append(j.inputs, tr.Inputs...)
 		j.meta.Merge(tr.Meta)
 		j.txnWrites = append(j.txnWrites, tr.TxnWrites...)
-		if tr.Hops > j.hops {
-			j.hops = tr.Hops
+		if hops > j.hops {
+			j.hops = hops
 		}
 		if len(j.inputs) < j.need {
 			return // wait for remaining parents
@@ -480,21 +431,6 @@ func (t *Thread) runTrigger(tr core.DAGTrigger) {
 		delete(t.pending, key)
 		inputs, meta, hops = j.inputs, j.meta, j.hops
 		tr.TxnWrites = j.txnWrites
-	}
-
-	start := t.k.Now()
-	// Argument order: client-supplied args first, then parent results in
-	// parent-name order.
-	sort.Slice(inputs, func(i, k int) bool { return inputs[i].From < inputs[k].From })
-	args := append([]core.Arg(nil), tr.Schedule.Args[tr.Target]...)
-	parentVals := make([]any, 0, len(inputs))
-	for _, in := range inputs {
-		v, err := codec.Decode(in.Val)
-		if err != nil {
-			t.fail(tr.Schedule, err)
-			return
-		}
-		parentVals = append(parentVals, v)
 	}
 
 	// Session metadata propagates along the DAG only in the distributed
@@ -507,35 +443,25 @@ func (t *Thread) runTrigger(tr core.DAGTrigger) {
 	case core.MK:
 		m := core.NewSessionMeta()
 		metaP = &m
-	default:
-		metaP = nil
 	}
 
-	var tx *txnState
-	if tr.Schedule.Txn {
-		if t.cache.Mode() != core.TXN || t.txnCoord == nil {
-			t.fail(tr.Schedule, fmt.Errorf("executor: WithTxn requires the Transactional consistency mode"))
+	// Argument order: client-supplied args first, then parent results in
+	// parent-name order.
+	sort.Slice(inputs, func(i, k int) bool { return inputs[i].From < inputs[k].From })
+	args := append([]core.Arg(nil), s.Args[tr.Target]...)
+	parentVals := make([]any, 0, len(inputs))
+	for _, in := range inputs {
+		v, err := codec.Decode(in.Val)
+		if err != nil {
+			t.complete(s, tr.Target, metaP, hops, nil, "", nil, err)
 			return
 		}
-		tx = newTxnState()
-		tx.seed(tr.TxnWrites)
+		parentVals = append(parentVals, v)
 	}
-
-	result, invID, err := t.invoke(tr.Schedule.ReqID, tr.Schedule.DAG, tr.Target, args, parentVals, metaP, tx)
-	t.finish(start)
-	if err != nil {
-		t.fail(tr.Schedule, err)
-		return
-	}
-	payload, encErr := codec.Encode(result)
-	if encErr != nil {
-		t.fail(tr.Schedule, encErr)
-		return
-	}
-
+	payload, invID, tx, err := t.invoke(s, tr.Target, args, parentVals, metaP, tr.TxnWrites)
 	children := d.Children(tr.Target)
-	if len(children) == 0 {
-		t.finishDAG(tr.Schedule, meta, metaP, payload, hops+1, tx, invID, tr.Target)
+	if err != nil || len(children) == 0 {
+		t.complete(s, tr.Target, metaP, hops, tx, invID, payload, err)
 		return
 	}
 	var outWrites []core.TxnWrite
@@ -545,8 +471,8 @@ func (t *Thread) runTrigger(tr core.DAGTrigger) {
 		outWrites = tx.items()
 	}
 	outMeta := core.NewSessionMeta()
-	if metaP != nil && (t.cache.Mode() == core.DSRR || t.cache.Mode() == core.DSC) {
-		outMeta = *metaP
+	if t.cache.Mode() == core.DSRR || t.cache.Mode() == core.DSC {
+		outMeta = meta
 	}
 	for i, child := range children {
 		m := outMeta
@@ -554,81 +480,75 @@ func (t *Thread) runTrigger(tr core.DAGTrigger) {
 			m = outMeta.Clone() // sibling branches must not alias
 		}
 		trigger := core.DAGTrigger{
-			Schedule:  tr.Schedule,
+			Schedule:  s,
 			Target:    child,
 			Inputs:    []core.DAGInput{{From: tr.Target, Val: payload}},
 			Meta:      m,
-			Hops:      hops + 1,
+			Hops:      hops,
 			TxnWrites: outWrites,
 		}
 		size := 96 + len(payload) + m.Size() + core.TxnWritesSize(outWrites)
-		t.ep.Send(tr.Schedule.Assignments[child], trigger, size)
+		t.ep.Send(s.Assignments[child], trigger, size)
 	}
 }
 
-// finishDAG completes a request at the sink: deliver the result, then
-// notify every touched cache so version snapshots are evicted.
-func (t *Thread) finishDAG(s *core.DAGSchedule, meta core.SessionMeta, metaP *core.SessionMeta, payload []byte, hops int, tx *txnState, txnID, sinkFn string) {
+// complete is the one way a request ends on an executor, whatever its
+// kind and outcome: a value (committed first when transactional, stored
+// when asked) or an error — the function's, an encoding failure, a
+// transaction abort, a malformed request. It replies to the client, tells
+// the caches the request touched to evict its version snapshots
+// (Algorithm 1's cleanup), and tells the tracking scheduler the request
+// is over, so §4.5 never re-executes a request whose client has its
+// answer. Only a VM crash mid-commit leaves without a word. metaP is the
+// session the function ran under (nil in the modes that keep none).
+func (t *Thread) complete(s *core.DAGSchedule, fn string, metaP *core.SessionMeta, hops int, tx *txnState, invID string, payload []byte, err error) {
 	res := core.Result{ReqID: s.ReqID}
 	if s.WantHops {
 		res.Hops = hops
 	}
-	if tx != nil {
-		committed, cerr := t.commitTxn(s.ReqID, s.DAG, sinkFn, txnID, tx, payload)
-		if cerr == txn.ErrCrashed {
+	if err == nil && tx != nil {
+		payload, err = t.commitTxn(s.ReqID, s.DAG, fn, invID, tx, payload)
+		if err == txn.ErrCrashed {
 			return // VM died mid-commit; the scheduler's §4.5 tracking re-executes
 		}
-		if cerr != nil {
-			res.Err = cerr.Error()
-			// An abort is a clean outcome: fall through so the client hears
-			// it and the scheduler clears its re-execution entry.
-		} else {
-			payload = committed
-		}
 	}
-	if res.Err != "" {
-		// skip result storage; the error travels in the Result
-	} else if s.StoreInKVS {
-		if _, err := t.cache.Write(s.ReqID, s.ResultKey, payload, metaP, string(t.id)); err != nil {
-			res.Err = err.Error()
-		} else {
+	if err == nil && s.StoreInKVS {
+		if _, err = t.cache.Write(s.ReqID, s.ResultKey, payload, metaP, string(t.id)); err == nil {
 			res.ResultKey = s.ResultKey
-			if s.Direct {
-				res.Val = payload
+			if !s.Direct {
+				payload = nil
 			}
 		}
+	}
+	size := 48 + len(payload)
+	if err != nil {
+		res.Err, size = err.Error(), 64
 	} else {
 		res.Val = payload
 	}
-	t.ep.Send(s.RespondTo, res, 48+len(res.Val))
+	t.ep.Send(s.RespondTo, res, size)
 
-	targets := map[simnet.NodeID]bool{t.cache.ID(): true}
-	if metaP != nil {
-		for c := range metaP.Caches {
-			targets[c] = true
+	// A DAG's sink notifies its own cache in every mode; a bare invocation
+	// can only have left snapshots where the mode takes them.
+	mode := t.cache.Mode()
+	if s.DAG != "" || mode == core.DSRR || mode == core.DSC {
+		ids := append(t.doneScratch[:0], t.cache.ID())
+		if metaP != nil {
+			for c := range metaP.Caches {
+				if c != t.cache.ID() {
+					ids = append(ids, c)
+				}
+			}
 		}
+		slices.Sort(ids)
+		for _, c := range ids {
+			t.ep.Send(c, core.DAGDone{ReqID: s.ReqID}, 24)
+		}
+		t.doneScratch = ids
 	}
-	for c := range meta.Caches {
-		targets[c] = true
-	}
-	ids := make([]simnet.NodeID, 0, len(targets))
-	for c := range targets {
-		ids = append(ids, c)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, c := range ids {
-		t.ep.Send(c, core.DAGDone{ReqID: s.ReqID}, 24)
-	}
-	// Tell the issuing scheduler the request completed, clearing its
-	// §4.5 re-execution tracking.
 	if s.Scheduler != "" {
-		t.ep.Send(s.Scheduler, core.DAGComplete{ReqID: s.ReqID, DAG: s.DAG}, 32)
+		t.ep.Send(s.Scheduler, core.RequestComplete{ReqID: s.ReqID}, 32)
 	}
-}
-
-// fail reports a failed DAG request to the client.
-func (t *Thread) fail(s *core.DAGSchedule, err error) {
-	t.ep.Send(s.RespondTo, core.Result{ReqID: s.ReqID, Err: err.Error()}, 64)
 }
 
 // TxnMarker is an optional Tracer extension: an audit recorder that
@@ -676,16 +596,31 @@ func (t *Thread) commitTxn(reqID, dagName, fn, txnID string, tx *txnState, paylo
 	return payload, nil
 }
 
-// invoke resolves arguments, looks up the body, and runs it. The whole
-// invocation is one Compute span; the overhead sleep and the cache's
-// own read spans open later and so shadow it for their windows (the
+// invoke runs one function of request s: it opens the write buffer when
+// the request is transactional (seeded with what upstream functions
+// buffered), resolves arguments, looks up the body, runs it, and encodes
+// its result, charging the time to the metrics window. The whole
+// invocation is one Compute span; the overhead sleep and the cache's own
+// read spans open later and so shadow it for their windows (the
 // analyzer's stack semantics), leaving the body's remainder as compute.
-func (t *Thread) invoke(reqID, dagName, fn string, args []core.Arg, parentVals []any, meta *core.SessionMeta, tx *txnState) (any, string, error) {
-	ictx := t.spans.Attach(reqID).Start("exec/invoke", trace.Compute, t.k.Now())
-	defer func() { ictx.End(t.k.Now()) }()
+func (t *Thread) invoke(s *core.DAGSchedule, fn string, args []core.Arg, parentVals []any, meta *core.SessionMeta, upstream []core.TxnWrite) ([]byte, string, *txnState, error) {
+	var tx *txnState
+	if s.Txn {
+		if t.cache.Mode() != core.TXN || t.txnCoord == nil {
+			return nil, "", nil, errors.New("executor: WithTxn requires the Transactional consistency mode")
+		}
+		tx = newTxnState()
+		tx.seed(upstream)
+	}
+	reqID, dagName, start := s.ReqID, s.DAG, t.k.Now()
+	ictx := t.spans.Attach(reqID).Start("exec/invoke", trace.Compute, start)
+	defer func() {
+		ictx.End(t.k.Now())
+		t.finish(start)
+	}()
 	body, ok := t.registry.Lookup(fn)
 	if !ok {
-		return nil, "", fmt.Errorf("executor: function %q not registered", fn)
+		return nil, "", tx, fmt.Errorf("executor: function %q not registered", fn)
 	}
 	if t.overhead > 0 {
 		o0 := t.k.Now()
@@ -694,15 +629,16 @@ func (t *Thread) invoke(reqID, dagName, fn string, args []core.Arg, parentVals [
 	}
 	resolved, err := t.resolveArgs(reqID, dagName, fn, args, meta)
 	if err != nil {
-		return nil, "", fnError(fn, err)
+		return nil, "", tx, fnError(fn, err)
 	}
 	resolved = append(resolved, parentVals...)
 	ctx := t.newCtx(reqID, dagName, fn, meta, tx)
 	out, err := body(ctx, resolved)
 	if err != nil {
-		return nil, ctx.id, fnError(fn, err)
+		return nil, ctx.id, tx, fnError(fn, err)
 	}
-	return out, ctx.id, nil
+	payload, err := codec.Encode(out)
+	return payload, ctx.id, tx, err
 }
 
 // finish updates the metrics window after an invocation.

@@ -7,9 +7,13 @@
 // hot data, §4.3); a random policy exists for the locality ablation.
 //
 // Schedulers also own the compute tier's fault-tolerance story (§4.5):
-// every DAG invocation is tracked until its sink reports completion, and
-// requests that time out (e.g. an executor VM died mid-flight) are
-// re-scheduled from scratch on fresh executors.
+// every request — a registered DAG or a bare Invoke, which is the DAG of
+// one node (§3) — is one tracked record in one inflight table from its
+// first dispatch until the executor that ends it sends the one completion
+// notice, core.RequestComplete. A record that outlives its deadline is
+// re-executed on executors its earlier attempts did not use or, after
+// maxRetries, failed with a terminal Result. The kinds differ only inside
+// dispatch.
 package scheduler
 
 import (
@@ -68,11 +72,11 @@ type DAGInvokeReq struct {
 	Deadline time.Duration
 }
 
-// ShadowSingle replicates a tracked single invocation's §4.5 entry to a
-// peer scheduler shard, so a single whose owning shard dies while the
-// request is in flight is still re-executed (DAGs survive scheduler
-// death through the client's own resend; singles needed a server-side
-// backstop).
+// ShadowSingle replicates a tracked single invocation's §4.5 record to a
+// peer scheduler shard, so a single whose owning shard dies mid-request is
+// re-executed without waiting for the client (Future.resend re-routes
+// either kind to a surviving shard, but only after the client's own
+// timeout). Opt-in, and singles only.
 type ShadowSingle struct {
 	Req     core.InvokeRequest
 	Owner   simnet.NodeID
@@ -99,30 +103,12 @@ type ShadowProbeResp struct {
 
 // Config carries scheduler policy constants.
 type Config struct {
-	// PollInterval is how often the scheduler refreshes its local view
-	// (executor metrics, cached key sets) from Anna.
-	PollInterval time.Duration
 	// StaleAfter drops view entries whose reports are older than this —
 	// how dead executors fall out of scheduling.
 	StaleAfter time.Duration
-	// UtilThreshold is the backpressure bound: executors above it are
-	// avoided when alternatives exist (0.70 in §4.3).
-	UtilThreshold float64
-	// DAGTimeout is §4.5's re-execution timeout for in-flight DAGs;
-	// requests carrying their own DAGInvokeReq.Deadline override it.
+	// DAGTimeout is §4.5's re-execution timeout for in-flight requests of
+	// either kind; a request's own shorter wire Deadline overrides it.
 	DAGTimeout time.Duration
-	// MaxRetries bounds re-executions per request.
-	MaxRetries int
-	// MaxAliveExtensions bounds how often an expired request whose
-	// assigned executors still look alive gets its deadline extended
-	// instead of re-executed. Extension avoids doubling load on a
-	// merely-slow fleet, but an unbounded extension turns a lost
-	// completion notice (e.g. the scheduler was partitioned when the
-	// sink reported) into a permanently stuck request — after this many
-	// extensions the request is re-executed regardless, and the client's
-	// duplicate-Result guard absorbs the race if the original did in
-	// fact finish.
-	MaxAliveExtensions int
 	// RandomPolicy disables the locality heuristic (ablation).
 	RandomPolicy bool
 	// ShadowSingles replicates each tracked single invocation to one
@@ -137,8 +123,6 @@ type Config struct {
 	// req/s and queues the excess — the saturation behaviour fig13
 	// measures. Zero (the default) keeps dispatch free and instant.
 	DispatchCost time.Duration
-	// MetricsInterval is how often scheduler stats are published.
-	MetricsInterval time.Duration
 	// Decoded is an optional cluster-shared decoded-metrics cache; nil
 	// gives the scheduler a private one.
 	Decoded *core.DecodeCache
@@ -151,58 +135,97 @@ type Config struct {
 // DefaultConfig returns the §4.3/§4.5 defaults.
 func DefaultConfig() Config {
 	return Config{
-		PollInterval:       time.Second,
-		StaleAfter:         10 * time.Second,
-		UtilThreshold:      0.70,
-		DAGTimeout:         8 * time.Second,
-		MaxRetries:         3,
-		MaxAliveExtensions: 3,
-		MetricsInterval:    2 * time.Second,
+		StaleAfter: 10 * time.Second,
+		DAGTimeout: 8 * time.Second,
 	}
 }
+
+// Policy constants of §4.3–§4.5 that no deployment varies.
+const (
+	// pollInterval is how often the scheduler refreshes its local view
+	// (executor metrics, cached key sets) from Anna.
+	pollInterval = time.Second
+	// metricsInterval is how often scheduler stats are published.
+	metricsInterval = 2 * time.Second
+	// utilThreshold is the backpressure bound: executors above it are
+	// avoided when alternatives exist (0.70 in §4.3).
+	utilThreshold = 0.70
+	// maxRetries bounds re-executions per request.
+	maxRetries = 3
+	// maxAliveExtensions bounds how often an expired request whose
+	// assigned executors still look alive gets its deadline extended
+	// instead of re-executed. Extension avoids doubling load on a
+	// merely-slow fleet, but an unbounded extension turns a lost
+	// completion notice (e.g. the scheduler was partitioned when the
+	// executor reported) into a permanently stuck request — after this
+	// many extensions the request is re-executed regardless, and the
+	// client's duplicate-Result guard absorbs the race if the original
+	// did in fact finish.
+	maxAliveExtensions = 3
+)
 
 // threadInfo is the scheduler's view of one executor thread.
 type threadInfo struct {
 	metrics core.ExecutorMetrics
 }
 
-// outstanding tracks an in-flight DAG request for §4.5 re-execution.
-type outstanding struct {
-	req          DAGInvokeReq
-	timeout      time.Duration // per-request re-execution period
+// tracked is one in-flight request, held for §4.5 re-execution from its
+// first dispatch until its completion notice or terminal failure. One
+// wire form is set: inv (a bare Invoke, forwarded as is) or dag.
+type tracked struct {
+	id        string
+	respondTo simnet.NodeID
+	isDAG     bool
+	inv       core.InvokeRequest
+	dag       DAGInvokeReq
+
+	timeout      time.Duration // re-execution period; the wire Deadline until track clamps it
 	deadline     vtime.Time
 	retries      int
-	aliveExtends int                    // consecutive deadline extensions granted
-	used         map[simnet.NodeID]bool // executors tried (avoided on retry)
-	// current is the latest attempt's assignment set — the liveness
-	// check runs against it, not the cumulative used set, so one dead
-	// executor from a past attempt does not condemn every subsequent
-	// attempt to immediate re-execution.
-	current map[simnet.NodeID]bool
+	aliveExtends int // consecutive deadline extensions granted
+
+	// The latest attempt's executors — a DAG's schedule, a single's
+	// target. Liveness is judged against these alone, so one dead executor
+	// from a past attempt does not condemn every later one.
+	sched  *core.DAGSchedule
+	target simnet.NodeID
+	// used holds the executors of abandoned attempts, which the next
+	// re-execution avoids; nil until the first one.
+	used map[simnet.NodeID]bool
+	// peer is the other shard of a shadowed single's pair: the replica's
+	// holder on the owner's record, the owner on the replica.
+	peer simnet.NodeID
 }
 
-// shadowEntry is a peer shard's replicated single-invocation tracking
-// entry: if the owner shard dies before the invocation completes, the
-// holder adopts the request and re-executes it.
-type shadowEntry struct {
-	req      core.InvokeRequest
-	owner    simnet.NodeID
-	timeout  time.Duration
-	deadline vtime.Time
+// alive reports whether every executor of the latest attempt still
+// publishes fresh metrics.
+func (s *Scheduler) alive(o *tracked) bool {
+	if !o.isDAG {
+		_, fresh := s.threads[o.target]
+		return fresh
+	}
+	for _, t := range o.sched.Assignments {
+		if _, fresh := s.threads[t]; !fresh {
+			return false
+		}
+	}
+	return true
 }
 
-// singleFlight tracks an in-flight single-function invocation for §4.5
-// re-execution — the single-function analogue of outstanding. DAGs got
-// this tracking first; a lost InvokeRequest (executor VM died holding
-// it) used to strand the client until its own timeout.
-type singleFlight struct {
-	req          core.InvokeRequest
-	timeout      time.Duration
-	deadline     vtime.Time
-	retries      int
-	aliveExtends int
-	target       simnet.NodeID          // latest attempt's executor
-	used         map[simnet.NodeID]bool // executors tried (avoided on retry)
+// abandon folds the latest attempt's executors into the set the next
+// re-execution avoids, and returns it.
+func (o *tracked) abandon() map[simnet.NodeID]bool {
+	if o.used == nil {
+		o.used = make(map[simnet.NodeID]bool)
+	}
+	if !o.isDAG {
+		o.used[o.target] = true
+	} else {
+		for _, t := range o.sched.Assignments {
+			o.used[t] = true
+		}
+	}
+	return o.used
 }
 
 // Scheduler is one scheduler node. Traffic dispatches through a serial
@@ -224,13 +247,14 @@ type Scheduler struct {
 	cacheKeys map[string]map[string]bool
 	pins      map[string][]simnet.NodeID // function → threads pinned
 
-	inflight map[string]*outstanding
-	singles  map[string]*singleFlight
+	// inflight holds every request this shard is answerable for, of
+	// either kind, by ReqID.
+	inflight map[string]*tracked
 	// peers are the other shards in the scheduler group (shadow-single
-	// replication targets); shadows holds entries replicated here by
-	// peers, adopted if the owner dies.
+	// replication targets); shadows holds records replicated here by
+	// peers, moved into inflight if the owner dies.
 	peers        []simnet.NodeID
-	shadows      map[string]*shadowEntry
+	shadows      map[string]*tracked
 	shadowAdopts int64
 
 	// pickScratch holds pickExecutor's candidate slices, reused across
@@ -241,8 +265,8 @@ type Scheduler struct {
 	}
 
 	// decoded caches decoded metric payloads by exact LWW version:
-	// metrics publish every MetricsInterval but the view polls every
-	// PollInterval (and every consumer polls the same keys), so most
+	// metrics publish every metricsInterval but the view polls every
+	// pollInterval (and every consumer polls the same keys), so most
 	// ticks would otherwise decode identical bytes again — the
 	// dominant real-CPU cost of an idle scheduler. Shared cluster-wide
 	// when Config.Decoded is set.
@@ -280,9 +304,8 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config) *Sch
 		threads:      make(map[simnet.NodeID]threadInfo),
 		cacheKeys:    make(map[string]map[string]bool),
 		pins:         make(map[string][]simnet.NodeID),
-		inflight:     make(map[string]*outstanding),
-		singles:      make(map[string]*singleFlight),
-		shadows:      make(map[string]*shadowEntry),
+		inflight:     make(map[string]*tracked),
+		shadows:      make(map[string]*tracked),
 		lastAssigned: make(map[simnet.NodeID]int64),
 		dagCalls:     make(map[string]int64),
 		fnCalls:      make(map[string]int64),
@@ -301,30 +324,29 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config) *Sch
 		req.Reply(s.registerDAG(b), 16)
 	})
 	simnet.OnMessage(s.disp, func(m simnet.Message, b core.InvokeRequest) {
-		// Same duplicated-datagram guard as DAGs below: a tracked ReqID
-		// arriving here again can only be a duplicated link delivery.
-		if _, dup := s.singles[b.ReqID]; dup {
-			return
-		}
-		s.recordArrival(b.ReqID, m)
-		s.invokeSingle(b)
+		b.Scheduler = s.id // route the executor's completion notice back here
+		s.admit(&tracked{id: b.ReqID, respondTo: b.RespondTo, timeout: b.Deadline, inv: b}, m)
 	})
-	simnet.OnMessage(s.disp, func(_ simnet.Message, b core.InvokeComplete) {
-		if _, tracked := s.singles[b.ReqID]; tracked {
-			if p := s.shadowPeer(b.ReqID); p != "" {
-				s.ep.Send(p, UnshadowSingle{ReqID: b.ReqID}, 32)
-			}
+	simnet.OnMessage(s.disp, func(m simnet.Message, b DAGInvokeReq) {
+		s.admit(&tracked{id: b.ReqID, respondTo: b.RespondTo, timeout: b.Deadline, isDAG: true, dag: b}, m)
+	})
+	simnet.OnMessage(s.disp, func(_ simnet.Message, b core.RequestComplete) {
+		// Each request's terminal outcome counts once: a re-executed
+		// original finishing late, or a notice arriving after the terminal
+		// failure was already reported, finds the record gone.
+		if o, ok := s.inflight[b.ReqID]; ok {
+			s.untrack(o)
 		}
-		delete(s.singles, b.ReqID)
 	})
 	simnet.OnMessage(s.disp, func(_ simnet.Message, b ShadowSingle) {
-		if _, own := s.singles[b.Req.ReqID]; own {
+		if _, own := s.inflight[b.Req.ReqID]; own {
 			return
 		}
 		// The owner gets the whole first re-execution window to itself;
 		// the shadow only wakes after twice the request's timeout.
-		s.shadows[b.Req.ReqID] = &shadowEntry{
-			req: b.Req, owner: b.Owner, timeout: b.Timeout,
+		s.shadows[b.Req.ReqID] = &tracked{
+			id: b.Req.ReqID, respondTo: b.Req.RespondTo,
+			inv: b.Req, peer: b.Owner, timeout: b.Timeout,
 			deadline: s.k.Now().Add(2 * b.Timeout),
 		}
 	})
@@ -332,31 +354,8 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config) *Sch
 		delete(s.shadows, b.ReqID)
 	})
 	simnet.OnRequest(s.disp, func(req *simnet.Request, b ShadowProbe) {
-		_, tracking := s.singles[b.ReqID]
+		_, tracking := s.inflight[b.ReqID]
 		req.Reply(ShadowProbeResp{Tracking: tracking}, 16)
-	})
-	simnet.OnMessage(s.disp, func(m simnet.Message, b DAGInvokeReq) {
-		// Clients mint a fresh ReqID per invocation, so a tracked ReqID
-		// arriving here can only be a duplicated datagram (fault-plan
-		// link duplication) — re-dispatching it would run the whole DAG
-		// twice. Only expireOne re-enters invokeDAG for tracked requests.
-		if _, dup := s.inflight[b.ReqID]; dup {
-			return
-		}
-		s.recordArrival(b.ReqID, m)
-		s.invokeDAG(b, nil)
-	})
-	simnet.OnMessage(s.disp, func(_ simnet.Message, b core.DAGComplete) {
-		// Count each request's terminal outcome once: a re-executed
-		// original finishing late (or a completion after the terminal
-		// failure was already counted) finds the entry gone and must not
-		// inflate dagDone past dagCalls — the monitor's backlog signal
-		// is the difference of the two.
-		if _, tracked := s.inflight[b.ReqID]; !tracked {
-			return
-		}
-		delete(s.inflight, b.ReqID)
-		s.dagDone[b.DAG]++
 	})
 	return s
 }
@@ -367,7 +366,7 @@ func (s *Scheduler) ID() simnet.NodeID { return s.id }
 // Start launches the serve, view-refresh, metrics, and retry daemons.
 func (s *Scheduler) Start() {
 	s.disp.Start()
-	s.disp.Every("poll", s.cfg.PollInterval, s.refreshView)
+	s.disp.Every("poll", pollInterval, s.refreshView)
 	s.disp.Go("metrics", s.metricsLoop)
 	s.disp.Every("retry", s.cfg.DAGTimeout/4, s.retryTick)
 }
@@ -518,43 +517,59 @@ func (s *Scheduler) ensureView() bool {
 	return len(s.threads) > 0
 }
 
-// invokeSingle forwards a single-function request to a policy-picked
-// executor and tracks it for §4.5 re-execution, exactly like DAGs: the
-// executor's InvokeComplete notice clears the entry, and retryTick
-// re-sends expired requests to a different executor.
-func (s *Scheduler) invokeSingle(req core.InvokeRequest) {
-	dctx := s.spans.Attach(req.ReqID).Start("sched/dispatch", trace.Dispatch, s.k.Now())
-	defer func() { dctx.End(s.k.Now()) }()
-	if s.cfg.DispatchCost > 0 {
-		s.k.Sleep(s.cfg.DispatchCost)
-	}
-	s.fnCalls[req.Function]++
-	s.ensureView()
-	timeout := s.cfg.DAGTimeout
-	if req.Deadline > 0 && req.Deadline < timeout {
-		timeout = req.Deadline
-	}
-	req.Scheduler = s.id // route the executor's completion notice back here
-	o := &singleFlight{
-		req:      req,
-		timeout:  timeout,
-		deadline: s.k.Now().Add(timeout),
-		used:     make(map[simnet.NodeID]bool),
-	}
-	if !s.dispatchSingle(o, nil) {
+// admit takes a request off the wire. Clients mint a fresh ReqID per
+// invocation, so a tracked ReqID arriving again can only be a duplicated
+// datagram (fault-plan link duplication) — dispatching it would run the
+// whole request twice. Only expire re-enters dispatch for tracked
+// requests.
+func (s *Scheduler) admit(o *tracked, m simnet.Message) {
+	if _, dup := s.inflight[o.id]; dup {
 		return
 	}
-	s.singles[req.ReqID] = o
-	if p := s.shadowPeer(req.ReqID); p != "" {
-		size := 112
-		for _, a := range o.req.Args {
-			size += len(a.Val) + len(a.Ref)
-		}
-		s.ep.Send(p, ShadowSingle{Req: o.req, Owner: s.id, Timeout: o.timeout}, size)
+	s.recordArrival(o.id, m)
+	s.dispatch(o, nil)
+}
+
+// track starts a request's §4.5 lifetime: count the call, arm the
+// re-execution deadline, and (singles, when shadowing is on) replicate
+// the record to its rendezvous peer.
+func (s *Scheduler) track(o *tracked) {
+	if o.isDAG {
+		s.dagCalls[o.dag.DAG]++
+	} else {
+		s.fnCalls[o.inv.Function]++
 	}
-	if req.Deadline > 0 && req.Deadline < s.cfg.DAGTimeout {
-		id := req.ReqID
-		s.disp.Go("deadline", func() { s.watchSingleDeadline(id) })
+	// The record arrives with the wire Deadline as its timeout, which
+	// only ever shortens the re-execution timer: a patient WithTimeout
+	// must not delay §4.5 failure recovery past the global policy.
+	if o.timeout <= 0 || o.timeout > s.cfg.DAGTimeout {
+		o.timeout = s.cfg.DAGTimeout
+	}
+	o.deadline = s.k.Now().Add(o.timeout)
+	s.inflight[o.id] = o
+	if o.timeout < s.cfg.DAGTimeout {
+		// The periodic retry scan is paced for the global timeout; a
+		// shorter per-request deadline gets its own watcher so it can
+		// re-execute before the global policy would even have looked.
+		id := o.id // the watcher outlives the record; do not pin it
+		s.disp.Go("deadline", func() { s.watchDeadline(id) })
+	}
+	if o.peer = s.shadowPeer(o); o.peer != "" {
+		s.ep.Send(o.peer, ShadowSingle{Req: o.inv, Owner: s.id, Timeout: o.timeout}, 112+argBytes(o.inv.Args))
+	}
+}
+
+// untrack ends a request's §4.5 lifetime, on its completion notice or a
+// terminal failure reported from here. A DAG counts as done either way, so
+// the monitor's backlog signal (calls minus terminal outcomes) does not
+// accumulate a residue from failed requests.
+func (s *Scheduler) untrack(o *tracked) {
+	delete(s.inflight, o.id)
+	if o.isDAG {
+		s.dagDone[o.dag.DAG]++
+	}
+	if o.peer != "" {
+		s.ep.Send(o.peer, UnshadowSingle{ReqID: o.id}, 32)
 	}
 }
 
@@ -571,15 +586,15 @@ func (s *Scheduler) SetPeers(ids []simnet.NodeID) {
 	sort.Slice(s.peers, func(i, j int) bool { return s.peers[i] < s.peers[j] })
 }
 
-// shadowPeer picks the rendezvous-hashed peer shard holding (or to
-// hold) a request's shadow entry; "" when shadowing is off.
-func (s *Scheduler) shadowPeer(reqID string) simnet.NodeID {
-	if !s.cfg.ShadowSingles || len(s.peers) == 0 {
+// shadowPeer picks the rendezvous-hashed peer shard to hold a request's
+// shadow record; "" for DAGs and when shadowing is off.
+func (s *Scheduler) shadowPeer(o *tracked) simnet.NodeID {
+	if o.isDAG || !s.cfg.ShadowSingles || len(s.peers) == 0 {
 		return ""
 	}
 	best, bestScore := s.peers[0], uint64(0)
 	for i, p := range s.peers {
-		score := shadowScore(reqID, p)
+		score := shadowScore(o.id, p)
 		if i == 0 || score > bestScore {
 			best, bestScore = p, score
 		}
@@ -602,86 +617,59 @@ func shadowScore(reqID string, id simnet.NodeID) uint64 {
 	return h
 }
 
-// dispatchSingle sends one attempt of a tracked single invocation,
-// avoiding already-tried executors when alternatives exist. Returns
-// false on terminal failure (no executors at all).
-func (s *Scheduler) dispatchSingle(o *singleFlight, exclude map[simnet.NodeID]bool) bool {
-	target := s.pickExecutor(o.req.Function, o.req.Args, exclude, false)
-	if target == "" {
-		target = s.pickExecutor(o.req.Function, o.req.Args, nil, false)
-	}
-	if target == "" {
-		s.ep.Send(o.req.RespondTo, core.Result{ReqID: o.req.ReqID, Err: "scheduler: no executors available"}, 64)
-		return false
-	}
-	o.target = target
-	o.used[target] = true
-	size := 96
-	for _, a := range o.req.Args {
-		size += len(a.Val) + len(a.Ref)
-	}
-	s.ep.Send(target, o.req, size)
-	return true
-}
-
-// invokeDAG builds a schedule (one executor per function, §4.3) and
-// triggers the sources. exclude lists executors to avoid (retries).
-func (s *Scheduler) invokeDAG(req DAGInvokeReq, exclude map[simnet.NodeID]bool) {
-	dctx := s.spans.Attach(req.ReqID).Start("sched/dispatch", trace.Dispatch, s.k.Now())
+// dispatch sends one attempt of a request, tracking it first if this is
+// the first, and is the only place the two kinds differ: a bare Invoke is
+// forwarded in its lean wire form to one executor; a DAG gets a schedule
+// (one executor per function, §4.3) and its sources are triggered.
+// exclude lists executors to avoid (re-executions).
+func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
+	id := o.id
+	dctx := s.spans.Attach(id).Start("sched/dispatch", trace.Dispatch, s.k.Now())
 	defer func() { dctx.End(s.k.Now()) }()
 	if s.cfg.DispatchCost > 0 {
 		s.k.Sleep(s.cfg.DispatchCost)
 	}
-	d, ok := s.dagView(req.DAG)
-	if !ok {
-		s.ep.Send(req.RespondTo, core.Result{ReqID: req.ReqID, Err: fmt.Sprintf("scheduler: unknown DAG %q", req.DAG)}, 64)
-		return
+	var d *dag.DAG
+	if o.isDAG {
+		var ok bool
+		if d, ok = s.dagView(o.dag.DAG); !ok {
+			s.ep.Send(o.respondTo, core.Result{ReqID: id, Err: fmt.Sprintf("scheduler: unknown DAG %q", o.dag.DAG)}, 64)
+			return
+		}
 	}
 	s.ensureView()
-	if _, tracked := s.inflight[req.ReqID]; !tracked {
-		s.dagCalls[req.DAG]++
-		// A wire Deadline only ever shortens the re-execution timer: a
-		// patient WithTimeout must not delay §4.5 failure recovery past
-		// the global policy.
-		timeout := s.cfg.DAGTimeout
-		if req.Deadline > 0 && req.Deadline < timeout {
-			timeout = req.Deadline
-		}
-		s.inflight[req.ReqID] = &outstanding{
-			req:      req,
-			timeout:  timeout,
-			deadline: s.k.Now().Add(timeout),
-			used:     make(map[simnet.NodeID]bool),
-			current:  make(map[simnet.NodeID]bool),
-		}
-		if req.Deadline > 0 && req.Deadline < s.cfg.DAGTimeout {
-			// The periodic retry scan is paced for the global timeout; a
-			// shorter per-request deadline gets its own watcher so it can
-			// re-execute before the global policy would even have looked.
-			id := req.ReqID
-			s.disp.Go("deadline", func() { s.watchDeadline(id) })
-		}
+	if _, tracked := s.inflight[id]; !tracked {
+		s.track(o)
 	}
-	o := s.inflight[req.ReqID]
-	o.current = make(map[simnet.NodeID]bool, len(d.Functions))
+	pick := func(fn string, args []core.Arg, pinnedOnly bool) simnet.NodeID {
+		t := s.pickExecutor(fn, args, exclude, pinnedOnly)
+		if t == "" {
+			t = s.pickExecutor(fn, args, nil, pinnedOnly) // no healthy alternative: reuse
+		}
+		if t == "" {
+			s.ep.Send(o.respondTo, core.Result{ReqID: id, Err: "scheduler: no executors available"}, 64)
+			s.untrack(o)
+		}
+		return t
+	}
+	if !o.isDAG {
+		if o.target = pick(o.inv.Function, o.inv.Args, false); o.target == "" {
+			return
+		}
+		s.ep.Send(o.target, o.inv, 96+argBytes(o.inv.Args))
+		return
+	}
+	req := &o.dag
 	assignments := make(map[string]simnet.NodeID, len(d.Functions))
 	for _, fn := range d.Functions {
-		t := s.pickExecutor(fn, req.Args[fn], exclude, true)
+		t := pick(fn, req.Args[fn], true)
 		if t == "" {
-			t = s.pickExecutor(fn, req.Args[fn], nil, true) // no healthy alternative: reuse
-		}
-		if t == "" {
-			s.ep.Send(req.RespondTo, core.Result{ReqID: req.ReqID, Err: "scheduler: no executors available"}, 64)
-			delete(s.inflight, req.ReqID)
-			s.dagDone[req.DAG]++ // terminal: keep the backlog signal clean
 			return
 		}
 		assignments[fn] = t
-		o.used[t] = true
-		o.current[t] = true
 	}
-	sched := &core.DAGSchedule{
-		ReqID:       req.ReqID,
+	o.sched = &core.DAGSchedule{
+		ReqID:       id,
 		DAG:         req.DAG,
 		Assignments: assignments,
 		Args:        req.Args,
@@ -694,9 +682,17 @@ func (s *Scheduler) invokeDAG(req DAGInvokeReq, exclude map[simnet.NodeID]bool) 
 		ResultKey:   req.ResultKey,
 	}
 	for _, src := range d.Sources() {
-		trigger := core.DAGTrigger{Schedule: sched, Target: src, Meta: core.NewSessionMeta()}
+		trigger := core.DAGTrigger{Schedule: o.sched, Target: src, Meta: core.NewSessionMeta()}
 		s.ep.Send(assignments[src], trigger, 128)
 	}
+}
+
+// argBytes is the wire footprint of a request's arguments.
+func argBytes(args []core.Arg) (n int) {
+	for _, a := range args {
+		n += len(a.Val) + len(a.Ref)
+	}
+	return n
 }
 
 // dagView resolves a DAG topology locally or from Anna (other schedulers
@@ -764,7 +760,7 @@ func (s *Scheduler) pickExecutor(fn string, args []core.Arg, exclude map[simnet.
 	// apparently-idle threads just herds the queue onto them — spread
 	// over everyone instead.
 	for _, id := range pool {
-		if s.threads[id].metrics.Utilization < s.cfg.UtilThreshold {
+		if s.threads[id].metrics.Utilization < utilThreshold {
 			sc.healthy = append(sc.healthy, id)
 		}
 	}
@@ -935,59 +931,50 @@ func (s *Scheduler) decodeCached(key string, lat lattice.Lattice) (any, bool) {
 	return s.decoded.Decode(key, l)
 }
 
-// retryTick re-executes timed-out DAG and single-function requests on
-// fresh executors (§4.5).
+// retryTick expires every tracked request and shadow whose deadline has
+// passed (§4.5).
 func (s *Scheduler) retryTick() {
-	now := s.k.Now()
-	var expired, expiredSingles, expiredShadows []string
-	for id, o := range s.inflight {
-		if now >= o.deadline {
-			expired = append(expired, id)
-		}
-	}
-	for id, o := range s.singles {
-		if now >= o.deadline {
-			expiredSingles = append(expiredSingles, id)
-		}
-	}
-	for id, sh := range s.shadows {
-		if now >= sh.deadline {
-			expiredShadows = append(expiredShadows, id)
-		}
-	}
-	sort.Strings(expired)
-	sort.Strings(expiredSingles)
-	sort.Strings(expiredShadows)
-	if len(expired)+len(expiredSingles)+len(expiredShadows) > 0 {
+	requests, shadows := s.overdue(s.inflight), s.overdue(s.shadows)
+	if len(requests)+len(shadows) > 0 {
 		s.refreshView()
 	}
-	for _, id := range expired {
-		s.expireOne(id)
+	for _, id := range requests {
+		s.expire(id)
 	}
-	for _, id := range expiredSingles {
-		s.expireSingle(id)
-	}
-	for _, id := range expiredShadows {
+	for _, id := range shadows {
 		s.adoptShadow(id)
 	}
 }
 
-// adoptShadow decides an expired shadow entry's fate: probe the owner
+// overdue lists the records of a table whose deadline has passed, in
+// deterministic order.
+func (s *Scheduler) overdue(table map[string]*tracked) []string {
+	var ids []string
+	for id, o := range table {
+		if s.k.Now() >= o.deadline {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// adoptShadow decides an expired shadow record's fate: probe the owner
 // first — a live owner that still tracks the request keeps it (the
 // shadow re-arms); a live owner that no longer tracks it means the
 // request completed and the unshadow was lost (drop the shadow); an
-// unreachable owner is dead, and this shard adopts the request and
-// re-executes it.
+// unreachable owner is dead, and this shard takes the record into its
+// own inflight table and re-executes it.
 func (s *Scheduler) adoptShadow(id string) {
 	sh, ok := s.shadows[id]
 	if !ok || s.k.Now() < sh.deadline {
 		return
 	}
 	delete(s.shadows, id)
-	if _, own := s.singles[id]; own {
+	if _, own := s.inflight[id]; own {
 		return
 	}
-	resp, err := s.ep.Call(sh.owner, ShadowProbe{ReqID: id}, 24+len(id), 200*time.Millisecond)
+	resp, err := s.ep.Call(sh.peer, ShadowProbe{ReqID: id}, 24+len(id), 200*time.Millisecond)
 	if err == nil {
 		if r, ok := resp.(ShadowProbeResp); ok && r.Tracking {
 			sh.deadline = s.k.Now().Add(sh.timeout)
@@ -997,47 +984,37 @@ func (s *Scheduler) adoptShadow(id string) {
 	}
 	s.shadowAdopts++
 	s.reexecs++
-	req := sh.req
-	req.Scheduler = s.id // completion notice now routes here
-	o := &singleFlight{
-		req:      req,
-		timeout:  sh.timeout,
-		deadline: s.k.Now().Add(sh.timeout),
-		used:     make(map[simnet.NodeID]bool),
-	}
+	sh.peer = ""
+	sh.inv.Scheduler = s.id // completion notice now routes here
+	sh.deadline = s.k.Now().Add(sh.timeout)
+	s.inflight[id] = sh
 	s.spans.Reissue(id, s.k.Now())
-	s.ensureView()
-	if s.dispatchSingle(o, nil) {
-		s.singles[id] = o
-	}
+	s.dispatch(sh, nil)
 }
 
-// expireOne handles one expired request against a freshly-refreshed
-// view. When an assigned executor looks dead (its metrics went stale),
-// the request is re-executed on fresh executors. A merely-overloaded
-// fleet instead gets its deadline extended — re-executing slow requests
-// would double the load exactly when the system can least afford it —
-// but only MaxAliveExtensions times: past that the request is
-// re-executed regardless, so a lost completion notice cannot strand it
-// forever (the client's duplicate-Result guard absorbs the race when
-// the original execution did finish).
-func (s *Scheduler) expireOne(id string) {
+// expire handles one expired request against a freshly-refreshed view.
+// When an executor of its latest attempt looks dead (its metrics went
+// stale), the request is re-executed on fresh executors. A
+// merely-overloaded fleet instead gets its deadline extended —
+// re-executing slow requests would double the load exactly when the
+// system can least afford it — but only maxAliveExtensions times: past
+// that the request is re-executed regardless, so a lost completion
+// notice cannot strand it forever (the client's duplicate-Result guard
+// absorbs the race when the original execution did finish, and any late
+// original after retry exhaustion).
+func (s *Scheduler) expire(id string) {
 	o, ok := s.inflight[id]
 	if !ok || s.k.Now() < o.deadline {
 		return // completed, or re-armed by a concurrent expiry path
 	}
-	if s.allAssignedAlive(o) && o.aliveExtends < s.cfg.MaxAliveExtensions {
+	if o.aliveExtends < maxAliveExtensions && s.alive(o) {
 		o.aliveExtends++
 		o.deadline = s.k.Now().Add(o.timeout)
 		return
 	}
-	if o.retries >= s.cfg.MaxRetries {
-		delete(s.inflight, id)
-		// Terminal failure: count it as done so the monitor's backlog
-		// signal (calls minus terminal outcomes) does not accumulate a
-		// permanent residue from failed requests.
-		s.dagDone[o.req.DAG]++
-		s.ep.Send(o.req.RespondTo, core.Result{ReqID: id, Err: "scheduler: DAG failed after retries"}, 64)
+	if o.retries >= maxRetries {
+		s.untrack(o)
+		s.ep.Send(o.respondTo, core.Result{ReqID: id, Err: "scheduler: request failed after retries"}, 64)
 		return
 	}
 	o.retries++
@@ -1045,53 +1022,7 @@ func (s *Scheduler) expireOne(id string) {
 	o.deadline = s.k.Now().Add(o.timeout)
 	s.reexecs++
 	s.spans.Reissue(id, s.k.Now())
-	s.invokeDAG(o.req, o.used)
-}
-
-// expireSingle handles one expired single invocation, with the same
-// alive-extension policy as DAGs: a still-reporting executor earns a
-// bounded deadline extension (it may just be slow), a stale one gets the
-// request re-sent elsewhere, and retry exhaustion reports a terminal
-// error (the client's duplicate-Result guard absorbs any late original).
-func (s *Scheduler) expireSingle(id string) {
-	o, ok := s.singles[id]
-	if !ok || s.k.Now() < o.deadline {
-		return
-	}
-	if _, fresh := s.threads[o.target]; fresh && o.aliveExtends < s.cfg.MaxAliveExtensions {
-		o.aliveExtends++
-		o.deadline = s.k.Now().Add(o.timeout)
-		return
-	}
-	if o.retries >= s.cfg.MaxRetries {
-		delete(s.singles, id)
-		s.ep.Send(o.req.RespondTo, core.Result{ReqID: id, Err: "scheduler: invocation failed after retries"}, 64)
-		return
-	}
-	o.retries++
-	o.aliveExtends = 0
-	o.deadline = s.k.Now().Add(o.timeout)
-	s.reexecs++
-	s.spans.Reissue(id, s.k.Now())
-	if !s.dispatchSingle(o, o.used) {
-		delete(s.singles, id)
-	}
-}
-
-// watchSingleDeadline is watchDeadline for single invocations.
-func (s *Scheduler) watchSingleDeadline(id string) {
-	for {
-		o, ok := s.singles[id]
-		if !ok {
-			return
-		}
-		if d := o.deadline.Sub(s.k.Now()); d > 0 {
-			s.k.Sleep(d)
-			continue
-		}
-		s.refreshView()
-		s.expireSingle(id)
-	}
+	s.dispatch(o, o.abandon())
 }
 
 // watchDeadline drives §4.5 expiry for one request whose wire Deadline
@@ -1108,26 +1039,15 @@ func (s *Scheduler) watchDeadline(id string) {
 			continue
 		}
 		s.refreshView()
-		s.expireOne(id)
+		s.expire(id)
 	}
-}
-
-// allAssignedAlive reports whether every executor of the request's
-// current attempt still publishes fresh metrics.
-func (s *Scheduler) allAssignedAlive(o *outstanding) bool {
-	for t := range o.current {
-		if _, fresh := s.threads[t]; !fresh {
-			return false
-		}
-	}
-	return true
 }
 
 // metricsLoop registers the scheduler's metrics key, then publishes
 // stats for the monitor (§4.4) on the metrics cadence.
 func (s *Scheduler) metricsLoop() {
 	s.anna.Put(SchedListKey, lattice.NewSet(core.SchedMetricsKey(string(s.id))))
-	s.disp.RunEvery(s.cfg.MetricsInterval, s.metricsTick)
+	s.disp.RunEvery(metricsInterval, s.metricsTick)
 }
 
 func (s *Scheduler) metricsTick() {
@@ -1178,11 +1098,8 @@ func copyCounts(m map[string]int64) map[string]int64 {
 	return out
 }
 
-// Inflight reports tracked DAG requests (test hook).
+// Inflight reports tracked requests of either kind (test hook).
 func (s *Scheduler) Inflight() int { return len(s.inflight) }
-
-// InflightSingles reports tracked single invocations (test hook).
-func (s *Scheduler) InflightSingles() int { return len(s.singles) }
 
 // ShadowedSingles reports peer entries replicated here (test hook).
 func (s *Scheduler) ShadowedSingles() int { return len(s.shadows) }

@@ -2,15 +2,26 @@ package scheduler_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	cb "cloudburst"
+	"cloudburst/internal/anna"
+	"cloudburst/internal/codec"
+	"cloudburst/internal/core"
+	"cloudburst/internal/dag"
+	"cloudburst/internal/executor"
+	"cloudburst/internal/lattice"
+	"cloudburst/internal/scheduler"
+	"cloudburst/internal/simnet"
+	"cloudburst/internal/vtime"
 )
 
-// These tests drive the scheduler through the public cluster API: the
-// scheduler's behaviour (registration, locality, backpressure, retries)
-// is only meaningful against live executors and Anna.
+// The first group drives the scheduler through the public cluster API:
+// registration, locality and backpressure are only meaningful against
+// live executors and Anna. The second group (from rig down) drives the
+// §4.5 request-tracking state machine directly, against fake executors.
 
 func TestRegistrationPersistsAcrossSchedulers(t *testing.T) {
 	cfg := cb.DefaultConfig()
@@ -145,5 +156,245 @@ func TestManyConcurrentDAGs(t *testing.T) {
 	})
 	if errs > 0 {
 		t.Fatalf("%d of 120 concurrent DAG requests failed", errs)
+	}
+}
+
+// rig is one scheduler on a simnet with a real Anna behind it, a client
+// endpoint that collects Results, and fake executors: endpoints that
+// record the work the scheduler sends them and do only what the test
+// tells them to — report metrics (the scheduler's liveness signal) or
+// not, send the completion notice or not.
+type rig struct {
+	k       *vtime.Kernel
+	sched   *scheduler.Scheduler
+	client  *simnet.Endpoint
+	execs   []*fakeExec
+	work    []work        // every attempt any executor received, in arrival order
+	results []core.Result // everything the client heard
+}
+
+type fakeExec struct {
+	ep        *simnet.Endpoint
+	reporting bool
+	completes bool
+}
+
+type work struct {
+	exec  simnet.NodeID
+	reqID string
+	at    vtime.Time
+}
+
+func newRig(t *testing.T, cfg scheduler.Config, execs int) *rig {
+	k := vtime.NewKernel(1)
+	t.Cleanup(k.Stop)
+	net := simnet.New(k, simnet.Link{Latency: simnet.Constant(200 * time.Microsecond)})
+	kv := anna.NewKVS(k, net, anna.DefaultConfig())
+	r := &rig{k: k, client: net.AddNode("client-0")}
+	ep := net.AddNode("sched-0")
+	r.sched = scheduler.New(k, ep, kv.NewClient(ep, 0), cfg)
+	r.sched.Start()
+	k.Go("client", func() {
+		for {
+			if res, ok := r.client.Recv().Payload.(core.Result); ok {
+				r.results = append(r.results, res)
+			}
+		}
+	})
+	registry := lattice.NewSet()
+	for i := 0; i < execs; i++ {
+		e := &fakeExec{ep: net.AddNode(simnet.NodeID(fmt.Sprintf("exec-%d", i))), reporting: true}
+		r.execs = append(r.execs, e)
+		registry.Add(core.ExecMetricsKey(string(e.ep.ID())))
+		k.Go(string(e.ep.ID()), func() {
+			for {
+				var reqID string
+				switch b := e.ep.Recv().Payload.(type) {
+				case core.InvokeRequest:
+					reqID = b.ReqID
+				case core.DAGTrigger:
+					reqID = b.Schedule.ReqID
+				default:
+					continue // PinFunction
+				}
+				r.work = append(r.work, work{exec: e.ep.ID(), reqID: reqID, at: k.Now()})
+				if e.completes {
+					e.ep.Send(r.sched.ID(), core.RequestComplete{ReqID: reqID}, 32)
+				}
+			}
+		})
+	}
+	pub := kv.NewClient(net.AddNode("publisher"), 0)
+	k.Go("publisher", func() {
+		pub.Put(executor.MetricListKey, registry)
+		for {
+			for _, e := range r.execs {
+				if !e.reporting {
+					continue
+				}
+				m := core.ExecutorMetrics{Thread: e.ep.ID(), VM: "vm-" + string(e.ep.ID()), ReportedAtS: k.Now().Seconds()}
+				pub.Put(core.ExecMetricsKey(string(e.ep.ID())),
+					lattice.NewLWW(lattice.Timestamp{Clock: int64(k.Now()), Node: 7}, codec.MustEncode(m)))
+			}
+			k.Sleep(time.Second)
+		}
+	})
+	return r
+}
+
+// requestKinds are the two wire forms of the one tracked request.
+var requestKinds = []struct {
+	name string
+	make func(id string, respondTo simnet.NodeID, deadline time.Duration) any
+}{
+	{"single", func(id string, respondTo simnet.NodeID, deadline time.Duration) any {
+		return core.InvokeRequest{ReqID: id, Function: "f", RespondTo: respondTo, Deadline: deadline}
+	}},
+	{"DAG", func(id string, respondTo simnet.NodeID, deadline time.Duration) any {
+		return scheduler.DAGInvokeReq{ReqID: id, DAG: "d", RespondTo: respondTo, Deadline: deadline}
+	}},
+}
+
+// TestRequestTracking is the §4.5 state machine, one table over both
+// request kinds: what starts a record, what extends, re-executes and
+// fails it, and what ends it.
+func TestRequestTracking(t *testing.T) {
+	type scenario struct {
+		name       string
+		dagTimeout time.Duration
+		execs      int
+		// run executes inside the simulation, after registration and a
+		// view warm-up; send issues the request under test.
+		run func(t *testing.T, r *rig, send func(deadline time.Duration))
+	}
+	scenarios := []scenario{
+		// The completion notice clears the record, and a second one is
+		// ignored.
+		{"completion", 2 * time.Second, 1,
+			func(t *testing.T, r *rig, send func(time.Duration)) {
+				r.execs[0].completes = true
+				send(0)
+				r.k.Sleep(time.Second)
+				if len(r.work) != 1 || r.sched.Inflight() != 0 {
+					t.Errorf("after completion: %d attempts, %d tracked; want 1 and 0", len(r.work), r.sched.Inflight())
+				}
+				r.client.Send(r.sched.ID(), core.RequestComplete{ReqID: "req"}, 32)
+				r.k.Sleep(10 * time.Second)
+				if len(r.work) != 1 || r.sched.Inflight() != 0 || r.sched.Reexecutions() != 0 {
+					t.Errorf("after a second notice: %d attempts, %d tracked, %d re-executions",
+						len(r.work), r.sched.Inflight(), r.sched.Reexecutions())
+				}
+			}},
+		// An alive executor earns at most three extensions, and retries run
+		// out into a terminal Result.
+		{"extensions-then-exhaustion", 2 * time.Second, 1,
+			func(t *testing.T, r *rig, send func(time.Duration)) {
+				t0 := r.k.Now()
+				send(0)
+				// Each expiry is noticed by the retry scan (every
+				// DAGTimeout/4) at or up to 0.5s after the deadline, so an
+				// attempt with three extensions lasts between 8s and 10s.
+				r.k.Sleep(7900 * time.Millisecond)
+				if len(r.work) != 1 || r.sched.Reexecutions() != 0 {
+					t.Errorf("at 7.9s: %d attempts, %d re-executions; want the original still extended", len(r.work), r.sched.Reexecutions())
+				}
+				r.k.Sleep(2100 * time.Millisecond)
+				if len(r.work) != 2 || r.work[1].at.Sub(t0) < 8*time.Second {
+					t.Errorf("at 10s: attempts %v; want exactly one re-execution, after 8s", r.work)
+				}
+				r.k.Sleep(35 * time.Second)
+				if len(r.work) != 4 || r.sched.Reexecutions() != 3 {
+					t.Errorf("%d attempts, %d re-executions; want 4 and 3", len(r.work), r.sched.Reexecutions())
+				}
+				if len(r.results) != 1 || !strings.Contains(r.results[0].Err, "failed after retries") {
+					t.Errorf("client heard %v; want one terminal failure", r.results)
+				}
+				if r.sched.Inflight() != 0 {
+					t.Errorf("%d still tracked after the terminal failure", r.sched.Inflight())
+				}
+			}},
+		// A stale executor's request is re-executed on a different executor.
+		{"stale-executor", 2 * time.Second, 2,
+			func(t *testing.T, r *rig, send func(time.Duration)) {
+				send(0)
+				r.k.Sleep(500 * time.Millisecond)
+				if len(r.work) != 1 {
+					t.Errorf("%d attempts after dispatch, want 1", len(r.work))
+					return
+				}
+				for _, e := range r.execs {
+					e.reporting = e.ep.ID() != r.work[0].exec
+					e.completes = e.reporting
+				}
+				// Far sooner than the 8s an all-alive fleet would be given.
+				r.k.Sleep(6 * time.Second)
+				if len(r.work) != 2 || r.work[1].exec == r.work[0].exec {
+					t.Errorf("attempts %v; want a second one on the other executor", r.work)
+				}
+				if r.sched.Reexecutions() != 1 || r.sched.Inflight() != 0 {
+					t.Errorf("%d re-executions, %d tracked; want 1 and 0", r.sched.Reexecutions(), r.sched.Inflight())
+				}
+			}},
+		// A duplicated request datagram is not dispatched twice.
+		{"duplicate-datagram", 2 * time.Second, 1,
+			func(t *testing.T, r *rig, send func(time.Duration)) {
+				send(0)
+				send(0)
+				r.k.Sleep(time.Second)
+				if len(r.work) != 1 || r.sched.Inflight() != 1 {
+					t.Errorf("%d attempts, %d tracked; want 1 and 1", len(r.work), r.sched.Inflight())
+				}
+			}},
+		// A Deadline shorter than DAGTimeout fires before the first retry
+		// tick.
+		{"short-deadline", time.Minute, 1,
+			func(t *testing.T, r *rig, send func(time.Duration)) {
+				send(time.Second)
+				r.k.Sleep(5 * time.Second) // original + three extensions = 4s
+				if len(r.work) != 2 || r.sched.Reexecutions() != 1 {
+					t.Errorf("%d attempts, %d re-executions; want 2 and 1", len(r.work), r.sched.Reexecutions())
+				}
+				if now := time.Duration(r.k.Now()); now >= 15*time.Second {
+					t.Errorf("checked at %v, after the first retry tick — the test proves nothing", now)
+				}
+			}},
+		// No executors: the client hears an error and nothing is tracked.
+		{"no-executors", 2 * time.Second, 0,
+			func(t *testing.T, r *rig, send func(time.Duration)) {
+				send(0)
+				r.k.Sleep(5 * time.Second)
+				if len(r.results) != 1 || !strings.Contains(r.results[0].Err, "no executors") {
+					t.Errorf("client heard %v; want one no-executors error", r.results)
+				}
+				if r.sched.Inflight() != 0 {
+					t.Errorf("%d tracked, want 0", r.sched.Inflight())
+				}
+			}},
+	}
+	for _, sc := range scenarios {
+		for _, kind := range requestKinds {
+			t.Run(kind.name+"/"+sc.name, func(t *testing.T) {
+				cfg := scheduler.DefaultConfig()
+				cfg.DAGTimeout = sc.dagTimeout
+				cfg.StaleAfter = 3 * time.Second
+				r := newRig(t, cfg, sc.execs)
+				r.k.Run("test", func() {
+					for _, req := range []any{
+						scheduler.RegisterFunctionReq{Name: "f"},
+						scheduler.RegisterDAGReq{DAG: *dag.Linear("d", "f")},
+					} {
+						resp, err := r.client.Call(r.sched.ID(), req, 64, 10*time.Second)
+						if err != nil || !resp.(scheduler.RegisterResp).OK {
+							t.Errorf("%T: %v, %v", req, resp, err)
+							return
+						}
+					}
+					r.k.Sleep(2 * time.Second) // the view picks up the executors
+					sc.run(t, r, func(deadline time.Duration) {
+						r.client.Send(r.sched.ID(), kind.make("req", r.client.ID(), deadline), 128)
+					})
+				})
+			})
+		}
 	}
 }
