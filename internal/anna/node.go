@@ -179,7 +179,7 @@ func (n *Node) handleMultiGet(req *simnet.Request, b MultiGetReq) {
 func (n *Node) handlePut(req *simnet.Request, b PutReq) {
 	n.ops++
 	e, fromDisk := n.st.merge(b.Key, b.Lat, n.k.Now())
-	e.dirtyRepl, e.dirtyPush = true, true
+	n.st.markDirty(e, forRepl, forPush)
 	n.k.Sleep(n.serviceTime(n.cfg.PutServiceTime, fromDisk, e.size))
 	req.Reply(PutResp{OK: true}, 8)
 }
@@ -223,7 +223,7 @@ func (n *Node) handleGossip(_ simnet.Message, b GossipMsg) {
 	e, _ := n.st.merge(b.Key, b.Lat, n.k.Now())
 	// Replicas do not re-gossip (the writer reaches all owners),
 	// but must push to their own subscribed caches.
-	e.dirtyPush = true
+	n.st.markDirty(e, forPush)
 	n.k.Sleep(n.cfg.PutServiceTime)
 }
 
@@ -232,8 +232,8 @@ func (n *Node) handleKeyset(_ simnet.Message, b KeysetUpdate) { n.applyKeyset(b)
 func (n *Node) handleTransfer(_ simnet.Message, b TransferMsg) {
 	for _, te := range b.Entries {
 		e, _ := n.st.merge(te.Key, te.Lat, n.k.Now())
-		e.dirtyPush = true
-		e.dirtyRepl = true // propagate to any further new replicas
+		// forRepl: propagate to any further new replicas.
+		n.st.markDirty(e, forRepl, forPush)
 		for _, c := range te.Subscribers {
 			n.subscribe(te.Key, simnet.NodeID(c))
 		}
@@ -277,11 +277,7 @@ func (n *Node) subscribe(key string, cache simnet.NodeID) {
 // gossipTick propagates dirty keys to the other owners — Anna's
 // asynchronous replica propagation, run on the gossip cadence.
 func (n *Node) gossipTick() {
-	n.st.each(func(e *entry, onDisk bool) {
-		if !e.dirtyRepl {
-			return
-		}
-		e.dirtyRepl = false
+	n.st.drainDirty(forRepl, func(e *entry) {
 		for _, owner := range n.ring.OwnersFor(e.key) {
 			if owner == n.id {
 				continue
@@ -293,11 +289,7 @@ func (n *Node) gossipTick() {
 
 // pushTick sends updated keys to their subscribed caches (§4.2).
 func (n *Node) pushTick() {
-	n.st.each(func(e *entry, onDisk bool) {
-		if !e.dirtyPush {
-			return
-		}
-		e.dirtyPush = false
+	n.st.drainDirty(forPush, func(e *entry) {
 		for _, cache := range sortedSubs(n.index[e.key]) {
 			n.ep.Send(cache, KeyUpdatePush{Key: e.key, Lat: e.lat.Clone()}, 24+e.size)
 		}
@@ -398,7 +390,7 @@ func (n *Node) transferForRing() {
 			}
 		}
 		if owned {
-			e.dirtyRepl = true
+			n.st.markDirty(e, forRepl)
 			return
 		}
 		dst := owners[0]

@@ -2,7 +2,9 @@ package anna
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -137,6 +139,91 @@ func TestQuickRingAddOnlyStealsKeys(t *testing.T) {
 			}
 		}
 		return true
+	}
+	if err := quick.Check(prop, quickCfg()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHash64MatchesFNVThenFmix pins the inlined hash to the library one it
+// replaced: ring placement, and with it every simulated number, depends
+// on the two agreeing bit for bit.
+func TestHash64MatchesFNVThenFmix(t *testing.T) {
+	reference := func(s string) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		x := h.Sum64()
+		x ^= x >> 33
+		x *= 0xff51afd7ed558ccd
+		x ^= x >> 33
+		x *= 0xc4ceb9fe1a85ec53
+		x ^= x >> 33
+		return x
+	}
+	inputs := []string{
+		"", "a", "key-1", "key-2", "anna-0#0", "anna-11#31", "sys/metrics/exec-list",
+		"user:42:timeline", "\x00", "\xff\xfe", "héllo wörld", strings.Repeat("x", 1000),
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		b := make([]byte, rng.Intn(40))
+		rng.Read(b)
+		inputs = append(inputs, string(b))
+	}
+	for _, s := range inputs {
+		if got, want := hash64(s), reference(s); got != want {
+			t.Fatalf("hash64(%q) = %#x, hash/fnv+fmix64 gives %#x", s, got, want)
+		}
+	}
+}
+
+func TestQuickRingPrimaryIsFirstOwner(t *testing.T) {
+	// PrimaryFor takes a shortcut past the owner list; it must agree with
+	// OwnersFor(key)[0] whatever the membership history and whichever
+	// keys carry a hot-key replication override.
+	prop := func(m membership, seed uint32, repl, victim, hotFactor uint8) bool {
+		nodes := m.nodes()
+		r := NewRing(int(repl%3)+1, 16)
+		keys := make([]string, 48)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("k-%d-%d", seed, i)
+		}
+		agree := func() bool {
+			for _, key := range keys {
+				owners := r.OwnersFor(key)
+				if len(owners) == 0 {
+					if r.PrimaryFor(key) != "" {
+						return false
+					}
+				} else if r.PrimaryFor(key) != owners[0] {
+					return false
+				}
+			}
+			return true
+		}
+		if !agree() { // empty ring
+			return false
+		}
+		for _, n := range nodes {
+			r.AddNode(n)
+			if !agree() {
+				return false
+			}
+		}
+		for i, key := range keys {
+			if i%3 == 0 {
+				r.SetHot(key, int(hotFactor%6))
+			}
+		}
+		if !agree() {
+			return false
+		}
+		r.RemoveNode(nodes[int(victim)%len(nodes)])
+		if !agree() {
+			return false
+		}
+		r.AddNode("node-new")
+		return agree()
 	}
 	if err := quick.Check(prop, quickCfg()); err != nil {
 		t.Fatal(err)

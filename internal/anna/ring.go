@@ -18,7 +18,7 @@ package anna
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 
 	"cloudburst/internal/simnet"
@@ -58,10 +58,14 @@ func NewRing(k, vnodesPerNode int) *Ring {
 	}
 }
 
+// hash64 is FNV-1a (hash/fnv's New64a, inlined so a lookup allocates
+// neither a hasher nor a byte copy of the key) with a scattering finish.
 func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	x := h.Sum64()
+	x := uint64(14695981039346656037) // FNV offset basis
+	for i := 0; i < len(s); i++ {
+		x ^= uint64(s[i])
+		x *= 1099511628211 // FNV prime
+	}
 	// FNV clusters badly on short, similar strings ("key-1", "key-2",
 	// ...), which skews ring placement; finish with murmur3's fmix64 to
 	// scatter the bits across the full 64-bit space.
@@ -143,27 +147,32 @@ func (r *Ring) OwnersFor(key string) []simnet.NodeID {
 	if k > len(r.nodes) {
 		k = len(r.nodes)
 	}
-	h := hash64(key)
-	i := sort.Search(len(r.vnodes), func(i int) bool { return r.vnodes[i].hash >= h })
+	i := r.successor(key)
 	out := make([]simnet.NodeID, 0, k)
-	seen := make(map[simnet.NodeID]bool, k)
 	for n := 0; len(out) < k && n < len(r.vnodes); n++ {
 		v := r.vnodes[(i+n)%len(r.vnodes)]
-		if !seen[v.node] {
-			seen[v.node] = true
+		if !slices.Contains(out, v.node) { // k is a handful: a scan beats a set
 			out = append(out, v.node)
 		}
 	}
 	return out
 }
 
-// PrimaryFor returns the first owner for key.
+// successor returns the index of the first vnode clockwise from key's
+// hash; the ring must not be empty.
+func (r *Ring) successor(key string) int {
+	h := hash64(key)
+	i := sort.Search(len(r.vnodes), func(i int) bool { return r.vnodes[i].hash >= h })
+	return i % len(r.vnodes)
+}
+
+// PrimaryFor returns the first owner for key, OwnersFor(key)[0], without
+// building the owner list.
 func (r *Ring) PrimaryFor(key string) simnet.NodeID {
-	owners := r.OwnersFor(key)
-	if len(owners) == 0 {
+	if len(r.vnodes) == 0 {
 		return ""
 	}
-	return owners[0]
+	return r.vnodes[r.successor(key)].node
 }
 
 // Owns reports whether node is among key's owners.

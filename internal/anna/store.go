@@ -1,10 +1,21 @@
 package anna
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"cloudburst/internal/lattice"
 	"cloudburst/internal/vtime"
+)
+
+// dirtyKind names a background tick that propagates changed entries.
+type dirtyKind int
+
+const (
+	forRepl    dirtyKind = iota // changed since the last gossip round
+	forPush                     // changed since the last cache-push round
+	dirtyKinds                  // count
 )
 
 // entry is one stored key on a node.
@@ -13,9 +24,8 @@ type entry struct {
 	lat        lattice.Lattice
 	size       int
 	lastAccess vtime.Time
-	accesses   int64 // accesses in the current stats window
-	dirtyRepl  bool  // changed since last gossip round
-	dirtyPush  bool  // changed since last cache-push round
+	accesses   int64            // accesses in the current stats window
+	dirty      [dirtyKinds]bool // set by markDirty, cleared by drainDirty
 }
 
 // tieredStore is a node's two-tier storage: a bounded memory tier with
@@ -27,6 +37,10 @@ type tieredStore struct {
 	disk        map[string]*entry
 	memBytes    int
 	memCapacity int // 0 = unbounded
+
+	// dirty queues, per tick, the entries whose flag rose since that tick
+	// last ran, so a tick costs what changed and not what is resident.
+	dirty [dirtyKinds][]*entry
 }
 
 func newTieredStore(memCapacity int) *tieredStore {
@@ -133,11 +147,59 @@ func (s *tieredStore) evictIfNeeded(now vtime.Time) {
 	}
 }
 
-// each iterates over all entries (memory then disk) in sorted key order.
-// Deterministic order matters: callers send network messages per entry,
-// and message order consumes the kernel's random source — unsorted map
-// iteration would break run-to-run reproducibility. fn must not mutate
-// the store.
+// markDirty flags e for each of the given ticks, queueing it the first
+// time a flag rises. Every writer marks through here: an entry flagged
+// any other way would never be sent.
+func (s *tieredStore) markDirty(e *entry, kinds ...dirtyKind) {
+	for _, kind := range kinds {
+		if !e.dirty[kind] {
+			e.dirty[kind] = true
+			s.dirty[kind] = append(s.dirty[kind], e)
+		}
+	}
+}
+
+// drainDirty visits the entries queued for kind in the order each would
+// reach them — memory tier before disk tier, each tier by key — then
+// clears their flags and empties the queue. An entry that is no longer
+// the stored entry for its key is skipped: after a delete and a fresh put
+// the new entry is queued in its own right, and the key is sent once. fn
+// must not add, remove or move entries.
+func (s *tieredStore) drainDirty(kind dirtyKind, fn func(e *entry)) {
+	q := s.dirty[kind]
+	if len(q) == 0 {
+		return
+	}
+	// Partition in place: live memory entries, then live disk entries.
+	live, nMem := q[:0], 0
+	for _, e := range q {
+		e.dirty[kind] = false
+		switch {
+		case s.mem[e.key] == e:
+			live = append(live, e)
+			last := len(live) - 1
+			live[nMem], live[last] = live[last], live[nMem]
+			nMem++
+		case s.disk[e.key] == e:
+			live = append(live, e)
+		}
+	}
+	byKey := func(a, b *entry) int { return strings.Compare(a.key, b.key) }
+	slices.SortFunc(live[:nMem], byKey)
+	slices.SortFunc(live[nMem:], byKey)
+	for _, e := range live {
+		fn(e)
+	}
+	clear(q) // drop the references for GC
+	s.dirty[kind] = q[:0]
+}
+
+// each iterates over all entries (memory then disk) in sorted key order,
+// for the walks that are whole-store by nature; the periodic ticks use
+// drainDirty. Deterministic order matters: callers send network messages
+// per entry, and message order consumes the kernel's random source —
+// unsorted map iteration would break run-to-run reproducibility. fn must
+// not add, remove or move entries.
 func (s *tieredStore) each(fn func(e *entry, onDisk bool)) {
 	for _, k := range sortedEntryKeys(s.mem) {
 		fn(s.mem[k], false)

@@ -124,7 +124,7 @@ func (n *Node) resolveTxn(p *preparedTxn, commit bool) {
 			continue
 		}
 		e, fromDisk := n.st.merge(it.Key, lattice.NewLWW(ts, it.Payload), n.k.Now())
-		e.dirtyRepl, e.dirtyPush = true, true
+		n.st.markDirty(e, forRepl, forPush)
 		svc += n.serviceTime(n.cfg.PutServiceTime, fromDisk, e.size)
 	}
 	n.k.Sleep(svc)

@@ -18,6 +18,7 @@ package scheduler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -242,10 +243,14 @@ type Scheduler struct {
 	dags    map[string]*dag.DAG
 	funcs   map[string]bool
 	threads map[simnet.NodeID]threadInfo
+	// threadIDs is threads' key set in ascending order, rebuilt where
+	// threads is replaced, so pickExecutor reads a sorted pool instead of
+	// sorting one per invocation.
+	threadIDs []simnet.NodeID
 	// cacheKeys: VM name → cached key set; threadVM maps thread → VM so
 	// locality ranking can find the right cache.
 	cacheKeys map[string]map[string]bool
-	pins      map[string][]simnet.NodeID // function → threads pinned
+	pins      map[string][]simnet.NodeID // function → threads pinned, ascending
 
 	// inflight holds every request this shard is answerable for, of
 	// either kind, by ReqID.
@@ -415,7 +420,8 @@ func (s *Scheduler) registerDAG(req RegisterDAGReq) RegisterResp {
 		targets := s.pickPinTargets(fn, replicas)
 		for _, tgt := range targets {
 			s.ep.Send(tgt, core.PinFunction{Function: fn}, 32)
-			s.pins[fn] = append(s.pins[fn], tgt)
+			at, _ := slices.BinarySearch(s.pins[fn], tgt)
+			s.pins[fn] = slices.Insert(s.pins[fn], at, tgt)
 		}
 	}
 	return RegisterResp{OK: true}
@@ -736,11 +742,10 @@ func (s *Scheduler) pickExecutor(fn string, args []core.Arg, exclude map[simnet.
 		}
 	}
 	if len(sc.pool) == 0 {
-		for id := range s.threads {
-			sc.pool = append(sc.pool, id)
-		}
+		sc.pool = append(sc.pool, s.threadIDs...)
 	}
-	sort.Slice(sc.pool, func(i, j int) bool { return sc.pool[i] < sc.pool[j] })
+	// Ascending either way: pins and threadIDs are kept sorted where they
+	// change, and the order decides which thread a random draw lands on.
 	filtered := sc.pool[:0]
 	for _, id := range sc.pool {
 		if exclude != nil && exclude[id] {
@@ -868,8 +873,13 @@ func (s *Scheduler) refreshView() {
 			}
 			if len(fresh) > 0 {
 				s.threads = fresh
+				s.threadIDs = s.threadIDs[:0]
+				for id := range fresh {
+					s.threadIDs = append(s.threadIDs, id)
+				}
+				slices.Sort(s.threadIDs)
 				for fn, ts := range pins {
-					sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+					slices.Sort(ts)
 					s.pins[fn] = ts
 				}
 			}

@@ -228,9 +228,7 @@ func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, ok bool, timedOut bool) {
 	t.ev = w
 	gen := t.gen
 	c.k.park()
-	if t.gen == gen {
-		t.canceled = true
-	}
+	c.k.cancelTimer(t, gen)
 	if w.timedOut {
 		// Detach from the receive queue (a sender has not popped us)
 		// before recycling, so a later send cannot resolve to a stale

@@ -18,9 +18,13 @@
 //     goroutine (and proc/resume-channel state) parks on a free list and
 //     the next Go re-arms it instead of spawning. Kernel.Stats reports the
 //     spawn/reuse split so tests can assert reuse.
-//   - Timer-heap entries come from a pool, and the common schedulings avoid
-//     closures entirely: Sleep stores the process to wake directly in the
-//     timer, and AfterEvent takes a caller-pooled Event instead of a func.
+//   - Timer-heap entries come from a pool, and no scheduling takes a
+//     closure: Sleep stores the process to wake directly in the timer, and
+//     AfterEvent takes a caller-pooled Event instead of a func. A cancelled
+//     timer (a RecvTimeout whose value arrived) leaves the heap and returns
+//     to the pool at once, so the heap holds only timers that will fire: its
+//     size follows the number of parked sleepers and in-flight events, not
+//     the number of answered calls whose deadline has yet to pass.
 //   - Chan waiters are pooled per channel, and queue slices (run queue,
 //     channel buffers, waiter lists) reset to their start when drained, so
 //     steady-state traffic reuses one backing array.
@@ -104,18 +108,17 @@ type Runner interface{ Run() }
 // goroutine while no process holds the token; it must not block.
 type Event interface{ Fire() }
 
-// timer is a scheduled callback. Exactly one of wake, ev, fire is set:
-// wake resumes a parked process (Sleep), ev fires a pooled Event, fire is
-// the general closure path (After). Callbacks run on the scheduler
-// goroutine while no process holds the token; they must not block.
+// timer is a scheduled callback. Exactly one of wake and ev is set: wake
+// resumes a parked process (Sleep), ev fires a pooled Event. Events run on
+// the scheduler goroutine while no process holds the token; they must not
+// block.
 type timer struct {
-	when     Time
-	seq      int64 // tie-break so equal-time timers fire in creation order
-	wake     *proc
-	ev       Event
-	fire     func()
-	canceled bool
-	gen      uint64 // bumped on recycle, so stale cancels are no-ops
+	when  Time
+	seq   int64 // tie-break so equal-time timers fire in creation order
+	wake  *proc
+	ev    Event
+	index int    // position in the heap, kept by Swap/Push so cancel can remove it
+	gen   uint64 // bumped on recycle, so stale cancels are no-ops
 }
 
 type timerHeap []*timer
@@ -127,9 +130,23 @@ func (h timerHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(*timer)) }
-func (h *timerHeap) Pop() any     { old := *h; n := len(old); t := old[n-1]; *h = old[:n-1]; return t }
+func (h timerHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *timerHeap) Push(x any) {
+	t := x.(*timer)
+	t.index = len(*h)
+	*h = append(*h, t)
+}
+func (h *timerHeap) Pop() any {
+	old := *h
+	n := len(old)
+	t := old[n-1]
+	old[n-1] = nil // drop the reference for GC
+	*h = old[:n-1]
+	return t
+}
 
 // Stats are the kernel's lifetime counters, exposed for tests and
 // reports. Spawns vs Reuses measures the process free list: a hot
@@ -347,34 +364,29 @@ func (k *Kernel) addTimer(d time.Duration) *timer {
 	}
 	t.when = k.now.Add(d)
 	t.seq = k.nextSeq
-	t.canceled = false
 	heap.Push(&k.timers, t)
 	return t
 }
 
-// releaseTimer recycles a popped heap entry. Bumping gen invalidates any
-// outstanding cancel handle for the old use.
+// releaseTimer recycles an entry that has left the heap. Bumping gen
+// invalidates any outstanding cancel handle for the old use.
 func (k *Kernel) releaseTimer(t *timer) {
 	t.gen++
 	t.wake = nil
 	t.ev = nil
-	t.fire = nil
 	k.freeTimers = append(k.freeTimers, t)
 }
 
-// After schedules fn to run at now+d on the scheduler goroutine. fn must
-// not block. The returned cancel function prevents fn from running if it
-// has not fired yet. Hot paths that cannot afford the two closures should
-// use AfterEvent with a pooled Event instead.
-func (k *Kernel) After(d time.Duration, fn func()) (cancel func()) {
-	t := k.addTimer(d)
-	t.fire = fn
-	gen := t.gen
-	return func() {
-		if t.gen == gen {
-			t.canceled = true
-		}
+// cancelTimer takes t out of the heap and recycles it, unless it already
+// fired. gen is t.gen as read when the timer was added: a timer that fired
+// while its owner was waking has been released, and may be in the heap
+// again on someone else's behalf, so a mismatch means hands off.
+func (k *Kernel) cancelTimer(t *timer, gen uint64) {
+	if t.gen != gen {
+		return
 	}
+	heap.Remove(&k.timers, t.index)
+	k.releaseTimer(t)
 }
 
 // AfterEvent schedules ev.Fire() to run at now+d on the scheduler
@@ -436,28 +448,21 @@ func (k *Kernel) dispatch() {
 // advance pops the earliest timer, moves the clock, and fires it. It
 // returns false when no timer is pending.
 func (k *Kernel) advance() bool {
-	for len(k.timers) > 0 {
-		t := heap.Pop(&k.timers).(*timer)
-		if t.canceled {
-			k.releaseTimer(t)
-			continue
-		}
-		if t.when > k.now {
-			k.now = t.when
-		}
-		k.stats.TimerFires++
-		switch {
-		case t.wake != nil:
-			k.wake(t.wake)
-		case t.ev != nil:
-			t.ev.Fire()
-		default:
-			t.fire()
-		}
-		k.releaseTimer(t)
-		return true
+	if len(k.timers) == 0 {
+		return false
 	}
-	return false
+	t := heap.Pop(&k.timers).(*timer)
+	if t.when > k.now {
+		k.now = t.when
+	}
+	k.stats.TimerFires++
+	if t.wake != nil {
+		k.wake(t.wake)
+	} else {
+		t.ev.Fire()
+	}
+	k.releaseTimer(t)
+	return true
 }
 
 // Stop terminates every live process by unwinding it with an internal

@@ -40,17 +40,27 @@ func TestSleepOrdering(t *testing.T) {
 	}
 }
 
+// recordEvent is a timer Event that appends its id to a shared log.
+type recordEvent struct {
+	log *[]int
+	id  int
+}
+
+func (e *recordEvent) Fire() { *e.log = append(*e.log, e.id) }
+
 func TestEqualTimersFireInCreationOrder(t *testing.T) {
 	k := NewKernel(1)
 	defer k.Stop()
 	var order []int
 	k.Run("main", func() {
 		for i := 0; i < 5; i++ {
-			i := i
-			k.After(time.Millisecond, func() { order = append(order, i) })
+			k.AfterEvent(time.Millisecond, &recordEvent{&order, i})
 		}
 		k.Sleep(2 * time.Millisecond)
 	})
+	if len(order) != 5 {
+		t.Fatalf("timer order = %v, want 5 fires", order)
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("timer order = %v", order)
@@ -61,15 +71,24 @@ func TestEqualTimersFireInCreationOrder(t *testing.T) {
 func TestAfterCancel(t *testing.T) {
 	k := NewKernel(1)
 	defer k.Stop()
-	fired := false
 	k.Run("main", func() {
-		cancel := k.After(time.Millisecond, func() { fired = true })
-		cancel()
+		ch := NewChan[int](k, -1)
+		k.Go("sender", func() { ch.Send(1) })
+		if _, _, timedOut := ch.RecvTimeout(time.Millisecond); timedOut {
+			t.Error("RecvTimeout timed out with a value on its way")
+			return
+		}
+		// The answered receive's timer is cancelled: gone from the heap,
+		// never fired, and the clock does not stop at its deadline.
+		if n := len(k.timers); n != 0 {
+			t.Errorf("%d timers pending after the receive was answered, want 0", n)
+		}
+		before := k.Stats().TimerFires
 		k.Sleep(5 * time.Millisecond)
+		if fires := k.Stats().TimerFires - before; fires != 1 {
+			t.Errorf("%d timers fired across the cancelled deadline, want 1 (the Sleep)", fires)
+		}
 	})
-	if fired {
-		t.Fatal("canceled timer fired")
-	}
 }
 
 func TestDeterministicTrace(t *testing.T) {
