@@ -237,12 +237,13 @@ func (c *Cache) readDSC(rctx trace.Ctx, reqID, key string, meta *core.SessionMet
 	}
 
 	ver := core.VersionRef{Cache: c.ID(), VC: cap.VC(), VCD: cap.Digest()}
+	deps := cap.DepsUnion()
 	c.mu.Lock()
 	// Snapshot the version read and the locally-held versions of its
 	// dependencies, so downstream caches can fetch them (§5.3: "caches
 	// upstream store version snapshots of these causal dependencies").
 	c.snapshotLocked(reqID, key, cap)
-	for dk := range cap.DepsUnion() {
+	for dk := range deps {
 		if dep, ok := c.store[dk]; ok {
 			c.snapshotLocked(reqID, dk, dep)
 		}
@@ -251,7 +252,7 @@ func (c *Cache) readDSC(rctx trace.Ctx, reqID, key string, meta *core.SessionMet
 	if meta != nil {
 		meta.ReadSet[key] = ver
 		// Ship the read version's dependencies downstream.
-		for dk, dvc := range cap.DepsUnion() {
+		for dk, dvc := range deps {
 			cur, ok := meta.Deps[dk]
 			if !ok || cur.VC.HappensBefore(dvc) {
 				meta.Deps[dk] = core.VersionRef{Cache: c.ID(), VC: dvc}
@@ -354,7 +355,7 @@ func (c *Cache) write(reqID, key string, payload []byte, meta *core.SessionMeta,
 		c.mu.Lock()
 		vc := lattice.VectorClock{}
 		if cur, ok := c.store[key]; ok {
-			vc = cur.(*lattice.Causal).VC().Copy()
+			vc = cur.(*lattice.Causal).VC() // a fresh join: ours to tick
 		}
 		vc.Tick(writerID)
 		var deps map[string]lattice.VectorClock

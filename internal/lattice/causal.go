@@ -2,30 +2,19 @@ package lattice
 
 import (
 	"bytes"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // Version is one causally-identified write: an Anna vector clock naming
 // the version, the dependency set recording which key versions the writer
-// had read (pairs of key and vector clock), and the payload.
+// had read (pairs of key and vector clock), and the payload. Inside a
+// Causal it is an immutable value — VC and Deps, like the payload, are
+// never written again — so capsules share versions instead of copying.
 type Version struct {
 	VC    VectorClock
 	Deps  map[string]VectorClock
 	Value []byte
-}
-
-// clone returns a copy of v: clocks and dependency sets are deep-copied
-// (they are mutable), the payload is shared (it is immutable — see the
-// LWW capsule contract).
-func (v Version) clone() Version {
-	c := Version{VC: v.VC.Copy(), Value: v.Value}
-	if v.Deps != nil {
-		c.Deps = make(map[string]VectorClock, len(v.Deps))
-		for k, vc := range v.Deps {
-			c.Deps[k] = vc.Copy()
-		}
-	}
-	return c
 }
 
 // Causal is the causal-consistency capsule of §5.2: a key's set of
@@ -40,16 +29,20 @@ func (v Version) clone() Version {
 // writes are both preserved, which is exactly the update LWW drops — the
 // single-key anomaly counted in Table 2.
 type Causal struct {
-	Versions []Version // canonical: pruned, sorted, deduplicated
+	// Versions is canonical: an antichain (no clock strictly dominates
+	// another), one entry per (clock, payload), sorted by the clock's
+	// String() and then the payload. The slice is the capsule's own —
+	// Merge edits it in place — over shared versions.
+	Versions []Version
 }
 
 // NewCausal builds a capsule holding one write. The capsule takes
-// ownership of value; the caller must not mutate it afterwards.
+// ownership of vc, deps and value; the caller must not mutate them
+// afterwards.
 func NewCausal(vc VectorClock, deps map[string]VectorClock, value []byte) *Causal {
-	recordPayload(value)
-	c := &Causal{Versions: []Version{{VC: vc, Deps: deps, Value: value}}}
-	c.normalize()
-	return c
+	v := Version{VC: vc, Deps: deps, Value: value}
+	recordVersion(v)
+	return &Causal{Versions: []Version{v}}
 }
 
 // VC returns the capsule's effective vector clock: the join of all
@@ -100,91 +93,100 @@ func (c *Causal) Siblings() [][]byte {
 	return out
 }
 
-// Merge implements Lattice.
+// Merge implements Lattice. Both sides are canonical, so the join is one
+// insert per incoming version, and the versions kept are shared.
 func (c *Causal) Merge(other Lattice) {
 	o, ok := other.(*Causal)
 	if !ok {
 		panic(mismatch(c.TypeName(), other))
 	}
 	for _, v := range o.Versions {
-		c.Versions = append(c.Versions, v.clone())
+		c.insert(v)
 	}
-	c.normalize()
 }
 
-// normalize restores the canonical form: coalesce identical
-// (clock, value) pairs by unioning their dependency sets, drop
-// strictly-dominated versions, and sort deterministically.
-func (c *Causal) normalize() {
-	// Coalesce exact duplicates first; deps-union must happen regardless
-	// of the order capsules were merged in, or commutativity breaks.
-	uniq := make([]Version, 0, len(c.Versions))
-	for _, v := range c.Versions {
-		coalesced := false
-		for i := range uniq {
-			if uniq[i].VC.Compare(v.VC) == Equal && bytes.Equal(uniq[i].Value, v.Value) {
-				uniq[i].Deps = unionDeps(uniq[i].Deps, v.Deps)
-				coalesced = true
-				break
+// insert joins one version into the sibling set. Against an antichain
+// exactly one of three holds, so an early return never follows a removal:
+// a sibling dominates v, which is dropped; v repeats a sibling's write
+// (equal clock and payload) and the dependency sets are unioned, so that
+// neither merge order loses one; or v survives, replaces every sibling it
+// dominates and takes its place in the canonical order.
+func (c *Causal) insert(v Version) {
+	vs := c.Versions
+	kept := vs[:0]
+	for i, u := range vs {
+		switch v.VC.Compare(u.VC) {
+		case DominatedBy:
+			return
+		case Dominates:
+			continue
+		case Equal:
+			if bytes.Equal(u.Value, v.Value) {
+				vs[i].Deps = unionDeps(u.Deps, v.Deps)
+				return
 			}
 		}
-		if !coalesced {
-			uniq = append(uniq, v)
-		}
+		kept = append(kept, u)
 	}
-	// Prune strictly dominated versions. kept must be a fresh slice:
-	// appending in place would overwrite elements the inner loop still
-	// reads.
-	kept := make([]Version, 0, len(uniq))
-	for i, v := range uniq {
-		dominated := false
-		for j, u := range uniq {
-			if i != j && v.VC.Compare(u.VC) == DominatedBy {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			kept = append(kept, v)
-		}
-	}
+	at := canonicalIndex(kept, v)
+	kept = append(kept, Version{})
+	copy(kept[at+1:], kept[at:])
+	kept[at] = v
+	clear(vs[min(len(kept), len(vs)):]) // drop the replaced versions' references
 	c.Versions = kept
-	sort.Slice(c.Versions, func(i, j int) bool {
-		vi, vj := c.Versions[i], c.Versions[j]
-		if si, sj := vi.VC.String(), vj.VC.String(); si != sj {
-			return si < sj
-		}
-		return bytes.Compare(vi.Value, vj.Value) < 0
-	})
 }
 
-// unionDeps returns a fresh dependency map holding the pairwise-max union
-// of a and b. It never mutates its inputs, which may be shared.
+// canonicalIndex returns where v belongs among the sorted siblings vs.
+// The order picks DisplayValue, so every causal table depends on it.
+func canonicalIndex(vs []Version, v Version) int {
+	if len(vs) == 0 { // the common write: v replaced the only sibling
+		return 0
+	}
+	var vbuf, ubuf [256]byte
+	vkey := v.VC.appendCanonical(vbuf[:0])
+	at, _ := slices.BinarySearchFunc(vs, v, func(u, v Version) int {
+		if ord := bytes.Compare(u.VC.appendCanonical(ubuf[:0]), vkey); ord != 0 {
+			return ord
+		}
+		return bytes.Compare(u.Value, v.Value)
+	})
+	return at
+}
+
+// unionDeps returns the pairwise-max union of two dependency maps without
+// writing to either (both may be capsuled): a itself when b adds nothing,
+// else a fresh map sharing every clock it did not have to join.
 func unionDeps(a, b map[string]VectorClock) map[string]VectorClock {
 	if len(a) == 0 && len(b) == 0 {
 		return nil
 	}
-	out := make(map[string]VectorClock, len(a)+len(b))
-	for k, vc := range a {
-		out[k] = vc.Copy()
-	}
+	var out map[string]VectorClock
 	for k, vc := range b {
-		if cur, ok := out[k]; ok {
-			cur.Observe(vc)
-		} else {
-			out[k] = vc.Copy()
+		cur, ok := a[k]
+		if ok && cur.DominatesOrEqual(vc) {
+			continue
 		}
+		if out == nil {
+			out = make(map[string]VectorClock, len(a)+len(b))
+			maps.Copy(out, a)
+		}
+		if ok {
+			cur = cur.Copy()
+			cur.Observe(vc)
+			vc = cur
+		}
+		out[k] = vc
+	}
+	if out == nil {
+		return a
 	}
 	return out
 }
 
-// Clone implements Lattice.
+// Clone implements Lattice: an independent sibling set over the same
+// immutable versions.
 func (c *Causal) Clone() Lattice {
-	cl := &Causal{Versions: make([]Version, len(c.Versions))}
-	for i, v := range c.Versions {
-		cl.Versions[i] = v.clone()
-	}
-	return cl
+	return &Causal{Versions: slices.Clone(c.Versions)}
 }
 
 // Digest returns a canonical 64-bit key identifying the capsule's exact

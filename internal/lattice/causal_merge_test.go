@@ -1,0 +1,338 @@
+package lattice
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// The causal merge used to be "append deep copies of the other capsule's
+// versions, then normalize": coalesce, prune, sort by the fmt-rendered
+// clock. It survives here, unchanged, as the oracle the antichain insert
+// and the allocation-free renderer are held to.
+
+// oracleString is VectorClock.String as fmt rendered it.
+func oracleString(vc VectorClock) string {
+	ids := make([]string, 0, len(vc))
+	for id := range vc {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	parts := make([]string, len(ids))
+	for i, id := range ids {
+		parts[i] = fmt.Sprintf("%s:%d", id, vc[id])
+	}
+	return "{" + strings.Join(parts, ",") + "}"
+}
+
+func oracleCloneVersion(v Version) Version {
+	c := Version{VC: v.VC.Copy(), Value: v.Value}
+	if v.Deps != nil {
+		c.Deps = make(map[string]VectorClock, len(v.Deps))
+		for k, vc := range v.Deps {
+			c.Deps[k] = vc.Copy()
+		}
+	}
+	return c
+}
+
+func oracleUnionDeps(a, b map[string]VectorClock) map[string]VectorClock {
+	if len(a) == 0 && len(b) == 0 {
+		return nil
+	}
+	out := make(map[string]VectorClock, len(a)+len(b))
+	for k, vc := range a {
+		out[k] = vc.Copy()
+	}
+	for k, vc := range b {
+		if cur, ok := out[k]; ok {
+			cur.Observe(vc)
+		} else {
+			out[k] = vc.Copy()
+		}
+	}
+	return out
+}
+
+// oracleMerge returns the join of c and o in a capsule that shares no map
+// with either.
+func oracleMerge(c, o *Causal) *Causal {
+	var all []Version
+	for _, v := range c.Versions {
+		all = append(all, oracleCloneVersion(v))
+	}
+	for _, v := range o.Versions {
+		all = append(all, oracleCloneVersion(v))
+	}
+	uniq := make([]Version, 0, len(all))
+	for _, v := range all {
+		coalesced := false
+		for i := range uniq {
+			if uniq[i].VC.Compare(v.VC) == Equal && bytes.Equal(uniq[i].Value, v.Value) {
+				uniq[i].Deps = oracleUnionDeps(uniq[i].Deps, v.Deps)
+				coalesced = true
+				break
+			}
+		}
+		if !coalesced {
+			uniq = append(uniq, v)
+		}
+	}
+	kept := make([]Version, 0, len(uniq))
+	for i, v := range uniq {
+		dominated := false
+		for j, u := range uniq {
+			if i != j && v.VC.Compare(u.VC) == DominatedBy {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			kept = append(kept, v)
+		}
+	}
+	sort.Slice(kept, func(i, j int) bool {
+		if si, sj := oracleString(kept[i].VC), oracleString(kept[j].VC); si != sj {
+			return si < sj
+		}
+		return bytes.Compare(kept[i].Value, kept[j].Value) < 0
+	})
+	return &Causal{Versions: kept}
+}
+
+// histGen draws versions from a small pool of clocks over shared writer
+// ids, so two capsules of one history keep meeting the same clock: with
+// the same payload (a repeat, deps possibly different) or another (a
+// sibling under an equal clock).
+type histGen struct {
+	rng  *rand.Rand
+	pool []VectorClock
+}
+
+func newHistGen(rng *rand.Rand) *histGen {
+	g := &histGen{rng: rng}
+	for i := 8 + rng.Intn(12); i > 0; i-- {
+		vc := VectorClock{}
+		for w := 0; w < 5; w++ {
+			if n := rng.Intn(4); n > 0 {
+				vc[fmt.Sprintf("w%d", w)] = uint64(n)
+			}
+		}
+		if len(vc) == 0 {
+			vc["w0"] = 1
+		}
+		g.pool = append(g.pool, vc)
+	}
+	return g
+}
+
+func (g *histGen) deps() map[string]VectorClock {
+	switch g.rng.Intn(4) {
+	case 0:
+		return nil
+	case 1:
+		return map[string]VectorClock{}
+	}
+	deps := map[string]VectorClock{}
+	for i := 1 + g.rng.Intn(3); i > 0; i-- {
+		deps[fmt.Sprintf("k%d", g.rng.Intn(3))] = g.pool[g.rng.Intn(len(g.pool))].Copy()
+	}
+	return deps
+}
+
+// capsule folds up to n drawn versions with the oracle, so the inputs are
+// canonical by the old definition whatever the new code does.
+func (g *histGen) capsule(n int) *Causal {
+	var c *Causal
+	for i := 1 + g.rng.Intn(n); i > 0; i-- {
+		vc := g.pool[g.rng.Intn(len(g.pool))].Copy()
+		one := NewCausal(vc, g.deps(), []byte{byte(g.rng.Intn(2))})
+		if c == nil {
+			c = one
+		} else {
+			c = oracleMerge(c, one)
+		}
+	}
+	return c
+}
+
+// TestMergeMatchesUnionNormalize is the differential test of the antichain
+// insert: over seeded random histories, merging capsule after capsule
+// into one receiver gives exactly what union-then-normalize gives —
+// sibling order, clocks, dependency maps down to nil versus empty,
+// payloads, and everything derived from them — and leaves the argument,
+// whose versions it now shares, untouched.
+//
+// Mutations of insert this was seen to fail under: returning at an equal
+// clock and payload without unioning the dependency sets; keeping a
+// sibling that v dominates (Dominates falling through to the append);
+// appending v instead of inserting it at canonicalIndex.
+func TestMergeMatchesUnionNormalize(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var dropped, replaced, repeats, repeatsNewDeps, nilVsEmpty, equalClockSiblings, widest int
+	for trial := 0; trial < 100; trial++ {
+		g := newHistGen(rng)
+		got := g.capsule(16)
+		want := &Causal{}
+		for _, v := range got.Versions {
+			want.Versions = append(want.Versions, oracleCloneVersion(v))
+		}
+		for step := 0; step < 6; step++ {
+			arg := g.capsule(16)
+			argBefore := canon(arg)
+			widest = max(widest, len(got.Versions), len(arg.Versions))
+			for _, v := range arg.Versions {
+				for _, u := range got.Versions {
+					switch ord := v.VC.Compare(u.VC); {
+					case ord == DominatedBy:
+						dropped++
+					case ord == Dominates:
+						replaced++
+					case ord == Equal && !bytes.Equal(u.Value, v.Value):
+						equalClockSiblings++
+					case ord == Equal:
+						repeats++
+						if !reflect.DeepEqual(oracleUnionDeps(u.Deps, v.Deps), oracleUnionDeps(u.Deps, nil)) {
+							repeatsNewDeps++
+						}
+						if len(u.Deps) == 0 && len(v.Deps) == 0 && (u.Deps == nil) != (v.Deps == nil) {
+							nilVsEmpty++
+						}
+					}
+				}
+			}
+			want = oracleMerge(want, arg)
+			got.Merge(arg)
+			if !reflect.DeepEqual(got.Versions, want.Versions) {
+				t.Fatalf("trial %d step %d: merge diverged from union-then-normalize\n got  %s\n want %s",
+					trial, step, canon(got), canon(want))
+			}
+			if got.Digest() != want.Digest() || got.MetadataSize() != want.MetadataSize() ||
+				got.ByteSize() != want.ByteSize() || !bytes.Equal(got.DisplayValue(), want.DisplayValue()) {
+				t.Fatalf("trial %d step %d: derived values differ for equal versions", trial, step)
+			}
+			if canon(arg) != argBefore {
+				t.Fatalf("trial %d step %d: Merge changed its argument\n was %s\n now %s", trial, step, argBefore, canon(arg))
+			}
+		}
+	}
+	// The histories must reach every branch of insert, or agreeing with
+	// the oracle says little.
+	for name, n := range map[string]int{
+		"incoming version dominated":                 dropped,
+		"incoming version dominates":                 replaced,
+		"equal clock and payload":                    repeats,
+		"equal clock and payload, deps to union":     repeatsNewDeps,
+		"equal clock and payload, nil vs empty deps": nilVsEmpty,
+		"equal clock, different payload":             equalClockSiblings,
+	} {
+		if n == 0 {
+			t.Errorf("no history had the case %q", name)
+		}
+	}
+	if widest < 8 {
+		t.Errorf("widest capsule had %d siblings, want at least 8", widest)
+	}
+}
+
+// TestCanonicalOrderMatchesString pins the sibling order's first key:
+// comparing appendCanonical's bytes orders clocks exactly as comparing
+// the fmt-rendered strings did, and String is still that rendering.
+func TestCanonicalOrderMatchesString(t *testing.T) {
+	wide, long := VectorClock{}, VectorClock{}
+	for i := 0; i < 20; i++ { // past the 16-id stack array
+		wide[fmt.Sprintf("t%d", i)] = uint64(i + 1)
+	}
+	for i := 0; i < 8; i++ { // past a 256-byte buffer
+		long[strings.Repeat("x", 40)+fmt.Sprint(i)] = uint64(1) << (8 * i)
+	}
+	wide2, long2 := wide.Copy(), long.Copy()
+	wide2["t19"]++
+	long2[strings.Repeat("x", 40)+"7"]--
+	clocks := []VectorClock{
+		{}, nil,
+		{"a": 9}, {"a": 10}, {"a": 100}, {"a": 1 << 63},
+		{"t1": 1}, {"t10": 1}, {"t1": 1, "t10": 1}, {"t1": 10}, {"t": 1},
+		{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 1, "b": 0}, {"ab": 1}, {"a,b": 1}, {"a:1": 1},
+		wide, wide2, long, long2,
+	}
+	rng := rand.New(rand.NewSource(37))
+	for i := 0; i < 150; i++ {
+		vc := VectorClock{}
+		for j := rng.Intn(5); j > 0; j-- {
+			vc[fmt.Sprintf("t%d", rng.Intn(12))] = uint64(rng.Intn(12))
+		}
+		clocks = append(clocks, vc)
+	}
+	sign := func(n int) int { return min(max(n, -1), 1) }
+	for _, a := range clocks {
+		if got, want := a.String(), oracleString(a); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+		for _, b := range clocks {
+			var abuf, bbuf [256]byte
+			got := bytes.Compare(a.appendCanonical(abuf[:0]), b.appendCanonical(bbuf[:0]))
+			if want := strings.Compare(oracleString(a), oracleString(b)); sign(got) != want {
+				t.Fatalf("order of %v and %v: bytes.Compare = %d, strings.Compare = %d", a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestCausalMergeCloneAllocations is the tripwire for a deep copy coming
+// back: merging and cloning pay for the sibling slice, never for clocks
+// or dependency maps.
+func TestCausalMergeCloneAllocations(t *testing.T) {
+	deps := map[string]VectorClock{"dep": {"w9": 3}, "dep2": {"w9": 1, "w8": 2}}
+	older := NewCausal(VectorClock{"w1": 1, "w2": 1}, deps, []byte("old"))
+	newer := NewCausal(VectorClock{"w1": 2, "w2": 1}, deps, []byte("new"))
+
+	cur := newer.Clone().(*Causal)
+	if n := testing.AllocsPerRun(100, func() { cur.Merge(older) }); n != 0 {
+		t.Errorf("1x1 merge of a dominated version allocates %.0f times, want 0", n)
+	}
+	if string(cur.DisplayValue()) != "new" {
+		t.Fatalf("dominated merge changed the value to %q", cur.DisplayValue())
+	}
+
+	oldVersion := older.Versions[0]
+	cur = older.Clone().(*Causal)
+	if n := testing.AllocsPerRun(100, func() {
+		cur.Versions = append(cur.Versions[:0], oldVersion)
+		cur.Merge(newer)
+	}); n != 0 {
+		t.Errorf("1x1 merge of a dominating version allocates %.0f times, want 0", n)
+	}
+	if len(cur.Versions) != 1 || string(cur.DisplayValue()) != "new" {
+		t.Fatalf("dominating merge left %s", canon(cur))
+	}
+
+	five := &Causal{}
+	for i := 0; i < 5; i++ {
+		five.Merge(NewCausal(VectorClock{fmt.Sprintf("w%d", i): 1}, deps, []byte{byte(i)}))
+	}
+	sixth := NewCausal(VectorClock{"w25": 1}, deps, []byte("six")) // sorts into the middle
+	full := five.Versions[:5:5]                                    // no spare room: the insert must grow it, once
+	cur = &Causal{}
+	if n := testing.AllocsPerRun(100, func() {
+		cur.Versions = full
+		cur.Merge(sixth)
+	}); n > 1 {
+		t.Errorf("merging one concurrent sibling into five allocates %.0f times, want at most 1", n)
+	}
+	if want := oracleMerge(five, sixth); canon(cur) != canon(want) || string(cur.Versions[2].Value) != "six" {
+		t.Fatalf("sibling merge left %s, want %s", canon(cur), canon(want))
+	}
+
+	var cl Lattice
+	if n := testing.AllocsPerRun(100, func() { cl = five.Clone() }); n != 2 {
+		t.Errorf("cloning a 5-sibling capsule with deps allocates %.0f times, want 2 (capsule, sibling slice)", n)
+	}
+	if canon(cl) != canon(five) {
+		t.Fatalf("clone = %s, want %s", canon(cl), canon(five))
+	}
+}

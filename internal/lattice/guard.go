@@ -8,19 +8,21 @@ import (
 )
 
 // The payload guard is the test-only enforcement of the capsule
-// immutability convention: a capsule's payload bytes must never change
-// after construction (writers allocate fresh buffers; Clone/Merge and
-// the cache/KVS/executor data plane share slices instead of copying).
-// While enabled, every payload entering a capsule via NewLWW/NewCausal
-// is checksummed; VerifyPayloads recomputes the checksums and reports
-// any buffer that was mutated in place. The guard costs one atomic load
-// when disabled, so production paths are unaffected.
+// immutability convention: a capsule's payload bytes — and a causal
+// version's clock and dependency map — must never change after
+// construction (writers allocate fresh buffers and maps; Clone/Merge and
+// the cache/KVS/executor data plane share them instead of copying).
+// While enabled, everything entering a capsule via NewLWW/NewCausal is
+// checksummed; VerifyPayloads recomputes the checksums and reports
+// whatever was mutated in place. The guard costs one atomic load when
+// disabled, so production paths are unaffected.
 
-// guardEntry remembers one capsuled payload and its construction-time
-// checksum.
+// guardEntry remembers one capsuled write — for an LWW capsule only v's
+// payload — and its construction-time checksums.
 type guardEntry struct {
-	payload []byte
+	v       Version
 	sum     uint64
+	metaSum uint64
 }
 
 // maxGuardEntries bounds guard memory; tests that capsule more payloads
@@ -56,28 +58,42 @@ func VerifyPayloads() error {
 	var mutated int
 	var first string
 	for _, e := range entries {
-		if payloadSum(e.payload) != e.sum {
-			mutated++
-			if first == "" {
-				first = fmt.Sprintf("payload of %d bytes (now %q...)", len(e.payload), clip(e.payload))
-			}
+		var what string
+		switch {
+		case payloadSum(e.v.Value) != e.sum:
+			what = fmt.Sprintf("payload of %d bytes (now %q...)", len(e.v.Value), clip(e.v.Value))
+		case metadataSum(e.v) != e.metaSum:
+			what = fmt.Sprintf("metadata of a version (now clock %s, %d dependencies)", e.v.VC, len(e.v.Deps))
+		default:
+			continue
+		}
+		mutated++
+		if first == "" {
+			first = what
 		}
 	}
 	if mutated > 0 {
-		return fmt.Errorf("lattice: %d capsule payload(s) mutated after construction; first: %s", mutated, first)
+		return fmt.Errorf("lattice: %d capsuled write(s) mutated after construction; first: %s", mutated, first)
 	}
 	return nil
 }
 
-// recordPayload checksums b when the guard is enabled; called by capsule
-// constructors.
+// recordPayload checksums b when the guard is enabled; called by NewLWW.
 func recordPayload(b []byte) {
-	if !guardEnabled.Load() || len(b) == 0 {
+	if guardEnabled.Load() && len(b) > 0 {
+		recordVersion(Version{Value: b})
+	}
+}
+
+// recordVersion checksums v's payload and metadata when the guard is
+// enabled; called by NewCausal.
+func recordVersion(v Version) {
+	if !guardEnabled.Load() {
 		return
 	}
 	guardMu.Lock()
 	if len(guardEntries) < maxGuardEntries {
-		guardEntries = append(guardEntries, guardEntry{payload: b, sum: payloadSum(b)})
+		guardEntries = append(guardEntries, guardEntry{v: v, sum: payloadSum(v.Value), metaSum: metadataSum(v)})
 	}
 	guardMu.Unlock()
 }
@@ -86,6 +102,17 @@ func payloadSum(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)
 	return h.Sum64()
+}
+
+// metadataSum folds v's clock digest with a commutative digest of its
+// dependency map (key hash mixed with the dependency's clock digest), so
+// map iteration order does not matter.
+func metadataSum(v Version) uint64 {
+	h := v.VC.Digest()
+	for k, vc := range v.Deps {
+		h += (payloadSum([]byte(k)) ^ vc.Digest()) * 0x9E3779B97F4A7C15
+	}
+	return h
 }
 
 func clip(b []byte) []byte {

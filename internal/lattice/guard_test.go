@@ -23,6 +23,26 @@ func TestGuardCatchesInPlaceMutation(t *testing.T) {
 	}
 }
 
+func TestGuardCatchesInPlaceMetadataMutation(t *testing.T) {
+	mutations := map[string]func(vc VectorClock, deps map[string]VectorClock){
+		"tick on the capsuled clock":  func(vc VectorClock, _ map[string]VectorClock) { vc.Tick("w") },
+		"observe into a capsuled dep": func(_ VectorClock, deps map[string]VectorClock) { deps["k"].Observe(VectorClock{"x": 9}) },
+		"dep added to the capsuled map": func(_ VectorClock, deps map[string]VectorClock) {
+			deps["j"] = VectorClock{"x": 1}
+		},
+	}
+	for name, mutate := range mutations {
+		GuardPayloads()
+		vc, deps := VectorClock{"w": 1}, map[string]VectorClock{"k": {"x": 1}}
+		c := NewCausal(vc, deps, nil)
+		c.Clone().Merge(NewCausal(VectorClock{"v": 1}, nil, []byte("sibling")))
+		mutate(vc, deps) // violate the convention
+		if err := VerifyPayloads(); err == nil {
+			t.Errorf("guard missed: %s", name)
+		}
+	}
+}
+
 func TestGuardDisabledRecordsNothing(t *testing.T) {
 	// Outside a GuardPayloads window, construction must not retain
 	// payload references.

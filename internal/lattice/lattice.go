@@ -16,12 +16,14 @@ type Lattice interface {
 	// programming error, not a runtime condition).
 	Merge(other Lattice)
 	// Clone returns a copy deep enough that merging or re-timestamping
-	// one replica never perturbs another: all mutable structure (clocks,
-	// dependency sets, map shells) is copied, while payload byte slices
-	// — immutable once capsuled, see LWW — are shared. Stores clone on
-	// ingest and egress so that nodes in the simulated cluster never
-	// alias each other's mutable state; payload sharing is what keeps
-	// that discipline cheap at 80MB-array scale.
+	// one replica never perturbs another: every structure Merge writes
+	// (map shells, a causal capsule's sibling slice) is copied, while
+	// what is immutable once capsuled is shared — payload byte slices
+	// (see LWW) and a causal version's clock and dependency map (see
+	// Version). Stores clone on ingest and egress so that nodes in the
+	// simulated cluster never alias each other's mutable state; sharing
+	// the immutable parts is what keeps that discipline cheap at
+	// 80MB-array scale and under causal metadata.
 	Clone() Lattice
 	// ByteSize estimates the serialized size in bytes, used for
 	// bandwidth accounting and the metadata-overhead measurements in

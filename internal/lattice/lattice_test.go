@@ -412,16 +412,25 @@ func TestMergeIdempotent(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence verifies clones never alias the original.
+// TestCloneIndependence verifies clones never alias the original. A
+// causal clone shares its versions with the original, so what the
+// original derives from them must hold still too.
 func TestCloneIndependence(t *testing.T) {
+	state := func(l Lattice) string {
+		s := canon(l)
+		if c, ok := l.(*Causal); ok {
+			s += fmt.Sprint(c.VC(), c.DepsUnion(), c.MetadataSize())
+		}
+		return s
+	}
 	rng := rand.New(rand.NewSource(19))
 	for _, kind := range allKinds {
 		for i := 0; i < 100; i++ {
 			a := genLattice(rng, kind)
-			before := canon(a)
+			before := state(a)
 			cl := a.Clone()
 			cl.Merge(genLattice(rng, kind))
-			if canon(a) != before {
+			if state(a) != before {
 				t.Fatalf("%s: mutating clone changed original", kind)
 			}
 		}

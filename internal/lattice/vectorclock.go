@@ -1,9 +1,8 @@
 package lattice
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // VectorClock identifies a key version causally (§5.2): one
@@ -139,15 +138,25 @@ func (vc VectorClock) ByteSize() int {
 }
 
 // String renders entries in sorted order for stable logs.
-func (vc VectorClock) String() string {
-	ids := make([]string, 0, len(vc))
+func (vc VectorClock) String() string { return string(vc.appendCanonical(nil)) }
+
+// appendCanonical appends {id:n,…}, ids sorted, to dst. Its byte order is
+// the first key of a causal capsule's sibling order, so it runs on the
+// stack: only a clock of more than 16 ids, or a full dst, allocates.
+func (vc VectorClock) appendCanonical(dst []byte) []byte {
+	var stack [16]string
+	ids := stack[:0]
 	for id := range vc {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
-	parts := make([]string, len(ids))
+	slices.Sort(ids)
+	dst = append(dst, '{')
 	for i, id := range ids {
-		parts[i] = fmt.Sprintf("%s:%d", id, vc[id])
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(append(dst, id...), ':')
+		dst = strconv.AppendUint(dst, vc[id], 10)
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	return append(dst, '}')
 }
