@@ -944,11 +944,8 @@ func TestDuplicateResultUnderInjectedReexecutionRace(t *testing.T) {
 		})
 		fut := cl.InvokeDAG("marked", nil)
 		out, err := fut.Wait()
-		// t.Errorf, not Fatalf: Goexit inside a kernel process would
-		// deadlock the simulation instead of failing the test.
 		if err != nil || out.(string) != "done" {
-			t.Errorf("first result = %v, %v", out, err)
-			return
+			t.Fatalf("first result = %v, %v", out, err)
 		}
 		// Let the re-executed attempt finish and deliver its duplicate
 		// Result; TryGet drains the endpoint past it.
@@ -1013,16 +1010,13 @@ func TestIsolatedSchedulerDrainsAfterPartitionHeals(t *testing.T) {
 			in.Net.SetNodePolicy(sched.ID(), simnet.LinkPolicy{Drop: 1})
 		})
 		// The data plane is unaffected: the sink replies directly to the
-		// client even while the scheduler is isolated. (t.Errorf, not
-		// Fatalf: Goexit inside a kernel process deadlocks the kernel.)
+		// client even while the scheduler is isolated.
 		out, err := cl.InvokeDAG("brief-dag", nil).Wait()
 		if err != nil || out.(string) != "ok" {
-			t.Errorf("result through isolated scheduler = %v, %v", out, err)
-			return
+			t.Fatalf("result through isolated scheduler = %v, %v", out, err)
 		}
 		if sched.Inflight() != 1 {
-			t.Errorf("inflight = %d, want 1 (RequestComplete must have been dropped)", sched.Inflight())
-			return
+			t.Fatalf("inflight = %d, want 1 (RequestComplete must have been dropped)", sched.Inflight())
 		}
 		// Hold the partition across a few deadline expiries, then heal.
 		cl.Sleep(5 * time.Second)

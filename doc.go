@@ -16,7 +16,10 @@
 // real concurrent processes exchanging real protocol messages, but time
 // is simulated, so a ten-minute autoscaling trace replays in well under
 // a second of wall-clock time and every run is reproducible for a fixed
-// seed.
+// seed. Each process is a runtime coroutine of whoever called Run, so a
+// panic — or t.Fatalf — inside a process (a Run body, a registered
+// function, a Kernel().Go closure) is safe: it surfaces on the test's
+// own goroutine, deferred Close and all, like a failure anywhere else.
 //
 // # Quick start
 //
@@ -213,7 +216,7 @@
 //
 // Underneath the data plane, the substrate itself is amortized
 // allocation-free: the virtual-time kernel (internal/vtime) reuses
-// parked goroutines for new processes and pools its timer entries and
+// parked coroutines for new processes and pools its timer entries and
 // channel waiters, and the network (internal/simnet) pools message
 // delivery events and RPC request/reply state. Replaying minutes of
 // cluster traffic costs milliseconds of real time and (steady-state)
@@ -450,7 +453,7 @@
 // cluster on its own virtual-time kernel from its own seed. The
 // experiment runner (internal/parallel) exploits exactly that
 // boundary: parallel.Map fans the cells of a figure across a bounded
-// pool of OS-locked worker threads and writes each result into its
+// pool of worker goroutines and writes each result into its
 // cell's index slot, so the aggregation order — and therefore the
 // rendered table — is byte-identical to a serial run at every width.
 // Parallelism is between kernels, never inside one; within a cell the

@@ -1,14 +1,14 @@
 // Package parallel runs independent simulations on a bounded pool of
-// OS threads while keeping every output table byte-identical to a
-// serial run.
+// worker goroutines while keeping every output table byte-identical to
+// a serial run.
 //
 // The deterministic vtime kernel serializes all processes *within* one
 // cluster, so a single experiment cannot be sped up by adding cores —
 // but every multi-point figure (consistency-mode rows, thread ladders,
 // the load×scheduler grid, chaos cells) builds an isolated cluster +
 // kernel per point. Those points are independent islands: Map runs
-// each one on its own locked OS thread with its own kernel and writes
-// the result into a per-index slot, so aggregation order — and
+// each one on a worker goroutine with its own kernel and writes the
+// result into a per-index slot, so aggregation order — and
 // therefore every Print() table — is exactly the serial order, while
 // wall time divides by the worker width.
 //
@@ -75,12 +75,9 @@ func (p *TaskPanic) Error() string {
 }
 
 // Map runs fn over every item on min(Width(), len(items)) workers and
-// returns the results indexed exactly like items. Each worker is a
-// locked OS thread (each task typically owns a whole simulation
-// kernel, and thread-locking keeps the scheduler from stacking two
-// kernels' spin phases on one thread). Tasks are claimed in index
-// order from a shared counter, so early indexes start first and the
-// table's expensive points overlap the cheap ones.
+// returns the results indexed exactly like items. Tasks are claimed in
+// index order from a shared counter, so early indexes start first and
+// the table's expensive points overlap the cheap ones.
 //
 // Panics inside fn are captured per index; after all workers drain,
 // Map re-panics with a *TaskPanic for the lowest panicking index.
@@ -107,8 +104,6 @@ func Map[T, R any](items []T, fn func(i int, item T) R) []R {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runtime.LockOSThread()
-			defer runtime.UnlockOSThread()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(items) {

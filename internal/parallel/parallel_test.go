@@ -3,8 +3,12 @@ package parallel
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"cloudburst/internal/vtime"
 )
 
 // TestMapOrdering: results land in input order even when completion
@@ -125,6 +129,49 @@ func TestMapPanicPropagation(t *testing.T) {
 	for i, r := range ran {
 		if !r {
 			t.Fatalf("task %d never ran — a panic must not cancel siblings", i)
+		}
+	}
+}
+
+// TestMapCapturesKernelProcessPanic: a panic raised inside a kernel
+// process surfaces from that cell's Run on the worker goroutine, so Map
+// records it as the cell's *TaskPanic while the other cells finish.
+func TestMapCapturesKernelProcessPanic(t *testing.T) {
+	defer SetWidth(SetWidth(2))
+
+	var finished [4]vtime.Time // each cell writes its own slot
+	tp := func() (tp *TaskPanic) {
+		defer func() { tp, _ = recover().(*TaskPanic) }()
+		MapN(len(finished), func(i int) struct{} {
+			k := vtime.NewKernel(int64(i))
+			defer k.Stop()
+			k.Run("cell", func() {
+				k.Go("worker", func() {
+					k.Sleep(time.Millisecond)
+					if i == 1 {
+						panic("cell poisoned")
+					}
+				})
+				k.Sleep(time.Duration(i+1) * time.Second)
+			})
+			finished[i] = k.Now()
+			return struct{}{}
+		})
+		return nil
+	}()
+	if tp == nil {
+		t.Fatal("Map did not re-panic with a *TaskPanic")
+	}
+	if msg, _ := tp.Value.(string); tp.Index != 1 || !strings.Contains(msg, `"worker"`) || !strings.Contains(msg, "cell poisoned") {
+		t.Fatalf("TaskPanic{Index: %d, Value: %v}, want index 1 naming the process and its panic", tp.Index, tp.Value)
+	}
+	for i, at := range finished {
+		want := vtime.Time(time.Duration(i+1) * time.Second)
+		if i == 1 {
+			want = 0
+		}
+		if at != want {
+			t.Fatalf("cell %d finished at %v, want %v (a poisoned cell costs only itself)", i, at, want)
 		}
 	}
 }

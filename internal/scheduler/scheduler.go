@@ -788,12 +788,18 @@ func (s *Scheduler) pickExecutor(fn string, args []core.Arg, exclude map[simnet.
 		return s.assign(s.spread(pool))
 	}
 	best, bestScore := simnet.NodeID(""), -1
-	for _, id := range pool {
-		vm := s.threads[id].metrics.VM
-		score := 0
-		for _, r := range sc.refs {
-			if s.cacheKeys[vm][r] {
-				score++
+	// The score is the VM's: computed once per run of pool entries that
+	// share a VM (ascending ids keep a VM's threads adjacent), not once
+	// per thread.
+	scoredVM, score := "", 0
+	for i, id := range pool {
+		if vm := s.threads[id].metrics.VM; i == 0 || vm != scoredVM {
+			scoredVM, score = vm, 0
+			keys := s.cacheKeys[vm]
+			for _, r := range sc.refs {
+				if keys[r] {
+					score++
+				}
 			}
 		}
 		if score > bestScore {

@@ -3,20 +3,30 @@
 // written in ordinary blocking Go style (goroutines, channels, mutexes,
 // sleeps) while time advances only when every process is blocked.
 //
-// The kernel runs exactly one process at a time (cooperative scheduling
-// with an explicit hand-off token), which makes every simulation run fully
-// deterministic for a fixed seed and program: there is no wall-clock in the
-// loop and no OS-scheduler nondeterminism. A ten-minute cluster trace
-// replays in milliseconds of real time.
+// The kernel runs exactly one process at a time, which makes every
+// simulation run fully deterministic for a fixed seed and program: there is
+// no wall-clock in the loop and no OS-scheduler nondeterminism. A
+// ten-minute cluster trace replays in milliseconds of real time.
+//
+// A process is a runtime coroutine (iter.Pull), and the scheduling token
+// is the coroutine switch itself: Run's loop resumes the head of the run
+// queue with next, and a process that blocks hands control straight back
+// with yield, so a dispatch is two coroutine switches on one OS thread and
+// never passes through Go's scheduler. Run's loop owns the clock, the run
+// queue and the timer heap, so an Event fires on Run's goroutine while no
+// process holds the token, and must not block. A body that panics or calls
+// runtime.Goexit (t.Fatalf in a test) ends its coroutine, and iter.Pull
+// re-raises it in the caller of Run (or of Stop, if the body fails while
+// being unwound); the dead process leaves the live set, so Stop returns.
 //
 // # Allocation discipline
 //
 // The kernel is the floor of the simulation's real-CPU cost, so its hot
 // paths are amortized allocation-free:
 //
-//   - Kernel.Go reuses parked goroutines: when a process body returns, its
-//     goroutine (and proc/resume-channel state) parks on a free list and
-//     the next Go re-arms it instead of spawning. Kernel.Stats reports the
+//   - Kernel.Go reuses parked coroutines: when a process body returns, its
+//     coroutine (and proc state) parks on a free list and the next Go
+//     re-arms it instead of creating one. Kernel.Stats reports the
 //     spawn/reuse split so tests can assert reuse.
 //   - Timer-heap entries come from a pool, and no scheduling takes a
 //     closure: Sleep stores the process to wake directly in the timer, and
@@ -41,7 +51,9 @@ package vtime
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"time"
 )
@@ -77,17 +89,18 @@ const (
 	stateDone                      // finished (idle on the free list)
 )
 
-// proc is a kernel process: one goroutine whose execution interleaves with
-// the scheduler through the resume channel. A proc outlives the bodies it
-// runs: after a body returns, the goroutine parks on the kernel's free
-// list until Go re-arms it with a new body.
+// proc is a kernel process: one coroutine that the scheduler resumes with
+// next and that hands the token back with yield. A proc outlives the
+// bodies it runs: after a body returns, the coroutine parks on the
+// kernel's free list until Go re-arms it with a new body.
 type proc struct {
 	id     int64
 	name   string
-	resume chan struct{} // buffered(1): token grant
+	next   func() (struct{}, bool) // scheduler -> process: token grant
+	yield  func(struct{}) bool     // process -> scheduler: token return
+	stop   func()                  // ends an idle coroutine (Stop)
 	state  procState
 	killed bool // set by Stop; the next resume unwinds the process
-	retire bool // set by Stop for idle procs; the next resume exits the goroutine
 	body   func()
 	runner Runner // closure-free alternative to body (GoRunner)
 	k      *Kernel
@@ -104,14 +117,12 @@ type killedPanic struct{}
 type Runner interface{ Run() }
 
 // Event is a pooled timer callback: AfterEvent schedules ev.Fire() at a
-// future instant without allocating a closure. Fire runs on the scheduler
+// future instant without allocating a closure. Fire runs on Run's
 // goroutine while no process holds the token; it must not block.
 type Event interface{ Fire() }
 
 // timer is a scheduled callback. Exactly one of wake and ev is set: wake
-// resumes a parked process (Sleep), ev fires a pooled Event. Events run on
-// the scheduler goroutine while no process holds the token; they must not
-// block.
+// resumes a parked process (Sleep), ev fires a pooled Event.
 type timer struct {
 	when  Time
 	seq   int64 // tie-break so equal-time timers fire in creation order
@@ -150,9 +161,9 @@ func (h *timerHeap) Pop() any {
 
 // Stats are the kernel's lifetime counters, exposed for tests and
 // reports. Spawns vs Reuses measures the process free list: a hot
-// simulation should reuse parked goroutines for almost every Go call.
+// simulation should reuse parked coroutines for almost every Go call.
 type Stats struct {
-	Spawns     int64 // Kernel.Go calls that created a new goroutine
+	Spawns     int64 // Kernel.Go calls that created a new coroutine
 	Reuses     int64 // Kernel.Go calls served from the process free list
 	Dispatches int64 // token grants to processes
 	TimerFires int64 // timers fired
@@ -165,7 +176,6 @@ type Kernel struct {
 	now     Time
 	runq    fifo[*proc]
 	timers  timerHeap
-	yield   chan struct{} // process -> scheduler: token return
 	current *proc
 	running bool // a Run call is in progress
 	stopped bool
@@ -174,7 +184,7 @@ type Kernel struct {
 	live    map[int64]*proc // all non-done procs, for Stop and deadlock dumps
 	rng     *rand.Rand
 
-	freeProcs  []*proc  // parked goroutines awaiting a new body
+	freeProcs  []*proc  // parked coroutines awaiting a new body
 	freeTimers []*timer // recycled heap entries
 
 	stats Stats
@@ -185,9 +195,8 @@ type Kernel struct {
 // traces.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		yield: make(chan struct{}),
-		live:  make(map[int64]*proc),
-		rng:   rand.New(rand.NewSource(seed)),
+		live: make(map[int64]*proc),
+		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -213,7 +222,7 @@ func (k *Kernel) Stats() Stats {
 // Go spawns fn as a new kernel process. It may be called from a running
 // process or from outside the kernel between Run invocations. The process
 // is runnable immediately but does not execute until the scheduler
-// dispatches it. Parked goroutines from completed processes are reused.
+// dispatches it. Parked coroutines from completed processes are reused.
 func (k *Kernel) Go(name string, fn func()) { k.launch(name, fn, nil) }
 
 // GoRunner spawns r.Run() as a kernel process — Go without the closure:
@@ -241,56 +250,54 @@ func (k *Kernel) launch(name string, fn func(), r Runner) {
 		p = &proc{
 			id:     k.nextID,
 			name:   name,
-			resume: make(chan struct{}, 1),
 			state:  stateRunnable,
 			body:   fn,
 			runner: r,
 			k:      k,
 		}
+		p.next, p.stop = iter.Pull(p.top)
 		k.stats.Spawns++
-		go p.top()
 	}
 	k.live[p.id] = p
 	k.runq.push(p)
 }
 
-// top is the entry point of every process goroutine: wait for a token
-// grant, run the current body, park on the free list, repeat. The
-// goroutine exits only when the kernel retires it during Stop.
-func (p *proc) top() {
+// top is the body of every process coroutine, entered by the first token
+// grant: run the current body, park on the free list, and repeat when Go
+// has re-armed the proc and the scheduler resumes it. The coroutine ends
+// when Stop ends it (yield reports false), or when a body panics or
+// calls runtime.Goexit, which iter.Pull re-raises in the caller of next.
+func (p *proc) top(yield func(struct{}) bool) {
+	p.yield = yield
+	// Only an abnormal exit gets here with the proc still live; it can
+	// never be resumed, so Stop must not wait on it.
+	defer func() { delete(p.k.live, p.id) }()
 	for {
-		<-p.resume
-		if p.retire {
-			p.k.yield <- struct{}{}
-			return
-		}
 		p.runBody()
 		p.state = stateDone
 		delete(p.k.live, p.id)
 		p.body, p.runner = nil, nil
 		p.k.freeProcs = append(p.k.freeProcs, p)
-		p.k.yield <- struct{}{}
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
-// runBody executes one body, absorbing the kill unwind so the goroutine
+// runBody executes one body, absorbing the kill unwind so the coroutine
 // can be reused.
 func (p *proc) runBody() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killedPanic); !ok {
-				// Re-panicking application errors on the scheduler's
-				// goroutine would lose the stack; crash here instead,
-				// but first note which process died.
-				panic(fmt.Sprintf("vtime: process %q panicked: %v", p.name, r))
+				// iter.Pull re-raises this in the scheduler's caller,
+				// where the process's own stack is gone: carry it, and
+				// note which process died.
+				panic(fmt.Sprintf("vtime: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
 			}
 		}
 	}()
-	p.state = stateRunning
-	p.k.current = p
-	if p.killed {
-		panic(killedPanic{})
-	}
+	p.resumed()
 	if p.body != nil {
 		p.body()
 	} else {
@@ -308,10 +315,15 @@ func (k *Kernel) park() {
 	}
 	p.state = stateParked
 	k.current = nil
-	k.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
+	p.resumed()
+}
+
+// resumed marks p as the token holder after a grant, and unwinds it if the
+// grant came from Stop.
+func (p *proc) resumed() {
 	p.state = stateRunning
-	k.current = p
+	p.k.current = p
 	if p.killed {
 		panic(killedPanic{})
 	}
@@ -339,13 +351,8 @@ func (k *Kernel) YieldNow() {
 	p.state = stateRunnable
 	k.runq.push(p)
 	k.current = nil
-	k.yield <- struct{}{}
-	<-p.resume
-	p.state = stateRunning
-	k.current = p
-	if p.killed {
-		panic(killedPanic{})
-	}
+	p.yield(struct{}{})
+	p.resumed()
 }
 
 // addTimer takes a pooled timer entry, stamps it with now+d and the next
@@ -389,7 +396,7 @@ func (k *Kernel) cancelTimer(t *timer, gen uint64) {
 	k.releaseTimer(t)
 }
 
-// AfterEvent schedules ev.Fire() to run at now+d on the scheduler
+// AfterEvent schedules ev.Fire() to run at now+d on Run's
 // goroutine, without allocating: the timer entry is pooled and ev is
 // typically a caller-pooled object. Fire must not block.
 func (k *Kernel) AfterEvent(d time.Duration, ev Event) {
@@ -433,16 +440,15 @@ func (k *Kernel) Run(name string, fn func()) {
 	}
 }
 
-// dispatch grants the token to the head of the run queue and waits for it
-// to come back.
+// dispatch grants the token to the head of the run queue and returns when
+// the process hands it back.
 func (k *Kernel) dispatch() {
 	p := k.runq.pop()
 	if p.state != stateRunnable {
 		return // killed or already completed through another path
 	}
 	k.stats.Dispatches++
-	p.resume <- struct{}{}
-	<-k.yield
+	p.next()
 }
 
 // advance pops the earliest timer, moves the clock, and fires it. It
@@ -466,9 +472,9 @@ func (k *Kernel) advance() bool {
 }
 
 // Stop terminates every live process by unwinding it with an internal
-// panic, retires the idle goroutines parked on the free list, then marks
+// panic, ends the idle coroutines parked on the free list, then marks
 // the kernel unusable. Call it when a simulation is finished so that
-// process goroutines do not leak across tests.
+// process coroutines do not leak across tests.
 func (k *Kernel) Stop() {
 	if k.stopped {
 		return
@@ -487,15 +493,12 @@ func (k *Kernel) Stop() {
 				continue
 			}
 			p.killed = true
-			p.resume <- struct{}{}
-			<-k.yield
+			p.next()
 		}
 	}
-	// Unwound processes park on the free list; exit their goroutines.
+	// Unwound processes park on the free list; end their coroutines.
 	for _, p := range k.freeProcs {
-		p.retire = true
-		p.resume <- struct{}{}
-		<-k.yield
+		p.stop()
 	}
 	k.freeProcs = nil
 	k.freeTimers = nil

@@ -4,20 +4,24 @@
 # behavioural spec (the simulation is deterministic per seed), so a
 # simplification PR proves itself by moving none of them, and any other
 # PR by moving only the ones it says it moves. Builds cmd/cb-bench at
-# <git-ref> (a git worktree under a temp dir) and at the working tree,
+# <git-ref> (its tree unpacked with git archive) and at the working tree,
 # runs every experiment from -list at runner width 1, strips the
 # wall-clock lines, and prints the experiments whose output differs with
-# their diffs. Exit 1 if any differ.
+# their diffs. Exit 1 if any differ. Everything it writes stays under the
+# git-ignored .bench_build/tablediff/ of the checkout, so it runs where
+# git worktree and the system temp directory are off limits.
 #
 # Usage: scripts/tablediff.sh <git-ref>
 set -euo pipefail
 
 REF=${1:?usage: tablediff.sh <git-ref>}
 ROOT=$(git rev-parse --show-toplevel)
-TMP=$(mktemp -d)
-trap 'git -C "$ROOT" worktree remove --force "$TMP/ref" 2>/dev/null || true; rm -rf "$TMP"' EXIT
+TMP=$ROOT/.bench_build/tablediff
+rm -rf "$TMP"
+mkdir -p "$TMP/ref"
+trap 'rm -rf "$TMP"' EXIT
 
-git -C "$ROOT" worktree add --quiet --detach "$TMP/ref" "$REF"
+git -C "$ROOT" archive "$REF" | tar -x -C "$TMP/ref"
 go build -C "$TMP/ref" -o "$TMP/old" ./cmd/cb-bench
 go build -C "$ROOT" -o "$TMP/new" ./cmd/cb-bench
 
