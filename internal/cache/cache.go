@@ -477,7 +477,7 @@ func (c *Cache) fetchFromAnna(rctx trace.Ctx, key string) (lattice.Lattice, bool
 // required clock. Missing or stale dependencies are fetched from Anna,
 // with bounded retries to ride out replication lag. This is the bolt-on
 // causal consistency shim (§5.3).
-func (c *Cache) ensureCut(deps map[string]lattice.VectorClock) {
+func (c *Cache) ensureCut(deps map[string]lattice.Clock) {
 	c.ensureCutDepth(deps, 0)
 }
 
@@ -486,7 +486,7 @@ func (c *Cache) ensureCut(deps map[string]lattice.VectorClock) {
 // entire causal history on one ingest.
 const maxCutDepth = 6
 
-func (c *Cache) ensureCutDepth(deps map[string]lattice.VectorClock, depth int) {
+func (c *Cache) ensureCutDepth(deps map[string]lattice.Clock, depth int) {
 	if depth > maxCutDepth {
 		return
 	}

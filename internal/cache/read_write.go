@@ -353,12 +353,12 @@ func (c *Cache) write(reqID, key string, payload []byte, meta *core.SessionMeta,
 		wb = l
 	case core.SK, core.MK, core.DSC:
 		c.mu.Lock()
-		vc := lattice.VectorClock{}
+		var vc lattice.Clock
 		if cur, ok := c.store[key]; ok {
-			vc = cur.(*lattice.Causal).VC() // a fresh join: ours to tick
+			vc = cur.(*lattice.Causal).VC()
 		}
-		vc.Tick(writerID)
-		var deps map[string]lattice.VectorClock
+		vc = vc.Tick(writerID)
+		var deps map[string]lattice.Clock
 		if c.cfg.Mode != core.SK && meta != nil {
 			// The write causally depends on the versions this session
 			// read (bolt-on dependency tracking) — restricted to the
@@ -371,16 +371,16 @@ func (c *Cache) write(reqID, key string, payload []byte, meta *core.SessionMeta,
 				}
 				want = func(k string) bool { return set[k] }
 			}
-			deps = make(map[string]lattice.VectorClock)
+			deps = make(map[string]lattice.Clock)
 			for rk, rv := range meta.ReadSet {
 				if rk == key || !want(rk) {
 					continue // self-dependency is implied by the clock
 				}
-				deps[rk] = rv.VC.Copy()
+				deps[rk] = rv.VC // immutable: shared, not copied
 			}
 		}
-		cap := lattice.NewCausal(vc, deps, payload)
-		ver = core.VersionRef{Cache: c.ID(), VC: cap.VC()}
+		cap := lattice.NewCausalClock(vc, deps, payload)
+		ver = core.VersionRef{Cache: c.ID(), VC: vc}
 		c.mergeLocked(key, cap.Clone())
 		if c.cfg.Mode == core.DSC {
 			c.snapshotWriteLocked(reqID, key, cap)

@@ -282,7 +282,10 @@ func errTruncated(tag byte) error {
 }
 
 // Decode deserializes a value produced by Encode. The result may alias
-// data (the []byte path is zero-copy); treat both as read-only.
+// data (the []byte path is zero-copy); treat both as read-only. A decoded
+// []string or map[string]string never aliases data: its elements (keys
+// and values) are substrings of one string copied from it, so they share
+// one backing allocation, which stays live while any of them does.
 func Decode(data []byte) (any, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("codec: decode: empty input")
@@ -356,13 +359,14 @@ func Decode(data []byte) (any, error) {
 		if n == 0 {
 			return []string(nil), nil
 		}
+		all := string(body) // the one copy: every element is a substring
 		out := make([]string, 0, n)
 		for i := 0; i < n; i++ {
 			var s []byte
 			if s, body, err = readChunk(tag, body); err != nil {
 				return nil, err
 			}
-			out = append(out, string(s))
+			out = append(out, substr(all, body, s))
 		}
 		return out, nil
 	case tagAnys:
@@ -391,16 +395,18 @@ func Decode(data []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
+		all := string(body) // the one copy: every key and value is a substring
 		out := make(map[string]string, n)
 		for i := 0; i < n; i++ {
 			var k, v []byte
 			if k, body, err = readChunk(tag, body); err != nil {
 				return nil, err
 			}
+			key := substr(all, body, k)
 			if v, body, err = readChunk(tag, body); err != nil {
 				return nil, err
 			}
-			out[string(k)] = string(v)
+			out[key] = substr(all, body, v)
 		}
 		return out, nil
 	case tagMapSA:
@@ -481,6 +487,13 @@ func readChunk(tag byte, body []byte) (chunk, rest []byte, err error) {
 	// Capacity-clamped so zero-copy decodes of nested values cannot
 	// alias the sibling data that follows them in the buffer.
 	return body[:n:n], body[n:], nil
+}
+
+// substr returns chunk — which readChunk just cut from the tail of a
+// buffer copied into all, leaving rest — as the same bytes of all.
+func substr(all string, rest, chunk []byte) string {
+	end := len(all) - len(rest)
+	return all[end-len(chunk) : end]
 }
 
 // MustDecode deserializes and panics on failure.

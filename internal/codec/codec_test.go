@@ -2,6 +2,8 @@ package codec
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -98,5 +100,50 @@ func TestSizeReflectsPayload(t *testing.T) {
 	big := len(MustEncode(make([]byte, 10000)))
 	if big-small < 9000 {
 		t.Fatalf("size not proportional: small=%d big=%d", small, big)
+	}
+}
+
+// TestDecodeStringListsAllocations is the tripwire for a decoded string
+// list allocating per element again: a []string is one string copy, the
+// slice and the interface box, whatever its length; a map[string]string
+// is one string copy and the map.
+func TestDecodeStringListsAllocations(t *testing.T) {
+	ids := make([]string, 50) // a Retwis timeline
+	for i := range ids {
+		ids[i] = fmt.Sprintf("post-%d", 1000+i)
+	}
+	post := map[string]string{"author": "17", "text": "hello, world", "reply": "post-12"}
+	for _, tc := range []struct {
+		name string
+		v    any
+		want float64
+	}{
+		{"[]string of 50", ids, 3},
+		{"3-entry map[string]string", post, 3},
+	} {
+		enc := MustEncode(tc.v)
+		if n := testing.AllocsPerRun(100, func() { MustDecode(enc) }); n != tc.want {
+			t.Errorf("decoding a %s allocates %.0f times, want %.0f", tc.name, n, tc.want)
+		}
+	}
+}
+
+// TestDecodedStringsOutliveBuffer: decoded strings are copies, not views
+// of the input, so overwriting the encoded buffer after Decode leaves
+// them unchanged.
+func TestDecodedStringsOutliveBuffer(t *testing.T) {
+	for _, v := range []any{
+		[]string{"alpha", "", "beta", "gamma"},
+		map[string]string{"k1": "v1", "k2": "", "": "v3"},
+		map[string]any{"xs": []string{"nested", "list"}, "m": map[string]string{"a": "b"}},
+	} {
+		enc := MustEncode(v)
+		got := MustDecode(enc)
+		for i := range enc {
+			enc[i] = 0xff
+		}
+		if !reflect.DeepEqual(got, v) {
+			t.Fatalf("after overwriting the buffer, decoded %#v, want %#v", got, v)
+		}
 	}
 }

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 	"time"
@@ -90,11 +91,12 @@ func (a Arg) IsRef() bool { return a.Ref != "" }
 
 // VersionRef names the exact version of a key that an upstream function
 // read, and which cache holds its snapshot. It is the per-key unit of the
-// read-set metadata shipped down the DAG.
+// read-set metadata shipped down the DAG. A VersionRef is a value: its
+// clock is immutable and shared with the capsule it was read from.
 type VersionRef struct {
-	Cache simnet.NodeID       // cache holding the version snapshot
-	TS    lattice.Timestamp   // LWW version id (repeatable read)
-	VC    lattice.VectorClock // causal version id
+	Cache simnet.NodeID     // cache holding the version snapshot
+	TS    lattice.Timestamp // LWW version id (repeatable read)
+	VC    lattice.Clock     // causal version id
 	// VCD is the canonical digest of the capsule the version was read
 	// from (lattice.Causal.Digest): a comparable stand-in for the clock
 	// set, used to key the executor's decoded-value memo in causal modes.
@@ -135,17 +137,12 @@ func NewSessionMetaP() *SessionMeta {
 	return &m
 }
 
-// Clone deep-copies the metadata so sibling DAG branches do not alias.
+// Clone copies the metadata's maps so sibling DAG branches do not alias;
+// the immutable clocks inside are shared.
 func (s SessionMeta) Clone() SessionMeta {
 	c := NewSessionMeta()
-	for k, v := range s.ReadSet {
-		v.VC = v.VC.Copy()
-		c.ReadSet[k] = v
-	}
-	for k, v := range s.Deps {
-		v.VC = v.VC.Copy()
-		c.Deps[k] = v
-	}
+	maps.Copy(c.ReadSet, s.ReadSet)
+	maps.Copy(c.Deps, s.Deps)
 	for id := range s.Caches {
 		c.Caches[id] = true
 	}

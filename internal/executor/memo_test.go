@@ -49,10 +49,10 @@ func TestDecodeVersionedMemoKeys(t *testing.T) {
 	}
 
 	// Digest-free causal version: decodes, never memoizes.
-	if _, err := th.decodeVersioned("nk", core.VersionRef{VC: lattice.VectorClock{"w": 1}}, payload); err != nil {
+	if _, err := th.decodeVersioned("nk", core.VersionRef{VC: lattice.VectorClock{"w": 1}.Freeze()}, payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := th.decodeVersioned("nk", core.VersionRef{VC: lattice.VectorClock{"w": 1}}, payload); err != nil {
+	if _, err := th.decodeVersioned("nk", core.VersionRef{VC: lattice.VectorClock{"w": 1}.Freeze()}, payload); err != nil {
 		t.Fatal(err)
 	}
 	if th.memoHits != 2 {

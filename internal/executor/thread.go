@@ -347,7 +347,7 @@ func (t *Thread) resolveArgs(reqID, dagName, fn string, args []core.Arg, meta *c
 func (t *Thread) decodeVersioned(key string, ver core.VersionRef, payload []byte) (any, error) {
 	var mk memoKey
 	switch {
-	case len(ver.VC) != 0:
+	case ver.VC.Len() != 0:
 		if ver.VCD == 0 {
 			return codec.Decode(payload) // no capsule digest: not memoizable
 		}

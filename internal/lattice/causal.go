@@ -9,11 +9,13 @@ import (
 // Version is one causally-identified write: an Anna vector clock naming
 // the version, the dependency set recording which key versions the writer
 // had read (pairs of key and vector clock), and the payload. Inside a
-// Causal it is an immutable value — VC and Deps, like the payload, are
-// never written again — so capsules share versions instead of copying.
+// Causal it is an immutable value: a Clock cannot be written at all, and
+// the Deps map, like the payload, is never written again — so capsules,
+// caches and session metadata share versions and clocks instead of
+// copying them.
 type Version struct {
-	VC    VectorClock
-	Deps  map[string]VectorClock
+	VC    Clock
+	Deps  map[string]Clock
 	Value []byte
 }
 
@@ -27,7 +29,9 @@ type Version struct {
 //
 // A key written without conflict holds exactly one version. Concurrent
 // writes are both preserved, which is exactly the update LWW drops — the
-// single-key anomaly counted in Table 2.
+// single-key anomaly counted in Table 2. For such a capsule VC and
+// DepsUnion return that version's own clock and map: callers share them
+// and write neither.
 type Causal struct {
 	// Versions is canonical: an antichain (no clock strictly dominates
 	// another), one entry per (clock, payload), sorted by the clock's
@@ -36,36 +40,51 @@ type Causal struct {
 	Versions []Version
 }
 
-// NewCausal builds a capsule holding one write. The capsule takes
-// ownership of vc, deps and value; the caller must not mutate them
-// afterwards.
+// NewCausal builds a capsule holding one write from clock literals. It
+// freezes vc and every dependency clock into a fresh map, so the caller
+// keeps its maps; the capsule takes ownership of value, which the caller
+// must not mutate afterwards.
 func NewCausal(vc VectorClock, deps map[string]VectorClock, value []byte) *Causal {
+	var frozen map[string]Clock
+	if deps != nil {
+		frozen = make(map[string]Clock, len(deps))
+		for k, d := range deps {
+			frozen[k] = d.Freeze()
+		}
+	}
+	return NewCausalClock(vc.Freeze(), frozen, value)
+}
+
+// NewCausalClock builds a capsule holding one write. The capsule takes
+// ownership of deps and value; the caller must not mutate them
+// afterwards.
+func NewCausalClock(vc Clock, deps map[string]Clock, value []byte) *Causal {
 	v := Version{VC: vc, Deps: deps, Value: value}
 	recordVersion(v)
 	return &Causal{Versions: []Version{v}}
 }
 
 // VC returns the capsule's effective vector clock: the join of all
-// sibling clocks. Algorithm 2's validity checks compare these.
-func (c *Causal) VC() VectorClock {
-	out := make(VectorClock)
-	for _, v := range c.Versions {
-		out.Observe(v.VC)
-	}
-	return out
-}
+// sibling clocks. Algorithm 2's validity checks compare these. A
+// one-sibling capsule returns its version's own clock without
+// allocating; several siblings are joined in one merge.
+func (c *Causal) VC() Clock { return joinAll(c.Versions) }
 
 // DepsUnion returns the union of the siblings' dependency sets, with
 // per-key pairwise-max clocks. This is the metadata shipped downstream in
-// the distributed-session causal protocol (§5.3).
-func (c *Causal) DepsUnion() map[string]VectorClock {
-	out := make(map[string]VectorClock)
+// the distributed-session causal protocol (§5.3). A one-sibling capsule
+// returns its version's own map, so the result is read-only.
+func (c *Causal) DepsUnion() map[string]Clock {
+	if len(c.Versions) == 1 {
+		return c.Versions[0].Deps
+	}
+	out := make(map[string]Clock)
 	for _, v := range c.Versions {
 		for k, vc := range v.Deps {
 			if cur, ok := out[k]; ok {
-				cur.Observe(vc)
+				out[k] = cur.Join(vc)
 			} else {
-				out[k] = vc.Copy()
+				out[k] = vc
 			}
 		}
 	}
@@ -156,24 +175,22 @@ func canonicalIndex(vs []Version, v Version) int {
 // unionDeps returns the pairwise-max union of two dependency maps without
 // writing to either (both may be capsuled): a itself when b adds nothing,
 // else a fresh map sharing every clock it did not have to join.
-func unionDeps(a, b map[string]VectorClock) map[string]VectorClock {
+func unionDeps(a, b map[string]Clock) map[string]Clock {
 	if len(a) == 0 && len(b) == 0 {
 		return nil
 	}
-	var out map[string]VectorClock
+	var out map[string]Clock
 	for k, vc := range b {
 		cur, ok := a[k]
 		if ok && cur.DominatesOrEqual(vc) {
 			continue
 		}
 		if out == nil {
-			out = make(map[string]VectorClock, len(a)+len(b))
+			out = make(map[string]Clock, len(a)+len(b))
 			maps.Copy(out, a)
 		}
 		if ok {
-			cur = cur.Copy()
-			cur.Observe(vc)
-			vc = cur
+			vc = cur.Join(vc)
 		}
 		out[k] = vc
 	}

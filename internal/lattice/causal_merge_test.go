@@ -12,8 +12,9 @@ import (
 
 // The causal merge used to be "append deep copies of the other capsule's
 // versions, then normalize": coalesce, prune, sort by the fmt-rendered
-// clock. It survives here, unchanged, as the oracle the antichain insert
-// and the allocation-free renderer are held to.
+// clock, over versions whose clocks were maps. It survives here,
+// unchanged and still on map-form versions, as the oracle the antichain
+// insert over frozen clocks and the allocation-free renderer are held to.
 
 // oracleString is VectorClock.String as fmt rendered it.
 func oracleString(vc VectorClock) string {
@@ -29,8 +30,44 @@ func oracleString(vc VectorClock) string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-func oracleCloneVersion(v Version) Version {
-	c := Version{VC: v.VC.Copy(), Value: v.Value}
+// mapVersion is a Version in the map form: clocks as VectorClock.
+type mapVersion struct {
+	VC    VectorClock
+	Deps  map[string]VectorClock
+	Value []byte
+}
+
+// thawVersions returns c's versions in the map form, nil deps as nil.
+func thawVersions(c *Causal) []mapVersion {
+	var out []mapVersion
+	for _, v := range c.Versions {
+		m := mapVersion{VC: thaw(v.VC), Value: v.Value}
+		if v.Deps != nil {
+			m.Deps = thawDeps(v.Deps)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// freezeVersions builds the capsule holding vs as they are.
+func freezeVersions(vs []mapVersion) *Causal {
+	c := &Causal{}
+	for _, v := range vs {
+		var deps map[string]Clock
+		if v.Deps != nil {
+			deps = make(map[string]Clock, len(v.Deps))
+			for k, vc := range v.Deps {
+				deps[k] = vc.Freeze()
+			}
+		}
+		c.Versions = append(c.Versions, Version{VC: v.VC.Freeze(), Deps: deps, Value: v.Value})
+	}
+	return c
+}
+
+func oracleCloneVersion(v mapVersion) mapVersion {
+	c := mapVersion{VC: v.VC.Copy(), Value: v.Value}
 	if v.Deps != nil {
 		c.Deps = make(map[string]VectorClock, len(v.Deps))
 		for k, vc := range v.Deps {
@@ -58,17 +95,17 @@ func oracleUnionDeps(a, b map[string]VectorClock) map[string]VectorClock {
 	return out
 }
 
-// oracleMerge returns the join of c and o in a capsule that shares no map
-// with either.
-func oracleMerge(c, o *Causal) *Causal {
-	var all []Version
-	for _, v := range c.Versions {
+// oracleMergeMaps returns the join of c and o in versions that share no
+// map with either.
+func oracleMergeMaps(c, o []mapVersion) []mapVersion {
+	var all []mapVersion
+	for _, v := range c {
 		all = append(all, oracleCloneVersion(v))
 	}
-	for _, v := range o.Versions {
+	for _, v := range o {
 		all = append(all, oracleCloneVersion(v))
 	}
-	uniq := make([]Version, 0, len(all))
+	uniq := make([]mapVersion, 0, len(all))
 	for _, v := range all {
 		coalesced := false
 		for i := range uniq {
@@ -82,7 +119,7 @@ func oracleMerge(c, o *Causal) *Causal {
 			uniq = append(uniq, v)
 		}
 	}
-	kept := make([]Version, 0, len(uniq))
+	kept := make([]mapVersion, 0, len(uniq))
 	for i, v := range uniq {
 		dominated := false
 		for j, u := range uniq {
@@ -101,7 +138,62 @@ func oracleMerge(c, o *Causal) *Causal {
 		}
 		return bytes.Compare(kept[i].Value, kept[j].Value) < 0
 	})
-	return &Causal{Versions: kept}
+	return kept
+}
+
+// oracleMerge is oracleMergeMaps on capsules.
+func oracleMerge(c, o *Causal) *Causal {
+	return freezeVersions(oracleMergeMaps(thawVersions(c), thawVersions(o)))
+}
+
+// oracleVC is the map form's Causal.VC: every sibling observed into an
+// empty clock.
+func oracleVC(vs []mapVersion) VectorClock {
+	out := make(VectorClock)
+	for _, v := range vs {
+		out.Observe(v.VC)
+	}
+	return out
+}
+
+// oracleDepsUnion is the map form's Causal.DepsUnion.
+func oracleDepsUnion(vs []mapVersion) map[string]VectorClock {
+	out := make(map[string]VectorClock)
+	for _, v := range vs {
+		for k, vc := range v.Deps {
+			if cur, ok := out[k]; ok {
+				cur.Observe(vc)
+			} else {
+				out[k] = vc.Copy()
+			}
+		}
+	}
+	return out
+}
+
+// oracleDigest is the map form's Causal.Digest.
+func oracleDigest(vs []mapVersion) uint64 {
+	var h uint64
+	for _, v := range vs {
+		d := v.VC.Digest()
+		d ^= d >> 33
+		d *= 0xFF51AFD7ED558CCD
+		d ^= d >> 33
+		h += d
+	}
+	return h
+}
+
+// oracleMetadataSize is the map form's Causal.MetadataSize.
+func oracleMetadataSize(vs []mapVersion) int {
+	n := 0
+	for _, v := range vs {
+		n += v.VC.ByteSize()
+		for k, vc := range v.Deps {
+			n += len(k) + vc.ByteSize()
+		}
+	}
+	return n
 }
 
 // histGen draws versions from a small pool of clocks over shared writer
@@ -146,15 +238,15 @@ func (g *histGen) deps() map[string]VectorClock {
 
 // capsule folds up to n drawn versions with the oracle, so the inputs are
 // canonical by the old definition whatever the new code does.
-func (g *histGen) capsule(n int) *Causal {
-	var c *Causal
+func (g *histGen) capsule(n int) []mapVersion {
+	var c []mapVersion
 	for i := 1 + g.rng.Intn(n); i > 0; i-- {
 		vc := g.pool[g.rng.Intn(len(g.pool))].Copy()
-		one := NewCausal(vc, g.deps(), []byte{byte(g.rng.Intn(2))})
+		one := []mapVersion{{VC: vc, Deps: g.deps(), Value: []byte{byte(g.rng.Intn(2))}}}
 		if c == nil {
 			c = one
 		} else {
-			c = oracleMerge(c, one)
+			c = oracleMergeMaps(c, one)
 		}
 	}
 	return c
@@ -162,10 +254,11 @@ func (g *histGen) capsule(n int) *Causal {
 
 // TestMergeMatchesUnionNormalize is the differential test of the antichain
 // insert: over seeded random histories, merging capsule after capsule
-// into one receiver gives exactly what union-then-normalize gives —
-// sibling order, clocks, dependency maps down to nil versus empty,
-// payloads, and everything derived from them — and leaves the argument,
-// whose versions it now shares, untouched.
+// into one receiver gives exactly what union-then-normalize over map-form
+// versions gives — sibling order, clocks, dependency maps down to nil
+// versus empty, payloads, and everything derived from them (VC,
+// DepsUnion, Digest, sizes, the displayed value) — and leaves the
+// argument, whose versions it now shares, untouched.
 //
 // Mutations of insert this was seen to fail under: returning at an equal
 // clock and payload without unioning the dependency sets; keeping a
@@ -176,17 +269,15 @@ func TestMergeMatchesUnionNormalize(t *testing.T) {
 	var dropped, replaced, repeats, repeatsNewDeps, nilVsEmpty, equalClockSiblings, widest int
 	for trial := 0; trial < 100; trial++ {
 		g := newHistGen(rng)
-		got := g.capsule(16)
-		want := &Causal{}
-		for _, v := range got.Versions {
-			want.Versions = append(want.Versions, oracleCloneVersion(v))
-		}
+		want := g.capsule(16)
+		got := freezeVersions(want)
 		for step := 0; step < 6; step++ {
-			arg := g.capsule(16)
+			argVersions := g.capsule(16)
+			arg := freezeVersions(argVersions)
 			argBefore := canon(arg)
 			widest = max(widest, len(got.Versions), len(arg.Versions))
-			for _, v := range arg.Versions {
-				for _, u := range got.Versions {
+			for _, v := range argVersions {
+				for _, u := range want {
 					switch ord := v.VC.Compare(u.VC); {
 					case ord == DominatedBy:
 						dropped++
@@ -205,15 +296,18 @@ func TestMergeMatchesUnionNormalize(t *testing.T) {
 					}
 				}
 			}
-			want = oracleMerge(want, arg)
+			want = oracleMergeMaps(want, argVersions)
 			got.Merge(arg)
-			if !reflect.DeepEqual(got.Versions, want.Versions) {
+			if !reflect.DeepEqual(thawVersions(got), want) {
 				t.Fatalf("trial %d step %d: merge diverged from union-then-normalize\n got  %s\n want %s",
-					trial, step, canon(got), canon(want))
+					trial, step, canon(got), canon(freezeVersions(want)))
 			}
-			if got.Digest() != want.Digest() || got.MetadataSize() != want.MetadataSize() ||
-				got.ByteSize() != want.ByteSize() || !bytes.Equal(got.DisplayValue(), want.DisplayValue()) {
+			if got.Digest() != oracleDigest(want) || got.MetadataSize() != oracleMetadataSize(want) ||
+				got.ByteSize() != freezeVersions(want).ByteSize() || !bytes.Equal(got.DisplayValue(), want[0].Value) {
 				t.Fatalf("trial %d step %d: derived values differ for equal versions", trial, step)
+			}
+			if !reflect.DeepEqual(thaw(got.VC()), oracleVC(want)) || !reflect.DeepEqual(thawDeps(got.DepsUnion()), oracleDepsUnion(want)) {
+				t.Fatalf("trial %d step %d: VC()/DepsUnion() differ from the map form's", trial, step)
 			}
 			if canon(arg) != argBefore {
 				t.Fatalf("trial %d step %d: Merge changed its argument\n was %s\n now %s", trial, step, argBefore, canon(arg))
@@ -240,11 +334,12 @@ func TestMergeMatchesUnionNormalize(t *testing.T) {
 }
 
 // TestCanonicalOrderMatchesString pins the sibling order's first key:
-// comparing appendCanonical's bytes orders clocks exactly as comparing
-// the fmt-rendered strings did, and String is still that rendering.
+// comparing the frozen clocks' appendCanonical bytes orders them exactly
+// as comparing the map form's fmt-rendered strings did, and String is
+// still that rendering.
 func TestCanonicalOrderMatchesString(t *testing.T) {
 	wide, long := VectorClock{}, VectorClock{}
-	for i := 0; i < 20; i++ { // past the 16-id stack array
+	for i := 0; i < 20; i++ { // past the map form's 16-id stack array
 		wide[fmt.Sprintf("t%d", i)] = uint64(i + 1)
 	}
 	for i := 0; i < 8; i++ { // past a 256-byte buffer
@@ -270,12 +365,12 @@ func TestCanonicalOrderMatchesString(t *testing.T) {
 	}
 	sign := func(n int) int { return min(max(n, -1), 1) }
 	for _, a := range clocks {
-		if got, want := a.String(), oracleString(a); got != want {
+		if got, want := a.Freeze().String(), oracleString(a); got != want {
 			t.Fatalf("String() = %q, want %q", got, want)
 		}
 		for _, b := range clocks {
 			var abuf, bbuf [256]byte
-			got := bytes.Compare(a.appendCanonical(abuf[:0]), b.appendCanonical(bbuf[:0]))
+			got := bytes.Compare(a.Freeze().appendCanonical(abuf[:0]), b.Freeze().appendCanonical(bbuf[:0]))
 			if want := strings.Compare(oracleString(a), oracleString(b)); sign(got) != want {
 				t.Fatalf("order of %v and %v: bytes.Compare = %d, strings.Compare = %d", a, b, got, want)
 			}

@@ -1,0 +1,333 @@
+package lattice
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strconv"
+	"testing"
+)
+
+// The map form's methods, moved here unchanged when Clock replaced
+// VectorClock inside versions: the oracle every Clock method is held to.
+
+// Compare reports how vc relates to other. Missing entries count as zero.
+func (vc VectorClock) Compare(other VectorClock) Ordering {
+	greater, less := false, false
+	for id, v := range vc {
+		switch ov := other[id]; {
+		case v > ov:
+			greater = true
+		case v < ov:
+			less = true
+		}
+	}
+	for id, ov := range other {
+		if _, ok := vc[id]; !ok && ov > 0 {
+			less = true
+		}
+	}
+	switch {
+	case greater && less:
+		return Concurrent
+	case greater:
+		return Dominates
+	case less:
+		return DominatedBy
+	default:
+		return Equal
+	}
+}
+
+// DominatesOrEqual reports vc ≥ other in the causal partial order.
+func (vc VectorClock) DominatesOrEqual(other VectorClock) bool {
+	c := vc.Compare(other)
+	return c == Dominates || c == Equal
+}
+
+// HappensBefore reports vc → other (strictly).
+func (vc VectorClock) HappensBefore(other VectorClock) bool {
+	return vc.Compare(other) == DominatedBy
+}
+
+// Observe folds other into vc by pairwise max.
+func (vc VectorClock) Observe(other VectorClock) {
+	for id, v := range other {
+		if v > vc[id] {
+			vc[id] = v
+		}
+	}
+}
+
+// Tick increments id's entry and returns the new value.
+func (vc VectorClock) Tick(id string) uint64 {
+	vc[id]++
+	return vc[id]
+}
+
+// Digest is the map form's commutative per-entry FNV-1a digest.
+func (vc VectorClock) Digest() uint64 {
+	var h uint64
+	for id, v := range vc {
+		e := uint64(14695981039346656037) // FNV-1a offset basis
+		for i := 0; i < len(id); i++ {
+			e ^= uint64(id[i])
+			e *= 1099511628211
+		}
+		for s := 0; s < 64; s += 8 {
+			e ^= (v >> s) & 0xff
+			e *= 1099511628211
+		}
+		h += e * 0x9E3779B97F4A7C15 // golden-ratio spread before the sum
+	}
+	return h
+}
+
+// Copy returns an independent copy.
+func (vc VectorClock) Copy() VectorClock {
+	c := make(VectorClock, len(vc))
+	for id, v := range vc {
+		c[id] = v
+	}
+	return c
+}
+
+// ByteSize is an id plus an 8-byte counter per entry.
+func (vc VectorClock) ByteSize() int {
+	n := 0
+	for id := range vc {
+		n += len(id) + 8
+	}
+	return n
+}
+
+// String renders entries in sorted order for stable logs.
+func (vc VectorClock) String() string { return string(vc.appendCanonical(nil)) }
+
+// appendCanonical appends {id:n,…}, ids sorted, to dst.
+func (vc VectorClock) appendCanonical(dst []byte) []byte {
+	var stack [16]string
+	ids := stack[:0]
+	for id := range vc {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	dst = append(dst, '{')
+	for i, id := range ids {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(append(dst, id...), ':')
+		dst = strconv.AppendUint(dst, vc[id], 10)
+	}
+	return append(dst, '}')
+}
+
+// thaw returns c in the map form, panicking unless its ids are strictly
+// ascending — the invariant every Clock method relies on.
+func thaw(c Clock) VectorClock {
+	m := make(VectorClock, len(c.e))
+	for i, x := range c.e {
+		if i > 0 && c.e[i-1].id >= x.id {
+			panic(fmt.Sprintf("clock %q: ids not strictly ascending", c.String()))
+		}
+		m[x.id] = x.n
+	}
+	return m
+}
+
+// thawDeps returns a dependency map in the map form, nil as empty.
+func thawDeps(deps map[string]Clock) map[string]VectorClock {
+	out := make(map[string]VectorClock, len(deps))
+	for k, vc := range deps {
+		out[k] = thaw(vc)
+	}
+	return out
+}
+
+// sameEntries reports whether a and b are one clock shared, not two
+// equal ones.
+func sameEntries(a, b Clock) bool {
+	return len(a.e) == len(b.e) && (len(a.e) == 0 || &a.e[0] == &b.e[0])
+}
+
+// clockIDs are the writer ids random clocks draw from: ids that prefix
+// one another, ids holding the renderer's separators, and the empty id.
+var clockIDs = []string{"a", "b", "ab", "a,b", "a:1", "t", "t1", "t10", "t2", "", "w0", "w1"}
+
+// genClock draws a map-form clock: nil, empty, wider than 16 ids, or a
+// few ids from clockIDs, with zero, 9/10-style and 64-bit counters.
+func genClock(rng *rand.Rand) VectorClock {
+	counters := []uint64{0, 1, 2, 9, 10, 100, 1 << 63}
+	switch rng.Intn(10) {
+	case 0:
+		return nil
+	case 1:
+		return VectorClock{}
+	case 2:
+		vc := VectorClock{}
+		for i := 17 + rng.Intn(8); i > 0; i-- {
+			vc[fmt.Sprintf("w%d", rng.Intn(30))] = counters[rng.Intn(len(counters))]
+		}
+		return vc
+	}
+	vc := VectorClock{}
+	for i := 1 + rng.Intn(5); i > 0; i-- {
+		vc[clockIDs[rng.Intn(len(clockIDs))]] = counters[rng.Intn(len(counters))]
+	}
+	return vc
+}
+
+// TestClockMatchesVectorClock is the differential test of the frozen
+// clock: over seeded random pairs, every Clock method gives what the map
+// form's gave — orderings, the join, a tick, Digest, ByteSize and String
+// — a join that adds nothing is the receiver itself, and no operation
+// changes its operands. A capsule's VC() and DepsUnion() are held to the
+// map form's fold over random sibling sets in the same way.
+//
+// Mutations this was seen to fail under: Compare ignoring ids only one
+// side has; Join keeping the receiver's counter on a shared id; Tick
+// appending a new id instead of inserting it in order.
+func TestClockMatchesVectorClock(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	seen := map[string]int{}
+	for trial := 0; trial < 4000; trial++ {
+		a, b := genClock(rng), genClock(rng)
+		A, B := a.Freeze(), b.Freeze()
+		aStr, bStr := A.String(), B.String()
+		for _, vc := range []VectorClock{a, b} {
+			switch {
+			case vc == nil:
+				seen["nil clock"]++
+			case len(vc) == 0:
+				seen["empty clock"]++
+			case len(vc) > 16:
+				seen["more than 16 ids"]++
+			}
+			for _, n := range vc {
+				if n == 0 {
+					seen["zero entry"]++
+				}
+			}
+		}
+		for id := range a {
+			if _, ok := b[id]; !ok {
+				seen["one-sided id"]++
+			}
+		}
+		ord := a.Compare(b)
+		seen[ord.String()]++
+		if got := A.Compare(B); got != ord {
+			t.Fatalf("%v.Compare(%v) = %v, want %v", a, b, got, ord)
+		}
+		if A.HappensBefore(B) != a.HappensBefore(b) || A.DominatesOrEqual(B) != a.DominatesOrEqual(b) {
+			t.Fatalf("%v vs %v: HappensBefore/DominatesOrEqual differ from the map form", a, b)
+		}
+
+		join := A.Join(B)
+		joinWant := a.Copy()
+		joinWant.Observe(b)
+		if got := thaw(join); !reflect.DeepEqual(got, joinWant) {
+			t.Fatalf("%v.Join(%v) = %v, want %v", a, b, got, joinWant)
+		}
+		if a.DominatesOrEqual(b) != sameEntries(join, A) {
+			t.Fatalf("%v.Join(%v): receiver returned = %v, want %v", a, b, sameEntries(join, A), a.DominatesOrEqual(b))
+		}
+
+		id := clockIDs[rng.Intn(len(clockIDs))]
+		tick := A.Tick(id)
+		tickWant := a.Copy()
+		tickWant.Tick(id)
+		if got := thaw(tick); !reflect.DeepEqual(got, tickWant) {
+			t.Fatalf("%v.Tick(%q) = %v, want %v", a, id, got, tickWant)
+		}
+
+		for _, c := range []struct {
+			vc VectorClock
+			fc Clock
+		}{{a, A}, {b, B}, {joinWant, join}, {tickWant, tick}} {
+			if c.fc.Digest() != c.vc.Digest() || c.fc.ByteSize() != c.vc.ByteSize() || c.fc.Len() != len(c.vc) {
+				t.Fatalf("%v: Digest/ByteSize/Len differ from the map form", c.vc)
+			}
+			if got := c.fc.String(); got != c.vc.String() || got != oracleString(c.vc) {
+				t.Fatalf("String() = %q, want %q", got, oracleString(c.vc))
+			}
+		}
+		if A.String() != aStr || B.String() != bStr {
+			t.Fatalf("an operation changed its operands: %s, %s became %s, %s", aStr, bStr, A, B)
+		}
+
+		// A capsule's joined clock and dependency union, over 1-3
+		// siblings (VC and DepsUnion need no antichain).
+		var vs []mapVersion
+		for i := 1 + rng.Intn(3); i > 0; i-- {
+			v := mapVersion{VC: genClock(rng)}
+			if rng.Intn(2) == 0 {
+				v.Deps = map[string]VectorClock{}
+				for j := rng.Intn(3); j > 0; j-- {
+					v.Deps[fmt.Sprintf("k%d", rng.Intn(3))] = genClock(rng)
+				}
+			}
+			vs = append(vs, v)
+		}
+		c := freezeVersions(vs)
+		if got, want := thaw(c.VC()), oracleVC(vs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("VC() of %d siblings = %v, want %v", len(vs), got, want)
+		}
+		if got, want := thawDeps(c.DepsUnion()), oracleDepsUnion(vs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("DepsUnion() of %d siblings = %v, want %v", len(vs), got, want)
+		}
+		if len(vs) == 1 {
+			seen["one sibling"]++
+			if own := c.Versions[0].VC; !own.zeroEntry() && !sameEntries(c.VC(), own) {
+				t.Fatalf("VC() of one sibling %s is a copy, not its clock", own)
+			}
+		}
+	}
+	for _, name := range []string{
+		"nil clock", "empty clock", "more than 16 ids", "zero entry", "one-sided id", "one sibling",
+		Equal.String(), Dominates.String(), DominatedBy.String(), Concurrent.String(),
+	} {
+		if seen[name] == 0 {
+			t.Errorf("no trial had the case %q", name)
+		}
+	}
+}
+
+// sink keeps the allocation tripwires' results live.
+var sink struct {
+	ord   Ordering
+	ok    bool
+	clock Clock
+	deps  map[string]Clock
+}
+
+// TestClockAllocations is the tripwire for clock work allocating again:
+// comparisons and a one-sibling capsule's VC()/DepsUnion() are free, a
+// tick or a join that adds an entry is one allocation.
+func TestClockAllocations(t *testing.T) {
+	a := VectorClock{"w1": 3, "w2": 1, "w3": 7}.Freeze()
+	b := VectorClock{"w1": 3, "w2": 2, "w4": 1}.Freeze()
+	one := NewCausal(VectorClock{"w1": 2, "w2": 1}, map[string]VectorClock{"dep": {"w9": 3}}, []byte("v"))
+	required := VectorClock{"w1": 1}.Freeze() // a read set's clock for the key
+	for _, c := range []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"Clock.Compare", 0, func() { sink.ord = a.Compare(b) }},
+		{"Clock.HappensBefore", 0, func() { sink.ok = a.HappensBefore(b) }},
+		{"VC() of one sibling", 0, func() { sink.clock = one.VC() }},
+		{"DepsUnion() of one sibling", 0, func() { sink.deps = one.DepsUnion() }},
+		{"a DSC cache hit's VC() check", 0, func() { sink.ok = !one.VC().HappensBefore(required) }},
+		{"Join adding nothing", 0, func() { sink.clock = a.Join(required) }},
+		{"Join adding an entry", 1, func() { sink.clock = a.Join(b) }},
+		{"Tick of a present id", 1, func() { sink.clock = a.Tick("w2") }},
+		{"Tick of a new id", 1, func() { sink.clock = a.Tick("w0") }},
+	} {
+		if n := testing.AllocsPerRun(100, c.fn); n != c.want {
+			t.Errorf("%s allocates %.0f times, want %.0f", c.name, n, c.want)
+		}
+	}
+}

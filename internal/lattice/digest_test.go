@@ -3,18 +3,18 @@ package lattice
 import "testing"
 
 func TestVectorClockDigestCanonical(t *testing.T) {
-	a := VectorClock{"t1": 3, "t2": 7}
-	b := VectorClock{"t2": 7, "t1": 3} // same clock, different construction order
+	a := VectorClock{"t1": 3, "t2": 7}.Freeze()
+	b := VectorClock{"t2": 7}.Freeze().Join(VectorClock{"t1": 3}.Freeze()) // same clock, built another way
 	if a.Digest() != b.Digest() {
 		t.Fatal("equal clocks produced different digests")
 	}
-	if a.Digest() == (VectorClock{"t1": 3, "t2": 8}).Digest() {
+	if a.Digest() == (VectorClock{"t1": 3, "t2": 8}).Freeze().Digest() {
 		t.Fatal("different counters collided")
 	}
-	if a.Digest() == (VectorClock{"t1": 3}).Digest() {
+	if a.Digest() == (VectorClock{"t1": 3}).Freeze().Digest() {
 		t.Fatal("subset clock collided")
 	}
-	if (VectorClock{}).Digest() != 0 {
+	if (Clock{}).Digest() != 0 {
 		t.Fatal("empty clock digest not zero")
 	}
 }

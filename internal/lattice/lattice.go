@@ -19,7 +19,7 @@ type Lattice interface {
 	// one replica never perturbs another: every structure Merge writes
 	// (map shells, a causal capsule's sibling slice) is copied, while
 	// what is immutable once capsuled is shared — payload byte slices
-	// (see LWW) and a causal version's clock and dependency map (see
+	// (see LWW) and a causal version's Clock and dependency map (see
 	// Version). Stores clone on ingest and egress so that nodes in the
 	// simulated cluster never alias each other's mutable state; sharing
 	// the immutable parts is what keeps that discipline cheap at

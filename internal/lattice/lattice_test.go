@@ -127,7 +127,7 @@ func TestCausalConcurrentSiblingsPreserved(t *testing.T) {
 		t.Fatalf("siblings %q", sib)
 	}
 	// Effective VC is the join.
-	if vc := a.VC(); vc["e1"] != 1 || vc["e2"] != 1 {
+	if vc := a.VC(); vc.String() != "{e1:1,e2:1}" {
 		t.Fatalf("joined vc = %v", vc)
 	}
 	// A write dominating both collapses the siblings.
@@ -143,10 +143,10 @@ func TestCausalDepsUnion(t *testing.T) {
 	b := NewCausal(VectorClock{"e2": 1}, map[string]VectorClock{"k": {"e9": 2}, "j": {"e3": 1}}, []byte("b"))
 	a.Merge(b)
 	deps := a.DepsUnion()
-	if deps["k"]["e9"] != 2 {
+	if deps["k"].String() != "{e9:2}" {
 		t.Fatalf("deps on k = %v, want max clock", deps["k"])
 	}
-	if deps["j"]["e3"] != 1 {
+	if deps["j"].String() != "{e3:1}" {
 		t.Fatalf("deps on j missing: %v", deps)
 	}
 }
@@ -187,36 +187,35 @@ func TestVectorClockCompare(t *testing.T) {
 		{VectorClock{"a": 1, "b": 0}, VectorClock{"a": 1}, Equal}, // zero entries are absent
 	}
 	for i, c := range cases {
-		if got := c.a.Compare(c.b); got != c.want {
+		if got := c.a.Freeze().Compare(c.b.Freeze()); got != c.want {
 			t.Errorf("case %d: %v vs %v = %v, want %v", i, c.a, c.b, got, c.want)
 		}
 	}
 }
 
 func TestVectorClockOps(t *testing.T) {
-	vc := VectorClock{}
-	if vc.Tick("e") != 1 || vc.Tick("e") != 2 {
-		t.Fatal("Tick broken")
+	var vc Clock
+	vc = vc.Tick("e")
+	if vc = vc.Tick("e"); vc.String() != "{e:2}" {
+		t.Fatalf("Tick = %v", vc)
 	}
-	cp := vc.Copy()
-	cp.Tick("e")
-	if vc["e"] != 2 {
-		t.Fatal("Copy aliases")
+	if ticked := vc.Tick("e"); vc.String() != "{e:2}" || ticked.String() != "{e:3}" {
+		t.Fatal("Tick changed its receiver")
 	}
-	vc.Observe(VectorClock{"e": 1, "f": 5})
-	if vc["e"] != 2 || vc["f"] != 5 {
-		t.Fatalf("Observe = %v", vc)
+	vc = vc.Join(VectorClock{"e": 1, "f": 5}.Freeze())
+	if vc.String() != "{e:2,f:5}" {
+		t.Fatalf("Join = %v", vc)
 	}
-	if !vc.DominatesOrEqual(VectorClock{"e": 2}) {
+	if !vc.DominatesOrEqual(VectorClock{"e": 2}.Freeze()) {
 		t.Fatal("DominatesOrEqual false negative")
 	}
-	if !(VectorClock{"e": 1}).HappensBefore(vc) {
+	if !(VectorClock{"e": 1}).Freeze().HappensBefore(vc) {
 		t.Fatal("HappensBefore false negative")
 	}
-	if !(VectorClock{"z": 1}).ConcurrentWith(vc) {
-		t.Fatal("ConcurrentWith false negative")
+	if (VectorClock{"z": 1}).Freeze().Compare(vc) != Concurrent {
+		t.Fatal("Compare missed a concurrent clock")
 	}
-	if s := (VectorClock{"b": 2, "a": 1}).String(); s != "{a:1,b:2}" {
+	if s := (VectorClock{"b": 2, "a": 1}).Freeze().String(); s != "{a:1,b:2}" {
 		t.Fatalf("String = %q", s)
 	}
 }

@@ -45,7 +45,7 @@ func (s smallVC) vc() VectorClock {
 
 func TestQuickVectorClockCompareAntisymmetric(t *testing.T) {
 	prop := func(x, y smallVC) bool {
-		a, b := x.vc(), y.vc()
+		a, b := x.vc().Freeze(), y.vc().Freeze()
 		ab, ba := a.Compare(b), b.Compare(a)
 		switch ab {
 		case Equal:
@@ -65,18 +65,14 @@ func TestQuickVectorClockCompareAntisymmetric(t *testing.T) {
 
 func TestQuickVectorClockObserveIsJoin(t *testing.T) {
 	prop := func(x, y smallVC) bool {
-		a, b := x.vc(), y.vc()
-		j := a.Copy()
-		j.Observe(b)
+		a, b := x.vc().Freeze(), y.vc().Freeze()
+		j := a.Join(b)
 		// The join is an upper bound of both...
 		if !j.DominatesOrEqual(a) || !j.DominatesOrEqual(b) {
 			return false
 		}
 		// ...and is the least one: joining again changes nothing.
-		j2 := j.Copy()
-		j2.Observe(a)
-		j2.Observe(b)
-		return j.Compare(j2) == Equal
+		return j.Join(a).Join(b).Compare(j) == Equal
 	}
 	if err := quick.Check(prop, quickCfg()); err != nil {
 		t.Fatal(err)
@@ -85,9 +81,8 @@ func TestQuickVectorClockObserveIsJoin(t *testing.T) {
 
 func TestQuickVectorClockTickDominates(t *testing.T) {
 	prop := func(x smallVC, who uint8) bool {
-		a := x.vc()
-		before := a.Copy()
-		a.Tick(string(rune('a' + who%3)))
+		before := x.vc().Freeze()
+		a := before.Tick(string(rune('a' + who%3)))
 		return a.Compare(before) == Dominates
 	}
 	if err := quick.Check(prop, quickCfg()); err != nil {

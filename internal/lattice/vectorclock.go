@@ -3,12 +3,28 @@ package lattice
 import (
 	"slices"
 	"strconv"
+	"strings"
 )
 
-// VectorClock identifies a key version causally (§5.2): one
+// VectorClock is the literal form of a vector clock (§5.2): one
 // monotonically-growing logical clock per writer (function-executor
-// thread) id.
+// thread) id. It is an input type only — workloads, clients and probes
+// write clocks as map literals — and Freeze turns it into the Clock that
+// versions, capsules and session metadata hold.
 type VectorClock map[string]uint64
+
+// Freeze returns vc as an immutable Clock; vc itself is not retained.
+func (vc VectorClock) Freeze() Clock {
+	if len(vc) == 0 {
+		return Clock{}
+	}
+	e := make([]clockEntry, 0, len(vc))
+	for id, n := range vc {
+		e = append(e, clockEntry{id: id, n: n})
+	}
+	slices.SortFunc(e, byID)
+	return Clock{e: e}
+}
 
 // Ordering is the outcome of comparing two vector clocks.
 type Ordering int
@@ -34,21 +50,56 @@ func (o Ordering) String() string {
 	}
 }
 
-// Compare reports how vc relates to other. Missing entries count as zero.
-func (vc VectorClock) Compare(other VectorClock) Ordering {
+// clockEntry is one writer's slot of a Clock.
+type clockEntry struct {
+	id string
+	n  uint64
+}
+
+func byID(a, b clockEntry) int { return strings.Compare(a.id, b.id) }
+
+// Clock is an immutable vector clock: its entries in ascending id order,
+// behind an unexported field so that nothing outside this package can
+// write one. An operation that would change a clock returns a new one,
+// and one that changes nothing returns its receiver, so clocks are shared
+// by reference between versions, capsules and session metadata and never
+// copied. Missing entries count as zero; an entry written as zero is kept
+// and counts in ByteSize, Digest and String, as it did in the map form.
+// The zero Clock is the empty clock.
+type Clock struct {
+	e []clockEntry
+}
+
+// Len reports the number of entries.
+func (c Clock) Len() int { return len(c.e) }
+
+// Compare reports how c relates to other: one merge walk over the two
+// ascending entry lists, no hashing.
+func (c Clock) Compare(other Clock) Ordering {
+	a, b := c.e, other.e
+	if len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) {
+		return Equal // the same entries: a shared clock
+	}
 	greater, less := false, false
-	for id, v := range vc {
-		switch ov := other[id]; {
-		case v > ov:
-			greater = true
-		case v < ov:
-			less = true
+	for len(a) > 0 && len(b) > 0 && !(greater && less) {
+		switch d := strings.Compare(a[0].id, b[0].id); {
+		case d < 0:
+			greater = greater || a[0].n > 0
+			a = a[1:]
+		case d > 0:
+			less = less || b[0].n > 0
+			b = b[1:]
+		default:
+			greater = greater || a[0].n > b[0].n
+			less = less || a[0].n < b[0].n
+			a, b = a[1:], b[1:]
 		}
 	}
-	for id, ov := range other {
-		if _, ok := vc[id]; !ok && ov > 0 {
-			less = true
-		}
+	for _, x := range a {
+		greater = greater || x.n > 0
+	}
+	for _, y := range b {
+		less = less || y.n > 0
 	}
 	switch {
 	case greater && less:
@@ -62,54 +113,126 @@ func (vc VectorClock) Compare(other VectorClock) Ordering {
 	}
 }
 
-// DominatesOrEqual reports vc ≥ other in the causal partial order.
-func (vc VectorClock) DominatesOrEqual(other VectorClock) bool {
-	c := vc.Compare(other)
-	return c == Dominates || c == Equal
+// DominatesOrEqual reports c ≥ other in the causal partial order.
+func (c Clock) DominatesOrEqual(other Clock) bool {
+	o := c.Compare(other)
+	return o == Dominates || o == Equal
 }
 
-// HappensBefore reports vc → other (strictly).
-func (vc VectorClock) HappensBefore(other VectorClock) bool {
-	return vc.Compare(other) == DominatedBy
+// HappensBefore reports c → other (strictly).
+func (c Clock) HappensBefore(other Clock) bool {
+	return c.Compare(other) == DominatedBy
 }
 
-// ConcurrentWith reports that neither clock dominates.
-func (vc VectorClock) ConcurrentWith(other VectorClock) bool {
-	return vc.Compare(other) == Concurrent
-}
-
-// Observe folds other into vc by pairwise max.
-func (vc VectorClock) Observe(other VectorClock) {
-	for id, v := range other {
-		if v > vc[id] {
-			vc[id] = v
+// Join returns what observing other into c gives: c's entries, each
+// raised to other's where that is larger, plus other's non-zero entries
+// that c lacks. When other adds nothing it returns c itself; otherwise
+// the result is one allocation.
+func (c Clock) Join(other Clock) Clock {
+	if c.DominatesOrEqual(other) {
+		return c
+	}
+	a, b := c.e, other.e
+	out := make([]clockEntry, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch d := strings.Compare(a[0].id, b[0].id); {
+		case d < 0:
+			out = append(out, a[0])
+			a = a[1:]
+		case d > 0:
+			if b[0].n > 0 {
+				out = append(out, b[0])
+			}
+			b = b[1:]
+		default:
+			out = append(out, clockEntry{id: a[0].id, n: max(a[0].n, b[0].n)})
+			a, b = a[1:], b[1:]
 		}
 	}
+	out = append(out, a...)
+	for _, y := range b {
+		if y.n > 0 {
+			out = append(out, y)
+		}
+	}
+	return Clock{e: out}
 }
 
-// Tick increments id's entry and returns the new value.
-func (vc VectorClock) Tick(id string) uint64 {
-	vc[id]++
-	return vc[id]
+// Tick returns c with id's entry incremented (added at 1 if absent): a
+// binary search and one allocation.
+func (c Clock) Tick(id string) Clock {
+	i, found := slices.BinarySearchFunc(c.e, id, func(x clockEntry, id string) int { return strings.Compare(x.id, id) })
+	if found {
+		out := slices.Clone(c.e)
+		out[i].n++
+		return Clock{e: out}
+	}
+	out := make([]clockEntry, len(c.e)+1)
+	copy(out, c.e[:i])
+	out[i] = clockEntry{id: id, n: 1}
+	copy(out[i+1:], c.e[i:])
+	return Clock{e: out}
+}
+
+// zeroEntry reports whether any entry is zero.
+func (c Clock) zeroEntry() bool {
+	for _, x := range c.e {
+		if x.n == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// joinAll returns the join of the versions' clocks, each observed in
+// turn into an empty clock — so an entry that is zero in every version
+// is dropped. One version without zero entries is its own join and
+// costs nothing; any other set is one allocation.
+func joinAll(vs []Version) Clock {
+	if len(vs) == 1 && !vs[0].VC.zeroEntry() {
+		return vs[0].VC
+	}
+	n := 0
+	for _, v := range vs {
+		n += v.VC.Len()
+	}
+	out := make([]clockEntry, 0, n)
+	for _, v := range vs {
+		for _, x := range v.VC.e {
+			if x.n > 0 {
+				out = append(out, x)
+			}
+		}
+	}
+	slices.SortFunc(out, byID)
+	w := 0
+	for _, x := range out {
+		if w > 0 && out[w-1].id == x.id {
+			out[w-1].n = max(out[w-1].n, x.n)
+			continue
+		}
+		out[w] = x
+		w++
+	}
+	return Clock{e: out[:w]}
 }
 
 // Digest returns a canonical 64-bit key for the clock: entries are
 // hashed individually (FNV-1a over the id and counter) and combined with
-// a commutative mix, so identical clocks produce identical digests
-// regardless of map iteration order, without sorting or allocating. Two
-// distinct clocks collide with negligible probability; the digest names a
-// version in hash-keyed caches (the executor's decoded-value memo), not
-// in correctness-critical comparisons.
-func (vc VectorClock) Digest() uint64 {
+// a commutative mix, so the digest is the one the map form had, without
+// allocating. Two distinct clocks collide with negligible probability;
+// the digest names a version in hash-keyed caches (the executor's
+// decoded-value memo), not in correctness-critical comparisons.
+func (c Clock) Digest() uint64 {
 	var h uint64
-	for id, v := range vc {
+	for _, x := range c.e {
 		e := uint64(14695981039346656037) // FNV-1a offset basis
-		for i := 0; i < len(id); i++ {
-			e ^= uint64(id[i])
+		for i := 0; i < len(x.id); i++ {
+			e ^= uint64(x.id[i])
 			e *= 1099511628211
 		}
 		for s := 0; s < 64; s += 8 {
-			e ^= (v >> s) & 0xff
+			e ^= (x.n >> s) & 0xff
 			e *= 1099511628211
 		}
 		h += e * 0x9E3779B97F4A7C15 // golden-ratio spread before the sum
@@ -117,46 +240,31 @@ func (vc VectorClock) Digest() uint64 {
 	return h
 }
 
-// Copy returns an independent copy.
-func (vc VectorClock) Copy() VectorClock {
-	c := make(VectorClock, len(vc))
-	for id, v := range vc {
-		c[id] = v
-	}
-	return c
-}
-
 // ByteSize estimates serialized size: each entry is an id plus an 8-byte
 // counter. The paper notes this grows linearly with the number of writers
 // that touched the key, inflating tail latency for hot keys (§6.2.1).
-func (vc VectorClock) ByteSize() int {
+func (c Clock) ByteSize() int {
 	n := 0
-	for id := range vc {
-		n += len(id) + 8
+	for _, x := range c.e {
+		n += len(x.id) + 8
 	}
 	return n
 }
 
-// String renders entries in sorted order for stable logs.
-func (vc VectorClock) String() string { return string(vc.appendCanonical(nil)) }
+// String renders {id:n,…} in id order for stable logs.
+func (c Clock) String() string { return string(c.appendCanonical(nil)) }
 
-// appendCanonical appends {id:n,…}, ids sorted, to dst. Its byte order is
-// the first key of a causal capsule's sibling order, so it runs on the
-// stack: only a clock of more than 16 ids, or a full dst, allocates.
-func (vc VectorClock) appendCanonical(dst []byte) []byte {
-	var stack [16]string
-	ids := stack[:0]
-	for id := range vc {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
+// appendCanonical appends {id:n,…}, ids ascending, to dst. Its byte
+// order is the first key of a causal capsule's sibling order; the
+// entries are already sorted, so only a full dst allocates.
+func (c Clock) appendCanonical(dst []byte) []byte {
 	dst = append(dst, '{')
-	for i, id := range ids {
+	for i, x := range c.e {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(append(dst, id...), ':')
-		dst = strconv.AppendUint(dst, vc[id], 10)
+		dst = append(append(dst, x.id...), ':')
+		dst = strconv.AppendUint(dst, x.n, 10)
 	}
 	return append(dst, '}')
 }

@@ -375,7 +375,7 @@ func (r Retwis) Preload(c *cb.Cluster, g *Graph) {
 		var deps map[string]lattice.VectorClock
 		if parent := g.PostOf[id]["reply"]; parent != "" {
 			if vc, ok := parentVC[parent]; ok {
-				deps = map[string]lattice.VectorClock{postKey(parent): vc.Copy()}
+				deps = map[string]lattice.VectorClock{postKey(parent): vc}
 			}
 		}
 		parentVC[id] = lattice.VectorClock{"preload": seq + 1}
