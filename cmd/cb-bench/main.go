@@ -9,14 +9,14 @@
 //	cb-bench                 # all experiments, quick parameters
 //	cb-bench -run fig5,fig6  # a subset
 //	cb-bench -run table2 -full
-//	cb-bench -parallel 8     # fan independent simulation cells across 8 threads
+//	cb-bench -parallel 8     # fan independent simulation cells across 8 workers
 //	cb-bench -parallel 1     # force the serial runner
 //	cb-bench -list
 //
-// Figures fan their independent simulation cells across a worker pool
-// (internal/parallel); tables are byte-identical at every width. The
-// width defaults to GOMAXPROCS and can also be set via the
-// CLOUDBURST_PARALLEL / CLOUDBURST_SERIAL environment variables.
+// The experiments are internal/bench's registry. Figures fan their
+// independent simulation cells across a worker pool (internal/parallel);
+// tables are byte-identical at every width. The width defaults to
+// GOMAXPROCS.
 package main
 
 import (
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"time"
 
@@ -32,177 +31,30 @@ import (
 	"cloudburst/internal/parallel"
 )
 
-// experiment binds a name to its quick and full runners.
-type experiment struct {
-	name  string
-	about string
-	quick func() string
-	full  func() string
-}
-
-var experiments = []experiment{
-	{
-		name:  "fig1",
-		about: "function composition latency across systems (§6.1.1)",
-		quick: func() string { return bench.RunFig1(bench.Fig1Quick()).Print() },
-		full:  func() string { return bench.RunFig1(bench.Fig1Paper()).Print() },
-	},
-	{
-		name:  "fig5",
-		about: "data locality: sum of 10 arrays, 80KB-80MB (§6.1.2)",
-		quick: func() string { return bench.RunFig5(bench.Fig5Quick()).Print() },
-		full:  func() string { return bench.RunFig5(bench.Fig5Paper()).Print() },
-	},
-	{
-		name:  "fig6",
-		about: "distributed aggregation: gossip vs gather (§6.1.3)",
-		quick: func() string { return bench.RunFig6(bench.Fig6Quick()).Print() },
-		full:  func() string { return bench.RunFig6(bench.Fig6Paper()).Print() },
-	},
-	{
-		name:  "fig7",
-		about: "autoscaling timeline under a load spike (§6.1.4)",
-		quick: func() string { return bench.RunFig7(bench.Fig7Quick()).Print() },
-		full:  func() string { return bench.RunFig7(bench.Fig7Paper()).Print() },
-	},
-	{
-		name:  "fig8",
-		about: "consistency-model latency overheads (§6.2.1)",
-		quick: func() string { return bench.RunFig8(bench.Fig8Quick()).Print() },
-		full:  func() string { return bench.RunFig8(bench.Fig8Paper()).Print() },
-	},
-	{
-		name:  "table2",
-		about: "anomalies flagged per consistency level (§6.2.2)",
-		quick: func() string { return bench.RunTable2(bench.Table2Quick()).Print() },
-		full:  func() string { return bench.RunTable2(bench.Table2Paper()).Print() },
-	},
-	{
-		name:  "fig9",
-		about: "prediction-serving pipeline latency (§6.3.1)",
-		quick: func() string { return bench.RunFig9(bench.Fig9Quick()).Print() },
-		full:  func() string { return bench.RunFig9(bench.Fig9Paper()).Print() },
-	},
-	{
-		name:  "fig10",
-		about: "prediction-serving scaling (§6.3.1)",
-		quick: func() string { return bench.RunFig10(bench.Fig10Quick()).Print() },
-		full:  func() string { return bench.RunFig10(bench.Fig10Paper()).Print() },
-	},
-	{
-		name:  "fig10-failure",
-		about: "performance under failure: VM crash + restart (§4.5)",
-		quick: func() string { return bench.RunFig10Failure(bench.Fig10FailureQuick()).Print() },
-		full:  func() string { return bench.RunFig10Failure(bench.Fig10FailurePaper()).Print() },
-	},
-	{
-		name:  "lifecycle",
-		about: "state lifecycle: cold vs warm recovery, rolling upgrade (§4.5)",
-		quick: func() string { return bench.RunFig10Lifecycle(bench.Fig10LifecycleQuick()).Print() },
-		full:  func() string { return bench.RunFig10Lifecycle(bench.Fig10LifecyclePaper()).Print() },
-	},
-	{
-		name:  "chaos",
-		about: "chaos matrix: workloads × consistency modes × randomized fault plans",
-		quick: func() string { return bench.RunChaosMatrix(bench.ChaosQuick()).Print() },
-		full:  func() string { return bench.RunChaosMatrix(bench.ChaosFull()).Print() },
-	},
-	{
-		name:  "fig11",
-		about: "Retwis latency and anomaly rates (§6.3.2)",
-		quick: func() string { return bench.RunFig11(bench.Fig11Quick()).Print() },
-		full:  func() string { return bench.RunFig11(bench.Fig11Paper()).Print() },
-	},
-	{
-		name:  "fig12",
-		about: "Retwis causal-mode scaling (§6.3.2)",
-		quick: func() string { return bench.RunFig12(bench.Fig12Quick()).Print() },
-		full:  func() string { return bench.RunFig12(bench.Fig12Paper()).Print() },
-	},
-	{
-		name:  "fig13-saturation",
-		about: "open-loop saturation: offered load × scheduler-group size (§3.2)",
-		quick: func() string { return bench.RunFig13(bench.Fig13Quick()).Print() },
-		full:  func() string { return bench.RunFig13(bench.Fig13Paper()).Print() },
-	},
-	{
-		name:  "fig15-txn",
-		about: "transactional commit: latency, abort rate, atomicity under failure",
-		quick: func() string { return bench.RunFig15(bench.Fig15Quick()).Print() },
-		full:  func() string { return bench.RunFig15(bench.Fig15Paper()).Print() },
-	},
-	{
-		name:  "fig14-breakdown",
-		about: "critical-path latency breakdown from the tracing plane",
-		quick: func() string { return bench.RunFig14(fig14Config(false)).Print() },
-		full:  func() string { return bench.RunFig14(fig14Config(true)).Print() },
-	},
-	{
-		name:  "ablation-locality",
-		about: "locality-aware vs random scheduling (§4.3)",
-		quick: func() string { return bench.RunAblationLocality(bench.AblationQuick()).Print() },
-		full:  func() string { return bench.RunAblationLocality(bench.AblationQuick()).Print() },
-	},
-	{
-		name:  "ablation-caching",
-		about: "co-located cache on vs off (LDPC, §2.2)",
-		quick: func() string { return bench.RunAblationCaching(bench.AblationQuick()).Print() },
-		full:  func() string { return bench.RunAblationCaching(bench.AblationQuick()).Print() },
-	},
-}
-
-// traceOut receives the fig14 knee scenario's Chrome trace-event JSON
-// when -traceout is set (the CI artifact; open in chrome://tracing or
-// Perfetto).
-var traceOut = flag.String("traceout", "", "write fig14's Chrome trace-event JSON to this file")
-
-// fig14Config builds the breakdown figure's config, honoring -traceout.
-func fig14Config(full bool) bench.Fig14Config {
-	cfg := bench.Fig14Quick()
-	if full {
-		cfg = bench.Fig14Paper()
-	}
-	cfg.ChromeOut = *traceOut
-	return cfg
-}
-
 func main() {
 	runFlag := flag.String("run", "all", "comma-separated experiment names, or 'all'")
 	full := flag.Bool("full", false, "use the paper's full parameters (slow)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	width := flag.Int("parallel", 0, "experiment-runner width: 1 forces serial, 0 keeps the default (GOMAXPROCS or CLOUDBURST_PARALLEL)")
+	width := flag.Int("parallel", 0, "experiment-runner width: 1 forces serial, 0 keeps the default (GOMAXPROCS)")
+	traceOut := flag.String("traceout", "", "write fig14's Chrome trace-event JSON to this file")
 	flag.Parse()
 	if *width > 0 {
 		parallel.SetWidth(*width)
 	}
 
 	if *list {
-		for _, e := range experiments {
-			fmt.Printf("%-18s %s\n", e.name, e.about)
-		}
+		fmt.Print(listing())
 		return
 	}
-
-	want := map[string]bool{}
-	if *runFlag != "all" {
-		for _, n := range strings.Split(*runFlag, ",") {
-			want[strings.TrimSpace(n)] = true
-		}
-		known := map[string]bool{}
-		for _, e := range experiments {
-			known[e.name] = true
-		}
-		var unknown []string
-		for n := range want {
-			if !known[n] {
-				unknown = append(unknown, n)
-			}
-		}
-		if len(unknown) > 0 {
-			sort.Strings(unknown)
-			fmt.Fprintf(os.Stderr, "cb-bench: unknown experiments: %s (use -list)\n", strings.Join(unknown, ", "))
-			os.Exit(2)
-		}
+	exps, err := bench.Lookup(strings.Split(*runFlag, ",")...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cb-bench: %v (use -list)\n", err)
+		os.Exit(2)
+	}
+	// -traceout edits fig14's config: the knee scenario's Chrome trace
+	// (the CI artifact; open in chrome://tracing or Perfetto).
+	tweaks := map[string]any{
+		"fig14-breakdown": func(c *bench.Fig14Config) { c.ChromeOut = *traceOut },
 	}
 
 	mode := "quick"
@@ -210,21 +62,21 @@ func main() {
 		mode = "full (paper parameters)"
 	}
 	fmt.Printf("cb-bench: reproducing the Cloudburst (VLDB'20) evaluation — %s configuration, runner width %d\n", mode, parallel.Width())
-	for _, e := range experiments {
-		if len(want) > 0 && !want[e.name] {
-			continue
-		}
+	for _, e := range exps {
 		start := time.Now()
-		var out string
-		if *full {
-			out = e.full()
-		} else {
-			out = e.quick()
-		}
-		fmt.Print(out)
-		fmt.Printf("[%s completed in %.1fs of real time]\n", e.name, time.Since(start).Seconds())
+		fmt.Print(e.Run(*full, tweaks[e.Name]))
+		fmt.Printf("[%s completed in %.1fs of real time]\n", e.Name, time.Since(start).Seconds())
 		// Each experiment boots and tears down whole clusters; return
 		// the heap to the OS so a long -run list fits small machines.
 		debug.FreeOSMemory()
 	}
+}
+
+// listing is the -list output: one line per experiment, registry order.
+func listing() string {
+	var b strings.Builder
+	for _, e := range bench.Experiments {
+		fmt.Fprintf(&b, "%-18s %s\n", e.Name, e.About)
+	}
+	return b.String()
 }

@@ -209,8 +209,9 @@
 // trip. Forgetting RegisterStruct is an immediate error from the first
 // Encode of the type, naming it. Encoded size is the struct's actual
 // field bytes, which the simulated transfer and KVS service times see —
-// changing a layout changes the control-plane byte schedule, so re-run
-// the figure benches (scripts/bench.sh) when you do.
+// changing a layout changes the control-plane byte schedule, so compare
+// the tables and the benchmark against your base (scripts/tablediff.sh,
+// scripts/benchdiff.sh) when you do.
 //
 // # The allocation-free simulation substrate
 //
@@ -458,12 +459,12 @@
 // rendered table — is byte-identical to a serial run at every width.
 // Parallelism is between kernels, never inside one; within a cell the
 // simulation stays the deterministic cooperative schedule it always
-// was. Per-figure tests render each table at width 1 and width 4 and
-// compare the bytes, and CI repeats the suite under the race detector.
+// was. internal/bench's TestExperiments renders every registry
+// experiment serially and untraced, then at width 4 traced, and
+// compares the bytes; CI repeats it under the race detector.
 //
-// The width resolves, in order: an explicit parallel.SetWidth call
-// (cb-bench's -parallel flag), the CLOUDBURST_SERIAL=1 escape hatch,
-// CLOUDBURST_PARALLEL=<n>, else GOMAXPROCS. At width 1 the pool is
+// The width is the last parallel.SetWidth call (cb-bench's -parallel
+// flag), else GOMAXPROCS. At width 1 the pool is
 // bypassed and cells run inline on the calling goroutine — literally
 // the old serial loop, panics included. Width does not change any
 // simulated metric; it only divides wall-clock time by the number of

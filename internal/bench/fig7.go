@@ -27,8 +27,8 @@ type Fig7Config struct {
 // so saturation is decisive: 88 closed-loop clients against 24 threads
 // put the fleet far over both the 0.70-utilization threshold and the
 // monitor's backlog-per-thread signal, instead of parking the policy on
-// the knife edge that flipped the VM-add trigger across PRs 1-3 (see
-// BENCH_3.json's note).
+// the knife edge where small schedule changes switched the VM-add
+// trigger on and off (EXPERIMENTS.md, "Harness cost trajectory").
 func Fig7Quick() Fig7Config {
 	return Fig7Config{
 		InitialVMs: 8, Clients: 88, Keys: 50_000,

@@ -6,57 +6,6 @@ import (
 	"time"
 )
 
-func TestSmokeFig1(t *testing.T) {
-	cfg := Fig1Quick()
-	cfg.Trials = 30
-	r := RunFig1(cfg)
-	t.Log(r.Print())
-}
-
-func TestSmokeFig5(t *testing.T) {
-	cfg := Fig5Quick()
-	cfg.Clients, cfg.Trials = 2, 4
-	cfg.Elems = []int{1000, 100000}
-	r := RunFig5(cfg)
-	t.Log(r.Print())
-}
-
-func TestSmokeFig6(t *testing.T) {
-	cfg := Fig6Quick()
-	cfg.Rounds = 6
-	r := RunFig6(cfg)
-	t.Log(r.Print())
-}
-
-func TestSmokeFig8(t *testing.T) {
-	cfg := Fig8Quick()
-	cfg.Clients, cfg.Requests, cfg.DAGs, cfg.Keys = 2, 10, 10, 2000
-	r := RunFig8(cfg)
-	t.Log(r.Print())
-}
-
-func TestSmokeTable2(t *testing.T) {
-	cfg := Table2Quick()
-	cfg.Fig8.Keys, cfg.Fig8.DAGs, cfg.Fig8.Clients = 500, 15, 4
-	cfg.Executions = 200
-	r := RunTable2(cfg)
-	t.Log(r.Print())
-}
-
-func TestSmokeFig9(t *testing.T) {
-	cfg := Fig9Quick()
-	cfg.Trials = 15
-	r := RunFig9(cfg)
-	t.Log(r.Print())
-}
-
-func TestSmokeFig10(t *testing.T) {
-	cfg := Fig10Quick()
-	cfg.Requests = 5
-	r := RunFig10(cfg)
-	t.Log(r.Print())
-}
-
 func TestSmokeFig10Failure(t *testing.T) {
 	cfg := Fig10FailureQuick()
 	cfg.Clients = 6
@@ -113,21 +62,6 @@ func TestSmokeFig10Lifecycle(t *testing.T) {
 	}
 }
 
-func TestSmokeFig11(t *testing.T) {
-	cfg := Fig11Quick()
-	cfg.Clients, cfg.Requests = 3, 20
-	r := RunFig11(cfg)
-	t.Log(r.Print())
-}
-
-func TestSmokeFig12(t *testing.T) {
-	cfg := Fig12Quick()
-	cfg.Threads = []int{4, 8}
-	cfg.Requests = 12
-	r := RunFig12(cfg)
-	t.Log(r.Print())
-}
-
 // TestSmokeFig13 gates the PR-7 acceptance criterion: under the quick
 // open-loop sweep the sharded scheduler group's saturation knee must
 // sit at least 2x the single scheduler's on the same cluster, and the
@@ -160,13 +94,4 @@ func TestSmokeFig13(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("fig13 not deterministic under fixed seed:\n a: %+v\n b: %+v", a, b)
 	}
-}
-
-func TestSmokeFig7(t *testing.T) {
-	cfg := Fig7Quick()
-	cfg.InitialVMs, cfg.Clients, cfg.Keys = 4, 20, 5000
-	cfg.LoadFor, cfg.DrainFor, cfg.VMSpinUp = 60e9, 25e9, 15e9
-	cfg.ScaleUpVMs = 2
-	r := RunFig7(cfg)
-	t.Log(r.Print())
 }

@@ -1,8 +1,10 @@
 // Package bench implements the paper-reproduction harness: one
 // experiment per table and figure in §6, each printing the same
 // rows/series the paper reports. Every experiment has Quick parameters
-// (seconds of real time, used by `go test -bench` and CI) and Paper
-// parameters (the full §6 configuration, via cmd/cb-bench -full).
+// (seconds of real time, the cmd/cb-bench default) and Paper
+// parameters (the full §6 configuration, via cmd/cb-bench -full), and
+// is listed once in Experiments (registry.go), which cb-bench, the
+// tests and scripts/tablediff.sh all read.
 package bench
 
 import (

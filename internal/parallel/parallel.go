@@ -12,26 +12,23 @@
 // therefore every Print() table — is exactly the serial order, while
 // wall time divides by the worker width.
 //
-// Width resolution, in priority order: SetWidth (tests, the cb-bench
-// -parallel flag), the CLOUDBURST_SERIAL=1 escape hatch, the
-// CLOUDBURST_PARALLEL=<n> override, then GOMAXPROCS. Width 1 runs the
-// tasks inline on the calling goroutine — not just equivalent to the
-// old serial loops but literally that code shape, panics included.
+// The width is whatever SetWidth last set (tests, the cb-bench
+// -parallel flag), else GOMAXPROCS. Width 1 runs the tasks inline on
+// the calling goroutine — not just equivalent to the old serial loops
+// but literally that code shape, panics included.
 package parallel
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
 
-// widthOverride, when positive, wins over the environment and
-// GOMAXPROCS. Stored atomically so tests and the bench harness can
-// flip it around concurrent Map calls.
+// widthOverride, when positive, wins over GOMAXPROCS. Stored
+// atomically so tests and the bench harness can flip it around
+// concurrent Map calls.
 var widthOverride atomic.Int64
 
 // SetWidth forces the worker width for subsequent Map calls: n >= 1
@@ -49,14 +46,6 @@ func SetWidth(n int) int {
 func Width() int {
 	if n := widthOverride.Load(); n > 0 {
 		return int(n)
-	}
-	if os.Getenv("CLOUDBURST_SERIAL") == "1" {
-		return 1
-	}
-	if s := os.Getenv("CLOUDBURST_PARALLEL"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
 	}
 	return runtime.GOMAXPROCS(0)
 }
