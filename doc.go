@@ -224,6 +224,18 @@
 // no garbage; regression tests pin the substrate's allocs-per-message
 // and the kernel's process-reuse rate.
 //
+// The request path above it computes per request only what is per
+// request. A scheduler picks executors from its view of the compute tier
+// (§4.3's local index), rebuilt once per metrics poll: the threads with a
+// fresh report as an ascending slice of records, the backpressure-filtered
+// candidate pools (every thread's, and each function's pinned threads'),
+// and an index from each key a cache advertises to the VMs holding it. A
+// pick walks those slices and allocates nothing, and client routing to a
+// scheduler shard allocates nothing either. A DAG's parents, children and
+// sources are computed once, when its decoded topology is cached
+// (dag.Index). Session metadata exists only in the modes that read it:
+// under LWW, SK, MK and Transactional a DAG trigger carries none.
+//
 // # Writing a server component
 //
 // Server components (storage nodes, caches, schedulers, executors,

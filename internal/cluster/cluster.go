@@ -8,8 +8,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -120,7 +122,7 @@ type Cluster struct {
 	nextVM       int
 	nextClient   int
 
-	dagCache  map[string]*dag.DAG
+	dagCache  map[string]*dag.Index
 	dagClient *anna.Client
 	down      map[simnet.NodeID]bool
 	// killed remembers crashed VM names so RestartVM can replace them;
@@ -171,7 +173,7 @@ func New(cfg Config) *Cluster {
 		Trace:    cfg.Trace,
 		cfg:      cfg,
 		vms:      make(map[string]*VMHandle),
-		dagCache: make(map[string]*dag.DAG),
+		dagCache: make(map[string]*dag.Index),
 		down:     make(map[simnet.NodeID]bool),
 		killed:   make(map[string]bool),
 		gens:     make(map[string]int),
@@ -288,8 +290,9 @@ func (c *Cluster) bootVMNamed(name string) *VMHandle {
 	return h
 }
 
-// dagFor resolves DAG topologies for executors, memoizing Anna lookups.
-func (c *Cluster) dagFor(name string) (*dag.DAG, bool) {
+// dagFor resolves DAG topologies for executors, memoizing Anna lookups
+// and indexing each DAG once.
+func (c *Cluster) dagFor(name string) (*dag.Index, bool) {
 	if d, ok := c.dagCache[name]; ok {
 		return d, true
 	}
@@ -309,8 +312,9 @@ func (c *Cluster) dagFor(name string) (*dag.DAG, bool) {
 	if !ok {
 		return nil, false
 	}
-	c.dagCache[name] = &d
-	return &d, true
+	x := dag.NewIndex(d)
+	c.dagCache[name] = x
+	return x, true
 }
 
 // Alive reports whether a node is reachable (Ctx.Send uses it to decide
@@ -630,11 +634,11 @@ func (c *Cluster) RouteScheduler(reqID string, attempt int) simnet.NodeID {
 	for i, s := range c.schedulers {
 		ranks[i] = schedRank{score: rendezvousScore(reqID, s.ID()), id: s.ID()}
 	}
-	sort.Slice(ranks, func(i, j int) bool {
-		if ranks[i].score != ranks[j].score {
-			return ranks[i].score > ranks[j].score
+	slices.SortFunc(ranks, func(a, b schedRank) int {
+		if a.score != b.score {
+			return cmp.Compare(b.score, a.score)
 		}
-		return ranks[i].id < ranks[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 	return ranks[attempt%len(ranks)].id
 }

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -198,10 +200,36 @@ func TestRouteSchedulerRendezvous(t *testing.T) {
 		if c.RouteScheduler(id, 3) != primary {
 			t.Fatalf("attempt ranking did not wrap for %s", id)
 		}
+		// Attempt a goes to the a'th shard by descending score.
+		ranked := slices.Clone(c.Schedulers())
+		sort.Slice(ranked, func(i, j int) bool {
+			return rendezvousScore(id, ranked[i].ID()) > rendezvousScore(id, ranked[j].ID())
+		})
+		for a, s := range ranked {
+			if got := c.RouteScheduler(id, a); got != s.ID() {
+				t.Fatalf("%s attempt %d routed to %s, rank %d is %s", id, a, got, a, s.ID())
+			}
+		}
 	}
 	for sid, n := range seen {
 		if n < 50 {
 			t.Fatalf("unbalanced rendezvous routing: %s got %d of 300", sid, n)
+		}
+	}
+}
+
+// TestRouteSchedulerAllocationFree: routing a request to a shard is on
+// every client request's path and allocates nothing, whatever the group
+// size.
+func TestRouteSchedulerAllocationFree(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		c := testCluster(t, func(cfg *Config) { cfg.Schedulers = shards })
+		attempt := 0
+		if n := testing.AllocsPerRun(200, func() {
+			c.RouteScheduler("client-3-r17", attempt)
+			attempt++
+		}); n != 0 {
+			t.Errorf("%d shards: RouteScheduler allocates %.1f times per call, want 0", shards, n)
 		}
 	}
 }

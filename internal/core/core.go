@@ -138,8 +138,12 @@ func NewSessionMetaP() *SessionMeta {
 }
 
 // Clone copies the metadata's maps so sibling DAG branches do not alias;
-// the immutable clocks inside are shared.
+// the immutable clocks inside are shared. The zero SessionMeta, which the
+// modes without a distributed session carry, clones to itself.
 func (s SessionMeta) Clone() SessionMeta {
+	if s.ReadSet == nil && s.Deps == nil && s.Caches == nil {
+		return SessionMeta{}
+	}
 	c := NewSessionMeta()
 	maps.Copy(c.ReadSet, s.ReadSet)
 	maps.Copy(c.Deps, s.Deps)
@@ -170,7 +174,8 @@ func (s *SessionMeta) Merge(o SessionMeta) {
 }
 
 // Size estimates the metadata's serialized footprint in bytes — the
-// overhead the consistency-model experiments in §6.2.1 measure.
+// overhead the consistency-model experiments in §6.2.1 measure. It is 0
+// for the zero and the empty SessionMeta alike.
 func (s SessionMeta) Size() int {
 	n := 0
 	for k, v := range s.ReadSet {

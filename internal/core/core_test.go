@@ -105,6 +105,15 @@ func TestSessionMetaMerge(t *testing.T) {
 }
 
 func TestSessionMetaSize(t *testing.T) {
+	// The modes without a distributed session carry the zero value: it must
+	// cost what empty metadata costs on the wire, and clone without maps.
+	var zero SessionMeta
+	if zero.Size() != 0 {
+		t.Fatalf("zero meta size = %d", zero.Size())
+	}
+	if c := zero.Clone(); c.ReadSet != nil || c.Deps != nil || c.Caches != nil {
+		t.Fatalf("zero meta cloned to %+v, want the zero value", c)
+	}
 	m := NewSessionMeta()
 	if m.Size() != 0 {
 		t.Fatalf("empty meta size = %d", m.Size())

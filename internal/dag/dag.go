@@ -161,6 +161,46 @@ func (d *DAG) IsLinear() bool {
 	return len(d.Sources()) == 1 && len(d.Sinks()) == 1
 }
 
+// Index is a DAG with its topology computed once: Parents, Children,
+// Sources and Sinks answer from tables built by NewIndex instead of
+// scanning the edges and allocating on every call, which the request
+// path does once per hop. The answers equal the DAG's own edge-scanning
+// methods (reachable as Index.DAG.Parents and so on). An Index is
+// immutable once built and its slices are shared, so callers must not
+// modify them; one Index may serve every kernel that resolves its DAG.
+type Index struct {
+	DAG
+	parents, children map[string][]string
+	sources, sinks    []string
+}
+
+// NewIndex builds d's topology tables.
+func NewIndex(d DAG) *Index {
+	x := &Index{
+		DAG:      d,
+		parents:  make(map[string][]string, len(d.Functions)),
+		children: make(map[string][]string, len(d.Functions)),
+	}
+	for _, f := range d.Functions {
+		x.parents[f] = d.Parents(f)
+		x.children[f] = d.Children(f)
+	}
+	x.sources, x.sinks = d.Sources(), d.Sinks()
+	return x
+}
+
+// Parents returns the upstream functions of f, sorted.
+func (x *Index) Parents(f string) []string { return x.parents[f] }
+
+// Children returns the downstream functions of f, sorted.
+func (x *Index) Children(f string) []string { return x.children[f] }
+
+// Sources returns functions with no parents, in declaration order.
+func (x *Index) Sources() []string { return x.sources }
+
+// Sinks returns functions with no children, in declaration order.
+func (x *Index) Sinks() []string { return x.sinks }
+
 // Depth returns the number of vertices on the longest source→sink path —
 // the normalization factor Figure 8 divides latencies by.
 func (d *DAG) Depth() int {

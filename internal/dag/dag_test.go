@@ -2,6 +2,7 @@ package dag
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -103,6 +104,63 @@ func TestTopoOrderDeterministic(t *testing.T) {
 				t.Fatalf("nondeterministic topo order: %v vs %v", got, first)
 			}
 		}
+	}
+}
+
+// TestIndexMatchesEdgeScan holds the precomputed topology to the DAG's
+// edge-scanning methods, its oracle: the fixed diamond and fan-in shapes,
+// then random DAGs whose edges run from lower to higher declaration index
+// in random order (so fan-in arrives unsorted), for every declared
+// function and one that is not.
+func TestIndexMatchesEdgeScan(t *testing.T) {
+	check := func(d *DAG) {
+		t.Helper()
+		x := NewIndex(*d)
+		for _, f := range append(slices.Clone(d.Functions), "undeclared") {
+			if got, want := x.Parents(f), d.Parents(f); !slices.Equal(got, want) {
+				t.Fatalf("%s %v: Parents(%s) = %v, edge scan %v", d.Name, d.Edges, f, got, want)
+			}
+			if got, want := x.Children(f), d.Children(f); !slices.Equal(got, want) {
+				t.Fatalf("%s %v: Children(%s) = %v, edge scan %v", d.Name, d.Edges, f, got, want)
+			}
+		}
+		if got, want := x.Sources(), d.Sources(); !slices.Equal(got, want) {
+			t.Fatalf("%s %v: Sources = %v, edge scan %v", d.Name, d.Edges, got, want)
+		}
+		if got, want := x.Sinks(), d.Sinks(); !slices.Equal(got, want) {
+			t.Fatalf("%s %v: Sinks = %v, edge scan %v", d.Name, d.Edges, got, want)
+		}
+	}
+	check(diamond())
+	check(Linear("solo", "f"))
+	check(New("fanin", []string{"d", "c", "b", "a"}, [][2]string{{"c", "a"}, {"d", "a"}, {"b", "a"}}))
+	rng := rand.New(rand.NewSource(9))
+	fanIn := 0
+	for i := 0; i < 300; i++ {
+		n := rng.Intn(7) + 1
+		fns := make([]string, n)
+		for j, p := range rng.Perm(n) {
+			fns[j] = string(rune('a' + p)) // declaration order is not name order
+		}
+		var edges [][2]string
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				if rng.Intn(3) == 0 {
+					edges = append(edges, [2]string{fns[a], fns[b]})
+				}
+			}
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		d := New("rnd", fns, edges)
+		for _, f := range fns {
+			if len(d.Parents(f)) > 1 {
+				fanIn++
+			}
+		}
+		check(d)
+	}
+	if fanIn == 0 {
+		t.Fatal("coverage: no random DAG had a fan-in vertex")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"cloudburst/internal/anna"
@@ -36,7 +37,7 @@ type Thread struct {
 	tracer      Tracer
 	spans       *trace.Collector // latency tracing; distinct from the consistency audit's tracer
 	alive       func(simnet.NodeID) bool
-	dagFor      func(name string) (*dag.DAG, bool)
+	dagFor      func(name string) (*dag.Index, bool)
 	overhead    time.Duration
 	disp        *simnet.Dispatcher
 	resolveName string // precomputed process name for parallel arg reads
@@ -55,6 +56,11 @@ type Thread struct {
 	keyScratch  []string
 	wg          *vtime.WaitGroup
 	doneScratch []simnet.NodeID // complete's list of caches to notify
+	// call is the invocation resolveArgs is serving, and readers its
+	// parallel reads, one reusable slot per reference: the processes they
+	// run read the call from here, so a read spawns no closure.
+	call    resolveCall
+	readers []refReader
 
 	pending map[string]*join // DAG fan-in assembly: reqID|fn → state
 
@@ -115,7 +121,7 @@ type Deps struct {
 	Alive func(simnet.NodeID) bool
 	// DAGFor resolves a registered DAG's topology (from the local
 	// schedule cache or Anna).
-	DAGFor func(name string) (*dag.DAG, bool)
+	DAGFor func(name string) (*dag.Index, bool)
 	// InvokeOverhead is the per-invocation dispatch cost (the Python
 	// interpreter's function lookup/deserialization work in the paper's
 	// executor; ~0.8ms calibrates Figure 1's Cloudburst bar against
@@ -257,6 +263,27 @@ func (t *Thread) newCtx(reqID, dagName, fn string, meta *core.SessionMeta, tx *t
 	}
 }
 
+// resolveCall is the invocation whose arguments resolveArgs is reading.
+type resolveCall struct {
+	reqID, dagName, fn string
+	args               []core.Arg
+	meta               *core.SessionMeta
+	out                []any
+}
+
+// refReader is one parallel argument read, a kernel-process body
+// (vtime.Runner) reused across invocations: it reads argument i of the
+// thread's current call.
+type refReader struct {
+	t *Thread
+	i int
+}
+
+func (r *refReader) Run() {
+	defer r.t.wg.Done()
+	r.t.readRef(r.i)
+}
+
 // resolveArgs turns wire arguments into Go values, fetching KVS
 // references through the cache in parallel (§4.1).
 func (t *Thread) resolveArgs(reqID, dagName, fn string, args []core.Arg, meta *core.SessionMeta) ([]any, error) {
@@ -293,50 +320,56 @@ func (t *Thread) resolveArgs(reqID, dagName, fn string, args []core.Arg, meta *c
 		t.cache.Prefetch(keys)
 		t.spans.Attach(reqID).Record("exec/prefetch", trace.KVS, p0, t.k.Now())
 	}
-	readOne := func(i int) {
-		key := args[i].Ref
-		payload, ver, err := t.cache.Read(reqID, key, meta)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		writeID, inner := untag(payload)
-		if t.tracer != nil {
-			t.tracer.OnRead(TraceEvent{
-				ReqID: reqID, DAG: dagName, Function: fn, Key: key,
-				WriteID: writeID, Ver: ver, Cache: ver.Cache, At: t.k.Now(),
-			})
-		}
-		v, err := t.decodeVersioned(key, ver, inner)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		out[i] = v
-	}
+	t.call = resolveCall{reqID: reqID, dagName: dagName, fn: fn, args: args, meta: meta, out: out}
 	if len(refIdx) == 1 {
-		readOne(refIdx[0])
+		t.readRef(refIdx[0])
 	} else if len(refIdx) > 1 {
 		if t.wg == nil {
 			t.wg = vtime.NewWaitGroup(t.k)
 		}
-		wg := t.wg
-		for _, i := range refIdx {
-			i := i
-			wg.Add(1)
-			t.k.Go(t.resolveName, func() {
-				defer wg.Done()
-				readOne(i)
-			})
+		for len(t.readers) < len(refIdx) {
+			t.readers = append(t.readers, refReader{t: t})
 		}
-		wg.Wait()
+		for j, i := range refIdx {
+			r := &t.readers[j]
+			r.i = i
+			t.wg.Add(1)
+			t.k.GoRunner(t.resolveName, r)
+		}
+		t.wg.Wait()
 	}
+	t.call = resolveCall{}
 	for _, i := range refIdx {
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
 	}
 	return out, nil
+}
+
+// readRef reads argument i of the current call, a KVS reference, through
+// the cache into the call's output, or its error into errScratch[i].
+func (t *Thread) readRef(i int) {
+	c := &t.call
+	key := c.args[i].Ref
+	payload, ver, err := t.cache.Read(c.reqID, key, c.meta)
+	if err != nil {
+		t.errScratch[i] = err
+		return
+	}
+	writeID, inner := untag(payload)
+	if t.tracer != nil {
+		t.tracer.OnRead(TraceEvent{
+			ReqID: c.reqID, DAG: c.dagName, Function: c.fn, Key: key,
+			WriteID: writeID, Ver: ver, Cache: ver.Cache, At: t.k.Now(),
+		})
+	}
+	v, err := t.decodeVersioned(key, ver, inner)
+	if err != nil {
+		t.errScratch[i] = err
+		return
+	}
+	c.out[i] = v
 }
 
 // decodeVersioned decodes a read payload through the memo when the
@@ -408,6 +441,12 @@ func (t *Thread) runTrigger(tr core.DAGTrigger) {
 		t.complete(s, tr.Target, &tr.Meta, tr.Hops+1, nil, "", nil, fmt.Errorf("executor: unknown DAG %q", s.DAG))
 		return
 	}
+	// Session metadata propagates along the DAG only in the distributed
+	// session modes; bolt-on (MK) tracks a per-function session and the
+	// other modes carry none (§5.3, §6.2), so their triggers hold the zero
+	// SessionMeta and nothing here allocates one for them.
+	mode := t.cache.Mode()
+	session := mode == core.DSRR || mode == core.DSC
 	need := len(d.Parents(tr.Target))
 	inputs := tr.Inputs
 	meta := tr.Meta
@@ -416,7 +455,10 @@ func (t *Thread) runTrigger(tr core.DAGTrigger) {
 		key := s.ReqID + "|" + tr.Target
 		j, exists := t.pending[key]
 		if !exists {
-			j = &join{schedule: s, meta: core.NewSessionMeta(), need: need}
+			j = &join{schedule: s, need: need}
+			if session {
+				j.meta = core.NewSessionMeta()
+			}
 			t.pending[key] = j
 		}
 		j.inputs = append(j.inputs, tr.Inputs...)
@@ -433,21 +475,22 @@ func (t *Thread) runTrigger(tr core.DAGTrigger) {
 		tr.TxnWrites = j.txnWrites
 	}
 
-	// Session metadata propagates along the DAG only in the distributed
-	// session modes; bolt-on (MK) tracks a per-function session and the
-	// other modes carry none (§5.3, §6.2).
 	var metaP *core.SessionMeta
-	switch t.cache.Mode() {
-	case core.DSRR, core.DSC:
-		metaP = &meta
-	case core.MK:
+	switch {
+	case session:
+		m := meta
+		if m.ReadSet == nil {
+			m = core.NewSessionMeta() // a source: the scheduler's trigger carries none
+		}
+		metaP = &m
+	case mode == core.MK:
 		m := core.NewSessionMeta()
 		metaP = &m
 	}
 
 	// Argument order: client-supplied args first, then parent results in
 	// parent-name order.
-	sort.Slice(inputs, func(i, k int) bool { return inputs[i].From < inputs[k].From })
+	slices.SortFunc(inputs, func(a, b core.DAGInput) int { return strings.Compare(a.From, b.From) })
 	args := append([]core.Arg(nil), s.Args[tr.Target]...)
 	parentVals := make([]any, 0, len(inputs))
 	for _, in := range inputs {
@@ -470,9 +513,9 @@ func (t *Thread) runTrigger(tr core.DAGTrigger) {
 		// coordinator commits the union once.
 		outWrites = tx.items()
 	}
-	outMeta := core.NewSessionMeta()
-	if t.cache.Mode() == core.DSRR || t.cache.Mode() == core.DSC {
-		outMeta = meta
+	var outMeta core.SessionMeta
+	if session {
+		outMeta = *metaP
 	}
 	for i, child := range children {
 		m := outMeta

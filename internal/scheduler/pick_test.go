@@ -12,20 +12,52 @@ import (
 	"cloudburst/internal/vtime"
 )
 
-// pickExecutorPerThread is pickExecutor as it was before locality was
-// scored once per VM: the same policy with the score recomputed for every
-// thread. It is the oracle of TestPickExecutorMatchesPerThreadScoring.
-func (s *Scheduler) pickExecutorPerThread(fn string, args []core.Arg, exclude map[simnet.NodeID]bool, pinnedOnly bool) simnet.NodeID {
+// mapView is the scheduler's state in the map form it had before the
+// view, and pick is pickExecutor as it was then, with the locality score
+// recomputed for every thread: together they are the oracle of
+// TestPickExecutorMatchesPerThreadScoring. Nothing here reads the view.
+type mapView struct {
+	k            *vtime.Kernel
+	random       bool
+	threads      map[simnet.NodeID]core.ExecutorMetrics
+	cacheKeys    map[string]map[string]bool
+	pins         map[string][]simnet.NodeID // function → threads pinned, ascending
+	lastAssigned map[simnet.NodeID]int64
+	assignSeq    int64
+}
+
+// refresh applies one poll's fresh reports: a poll with any replaces the
+// threads, and the pins of every function some report pins; a function no
+// report mentions keeps its list.
+func (m *mapView) refresh(reports []core.ExecutorMetrics) {
+	if len(reports) == 0 {
+		return
+	}
+	m.threads = make(map[simnet.NodeID]core.ExecutorMetrics)
+	pins := make(map[string][]simnet.NodeID)
+	for _, em := range reports {
+		m.threads[em.Thread] = em
+		for _, fn := range em.Pinned {
+			pins[fn] = append(pins[fn], em.Thread)
+		}
+	}
+	for fn, ts := range pins {
+		slices.Sort(ts)
+		m.pins[fn] = ts
+	}
+}
+
+func (m *mapView) pick(fn string, args []core.Arg, exclude map[simnet.NodeID]bool, pinnedOnly bool) simnet.NodeID {
 	var pool []simnet.NodeID
 	if pinnedOnly {
-		for _, t := range s.pins[fn] {
-			if _, live := s.threads[t]; live {
+		for _, t := range m.pins[fn] {
+			if _, live := m.threads[t]; live {
 				pool = append(pool, t)
 			}
 		}
 	}
 	if len(pool) == 0 {
-		pool = append(pool, s.threadIDs...)
+		pool = slices.Sorted(maps.Keys(m.threads))
 	}
 	pool = slices.DeleteFunc(pool, func(id simnet.NodeID) bool { return exclude[id] })
 	if len(pool) == 0 {
@@ -33,15 +65,15 @@ func (s *Scheduler) pickExecutorPerThread(fn string, args []core.Arg, exclude ma
 	}
 	var healthy []simnet.NodeID
 	for _, id := range pool {
-		if s.threads[id].metrics.Utilization < utilThreshold {
+		if m.threads[id].Utilization < utilThreshold {
 			healthy = append(healthy, id)
 		}
 	}
 	if len(healthy) > 0 && len(healthy)*2 >= len(pool) {
 		pool = healthy
 	}
-	if s.cfg.RandomPolicy {
-		return s.assign(pool[s.k.Rand().Intn(len(pool))])
+	if m.random {
+		return m.assign(pool[m.k.Rand().Intn(len(pool))])
 	}
 	var refs []string
 	for _, a := range args {
@@ -50,15 +82,15 @@ func (s *Scheduler) pickExecutorPerThread(fn string, args []core.Arg, exclude ma
 		}
 	}
 	if len(refs) == 0 {
-		return s.assign(s.spread(pool))
+		return m.assign(m.spread(pool))
 	}
 	bestScore := -1
 	var ties []simnet.NodeID
 	for _, id := range pool {
-		vm := s.threads[id].metrics.VM
+		vm := m.threads[id].VM
 		score := 0
 		for _, r := range refs {
-			if s.cacheKeys[vm][r] {
+			if m.cacheKeys[vm][r] {
 				score++
 			}
 		}
@@ -70,82 +102,192 @@ func (s *Scheduler) pickExecutorPerThread(fn string, args []core.Arg, exclude ma
 		}
 	}
 	if len(ties) > 1 {
-		return s.assign(s.spread(ties))
+		return m.assign(m.spread(ties))
 	}
-	return s.assign(ties[0])
+	return m.assign(ties[0])
 }
 
-// pickView is a scheduler holding only what pickExecutor reads.
-func pickView(seed int64, threads map[simnet.NodeID]threadInfo, cacheKeys map[string]map[string]bool, pins map[string][]simnet.NodeID) *Scheduler {
+func (m *mapView) spread(pool []simnet.NodeID) simnet.NodeID {
+	oldest := int64(1<<62 - 1)
+	var ties []simnet.NodeID
+	for _, id := range pool {
+		switch at := m.lastAssigned[id]; {
+		case at < oldest:
+			oldest, ties = at, []simnet.NodeID{id}
+		case at == oldest:
+			ties = append(ties, id)
+		}
+	}
+	return ties[m.k.Rand().Intn(len(ties))]
+}
+
+func (m *mapView) assign(id simnet.NodeID) simnet.NodeID {
+	m.assignSeq++
+	m.lastAssigned[id] = m.assignSeq
+	return id
+}
+
+// pickScheduler is a scheduler holding only what pickExecutor and the
+// view's builders read.
+func pickScheduler(seed int64, random bool) *Scheduler {
 	return &Scheduler{
 		k:            vtime.NewKernel(seed),
-		threads:      threads,
-		threadIDs:    slices.Sorted(maps.Keys(threads)),
-		cacheKeys:    cacheKeys,
-		pins:         pins,
+		cfg:          Config{RandomPolicy: random},
+		cacheKeys:    make(map[string][]string),
+		pins:         make(map[string][]simnet.NodeID),
 		lastAssigned: make(map[simnet.NodeID]int64),
 	}
 }
 
-// TestPickExecutorMatchesPerThreadScoring drives pickExecutor and the
-// per-thread oracle through the same seeded random views and invocation
-// sequences. The hoisted score is pure computation, so every pick, every
-// assignment stamp and the kernel's next random draw must agree: a tie
-// set that differs by one thread moves a draw, and with it every table.
+// stamps is every assignment stamp the scheduler holds, saved or in the
+// view.
+func (s *Scheduler) stamps() map[simnet.NodeID]int64 {
+	out := maps.Clone(s.lastAssigned)
+	for _, r := range s.view.threads {
+		if r.stamp != 0 {
+			out[r.id] = r.stamp
+		}
+	}
+	return out
+}
+
+// TestPickExecutorMatchesPerThreadScoring drives pickExecutor over the
+// view and the map-form oracle through the same seeded histories: random
+// views, polls between picks in which threads leave, re-enter and change
+// load, pins inserted by registration between polls, and one history in
+// five under the random policy. The view is pure bookkeeping, so every
+// pick, every assignment stamp and the kernel's next random draw must
+// agree: a pool or tie set that differs by one thread moves a draw, and
+// with it every table.
 func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
 	keys := make([]string, 12)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%02d", i)
 	}
-	var singleWinner, allTie, multiTie int
+	var singleWinner, allTie, multiTie, excluded, randomPicks int
+	var reentries, retained, inserted int
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		// 2-6 VMs of 1-4 threads. Even seeds name threads so that
+		random := seed%5 == 0
+		// 2-6 VMs of 1-4 threads, 66-70 VMs in one history in 25 (a key's
+		// VM bitset spans two words). Even seeds name threads so that
 		// ascending ids keep a VM's threads adjacent (the real layout);
-		// odd seeds interleave VMs, which the hoist must survive.
-		threads := make(map[simnet.NodeID]threadInfo)
-		cacheKeys := make(map[string]map[string]bool)
-		vms := 2 + rng.Intn(5)
-		for v := 0; v < vms; v++ {
+		// odd seeds interleave VMs, which the per-VM score must survive.
+		var universe []core.ExecutorMetrics
+		var vms []string
+		nvm := 2 + rng.Intn(5)
+		if seed%25 == 1 {
+			nvm += 64
+		}
+		for v := 0; v < nvm; v++ {
 			vm := fmt.Sprintf("vm%d", v)
+			vms = append(vms, vm)
 			for i, n := 0, 1+rng.Intn(4); i < n; i++ {
 				id := simnet.NodeID(fmt.Sprintf("exec-%s-%d", vm, i))
 				if seed%2 == 1 {
 					id = simnet.NodeID(fmt.Sprintf("exec-%d-%s", i, vm))
 				}
-				util := 0.0
-				if rng.Intn(4) == 0 {
-					util = 0.95 // over utilThreshold
+				universe = append(universe, core.ExecutorMetrics{Thread: id, VM: vm})
+			}
+		}
+		// One poll's reports: each thread reports with probability
+		// present (load and pins drawn afresh); a thread pins "f" with
+		// probability 1/3 unless noPins.
+		poll := func(present float64, noPins bool) []core.ExecutorMetrics {
+			var out []core.ExecutorMetrics
+			for _, em := range universe {
+				if rng.Float64() >= present {
+					continue
 				}
-				threads[id] = threadInfo{metrics: core.ExecutorMetrics{Thread: id, VM: vm, Utilization: util}}
+				em.Utilization = 0
+				if rng.Intn(4) == 0 {
+					em.Utilization = 0.95 // over utilThreshold
+				}
+				em.Pinned = nil
+				if !noPins && rng.Intn(3) == 0 {
+					em.Pinned = []string{"f"}
+				}
+				out = append(out, em)
 			}
-			// Overlapping key sets; one VM in four has published no
-			// cache metrics yet and is absent from cacheKeys. Every
-			// tenth view has no cached key at all: all threads tie.
-			if rng.Intn(4) == 0 {
-				continue
-			}
+			return out
+		}
+
+		got := pickScheduler(seed, random)
+		want := &mapView{
+			k: vtime.NewKernel(seed), random: random,
+			threads:      make(map[simnet.NodeID]core.ExecutorMetrics),
+			cacheKeys:    make(map[string]map[string]bool),
+			pins:         make(map[string][]simnet.NodeID),
+			lastAssigned: make(map[simnet.NodeID]int64),
+		}
+		// Overlapping key sets; one VM in four has published none and is
+		// absent from cacheKeys. Every tenth history has no cached key at
+		// all: all threads tie.
+		advertise := func(vm string) {
+			var list []string
 			set := make(map[string]bool)
 			for _, k := range keys {
 				if seed%10 != 0 && rng.Intn(3) == 0 {
+					list = append(list, k)
 					set[k] = true
 				}
 			}
-			cacheKeys[vm] = set
+			got.setKeys([]core.CacheMetrics{{VM: vm, Keys: list}})
+			want.cacheKeys[vm] = set
 		}
-		ids := slices.Sorted(maps.Keys(threads))
-		var pinned []simnet.NodeID
-		for _, id := range ids {
-			if rng.Intn(3) == 0 {
-				pinned = append(pinned, id)
+		apply := func(reports []core.ExecutorMetrics) {
+			before := len(want.pins["f"])
+			reportsF := false
+			for _, em := range reports {
+				reportsF = reportsF || slices.Contains(em.Pinned, "f")
+				if _, live := want.threads[em.Thread]; !live && want.lastAssigned[em.Thread] != 0 {
+					reentries++
+				}
+			}
+			if len(reports) > 0 && !reportsF && before > 0 {
+				retained++
+			}
+			want.refresh(reports)
+			got.setThreads(slices.Clone(reports))
+		}
+		for _, vm := range vms {
+			if rng.Intn(4) != 0 {
+				advertise(vm)
 			}
 		}
-		pins := map[string][]simnet.NodeID{"f": pinned}
+		apply(poll(1, false))
 
-		got := pickView(seed, threads, cacheKeys, pins)
-		want := pickView(seed, threads, cacheKeys, pins)
+		for call := 0; call < 40; call++ {
+			switch rng.Intn(10) {
+			case 0: // a poll: threads leave and re-enter, load and pins move
+				apply(poll(0.3+0.7*rng.Float64(), rng.Intn(3) == 0))
+				if rng.Intn(2) == 0 {
+					advertise(vms[rng.Intn(len(vms))])
+				} else { // the same publications read again
+					var again []core.CacheMetrics
+					for vm, list := range got.cacheKeys {
+						again = append(again, core.CacheMetrics{VM: vm, Keys: list})
+					}
+					got.setKeys(again)
+				}
+			case 1: // an empty poll changes nothing
+				apply(nil)
+			case 2: // registration pins "f" on a live thread between polls
+				var cands []simnet.NodeID
+				for _, r := range got.view.threads {
+					if !slices.Contains(want.pins["f"], r.id) {
+						cands = append(cands, r.id)
+					}
+				}
+				if len(cands) > 0 {
+					tgt := cands[rng.Intn(len(cands))]
+					at, _ := slices.BinarySearch(want.pins["f"], tgt)
+					want.pins["f"] = slices.Insert(want.pins["f"], at, tgt)
+					got.addPin("f", tgt)
+					inserted++
+				}
+			}
 
-		for call := 0; call < 20; call++ {
 			var args []core.Arg
 			for i, n := 0, rng.Intn(5); i < n; i++ {
 				args = append(args, core.Arg{Ref: keys[rng.Intn(len(keys))]})
@@ -156,31 +298,33 @@ func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
 			var exclude map[simnet.NodeID]bool
 			if rng.Intn(3) == 0 {
 				exclude = make(map[simnet.NodeID]bool)
-				for _, id := range ids {
+				for _, em := range universe {
 					if rng.Intn(4) == 0 {
-						exclude[id] = true
+						exclude[em.Thread] = true
 					}
 				}
+				excluded++
 			}
 			pinnedOnly := rng.Intn(3) == 0
 
 			g := got.pickExecutor("f", args, exclude, pinnedOnly)
-			w := want.pickExecutorPerThread("f", args, exclude, pinnedOnly)
+			w := want.pick("f", args, exclude, pinnedOnly)
 			if g != w {
 				t.Fatalf("seed %d call %d: picked %q, per-thread scoring picks %q", seed, call, g, w)
 			}
-			if got.assignSeq != want.assignSeq || !maps.Equal(got.lastAssigned, want.lastAssigned) {
+			if got.assignSeq != want.assignSeq || !maps.Equal(got.stamps(), want.lastAssigned) {
 				t.Fatalf("seed %d call %d: assignment stamps diverged", seed, call)
 			}
-			if len(got.pickScratch.refs) > 0 && g != "" {
-				switch n := len(got.pickScratch.ties); {
-				case n == 1:
-					singleWinner++
-				case n == len(ids):
-					allTie++
-				default:
-					multiTie++
-				}
+			switch n := len(got.pickScratch.ties); {
+			case random:
+				randomPicks++
+			case !slices.ContainsFunc(args, core.Arg.IsRef) || g == "":
+			case n == 1:
+				singleWinner++
+			case n == len(got.view.threads):
+				allTie++
+			default:
+				multiTie++
 			}
 		}
 		if g, w := got.k.Rand().Int63(), want.k.Rand().Int63(); g != w {
@@ -189,8 +333,61 @@ func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
 		got.k.Stop()
 		want.k.Stop()
 	}
-	// The views must reach the shapes the hoist could get wrong.
-	if singleWinner == 0 || allTie == 0 || multiTie == 0 {
-		t.Fatalf("coverage: %d single-winner, %d all-tie, %d partial-tie picks; want each > 0", singleWinner, allTie, multiTie)
+	// The histories must reach the shapes the view could get wrong.
+	for name, n := range map[string]int{
+		"single-winner": singleWinner, "all-tie": allTie, "partial-tie": multiTie,
+		"exclude": excluded, "random-policy": randomPicks,
+		"re-entry with a stamp": reentries, "pins retained": retained, "pin inserted": inserted,
+	} {
+		if n == 0 {
+			t.Errorf("coverage: no %s case", name)
+		}
+	}
+}
+
+// TestPickExecutorAllocationFree: on a warm view a pick reads
+// precomputed slices and scratch space — with and without references,
+// pinned or not, with nothing to exclude or a re-execution's exclude set.
+func TestPickExecutorAllocationFree(t *testing.T) {
+	s := pickScheduler(1, false)
+	defer s.k.Stop()
+	var reports []core.ExecutorMetrics
+	for v := 0; v < 6; v++ {
+		vm := fmt.Sprintf("vm%d", v)
+		for i := 0; i < 3; i++ {
+			em := core.ExecutorMetrics{Thread: simnet.NodeID(fmt.Sprintf("exec-%s-%d", vm, i)), VM: vm}
+			if i == 0 {
+				em.Pinned = []string{"f"}
+			}
+			if v == 0 {
+				em.Utilization = 0.95
+			}
+			reports = append(reports, em)
+		}
+		s.cacheKeys[vm] = []string{fmt.Sprintf("k%d", v%3)}
+	}
+	s.setThreads(reports)
+	refs := []core.Arg{{Ref: "k1"}, {Ref: "k2"}, {Val: []byte{7}}}
+	exclude := map[simnet.NodeID]bool{"exec-vm1-0": true, "exec-vm2-1": true}
+	for _, c := range []struct {
+		name       string
+		args       []core.Arg
+		exclude    map[simnet.NodeID]bool
+		pinnedOnly bool
+	}{
+		{"refs", refs, nil, false},
+		{"no refs", nil, nil, false},
+		{"pinned, refs", refs, nil, true},
+		{"pinned, no refs", nil, nil, true},
+		{"exclude, refs", refs, exclude, false},
+		{"exclude, pinned", nil, exclude, true},
+	} {
+		if n := testing.AllocsPerRun(200, func() {
+			if s.pickExecutor("f", c.args, c.exclude, c.pinnedOnly) == "" {
+				t.Fatal("no pick")
+			}
+		}); n != 0 {
+			t.Errorf("%s: pickExecutor allocates %.1f times per pick, want 0", c.name, n)
+		}
 	}
 }

@@ -6,6 +6,15 @@
 // executors above the utilization threshold (backpressure replication of
 // hot data, §4.3); a random policy exists for the locality ablation.
 //
+// §4.3's "local index" is the scheduler's view: once per metrics poll it
+// turns the executors' and caches' published metrics into an ascending
+// slice of thread records (id, VM index, utilization), the
+// backpressure-filtered candidate pools — every thread's and each
+// function's pinned threads' — and an index from each advertised key to
+// the VMs whose caches hold it. A pick then walks precomputed slices,
+// compares VM indices and reads one map entry per referenced key; it reads
+// no per-thread map and allocates nothing.
+//
 // Schedulers also own the compute tier's fault-tolerance story (§4.5):
 // every request — a registered DAG or a bare Invoke, which is the DAG of
 // one node (§3) — is one tracked record in one inflight table from its
@@ -17,6 +26,7 @@
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -165,9 +175,71 @@ const (
 	maxAliveExtensions = 3
 )
 
-// threadInfo is the scheduler's view of one executor thread.
-type threadInfo struct {
-	metrics core.ExecutorMetrics
+// view is the scheduler's local index of the compute tier (§4.3), rebuilt
+// from the published metrics once per poll and read by every pick.
+type view struct {
+	// threads holds one record per thread with a fresh report, ascending by
+	// id; a pool is a list of indices into it, so it is ascending too.
+	threads []threadRec
+	// vms names the VMs the threads run on. holders indexes the keys their
+	// caches last advertised: holders[key] is the offset in bits of a
+	// bitset over VM indices (bit b of word w is vms[64w+b]) marking the
+	// VMs that hold it, so scoring a reference against every VM is one
+	// map read.
+	vms     []string
+	holders map[string]int
+	bits    []uint64
+	// all lists every thread, and pool is all after backpressure: the
+	// candidates of a pick with no pins and nothing to exclude.
+	all, pool []int
+	// pinned holds each function's pinned threads that are in the view.
+	pinned map[string]pinPool
+}
+
+// threadRec is the view's record of one executor thread.
+type threadRec struct {
+	id   simnet.NodeID
+	vm   int // index into view.vms
+	util float64
+	// stamp is the thread's lastAssigned stamp, carried here between
+	// rebuilds so spread reads no map.
+	stamp int64
+}
+
+// pinPool is one function's pinned threads in the view, ascending: live
+// lists them all, pool after backpressure.
+type pinPool struct {
+	live, pool []int
+}
+
+// healthy appends the candidates below utilThreshold to dst.
+func (v *view) healthy(dst, cands []int) []int {
+	for _, i := range cands {
+		if v.threads[i].util < utilThreshold {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// backpressure drops overloaded executors when alternatives exist (§4.3 —
+// this is what spreads hot data onto new nodes): the candidates narrow to
+// their healthy subset. The filter is soft: utilization reports lag by the
+// metrics interval, so when most of the candidates look overloaded,
+// routing everything at the few apparently-idle threads just herds the
+// queue onto them — spread over everyone instead.
+func backpressure(cands, healthy []int) []int {
+	if len(healthy) > 0 && len(healthy)*2 >= len(cands) {
+		return healthy
+	}
+	return cands
+}
+
+// indexOf finds a thread's record.
+func (v *view) indexOf(id simnet.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(v.threads, id, func(r threadRec, id simnet.NodeID) int {
+		return cmp.Compare(r.id, id)
+	})
 }
 
 // tracked is one in-flight request, held for §4.5 re-execution from its
@@ -202,11 +274,11 @@ type tracked struct {
 // publishes fresh metrics.
 func (s *Scheduler) alive(o *tracked) bool {
 	if !o.isDAG {
-		_, fresh := s.threads[o.target]
+		_, fresh := s.view.indexOf(o.target)
 		return fresh
 	}
 	for _, t := range o.sched.Assignments {
-		if _, fresh := s.threads[t]; !fresh {
+		if _, fresh := s.view.indexOf(t); !fresh {
 			return false
 		}
 	}
@@ -240,17 +312,18 @@ type Scheduler struct {
 	cfg  Config
 	disp *simnet.Dispatcher
 
-	dags    map[string]*dag.DAG
-	funcs   map[string]bool
-	threads map[simnet.NodeID]threadInfo
-	// threadIDs is threads' key set in ascending order, rebuilt where
-	// threads is replaced, so pickExecutor reads a sorted pool instead of
-	// sorting one per invocation.
-	threadIDs []simnet.NodeID
-	// cacheKeys: VM name → cached key set; threadVM maps thread → VM so
-	// locality ranking can find the right cache.
-	cacheKeys map[string]map[string]bool
-	pins      map[string][]simnet.NodeID // function → threads pinned, ascending
+	dags  map[string]*dag.Index
+	funcs map[string]bool
+	// view is what pickExecutor reads; cacheKeys and pins are what it is
+	// built from, kept across polls. cacheKeys maps each VM that ever
+	// published to the keys it last advertised (a VM that stops publishing
+	// keeps them); the slices are decoded metrics, shared read-only. pins
+	// maps each function to the threads pinned with it, ascending, as last
+	// reported or registered here; a function no report mentions keeps its
+	// last list.
+	view      view
+	cacheKeys map[string][]string
+	pins      map[string][]simnet.NodeID
 
 	// inflight holds every request this shard is answerable for, of
 	// either kind, by ReqID.
@@ -265,8 +338,8 @@ type Scheduler struct {
 	// pickScratch holds pickExecutor's candidate slices, reused across
 	// calls: pickExecutor never blocks, so no two invocations overlap.
 	pickScratch struct {
-		pool, healthy, ties, spreadTies []simnet.NodeID
-		refs                            []string
+		pool, healthy, ties, spreadTies []int
+		held                            []int // the referenced keys' offsets in view.bits
 	}
 
 	// decoded caches decoded metric payloads by exact LWW version:
@@ -285,7 +358,9 @@ type Scheduler struct {
 	// memory a burst of invocations would stack onto one thread (and
 	// serialize, since each thread runs one invocation at a time). The
 	// value is a logical stamp: virtual time can stand still across
-	// consecutive assignments.
+	// consecutive assignments. Between view rebuilds the stamps live in the
+	// thread records; each rebuild saves them here first, so a thread that
+	// leaves the view and re-enters it keeps its stamp.
 	lastAssigned map[simnet.NodeID]int64
 	assignSeq    int64
 
@@ -304,10 +379,9 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config) *Sch
 		k:            k,
 		anna:         ac,
 		cfg:          cfg,
-		dags:         make(map[string]*dag.DAG),
+		dags:         make(map[string]*dag.Index),
 		funcs:        make(map[string]bool),
-		threads:      make(map[simnet.NodeID]threadInfo),
-		cacheKeys:    make(map[string]map[string]bool),
+		cacheKeys:    make(map[string][]string),
 		pins:         make(map[string][]simnet.NodeID),
 		inflight:     make(map[string]*tracked),
 		shadows:      make(map[string]*tracked),
@@ -409,7 +483,7 @@ func (s *Scheduler) registerDAG(req RegisterDAGReq) RegisterResp {
 		return RegisterResp{Err: err.Error()}
 	}
 	s.anna.Put(core.DAGListKey(), lattice.NewSet(d.Name))
-	s.dags[d.Name] = &d
+	s.dags[d.Name] = dag.NewIndex(d)
 
 	replicas := req.Replicas
 	if replicas < 1 {
@@ -420,11 +494,17 @@ func (s *Scheduler) registerDAG(req RegisterDAGReq) RegisterResp {
 		targets := s.pickPinTargets(fn, replicas)
 		for _, tgt := range targets {
 			s.ep.Send(tgt, core.PinFunction{Function: fn}, 32)
-			at, _ := slices.BinarySearch(s.pins[fn], tgt)
-			s.pins[fn] = slices.Insert(s.pins[fn], at, tgt)
+			s.addPin(fn, tgt)
 		}
 	}
 	return RegisterResp{OK: true}
+}
+
+// addPin records a pin made here between polls, in pins and in the view.
+func (s *Scheduler) addPin(fn string, tgt simnet.NodeID) {
+	at, _ := slices.BinarySearch(s.pins[fn], tgt)
+	s.pins[fn] = slices.Insert(s.pins[fn], at, tgt)
+	s.indexPins(fn)
 }
 
 // knowsFunction checks the local view, falling back to Anna.
@@ -455,18 +535,18 @@ func (s *Scheduler) pickPinTargets(fn string, n int) []simnet.NodeID {
 		id   simnet.NodeID
 		load int
 		util float64
-		vm   string
+		vm   int
 	}
 	var cands []cand
 	already := make(map[simnet.NodeID]bool)
 	for _, t := range s.pins[fn] {
 		already[t] = true
 	}
-	for id, ti := range s.threads {
-		if already[id] {
+	for _, r := range s.view.threads {
+		if already[r.id] {
 			continue
 		}
-		cands = append(cands, cand{id: id, load: pinLoad[id], util: ti.metrics.Utilization, vm: ti.metrics.VM})
+		cands = append(cands, cand{id: r.id, load: pinLoad[r.id], util: r.util, vm: r.vm})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].load != cands[j].load {
@@ -478,7 +558,7 @@ func (s *Scheduler) pickPinTargets(fn string, n int) []simnet.NodeID {
 		return cands[i].id < cands[j].id
 	})
 	var out []simnet.NodeID
-	usedVM := make(map[string]bool)
+	usedVM := make(map[int]bool)
 	for _, c := range cands {
 		if len(out) >= n {
 			break
@@ -511,16 +591,16 @@ func (s *Scheduler) pickPinTargets(fn string, n int) []simnet.NodeID {
 // can arrive before the first metric publication has landed.
 func (s *Scheduler) ensureView() bool {
 	for attempt := 0; attempt < 20; attempt++ {
-		if len(s.threads) > 0 {
+		if len(s.view.threads) > 0 {
 			return true
 		}
 		s.refreshView()
-		if len(s.threads) > 0 {
+		if len(s.view.threads) > 0 {
 			return true
 		}
 		s.k.Sleep(100 * time.Millisecond)
 	}
-	return len(s.threads) > 0
+	return len(s.view.threads) > 0
 }
 
 // admit takes a request off the wire. Clients mint a fresh ReqID per
@@ -635,7 +715,7 @@ func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
 	if s.cfg.DispatchCost > 0 {
 		s.k.Sleep(s.cfg.DispatchCost)
 	}
-	var d *dag.DAG
+	var d *dag.Index
 	if o.isDAG {
 		var ok bool
 		if d, ok = s.dagView(o.dag.DAG); !ok {
@@ -688,7 +768,8 @@ func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
 		ResultKey:   req.ResultKey,
 	}
 	for _, src := range d.Sources() {
-		trigger := core.DAGTrigger{Schedule: o.sched, Target: src, Meta: core.NewSessionMeta()}
+		// No session metadata: the executor makes it where the mode keeps one.
+		trigger := core.DAGTrigger{Schedule: o.sched, Target: src}
 		s.ep.Send(assignments[src], trigger, 128)
 	}
 }
@@ -702,8 +783,8 @@ func argBytes(args []core.Arg) (n int) {
 }
 
 // dagView resolves a DAG topology locally or from Anna (other schedulers
-// may have registered it).
-func (s *Scheduler) dagView(name string) (*dag.DAG, bool) {
+// may have registered it), indexing each DAG once.
+func (s *Scheduler) dagView(name string) (*dag.Index, bool) {
 	if d, ok := s.dags[name]; ok {
 		return d, true
 	}
@@ -723,54 +804,41 @@ func (s *Scheduler) dagView(name string) (*dag.DAG, bool) {
 	if !ok {
 		return nil, false
 	}
-	s.dags[name] = &d
-	return &d, true
+	x := dag.NewIndex(d)
+	s.dags[name] = x
+	return x, true
 }
 
 // pickExecutor implements the §4.3 policy: prefer executors that have
 // the function pinned (for DAGs), skip overloaded ones, and among the
 // rest prefer the executor whose VM cache holds the most of the
-// requested KVS references; otherwise pick uniformly at random.
+// requested KVS references; otherwise pick uniformly at random. With
+// nothing to exclude, the candidates are the view's precomputed pools;
+// a re-execution's exclude set filters them into scratch slices.
 func (s *Scheduler) pickExecutor(fn string, args []core.Arg, exclude map[simnet.NodeID]bool, pinnedOnly bool) simnet.NodeID {
-	sc := &s.pickScratch
-	sc.pool, sc.healthy, sc.ties, sc.refs = sc.pool[:0], sc.healthy[:0], sc.ties[:0], sc.refs[:0]
+	v, sc := &s.view, &s.pickScratch
+	sc.ties, sc.held = sc.ties[:0], sc.held[:0]
+	// The function's live pinned threads when asked and there are any, else
+	// every thread. Ascending either way: the order decides which thread a
+	// random draw lands on.
+	live, pool := v.all, v.pool
 	if pinnedOnly {
-		for _, t := range s.pins[fn] {
-			if _, live := s.threads[t]; live {
-				sc.pool = append(sc.pool, t)
+		if p := v.pinned[fn]; len(p.live) > 0 {
+			live, pool = p.live, p.pool
+		}
+	}
+	if exclude != nil {
+		sc.pool = sc.pool[:0]
+		for _, i := range live {
+			if !exclude[v.threads[i].id] {
+				sc.pool = append(sc.pool, i)
 			}
 		}
+		sc.healthy = v.healthy(sc.healthy[:0], sc.pool)
+		pool = backpressure(sc.pool, sc.healthy)
 	}
-	if len(sc.pool) == 0 {
-		sc.pool = append(sc.pool, s.threadIDs...)
-	}
-	// Ascending either way: pins and threadIDs are kept sorted where they
-	// change, and the order decides which thread a random draw lands on.
-	filtered := sc.pool[:0]
-	for _, id := range sc.pool {
-		if exclude != nil && exclude[id] {
-			continue
-		}
-		filtered = append(filtered, id)
-	}
-	if len(filtered) == 0 {
+	if len(pool) == 0 {
 		return ""
-	}
-	pool := filtered
-
-	// Backpressure: drop overloaded executors when alternatives exist
-	// (§4.3 — this is what spreads hot data onto new nodes). The filter
-	// is soft: utilization reports lag by the metrics interval, so when
-	// most of the pool looks overloaded, routing everything at the few
-	// apparently-idle threads just herds the queue onto them — spread
-	// over everyone instead.
-	for _, id := range pool {
-		if s.threads[id].metrics.Utilization < utilThreshold {
-			sc.healthy = append(sc.healthy, id)
-		}
-	}
-	if len(sc.healthy) > 0 && len(sc.healthy)*2 >= len(pool) {
-		pool = sc.healthy
 	}
 
 	if s.cfg.RandomPolicy {
@@ -778,37 +846,36 @@ func (s *Scheduler) pickExecutor(fn string, args []core.Arg, exclude map[simnet.
 	}
 
 	// Locality: rank by how many referenced keys the executor's VM
-	// cache holds.
+	// cache holds. A key no cache advertises scores for no VM.
+	refs := 0
 	for _, a := range args {
 		if a.IsRef() {
-			sc.refs = append(sc.refs, a.Ref)
+			refs++
+			if o, ok := v.holders[a.Ref]; ok {
+				sc.held = append(sc.held, o)
+			}
 		}
 	}
-	if len(sc.refs) == 0 {
+	if refs == 0 {
 		return s.assign(s.spread(pool))
 	}
-	best, bestScore := simnet.NodeID(""), -1
+	best, bestScore := -1, -1
 	// The score is the VM's: computed once per run of pool entries that
 	// share a VM (ascending ids keep a VM's threads adjacent), not once
 	// per thread.
-	scoredVM, score := "", 0
-	for i, id := range pool {
-		if vm := s.threads[id].metrics.VM; i == 0 || vm != scoredVM {
+	scoredVM, score := -1, 0
+	for _, i := range pool {
+		if vm := v.threads[i].vm; vm != scoredVM {
 			scoredVM, score = vm, 0
-			keys := s.cacheKeys[vm]
-			for _, r := range sc.refs {
-				if keys[r] {
-					score++
-				}
+			for _, o := range sc.held {
+				score += int(v.bits[o+vm/64] >> (vm % 64) & 1)
 			}
 		}
 		if score > bestScore {
-			bestScore = score
-			best = id
-			sc.ties = sc.ties[:0]
-			sc.ties = append(sc.ties, id)
+			bestScore, best = score, i
+			sc.ties = append(sc.ties[:0], i)
 		} else if score == bestScore {
-			sc.ties = append(sc.ties, id)
+			sc.ties = append(sc.ties, i)
 		}
 	}
 	if len(sc.ties) > 1 {
@@ -820,46 +887,45 @@ func (s *Scheduler) pickExecutor(fn string, args []core.Arg, exclude map[simnet.
 // spread picks the least-recently-assigned thread (ties broken
 // randomly), compensating for the lag between assignments and the
 // utilization reports they eventually show up in.
-func (s *Scheduler) spread(pool []simnet.NodeID) simnet.NodeID {
+func (s *Scheduler) spread(pool []int) int {
 	oldest := int64(1<<62 - 1)
 	ties := s.pickScratch.spreadTies[:0]
-	for _, id := range pool {
-		at := s.lastAssigned[id]
+	for _, i := range pool {
+		at := s.view.threads[i].stamp
 		switch {
 		case at < oldest:
 			oldest = at
 			ties = ties[:0]
-			ties = append(ties, id)
+			ties = append(ties, i)
 		case at == oldest:
-			ties = append(ties, id)
+			ties = append(ties, i)
 		}
 	}
 	s.pickScratch.spreadTies = ties
 	return ties[s.k.Rand().Intn(len(ties))]
 }
 
-// assign records the assignment stamp for spread.
-func (s *Scheduler) assign(id simnet.NodeID) simnet.NodeID {
-	if id != "" {
-		s.assignSeq++
-		s.lastAssigned[id] = s.assignSeq
-	}
-	return id
+// assign stamps the picked thread for spread and returns its id.
+func (s *Scheduler) assign(i int) simnet.NodeID {
+	s.assignSeq++
+	s.view.threads[i].stamp = s.assignSeq
+	return s.view.threads[i].id
 }
 
-// refreshView reads the metric registries and rebuilds the local views,
-// dropping stale entries (§4.3's "local index"). Each registry is read
-// with one grouped multi-get instead of one Get per metrics key, so a
-// poll tick costs one KVS round trip per storage node. Keys the grouped
-// read misses (replication lag at the primary) are simply absent from
-// this tick's view and picked up on the next one.
+// refreshView reads the metric registries and rebuilds the view, dropping
+// stale entries (§4.3's "local index"). Each registry is read with one
+// grouped multi-get instead of one Get per metrics key, so a poll tick
+// costs one KVS round trip per storage node. Keys the grouped read misses
+// (replication lag at the primary) are simply absent from this tick's
+// view and picked up on the next one. The thread records change after the
+// first read and the key sets after the second, each in one step between
+// reads, so a pick running while the poll waits sees one or the other.
 func (s *Scheduler) refreshView() {
 	nowS := s.k.Now().Seconds()
 	// Executor metrics.
 	if lat, found, err := s.anna.Get(executor.MetricListKey); err == nil && found {
 		if set, ok := lat.(*lattice.Set); ok {
-			fresh := make(map[simnet.NodeID]threadInfo)
-			pins := make(map[string][]simnet.NodeID)
+			var reports []core.ExecutorMetrics
 			for _, ent := range s.fetchRegistry(set) {
 				v, ok := s.decodeCached(ent.key, ent.lat)
 				if !ok {
@@ -872,45 +938,128 @@ func (s *Scheduler) refreshView() {
 				if nowS-em.ReportedAtS > s.cfg.StaleAfter.Seconds() {
 					continue
 				}
-				fresh[em.Thread] = threadInfo{metrics: em}
-				for _, fn := range em.Pinned {
-					pins[fn] = append(pins[fn], em.Thread)
-				}
+				reports = append(reports, em)
 			}
-			if len(fresh) > 0 {
-				s.threads = fresh
-				s.threadIDs = s.threadIDs[:0]
-				for id := range fresh {
-					s.threadIDs = append(s.threadIDs, id)
-				}
-				slices.Sort(s.threadIDs)
-				for fn, ts := range pins {
-					slices.Sort(ts)
-					s.pins[fn] = ts
-				}
-			}
+			s.setThreads(reports)
 		}
 	}
 	// Cache key sets.
 	if lat, found, err := s.anna.Get(executor.CacheListKey); err == nil && found {
 		if set, ok := lat.(*lattice.Set); ok {
+			var reports []core.CacheMetrics
 			for _, ent := range s.fetchRegistry(set) {
 				v, ok := s.decodeCached(ent.key, ent.lat)
 				if !ok {
 					continue
 				}
-				cm, ok := v.(core.CacheMetrics)
-				if !ok {
-					continue
+				if cm, ok := v.(core.CacheMetrics); ok {
+					reports = append(reports, cm)
 				}
-				keys := make(map[string]bool, len(cm.Keys))
-				for _, kk := range cm.Keys {
-					keys[kk] = true
-				}
-				s.cacheKeys[cm.VM] = keys
 			}
+			s.setKeys(reports)
 		}
 	}
+}
+
+// setThreads rebuilds the view from one poll's fresh executor reports, one
+// per thread, and takes the pins they report. A poll with no fresh report
+// changes nothing: the last view stands.
+func (s *Scheduler) setThreads(reports []core.ExecutorMetrics) {
+	if len(reports) == 0 {
+		return
+	}
+	pins := make(map[string][]simnet.NodeID)
+	for _, em := range reports {
+		for _, fn := range em.Pinned {
+			pins[fn] = append(pins[fn], em.Thread)
+		}
+	}
+	for fn, ts := range pins {
+		slices.Sort(ts)
+		s.pins[fn] = ts
+	}
+
+	v := &s.view
+	for _, r := range v.threads {
+		if r.stamp != 0 {
+			s.lastAssigned[r.id] = r.stamp
+		}
+	}
+	slices.SortFunc(reports, func(a, b core.ExecutorMetrics) int { return cmp.Compare(a.Thread, b.Thread) })
+	v.threads = make([]threadRec, len(reports))
+	v.all = make([]int, len(reports))
+	var vms []string
+	vmIndex := make(map[string]int)
+	for i, em := range reports {
+		vm, ok := vmIndex[em.VM]
+		if !ok {
+			vm = len(vms)
+			vmIndex[em.VM] = vm
+			vms = append(vms, em.VM)
+		}
+		v.threads[i] = threadRec{id: em.Thread, vm: vm, util: em.Utilization, stamp: s.lastAssigned[em.Thread]}
+		v.all[i] = i
+	}
+	v.pool = backpressure(v.all, v.healthy(nil, v.all))
+	if !slices.Equal(vms, v.vms) {
+		v.vms = vms
+		s.syncKeys()
+	}
+	v.pinned = make(map[string]pinPool, len(s.pins))
+	for fn := range s.pins {
+		s.indexPins(fn)
+	}
+}
+
+// setKeys takes one poll's cache key-set reports and re-indexes the
+// view's keys if any VM advertised a new list. An unchanged publication
+// is the very slice the last poll stored (the decode cache hands every
+// poll the same value until the VM publishes again), so the index is
+// rebuilt once per publication, not once per poll.
+func (s *Scheduler) setKeys(reports []core.CacheMetrics) {
+	changed := false
+	for _, cm := range reports {
+		if old := s.cacheKeys[cm.VM]; len(old) != len(cm.Keys) || len(old) > 0 && &old[0] != &cm.Keys[0] {
+			s.cacheKeys[cm.VM] = cm.Keys
+			changed = true
+		}
+	}
+	if changed {
+		s.syncKeys()
+	}
+}
+
+// syncKeys rebuilds the view's key index from the keys each of its VMs
+// last advertised.
+func (s *Scheduler) syncKeys() {
+	v := &s.view
+	words := (len(v.vms) + 63) / 64
+	v.holders = make(map[string]int, len(v.holders))
+	v.bits = nil
+	for vm, name := range v.vms {
+		for _, k := range s.cacheKeys[name] {
+			o, ok := v.holders[k]
+			if !ok {
+				o = len(v.bits)
+				v.holders[k] = o
+				v.bits = append(v.bits, make([]uint64, words)...)
+			}
+			v.bits[o+vm/64] |= 1 << (vm % 64)
+		}
+	}
+}
+
+// indexPins rebuilds fn's pinned candidates in the view from pins.
+func (s *Scheduler) indexPins(fn string) {
+	v := &s.view
+	var p pinPool
+	for _, id := range s.pins[fn] {
+		if i, ok := v.indexOf(id); ok {
+			p.live = append(p.live, i)
+		}
+	}
+	p.pool = backpressure(p.live, v.healthy(nil, p.live))
+	v.pinned[fn] = p
 }
 
 // registryEntry is one fetched metrics capsule with its key.
@@ -1130,4 +1279,4 @@ func (s *Scheduler) Reexecutions() int64 { return s.reexecs }
 
 // KnownThreads reports the scheduler's current executor view size (test
 // hook).
-func (s *Scheduler) KnownThreads() int { return len(s.threads) }
+func (s *Scheduler) KnownThreads() int { return len(s.view.threads) }
