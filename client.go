@@ -103,19 +103,24 @@ func (cl *Client) Get(key string) (val any, found bool, err error) {
 
 // GetMany fetches several keys in bulk: one grouped multi-get round
 // trip per storage node instead of one round trip per key. Keys that
-// exist nowhere are simply absent from the result map.
+// exist nowhere are simply absent from the result map. Capsules decode
+// in argument order, so a decode error is the first failing key's, and
+// the map returned with it holds the found keys before that one.
 func (cl *Client) GetMany(keys ...string) (map[string]any, error) {
 	found, missing, err := cl.anna.MultiGet(keys)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]any, len(found))
-	for key, lat := range found {
+	out := make(map[string]any, len(keys))
+	for i, lat := range found {
+		if lat == nil {
+			continue
+		}
 		v, derr := cl.decodeCapsule(lat)
 		if derr != nil {
 			return out, derr
 		}
-		out[key] = v
+		out[keys[i]] = v
 	}
 	// A key can live only on a secondary replica during replication lag;
 	// retry misses through the single-key replica walk before concluding

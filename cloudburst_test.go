@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cloudburst/internal/core"
+	"cloudburst/internal/lattice"
 	"cloudburst/internal/simnet"
 )
 
@@ -282,6 +283,37 @@ func TestGetMany(t *testing.T) {
 		}
 		if got["mk-a"] != want["mk-a"] || got["mk-b"] != want["mk-b"] || string(got["mk-c"].([]byte)) != "vc" {
 			t.Fatalf("GetMany = %v", got)
+		}
+	})
+}
+
+// TestGetManyReportsFirstDecodeErrorInArgumentOrder: with two capsules
+// that fail to decode, GetMany reports the one that comes first among its
+// arguments, with only the found keys before it in the map — in either
+// argument order and on every repetition, not by map iteration luck.
+func TestGetManyReportsFirstDecodeErrorInArgumentOrder(t *testing.T) {
+	c := testCluster(t, DefaultConfig())
+	// Two unknown codec tags, so each error names its capsule.
+	c.Internal().KV.Preload("bad-x", lattice.NewLWW(lattice.Timestamp{Clock: 1}, []byte{0x00}))
+	c.Internal().KV.Preload("bad-y", lattice.NewLWW(lattice.Timestamp{Clock: 1}, []byte{0xf0}))
+	c.Run(func(cl *Client) {
+		if err := cl.Put("ok", "v"); err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 20; rep++ {
+			for _, tc := range []struct{ first, second, tag string }{
+				{"bad-x", "bad-y", "0x0"},
+				{"bad-y", "bad-x", "0xf0"},
+			} {
+				got, err := cl.GetMany("ok", tc.first, "ok-missing", tc.second)
+				if err == nil || !strings.HasSuffix(err.Error(), "unknown tag "+tc.tag) {
+					t.Fatalf("GetMany(ok, %s, ok-missing, %s) err = %v, want %s's unknown tag %s",
+						tc.first, tc.second, err, tc.first, tc.tag)
+				}
+				if len(got) != 1 || got["ok"] != "v" {
+					t.Fatalf("GetMany(ok, %s, ok-missing, %s) = %v with the error, want only ok", tc.first, tc.second, got)
+				}
+			}
 		}
 	})
 }

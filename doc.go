@@ -69,7 +69,11 @@
 //
 // Multi-key reads batch the same way: Client.GetMany (and the cache's
 // cold-read path under Invoke) issue one grouped multi-get round trip
-// per Anna storage node instead of one per key.
+// per Anna storage node instead of one per key. The keys are grouped by
+// primary owner, the groups fetched concurrently in ascending owner
+// order, and results returned by position; an unreachable owner's keys
+// fall back to the per-key replica walk. GetMany decodes in argument
+// order, so its first decode error is the first failing key's.
 //
 // The pre-Future Call* family (Call, CallAsync, CallDAG, CallDAGDetail,
 // CallDAGAsync) has been removed after one release as deprecated shims;

@@ -3,7 +3,7 @@ package anna
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"cloudburst/internal/lattice"
@@ -32,7 +32,8 @@ type Client struct {
 	kv       *KVS
 	ep       *simnet.Endpoint
 	timeout  time.Duration
-	mgetName string // precomputed process name for parallel group fetches
+	mgetName string       // precomputed process name for parallel group fetches
+	free     []*groupCall // idle grouped-call records
 
 	// Stats tallies this client's round trips.
 	Stats ClientStats
@@ -145,76 +146,168 @@ func (c *Client) PutAny(key string, lat lattice.Lattice) (int, error) {
 
 // MultiGet fetches many keys with one round trip per storage node,
 // grouping keys by their primary owner exactly as PublishKeyset
-// partitions keyset deltas. Keys whose primary answered not-found are
-// returned in missing without further probing — a key can still live on
-// a secondary during replication lag, so callers that need single-Get
-// semantics should retry missing keys through Get's replica walk. When
-// an owner is unreachable, its whole group falls back to per-key Gets.
-func (c *Client) MultiGet(keys []string) (found map[string]lattice.Lattice, missing []string, err error) {
+// partitions keyset deltas. found is aligned with keys: found[i] is
+// keys[i]'s lattice, nil when it was not found (a duplicated key gets
+// its own entry at each position). Keys whose primary answered
+// not-found are returned in missing without further probing — a key can
+// still live on a secondary during replication lag, so callers that need
+// single-Get semantics should retry missing keys through Get's replica
+// walk. When an owner is unreachable, its whole group falls back to
+// per-key Gets. missing lists keys group by group as the groups finish,
+// each group's in request order.
+func (c *Client) MultiGet(keys []string) (found []lattice.Lattice, missing []string, err error) {
 	if len(keys) == 0 {
 		return nil, nil, nil
 	}
 	if c.kv.ring.Size() == 0 {
 		return nil, nil, ErrUnavailable
 	}
-	byOwner := make(map[simnet.NodeID][]string)
-	for _, key := range keys {
-		o := c.kv.ring.PrimaryFor(key)
-		byOwner[o] = append(byOwner[o], key)
-	}
-	owners := make([]simnet.NodeID, 0, len(byOwner))
-	for o := range byOwner {
-		owners = append(owners, o)
-	}
-	sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
-	found = make(map[string]lattice.Lattice, len(keys))
+	call := c.getCall()
+	call.group(c.kv.ring, keys)
+	call.found = make([]lattice.Lattice, len(keys))
 	// One grouped call per owner, issued concurrently so total latency
 	// is the slowest node's round trip — the same overlap the per-key
 	// parallel reads had, with a fraction of the messages.
-	fetchGroup := func(o simnet.NodeID) {
-		group := byOwner[o]
-		size := 24
-		for _, k := range group {
-			size += 4 + len(k)
+	if len(call.groups) == 1 {
+		call.fetch(&call.groups[0])
+	} else {
+		for i := range call.groups {
+			call.wg.Add(1)
+			c.kv.k.GoRunner(c.mgetName, &call.groups[i])
 		}
-		c.Stats.MultiGetRPCs++
-		c.Stats.MultiGetKeys += int64(len(group))
-		resp, err := c.ep.Call(o, MultiGetReq{Keys: group}, size, c.timeout)
-		if err != nil {
-			// Primary down: the per-key path walks the replica list.
-			for _, k := range group {
-				lat, ok, gerr := c.Get(k)
-				if gerr != nil || !ok {
-					missing = append(missing, k)
-					continue
-				}
-				found[k] = lat
-			}
-			return
-		}
-		for _, e := range resp.(MultiGetResp).Entries {
-			if e.Found {
-				found[e.Key] = e.Lat
-			} else {
-				missing = append(missing, e.Key)
-			}
-		}
+		call.wg.Wait()
 	}
-	if len(owners) == 1 {
-		fetchGroup(owners[0])
-		return found, missing, nil
-	}
-	wg := vtime.NewWaitGroup(c.kv.k)
-	for _, o := range owners {
-		o := o
-		wg.Add(1)
-		c.kv.k.Go(c.mgetName, func() {
-			defer wg.Done()
-			fetchGroup(o)
-		})
-	}
-	wg.Wait()
+	found, missing = call.found, call.missing
+	c.putCall(call)
 	return found, missing, nil
+}
+
+// groupCall is one grouped call's working state: its keys regrouped by
+// primary owner and, for MultiGet, the per-owner fetches' results.
+// Records cycle through the client's free list, so a warm MultiGet
+// allocates only what leaves the call — the grouped keys, which ride in
+// the request bodies, and the results.
+type groupCall struct {
+	c       *Client
+	prim    []simnet.NodeID // scratch: the primary owner of each input key
+	pos     []int           // scratch: keys[j] is input key pos[j]
+	keys    []string        // the input keys, group by group; fresh per call
+	groups  []ownerGroup    // ascending owner order
+	found   []lattice.Lattice
+	missing []string
+	wg      *vtime.WaitGroup
+}
+
+// ownerGroup is one primary owner's run keys[lo:hi] of a groupCall, and
+// the kernel-process body (vtime.Runner) that fetches it.
+type ownerGroup struct {
+	call   *groupCall
+	owner  simnet.NodeID
+	lo, hi int
+}
+
+func (g *ownerGroup) Run() {
+	defer g.call.wg.Done()
+	g.call.fetch(g)
+}
+
+// keysOf returns g's keys, capped so no receiver can append into the
+// next group.
+func (g *ownerGroup) keysOf() []string { return g.call.keys[g.lo:g.hi:g.hi] }
+
+// maxScratchKeys bounds the per-key scratch a pooled record keeps
+// between calls. A function's reference list or a registry read fits; a
+// larger call (a VM's 1,000-key warm-up prefetch, a big keyset delta)
+// pays for fresh scratch rather than pin it for the client's lifetime.
+const maxScratchKeys = 64
+
+// getCall takes a record off the free list, or makes one.
+func (c *Client) getCall() *groupCall {
+	if n := len(c.free); n > 0 {
+		g := c.free[n-1]
+		c.free = c.free[:n-1]
+		return g
+	}
+	return &groupCall{c: c, wg: vtime.NewWaitGroup(c.kv.k)}
+}
+
+// putCall returns a record to the free list once every fetch of its call
+// has finished, dropping what belongs to the caller and oversized scratch.
+func (c *Client) putCall(g *groupCall) {
+	g.keys, g.found, g.missing = nil, nil, nil
+	if cap(g.prim) > maxScratchKeys {
+		g.prim, g.pos = nil, nil
+	}
+	c.free = append(c.free, g)
+}
+
+// group partitions keys by primary owner without a map: one pass records
+// each key's primary and collects the distinct owners in ascending order,
+// a second fills a fresh key buffer group by group, keys in input order
+// within a group (duplicates included).
+func (g *groupCall) group(r *Ring, keys []string) {
+	g.prim, g.pos, g.groups = g.prim[:0], g.pos[:0], g.groups[:0]
+	for _, key := range keys {
+		o := r.PrimaryFor(key)
+		g.prim = append(g.prim, o)
+		i := 0
+		for i < len(g.groups) && g.groups[i].owner < o {
+			i++
+		}
+		if i == len(g.groups) || g.groups[i].owner != o {
+			g.groups = slices.Insert(g.groups, i, ownerGroup{call: g, owner: o})
+		}
+		g.groups[i].hi++ // a count until the offsets below
+	}
+	lo := 0
+	for i := range g.groups {
+		n := g.groups[i].hi
+		g.groups[i].lo, g.groups[i].hi = lo, lo // hi is now the fill cursor
+		lo += n
+	}
+	g.keys = make([]string, len(keys))
+	g.pos = slices.Grow(g.pos, len(keys))[:len(keys)]
+	for i, o := range g.prim {
+		grp := &g.groups[0]
+		for j := 1; grp.owner != o; j++ {
+			grp = &g.groups[j]
+		}
+		g.keys[grp.hi], g.pos[grp.hi] = keys[i], i
+		grp.hi++
+	}
+}
+
+// fetch reads one owner group with a single MultiGetReq into the call's
+// positional results, or walks each key's replicas when the owner is down.
+func (g *groupCall) fetch(grp *ownerGroup) {
+	c := g.c
+	keys := grp.keysOf()
+	size := 24
+	for _, k := range keys {
+		size += 4 + len(k)
+	}
+	c.Stats.MultiGetRPCs++
+	c.Stats.MultiGetKeys += int64(len(keys))
+	resp, err := c.ep.Call(grp.owner, MultiGetReq{Keys: keys}, size, c.timeout)
+	if err != nil {
+		// Primary down: the per-key path walks the replica list.
+		for j, k := range keys {
+			lat, ok, gerr := c.Get(k)
+			if gerr != nil || !ok {
+				g.missing = append(g.missing, k)
+				continue
+			}
+			g.found[g.pos[grp.lo+j]] = lat
+		}
+		return
+	}
+	for j, e := range resp.(MultiGetResp).Entries {
+		if e.Found {
+			g.found[g.pos[grp.lo+j]] = e.Lat
+		} else {
+			g.missing = append(g.missing, e.Key)
+		}
+	}
 }
 
 // Delete removes key from all owners (operational delete; see DeleteReq).
@@ -274,39 +367,35 @@ func (c *Client) RemoveFromSet(key string, elems []string) error {
 // primary owner (the index is partitioned with the key space, §4.2).
 // Fire-and-forget.
 func (c *Client) PublishKeyset(cache simnet.NodeID, added, removed []string) {
-	type delta struct{ add, rm []string }
-	byOwner := make(map[simnet.NodeID]*delta)
-	group := func(keys []string, rm bool) {
-		for _, key := range keys {
-			o := c.kv.ring.PrimaryFor(key)
-			d, ok := byOwner[o]
-			if !ok {
-				d = &delta{}
-				byOwner[o] = d
-			}
-			if rm {
-				d.rm = append(d.rm, key)
-			} else {
-				d.add = append(d.add, key)
-			}
+	add, rm := c.getCall(), c.getCall()
+	add.group(c.kv.ring, added)
+	rm.group(c.kv.ring, removed)
+	// Merge the two ascending group tables: one update per owner, sent in
+	// ascending owner order.
+	ga, gr := add.groups, rm.groups
+	for len(ga) > 0 || len(gr) > 0 {
+		var o simnet.NodeID
+		if len(gr) == 0 || len(ga) > 0 && ga[0].owner < gr[0].owner {
+			o = ga[0].owner
+		} else {
+			o = gr[0].owner
 		}
-	}
-	group(added, false)
-	group(removed, true)
-	owners := make([]simnet.NodeID, 0, len(byOwner))
-	for o := range byOwner {
-		owners = append(owners, o)
-	}
-	sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
-	for _, o := range owners {
-		d := byOwner[o]
+		var a, r []string
+		if len(ga) > 0 && ga[0].owner == o {
+			a, ga = ga[0].keysOf(), ga[1:]
+		}
+		if len(gr) > 0 && gr[0].owner == o {
+			r, gr = gr[0].keysOf(), gr[1:]
+		}
 		size := 16
-		for _, s := range d.add {
+		for _, s := range a {
 			size += len(s)
 		}
-		for _, s := range d.rm {
+		for _, s := range r {
 			size += len(s)
 		}
-		c.ep.Send(o, KeysetUpdate{Cache: cache, Added: d.add, Removed: d.rm}, size)
+		c.ep.Send(o, KeysetUpdate{Cache: cache, Added: a, Removed: r}, size)
 	}
+	c.putCall(add)
+	c.putCall(rm)
 }

@@ -40,8 +40,11 @@ type MultiGetReq struct {
 
 // MultiGetEntry is one key's answer in a MultiGetResp.
 type MultiGetEntry struct {
-	Key   string
-	Lat   lattice.Lattice // clone owned by the receiver; nil when !Found
+	Key string
+	// Lat is nil when !Found. The receiver owns it as it would a clone;
+	// a reply's LWW shells share one backing array, and payloads are
+	// shared with the store.
+	Lat   lattice.Lattice
 	Found bool
 }
 

@@ -1,0 +1,406 @@
+package anna
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"cloudburst/internal/lattice"
+	"cloudburst/internal/simnet"
+	"cloudburst/internal/vtime"
+)
+
+// oracleGroup is one owner's keys under the map-plus-sort grouping that
+// MultiGet and PublishKeyset used before groupCall: a map from primary
+// owner to the keys it owns, appended in input order, and the owners
+// sorted ascending. It survives only here, as the oracle.
+type oracleGroup struct {
+	owner simnet.NodeID
+	keys  []string
+}
+
+func oracleGroups(r *Ring, keys []string) []oracleGroup {
+	byOwner := make(map[simnet.NodeID][]string)
+	for _, key := range keys {
+		o := r.PrimaryFor(key)
+		byOwner[o] = append(byOwner[o], key)
+	}
+	owners := make([]simnet.NodeID, 0, len(byOwner))
+	for o := range byOwner {
+		owners = append(owners, o)
+	}
+	sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
+	out := make([]oracleGroup, len(owners))
+	for i, o := range owners {
+		out[i] = oracleGroup{o, byOwner[o]}
+	}
+	return out
+}
+
+// oracleMultiGet is MultiGet as it was built on oracleGroups: a found
+// map, one closure per owner group and a fresh WaitGroup per call. Same
+// sends, spawns and process names, so a kernel running it draws the same
+// random numbers as one running MultiGet.
+func oracleMultiGet(c *Client, keys []string) (found map[string]lattice.Lattice, missing []string) {
+	groups := oracleGroups(c.kv.ring, keys)
+	found = make(map[string]lattice.Lattice, len(keys))
+	fetchGroup := func(g oracleGroup) {
+		size := 24
+		for _, k := range g.keys {
+			size += 4 + len(k)
+		}
+		c.Stats.MultiGetRPCs++
+		c.Stats.MultiGetKeys += int64(len(g.keys))
+		resp, err := c.ep.Call(g.owner, MultiGetReq{Keys: g.keys}, size, c.timeout)
+		if err != nil {
+			for _, k := range g.keys {
+				lat, ok, gerr := c.Get(k)
+				if gerr != nil || !ok {
+					missing = append(missing, k)
+					continue
+				}
+				found[k] = lat
+			}
+			return
+		}
+		for _, e := range resp.(MultiGetResp).Entries {
+			if e.Found {
+				found[e.Key] = e.Lat
+			} else {
+				missing = append(missing, e.Key)
+			}
+		}
+	}
+	if len(groups) == 1 {
+		fetchGroup(groups[0])
+		return found, missing
+	}
+	wg := vtime.NewWaitGroup(c.kv.k)
+	for _, g := range groups {
+		wg.Add(1)
+		c.kv.k.Go(c.mgetName, func() {
+			defer wg.Done()
+			fetchGroup(g)
+		})
+	}
+	wg.Wait()
+	return found, missing
+}
+
+// TestGroupingMatchesMapOracle holds groupCall.group to oracleGroups over
+// random key lists with duplicates on rings of 1-8 nodes: the same
+// groups in the same owner order, each group's keys in input order, and
+// a position map that points every grouped key back at its input slot.
+func TestGroupingMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for nodes := 1; nodes <= 8; nodes++ {
+		r := NewRing(1, 16)
+		for i := 0; i < nodes; i++ {
+			r.AddNode(simnet.NodeID(fmt.Sprintf("anna-%d", i)))
+		}
+		c := &Client{kv: &KVS{ring: r}}
+		for trial := 0; trial < 50; trial++ {
+			keys := randomKeyList(rng, 40)
+			g := c.getCall()
+			g.group(r, keys)
+			want := oracleGroups(r, keys)
+			if len(g.groups) != len(want) {
+				t.Fatalf("%d nodes, keys %v: %d groups, oracle %d", nodes, keys, len(g.groups), len(want))
+			}
+			for i, grp := range g.groups {
+				if grp.owner != want[i].owner || !slices.Equal(grp.keysOf(), want[i].keys) {
+					t.Fatalf("%d nodes, keys %v: group %d = %s %v, oracle %s %v",
+						nodes, keys, i, grp.owner, grp.keysOf(), want[i].owner, want[i].keys)
+				}
+			}
+			if len(g.keys) != len(keys) {
+				t.Fatalf("grouped %d of %d keys", len(g.keys), len(keys))
+			}
+			for j, key := range g.keys {
+				if keys[g.pos[j]] != key {
+					t.Fatalf("grouped key %d = %q, but pos points at input %d = %q", j, key, g.pos[j], keys[g.pos[j]])
+				}
+			}
+			c.putCall(g)
+		}
+	}
+}
+
+// randomKeyList draws 1..max keys from a small universe of stored
+// ("k-N") and absent ("absent-N") names, so duplicates are common.
+func randomKeyList(rng *rand.Rand, max int) []string {
+	keys := make([]string, 1+rng.Intn(max))
+	for i := range keys {
+		if rng.Intn(4) == 0 {
+			keys[i] = fmt.Sprintf("absent-%d", rng.Intn(6))
+		} else {
+			keys[i] = fmt.Sprintf("k-%d", rng.Intn(24))
+		}
+	}
+	return keys
+}
+
+// mgetObservation is everything one multi-get call exposes: the value at
+// each position ("" for nil), missing in order, the client's counters and
+// the virtual time the call returned at.
+type mgetObservation struct {
+	found   []string
+	missing []string
+	stats   ClientStats
+	now     vtime.Time
+}
+
+// runMultiGets preloads k-0..k-23 on a fresh cluster of the given shape,
+// optionally takes the primary of key down first, issues the lists one
+// after another through MultiGet or the oracle, and reports each call and
+// the kernel's next random draw.
+func runMultiGets(t *testing.T, seed int64, nodes, replication int, down string, lists [][]string, oracle bool) ([]mgetObservation, int64) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Nodes, cfg.Replication = nodes, replication
+	k := vtime.NewKernel(seed)
+	defer k.Stop()
+	net := simnet.New(k, simnet.Link{Latency: simnet.LogNormal{Med: 200 * time.Microsecond, Sigma: 0.5}})
+	kv := NewKVS(k, net, cfg)
+	cl := kv.NewClient(net.AddNode("test-client"), 0)
+	for i := 0; i < 24; i++ {
+		key := fmt.Sprintf("k-%d", i)
+		kv.Preload(key, lattice.NewLWW(lattice.Timestamp{Clock: 1}, []byte(key+"!")))
+	}
+	if down != "" {
+		net.SetDown(kv.Ring().PrimaryFor(down), true)
+	}
+	var obs []mgetObservation
+	k.Run("main", func() {
+		for _, keys := range lists {
+			var o mgetObservation
+			var lats []lattice.Lattice
+			if oracle {
+				m, missing := oracleMultiGet(cl, keys)
+				for _, key := range keys {
+					lats = append(lats, m[key])
+				}
+				o.missing = missing
+			} else {
+				found, missing, err := cl.MultiGet(keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lats, o.missing = found, missing
+			}
+			if len(lats) != len(keys) {
+				t.Fatalf("found has %d entries for %d keys", len(lats), len(keys))
+			}
+			for _, lat := range lats {
+				v := ""
+				if lat != nil {
+					v = string(lat.(*lattice.LWW).Value)
+				}
+				o.found = append(o.found, v)
+			}
+			o.stats, o.now = cl.Stats, k.Now()
+			obs = append(obs, o)
+		}
+	})
+	return obs, k.Rand().Int63()
+}
+
+// TestMultiGetMatchesMapOracle runs the same seeded call sequences through
+// MultiGet and the map-based oracle on identical clusters of 1-8 storage
+// nodes: every position's value, missing in order, the RPC and key
+// counters, the virtual time of each return and the kernel's next random
+// draw must agree. Results must also be aligned: a stored key's slot
+// holds its own value, an absent key's slot is nil.
+func TestMultiGetMatchesMapOracle(t *testing.T) {
+	for nodes := 1; nodes <= 8; nodes++ {
+		seed := int64(100 + nodes)
+		rng := rand.New(rand.NewSource(seed))
+		lists := make([][]string, 12)
+		for i := range lists {
+			lists[i] = randomKeyList(rng, 30)
+		}
+		got, gotDraw := runMultiGets(t, seed, nodes, 1, "", lists, false)
+		want, wantDraw := runMultiGets(t, seed, nodes, 1, "", lists, true)
+		if !reflect.DeepEqual(got, want) || gotDraw != wantDraw {
+			t.Fatalf("%d nodes: MultiGet diverged from the oracle\n got %+v (next draw %d)\nwant %+v (next draw %d)",
+				nodes, got, gotDraw, want, wantDraw)
+		}
+		for i, keys := range lists {
+			for j, key := range keys {
+				stored := key[0] == 'k'
+				if v := got[i].found[j]; stored && v != key+"!" || !stored && v != "" {
+					t.Fatalf("%d nodes, call %d: slot %d (%s) = %q", nodes, i, j, key, v)
+				}
+			}
+		}
+	}
+}
+
+// TestMultiGetFallbackKeepsPositions takes one primary down among several
+// owner groups: its group's keys come back through the per-key replica
+// walk into their own slots, and missing keeps the oracle's order — the
+// live groups' absent keys as their replies land, then the down group's
+// in input order, last because its call has to time out first.
+func TestMultiGetFallbackKeepsPositions(t *testing.T) {
+	keys := []string{"k-3", "absent-1", "k-7", "k-11", "absent-2", "k-3", "k-19", "absent-4", "k-0", "k-15", "absent-5"}
+	lists := [][]string{keys}
+	for _, down := range []string{"k-3", "k-7", "k-19"} {
+		got, gotDraw := runMultiGets(t, 5, 4, 2, down, lists, false)
+		want, wantDraw := runMultiGets(t, 5, 4, 2, down, lists, true)
+		if !reflect.DeepEqual(got, want) || gotDraw != wantDraw {
+			t.Fatalf("down %s: MultiGet diverged from the oracle\n got %+v\nwant %+v", down, got, want)
+		}
+		o := got[0]
+		if o.stats.MultiGetRPCs < 2 || o.stats.GetRPCs == 0 {
+			t.Fatalf("down %s: %d grouped calls, %d per-key gets; want several groups and a fallback", down, o.stats.MultiGetRPCs, o.stats.GetRPCs)
+		}
+		var absent []string
+		for j, key := range keys {
+			if stored := key[0] == 'k'; stored && o.found[j] != key+"!" || !stored && o.found[j] != "" {
+				t.Fatalf("down %s: slot %d (%s) = %q", down, j, key, o.found[j])
+			}
+			if key[0] == 'a' {
+				absent = append(absent, key)
+			}
+		}
+		if !slices.Equal(slices.Sorted(slices.Values(o.missing)), slices.Sorted(slices.Values(absent))) {
+			t.Fatalf("down %s: missing = %v, want the absent keys %v", down, o.missing, absent)
+		}
+		// The down group's absent keys close the list, in input order.
+		r := NewRing(2, DefaultConfig().VNodesPerNode)
+		for i := 0; i < 4; i++ {
+			r.AddNode(simnet.NodeID(fmt.Sprintf("anna-%d", i)))
+		}
+		var downAbsent []string
+		for _, key := range absent {
+			if r.PrimaryFor(key) == r.PrimaryFor(down) {
+				downAbsent = append(downAbsent, key)
+			}
+		}
+		if tail := o.missing[len(o.missing)-len(downAbsent):]; !slices.Equal(tail, downAbsent) {
+			t.Fatalf("down %s: missing = %v, want it to end with %v", down, o.missing, downAbsent)
+		}
+	}
+}
+
+// TestPublishKeysetMatchesMapOracle: one KeysetUpdate per owner, in
+// ascending owner order, each carrying that owner's added and removed
+// keys in input order (nil when it has none) — what the map-plus-sort
+// partition sent.
+func TestPublishKeysetMatchesMapOracle(t *testing.T) {
+	type update struct {
+		to  simnet.NodeID
+		msg KeysetUpdate
+	}
+	rng := rand.New(rand.NewSource(11))
+	for nodes := 1; nodes <= 8; nodes++ {
+		k := vtime.NewKernel(1)
+		net := simnet.New(k, simnet.Link{Latency: simnet.Constant(100 * time.Microsecond)})
+		r := NewRing(1, 16)
+		var log []update
+		for i := 0; i < nodes; i++ {
+			id := simnet.NodeID(fmt.Sprintf("anna-%d", i))
+			r.AddNode(id)
+			ep := net.AddNode(id)
+			k.Go(string(id), func() {
+				for {
+					m := ep.Recv()
+					log = append(log, update{id, m.Payload.(KeysetUpdate)})
+				}
+			})
+		}
+		c := (&KVS{k: k, ring: r}).NewClient(net.AddNode("cache-0"), 0)
+		for trial := 0; trial < 20; trial++ {
+			added, removed := randomKeyList(rng, 20), randomKeyList(rng, 20)
+			switch trial % 5 {
+			case 0:
+				added = nil
+			case 1:
+				removed = nil
+			}
+			var want []update
+			add, rm := oracleGroups(r, added), oracleGroups(r, removed)
+			for len(add) > 0 || len(rm) > 0 {
+				var u update
+				if len(rm) == 0 || len(add) > 0 && add[0].owner <= rm[0].owner {
+					u.to = add[0].owner
+				} else {
+					u.to = rm[0].owner
+				}
+				u.msg.Cache = "cache-0"
+				if len(add) > 0 && add[0].owner == u.to {
+					u.msg.Added, add = add[0].keys, add[1:]
+				}
+				if len(rm) > 0 && rm[0].owner == u.to {
+					u.msg.Removed, rm = rm[0].keys, rm[1:]
+				}
+				want = append(want, u)
+			}
+			log = log[:0]
+			k.Run("publish", func() {
+				c.PublishKeyset("cache-0", added, removed)
+				k.Sleep(time.Millisecond)
+			})
+			if !reflect.DeepEqual(log, want) {
+				t.Fatalf("%d nodes: added %v removed %v\n sent %+v\n want %+v", nodes, added, removed, log, want)
+			}
+		}
+		k.Stop()
+	}
+}
+
+// TestMultiGetAllocations pins the grouped read's cost on a warm client:
+// 10 LWW keys over 4 owner groups allocate the key buffer and found once
+// per call, then per group the request body, the reply's entries, its one
+// shell array and the boxed reply — nothing per key, no map, closure,
+// WaitGroup or sort.
+func TestMultiGetAllocations(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 6
+	k, _, kv, cl := harness(t, cfg)
+	var keys []string
+	owners := map[simnet.NodeID]bool{}
+	for i := 0; len(keys) < 10; i++ {
+		key := fmt.Sprintf("alloc-%d", i)
+		o := kv.Ring().PrimaryFor(key)
+		if !owners[o] && len(owners) == 4 {
+			continue
+		}
+		owners[o] = true
+		keys = append(keys, key)
+		kv.Preload(key, lattice.NewLWW(lattice.Timestamp{Clock: 1}, make([]byte, 64)))
+	}
+	const groups = 4
+	calls := 0
+	body := func() {
+		for i := 0; i < calls; i++ {
+			found, missing, err := cl.MultiGet(keys)
+			if err != nil || len(missing) != 0 || found[9] == nil {
+				t.Fatalf("MultiGet = %d found, missing %v, %v", len(found), missing, err)
+			}
+		}
+	}
+	run := func() { k.Run("mget", body) }
+	calls = 50
+	run() // warm the client's records, the kernel's processes and the pools
+	before := cl.Stats.MultiGetRPCs
+	// The difference between 100 and 50 calls per Run is 50 calls' cost,
+	// without what one Run and the nodes' idle ticks cost.
+	base := testing.AllocsPerRun(5, run)
+	calls = 100
+	got := (testing.AllocsPerRun(5, run) - base) / 50
+	if rpcs := (cl.Stats.MultiGetRPCs - before) / (6*50 + 6*100); rpcs != groups {
+		t.Fatalf("%d grouped calls per MultiGet, want %d", rpcs, groups)
+	}
+	// Rounded: the kernel's and network's shared tables still grow now and
+	// then (a few hundredths of an allocation per call), a cost of the
+	// pools, not of MultiGet.
+	if want := float64(2 + 4*groups); math.Round(got) != want {
+		t.Fatalf("MultiGet of 10 keys in %d groups: %.2f allocations, want %.0f", groups, got, want)
+	}
+}

@@ -157,19 +157,32 @@ func (n *Node) handleGet(req *simnet.Request, b GetReq) {
 func (n *Node) handleMultiGet(req *simnet.Request, b MultiGetReq) {
 	// One round trip, full per-key service cost: batching saves
 	// network round trips and per-request overhead, not server CPU.
-	entries := make([]MultiGetEntry, 0, len(b.Keys))
+	entries := make([]MultiGetEntry, len(b.Keys))
+	// Clone-on-egress, batched: the reply's LWW capsule shells share one
+	// backing array (one allocation per reply, not per key), each entry
+	// owning its element; payloads stay shared as LWW.Clone shares them.
+	var shells []lattice.LWW
 	var svc time.Duration
 	size := 24
-	for _, key := range b.Keys {
+	for i, key := range b.Keys {
 		n.ops++
+		entries[i].Key = key
 		e, fromDisk := n.st.get(key, n.k.Now())
 		if e == nil {
 			svc += n.serviceTime(n.cfg.GetServiceTime, fromDisk, 0)
-			entries = append(entries, MultiGetEntry{Key: key})
 			continue
 		}
 		svc += n.serviceTime(n.cfg.GetServiceTime, fromDisk, e.size)
-		entries = append(entries, MultiGetEntry{Key: key, Lat: e.lat.Clone(), Found: true})
+		if l, ok := e.lat.(*lattice.LWW); ok {
+			if shells == nil {
+				shells = make([]lattice.LWW, 0, len(b.Keys)-i)
+			}
+			shells = append(shells, *l)
+			entries[i].Lat = &shells[len(shells)-1]
+		} else {
+			entries[i].Lat = e.lat.Clone()
+		}
+		entries[i].Found = true
 		size += 24 + e.size
 	}
 	n.k.Sleep(svc)

@@ -26,7 +26,7 @@ func (c *Client) GetT(ctx trace.Ctx, key string) (lattice.Lattice, bool, error) 
 
 // MultiGetT is MultiGet with the grouped fan-out recorded as an
 // "anna/multiget" span.
-func (c *Client) MultiGetT(ctx trace.Ctx, keys []string) (map[string]lattice.Lattice, []string, error) {
+func (c *Client) MultiGetT(ctx trace.Ctx, keys []string) ([]lattice.Lattice, []string, error) {
 	if !ctx.Enabled() {
 		return c.MultiGet(keys)
 	}

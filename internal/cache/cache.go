@@ -364,14 +364,15 @@ func (c *Cache) Delete(key string) error {
 }
 
 // Prefetch warm-fills the local store for a read set with one grouped
-// Anna multi-get (§4.2 fan-out collapse): only keys absent locally are
-// fetched, grouped by their primary storage node, so a cold read of N
-// keys costs one round trip per owning node instead of N. The fill is
-// best-effort — keys the grouped fetch misses (replication lag, an
-// unreachable primary) are simply left to the per-key Read path, whose
-// protocol (and its consistency obligations) is unchanged. In the
-// causal modes each installed capsule maintains the local causal cut,
-// exactly as a per-key fill would.
+// Anna multi-get (§4.2 fan-out collapse): the keys absent locally, in
+// sorted order, go out as one MultiGetReq per primary storage node, all
+// in flight together, so a cold read of N keys costs one round trip per
+// owning node instead of N. Results come back by position and install
+// in sorted key order. The fill is best-effort — keys the grouped fetch
+// misses (replication lag, an unreachable primary) are simply left to
+// the per-key Read path, whose protocol (and its consistency
+// obligations) is unchanged. In the causal modes each installed capsule
+// maintains the local causal cut, exactly as a per-key fill would.
 func (c *Cache) Prefetch(keys []string) {
 	c.mu.Lock()
 	missing := make([]string, 0, len(keys))
@@ -390,9 +391,9 @@ func (c *Cache) Prefetch(keys []string) {
 		return
 	}
 	c.Stats.Prefetches++
-	for _, k := range missing {
-		lat, ok := got[k]
-		if !ok {
+	for i, k := range missing {
+		lat := got[i]
+		if lat == nil {
 			continue
 		}
 		if c.cfg.Mode == core.MK || c.cfg.Mode == core.DSC {

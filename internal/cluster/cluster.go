@@ -118,9 +118,13 @@ type Cluster struct {
 	schedulers   []*scheduler.Scheduler
 	routeScratch []schedRank
 	vms          map[string]*VMHandle
-	pending      int
-	nextVM       int
-	nextClient   int
+	// vmList holds the live VMs sorted by name. addVM and removeVM
+	// replace it and never write into it, so a slice VMs returned stays
+	// unchanged while its caller kills or boots VMs.
+	vmList     []*VMHandle
+	pending    int
+	nextVM     int
+	nextClient int
 
 	dagCache  map[string]*dag.Index
 	dagClient *anna.Client
@@ -286,8 +290,24 @@ func (c *Cluster) bootVMNamed(name string) *VMHandle {
 	h.nodeIDs = append(h.nodeIDs, metricsEP.ID())
 	h.eps = append(h.eps, metricsEP)
 	h.VM.Start()
-	c.vms[name] = h
+	c.addVM(h)
 	return h
+}
+
+// addVM adds h to the live inventory.
+func (c *Cluster) addVM(h *VMHandle) {
+	c.vms[h.Name] = h
+	i, _ := slices.BinarySearchFunc(c.vmList, h.Name, func(v *VMHandle, name string) int {
+		return strings.Compare(v.Name, name)
+	})
+	c.vmList = slices.Clip(slices.Concat(c.vmList[:i], []*VMHandle{h}, c.vmList[i:]))
+}
+
+// removeVM drops the live VM h from the inventory.
+func (c *Cluster) removeVM(h *VMHandle) {
+	delete(c.vms, h.Name)
+	i := slices.Index(c.vmList, h)
+	c.vmList = slices.Clip(slices.Concat(c.vmList[:i], c.vmList[i+1:]))
 }
 
 // dagFor resolves DAG topologies for executors, memoizing Anna lookups
@@ -361,7 +381,7 @@ func (c *Cluster) stopVM(name string) {
 		c.Net.SetDown(id, true)
 		c.down[id] = true
 	}
-	delete(c.vms, name)
+	c.removeVM(h)
 	// A deliberate deallocation reaps immediately: there is no replacement
 	// coming to trigger it later.
 	c.reapGeneration(h)
@@ -395,7 +415,7 @@ func (c *Cluster) KillVM(name string) {
 		c.Net.SetDown(id, true)
 		c.down[id] = true
 	}
-	delete(c.vms, name)
+	c.removeVM(h)
 	c.killed[name] = true
 	c.deadGens[name] = h
 }
@@ -543,12 +563,11 @@ func (c *Cluster) warmFill(h *VMHandle, base string) {
 		return
 	}
 	var peer simnet.NodeID
-	for _, name := range c.vmNames() {
-		if name == h.Name {
-			continue
+	for _, v := range c.vmList {
+		if v != h {
+			peer = v.Cache.ID()
+			break
 		}
-		peer = c.vms[name].Cache.ID()
-		break
 	}
 	if peer != "" && len(seed.Keys) > 0 {
 		h.Cache.WarmFill(peer, seed.Keys)
@@ -575,8 +594,8 @@ func (c *Cluster) PendingVMs() int { return c.pending }
 // Threads lists live executor threads in deterministic order.
 func (c *Cluster) Threads() []simnet.NodeID {
 	var out []simnet.NodeID
-	for _, name := range c.vmNames() {
-		for _, t := range c.vms[name].Threads {
+	for _, h := range c.vmList {
+		for _, t := range h.Threads {
 			out = append(out, t.ID())
 		}
 	}
@@ -586,22 +605,17 @@ func (c *Cluster) Threads() []simnet.NodeID {
 // ThreadCount reports the number of live executor threads.
 func (c *Cluster) ThreadCount() int { return len(c.Threads()) }
 
-// VMs lists live VM handles in deterministic order.
-func (c *Cluster) VMs() []*VMHandle {
-	names := c.vmNames()
-	out := make([]*VMHandle, 0, len(names))
-	for _, n := range names {
-		out = append(out, c.vms[n])
-	}
-	return out
-}
+// VMs lists live VM handles sorted by name. The slice is a shared
+// snapshot and read-only: booting, stopping or killing a VM replaces the
+// cluster's list and leaves this one unchanged.
+func (c *Cluster) VMs() []*VMHandle { return c.vmList }
 
+// vmNames lists live VM names in sorted order.
 func (c *Cluster) vmNames() []string {
-	out := make([]string, 0, len(c.vms))
-	for n := range c.vms {
-		out = append(out, n)
+	out := make([]string, 0, len(c.vmList))
+	for _, h := range c.vmList {
+		out = append(out, h.Name)
 	}
-	sort.Strings(out)
 	return out
 }
 

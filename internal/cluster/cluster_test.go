@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -161,6 +162,62 @@ func TestThreadsDeterministicOrder(t *testing.T) {
 		if a[i-1] >= a[i] {
 			t.Fatalf("threads not sorted: %v", a)
 		}
+	}
+}
+
+// TestVMsSnapshotSurvivesKillAndScaleUp: VMs returns a shared read-only
+// snapshot that a kill, a stop or a scale-up replaces rather than edits,
+// so a caller iterating one (the fault injector kills as it iterates)
+// sees the inventory as it was when it asked. The snapshot costs nothing
+// to take and stays sorted by name.
+func TestVMsSnapshotSurvivesKillAndScaleUp(t *testing.T) {
+	c := testCluster(t, func(cfg *Config) { cfg.InitialVMs = 3 })
+	sorted := func(vms []*VMHandle) bool {
+		return slices.IsSortedFunc(vms, func(a, b *VMHandle) int { return strings.Compare(a.Name, b.Name) })
+	}
+	c.K.Run("main", func() {
+		before := c.VMs()
+		want := slices.Clone(before)
+		for _, h := range before {
+			if h.Name == "vm1" {
+				c.KillVM(h.Name)
+			}
+		}
+		if !slices.Equal(before, want) {
+			t.Fatalf("kill edited the snapshot: %v", before)
+		}
+		afterKill := c.VMs()
+		if len(afterKill) != 2 || !sorted(afterKill) {
+			t.Fatalf("after kill: %d VMs, sorted=%v", len(afterKill), sorted(afterKill))
+		}
+		wantAfterKill := slices.Clone(afterKill)
+		// vm3..vm9, then vm10 and vm11, which sort between vm0 and vm2:
+		// an insert into a list with spare capacity would shift the middle
+		// snapshot's elements.
+		c.AddVMs(7)
+		c.K.Sleep(11 * time.Second)
+		mid := c.VMs()
+		wantMid := slices.Clone(mid)
+		c.AddVMs(2)
+		c.K.Sleep(11 * time.Second)
+		if !slices.Equal(before, want) || !slices.Equal(afterKill, wantAfterKill) || !slices.Equal(mid, wantMid) {
+			t.Fatal("scale-up edited an earlier snapshot")
+		}
+		grown := c.VMs()
+		if len(grown) != 11 || !sorted(grown) {
+			t.Fatalf("after scale-up: %d VMs, sorted=%v", len(grown), sorted(grown))
+		}
+		wantGrown := slices.Clone(grown)
+		c.RemoveVMs(3)
+		if !slices.Equal(grown, wantGrown) {
+			t.Fatal("stopping VMs edited an earlier snapshot")
+		}
+		if n := len(c.VMs()); n != 8 || !sorted(c.VMs()) {
+			t.Fatalf("after stop: %d VMs", n)
+		}
+	})
+	if n := testing.AllocsPerRun(100, func() { c.VMs() }); n != 0 {
+		t.Fatalf("VMs allocates %.1f times per call, want 0", n)
 	}
 }
 

@@ -23,7 +23,9 @@ type Lattice interface {
 	// Version). Stores clone on ingest and egress so that nodes in the
 	// simulated cluster never alias each other's mutable state; sharing
 	// the immutable parts is what keeps that discipline cheap at
-	// 80MB-array scale and under causal metadata.
+	// 80MB-array scale and under causal metadata. Batched egress (Anna's
+	// multi-get reply) copies LWW shells into one backing array instead
+	// of calling Clone per key: the same copy, one allocation per reply.
 	Clone() Lattice
 	// ByteSize estimates the serialized size in bytes, used for
 	// bandwidth accounting and the metadata-overhead measurements in

@@ -387,12 +387,8 @@ func (m *Monitor) fetchRegistry(keys []string) []any {
 		return nil
 	}
 	out := make([]any, 0, len(got))
-	for _, key := range keys {
-		lat, ok := got[key]
-		if !ok {
-			continue
-		}
-		l, ok := lat.(*lattice.LWW)
+	for i, key := range keys {
+		l, ok := got[i].(*lattice.LWW)
 		if !ok {
 			continue
 		}

@@ -139,8 +139,8 @@ func (s *shard) scan(m *Monitor, execKeys, schedKeys []string, live map[simnet.N
 	if err != nil {
 		return res
 	}
-	for _, key := range execKeys {
-		l, ok := got[key].(*lattice.LWW)
+	for i, key := range execKeys {
+		l, ok := got[i].(*lattice.LWW)
 		if !ok {
 			continue
 		}
@@ -157,8 +157,9 @@ func (s *shard) scan(m *Monitor, execKeys, schedKeys []string, live map[simnet.N
 			res.pins[fn] = append(res.pins[fn], em.Thread)
 		}
 	}
-	for _, key := range schedKeys {
-		l, ok := got[key].(*lattice.LWW)
+	schedGot := got[len(execKeys):] // keys lists execKeys, then schedKeys
+	for i, key := range schedKeys {
+		l, ok := schedGot[i].(*lattice.LWW)
 		if !ok {
 			continue
 		}

@@ -1077,9 +1077,9 @@ func (s *Scheduler) fetchRegistry(set *lattice.Set) []registryEntry {
 		return nil
 	}
 	out := make([]registryEntry, 0, len(got))
-	for _, key := range keys {
-		if lat, ok := got[key]; ok {
-			out = append(out, registryEntry{key: key, lat: lat})
+	for i, key := range keys {
+		if got[i] != nil {
+			out = append(out, registryEntry{key: key, lat: got[i]})
 		}
 	}
 	return out
