@@ -123,12 +123,6 @@ type Config struct {
 	// across that many concurrent scanner endpoints with incremental
 	// counter aggregation.
 	MonitorShards int
-	// ShadowSingles replicates each scheduler shard's single-invocation
-	// §4.5 tracking entries to a rendezvous-hashed peer shard, so a
-	// single survives the death of the very scheduler that accepted it.
-	// Needs Schedulers ≥ 2; off by default (the shadow messages shift
-	// the event schedule).
-	ShadowSingles bool
 
 	// Trace, when set, is this cluster's span collector for the
 	// virtual-time tracing plane: every request's path (client dispatch,
@@ -224,7 +218,6 @@ func (c *Cluster) internalConfig(mutate func(*cluster.Config)) cluster.Config {
 	if cfg.MonitorShards > 1 {
 		icfg.Monitor.Shards = cfg.MonitorShards
 	}
-	icfg.Scheduler.ShadowSingles = cfg.ShadowSingles
 	icfg.Trace = cfg.Trace
 	if icfg.Trace == nil && traceAll {
 		// The hook allocates a fresh collector per cluster rather than

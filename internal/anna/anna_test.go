@@ -380,51 +380,6 @@ func TestIndexOverheadAccounting(t *testing.T) {
 	})
 }
 
-func TestSelectiveReplicationPromotesHotKey(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Nodes = 4
-	cfg.Replication = 1
-	cfg.EnableSelectiveReplication = true
-	cfg.HotKeyThresholdPerSec = 100
-	cfg.HotReplication = 3
-	cfg.PolicyInterval = time.Second
-	k, _, kv, cl := harness(t, cfg)
-	k.Run("main", func() {
-		cl.Put("hot", lww(k, "x"))
-		if got := len(kv.Ring().OwnersFor("hot")); got != 1 {
-			t.Fatalf("initial owners = %d", got)
-		}
-		// Hammer the key past the threshold for a few policy windows.
-		for i := 0; i < 3000; i++ {
-			cl.Get("hot")
-			k.Sleep(time.Millisecond)
-		}
-		if got := len(kv.Ring().OwnersFor("hot")); got != 3 {
-			t.Fatalf("owners after hot promotion = %d, want 3", got)
-		}
-		// The new replicas must actually serve the value.
-		k.Sleep(100 * time.Millisecond)
-		served := 0
-		for _, o := range kv.Ring().OwnersFor("hot") {
-			for _, n := range kv.Nodes() {
-				if n.ID() == o {
-					if ok, _ := n.HasKey("hot"); ok {
-						served++
-					}
-				}
-			}
-		}
-		if served != 3 {
-			t.Fatalf("replicas holding hot key = %d, want 3", served)
-		}
-		// Cool off: the override must be dropped.
-		k.Sleep(5 * time.Second)
-		if got := len(kv.Ring().OwnersFor("hot")); got != 1 {
-			t.Fatalf("owners after cooldown = %d, want 1", got)
-		}
-	})
-}
-
 func TestRingDistributesKeys(t *testing.T) {
 	r := NewRing(1, 64)
 	for i := 0; i < 4; i++ {
@@ -493,49 +448,4 @@ func TestRingMinimalMovementOnAdd(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("no keys moved to the new node")
 	}
-}
-
-func TestRingHotKeyOverride(t *testing.T) {
-	r := NewRing(1, 32)
-	r.AddNode("a")
-	r.AddNode("b")
-	r.AddNode("c")
-	if len(r.OwnersFor("k")) != 1 {
-		t.Fatal("base replication wrong")
-	}
-	r.SetHot("k", 3)
-	if len(r.OwnersFor("k")) != 3 {
-		t.Fatal("hot override not applied")
-	}
-	if len(r.OwnersFor("other")) != 1 {
-		t.Fatal("override leaked to other keys")
-	}
-	r.SetHot("k", 0)
-	if len(r.OwnersFor("k")) != 1 {
-		t.Fatal("override not cleared")
-	}
-}
-
-func TestStatsReporting(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Nodes = 1
-	k, net, kv, cl := harness(t, cfg)
-	probe := net.AddNode("probe")
-	k.Run("main", func() {
-		for i := 0; i < 50; i++ {
-			cl.Put(fmt.Sprintf("s%d", i), lww(k, "v"))
-		}
-		k.Sleep(time.Second)
-		resp, err := probe.Call(kv.Nodes()[0].ID(), StatsReq{}, 16, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := resp.(StatsResp)
-		if st.Keys != 50 {
-			t.Fatalf("stats keys = %d", st.Keys)
-		}
-		if st.OpsPerSec <= 0 {
-			t.Fatalf("ops/sec = %v", st.OpsPerSec)
-		}
-	})
 }

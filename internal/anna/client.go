@@ -8,6 +8,7 @@ import (
 
 	"cloudburst/internal/lattice"
 	"cloudburst/internal/simnet"
+	"cloudburst/internal/trace"
 	"cloudburst/internal/vtime"
 )
 
@@ -94,6 +95,20 @@ func (c *Client) Get(key string) (lat lattice.Lattice, found bool, err error) {
 		return nil, false, ErrUnavailable
 	}
 	return nil, false, nil
+}
+
+// GetT is Get with the round trip recorded as an "anna/get" KVS span on
+// the caller's trace context, so a cache can attribute Anna time without
+// the client holding tracing state. A zero Ctx makes it exactly Get; the
+// RPCs issued are byte-identical either way.
+func (c *Client) GetT(ctx trace.Ctx, key string) (lattice.Lattice, bool, error) {
+	if !ctx.Enabled() {
+		return c.Get(key)
+	}
+	t0 := c.kv.k.Now()
+	lat, found, err := c.Get(key)
+	ctx.Record("anna/get", trace.KVS, t0, c.kv.k.Now())
+	return lat, found, err
 }
 
 // Put merges lat into key. The client clones before sending, so the

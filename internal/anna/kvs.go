@@ -2,58 +2,45 @@ package anna
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"cloudburst/internal/lattice"
 	"cloudburst/internal/simnet"
 	"cloudburst/internal/vtime"
 )
 
+// vnodesPerNode is the ring's partitioning granularity: virtual nodes
+// per storage node.
+const vnodesPerNode = 32
+
 // Config sizes an Anna deployment.
 type Config struct {
 	// Nodes is the initial storage-node count.
 	Nodes int
-	// Replication is the base replication factor k (§4.5: Anna's
-	// replication provides k-fault tolerance).
+	// Replication is the replication factor k (§4.5: Anna's replication
+	// provides k-fault tolerance).
 	Replication int
-	// VNodesPerNode controls partitioning granularity.
-	VNodesPerNode int
-	// Node holds per-node service constants.
+	// Node holds the per-node settings.
 	Node NodeConfig
-
-	// Selective replication policy (§2.2: Anna responds to workload
-	// changes by selectively replicating frequently-accessed data).
-	EnableSelectiveReplication bool
-	HotKeyThresholdPerSec      float64
-	HotReplication             int
-	PolicyInterval             time.Duration
 }
 
 // DefaultConfig returns a small in-simulation deployment.
 func DefaultConfig() Config {
 	return Config{
-		Nodes:                      3,
-		Replication:                1,
-		VNodesPerNode:              32,
-		Node:                       DefaultNodeConfig(),
-		EnableSelectiveReplication: false,
-		HotKeyThresholdPerSec:      500,
-		HotReplication:             4,
-		PolicyInterval:             2 * time.Second,
+		Nodes:       3,
+		Replication: 1,
+		Node:        DefaultNodeConfig(),
 	}
 }
 
-// KVS is the deployed Anna cluster: the ring, the storage nodes, and the
-// management policy loop (selective replication). Storage autoscaling is
-// exposed as AddNode/RemoveNode, invoked by callers' policies.
+// KVS is the deployed Anna cluster: the ring and the storage nodes.
+// Storage autoscaling is exposed as AddNode/RemoveNode, invoked by
+// callers' policies.
 type KVS struct {
 	k     *vtime.Kernel
 	net   *simnet.Network
 	ring  *Ring
 	cfg   Config
 	nodes map[simnet.NodeID]*Node
-	mgr   *simnet.Endpoint
 	next  int
 
 	// ScaleEvents records node additions/removals for reports.
@@ -68,16 +55,12 @@ func NewKVS(k *vtime.Kernel, net *simnet.Network, cfg Config) *KVS {
 	kv := &KVS{
 		k:     k,
 		net:   net,
-		ring:  NewRing(cfg.Replication, cfg.VNodesPerNode),
+		ring:  NewRing(cfg.Replication, vnodesPerNode),
 		cfg:   cfg,
 		nodes: make(map[simnet.NodeID]*Node),
-		mgr:   net.AddNode("anna-mgr"),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		kv.addNodeNoRebalance()
-	}
-	if cfg.EnableSelectiveReplication {
-		k.Go("anna-mgr/policy", kv.policyLoop)
 	}
 	return kv
 }
@@ -137,61 +120,6 @@ func (kv *KVS) RemoveNode(id simnet.NodeID) {
 func (kv *KVS) rebalance() {
 	for _, n := range kv.Nodes() {
 		n.transferForRing()
-	}
-}
-
-// policyLoop is the selective-replication policy: keys hotter than the
-// threshold get their replication factor raised so client load spreads;
-// keys that cool off revert.
-func (kv *KVS) policyLoop() {
-	hotSince := make(map[string]vtime.Time)
-	for {
-		kv.k.Sleep(kv.cfg.PolicyInterval)
-		seen := make(map[string]bool)
-		for _, n := range kv.Nodes() { // sorted: deterministic poll order
-			resp, err := kv.mgr.Call(n.ID(), StatsReq{}, 16, time.Second)
-			if err != nil {
-				continue
-			}
-			st := resp.(StatsResp)
-			for _, h := range st.HotKeys {
-				if h.PerSec >= kv.cfg.HotKeyThresholdPerSec {
-					seen[h.Key] = true
-					if _, ok := hotSince[h.Key]; !ok {
-						hotSince[h.Key] = kv.k.Now()
-						kv.promoteHotKey(h.Key, n)
-					}
-				}
-			}
-		}
-		// Demote keys that cooled off.
-		var cooled []string
-		for key := range hotSince {
-			if !seen[key] {
-				cooled = append(cooled, key)
-			}
-		}
-		sort.Strings(cooled)
-		for _, key := range cooled {
-			delete(hotSince, key)
-			kv.ring.SetHot(key, 0)
-		}
-	}
-}
-
-// promoteHotKey raises a key's replication factor and seeds the new
-// replicas with the current value.
-func (kv *KVS) promoteHotKey(key string, src *Node) {
-	kv.ring.SetHot(key, kv.cfg.HotReplication)
-	lat, ok := src.Peek(key)
-	if !ok {
-		return
-	}
-	for _, owner := range kv.ring.OwnersFor(key) {
-		if owner == src.ID() {
-			continue
-		}
-		kv.mgr.Send(owner, GossipMsg{Key: key, Lat: lat.Clone()}, 24+lat.ByteSize())
 	}
 }
 

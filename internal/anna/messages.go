@@ -119,25 +119,3 @@ type TransferEntry struct {
 	Lat         lattice.Lattice
 	Subscribers []string // cache ids from the key→cache index
 }
-
-// StatsReq asks a node for its load report.
-type StatsReq struct{}
-
-// KeyRate reports one key's recent access rate.
-type KeyRate struct {
-	Key    string
-	PerSec float64
-}
-
-// StatsResp is a node's load report, consumed by the selective
-// replication and storage autoscaling policies.
-type StatsResp struct {
-	Node       simnet.NodeID
-	Keys       int
-	MemBytes   int
-	DiskKeys   int
-	OpsPerSec  float64
-	HotKeys    []KeyRate
-	IndexKeys  int
-	IndexBytes int
-}

@@ -272,7 +272,7 @@ func TestMultiGetFallbackKeepsPositions(t *testing.T) {
 			t.Fatalf("down %s: missing = %v, want the absent keys %v", down, o.missing, absent)
 		}
 		// The down group's absent keys close the list, in input order.
-		r := NewRing(2, DefaultConfig().VNodesPerNode)
+		r := NewRing(2, vnodesPerNode)
 		for i := 0; i < 4; i++ {
 			r.AddNode(simnet.NodeID(fmt.Sprintf("anna-%d", i)))
 		}

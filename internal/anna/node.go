@@ -10,59 +10,50 @@ import (
 	"cloudburst/internal/vtime"
 )
 
-// NodeConfig carries a storage node's service-time and policy constants.
-type NodeConfig struct {
-	// GetServiceTime and PutServiceTime model per-operation server CPU
+// A storage node's calibrated service-time and cadence constants.
+const (
+	// getServiceTime and putServiceTime model per-operation server CPU
 	// cost; requests on one node are served serially, so queueing delay
 	// emerges under load.
-	GetServiceTime time.Duration
-	PutServiceTime time.Duration
-	// DiskPenalty is the extra latency for an operation that touches the
+	getServiceTime = 25 * time.Microsecond
+	putServiceTime = 35 * time.Microsecond
+	// diskPenalty is the extra latency for an operation that touches the
 	// disk tier.
-	DiskPenalty time.Duration
-	// GossipInterval is how often dirty keys are propagated to replicas.
-	GossipInterval time.Duration
-	// PushInterval is how often dirty keys are pushed to subscribed
+	diskPenalty = 1500 * time.Microsecond
+	// gossipInterval is how often dirty keys are propagated to replicas.
+	gossipInterval = 50 * time.Millisecond
+	// pushInterval is how often dirty keys are pushed to subscribed
 	// caches via the key→cache index (§4.2).
-	PushInterval time.Duration
-	// MemCapacity bounds the memory tier in bytes; 0 means unbounded.
-	MemCapacity int
-	// StatsWindow is the load-report aggregation window.
-	StatsWindow time.Duration
-	// HotKeyTopN bounds the hot-key list in stats reports.
-	HotKeyTopN int
-	// ServeBandwidth is the per-node value (de)serialization throughput
+	pushInterval = 100 * time.Millisecond
+	// serveBandwidth is the per-node value (de)serialization throughput
 	// in bytes/second: large values cost server time proportional to
 	// size, which is what separates cold cache misses from hot hits in
 	// §6.1.2.
-	ServeBandwidth float64
-	// TxnSweepInterval is how often the node tries to resolve in-doubt
-	// prepared transactions from the commit log.
-	TxnSweepInterval time.Duration
-	// TxnPrepareTTL is how long a prepared transaction may wait for its
+	serveBandwidth = 300e6
+	// txnSweepInterval is how often a node with the sweep on tries to
+	// resolve in-doubt prepared transactions from the commit log.
+	txnSweepInterval = time.Second
+	// txnPrepareTTL is how long a prepared transaction may wait for its
 	// coordinator's decision before the sweep resolves it itself.
-	TxnPrepareTTL time.Duration
+	txnPrepareTTL = 3 * time.Second
+)
+
+// NodeConfig carries what a deployment sets per storage node.
+type NodeConfig struct {
+	// MemCapacity bounds the memory tier in bytes; 0 means unbounded.
+	MemCapacity int
+	// TxnSweep runs the in-doubt transaction sweep. The cluster turns it
+	// on in Transactional mode only, so every other mode's event schedule
+	// is untouched by the txn plane.
+	TxnSweep bool
 	// Hooks is the cluster's fault-injection point-cut registry (nil
 	// disables point-cuts at zero cost).
 	Hooks *hook.Registry
 }
 
-// DefaultNodeConfig returns the calibrated defaults (see DESIGN.md §5).
-func DefaultNodeConfig() NodeConfig {
-	return NodeConfig{
-		GetServiceTime: 25 * time.Microsecond,
-		PutServiceTime: 35 * time.Microsecond,
-		DiskPenalty:    1500 * time.Microsecond,
-		GossipInterval: 50 * time.Millisecond,
-		PushInterval:   100 * time.Millisecond,
-		StatsWindow:    time.Second,
-		HotKeyTopN:     16,
-		ServeBandwidth: 300e6,
-		// TxnSweepInterval/TxnPrepareTTL stay zero (sweep disabled):
-		// the cluster enables them in Transactional mode only, so every
-		// other mode's event schedule is untouched by the txn plane.
-	}
-}
+// DefaultNodeConfig returns an unbounded memory tier with the sweep off;
+// the calibrated service times are the constants above.
+func DefaultNodeConfig() NodeConfig { return NodeConfig{} }
 
 // Node is one Anna storage node: a serially-served lattice store with
 // replica gossip, the Cloudburst key→cache index, and tiered storage.
@@ -87,9 +78,6 @@ type Node struct {
 	// prepare locks guarding them.
 	prepared map[string]*preparedTxn
 	locks    map[string]string // key → holding txn id
-
-	ops         int64
-	windowStart vtime.Time
 }
 
 // NewNode creates (but does not start) a storage node bound to an
@@ -112,7 +100,6 @@ func NewNode(k *vtime.Kernel, ep *simnet.Endpoint, ring *Ring, cfg NodeConfig) *
 	simnet.OnRequest(n.disp, n.handlePut)
 	simnet.OnRequest(n.disp, n.handleDelete)
 	simnet.OnRequest(n.disp, n.handleSetRemove)
-	simnet.OnRequest(n.disp, n.handleStats)
 	simnet.OnRequest(n.disp, n.handleTxnPrepare)
 	simnet.OnMessage(n.disp, n.handleTxnDecision)
 	simnet.OnMessage(n.disp, n.handleGossip)
@@ -126,12 +113,11 @@ func (n *Node) ID() simnet.NodeID { return n.id }
 
 // Start launches the node's serve, gossip, and push processes.
 func (n *Node) Start() {
-	n.windowStart = n.k.Now()
 	n.disp.Start()
-	n.disp.Every("gossip", n.cfg.GossipInterval, n.gossipTick)
-	n.disp.Every("push", n.cfg.PushInterval, n.pushTick)
-	if n.cfg.TxnSweepInterval > 0 {
-		n.disp.Every("txn-sweep", n.cfg.TxnSweepInterval, n.txnSweepTick)
+	n.disp.Every("gossip", gossipInterval, n.gossipTick)
+	n.disp.Every("push", pushInterval, n.pushTick)
+	if n.cfg.TxnSweep {
+		n.disp.Every("txn-sweep", txnSweepInterval, n.txnSweepTick)
 	}
 }
 
@@ -140,14 +126,13 @@ func (n *Node) Start() {
 func (n *Node) Stop() { n.disp.Stop() }
 
 func (n *Node) handleGet(req *simnet.Request, b GetReq) {
-	n.ops++
 	e, fromDisk := n.st.get(b.Key, n.k.Now())
 	if e == nil {
-		n.k.Sleep(n.serviceTime(n.cfg.GetServiceTime, fromDisk, 0))
+		n.k.Sleep(serviceTime(getServiceTime, fromDisk, 0))
 		req.Reply(GetResp{Key: b.Key, Found: false}, 24)
 		return
 	}
-	n.k.Sleep(n.serviceTime(n.cfg.GetServiceTime, fromDisk, e.size))
+	n.k.Sleep(serviceTime(getServiceTime, fromDisk, e.size))
 	// Clone-on-egress copies only the capsule shell; the payload
 	// bytes are immutable and shared with the caller (zero-copy
 	// data plane).
@@ -165,14 +150,13 @@ func (n *Node) handleMultiGet(req *simnet.Request, b MultiGetReq) {
 	var svc time.Duration
 	size := 24
 	for i, key := range b.Keys {
-		n.ops++
 		entries[i].Key = key
 		e, fromDisk := n.st.get(key, n.k.Now())
 		if e == nil {
-			svc += n.serviceTime(n.cfg.GetServiceTime, fromDisk, 0)
+			svc += serviceTime(getServiceTime, fromDisk, 0)
 			continue
 		}
-		svc += n.serviceTime(n.cfg.GetServiceTime, fromDisk, e.size)
+		svc += serviceTime(getServiceTime, fromDisk, e.size)
 		if l, ok := e.lat.(*lattice.LWW); ok {
 			if shells == nil {
 				shells = make([]lattice.LWW, 0, len(b.Keys)-i)
@@ -190,22 +174,19 @@ func (n *Node) handleMultiGet(req *simnet.Request, b MultiGetReq) {
 }
 
 func (n *Node) handlePut(req *simnet.Request, b PutReq) {
-	n.ops++
 	e, fromDisk := n.st.merge(b.Key, b.Lat, n.k.Now())
 	n.st.markDirty(e, forRepl, forPush)
-	n.k.Sleep(n.serviceTime(n.cfg.PutServiceTime, fromDisk, e.size))
+	n.k.Sleep(serviceTime(putServiceTime, fromDisk, e.size))
 	req.Reply(PutResp{OK: true}, 8)
 }
 
 func (n *Node) handleDelete(req *simnet.Request, b DeleteReq) {
-	n.ops++
 	ok := n.st.delete(b.Key)
-	n.k.Sleep(n.serviceTime(n.cfg.PutServiceTime, false, 0))
+	n.k.Sleep(serviceTime(putServiceTime, false, 0))
 	req.Reply(DeleteResp{OK: ok}, 8)
 }
 
 func (n *Node) handleSetRemove(req *simnet.Request, b SetRemoveReq) {
-	n.ops++
 	e, fromDisk := n.st.get(b.Key, n.k.Now())
 	removed := false
 	if e != nil {
@@ -224,12 +205,8 @@ func (n *Node) handleSetRemove(req *simnet.Request, b SetRemoveReq) {
 			}
 		}
 	}
-	n.k.Sleep(n.serviceTime(n.cfg.PutServiceTime, fromDisk, 0))
+	n.k.Sleep(serviceTime(putServiceTime, fromDisk, 0))
 	req.Reply(SetRemoveResp{OK: removed}, 8)
-}
-
-func (n *Node) handleStats(req *simnet.Request, _ StatsReq) {
-	req.Reply(n.stats(), 256)
 }
 
 func (n *Node) handleGossip(_ simnet.Message, b GossipMsg) {
@@ -237,7 +214,7 @@ func (n *Node) handleGossip(_ simnet.Message, b GossipMsg) {
 	// Replicas do not re-gossip (the writer reaches all owners),
 	// but must push to their own subscribed caches.
 	n.st.markDirty(e, forPush)
-	n.k.Sleep(n.cfg.PutServiceTime)
+	n.k.Sleep(putServiceTime)
 }
 
 func (n *Node) handleKeyset(_ simnet.Message, b KeysetUpdate) { n.applyKeyset(b) }
@@ -253,13 +230,15 @@ func (n *Node) handleTransfer(_ simnet.Message, b TransferMsg) {
 	}
 }
 
-func (n *Node) serviceTime(base time.Duration, disk bool, size int) time.Duration {
+// serviceTime is an operation's server time: its base cost, the disk
+// penalty when it touched the disk tier, and size bytes at serveBandwidth.
+func serviceTime(base time.Duration, disk bool, size int) time.Duration {
 	d := base
 	if disk {
-		d += n.cfg.DiskPenalty
+		d += diskPenalty
 	}
-	if n.cfg.ServeBandwidth > 0 && size > 0 {
-		d += time.Duration(float64(size) / n.cfg.ServeBandwidth * float64(time.Second))
+	if size > 0 {
+		d += time.Duration(float64(size) / serveBandwidth * float64(time.Second))
 	}
 	return d
 }
@@ -317,54 +296,6 @@ func sortedSubs(subs map[simnet.NodeID]bool) []simnet.NodeID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// stats builds a load report and resets the stats window.
-func (n *Node) stats() StatsResp {
-	elapsed := n.k.Now().Sub(n.windowStart).Seconds()
-	if elapsed <= 0 {
-		elapsed = 1e-9
-	}
-	resp := StatsResp{
-		Node:      n.id,
-		Keys:      n.st.totalKeys(),
-		MemBytes:  n.st.memBytes,
-		DiskKeys:  len(n.st.disk),
-		OpsPerSec: float64(n.ops) / elapsed,
-		IndexKeys: len(n.index),
-	}
-	for _, subs := range n.index {
-		for c := range subs {
-			resp.IndexBytes += len(c) + 4
-		}
-	}
-	// Hot keys by access count in this window.
-	type kr struct {
-		key string
-		n   int64
-	}
-	var hot []kr
-	n.st.each(func(e *entry, onDisk bool) {
-		if e.accesses > 0 {
-			hot = append(hot, kr{e.key, e.accesses})
-			e.accesses = 0
-		}
-	})
-	sort.Slice(hot, func(i, j int) bool {
-		if hot[i].n != hot[j].n {
-			return hot[i].n > hot[j].n
-		}
-		return hot[i].key < hot[j].key
-	})
-	for i, h := range hot {
-		if i >= n.cfg.HotKeyTopN {
-			break
-		}
-		resp.HotKeys = append(resp.HotKeys, KeyRate{Key: h.key, PerSec: float64(h.n) / elapsed})
-	}
-	n.ops = 0
-	n.windowStart = n.k.Now()
-	return resp
 }
 
 // IndexOverheads returns the per-key index metadata size in bytes for

@@ -179,9 +179,8 @@ func TestHash64MatchesFNVThenFmix(t *testing.T) {
 
 func TestQuickRingPrimaryIsFirstOwner(t *testing.T) {
 	// PrimaryFor takes a shortcut past the owner list; it must agree with
-	// OwnersFor(key)[0] whatever the membership history and whichever
-	// keys carry a hot-key replication override.
-	prop := func(m membership, seed uint32, repl, victim, hotFactor uint8) bool {
+	// OwnersFor(key)[0] whatever the membership history.
+	prop := func(m membership, seed uint32, repl, victim uint8) bool {
 		nodes := m.nodes()
 		r := NewRing(int(repl%3)+1, 16)
 		keys := make([]string, 48)
@@ -209,14 +208,6 @@ func TestQuickRingPrimaryIsFirstOwner(t *testing.T) {
 			if !agree() {
 				return false
 			}
-		}
-		for i, key := range keys {
-			if i%3 == 0 {
-				r.SetHot(key, int(hotFactor%6))
-			}
-		}
-		if !agree() {
-			return false
 		}
 		r.RemoveNode(nodes[int(victim)%len(nodes)])
 		if !agree() {

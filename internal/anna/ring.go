@@ -8,7 +8,6 @@
 //   - consistent-hash partitioning with virtual nodes and replication
 //     factor k;
 //   - asynchronous replica propagation (gossip);
-//   - selective replication for hot keys;
 //   - a memory tier with LRU demotion to a slower disk tier;
 //   - storage-node autoscaling with key handoff;
 //   - the Cloudburst extension: a key→cache index built from periodic
@@ -36,9 +35,8 @@ type vnode struct {
 type Ring struct {
 	vnodes      []vnode
 	nodes       map[simnet.NodeID]bool
-	replication int            // base replication factor k
-	hot         map[string]int // per-key replication overrides (selective replication)
-	perNode     int            // virtual nodes per physical node
+	replication int // replication factor k
+	perNode     int // virtual nodes per physical node
 }
 
 // NewRing creates a ring with replication factor k and vnodesPerNode
@@ -53,7 +51,6 @@ func NewRing(k, vnodesPerNode int) *Ring {
 	return &Ring{
 		nodes:       make(map[simnet.NodeID]bool),
 		replication: k,
-		hot:         make(map[string]int),
 		perNode:     vnodesPerNode,
 	}
 }
@@ -117,25 +114,6 @@ func (r *Ring) Nodes() []simnet.NodeID {
 // Size reports the number of physical nodes.
 func (r *Ring) Size() int { return len(r.nodes) }
 
-// SetHot overrides the replication factor for one key (selective
-// replication of frequently-accessed data). factor <= base clears the
-// override.
-func (r *Ring) SetHot(key string, factor int) {
-	if factor <= r.replication {
-		delete(r.hot, key)
-		return
-	}
-	r.hot[key] = factor
-}
-
-// ReplicationFor reports the effective replication factor for key.
-func (r *Ring) ReplicationFor(key string) int {
-	if f, ok := r.hot[key]; ok {
-		return f
-	}
-	return r.replication
-}
-
 // OwnersFor returns the distinct storage nodes responsible for key, in
 // preference order (primary first): the first k distinct nodes clockwise
 // from the key's hash.
@@ -143,7 +121,7 @@ func (r *Ring) OwnersFor(key string) []simnet.NodeID {
 	if len(r.vnodes) == 0 {
 		return nil
 	}
-	k := r.ReplicationFor(key)
+	k := r.replication
 	if k > len(r.nodes) {
 		k = len(r.nodes)
 	}
@@ -173,14 +151,4 @@ func (r *Ring) PrimaryFor(key string) simnet.NodeID {
 		return ""
 	}
 	return r.vnodes[r.successor(key)].node
-}
-
-// Owns reports whether node is among key's owners.
-func (r *Ring) Owns(node simnet.NodeID, key string) bool {
-	for _, o := range r.OwnersFor(key) {
-		if o == node {
-			return true
-		}
-	}
-	return false
 }

@@ -24,7 +24,6 @@ type entry struct {
 	lat        lattice.Lattice
 	size       int
 	lastAccess vtime.Time
-	accesses   int64            // accesses in the current stats window
 	dirty      [dirtyKinds]bool // set by markDirty, cleared by drainDirty
 }
 
@@ -56,7 +55,6 @@ func newTieredStore(memCapacity int) *tieredStore {
 func (s *tieredStore) get(key string, now vtime.Time) (e *entry, fromDisk bool) {
 	if e, ok := s.mem[key]; ok {
 		e.lastAccess = now
-		e.accesses++
 		return e, false
 	}
 	if e, ok := s.disk[key]; ok {
@@ -65,7 +63,6 @@ func (s *tieredStore) get(key string, now vtime.Time) (e *entry, fromDisk bool) 
 		// insertMem would see the stale timestamp and demote the entry
 		// straight back to disk.
 		e.lastAccess = now
-		e.accesses++
 		s.insertMem(e, now)
 		return e, true
 	}

@@ -33,10 +33,9 @@ type preparedTxn struct {
 }
 
 func (n *Node) handleTxnPrepare(req *simnet.Request, b txn.PrepareReq) {
-	n.ops++
 	if _, ok := n.prepared[b.TxnID]; ok {
 		// Duplicate prepare (coordinator retry): the earlier vote stands.
-		n.k.Sleep(n.cfg.PutServiceTime)
+		n.k.Sleep(putServiceTime)
 		req.Reply(txn.PrepareResp{TxnID: b.TxnID, Vote: true}, 16)
 		return
 	}
@@ -76,7 +75,7 @@ func (n *Node) handleTxnPrepare(req *simnet.Request, b txn.PrepareReq) {
 	}
 	if reason != "" {
 		// Presumed abort: a no vote keeps no state.
-		n.k.Sleep(n.cfg.PutServiceTime)
+		n.k.Sleep(putServiceTime)
 		req.Reply(txn.PrepareResp{TxnID: b.TxnID, Vote: false, Reason: reason}, 16+len(reason))
 		return
 	}
@@ -89,7 +88,7 @@ func (n *Node) handleTxnPrepare(req *simnet.Request, b txn.PrepareReq) {
 		txnID: b.TxnID, reqID: b.ReqID, clock: b.Clock, node: b.Node,
 		items: b.Items, at: n.k.Now(),
 	}
-	n.k.Sleep(n.serviceTime(n.cfg.PutServiceTime, false, payloadBytes))
+	n.k.Sleep(serviceTime(putServiceTime, false, payloadBytes))
 	req.Reply(txn.PrepareResp{TxnID: b.TxnID, Vote: true}, 16)
 	n.cfg.Hooks.Fire(txn.HookPostPrepareAck, string(n.id))
 }
@@ -114,7 +113,7 @@ func (n *Node) resolveTxn(p *preparedTxn, commit bool) {
 		}
 	}
 	if !commit {
-		n.k.Sleep(n.cfg.PutServiceTime)
+		n.k.Sleep(putServiceTime)
 		return
 	}
 	ts := lattice.Timestamp{Clock: p.clock, Node: p.node}
@@ -125,7 +124,7 @@ func (n *Node) resolveTxn(p *preparedTxn, commit bool) {
 		}
 		e, fromDisk := n.st.merge(it.Key, lattice.NewLWW(ts, it.Payload), n.k.Now())
 		n.st.markDirty(e, forRepl, forPush)
-		svc += n.serviceTime(n.cfg.PutServiceTime, fromDisk, e.size)
+		svc += serviceTime(putServiceTime, fromDisk, e.size)
 	}
 	n.k.Sleep(svc)
 }
@@ -144,7 +143,7 @@ func (n *Node) txnSweepTick() {
 	sort.Strings(ids)
 	for _, id := range ids {
 		p, ok := n.prepared[id]
-		if !ok || now.Sub(p.at) < n.cfg.TxnPrepareTTL {
+		if !ok || now.Sub(p.at) < txnPrepareTTL {
 			continue
 		}
 		n.resolveInDoubt(p)

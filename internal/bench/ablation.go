@@ -9,9 +9,11 @@ import (
 	"cloudburst/internal/workload"
 )
 
-// AblationConfig parameterizes the design-choice ablations (DESIGN.md
-// §6): each isolates one Cloudburst mechanism on the Figure 5 hot
-// workload, where locality matters most.
+// AblationConfig parameterizes the design-choice ablations: each isolates
+// one Cloudburst mechanism on the Figure 5 hot workload, where locality
+// matters most. The locality ablation flips the scheduler's RandomPolicy;
+// the caching one evicts before every read, so each read pays the
+// internal/cache ipc hop plus an Anna round trip.
 type AblationConfig struct {
 	Elems   int // per-array elements (100k = 8MB total: the paper's sweet spot)
 	Clients int

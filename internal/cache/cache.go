@@ -34,35 +34,34 @@ import (
 // reacts by re-executing the DAG from scratch (§5.3).
 var ErrSnapshotGone = errors.New("cache: upstream version snapshot unavailable")
 
-// Config carries the cache's latency and policy constants.
-type Config struct {
-	// IPC is the executor↔cache hop cost on one VM.
-	IPC time.Duration
-	// KeysetInterval is how often the cached-keyset delta is published
+// The cache's calibrated latency and policy constants.
+const (
+	// ipc is the executor↔cache hop cost on one VM.
+	ipc = 50 * time.Microsecond
+	// keysetInterval is how often the cached-keyset delta is published
 	// to Anna (§4.2).
-	KeysetInterval time.Duration
+	keysetInterval = 500 * time.Millisecond
+	// depFetchRetries bounds how often the causal-cut maintainer
+	// re-fetches a lagging dependency from Anna before giving up.
+	depFetchRetries = 20
+	// depFetchBackoff is the wait between those retries.
+	depFetchBackoff = 5 * time.Millisecond
+)
+
+// Config carries what a deployment sets per cache.
+type Config struct {
 	// Mode is the consistency level.
 	Mode core.Mode
-	// DepFetchRetries bounds how often the causal-cut maintainer
-	// re-fetches a lagging dependency from Anna before giving up.
-	DepFetchRetries int
-	// DepFetchBackoff is the wait between those retries.
-	DepFetchBackoff time.Duration
 	// Trace, when non-nil, records per-request read/write spans (and
 	// the Anna round trips under them) into the cluster's collector.
 	// CPU-side only — nothing on the wire; nil disables at zero cost.
 	Trace *trace.Collector
 }
 
-// DefaultConfig returns calibrated defaults (DESIGN.md §5).
+// DefaultConfig returns a cache in the given mode; the calibrated
+// latencies are the constants above.
 func DefaultConfig(mode core.Mode) Config {
-	return Config{
-		IPC:             50 * time.Microsecond,
-		KeysetInterval:  500 * time.Millisecond,
-		Mode:            mode,
-		DepFetchRetries: 20,
-		DepFetchBackoff: 5 * time.Millisecond,
-	}
+	return Config{Mode: mode}
 }
 
 // SnapshotFetchReq asks an upstream cache for the version snapshot of key
@@ -200,7 +199,7 @@ func (c *Cache) FlushWrites() {
 func (c *Cache) ID() simnet.NodeID { return c.ep.ID() }
 
 // IPC returns the executor↔cache hop cost.
-func (c *Cache) IPC() time.Duration { return c.cfg.IPC }
+func (c *Cache) IPC() time.Duration { return ipc }
 
 // Mode returns the configured consistency level.
 func (c *Cache) Mode() core.Mode { return c.cfg.Mode }
@@ -209,7 +208,7 @@ func (c *Cache) Mode() core.Mode { return c.cfg.Mode }
 // write-back drainer.
 func (c *Cache) Start() {
 	c.disp.Start()
-	c.disp.Every("keyset", c.cfg.KeysetInterval, c.keysetTick)
+	c.disp.Every("keyset", keysetInterval, c.keysetTick)
 	c.disp.Go("writeback", c.writeBackLoop)
 }
 
@@ -358,7 +357,7 @@ func (c *Cache) Evict(key string) {
 
 // Delete removes key locally and from the KVS.
 func (c *Cache) Delete(key string) error {
-	c.k.Sleep(c.cfg.IPC)
+	c.k.Sleep(ipc)
 	c.Evict(key)
 	return c.anna.Delete(key)
 }
@@ -515,7 +514,7 @@ func (c *Cache) ensureCutDepth(deps map[string]lattice.Clock, depth int) {
 			if satisfied {
 				break
 			}
-			if attempt >= c.cfg.DepFetchRetries {
+			if attempt >= depFetchRetries {
 				break // expose best-effort; anti-entropy will converge
 			}
 			c.Stats.DepFetches++
@@ -532,7 +531,7 @@ func (c *Cache) ensureCutDepth(deps map[string]lattice.Clock, depth int) {
 				c.mu.Unlock()
 				continue // re-check satisfaction
 			}
-			c.k.Sleep(c.cfg.DepFetchBackoff)
+			c.k.Sleep(depFetchBackoff)
 		}
 	}
 }

@@ -24,7 +24,7 @@ var ErrNotFound = errors.New("cache: key not found")
 func (c *Cache) Read(reqID, key string, meta *core.SessionMeta) ([]byte, core.VersionRef, error) {
 	rctx := c.spans.Attach(reqID).Start("cache/read", trace.Cache, c.k.Now())
 	defer func() { rctx.End(c.k.Now()) }()
-	c.k.Sleep(c.cfg.IPC)
+	c.k.Sleep(ipc)
 	if meta != nil && meta.Caches != nil {
 		meta.Caches[c.ID()] = true
 	}
@@ -327,7 +327,7 @@ func (c *Cache) WriteWithDeps(reqID, key string, payload []byte, meta *core.Sess
 func (c *Cache) write(reqID, key string, payload []byte, meta *core.SessionMeta, writerID string, depKeys []string) (core.VersionRef, error) {
 	wctx := c.spans.Attach(reqID).Start("cache/write", trace.Cache, c.k.Now())
 	defer func() { wctx.End(c.k.Now()) }()
-	c.k.Sleep(c.cfg.IPC)
+	c.k.Sleep(ipc)
 	if meta != nil && meta.Caches != nil {
 		meta.Caches[c.ID()] = true
 	}

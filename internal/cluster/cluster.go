@@ -31,8 +31,12 @@ import (
 	"cloudburst/internal/vtime"
 )
 
-// metricsInterval is the executor metric publication cadence.
-const metricsInterval = 2 * time.Second
+// link is the datacenter network's default link: same-AZ, ~200µs with a
+// light tail, 10 Gbps.
+var link = simnet.Link{
+	Latency:   simnet.LogNormal{Med: 200 * time.Microsecond, Sigma: 0.25},
+	Bandwidth: 1.25e9,
+}
 
 // Config sizes a deployment.
 type Config struct {
@@ -51,11 +55,6 @@ type Config struct {
 	EnableMonitor bool
 	// VMSpinUp is the EC2 instance boot delay (≈2.5 minutes in §6.1.4).
 	VMSpinUp time.Duration
-	// Link is the default datacenter network link.
-	Link simnet.Link
-	// ExecOverhead is the per-invocation dispatch cost paid by every
-	// executor thread (see executor.Deps.InvokeOverhead).
-	ExecOverhead time.Duration
 	// Tracer, when set, feeds the consistency audit (§6.2.2).
 	Tracer executor.Tracer
 	// Trace, when set, collects per-request span trees across the whole
@@ -80,12 +79,6 @@ func DefaultConfig(mode core.Mode) Config {
 		Scheduler:    scheduler.DefaultConfig(),
 		Monitor:      monitor.DefaultConfig(),
 		VMSpinUp:     150 * time.Second,
-		Link: simnet.Link{
-			// Same-AZ datacenter link: ~200µs with a light tail, 10 Gbps.
-			Latency:   simnet.LogNormal{Med: 200 * time.Microsecond, Sigma: 0.25},
-			Bandwidth: 1.25e9,
-		},
-		ExecOverhead: 800 * time.Microsecond,
 	}
 }
 
@@ -154,21 +147,14 @@ func New(cfg Config) *Cluster {
 		cfg.InitialVMs = 1
 	}
 	k := vtime.NewKernel(cfg.Seed)
-	net := simnet.New(k, cfg.Link)
+	net := simnet.New(k, link)
 	hooks := hook.NewRegistry()
 	// The storage nodes participate in 2PC in Transactional mode only;
 	// the sweep daemon stays off everywhere else so no other mode's event
 	// schedule moves. Hooks are passive (no events of their own) and are
 	// wired unconditionally.
 	cfg.Anna.Node.Hooks = hooks
-	if cfg.Mode == core.TXN {
-		if cfg.Anna.Node.TxnSweepInterval == 0 {
-			cfg.Anna.Node.TxnSweepInterval = time.Second
-		}
-		if cfg.Anna.Node.TxnPrepareTTL == 0 {
-			cfg.Anna.Node.TxnPrepareTTL = 3 * time.Second
-		}
-	}
+	cfg.Anna.Node.TxnSweep = cfg.Mode == core.TXN
 	c := &Cluster{
 		K:        k,
 		Net:      net,
@@ -216,15 +202,6 @@ func New(cfg Config) *Cluster {
 		s.Start()
 		c.schedulers = append(c.schedulers, s)
 	}
-	if cfg.Scheduler.ShadowSingles && len(c.schedulers) > 1 {
-		ids := make([]simnet.NodeID, 0, len(c.schedulers))
-		for _, s := range c.schedulers {
-			ids = append(ids, s.ID())
-		}
-		for _, s := range c.schedulers {
-			s.SetPeers(ids)
-		}
-	}
 	if cfg.EnableMonitor {
 		ep := net.AddNode("monitor-0")
 		// Shard scanners (monitor.Config.Shards > 1) get their own
@@ -270,23 +247,22 @@ func (c *Cluster) bootVMNamed(name string) *VMHandle {
 		ep := c.Net.AddNode(id)
 		h.eps = append(h.eps, ep)
 		t := executor.NewThread(c.K, ep, name, executor.Deps{
-			Cache:          ch,
-			Anna:           c.KV.NewClient(ep, 0),
-			Registry:       c.Registry,
-			Tracer:         c.cfg.Tracer,
-			Alive:          c.Alive,
-			DAGFor:         c.dagFor,
-			InvokeOverhead: c.cfg.ExecOverhead,
-			Trace:          c.Trace,
-			Hooks:          c.hooks,
-			TxnRing:        c.KV.Ring(),
+			Cache:    ch,
+			Anna:     c.KV.NewClient(ep, 0),
+			Registry: c.Registry,
+			Tracer:   c.cfg.Tracer,
+			Alive:    c.Alive,
+			DAGFor:   c.dagFor,
+			Trace:    c.Trace,
+			Hooks:    c.hooks,
+			TxnRing:  c.KV.Ring(),
 		})
 		h.Threads = append(h.Threads, t)
 		h.nodeIDs = append(h.nodeIDs, id)
 	}
 	metricsEP := c.Net.AddNode(simnet.NodeID("vmmgr-" + name))
 	h.VM = executor.NewVM(c.K, name, h.Threads, ch.Keys, func() string { return string(ch.ID()) },
-		c.KV.NewClient(metricsEP, 0), metricsInterval)
+		c.KV.NewClient(metricsEP, 0))
 	h.nodeIDs = append(h.nodeIDs, metricsEP.ID())
 	h.eps = append(h.eps, metricsEP)
 	h.VM.Start()

@@ -21,6 +21,11 @@ import (
 	"cloudburst/internal/vtime"
 )
 
+// invokeOverhead is the per-invocation dispatch cost: the Python
+// interpreter's function lookup and deserialization work in the paper's
+// executor. ~0.8ms calibrates Figure 1's Cloudburst bar against Dask's.
+const invokeOverhead = 800 * time.Microsecond
+
 // Thread is one executor worker: an independent long-running process
 // with its own network address, serving one invocation at a time (§4.1).
 // Inbound traffic dispatches through a serial simnet.Dispatcher; messages
@@ -38,7 +43,6 @@ type Thread struct {
 	spans       *trace.Collector // latency tracing; distinct from the consistency audit's tracer
 	alive       func(simnet.NodeID) bool
 	dagFor      func(name string) (*dag.Index, bool)
-	overhead    time.Duration
 	disp        *simnet.Dispatcher
 	resolveName string // precomputed process name for parallel arg reads
 	hooks       *hook.Registry
@@ -122,11 +126,6 @@ type Deps struct {
 	// DAGFor resolves a registered DAG's topology (from the local
 	// schedule cache or Anna).
 	DAGFor func(name string) (*dag.Index, bool)
-	// InvokeOverhead is the per-invocation dispatch cost (the Python
-	// interpreter's function lookup/deserialization work in the paper's
-	// executor; ~0.8ms calibrates Figure 1's Cloudburst bar against
-	// Dask's).
-	InvokeOverhead time.Duration
 	// Trace, when non-nil, records per-request latency spans (queue,
 	// overhead, argument resolution, compute) into the cluster's
 	// collector. CPU-side only; nil disables at zero cost.
@@ -153,7 +152,6 @@ func NewThread(k *vtime.Kernel, ep *simnet.Endpoint, vm string, d Deps) *Thread 
 		spans:       d.Trace,
 		alive:       d.Alive,
 		dagFor:      d.DAGFor,
-		overhead:    d.InvokeOverhead,
 		resolveName: string(ep.ID()) + "/resolve",
 		pinned:      make(map[string]bool),
 		pending:     make(map[string]*join),
@@ -665,11 +663,9 @@ func (t *Thread) invoke(s *core.DAGSchedule, fn string, args []core.Arg, parentV
 	if !ok {
 		return nil, "", tx, fmt.Errorf("executor: function %q not registered", fn)
 	}
-	if t.overhead > 0 {
-		o0 := t.k.Now()
-		t.k.Sleep(t.overhead)
-		ictx.Record("exec/overhead", trace.Dispatch, o0, t.k.Now())
-	}
+	o0 := t.k.Now()
+	t.k.Sleep(invokeOverhead)
+	ictx.Record("exec/overhead", trace.Dispatch, o0, t.k.Now())
 	resolved, err := t.resolveArgs(reqID, dagName, fn, args, meta)
 	if err != nil {
 		return nil, "", tx, fnError(fn, err)
@@ -692,20 +688,6 @@ func (t *Thread) finish(start vtime.Time) {
 	t.latencyN++
 	t.completed++
 	t.winDone++
-}
-
-// UtilizationProbe reports the current window's busy fraction without
-// resetting it (diagnostics only).
-func (t *Thread) UtilizationProbe() float64 {
-	elapsed := t.k.Now().Sub(t.windowStart)
-	if elapsed <= 0 {
-		return 0
-	}
-	u := float64(t.busy) / float64(elapsed)
-	if u > 1 {
-		u = 1
-	}
-	return u
 }
 
 // MetricsSnapshot builds the thread's report and resets the window.

@@ -19,6 +19,9 @@ const MetricListKey = "sys/metrics/exec-list"
 // CacheListKey is the registry Set of all cache-metric keys.
 const CacheListKey = "sys/metrics/cache-list"
 
+// metricsInterval is the executor metric publication cadence.
+const metricsInterval = 2 * time.Second
+
 // VM is one function-execution machine: several worker threads plus the
 // co-located cache, with a metrics publication daemon (§4.1-§4.2). The
 // paper's c5.2xlarge VMs run 3 Python workers and 1 cache per machine.
@@ -27,10 +30,9 @@ type VM struct {
 	Cache   *cacheRef
 	Threads []*Thread
 
-	k               *vtime.Kernel
-	metricsClient   *anna.Client
-	metricsInterval time.Duration
-	stopped         bool
+	k             *vtime.Kernel
+	metricsClient *anna.Client
+	stopped       bool
 }
 
 // cacheRef narrows the cache API the VM needs, easing tests.
@@ -41,17 +43,13 @@ type cacheRef struct {
 
 // NewVM bundles threads and the cache metrics source into a VM. The
 // threads must already be constructed (they carry per-thread deps).
-func NewVM(k *vtime.Kernel, name string, threads []*Thread, cacheKeys func() []string, cacheID func() string, metricsClient *anna.Client, metricsInterval time.Duration) *VM {
-	if metricsInterval <= 0 {
-		metricsInterval = 2 * time.Second
-	}
+func NewVM(k *vtime.Kernel, name string, threads []*Thread, cacheKeys func() []string, cacheID func() string, metricsClient *anna.Client) *VM {
 	return &VM{
-		Name:            name,
-		Cache:           &cacheRef{Keys: cacheKeys, ID: cacheID},
-		Threads:         threads,
-		k:               k,
-		metricsClient:   metricsClient,
-		metricsInterval: metricsInterval,
+		Name:          name,
+		Cache:         &cacheRef{Keys: cacheKeys, ID: cacheID},
+		Threads:       threads,
+		k:             k,
+		metricsClient: metricsClient,
 	}
 }
 
@@ -93,7 +91,7 @@ func (vm *VM) metricsLoop() {
 	// waiting a full interval, then settle into the cadence.
 	vm.publishMetrics()
 	for {
-		vm.k.Sleep(vm.metricsInterval)
+		vm.k.Sleep(metricsInterval)
 		if vm.stopped {
 			return
 		}

@@ -1,8 +1,6 @@
 package fault
 
 import (
-	"sort"
-
 	"cloudburst/internal/cluster"
 	"cloudburst/internal/simnet"
 	"cloudburst/internal/vtime"
@@ -92,13 +90,5 @@ func (inj *Injector) TimelineStrings() []string {
 	for i, e := range inj.Timeline {
 		out[i] = "t=" + e.At.String() + " " + e.Desc
 	}
-	return out
-}
-
-// Crashed lists VMs crashed by this injector that have not been
-// restarted through it, sorted (test hook).
-func (inj *Injector) Crashed() []string {
-	out := append([]string(nil), inj.crashed...)
-	sort.Strings(out)
 	return out
 }

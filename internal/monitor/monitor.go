@@ -48,23 +48,27 @@ type ComputePool interface {
 	Threads() []simnet.NodeID
 }
 
-// Config carries the §4.4 policy constants.
-type Config struct {
-	Interval  time.Duration // policy loop cadence
-	UtilHigh  float64       // add nodes above this average utilization
-	UtilLow   float64       // remove nodes below it
-	MinVMs    int
-	MaxVMs    int
-	ScaleUp   int // VMs added per saturation event (20 in §6.1.4)
-	ScaleDown int // VMs removed per underload tick
-	MinPin    int // replica floor per function
-	// BacklogHigh is the request-backlog node-scaling signal (§4.4
+// The §4.4 policy constants no deployment varies.
+const (
+	policyInterval = 5 * time.Second // policy loop cadence
+	utilHigh       = 0.70            // add nodes above this average utilization
+	utilLow        = 0.20            // remove nodes below it
+	scaleDown      = 2               // VMs removed per underload tick
+	// backlogHigh is the request-backlog node-scaling signal (§4.4
 	// discusses tracking incoming request rates alongside utilization):
 	// when the outstanding DAG requests per live executor thread exceed
 	// it, VMs are added even if the lagging utilization reports sit just
-	// below UtilHigh — the dead zone the 0.70 threshold alone leaves
-	// between pin saturation and node adds. <= 0 disables the signal.
-	BacklogHigh float64
+	// below utilHigh — the dead zone the 0.70 threshold alone leaves
+	// between pin saturation and node adds.
+	backlogHigh = 2.0
+)
+
+// Config carries the §4.4 policy settings a deployment varies.
+type Config struct {
+	MinVMs  int
+	MaxVMs  int
+	ScaleUp int // VMs added per saturation event (20 in §6.1.4)
+	MinPin  int // replica floor per function
 	// Decoded is an optional cluster-shared decoded-metrics cache; nil
 	// gives the monitor a private one.
 	Decoded *core.DecodeCache
@@ -89,15 +93,10 @@ type Config struct {
 // DefaultConfig returns the paper's thresholds.
 func DefaultConfig() Config {
 	return Config{
-		Interval:    5 * time.Second,
-		UtilHigh:    0.70,
-		UtilLow:     0.20,
-		MinVMs:      1,
-		MaxVMs:      1 << 30,
-		ScaleUp:     20,
-		ScaleDown:   2,
-		MinPin:      1,
-		BacklogHigh: 2.0,
+		MinVMs:  1,
+		MaxVMs:  1 << 30,
+		ScaleUp: 20,
+		MinPin:  1,
 	}
 }
 
@@ -202,7 +201,7 @@ func (m *Monitor) Endpoints() []simnet.NodeID {
 // Start launches the policy loop.
 func (m *Monitor) Start() {
 	m.lastTick = m.k.Now()
-	m.disp.Every("policy", m.cfg.Interval, m.tick)
+	m.disp.Every("policy", policyInterval, m.tick)
 }
 
 // Stop halts the policy loop after its current tick.
@@ -212,7 +211,7 @@ func (m *Monitor) tick() {
 	calls, done := m.refresh()
 	elapsed := m.k.Now().Sub(m.lastTick).Seconds()
 	if elapsed <= 0 {
-		elapsed = m.cfg.Interval.Seconds()
+		elapsed = policyInterval.Seconds()
 	}
 	m.lastTick = m.k.Now()
 
@@ -447,7 +446,7 @@ func (m *Monitor) scaleReplicas(calls, done map[string]int64, elapsed float64) {
 			switch {
 			case cur < m.cfg.MinPin:
 				m.pinMore(fn, m.cfg.MinPin-cur)
-			case util > m.cfg.UtilHigh:
+			case util > utilHigh:
 				// Saturated replicas: grow multiplicatively so a burst
 				// reaches the fleet in a few policy ticks.
 				grow := cur / 2
@@ -457,7 +456,7 @@ func (m *Monitor) scaleReplicas(calls, done map[string]int64, elapsed float64) {
 				m.pinMore(fn, grow)
 			case incoming > completed*1.05 && cur < target:
 				m.pinMore(fn, target-cur)
-			case util < m.cfg.UtilLow && target < cur && float64(target) < float64(cur)*0.7:
+			case util < utilLow && target < cur && float64(target) < float64(cur)*0.7:
 				m.unpinSome(fn, cur-target)
 			}
 		}
@@ -634,9 +633,8 @@ func (m *Monitor) scaleNodes(calls, done map[string]int64) {
 		}
 	}
 	perThread := float64(backlog) / float64(len(m.threadMetrics))
-	backlogHigh := m.cfg.BacklogHigh > 0 && perThread > m.cfg.BacklogHigh
 	switch {
-	case (avg > m.cfg.UtilHigh || backlogHigh) && m.pool.PendingVMs() == 0 && m.pool.VMCount() < m.cfg.MaxVMs:
+	case (avg > utilHigh || perThread > backlogHigh) && m.pool.PendingVMs() == 0 && m.pool.VMCount() < m.cfg.MaxVMs:
 		n := m.cfg.ScaleUp
 		if m.pool.VMCount()+n > m.cfg.MaxVMs {
 			n = m.cfg.MaxVMs - m.pool.VMCount()
@@ -645,8 +643,8 @@ func (m *Monitor) scaleNodes(calls, done map[string]int64) {
 			m.pool.AddVMs(n)
 			m.event(fmt.Sprintf("add %d VMs (util %.2f, backlog %.1f/thread)", n, avg, perThread))
 		}
-	case avg < m.cfg.UtilLow && m.pool.VMCount() > m.cfg.MinVMs:
-		n := m.cfg.ScaleDown
+	case avg < utilLow && m.pool.VMCount() > m.cfg.MinVMs:
+		n := scaleDown
 		if m.pool.VMCount()-n < m.cfg.MinVMs {
 			n = m.pool.VMCount() - m.cfg.MinVMs
 		}

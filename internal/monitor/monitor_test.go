@@ -6,7 +6,6 @@ import (
 	"time"
 
 	cb "cloudburst"
-	"cloudburst/internal/monitor"
 	"cloudburst/internal/simnet"
 )
 
@@ -226,15 +225,5 @@ func TestCrashReplacementPinsSpreadAcrossVMs(t *testing.T) {
 	}
 	if len(vms) < 2 {
 		t.Fatalf("replacement pins concentrated on one VM: %v", added)
-	}
-}
-
-func TestDefaultConfigThresholds(t *testing.T) {
-	cfg := monitor.DefaultConfig()
-	if cfg.UtilHigh != 0.70 || cfg.UtilLow != 0.20 {
-		t.Fatalf("thresholds diverge from §4.4: %+v", cfg)
-	}
-	if cfg.ScaleUp != 20 {
-		t.Fatalf("scale-up batch = %d, want the paper's 20", cfg.ScaleUp)
 	}
 }

@@ -53,3 +53,12 @@ func TestPinMoreSpreadsAcrossVMs(t *testing.T) {
 		t.Fatalf("new pins concentrated on one VM: %v", pins)
 	}
 }
+
+func TestDefaultConfigThresholds(t *testing.T) {
+	if utilHigh != 0.70 || utilLow != 0.20 {
+		t.Fatalf("thresholds diverge from §4.4: high %v, low %v", utilHigh, utilLow)
+	}
+	if cfg := DefaultConfig(); cfg.ScaleUp != 20 {
+		t.Fatalf("scale-up batch = %d, want the paper's 20", cfg.ScaleUp)
+	}
+}

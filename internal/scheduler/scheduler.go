@@ -83,35 +83,6 @@ type DAGInvokeReq struct {
 	Deadline time.Duration
 }
 
-// ShadowSingle replicates a tracked single invocation's §4.5 record to a
-// peer scheduler shard, so a single whose owning shard dies mid-request is
-// re-executed without waiting for the client (Future.resend re-routes
-// either kind to a surviving shard, but only after the client's own
-// timeout). Opt-in, and singles only.
-type ShadowSingle struct {
-	Req     core.InvokeRequest
-	Owner   simnet.NodeID
-	Timeout time.Duration
-}
-
-// UnshadowSingle clears a replicated entry after the owner saw the
-// invocation complete.
-type UnshadowSingle struct {
-	ReqID string
-}
-
-// ShadowProbe asks a shard whether it still tracks a single invocation;
-// a peer holding an expired shadow probes before adopting, so a merely
-// slow owner keeps its request.
-type ShadowProbe struct {
-	ReqID string
-}
-
-// ShadowProbeResp answers a ShadowProbe.
-type ShadowProbeResp struct {
-	Tracking bool
-}
-
 // Config carries scheduler policy constants.
 type Config struct {
 	// StaleAfter drops view entries whose reports are older than this —
@@ -122,12 +93,6 @@ type Config struct {
 	DAGTimeout time.Duration
 	// RandomPolicy disables the locality heuristic (ablation).
 	RandomPolicy bool
-	// ShadowSingles replicates each tracked single invocation to one
-	// rendezvous-hashed peer shard, which adopts and re-executes it if
-	// this shard dies mid-request. Off by default: the extra messages
-	// shift the event schedule, so the cluster only wires peers when the
-	// deployment asks for it.
-	ShadowSingles bool
 	// DispatchCost models the scheduler's per-request CPU time (policy
 	// evaluation, schedule construction). The dispatcher serves requests
 	// serially, so a positive cost caps one scheduler at ~1/DispatchCost
@@ -265,9 +230,6 @@ type tracked struct {
 	// used holds the executors of abandoned attempts, which the next
 	// re-execution avoids; nil until the first one.
 	used map[simnet.NodeID]bool
-	// peer is the other shard of a shadowed single's pair: the replica's
-	// holder on the owner's record, the owner on the replica.
-	peer simnet.NodeID
 }
 
 // alive reports whether every executor of the latest attempt still
@@ -328,12 +290,6 @@ type Scheduler struct {
 	// inflight holds every request this shard is answerable for, of
 	// either kind, by ReqID.
 	inflight map[string]*tracked
-	// peers are the other shards in the scheduler group (shadow-single
-	// replication targets); shadows holds records replicated here by
-	// peers, moved into inflight if the owner dies.
-	peers        []simnet.NodeID
-	shadows      map[string]*tracked
-	shadowAdopts int64
 
 	// pickScratch holds pickExecutor's candidate slices, reused across
 	// calls: pickExecutor never blocks, so no two invocations overlap.
@@ -384,7 +340,6 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config) *Sch
 		cacheKeys:    make(map[string][]string),
 		pins:         make(map[string][]simnet.NodeID),
 		inflight:     make(map[string]*tracked),
-		shadows:      make(map[string]*tracked),
 		lastAssigned: make(map[simnet.NodeID]int64),
 		dagCalls:     make(map[string]int64),
 		fnCalls:      make(map[string]int64),
@@ -416,25 +371,6 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config) *Sch
 		if o, ok := s.inflight[b.ReqID]; ok {
 			s.untrack(o)
 		}
-	})
-	simnet.OnMessage(s.disp, func(_ simnet.Message, b ShadowSingle) {
-		if _, own := s.inflight[b.Req.ReqID]; own {
-			return
-		}
-		// The owner gets the whole first re-execution window to itself;
-		// the shadow only wakes after twice the request's timeout.
-		s.shadows[b.Req.ReqID] = &tracked{
-			id: b.Req.ReqID, respondTo: b.Req.RespondTo,
-			inv: b.Req, peer: b.Owner, timeout: b.Timeout,
-			deadline: s.k.Now().Add(2 * b.Timeout),
-		}
-	})
-	simnet.OnMessage(s.disp, func(_ simnet.Message, b UnshadowSingle) {
-		delete(s.shadows, b.ReqID)
-	})
-	simnet.OnRequest(s.disp, func(req *simnet.Request, b ShadowProbe) {
-		_, tracking := s.inflight[b.ReqID]
-		req.Reply(ShadowProbeResp{Tracking: tracking}, 16)
 	})
 	return s
 }
@@ -616,9 +552,8 @@ func (s *Scheduler) admit(o *tracked, m simnet.Message) {
 	s.dispatch(o, nil)
 }
 
-// track starts a request's §4.5 lifetime: count the call, arm the
-// re-execution deadline, and (singles, when shadowing is on) replicate
-// the record to its rendezvous peer.
+// track starts a request's §4.5 lifetime: count the call and arm the
+// re-execution deadline.
 func (s *Scheduler) track(o *tracked) {
 	if o.isDAG {
 		s.dagCalls[o.dag.DAG]++
@@ -640,9 +575,6 @@ func (s *Scheduler) track(o *tracked) {
 		id := o.id // the watcher outlives the record; do not pin it
 		s.disp.Go("deadline", func() { s.watchDeadline(id) })
 	}
-	if o.peer = s.shadowPeer(o); o.peer != "" {
-		s.ep.Send(o.peer, ShadowSingle{Req: o.inv, Owner: s.id, Timeout: o.timeout}, 112+argBytes(o.inv.Args))
-	}
 }
 
 // untrack ends a request's §4.5 lifetime, on its completion notice or a
@@ -654,53 +586,6 @@ func (s *Scheduler) untrack(o *tracked) {
 	if o.isDAG {
 		s.dagDone[o.dag.DAG]++
 	}
-	if o.peer != "" {
-		s.ep.Send(o.peer, UnshadowSingle{ReqID: o.id}, 32)
-	}
-}
-
-// SetPeers tells the scheduler about the other shards in its group —
-// the shadow-single replication targets. The cluster wires it only when
-// shadowing is enabled, so default deployments send no shadow traffic.
-func (s *Scheduler) SetPeers(ids []simnet.NodeID) {
-	s.peers = s.peers[:0]
-	for _, id := range ids {
-		if id != s.id {
-			s.peers = append(s.peers, id)
-		}
-	}
-	sort.Slice(s.peers, func(i, j int) bool { return s.peers[i] < s.peers[j] })
-}
-
-// shadowPeer picks the rendezvous-hashed peer shard to hold a request's
-// shadow record; "" for DAGs and when shadowing is off.
-func (s *Scheduler) shadowPeer(o *tracked) simnet.NodeID {
-	if o.isDAG || !s.cfg.ShadowSingles || len(s.peers) == 0 {
-		return ""
-	}
-	best, bestScore := s.peers[0], uint64(0)
-	for i, p := range s.peers {
-		score := shadowScore(o.id, p)
-		if i == 0 || score > bestScore {
-			best, bestScore = p, score
-		}
-	}
-	return best
-}
-
-// shadowScore is FNV-1a over "<reqID>|<shard>" (the same rendezvous
-// form the cluster's request router uses).
-func shadowScore(reqID string, id simnet.NodeID) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(reqID); i++ {
-		h = (h ^ uint64(reqID[i])) * prime
-	}
-	h = (h ^ '|') * prime
-	for i := 0; i < len(id); i++ {
-		h = (h ^ uint64(id[i])) * prime
-	}
-	return h
 }
 
 // dispatch sends one attempt of a request, tracking it first if this is
@@ -1096,65 +981,23 @@ func (s *Scheduler) decodeCached(key string, lat lattice.Lattice) (any, bool) {
 	return s.decoded.Decode(key, l)
 }
 
-// retryTick expires every tracked request and shadow whose deadline has
-// passed (§4.5).
+// retryTick expires every tracked request whose deadline has passed
+// (§4.5), in request-id order.
 func (s *Scheduler) retryTick() {
-	requests, shadows := s.overdue(s.inflight), s.overdue(s.shadows)
-	if len(requests)+len(shadows) > 0 {
-		s.refreshView()
+	var overdue []string
+	for id, o := range s.inflight {
+		if s.k.Now() >= o.deadline {
+			overdue = append(overdue, id)
+		}
 	}
-	for _, id := range requests {
+	if len(overdue) == 0 {
+		return
+	}
+	sort.Strings(overdue)
+	s.refreshView()
+	for _, id := range overdue {
 		s.expire(id)
 	}
-	for _, id := range shadows {
-		s.adoptShadow(id)
-	}
-}
-
-// overdue lists the records of a table whose deadline has passed, in
-// deterministic order.
-func (s *Scheduler) overdue(table map[string]*tracked) []string {
-	var ids []string
-	for id, o := range table {
-		if s.k.Now() >= o.deadline {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// adoptShadow decides an expired shadow record's fate: probe the owner
-// first — a live owner that still tracks the request keeps it (the
-// shadow re-arms); a live owner that no longer tracks it means the
-// request completed and the unshadow was lost (drop the shadow); an
-// unreachable owner is dead, and this shard takes the record into its
-// own inflight table and re-executes it.
-func (s *Scheduler) adoptShadow(id string) {
-	sh, ok := s.shadows[id]
-	if !ok || s.k.Now() < sh.deadline {
-		return
-	}
-	delete(s.shadows, id)
-	if _, own := s.inflight[id]; own {
-		return
-	}
-	resp, err := s.ep.Call(sh.peer, ShadowProbe{ReqID: id}, 24+len(id), 200*time.Millisecond)
-	if err == nil {
-		if r, ok := resp.(ShadowProbeResp); ok && r.Tracking {
-			sh.deadline = s.k.Now().Add(sh.timeout)
-			s.shadows[id] = sh
-		}
-		return
-	}
-	s.shadowAdopts++
-	s.reexecs++
-	sh.peer = ""
-	sh.inv.Scheduler = s.id // completion notice now routes here
-	sh.deadline = s.k.Now().Add(sh.timeout)
-	s.inflight[id] = sh
-	s.spans.Reissue(id, s.k.Now())
-	s.dispatch(sh, nil)
 }
 
 // expire handles one expired request against a freshly-refreshed view.
@@ -1266,17 +1109,6 @@ func copyCounts(m map[string]int64) map[string]int64 {
 // Inflight reports tracked requests of either kind (test hook).
 func (s *Scheduler) Inflight() int { return len(s.inflight) }
 
-// ShadowedSingles reports peer entries replicated here (test hook).
-func (s *Scheduler) ShadowedSingles() int { return len(s.shadows) }
-
-// ShadowAdoptions reports how many singles this shard adopted from dead
-// peers and re-executed.
-func (s *Scheduler) ShadowAdoptions() int64 { return s.shadowAdopts }
-
 // Reexecutions reports how many §4.5 re-executions this scheduler has
 // issued (failure experiments align it with their latency timelines).
 func (s *Scheduler) Reexecutions() int64 { return s.reexecs }
-
-// KnownThreads reports the scheduler's current executor view size (test
-// hook).
-func (s *Scheduler) KnownThreads() int { return len(s.view.threads) }

@@ -413,9 +413,6 @@ func (e *Endpoint) TryRecv() (Message, bool) {
 	return m, got && ok
 }
 
-// Pending reports queued inbound messages.
-func (e *Endpoint) Pending() int { return e.node.inbox.Len() }
-
 // Close shuts the endpoint's inbox: parked receivers wake immediately
 // with a zero Message, which lets a stopped Dispatcher's serve loop exit
 // instead of parking forever. The generation reaper calls this after

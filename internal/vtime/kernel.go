@@ -207,9 +207,6 @@ func (k *Kernel) Now() Time { return k.now }
 // used from kernel processes (or between Run calls), never concurrently.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
-// Dispatches reports how many times a process has been granted the token.
-func (k *Kernel) Dispatches() int64 { return k.stats.Dispatches }
-
 // Stats returns the kernel's lifetime counters plus the current live
 // process count — the lifecycle tests use LiveProcs to assert that
 // crash/restart cycles do not leak parked serve loops.

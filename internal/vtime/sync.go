@@ -100,15 +100,6 @@ func (s *Semaphore) Acquire() {
 	// The releasing process transferred a permit directly to us.
 }
 
-// TryAcquire takes a permit without blocking and reports success.
-func (s *Semaphore) TryAcquire() bool {
-	if s.permits > 0 {
-		s.permits--
-		return true
-	}
-	return false
-}
-
 // Release returns one permit, handing it to the longest waiter if any.
 func (s *Semaphore) Release() {
 	if s.waitq.len() > 0 {
@@ -117,6 +108,3 @@ func (s *Semaphore) Release() {
 	}
 	s.permits++
 }
-
-// Available reports the number of free permits.
-func (s *Semaphore) Available() int { return s.permits }
