@@ -111,8 +111,8 @@ func (c *Client) GetT(ctx trace.Ctx, key string) (lattice.Lattice, bool, error) 
 	return lat, found, err
 }
 
-// Put merges lat into key. The client clones before sending, so the
-// caller keeps ownership of lat.
+// Put merges lat into key. The client sends a clone, so the caller keeps
+// lat: a capsule goes as it is (it is immutable), a container as a copy.
 func (c *Client) Put(key string, lat lattice.Lattice) error {
 	owners := c.kv.ring.OwnersFor(key)
 	size := 24 + len(key) + lat.ByteSize()

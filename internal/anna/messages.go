@@ -10,7 +10,8 @@ type GetReq struct {
 	Key string
 }
 
-// GetResp answers a GetReq. Lat is a clone owned by the receiver.
+// GetResp answers a GetReq. Lat is a clone the receiver owns: a capsule
+// is immutable and shared with the store, a container is a fresh copy.
 type GetResp struct {
 	Key   string
 	Lat   lattice.Lattice
@@ -18,7 +19,7 @@ type GetResp struct {
 }
 
 // PutReq merges a lattice into a key. Lat must be a clone the receiver
-// may take ownership of.
+// may keep (a capsule is its own).
 type PutReq struct {
 	Key string
 	Lat lattice.Lattice
@@ -41,9 +42,8 @@ type MultiGetReq struct {
 // MultiGetEntry is one key's answer in a MultiGetResp.
 type MultiGetEntry struct {
 	Key string
-	// Lat is nil when !Found. The receiver owns it as it would a clone;
-	// a reply's LWW shells share one backing array, and payloads are
-	// shared with the store.
+	// Lat is nil when !Found. The receiver owns it as it would a clone:
+	// a capsule is the stored value itself, shared with the store.
 	Lat   lattice.Lattice
 	Found bool
 }
@@ -94,7 +94,7 @@ type KeysetUpdate struct {
 }
 
 // GossipMsg propagates a key's lattice to a replica. Fire-and-forget;
-// Lat is a clone owned by the receiver.
+// Lat is a clone the receiver owns, as in GetResp.
 type GossipMsg struct {
 	Key string
 	Lat lattice.Lattice

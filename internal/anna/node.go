@@ -133,9 +133,8 @@ func (n *Node) handleGet(req *simnet.Request, b GetReq) {
 		return
 	}
 	n.k.Sleep(serviceTime(getServiceTime, fromDisk, e.size))
-	// Clone-on-egress copies only the capsule shell; the payload
-	// bytes are immutable and shared with the caller (zero-copy
-	// data plane).
+	// Clone-on-egress: a capsule is immutable and leaves as the stored
+	// value itself (zero-copy data plane); only a container is copied.
 	req.Reply(GetResp{Key: b.Key, Lat: e.lat.Clone(), Found: true}, 24+e.size)
 }
 
@@ -143,10 +142,6 @@ func (n *Node) handleMultiGet(req *simnet.Request, b MultiGetReq) {
 	// One round trip, full per-key service cost: batching saves
 	// network round trips and per-request overhead, not server CPU.
 	entries := make([]MultiGetEntry, len(b.Keys))
-	// Clone-on-egress, batched: the reply's LWW capsule shells share one
-	// backing array (one allocation per reply, not per key), each entry
-	// owning its element; payloads stay shared as LWW.Clone shares them.
-	var shells []lattice.LWW
 	var svc time.Duration
 	size := 24
 	for i, key := range b.Keys {
@@ -157,15 +152,7 @@ func (n *Node) handleMultiGet(req *simnet.Request, b MultiGetReq) {
 			continue
 		}
 		svc += serviceTime(getServiceTime, fromDisk, e.size)
-		if l, ok := e.lat.(*lattice.LWW); ok {
-			if shells == nil {
-				shells = make([]lattice.LWW, 0, len(b.Keys)-i)
-			}
-			shells = append(shells, *l)
-			entries[i].Lat = &shells[len(shells)-1]
-		} else {
-			entries[i].Lat = e.lat.Clone()
-		}
+		entries[i].Lat = e.lat.Clone()
 		entries[i].Found = true
 		size += 24 + e.size
 	}

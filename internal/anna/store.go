@@ -79,7 +79,7 @@ func (s *tieredStore) merge(key string, lat lattice.Lattice, now vtime.Time) (e 
 		return e, false
 	}
 	s.memBytes -= e.size
-	e.lat.Merge(lat)
+	e.lat = e.lat.Merge(lat)
 	e.size = e.lat.ByteSize()
 	s.memBytes += e.size
 	s.evictIfNeeded(now)

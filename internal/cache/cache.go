@@ -18,6 +18,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -248,11 +249,11 @@ func (c *Cache) handleSnapshotFetch(req *simnet.Request, rb SnapshotFetchReq) {
 	var resp SnapshotFetchResp
 	if rb.ReqID == "" {
 		if lat, ok := c.store[rb.Key]; ok {
-			resp = SnapshotFetchResp{Lat: lat.Clone(), Found: true}
+			resp = SnapshotFetchResp{Lat: lat, Found: true}
 		}
 	} else if snaps, ok := c.snapshots[rb.ReqID]; ok {
 		if lat, ok := snaps[rb.Key]; ok {
-			resp = SnapshotFetchResp{Lat: lat.Clone(), Found: true}
+			resp = SnapshotFetchResp{Lat: lat, Found: true}
 		}
 	}
 	c.mu.Unlock()
@@ -278,11 +279,11 @@ func (c *Cache) ingestUpdate(key string, lat lattice.Lattice) {
 	c.mu.Unlock()
 }
 
-// mergeLocked folds lat into the local store; caller holds mu. The cache
-// takes ownership of lat.
+// mergeLocked stores the join of the cached capsule and lat; caller holds
+// mu. Capsules are values, so the store, snapshots and replies share them.
 func (c *Cache) mergeLocked(key string, lat lattice.Lattice) {
 	if cur, ok := c.store[key]; ok {
-		cur.Merge(lat)
+		c.store[key] = cur.Merge(lat)
 		return
 	}
 	c.store[key] = lat
@@ -466,7 +467,7 @@ func (c *Cache) fetchFromAnna(rctx trace.Ctx, key string) (lattice.Lattice, bool
 	}
 	c.mu.Lock()
 	c.mergeLocked(key, lat)
-	cur := c.store[key].Clone()
+	cur := c.store[key]
 	c.mu.Unlock()
 	return cur, true, nil
 }
@@ -490,12 +491,13 @@ func (c *Cache) ensureCutDepth(deps map[string]lattice.Clock, depth int) {
 	if depth > maxCutDepth {
 		return
 	}
-	// Deterministic iteration order.
-	keys := make([]string, 0, len(deps))
+	// Deterministic iteration order, sorted on the stack up to 16 keys.
+	var buf [16]string
+	keys := buf[:0]
 	for k := range deps {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, dk := range keys {
 		need := deps[dk]
 		for attempt := 0; ; attempt++ {
@@ -541,7 +543,7 @@ func (c *Cache) ensureCutDepth(deps map[string]lattice.Clock, depth int) {
 func (c *Cache) snapshotLocked(reqID, key string, lat lattice.Lattice) {
 	snaps := c.snapshotMapLocked(reqID)
 	if _, exists := snaps[key]; !exists {
-		snaps[key] = lat.Clone()
+		snaps[key] = lat
 		c.Stats.SnapshotsTaken++
 	}
 }
@@ -554,7 +556,7 @@ func (c *Cache) snapshotWriteLocked(reqID, key string, lat lattice.Lattice) {
 	if _, exists := snaps[key]; !exists {
 		c.Stats.SnapshotsTaken++
 	}
-	snaps[key] = lat.Clone()
+	snaps[key] = lat
 }
 
 func (c *Cache) snapshotMapLocked(reqID string) map[string]lattice.Lattice {

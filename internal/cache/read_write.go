@@ -187,10 +187,9 @@ func (c *Cache) readDSC(rctx trace.Ctx, reqID, key string, meta *core.SessionMet
 			// valid: the local version is concurrent with or newer than
 			// the required version snapshot (lines 4-6, 11-12).
 			if !local.VC().HappensBefore(required.VC) {
-				out := local.Clone().(*lattice.Causal)
 				c.mu.Unlock()
 				c.Stats.Hits++
-				return out, nil
+				return local, nil
 			}
 		}
 		c.mu.Unlock()
@@ -219,7 +218,7 @@ func (c *Cache) readDSC(rctx trace.Ctx, reqID, key string, meta *core.SessionMet
 	default:
 		c.mu.Lock()
 		if cur, ok := c.store[key]; ok {
-			cap = cur.Clone().(*lattice.Causal)
+			cap = cur.(*lattice.Causal)
 			c.mu.Unlock()
 			c.Stats.Hits++
 		} else {
@@ -339,7 +338,7 @@ func (c *Cache) write(reqID, key string, payload []byte, meta *core.SessionMeta,
 		l := lattice.NewLWW(lattice.Timestamp{Clock: int64(c.k.Now()), Node: nodeHash(writerID)}, payload)
 		ver = core.VersionRef{Cache: c.ID(), TS: l.TS}
 		c.mu.Lock()
-		c.mergeLocked(key, l.Clone())
+		c.mergeLocked(key, l)
 		if c.cfg.Mode == core.DSRR {
 			// The DAG's own update becomes the version downstream
 			// functions must see (the RR invariant), so snapshot it and
@@ -381,7 +380,7 @@ func (c *Cache) write(reqID, key string, payload []byte, meta *core.SessionMeta,
 		}
 		cap := lattice.NewCausalClock(vc, deps, payload)
 		ver = core.VersionRef{Cache: c.ID(), VC: vc}
-		c.mergeLocked(key, cap.Clone())
+		c.mergeLocked(key, cap)
 		if c.cfg.Mode == core.DSC {
 			c.snapshotWriteLocked(reqID, key, cap)
 		}

@@ -35,8 +35,8 @@ type Version struct {
 type Causal struct {
 	// Versions is canonical: an antichain (no clock strictly dominates
 	// another), one entry per (clock, payload), sorted by the clock's
-	// String() and then the payload. The slice is the capsule's own —
-	// Merge edits it in place — over shared versions.
+	// String() and then the payload. Like the versions, the slice is
+	// never written once capsuled: a capsule is an immutable value.
 	Versions []Version
 }
 
@@ -112,37 +112,68 @@ func (c *Causal) Siblings() [][]byte {
 	return out
 }
 
-// Merge implements Lattice. Both sides are canonical, so the join is one
-// insert per incoming version, and the versions kept are shared.
-func (c *Causal) Merge(other Lattice) {
+// Merge implements Lattice without writing either side. When one side
+// absorbs the other, the join is that side itself (the receiver first).
+// Otherwise the receiver's siblings are copied once into a slice with room
+// for the join, and other's versions, both sides canonical, are inserted.
+func (c *Causal) Merge(other Lattice) Lattice {
 	o, ok := other.(*Causal)
 	if !ok {
 		panic(mismatch(c.TypeName(), other))
 	}
-	for _, v := range o.Versions {
-		c.insert(v)
+	switch {
+	case absorbs(c.Versions, o.Versions):
+		return c
+	case absorbs(o.Versions, c.Versions):
+		return o
 	}
+	vs := append(make([]Version, 0, len(c.Versions)+len(o.Versions)), c.Versions...)
+	for _, v := range o.Versions {
+		vs = insert(vs, v)
+	}
+	return &Causal{Versions: vs}
 }
 
-// insert joins one version into the sibling set. Against an antichain
-// exactly one of three holds, so an early return never follows a removal:
-// a sibling dominates v, which is dropped; v repeats a sibling's write
-// (equal clock and payload) and the dependency sets are unioned, so that
-// neither merge order loses one; or v survives, replaces every sibling it
-// dominates and takes its place in the canonical order.
-func (c *Causal) insert(v Version) {
-	vs := c.Versions
+// absorbs reports whether inserting every version of ws leaves the
+// sibling set vs as it is — each is dominated by a sibling, or repeats a
+// sibling's write without adding a dependency — so the join is vs.
+func absorbs(vs, ws []Version) bool {
+next:
+	for _, w := range ws {
+		for _, u := range vs {
+			switch w.VC.Compare(u.VC) {
+			case DominatedBy:
+				continue next
+			case Equal:
+				if bytes.Equal(u.Value, w.Value) && depsCover(u.Deps, w.Deps) {
+					continue next
+				}
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// insert joins one version into the sibling set vs, which has room for
+// it, and returns the set. Against an antichain exactly one of three
+// holds, so an early return never follows a removal: a sibling dominates
+// v, which is dropped; v repeats a sibling's write (equal clock and
+// payload) and the dependency sets are unioned, so that neither merge
+// order loses one; or v survives, replaces every sibling it dominates and
+// takes its place in the canonical order.
+func insert(vs []Version, v Version) []Version {
 	kept := vs[:0]
 	for i, u := range vs {
 		switch v.VC.Compare(u.VC) {
 		case DominatedBy:
-			return
+			return vs
 		case Dominates:
 			continue
 		case Equal:
 			if bytes.Equal(u.Value, v.Value) {
 				vs[i].Deps = unionDeps(u.Deps, v.Deps)
-				return
+				return vs
 			}
 		}
 		kept = append(kept, u)
@@ -152,7 +183,7 @@ func (c *Causal) insert(v Version) {
 	copy(kept[at+1:], kept[at:])
 	kept[at] = v
 	clear(vs[min(len(kept), len(vs)):]) // drop the replaced versions' references
-	c.Versions = kept
+	return kept
 }
 
 // canonicalIndex returns where v belongs among the sorted siblings vs.
@@ -174,37 +205,42 @@ func canonicalIndex(vs []Version, v Version) int {
 
 // unionDeps returns the pairwise-max union of two dependency maps without
 // writing to either (both may be capsuled): a itself when b adds nothing,
-// else a fresh map sharing every clock it did not have to join.
+// nil when both are empty, else a fresh map sharing every clock it did not
+// have to join.
 func unionDeps(a, b map[string]Clock) map[string]Clock {
-	if len(a) == 0 && len(b) == 0 {
+	switch {
+	case depsCover(a, b):
+		return a
+	case len(a) == 0 && len(b) == 0:
 		return nil
 	}
-	var out map[string]Clock
+	out := make(map[string]Clock, len(a)+len(b))
+	maps.Copy(out, a)
 	for k, vc := range b {
-		cur, ok := a[k]
-		if ok && cur.DominatesOrEqual(vc) {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]Clock, len(a)+len(b))
-			maps.Copy(out, a)
-		}
-		if ok {
-			vc = cur.Join(vc)
+		if cur, ok := out[k]; ok {
+			vc = cur.Join(vc) // cur itself when it already covers vc
 		}
 		out[k] = vc
-	}
-	if out == nil {
-		return a
 	}
 	return out
 }
 
-// Clone implements Lattice: an independent sibling set over the same
-// immutable versions.
-func (c *Causal) Clone() Lattice {
-	return &Causal{Versions: slices.Clone(c.Versions)}
+// depsCover reports whether unionDeps(a, b) is a itself: b adds no
+// dependency or later clock, and a is nil when both are empty.
+func depsCover(a, b map[string]Clock) bool {
+	if len(a) == 0 && len(b) == 0 {
+		return a == nil
+	}
+	for k, vc := range b {
+		if cur, ok := a[k]; !ok || !cur.DominatesOrEqual(vc) {
+			return false
+		}
+	}
+	return true
 }
+
+// Clone implements Lattice: an immutable capsule is its own copy.
+func (c *Causal) Clone() Lattice { return c }
 
 // Digest returns a canonical 64-bit key identifying the capsule's exact
 // sibling set: each version's clock digest is mixed and combined

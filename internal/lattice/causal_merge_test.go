@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -297,7 +298,7 @@ func TestMergeMatchesUnionNormalize(t *testing.T) {
 				}
 			}
 			want = oracleMergeMaps(want, argVersions)
-			got.Merge(arg)
+			got = got.Merge(arg).(*Causal)
 			if !reflect.DeepEqual(thawVersions(got), want) {
 				t.Fatalf("trial %d step %d: merge diverged from union-then-normalize\n got  %s\n want %s",
 					trial, step, canon(got), canon(freezeVersions(want)))
@@ -378,56 +379,118 @@ func TestCanonicalOrderMatchesString(t *testing.T) {
 	}
 }
 
-// TestCausalMergeCloneAllocations is the tripwire for a deep copy coming
-// back: merging and cloning pay for the sibling slice, never for clocks
-// or dependency maps.
+// TestCausalMergeCloneAllocations is the tripwire for a copy coming back:
+// a capsule's Clone is itself, a merge whose join is one side returns that
+// side, and a merge that changes the sibling set pays for one capsule and
+// one slice, never for clocks or dependency maps.
 func TestCausalMergeCloneAllocations(t *testing.T) {
 	deps := map[string]VectorClock{"dep": {"w9": 3}, "dep2": {"w9": 1, "w8": 2}}
 	older := NewCausal(VectorClock{"w1": 1, "w2": 1}, deps, []byte("old"))
 	newer := NewCausal(VectorClock{"w1": 2, "w2": 1}, deps, []byte("new"))
+	lww := NewLWW(Timestamp{Clock: 1}, []byte("lww"))
 
-	cur := newer.Clone().(*Causal)
-	if n := testing.AllocsPerRun(100, func() { cur.Merge(older) }); n != 0 {
-		t.Errorf("1x1 merge of a dominated version allocates %.0f times, want 0", n)
+	var got Lattice
+	if n := testing.AllocsPerRun(100, func() { got = lww.Clone() }); n != 0 || got != lww {
+		t.Errorf("cloning an LWW capsule allocates %.0f times (same capsule: %v), want 0 and itself", n, got == lww)
 	}
-	if string(cur.DisplayValue()) != "new" {
-		t.Fatalf("dominated merge changed the value to %q", cur.DisplayValue())
+	if n := testing.AllocsPerRun(100, func() { got = newer.Clone() }); n != 0 || got != newer {
+		t.Errorf("cloning a causal capsule allocates %.0f times (same capsule: %v), want 0 and itself", n, got == newer)
 	}
-
-	oldVersion := older.Versions[0]
-	cur = older.Clone().(*Causal)
-	if n := testing.AllocsPerRun(100, func() {
-		cur.Versions = append(cur.Versions[:0], oldVersion)
-		cur.Merge(newer)
-	}); n != 0 {
-		t.Errorf("1x1 merge of a dominating version allocates %.0f times, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { got = newer.Merge(older) }); n != 0 || got != newer {
+		t.Errorf("1x1 merge of a dominated version allocates %.0f times (receiver returned: %v), want 0 and the receiver", n, got == newer)
 	}
-	if len(cur.Versions) != 1 || string(cur.DisplayValue()) != "new" {
-		t.Fatalf("dominating merge left %s", canon(cur))
+	if n := testing.AllocsPerRun(100, func() { got = older.Merge(newer) }); n != 0 || got != newer {
+		t.Errorf("1x1 merge of a dominating version allocates %.0f times (argument returned: %v), want 0 and the argument", n, got == newer)
 	}
 
 	five := &Causal{}
 	for i := 0; i < 5; i++ {
-		five.Merge(NewCausal(VectorClock{fmt.Sprintf("w%d", i): 1}, deps, []byte{byte(i)}))
+		five = five.Merge(NewCausal(VectorClock{fmt.Sprintf("w%d", i): 1}, deps, []byte{byte(i)})).(*Causal)
 	}
+	before := canon(five)
 	sixth := NewCausal(VectorClock{"w25": 1}, deps, []byte("six")) // sorts into the middle
-	full := five.Versions[:5:5]                                    // no spare room: the insert must grow it, once
-	cur = &Causal{}
-	if n := testing.AllocsPerRun(100, func() {
-		cur.Versions = full
-		cur.Merge(sixth)
-	}); n > 1 {
-		t.Errorf("merging one concurrent sibling into five allocates %.0f times, want at most 1", n)
+	if n := testing.AllocsPerRun(100, func() { got = five.Merge(sixth) }); n > 2 {
+		t.Errorf("merging one concurrent sibling into five allocates %.0f times, want at most 2 (capsule, sibling slice)", n)
 	}
-	if want := oracleMerge(five, sixth); canon(cur) != canon(want) || string(cur.Versions[2].Value) != "six" {
-		t.Fatalf("sibling merge left %s, want %s", canon(cur), canon(want))
+	if want := oracleMerge(five, sixth); canon(got) != canon(want) || string(got.(*Causal).Versions[2].Value) != "six" {
+		t.Fatalf("sibling merge left %s, want %s", canon(got), canon(want))
+	}
+	if canon(five) != before {
+		t.Fatalf("sibling merge changed its receiver to %s", canon(five))
+	}
+}
+
+// TestValueMergeWritesNeitherSide holds LWW and Causal to value
+// semantics over seeded histories: a merge leaves both of its arguments
+// exactly as they were, returns the receiver itself when the join is the
+// receiver, and otherwise returns the argument itself when the join is
+// the argument (it dominates every sibling, or repeats some and dominates
+// the rest).
+// The causal histories are histGen's, so they meet equal clocks with
+// different payloads, repeats that add dependencies, and nil against
+// empty dependency maps; the LWW ones draw colliding timestamps, some
+// with different payloads.
+func TestValueMergeWritesNeitherSide(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	cases := map[string]int{}
+	mergeOnce := func(x, y Lattice, joinIsX, joinIsY bool) {
+		t.Helper()
+		xBefore, yBefore := canon(x), canon(y)
+		got := x.Merge(y)
+		if canon(x) != xBefore || canon(y) != yBefore {
+			t.Fatalf("%s merge wrote a side\n receiver %s -> %s\n argument %s -> %s",
+				x.TypeName(), xBefore, canon(x), yBefore, canon(y))
+		}
+		switch {
+		case joinIsX:
+			cases[x.TypeName()+": join is the receiver"]++
+			if got != x {
+				t.Fatalf("%s merge: the join is the receiver %s, but a different capsule came back", x.TypeName(), xBefore)
+			}
+		case joinIsY:
+			cases[x.TypeName()+": join is the argument"]++
+			if got != y {
+				t.Fatalf("%s merge: the join is the argument %s, but a different capsule came back", x.TypeName(), yBefore)
+			}
+		default:
+			cases[x.TypeName()+": a new join"]++
+		}
 	}
 
-	var cl Lattice
-	if n := testing.AllocsPerRun(100, func() { cl = five.Clone() }); n != 2 {
-		t.Errorf("cloning a 5-sibling capsule with deps allocates %.0f times, want 2 (capsule, sibling slice)", n)
+	for trial := 0; trial < 100; trial++ {
+		g := newHistGen(rng)
+		acc := freezeVersions(g.capsule(8))
+		for step := 0; step < 6; step++ {
+			arg := freezeVersions(g.capsule(8))
+			join := oracleMergeMaps(thawVersions(acc), thawVersions(arg))
+			joinIsAcc, joinIsArg := reflect.DeepEqual(join, thawVersions(acc)), reflect.DeepEqual(join, thawVersions(arg))
+			mergeOnce(acc, arg, joinIsAcc, joinIsArg)
+			mergeOnce(arg, acc, joinIsArg, joinIsAcc)
+			// An equal capsule: the join is both sides, and the receiver
+			// comes back, unless a dependency map is empty but not nil
+			// (the union makes it nil, as the oracle's does).
+			self := thawVersions(acc)
+			same := reflect.DeepEqual(oracleMergeMaps(self, self), self)
+			mergeOnce(acc, freezeVersions(self), same, false)
+			acc = acc.Merge(arg).(*Causal)
+		}
 	}
-	if canon(cl) != canon(five) {
-		t.Fatalf("clone = %s, want %s", canon(cl), canon(five))
+
+	for i := 0; i < 2000; i++ {
+		lww := func() *LWW {
+			return NewLWW(Timestamp{Clock: int64(rng.Intn(3)), Node: uint64(rng.Intn(2))}, []byte{byte(rng.Intn(2))})
+		}
+		x, y := lww(), lww()
+		order := cmp.Or(cmp.Compare(x.TS.Clock, y.TS.Clock), cmp.Compare(x.TS.Node, y.TS.Node), bytes.Compare(x.Value, y.Value))
+		mergeOnce(x, y, order >= 0, order < 0)
+	}
+
+	for _, name := range []string{
+		"causal: join is the receiver", "causal: join is the argument", "causal: a new join",
+		"lww: join is the receiver", "lww: join is the argument",
+	} {
+		if cases[name] == 0 {
+			t.Errorf("no merge had the case %q", name)
+		}
 	}
 }

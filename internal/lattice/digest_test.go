@@ -22,10 +22,8 @@ func TestVectorClockDigestCanonical(t *testing.T) {
 func TestCausalDigestNamesSiblingSet(t *testing.T) {
 	one := NewCausal(VectorClock{"a": 1}, nil, []byte("va"))
 	two := NewCausal(VectorClock{"b": 1}, nil, []byte("vb"))
-	merged := one.Clone().(*Causal)
-	merged.Merge(two)
-	mergedOther := two.Clone().(*Causal)
-	mergedOther.Merge(one)
+	merged := one.Merge(two).(*Causal)
+	mergedOther := two.Merge(one).(*Causal)
 	if merged.Digest() != mergedOther.Digest() {
 		t.Fatal("merge order changed digest")
 	}

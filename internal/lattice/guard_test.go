@@ -6,7 +6,7 @@ func TestGuardPassesWhenImmutable(t *testing.T) {
 	GuardPayloads()
 	a := NewLWW(Timestamp{Clock: 1}, []byte("aaa"))
 	b := NewLWW(Timestamp{Clock: 2}, []byte("bbb"))
-	a.Merge(b.Clone())
+	_ = a.Merge(b.Clone())
 	_ = NewCausal(VectorClock{"w": 1}, nil, []byte("ccc"))
 	if err := VerifyPayloads(); err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestGuardCatchesInPlaceMetadataMutation(t *testing.T) {
 	for name, mutate := range mutations {
 		GuardPayloads()
 		c := NewCausalClock(VectorClock{"w": 1}.Freeze(), map[string]Clock{"k": VectorClock{"x": 1}.Freeze()}, nil)
-		c.Clone().Merge(NewCausal(VectorClock{"v": 1}, nil, []byte("sibling")))
+		_ = c.Merge(NewCausal(VectorClock{"v": 1}, nil, []byte("sibling")))
 		mutate(c.Versions[0].Deps) // violate the convention
 		if err := VerifyPayloads(); err == nil {
 			t.Errorf("guard missed: %s", name)

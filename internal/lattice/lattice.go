@@ -8,24 +8,20 @@ package lattice
 
 import "fmt"
 
-// Lattice is a join-semilattice element. Merge computes the least upper
-// bound of the receiver and other in place.
+// Lattice is a join-semilattice element. Merge returns the least upper
+// bound of the receiver and other; callers keep the result. The capsules
+// (LWW, Causal) are immutable values that Merge never writes and Clone
+// returns as they are; the containers merge into the receiver and return it.
 type Lattice interface {
-	// Merge folds other into the receiver. other must have the same
-	// concrete type; Merge panics otherwise (a type-confused store is a
-	// programming error, not a runtime condition).
-	Merge(other Lattice)
-	// Clone returns a copy deep enough that merging or re-timestamping
-	// one replica never perturbs another: every structure Merge writes
-	// (map shells, a causal capsule's sibling slice) is copied, while
-	// what is immutable once capsuled is shared — payload byte slices
-	// (see LWW) and a causal version's Clock and dependency map (see
-	// Version). Stores clone on ingest and egress so that nodes in the
-	// simulated cluster never alias each other's mutable state; sharing
-	// the immutable parts is what keeps that discipline cheap at
-	// 80MB-array scale and under causal metadata. Batched egress (Anna's
-	// multi-get reply) copies LWW shells into one backing array instead
-	// of calling Clone per key: the same copy, one allocation per reply.
+	// Merge returns the join of the receiver and other. other must have
+	// the same concrete type; Merge panics otherwise (a type-confused
+	// store is a programming error, not a runtime condition).
+	Merge(other Lattice) Lattice
+	// Clone returns a copy deep enough that merging into one replica never
+	// perturbs another: a container copies every structure its Merge
+	// writes, and an immutable capsule is its own copy. Stores clone on
+	// ingest and egress so that nodes in the simulated cluster never alias
+	// each other's mutable state; for capsules that costs nothing.
 	Clone() Lattice
 	// ByteSize estimates the serialized size in bytes, used for
 	// bandwidth accounting and the metadata-overhead measurements in
@@ -49,7 +45,7 @@ type MaxInt64 struct {
 func NewMaxInt64(v int64) *MaxInt64 { return &MaxInt64{V: v} }
 
 // Merge implements Lattice.
-func (m *MaxInt64) Merge(other Lattice) {
+func (m *MaxInt64) Merge(other Lattice) Lattice {
 	o, ok := other.(*MaxInt64)
 	if !ok {
 		panic(mismatch(m.TypeName(), other))
@@ -57,6 +53,7 @@ func (m *MaxInt64) Merge(other Lattice) {
 	if o.V > m.V {
 		m.V = o.V
 	}
+	return m
 }
 
 // Clone implements Lattice.
@@ -77,12 +74,13 @@ type BoolOr struct {
 func NewBoolOr(v bool) *BoolOr { return &BoolOr{V: v} }
 
 // Merge implements Lattice.
-func (b *BoolOr) Merge(other Lattice) {
+func (b *BoolOr) Merge(other Lattice) Lattice {
 	o, ok := other.(*BoolOr)
 	if !ok {
 		panic(mismatch(b.TypeName(), other))
 	}
 	b.V = b.V || o.V
+	return b
 }
 
 // Clone implements Lattice.
@@ -124,7 +122,7 @@ func (s *Set) Contains(e string) bool { _, ok := s.Elems[e]; return ok }
 func (s *Set) Len() int { return len(s.Elems) }
 
 // Merge implements Lattice.
-func (s *Set) Merge(other Lattice) {
+func (s *Set) Merge(other Lattice) Lattice {
 	o, ok := other.(*Set)
 	if !ok {
 		panic(mismatch(s.TypeName(), other))
@@ -135,6 +133,7 @@ func (s *Set) Merge(other Lattice) {
 	for e := range o.Elems {
 		s.Elems[e] = struct{}{}
 	}
+	return s
 }
 
 // Clone implements Lattice.
@@ -190,7 +189,7 @@ func (g *GCounter) Value() uint64 {
 }
 
 // Merge implements Lattice.
-func (g *GCounter) Merge(other Lattice) {
+func (g *GCounter) Merge(other Lattice) Lattice {
 	o, ok := other.(*GCounter)
 	if !ok {
 		panic(mismatch(g.TypeName(), other))
@@ -203,6 +202,7 @@ func (g *GCounter) Merge(other Lattice) {
 			g.Slots[n] = v
 		}
 	}
+	return g
 }
 
 // Clone implements Lattice.
@@ -242,7 +242,7 @@ func (m *Map) Put(k string, v Lattice) {
 		m.Entries = make(map[string]Lattice)
 	}
 	if cur, ok := m.Entries[k]; ok {
-		cur.Merge(v)
+		m.Entries[k] = cur.Merge(v)
 		return
 	}
 	m.Entries[k] = v.Clone()
@@ -255,7 +255,7 @@ func (m *Map) Get(k string) Lattice { return m.Entries[k] }
 func (m *Map) Len() int { return len(m.Entries) }
 
 // Merge implements Lattice.
-func (m *Map) Merge(other Lattice) {
+func (m *Map) Merge(other Lattice) Lattice {
 	o, ok := other.(*Map)
 	if !ok {
 		panic(mismatch(m.TypeName(), other))
@@ -263,6 +263,7 @@ func (m *Map) Merge(other Lattice) {
 	for k, v := range o.Entries {
 		m.Put(k, v)
 	}
+	return m
 }
 
 // Clone implements Lattice.

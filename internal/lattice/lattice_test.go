@@ -9,11 +9,11 @@ import (
 
 func TestMaxInt64(t *testing.T) {
 	a, b := NewMaxInt64(3), NewMaxInt64(7)
-	a.Merge(b)
+	a = a.Merge(b).(*MaxInt64)
 	if a.V != 7 {
 		t.Fatalf("merge = %d, want 7", a.V)
 	}
-	b.Merge(NewMaxInt64(5))
+	b = b.Merge(NewMaxInt64(5)).(*MaxInt64)
 	if b.V != 7 {
 		t.Fatalf("merge with smaller changed value: %d", b.V)
 	}
@@ -24,15 +24,15 @@ func TestMaxInt64(t *testing.T) {
 
 func TestBoolOr(t *testing.T) {
 	a := NewBoolOr(false)
-	a.Merge(NewBoolOr(false))
+	a = a.Merge(NewBoolOr(false)).(*BoolOr)
 	if a.V {
 		t.Fatal("false|false = true")
 	}
-	a.Merge(NewBoolOr(true))
+	a = a.Merge(NewBoolOr(true)).(*BoolOr)
 	if !a.V {
 		t.Fatal("false|true = false")
 	}
-	a.Merge(NewBoolOr(false))
+	a = a.Merge(NewBoolOr(false)).(*BoolOr)
 	if !a.V {
 		t.Fatal("true is not sticky")
 	}
@@ -41,7 +41,7 @@ func TestBoolOr(t *testing.T) {
 func TestSetUnion(t *testing.T) {
 	a := NewSet("x", "y")
 	b := NewSet("y", "z")
-	a.Merge(b)
+	a = a.Merge(b).(*Set)
 	if a.Len() != 3 || !a.Contains("x") || !a.Contains("z") {
 		t.Fatalf("union = %v", a.Elems)
 	}
@@ -57,11 +57,11 @@ func TestGCounter(t *testing.T) {
 	a.Incr("n1", 5)
 	b.Incr("n1", 3)
 	b.Incr("n2", 2)
-	a.Merge(b)
+	a = a.Merge(b).(*GCounter)
 	if a.Value() != 7 { // max(5,3) + 2
 		t.Fatalf("value = %d, want 7", a.Value())
 	}
-	a.Merge(b)
+	a = a.Merge(b).(*GCounter)
 	if a.Value() != 7 {
 		t.Fatal("merge not idempotent")
 	}
@@ -72,7 +72,7 @@ func TestMapPointwiseMerge(t *testing.T) {
 	a.Put("k", NewSet("c1"))
 	b.Put("k", NewSet("c2"))
 	b.Put("j", NewMaxInt64(4))
-	a.Merge(b)
+	a = a.Merge(b).(*Map)
 	if got := a.Get("k").(*Set); got.Len() != 2 {
 		t.Fatalf("pointwise union failed: %v", got.Elems)
 	}
@@ -82,20 +82,26 @@ func TestMapPointwiseMerge(t *testing.T) {
 	if a.Len() != 2 {
 		t.Fatalf("len = %d", a.Len())
 	}
+	// A capsule entry is replaced by the join its merge returns.
+	a.Put("v", NewLWW(Timestamp{Clock: 1}, []byte("old")))
+	a.Put("v", NewLWW(Timestamp{Clock: 2}, []byte("new")))
+	if got := a.Get("v").(*LWW); string(got.Value) != "new" {
+		t.Fatalf("capsule entry = %q, want the newer write", got.Value)
+	}
 }
 
 func TestLWWKeepsLatestTimestamp(t *testing.T) {
 	a := NewLWW(Timestamp{Clock: 10, Node: 1}, []byte("old"))
-	a.Merge(NewLWW(Timestamp{Clock: 20, Node: 0}, []byte("new")))
+	a = a.Merge(NewLWW(Timestamp{Clock: 20, Node: 0}, []byte("new"))).(*LWW)
 	if string(a.Value) != "new" {
 		t.Fatalf("value = %q", a.Value)
 	}
-	a.Merge(NewLWW(Timestamp{Clock: 15, Node: 9}, []byte("stale")))
+	a = a.Merge(NewLWW(Timestamp{Clock: 15, Node: 9}, []byte("stale"))).(*LWW)
 	if string(a.Value) != "new" {
 		t.Fatalf("older write won: %q", a.Value)
 	}
 	// Node id breaks clock ties.
-	a.Merge(NewLWW(Timestamp{Clock: 20, Node: 1}, []byte("tie")))
+	a = a.Merge(NewLWW(Timestamp{Clock: 20, Node: 1}, []byte("tie"))).(*LWW)
 	if string(a.Value) != "tie" {
 		t.Fatalf("tie-break failed: %q", a.Value)
 	}
@@ -104,12 +110,12 @@ func TestLWWKeepsLatestTimestamp(t *testing.T) {
 func TestCausalDominationReplaces(t *testing.T) {
 	v1 := NewCausal(VectorClock{"e1": 1}, nil, []byte("a"))
 	v2 := NewCausal(VectorClock{"e1": 2}, nil, []byte("b"))
-	v1.Merge(v2)
+	v1 = v1.Merge(v2).(*Causal)
 	if len(v1.Versions) != 1 || string(v1.DisplayValue()) != "b" {
 		t.Fatalf("dominating merge: %+v", v1.Versions)
 	}
 	// Merging the older version back in changes nothing.
-	v1.Merge(NewCausal(VectorClock{"e1": 1}, nil, []byte("a")))
+	v1 = v1.Merge(NewCausal(VectorClock{"e1": 1}, nil, []byte("a"))).(*Causal)
 	if len(v1.Versions) != 1 || string(v1.DisplayValue()) != "b" {
 		t.Fatalf("dominated merge resurrected old version")
 	}
@@ -118,7 +124,7 @@ func TestCausalDominationReplaces(t *testing.T) {
 func TestCausalConcurrentSiblingsPreserved(t *testing.T) {
 	a := NewCausal(VectorClock{"e1": 1}, nil, []byte("a"))
 	b := NewCausal(VectorClock{"e2": 1}, nil, []byte("b"))
-	a.Merge(b)
+	a = a.Merge(b).(*Causal)
 	if len(a.Versions) != 2 {
 		t.Fatalf("siblings = %d, want 2", len(a.Versions))
 	}
@@ -132,7 +138,7 @@ func TestCausalConcurrentSiblingsPreserved(t *testing.T) {
 	}
 	// A write dominating both collapses the siblings.
 	c := NewCausal(VectorClock{"e1": 2, "e2": 1}, nil, []byte("c"))
-	a.Merge(c)
+	a = a.Merge(c).(*Causal)
 	if len(a.Versions) != 1 || string(a.DisplayValue()) != "c" {
 		t.Fatalf("dominating write did not collapse: %+v", a.Versions)
 	}
@@ -141,7 +147,7 @@ func TestCausalConcurrentSiblingsPreserved(t *testing.T) {
 func TestCausalDepsUnion(t *testing.T) {
 	a := NewCausal(VectorClock{"e1": 1}, map[string]VectorClock{"k": {"e9": 1}}, []byte("a"))
 	b := NewCausal(VectorClock{"e2": 1}, map[string]VectorClock{"k": {"e9": 2}, "j": {"e3": 1}}, []byte("b"))
-	a.Merge(b)
+	a = a.Merge(b).(*Causal)
 	deps := a.DepsUnion()
 	if deps["k"].String() != "{e9:2}" {
 		t.Fatalf("deps on k = %v, want max clock", deps["k"])
@@ -158,9 +164,7 @@ func TestCausalDisplayValueDeterministic(t *testing.T) {
 			NewCausal(VectorClock{"e2": 1}, nil, []byte("y")),
 			NewCausal(VectorClock{"e3": 1}, nil, []byte("z")),
 		}
-		acc := caps[order[0]].Clone().(*Causal)
-		acc.Merge(caps[order[1]])
-		acc.Merge(caps[order[2]])
+		acc := caps[order[0]].Merge(caps[order[1]]).Merge(caps[order[2]]).(*Causal)
 		return string(acc.DisplayValue())
 	}
 	want := mk([]int{0, 1, 2})
@@ -237,7 +241,7 @@ func TestCrossTypeMergePanics(t *testing.T) {
 					t.Errorf("pair %d: cross-type merge did not panic", i)
 				}
 			}()
-			p.a.Merge(p.b)
+			_ = p.a.Merge(p.b)
 		}()
 	}
 }
@@ -271,7 +275,7 @@ func genLattice(rng *rand.Rand, kind string) Lattice {
 	case "causal":
 		c := NewCausal(genVC(rng), genDeps(rng), []byte{byte(rng.Intn(4))})
 		for i := rng.Intn(3); i > 0; i-- {
-			c.Merge(NewCausal(genVC(rng), genDeps(rng), []byte{byte(rng.Intn(4))}))
+			c = c.Merge(NewCausal(genVC(rng), genDeps(rng), []byte{byte(rng.Intn(4))})).(*Causal)
 		}
 		return c
 	case "map":
@@ -355,10 +359,8 @@ func TestMergeCommutative(t *testing.T) {
 	for _, kind := range allKinds {
 		for i := 0; i < 300; i++ {
 			a, b := genLattice(rng, kind), genLattice(rng, kind)
-			ab := a.Clone()
-			ab.Merge(b)
-			ba := b.Clone()
-			ba.Merge(a)
+			ab := a.Clone().Merge(b)
+			ba := b.Clone().Merge(a)
 			if canon(ab) != canon(ba) {
 				t.Fatalf("%s not commutative:\n a=%s\n b=%s\n ab=%s\n ba=%s",
 					kind, canon(a), canon(b), canon(ab), canon(ba))
@@ -373,13 +375,8 @@ func TestMergeAssociative(t *testing.T) {
 	for _, kind := range allKinds {
 		for i := 0; i < 300; i++ {
 			a, b, c := genLattice(rng, kind), genLattice(rng, kind), genLattice(rng, kind)
-			l := a.Clone()
-			l.Merge(b)
-			l.Merge(c)
-			bc := b.Clone()
-			bc.Merge(c)
-			r := a.Clone()
-			r.Merge(bc)
+			l := a.Clone().Merge(b).Merge(c)
+			r := a.Clone().Merge(b.Clone().Merge(c))
 			if canon(l) != canon(r) {
 				t.Fatalf("%s not associative:\n a=%s\n b=%s\n c=%s\n (ab)c=%s\n a(bc)=%s",
 					kind, canon(a), canon(b), canon(c), canon(l), canon(r))
@@ -395,15 +392,12 @@ func TestMergeIdempotent(t *testing.T) {
 	for _, kind := range allKinds {
 		for i := 0; i < 300; i++ {
 			a, b := genLattice(rng, kind), genLattice(rng, kind)
-			aa := a.Clone()
-			aa.Merge(a)
+			aa := a.Clone().Merge(a)
 			if canon(aa) != canon(a) {
 				t.Fatalf("%s: merge(a,a) != a", kind)
 			}
-			ab := a.Clone()
-			ab.Merge(b)
-			abb := ab.Clone()
-			abb.Merge(b)
+			ab := a.Clone().Merge(b)
+			abb := ab.Clone().Merge(b)
 			if canon(abb) != canon(ab) {
 				t.Fatalf("%s: merge(ab,b) != ab:\n ab=%s\n abb=%s", kind, canon(ab), canon(abb))
 			}
@@ -411,9 +405,12 @@ func TestMergeIdempotent(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence verifies clones never alias the original. A
-// causal clone shares its versions with the original, so what the
-// original derives from them must hold still too.
+// TestCloneIndependence verifies that keeping a merge's result never
+// changes the original: merging into a clone, and on into what that merge
+// returned, leaves the cloned value and both arguments as they were. A
+// capsule's clone is the capsule itself, so for LWW and Causal this is
+// merging the original; a causal result shares versions with its inputs,
+// so what they derive from them must hold still too.
 func TestCloneIndependence(t *testing.T) {
 	state := func(l Lattice) string {
 		s := canon(l)
@@ -425,12 +422,13 @@ func TestCloneIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, kind := range allKinds {
 		for i := 0; i < 100; i++ {
-			a := genLattice(rng, kind)
-			before := state(a)
-			cl := a.Clone()
-			cl.Merge(genLattice(rng, kind))
-			if state(a) != before {
-				t.Fatalf("%s: mutating clone changed original", kind)
+			a, b, c := genLattice(rng, kind), genLattice(rng, kind), genLattice(rng, kind)
+			before, bBefore, cBefore := state(a), state(b), state(c)
+			kept := a.Clone().Merge(b)
+			kept = kept.Merge(c)
+			if state(a) != before || state(b) != bBefore || state(c) != cBefore {
+				t.Fatalf("%s: keeping a merge's result changed an input\n a %s -> %s\n b %s -> %s\n c %s -> %s",
+					kind, before, state(a), bBefore, state(b), cBefore, state(c))
 			}
 		}
 	}
@@ -443,13 +441,13 @@ func TestMergeMonotone(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		a, b := genLattice(rng, "gcounter").(*GCounter), genLattice(rng, "gcounter").(*GCounter)
 		before := a.Value()
-		a.Merge(b)
+		a = a.Merge(b).(*GCounter)
 		if a.Value() < before || a.Value() < b.Value() {
 			t.Fatalf("gcounter merge went down: %d -> %d (b=%d)", before, a.Value(), b.Value())
 		}
 		s, s2 := genLattice(rng, "set").(*Set), genLattice(rng, "set").(*Set)
 		n := s.Len()
-		s.Merge(s2)
+		s = s.Merge(s2).(*Set)
 		if s.Len() < n || s.Len() < s2.Len() {
 			t.Fatal("set merge shrank")
 		}
@@ -463,7 +461,7 @@ func TestCausalAntichainInvariant(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		acc := genLattice(rng, "causal").(*Causal)
 		for j := 0; j < 5; j++ {
-			acc.Merge(genLattice(rng, "causal"))
+			acc = acc.Merge(genLattice(rng, "causal")).(*Causal)
 		}
 		for x, vx := range acc.Versions {
 			for y, vy := range acc.Versions {

@@ -24,11 +24,13 @@ func (t Timestamp) Less(u Timestamp) bool {
 // timestamps tie-break on payload bytes so the merge stays commutative.
 // This is the default capsule Cloudburst wraps bare program values in.
 //
-// Value is immutable once capsuled: every writer allocates a fresh
-// buffer (codec.Encode always returns one), so Clone and Merge share the
-// slice instead of copying it, and readers throughout the cache/KVS/
-// executor data plane hand out the same bytes. The payload guard (see
-// GuardPayloads) enforces the convention in tests.
+// A capsule is an immutable value: nothing writes TS or Value after
+// NewLWW, so Merge returns the winning side and Clone the receiver, and
+// stores, snapshots and messages share one capsule. Every writer
+// allocates a fresh payload buffer (codec.Encode always returns one), so
+// readers throughout the cache/KVS/executor data plane hand out the same
+// bytes. The payload guard (see GuardPayloads) enforces the convention
+// in tests.
 type LWW struct {
 	TS    Timestamp
 	Value []byte
@@ -41,17 +43,17 @@ func NewLWW(ts Timestamp, value []byte) *LWW {
 	return &LWW{TS: ts, Value: value}
 }
 
-// Merge implements Lattice. Payloads are immutable, so the winning
-// capsule's bytes are shared, not copied.
-func (l *LWW) Merge(other Lattice) {
+// Merge implements Lattice: the winning capsule itself, neither side
+// written.
+func (l *LWW) Merge(other Lattice) Lattice {
 	o, ok := other.(*LWW)
 	if !ok {
 		panic(mismatch(l.TypeName(), other))
 	}
 	if l.less(o) {
-		l.TS = o.TS
-		l.Value = o.Value
+		return o
 	}
+	return l
 }
 
 // less orders capsules: timestamp, then payload bytes for determinism.
@@ -62,11 +64,8 @@ func (l *LWW) less(o *LWW) bool {
 	return bytes.Compare(l.Value, o.Value) < 0
 }
 
-// Clone implements Lattice. The payload is shared (it is immutable);
-// only the capsule shell is fresh.
-func (l *LWW) Clone() Lattice {
-	return &LWW{TS: l.TS, Value: l.Value}
-}
+// Clone implements Lattice: an immutable capsule is its own copy.
+func (l *LWW) Clone() Lattice { return l }
 
 // ByteSize implements Lattice. The paper calls out the 8-byte timestamp
 // as LWW's only metadata overhead (§6.2.1).

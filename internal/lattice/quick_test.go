@@ -121,27 +121,19 @@ func TestQuickGCounterACI(t *testing.T) {
 	prop := func(x, y, z latticeOps) bool {
 		a, b, c := x.counter(), y.counter(), z.counter()
 		// Commutative.
-		ab := a.Clone()
-		ab.Merge(b)
-		ba := b.Clone()
-		ba.Merge(a)
+		ab := a.Clone().Merge(b)
+		ba := b.Clone().Merge(a)
 		if !reflect.DeepEqual(ab.(*GCounter).Slots, ba.(*GCounter).Slots) {
 			return false
 		}
 		// Associative.
-		l := a.Clone()
-		l.Merge(b)
-		l.Merge(c)
-		bc := b.Clone()
-		bc.Merge(c)
-		r := a.Clone()
-		r.Merge(bc)
+		l := a.Clone().Merge(b).Merge(c)
+		r := a.Clone().Merge(b.Clone().Merge(c))
 		if !reflect.DeepEqual(l.(*GCounter).Slots, r.(*GCounter).Slots) {
 			return false
 		}
 		// Idempotent.
-		aa := a.Clone()
-		aa.Merge(a)
+		aa := a.Clone().Merge(a)
 		return reflect.DeepEqual(aa.(*GCounter).Slots, a.Slots)
 	}
 	if err := quick.Check(prop, quickCfg()); err != nil {
@@ -152,8 +144,7 @@ func TestQuickGCounterACI(t *testing.T) {
 func TestQuickSetMergeIsUnion(t *testing.T) {
 	prop := func(x, y latticeOps) bool {
 		a, b := x.set(), y.set()
-		m := a.Clone().(*Set)
-		m.Merge(b)
+		m := a.Clone().Merge(b).(*Set)
 		for e := range a.Elems {
 			if !m.Contains(e) {
 				return false
@@ -193,16 +184,17 @@ func TestQuickLWWConvergence(t *testing.T) {
 			}
 			return out
 		}
-		forward := mk()[0]
+		var forward Lattice = mk()[0]
 		for _, l := range mk()[1:] {
-			forward.Merge(l)
+			forward = forward.Merge(l)
 		}
-		reverse := mk()[n-1]
 		all := mk()
+		var reverse Lattice = all[n-1]
 		for i := n - 2; i >= 0; i-- {
-			reverse.Merge(all[i])
+			reverse = reverse.Merge(all[i])
 		}
-		return forward.TS == reverse.TS && string(forward.Value) == string(reverse.Value)
+		f, r := forward.(*LWW), reverse.(*LWW)
+		return f.TS == r.TS && string(f.Value) == string(r.Value)
 	}
 	if err := quick.Check(prop, quickCfg()); err != nil {
 		t.Fatal(err)
@@ -221,13 +213,13 @@ func TestQuickCausalMergeConvergesAcrossOrders(t *testing.T) {
 		mk := func(i int) *Causal {
 			return NewCausal(xs[i].vc(), nil, []byte{vals[i] % 4})
 		}
-		a := mk(0)
+		var a Lattice = mk(0)
 		for i := 1; i < n; i++ {
-			a.Merge(mk(i))
+			a = a.Merge(mk(i))
 		}
-		b := mk(n - 1)
+		var b Lattice = mk(n - 1)
 		for i := n - 2; i >= 0; i-- {
-			b.Merge(mk(i))
+			b = b.Merge(mk(i))
 		}
 		return canon(a) == canon(b)
 	}
