@@ -120,8 +120,8 @@ type Config struct {
 	// serial dispatcher queues the excess.
 	SchedulerDispatchCost time.Duration
 	// MonitorShards > 1 partitions the monitor's metric-registry scan
-	// across that many concurrent scanner endpoints with incremental
-	// counter aggregation.
+	// across that many concurrent scanner endpoints; the policy inputs
+	// are the same at any shard count.
 	MonitorShards int
 
 	// Trace, when set, is this cluster's span collector for the

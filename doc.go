@@ -217,6 +217,16 @@
 // the tables and the benchmark against your base (scripts/tablediff.sh,
 // scripts/benchdiff.sh) when you do.
 //
+// The control plane reads such structs back one way. A metrics registry
+// is a Set of member keys, each an LWW capsule: core.Registry lists the
+// members (sorted, re-sorted only when membership changes), and
+// core.FetchAll reads them with one grouped multi-get and decodes each
+// as the asked type, skipping what is missing or of another type.
+// core.Fetch reads one key the same way: a DAG topology, a warm seed.
+// Schedulers, the monitor and the cluster decode through one
+// core.DecodeCache per cluster, so each published version is decoded
+// once.
+//
 // # The allocation-free simulation substrate
 //
 // Underneath the data plane, the substrate itself is amortized
@@ -363,11 +373,10 @@
 // scheduler group is sharded behind consistent request hashing
 // (Config.Schedulers), each request's ranking of shards is stable and
 // client-computed, the monitor's registry scan partitions across
-// scanner endpoints with incremental counter aggregation
-// (Config.MonitorShards), and Future.Wait re-routes a still-silent
-// request to the next-ranked shard at half its wait budget — so the
-// saturation knee scales with the shard count (§3.2's "many schedulers
-// behind a load balancer").
+// scanner endpoints (Config.MonitorShards), and Future.Wait re-routes a
+// still-silent request to the next-ranked shard at half its wait budget
+// — so the saturation knee scales with the shard count (§3.2's "many
+// schedulers behind a load balancer").
 //
 // # Tracing a request
 //

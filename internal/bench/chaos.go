@@ -14,7 +14,6 @@ import (
 	"cloudburst/internal/core"
 	"cloudburst/internal/executor"
 	"cloudburst/internal/fault"
-	"cloudburst/internal/lattice"
 	"cloudburst/internal/parallel"
 	"cloudburst/internal/simnet"
 	"cloudburst/internal/traffic"
@@ -433,15 +432,8 @@ func countGhostKeys(in *cluster.Cluster) int {
 	kv := in.AnnaClientFor(in.NewClientEndpoint())
 	ghosts := 0
 	for _, reg := range []string{executor.MetricListKey, executor.CacheListKey} {
-		lat, found, err := kv.Get(reg)
-		if err != nil || !found {
-			continue
-		}
-		set, ok := lat.(*lattice.Set)
-		if !ok {
-			continue
-		}
-		for e := range set.Elems {
+		r := core.Registry{ListKey: reg}
+		for _, e := range r.Keys(kv, nil) {
 			if !live[e] {
 				ghosts++
 			}

@@ -121,7 +121,9 @@ type Cluster struct {
 
 	dagCache  map[string]*dag.Index
 	dagClient *anna.Client
-	down      map[simnet.NodeID]bool
+	// decoded is the control plane's shared decoded-metadata cache.
+	decoded *core.DecodeCache
+	down    map[simnet.NodeID]bool
 	// killed remembers crashed VM names so RestartVM can replace them;
 	// gens counts replacement generations per base name.
 	killed map[string]bool
@@ -164,6 +166,7 @@ func New(cfg Config) *Cluster {
 		cfg:      cfg,
 		vms:      make(map[string]*VMHandle),
 		dagCache: make(map[string]*dag.Index),
+		decoded:  core.NewDecodeCache(),
 		down:     make(map[simnet.NodeID]bool),
 		killed:   make(map[string]bool),
 		gens:     make(map[string]int),
@@ -174,14 +177,13 @@ func New(cfg Config) *Cluster {
 	c.lifecycleEP = net.AddNode("lifecycle-0")
 	c.lifecycle = c.KV.NewClient(c.lifecycleEP, 0)
 
-	// All control-plane consumers share one decoded-metrics cache: each
+	// All control-plane consumers share one decoded-metadata cache: each
 	// publication is decoded once per cluster, not once per poll tick
 	// per scheduler.
-	decoded := core.NewDecodeCache()
-	cfg.Scheduler.Decoded = decoded
+	cfg.Scheduler.Decoded = c.decoded
 	cfg.Scheduler.Trace = cfg.Trace
 	cfg.Cache.Trace = cfg.Trace
-	cfg.Monitor.Decoded = decoded
+	cfg.Monitor.Decoded = c.decoded
 	// The scheduler group is static for the cluster's lifetime, so the
 	// monitor can validate its cached sched-registry listing against
 	// this exact key set and skip the per-tick listing read.
@@ -292,19 +294,7 @@ func (c *Cluster) dagFor(name string) (*dag.Index, bool) {
 	if d, ok := c.dagCache[name]; ok {
 		return d, true
 	}
-	lat, found, err := c.dagClient.Get(core.DAGKey(name))
-	if err != nil || !found {
-		return nil, false
-	}
-	l, ok := lat.(*lattice.LWW)
-	if !ok {
-		return nil, false
-	}
-	v, err := codec.Decode(l.Value)
-	if err != nil {
-		return nil, false
-	}
-	d, ok := v.(dag.DAG)
+	d, ok := core.Fetch[dag.DAG](c.dagClient, c.decoded, core.DAGKey(name))
 	if !ok {
 		return nil, false
 	}
@@ -522,19 +512,7 @@ func (c *Cluster) recordWarmSeed(h *VMHandle) {
 // replacement as equivalent. Missing seed or missing peers degrade to a
 // cold start.
 func (c *Cluster) warmFill(h *VMHandle, base string) {
-	lat, found, err := c.lifecycle.Get(core.WarmSeedKey(base))
-	if err != nil || !found {
-		return
-	}
-	l, ok := lat.(*lattice.LWW)
-	if !ok {
-		return
-	}
-	v, err := codec.Decode(l.Value)
-	if err != nil {
-		return
-	}
-	seed, ok := v.(core.WarmSeed)
+	seed, ok := core.Fetch[core.WarmSeed](c.lifecycle, c.decoded, core.WarmSeedKey(base))
 	if !ok {
 		return
 	}

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -367,11 +368,13 @@ type SchedulerMetrics struct {
 // DecodeCache memoizes decoded LWW capsule payloads by (key, exact
 // timestamp). LWW timestamps are unique per write, so an entry never
 // invalidates; re-publication under a new timestamp simply replaces it.
-// Control-plane consumers (schedulers, the monitor) share one cache per
-// cluster so each metrics publication is decoded once per cluster
-// instead of once per consumer per poll tick. Decoded values are shared
-// read-only, the same convention the data plane's zero-copy payloads
-// follow. The kernel runs one party at a time, so no locking is needed.
+// Control-plane consumers (schedulers, the monitor, the cluster's DAG
+// resolver) share one cache per cluster and read through Fetch, FetchAll
+// and Registry, so each metrics publication or DAG topology is decoded
+// once per cluster instead of once per consumer per read. Decoded values
+// are shared read-only, the same convention the data plane's zero-copy
+// payloads follow. The kernel runs one party at a time, so no locking is
+// needed.
 type DecodeCache struct {
 	m map[string]decodedVersion
 }
@@ -398,7 +401,7 @@ func (c *DecodeCache) Get(key string, ts lattice.Timestamp) (any, bool) {
 
 // Put records the decoded value for key at ts, evicting the key's prior
 // version (older timestamps are never read again), so the cache's size
-// is bounded by the number of live metrics keys, not simulation length.
+// is bounded by the number of system keys read, not simulation length.
 func (c *DecodeCache) Put(key string, ts lattice.Timestamp, v any) {
 	c.m[key] = decodedVersion{ts: ts, v: v}
 }
@@ -415,6 +418,97 @@ func (c *DecodeCache) Decode(key string, l *lattice.LWW) (any, bool) {
 	}
 	c.Put(key, l.TS, v)
 	return v, true
+}
+
+// Reader is the read half of an Anna client (*anna.Client): what the
+// control plane needs to read system metadata.
+type Reader interface {
+	Get(key string) (lattice.Lattice, bool, error)
+	MultiGet(keys []string) ([]lattice.Lattice, []string, error)
+}
+
+// decodeAs returns the payload of key's capsule lat as a T, decoded
+// through c; false when lat is not an LWW capsule or its payload does not
+// decode to a T.
+func decodeAs[T any](c *DecodeCache, key string, lat lattice.Lattice) (T, bool) {
+	var t T
+	l, ok := lat.(*lattice.LWW)
+	if !ok {
+		return t, false
+	}
+	v, ok := c.Decode(key, l)
+	if !ok {
+		return t, false
+	}
+	t, ok = v.(T)
+	return t, ok
+}
+
+// Fetch reads key with one Get and returns its payload as a T, decoded
+// through c: how the control plane reads a DAG topology or a warm seed.
+func Fetch[T any](kv Reader, c *DecodeCache, key string) (T, bool) {
+	lat, found, err := kv.Get(key)
+	if err != nil || !found {
+		var t T
+		return t, false
+	}
+	return decodeAs[T](c, key, lat)
+}
+
+// FetchAll reads keys with one grouped multi-get and returns, in key
+// order, the payloads that decode to a T through c. A key the grouped
+// read misses (replication lag at its primary) or whose capsule holds
+// anything else is skipped: the next read picks it up.
+func FetchAll[T any](kv Reader, c *DecodeCache, keys []string) []T {
+	got, _, err := kv.MultiGet(keys)
+	if err != nil || len(got) == 0 {
+		return nil
+	}
+	out := make([]T, 0, len(got))
+	for i, key := range keys {
+		if v, ok := decodeAs[T](c, key, got[i]); ok {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// Registry reads one metrics registry: the Set of member keys stored
+// under ListKey, one LWW capsule per member (executor, cache and
+// scheduler metrics). It keeps the last sorted member list, so a read
+// whose membership is unchanged neither sorts nor allocates.
+type Registry struct {
+	ListKey string
+	keys    []string
+}
+
+// Keys returns the registry's members, sorted; nil when the listing is
+// unreadable or empty. When expected (sorted) is non-empty and equals
+// the last list, the listing read itself is skipped: a caller that knows
+// the membership without Anna pays no read while it is unchanged, and
+// any mismatch (a cold list, registrations still propagating, ghost keys
+// awaiting the reaper) keeps the listing read flowing.
+func (r *Registry) Keys(kv Reader, expected []string) []string {
+	if len(expected) > 0 && slices.Equal(r.keys, expected) {
+		return r.keys
+	}
+	lat, found, err := kv.Get(r.ListKey)
+	if err != nil || !found {
+		return nil
+	}
+	set, ok := lat.(*lattice.Set)
+	if !ok {
+		return nil
+	}
+	// Equal-length sets with a common subset are equal.
+	same := set.Len() == len(r.keys)
+	for i := 0; same && i < len(r.keys); i++ {
+		same = set.Contains(r.keys[i])
+	}
+	if !same {
+		r.keys = slices.Sorted(maps.Keys(set.Elems))
+	}
+	return r.keys
 }
 
 // Well-known Anna key constructors for system metadata (§4.4: "Anna as

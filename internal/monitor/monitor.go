@@ -18,6 +18,7 @@ package monitor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -25,7 +26,6 @@ import (
 	"cloudburst/internal/core"
 	"cloudburst/internal/dag"
 	"cloudburst/internal/executor"
-	"cloudburst/internal/lattice"
 	"cloudburst/internal/scheduler"
 	"cloudburst/internal/simnet"
 	"cloudburst/internal/vtime"
@@ -72,11 +72,10 @@ type Config struct {
 	// Decoded is an optional cluster-shared decoded-metrics cache; nil
 	// gives the monitor a private one.
 	Decoded *core.DecodeCache
-	// Shards partitions the registry scan: with Shards > 1 (and a
-	// NewShardEP factory) the metric keys are hash-split across that
-	// many endpoints whose multi-gets run concurrently, and scheduler
-	// counters aggregate incrementally (see shard.go). Shards <= 1
-	// keeps the original single-endpoint scan, byte for byte.
+	// Shards is how many endpoints read the metric registries: each
+	// registry's keys are hash-split across them and their multi-gets run
+	// concurrently. Shards <= 1 is one shard, the monitor's own endpoint,
+	// which reads every key.
 	Shards int
 	// NewShardEP allocates shard i's endpoint and KVS client (i >= 1;
 	// shard 0 rides the monitor's own endpoint). Set by the cluster.
@@ -86,7 +85,7 @@ type Config struct {
 	// for a cluster's lifetime, so once the cached sched-list matches
 	// this expectation the per-tick listing read is skipped — an
 	// unchanged registry costs zero Anna reads. Empty disables the
-	// skip and every tick reads the listing, as before.
+	// skip and every tick reads the listing.
 	SchedKeys []string
 }
 
@@ -127,20 +126,14 @@ type Monitor struct {
 	// once instead of on every policy tick. Shared cluster-wide when
 	// Config.Decoded is set.
 	decoded *core.DecodeCache
-	// shards, when non-empty (Config.Shards > 1), partition the
-	// registry scan; aggCalls/aggDone are the incrementally-maintained
-	// scheduler-counter aggregates the shards fold deltas into.
-	shards   []*shard
-	aggCalls map[string]int64
-	aggDone  map[string]int64
-	// execKeys/schedKeys cache each registry's sorted key list (and, in
-	// sharded mode, its hash partitions) between policy ticks; fleet
-	// membership changes rarely, so most ticks skip the re-sort and
-	// re-partition entirely. The Anna reads themselves are untouched —
-	// the cache is CPU-side only, so the simulation schedule (and every
-	// figure) is byte-identical with or without a hit.
-	execKeys  registryKeyCache
-	schedKeys registryKeyCache
+	// shards read the registries' keys; shard 0 is the monitor's own
+	// endpoint and client.
+	shards []shard
+	// execReg/schedReg keep each registry's sorted key list between
+	// policy ticks: fleet membership changes rarely, so most ticks
+	// neither re-sort nor, once the list matches the expected membership,
+	// read the listing.
+	execReg, schedReg core.Registry
 
 	Events []Event
 	// ReplicaSamples records (time, total pinned replicas) per tick —
@@ -169,31 +162,34 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, pool ComputePool
 		prevCalls:     make(map[string]int64),
 		prevDone:      make(map[string]int64),
 		decoded:       cfg.Decoded,
+		shards:        []shard{{"monitor/shard-0", ep.ID(), ac}},
+		execReg:       core.Registry{ListKey: executor.MetricListKey},
+		schedReg:      core.Registry{ListKey: scheduler.SchedListKey},
 	}
 	if m.decoded == nil {
 		m.decoded = core.NewDecodeCache()
 	}
-	if cfg.Shards > 1 && cfg.NewShardEP != nil {
-		m.shards = append(m.shards, newShard(ep, ac))
-		for i := 1; i < cfg.Shards; i++ {
-			sep, sac := cfg.NewShardEP(i)
-			m.shards = append(m.shards, newShard(sep, sac))
-		}
-		m.aggCalls = make(map[string]int64)
-		m.aggDone = make(map[string]int64)
+	for i := 1; i < cfg.Shards && cfg.NewShardEP != nil; i++ {
+		sep, sac := cfg.NewShardEP(i)
+		m.shards = append(m.shards, shard{fmt.Sprintf("monitor/shard-%d", i), sep.ID(), sac})
 	}
 	return m
 }
 
+// shard is one registry reader: an endpoint and its KVS client, so its
+// multi-gets overlap the other shards'.
+type shard struct {
+	proc string // its kernel process name
+	id   simnet.NodeID
+	kv   *anna.Client
+}
+
 // Endpoints lists the monitor's network endpoints (the policy endpoint
-// plus any shard scanners) — the surface a fault plan partitions.
+// plus any further shards) — the surface a fault plan partitions.
 func (m *Monitor) Endpoints() []simnet.NodeID {
-	if len(m.shards) == 0 {
-		return []simnet.NodeID{m.ep.ID()}
-	}
 	out := make([]simnet.NodeID, len(m.shards))
 	for i, s := range m.shards {
-		out[i] = s.ep.ID()
+		out[i] = s.id
 	}
 	return out
 }
@@ -230,15 +226,12 @@ func (m *Monitor) tick() {
 // refresh pulls executor and scheduler metrics from Anna and returns the
 // cumulative per-DAG call and completion counters. Like the schedulers'
 // refreshView, each metric registry is read with one grouped multi-get
-// per storage node instead of one Get per key; keys the grouped read
-// misses (replication lag at the primary) are simply absent this tick.
+// per shard instead of one Get per key; keys the grouped read misses
+// (replication lag at the primary) are simply absent this tick. The
+// executor registry is read in full before the scheduler registry is
+// listed, and the counters are summed afresh every tick, at any shard
+// count.
 func (m *Monitor) refresh() (calls, done map[string]int64) {
-	if len(m.shards) > 1 {
-		return m.refreshSharded()
-	}
-	calls = make(map[string]int64)
-	done = make(map[string]int64)
-
 	// The compute pool is the authoritative thread-liveness source (the
 	// monitor owns VM lifecycle): a crashed or deallocated VM's threads
 	// leave their final reports in Anna forever, and without this filter
@@ -251,9 +244,8 @@ func (m *Monitor) refresh() (calls, done map[string]int64) {
 	}
 	fresh := make(map[simnet.NodeID]core.ExecutorMetrics)
 	pins := make(map[string][]simnet.NodeID)
-	for _, v := range m.fetchRegistry(m.listRegistry(&m.execKeys, executor.MetricListKey, m.expectedExecKeys())) {
-		em, ok := v.(core.ExecutorMetrics)
-		if !ok || !live[em.Thread] {
+	for _, em := range scan[core.ExecutorMetrics](m, m.execReg.Keys(m.anna, m.expectedExecKeys())) {
+		if !live[em.Thread] {
 			continue
 		}
 		fresh[em.Thread] = em
@@ -269,11 +261,9 @@ func (m *Monitor) refresh() (calls, done map[string]int64) {
 		}
 	}
 
-	for _, v := range m.fetchRegistry(m.listRegistry(&m.schedKeys, scheduler.SchedListKey, m.cfg.SchedKeys)) {
-		sm, ok := v.(core.SchedulerMetrics)
-		if !ok {
-			continue
-		}
+	calls = make(map[string]int64)
+	done = make(map[string]int64)
+	for _, sm := range scan[core.SchedulerMetrics](m, m.schedReg.Keys(m.anna, m.cfg.SchedKeys)) {
 		for d, n := range sm.DAGCalls {
 			calls[d] += n
 		}
@@ -284,25 +274,6 @@ func (m *Monitor) refresh() (calls, done map[string]int64) {
 		}
 	}
 	return calls, done
-}
-
-// listRegistry returns a metric registry's key list for this tick. When
-// the cached list already equals the CPU-side expectation the Anna
-// listing read is skipped entirely — the steady state after the fleet
-// converges. Any mismatch (cold cache, registrations still propagating,
-// ghost keys awaiting the reaper) keeps the listing read flowing, so
-// the skip can never serve a listing Anna would have disagreed with
-// only while membership is in flux.
-func (m *Monitor) listRegistry(cache *registryKeyCache, listKey string, expected []string) []string {
-	if cache.matches(expected) {
-		return cache.keys
-	}
-	if lat, found, err := m.anna.Get(listKey); err == nil && found {
-		if set, ok := lat.(*lattice.Set); ok {
-			return cache.get(set)
-		}
-	}
-	return nil
 }
 
 // expectedExecKeys derives the executor-registry key set from the
@@ -318,96 +289,40 @@ func (m *Monitor) expectedExecKeys() []string {
 	return out
 }
 
-// registryKeyCache memoizes one registry Set's sorted key list and its
-// shard partitions. A cached list is valid while the set's membership
-// is unchanged — same cardinality and every cached key still present
-// (equal-length sets with a common subset are equal). The check is one
-// map lookup per key, replacing the per-tick allocate-and-sort.
-type registryKeyCache struct {
-	keys  []string
-	parts [][]string // lazily built by partitions()
+// scan reads a registry's keys through every shard at once, each shard
+// multi-getting the keys that hash to it, and returns the payloads that
+// decode to a T, shard by shard and in key order within a shard. One
+// shard reads every key itself, in the calling process.
+func scan[T any](m *Monitor, keys []string) []T {
+	if len(m.shards) == 1 {
+		return core.FetchAll[T](m.shards[0].kv, m.decoded, keys)
+	}
+	parts := make([][]string, len(m.shards))
+	for _, key := range keys {
+		i := shardOf(key, len(parts))
+		parts[i] = append(parts[i], key)
+	}
+	got := make([][]T, len(m.shards))
+	wg := vtime.NewWaitGroup(m.k)
+	for i, s := range m.shards {
+		wg.Add(1)
+		m.k.Go(s.proc, func() {
+			defer wg.Done()
+			got[i] = core.FetchAll[T](s.kv, m.decoded, parts[i])
+		})
+	}
+	wg.Wait()
+	return slices.Concat(got...)
 }
 
-// get returns the sorted key list for set, reusing the cached list when
-// membership is unchanged.
-func (c *registryKeyCache) get(set *lattice.Set) []string {
-	if set.Len() == len(c.keys) {
-		hit := true
-		for _, k := range c.keys {
-			if _, ok := set.Elems[k]; !ok {
-				hit = false
-				break
-			}
-		}
-		if hit {
-			return c.keys
-		}
+// shardOf places a registry key on a shard (FNV-1a).
+func shardOf(key string, n int) int {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * prime
 	}
-	c.keys = sortedElems(set)
-	c.parts = nil
-	return c.keys
-}
-
-// matches reports whether the cached key list exactly equals the
-// expected (sorted) list. An empty expectation never matches: callers
-// with no CPU-side membership source always read the listing.
-func (c *registryKeyCache) matches(expected []string) bool {
-	if len(expected) == 0 || len(c.keys) != len(expected) {
-		return false
-	}
-	for i, k := range c.keys {
-		if k != expected[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// partitions returns the cached keys hash-split across n shards,
-// rebuilding only after a membership change invalidated the list.
-func (c *registryKeyCache) partitions(n int) [][]string {
-	if len(c.parts) == n {
-		return c.parts
-	}
-	c.parts = make([][]string, n)
-	for _, key := range c.keys {
-		i := shardOf(key, n)
-		c.parts[i] = append(c.parts[i], key)
-	}
-	return c.parts
-}
-
-// fetchRegistry bulk-reads a metric registry's keys in deterministic
-// order via one grouped multi-get per storage node and decodes each
-// capsule through the shared version-keyed cache.
-func (m *Monitor) fetchRegistry(keys []string) []any {
-	got, _, err := m.anna.MultiGet(keys)
-	if err != nil {
-		return nil
-	}
-	out := make([]any, 0, len(got))
-	for i, key := range keys {
-		l, ok := got[i].(*lattice.LWW)
-		if !ok {
-			continue
-		}
-		if v, ok := m.decoded.Decode(key, l); ok {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func (m *Monitor) decodeLWW(key string) (any, bool) {
-	lat, found, err := m.anna.Get(key)
-	if err != nil || !found {
-		return nil, false
-	}
-	l, ok := lat.(*lattice.LWW)
-	if !ok {
-		return nil, false
-	}
-	return m.decoded.Decode(key, l)
+	return int(h % uint64(n))
 }
 
 // scaleReplicas adjusts per-function pin counts. Growth is driven by two
@@ -428,7 +343,9 @@ func (m *Monitor) scaleReplicas(calls, done map[string]int64, elapsed float64) {
 		m.prevCalls[dname] = calls[dname]
 		m.prevDone[dname] = done[dname]
 
-		d, ok := m.dagTopology(dname)
+		// The DAG's topology, from Anna (the source of truth for system
+		// metadata, §4.4).
+		d, ok := core.Fetch[dag.DAG](m.anna, m.decoded, core.DAGKey(dname))
 		if !ok {
 			continue
 		}
@@ -496,20 +413,6 @@ func (m *Monitor) pinnedUtil(fn string) float64 {
 		sum += m.threadMetrics[t].Utilization
 	}
 	return sum / float64(len(ts))
-}
-
-// dagTopology fetches a DAG definition from Anna (the source of truth
-// for system metadata, §4.4).
-func (m *Monitor) dagTopology(name string) (*dag.DAG, bool) {
-	v, ok := m.decodeLWW(core.DAGKey(name))
-	if !ok {
-		return nil, false
-	}
-	d, ok := v.(dag.DAG)
-	if !ok {
-		return nil, false
-	}
-	return &d, true
 }
 
 // avgLatency averages the threads' reported execution latency; defaults
@@ -670,13 +573,4 @@ func (m *Monitor) Pins(fn string) int { return len(m.pins[fn]) }
 // hook; the copy is safe to inspect across ticks).
 func (m *Monitor) PinnedThreads(fn string) []simnet.NodeID {
 	return append([]simnet.NodeID(nil), m.pins[fn]...)
-}
-
-func sortedElems(s *lattice.Set) []string {
-	out := make([]string, 0, s.Len())
-	for e := range s.Elems {
-		out = append(out, e)
-	}
-	sort.Strings(out)
-	return out
 }

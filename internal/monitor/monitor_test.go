@@ -61,9 +61,8 @@ func TestReplicaScalingUnderLoad(t *testing.T) {
 
 // TestShardedMonitorDrivesSamePolicies runs the replica-scaling
 // scenario with the metric-registry scan partitioned across three
-// scanner endpoints: the incremental per-shard aggregation must feed
-// the same policy decisions (grow under saturation, shrink after
-// drain) as the monolithic scan.
+// scanner endpoints: the partitioned reads must feed the same policy
+// decisions (grow under saturation, shrink after drain) as one shard.
 func TestShardedMonitorDrivesSamePolicies(t *testing.T) {
 	cfg := cb.DefaultConfig()
 	cfg.VMs = 4

@@ -1,0 +1,167 @@
+package monitor
+
+import (
+	"fmt"
+	"maps"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"cloudburst/internal/anna"
+	"cloudburst/internal/codec"
+	"cloudburst/internal/core"
+	"cloudburst/internal/executor"
+	"cloudburst/internal/lattice"
+	"cloudburst/internal/scheduler"
+	"cloudburst/internal/simnet"
+	"cloudburst/internal/vtime"
+)
+
+// registrySnapshot is one state of the two metric registries in Anna,
+// with the policy inputs a refresh over it must produce.
+type registrySnapshot struct {
+	live        []simnet.NodeID
+	caps        map[string]lattice.Lattice
+	wantMetrics map[simnet.NodeID]core.ExecutorMetrics
+	wantPins    map[string][]simnet.NodeID
+	wantCalls   map[string]int64
+	wantDone    map[string]int64
+}
+
+// newRegistrySnapshot publishes 3 VMs × 4 threads, of which vm2 is dead
+// (its reports are ghosts the pool no longer lists), an executor-registry
+// member with no capsule, one holding a Set and one whose payload is not
+// ExecutorMetrics; and 3 schedulers' counters, one with an empty "done/"
+// entry. The wanted inputs are computed here in map form: live threads'
+// reports, each function's live pinned threads ascending, and the
+// counters summed.
+func newRegistrySnapshot() registrySnapshot {
+	s := registrySnapshot{
+		caps:        make(map[string]lattice.Lattice),
+		wantMetrics: make(map[simnet.NodeID]core.ExecutorMetrics),
+		wantPins:    make(map[string][]simnet.NodeID),
+		wantCalls:   make(map[string]int64),
+		wantDone:    make(map[string]int64),
+	}
+	put := func(key string, ts int64, v any) {
+		s.caps[key] = lattice.NewLWW(lattice.Timestamp{Clock: ts, Node: 1}, codec.MustEncode(v))
+	}
+	execList := lattice.NewSet()
+	for vm := 0; vm < 3; vm++ {
+		for i := 0; i < 4; i++ {
+			id := simnet.NodeID(fmt.Sprintf("exec-vm%d-%d", vm, i))
+			em := core.ExecutorMetrics{
+				Thread: id, VM: fmt.Sprintf("vm%d", vm), Utilization: float64(vm*4+i) / 20,
+				Pinned: []string{fmt.Sprintf("f%d", i%3)}, AvgLatencyS: 0.01 * float64(i+1),
+			}
+			if i == 0 {
+				em.Pinned = append(em.Pinned, "hot")
+			}
+			key := core.ExecMetricsKey(string(id))
+			execList.Add(key)
+			put(key, int64(10+vm*4+i), em)
+			if vm == 2 {
+				continue // a ghost: reported, but not in the pool
+			}
+			s.live = append(s.live, id)
+			s.wantMetrics[id] = em
+			for _, fn := range em.Pinned {
+				s.wantPins[fn] = append(s.wantPins[fn], id)
+			}
+		}
+	}
+	for _, ghost := range []string{"exec-gone-0", "exec-set-0", "exec-odd-0"} {
+		execList.Add(core.ExecMetricsKey(ghost))
+	}
+	s.caps[core.ExecMetricsKey("exec-set-0")] = lattice.NewSet("x")
+	put(core.ExecMetricsKey("exec-odd-0"), 1, core.CacheMetrics{VM: "vm9"})
+	s.caps[executor.MetricListKey] = execList
+
+	schedList := lattice.NewSet()
+	for i := 0; i < 3; i++ {
+		sm := core.SchedulerMetrics{
+			Scheduler: simnet.NodeID(fmt.Sprintf("sched-%d", i)),
+			DAGCalls:  map[string]int64{"d0": int64(i + 1), "d1": int64(10 * i)},
+			FnCalls:   map[string]int64{"done/d0": int64(i), "f0": 5, "done/": 9},
+		}
+		key := core.SchedMetricsKey(string(sm.Scheduler))
+		schedList.Add(key)
+		put(key, int64(100+i), sm)
+		for d, n := range sm.DAGCalls {
+			s.wantCalls[d] += n
+		}
+		s.wantDone["d0"] += int64(i)
+	}
+	s.caps[scheduler.SchedListKey] = schedList
+	return s
+}
+
+// TestScanIsShardCountInvariant reads one registry state with 1 to 5
+// shards: every refresh must produce the map-form policy inputs, each
+// shard reads through its own endpoint, and with several shards more
+// than one of them issues a multi-get.
+func TestScanIsShardCountInvariant(t *testing.T) {
+	snap := newRegistrySnapshot()
+	for shards := 1; shards <= 5; shards++ {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			k := vtime.NewKernel(1)
+			defer k.Stop()
+			net := simnet.New(k, simnet.Link{Latency: simnet.Constant(time.Millisecond)})
+			kv := anna.NewKVS(k, net, anna.DefaultConfig())
+			for key, lat := range snap.caps {
+				kv.Preload(key, lat)
+			}
+			var clients []*anna.Client
+			cfg := DefaultConfig()
+			cfg.Shards = shards
+			cfg.NewShardEP = func(i int) (*simnet.Endpoint, *anna.Client) {
+				ep := net.AddNode(simnet.NodeID(fmt.Sprintf("monitor-0.s%d", i)))
+				clients = append(clients, kv.NewClient(ep, 0))
+				return ep, clients[len(clients)-1]
+			}
+			ep := net.AddNode("monitor-0")
+			own := kv.NewClient(ep, 0)
+			m := New(k, ep, own, &fakePool{threads: snap.live}, cfg)
+			if got := len(m.Endpoints()); got != shards {
+				t.Fatalf("%d endpoints, want %d", got, shards)
+			}
+
+			var calls, done map[string]int64
+			k.Run("refresh", func() { calls, done = m.refresh() })
+			if !maps.Equal(calls, snap.wantCalls) || !maps.Equal(done, snap.wantDone) {
+				t.Fatalf("counters calls %v done %v, want %v and %v", calls, done, snap.wantCalls, snap.wantDone)
+			}
+			if !reflect.DeepEqual(m.threadMetrics, snap.wantMetrics) {
+				t.Fatalf("thread metrics %v, want %v", m.threadMetrics, snap.wantMetrics)
+			}
+			if !maps.EqualFunc(m.pins, snap.wantPins, slices.Equal) {
+				t.Fatalf("pins %v, want %v", m.pins, snap.wantPins)
+			}
+
+			readers := 0
+			for _, c := range append([]*anna.Client{own}, clients...) {
+				if c.Stats.MultiGetRPCs > 0 {
+					readers++
+				}
+			}
+			if shards > 1 && readers < 2 {
+				t.Fatalf("%d shards but %d of them read", shards, readers)
+			}
+
+			// A scheduler whose capsule the next read misses counts for
+			// nothing that tick, at any shard count: the counters are
+			// summed afresh, not carried.
+			k.Run("refresh", func() {
+				own.Delete(core.SchedMetricsKey("sched-2"))
+				calls, done = m.refresh()
+			})
+			if want := map[string]int64{"d0": 3, "d1": 10}; !maps.Equal(calls, want) {
+				t.Fatalf("calls %v after sched-2's capsule vanished, want %v", calls, want)
+			}
+			if want := map[string]int64{"d0": 1}; !maps.Equal(done, want) {
+				t.Fatalf("done %v after sched-2's capsule vanished, want %v", done, want)
+			}
+		})
+	}
+}

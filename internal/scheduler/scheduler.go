@@ -302,9 +302,12 @@ type Scheduler struct {
 	// metrics publish every metricsInterval but the view polls every
 	// pollInterval (and every consumer polls the same keys), so most
 	// ticks would otherwise decode identical bytes again — the
-	// dominant real-CPU cost of an idle scheduler. Shared cluster-wide
-	// when Config.Decoded is set.
+	// dominant real-CPU cost of an idle scheduler. DAG topologies decode
+	// through it too. Shared cluster-wide when Config.Decoded is set.
 	decoded *core.DecodeCache
+	// execReg and cacheReg read the executor and cache metric registries,
+	// keeping each one's sorted key list between polls.
+	execReg, cacheReg core.Registry
 	// spans is the cluster's tracing plane (distinct from the consistency
 	// audit's executor.Tracer); nil when tracing is off.
 	spans *trace.Collector
@@ -345,6 +348,8 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config) *Sch
 		fnCalls:      make(map[string]int64),
 		dagDone:      make(map[string]int64),
 		decoded:      cfg.Decoded,
+		execReg:      core.Registry{ListKey: executor.MetricListKey},
+		cacheReg:     core.Registry{ListKey: executor.CacheListKey},
 		spans:        cfg.Trace,
 	}
 	if s.decoded == nil {
@@ -673,19 +678,7 @@ func (s *Scheduler) dagView(name string) (*dag.Index, bool) {
 	if d, ok := s.dags[name]; ok {
 		return d, true
 	}
-	lat, found, err := s.anna.Get(core.DAGKey(name))
-	if err != nil || !found {
-		return nil, false
-	}
-	l, ok := lat.(*lattice.LWW)
-	if !ok {
-		return nil, false
-	}
-	v, err := codec.Decode(l.Value)
-	if err != nil {
-		return nil, false
-	}
-	d, ok := v.(dag.DAG)
+	d, ok := core.Fetch[dag.DAG](s.anna, s.decoded, core.DAGKey(name))
 	if !ok {
 		return nil, false
 	}
@@ -807,43 +800,15 @@ func (s *Scheduler) assign(i int) simnet.NodeID {
 // reads, so a pick running while the poll waits sees one or the other.
 func (s *Scheduler) refreshView() {
 	nowS := s.k.Now().Seconds()
-	// Executor metrics.
-	if lat, found, err := s.anna.Get(executor.MetricListKey); err == nil && found {
-		if set, ok := lat.(*lattice.Set); ok {
-			var reports []core.ExecutorMetrics
-			for _, ent := range s.fetchRegistry(set) {
-				v, ok := s.decodeCached(ent.key, ent.lat)
-				if !ok {
-					continue
-				}
-				em, ok := v.(core.ExecutorMetrics)
-				if !ok {
-					continue
-				}
-				if nowS-em.ReportedAtS > s.cfg.StaleAfter.Seconds() {
-					continue
-				}
-				reports = append(reports, em)
-			}
-			s.setThreads(reports)
+	reports := core.FetchAll[core.ExecutorMetrics](s.anna, s.decoded, s.execReg.Keys(s.anna, nil))
+	fresh := reports[:0]
+	for _, em := range reports {
+		if nowS-em.ReportedAtS <= s.cfg.StaleAfter.Seconds() {
+			fresh = append(fresh, em)
 		}
 	}
-	// Cache key sets.
-	if lat, found, err := s.anna.Get(executor.CacheListKey); err == nil && found {
-		if set, ok := lat.(*lattice.Set); ok {
-			var reports []core.CacheMetrics
-			for _, ent := range s.fetchRegistry(set) {
-				v, ok := s.decodeCached(ent.key, ent.lat)
-				if !ok {
-					continue
-				}
-				if cm, ok := v.(core.CacheMetrics); ok {
-					reports = append(reports, cm)
-				}
-			}
-			s.setKeys(reports)
-		}
-	}
+	s.setThreads(fresh)
+	s.setKeys(core.FetchAll[core.CacheMetrics](s.anna, s.decoded, s.cacheReg.Keys(s.anna, nil)))
 }
 
 // setThreads rebuilds the view from one poll's fresh executor reports, one
@@ -945,40 +910,6 @@ func (s *Scheduler) indexPins(fn string) {
 	}
 	p.pool = backpressure(p.live, v.healthy(nil, p.live))
 	v.pinned[fn] = p
-}
-
-// registryEntry is one fetched metrics capsule with its key.
-type registryEntry struct {
-	key string
-	lat lattice.Lattice
-}
-
-// fetchRegistry bulk-reads a metric registry's keys in deterministic
-// order via one grouped multi-get per storage node.
-func (s *Scheduler) fetchRegistry(set *lattice.Set) []registryEntry {
-	keys := sortedSet(set)
-	got, _, err := s.anna.MultiGet(keys)
-	if err != nil {
-		return nil
-	}
-	out := make([]registryEntry, 0, len(got))
-	for i, key := range keys {
-		if got[i] != nil {
-			out = append(out, registryEntry{key: key, lat: got[i]})
-		}
-	}
-	return out
-}
-
-// decodeCached decodes a metrics capsule through the version-keyed
-// cache: each publication is decoded once, not once per poll tick per
-// consumer.
-func (s *Scheduler) decodeCached(key string, lat lattice.Lattice) (any, bool) {
-	l, ok := lat.(*lattice.LWW)
-	if !ok {
-		return nil, false
-	}
-	return s.decoded.Decode(key, l)
 }
 
 // retryTick expires every tracked request whose deadline has passed
@@ -1086,16 +1017,6 @@ func (s *Scheduler) recordArrival(reqID string, m simnet.Message) {
 	}
 	ctx.Record("net/sched", trace.Network, m.SentAt, m.ArrivedAt)
 	ctx.Record("sched/queue", trace.Queue, m.ArrivedAt, s.k.Now())
-}
-
-// sortedSet returns a Set lattice's elements in deterministic order.
-func sortedSet(s *lattice.Set) []string {
-	out := make([]string, 0, s.Len())
-	for e := range s.Elems {
-		out = append(out, e)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func copyCounts(m map[string]int64) map[string]int64 {
