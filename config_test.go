@@ -84,15 +84,17 @@ func TestConfigSurface(t *testing.T) {
 		}
 	}
 	slices.Sort(got)
-	minus := func(a, b []string) (out []string) {
-		for _, s := range a {
-			if !slices.Contains(b, s) {
-				out = append(out, s)
-			}
-		}
-		return out
-	}
 	if !slices.Equal(got, want) {
 		t.Errorf("config surface changed: new %q, gone %q", minus(got, want), minus(want, got))
 	}
+}
+
+// minus returns the elements of a that b lacks.
+func minus(a, b []string) (out []string) {
+	for _, s := range a {
+		if !slices.Contains(b, s) {
+			out = append(out, s)
+		}
+	}
+	return out
 }

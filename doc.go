@@ -219,7 +219,7 @@
 //
 // The control plane reads such structs back one way. A metrics registry
 // is a Set of member keys, each an LWW capsule: core.Registry lists the
-// members (sorted, re-sorted only when membership changes), and
+// members as the Set stores them, already sorted, and
 // core.FetchAll reads them with one grouped multi-get and decodes each
 // as the asked type, skipping what is missing or of another type.
 // core.Fetch reads one key the same way: a DAG topology, a warm seed.

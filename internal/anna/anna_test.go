@@ -2,6 +2,7 @@ package anna
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -120,20 +121,16 @@ func TestPutMergesConcurrentWriters(t *testing.T) {
 	c1 := kv.NewClient(net.AddNode("c1"), 0)
 	c2 := kv.NewClient(net.AddNode("c2"), 0)
 	k.Run("main", func() {
-		a := lattice.NewGCounter()
-		a.Incr("c1", 5)
-		b := lattice.NewGCounter()
-		b.Incr("c2", 7)
-		if err := c1.Put("ctr", a); err != nil {
+		if err := c1.Put("set", lattice.NewSet("a", "c")); err != nil {
 			t.Fatal(err)
 		}
-		if err := c2.Put("ctr", b); err != nil {
+		if err := c2.Put("set", lattice.NewSet("b", "c")); err != nil {
 			t.Fatal(err)
 		}
 		k.Sleep(200 * time.Millisecond) // let gossip settle
-		lat, found, _ := c1.Get("ctr")
-		if !found || lat.(*lattice.GCounter).Value() != 12 {
-			t.Fatalf("merged counter = %+v found=%v", lat, found)
+		lat, found, _ := c1.Get("set")
+		if !found || !slices.Equal(lat.(*lattice.Set).Elems(), []string{"a", "b", "c"}) {
+			t.Fatalf("merged set = %+v found=%v", lat, found)
 		}
 	})
 }
@@ -235,6 +232,35 @@ func TestDelete(t *testing.T) {
 		_, found, _ := cl.Get("dk")
 		if found {
 			t.Fatal("key survived delete")
+		}
+	})
+}
+
+// TestSetRemoveLeavesReadersAlone: a read shares the stored Set, so a
+// removal must store a new value rather than edit the old one. The set a
+// reader got before RemoveFromSet still holds the element; the next read
+// does not, and its size is re-accounted.
+func TestSetRemoveLeavesReadersAlone(t *testing.T) {
+	k, _, kv, cl := harness(t, DefaultConfig())
+	k.Run("main", func() {
+		if err := cl.Put("reg", lattice.NewSet("a", "b", "c")); err != nil {
+			t.Fatal(err)
+		}
+		before, _, _ := cl.Get("reg")
+		if err := cl.RemoveFromSet("reg", []string{"b"}); err != nil {
+			t.Fatal(err)
+		}
+		after, found, _ := cl.Get("reg")
+		if got := before.(*lattice.Set).Elems(); !slices.Equal(got, []string{"a", "b", "c"}) {
+			t.Fatalf("the set read before the removal now holds %v", got)
+		}
+		if !found || !slices.Equal(after.(*lattice.Set).Elems(), []string{"a", "c"}) {
+			t.Fatalf("the set read after the removal holds %v", after)
+		}
+		for _, n := range kv.Nodes() {
+			if e := n.st.mem["reg"]; e != nil && e.size != after.ByteSize() {
+				t.Fatalf("%s accounts %d bytes for a %d-byte set", n.ID(), e.size, after.ByteSize())
+			}
 		}
 	})
 }

@@ -111,8 +111,8 @@ func (c *Client) GetT(ctx trace.Ctx, key string) (lattice.Lattice, bool, error) 
 	return lat, found, err
 }
 
-// Put merges lat into key. The client sends a clone, so the caller keeps
-// lat: a capsule goes as it is (it is immutable), a container as a copy.
+// Put merges lat into key. lat is immutable, so it goes as it is and the
+// caller keeps it.
 func (c *Client) Put(key string, lat lattice.Lattice) error {
 	owners := c.kv.ring.OwnersFor(key)
 	size := 24 + len(key) + lat.ByteSize()
@@ -122,7 +122,7 @@ func (c *Client) Put(key string, lat lattice.Lattice) error {
 	for i := 0; i < len(owners); i++ {
 		o := owners[(first+i)%len(owners)]
 		c.Stats.PutRPCs++
-		resp, err := c.ep.Call(o, PutReq{Key: key, Lat: lat.Clone()}, size, c.timeout)
+		resp, err := c.ep.Call(o, PutReq{Key: key, Lat: lat}, size, c.timeout)
 		if err != nil {
 			continue
 		}
@@ -145,7 +145,7 @@ func (c *Client) PutAny(key string, lat lattice.Lattice) (int, error) {
 	acks := 0
 	for _, o := range owners {
 		c.Stats.PutRPCs++
-		resp, err := c.ep.Call(o, PutReq{Key: key, Lat: lat.Clone()}, size, c.timeout)
+		resp, err := c.ep.Call(o, PutReq{Key: key, Lat: lat}, size, c.timeout)
 		if err != nil {
 			continue
 		}

@@ -22,16 +22,18 @@ type sent struct {
 
 // referenceSends is what a tick must emit, computed the way the ticks
 // used to work: a full scan of the store in each's order, acting on every
-// flagged entry. Send order is part of the contract (each send draws from
-// the kernel's random source), so the dirty queues are held to it exactly.
-func referenceSends(n *Node, kind dirtyKind) []sent {
+// flagged entry, with each key's caches read from the map-form index and
+// sorted. Send order is part of the contract (each send draws from the
+// kernel's random source), so the dirty queues and the sorted index are
+// held to it exactly.
+func referenceSends(n *Node, index mapIndex, kind dirtyKind) []sent {
 	var out []sent
 	n.st.each(func(e *entry, onDisk bool) {
 		if !e.dirty[kind] {
 			return
 		}
 		if kind == forPush {
-			for _, c := range sortedSubs(n.index[e.key]) {
+			for _, c := range sortedSubs(index[e.key]) {
 				out = append(out, sent{c, e.key})
 			}
 			return
@@ -112,9 +114,14 @@ func runDirtyHistory(t *testing.T, seed int64, memCapacity int) {
 		return lattice.NewLWW(lattice.Timestamp{Clock: clock, Node: 1}, make([]byte, 10+rng.Intn(70)))
 	}
 	var checks, messages, onDiskWhenSent int
+	index := mapIndex{}
 
 	k.Run("driver", func() {
 		cl := net.AddNode("driver")
+		keyset := func(u KeysetUpdate) {
+			cl.Send("n0", u, 64)
+			index.apply(u)
+		}
 		call := func(body any) {
 			if _, err := cl.Call("n0", body, 64, time.Second); err != nil {
 				t.Errorf("%T: %v", body, err)
@@ -130,7 +137,7 @@ func runDirtyHistory(t *testing.T, seed int64, memCapacity int) {
 		}
 		check := func(kind dirtyKind) {
 			tick := ticks[kind]
-			want := referenceSends(n, kind)
+			want := referenceSends(n, index, kind)
 			for _, q := range n.st.dirty[kind] {
 				if n.st.disk[q.key] == q {
 					onDiskWhenSent++
@@ -150,7 +157,7 @@ func runDirtyHistory(t *testing.T, seed int64, memCapacity int) {
 		}
 		// Give the pushes somewhere to go from the start.
 		for _, c := range caches {
-			cl.Send("n0", KeysetUpdate{Cache: c, Added: keys[:len(keys)/2]}, 64)
+			keyset(KeysetUpdate{Cache: c, Added: keys[:len(keys)/2]})
 		}
 		k.Sleep(settle)
 
@@ -164,8 +171,9 @@ func runDirtyHistory(t *testing.T, seed int64, memCapacity int) {
 			case r < 38:
 				var ents []TransferEntry
 				for i := rng.Intn(3); i >= 0; i-- {
-					ents = append(ents, TransferEntry{Key: key(), Lat: value(),
-						Subscribers: []string{string(caches[rng.Intn(len(caches))])}})
+					te := TransferEntry{Key: key(), Lat: value(), Subscribers: []simnet.NodeID{caches[rng.Intn(len(caches))]}}
+					index.subscribe(te.Key, te.Subscribers[0])
+					ents = append(ents, te)
 				}
 				cl.Send("n0", TransferMsg{Entries: ents}, 64)
 				k.Sleep(settle)
@@ -194,7 +202,7 @@ func runDirtyHistory(t *testing.T, seed int64, memCapacity int) {
 				} else {
 					u.Removed = []string{key(), key()}
 				}
-				cl.Send("n0", u, 64)
+				keyset(u)
 				k.Sleep(settle)
 			case r < 80: // membership change: re-mark what stays, ship what does not
 				p := peers[rng.Intn(len(peers))]
@@ -203,6 +211,7 @@ func runDirtyHistory(t *testing.T, seed int64, memCapacity int) {
 				} else {
 					ring.AddNode(p)
 				}
+				index.dropUnowned(n)
 				n.transferForRing()
 				k.Sleep(settle)
 			case r < 90:

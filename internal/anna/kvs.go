@@ -130,7 +130,7 @@ func (kv *KVS) rebalance() {
 func (kv *KVS) Preload(key string, lat lattice.Lattice) {
 	for _, o := range kv.ring.OwnersFor(key) {
 		if n, ok := kv.nodes[o]; ok {
-			n.st.merge(key, lat.Clone(), kv.k.Now())
+			n.st.merge(key, lat, kv.k.Now())
 		}
 	}
 }

@@ -10,16 +10,16 @@ type GetReq struct {
 	Key string
 }
 
-// GetResp answers a GetReq. Lat is a clone the receiver owns: a capsule
-// is immutable and shared with the store, a container is a fresh copy.
+// GetResp answers a GetReq. Lat is the stored value itself: a lattice is
+// immutable, so the receiver shares it with the store.
 type GetResp struct {
 	Key   string
 	Lat   lattice.Lattice
 	Found bool
 }
 
-// PutReq merges a lattice into a key. Lat must be a clone the receiver
-// may keep (a capsule is its own).
+// PutReq merges a lattice into a key. The receiver keeps Lat as it is,
+// shared with the sender.
 type PutReq struct {
 	Key string
 	Lat lattice.Lattice
@@ -42,8 +42,8 @@ type MultiGetReq struct {
 // MultiGetEntry is one key's answer in a MultiGetResp.
 type MultiGetEntry struct {
 	Key string
-	// Lat is nil when !Found. The receiver owns it as it would a clone:
-	// a capsule is the stored value itself, shared with the store.
+	// Lat is nil when !Found, else the stored value itself, shared with
+	// the store as in GetResp.
 	Lat   lattice.Lattice
 	Found bool
 }
@@ -94,7 +94,7 @@ type KeysetUpdate struct {
 }
 
 // GossipMsg propagates a key's lattice to a replica. Fire-and-forget;
-// Lat is a clone the receiver owns, as in GetResp.
+// Lat is shared with the sender's store, as in GetResp.
 type GossipMsg struct {
 	Key string
 	Lat lattice.Lattice
@@ -108,7 +108,8 @@ type KeyUpdatePush struct {
 }
 
 // TransferMsg hands keys (and their index entries) to a node that became
-// an owner after a ring change. Fire-and-forget; entries are clones.
+// an owner after a ring change. Fire-and-forget; entries share the
+// sender's values.
 type TransferMsg struct {
 	Entries []TransferEntry
 }
@@ -117,5 +118,5 @@ type TransferMsg struct {
 type TransferEntry struct {
 	Key         string
 	Lat         lattice.Lattice
-	Subscribers []string // cache ids from the key→cache index
+	Subscribers []simnet.NodeID // the key's caches from the key→cache index, ascending
 }

@@ -1,7 +1,7 @@
 package anna
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"cloudburst/internal/hook"
@@ -70,8 +70,10 @@ type Node struct {
 	disp *simnet.Dispatcher
 
 	// index maps each locally-owned key to the caches that reported
-	// caching it. Partitioned across nodes with the key space.
-	index map[string]map[simnet.NodeID]bool
+	// caching it, ascending, so a push tick sends in order without
+	// sorting. A key with no subscriber left has no entry. Partitioned
+	// across nodes with the key space.
+	index map[string][]simnet.NodeID
 
 	// Transaction participant state (see txn.go): prepared write sets
 	// held outside the store (invisible to readers) and the per-key
@@ -90,7 +92,7 @@ func NewNode(k *vtime.Kernel, ep *simnet.Endpoint, ring *Ring, cfg NodeConfig) *
 		ring:     ring,
 		cfg:      cfg,
 		st:       newTieredStore(cfg.MemCapacity),
-		index:    make(map[string]map[simnet.NodeID]bool),
+		index:    make(map[string][]simnet.NodeID),
 		prepared: make(map[string]*preparedTxn),
 		locks:    make(map[string]string),
 	}
@@ -133,9 +135,7 @@ func (n *Node) handleGet(req *simnet.Request, b GetReq) {
 		return
 	}
 	n.k.Sleep(serviceTime(getServiceTime, fromDisk, e.size))
-	// Clone-on-egress: a capsule is immutable and leaves as the stored
-	// value itself (zero-copy data plane); only a container is copied.
-	req.Reply(GetResp{Key: b.Key, Lat: e.lat.Clone(), Found: true}, 24+e.size)
+	req.Reply(GetResp{Key: b.Key, Lat: e.lat, Found: true}, 24+e.size)
 }
 
 func (n *Node) handleMultiGet(req *simnet.Request, b MultiGetReq) {
@@ -152,7 +152,7 @@ func (n *Node) handleMultiGet(req *simnet.Request, b MultiGetReq) {
 			continue
 		}
 		svc += serviceTime(getServiceTime, fromDisk, e.size)
-		entries[i].Lat = e.lat.Clone()
+		entries[i].Lat = e.lat
 		entries[i].Found = true
 		size += 24 + e.size
 	}
@@ -178,17 +178,14 @@ func (n *Node) handleSetRemove(req *simnet.Request, b SetRemoveReq) {
 	removed := false
 	if e != nil {
 		if s, isSet := e.lat.(*lattice.Set); isSet {
-			for _, el := range b.Elems {
-				if _, ok := s.Elems[el]; ok {
-					delete(s.Elems, el)
-					removed = true
-				}
-			}
-			if removed {
-				// The dirty flags stay untouched: the client reaches every
-				// owner itself, and pushing a shrunken set to replicas or
-				// caches would be a union no-op anyway.
+			// A new value replaces the stored one, so a reader holding the
+			// old set keeps it. The dirty flags stay untouched: the client
+			// reaches every owner itself, and pushing a shrunken set to
+			// replicas or caches would be a union no-op anyway.
+			if kept := s.Without(b.Elems); kept != s {
+				e.lat = kept
 				n.st.resize(e)
+				removed = true
 			}
 		}
 	}
@@ -212,7 +209,7 @@ func (n *Node) handleTransfer(_ simnet.Message, b TransferMsg) {
 		// forRepl: propagate to any further new replicas.
 		n.st.markDirty(e, forRepl, forPush)
 		for _, c := range te.Subscribers {
-			n.subscribe(te.Key, simnet.NodeID(c))
+			n.subscribe(te.Key, c)
 		}
 	}
 }
@@ -235,22 +232,23 @@ func (n *Node) applyKeyset(u KeysetUpdate) {
 		n.subscribe(key, u.Cache)
 	}
 	for _, key := range u.Removed {
-		if subs, ok := n.index[key]; ok {
-			delete(subs, u.Cache)
-			if len(subs) == 0 {
-				delete(n.index, key)
-			}
+		subs := n.index[key]
+		at, found := slices.BinarySearch(subs, u.Cache)
+		switch {
+		case !found:
+		case len(subs) == 1:
+			delete(n.index, key)
+		default:
+			n.index[key] = slices.Delete(subs, at, at+1)
 		}
 	}
 }
 
 func (n *Node) subscribe(key string, cache simnet.NodeID) {
-	subs, ok := n.index[key]
-	if !ok {
-		subs = make(map[simnet.NodeID]bool)
-		n.index[key] = subs
+	subs := n.index[key]
+	if at, found := slices.BinarySearch(subs, cache); !found {
+		n.index[key] = slices.Insert(subs, at, cache)
 	}
-	subs[cache] = true
 }
 
 // gossipTick propagates dirty keys to the other owners — Anna's
@@ -261,7 +259,7 @@ func (n *Node) gossipTick() {
 			if owner == n.id {
 				continue
 			}
-			n.ep.Send(owner, GossipMsg{Key: e.key, Lat: e.lat.Clone()}, 24+e.size)
+			n.ep.Send(owner, GossipMsg{Key: e.key, Lat: e.lat}, 24+e.size)
 		}
 	})
 }
@@ -269,20 +267,10 @@ func (n *Node) gossipTick() {
 // pushTick sends updated keys to their subscribed caches (§4.2).
 func (n *Node) pushTick() {
 	n.st.drainDirty(forPush, func(e *entry) {
-		for _, cache := range sortedSubs(n.index[e.key]) {
-			n.ep.Send(cache, KeyUpdatePush{Key: e.key, Lat: e.lat.Clone()}, 24+e.size)
+		for _, cache := range n.index[e.key] {
+			n.ep.Send(cache, KeyUpdatePush{Key: e.key, Lat: e.lat}, 24+e.size)
 		}
 	})
-}
-
-// sortedSubs returns a subscriber set in deterministic order.
-func sortedSubs(subs map[simnet.NodeID]bool) []simnet.NodeID {
-	out := make([]simnet.NodeID, 0, len(subs))
-	for c := range subs {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // IndexOverheads returns the per-key index metadata size in bytes for
@@ -292,7 +280,7 @@ func (n *Node) IndexOverheads() []int {
 	out := make([]int, 0, len(n.index))
 	for _, subs := range n.index {
 		b := 0
-		for c := range subs {
+		for _, c := range subs {
 			b += len(c) + 4
 		}
 		out = append(out, b)
@@ -330,12 +318,9 @@ func (n *Node) transferForRing() {
 			b = &out{dst: dst}
 			batches[dst] = b
 		}
-		var subs []string
-		for c := range n.index[e.key] {
-			subs = append(subs, string(c))
-		}
-		sort.Strings(subs)
-		b.entries = append(b.entries, TransferEntry{Key: e.key, Lat: e.lat.Clone(), Subscribers: subs})
+		// The key leaves this node's index below, so the entry takes the
+		// stored subscriber slice as it is.
+		b.entries = append(b.entries, TransferEntry{Key: e.key, Lat: e.lat, Subscribers: n.index[e.key]})
 		b.bytes += e.size + len(e.key)
 		dropped = append(dropped, e.key)
 	})
@@ -343,7 +328,7 @@ func (n *Node) transferForRing() {
 	for d := range batches {
 		dsts = append(dsts, d)
 	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
+	slices.Sort(dsts)
 	for _, d := range dsts {
 		b := batches[d]
 		n.ep.Send(b.dst, TransferMsg{Entries: b.entries}, b.bytes)
@@ -379,16 +364,4 @@ func (n *Node) HasKey(key string) (exists, onDisk bool) {
 		return true, true
 	}
 	return false, false
-}
-
-// Peek returns a clone of the local lattice for key (test hook — real
-// clients go through the network).
-func (n *Node) Peek(key string) (lattice.Lattice, bool) {
-	if e, ok := n.st.mem[key]; ok {
-		return e.lat.Clone(), true
-	}
-	if e, ok := n.st.disk[key]; ok {
-		return e.lat.Clone(), true
-	}
-	return nil, false
 }

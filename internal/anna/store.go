@@ -100,10 +100,10 @@ func (s *tieredStore) delete(key string) bool {
 	return false
 }
 
-// resize re-accounts e's size after an in-place mutation (set-element
-// removal). get promotes entries to the memory tier, so the common case
-// adjusts memBytes; the fallback covers entries mutated while
-// disk-resident.
+// resize re-accounts e's size after its value was replaced outside a
+// merge (set-element removal). get promotes entries to the memory tier,
+// so the common case adjusts memBytes; the fallback covers entries
+// replaced while disk-resident.
 func (s *tieredStore) resize(e *entry) {
 	if _, ok := s.mem[e.key]; ok {
 		s.memBytes -= e.size

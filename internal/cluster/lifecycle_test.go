@@ -11,8 +11,9 @@ import (
 	"cloudburst/internal/lattice"
 )
 
-// registrySet fetches a discovery Set from Anna (empty when absent).
-func registrySet(t *testing.T, c *Cluster, key string) map[string]struct{} {
+// registrySet fetches a discovery Set's members from Anna (none when
+// absent).
+func registrySet(t *testing.T, c *Cluster, key string) []string {
 	t.Helper()
 	cl := c.AnnaClientFor(c.NewClientEndpoint())
 	lat, found, err := cl.Get(key)
@@ -20,13 +21,13 @@ func registrySet(t *testing.T, c *Cluster, key string) map[string]struct{} {
 		t.Fatalf("get %s: %v", key, err)
 	}
 	if !found {
-		return map[string]struct{}{}
+		return nil
 	}
 	set, ok := lat.(*lattice.Set)
 	if !ok {
 		t.Fatalf("%s is %T, want *lattice.Set", key, lat)
 	}
-	return set.Elems
+	return set.Elems()
 }
 
 func TestReaperScrubsDeadGenerations(t *testing.T) {
@@ -74,7 +75,7 @@ func TestReaperScrubsDeadGenerations(t *testing.T) {
 			wantCache[core.CacheKeysKey(h.Name)] = true
 		}
 		execSet := registrySet(t, c, executor.MetricListKey)
-		for e := range execSet {
+		for _, e := range execSet {
 			if !wantExec[e] {
 				t.Errorf("ghost exec registry entry %q", e)
 			}
@@ -83,7 +84,7 @@ func TestReaperScrubsDeadGenerations(t *testing.T) {
 			t.Errorf("exec registry has %d entries, want %d", len(execSet), len(wantExec))
 		}
 		cacheSet := registrySet(t, c, executor.CacheListKey)
-		for e := range cacheSet {
+		for _, e := range cacheSet {
 			if !wantCache[e] {
 				t.Errorf("ghost cache registry entry %q", e)
 			}

@@ -475,8 +475,8 @@ func FetchAll[T any](kv Reader, c *DecodeCache, keys []string) []T {
 
 // Registry reads one metrics registry: the Set of member keys stored
 // under ListKey, one LWW capsule per member (executor, cache and
-// scheduler metrics). It keeps the last sorted member list, so a read
-// whose membership is unchanged neither sorts nor allocates.
+// scheduler metrics). It keeps the last Set's members, already sorted,
+// so a read neither sorts nor allocates.
 type Registry struct {
 	ListKey string
 	keys    []string
@@ -500,14 +500,7 @@ func (r *Registry) Keys(kv Reader, expected []string) []string {
 	if !ok {
 		return nil
 	}
-	// Equal-length sets with a common subset are equal.
-	same := set.Len() == len(r.keys)
-	for i := 0; same && i < len(r.keys); i++ {
-		same = set.Contains(r.keys[i])
-	}
-	if !same {
-		r.keys = slices.Sorted(maps.Keys(set.Elems))
-	}
+	r.keys = set.Elems()
 	return r.keys
 }
 

@@ -34,8 +34,8 @@ func capsule(ts int64, v any) *lattice.LWW {
 }
 
 // TestRegistryKeys holds Registry to its contract: members sorted; the
-// same slice, with no allocation, while membership is unchanged; a new
-// list when it changes; no listing read while the list equals a
+// same slice, with no allocation, while the stored Set is unchanged; a
+// new list when it changes; no listing read while the list equals a
 // non-empty expectation; nil when the listing is missing or not a Set.
 func TestRegistryKeys(t *testing.T) {
 	set := lattice.NewSet("c", "a", "b")
@@ -57,14 +57,14 @@ func TestRegistryKeys(t *testing.T) {
 	if got := r.Keys(kv, []string{"a", "b", "c"}); &got[0] != &first[0] || kv.gets != gets {
 		t.Fatalf("matching expectation: %v with %d listing reads, want the list with none", got, kv.gets-gets)
 	}
-	set.Add("d")
+	kv.m["list"] = set.Merge(lattice.NewSet("d"))
 	if got := r.Keys(kv, []string{"a", "b", "c"}); &got[0] != &first[0] || kv.gets != gets {
 		t.Fatal("a matching expectation must skip the read even when Anna has moved on")
 	}
 	if got := r.Keys(kv, []string{"a", "b", "c", "d"}); !slices.Equal(got, []string{"a", "b", "c", "d"}) || kv.gets != gets+1 {
 		t.Fatalf("mismatched expectation: %v after %d reads, want [a b c d] after 1", got, kv.gets-gets)
 	}
-	set.Elems = map[string]struct{}{"a": {}, "b": {}, "c": {}, "e": {}} // same size, one member swapped
+	kv.m["list"] = lattice.NewSet("a", "b", "c", "e") // same size, one member swapped
 	if got := r.Keys(kv, nil); !slices.Equal(got, []string{"a", "b", "c", "e"}) {
 		t.Fatalf("swapped member: %v, want [a b c e]", got)
 	}

@@ -3,7 +3,6 @@ package executor
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"cloudburst/internal/cache"
@@ -286,15 +285,11 @@ func (c *Ctx) Recv() ([]any, error) {
 	if c.seenInbox == nil {
 		c.seenInbox = make(map[string]bool)
 	}
-	elems := make([]string, 0, set.Len())
-	for e := range set.Elems {
-		if !c.seenInbox[e] {
-			elems = append(elems, e)
-		}
-	}
-	sort.Strings(elems)
 	var out []any
-	for _, e := range elems {
+	for _, e := range set.Elems() {
+		if c.seenInbox[e] {
+			continue
+		}
 		c.seenInbox[e] = true
 		// Element format: senderID \x00 payload.
 		payload := e

@@ -80,11 +80,11 @@ func (vm *VM) Stop() {
 // substrate).
 func (vm *VM) metricsLoop() {
 	// Register this VM's metric keys in the discovery sets once.
-	reg := lattice.NewSet()
-	for _, t := range vm.Threads {
-		reg.Add(core.ExecMetricsKey(string(t.ID())))
+	keys := make([]string, len(vm.Threads))
+	for i, t := range vm.Threads {
+		keys[i] = core.ExecMetricsKey(string(t.ID()))
 	}
-	vm.metricsClient.Put(MetricListKey, reg)
+	vm.metricsClient.Put(MetricListKey, lattice.NewSet(keys...))
 	vm.metricsClient.Put(CacheListKey, lattice.NewSet(core.CacheKeysKey(vm.Name)))
 
 	// Publish immediately so schedulers can discover a fresh VM without

@@ -239,9 +239,6 @@ func depsCover(a, b map[string]Clock) bool {
 	return true
 }
 
-// Clone implements Lattice: an immutable capsule is its own copy.
-func (c *Causal) Clone() Lattice { return c }
-
 // Digest returns a canonical 64-bit key identifying the capsule's exact
 // sibling set: each version's clock digest is mixed and combined
 // commutatively. Since a vector clock names one write (its writer ticked

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -380,22 +381,15 @@ func TestCanonicalOrderMatchesString(t *testing.T) {
 }
 
 // TestCausalMergeCloneAllocations is the tripwire for a copy coming back:
-// a capsule's Clone is itself, a merge whose join is one side returns that
-// side, and a merge that changes the sibling set pays for one capsule and
-// one slice, never for clocks or dependency maps.
+// a merge whose join is one side returns that side, and a merge that
+// changes the sibling set pays for one capsule and one slice, never for
+// clocks or dependency maps.
 func TestCausalMergeCloneAllocations(t *testing.T) {
 	deps := map[string]VectorClock{"dep": {"w9": 3}, "dep2": {"w9": 1, "w8": 2}}
 	older := NewCausal(VectorClock{"w1": 1, "w2": 1}, deps, []byte("old"))
 	newer := NewCausal(VectorClock{"w1": 2, "w2": 1}, deps, []byte("new"))
-	lww := NewLWW(Timestamp{Clock: 1}, []byte("lww"))
 
 	var got Lattice
-	if n := testing.AllocsPerRun(100, func() { got = lww.Clone() }); n != 0 || got != lww {
-		t.Errorf("cloning an LWW capsule allocates %.0f times (same capsule: %v), want 0 and itself", n, got == lww)
-	}
-	if n := testing.AllocsPerRun(100, func() { got = newer.Clone() }); n != 0 || got != newer {
-		t.Errorf("cloning a causal capsule allocates %.0f times (same capsule: %v), want 0 and itself", n, got == newer)
-	}
 	if n := testing.AllocsPerRun(100, func() { got = newer.Merge(older) }); n != 0 || got != newer {
 		t.Errorf("1x1 merge of a dominated version allocates %.0f times (receiver returned: %v), want 0 and the receiver", n, got == newer)
 	}
@@ -420,16 +414,36 @@ func TestCausalMergeCloneAllocations(t *testing.T) {
 	}
 }
 
-// TestValueMergeWritesNeitherSide holds LWW and Causal to value
-// semantics over seeded histories: a merge leaves both of its arguments
-// exactly as they were, returns the receiver itself when the join is the
-// receiver, and otherwise returns the argument itself when the join is
-// the argument (it dominates every sibling, or repeats some and dominates
-// the rest).
+// TestSetMergeAllocations is the tripwire for a Set copy coming back: a
+// merge whose join is one side allocates nothing and returns that side,
+// and a union pays for one slice and the set around it.
+func TestSetMergeAllocations(t *testing.T) {
+	big, small, other := NewSet("a", "b", "c", "d"), NewSet("b", "d"), NewSet("c", "e")
+	var got Lattice
+	if n := testing.AllocsPerRun(100, func() { got = big.Merge(small) }); n != 0 || got != big {
+		t.Errorf("merging a subset allocates %.0f times (receiver returned: %v), want 0 and the receiver", n, got == big)
+	}
+	if n := testing.AllocsPerRun(100, func() { got = small.Merge(big) }); n != 0 || got != big {
+		t.Errorf("merging a superset allocates %.0f times (argument returned: %v), want 0 and the argument", n, got == big)
+	}
+	if n := testing.AllocsPerRun(100, func() { got = small.Merge(other) }); n != 2 {
+		t.Errorf("a union allocates %.0f times, want 2 (slice, set)", n)
+	}
+	if want := []string{"b", "c", "d", "e"}; !slices.Equal(got.(*Set).Elems(), want) {
+		t.Fatalf("union = %v, want %v", got.(*Set).Elems(), want)
+	}
+}
+
+// TestValueMergeWritesNeitherSide holds every lattice to value semantics
+// over seeded histories: a merge leaves both of its arguments exactly as
+// they were, returns the receiver itself when the join is the receiver,
+// and otherwise returns the argument itself when the join is the argument
+// (it dominates every sibling, or repeats some and dominates the rest).
 // The causal histories are histGen's, so they meet equal clocks with
 // different payloads, repeats that add dependencies, and nil against
 // empty dependency maps; the LWW ones draw colliding timestamps, some
-// with different payloads.
+// with different payloads; the sets are drawn from five elements, so
+// subsets, supersets and equal sets are common.
 func TestValueMergeWritesNeitherSide(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	cases := map[string]int{}
@@ -485,9 +499,32 @@ func TestValueMergeWritesNeitherSide(t *testing.T) {
 		mergeOnce(x, y, order >= 0, order < 0)
 	}
 
+	for i := 0; i < 2000; i++ {
+		set := func() (*Set, map[string]bool) {
+			elems, m := make([]string, rng.Intn(4)), map[string]bool{}
+			for i := range elems {
+				elems[i] = string(rune('a' + rng.Intn(5)))
+				m[elems[i]] = true
+			}
+			return NewSet(elems...), m
+		}
+		x, xm := set()
+		y, ym := set()
+		holds := func(a, b map[string]bool) bool {
+			for e := range b {
+				if !a[e] {
+					return false
+				}
+			}
+			return true
+		}
+		mergeOnce(x, y, holds(xm, ym), holds(ym, xm))
+	}
+
 	for _, name := range []string{
 		"causal: join is the receiver", "causal: join is the argument", "causal: a new join",
 		"lww: join is the receiver", "lww: join is the argument",
+		"set: join is the receiver", "set: join is the argument", "set: a new join",
 	} {
 		if cases[name] == 0 {
 			t.Errorf("no merge had the case %q", name)

@@ -11,10 +11,11 @@ import (
 // immutability convention: a capsule's payload bytes — and a causal
 // version's dependency map, which a one-sibling DepsUnion hands out — must
 // never change after construction (writers allocate fresh buffers and
-// maps; capsules are values that Merge never writes and Clone returns
-// as they are, so the cache/KVS/executor data plane shares them instead
-// of copying). A Clock needs no convention: nothing outside this package
-// can write one, and nothing inside does.
+// maps; every lattice is a value that Merge never writes, so the
+// cache/KVS/executor data plane shares them instead of copying). A Clock
+// needs no convention: nothing outside this package can write one, and
+// nothing inside does. A Set's shared Elems slice is read-only by the
+// same rule as a payload.
 // While enabled, everything entering a capsule via NewLWW/NewCausal is
 // checksummed; VerifyPayloads recomputes the checksums and reports
 // whatever was mutated in place. The guard costs one atomic load when

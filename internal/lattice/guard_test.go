@@ -6,7 +6,7 @@ func TestGuardPassesWhenImmutable(t *testing.T) {
 	GuardPayloads()
 	a := NewLWW(Timestamp{Clock: 1}, []byte("aaa"))
 	b := NewLWW(Timestamp{Clock: 2}, []byte("bbb"))
-	_ = a.Merge(b.Clone())
+	_ = a.Merge(b)
 	_ = NewCausal(VectorClock{"w": 1}, nil, []byte("ccc"))
 	if err := VerifyPayloads(); err != nil {
 		t.Fatal(err)

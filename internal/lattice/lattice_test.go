@@ -4,89 +4,27 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-func TestMaxInt64(t *testing.T) {
-	a, b := NewMaxInt64(3), NewMaxInt64(7)
-	a = a.Merge(b).(*MaxInt64)
-	if a.V != 7 {
-		t.Fatalf("merge = %d, want 7", a.V)
-	}
-	b = b.Merge(NewMaxInt64(5)).(*MaxInt64)
-	if b.V != 7 {
-		t.Fatalf("merge with smaller changed value: %d", b.V)
-	}
-	if a.ByteSize() != 8 || a.TypeName() != "max_int64" {
-		t.Error("metadata wrong")
-	}
-}
-
-func TestBoolOr(t *testing.T) {
-	a := NewBoolOr(false)
-	a = a.Merge(NewBoolOr(false)).(*BoolOr)
-	if a.V {
-		t.Fatal("false|false = true")
-	}
-	a = a.Merge(NewBoolOr(true)).(*BoolOr)
-	if !a.V {
-		t.Fatal("false|true = false")
-	}
-	a = a.Merge(NewBoolOr(false)).(*BoolOr)
-	if !a.V {
-		t.Fatal("true is not sticky")
-	}
-}
-
 func TestSetUnion(t *testing.T) {
-	a := NewSet("x", "y")
-	b := NewSet("y", "z")
-	a = a.Merge(b).(*Set)
-	if a.Len() != 3 || !a.Contains("x") || !a.Contains("z") {
-		t.Fatalf("union = %v", a.Elems)
+	a := NewSet("y", "x", "y")
+	if !slices.Equal(a.Elems(), []string{"x", "y"}) {
+		t.Fatalf("NewSet = %v, want [x y]", a.Elems())
 	}
-	c := a.Clone().(*Set)
-	c.Add("w")
-	if a.Contains("w") {
-		t.Fatal("clone aliases original")
+	u := a.Merge(NewSet("z", "y")).(*Set)
+	if !slices.Equal(u.Elems(), []string{"x", "y", "z"}) || !slices.Equal(a.Elems(), []string{"x", "y"}) {
+		t.Fatalf("union = %v, receiver now %v", u.Elems(), a.Elems())
 	}
-}
-
-func TestGCounter(t *testing.T) {
-	a, b := NewGCounter(), NewGCounter()
-	a.Incr("n1", 5)
-	b.Incr("n1", 3)
-	b.Incr("n2", 2)
-	a = a.Merge(b).(*GCounter)
-	if a.Value() != 7 { // max(5,3) + 2
-		t.Fatalf("value = %d, want 7", a.Value())
+	if w := u.Without([]string{"y", "q"}); !slices.Equal(w.Elems(), []string{"x", "z"}) || len(u.Elems()) != 3 {
+		t.Fatalf("without y = %v, set now %v", w.Elems(), u.Elems())
 	}
-	a = a.Merge(b).(*GCounter)
-	if a.Value() != 7 {
-		t.Fatal("merge not idempotent")
+	if u.Without([]string{"q"}) != u {
+		t.Fatal("removing nothing built a new set")
 	}
-}
-
-func TestMapPointwiseMerge(t *testing.T) {
-	a, b := NewMap(), NewMap()
-	a.Put("k", NewSet("c1"))
-	b.Put("k", NewSet("c2"))
-	b.Put("j", NewMaxInt64(4))
-	a = a.Merge(b).(*Map)
-	if got := a.Get("k").(*Set); got.Len() != 2 {
-		t.Fatalf("pointwise union failed: %v", got.Elems)
-	}
-	if a.Get("j").(*MaxInt64).V != 4 {
-		t.Fatal("new key not merged in")
-	}
-	if a.Len() != 2 {
-		t.Fatalf("len = %d", a.Len())
-	}
-	// A capsule entry is replaced by the join its merge returns.
-	a.Put("v", NewLWW(Timestamp{Clock: 1}, []byte("old")))
-	a.Put("v", NewLWW(Timestamp{Clock: 2}, []byte("new")))
-	if got := a.Get("v").(*LWW); string(got.Value) != "new" {
-		t.Fatalf("capsule entry = %q, want the newer write", got.Value)
+	if u.ByteSize() != 3*(1+8) || u.TypeName() != "set" {
+		t.Error("metadata wrong")
 	}
 }
 
@@ -226,13 +164,12 @@ func TestVectorClockOps(t *testing.T) {
 
 func TestCrossTypeMergePanics(t *testing.T) {
 	pairs := []struct{ a, b Lattice }{
-		{NewMaxInt64(1), NewBoolOr(true)},
-		{NewSet("x"), NewGCounter()},
+		{NewSet("x"), NewLWW(Timestamp{}, nil)},
 		{NewLWW(Timestamp{}, nil), NewSet()},
 		{NewCausal(VectorClock{"a": 1}, nil, nil), NewLWW(Timestamp{}, nil)},
-		{NewMap(), NewMaxInt64(0)},
-		{NewGCounter(), NewMap()},
-		{NewBoolOr(false), NewCausal(VectorClock{}, nil, nil)},
+		{NewLWW(Timestamp{}, nil), NewCausal(VectorClock{}, nil, nil)},
+		{NewSet(), NewCausal(VectorClock{}, nil, nil)},
+		{NewCausal(VectorClock{"a": 1}, nil, nil), NewSet("x")},
 	}
 	for i, p := range pairs {
 		func() {
@@ -251,22 +188,12 @@ func TestCrossTypeMergePanics(t *testing.T) {
 // genLattice draws a random lattice instance of the given exemplar kind.
 func genLattice(rng *rand.Rand, kind string) Lattice {
 	switch kind {
-	case "max_int64":
-		return NewMaxInt64(rng.Int63n(1000))
-	case "bool_or":
-		return NewBoolOr(rng.Intn(2) == 0)
 	case "set":
-		s := NewSet()
-		for i := rng.Intn(6); i > 0; i-- {
-			s.Add(fmt.Sprintf("e%d", rng.Intn(10)))
+		elems := make([]string, rng.Intn(6))
+		for i := range elems {
+			elems[i] = fmt.Sprintf("e%d", rng.Intn(10))
 		}
-		return s
-	case "gcounter":
-		g := NewGCounter()
-		for i := rng.Intn(4); i > 0; i-- {
-			g.Incr(fmt.Sprintf("n%d", rng.Intn(4)), uint64(rng.Intn(20)))
-		}
-		return g
+		return NewSet(elems...)
 	case "lww":
 		return NewLWW(
 			Timestamp{Clock: int64(rng.Intn(5)), Node: uint64(rng.Intn(3))},
@@ -278,12 +205,6 @@ func genLattice(rng *rand.Rand, kind string) Lattice {
 			c = c.Merge(NewCausal(genVC(rng), genDeps(rng), []byte{byte(rng.Intn(4))})).(*Causal)
 		}
 		return c
-	case "map":
-		m := NewMap()
-		for i := rng.Intn(4); i > 0; i-- {
-			m.Put(fmt.Sprintf("k%d", rng.Intn(4)), genLattice(rng, "set"))
-		}
-		return m
 	}
 	panic("unknown kind " + kind)
 }
@@ -311,14 +232,8 @@ func genDeps(rng *rand.Rand) map[string]VectorClock {
 // internal representation details.
 func canon(l Lattice) string {
 	switch v := l.(type) {
-	case *MaxInt64:
-		return fmt.Sprintf("%d", v.V)
-	case *BoolOr:
-		return fmt.Sprintf("%v", v.V)
 	case *Set:
-		return fmt.Sprintf("%v", sortedKeys(v.Elems))
-	case *GCounter:
-		return fmt.Sprintf("%v", v.Slots)
+		return fmt.Sprintf("%v", v.Elems())
 	case *LWW:
 		return fmt.Sprintf("%v/%x", v.TS, v.Value)
 	case *Causal:
@@ -327,30 +242,11 @@ func canon(l Lattice) string {
 			s += fmt.Sprintf("[%s=%x deps=%v]", ver.VC, ver.Value, ver.Deps)
 		}
 		return s
-	case *Map:
-		s := ""
-		for _, k := range sortedKeys(v.Entries) {
-			s += k + "=>" + canon(v.Entries[k]) + ";"
-		}
-		return s
 	}
 	panic("canon: unknown type")
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort; inputs are tiny
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-var allKinds = []string{"max_int64", "bool_or", "set", "gcounter", "lww", "causal", "map"}
+var allKinds = []string{"set", "lww", "causal"}
 
 // TestMergeCommutative checks merge(a,b) == merge(b,a) for random values
 // of every lattice type.
@@ -359,8 +255,8 @@ func TestMergeCommutative(t *testing.T) {
 	for _, kind := range allKinds {
 		for i := 0; i < 300; i++ {
 			a, b := genLattice(rng, kind), genLattice(rng, kind)
-			ab := a.Clone().Merge(b)
-			ba := b.Clone().Merge(a)
+			ab := a.Merge(b)
+			ba := b.Merge(a)
 			if canon(ab) != canon(ba) {
 				t.Fatalf("%s not commutative:\n a=%s\n b=%s\n ab=%s\n ba=%s",
 					kind, canon(a), canon(b), canon(ab), canon(ba))
@@ -375,8 +271,8 @@ func TestMergeAssociative(t *testing.T) {
 	for _, kind := range allKinds {
 		for i := 0; i < 300; i++ {
 			a, b, c := genLattice(rng, kind), genLattice(rng, kind), genLattice(rng, kind)
-			l := a.Clone().Merge(b).Merge(c)
-			r := a.Clone().Merge(b.Clone().Merge(c))
+			l := a.Merge(b).Merge(c)
+			r := a.Merge(b.Merge(c))
 			if canon(l) != canon(r) {
 				t.Fatalf("%s not associative:\n a=%s\n b=%s\n c=%s\n (ab)c=%s\n a(bc)=%s",
 					kind, canon(a), canon(b), canon(c), canon(l), canon(r))
@@ -392,12 +288,12 @@ func TestMergeIdempotent(t *testing.T) {
 	for _, kind := range allKinds {
 		for i := 0; i < 300; i++ {
 			a, b := genLattice(rng, kind), genLattice(rng, kind)
-			aa := a.Clone().Merge(a)
+			aa := a.Merge(a)
 			if canon(aa) != canon(a) {
 				t.Fatalf("%s: merge(a,a) != a", kind)
 			}
-			ab := a.Clone().Merge(b)
-			abb := ab.Clone().Merge(b)
+			ab := a.Merge(b)
+			abb := ab.Merge(b)
 			if canon(abb) != canon(ab) {
 				t.Fatalf("%s: merge(ab,b) != ab:\n ab=%s\n abb=%s", kind, canon(ab), canon(abb))
 			}
@@ -406,11 +302,10 @@ func TestMergeIdempotent(t *testing.T) {
 }
 
 // TestCloneIndependence verifies that keeping a merge's result never
-// changes the original: merging into a clone, and on into what that merge
-// returned, leaves the cloned value and both arguments as they were. A
-// capsule's clone is the capsule itself, so for LWW and Causal this is
-// merging the original; a causal result shares versions with its inputs,
-// so what they derive from them must hold still too.
+// changes the original, so no caller needs a copy: merging, and merging
+// on into what that merge returned, leaves the receiver and both
+// arguments as they were. A causal result shares versions with its
+// inputs, so what they derive from them must hold still too.
 func TestCloneIndependence(t *testing.T) {
 	state := func(l Lattice) string {
 		s := canon(l)
@@ -424,7 +319,7 @@ func TestCloneIndependence(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			a, b, c := genLattice(rng, kind), genLattice(rng, kind), genLattice(rng, kind)
 			before, bBefore, cBefore := state(a), state(b), state(c)
-			kept := a.Clone().Merge(b)
+			kept := a.Merge(b)
 			kept = kept.Merge(c)
 			if state(a) != before || state(b) != bBefore || state(c) != cBefore {
 				t.Fatalf("%s: keeping a merge's result changed an input\n a %s -> %s\n b %s -> %s\n c %s -> %s",
@@ -434,22 +329,20 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestMergeMonotone verifies merge only moves up the lattice order for
-// types with a scalar measure.
+// TestMergeMonotone verifies a set merge only moves up the lattice
+// order: the join holds both sides, ascending and without repeats.
 func TestMergeMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 500; i++ {
-		a, b := genLattice(rng, "gcounter").(*GCounter), genLattice(rng, "gcounter").(*GCounter)
-		before := a.Value()
-		a = a.Merge(b).(*GCounter)
-		if a.Value() < before || a.Value() < b.Value() {
-			t.Fatalf("gcounter merge went down: %d -> %d (b=%d)", before, a.Value(), b.Value())
-		}
 		s, s2 := genLattice(rng, "set").(*Set), genLattice(rng, "set").(*Set)
-		n := s.Len()
-		s = s.Merge(s2).(*Set)
-		if s.Len() < n || s.Len() < s2.Len() {
-			t.Fatal("set merge shrank")
+		j := s.Merge(s2).(*Set)
+		for _, e := range append(slices.Clone(s.Elems()), s2.Elems()...) {
+			if !slices.Contains(j.Elems(), e) {
+				t.Fatalf("join %v misses %q of %v or %v", j.Elems(), e, s.Elems(), s2.Elems())
+			}
+		}
+		if !slices.IsSorted(j.Elems()) || len(slices.Compact(slices.Clone(j.Elems()))) != len(j.Elems()) {
+			t.Fatalf("join %v is not ascending without repeats", j.Elems())
 		}
 	}
 }

@@ -25,8 +25,8 @@ func (t Timestamp) Less(u Timestamp) bool {
 // This is the default capsule Cloudburst wraps bare program values in.
 //
 // A capsule is an immutable value: nothing writes TS or Value after
-// NewLWW, so Merge returns the winning side and Clone the receiver, and
-// stores, snapshots and messages share one capsule. Every writer
+// NewLWW, so Merge returns the winning side, and stores, snapshots and
+// messages share one capsule. Every writer
 // allocates a fresh payload buffer (codec.Encode always returns one), so
 // readers throughout the cache/KVS/executor data plane hand out the same
 // bytes. The payload guard (see GuardPayloads) enforces the convention
@@ -63,9 +63,6 @@ func (l *LWW) less(o *LWW) bool {
 	}
 	return bytes.Compare(l.Value, o.Value) < 0
 }
-
-// Clone implements Lattice: an immutable capsule is its own copy.
-func (l *LWW) Clone() Lattice { return l }
 
 // ByteSize implements Lattice. The paper calls out the 8-byte timestamp
 // as LWW's only metadata overhead (§6.2.1).

@@ -2,7 +2,7 @@ package lattice
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -90,51 +90,26 @@ func TestQuickVectorClockTickDominates(t *testing.T) {
 	}
 }
 
-// latticeOps is quick's raw material for building arbitrary GCounter /
-// Set values.
-type latticeOps struct {
-	Nodes  []uint8
-	Deltas []uint8
-}
+// setOps is quick's raw material for building arbitrary Set values.
+type setOps []uint8
 
-func (o latticeOps) counter() *GCounter {
-	g := NewGCounter()
-	for i := range o.Nodes {
-		d := uint64(0)
-		if i < len(o.Deltas) {
-			d = uint64(o.Deltas[i] % 7)
-		}
-		g.Incr(string(rune('a'+o.Nodes[i]%4)), d)
+func (o setOps) set() *Set {
+	elems := make([]string, len(o))
+	for i, n := range o {
+		elems[i] = string(rune('a' + n%6))
 	}
-	return g
+	return NewSet(elems...)
 }
 
-func (o latticeOps) set() *Set {
-	s := NewSet()
-	for _, n := range o.Nodes {
-		s.Add(string(rune('a' + n%6)))
-	}
-	return s
-}
-
-func TestQuickGCounterACI(t *testing.T) {
-	prop := func(x, y, z latticeOps) bool {
-		a, b, c := x.counter(), y.counter(), z.counter()
-		// Commutative.
-		ab := a.Clone().Merge(b)
-		ba := b.Clone().Merge(a)
-		if !reflect.DeepEqual(ab.(*GCounter).Slots, ba.(*GCounter).Slots) {
-			return false
-		}
-		// Associative.
-		l := a.Clone().Merge(b).Merge(c)
-		r := a.Clone().Merge(b.Clone().Merge(c))
-		if !reflect.DeepEqual(l.(*GCounter).Slots, r.(*GCounter).Slots) {
-			return false
-		}
-		// Idempotent.
-		aa := a.Clone().Merge(a)
-		return reflect.DeepEqual(aa.(*GCounter).Slots, a.Slots)
+func TestQuickSetACI(t *testing.T) {
+	prop := func(x, y, z setOps) bool {
+		a, b, c := x.set(), y.set(), z.set()
+		ab, ba := a.Merge(b).(*Set), b.Merge(a).(*Set)
+		l, r := a.Merge(b).Merge(c).(*Set), a.Merge(b.Merge(c)).(*Set)
+		aa := a.Merge(a).(*Set)
+		return slices.Equal(ab.Elems(), ba.Elems()) && // commutative
+			slices.Equal(l.Elems(), r.Elems()) && // associative
+			slices.Equal(aa.Elems(), a.Elems()) // idempotent
 	}
 	if err := quick.Check(prop, quickCfg()); err != nil {
 		t.Fatal(err)
@@ -142,21 +117,18 @@ func TestQuickGCounterACI(t *testing.T) {
 }
 
 func TestQuickSetMergeIsUnion(t *testing.T) {
-	prop := func(x, y latticeOps) bool {
+	prop := func(x, y setOps) bool {
 		a, b := x.set(), y.set()
-		m := a.Clone().Merge(b).(*Set)
-		for e := range a.Elems {
-			if !m.Contains(e) {
-				return false
-			}
+		m := a.Merge(b).(*Set)
+		union := map[string]bool{}
+		for _, e := range append(slices.Clone(a.Elems()), b.Elems()...) {
+			union[e] = true
 		}
-		for e := range b.Elems {
-			if !m.Contains(e) {
-				return false
-			}
+		if len(m.Elems()) != len(union) || !slices.IsSorted(m.Elems()) {
+			return false
 		}
-		for e := range m.Elems {
-			if !a.Contains(e) && !b.Contains(e) {
+		for _, e := range m.Elems() {
+			if !union[e] {
 				return false
 			}
 		}

@@ -47,7 +47,7 @@ func newRegistrySnapshot() registrySnapshot {
 	put := func(key string, ts int64, v any) {
 		s.caps[key] = lattice.NewLWW(lattice.Timestamp{Clock: ts, Node: 1}, codec.MustEncode(v))
 	}
-	execList := lattice.NewSet()
+	var execList []string
 	for vm := 0; vm < 3; vm++ {
 		for i := 0; i < 4; i++ {
 			id := simnet.NodeID(fmt.Sprintf("exec-vm%d-%d", vm, i))
@@ -59,7 +59,7 @@ func newRegistrySnapshot() registrySnapshot {
 				em.Pinned = append(em.Pinned, "hot")
 			}
 			key := core.ExecMetricsKey(string(id))
-			execList.Add(key)
+			execList = append(execList, key)
 			put(key, int64(10+vm*4+i), em)
 			if vm == 2 {
 				continue // a ghost: reported, but not in the pool
@@ -72,13 +72,13 @@ func newRegistrySnapshot() registrySnapshot {
 		}
 	}
 	for _, ghost := range []string{"exec-gone-0", "exec-set-0", "exec-odd-0"} {
-		execList.Add(core.ExecMetricsKey(ghost))
+		execList = append(execList, core.ExecMetricsKey(ghost))
 	}
 	s.caps[core.ExecMetricsKey("exec-set-0")] = lattice.NewSet("x")
 	put(core.ExecMetricsKey("exec-odd-0"), 1, core.CacheMetrics{VM: "vm9"})
-	s.caps[executor.MetricListKey] = execList
+	s.caps[executor.MetricListKey] = lattice.NewSet(execList...)
 
-	schedList := lattice.NewSet()
+	var schedList []string
 	for i := 0; i < 3; i++ {
 		sm := core.SchedulerMetrics{
 			Scheduler: simnet.NodeID(fmt.Sprintf("sched-%d", i)),
@@ -86,14 +86,14 @@ func newRegistrySnapshot() registrySnapshot {
 			FnCalls:   map[string]int64{"done/d0": int64(i), "f0": 5, "done/": 9},
 		}
 		key := core.SchedMetricsKey(string(sm.Scheduler))
-		schedList.Add(key)
+		schedList = append(schedList, key)
 		put(key, int64(100+i), sm)
 		for d, n := range sm.DAGCalls {
 			s.wantCalls[d] += n
 		}
 		s.wantDone["d0"] += int64(i)
 	}
-	s.caps[scheduler.SchedListKey] = schedList
+	s.caps[scheduler.SchedListKey] = lattice.NewSet(schedList...)
 	return s
 }
 

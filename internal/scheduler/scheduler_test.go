@@ -201,11 +201,11 @@ func newRig(t *testing.T, cfg scheduler.Config, execs int) *rig {
 			}
 		}
 	})
-	registry := lattice.NewSet()
+	var registry []string
 	for i := 0; i < execs; i++ {
 		e := &fakeExec{ep: net.AddNode(simnet.NodeID(fmt.Sprintf("exec-%d", i))), reporting: true}
 		r.execs = append(r.execs, e)
-		registry.Add(core.ExecMetricsKey(string(e.ep.ID())))
+		registry = append(registry, core.ExecMetricsKey(string(e.ep.ID())))
 		k.Go(string(e.ep.ID()), func() {
 			for {
 				var reqID string
@@ -226,7 +226,7 @@ func newRig(t *testing.T, cfg scheduler.Config, execs int) *rig {
 	}
 	pub := kv.NewClient(net.AddNode("publisher"), 0)
 	k.Go("publisher", func() {
-		pub.Put(executor.MetricListKey, registry)
+		pub.Put(executor.MetricListKey, lattice.NewSet(registry...))
 		for {
 			for _, e := range r.execs {
 				if !e.reporting {
