@@ -182,9 +182,16 @@ func (cl *Client) encodeArgs(args []any) ([]core.Arg, error) {
 	return out, nil
 }
 
-func (cl *Client) nextReq() string {
+// resultSuffix ends every request's result key: Future.Key is the
+// request id followed by it.
+const resultSuffix = "-result"
+
+// nextReq names the next request: its id, and the Future.Key its result
+// is stored under. Both come from one string, the id being its prefix.
+func (cl *Client) nextReq() (reqID, key string) {
 	cl.seq++
-	return string(cl.ep.ID()) + "-r" + strconv.FormatInt(cl.seq, 10)
+	key = string(cl.ep.ID()) + "-r" + strconv.FormatInt(cl.seq, 10) + resultSuffix
+	return key[:len(key)-len(resultSuffix)], key
 }
 
 // InvokeOption configures one invocation — the options-driven
@@ -200,6 +207,9 @@ type callOpts struct {
 }
 
 func buildOpts(opts []InvokeOption) callOpts {
+	if len(opts) == 0 {
+		return callOpts{} // o below escapes through opt to the heap
+	}
 	var o callOpts
 	for _, opt := range opts {
 		opt(&o)
@@ -256,10 +266,11 @@ func (cl *Client) Invoke(fn string, args []any, opts ...InvokeOption) *Future {
 	if err != nil {
 		return cl.failedFuture(err)
 	}
-	reqID := cl.nextReq()
-	f := cl.register(reqID, o)
+	reqID, key := cl.nextReq()
+	f := cl.register(reqID, key, o)
 	cl.spans.Root(reqID, "invoke", cl.k.Now())
-	req := core.InvokeRequest{
+	// Boxed once: the first send and the future's re-route share it.
+	var req any = core.InvokeRequest{
 		ReqID:      reqID,
 		Function:   fn,
 		Args:       wireArgs,
@@ -298,10 +309,11 @@ func (cl *Client) InvokeDAG(dagName string, args map[string][]any, opts ...Invok
 			size += len(a.Val) + len(a.Ref)
 		}
 	}
-	reqID := cl.nextReq()
-	f := cl.register(reqID, o)
+	reqID, key := cl.nextReq()
+	f := cl.register(reqID, key, o)
 	cl.spans.Root(reqID, "invoke-dag", cl.k.Now())
-	req := scheduler.DAGInvokeReq{
+	// Boxed once: the first send and the future's re-route share it.
+	var req any = scheduler.DAGInvokeReq{
 		ReqID:      reqID,
 		DAG:        dagName,
 		Args:       wire,
@@ -348,8 +360,8 @@ func (cl *Client) Batch(invs []Invocation) []*Future {
 }
 
 // register creates and tracks the future for a dispatched request.
-func (cl *Client) register(reqID string, o callOpts) *Future {
-	f := &Future{cl: cl, reqID: reqID, Key: reqID + "-result", store: o.store, timeout: o.timeout}
+func (cl *Client) register(reqID, key string, o callOpts) *Future {
+	f := &Future{cl: cl, reqID: reqID, Key: key, store: o.store, timeout: o.timeout}
 	cl.pending[reqID] = f
 	return f
 }

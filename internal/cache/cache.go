@@ -375,9 +375,12 @@ func (c *Cache) Delete(key string) error {
 // maintains the local causal cut, exactly as a per-key fill would.
 func (c *Cache) Prefetch(keys []string) {
 	c.mu.Lock()
-	missing := make([]string, 0, len(keys))
+	var missing []string // made at the first miss: a warm read set allocates nothing
 	for _, k := range keys {
 		if _, ok := c.store[k]; !ok {
+			if missing == nil {
+				missing = make([]string, 0, len(keys))
+			}
 			missing = append(missing, k)
 		}
 	}

@@ -189,7 +189,9 @@ func (s SessionMeta) Size() int {
 }
 
 // InvokeRequest asks a scheduler (and then an executor) to run a single
-// registered function.
+// registered function. The scheduler forwards it unchanged, so the
+// executor sends the request's RequestComplete to the message's sender:
+// the scheduler that tracks it (§4.5).
 //
 // ReqID is also the tracing plane's correlation key: components
 // re-attach spans to the collector under it (internal/trace). Wire
@@ -200,7 +202,6 @@ type InvokeRequest struct {
 	Function   string
 	Args       []Arg
 	RespondTo  simnet.NodeID // where the Result goes
-	Scheduler  simnet.NodeID // tracks the request (§4.5); receives its RequestComplete
 	Deadline   time.Duration // client timeout; drives scheduler re-execution when lost
 	StoreInKVS bool          // persist the result in the KVS under ResultKey
 	Direct     bool          // carry the value inline in the Result even when storing
@@ -237,7 +238,7 @@ type DAGSchedule struct {
 	Assignments map[string]simnet.NodeID // function name -> executor thread
 	Args        map[string][]Arg         // per-function client-supplied args
 	RespondTo   simnet.NodeID
-	Scheduler   simnet.NodeID // tracks the request (§4.5); receives its RequestComplete
+	Scheduler   simnet.NodeID // tracks the request (§4.5); receives its RequestComplete; a bare invoke's is its InvokeRequest's sender
 	StoreInKVS  bool
 	Direct      bool // carry the value inline in the Result even when storing
 	WantHops    bool // report the executor hop count in the Result

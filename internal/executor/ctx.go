@@ -3,6 +3,7 @@ package executor
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"cloudburst/internal/cache"
@@ -22,7 +23,8 @@ type Ctx struct {
 	req  string // DAG request id (session scope)
 	dag  string
 	fn   string
-	id   string // this invocation's unique id
+	seq  int64  // the thread's count of invocations, this one included
+	id   string // this invocation's unique id, spelt out by ID on first use
 	meta *core.SessionMeta
 	// txn, when non-nil, makes this a transactional invocation: writes
 	// are staged instead of hitting the cache, reads record base
@@ -37,9 +39,17 @@ type Ctx struct {
 	seenInbox map[string]bool
 }
 
-// ID returns the invocation's unique id (Table 1 get_id). Advertise it
-// under a well-known key so peers can send you messages.
-func (c *Ctx) ID() string { return c.id }
+// ID returns the invocation's unique id (Table 1 get_id), "thread#seq",
+// where seq counts every invocation the thread has run, this one
+// included. Advertise it under a well-known key so peers can send you
+// messages. The string is built on the first call, so an invocation that
+// never asks for its id pays nothing for it.
+func (c *Ctx) ID() string {
+	if c.id == "" {
+		c.id = core.MakeInvocationID(c.t.id, c.seq)
+	}
+	return c.id
+}
 
 // ReqID returns the DAG request id this invocation belongs to.
 func (c *Ctx) ReqID() string { return c.req }
@@ -140,7 +150,7 @@ func (c *Ctx) put(key string, val any, deps []string) error {
 	writeID := ""
 	if c.t.tracer != nil {
 		c.writeSeq++
-		writeID = fmt.Sprintf("%s/w%d", c.id, c.writeSeq)
+		writeID = c.ID() + "/w" + strconv.Itoa(c.writeSeq)
 		payload = tagPayload(writeID, payload)
 	}
 	if c.txn != nil {
@@ -245,13 +255,13 @@ func (c *Ctx) Send(recvID string, msg any) error {
 	if !ok {
 		return fmt.Errorf("executor: malformed recipient id %q", recvID)
 	}
-	dm := core.DirectMessage{FromID: c.id, Body: payload}
+	dm := core.DirectMessage{FromID: c.ID(), Body: payload}
 	if c.t.alive == nil || c.t.alive(thread) {
 		c.t.ep.Send(thread, dm, 32+len(payload))
 		return nil
 	}
 	// TCP unavailable: write to the recipient's inbox key in Anna.
-	elem := c.id + "\x00" + string(payload)
+	elem := c.ID() + "\x00" + string(payload)
 	return c.t.annaClient.Put(core.InboxKey(recvID), lattice.NewSet(elem))
 }
 
@@ -274,7 +284,7 @@ func (c *Ctx) Recv() ([]any, error) {
 		return out, nil
 	}
 	// Fall back to the storage inbox.
-	lat, found, err := c.t.annaClient.Get(core.InboxKey(c.id))
+	lat, found, err := c.t.annaClient.Get(core.InboxKey(c.ID()))
 	if err != nil || !found {
 		return nil, err
 	}

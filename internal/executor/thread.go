@@ -165,7 +165,7 @@ func NewThread(k *vtime.Kernel, ep *simnet.Endpoint, vm string, d Deps) *Thread 
 	t.disp = simnet.NewDispatcher(ep, string(t.id))
 	simnet.OnMessage(t.disp, func(m simnet.Message, b core.InvokeRequest) {
 		t.recordArrival(b.ReqID, m)
-		t.runSingle(b)
+		t.runSingle(b, m.From)
 	})
 	simnet.OnMessage(t.disp, func(m simnet.Message, b core.DAGTrigger) {
 		t.recordArrival(b.Schedule.ReqID, m)
@@ -247,7 +247,8 @@ func (t *Thread) pin(fn string) {
 	t.pinned[fn] = true
 }
 
-// newCtx builds the per-invocation context.
+// newCtx builds the per-invocation context. Every invocation takes the
+// thread's next sequence number; Ctx.ID spells it out on first use.
 func (t *Thread) newCtx(reqID, dagName, fn string, meta *core.SessionMeta, tx *txnState) *Ctx {
 	t.seq++
 	return &Ctx{
@@ -255,7 +256,7 @@ func (t *Thread) newCtx(reqID, dagName, fn string, meta *core.SessionMeta, tx *t
 		req:  reqID,
 		dag:  dagName,
 		fn:   fn,
-		id:   core.MakeInvocationID(t.id, t.seq),
+		seq:  t.seq,
 		meta: meta,
 		txn:  tx,
 	}
@@ -283,9 +284,17 @@ func (r *refReader) Run() {
 }
 
 // resolveArgs turns wire arguments into Go values, fetching KVS
-// references through the cache in parallel (§4.1).
-func (t *Thread) resolveArgs(reqID, dagName, fn string, args []core.Arg, meta *core.SessionMeta) ([]any, error) {
-	out := make([]any, len(args))
+// references through the cache in parallel (§4.1), and appends the
+// decoded parent results after them.
+func (t *Thread) resolveArgs(reqID, dagName, fn string, args []core.Arg, inputs []core.DAGInput, meta *core.SessionMeta) ([]any, error) {
+	out := make([]any, len(args)+len(inputs))
+	for j, in := range inputs {
+		v, err := codec.Decode(in.Val)
+		if err != nil {
+			return nil, err
+		}
+		out[len(args)+j] = v
+	}
 	errs := t.errScratch[:0]
 	for range args {
 		errs = append(errs, nil)
@@ -405,13 +414,13 @@ func (t *Thread) decodeVersioned(key string, ver core.VersionRef, payload []byte
 
 // runSingle serves a bare invocation as the DAG of one node it is (§3):
 // make the session metadata, invoke, complete.
-func (t *Thread) runSingle(req core.InvokeRequest) {
+func (t *Thread) runSingle(req core.InvokeRequest, scheduler simnet.NodeID) {
 	// The one-node schedule never leaves this frame, so it costs no
 	// allocation; its empty DAG name marks the request as a bare invoke.
 	s := core.DAGSchedule{
 		ReqID:      req.ReqID,
 		RespondTo:  req.RespondTo,
-		Scheduler:  req.Scheduler,
+		Scheduler:  scheduler,
 		StoreInKVS: req.StoreInKVS,
 		Direct:     req.Direct,
 		WantHops:   req.WantHops,
@@ -489,17 +498,7 @@ func (t *Thread) runTrigger(tr core.DAGTrigger) {
 	// Argument order: client-supplied args first, then parent results in
 	// parent-name order.
 	slices.SortFunc(inputs, func(a, b core.DAGInput) int { return strings.Compare(a.From, b.From) })
-	args := append([]core.Arg(nil), s.Args[tr.Target]...)
-	parentVals := make([]any, 0, len(inputs))
-	for _, in := range inputs {
-		v, err := codec.Decode(in.Val)
-		if err != nil {
-			t.complete(s, tr.Target, metaP, hops, nil, "", nil, err)
-			return
-		}
-		parentVals = append(parentVals, v)
-	}
-	payload, invID, tx, err := t.invoke(s, tr.Target, args, parentVals, metaP, tr.TxnWrites)
+	payload, invID, tx, err := t.invoke(s, tr.Target, s.Args[tr.Target], inputs, metaP, tr.TxnWrites)
 	children := d.Children(tr.Target)
 	if err != nil || len(children) == 0 {
 		t.complete(s, tr.Target, metaP, hops, tx, invID, payload, err)
@@ -640,11 +639,13 @@ func (t *Thread) commitTxn(reqID, dagName, fn, txnID string, tx *txnState, paylo
 // invoke runs one function of request s: it opens the write buffer when
 // the request is transactional (seeded with what upstream functions
 // buffered), resolves arguments, looks up the body, runs it, and encodes
-// its result, charging the time to the metrics window. The whole
-// invocation is one Compute span; the overhead sleep and the cache's own
-// read spans open later and so shadow it for their windows (the
-// analyzer's stack semantics), leaving the body's remainder as compute.
-func (t *Thread) invoke(s *core.DAGSchedule, fn string, args []core.Arg, parentVals []any, meta *core.SessionMeta, upstream []core.TxnWrite) ([]byte, string, *txnState, error) {
+// its result, charging the time to the metrics window. It returns the
+// invocation's id only to a transaction, whose commit is named by it.
+// The whole invocation is one Compute span; the overhead sleep and the
+// cache's own read spans open later and so shadow it for their windows
+// (the analyzer's stack semantics), leaving the body's remainder as
+// compute.
+func (t *Thread) invoke(s *core.DAGSchedule, fn string, args []core.Arg, inputs []core.DAGInput, meta *core.SessionMeta, upstream []core.TxnWrite) ([]byte, string, *txnState, error) {
 	var tx *txnState
 	if s.Txn {
 		if t.cache.Mode() != core.TXN || t.txnCoord == nil {
@@ -666,18 +667,21 @@ func (t *Thread) invoke(s *core.DAGSchedule, fn string, args []core.Arg, parentV
 	o0 := t.k.Now()
 	t.k.Sleep(invokeOverhead)
 	ictx.Record("exec/overhead", trace.Dispatch, o0, t.k.Now())
-	resolved, err := t.resolveArgs(reqID, dagName, fn, args, meta)
+	resolved, err := t.resolveArgs(reqID, dagName, fn, args, inputs, meta)
 	if err != nil {
 		return nil, "", tx, fnError(fn, err)
 	}
-	resolved = append(resolved, parentVals...)
 	ctx := t.newCtx(reqID, dagName, fn, meta, tx)
+	invID := ""
+	if tx != nil {
+		invID = ctx.ID()
+	}
 	out, err := body(ctx, resolved)
 	if err != nil {
-		return nil, ctx.id, tx, fnError(fn, err)
+		return nil, invID, tx, fnError(fn, err)
 	}
 	payload, err := codec.Encode(out)
-	return payload, ctx.id, tx, err
+	return payload, invID, tx, err
 }
 
 // finish updates the metrics window after an invocation.

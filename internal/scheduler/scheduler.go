@@ -209,13 +209,16 @@ func (v *view) indexOf(id simnet.NodeID) (int, bool) {
 
 // tracked is one in-flight request, held for §4.5 re-execution from its
 // first dispatch until its completion notice or terminal failure. One
-// wire form is set: inv (a bare Invoke, forwarded as is) or dag.
+// wire form is set: inv (a bare Invoke) or dag.
 type tracked struct {
 	id        string
 	respondTo simnet.NodeID
 	isDAG     bool
-	inv       core.InvokeRequest
-	dag       DAGInvokeReq
+	// inv is a bare Invoke's core.InvokeRequest in the box it arrived in,
+	// forwarded to the executor as is: the executor reads the tracking
+	// scheduler off the message's sender.
+	inv any
+	dag DAGInvokeReq
 
 	timeout      time.Duration // re-execution period; the wire Deadline until track clamps it
 	deadline     vtime.Time
@@ -363,8 +366,7 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config) *Sch
 		req.Reply(s.registerDAG(b), 16)
 	})
 	simnet.OnMessage(s.disp, func(m simnet.Message, b core.InvokeRequest) {
-		b.Scheduler = s.id // route the executor's completion notice back here
-		s.admit(&tracked{id: b.ReqID, respondTo: b.RespondTo, timeout: b.Deadline, inv: b}, m)
+		s.admit(&tracked{id: b.ReqID, respondTo: b.RespondTo, timeout: b.Deadline, inv: m.Payload}, m)
 	})
 	simnet.OnMessage(s.disp, func(m simnet.Message, b DAGInvokeReq) {
 		s.admit(&tracked{id: b.ReqID, respondTo: b.RespondTo, timeout: b.Deadline, isDAG: true, dag: b}, m)
@@ -563,7 +565,7 @@ func (s *Scheduler) track(o *tracked) {
 	if o.isDAG {
 		s.dagCalls[o.dag.DAG]++
 	} else {
-		s.fnCalls[o.inv.Function]++
+		s.fnCalls[o.inv.(core.InvokeRequest).Function]++
 	}
 	// The record arrives with the wire Deadline as its timeout, which
 	// only ever shortens the re-execution timer: a patient WithTimeout
@@ -629,10 +631,11 @@ func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
 		return t
 	}
 	if !o.isDAG {
-		if o.target = pick(o.inv.Function, o.inv.Args, false); o.target == "" {
+		inv := o.inv.(core.InvokeRequest)
+		if o.target = pick(inv.Function, inv.Args, false); o.target == "" {
 			return
 		}
-		s.ep.Send(o.target, o.inv, 96+argBytes(o.inv.Args))
+		s.ep.Send(o.target, o.inv, 96+argBytes(inv.Args))
 		return
 	}
 	req := &o.dag

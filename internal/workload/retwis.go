@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	cb "cloudburst"
@@ -29,8 +30,8 @@ func DefaultRetwis() Retwis {
 	return Retwis{Users: 1000, Follows: 50, Tweets: 5000, TimelineCap: 50, FetchPosts: 10}
 }
 
-func userKey(u int, field string) string { return fmt.Sprintf("rt/user/%d/%s", u, field) }
-func timelineKey(u int) string           { return fmt.Sprintf("rt/timeline/%d", u) }
+func userKey(u int, field string) string { return "rt/user/" + strconv.Itoa(u) + "/" + field }
+func timelineKey(u int) string           { return "rt/timeline/" + strconv.Itoa(u) }
 func postKey(id string) string           { return "rt/post/" + id }
 
 // TimelineResult is what rt-timeline returns.
@@ -133,8 +134,10 @@ func (r Retwis) fnPost(ctx *cb.Ctx, args []any) (any, error) {
 		return nil, err
 	}
 	for _, f := range followers {
-		var fu int
-		fmt.Sscanf(f, "%d", &fu)
+		fu, err := strconv.Atoi(f)
+		if err != nil {
+			return nil, fmt.Errorf("retwis: follower id: %w", err)
+		}
 		if err := prependString(ctx, timelineKey(fu), id, r.TimelineCap); err != nil {
 			return nil, err
 		}
@@ -534,8 +537,10 @@ func (ro RedisOps) Post(author int, id, text, replyTo string, now time.Duration)
 		return err
 	}
 	for _, f := range followers {
-		var fu int
-		fmt.Sscanf(f, "%d", &fu)
+		fu, err := strconv.Atoi(f)
+		if err != nil {
+			return fmt.Errorf("retwis: follower id: %w", err)
+		}
 		if err := deliver(fu); err != nil {
 			return err
 		}

@@ -1,11 +1,14 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	cb "cloudburst"
+	"cloudburst/internal/codec"
 )
 
 func TestKeyspaceZipfSkew(t *testing.T) {
@@ -205,6 +208,72 @@ func TestComposePipeline(t *testing.T) {
 		out, err := cl.InvokeDAG("composition", map[string][]any{"increment": {4}}).Wait()
 		if err != nil || out.(int) != 25 {
 			t.Fatalf("square(increment(4)) = %v, %v", out, err)
+		}
+	})
+}
+
+// TestRetwisKeysMatchFmt holds the concatenated key builders byte-equal
+// to the fmt forms they replaced.
+func TestRetwisKeysMatchFmt(t *testing.T) {
+	for u := 0; u <= 10000; u++ {
+		for _, field := range []string{"following", "followers", "posts"} {
+			if got, want := userKey(u, field), fmt.Sprintf("rt/user/%d/%s", u, field); got != want {
+				t.Fatalf("userKey(%d, %q) = %q, want %q", u, field, got, want)
+			}
+		}
+		if got, want := timelineKey(u), fmt.Sprintf("rt/timeline/%d", u); got != want {
+			t.Fatalf("timelineKey(%d) = %q, want %q", u, got, want)
+		}
+	}
+}
+
+// memRedis is an in-memory RedisOps store.
+type memRedis map[string][]byte
+
+func (m memRedis) Get(key string) ([]byte, bool, error) { v, ok := m[key]; return v, ok, nil }
+func (m memRedis) Put(key string, val []byte) error     { m[key] = val; return nil }
+func (m memRedis) MGet(keys []string) ([][]byte, error) {
+	out := make([][]byte, len(keys))
+	for i, k := range keys {
+		out[i] = m[k]
+	}
+	return out, nil
+}
+
+// TestRetwisMalformedFollowerIsAnError: a follower id that is not a
+// number fails a post, on Cloudburst and on Redis, instead of delivering
+// the tweet to user 0's timeline.
+func TestRetwisMalformedFollowerIsAnError(t *testing.T) {
+	followers := []string{"2", "x3"}
+	r := DefaultRetwis()
+
+	redis := memRedis{userKey(1, "followers"): codec.MustEncode(followers)}
+	ro := RedisOps{R: r, Redis: redis}
+	if err := ro.Post(1, "p1", "hi", "", 0); err == nil || !strings.Contains(err.Error(), "follower id") {
+		t.Fatalf("Redis post with follower %q: err = %v, want a follower id error", followers[1], err)
+	}
+	if _, ok := redis[timelineKey(0)]; ok {
+		t.Fatal("Redis post delivered to user 0's timeline")
+	}
+
+	cfg := cb.DefaultConfig()
+	cfg.VMs = 1
+	c := cb.NewCluster(cfg)
+	defer c.Close()
+	if err := r.Register(c); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(func(cl *cb.Client) {
+		if err := cl.Put(userKey(1, "followers"), followers); err != nil {
+			t.Fatal(err)
+		}
+		cl.Sleep(3 * time.Second)
+		_, err := cl.Invoke("rt-post", []any{1, "hi", ""}).Wait()
+		if err == nil || !strings.Contains(err.Error(), "follower id") {
+			t.Fatalf("post with follower %q: err = %v, want a follower id error", followers[1], err)
+		}
+		if _, found, _ := cl.Get(timelineKey(0)); found {
+			t.Fatal("post delivered to user 0's timeline")
 		}
 	})
 }
