@@ -160,8 +160,11 @@
 // lattice capsules (LWW, Causal), the co-located caches, the Anna KVS,
 // the simulated cloud storage services, and the executors all share the
 // same byte slice instead of copying it, and executors additionally
-// memoize decoded argument values per exact version. Two conventions
-// make this sound, both enforced by tests (the lattice payload guard):
+// memoize decoded argument values per exact version. A causal version's
+// vector clock and dependency set need no convention: each is a sorted
+// value behind an unexported field, immutable by construction, and shared
+// by reference the same way. Two conventions make the payloads sound,
+// both enforced by tests (the lattice payload guard):
 //
 //   - Writers always allocate a fresh buffer; nothing mutates payload
 //     bytes in place.

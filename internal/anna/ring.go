@@ -33,7 +33,12 @@ type vnode struct {
 // under the cooperative kernel (one runnable process at a time), so no
 // locking is needed.
 type Ring struct {
-	vnodes      []vnode
+	vnodes []vnode
+	// owners[i] is the owner list of a key whose successor is vnodes[i],
+	// rebuilt into fresh storage on every membership change and never
+	// written after: a list handed out keeps the membership it was built
+	// for.
+	owners      [][]simnet.NodeID
 	nodes       map[simnet.NodeID]bool
 	replication int // replication factor k
 	perNode     int // virtual nodes per physical node
@@ -84,6 +89,7 @@ func (r *Ring) AddNode(id simnet.NodeID) {
 		r.vnodes = append(r.vnodes, vnode{hash: hash64(fmt.Sprintf("%s#%d", id, i)), node: id})
 	}
 	sort.Slice(r.vnodes, func(i, j int) bool { return r.vnodes[i].hash < r.vnodes[j].hash })
+	r.buildOwners()
 }
 
 // RemoveNode deletes a storage node from the ring.
@@ -99,6 +105,26 @@ func (r *Ring) RemoveNode(id simnet.NodeID) {
 		}
 	}
 	r.vnodes = kept
+	r.buildOwners()
+}
+
+// buildOwners computes every vnode's owner list — the first k distinct
+// nodes clockwise from it — into one fresh array, each list capped so an
+// append by a reader cannot reach the next.
+func (r *Ring) buildOwners() {
+	k := min(r.replication, len(r.nodes))
+	all := make([]simnet.NodeID, 0, len(r.vnodes)*k)
+	r.owners = make([][]simnet.NodeID, len(r.vnodes))
+	for i := range r.vnodes {
+		lo := len(all)
+		for n := 0; len(all)-lo < k && n < len(r.vnodes); n++ {
+			v := r.vnodes[(i+n)%len(r.vnodes)]
+			if !slices.Contains(all[lo:], v.node) { // k is a handful: a scan beats a set
+				all = append(all, v.node)
+			}
+		}
+		r.owners[i] = all[lo:len(all):len(all)]
+	}
 }
 
 // Nodes returns the member nodes in sorted order.
@@ -116,24 +142,14 @@ func (r *Ring) Size() int { return len(r.nodes) }
 
 // OwnersFor returns the distinct storage nodes responsible for key, in
 // preference order (primary first): the first k distinct nodes clockwise
-// from the key's hash.
+// from the key's hash. The list is the ring's own and allocates nothing:
+// callers must not write it. A membership change builds new lists, so a
+// caller holding one across a blocking call keeps the old membership.
 func (r *Ring) OwnersFor(key string) []simnet.NodeID {
 	if len(r.vnodes) == 0 {
 		return nil
 	}
-	k := r.replication
-	if k > len(r.nodes) {
-		k = len(r.nodes)
-	}
-	i := r.successor(key)
-	out := make([]simnet.NodeID, 0, k)
-	for n := 0; len(out) < k && n < len(r.vnodes); n++ {
-		v := r.vnodes[(i+n)%len(r.vnodes)]
-		if !slices.Contains(out, v.node) { // k is a handful: a scan beats a set
-			out = append(out, v.node)
-		}
-	}
-	return out
+	return r.owners[r.successor(key)]
 }
 
 // successor returns the index of the first vnode clockwise from key's
@@ -144,8 +160,7 @@ func (r *Ring) successor(key string) int {
 	return i % len(r.vnodes)
 }
 
-// PrimaryFor returns the first owner for key, OwnersFor(key)[0], without
-// building the owner list.
+// PrimaryFor returns the first owner for key, OwnersFor(key)[0].
 func (r *Ring) PrimaryFor(key string) simnet.NodeID {
 	if len(r.vnodes) == 0 {
 		return ""

@@ -18,7 +18,6 @@ package cache
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -271,7 +270,7 @@ func (c *Cache) ingestUpdate(key string, lat lattice.Lattice) {
 	c.Stats.UpdatesPushed++
 	if c.cfg.Mode == core.MK || c.cfg.Mode == core.DSC {
 		if cap, ok := lat.(*lattice.Causal); ok {
-			c.ensureCut(cap.DepsUnion())
+			c.ensureCut(cap)
 		}
 	}
 	c.mu.Lock()
@@ -401,7 +400,7 @@ func (c *Cache) Prefetch(keys []string) {
 		}
 		if c.cfg.Mode == core.MK || c.cfg.Mode == core.DSC {
 			if cap, isCausal := lat.(*lattice.Causal); isCausal {
-				c.ensureCut(cap.DepsUnion())
+				c.ensureCut(cap)
 			}
 		}
 		c.mu.Lock()
@@ -439,7 +438,7 @@ func (c *Cache) WarmFill(peer simnet.NodeID, keys []string) (filled int) {
 		}
 		if c.cfg.Mode == core.MK || c.cfg.Mode == core.DSC {
 			if cap, isCausal := r.Lat.(*lattice.Causal); isCausal {
-				c.ensureCut(cap.DepsUnion())
+				c.ensureCut(cap)
 			}
 		}
 		c.mu.Lock()
@@ -465,7 +464,7 @@ func (c *Cache) fetchFromAnna(rctx trace.Ctx, key string) (lattice.Lattice, bool
 	}
 	if c.cfg.Mode == core.MK || c.cfg.Mode == core.DSC {
 		if cap, ok := lat.(*lattice.Causal); ok {
-			c.ensureCut(cap.DepsUnion())
+			c.ensureCut(cap)
 		}
 	}
 	c.mu.Lock()
@@ -475,14 +474,14 @@ func (c *Cache) fetchFromAnna(rctx trace.Ctx, key string) (lattice.Lattice, bool
 	return cur, true, nil
 }
 
-// ensureCut makes the local store satisfy the given dependency
-// requirements (key → minimum vector clock): every dependency must be
-// locally present at a version concurrent with or dominating the
-// required clock. Missing or stale dependencies are fetched from Anna,
-// with bounded retries to ride out replication lag. This is the bolt-on
-// causal consistency shim (§5.3).
-func (c *Cache) ensureCut(deps map[string]lattice.Clock) {
-	c.ensureCutDepth(deps, 0)
+// ensureCut makes the local store satisfy cap's dependency requirements
+// (key → minimum vector clock): every dependency must be locally present
+// at a version concurrent with or dominating the required clock. Missing
+// or stale dependencies are fetched from Anna, with bounded retries to
+// ride out replication lag. This is the bolt-on causal consistency shim
+// (§5.3).
+func (c *Cache) ensureCut(cap *lattice.Causal) {
+	c.ensureCutDepth(cap, 0)
 }
 
 // maxCutDepth bounds transitive dependency filling. Deeper chains are
@@ -490,29 +489,24 @@ func (c *Cache) ensureCut(deps map[string]lattice.Clock) {
 // entire causal history on one ingest.
 const maxCutDepth = 6
 
-func (c *Cache) ensureCutDepth(deps map[string]lattice.Clock, depth int) {
+func (c *Cache) ensureCutDepth(cap *lattice.Causal, depth int) {
 	if depth > maxCutDepth {
 		return
 	}
-	// Deterministic iteration order, sorted on the stack up to 16 keys.
-	var buf [16]string
-	keys := buf[:0]
-	for k := range deps {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, dk := range keys {
-		need := deps[dk]
+	// The walk yields the dependencies in ascending key order: a
+	// deterministic fetch order without sorting. The capsule is a value,
+	// so blocking fetches below cannot change what is left of the walk.
+	for dk, need := range cap.Deps() {
 		for attempt := 0; ; attempt++ {
 			c.mu.Lock()
 			cur, ok := c.store[dk]
 			satisfied := false
 			if ok {
-				if cap, isCausal := cur.(*lattice.Causal); isCausal {
+				if cached, isCausal := cur.(*lattice.Causal); isCausal {
 					// Satisfied when the cached version did not happen
 					// before the required version (concurrent or newer
 					// both preserve the cut).
-					satisfied = !cap.VC().HappensBefore(need)
+					satisfied = !cached.VC().HappensBefore(need)
 				}
 			}
 			c.mu.Unlock()
@@ -525,11 +519,11 @@ func (c *Cache) ensureCutDepth(deps map[string]lattice.Clock, depth int) {
 			c.Stats.DepFetches++
 			lat, found, err := c.anna.Get(dk)
 			if err == nil && found {
-				if cap, isCausal := lat.(*lattice.Causal); isCausal {
+				if fetched, isCausal := lat.(*lattice.Causal); isCausal {
 					// Recurse (depth-bounded): the fetched version's
 					// own deps must also hold locally for the store to
 					// stay a causal cut.
-					c.ensureCutDepth(cap.DepsUnion(), depth+1)
+					c.ensureCutDepth(fetched, depth+1)
 				}
 				c.mu.Lock()
 				c.mergeLocked(dk, lat)

@@ -236,27 +236,26 @@ func (c *Cache) readDSC(rctx trace.Ctx, reqID, key string, meta *core.SessionMet
 	}
 
 	ver := core.VersionRef{Cache: c.ID(), VC: cap.VC(), VCD: cap.Digest()}
-	deps := cap.DepsUnion()
 	c.mu.Lock()
 	// Snapshot the version read and the locally-held versions of its
 	// dependencies, so downstream caches can fetch them (§5.3: "caches
-	// upstream store version snapshots of these causal dependencies").
+	// upstream store version snapshots of these causal dependencies"),
+	// and ship the dependencies downstream.
 	c.snapshotLocked(reqID, key, cap)
-	for dk := range deps {
+	for dk, dvc := range cap.Deps() {
 		if dep, ok := c.store[dk]; ok {
 			c.snapshotLocked(reqID, dk, dep)
+		}
+		if meta == nil {
+			continue
+		}
+		if cur, ok := meta.Deps[dk]; !ok || cur.VC.HappensBefore(dvc) {
+			meta.Deps[dk] = core.VersionRef{Cache: c.ID(), VC: dvc}
 		}
 	}
 	c.mu.Unlock()
 	if meta != nil {
 		meta.ReadSet[key] = ver
-		// Ship the read version's dependencies downstream.
-		for dk, dvc := range deps {
-			cur, ok := meta.Deps[dk]
-			if !ok || cur.VC.HappensBefore(dvc) {
-				meta.Deps[dk] = core.VersionRef{Cache: c.ID(), VC: dvc}
-			}
-		}
 	}
 	return cap.DisplayValue(), ver, nil
 }
@@ -291,11 +290,8 @@ func (c *Cache) ReadAll(reqID, key string, meta *core.SessionMeta) ([][]byte, co
 	if !ok {
 		return nil, ver, ErrNotFound
 	}
-	cap := cur.(*lattice.Causal)
-	sibs := cap.Siblings()
-	out := make([][]byte, len(sibs))
-	copy(out, sibs) // sibling payloads are immutable: share them
-	return out, ver, nil
+	// Siblings builds a fresh slice; the immutable payloads are shared.
+	return cur.(*lattice.Causal).Siblings(), ver, nil
 }
 
 // Write performs a consistency-mode-aware write: update locally,
@@ -357,26 +353,30 @@ func (c *Cache) write(reqID, key string, payload []byte, meta *core.SessionMeta,
 			vc = cur.(*lattice.Causal).VC()
 		}
 		vc = vc.Tick(writerID)
-		var deps map[string]lattice.Clock
+		var deps lattice.Deps
 		if c.cfg.Mode != core.SK && meta != nil {
 			// The write causally depends on the versions this session
 			// read (bolt-on dependency tracking) — restricted to the
-			// explicitly-declared keys when the caller provided any.
-			want := func(k string) bool { return true }
-			if depKeys != nil {
-				set := make(map[string]bool, len(depKeys))
+			// explicitly-declared keys when the caller provided any. A
+			// self-dependency is implied by the clock; read clocks are
+			// immutable, so the set shares them.
+			var b lattice.DepsBuilder
+			if depKeys == nil {
+				b = lattice.NewDepsBuilder(len(meta.ReadSet))
+				for rk, rv := range meta.ReadSet {
+					if rk != key {
+						b.Add(rk, rv.VC)
+					}
+				}
+			} else {
+				b = lattice.NewDepsBuilder(len(depKeys))
 				for _, dk := range depKeys {
-					set[dk] = true
+					if rv, ok := meta.ReadSet[dk]; ok && dk != key {
+						b.Add(dk, rv.VC)
+					}
 				}
-				want = func(k string) bool { return set[k] }
 			}
-			deps = make(map[string]lattice.Clock)
-			for rk, rv := range meta.ReadSet {
-				if rk == key || !want(rk) {
-					continue // self-dependency is implied by the clock
-				}
-				deps[rk] = rv.VC // immutable: shared, not copied
-			}
+			deps = b.Deps()
 		}
 		cap := lattice.NewCausalClock(vc, deps, payload)
 		ver = core.VersionRef{Cache: c.ID(), VC: vc}

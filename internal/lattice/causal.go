@@ -2,20 +2,18 @@ package lattice
 
 import (
 	"bytes"
-	"maps"
 	"slices"
 )
 
 // Version is one causally-identified write: an Anna vector clock naming
 // the version, the dependency set recording which key versions the writer
-// had read (pairs of key and vector clock), and the payload. Inside a
-// Causal it is an immutable value: a Clock cannot be written at all, and
-// the Deps map, like the payload, is never written again — so capsules,
-// caches and session metadata share versions and clocks instead of
-// copying them.
+// had read, and the payload. Inside a Causal it is an immutable value: a
+// Clock and a Deps cannot be written at all, and the payload is never
+// written again — so capsules, caches and session metadata share
+// versions, clocks and dependency sets instead of copying them.
 type Version struct {
 	VC    Clock
-	Deps  map[string]Clock
+	Deps  Deps
 	Value []byte
 }
 
@@ -29,9 +27,8 @@ type Version struct {
 //
 // A key written without conflict holds exactly one version. Concurrent
 // writes are both preserved, which is exactly the update LWW drops — the
-// single-key anomaly counted in Table 2. For such a capsule VC and
-// DepsUnion return that version's own clock and map: callers share them
-// and write neither.
+// single-key anomaly counted in Table 2. For such a capsule VC and the
+// Deps walk give that version's own clocks.
 type Causal struct {
 	// Versions is canonical: an antichain (no clock strictly dominates
 	// another), one entry per (clock, payload), sorted by the clock's
@@ -41,27 +38,32 @@ type Causal struct {
 }
 
 // NewCausal builds a capsule holding one write from clock literals. It
-// freezes vc and every dependency clock into a fresh map, so the caller
-// keeps its maps; the capsule takes ownership of value, which the caller
-// must not mutate afterwards.
+// freezes vc and the dependency map (nil stays the zero Deps), so the
+// caller keeps its maps; the capsule takes ownership of value, which the
+// caller must not mutate afterwards.
 func NewCausal(vc VectorClock, deps map[string]VectorClock, value []byte) *Causal {
-	var frozen map[string]Clock
+	var frozen Deps
 	if deps != nil {
-		frozen = make(map[string]Clock, len(deps))
+		b := NewDepsBuilder(len(deps))
 		for k, d := range deps {
-			frozen[k] = d.Freeze()
+			b.Add(k, d.Freeze())
 		}
+		frozen = b.Deps()
 	}
 	return NewCausalClock(vc.Freeze(), frozen, value)
 }
 
-// NewCausalClock builds a capsule holding one write. The capsule takes
-// ownership of deps and value; the caller must not mutate them
-// afterwards.
-func NewCausalClock(vc Clock, deps map[string]Clock, value []byte) *Causal {
-	v := Version{VC: vc, Deps: deps, Value: value}
-	recordVersion(v)
-	return &Causal{Versions: []Version{v}}
+// NewCausalClock builds a capsule holding one write, the capsule and its
+// one-version array in a single allocation. The capsule takes ownership
+// of value; the caller must not mutate it afterwards.
+func NewCausalClock(vc Clock, deps Deps, value []byte) *Causal {
+	recordPayload(value)
+	one := &struct {
+		c Causal
+		v [1]Version
+	}{v: [1]Version{{VC: vc, Deps: deps, Value: value}}}
+	one.c.Versions = one.v[:]
+	return &one.c
 }
 
 // VC returns the capsule's effective vector clock: the join of all
@@ -69,27 +71,6 @@ func NewCausalClock(vc Clock, deps map[string]Clock, value []byte) *Causal {
 // one-sibling capsule returns its version's own clock without
 // allocating; several siblings are joined in one merge.
 func (c *Causal) VC() Clock { return joinAll(c.Versions) }
-
-// DepsUnion returns the union of the siblings' dependency sets, with
-// per-key pairwise-max clocks. This is the metadata shipped downstream in
-// the distributed-session causal protocol (§5.3). A one-sibling capsule
-// returns its version's own map, so the result is read-only.
-func (c *Causal) DepsUnion() map[string]Clock {
-	if len(c.Versions) == 1 {
-		return c.Versions[0].Deps
-	}
-	out := make(map[string]Clock)
-	for _, v := range c.Versions {
-		for k, vc := range v.Deps {
-			if cur, ok := out[k]; ok {
-				out[k] = cur.Join(vc)
-			} else {
-				out[k] = vc
-			}
-		}
-	}
-	return out
-}
 
 // DisplayValue returns the single payload surfaced to the user program.
 // The paper de-encapsulates multi-sibling capsules with an arbitrary but
@@ -203,42 +184,6 @@ func canonicalIndex(vs []Version, v Version) int {
 	return at
 }
 
-// unionDeps returns the pairwise-max union of two dependency maps without
-// writing to either (both may be capsuled): a itself when b adds nothing,
-// nil when both are empty, else a fresh map sharing every clock it did not
-// have to join.
-func unionDeps(a, b map[string]Clock) map[string]Clock {
-	switch {
-	case depsCover(a, b):
-		return a
-	case len(a) == 0 && len(b) == 0:
-		return nil
-	}
-	out := make(map[string]Clock, len(a)+len(b))
-	maps.Copy(out, a)
-	for k, vc := range b {
-		if cur, ok := out[k]; ok {
-			vc = cur.Join(vc) // cur itself when it already covers vc
-		}
-		out[k] = vc
-	}
-	return out
-}
-
-// depsCover reports whether unionDeps(a, b) is a itself: b adds no
-// dependency or later clock, and a is nil when both are empty.
-func depsCover(a, b map[string]Clock) bool {
-	if len(a) == 0 && len(b) == 0 {
-		return a == nil
-	}
-	for k, vc := range b {
-		if cur, ok := a[k]; !ok || !cur.DominatesOrEqual(vc) {
-			return false
-		}
-	}
-	return true
-}
-
 // Digest returns a canonical 64-bit key identifying the capsule's exact
 // sibling set: each version's clock digest is mixed and combined
 // commutatively. Since a vector clock names one write (its writer ticked
@@ -263,8 +208,8 @@ func (c *Causal) MetadataSize() int {
 	n := 0
 	for _, v := range c.Versions {
 		n += v.VC.ByteSize()
-		for k, vc := range v.Deps {
-			n += len(k) + vc.ByteSize()
+		for _, d := range v.Deps.e {
+			n += len(d.key) + d.vc.ByteSize()
 		}
 	}
 	return n

@@ -44,7 +44,7 @@ func thawVersions(c *Causal) []mapVersion {
 	var out []mapVersion
 	for _, v := range c.Versions {
 		m := mapVersion{VC: thaw(v.VC), Value: v.Value}
-		if v.Deps != nil {
+		if v.Deps.e != nil {
 			m.Deps = thawDeps(v.Deps)
 		}
 		out = append(out, m)
@@ -56,14 +56,7 @@ func thawVersions(c *Causal) []mapVersion {
 func freezeVersions(vs []mapVersion) *Causal {
 	c := &Causal{}
 	for _, v := range vs {
-		var deps map[string]Clock
-		if v.Deps != nil {
-			deps = make(map[string]Clock, len(v.Deps))
-			for k, vc := range v.Deps {
-				deps[k] = vc.Freeze()
-			}
-		}
-		c.Versions = append(c.Versions, Version{VC: v.VC.Freeze(), Deps: deps, Value: v.Value})
+		c.Versions = append(c.Versions, Version{VC: v.VC.Freeze(), Deps: freezeDeps(v.Deps), Value: v.Value})
 	}
 	return c
 }
@@ -158,7 +151,8 @@ func oracleVC(vs []mapVersion) VectorClock {
 	return out
 }
 
-// oracleDepsUnion is the map form's Causal.DepsUnion.
+// oracleDepsUnion is the map form's Causal.DepsUnion, the union the
+// Deps walk yields.
 func oracleDepsUnion(vs []mapVersion) map[string]VectorClock {
 	out := make(map[string]VectorClock)
 	for _, v := range vs {
@@ -258,8 +252,8 @@ func (g *histGen) capsule(n int) []mapVersion {
 // insert: over seeded random histories, merging capsule after capsule
 // into one receiver gives exactly what union-then-normalize over map-form
 // versions gives — sibling order, clocks, dependency maps down to nil
-// versus empty, payloads, and everything derived from them (VC,
-// DepsUnion, Digest, sizes, the displayed value) — and leaves the
+// versus empty, payloads, and everything derived from them (VC, the
+// Deps walk, Digest, sizes, the displayed value) — and leaves the
 // argument, whose versions it now shares, untouched.
 //
 // Mutations of insert this was seen to fail under: returning at an equal
@@ -308,8 +302,8 @@ func TestMergeMatchesUnionNormalize(t *testing.T) {
 				got.ByteSize() != freezeVersions(want).ByteSize() || !bytes.Equal(got.DisplayValue(), want[0].Value) {
 				t.Fatalf("trial %d step %d: derived values differ for equal versions", trial, step)
 			}
-			if !reflect.DeepEqual(thaw(got.VC()), oracleVC(want)) || !reflect.DeepEqual(thawDeps(got.DepsUnion()), oracleDepsUnion(want)) {
-				t.Fatalf("trial %d step %d: VC()/DepsUnion() differ from the map form's", trial, step)
+			if deps, _ := walkDeps(got); !reflect.DeepEqual(thaw(got.VC()), oracleVC(want)) || !reflect.DeepEqual(deps, oracleDepsUnion(want)) {
+				t.Fatalf("trial %d step %d: VC()/Deps() differ from the map form's", trial, step)
 			}
 			if canon(arg) != argBefore {
 				t.Fatalf("trial %d step %d: Merge changed its argument\n was %s\n now %s", trial, step, argBefore, canon(arg))
@@ -383,7 +377,7 @@ func TestCanonicalOrderMatchesString(t *testing.T) {
 // TestCausalMergeCloneAllocations is the tripwire for a copy coming back:
 // a merge whose join is one side returns that side, and a merge that
 // changes the sibling set pays for one capsule and one slice, never for
-// clocks or dependency maps.
+// clocks or dependency sets.
 func TestCausalMergeCloneAllocations(t *testing.T) {
 	deps := map[string]VectorClock{"dep": {"w9": 3}, "dep2": {"w9": 1, "w8": 2}}
 	older := NewCausal(VectorClock{"w1": 1, "w2": 1}, deps, []byte("old"))

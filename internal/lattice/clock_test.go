@@ -137,13 +137,45 @@ func thaw(c Clock) VectorClock {
 	return m
 }
 
-// thawDeps returns a dependency map in the map form, nil as empty.
-func thawDeps(deps map[string]Clock) map[string]VectorClock {
-	out := make(map[string]VectorClock, len(deps))
-	for k, vc := range deps {
-		out[k] = thaw(vc)
+// thawDeps returns a dependency set in the map form, the zero Deps as
+// empty. It panics on keys out of order, so every test that thaws a set
+// also checks that it is sorted.
+func thawDeps(deps Deps) map[string]VectorClock {
+	out := make(map[string]VectorClock, len(deps.e))
+	for i, d := range deps.e {
+		if i > 0 && deps.e[i-1].key >= d.key {
+			panic(fmt.Sprintf("dependency %q: keys not strictly ascending", d.key))
+		}
+		out[d.key] = thaw(d.vc)
 	}
 	return out
+}
+
+// freezeDeps builds the Deps of a map-form dependency set, nil as the
+// zero Deps.
+func freezeDeps(m map[string]VectorClock) Deps {
+	if m == nil {
+		return Deps{}
+	}
+	b := NewDepsBuilder(len(m))
+	for k, vc := range m {
+		b.Add(k, vc.Freeze())
+	}
+	return b.Deps()
+}
+
+// walkDeps collects c's Deps walk in the map form and reports whether it
+// yielded its keys strictly ascending; it stops at the first that is not.
+func walkDeps(c *Causal) (map[string]VectorClock, bool) {
+	out := map[string]VectorClock{}
+	last := ""
+	for k, vc := range c.Deps() {
+		if len(out) > 0 && k <= last {
+			return out, false
+		}
+		out[k], last = thaw(vc), k
+	}
+	return out, true
 }
 
 // sameEntries reports whether a and b are one clock shared, not two
@@ -183,7 +215,7 @@ func genClock(rng *rand.Rand) VectorClock {
 // clock: over seeded random pairs, every Clock method gives what the map
 // form's gave — orderings, the join, a tick, Digest, ByteSize and String
 // — a join that adds nothing is the receiver itself, and no operation
-// changes its operands. A capsule's VC() and DepsUnion() are held to the
+// changes its operands. A capsule's VC() and Deps() walk are held to the
 // map form's fold over random sibling sets in the same way.
 //
 // Mutations this was seen to fail under: Compare ignoring ids only one
@@ -259,7 +291,7 @@ func TestClockMatchesVectorClock(t *testing.T) {
 		}
 
 		// A capsule's joined clock and dependency union, over 1-3
-		// siblings (VC and DepsUnion need no antichain).
+		// siblings (VC and the Deps walk need no antichain).
 		var vs []mapVersion
 		for i := 1 + rng.Intn(3); i > 0; i-- {
 			v := mapVersion{VC: genClock(rng)}
@@ -275,8 +307,8 @@ func TestClockMatchesVectorClock(t *testing.T) {
 		if got, want := thaw(c.VC()), oracleVC(vs); !reflect.DeepEqual(got, want) {
 			t.Fatalf("VC() of %d siblings = %v, want %v", len(vs), got, want)
 		}
-		if got, want := thawDeps(c.DepsUnion()), oracleDepsUnion(vs); !reflect.DeepEqual(got, want) {
-			t.Fatalf("DepsUnion() of %d siblings = %v, want %v", len(vs), got, want)
+		if got, ascending := walkDeps(c); !ascending || !reflect.DeepEqual(got, oracleDepsUnion(vs)) {
+			t.Fatalf("Deps() of %d siblings = %v (ascending: %v), want %v", len(vs), got, ascending, oracleDepsUnion(vs))
 		}
 		if len(vs) == 1 {
 			seen["one sibling"]++
@@ -300,12 +332,13 @@ var sink struct {
 	ord   Ordering
 	ok    bool
 	clock Clock
-	deps  map[string]Clock
+	n     int
 }
 
 // TestClockAllocations is the tripwire for clock work allocating again:
-// comparisons and a one-sibling capsule's VC()/DepsUnion() are free, a
-// tick or a join that adds an entry is one allocation.
+// comparisons, a one-sibling capsule's VC() and the walk of its
+// dependencies are free, a tick or a join that adds an entry is one
+// allocation.
 func TestClockAllocations(t *testing.T) {
 	a := VectorClock{"w1": 3, "w2": 1, "w3": 7}.Freeze()
 	b := VectorClock{"w1": 3, "w2": 2, "w4": 1}.Freeze()
@@ -319,7 +352,11 @@ func TestClockAllocations(t *testing.T) {
 		{"Clock.Compare", 0, func() { sink.ord = a.Compare(b) }},
 		{"Clock.HappensBefore", 0, func() { sink.ok = a.HappensBefore(b) }},
 		{"VC() of one sibling", 0, func() { sink.clock = one.VC() }},
-		{"DepsUnion() of one sibling", 0, func() { sink.deps = one.DepsUnion() }},
+		{"the Deps() walk of one sibling", 0, func() {
+			for _, vc := range one.Deps() {
+				sink.n += vc.Len()
+			}
+		}},
 		{"a DSC cache hit's VC() check", 0, func() { sink.ok = !one.VC().HappensBefore(required) }},
 		{"Join adding nothing", 0, func() { sink.clock = a.Join(required) }},
 		{"Join adding an entry", 1, func() { sink.clock = a.Join(b) }},

@@ -86,12 +86,12 @@ func TestCausalDepsUnion(t *testing.T) {
 	a := NewCausal(VectorClock{"e1": 1}, map[string]VectorClock{"k": {"e9": 1}}, []byte("a"))
 	b := NewCausal(VectorClock{"e2": 1}, map[string]VectorClock{"k": {"e9": 2}, "j": {"e3": 1}}, []byte("b"))
 	a = a.Merge(b).(*Causal)
-	deps := a.DepsUnion()
+	deps, ascending := walkDeps(a)
 	if deps["k"].String() != "{e9:2}" {
 		t.Fatalf("deps on k = %v, want max clock", deps["k"])
 	}
-	if deps["j"].String() != "{e3:1}" {
-		t.Fatalf("deps on j missing: %v", deps)
+	if deps["j"].String() != "{e3:1}" || !ascending {
+		t.Fatalf("deps on j missing or out of order: %v", deps)
 	}
 }
 
@@ -310,7 +310,8 @@ func TestCloneIndependence(t *testing.T) {
 	state := func(l Lattice) string {
 		s := canon(l)
 		if c, ok := l.(*Causal); ok {
-			s += fmt.Sprint(c.VC(), c.DepsUnion(), c.MetadataSize())
+			deps, _ := walkDeps(c)
+			s += fmt.Sprint(c.VC(), deps, c.MetadataSize())
 		}
 		return s
 	}
