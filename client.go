@@ -3,7 +3,6 @@ package cloudburst
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"time"
 
@@ -78,12 +77,12 @@ func (cl *Client) Put(key string, val any) error {
 		return err
 	}
 	var lat lattice.Lattice
-	if cl.c.cfg.Mode.mode().Causal() {
+	if cl.c.in.Mode().Causal() {
 		cl.vcTick[key]++
 		vc := lattice.VectorClock{string(cl.ep.ID()): cl.vcTick[key]}
 		lat = lattice.NewCausal(vc, nil, payload)
 	} else {
-		lat = lattice.NewLWW(lattice.Timestamp{Clock: int64(cl.k.Now()), Node: clientHash(string(cl.ep.ID()))}, payload)
+		lat = lattice.NewLWW(lattice.Timestamp{Clock: int64(cl.k.Now()), Node: lattice.NodeHash(string(cl.ep.ID()))}, payload)
 	}
 	return cl.anna.Put(key, lat)
 }
@@ -449,9 +448,3 @@ func (cl *Client) Endpoint() *simnet.Endpoint { return cl.ep }
 
 // Kernel exposes the virtual-time kernel for in-simulation helpers.
 func (cl *Client) Kernel() *vtime.Kernel { return cl.k }
-
-func clientHash(id string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	return h.Sum64()
-}

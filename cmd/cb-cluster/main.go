@@ -7,15 +7,17 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	cloudburst "cloudburst"
+	"cloudburst/internal/core"
 	"cloudburst/internal/trace"
 )
 
 func main() {
 	vms := flag.Int("vms", 3, "initial function-execution VMs")
-	mode := flag.String("mode", "causal", "consistency mode: lww|rr|sk|mk|causal")
+	mode := flag.String("mode", "causal", "consistency mode: lww|dsrr (rr)|sk|mk|dsc (causal)|txn")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	flag.Parse()
 
@@ -26,21 +28,15 @@ func main() {
 	cfg.Replication = 2
 	cfg.VMSpinUp = 30 * time.Second // keep the restart demo brisk
 	cfg.Trace = trace.New()         // CPU-side span collector; the demo prints one tree
-	switch *mode {
-	case "lww":
-		cfg.Mode = cloudburst.LWW
-	case "rr":
-		cfg.Mode = cloudburst.RepeatableRead
-	case "sk":
-		cfg.Mode = cloudburst.SingleKeyCausal
-	case "mk":
-		cfg.Mode = cloudburst.MultiKeyCausal
-	default:
-		cfg.Mode = cloudburst.Causal
+	m, err := core.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
+	cfg.Mode = m
 
 	fmt.Printf("booting: %d VMs x %d threads, %d Anna nodes (replication %d), %s consistency\n",
-		*vms, 3, cfg.AnnaNodes, cfg.Replication, cfg.Mode)
+		cfg.VMs, cfg.ThreadsPerVM, cfg.AnnaNodes, cfg.Replication, cfg.Mode)
 	c := cloudburst.NewCluster(cfg)
 	defer c.Close()
 

@@ -38,6 +38,17 @@
 //		fmt.Println(out) // 4
 //	})
 //
+// # Configuring a deployment
+//
+// Config is the one deployment struct: Mode, fleet and storage sizes,
+// autoscaler and failure-handling tuning, and the two observers (Trace
+// for spans, Tracer for the consistency audit). Start from DefaultConfig,
+// which holds every default, and set what differs; a tuning field set
+// to zero means zero. internal/cluster.New translates the struct once into the
+// Anna, cache, scheduler and monitor configs. Consistency is
+// internal/core's Mode, so the public levels and the modes the
+// components read are the same values.
+//
 // # The invocation API
 //
 // Invoke and InvokeDAG are the single invocation surface (Figure 2's

@@ -208,7 +208,8 @@ func runChaosCell(cfg ChaosConfig, wl string, mode cb.Consistency, seed int64, s
 		ccfg.MinPinned = ccfg.VMs * ccfg.ThreadsPerVM
 		ccfg.MonitorShards = 2
 	}
-	c := cb.NewClusterWithTracer(ccfg, rec)
+	ccfg.Tracer = rec
+	c := cb.NewCluster(ccfg)
 	defer c.Close()
 	in := c.Internal()
 

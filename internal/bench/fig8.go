@@ -108,7 +108,10 @@ func fig8Mode(cfg Fig8Config, mode cb.Consistency, tracer *audit.Recorder) (Summ
 	ccfg.Mode = mode
 	ccfg.VMs = cfg.VMs
 	ccfg.AnnaNodes = 3
-	c := newClusterWithTracer(ccfg, tracer)
+	if tracer != nil { // a nil *Recorder in the interface would not read as nil
+		ccfg.Tracer = tracer
+	}
+	c := cb.NewCluster(ccfg)
 	defer c.Close()
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -144,15 +147,6 @@ func fig8Mode(cfg Fig8Config, mode cb.Consistency, tracer *audit.Recorder) (Summ
 		meta = []int{8} // the LWW timestamp
 	}
 	return Summarize(modeLabel(mode), durs), meta
-}
-
-// newClusterWithTracer builds a cluster, optionally wiring the audit
-// recorder into every executor.
-func newClusterWithTracer(ccfg cb.Config, tracer *audit.Recorder) *cb.Cluster {
-	if tracer == nil {
-		return cb.NewCluster(ccfg)
-	}
-	return cb.NewClusterWithTracer(ccfg, tracer)
 }
 
 // Table2Config parameterizes the §6.2.2 anomaly count.

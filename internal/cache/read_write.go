@@ -2,7 +2,6 @@ package cache
 
 import (
 	"errors"
-	"hash/fnv"
 
 	"cloudburst/internal/core"
 	"cloudburst/internal/lattice"
@@ -331,7 +330,7 @@ func (c *Cache) write(reqID, key string, payload []byte, meta *core.SessionMeta,
 	var wb lattice.Lattice
 	switch c.cfg.Mode {
 	case core.LWW, core.DSRR, core.TXN:
-		l := lattice.NewLWW(lattice.Timestamp{Clock: int64(c.k.Now()), Node: nodeHash(writerID)}, payload)
+		l := lattice.NewLWW(lattice.Timestamp{Clock: int64(c.k.Now()), Node: lattice.NodeHash(writerID)}, payload)
 		ver = core.VersionRef{Cache: c.ID(), TS: l.TS}
 		c.mu.Lock()
 		c.mergeLocked(key, l)
@@ -394,11 +393,4 @@ func (c *Cache) write(reqID, key string, payload []byte, meta *core.SessionMeta,
 	}
 	c.writeBack(key, wb)
 	return ver, nil
-}
-
-// nodeHash folds a writer id into the LWW timestamp's node component.
-func nodeHash(id string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	return h.Sum64()
 }

@@ -10,7 +10,6 @@ package cluster
 import (
 	"cmp"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 	"strings"
@@ -38,47 +37,87 @@ var link = simnet.Link{
 	Bandwidth: 1.25e9,
 }
 
-// Config sizes a deployment.
+// Config sizes a Cloudburst deployment. The zero value is not usable;
+// start from DefaultConfig. A field set to zero means zero, except that
+// New boots at least one VM, one scheduler and one Anna node, and three
+// threads per VM when ThreadsPerVM is below one.
 type Config struct {
-	Seed         int64
-	Mode         core.Mode
-	Schedulers   int
-	InitialVMs   int
-	ThreadsPerVM int // the paper runs 3 worker threads + 1 cache per VM
+	// Mode is the consistency level for all caches.
+	Mode core.Mode
+	// VMs is the initial number of function-execution VMs.
+	VMs int
+	// ThreadsPerVM is the executor-thread count per VM (3 in the paper).
+	ThreadsPerVM int
+	// Schedulers is the scheduler-node count.
+	Schedulers int
+	// AnnaNodes and Replication size the storage tier.
+	AnnaNodes   int
+	Replication int
+	// Autoscale enables the monitoring system's scaling policies.
+	Autoscale bool
+	// Seed fixes the simulation's random source; equal seeds give
+	// byte-identical runs.
+	Seed int64
+	// RandomScheduling disables the locality-aware policy (ablation).
+	RandomScheduling bool
 
-	Anna      anna.Config
-	Cache     cache.Config
-	Scheduler scheduler.Config
-	Monitor   monitor.Config
+	// Autoscaler tuning (§4.4).
+	VMSpinUp   time.Duration // EC2-like instance boot delay
+	ScaleUpVMs int           // VMs added per saturation event
+	MaxVMs     int           // node-count ceiling
+	MinPinned  int           // replica floor per function
 
-	// EnableMonitor turns the autoscaling policy loop on.
-	EnableMonitor bool
-	// VMSpinUp is the EC2 instance boot delay (≈2.5 minutes in §6.1.4).
-	VMSpinUp time.Duration
-	// Tracer, when set, feeds the consistency audit (§6.2.2).
-	Tracer executor.Tracer
-	// Trace, when set, collects per-request span trees across the whole
-	// request path (client → scheduler → executor → cache → Anna). It
-	// is a per-cluster harness observer: it never touches the wire, so
-	// the simulated schedule is byte-identical with or without it. Nil
-	// disables tracing at zero cost.
+	// Failure-handling tuning (§4.5).
+	// DAGTimeout is the global re-execution timeout for in-flight DAGs
+	// (per-request WithTimeout deadlines override it on the wire);
+	// StaleAfter is how long an executor's last metrics report keeps it
+	// in scheduling — the failure-detection horizon.
+	DAGTimeout time.Duration
+	StaleAfter time.Duration
+
+	// Control-plane scaling knobs (fig13's subject matter).
+	// SchedulerDispatchCost models each scheduler's per-request CPU
+	// time; a positive cost caps one scheduler at ~1/cost req/s and the
+	// serial dispatcher queues the excess. Zero keeps dispatch free.
+	SchedulerDispatchCost time.Duration
+	// MonitorShards > 1 partitions the monitor's metric-registry scan
+	// across that many concurrent scanner endpoints; the policy inputs
+	// are the same at any shard count.
+	MonitorShards int
+
+	// Trace, when set, is this cluster's span collector for the
+	// virtual-time tracing plane: every request's path (client dispatch,
+	// scheduler queue, executor compute, cache and Anna reads, DAG hops,
+	// retries) is recorded as spans on the virtual clock, ready for
+	// critical-path analysis and export. Tracing is CPU-side only — it
+	// never adds wire bytes, sleeps, or random draws, so a traced run's
+	// simulation schedule is byte-identical to an untraced one. The
+	// handle is per-cluster for parallel-runner safety. Nil disables
+	// tracing at zero cost.
 	Trace *trace.Collector
+	// Tracer, when set, is told every read and write the executors make:
+	// the consistency-audit hook behind Table 2 (§6.2.2).
+	Tracer executor.Tracer
 }
 
-// DefaultConfig returns a small deployment in the given consistency
-// mode.
-func DefaultConfig(mode core.Mode) Config {
+// DefaultConfig returns a small LWW-mode deployment with the paper's
+// autoscaler and failure-handling defaults.
+func DefaultConfig() Config {
+	kv, sched, mon := anna.DefaultConfig(), scheduler.DefaultConfig(), monitor.DefaultConfig()
 	return Config{
-		Seed:         1,
-		Mode:         mode,
-		Schedulers:   1,
-		InitialVMs:   2,
+		Mode:         core.LWW,
+		VMs:          2,
 		ThreadsPerVM: 3,
-		Anna:         anna.DefaultConfig(),
-		Cache:        cache.DefaultConfig(mode),
-		Scheduler:    scheduler.DefaultConfig(),
-		Monitor:      monitor.DefaultConfig(),
-		VMSpinUp:     150 * time.Second,
+		Schedulers:   1,
+		AnnaNodes:    kv.Nodes,
+		Replication:  kv.Replication,
+		Seed:         1,
+		VMSpinUp:     150 * time.Second, // ≈2.5 minutes in §6.1.4
+		ScaleUpVMs:   mon.ScaleUp,
+		MaxVMs:       mon.MaxVMs,
+		MinPinned:    mon.MinPin,
+		DAGTimeout:   sched.DAGTimeout,
+		StaleAfter:   sched.StaleAfter,
 	}
 }
 
@@ -145,22 +184,24 @@ func New(cfg Config) *Cluster {
 	if cfg.Schedulers < 1 {
 		cfg.Schedulers = 1
 	}
-	if cfg.InitialVMs < 1 {
-		cfg.InitialVMs = 1
+	if cfg.VMs < 1 {
+		cfg.VMs = 1
 	}
 	k := vtime.NewKernel(cfg.Seed)
 	net := simnet.New(k, link)
 	hooks := hook.NewRegistry()
-	// The storage nodes participate in 2PC in Transactional mode only;
-	// the sweep daemon stays off everywhere else so no other mode's event
-	// schedule moves. Hooks are passive (no events of their own) and are
-	// wired unconditionally.
-	cfg.Anna.Node.Hooks = hooks
-	cfg.Anna.Node.TxnSweep = cfg.Mode == core.TXN
 	c := &Cluster{
-		K:        k,
-		Net:      net,
-		KV:       anna.NewKVS(k, net, cfg.Anna),
+		K:   k,
+		Net: net,
+		// The storage nodes participate in 2PC in Transactional mode
+		// only; the sweep daemon stays off everywhere else so no other
+		// mode's event schedule moves. Hooks are passive (no events of
+		// their own) and are wired unconditionally.
+		KV: anna.NewKVS(k, net, anna.Config{
+			Nodes:       cfg.AnnaNodes,
+			Replication: cfg.Replication,
+			Node:        anna.NodeConfig{TxnSweep: cfg.Mode == core.TXN, Hooks: hooks},
+		}),
 		Registry: executor.NewRegistry(),
 		Trace:    cfg.Trace,
 		cfg:      cfg,
@@ -177,43 +218,51 @@ func New(cfg Config) *Cluster {
 	c.lifecycleEP = net.AddNode("lifecycle-0")
 	c.lifecycle = c.KV.NewClient(c.lifecycleEP, 0)
 
+	for i := 0; i < cfg.VMs; i++ {
+		c.bootVM()
+	}
 	// All control-plane consumers share one decoded-metadata cache: each
 	// publication is decoded once per cluster, not once per poll tick
 	// per scheduler.
-	cfg.Scheduler.Decoded = c.decoded
-	cfg.Scheduler.Trace = cfg.Trace
-	cfg.Cache.Trace = cfg.Trace
-	cfg.Monitor.Decoded = c.decoded
+	scfg := scheduler.Config{
+		StaleAfter:   cfg.StaleAfter,
+		DAGTimeout:   cfg.DAGTimeout,
+		RandomPolicy: cfg.RandomScheduling,
+		DispatchCost: cfg.SchedulerDispatchCost,
+		Decoded:      c.decoded,
+		Trace:        cfg.Trace,
+	}
 	// The scheduler group is static for the cluster's lifetime, so the
 	// monitor can validate its cached sched-registry listing against
 	// this exact key set and skip the per-tick listing read.
-	for i := 0; i < cfg.Schedulers; i++ {
-		cfg.Monitor.SchedKeys = append(cfg.Monitor.SchedKeys,
-			core.SchedMetricsKey(fmt.Sprintf("sched-%d", i)))
-	}
-	sort.Strings(cfg.Monitor.SchedKeys)
-	c.cfg = cfg
-
-	for i := 0; i < cfg.InitialVMs; i++ {
-		c.bootVM()
-	}
+	var schedKeys []string
 	for i := 0; i < cfg.Schedulers; i++ {
 		id := simnet.NodeID(fmt.Sprintf("sched-%d", i))
 		ep := net.AddNode(id)
-		s := scheduler.New(k, ep, c.KV.NewClient(ep, 0), cfg.Scheduler)
+		s := scheduler.New(k, ep, c.KV.NewClient(ep, 0), scfg)
 		s.Start()
 		c.schedulers = append(c.schedulers, s)
+		schedKeys = append(schedKeys, core.SchedMetricsKey(string(id)))
 	}
-	if cfg.EnableMonitor {
+	sort.Strings(schedKeys)
+	if cfg.Autoscale {
 		ep := net.AddNode("monitor-0")
-		// Shard scanners (monitor.Config.Shards > 1) get their own
-		// endpoints so their partition multi-gets overlap; the closure is
-		// inert unless the monitor asks for shards.
-		cfg.Monitor.NewShardEP = func(i int) (*simnet.Endpoint, *anna.Client) {
-			sep := net.AddNode(simnet.NodeID(fmt.Sprintf("monitor-0.s%d", i)))
-			return sep, c.KV.NewClient(sep, 0)
-		}
-		c.Monitor = monitor.New(k, ep, c.KV.NewClient(ep, 0), c, cfg.Monitor)
+		c.Monitor = monitor.New(k, ep, c.KV.NewClient(ep, 0), c, monitor.Config{
+			MinVMs:    cfg.VMs,
+			MaxVMs:    cfg.MaxVMs,
+			ScaleUp:   cfg.ScaleUpVMs,
+			MinPin:    cfg.MinPinned,
+			Decoded:   c.decoded,
+			Shards:    cfg.MonitorShards,
+			SchedKeys: schedKeys,
+			// Shard scanners (MonitorShards > 1) get their own endpoints
+			// so their partition multi-gets overlap; the closure is inert
+			// unless the monitor asks for shards.
+			NewShardEP: func(i int) (*simnet.Endpoint, *anna.Client) {
+				sep := net.AddNode(simnet.NodeID(fmt.Sprintf("monitor-0.s%d", i)))
+				return sep, c.KV.NewClient(sep, 0)
+			},
+		})
 		c.Monitor.Start()
 	}
 	return c
@@ -238,7 +287,8 @@ func (c *Cluster) bootVMNamed(name string) *VMHandle {
 	cacheEP := c.Net.AddNode(simnet.NodeID("cache-" + name))
 	// The cache moves multi-MB objects; give its KVS client headroom
 	// beyond the default RPC timeout.
-	ch := cache.New(c.K, cacheEP, c.KV.NewClient(cacheEP, 2*time.Second), name, c.cfg.Cache)
+	ch := cache.New(c.K, cacheEP, c.KV.NewClient(cacheEP, 2*time.Second), name,
+		cache.Config{Mode: c.cfg.Mode, Trace: c.cfg.Trace})
 	ch.Start()
 
 	h := &VMHandle{Name: name, Cache: ch}
@@ -500,7 +550,7 @@ func (c *Cluster) recordWarmSeed(h *VMHandle) {
 		sort.Strings(seed.Pinned)
 	}
 	payload := codec.MustEncode(seed)
-	ts := lattice.Timestamp{Clock: int64(c.K.Now()), Node: nodeHashCluster(base)}
+	ts := lattice.Timestamp{Clock: int64(c.K.Now()), Node: lattice.NodeHash(base)}
 	c.K.Go("cluster/seed", func() {
 		c.lifecycle.Put(core.WarmSeedKey(base), lattice.NewLWW(ts, payload))
 	})
@@ -531,12 +581,6 @@ func (c *Cluster) warmFill(h *VMHandle, base string) {
 			c.lifecycleEP.Send(t.ID(), core.PinFunction{Function: fn}, 32)
 		}
 	}
-}
-
-func nodeHashCluster(name string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return h.Sum64()
 }
 
 // VMCount reports live VMs.

@@ -8,14 +8,12 @@ import (
 	"testing"
 	"time"
 
-	"cloudburst/internal/core"
 	"cloudburst/internal/simnet"
 )
 
 func testCluster(t *testing.T, mutate func(*Config)) *Cluster {
 	t.Helper()
-	cfg := DefaultConfig(core.LWW)
-	cfg.InitialVMs = 2
+	cfg := DefaultConfig()
 	cfg.VMSpinUp = 10 * time.Second
 	if mutate != nil {
 		mutate(&cfg)
@@ -26,7 +24,7 @@ func testCluster(t *testing.T, mutate func(*Config)) *Cluster {
 }
 
 func TestBootInventory(t *testing.T) {
-	c := testCluster(t, func(cfg *Config) { cfg.InitialVMs = 3; cfg.ThreadsPerVM = 2; cfg.Schedulers = 2 })
+	c := testCluster(t, func(cfg *Config) { cfg.VMs = 3; cfg.ThreadsPerVM = 2; cfg.Schedulers = 2 })
 	if c.VMCount() != 3 {
 		t.Fatalf("VMs = %d", c.VMCount())
 	}
@@ -36,7 +34,7 @@ func TestBootInventory(t *testing.T) {
 	if len(c.Schedulers()) != 2 {
 		t.Fatalf("schedulers = %d", len(c.Schedulers()))
 	}
-	if got := len(c.KV.Nodes()); got != DefaultConfig(core.LWW).Anna.Nodes {
+	if got := len(c.KV.Nodes()); got != DefaultConfig().AnnaNodes {
 		t.Fatalf("anna nodes = %d", got)
 	}
 }
@@ -60,7 +58,7 @@ func TestAddVMsPaysSpinUpDelay(t *testing.T) {
 }
 
 func TestRemoveVMsKeepsFloor(t *testing.T) {
-	c := testCluster(t, func(cfg *Config) { cfg.InitialVMs = 3 })
+	c := testCluster(t, func(cfg *Config) { cfg.VMs = 3 })
 	c.K.Run("main", func() {
 		removed := c.RemoveVMs(10)
 		if removed != 2 || c.VMCount() != 1 {
@@ -150,7 +148,7 @@ func TestRestartVMOfLiveVMCrashesFirst(t *testing.T) {
 }
 
 func TestThreadsDeterministicOrder(t *testing.T) {
-	c := testCluster(t, func(cfg *Config) { cfg.InitialVMs = 3 })
+	c := testCluster(t, func(cfg *Config) { cfg.VMs = 3 })
 	a := c.Threads()
 	b := c.Threads()
 	for i := range a {
@@ -171,7 +169,7 @@ func TestThreadsDeterministicOrder(t *testing.T) {
 // sees the inventory as it was when it asked. The snapshot costs nothing
 // to take and stays sorted by name.
 func TestVMsSnapshotSurvivesKillAndScaleUp(t *testing.T) {
-	c := testCluster(t, func(cfg *Config) { cfg.InitialVMs = 3 })
+	c := testCluster(t, func(cfg *Config) { cfg.VMs = 3 })
 	sorted := func(vms []*VMHandle) bool {
 		return slices.IsSortedFunc(vms, func(a, b *VMHandle) int { return strings.Compare(a.Name, b.Name) })
 	}

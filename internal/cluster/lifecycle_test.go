@@ -36,7 +36,7 @@ func TestReaperScrubsDeadGenerations(t *testing.T) {
 	// kernel process count (parked procs of dead generations are
 	// released, not accumulated).
 	c := testCluster(t, func(cfg *Config) {
-		cfg.InitialVMs = 3
+		cfg.VMs = 3
 		cfg.ThreadsPerVM = 2
 		cfg.VMSpinUp = 5 * time.Second
 	})

@@ -1,7 +1,6 @@
 package executor
 
 import (
-	"hash/fnv"
 	"time"
 
 	"cloudburst/internal/anna"
@@ -105,7 +104,7 @@ func (vm *VM) publishMetrics() {
 		m := t.MetricsSnapshot()
 		payload := codec.MustEncode(m)
 		vm.metricsClient.Put(core.ExecMetricsKey(string(t.ID())),
-			lattice.NewLWW(lattice.Timestamp{Clock: now, Node: nodeHashVM(vm.Name)}, payload))
+			lattice.NewLWW(lattice.Timestamp{Clock: now, Node: lattice.NodeHash(vm.Name)}, payload))
 	}
 	cm := core.CacheMetrics{
 		VM:          vm.Name,
@@ -114,11 +113,5 @@ func (vm *VM) publishMetrics() {
 		ReportedAtS: vm.k.Now().Seconds(),
 	}
 	vm.metricsClient.Put(core.CacheKeysKey(vm.Name),
-		lattice.NewLWW(lattice.Timestamp{Clock: now, Node: nodeHashVM(vm.Name)}, codec.MustEncode(cm)))
-}
-
-func nodeHashVM(name string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return h.Sum64()
+		lattice.NewLWW(lattice.Timestamp{Clock: now, Node: lattice.NodeHash(vm.Name)}, codec.MustEncode(cm)))
 }

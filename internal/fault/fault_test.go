@@ -7,14 +7,13 @@ import (
 	"time"
 
 	"cloudburst/internal/cluster"
-	"cloudburst/internal/core"
 	"cloudburst/internal/simnet"
 )
 
 func testCluster(t *testing.T) *cluster.Cluster {
 	t.Helper()
-	cfg := cluster.DefaultConfig(core.LWW)
-	cfg.InitialVMs = 3
+	cfg := cluster.DefaultConfig()
+	cfg.VMs = 3
 	cfg.VMSpinUp = 5 * time.Second
 	c := cluster.New(cfg)
 	t.Cleanup(c.Close)

@@ -1,6 +1,9 @@
 package lattice
 
-import "bytes"
+import (
+	"bytes"
+	"hash/fnv"
+)
 
 // Timestamp is Anna's coordination-free global timestamp: the node's
 // local clock concatenated with the node's unique ID (§5.2). Ordering is
@@ -17,6 +20,14 @@ func (t Timestamp) Less(u Timestamp) bool {
 		return t.Clock < u.Clock
 	}
 	return t.Node < u.Node
+}
+
+// NodeHash folds a writer id (a client endpoint, a cache's writer, a VM,
+// a transaction) into a Timestamp's Node component: FNV-64a of the id.
+func NodeHash(id string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	return h.Sum64()
 }
 
 // LWW is the last-writer-wins lattice: an Anna timestamp composed with an

@@ -15,7 +15,6 @@ package txn
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"time"
 
@@ -179,7 +178,8 @@ func (c *Coordinator) Commit(reqID, txnID string, writes []core.TxnWrite, result
 
 	parts, order := c.groupByOwner(writes)
 	clock := int64(c.K.Now())
-	node := hash64(txnID)
+	// One transaction's installed writes share a single version identity.
+	node := lattice.NodeHash(txnID)
 
 	// Phase 1: parallel prepare. A vote is yes only if the participant
 	// validated every item and locked every written key; errors and
@@ -329,12 +329,4 @@ func keysOf(keys []string) []core.TxnWrite {
 		out[i] = core.TxnWrite{Key: k}
 	}
 	return out
-}
-
-// hash64 folds a transaction id into the LWW timestamp's node slot, so
-// one transaction's installed writes share a single version identity.
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
 }

@@ -171,7 +171,8 @@ func TestInvocationIDs(t *testing.T) {
 	cfg.Mode = Transactional
 	cfg.VMs, cfg.ThreadsPerVM = 1, 1 // every invocation on one thread
 	rec := &writeRecorder{}
-	c := NewClusterWithTracer(cfg, rec)
+	cfg.Tracer = rec
+	c := NewCluster(cfg)
 	t.Cleanup(c.Close)
 	for name, fn := range map[string]Function{
 		"quiet":  func(*Ctx, []any) (any, error) { return 0, nil },

@@ -27,7 +27,6 @@ func TestExportedSurface(t *testing.T) {
 	testOnly := []string{
 		"anna.Node.HasKey",
 		"cache.Cache.SnapshotCount",
-		"core.ParseMode",
 		"dag.DAG.Depth",
 		"dag.DAG.IsLinear",
 		"executor.Ctx.RecvWait",
