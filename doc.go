@@ -225,7 +225,10 @@
 // (nil round-trips nil, non-nil empty round-trips non-nil, again
 // matching gob) — each type's tests compare against a real gob round
 // trip. Forgetting RegisterStruct is an immediate error from the first
-// Encode of the type, naming it. Encoded size is the struct's actual
+// Encode of the type, naming it. A Strs field decodes as one copy of
+// its string bytes that every element shares, two allocations whatever
+// its length, so a cache's whole key set costs no more to read back than
+// one key. Encoded size is the struct's actual
 // field bytes, which the simulated transfer and KVS service times see —
 // changing a layout changes the control-plane byte schedule, so compare
 // the tables and the benchmark against your base (scripts/tablediff.sh,

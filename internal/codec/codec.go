@@ -70,6 +70,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -285,7 +286,10 @@ func errTruncated(tag byte) error {
 // data (the []byte path is zero-copy); treat both as read-only. A decoded
 // []string or map[string]string never aliases data: its elements (keys
 // and values) are substrings of one string copied from it, so they share
-// one backing allocation, which stays live while any of them does.
+// one backing allocation, which stays live while any of them does. A
+// []string's copy holds only its string bytes, as does a wire struct's
+// string list (Reader.Strs). Bytes left over after a container's last
+// element are an error, as they are after a fixed-size value's.
 func Decode(data []byte) (any, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("codec: decode: empty input")
@@ -356,17 +360,9 @@ func Decode(data []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n == 0 {
-			return []string(nil), nil
-		}
-		all := string(body) // the one copy: every element is a substring
-		out := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			var s []byte
-			if s, body, err = readChunk(tag, body); err != nil {
-				return nil, err
-			}
-			out = append(out, substr(all, body, s))
+		out, rest, ok := cutStrings(body, n)
+		if !ok || len(rest) != 0 {
+			return nil, errTruncated(tag)
 		}
 		return out, nil
 	case tagAnys:
@@ -374,10 +370,10 @@ func Decode(data []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n == 0 {
-			return []any(nil), nil
+		var out []any // count 0 decodes as nil (gob parity)
+		if n > 0 {
+			out = make([]any, 0, n)
 		}
-		out := make([]any, 0, n)
 		for i := 0; i < n; i++ {
 			var blob []byte
 			if blob, body, err = readChunk(tag, body); err != nil {
@@ -388,6 +384,9 @@ func Decode(data []byte) (any, error) {
 				return nil, err
 			}
 			out = append(out, v)
+		}
+		if len(body) != 0 {
+			return nil, errTruncated(tag)
 		}
 		return out, nil
 	case tagMapSS:
@@ -407,6 +406,9 @@ func Decode(data []byte) (any, error) {
 				return nil, err
 			}
 			out[key] = substr(all, body, v)
+		}
+		if len(body) != 0 {
+			return nil, errTruncated(tag)
 		}
 		return out, nil
 	case tagMapSA:
@@ -429,6 +431,9 @@ func Decode(data []byte) (any, error) {
 			}
 			out[string(k)] = v
 		}
+		if len(body) != 0 {
+			return nil, errTruncated(tag)
+		}
 		return out, nil
 	case tagMapSF:
 		n, body, err := readCount(tag, body, 0)
@@ -446,6 +451,9 @@ func Decode(data []byte) (any, error) {
 			}
 			out[string(k)] = math.Float64frombits(binary.LittleEndian.Uint64(body))
 			body = body[8:]
+		}
+		if len(body) != 0 {
+			return nil, errTruncated(tag)
 		}
 		return out, nil
 	}
@@ -487,6 +495,51 @@ func readChunk(tag byte, body []byte) (chunk, rest []byte, err error) {
 	// Capacity-clamped so zero-copy decodes of nested values cannot
 	// alias the sibling data that follows them in the buffer.
 	return body[:n:n], body[n:], nil
+}
+
+// cutStrings cuts n u32-length-prefixed strings off the front of body
+// and returns them with the bytes that follow. The elements are
+// substrings of one copy of their string bytes (the prefixes are not
+// copied), so a list costs two allocations, the copy and the slice,
+// whatever its length; n = 0 yields nil. ok is false when n is negative
+// or larger than body could hold (each element needs a 4-byte prefix),
+// or a prefix runs past the end; nothing is allocated then.
+func cutStrings(body []byte, n int) (out []string, rest []byte, ok bool) {
+	// n < 0 guards 32-bit ints, where a >=2^31 count or prefix wraps
+	// negative; the bound is a division, never an overflowable multiply.
+	if n < 0 || n > len(body)/4 {
+		return nil, nil, false
+	}
+	total := 0
+	rest = body
+	for i := 0; i < n; i++ {
+		if len(rest) < 4 {
+			return nil, nil, false
+		}
+		l := int(binary.LittleEndian.Uint32(rest))
+		if l < 0 || l > len(rest)-4 {
+			return nil, nil, false
+		}
+		total += l
+		rest = rest[4+l:]
+	}
+	if n == 0 {
+		return nil, rest, true
+	}
+	// Grown to the exact total, the builder never reallocates, so every
+	// String() below views the same array, and each element is the tail
+	// written since the previous one.
+	var b strings.Builder
+	b.Grow(total)
+	out = make([]string, n)
+	for i := range out {
+		l := int(binary.LittleEndian.Uint32(body))
+		start := b.Len()
+		b.Write(body[4 : 4+l])
+		out[i] = b.String()[start:]
+		body = body[4+l:]
+	}
+	return out, rest, true
 }
 
 // substr returns chunk — which readChunk just cut from the tail of a

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -130,12 +131,13 @@ func TestDecodeStringListsAllocations(t *testing.T) {
 
 // TestDecodedStringsOutliveBuffer: decoded strings are copies, not views
 // of the input, so overwriting the encoded buffer after Decode leaves
-// them unchanged.
+// them unchanged, a wire struct's string list included.
 func TestDecodedStringsOutliveBuffer(t *testing.T) {
 	for _, v := range []any{
 		[]string{"alpha", "", "beta", "gamma"},
 		map[string]string{"k1": "v1", "k2": "", "": "v3"},
 		map[string]any{"xs": []string{"nested", "list"}, "m": map[string]string{"a": "b"}},
+		wireProbe{S: "probe", Ss: []string{"alpha", "", "beta"}, M: map[string]int64{"k": 1}},
 	} {
 		enc := MustEncode(v)
 		got := MustDecode(enc)
@@ -144,6 +146,131 @@ func TestDecodedStringsOutliveBuffer(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, v) {
 			t.Fatalf("after overwriting the buffer, decoded %#v, want %#v", got, v)
+		}
+	}
+}
+
+// oracleStrs is Reader.Strs as it was before cutStrings: one Str, so
+// one string, per element.
+func oracleStrs(r *Reader) []string {
+	n := r.Count(4)
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, r.Str())
+	}
+	if r.err != nil {
+		return nil
+	}
+	return out
+}
+
+// oracleDecodeStrings is Decode's []string case as it was before
+// cutStrings: one copy of the whole body, prefixes included, cut
+// element by element with readChunk.
+func oracleDecodeStrings(data []byte) ([]string, error) {
+	tag, body := data[0], data[1:]
+	n, body, err := readCount(tag, body, 0)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	all := string(body)
+	out := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		var s []byte
+		if s, body, err = readChunk(tag, body); err != nil {
+			return nil, err
+		}
+		out = append(out, substr(all, body, s))
+	}
+	return out, nil
+}
+
+// TestCutStringsMatchesOracle holds both decoders' string lists to the
+// per-element loops they replaced: equal values on random lists (empty
+// strings and 0-, 1- and 1,000-element lists included), and a failure
+// from both at every truncation of the encoding.
+func TestCutStringsMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(39))
+	lists := [][]string{nil, {}, {""}, {"only"}, {"", "", ""}}
+	for _, n := range []int{1, 1000} {
+		xs := make([]string, n)
+		for i := range xs {
+			xs[i] = randString(r)
+		}
+		lists = append(lists, xs)
+	}
+	for i := 0; i < 200; i++ {
+		xs := make([]string, r.Intn(20))
+		for j := range xs {
+			xs[j] = randString(r) // a fifth of them empty, on average
+		}
+		lists = append(lists, xs)
+	}
+	for _, xs := range lists {
+		body := AppendStrs(nil, xs)
+		got, want := NewReader(body), NewReader(body)
+		if g, w := got.Strs(), oracleStrs(&want); !reflect.DeepEqual(g, w) || got.Done() != nil || want.Done() != nil {
+			t.Fatalf("Reader.Strs(%q) = %q (%v), oracle %q (%v)", xs, g, got.Done(), w, want.Done())
+		}
+		enc := MustEncode(xs)
+		v, err := Decode(enc)
+		w, werr := oracleDecodeStrings(enc)
+		if err != nil || werr != nil || !reflect.DeepEqual(v, w) {
+			t.Fatalf("Decode(%q) = %#v, %v; oracle %#v, %v", xs, v, err, w, werr)
+		}
+
+		// Every proper prefix of a 1,000-element encoding would make
+		// this quadratic; a stride keeps cuts at every offset mod 7.
+		step := 1
+		if len(body) > 1000 {
+			step = 7
+		}
+		for cut := 0; cut < len(body); cut += step {
+			g, o := NewReader(body[:cut]), NewReader(body[:cut])
+			g.Strs()
+			oracleStrs(&o)
+			if g.Err() == nil || o.Err() == nil {
+				t.Fatalf("Reader.Strs on %d of %d bytes: err %v, oracle err %v", cut, len(body), g.Err(), o.Err())
+			}
+		}
+		for cut := 1; cut < len(enc); cut += step {
+			_, err := Decode(enc[:cut])
+			_, werr := oracleDecodeStrings(enc[:cut])
+			if err == nil || werr == nil {
+				t.Fatalf("Decode on %d of %d bytes: err %v, oracle err %v", cut, len(enc), err, werr)
+			}
+		}
+	}
+}
+
+// TestDecodeRejectsTrailingBytes: a container's body ends at its last
+// element, as a fixed-size value's and a wire struct's do, so one byte
+// more is an error, for an empty container too.
+func TestDecodeRejectsTrailingBytes(t *testing.T) {
+	for _, v := range []any{
+		[]string{"a", "bc"},
+		[]string{},
+		[]any{"a", 1},
+		[]any{},
+		map[string]string{"k": "v"},
+		map[string]string{},
+		map[string]any{"k": 1.5},
+		map[string]any{},
+		map[string]float64{"k": 2},
+		map[string]float64{},
+	} {
+		enc := MustEncode(v)
+		if _, err := Decode(enc); err != nil {
+			t.Fatalf("Decode(%#v): %v", v, err)
+		}
+		if got, err := Decode(append(enc, 0)); err == nil {
+			t.Errorf("%#v plus one byte decoded as %#v, want an error", v, got)
 		}
 	}
 }

@@ -246,6 +246,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{tagStruct, 200})                     // name length past the buffer
 	f.Add(append([]byte{tagStruct, 7}, "no.Such"...)) // unregistered wire name
 	f.Add(MustEncode(wireProbe{S: "q"})[:12])         // truncated struct body
+	f.Add(append(MustEncode([]string{"a", "bc"}), 0)) // trailing byte
+	f.Add(MustEncode(wireProbe{S: "r", Ss: []string{"x", "", "yz", "w"}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := Decode(data)
 		if err != nil {

@@ -285,19 +285,20 @@ func (r *Reader) Count(minElem int) int {
 }
 
 // Strs reads a string slice written by AppendStrs; count 0 decodes as
-// nil (gob struct-field parity).
+// nil (gob struct-field parity). The list is one copy of its string
+// bytes, shared by its elements: two allocations (the copy and the
+// slice) whatever its length, and none of the body stays referenced.
 func (r *Reader) Strs() []string {
 	n := r.Count(4)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.Str())
-	}
 	if r.err != nil {
 		return nil
 	}
+	out, rest, ok := cutStrings(r.body, n)
+	if !ok {
+		r.fail()
+		return nil
+	}
+	r.body = rest
 	return out
 }
 

@@ -6,6 +6,7 @@ package codec
 
 import (
 	"encoding/gob"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -128,5 +129,23 @@ func TestEncodeAllocsStructPath(t *testing.T) {
 	// key walk.
 	if allocs > 3 {
 		t.Fatalf("struct encode: %.1f allocs/op, want <= 3", allocs)
+	}
+}
+
+// TestWireStringListAllocations is the tripwire for a wire struct's
+// string list allocating per element again: decoding a probe whose Ss
+// holds 10 strings or 1,000 allocates the same 4 times (the struct
+// DecodeWire fills and its box, then the list's one string copy and its
+// slice).
+func TestWireStringListAllocations(t *testing.T) {
+	for _, n := range []int{10, 1000} {
+		w := wireProbe{Ss: make([]string, n)}
+		for i := range w.Ss {
+			w.Ss[i] = fmt.Sprintf("key-%d", i)
+		}
+		enc := MustEncode(w)
+		if got := testing.AllocsPerRun(100, func() { MustDecode(enc) }); got != 4 {
+			t.Errorf("decoding a wire struct with a %d-element string list allocates %.0f times, want 4", n, got)
+		}
 	}
 }
