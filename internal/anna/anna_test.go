@@ -1,6 +1,7 @@
 package anna
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -307,13 +308,61 @@ func TestRemoveNodeDrainsKeys(t *testing.T) {
 			cl.Put(fmt.Sprintf("key-%d", i), lww(k, "v"))
 		}
 		victim := kv.Nodes()[0].ID()
-		kv.RemoveNode(victim)
+		if err := kv.RemoveNode(victim); err != nil {
+			t.Fatal(err)
+		}
 		k.Sleep(500 * time.Millisecond)
 		for i := 0; i < 150; i++ {
 			_, found, err := cl.Get(fmt.Sprintf("key-%d", i))
 			if err != nil || !found {
 				t.Fatalf("key-%d lost after drain: found=%v err=%v", i, found, err)
 			}
+		}
+	})
+}
+
+// TestRemoveLastNodeIsRefused: the only storage node has nowhere to
+// drain its keys, so RemoveNode refuses it before touching the ring, and
+// the node keeps serving.
+func TestRemoveLastNodeIsRefused(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 1
+	k, _, kv, cl := harness(t, cfg)
+	k.Run("main", func() {
+		if err := cl.Put("k1", lww(k, "v1")); err != nil {
+			t.Fatal(err)
+		}
+		only := kv.Nodes()[0].ID()
+		if err := kv.RemoveNode(only); err == nil {
+			t.Fatal("removing the last node succeeded")
+		}
+		if got := kv.Ring().Nodes(); !slices.Equal(got, []simnet.NodeID{only}) {
+			t.Fatalf("ring = %v after a refused removal, want [%s]", got, only)
+		}
+		lat, found, err := cl.Get("k1")
+		if err != nil || !found || string(lat.(*lattice.LWW).Value) != "v1" {
+			t.Fatalf("get after a refused removal: found=%v err=%v", found, err)
+		}
+	})
+}
+
+// TestEmptyRingIsUnavailable: with no storage node on the ring every
+// client operation reports ErrUnavailable rather than drawing a replica.
+func TestEmptyRingIsUnavailable(t *testing.T) {
+	k := vtime.NewKernel(1)
+	defer k.Stop()
+	net := simnet.New(k, simnet.Link{Latency: simnet.Constant(200 * time.Microsecond)})
+	kv := &KVS{k: k, net: net, ring: NewRing(1, vnodesPerNode)}
+	cl := kv.NewClient(net.AddNode("test-client"), 0)
+	k.Run("main", func() {
+		if err := cl.Put("k1", lww(k, "v1")); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("Put = %v, want ErrUnavailable", err)
+		}
+		if _, _, err := cl.Get("k1"); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("Get = %v, want ErrUnavailable", err)
+		}
+		if _, _, err := cl.MultiGet([]string{"k1"}); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("MultiGet = %v, want ErrUnavailable", err)
 		}
 	})
 }

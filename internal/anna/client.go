@@ -115,6 +115,9 @@ func (c *Client) GetT(ctx trace.Ctx, key string) (lattice.Lattice, bool, error) 
 // caller keeps it.
 func (c *Client) Put(key string, lat lattice.Lattice) error {
 	owners := c.kv.ring.OwnersFor(key)
+	if len(owners) == 0 {
+		return fmt.Errorf("anna: put %q: %w", key, ErrUnavailable)
+	}
 	size := 24 + len(key) + lat.ByteSize()
 	// Writes go to any replica (merge is commutative); start at a random
 	// owner for load spreading and walk the list on failure.
@@ -180,6 +183,7 @@ func (c *Client) MultiGet(keys []string) (found []lattice.Lattice, missing []str
 	call := c.getCall()
 	call.group(c.kv.ring, keys)
 	call.found = make([]lattice.Lattice, len(keys))
+	call.lats = slices.Grow(call.lats, len(keys))[:len(keys)]
 	// One grouped call per owner, issued concurrently so total latency
 	// is the slowest node's round trip — the same overlap the per-key
 	// parallel reads had, with a fraction of the messages.
@@ -198,27 +202,36 @@ func (c *Client) MultiGet(keys []string) (found []lattice.Lattice, missing []str
 }
 
 // groupCall is one grouped call's working state: its keys regrouped by
-// primary owner and, for MultiGet, the per-owner fetches' results.
+// primary owner and, for MultiGet, the per-owner requests and results.
 // Records cycle through the client's free list, so a warm MultiGet
-// allocates only what leaves the call — the grouped keys, which ride in
-// the request bodies, and the results.
+// allocates only what leaves the call: the grouped keys (fresh per call,
+// since PublishKeyset's one-way updates carry them past it) and found.
+// The rest is scratch kept between calls: the grouping tables, each
+// group's request body and lats, the reply space the owners fill.
+//
+// A record any of whose fetches timed out is never recycled: its owner
+// may still read the keys and write into lats after the call is over.
 type groupCall struct {
 	c       *Client
-	prim    []simnet.NodeID // scratch: the primary owner of each input key
-	pos     []int           // scratch: keys[j] is input key pos[j]
-	keys    []string        // the input keys, group by group; fresh per call
-	groups  []ownerGroup    // ascending owner order
+	prim    []simnet.NodeID   // scratch: the primary owner of each input key
+	pos     []int             // scratch: keys[j] is input key pos[j]
+	keys    []string          // the input keys, group by group; fresh per call
+	lats    []lattice.Lattice // scratch: keys[j]'s lattice, filled by its owner
+	groups  []ownerGroup      // ascending owner order
 	found   []lattice.Lattice
 	missing []string
+	late    bool // a fetch timed out: an owner may still write lats
 	wg      *vtime.WaitGroup
 }
 
-// ownerGroup is one primary owner's run keys[lo:hi] of a groupCall, and
-// the kernel-process body (vtime.Runner) that fetches it.
+// ownerGroup is one primary owner's run keys[lo:hi] of a groupCall, its
+// request body, and the kernel-process body (vtime.Runner) that fetches
+// it.
 type ownerGroup struct {
 	call   *groupCall
 	owner  simnet.NodeID
 	lo, hi int
+	req    MultiGetReq
 }
 
 func (g *ownerGroup) Run() {
@@ -247,11 +260,17 @@ func (c *Client) getCall() *groupCall {
 }
 
 // putCall returns a record to the free list once every fetch of its call
-// has finished, dropping what belongs to the caller and oversized scratch.
+// has finished, dropping what belongs to the caller and oversized scratch,
+// unless a fetch timed out (see groupCall).
 func (c *Client) putCall(g *groupCall) {
-	g.keys, g.found, g.missing = nil, nil, nil
+	if g.late {
+		return
+	}
+	clear(g.lats)
+	clear(g.groups) // the requests share keys and lats
+	g.keys, g.lats, g.found, g.missing = nil, g.lats[:0], nil, nil
 	if cap(g.prim) > maxScratchKeys {
-		g.prim, g.pos = nil, nil
+		g.prim, g.pos, g.lats = nil, nil, nil
 	}
 	c.free = append(c.free, g)
 }
@@ -303,8 +322,9 @@ func (g *groupCall) fetch(grp *ownerGroup) {
 	}
 	c.Stats.MultiGetRPCs++
 	c.Stats.MultiGetKeys += int64(len(keys))
-	resp, err := c.ep.Call(grp.owner, MultiGetReq{Keys: keys}, size, c.timeout)
-	if err != nil {
+	grp.req = MultiGetReq{Keys: keys, Lats: g.lats[grp.lo:grp.hi:grp.hi]}
+	if _, err := c.ep.Call(grp.owner, &grp.req, size, c.timeout); err != nil {
+		g.late = true
 		// Primary down: the per-key path walks the replica list.
 		for j, k := range keys {
 			lat, ok, gerr := c.Get(k)
@@ -316,11 +336,11 @@ func (g *groupCall) fetch(grp *ownerGroup) {
 		}
 		return
 	}
-	for j, e := range resp.(MultiGetResp).Entries {
-		if e.Found {
-			g.found[g.pos[grp.lo+j]] = e.Lat
+	for j, lat := range grp.req.Lats {
+		if lat != nil {
+			g.found[g.pos[grp.lo+j]] = lat
 		} else {
-			g.missing = append(g.missing, e.Key)
+			g.missing = append(g.missing, keys[j])
 		}
 	}
 }

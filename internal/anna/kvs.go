@@ -102,17 +102,23 @@ func (kv *KVS) AddNode() simnet.NodeID {
 }
 
 // RemoveNode drains a storage node's keys to their new owners and takes
-// it out of service.
-func (kv *KVS) RemoveNode(id simnet.NodeID) {
+// it out of service. Removing an unknown node does nothing; the last
+// node is refused with an error, the ring and the node untouched: its
+// keys would have no owner to drain to.
+func (kv *KVS) RemoveNode(id simnet.NodeID) error {
 	n, ok := kv.nodes[id]
 	if !ok {
-		return
+		return nil
+	}
+	if kv.ring.Size() == 1 {
+		return fmt.Errorf("anna: remove %s: the last storage node", id)
 	}
 	kv.ring.RemoveNode(id)
 	n.transferForRing() // node owns nothing now: everything drains
 	n.Stop()
 	delete(kv.nodes, id)
 	kv.ScaleEvents = append(kv.ScaleEvents, fmt.Sprintf("t=%v remove %s", kv.k.Now(), id))
+	return nil
 }
 
 // rebalance asks every node to migrate keys per the current ring, in

@@ -35,24 +35,23 @@ type PutResp struct {
 // the receiving node (the same grouping PublishKeyset uses); keys the
 // node does not hold come back not-found and the caller decides whether
 // to walk the replica list per key.
+//
+// It travels by pointer and carries its own reply space, as net/rpc's
+// reply argument does: Lats is aligned with Keys, all nil when sent, and
+// before its one Reply the owner stores each held key's lattice at its
+// position (shared with the store, as in GetResp), leaving an absent
+// key's slot nil. RPCs are at-most-once, so the owner touches nothing
+// after that Reply; but a call that timed out may still reach its owner,
+// which then reads Keys and writes Lats late, so the caller must not
+// reuse that request.
 type MultiGetReq struct {
 	Keys []string
+	Lats []lattice.Lattice
 }
 
-// MultiGetEntry is one key's answer in a MultiGetResp.
-type MultiGetEntry struct {
-	Key string
-	// Lat is nil when !Found, else the stored value itself, shared with
-	// the store as in GetResp.
-	Lat   lattice.Lattice
-	Found bool
-}
-
-// MultiGetResp answers a MultiGetReq, one entry per requested key in
-// request order.
-type MultiGetResp struct {
-	Entries []MultiGetEntry
-}
+// MultiGetResp answers a MultiGetReq whose Lats the owner has filled. It
+// is empty, so boxing it allocates nothing.
+type MultiGetResp struct{}
 
 // DeleteReq removes a key from one storage node. True lattice deletion
 // needs tombstones; Cloudburst's delete is the pragmatic operational kind

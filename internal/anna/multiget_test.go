@@ -43,9 +43,10 @@ func oracleGroups(r *Ring, keys []string) []oracleGroup {
 }
 
 // oracleMultiGet is MultiGet as it was built on oracleGroups: a found
-// map, one closure per owner group and a fresh WaitGroup per call. Same
-// sends, spawns and process names, so a kernel running it draws the same
-// random numbers as one running MultiGet.
+// map, one closure per owner group and a fresh WaitGroup per call, with a
+// fresh request and reply space per group. Same sends, spawns and process
+// names, so a kernel running it draws the same random numbers as one
+// running MultiGet.
 func oracleMultiGet(c *Client, keys []string) (found map[string]lattice.Lattice, missing []string) {
 	groups := oracleGroups(c.kv.ring, keys)
 	found = make(map[string]lattice.Lattice, len(keys))
@@ -56,8 +57,8 @@ func oracleMultiGet(c *Client, keys []string) (found map[string]lattice.Lattice,
 		}
 		c.Stats.MultiGetRPCs++
 		c.Stats.MultiGetKeys += int64(len(g.keys))
-		resp, err := c.ep.Call(g.owner, MultiGetReq{Keys: g.keys}, size, c.timeout)
-		if err != nil {
+		req := &MultiGetReq{Keys: g.keys, Lats: make([]lattice.Lattice, len(g.keys))}
+		if _, err := c.ep.Call(g.owner, req, size, c.timeout); err != nil {
 			for _, k := range g.keys {
 				lat, ok, gerr := c.Get(k)
 				if gerr != nil || !ok {
@@ -68,11 +69,11 @@ func oracleMultiGet(c *Client, keys []string) (found map[string]lattice.Lattice,
 			}
 			return
 		}
-		for _, e := range resp.(MultiGetResp).Entries {
-			if e.Found {
-				found[e.Key] = e.Lat
+		for j, lat := range req.Lats {
+			if lat != nil {
+				found[g.keys[j]] = lat
 			} else {
-				missing = append(missing, e.Key)
+				missing = append(missing, g.keys[j])
 			}
 		}
 	}
@@ -355,52 +356,159 @@ func TestPublishKeysetMatchesMapOracle(t *testing.T) {
 }
 
 // TestMultiGetAllocations pins the grouped read's cost on a warm client:
-// 10 LWW keys over 4 owner groups allocate the key buffer and found once
-// per call, then per group the request body, the reply's entries and the
-// boxed reply — nothing per key (an entry shares the stored capsule), no
-// map, closure, WaitGroup or sort.
+// 10 LWW keys allocate the grouped keys and found once per call, whether
+// they have 1 owner group or 4. Nothing is per group (the request body
+// and the owners' reply space are the pooled record's) or per key (a
+// slot shares the stored capsule), and no map, closure, WaitGroup or sort.
 func TestMultiGetAllocations(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Nodes = 6
-	k, _, kv, cl := harness(t, cfg)
-	var keys []string
-	owners := map[simnet.NodeID]bool{}
-	for i := 0; len(keys) < 10; i++ {
-		key := fmt.Sprintf("alloc-%d", i)
-		o := kv.Ring().PrimaryFor(key)
-		if !owners[o] && len(owners) == 4 {
-			continue
+	for _, groups := range []int{1, 4} {
+		cfg := DefaultConfig()
+		cfg.Nodes = 6
+		k, _, kv, cl := harness(t, cfg)
+		var keys []string
+		owners := map[simnet.NodeID]bool{}
+		for i := 0; len(keys) < 10; i++ {
+			key := fmt.Sprintf("alloc-%d", i)
+			o := kv.Ring().PrimaryFor(key)
+			if !owners[o] && len(owners) == groups {
+				continue
+			}
+			owners[o] = true
+			keys = append(keys, key)
+			kv.Preload(key, lattice.NewLWW(lattice.Timestamp{Clock: 1}, make([]byte, 64)))
 		}
-		owners[o] = true
-		keys = append(keys, key)
-		kv.Preload(key, lattice.NewLWW(lattice.Timestamp{Clock: 1}, make([]byte, 64)))
-	}
-	const groups = 4
-	calls := 0
-	body := func() {
-		for i := 0; i < calls; i++ {
-			found, missing, err := cl.MultiGet(keys)
-			if err != nil || len(missing) != 0 || found[9] == nil {
-				t.Fatalf("MultiGet = %d found, missing %v, %v", len(found), missing, err)
+		calls := 0
+		body := func() {
+			for i := 0; i < calls; i++ {
+				found, missing, err := cl.MultiGet(keys)
+				if err != nil || len(missing) != 0 || found[9] == nil {
+					t.Fatalf("MultiGet = %d found, missing %v, %v", len(found), missing, err)
+				}
 			}
 		}
+		run := func() { k.Run("mget", body) }
+		calls = 50
+		run() // warm the client's records, the kernel's processes and the pools
+		before := cl.Stats.MultiGetRPCs
+		// The difference between 100 and 50 calls per Run is 50 calls' cost,
+		// without what one Run and the nodes' idle ticks cost.
+		base := testing.AllocsPerRun(5, run)
+		calls = 100
+		got := (testing.AllocsPerRun(5, run) - base) / 50
+		if rpcs := (cl.Stats.MultiGetRPCs - before) / (6*50 + 6*100); rpcs != int64(groups) {
+			t.Fatalf("%d grouped calls per MultiGet, want %d", rpcs, groups)
+		}
+		// Rounded: the kernel's and network's shared tables still grow now
+		// and then (a few hundredths of an allocation per call), a cost of
+		// the pools, not of MultiGet.
+		if math.Round(got) != 2 {
+			t.Fatalf("MultiGet of 10 keys in %d groups: %.2f allocations, want 2", groups, got)
+		}
 	}
-	run := func() { k.Run("mget", body) }
-	calls = 50
-	run() // warm the client's records, the kernel's processes and the pools
-	before := cl.Stats.MultiGetRPCs
-	// The difference between 100 and 50 calls per Run is 50 calls' cost,
-	// without what one Run and the nodes' idle ticks cost.
-	base := testing.AllocsPerRun(5, run)
-	calls = 100
-	got := (testing.AllocsPerRun(5, run) - base) / 50
-	if rpcs := (cl.Stats.MultiGetRPCs - before) / (6*50 + 6*100); rpcs != groups {
-		t.Fatalf("%d grouped calls per MultiGet, want %d", rpcs, groups)
+}
+
+// TestMultiGetLateReplyIsNeverRead delays every message from the client
+// to one owner past the client's timeout, so that owner reads a grouped
+// read's request and fills its reply space long after the caller has
+// fallen back to per-key Gets and returned. The timed-out record must
+// stay off the free list. The later calls in flight when the late owner
+// gets to it, which would otherwise share the record's request bodies
+// and reply space, must see only their own owners' answers in every
+// slot. Their absent keys are ghosts: missing on their primary, whose
+// slots it leaves alone, but stored on the late owner, which would fill
+// them.
+func TestMultiGetLateReplyIsNeverRead(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes, cfg.Replication = 4, 2
+	k, net, kv, cl := harness(t, cfg)
+	nodes := kv.Ring().Nodes()
+	slow, b, c := nodes[0], nodes[1], nodes[2]
+	// keysOn returns n keys with the given prefix whose primary is o.
+	keysOn := func(prefix string, o simnet.NodeID, n int) []string {
+		var out []string
+		for i := 0; len(out) < n; i++ {
+			if key := fmt.Sprintf("%s-%d", prefix, i); kv.Ring().PrimaryFor(key) == o {
+				out = append(out, key)
+			}
+		}
+		return out
 	}
-	// Rounded: the kernel's and network's shared tables still grow now and
-	// then (a few hundredths of an allocation per call), a cost of the
-	// pools, not of MultiGet.
-	if want := float64(2 + 3*groups); math.Round(got) != want {
-		t.Fatalf("MultiGet of 10 keys in %d groups: %.2f allocations, want %.0f", groups, got, want)
+	stored := map[string]bool{}
+	preload := func(keys []string) []string {
+		for _, key := range keys {
+			stored[key] = true
+			kv.Preload(key, lattice.NewLWW(lattice.Timestamp{Clock: 1}, []byte(key+"!")))
+		}
+		return keys
 	}
+	ghosts := func(o simnet.NodeID) []string {
+		keys := keysOn("ghost", o, 4)
+		for _, key := range keys {
+			kv.nodes[slow].st.merge(key, lattice.NewLWW(lattice.Timestamp{Clock: 1}, []byte("late")), 0)
+		}
+		return keys
+	}
+	lateKeys := preload(keysOn("late", slow, 4))
+	single := slices.Concat(ghosts(b), preload(keysOn("k", b, 4)))
+	multi := slices.Concat(ghosts(b), ghosts(c), preload(keysOn("k", b, 2)), preload(keysOn("k", c, 2)))
+	check := func(keys []string, found []lattice.Lattice, missing []string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var absent []string
+		for j, key := range keys {
+			switch {
+			case !stored[key]:
+				absent = append(absent, key)
+				if found[j] != nil {
+					t.Fatalf("absent %s: slot %d = %q, want nil", key, j, found[j].(*lattice.LWW).Value)
+				}
+			case found[j] == nil:
+				t.Fatalf("%s: slot %d is nil", key, j)
+			case string(found[j].(*lattice.LWW).Value) != key+"!":
+				t.Fatalf("%s: slot %d = %q", key, j, found[j].(*lattice.LWW).Value)
+			}
+		}
+		if !slices.Equal(slices.Sorted(slices.Values(missing)), slices.Sorted(slices.Values(absent))) {
+			t.Fatalf("missing = %v, want the absent keys %v", missing, absent)
+		}
+	}
+	const late = 3 * time.Second
+	k.Run("main", func() {
+		// Warm one record at the largest call's size, so every later call
+		// reuses its tables rather than growing them.
+		found, missing, err := cl.MultiGet(multi)
+		check(multi, found, missing, err)
+		if len(cl.free) != 1 {
+			t.Fatalf("%d pooled records after one call, want 1", len(cl.free))
+		}
+		rec := cl.free[0]
+		net.SetLinkPolicy(cl.ep.ID(), slow, simnet.LinkPolicy{ExtraLatency: late})
+		t0 := k.Now()
+		found, missing, err = cl.MultiGet(lateKeys)
+		check(lateKeys, found, missing, err)
+		if slices.Contains(cl.free, rec) {
+			t.Fatal("the timed-out call's record is back on the free list")
+		}
+		if k.Now()-t0 >= vtime.Time(late) {
+			t.Fatalf("the timed-out call took %v, past the late owner's %v", k.Now()-t0, late)
+		}
+		// Call back to back from just before the late request lands at its
+		// owner until well after, alternating one and two owner groups.
+		k.Sleep(time.Duration(t0 + vtime.Time(late) - 20*vtime.Time(time.Millisecond) - k.Now()))
+		calls := 0
+		for k.Now() < t0+vtime.Time(late+100*time.Millisecond) {
+			keys := single
+			if calls%2 == 1 {
+				keys = multi
+			}
+			found, missing, err := cl.MultiGet(keys)
+			check(keys, found, missing, err)
+			calls++
+		}
+		if calls < 50 {
+			t.Fatalf("only %d calls overlapped the late owner", calls)
+		}
+	})
 }

@@ -138,26 +138,23 @@ func (n *Node) handleGet(req *simnet.Request, b GetReq) {
 	req.Reply(GetResp{Key: b.Key, Lat: e.lat, Found: true}, 24+e.size)
 }
 
-func (n *Node) handleMultiGet(req *simnet.Request, b MultiGetReq) {
+func (n *Node) handleMultiGet(req *simnet.Request, b *MultiGetReq) {
 	// One round trip, full per-key service cost: batching saves
 	// network round trips and per-request overhead, not server CPU.
-	entries := make([]MultiGetEntry, len(b.Keys))
 	var svc time.Duration
 	size := 24
 	for i, key := range b.Keys {
-		entries[i].Key = key
 		e, fromDisk := n.st.get(key, n.k.Now())
 		if e == nil {
 			svc += serviceTime(getServiceTime, fromDisk, 0)
 			continue
 		}
 		svc += serviceTime(getServiceTime, fromDisk, e.size)
-		entries[i].Lat = e.lat
-		entries[i].Found = true
+		b.Lats[i] = e.lat
 		size += 24 + e.size
 	}
 	n.k.Sleep(svc)
-	req.Reply(MultiGetResp{Entries: entries}, size)
+	req.Reply(MultiGetResp{}, size)
 }
 
 func (n *Node) handlePut(req *simnet.Request, b PutReq) {

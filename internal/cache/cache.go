@@ -366,11 +366,12 @@ func (c *Cache) Delete(key string) error {
 // Anna multi-get (§4.2 fan-out collapse): the keys absent locally, in
 // sorted order, go out as one MultiGetReq per primary storage node, all
 // in flight together, so a cold read of N keys costs one round trip per
-// owning node instead of N. Results come back by position and install
-// in sorted key order. The fill is best-effort — keys the grouped fetch
-// misses (replication lag, an unreachable primary) are simply left to
-// the per-key Read path, whose protocol (and its consistency
-// obligations) is unchanged. In the causal modes each installed capsule
+// owning node instead of N, and the same allocations whatever the number
+// of owners: each owner fills the client's pooled reply space. Results
+// come back by position and install in sorted key order. The fill is
+// best-effort — keys the grouped fetch misses (replication lag, an
+// unreachable primary) are simply left to the per-key Read path, whose
+// protocol (and its consistency obligations) is unchanged. In the causal modes each installed capsule
 // maintains the local causal cut, exactly as a per-key fill would.
 func (c *Cache) Prefetch(keys []string) {
 	c.mu.Lock()

@@ -65,7 +65,9 @@ func (n *Network) releaseRequest(r *Request) {
 // Call performs a synchronous RPC from this endpoint: it sends body to the
 // destination and blocks until the response arrives or timeout elapses
 // (timeout <= 0 means wait forever). size is the request's serialized
-// size.
+// size. A body may be a pointer that the receiver fills before its one
+// Reply, the caller's reply space; after a timeout the receiver may
+// still write it, so the caller must not reuse it.
 func (e *Endpoint) Call(to NodeID, body any, size int, timeout time.Duration) (any, error) {
 	req := e.net.getRequest()
 	req.From, req.To, req.Body = e.node.id, to, body
