@@ -904,7 +904,7 @@ func TestRestartedVMReregistersWithSchedulers(t *testing.T) {
 	c.Run(func(cl *Client) {
 		cl.Timeout = time.Minute
 		in.KillVM("vm0")
-		replacement := in.RestartVM("vm0")
+		replacement := in.RestartVM("vm0", false)
 		if replacement == "" {
 			t.Errorf("restart refused")
 			return

@@ -127,7 +127,7 @@ func main() {
 
 		// Recovery half of the lifecycle: a replacement instance spins
 		// up, re-registers through the metrics path, and serves again.
-		replacement := c.Internal().RestartVM(victims[0].Name)
+		replacement := c.Internal().RestartVM(victims[0].Name, false)
 		fmt.Printf("restarting %s as %s (EC2-like spin-up)...\n", victims[0].Name, replacement)
 		cl.Sleep(cfg.VMSpinUp + 10*time.Second)
 		fmt.Printf("replacement joined: %d VMs, %d executor threads live again\n",

@@ -300,28 +300,27 @@
 // turns any deployment into a failure experiment. A fault.Plan is a
 // declarative schedule of typed events on the virtual clock; an
 // Injector runs it as a daemon and records a timeline experiments can
-// align with their latency samples:
+// align with their latency samples. A fault that heals is one plan
+// entry: During(from, to, f) applies f at from and heals it at to.
 //
 //	in := cb.Internal()
 //	inj := fault.NewInjector(in)
 //	plan := fault.NewPlan("demo").
-//		At(30*time.Second, fault.CrashVM{VM: "vm1"}).
-//		At(60*time.Second, fault.RestartVM{VM: "vm1"}).
-//		At(40*time.Second, fault.DegradeLink{From: "sched-0", To: "anna-0",
-//			Policy: simnet.LinkPolicy{Drop: 0.3, Jitter: 2 * time.Millisecond}}).
-//		At(55*time.Second, fault.HealLink{From: "sched-0", To: "anna-0"})
+//		During(30*time.Second, 60*time.Second, fault.CrashVM{VM: "vm1"}).
+//		During(40*time.Second, 55*time.Second, fault.DegradeLink{From: "sched-0", To: "anna-0",
+//			Policy: simnet.LinkPolicy{Drop: 0.3, Jitter: 2 * time.Millisecond}})
 //	cb.Run(func(cl *cloudburst.Client) { inj.Start(plan) })
 //
 // The primitives compose three fault families:
 //
 //   - Network: simnet.LinkPolicy overlays (drop probability, added
 //     latency, jitter, duplication) installed per directed link
-//     (DegradeLink/HealLink) or per node (DegradeNode/HealNode,
-//     DegradeVM/HealVM). Drop ≥ 1 is a full partition — asymmetric when
+//     (DegradeLink) or per node (DegradeNode, DegradeVM), each cleared
+//     by its heal. Drop ≥ 1 is a full partition — asymmetric when
 //     installed on one direction only. Network.SetDown (and
 //     Cluster.KillVM on top of it) is the thin full-drop special case.
 //     Duplication applies to one-way datagrams only; RPCs ride pooled
-//     at-most-once records. SplitBrain/HealSplitBrain compose link
+//     at-most-once records. SplitBrain composes link
 //     drops into a control-plane partition: one VM blinded from the
 //     monitor's scanner endpoints (or half the scheduler group) while
 //     the rest of the control plane keeps scheduling onto it.
@@ -331,14 +330,14 @@
 //     a value or an error, sends the one completion notice; a record
 //     that outlives its deadline is re-executed elsewhere, and
 //     WithTimeout's deadline travels on the wire and drives that
-//     timer per request). RestartVM boots a replacement
-//     generation after the spin-up delay: fresh endpoints, a cold
-//     cache, executor threads that re-register with the schedulers
-//     through the ordinary metrics path, and monitor re-admission.
-//     WarmRestartVM, RollingRestart, and RackFailure compose the full
-//     state lifecycle below.
-//   - Storage: CrashAnnaNode/ReviveAnnaNode partition one storage
-//     replica (the client replica walk rides it out when the
+//     timer per request). Its heal boots a replacement generation
+//     after the spin-up delay (Cluster.RestartVM): fresh endpoints, a
+//     cold cache (or, with CrashVM{Warm: true}, a warm one), executor
+//     threads that re-register with the schedulers through the
+//     ordinary metrics path, and monitor re-admission. RollingRestart
+//     and RackFailure compose the full state lifecycle below.
+//   - Storage: CrashAnnaNode partitions one storage replica until its
+//     heal (the client replica walk rides it out when the
 //     replication factor covers the loss); DropSnapshots discards
 //     per-request version snapshots (§5.3's upstream-cache failure —
 //     session-consistent DAGs see ErrSnapshotGone and re-issue).
@@ -464,11 +463,12 @@
 // orphaned endpoints, and a flat kernel process count (asserted by the
 // lifecycle tests and re-checked after every chaos-matrix cell).
 //
-// Recovery comes in two temperatures. Cluster.RestartVM boots a cold
-// replacement: every cached key refaults from Anna on first use, which
-// under load shows up as a latency spike an order of magnitude above
-// steady state (the refault storm). Cluster.WarmRestartVM instead
-// restores state the moment the replacement boots: KillVM records a
+// Recovery comes in two temperatures. Cluster.RestartVM(name, false)
+// boots a cold replacement: every cached key refaults from Anna on
+// first use, which under load shows up as a latency spike an order of
+// magnitude above steady state (the refault storm). A warm restart,
+// RestartVM(name, true), instead restores state the moment the
+// replacement boots: KillVM records a
 // WarmSeed — the dying generation's cached key set and pinned
 // functions — under a lifecycle key in Anna, and the replacement
 // bulk-fetches those keys from a live peer cache's snapshot service and

@@ -263,8 +263,7 @@ func runChaosCell(cfg ChaosConfig, wl string, mode cb.Consistency, seed int64, s
 		// A deterministic split-brain bracket on the first VM guarantees
 		// the divergent-view path fires every run, whatever the random
 		// draw adds on top.
-		plan.At(2*time.Second, fault.SplitBrain{VM: vms[0]})
-		plan.At(8*time.Second, fault.HealSplitBrain{VM: vms[0]})
+		plan.During(2*time.Second, 8*time.Second, fault.SplitBrain{VM: vms[0]})
 	default:
 		planRng := rand.New(rand.NewSource(seed * 31))
 		plan = fault.RandomPlan(planRng, fault.RandomOpts{

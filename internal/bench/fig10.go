@@ -153,8 +153,7 @@ func RunFig10Failure(cfg Fig10FailureConfig) Fig10FailureResult {
 	victim := in.VMs()[1].Name
 	inj := fault.NewInjector(in)
 	plan := fault.NewPlan("fig10").
-		At(cfg.KillAt, fault.CrashVM{VM: victim}).
-		At(cfg.KillAt+cfg.RestFor, fault.RestartVM{VM: victim})
+		During(cfg.KillAt, cfg.KillAt+cfg.RestFor, fault.CrashVM{VM: victim})
 	c.Run(func(cl *cb.Client) { inj.Start(plan) })
 
 	type sample struct {
@@ -401,12 +400,7 @@ func runLifecycleScenario(cfg Fig10LifecycleConfig, name string, warm, rolling b
 	if rolling {
 		plan.At(cfg.KillAt, fault.RollingRestart{Drain: 6 * time.Second, Settle: cfg.RollSettle})
 	} else {
-		plan.At(cfg.KillAt, fault.CrashVM{VM: victim})
-		if warm {
-			plan.At(cfg.KillAt+cfg.RestFor, fault.WarmRestartVM{VM: victim})
-		} else {
-			plan.At(cfg.KillAt+cfg.RestFor, fault.RestartVM{VM: victim})
-		}
+		plan.During(cfg.KillAt, cfg.KillAt+cfg.RestFor, fault.CrashVM{VM: victim, Warm: warm})
 	}
 	c.Run(func(cl *cb.Client) { inj.Start(plan) })
 

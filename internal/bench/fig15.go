@@ -223,8 +223,7 @@ func fig15Failure(cfg Fig15Config) Fig15FailurePanel {
 	victim := in.VMs()[1].Name
 	inj := fault.NewInjector(in)
 	plan := fault.NewPlan("fig15").
-		At(cfg.KillAt, fault.CrashVM{VM: victim}).
-		At(cfg.KillAt+cfg.RestFor, fault.RestartVM{VM: victim})
+		During(cfg.KillAt, cfg.KillAt+cfg.RestFor, fault.CrashVM{VM: victim})
 	c.Run(func(cl *cb.Client) { inj.Start(plan) })
 
 	type sample struct{ at, lat time.Duration }

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,8 +76,10 @@ func TestBankTornUnderLWW(t *testing.T) {
 			t.Fatalf("sum: %v", serr)
 		}
 	})
-	if len(in.Hooks().Fired()) == 0 {
-		t.Fatal("mid-transfer crash never fired — the scenario did not run")
+	if !slices.ContainsFunc(inj.TimelineStrings(), func(e string) bool {
+		return strings.Contains(e, "crash-at "+workload.BankMidTransfer+": crash")
+	}) {
+		t.Fatalf("mid-transfer crash never fired — the scenario did not run: %v", inj.TimelineStrings())
 	}
 	if sum == b.Total() {
 		t.Fatalf("balance sum %d survived a mid-transfer crash under LWW — expected the invariant to break", sum)

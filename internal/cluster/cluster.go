@@ -163,13 +163,12 @@ type Cluster struct {
 	// decoded is the control plane's shared decoded-metadata cache.
 	decoded *core.DecodeCache
 	down    map[simnet.NodeID]bool
-	// killed remembers crashed VM names so RestartVM can replace them;
 	// gens counts replacement generations per base name.
-	killed map[string]bool
-	gens   map[string]int
-	// deadGens holds crashed generations' handles until the reaper
-	// retires them (at replacement boot); lifecycle is the reaper's own
-	// Anna client (its endpoint outlives every VM generation).
+	gens map[string]int
+	// deadGens holds crashed generations' handles, by name, until
+	// RestartVM replaces them and the reaper retires them (at replacement
+	// boot); lifecycle is the reaper's own Anna client (its endpoint
+	// outlives every VM generation).
 	deadGens    map[string]*VMHandle
 	lifecycle   *anna.Client
 	lifecycleEP *simnet.Endpoint
@@ -209,7 +208,6 @@ func New(cfg Config) *Cluster {
 		dagCache: make(map[string]*dag.Index),
 		decoded:  core.NewDecodeCache(),
 		down:     make(map[simnet.NodeID]bool),
-		killed:   make(map[string]bool),
 		gens:     make(map[string]int),
 		deadGens: make(map[string]*VMHandle),
 		hooks:    hooks,
@@ -313,8 +311,7 @@ func (c *Cluster) bootVMNamed(name string) *VMHandle {
 		h.nodeIDs = append(h.nodeIDs, id)
 	}
 	metricsEP := c.Net.AddNode(simnet.NodeID("vmmgr-" + name))
-	h.VM = executor.NewVM(c.K, name, h.Threads, ch.Keys, func() string { return string(ch.ID()) },
-		c.KV.NewClient(metricsEP, 0))
+	h.VM = executor.NewVM(c.K, name, h.Threads, c.KV.NewClient(metricsEP, 0))
 	h.nodeIDs = append(h.nodeIDs, metricsEP.ID())
 	h.eps = append(h.eps, metricsEP)
 	h.VM.Start()
@@ -393,11 +390,7 @@ func (c *Cluster) stopVM(name string) {
 	if !ok {
 		return
 	}
-	for _, id := range h.nodeIDs {
-		c.Net.SetDown(id, true)
-		c.down[id] = true
-	}
-	c.removeVM(h)
+	c.takeDown(h)
 	// A deliberate deallocation reaps immediately: there is no replacement
 	// coming to trigger it later.
 	c.reapGeneration(h)
@@ -407,7 +400,7 @@ func (c *Cluster) stopVM(name string) {
 // processes or endpoints: its metrics publication stops, so schedulers
 // drop its threads once their reports age past StaleAfter, while
 // in-flight and queued work keeps completing. The drain half of a
-// rolling upgrade; follow with WarmRestartVM once traffic has moved.
+// rolling upgrade; follow with a warm RestartVM once traffic has moved.
 func (c *Cluster) DrainVM(name string) bool {
 	h, ok := c.vms[name]
 	if !ok {
@@ -427,13 +420,18 @@ func (c *Cluster) KillVM(name string) {
 		return
 	}
 	c.recordWarmSeed(h)
+	c.takeDown(h)
+	c.deadGens[name] = h
+}
+
+// takeDown partitions every endpoint of the live VM h away and drops h
+// from the inventory.
+func (c *Cluster) takeDown(h *VMHandle) {
 	for _, id := range h.nodeIDs {
 		c.Net.SetDown(id, true)
 		c.down[id] = true
 	}
 	c.removeVM(h)
-	c.killed[name] = true
-	c.deadGens[name] = h
 }
 
 // baseVMName strips replacement-generation suffixes ("vm0.r2" → "vm0").
@@ -454,24 +452,23 @@ func baseVMName(name string) string {
 // reaped: its endpoints are retired, its parked processes released, and
 // its ghost metric keys scrubbed from the Anna registries (so the
 // replacement's registration gossips an already-clean discovery set).
-// Returns the replacement's name ("" when the VM never existed).
-func (c *Cluster) RestartVM(name string) string { return c.restart(name, false) }
-
-// WarmRestartVM is RestartVM plus a warm cache handoff: after booting,
-// the replacement restores the dead generation's cached key set from a
-// live peer cache's snapshots (seeded by the WarmSeed the crash
-// recorded) and pre-pins the functions the dead generation served.
-// Keys no peer holds are simply refaulted cold on first use.
-func (c *Cluster) WarmRestartVM(name string) string { return c.restart(name, true) }
-
-func (c *Cluster) restart(name string, warm bool) string {
+//
+// A warm restart adds a cache handoff: after booting, the replacement
+// restores the dead generation's cached key set from a live peer cache's
+// snapshots (seeded by the WarmSeed the crash recorded) and pre-pins the
+// functions the dead generation served. Keys no peer holds are simply
+// refaulted cold on first use.
+//
+// Returns the replacement's name ("" when name is neither live nor a
+// crashed generation still awaiting its replacement).
+func (c *Cluster) RestartVM(name string, warm bool) string {
 	if _, live := c.vms[name]; live {
 		c.KillVM(name)
-	} else if !c.killed[name] {
+	}
+	dead := c.deadGens[name]
+	if dead == nil {
 		return ""
 	}
-	delete(c.killed, name)
-	dead := c.deadGens[name]
 	delete(c.deadGens, name)
 	base := baseVMName(name)
 	c.gens[base]++
@@ -479,9 +476,7 @@ func (c *Cluster) restart(name string, warm bool) string {
 	c.pending++
 	c.K.Go("cluster/restart", func() {
 		c.K.Sleep(c.cfg.VMSpinUp)
-		if dead != nil {
-			c.reapGeneration(dead)
-		}
+		c.reapGeneration(dead)
 		h := c.bootVMNamed(replacement)
 		if warm {
 			c.warmFill(h, base)
@@ -524,7 +519,7 @@ func (c *Cluster) reapGeneration(h *VMHandle) {
 
 // recordWarmSeed snapshots what the dying generation held — its cached
 // key set and pinned functions — under a per-base-name lifecycle key, so
-// a later WarmRestartVM can restore the working set from peers. The
+// a later warm RestartVM can restore the working set from peers. The
 // snapshot itself is taken synchronously (the handle is still intact);
 // the Anna put rides its own process so KillVM stays non-blocking.
 func (c *Cluster) recordWarmSeed(h *VMHandle) {

@@ -92,9 +92,13 @@ func TestRestartVMBootsReplacementGeneration(t *testing.T) {
 		if c.VMCount() != 1 {
 			t.Fatalf("VMs after kill = %d", c.VMCount())
 		}
-		name := c.RestartVM(vm.Name)
+		name := c.RestartVM(vm.Name, false)
 		if name != vm.Name+".r1" {
 			t.Fatalf("replacement name = %q", name)
+		}
+		// The dead generation is replaced once.
+		if again := c.RestartVM(vm.Name, false); again != "" {
+			t.Fatalf("second restart of %s returned %q", vm.Name, again)
 		}
 		if c.PendingVMs() != 1 {
 			t.Fatalf("pending = %d", c.PendingVMs())
@@ -130,10 +134,10 @@ func TestRestartVMOfLiveVMCrashesFirst(t *testing.T) {
 	vm := c.VMs()[0]
 	thread := vm.Threads[0].ID()
 	c.K.Run("main", func() {
-		if name := c.RestartVM("no-such-vm"); name != "" {
+		if name := c.RestartVM("no-such-vm", false); name != "" {
 			t.Fatalf("restart of unknown VM returned %q", name)
 		}
-		name := c.RestartVM(vm.Name)
+		name := c.RestartVM(vm.Name, false)
 		if name == "" {
 			t.Fatal("restart of live VM refused")
 		}

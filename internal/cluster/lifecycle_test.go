@@ -51,7 +51,7 @@ func TestReaperScrubsDeadGenerations(t *testing.T) {
 		for i := 0; i < cycles; i++ {
 			deadGens = append(deadGens, victim)
 			c.KillVM(victim)
-			victim = c.RestartVM(victim)
+			victim = c.RestartVM(victim, false)
 			if victim == "" {
 				t.Fatalf("cycle %d: restart refused", i)
 			}
@@ -110,7 +110,7 @@ func TestReaperScrubsDeadGenerations(t *testing.T) {
 }
 
 func TestWarmRestartRestoresPeerState(t *testing.T) {
-	// WarmRestartVM must rebuild the replacement's cache from a live
+	// A warm RestartVM must rebuild the replacement's cache from a live
 	// peer — byte-identical values, no Anna refault — and re-pin the
 	// functions the dead generation served.
 	c := testCluster(t, func(cfg *Config) { cfg.VMSpinUp = 5 * time.Second })
@@ -136,7 +136,7 @@ func TestWarmRestartRestoresPeerState(t *testing.T) {
 		c.K.Sleep(time.Second)
 
 		c.KillVM(victim.Name)
-		name := c.WarmRestartVM(victim.Name)
+		name := c.RestartVM(victim.Name, true)
 		if name == "" {
 			t.Fatal("warm restart refused")
 		}
@@ -183,7 +183,7 @@ func TestWarmRestartRestoresPeerState(t *testing.T) {
 }
 
 func TestColdRestartStaysCold(t *testing.T) {
-	// Plain RestartVM must NOT inherit the dead generation's state: the
+	// A cold RestartVM must NOT inherit the dead generation's state: the
 	// warm handoff is opt-in.
 	c := testCluster(t, func(cfg *Config) { cfg.VMSpinUp = 5 * time.Second })
 	c.K.Run("main", func() {
@@ -197,7 +197,7 @@ func TestColdRestartStaysCold(t *testing.T) {
 		vms[1].Cache.Prefetch([]string{"cold-k"})
 		c.K.Sleep(time.Second)
 		c.KillVM(vms[0].Name)
-		name := c.RestartVM(vms[0].Name)
+		name := c.RestartVM(vms[0].Name, false)
 		c.K.Sleep(8 * time.Second)
 		for _, h := range c.VMs() {
 			if h.Name == name && h.Cache.Contains("cold-k") {

@@ -26,7 +26,6 @@ const metricsInterval = 2 * time.Second
 // paper's c5.2xlarge VMs run 3 Python workers and 1 cache per machine.
 type VM struct {
 	Name    string
-	Cache   *cacheRef
 	Threads []*Thread
 
 	k             *vtime.Kernel
@@ -34,18 +33,12 @@ type VM struct {
 	stopped       bool
 }
 
-// cacheRef narrows the cache API the VM needs, easing tests.
-type cacheRef struct {
-	Keys func() []string
-	ID   func() string
-}
-
-// NewVM bundles threads and the cache metrics source into a VM. The
-// threads must already be constructed (they carry per-thread deps).
-func NewVM(k *vtime.Kernel, name string, threads []*Thread, cacheKeys func() []string, cacheID func() string, metricsClient *anna.Client) *VM {
+// NewVM bundles threads into a VM; the co-located cache whose metrics it
+// publishes is the threads' shared one. The threads must already be
+// constructed (they carry per-thread deps), at least one of them.
+func NewVM(k *vtime.Kernel, name string, threads []*Thread, metricsClient *anna.Client) *VM {
 	return &VM{
 		Name:          name,
-		Cache:         &cacheRef{Keys: cacheKeys, ID: cacheID},
 		Threads:       threads,
 		k:             k,
 		metricsClient: metricsClient,
@@ -109,7 +102,7 @@ func (vm *VM) publishMetrics() {
 	cm := core.CacheMetrics{
 		VM:          vm.Name,
 		Cache:       vm.Threads[0].cache.ID(),
-		Keys:        vm.Cache.Keys(),
+		Keys:        vm.Threads[0].cache.Keys(),
 		ReportedAtS: vm.k.Now().Seconds(),
 	}
 	vm.metricsClient.Put(core.CacheKeysKey(vm.Name),

@@ -11,19 +11,22 @@
 // with their latency samples — the §4.5 "performance under failure"
 // figure family, and every chaos scenario after it.
 //
-// Plans are data: build them with NewPlan().At(offset, action)..., or
-// draw a randomized-but-reproducible one with RandomPlan. Every action
-// is idempotent-ish and tolerant of a cluster that changed underneath it
-// (a named VM that already died makes the action a recorded no-op), so
-// randomized plans compose safely with autoscaling.
+// Plans are data: build them with NewPlan().At(offset, action)... and
+// NewPlan().During(from, to, fault)..., or draw a
+// randomized-but-reproducible one with RandomPlan. A fault that can be
+// undone is a Healer, and During schedules it and its heal as one plan
+// entry: Apply at from, Heal at to. A crashed VM's heal is its
+// replacement (CrashVM), cold or, with Warm, with a warm cache handoff
+// (Cluster.RestartVM). Every action is idempotent-ish and tolerant of a
+// cluster that changed underneath it (a named VM that already died
+// makes the action a recorded no-op), so randomized plans compose
+// safely with autoscaling.
 //
-// Beyond the point faults, three lifecycle actions drive whole
-// state-transfer scenarios. WarmRestartVM is RestartVM with a warm cache
-// handoff: the replacement restores the dead generation's cached keys
-// from a live peer and pre-pins its functions (Cluster.WarmRestartVM).
-// RollingRestart is a composite that drains and replaces VMs one at a
-// time — each replacement must finish spinning up and get a settle
-// grace before the next VM is touched — the rolling-upgrade primitive.
+// Beyond the point faults, two composite actions drive whole
+// state-transfer scenarios. RollingRestart drains and replaces VMs one
+// at a time — each replacement must finish spinning up and get a
+// settle grace before the next VM is touched — the rolling-upgrade
+// primitive.
 // RackFailure crashes several VMs at the same instant (correlated
 // failure) and launches their replacements together after the outage.
 // Composite actions sleep inside Apply, so events scheduled after them
@@ -33,9 +36,11 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
+	"cloudburst/internal/anna"
 	"cloudburst/internal/cluster"
 	"cloudburst/internal/simnet"
 )
@@ -68,6 +73,25 @@ func (p *Plan) At(offset time.Duration, a Action) *Plan {
 	p.Events = append(p.Events, Event{At: offset, Action: a})
 	return p
 }
+
+// Healer is a fault that can be undone: Heal reverses Apply and returns
+// its own timeline entry.
+type Healer interface {
+	Action
+	Heal(inj *Injector) string
+}
+
+// During appends a fault and its heal as one unit: f applies at from and
+// heals at to. It returns the plan for chaining.
+func (p *Plan) During(from, to time.Duration, f Healer) *Plan {
+	return p.At(from, f).At(to, heal{f})
+}
+
+// heal is the second event of a During pair.
+type heal struct{ f Healer }
+
+// Apply implements Action.
+func (h heal) Apply(inj *Injector) string { return h.f.Heal(inj) }
 
 // Duration reports the offset of the last event.
 func (p *Plan) Duration() time.Duration {
@@ -116,13 +140,12 @@ type CrashAt struct {
 // Apply implements Action.
 func (a CrashAt) Apply(inj *Injector) string {
 	hookName, entity := a.Hook, a.Entity
-	heal, warm := a.HealAfter, a.Warm
+	after, warm := a.HealAfter, a.Warm
 	inj.c.Hooks().Arm(hookName, func(who string) bool {
 		if entity != "" && who != entity {
 			return false
 		}
-		inj.crashEntity(who, hookName, heal, warm)
-		return true
+		return inj.crashEntity(who, hookName, after, warm)
 	})
 	if entity == "" {
 		return "arm crash-at " + hookName
@@ -130,125 +153,82 @@ func (a CrashAt) Apply(inj *Injector) string {
 	return fmt.Sprintf("arm crash-at %s (entity %s)", hookName, entity)
 }
 
-// crashEntity is CrashAt's firing half: kill the named VM (or partition
-// the named endpoint) right now, and schedule the heal if requested.
-func (inj *Injector) crashEntity(entity, hookName string, healAfter time.Duration, warm bool) {
-	now := inj.c.K.Now()
-	if inj.liveVM(entity) {
-		inj.c.KillVM(entity)
-		inj.crashed = append(inj.crashed, entity)
-		inj.Timeline = append(inj.Timeline, Entry{At: now, Desc: "crash-at " + hookName + ": crash " + entity})
-		if healAfter > 0 {
-			// The heal counts as plan work: the plan's arm event is long done
-			// by the time the trap springs, and anything waiting on Running()
-			// must not settle between the crash and its scheduled revival.
-			inj.running++
-			inj.disp.Go("crash-at-heal", func() {
-				defer func() { inj.running-- }()
-				inj.c.K.Sleep(healAfter)
-				var repl string
-				if warm {
-					repl = inj.c.WarmRestartVM(entity)
-				} else {
-					repl = inj.c.RestartVM(entity)
-				}
-				inj.Timeline = append(inj.Timeline, Entry{
-					At:   inj.c.K.Now(),
-					Desc: fmt.Sprintf("crash-at %s: restart %s -> %s", hookName, entity, repl),
-				})
-			})
-		}
+// crashEntity is CrashAt's firing half: kill the named live VM (or
+// partition the named storage node) right now, and schedule the heal if
+// requested. It reports false, leaving the trap armed, for any other
+// entity, such as a killed VM whose processes still run.
+func (inj *Injector) crashEntity(who, hookName string, after time.Duration, warm bool) bool {
+	prefix := "crash-at " + hookName + ": "
+	if inj.kill(who) {
+		inj.log(prefix + "crash " + who)
+		inj.healAfter(after, func() string {
+			return fmt.Sprintf("%srestart %s -> %s", prefix, who, inj.c.RestartVM(who, warm))
+		})
+		return true
+	}
+	id := simnet.NodeID(who)
+	if !slices.ContainsFunc(inj.c.KV.Nodes(), func(n *anna.Node) bool { return n.ID() == id }) {
+		return false
+	}
+	inj.c.Net.SetDown(id, true)
+	inj.log(prefix + "partition " + who)
+	inj.healAfter(after, func() string {
+		inj.c.Net.SetDown(id, false)
+		return prefix + "revive " + who
+	})
+	return true
+}
+
+// healAfter runs heal d from now and logs the entry it returns; a
+// non-positive d never heals. The heal counts as plan work: the plan's
+// arm event is long done by the time a trap springs, and anything
+// waiting on Running() must not settle between the crash and its
+// scheduled revival.
+func (inj *Injector) healAfter(d time.Duration, heal func() string) {
+	if d <= 0 {
 		return
 	}
-	// Not a VM: a storage node (or other bare endpoint) — partition it.
-	id := simnet.NodeID(entity)
-	inj.c.Net.SetDown(id, true)
-	inj.Timeline = append(inj.Timeline, Entry{At: now, Desc: "crash-at " + hookName + ": partition " + entity})
-	if healAfter > 0 {
-		inj.running++
-		inj.disp.Go("crash-at-heal", func() {
-			defer func() { inj.running-- }()
-			inj.c.K.Sleep(healAfter)
-			inj.c.Net.SetDown(id, false)
-			inj.Timeline = append(inj.Timeline, Entry{At: inj.c.K.Now(), Desc: "crash-at " + hookName + ": revive " + entity})
-		})
-	}
+	inj.running++
+	inj.disp.Go("crash-at-heal", func() {
+		defer func() { inj.running-- }()
+		inj.c.K.Sleep(d)
+		inj.log(heal())
+	})
 }
 
 // CrashVM abruptly partitions a VM away (Cluster.KillVM): its processes
 // keep running but every message to or from its endpoints is dropped.
-// An empty VM picks a random live victim (never the last VM standing).
+// Its heal replaces the VM after the cluster's spin-up delay
+// (Cluster.RestartVM): new endpoints, executor threads that re-register
+// with the schedulers through the ordinary metrics path, and a cold
+// cache, or with Warm a warm one.
 type CrashVM struct {
 	VM string
+	// Warm restores the replacement's cache from a live peer and
+	// pre-pins the functions the dead generation served, so recovery
+	// skips the cold refault storm.
+	Warm bool
 }
 
 // Apply implements Action.
 func (a CrashVM) Apply(inj *Injector) string {
-	name := a.VM
-	if name == "" {
-		name = inj.pickVictim()
+	if !inj.kill(a.VM) {
+		return fmt.Sprintf("crash %s: already gone", a.VM)
 	}
-	if name == "" {
-		return "crash: no eligible VM"
-	}
-	if !inj.liveVM(name) {
-		return fmt.Sprintf("crash %s: already gone", name)
-	}
-	inj.c.KillVM(name)
-	inj.crashed = append(inj.crashed, name)
-	return "crash " + name
+	return "crash " + a.VM
 }
 
-// RestartVM replaces a crashed VM with a fresh instance after the
-// cluster's spin-up delay (Cluster.RestartVM): new endpoints, cold
-// cache, executor threads that re-register with the schedulers through
-// the ordinary metrics path. An empty VM restarts the most recently
-// crashed one.
-type RestartVM struct {
-	VM string
-}
-
-// Apply implements Action.
-func (a RestartVM) Apply(inj *Injector) string {
-	name := a.VM
-	if name == "" && len(inj.crashed) > 0 {
-		name = inj.crashed[len(inj.crashed)-1]
-		inj.crashed = inj.crashed[:len(inj.crashed)-1]
+// Heal implements Healer.
+func (a CrashVM) Heal(inj *Injector) string {
+	verb := "restart"
+	if a.Warm {
+		verb = "warm restart"
 	}
-	if name == "" {
-		return "restart: nothing crashed"
-	}
-	replacement := inj.c.RestartVM(name)
+	replacement := inj.c.RestartVM(a.VM, a.Warm)
 	if replacement == "" {
-		return fmt.Sprintf("restart %s: unknown VM", name)
+		return fmt.Sprintf("%s %s: unknown VM", verb, a.VM)
 	}
-	return fmt.Sprintf("restart %s -> %s (spin-up)", name, replacement)
-}
-
-// WarmRestartVM replaces a crashed VM with a warm replacement
-// (Cluster.WarmRestartVM): after the spin-up delay the new instance
-// restores the dead generation's cached key set from a live peer cache
-// and pre-pins the functions it served, so recovery skips the cold
-// refault storm. An empty VM restarts the most recently crashed one.
-type WarmRestartVM struct {
-	VM string
-}
-
-// Apply implements Action.
-func (a WarmRestartVM) Apply(inj *Injector) string {
-	name := a.VM
-	if name == "" && len(inj.crashed) > 0 {
-		name = inj.crashed[len(inj.crashed)-1]
-		inj.crashed = inj.crashed[:len(inj.crashed)-1]
-	}
-	if name == "" {
-		return "warm restart: nothing crashed"
-	}
-	replacement := inj.c.WarmRestartVM(name)
-	if replacement == "" {
-		return fmt.Sprintf("warm restart %s: unknown VM", name)
-	}
-	return fmt.Sprintf("warm restart %s -> %s (spin-up)", name, replacement)
+	return fmt.Sprintf("%s %s -> %s (spin-up)", verb, a.VM, replacement)
 }
 
 // RollingRestart drains and replaces VMs one at a time — the
@@ -297,7 +277,7 @@ func (a RollingRestart) Apply(inj *Injector) string {
 			continue
 		}
 		inj.c.K.Sleep(drain)
-		if inj.c.WarmRestartVM(vm) == "" {
+		if inj.c.RestartVM(vm, true) == "" {
 			continue
 		}
 		for inj.c.PendingVMs() > 0 {
@@ -349,8 +329,7 @@ func (a RackFailure) Apply(inj *Injector) string {
 	}
 	n := 0
 	for _, vm := range victims {
-		if inj.liveVM(vm) {
-			inj.c.KillVM(vm)
+		if inj.kill(vm) {
 			n++
 		}
 	}
@@ -359,14 +338,12 @@ func (a RackFailure) Apply(inj *Injector) string {
 		after = 10 * time.Second
 	}
 	inj.c.K.Sleep(after)
-	mode := "cold"
 	for _, vm := range victims {
-		if a.Warm {
-			inj.c.WarmRestartVM(vm)
-			mode = "warm"
-		} else {
-			inj.c.RestartVM(vm)
-		}
+		inj.c.RestartVM(vm, a.Warm)
+	}
+	mode := "cold"
+	if a.Warm {
+		mode = "warm"
 	}
 	return fmt.Sprintf("rack failure: %d VM(s) down %s, %s replacements launched", n, after, mode)
 }
@@ -374,7 +351,7 @@ func (a RackFailure) Apply(inj *Injector) string {
 // DegradeVM installs a simnet node policy on every endpoint of a VM —
 // Drop 1 is a transient full partition, smaller values a flaky NIC.
 // Unlike CrashVM the VM stays in the inventory, so this models network
-// trouble rather than instance loss; pair with HealVM.
+// trouble rather than instance loss. Its heal clears the policies.
 type DegradeVM struct {
 	VM     string
 	Policy simnet.LinkPolicy
@@ -392,13 +369,8 @@ func (a DegradeVM) Apply(inj *Injector) string {
 	return fmt.Sprintf("degrade %s %s", a.VM, policyString(a.Policy))
 }
 
-// HealVM clears the node policies DegradeVM installed.
-type HealVM struct {
-	VM string
-}
-
-// Apply implements Action.
-func (a HealVM) Apply(inj *Injector) string {
+// Heal implements Healer.
+func (a DegradeVM) Heal(inj *Injector) string {
 	h := inj.vmHandle(a.VM)
 	if h == nil {
 		return fmt.Sprintf("heal %s: not live", a.VM)
@@ -410,7 +382,7 @@ func (a HealVM) Apply(inj *Injector) string {
 }
 
 // DegradeNode installs a node policy on one endpoint (a scheduler, a
-// storage node, the monitor, ...); pair with HealNode.
+// storage node, the monitor, ...); its heal clears it.
 type DegradeNode struct {
 	Node   simnet.NodeID
 	Policy simnet.LinkPolicy
@@ -422,13 +394,8 @@ func (a DegradeNode) Apply(inj *Injector) string {
 	return fmt.Sprintf("degrade node %s %s", a.Node, policyString(a.Policy))
 }
 
-// HealNode clears a node policy.
-type HealNode struct {
-	Node simnet.NodeID
-}
-
-// Apply implements Action.
-func (a HealNode) Apply(inj *Injector) string {
+// Heal implements Healer.
+func (a DegradeNode) Heal(inj *Injector) string {
 	inj.c.Net.ClearNodePolicy(a.Node)
 	return fmt.Sprintf("heal node %s", a.Node)
 }
@@ -439,21 +406,17 @@ func (a HealNode) Apply(inj *Injector) string {
 // keep dispatching work to it, but the blinded control-plane shard can
 // no longer reach it directly — its pin/unpin commands and health RPCs
 // black-hole. The two shards now act on divergent views of the fleet,
-// the classic split-brain between control-plane partitions. Pair with
-// HealSplitBrain; an empty VM picks a random live victim.
+// the classic split-brain between control-plane partitions. Its heal
+// clears the link policies.
 type SplitBrain struct {
 	VM string
 }
 
 // Apply implements Action.
 func (a SplitBrain) Apply(inj *Injector) string {
-	name := a.VM
-	if name == "" {
-		name = inj.pickVictim()
-	}
-	h := inj.vmHandle(name)
+	h := inj.vmHandle(a.VM)
 	if h == nil {
-		return fmt.Sprintf("split-brain %s: not live", name)
+		return fmt.Sprintf("split-brain %s: not live", a.VM)
 	}
 	blind := inj.blindShard()
 	if len(blind) == 0 {
@@ -467,19 +430,13 @@ func (a SplitBrain) Apply(inj *Injector) string {
 			pairs = append(pairs, [2]simnet.NodeID{vid, bid})
 		}
 	}
-	inj.splitBrains[name] = pairs
-	return fmt.Sprintf("split-brain %s: blinded from %d control endpoint(s)", name, len(blind))
+	inj.splitBrains[a.VM] = pairs
+	return fmt.Sprintf("split-brain %s: blinded from %d control endpoint(s)", a.VM, len(blind))
 }
 
-// HealSplitBrain clears the link policies a SplitBrain on the same VM
-// installed. Healing a VM that was never split (or whose split-brained
-// generation has since been replaced) is a recorded no-op.
-type HealSplitBrain struct {
-	VM string
-}
-
-// Apply implements Action.
-func (a HealSplitBrain) Apply(inj *Injector) string {
+// Heal implements Healer. Healing a VM whose split was never installed
+// is a recorded no-op.
+func (a SplitBrain) Heal(inj *Injector) string {
 	pairs, ok := inj.splitBrains[a.VM]
 	if !ok {
 		return fmt.Sprintf("heal split-brain %s: none recorded", a.VM)
@@ -510,7 +467,8 @@ func (inj *Injector) blindShard() []simnet.NodeID {
 
 // DegradeLink installs a directed (or, with Symmetric, bidirectional)
 // link policy between two endpoints — the asymmetric-partition
-// primitive; pair with HealLink.
+// primitive. Its heal clears the policy (both directions with
+// Symmetric).
 type DegradeLink struct {
 	From, To  simnet.NodeID
 	Policy    simnet.LinkPolicy
@@ -528,14 +486,8 @@ func (a DegradeLink) Apply(inj *Injector) string {
 	return fmt.Sprintf("degrade link %s%s%s %s", a.From, arrow, a.To, policyString(a.Policy))
 }
 
-// HealLink clears a link policy (both directions with Symmetric).
-type HealLink struct {
-	From, To  simnet.NodeID
-	Symmetric bool
-}
-
-// Apply implements Action.
-func (a HealLink) Apply(inj *Injector) string {
+// Heal implements Healer.
+func (a DegradeLink) Heal(inj *Injector) string {
 	inj.c.Net.ClearLinkPolicy(a.From, a.To)
 	arrow := "->"
 	if a.Symmetric {
@@ -547,8 +499,8 @@ func (a HealLink) Apply(inj *Injector) string {
 
 // CrashAnnaNode partitions one storage node away (replica loss). Reads
 // ride it out through the Anna client's replica walk when the
-// replication factor covers the loss; pair with ReviveAnnaNode. Index
-// is resolved modulo the node count.
+// replication factor covers the loss; its heal reconnects the node.
+// Index is resolved modulo the node count.
 type CrashAnnaNode struct {
 	Index int
 }
@@ -563,13 +515,8 @@ func (a CrashAnnaNode) Apply(inj *Injector) string {
 	return fmt.Sprintf("crash anna replica %s", id)
 }
 
-// ReviveAnnaNode heals a storage-node partition.
-type ReviveAnnaNode struct {
-	Index int
-}
-
-// Apply implements Action.
-func (a ReviveAnnaNode) Apply(inj *Injector) string {
+// Heal implements Healer.
+func (a CrashAnnaNode) Heal(inj *Injector) string {
 	id, ok := inj.annaNode(a.Index)
 	if !ok {
 		return "revive anna: no storage nodes"
@@ -616,13 +563,14 @@ func (inj *Injector) vmHandle(name string) *cluster.VMHandle {
 	return nil
 }
 
-// pickVictim chooses a random live VM, never the last one standing.
-func (inj *Injector) pickVictim() string {
-	vms := inj.c.VMs()
-	if len(vms) < 2 {
-		return ""
+// kill crashes the named VM (Cluster.KillVM) and reports whether it was
+// live.
+func (inj *Injector) kill(vm string) bool {
+	if !inj.liveVM(vm) {
+		return false
 	}
-	return vms[inj.c.K.Rand().Intn(len(vms))].Name
+	inj.c.KillVM(vm)
+	return true
 }
 
 // annaNode resolves a storage node by index (modulo the node count).

@@ -28,7 +28,6 @@ type Injector struct {
 	// Timeline records every applied event in order.
 	Timeline []Entry
 
-	crashed     []string // stack of crashed VM names, for RestartVM{""}
 	splitBrains map[string][][2]simnet.NodeID
 	stopped     bool
 	running     int
@@ -65,8 +64,13 @@ func (inj *Injector) Run(p *Plan) {
 		if p.Name != "" {
 			desc = p.Name + ": " + desc
 		}
-		inj.Timeline = append(inj.Timeline, Entry{At: inj.c.K.Now(), Desc: desc})
+		inj.log(desc)
 	}
+}
+
+// log records desc on the timeline at the current virtual time.
+func (inj *Injector) log(desc string) {
+	inj.Timeline = append(inj.Timeline, Entry{At: inj.c.K.Now(), Desc: desc})
 }
 
 // Start runs the plan as a background daemon on the injector's

@@ -106,29 +106,19 @@ func RandomPlan(rng *rand.Rand, o RandomOpts) *Plan {
 		from, to := interval()
 		switch kinds[rng.Intn(len(kinds))] {
 		case 0:
-			vm := o.VMs[rng.Intn(len(o.VMs))]
-			p.At(from, CrashVM{VM: vm})
-			if o.AllowWarmRestart {
-				p.At(to, WarmRestartVM{VM: vm})
-			} else {
-				p.At(to, RestartVM{VM: vm})
-			}
+			p.During(from, to, CrashVM{VM: o.VMs[rng.Intn(len(o.VMs))], Warm: o.AllowWarmRestart})
 		case 1:
 			vm := o.VMs[rng.Intn(len(o.VMs))]
 			pol := degradation()
 			if rng.Intn(3) == 0 {
 				pol = simnet.LinkPolicy{Drop: 1} // transient full partition
 			}
-			p.At(from, DegradeVM{VM: vm, Policy: pol})
-			p.At(to, HealVM{VM: vm})
+			p.During(from, to, DegradeVM{VM: vm, Policy: pol})
 		case 2:
 			n := o.Nodes[rng.Intn(len(o.Nodes))]
-			p.At(from, DegradeNode{Node: n, Policy: degradation()})
-			p.At(to, HealNode{Node: n})
+			p.During(from, to, DegradeNode{Node: n, Policy: degradation()})
 		case 3:
-			idx := rng.Intn(o.AnnaNodes)
-			p.At(from, CrashAnnaNode{Index: idx})
-			p.At(to, ReviveAnnaNode{Index: idx})
+			p.During(from, to, CrashAnnaNode{Index: rng.Intn(o.AnnaNodes)})
 		case 5:
 			// Two-VM rolling restart: one VM's capacity missing at a time.
 			a, b := rng.Intn(len(o.VMs)), rng.Intn(len(o.VMs))
@@ -139,9 +129,7 @@ func RandomPlan(rng *rand.Rand, o RandomOpts) *Plan {
 		case 6:
 			p.At(from, RackFailure{Count: 2, After: 5 * time.Second, Warm: o.AllowWarmRestart})
 		case 7:
-			vm := o.VMs[rng.Intn(len(o.VMs))]
-			p.At(from, SplitBrain{VM: vm})
-			p.At(to, HealSplitBrain{VM: vm})
+			p.During(from, to, SplitBrain{VM: o.VMs[rng.Intn(len(o.VMs))]})
 		default:
 			p.At(from, DropSnapshots{})
 		}

@@ -11,13 +11,11 @@ package hook
 // callback is disarmed (one-shot).
 type Callback func(entity string) bool
 
-// Registry holds armed callbacks by hook name. All methods are safe on
-// a nil receiver (Fire is a no-op, Arm panics — arming requires a real
-// registry). The simulation kernel runs one process at a time, so no
-// locking is needed.
+// Registry holds armed callbacks by hook name. Fire is a no-op on a nil
+// receiver; Arm panics there (arming requires a real registry). The
+// simulation kernel runs one process at a time, so no locking is needed.
 type Registry struct {
 	armed map[string][]Callback
-	fired []string // fired "<hook>@<entity>" records, for tests/timelines
 }
 
 // NewRegistry returns an empty registry.
@@ -55,25 +53,5 @@ func (r *Registry) Fire(name, entity string) bool {
 	} else {
 		r.armed[name] = kept
 	}
-	if hit {
-		r.fired = append(r.fired, name+"@"+entity)
-	}
 	return hit
-}
-
-// Armed reports how many callbacks are currently armed on name.
-func (r *Registry) Armed(name string) int {
-	if r == nil {
-		return 0
-	}
-	return len(r.armed[name])
-}
-
-// Fired returns the "<hook>@<entity>" records of every fired callback,
-// in fire order (test hook).
-func (r *Registry) Fired() []string {
-	if r == nil {
-		return nil
-	}
-	return append([]string(nil), r.fired...)
 }

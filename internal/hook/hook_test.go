@@ -4,25 +4,22 @@ import "testing"
 
 func TestFireDisarmsOnce(t *testing.T) {
 	r := NewRegistry()
-	fired := 0
+	var got []string
 	r.Arm("p/cut", func(entity string) bool {
-		fired++
+		got = append(got, entity)
 		return true
 	})
-	if r.Armed("p/cut") != 1 {
-		t.Fatal("not armed")
-	}
 	if !r.Fire("p/cut", "vm0") {
 		t.Fatal("first fire should trigger")
 	}
 	if r.Fire("p/cut", "vm0") {
 		t.Fatal("second fire should be a no-op (one-shot)")
 	}
-	if fired != 1 {
-		t.Fatalf("callback ran %d times, want 1", fired)
+	if len(got) != 1 || got[0] != "vm0" {
+		t.Fatalf("callback saw %v, want [vm0]", got)
 	}
-	if got := r.Fired(); len(got) != 1 || got[0] != "p/cut@vm0" {
-		t.Fatalf("Fired() = %v", got)
+	if r.Fire("other/cut", "vm0") {
+		t.Fatal("a hook nothing armed must not trigger")
 	}
 }
 
@@ -32,11 +29,34 @@ func TestEntityFilterKeepsArmed(t *testing.T) {
 	if r.Fire("p/cut", "vm0") {
 		t.Fatal("filtered entity must not trigger")
 	}
-	if r.Armed("p/cut") != 1 {
-		t.Fatal("non-matching fire must keep the trap armed")
-	}
+	// A non-matching fire keeps the trap armed: the match still springs it.
 	if !r.Fire("p/cut", "vm1") {
 		t.Fatal("matching entity must trigger")
+	}
+	if r.Fire("p/cut", "vm1") {
+		t.Fatal("a sprung trap must be disarmed")
+	}
+}
+
+func TestCallbacksFireInArmOrder(t *testing.T) {
+	r := NewRegistry()
+	var order []int
+	for i := 0; i < 3; i++ {
+		r.Arm("p/cut", func(string) bool {
+			order = append(order, i)
+			return true
+		})
+	}
+	for range 3 {
+		if !r.Fire("p/cut", "vm0") {
+			t.Fatal("an armed callback did not trigger")
+		}
+	}
+	if r.Fire("p/cut", "vm0") {
+		t.Fatal("every callback was one-shot")
+	}
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("fire order %v, want [0 1 2]", order)
 	}
 }
 
@@ -44,11 +64,5 @@ func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
 	if r.Fire("p/cut", "vm0") {
 		t.Fatal("nil registry must never trigger")
-	}
-	if r.Armed("p/cut") != 0 {
-		t.Fatal("nil registry is never armed")
-	}
-	if got := r.Fired(); got != nil {
-		t.Fatalf("nil registry Fired() = %v", got)
 	}
 }

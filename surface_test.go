@@ -32,8 +32,6 @@ func TestExportedSurface(t *testing.T) {
 		"executor.Ctx.RecvWait",
 		"executor.Registry.Names",
 		"executor.Thread.MemoHits",
-		"hook.Registry.Armed",
-		"hook.Registry.Fired",
 		"lattice.GuardPayloads",
 		"lattice.VerifyPayloads",
 		"monitor.Monitor.PinnedThreads",
