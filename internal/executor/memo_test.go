@@ -59,3 +59,27 @@ func TestDecodeVersionedMemoKeys(t *testing.T) {
 		t.Fatalf("memoHits after digest-free reads = %d, want 2", th.memoHits)
 	}
 }
+
+// TestMemoDoesNotConfuseCollidingClocks reads two causal versions of one
+// key whose clocks differ only by both writers advancing one step; each
+// must decode to its own payload, not the other's memoized value.
+func TestMemoDoesNotConfuseCollidingClocks(t *testing.T) {
+	th := &Thread{memo: make(map[memoKey]any)}
+	older := codec.MustEncode("older")
+	newer := codec.MustEncode("newer")
+	capOld := lattice.NewCausal(lattice.VectorClock{"exec-vm3-0": 1, "exec-vm3-1": 1, "preload": 1687}, nil, older)
+	capNew := lattice.NewCausal(lattice.VectorClock{"exec-vm3-0": 2, "exec-vm3-1": 2, "preload": 1687}, nil, newer)
+	for _, c := range []struct {
+		cap  *lattice.Causal
+		data []byte
+		want string
+	}{{capOld, older, "older"}, {capNew, newer, "newer"}} {
+		v, err := th.decodeVersioned("rt/timeline/121", core.VersionRef{VC: c.cap.VC(), VCD: c.cap.Digest()}, c.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.(string) != c.want {
+			t.Fatalf("decoded %q, want %q", v, c.want)
+		}
+	}
+}

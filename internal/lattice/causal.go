@@ -184,12 +184,12 @@ func canonicalIndex(vs []Version, v Version) int {
 	return at
 }
 
-// Digest returns a canonical 64-bit key identifying the capsule's exact
-// sibling set: each version's clock digest is mixed and combined
-// commutatively. Since a vector clock names one write (its writer ticked
-// its own slot), equal digests mean equal sibling sets and therefore an
-// identical DisplayValue — which is what lets timestamp-free causal
-// versions join the executor's decoded-value memo.
+// Digest returns a canonical 64-bit key for the capsule's exact sibling
+// set: each version's clock digest is mixed and combined commutatively.
+// Since a vector clock names one write (its writer ticked its own slot),
+// equal sibling sets mean an identical DisplayValue, and distinct sets
+// collide only as rarely as two 64-bit hashes do — which is what lets
+// timestamp-free causal versions join the executor's decoded-value memo.
 func (c *Causal) Digest() uint64 {
 	var h uint64
 	for _, v := range c.Versions {
