@@ -258,10 +258,14 @@
 // The request path above it computes per request only what is per
 // request. A scheduler picks executors from its view of the compute tier
 // (§4.3's local index), rebuilt once per metrics poll: the threads with a
-// fresh report as an ascending slice of records, the backpressure-filtered
-// candidate pools (every thread's, and each function's pinned threads'),
-// and an index from each key a cache advertises to the VMs holding it. A
-// pick walks those slices and allocates nothing, and client routing to a
+// fresh report as an ascending slice of records and the
+// backpressure-filtered candidate pools (every thread's, and each
+// function's pinned threads'). Beside them sits an index from each key a
+// cache advertises to the VMs holding it. A cache keeps its key set
+// sorted and merges in only the keys that entered or left, and the index
+// moves by each new report's difference from the last, so the key-set
+// plane costs what changed, not what is cached. A pick walks those slices
+// and allocates nothing, and client routing to a
 // scheduler shard allocates nothing either. A DAG's parents, children and
 // sources are computed once, when its decoded topology is cached
 // (dag.Index). Session metadata exists only in the modes that read it:

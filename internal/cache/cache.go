@@ -110,9 +110,12 @@ type Cache struct {
 	// exact capsule read (or written) by this DAG at this cache.
 	snapshots map[string]map[string]lattice.Lattice
 
-	// Pending keyset delta for the next publication round.
-	added   map[string]bool
-	removed map[string]bool
+	// keys is the store's key set in ascending order as Keys last lent it,
+	// and spare the buffer its next change merges into. keysChurn holds the
+	// keys whose membership changed since that call, deltaChurn those since
+	// keysetTick last published the delta to Anna.
+	keys, spare           []string
+	keysChurn, deltaChurn churn
 
 	// wbq is the asynchronous write-back queue to Anna: writes are
 	// acknowledged locally and merged into the KVS in the background
@@ -146,8 +149,6 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, vm string, cfg C
 		mu:        vtime.NewMutex(k),
 		store:     make(map[string]lattice.Lattice),
 		snapshots: make(map[string]map[string]lattice.Lattice),
-		added:     make(map[string]bool),
-		removed:   make(map[string]bool),
 		wbq:       vtime.NewChan[wbItem](k, -1),
 		wbName:    string(ep.ID()) + "/wb",
 		spans:     cfg.Trace,
@@ -286,46 +287,101 @@ func (c *Cache) mergeLocked(key string, lat lattice.Lattice) {
 		return
 	}
 	c.store[key] = lat
-	c.added[key] = true
-	delete(c.removed, key)
+	c.keysChurn.add(key)
+	c.deltaChurn.add(key)
+}
+
+// churn is a set of keys whose membership in the store changed since it
+// was last drained. Whether a key entered or left is read off the store
+// at the drain: its last change decides, so a key added then evicted
+// counts as removed and one evicted then re-added as added.
+type churn struct {
+	set  map[string]struct{}
+	list []string // drain's output, reused by the next drain
+}
+
+func (ch *churn) add(key string) {
+	if ch.set == nil {
+		ch.set = make(map[string]struct{})
+	}
+	ch.set[key] = struct{}{}
+}
+
+// drain returns the set's keys in ascending order, valid until the next
+// drain, and empties the set. Its storage is kept for the next drain
+// unless this one held more than a quarter of stored keys: a burst (a
+// VM's warm-up filling 1,000 keys at once) is not held for the cache's
+// lifetime.
+func (ch *churn) drain(stored int) []string {
+	out := ch.list[:0]
+	for k := range ch.set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	if len(out) > stored/4 {
+		ch.set, ch.list = nil, nil
+	} else {
+		clear(ch.set)
+		ch.list = out
+	}
+	return out
 }
 
 // keysetTick publishes the cached-keyset delta to Anna so storage nodes
 // can maintain the key→cache index (§4.2).
 func (c *Cache) keysetTick() {
 	c.mu.Lock()
-	if len(c.added) == 0 && len(c.removed) == 0 {
-		c.mu.Unlock()
-		return
-	}
-	added := setToSlice(c.added)
-	removed := setToSlice(c.removed)
-	c.added = make(map[string]bool)
-	c.removed = make(map[string]bool)
+	added, removed := c.takeDelta()
 	c.mu.Unlock()
-	c.anna.PublishKeyset(c.ep.ID(), added, removed)
-}
-
-func setToSlice(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+	if len(added) > 0 || len(removed) > 0 {
+		c.anna.PublishKeyset(c.ep.ID(), added, removed)
 	}
-	sort.Strings(out)
-	return out
 }
 
-// Keys returns the currently cached key set (for metrics publication and
-// the scheduler's locality index).
+// takeDelta drains the keyset delta: the keys that entered the store
+// since the last drain and the keys that left it, each ascending. added
+// is the churn's scratch, valid until the next drain (PublishKeyset
+// copies what it sends). Caller holds mu.
+func (c *Cache) takeDelta() (added, removed []string) {
+	changed := c.deltaChurn.drain(len(c.store))
+	added = changed[:0]
+	for _, k := range changed {
+		if _, ok := c.store[k]; ok {
+			added = append(added, k)
+		} else {
+			removed = append(removed, k)
+		}
+	}
+	return added, removed
+}
+
+// Keys returns the cached key set in ascending order, for metrics
+// publication and the warm-restart seed. The slice is lent: it stays
+// valid until the next call to Keys, which may reuse its storage, so a
+// caller encodes or copies it at once. An unchanged set costs nothing; a
+// changed one merges the keys that entered or left since the last call
+// into the held list, O(N + c log c) for c changed keys, into the other
+// of two buffers.
 func (c *Cache) Keys() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.store))
-	for k := range c.store {
-		out = append(out, k)
+	if len(c.keysChurn.set) == 0 {
+		return c.keys
 	}
-	sort.Strings(out)
-	return out
+	out, was := c.spare[:0], c.keys
+	for _, k := range c.keysChurn.drain(len(c.store)) {
+		for len(was) > 0 && was[0] < k {
+			out, was = append(out, was[0]), was[1:]
+		}
+		if len(was) > 0 && was[0] == k {
+			was = was[1:]
+		}
+		if _, ok := c.store[k]; ok {
+			out = append(out, k)
+		}
+	}
+	c.keys, c.spare = append(out, was...), c.keys
+	return c.keys
 }
 
 // Contains reports whether key is cached (test hook).
@@ -349,8 +405,8 @@ func (c *Cache) Evict(key string) {
 	c.mu.Lock()
 	if _, ok := c.store[key]; ok {
 		delete(c.store, key)
-		c.removed[key] = true
-		delete(c.added, key)
+		c.keysChurn.add(key)
+		c.deltaChurn.add(key)
 	}
 	c.mu.Unlock()
 }
@@ -417,11 +473,10 @@ func (c *Cache) Prefetch(keys []string) {
 // per-key fill would install it — in the causal modes every restored
 // capsule maintains the local causal cut. Keys the peer lacks (or that
 // arrive after the peer becomes unreachable) are left to the ordinary
-// cold refault path. Returns the number of keys restored.
+// cold refault path. keys must be ascending, as Keys returns them: they
+// are fetched in that order. Returns the number of keys restored.
 func (c *Cache) WarmFill(peer simnet.NodeID, keys []string) (filled int) {
-	sorted := append([]string(nil), keys...)
-	sort.Strings(sorted)
-	for _, k := range sorted {
+	for _, k := range keys {
 		c.mu.Lock()
 		_, have := c.store[k]
 		c.mu.Unlock()

@@ -99,8 +99,11 @@ type memoKey struct {
 	vcd uint64
 }
 
-// memoMax bounds the decoded-value memo; when full, the memo resets
-// (the workloads' hot sets are far smaller than this).
+// memoMax bounds each thread's decoded-value memo; when full, the memo
+// resets. The memo pays off only while a thread's recent reads fit in it:
+// a workload reading across far more keys, such as autoscale-spike's 50k
+// resident keys or fig7's 1M, cycles through resets. The bound caps the
+// memo's memory, not its hit rate.
 const memoMax = 512
 
 // join accumulates a fan-in function's inputs until every parent

@@ -166,6 +166,7 @@ func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
 	}
 	var singleWinner, allTie, multiTie, excluded, randomPicks int
 	var reentries, retained, inserted int
+	var entered, left, vmSetChanges int
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		random := seed%5 == 0
@@ -233,6 +234,26 @@ func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
 				}
 			}
 			got.setKeys([]core.CacheMetrics{{VM: vm, Keys: list}})
+			checkIndex(t, got)
+			want.cacheKeys[vm] = set
+		}
+		// A small delta: 1-3 keys enter or leave one VM's last list.
+		nudge := func(vm string) {
+			set := maps.Clone(want.cacheKeys[vm])
+			if set == nil {
+				set = make(map[string]bool)
+			}
+			for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+				if k := keys[rng.Intn(len(keys))]; set[k] {
+					delete(set, k)
+					left++
+				} else {
+					set[k] = true
+					entered++
+				}
+			}
+			got.setKeys([]core.CacheMetrics{{VM: vm, Keys: slices.Sorted(maps.Keys(set))}})
+			checkIndex(t, got)
 			want.cacheKeys[vm] = set
 		}
 		apply := func(reports []core.ExecutorMetrics) {
@@ -248,7 +269,12 @@ func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
 				retained++
 			}
 			want.refresh(reports)
+			vmsBefore := slices.Clone(got.view.vms)
 			got.setThreads(slices.Clone(reports))
+			if len(reports) > 0 && !slices.Equal(vmsBefore, got.view.vms) {
+				vmSetChanges++
+			}
+			checkIndex(t, got)
 		}
 		for _, vm := range vms {
 			if rng.Intn(4) != 0 {
@@ -269,6 +295,7 @@ func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
 						again = append(again, core.CacheMetrics{VM: vm, Keys: list})
 					}
 					got.setKeys(again)
+					checkIndex(t, got)
 				}
 			case 1: // an empty poll changes nothing
 				apply(nil)
@@ -286,6 +313,8 @@ func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
 					got.addPin("f", tgt)
 					inserted++
 				}
+			case 3: // a cache publishes a few keys in or out
+				nudge(vms[rng.Intn(len(vms))])
 			}
 
 			var args []core.Arg
@@ -338,10 +367,119 @@ func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
 		"single-winner": singleWinner, "all-tie": allTie, "partial-tie": multiTie,
 		"exclude": excluded, "random-policy": randomPicks,
 		"re-entry with a stamp": reentries, "pins retained": retained, "pin inserted": inserted,
+		"key entered": entered, "key left": left, "VM set change": vmSetChanges,
 	} {
 		if n == 0 {
 			t.Errorf("coverage: no %s case", name)
 		}
+	}
+}
+
+// rebuiltIndex is the view's key index built from scratch, as the
+// scheduler built it before the index moved by difference: every key its
+// VMs last advertised, each VM's bit set, in fresh storage.
+func rebuiltIndex(s *Scheduler) (map[string]int, []uint64) {
+	v := &s.view
+	words := (len(v.vms) + 63) / 64
+	holders := make(map[string]int)
+	var bits []uint64
+	for vm, name := range v.vms {
+		for _, k := range s.cacheKeys[name] {
+			o, ok := holders[k]
+			if !ok {
+				o = len(bits)
+				holders[k] = o
+				bits = append(bits, make([]uint64, words)...)
+			}
+			bits[o+vm/64] |= 1 << (vm % 64)
+		}
+	}
+	return holders, bits
+}
+
+// checkIndex holds the view's key index to rebuiltIndex key by key: the
+// same keys, each with the same VM bits (offsets may differ), and every
+// other bitset in storage all zero and on the free list.
+func checkIndex(t *testing.T, s *Scheduler) {
+	t.Helper()
+	v := &s.view
+	words := (len(v.vms) + 63) / 64
+	holders, bits := rebuiltIndex(s)
+	if len(v.holders) != len(holders) {
+		t.Fatalf("index holds %d keys, a rebuild %d", len(v.holders), len(holders))
+	}
+	for k, o := range holders {
+		g, ok := v.holders[k]
+		if !ok {
+			t.Fatalf("index lacks %q", k)
+		}
+		if !slices.Equal(v.bits[g:g+words], bits[o:o+words]) {
+			t.Fatalf("%q: index bits %x, a rebuild's %x", k, v.bits[g:g+words], bits[o:o+words])
+		}
+	}
+	if words > 0 && len(v.bits) != (len(v.holders)+len(v.free))*words {
+		t.Fatalf("index storage %d words, want %d keys and %d free offsets of %d", len(v.bits), len(v.holders), len(v.free), words)
+	}
+	for _, o := range v.free {
+		if slices.ContainsFunc(v.bits[o:o+words], func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("free offset %d has bits set", o)
+		}
+	}
+}
+
+// TestKeyIndexDeltaAllocations: a cache's new key list moves the index by
+// its difference, so what a publication costs follows the keys that
+// entered or left, not the keys held. A list one key shorter than the
+// last allocates nothing; one key longer allocates the index's copy of the
+// name, the same at 1,000 and at 10,000 keys. (Rebuilding the index made
+// a map and bitsets sized by every key.)
+func TestKeyIndexDeltaAllocations(t *testing.T) {
+	const steps = 100
+	added := map[int]float64{}
+	for _, n := range []int{1000, 10000} {
+		s := pickScheduler(1, false)
+		var reports []core.ExecutorMetrics
+		for v := 0; v < 4; v++ {
+			vm := fmt.Sprintf("vm%d", v)
+			reports = append(reports, core.ExecutorMetrics{Thread: simnet.NodeID("exec-" + vm), VM: vm})
+			s.cacheKeys[vm] = []string{"shared"}
+		}
+		s.setThreads(reports)
+		full := make([]string, n)
+		for i := range full {
+			full[i] = fmt.Sprintf("vm0/key%05d", i)
+		}
+		// list(i) is full without its first i keys: each step one key
+		// leaves (or, walked back, enters), in a slice of its own.
+		list := func(i int) []core.CacheMetrics { return []core.CacheMetrics{{VM: "vm0", Keys: full[i:]}} }
+		lists := make([][]core.CacheMetrics, steps+2)
+		for i := range lists {
+			lists[i] = list(i)
+		}
+		s.setKeys(list(0))
+		s.setKeys(lists[steps+1]) // warm the free list to the steps' depth
+		s.setKeys(list(0))
+		i := 0
+		if got := testing.AllocsPerRun(steps, func() {
+			i++
+			s.setKeys(lists[i])
+		}); got != 0 {
+			t.Errorf("%d keys: one key out allocates %.1f times, want 0", n, got)
+		}
+		checkIndex(t, s)
+		added[n] = testing.AllocsPerRun(steps, func() {
+			i--
+			s.setKeys(lists[i])
+		})
+		checkIndex(t, s)
+		if len(s.view.holders) != n+1 {
+			t.Fatalf("%d keys: index holds %d after the walk back", n, len(s.view.holders))
+		}
+		s.k.Stop()
+	}
+	t.Logf("one key in allocates %.1f times at 1,000 keys, %.1f at 10,000", added[1000], added[10000])
+	if added[1000] != added[10000] || added[1000] > 1 {
+		t.Errorf("one key in allocates %.1f times at 1,000 keys and %.1f at 10,000, want the same, at most 1", added[1000], added[10000])
 	}
 }
 

@@ -7,13 +7,15 @@
 // hot data, §4.3); a random policy exists for the locality ablation.
 //
 // §4.3's "local index" is the scheduler's view: once per metrics poll it
-// turns the executors' and caches' published metrics into an ascending
-// slice of thread records (id, VM index, utilization), the
+// turns the executors' published metrics into an ascending slice of
+// thread records (id, VM index, utilization) and the
 // backpressure-filtered candidate pools — every thread's and each
-// function's pinned threads' — and an index from each advertised key to
-// the VMs whose caches hold it. A pick then walks precomputed slices,
-// compares VM indices and reads one map entry per referenced key; it reads
-// no per-thread map and allocates nothing.
+// function's pinned threads'. It also keeps an index from each advertised
+// key to the VMs whose caches hold it, which moves by difference: a
+// cache's new key set flips the bits of only the keys that entered or
+// left it. A pick then walks precomputed slices, compares VM indices and
+// reads one map entry per referenced key; it reads no per-thread map and
+// allocates nothing.
 //
 // Schedulers also own the compute tier's fault-tolerance story (§4.5):
 // every request — a registered DAG or a bare Invoke, which is the DAG of
@@ -30,6 +32,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"cloudburst/internal/anna"
@@ -140,8 +143,10 @@ const (
 	maxAliveExtensions = 3
 )
 
-// view is the scheduler's local index of the compute tier (§4.3), rebuilt
-// from the published metrics once per poll and read by every pick.
+// view is the scheduler's local index of the compute tier (§4.3), read by
+// every pick. Its threads and pools are rebuilt from the published metrics
+// once per poll; its key index moves by each cache's published difference
+// and is rebuilt only when the set of VMs changes.
 type view struct {
 	// threads holds one record per thread with a fresh report, ascending by
 	// id; a pool is a list of indices into it, so it is ascending too.
@@ -150,10 +155,12 @@ type view struct {
 	// caches last advertised: holders[key] is the offset in bits of a
 	// bitset over VM indices (bit b of word w is vms[64w+b]) marking the
 	// VMs that hold it, so scoring a reference against every VM is one
-	// map read.
+	// map read. A key leaves holders when its bitset empties, and free
+	// lists the offsets of such all-zero bitsets for the next key to take.
 	vms     []string
 	holders map[string]int
 	bits    []uint64
+	free    []int
 	// all lists every thread, and pool is all after backpressure: the
 	// candidates of a pick with no pins and nothing to exclude.
 	all, pool []int
@@ -281,8 +288,10 @@ type Scheduler struct {
 	funcs map[string]bool
 	// view is what pickExecutor reads; cacheKeys and pins are what it is
 	// built from, kept across polls. cacheKeys maps each VM that ever
-	// published to the keys it last advertised (a VM that stops publishing
-	// keeps them); the slices are decoded metrics, shared read-only. pins
+	// published to the keys it last advertised, ascending (a VM that stops
+	// publishing keeps them); the slices are decoded metrics, shared
+	// read-only, and the view's key index holds exactly the union of its
+	// VMs' lists. pins
 	// maps each function to the threads pinned with it, ascending, as last
 	// reported or registered here; a function no report mentions keeps its
 	// last list.
@@ -856,7 +865,7 @@ func (s *Scheduler) setThreads(reports []core.ExecutorMetrics) {
 	v.pool = backpressure(v.all, v.healthy(nil, v.all))
 	if !slices.Equal(vms, v.vms) {
 		v.vms = vms
-		s.syncKeys()
+		s.indexKeys()
 	}
 	v.pinned = make(map[string]pinPool, len(s.pins))
 	for fn := range s.pins {
@@ -864,42 +873,85 @@ func (s *Scheduler) setThreads(reports []core.ExecutorMetrics) {
 	}
 }
 
-// setKeys takes one poll's cache key-set reports and re-indexes the
-// view's keys if any VM advertised a new list. An unchanged publication
-// is the very slice the last poll stored (the decode cache hands every
-// poll the same value until the VM publishes again), so the index is
-// rebuilt once per publication, not once per poll.
+// setKeys takes one poll's cache key-set reports and moves the view's
+// key index by each new list's difference from the last. An unchanged
+// publication is the very slice the last poll stored (the decode cache
+// hands every poll the same value until the VM publishes again), so the
+// index moves once per publication, not once per poll.
 func (s *Scheduler) setKeys(reports []core.CacheMetrics) {
-	changed := false
 	for _, cm := range reports {
-		if old := s.cacheKeys[cm.VM]; len(old) != len(cm.Keys) || len(old) > 0 && &old[0] != &cm.Keys[0] {
-			s.cacheKeys[cm.VM] = cm.Keys
-			changed = true
+		old := s.cacheKeys[cm.VM]
+		if len(old) == len(cm.Keys) && (len(old) == 0 || &old[0] == &cm.Keys[0]) {
+			continue
 		}
-	}
-	if changed {
-		s.syncKeys()
+		s.cacheKeys[cm.VM] = cm.Keys
+		if vm := slices.Index(s.view.vms, cm.VM); vm >= 0 {
+			s.view.moveKeys(vm, old, cm.Keys)
+		}
 	}
 }
 
-// syncKeys rebuilds the view's key index from the keys each of its VMs
-// last advertised.
-func (s *Scheduler) syncKeys() {
+// indexKeys rebuilds the view's key index, in its reused storage, from
+// the keys each of its VMs last advertised: each VM's list moves in from
+// an empty one.
+func (s *Scheduler) indexKeys() {
 	v := &s.view
-	words := (len(v.vms) + 63) / 64
-	v.holders = make(map[string]int, len(v.holders))
-	v.bits = nil
+	if v.holders == nil {
+		v.holders = make(map[string]int)
+	}
+	clear(v.holders)
+	v.bits, v.free = v.bits[:0], v.free[:0]
 	for vm, name := range v.vms {
-		for _, k := range s.cacheKeys[name] {
-			o, ok := v.holders[k]
-			if !ok {
-				o = len(v.bits)
-				v.holders[k] = o
-				v.bits = append(v.bits, make([]uint64, words)...)
-			}
-			v.bits[o+vm/64] |= 1 << (vm % 64)
+		v.moveKeys(vm, nil, s.cacheKeys[name])
+	}
+}
+
+// moveKeys moves VM vm's bits in the key index from the keys of was to
+// those of now, both ascending: one merge walk sets the bit of each key
+// only now holds and clears the bit of each key only was holds.
+func (v *view) moveKeys(vm int, was, now []string) {
+	for len(was) > 0 || len(now) > 0 {
+		switch {
+		case len(now) == 0 || len(was) > 0 && was[0] < now[0]:
+			v.unhold(was[0], vm)
+			was = was[1:]
+		case len(was) == 0 || now[0] < was[0]:
+			v.hold(now[0], vm)
+			now = now[1:]
+		default:
+			was, now = was[1:], now[1:]
 		}
 	}
+}
+
+// hold sets vm's bit for key, indexing the key first if no VM held it.
+// The index keeps its own copy of the name: a decoded list's strings
+// share one buffer per publication, which must not outlive it.
+func (v *view) hold(key string, vm int) {
+	o, ok := v.holders[key]
+	if !ok {
+		if n := len(v.free); n > 0 {
+			o, v.free = v.free[n-1], v.free[:n-1]
+		} else {
+			o = len(v.bits)
+			v.bits = append(v.bits, make([]uint64, (len(v.vms)+63)/64)...)
+		}
+		v.holders[strings.Clone(key)] = o
+	}
+	v.bits[o+vm/64] |= 1 << (vm % 64)
+}
+
+// unhold clears vm's bit for key, dropping the key once no VM holds it.
+func (v *view) unhold(key string, vm int) {
+	o := v.holders[key]
+	v.bits[o+vm/64] &^= 1 << (vm % 64)
+	for _, w := range v.bits[o : o+(len(v.vms)+63)/64] {
+		if w != 0 {
+			return
+		}
+	}
+	delete(v.holders, key)
+	v.free = append(v.free, o)
 }
 
 // indexPins rebuilds fn's pinned candidates in the view from pins.
