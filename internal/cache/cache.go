@@ -18,6 +18,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -110,11 +111,10 @@ type Cache struct {
 	// exact capsule read (or written) by this DAG at this cache.
 	snapshots map[string]map[string]lattice.Lattice
 
-	// keys is the store's key set in ascending order as Keys last lent it,
-	// and spare the buffer its next change merges into. keysChurn holds the
-	// keys whose membership changed since that call, deltaChurn those since
-	// keysetTick last published the delta to Anna.
-	keys, spare           []string
+	// keys is the store's key set in ascending order as Keys last lent it.
+	// keysChurn holds the keys whose membership changed since that call,
+	// deltaChurn those since keysetTick last published the delta to Anna.
+	keys                  []string
 	keysChurn, deltaChurn churn
 
 	// wbq is the asynchronous write-back queue to Anna: writes are
@@ -357,31 +357,49 @@ func (c *Cache) takeDelta() (added, removed []string) {
 
 // Keys returns the cached key set in ascending order, for metrics
 // publication and the warm-restart seed. The slice is lent: it stays
-// valid until the next call to Keys, which may reuse its storage, so a
-// caller encodes or copies it at once. An unchanged set costs nothing; a
-// changed one merges the keys that entered or left since the last call
-// into the held list, O(N + c log c) for c changed keys, into the other
-// of two buffers.
+// valid until the next call to Keys, which may rewrite it in place, so a
+// caller encodes or copies it at once. An unchanged set costs nothing. A
+// changed one is updated in place by the keys that entered or left since
+// the last call: O(N + c log c) for c changed keys, never a sort of the
+// whole set.
 func (c *Cache) Keys() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.keysChurn.set) == 0 {
 		return c.keys
 	}
-	out, was := c.spare[:0], c.keys
-	for _, k := range c.keysChurn.drain(len(c.store)) {
-		for len(was) > 0 && was[0] < k {
-			out, was = append(out, was[0]), was[1:]
+	// A forward pass drops the keys that left and gathers those that
+	// entered at the front of the churn list; both write at or behind
+	// where they read. A backward pass then merges the entered keys in.
+	changed := c.keysChurn.drain(len(c.store))
+	old, kept, entered := c.keys, c.keys[:0], changed[:0]
+	for _, k := range changed {
+		for len(old) > 0 && old[0] < k {
+			kept, old = append(kept, old[0]), old[1:]
 		}
-		if len(was) > 0 && was[0] == k {
-			was = was[1:]
+		held := len(old) > 0 && old[0] == k
+		if held {
+			old = old[1:]
 		}
-		if _, ok := c.store[k]; ok {
-			out = append(out, k)
+		_, stored := c.store[k]
+		switch {
+		case stored && held:
+			kept = append(kept, k)
+		case stored:
+			entered = append(entered, k)
 		}
 	}
-	c.keys, c.spare = append(out, was...), c.keys
-	return c.keys
+	kept = append(kept, old...)
+	i, j := len(kept)-1, len(entered)-1
+	keys := slices.Grow(kept, len(entered))[:len(kept)+len(entered)]
+	for ; j >= 0; j-- {
+		for ; i >= 0 && keys[i] > entered[j]; i-- {
+			keys[i+j+1] = keys[i]
+		}
+		keys[i+j+1] = entered[j]
+	}
+	c.keys = keys
+	return keys
 }
 
 // Contains reports whether key is cached (test hook).

@@ -290,11 +290,10 @@ type Scheduler struct {
 	// built from, kept across polls. cacheKeys maps each VM that ever
 	// published to the keys it last advertised, ascending (a VM that stops
 	// publishing keeps them); the slices are decoded metrics, shared
-	// read-only, and the view's key index holds exactly the union of its
-	// VMs' lists. pins
-	// maps each function to the threads pinned with it, ascending, as last
-	// reported or registered here; a function no report mentions keeps its
-	// last list.
+	// read-only, and the view's key index holds exactly its VMs' lists.
+	// pins maps each function to the threads pinned with it, ascending, as
+	// last reported or registered here; a function no report mentions
+	// keeps its last list.
 	view      view
 	cacheKeys map[string][]string
 	pins      map[string][]simnet.NodeID
@@ -865,7 +864,7 @@ func (s *Scheduler) setThreads(reports []core.ExecutorMetrics) {
 	v.pool = backpressure(v.all, v.healthy(nil, v.all))
 	if !slices.Equal(vms, v.vms) {
 		v.vms = vms
-		s.indexKeys()
+		s.syncKeys()
 	}
 	v.pinned = make(map[string]pinPool, len(s.pins))
 	for fn := range s.pins {
@@ -891,10 +890,10 @@ func (s *Scheduler) setKeys(reports []core.CacheMetrics) {
 	}
 }
 
-// indexKeys rebuilds the view's key index, in its reused storage, from
+// syncKeys rebuilds the view's key index, in its reused storage, from
 // the keys each of its VMs last advertised: each VM's list moves in from
 // an empty one.
-func (s *Scheduler) indexKeys() {
+func (s *Scheduler) syncKeys() {
 	v := &s.view
 	if v.holders == nil {
 		v.holders = make(map[string]int)
