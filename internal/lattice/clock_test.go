@@ -84,8 +84,7 @@ func (vc VectorClock) Digest() uint64 {
 		e *= 0xFF51AFD7ED558CCD
 		e ^= e >> 33
 		e *= 0xC4CEB9FE1A85EC53
-		e ^= e >> 33
-		h += e
+		h += e ^ e>>33
 	}
 	return h
 }

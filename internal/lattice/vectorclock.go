@@ -218,40 +218,33 @@ func joinAll(vs []Version) Clock {
 }
 
 // Digest returns a canonical 64-bit key for the clock: entries are
-// hashed individually (FNV-1a over the id and counter, then an avalanche
-// finalizer) and summed, so the digest is the one the map form has,
-// without allocating. The finalizer matters: a small counter's FNV-1a
-// hash is linear in state^n, so without it two writers advancing by the
-// same step can cancel in the sum. A digest is a hash, not a name: two
-// distinct clocks collide rarely but can. It keys hash-keyed caches (the
-// executor's decoded-value memo), never a correctness-critical comparison.
+// hashed individually (FNV-1a over the id and counter, then murmur3's
+// fmix64 finalizer) and summed, so the digest is the one the map form
+// has, without allocating. The finalizer matters: a small counter's
+// FNV-1a hash is linear in state^n, so without it two writers advancing
+// by the same step can cancel in the sum. Two distinct clocks collide
+// only as rarely as two 64-bit hashes do; the digest names a version in
+// hash-keyed caches (the executor's decoded-value memo), not in
+// correctness-critical comparisons.
 func (c Clock) Digest() uint64 {
 	var h uint64
 	for _, x := range c.e {
-		h += entryDigest(x.id, x.n)
+		e := uint64(14695981039346656037) // FNV-1a offset basis
+		for i := 0; i < len(x.id); i++ {
+			e ^= uint64(x.id[i])
+			e *= 1099511628211
+		}
+		for s := 0; s < 64; s += 8 {
+			e ^= (x.n >> s) & 0xff
+			e *= 1099511628211
+		}
+		e ^= e >> 33
+		e *= 0xFF51AFD7ED558CCD
+		e ^= e >> 33
+		e *= 0xC4CEB9FE1A85EC53
+		h += e ^ e>>33
 	}
 	return h
-}
-
-// entryDigest hashes one (id, counter) entry: FNV-1a over the id and the
-// counter's eight bytes, then murmur3's fmix64 so every input bit moves
-// every output bit before the commutative sum.
-func entryDigest(id string, n uint64) uint64 {
-	e := uint64(14695981039346656037) // FNV-1a offset basis
-	for i := 0; i < len(id); i++ {
-		e ^= uint64(id[i])
-		e *= 1099511628211
-	}
-	for s := 0; s < 64; s += 8 {
-		e ^= (n >> s) & 0xff
-		e *= 1099511628211
-	}
-	e ^= e >> 33
-	e *= 0xFF51AFD7ED558CCD
-	e ^= e >> 33
-	e *= 0xC4CEB9FE1A85EC53
-	e ^= e >> 33
-	return e
 }
 
 // ByteSize estimates serialized size: each entry is an id plus an 8-byte
