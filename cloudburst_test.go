@@ -1069,37 +1069,44 @@ func TestIsolatedSchedulerDrainsAfterPartitionHeals(t *testing.T) {
 }
 
 func TestCausalDecodeMemoHitsOnRepeatedReads(t *testing.T) {
-	// The executor's decoded-value memo extends to causal modes via the
-	// capsule digest key: repeated reads of an unchanged causal capsule
-	// must decode once per thread and hit the memo afterwards.
+	// Executors decode causal reads through the cluster's one decode
+	// cache, named by capsule digest: concurrent reads of an unchanged
+	// capsule on threads of several VMs all get the one decoded value.
 	cfg := DefaultConfig()
 	cfg.Mode = Causal
 	c := testCluster(t, cfg)
+	decoded := map[*any]bool{}
+	vms := map[string]bool{}
 	if err := c.RegisterFunction("readkey", func(ctx *Ctx, args []any) (any, error) {
-		return args[0], nil
+		v := args[0].([]any)
+		decoded[&v[0]] = true
+		thread, _, _ := strings.Cut(ctx.ID(), "#")
+		vms[thread[:strings.LastIndexByte(thread, '-')]] = true
+		return v[0], nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	threads := c.Internal().ThreadCount()
 	c.Run(func(cl *Client) {
-		if err := cl.Put("memo-key", "memo-payload"); err != nil {
+		if err := cl.Put("memo-key", []any{"memo-payload"}); err != nil {
 			t.Fatal(err)
 		}
 		cl.Sleep(2e9) // let executors boot and publish metrics
-		for i := 0; i < 3*threads; i++ {
-			out, err := cl.Invoke("readkey", []any{Ref("memo-key")}).Wait()
+		futures := make([]*Future, 3*threads)
+		for i := range futures {
+			futures[i] = cl.Invoke("readkey", []any{Ref("memo-key")})
+		}
+		for i, f := range futures {
+			out, err := f.Wait()
 			if err != nil || out.(string) != "memo-payload" {
 				t.Fatalf("invoke %d = %v, %v", i, out, err)
 			}
 		}
 	})
-	var hits int64
-	for _, vm := range c.Internal().VMs() {
-		for _, th := range vm.Threads {
-			hits += th.MemoHits()
-		}
+	if len(vms) < 2 {
+		t.Fatalf("%d reads ran on %d VM(s), want several", 3*threads, len(vms))
 	}
-	if hits == 0 {
-		t.Fatalf("no causal memo hits across %d reads on %d threads", 3*threads, threads)
+	if len(decoded) != 1 {
+		t.Fatalf("%d reads on %d VMs decoded the capsule %d times, want once", 3*threads, len(vms), len(decoded))
 	}
 }

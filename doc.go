@@ -171,7 +171,10 @@
 // lattice capsules (LWW, Causal), the co-located caches, the Anna KVS,
 // the simulated cloud storage services, and the executors all share the
 // same byte slice instead of copying it, and executors additionally
-// memoize decoded argument values per exact version. A causal version's
+// decode reads through the cluster's one core.DecodeCache, which keeps
+// each key's latest decoded version (named by its LWW timestamp or
+// causal capsule digest), so every thread of every VM shares one decoded
+// value per version, read-only by the same convention. A causal version's
 // vector clock and dependency set need no convention: each is a sorted
 // value behind an unexported field, immutable by construction, and shared
 // by reference the same way. Two conventions make the payloads sound,
@@ -240,8 +243,9 @@
 // core.FetchAll reads them with one grouped multi-get and decodes each
 // as the asked type, skipping what is missing or of another type.
 // core.Fetch reads one key the same way: a DAG topology, a warm seed.
-// Schedulers, the monitor and the cluster decode through one
-// core.DecodeCache per cluster, so each published version is decoded
+// Schedulers, the monitor, the cluster and its executor threads decode
+// through one core.DecodeCache per cluster, one entry per key and at most
+// a fixed number of keys, so each published or read version is decoded
 // once.
 //
 // # The allocation-free simulation substrate

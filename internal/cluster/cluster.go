@@ -160,7 +160,8 @@ type Cluster struct {
 
 	dagCache  map[string]*dag.Index
 	dagClient *anna.Client
-	// decoded is the control plane's shared decoded-metadata cache.
+	// decoded is the cluster's one decode cache, shared by the control
+	// plane and every executor thread.
 	decoded *core.DecodeCache
 	down    map[simnet.NodeID]bool
 	// gens counts replacement generations per base name.
@@ -219,9 +220,9 @@ func New(cfg Config) *Cluster {
 	for i := 0; i < cfg.VMs; i++ {
 		c.bootVM()
 	}
-	// All control-plane consumers share one decoded-metadata cache: each
-	// publication is decoded once per cluster, not once per poll tick
-	// per scheduler.
+	// The schedulers and the monitor share the executors' decode cache:
+	// each publication is decoded once per cluster, not once per poll
+	// tick per scheduler.
 	scfg := scheduler.Config{
 		StaleAfter:   cfg.StaleAfter,
 		DAGTimeout:   cfg.DAGTimeout,
@@ -306,6 +307,7 @@ func (c *Cluster) bootVMNamed(name string) *VMHandle {
 			Trace:    c.Trace,
 			Hooks:    c.hooks,
 			TxnRing:  c.KV.Ring(),
+			Decoded:  c.decoded,
 		})
 		h.Threads = append(h.Threads, t)
 		h.nodeIDs = append(h.nodeIDs, id)

@@ -100,7 +100,7 @@ type VersionRef struct {
 	VC    lattice.Clock     // causal version id
 	// VCD is the canonical digest of the capsule the version was read
 	// from (lattice.Causal.Digest): a comparable stand-in for the clock
-	// set, used to key the executor's decoded-value memo in causal modes.
+	// set, naming a causal version in the cluster's decode cache.
 	VCD uint64
 }
 
@@ -366,24 +366,36 @@ type SchedulerMetrics struct {
 	ReportedAtS float64
 }
 
-// DecodeCache memoizes decoded LWW capsule payloads by (key, exact
-// timestamp). LWW timestamps are unique per write, so an entry never
-// invalidates; re-publication under a new timestamp simply replaces it.
-// Control-plane consumers (schedulers, the monitor, the cluster's DAG
-// resolver) share one cache per cluster and read through Fetch, FetchAll
-// and Registry, so each metrics publication or DAG topology is decoded
-// once per cluster instead of once per consumer per read. Decoded values
-// are shared read-only, the same convention the data plane's zero-copy
-// payloads follow. The kernel runs one party at a time, so no locking is
-// needed.
+// DecodeCache memoizes decoded payloads, one entry per key: the latest
+// version decoded, named by its LWW timestamp or, for a causal capsule,
+// by its digest (lattice.Causal.Digest) with a zero timestamp. Either
+// names one payload forever, so an entry never invalidates; another
+// version decodes and replaces it.
+//
+// One cache serves a cluster's two planes. The control plane (schedulers,
+// the monitor, the DAG resolver) reads through Fetch and FetchAll,
+// executor threads through DecodeVersion, so a version is decoded once
+// per cluster. Sharing is sound: the control plane reads
+// only system keys, written untagged, and executors decode what untag
+// returns, which for an untagged payload is the payload itself, so both
+// planes decode the same bytes. Decoded values are shared read-only, the
+// convention the zero-copy payloads follow. The kernel runs one party at
+// a time, so no locking is needed.
 type DecodeCache struct {
 	m map[string]decodedVersion
 }
 
-// decodedVersion is a key's latest decoded publication.
+// decodeMax bounds a DecodeCache's entries; adding a key to a full cache
+// empties it first. It is above the distinct keys any benchmark workload
+// or quick experiment decodes (autoscale-spike about 8,000, quick fig7
+// about 27,000), so only paper-size runs reset.
+const decodeMax = 1 << 16
+
+// decodedVersion is a key's latest decoded version.
 type decodedVersion struct {
-	ts lattice.Timestamp
-	v  any
+	ts  lattice.Timestamp
+	vcd uint64
+	v   any
 }
 
 // NewDecodeCache returns an empty cache.
@@ -391,34 +403,22 @@ func NewDecodeCache() *DecodeCache {
 	return &DecodeCache{m: make(map[string]decodedVersion)}
 }
 
-// Get looks up the decoded value for key at exactly ts.
-func (c *DecodeCache) Get(key string, ts lattice.Timestamp) (any, bool) {
+// DecodeVersion returns payload, the bytes of key's version (ts, vcd),
+// decoded through the cache: a hit allocates nothing.
+func (c *DecodeCache) DecodeVersion(key string, ts lattice.Timestamp, vcd uint64, payload []byte) (any, error) {
 	e, ok := c.m[key]
-	if !ok || e.ts != ts {
-		return nil, false
+	if ok && e.ts == ts && e.vcd == vcd {
+		return e.v, nil
 	}
-	return e.v, true
-}
-
-// Put records the decoded value for key at ts, evicting the key's prior
-// version (older timestamps are never read again), so the cache's size
-// is bounded by the number of system keys read, not simulation length.
-func (c *DecodeCache) Put(key string, ts lattice.Timestamp, v any) {
-	c.m[key] = decodedVersion{ts: ts, v: v}
-}
-
-// Decode returns the decoded payload of an LWW metrics capsule through
-// the cache: each distinct publication is codec-decoded exactly once.
-func (c *DecodeCache) Decode(key string, l *lattice.LWW) (any, bool) {
-	if v, ok := c.Get(key, l.TS); ok {
-		return v, true
-	}
-	v, err := codec.Decode(l.Value)
+	v, err := codec.Decode(payload)
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
-	c.Put(key, l.TS, v)
-	return v, true
+	if !ok && len(c.m) >= decodeMax {
+		clear(c.m)
+	}
+	c.m[key] = decodedVersion{ts: ts, vcd: vcd, v: v}
+	return v, nil
 }
 
 // Reader is the read half of an Anna client (*anna.Client): what the
@@ -437,8 +437,8 @@ func decodeAs[T any](c *DecodeCache, key string, lat lattice.Lattice) (T, bool) 
 	if !ok {
 		return t, false
 	}
-	v, ok := c.Decode(key, l)
-	if !ok {
+	v, err := c.DecodeVersion(key, l.TS, 0, l.Value)
+	if err != nil {
 		return t, false
 	}
 	t, ok = v.(T)

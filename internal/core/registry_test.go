@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"strconv"
 	"testing"
 
 	"cloudburst/internal/codec"
@@ -119,5 +120,29 @@ func TestFetchDecodesOncePerVersion(t *testing.T) {
 	}
 	if _, ok := Fetch[WarmSeed](kv, c, "missing"); ok {
 		t.Fatal("a missing key fetched")
+	}
+}
+
+// TestDecodeCacheStaysBounded adds more distinct keys than decodeMax:
+// the entry count never exceeds it, and a cache that reset still
+// decodes and holds what it reads next.
+func TestDecodeCacheStaysBounded(t *testing.T) {
+	c := NewDecodeCache()
+	payload := codec.MustEncode("v")
+	ts := lattice.Timestamp{Clock: 1, Node: 1}
+	for i := range decodeMax + 100 {
+		key := "k" + strconv.Itoa(i)
+		if v, err := c.DecodeVersion(key, ts, 0, payload); err != nil || v != "v" {
+			t.Fatalf("%s decoded to %v, %v", key, v, err)
+		}
+		if len(c.m) > decodeMax {
+			t.Fatalf("after %d keys the cache holds %d entries, over %d", i+1, len(c.m), decodeMax)
+		}
+		if _, ok := c.m[key]; !ok {
+			t.Fatalf("%s was not kept", key)
+		}
+	}
+	if len(c.m) != 100 {
+		t.Fatalf("%d entries after one reset, want the 100 keys read since", len(c.m))
 	}
 }

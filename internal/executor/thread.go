@@ -68,16 +68,9 @@ type Thread struct {
 
 	pending map[string]*join // DAG fan-in assembly: reqID|fn → state
 
-	// memo caches decoded argument values by exact version, so a DAG
-	// that reads the same capsule at every hop decodes it once instead
-	// of per invocation (resolveArgs dominated the harness CPU profile
-	// before). Entries are immutable — a (key, timestamp) pair names one
-	// LWW write forever, and a (key, capsule digest) pair one causal
-	// sibling set — so the memo never invalidates, only bounds its size.
-	// Memoized values are shared across invocations, which is safe
-	// because decoded values are read-only by convention (see codec).
-	memo     map[memoKey]any
-	memoHits int64
+	// decoded is the cluster's decode cache, through which reads decode
+	// their payloads (decodeVersioned).
+	decoded *core.DecodeCache
 
 	// Metrics window (§4.1: executors publish utilization, cached
 	// functions, and execution latencies).
@@ -88,23 +81,6 @@ type Thread struct {
 	latencySum  time.Duration
 	latencyN    int64
 }
-
-// memoKey names one exact version of one key: LWW timestamps are unique
-// per write, so (key, TS) identifies the payload bytes; causal capsules
-// are identified by their canonical sibling-set digest (key, vcd), the
-// comparable stand-in for a vector-clock set (lattice.Causal.Digest).
-type memoKey struct {
-	key string
-	ts  lattice.Timestamp
-	vcd uint64
-}
-
-// memoMax bounds each thread's decoded-value memo; when full, the memo
-// resets. The memo pays off only while a thread's recent reads fit in it:
-// a workload reading across far more keys, such as autoscale-spike's 50k
-// resident keys or fig7's 1M, cycles through resets. The bound caps the
-// memo's memory, not its hit rate.
-const memoMax = 512
 
 // join accumulates a fan-in function's inputs until every parent
 // delivered.
@@ -139,6 +115,10 @@ type Deps struct {
 	// TxnRing resolves key ownership for the thread's 2PC coordinator;
 	// nil disables transactional invocations on this thread.
 	TxnRing txn.Router
+	// Decoded is the cluster's decode cache, shared by every thread and
+	// the control plane, so a version read anywhere in the cluster is
+	// decoded once; nil gives the thread a private one.
+	Decoded *core.DecodeCache
 }
 
 // NewThread creates a worker bound to ep.
@@ -158,9 +138,12 @@ func NewThread(k *vtime.Kernel, ep *simnet.Endpoint, vm string, d Deps) *Thread 
 		resolveName: string(ep.ID()) + "/resolve",
 		pinned:      make(map[string]bool),
 		pending:     make(map[string]*join),
-		memo:        make(map[memoKey]any),
+		decoded:     d.Decoded,
 		windowStart: k.Now(),
 		hooks:       d.Hooks,
+	}
+	if t.decoded == nil {
+		t.decoded = core.NewDecodeCache()
 	}
 	if d.TxnRing != nil {
 		t.txnCoord = &txn.Coordinator{K: k, EP: ep, Ring: d.TxnRing, KV: d.Anna, Hooks: d.Hooks, Entity: vm}
@@ -199,9 +182,6 @@ func (t *Thread) Pinned() []string {
 
 // Completed reports lifetime finished invocations.
 func (t *Thread) Completed() int64 { return t.completed }
-
-// MemoHits reports decoded-value memo hits (test hook).
-func (t *Thread) MemoHits() int64 { return t.memoHits }
 
 // Start launches the worker's dispatcher.
 func (t *Thread) Start() { t.k.Go(string(t.id)+"/worker", t.disp.Serve) }
@@ -382,37 +362,23 @@ func (t *Thread) readRef(i int) {
 	c.out[i] = v
 }
 
-// decodeVersioned decodes a read payload through the memo when the
-// version is memoizable: timestamp-identified (the LWW modes) or
-// digest-identified (the causal modes). Tracing has already happened at
-// the call sites; the memo only skips the repeated decode work, never
-// protocol effects.
+// decodeVersioned decodes a read payload through the cluster's decode
+// cache when the version names its payload: by timestamp (the LWW modes)
+// or by capsule digest (the causal modes). A DAG that reads one capsule
+// at every hop, or threads on many VMs reading one hot key, decode it
+// once. Tracing has already happened at the call sites; the cache only
+// skips repeated decode work, never protocol effects.
 func (t *Thread) decodeVersioned(key string, ver core.VersionRef, payload []byte) (any, error) {
-	var mk memoKey
 	switch {
 	case ver.VC.Len() != 0:
 		if ver.VCD == 0 {
 			return codec.Decode(payload) // no capsule digest: not memoizable
 		}
-		mk = memoKey{key: key, vcd: ver.VCD}
+		return t.decoded.DecodeVersion(key, lattice.Timestamp{}, ver.VCD, payload)
 	case ver.TS != (lattice.Timestamp{}):
-		mk = memoKey{key: key, ts: ver.TS}
-	default:
-		return codec.Decode(payload)
+		return t.decoded.DecodeVersion(key, ver.TS, 0, payload)
 	}
-	if v, ok := t.memo[mk]; ok {
-		t.memoHits++
-		return v, nil
-	}
-	v, err := codec.Decode(payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(t.memo) >= memoMax {
-		t.memo = make(map[memoKey]any, memoMax)
-	}
-	t.memo[mk] = v
-	return v, nil
+	return codec.Decode(payload)
 }
 
 // runSingle serves a bare invocation as the DAG of one node it is (§3):

@@ -189,7 +189,8 @@ func canonicalIndex(vs []Version, v Version) int {
 // Since a vector clock names one write (its writer ticked its own slot),
 // equal sibling sets mean an identical DisplayValue, and distinct sets
 // collide only as rarely as two 64-bit hashes do — which is what lets
-// timestamp-free causal versions join the executor's decoded-value memo.
+// timestamp-free causal versions join the cluster's decode cache
+// (core.DecodeCache).
 func (c *Causal) Digest() uint64 {
 	var h uint64
 	for _, v := range c.Versions {

@@ -376,8 +376,8 @@ func TestClockAllocations(t *testing.T) {
 
 // TestClockDigestGridHasNoCollisions sweeps two writers' counters over a
 // grid beside a fixed third entry: clocks that differ only in how far two
-// writers advanced must not share a digest, since the executor's
-// decoded-value memo names a causal version by it.
+// writers advanced must not share a digest, since the cluster's decode
+// cache names a causal version by it.
 func TestClockDigestGridHasNoCollisions(t *testing.T) {
 	seen := make(map[uint64]VectorClock)
 	for a := uint64(1); a <= 6; a++ {

@@ -224,7 +224,7 @@ func joinAll(vs []Version) Clock {
 // FNV-1a hash is linear in state^n, so without it two writers advancing
 // by the same step can cancel in the sum. Two distinct clocks collide
 // only as rarely as two 64-bit hashes do; the digest names a version in
-// hash-keyed caches (the executor's decoded-value memo), not in
+// hash-keyed caches (the cluster's decode cache), not in
 // correctness-critical comparisons.
 func (c Clock) Digest() uint64 {
 	var h uint64

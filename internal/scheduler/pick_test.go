@@ -432,10 +432,12 @@ func checkIndex(t *testing.T, s *Scheduler) {
 // entered or left, not the keys held. A list one key shorter than the
 // last allocates nothing; one key longer allocates the index's copy of the
 // name, the same at 1,000 and at 10,000 keys. (Rebuilding the index made
-// a map and bitsets sized by every key.)
+// a map and bitsets sized by every key.) A change to the set of VMs
+// re-indexes every key under the name the index already holds, so it
+// too allocates the same at both sizes.
 func TestKeyIndexDeltaAllocations(t *testing.T) {
 	const steps = 100
-	added := map[int]float64{}
+	added, changed := map[int]float64{}, map[int]float64{}
 	for _, n := range []int{1000, 10000} {
 		s := pickScheduler(1, false)
 		var reports []core.ExecutorMetrics
@@ -475,11 +477,26 @@ func TestKeyIndexDeltaAllocations(t *testing.T) {
 		if len(s.view.holders) != n+1 {
 			t.Fatalf("%d keys: index holds %d after the walk back", n, len(s.view.holders))
 		}
+		// The VM set changes: vm4 joins holding one of vm0's keys and one
+		// of its own, then leaves, and so on. The held keys keep their
+		// names; only vm4's own enters anew.
+		s.cacheKeys["vm4"] = []string{full[0], "vm4/own"}
+		fleets := [][]core.ExecutorMetrics{reports, append(slices.Clone(reports), core.ExecutorMetrics{Thread: "exec-vm4", VM: "vm4"})}
+		j := 0
+		changed[n] = testing.AllocsPerRun(steps, func() {
+			j++
+			s.setThreads(fleets[j%2])
+		})
+		checkIndex(t, s)
 		s.k.Stop()
 	}
 	t.Logf("one key in allocates %.1f times at 1,000 keys, %.1f at 10,000", added[1000], added[10000])
 	if added[1000] != added[10000] || added[1000] > 1 {
 		t.Errorf("one key in allocates %.1f times at 1,000 keys and %.1f at 10,000, want the same, at most 1", added[1000], added[10000])
+	}
+	t.Logf("a VM-set change allocates %.1f times at 1,000 keys, %.1f at 10,000", changed[1000], changed[10000])
+	if changed[1000] != changed[10000] {
+		t.Errorf("a VM-set change allocates %.1f times at 1,000 keys and %.1f at 10,000, want the same", changed[1000], changed[10000])
 	}
 }
 

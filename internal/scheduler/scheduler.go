@@ -890,18 +890,30 @@ func (s *Scheduler) setKeys(reports []core.CacheMetrics) {
 	}
 }
 
-// syncKeys rebuilds the view's key index, in its reused storage, from
-// the keys each of its VMs last advertised: each VM's list moves in from
-// an empty one.
+// syncKeys re-indexes the view's keys, in its reused storage, for a new
+// set of VMs: every indexed key keeps its name and takes a zeroed bitset
+// of the new width, each VM's list moves in from an empty one, and the
+// keys no VM holds any longer leave. Offsets follow map order, which no
+// pick can observe.
 func (s *Scheduler) syncKeys() {
 	v := &s.view
 	if v.holders == nil {
 		v.holders = make(map[string]int)
 	}
-	clear(v.holders)
-	v.bits, v.free = v.bits[:0], v.free[:0]
+	words := (len(v.vms) + 63) / 64
+	n := len(v.holders) * words
+	v.bits, v.free = slices.Grow(v.bits[:0], n)[:n], v.free[:0]
+	clear(v.bits)
+	o := 0
+	for key := range v.holders {
+		v.holders[key] = o
+		o += words
+	}
 	for vm, name := range v.vms {
 		v.moveKeys(vm, nil, s.cacheKeys[name])
+	}
+	for key, o := range v.holders {
+		v.release(key, o)
 	}
 }
 
@@ -944,6 +956,11 @@ func (v *view) hold(key string, vm int) {
 func (v *view) unhold(key string, vm int) {
 	o := v.holders[key]
 	v.bits[o+vm/64] &^= 1 << (vm % 64)
+	v.release(key, o)
+}
+
+// release drops key, whose bitset is at offset o, once no VM holds it.
+func (v *view) release(key string, o int) {
 	for _, w := range v.bits[o : o+(len(v.vms)+63)/64] {
 		if w != 0 {
 			return

@@ -73,7 +73,7 @@ func TestInvokePathAllocations(t *testing.T) {
 				})
 			}
 			calls = 50
-			run() // warm the caches, the memo, the kernel's processes and the pools
+			run() // warm the caches, the decode cache, the kernel's processes and the pools
 			// The difference between 100 and 50 requests per Run is 50
 			// requests' cost, without what one Run and its client cost.
 			base := testing.AllocsPerRun(5, run)

@@ -31,7 +31,6 @@ func TestExportedSurface(t *testing.T) {
 		"dag.DAG.IsLinear",
 		"executor.Ctx.RecvWait",
 		"executor.Registry.Names",
-		"executor.Thread.MemoHits",
 		"lattice.GuardPayloads",
 		"lattice.VerifyPayloads",
 		"monitor.Monitor.PinnedThreads",
