@@ -281,10 +281,7 @@ func (cl *Client) Invoke(fn string, args []any, opts ...InvokeOption) *Future {
 		ResultKey:  f.Key,
 		Deadline:   o.timeout,
 	}
-	size := 96
-	for _, a := range wireArgs {
-		size += len(a.Val) + len(a.Ref)
-	}
+	size := 96 + core.ArgBytes(wireArgs)
 	f.resend, f.resendSize = req, size
 	cl.ep.Send(cl.c.in.RouteScheduler(reqID, 0), req, size)
 	return f
@@ -296,17 +293,20 @@ func (cl *Client) Invoke(fn string, args []any, opts ...InvokeOption) *Future {
 // runtime.
 func (cl *Client) InvokeDAG(dagName string, args map[string][]any, opts ...InvokeOption) *Future {
 	o := buildOpts(opts)
-	wire := make(map[string][]core.Arg, len(args))
+	// Encoded in function-name order, so a request with several
+	// unencodable arguments always fails on the same one.
+	wire := make([]core.FnArgs, 0, len(args))
+	for fn := range args {
+		wire = append(wire, core.FnArgs{Fn: fn})
+	}
+	core.SortFnArgs(wire)
 	size := 128
-	for fn, as := range args {
-		ea, err := cl.encodeArgs(as)
+	for i := range wire {
+		ea, err := cl.encodeArgs(args[wire[i].Fn])
 		if err != nil {
 			return cl.failedFuture(err)
 		}
-		wire[fn] = ea
-		for _, a := range ea {
-			size += len(a.Val) + len(a.Ref)
-		}
+		wire[i].Args, size = ea, size+core.ArgBytes(ea)
 	}
 	reqID, key := cl.nextReq()
 	f := cl.register(reqID, key, o)

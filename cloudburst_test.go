@@ -554,6 +554,35 @@ func TestFunctionErrorPropagates(t *testing.T) {
 // an error at every surface a user value crosses — client writes and
 // arguments, in-function writes, and function results, single or DAG —
 // never a panic, and the error names the type.
+// TestInvokeDAGEncodeErrorIsDeterministic gives two of a DAG's functions
+// differently unencodable arguments: InvokeDAG encodes in function-name
+// order, so every call fails on the first name's argument with the same
+// error, whatever order the caller's map iterates in.
+func TestInvokeDAGEncodeErrorIsDeterministic(t *testing.T) {
+	c := testCluster(t, DefaultConfig())
+	registerArith(t, c)
+	if err := c.RegisterDAG(LinearDAG("sq-inc", "square", "increment"), 1); err != nil {
+		t.Fatal(err)
+	}
+	args := map[string][]any{"square": {int32(7)}, "increment": {[]int64{1}}}
+	c.Run(func(cl *Client) {
+		errs := map[string]int{}
+		for i := 0; i < 200; i++ {
+			if _, err := cl.InvokeDAG("sq-inc", args).Wait(); err != nil {
+				errs[err.Error()]++
+			}
+		}
+		if len(errs) != 1 {
+			t.Fatalf("200 calls failed with %d distinct errors, want 1: %v", len(errs), errs)
+		}
+		for msg, n := range errs {
+			if n != 200 || !strings.Contains(msg, "unsupported type []int64") {
+				t.Fatalf("%d of 200 calls failed with %q, want all on increment's []int64", n, msg)
+			}
+		}
+	})
+}
+
 func TestUnsupportedTypeIsAnError(t *testing.T) {
 	type unregistered struct{ N int }
 	c := testCluster(t, DefaultConfig())

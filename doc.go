@@ -272,7 +272,11 @@
 // and allocates nothing, and client routing to a
 // scheduler shard allocates nothing either. A DAG's parents, children and
 // sources are computed once, when its decoded topology is cached
-// (dag.Index). Session metadata exists only in the modes that read it:
+// (dag.Index), as positions in the DAG's function list. Names stay at the
+// edge: a request's client arguments are one list sorted by function
+// name, and inside the cluster a schedule assigns threads, and a trigger
+// names its target, by position, so no hop builds or probes a map keyed
+// by function name. Session metadata exists only in the modes that read it:
 // under LWW, SK, MK and Transactional a DAG trigger carries none.
 //
 // # Writing a server component

@@ -297,7 +297,7 @@ func runChaosCell(cfg ChaosConfig, wl string, mode cb.Consistency, seed int64, s
 				key, _ := codec.Encode(zip.Next())
 				if mix.Next() == 1 {
 					return traffic.Invocation{DAG: "tchain",
-						DAGArgs: map[string][]core.Arg{"tfn": {{Val: key}}}}
+						DAGArgs: []core.FnArgs{{Fn: "tfn", Args: []core.Arg{{Val: key}}}}}
 				}
 				return traffic.Invocation{Function: "tfn", Args: []core.Arg{{Val: key}}}
 			},

@@ -306,7 +306,7 @@ func runFig13Point(cfg Fig13Config, scount int, load float64) Fig13Point {
 			if mix.Next() == 1 {
 				return traffic.Invocation{
 					DAG:     "satchain",
-					DAGArgs: map[string][]core.Arg{"sat1": {{Ref: key}}},
+					DAGArgs: []core.FnArgs{{Fn: "sat1", Args: []core.Arg{{Ref: key}}}},
 				}
 			}
 			return traffic.Invocation{Function: "sat1", Args: []core.Arg{{Ref: key}}}

@@ -90,6 +90,14 @@ type Arg struct {
 // IsRef reports whether the argument is a KVS reference.
 func (a Arg) IsRef() bool { return a.Ref != "" }
 
+// ArgBytes is the wire footprint of a request's arguments.
+func ArgBytes(args []Arg) (n int) {
+	for _, a := range args {
+		n += len(a.Val) + len(a.Ref)
+	}
+	return n
+}
+
 // VersionRef names the exact version of a key that an upstream function
 // read, and which cache holds its snapshot. It is the per-key unit of the
 // read-set metadata shipped down the DAG. A VersionRef is a value: its
@@ -230,13 +238,15 @@ type TxnWrite struct {
 func (w TxnWrite) WireSize() int { return 32 + len(w.Key) + len(w.Payload) }
 
 // DAGSchedule is the per-request execution plan a scheduler builds for a
-// registered DAG: one executor-thread assignment per function (§4.3).
-// Schedules are immutable after creation and shared by reference.
+// registered DAG: one executor-thread assignment per function (§4.3),
+// indexed by the function's position in the DAG's Functions, so routing a
+// hop reads a slice, never a name. Schedules are immutable after creation
+// and shared by reference.
 type DAGSchedule struct {
 	ReqID       string
 	DAG         string
-	Assignments map[string]simnet.NodeID // function name -> executor thread
-	Args        map[string][]Arg         // per-function client-supplied args
+	Assignments []simnet.NodeID // by function position -> executor thread
+	Args        []FnArgs        // client-supplied args, sorted by function name
 	RespondTo   simnet.NodeID
 	Scheduler   simnet.NodeID // tracks the request (§4.5); receives its RequestComplete; a bare invoke's is its InvokeRequest's sender
 	StoreInKVS  bool
@@ -246,18 +256,43 @@ type DAGSchedule struct {
 	ResultKey   string
 }
 
+// FnArgs is one DAG function's client-supplied arguments. A request
+// carries them as one slice sorted by Fn (SortFnArgs), so every layer
+// meets them, and encodes them, in function-name order.
+type FnArgs struct {
+	Fn   string
+	Args []Arg
+}
+
+// SortFnArgs puts a request's argument list in function-name order.
+func SortFnArgs(list []FnArgs) {
+	slices.SortFunc(list, func(a, b FnArgs) int { return strings.Compare(a.Fn, b.Fn) })
+}
+
+// ArgsFor returns fn's arguments from a list sorted by SortFnArgs, or nil
+// when the client supplied none.
+func ArgsFor(list []FnArgs, fn string) []Arg {
+	i, ok := slices.BinarySearchFunc(list, fn, func(a FnArgs, fn string) int { return strings.Compare(a.Fn, fn) })
+	if !ok {
+		return nil
+	}
+	return list[i].Args
+}
+
 // DAGInput carries one upstream function's result to its downstream
 // function.
 type DAGInput struct {
-	From string // producing function name
+	From int    // producing function's position in the DAG
 	Val  []byte // codec-encoded result
 }
 
-// DAGTrigger starts (or continues) a DAG execution at Target on the
-// executor assigned by the schedule.
+// DAGTrigger starts (or continues) a DAG execution at Target, a function
+// position in the DAG, on the executor the schedule assigns to it. The
+// name is the DAG's Functions[Target], resolved where it is needed: the
+// function registry, tracing, and audit events.
 type DAGTrigger struct {
 	Schedule *DAGSchedule
-	Target   string
+	Target   int
 	Inputs   []DAGInput
 	Meta     SessionMeta
 	// Hops counts executor transitions so far, reported in the Result

@@ -99,21 +99,6 @@ func (d *DAG) Sources() []string {
 	return out
 }
 
-// Sinks returns functions with no children, in declaration order.
-func (d *DAG) Sinks() []string {
-	hasChild := make(map[string]bool)
-	for _, e := range d.Edges {
-		hasChild[e[0]] = true
-	}
-	var out []string
-	for _, f := range d.Functions {
-		if !hasChild[f] {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // TopoOrder returns a deterministic topological order, or an error if the
 // graph has a cycle.
 func (d *DAG) TopoOrder() ([]string, error) {
@@ -150,77 +135,54 @@ func (d *DAG) TopoOrder() ([]string, error) {
 	return out, nil
 }
 
-// IsLinear reports whether the DAG is a simple chain. Repeatable read is
-// defined over linear DAGs (§5.1).
-func (d *DAG) IsLinear() bool {
-	for _, f := range d.Functions {
-		if len(d.Parents(f)) > 1 || len(d.Children(f)) > 1 {
-			return false
-		}
-	}
-	return len(d.Sources()) == 1 && len(d.Sinks()) == 1
-}
-
-// Index is a DAG with its topology computed once: Parents, Children,
-// Sources and Sinks answer from tables built by NewIndex instead of
-// scanning the edges and allocating on every call, which the request
-// path does once per hop. The answers equal the DAG's own edge-scanning
-// methods (reachable as Index.DAG.Parents and so on). An Index is
-// immutable once built and its slices are shared, so callers must not
+// Index is a DAG with its topology computed once and addressed by
+// position: function i is Functions[i], and Parents, Children and Sources
+// answer in positions from tables built by NewIndex, so the request path
+// neither scans edges nor looks a name up on a hop. Parents and Children
+// list positions in the functions' name order and Sources in declaration
+// order, the orders of the DAG's own name-returning methods (reachable as
+// Index.DAG.Parents and so on), which stay the edge-facing form. An Index
+// is immutable once built and its slices are shared, so callers must not
 // modify them; one Index may serve every kernel that resolves its DAG.
 type Index struct {
 	DAG
-	parents, children map[string][]string
-	sources, sinks    []string
+	parents, children [][]int
+	sources           []int
 }
 
 // NewIndex builds d's topology tables.
 func NewIndex(d DAG) *Index {
+	pos := make(map[string]int, len(d.Functions))
+	for i, f := range d.Functions {
+		pos[f] = i
+	}
+	positions := func(fns []string) []int {
+		out := make([]int, len(fns))
+		for i, f := range fns {
+			out[i] = pos[f]
+		}
+		return out
+	}
 	x := &Index{
 		DAG:      d,
-		parents:  make(map[string][]string, len(d.Functions)),
-		children: make(map[string][]string, len(d.Functions)),
+		parents:  make([][]int, len(d.Functions)),
+		children: make([][]int, len(d.Functions)),
+		sources:  positions(d.Sources()),
 	}
-	for _, f := range d.Functions {
-		x.parents[f] = d.Parents(f)
-		x.children[f] = d.Children(f)
+	for i, f := range d.Functions {
+		x.parents[i], x.children[i] = positions(d.Parents(f)), positions(d.Children(f))
 	}
-	x.sources, x.sinks = d.Sources(), d.Sinks()
 	return x
 }
 
-// Parents returns the upstream functions of f, sorted.
-func (x *Index) Parents(f string) []string { return x.parents[f] }
+// Parents returns the positions of function i's upstream functions, in
+// name order.
+func (x *Index) Parents(i int) []int { return x.parents[i] }
 
-// Children returns the downstream functions of f, sorted.
-func (x *Index) Children(f string) []string { return x.children[f] }
+// Children returns the positions of function i's downstream functions, in
+// name order.
+func (x *Index) Children(i int) []int { return x.children[i] }
 
-// Sources returns functions with no parents, in declaration order.
-func (x *Index) Sources() []string { return x.sources }
-
-// Sinks returns functions with no children, in declaration order.
-func (x *Index) Sinks() []string { return x.sinks }
-
-// Depth returns the number of vertices on the longest source→sink path —
-// the normalization factor Figure 8 divides latencies by.
-func (d *DAG) Depth() int {
-	order, err := d.TopoOrder()
-	if err != nil {
-		return 0
-	}
-	depth := make(map[string]int, len(order))
-	best := 0
-	for _, f := range order {
-		dep := 1
-		for _, p := range d.Parents(f) {
-			if depth[p]+1 > dep {
-				dep = depth[p] + 1
-			}
-		}
-		depth[f] = dep
-		if dep > best {
-			best = dep
-		}
-	}
-	return best
-}
+// Sources returns the positions of the functions with no parents, in
+// declaration order.
+func (x *Index) Sources() []int { return x.sources }

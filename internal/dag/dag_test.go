@@ -6,6 +6,46 @@ import (
 	"testing"
 )
 
+// isLinear reports whether d is a simple chain. Repeatable read is
+// defined over linear DAGs (§5.1).
+func isLinear(d *DAG) bool {
+	for _, f := range d.Functions {
+		if len(d.Parents(f)) > 1 || len(d.Children(f)) > 1 {
+			return false
+		}
+	}
+	return len(d.Sources()) == 1 && len(sinks(d)) == 1
+}
+
+// sinks returns d's functions with no children, in declaration order.
+func sinks(d *DAG) []string {
+	var out []string
+	for _, f := range d.Functions {
+		if len(d.Children(f)) == 0 {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// depth returns the number of vertices on d's longest source→sink path.
+func depth(d *DAG) int {
+	order, err := d.TopoOrder()
+	if err != nil {
+		return 0
+	}
+	dep := make(map[string]int, len(order))
+	best := 0
+	for _, f := range order {
+		dep[f] = 1
+		for _, p := range d.Parents(f) {
+			dep[f] = max(dep[f], dep[p]+1)
+		}
+		best = max(best, dep[f])
+	}
+	return best
+}
+
 func diamond() *DAG {
 	return New("diamond", []string{"a", "b", "c", "d"},
 		[][2]string{{"a", "b"}, {"a", "c"}, {"b", "d"}, {"c", "d"}})
@@ -16,17 +56,17 @@ func TestLinearConstruction(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !d.IsLinear() {
+	if !isLinear(d) {
 		t.Fatal("chain not linear")
 	}
 	if got := d.Sources(); len(got) != 1 || got[0] != "f" {
 		t.Fatalf("sources = %v", got)
 	}
-	if got := d.Sinks(); len(got) != 1 || got[0] != "h" {
+	if got := sinks(d); len(got) != 1 || got[0] != "h" {
 		t.Fatalf("sinks = %v", got)
 	}
-	if d.Depth() != 3 {
-		t.Fatalf("depth = %d", d.Depth())
+	if depth(d) != 3 {
+		t.Fatalf("depth = %d", depth(d))
 	}
 }
 
@@ -35,7 +75,7 @@ func TestDiamondTopology(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if d.IsLinear() {
+	if isLinear(d) {
 		t.Fatal("diamond reported linear")
 	}
 	if got := d.Parents("d"); len(got) != 2 || got[0] != "b" || got[1] != "c" {
@@ -57,8 +97,8 @@ func TestDiamondTopology(t *testing.T) {
 			t.Fatalf("topo order violates edge %v: %v", e, order)
 		}
 	}
-	if d.Depth() != 3 {
-		t.Fatalf("depth = %d", d.Depth())
+	if depth(d) != 3 {
+		t.Fatalf("depth = %d", depth(d))
 	}
 }
 
@@ -89,7 +129,7 @@ func TestSingleFunctionDAG(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !d.IsLinear() || d.Depth() != 1 {
+	if !isLinear(d) || depth(d) != 1 {
 		t.Fatal("single-function DAG misclassified")
 	}
 }
@@ -107,28 +147,33 @@ func TestTopoOrderDeterministic(t *testing.T) {
 	}
 }
 
-// TestIndexMatchesEdgeScan holds the precomputed topology to the DAG's
-// edge-scanning methods, its oracle: the fixed diamond and fan-in shapes,
-// then random DAGs whose edges run from lower to higher declaration index
-// in random order (so fan-in arrives unsorted), for every declared
-// function and one that is not.
+// TestIndexMatchesEdgeScan holds the precomputed position tables to the
+// DAG's edge-scanning name methods, their oracle: each position list,
+// read back through Functions, must be the scan's list in its order. The
+// fixed diamond and fan-in shapes, then random DAGs whose edges run from
+// lower to higher declaration index in random order (so fan-in arrives
+// unsorted).
 func TestIndexMatchesEdgeScan(t *testing.T) {
 	check := func(d *DAG) {
 		t.Helper()
 		x := NewIndex(*d)
-		for _, f := range append(slices.Clone(d.Functions), "undeclared") {
-			if got, want := x.Parents(f), d.Parents(f); !slices.Equal(got, want) {
-				t.Fatalf("%s %v: Parents(%s) = %v, edge scan %v", d.Name, d.Edges, f, got, want)
+		names := func(pos []int) []string {
+			out := make([]string, 0, len(pos))
+			for _, i := range pos {
+				out = append(out, x.Functions[i])
 			}
-			if got, want := x.Children(f), d.Children(f); !slices.Equal(got, want) {
-				t.Fatalf("%s %v: Children(%s) = %v, edge scan %v", d.Name, d.Edges, f, got, want)
+			return out
+		}
+		for i, f := range d.Functions {
+			if got, want := names(x.Parents(i)), d.Parents(f); !slices.Equal(got, want) {
+				t.Fatalf("%s %v: Parents(%d=%s) = %v, edge scan %v", d.Name, d.Edges, i, f, got, want)
+			}
+			if got, want := names(x.Children(i)), d.Children(f); !slices.Equal(got, want) {
+				t.Fatalf("%s %v: Children(%d=%s) = %v, edge scan %v", d.Name, d.Edges, i, f, got, want)
 			}
 		}
-		if got, want := x.Sources(), d.Sources(); !slices.Equal(got, want) {
+		if got, want := names(x.Sources()), d.Sources(); !slices.Equal(got, want) {
 			t.Fatalf("%s %v: Sources = %v, edge scan %v", d.Name, d.Edges, got, want)
-		}
-		if got, want := x.Sinks(), d.Sinks(); !slices.Equal(got, want) {
-			t.Fatalf("%s %v: Sinks = %v, edge scan %v", d.Name, d.Edges, got, want)
 		}
 	}
 	check(diamond())
@@ -191,8 +236,8 @@ func TestRandomDAGsValidateAndOrder(t *testing.T) {
 		if err != nil || len(order) != n {
 			t.Fatalf("topo order: %v %v", order, err)
 		}
-		if d.Depth() < 1 || d.Depth() > n {
-			t.Fatalf("depth %d out of range", d.Depth())
+		if depth(d) < 1 || depth(d) > n {
+			t.Fatalf("depth %d out of range", depth(d))
 		}
 	}
 }

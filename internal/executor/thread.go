@@ -85,7 +85,6 @@ type Thread struct {
 // join accumulates a fan-in function's inputs until every parent
 // delivered.
 type join struct {
-	schedule  *core.DAGSchedule
 	inputs    []core.DAGInput
 	meta      core.SessionMeta
 	hops      int
@@ -413,10 +412,11 @@ func (t *Thread) runSingle(req core.InvokeRequest, scheduler simnet.NodeID) {
 func (t *Thread) runTrigger(tr core.DAGTrigger) {
 	s := tr.Schedule
 	d, ok := t.dagFor(s.DAG)
-	if !ok {
-		t.complete(s, tr.Target, &tr.Meta, tr.Hops+1, nil, "", nil, fmt.Errorf("executor: unknown DAG %q", s.DAG))
+	if !ok || len(d.Functions) != len(s.Assignments) { // or a topology the schedule was not built from
+		t.complete(s, "", &tr.Meta, tr.Hops+1, nil, "", nil, fmt.Errorf("executor: unknown DAG %q", s.DAG))
 		return
 	}
+	fn := d.Functions[tr.Target]
 	// Session metadata propagates along the DAG only in the distributed
 	// session modes; bolt-on (MK) tracks a per-function session and the
 	// other modes carry none (§5.3, §6.2), so their triggers hold the zero
@@ -428,10 +428,10 @@ func (t *Thread) runTrigger(tr core.DAGTrigger) {
 	meta := tr.Meta
 	hops := tr.Hops + 1
 	if need > 1 {
-		key := s.ReqID + "|" + tr.Target
+		key := s.ReqID + "|" + fn
 		j, exists := t.pending[key]
 		if !exists {
-			j = &join{schedule: s, need: need}
+			j = &join{need: need}
 			if session {
 				j.meta = core.NewSessionMeta()
 			}
@@ -466,11 +466,11 @@ func (t *Thread) runTrigger(tr core.DAGTrigger) {
 
 	// Argument order: client-supplied args first, then parent results in
 	// parent-name order.
-	slices.SortFunc(inputs, func(a, b core.DAGInput) int { return strings.Compare(a.From, b.From) })
-	payload, invID, tx, err := t.invoke(s, tr.Target, s.Args[tr.Target], inputs, metaP, tr.TxnWrites)
+	slices.SortFunc(inputs, func(a, b core.DAGInput) int { return strings.Compare(d.Functions[a.From], d.Functions[b.From]) })
+	payload, invID, tx, err := t.invoke(s, fn, core.ArgsFor(s.Args, fn), inputs, metaP, tr.TxnWrites)
 	children := d.Children(tr.Target)
 	if err != nil || len(children) == 0 {
-		t.complete(s, tr.Target, metaP, hops, tx, invID, payload, err)
+		t.complete(s, fn, metaP, hops, tx, invID, payload, err)
 		return
 	}
 	var outWrites []core.TxnWrite

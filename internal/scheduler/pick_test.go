@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"cloudburst/internal/core"
 	"cloudburst/internal/simnet"
@@ -544,5 +545,14 @@ func TestPickExecutorAllocationFree(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%s: pickExecutor allocates %.1f times per pick, want 0", c.name, n)
 		}
+	}
+}
+
+// TestTrackedStaysInItsSizeClass: every request, bare or DAG, allocates
+// one tracking record, so a field that pushes it past the 208-byte size
+// class costs each bare invocation 16 bytes it does not use.
+func TestTrackedStaysInItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(tracked{}); n > 208 {
+		t.Fatalf("tracked is %d bytes, want at most 208", n)
 	}
 }

@@ -66,11 +66,14 @@ type RegisterResp struct {
 	Err string
 }
 
-// DAGInvokeReq asks the scheduler to run a registered DAG.
+// DAGInvokeReq asks the scheduler to run a registered DAG. Args names
+// functions, sorted by name (core.SortFnArgs): names stay at the edge,
+// and the schedule built from the request addresses functions by
+// position.
 type DAGInvokeReq struct {
 	ReqID      string
 	DAG        string
-	Args       map[string][]core.Arg
+	Args       []core.FnArgs
 	RespondTo  simnet.NodeID
 	StoreInKVS bool // persist the sink's result in the KVS under ResultKey
 	Direct     bool // carry the value inline in the Result even when storing
@@ -216,11 +219,11 @@ func (v *view) indexOf(id simnet.NodeID) (int, bool) {
 
 // tracked is one in-flight request, held for §4.5 re-execution from its
 // first dispatch until its completion notice or terminal failure. One
-// wire form is set: inv (a bare Invoke) or dag.
+// wire form is set: inv (a bare Invoke) or, when inv is nil, dag. The
+// record stays in the 208-byte size class a bare invocation pays for.
 type tracked struct {
 	id        string
 	respondTo simnet.NodeID
-	isDAG     bool
 	// inv is a bare Invoke's core.InvokeRequest in the box it arrived in,
 	// forwarded to the executor as is: the executor reads the tracking
 	// scheduler off the message's sender.
@@ -229,8 +232,8 @@ type tracked struct {
 
 	timeout      time.Duration // re-execution period; the wire Deadline until track clamps it
 	deadline     vtime.Time
-	retries      int
-	aliveExtends int // consecutive deadline extensions granted
+	retries      int32
+	aliveExtends int32 // consecutive deadline extensions granted
 
 	// The latest attempt's executors — a DAG's schedule, a single's
 	// target. Liveness is judged against these alone, so one dead executor
@@ -242,10 +245,13 @@ type tracked struct {
 	used map[simnet.NodeID]bool
 }
 
+// isDAG reports whether the request is a DAG's.
+func (o *tracked) isDAG() bool { return o.inv == nil }
+
 // alive reports whether every executor of the latest attempt still
 // publishes fresh metrics.
 func (s *Scheduler) alive(o *tracked) bool {
-	if !o.isDAG {
+	if !o.isDAG() {
 		_, fresh := s.view.indexOf(o.target)
 		return fresh
 	}
@@ -263,7 +269,7 @@ func (o *tracked) abandon() map[simnet.NodeID]bool {
 	if o.used == nil {
 		o.used = make(map[simnet.NodeID]bool)
 	}
-	if !o.isDAG {
+	if !o.isDAG() {
 		o.used[o.target] = true
 	} else {
 		for _, t := range o.sched.Assignments {
@@ -377,7 +383,7 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config) *Sch
 		s.admit(&tracked{id: b.ReqID, respondTo: b.RespondTo, timeout: b.Deadline, inv: m.Payload}, m)
 	})
 	simnet.OnMessage(s.disp, func(m simnet.Message, b DAGInvokeReq) {
-		s.admit(&tracked{id: b.ReqID, respondTo: b.RespondTo, timeout: b.Deadline, isDAG: true, dag: b}, m)
+		s.admit(&tracked{id: b.ReqID, respondTo: b.RespondTo, timeout: b.Deadline, dag: b}, m)
 	})
 	simnet.OnMessage(s.disp, func(_ simnet.Message, b core.RequestComplete) {
 		// Each request's terminal outcome counts once: a re-executed
@@ -570,7 +576,7 @@ func (s *Scheduler) admit(o *tracked, m simnet.Message) {
 // track starts a request's §4.5 lifetime: count the call and arm the
 // re-execution deadline.
 func (s *Scheduler) track(o *tracked) {
-	if o.isDAG {
+	if o.isDAG() {
 		s.dagCalls[o.dag.DAG]++
 	} else {
 		s.fnCalls[o.inv.(core.InvokeRequest).Function]++
@@ -598,7 +604,7 @@ func (s *Scheduler) track(o *tracked) {
 // accumulate a residue from failed requests.
 func (s *Scheduler) untrack(o *tracked) {
 	delete(s.inflight, o.id)
-	if o.isDAG {
+	if o.isDAG() {
 		s.dagDone[o.dag.DAG]++
 	}
 }
@@ -616,7 +622,7 @@ func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
 		s.k.Sleep(s.cfg.DispatchCost)
 	}
 	var d *dag.Index
-	if o.isDAG {
+	if o.isDAG() {
 		var ok bool
 		if d, ok = s.dagView(o.dag.DAG); !ok {
 			s.ep.Send(o.respondTo, core.Result{ReqID: id, Err: fmt.Sprintf("scheduler: unknown DAG %q", o.dag.DAG)}, 64)
@@ -638,22 +644,20 @@ func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
 		}
 		return t
 	}
-	if !o.isDAG {
+	if !o.isDAG() {
 		inv := o.inv.(core.InvokeRequest)
 		if o.target = pick(inv.Function, inv.Args, false); o.target == "" {
 			return
 		}
-		s.ep.Send(o.target, o.inv, 96+argBytes(inv.Args))
+		s.ep.Send(o.target, o.inv, 96+core.ArgBytes(inv.Args))
 		return
 	}
 	req := &o.dag
-	assignments := make(map[string]simnet.NodeID, len(d.Functions))
-	for _, fn := range d.Functions {
-		t := pick(fn, req.Args[fn], true)
-		if t == "" {
+	assignments := make([]simnet.NodeID, len(d.Functions))
+	for i, fn := range d.Functions {
+		if assignments[i] = pick(fn, core.ArgsFor(req.Args, fn), true); assignments[i] == "" {
 			return
 		}
-		assignments[fn] = t
 	}
 	o.sched = &core.DAGSchedule{
 		ReqID:       id,
@@ -673,14 +677,6 @@ func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
 		trigger := core.DAGTrigger{Schedule: o.sched, Target: src}
 		s.ep.Send(assignments[src], trigger, 128)
 	}
-}
-
-// argBytes is the wire footprint of a request's arguments.
-func argBytes(args []core.Arg) (n int) {
-	for _, a := range args {
-		n += len(a.Val) + len(a.Ref)
-	}
-	return n
 }
 
 // dagView resolves a DAG topology locally or from Anna (other schedulers

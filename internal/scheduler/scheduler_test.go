@@ -2,6 +2,8 @@ package scheduler_test
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -177,12 +179,14 @@ type fakeExec struct {
 	ep        *simnet.Endpoint
 	reporting bool
 	completes bool
+	pinned    map[string]bool // functions the scheduler pinned here
 }
 
 type work struct {
-	exec  simnet.NodeID
-	reqID string
-	at    vtime.Time
+	exec    simnet.NodeID
+	reqID   string
+	at      vtime.Time
+	trigger *core.DAGTrigger // a DAG attempt's source trigger
 }
 
 func newRig(t *testing.T, cfg scheduler.Config, execs int) *rig {
@@ -203,21 +207,26 @@ func newRig(t *testing.T, cfg scheduler.Config, execs int) *rig {
 	})
 	var registry []string
 	for i := 0; i < execs; i++ {
-		e := &fakeExec{ep: net.AddNode(simnet.NodeID(fmt.Sprintf("exec-%d", i))), reporting: true}
+		e := &fakeExec{ep: net.AddNode(simnet.NodeID(fmt.Sprintf("exec-%d", i))), reporting: true, pinned: map[string]bool{}}
 		r.execs = append(r.execs, e)
 		registry = append(registry, core.ExecMetricsKey(string(e.ep.ID())))
 		k.Go(string(e.ep.ID()), func() {
 			for {
-				var reqID string
-				switch b := e.ep.Recv().Payload.(type) {
+				m := e.ep.Recv()
+				w := work{exec: e.ep.ID(), at: k.Now()}
+				switch b := m.Payload.(type) {
 				case core.InvokeRequest:
-					reqID = b.ReqID
+					w.reqID = b.ReqID
 				case core.DAGTrigger:
-					reqID = b.Schedule.ReqID
+					w.reqID, w.trigger = b.Schedule.ReqID, &b
+				case core.PinFunction:
+					e.pinned[b.Function] = true
+					continue
 				default:
-					continue // PinFunction
+					continue
 				}
-				r.work = append(r.work, work{exec: e.ep.ID(), reqID: reqID, at: k.Now()})
+				r.work = append(r.work, w)
+				reqID := w.reqID
 				if e.completes {
 					e.ep.Send(r.sched.ID(), core.RequestComplete{ReqID: reqID}, 32)
 				}
@@ -397,4 +406,96 @@ func TestRequestTracking(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestDispatchScheduleMatchesNameOracle dispatches seeded random DAGs,
+// each function pinned on one of four executors, and holds the
+// position-indexed schedule to a name-keyed oracle: each function's
+// thread is one pinned with that function, the scheduler triggers
+// exactly the sources (by name) and each at its assigned thread, and
+// each function's client arguments are the ones the request named it
+// with.
+func TestDispatchScheduleMatchesNameOracle(t *testing.T) {
+	cfg := scheduler.DefaultConfig()
+	cfg.StaleAfter = 3 * time.Second
+	r := newRig(t, cfg, 4)
+	rng := rand.New(rand.NewSource(44))
+	r.k.Run("test", func() {
+		call := func(req any) {
+			if resp, err := r.client.Call(r.sched.ID(), req, 64, 10*time.Second); err != nil || !resp.(scheduler.RegisterResp).OK {
+				t.Fatalf("%T: %v, %v", req, resp, err)
+			}
+		}
+		for f := 'a'; f <= 'f'; f++ {
+			call(scheduler.RegisterFunctionReq{Name: string(f)})
+		}
+		r.k.Sleep(2 * time.Second) // the view picks up the executors
+		for n := 0; n < 100; n++ {
+			size := rng.Intn(6) + 1
+			fns := make([]string, size)
+			for j, p := range rng.Perm(size) {
+				fns[j] = string(rune('a' + p))
+			}
+			var edges [][2]string
+			for a := 0; a < size; a++ {
+				for b := a + 1; b < size; b++ {
+					if rng.Intn(3) == 0 {
+						edges = append(edges, [2]string{fns[a], fns[b]})
+					}
+				}
+			}
+			d := dag.New(fmt.Sprintf("d%d", n), fns, edges)
+			call(scheduler.RegisterDAGReq{DAG: *d, Replicas: 1})
+			want := map[string]string{} // function → its client argument
+			var args []core.FnArgs
+			for _, f := range fns {
+				if rng.Intn(2) == 0 {
+					want[f] = "arg-" + f
+					args = append(args, core.FnArgs{Fn: f, Args: []core.Arg{{Val: []byte(want[f])}}})
+				}
+			}
+			core.SortFnArgs(args)
+			reqID := fmt.Sprintf("req-%d", n)
+			from := len(r.work)
+			r.client.Send(r.sched.ID(), scheduler.DAGInvokeReq{ReqID: reqID, DAG: d.Name, Args: args, RespondTo: r.client.ID()}, 128)
+			r.k.Sleep(100 * time.Millisecond)
+
+			var triggered []string
+			for _, w := range r.work[from:] {
+				if w.trigger == nil || w.reqID != reqID {
+					t.Fatalf("%s: unexpected attempt %+v", d.Name, w)
+				}
+				s, f := w.trigger.Schedule, fns[w.trigger.Target]
+				if w.exec != s.Assignments[w.trigger.Target] {
+					t.Fatalf("%s: trigger for %s went to %s, schedule says %s", d.Name, f, w.exec, s.Assignments[w.trigger.Target])
+				}
+				triggered = append(triggered, f)
+			}
+			if !slices.Equal(triggered, d.Sources()) {
+				t.Fatalf("%s %v: triggered %v, want the sources %v", d.Name, edges, triggered, d.Sources())
+			}
+			s := r.work[from].trigger.Schedule
+			if len(s.Assignments) != len(fns) {
+				t.Fatalf("%s: %d assignments for %d functions", d.Name, len(s.Assignments), len(fns))
+			}
+			for i, f := range fns {
+				var e *fakeExec
+				for _, x := range r.execs {
+					if x.ep.ID() == s.Assignments[i] {
+						e = x
+					}
+				}
+				if e == nil || !e.pinned[f] {
+					t.Fatalf("%s: %s assigned to %s, which does not have it pinned", d.Name, f, s.Assignments[i])
+				}
+				var got string
+				if a := core.ArgsFor(s.Args, f); a != nil {
+					got = string(a[0].Val)
+				}
+				if got != want[f] {
+					t.Fatalf("%s: %s's client argument %q, want %q", d.Name, f, got, want[f])
+				}
+			}
+		}
+	})
 }

@@ -28,12 +28,13 @@ type Router interface {
 }
 
 // Invocation is one generated request: either a single function call
-// (Function/Args) or a DAG call (DAG/DAGArgs).
+// (Function/Args) or a DAG call (DAG/DAGArgs). The pool sorts DAGArgs in
+// place by function name before sending it.
 type Invocation struct {
 	Function string
 	Args     []core.Arg
 	DAG      string
-	DAGArgs  map[string][]core.Arg
+	DAGArgs  []core.FnArgs
 }
 
 // Spec parameterizes a pool run.
@@ -165,10 +166,9 @@ func (p *Pool) issue() {
 	var size int
 	if inv.DAG != "" {
 		size = 128
-		for _, args := range inv.DAGArgs {
-			for _, a := range args {
-				size += len(a.Val) + len(a.Ref)
-			}
+		core.SortFnArgs(inv.DAGArgs)
+		for _, fa := range inv.DAGArgs {
+			size += core.ArgBytes(fa.Args)
 		}
 		payload = scheduler.DAGInvokeReq{
 			ReqID:     reqID,
@@ -177,10 +177,7 @@ func (p *Pool) issue() {
 			RespondTo: ep.ID(),
 		}
 	} else {
-		size = 96
-		for _, a := range inv.Args {
-			size += len(a.Val) + len(a.Ref)
-		}
+		size = 96 + core.ArgBytes(inv.Args)
 		payload = core.InvokeRequest{
 			ReqID:     reqID,
 			Function:  inv.Function,

@@ -3,10 +3,15 @@ package traffic
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"cloudburst/internal/codec"
+	"cloudburst/internal/core"
+	"cloudburst/internal/scheduler"
+	"cloudburst/internal/simnet"
+	"cloudburst/internal/vtime"
 )
 
 // drawOffsets materializes the first n arrivals of a stream.
@@ -179,5 +184,57 @@ func TestCapsuleRoundTrip(t *testing.T) {
 	}
 	if s := got.Sustained(2 * time.Second); s != 15 {
 		t.Fatalf("sustained over 2s = %v, want 15", s)
+	}
+}
+
+// routeTo sends every request to one scheduler endpoint.
+type routeTo simnet.NodeID
+
+func (r routeTo) RouteScheduler(string, int) simnet.NodeID { return simnet.NodeID(r) }
+
+// TestPoolSendsDAGArgsInNameOrder generates DAG requests whose argument
+// lists come in reverse name order and checks that every request the
+// scheduler receives carries them sorted by function name, the order
+// core.ArgsFor searches, and that each one completes.
+func TestPoolSendsDAGArgsInNameOrder(t *testing.T) {
+	k := vtime.NewKernel(1)
+	t.Cleanup(k.Stop)
+	net := simnet.New(k, simnet.Link{Latency: simnet.Constant(100 * time.Microsecond)})
+	sched := net.AddNode("sched-0")
+	var got [][]string
+	k.Go("sched", func() {
+		for {
+			m := sched.Recv()
+			req := m.Payload.(scheduler.DAGInvokeReq)
+			var fns []string
+			for _, fa := range req.Args {
+				fns = append(fns, fa.Fn)
+			}
+			got = append(got, fns)
+			sched.Send(req.RespondTo, core.Result{ReqID: req.ReqID}, 48)
+		}
+	})
+	p := NewPool(k, routeTo(sched.ID()), []*simnet.Endpoint{net.AddNode("pool-0"), net.AddNode("pool-1")}, Spec{
+		Name:     "dag-args",
+		Arrivals: NewPoisson(3, 200),
+		Window:   time.Second,
+		Drain:    time.Second,
+		Next: func(int64) Invocation {
+			return Invocation{DAG: "d", DAGArgs: []core.FnArgs{
+				{Fn: "c", Args: []core.Arg{{Val: []byte{3}}}},
+				{Fn: "b", Args: []core.Arg{{Ref: "k"}}},
+				{Fn: "a"},
+			}}
+		},
+	})
+	var rec *Recorder
+	k.Run("pool", func() { rec = p.Run() })
+	if len(got) < 100 || rec.Lost != 0 {
+		t.Fatalf("%d requests reached the scheduler, %d lost; want ≥ 100 and 0", len(got), rec.Lost)
+	}
+	for i, fns := range got {
+		if !slices.Equal(fns, []string{"a", "b", "c"}) {
+			t.Fatalf("request %d carried its arguments for %v, want [a b c]", i, fns)
+		}
 	}
 }

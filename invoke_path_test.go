@@ -57,7 +57,7 @@ func TestInvokePathAllocations(t *testing.T) {
 		out  int
 	}{
 		{"invoke", 10.5, func(cl *Client) *Future { return cl.Invoke("sum", refs) }, 42},
-		{"dag", 27.54, func(cl *Client) *Future { return cl.InvokeDAG("chain", dagArgs) }, 86},
+		{"dag", 25.42, func(cl *Client) *Future { return cl.InvokeDAG("chain", dagArgs) }, 86},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

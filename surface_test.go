@@ -27,8 +27,6 @@ func TestExportedSurface(t *testing.T) {
 	testOnly := []string{
 		"anna.Node.HasKey",
 		"cache.Cache.SnapshotCount",
-		"dag.DAG.Depth",
-		"dag.DAG.IsLinear",
 		"executor.Ctx.RecvWait",
 		"executor.Registry.Names",
 		"lattice.GuardPayloads",
