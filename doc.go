@@ -277,7 +277,15 @@
 // name, and inside the cluster a schedule assigns threads, and a trigger
 // names its target, by position, so no hop builds or probes a map keyed
 // by function name. Session metadata exists only in the modes that read it:
-// under LWW, SK, MK and Transactional a DAG trigger carries none.
+// under LWW, SK, MK and Transactional a DAG trigger carries none. Its
+// tables live as long as the request and are then reused, not rebuilt. A
+// session that ends with its invocation (a bare invocation's under DSRR,
+// DSC and MK, an MK DAG function's) is the executor thread's own, emptied
+// once the invocation completes; a DSRR or DSC DAG's rides its triggers
+// and is the request's. A cache empties a finished request's snapshot
+// table at DAGDone and hands it to the next request's first snapshot.
+// A thread keeps a session of at most 64 keys and a cache at most 8
+// tables of at most 64 snapshots; anything larger is dropped.
 //
 // # Writing a server component
 //

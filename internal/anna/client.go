@@ -136,6 +136,35 @@ func (c *Client) Put(key string, lat lattice.Lattice) error {
 	return fmt.Errorf("anna: put %q: %w", key, ErrUnavailable)
 }
 
+// PutIfAbsent stores lat under key unless the owner it reaches already
+// holds the key: then it leaves the key as it is and returns the value
+// held. An owner the first value has not reached yet by replication
+// stores lat, and the two merge later as any concurrent writes do.
+func (c *Client) PutIfAbsent(key string, lat lattice.Lattice) (held lattice.Lattice, err error) {
+	owners := c.kv.ring.OwnersFor(key)
+	if len(owners) == 0 {
+		return nil, fmt.Errorf("anna: put %q: %w", key, ErrUnavailable)
+	}
+	size := 24 + len(key) + lat.ByteSize()
+	first := c.kv.k.Rand().Intn(len(owners)) // as Put: a random owner, then the list
+	for i := 0; i < len(owners); i++ {
+		c.Stats.PutRPCs++
+		resp, err := c.ep.Call(owners[(first+i)%len(owners)], PutIfAbsentReq{Key: key, Lat: lat}, size, c.timeout)
+		if err != nil {
+			continue
+		}
+		switch r := resp.(type) {
+		case PutResp:
+			if r.OK {
+				return nil, nil
+			}
+		case PutIfAbsentResp:
+			return r.Held, nil
+		}
+	}
+	return nil, fmt.Errorf("anna: put %q: %w", key, ErrUnavailable)
+}
+
 // PutAny merges lat into key on every owner and reports how many
 // acked; it succeeds when at least one did. Put stops at the first
 // ack and lets gossip heal the rest — PutAny is for records whose

@@ -30,6 +30,19 @@ type PutResp struct {
 	OK bool
 }
 
+// PutIfAbsentReq stores Lat under Key unless the receiver already holds
+// the key, which it then leaves as it is.
+type PutIfAbsentReq struct {
+	Key string
+	Lat lattice.Lattice
+}
+
+// PutIfAbsentResp answers a PutIfAbsentReq: Held is the value the
+// receiver already held (shared with its store), nil when it stored Lat.
+type PutIfAbsentResp struct {
+	Held lattice.Lattice
+}
+
 // MultiGetReq fetches many keys from one storage node in a single round
 // trip. Callers partition the key list so every key's primary owner is
 // the receiving node (the same grouping PublishKeyset uses); keys the

@@ -100,6 +100,7 @@ func NewNode(k *vtime.Kernel, ep *simnet.Endpoint, ring *Ring, cfg NodeConfig) *
 	simnet.OnRequest(n.disp, n.handleGet)
 	simnet.OnRequest(n.disp, n.handleMultiGet)
 	simnet.OnRequest(n.disp, n.handlePut)
+	simnet.OnRequest(n.disp, n.handlePutIfAbsent)
 	simnet.OnRequest(n.disp, n.handleDelete)
 	simnet.OnRequest(n.disp, n.handleSetRemove)
 	simnet.OnRequest(n.disp, n.handleTxnPrepare)
@@ -162,6 +163,15 @@ func (n *Node) handlePut(req *simnet.Request, b PutReq) {
 	n.st.markDirty(e, forRepl, forPush)
 	n.k.Sleep(serviceTime(putServiceTime, fromDisk, e.size))
 	req.Reply(PutResp{OK: true}, 8)
+}
+
+func (n *Node) handlePutIfAbsent(req *simnet.Request, b PutIfAbsentReq) {
+	if e, fromDisk := n.st.get(b.Key, n.k.Now()); e != nil {
+		n.k.Sleep(serviceTime(getServiceTime, fromDisk, e.size))
+		req.Reply(PutIfAbsentResp{Held: e.lat}, 8+e.size)
+		return
+	}
+	n.handlePut(req, PutReq(b))
 }
 
 func (n *Node) handleDelete(req *simnet.Request, b DeleteReq) {

@@ -8,6 +8,7 @@ import (
 
 	"cloudburst/internal/core"
 	"cloudburst/internal/lattice"
+	"cloudburst/internal/simnet"
 )
 
 // TestCausalPathAllocations pins what the DSC data plane allocates on a
@@ -21,7 +22,9 @@ import (
 // and its boxed Put (5): its two reads hit one-sibling capsules, the
 // merge returns the new capsule, and the Put's owner list is the ring's.
 // The session metadata and the request's snapshot table are reused, so
-// neither is counted. A new allocation per call fails it; lower the
+// neither is counted. A new request's first read after the previous
+// request's DAGDone takes that request's emptied table off the free list
+// and costs the read's 1. A new allocation per call fails it; lower the
 // numbers when one goes.
 func TestCausalPathAllocations(t *testing.T) {
 	r := newRig(t, core.DSC)
@@ -46,6 +49,8 @@ func TestCausalPathAllocations(t *testing.T) {
 		}
 	})
 
+	done := [2]string{"req-even", "req-odd"} // successive requests, each ended by DAGDone
+	next := 0
 	cases := []struct {
 		name string
 		want float64 // measured; raise it only for an allocation that outlives the call
@@ -71,6 +76,14 @@ func TestCausalPathAllocations(t *testing.T) {
 			if _, err := r.a.WriteWithDeps("req", "rmw", payload, &meta, "wa", depKeys); err != nil {
 				t.Fatal(err)
 			}
+		}},
+		{"new request's read after DAGDone", 1, func() {
+			id := done[next%2]
+			next++
+			if _, _, err := r.a.Read(id, "tl", &meta); err != nil {
+				t.Fatal(err)
+			}
+			r.a.handleDAGDone(simnet.Message{}, core.DAGDone{ReqID: id})
 		}},
 	}
 	for _, c := range cases {

@@ -47,6 +47,16 @@ const (
 	depFetchRetries = 20
 	// depFetchBackoff is the wait between those retries.
 	depFetchBackoff = 5 * time.Millisecond
+	// snapTableKeep is the most snapshots a finished request's table may
+	// have held and still be kept for reuse. 97% of causal-rw's tables
+	// end with at most 64; the rest, a post's fan-out, reach ~350, and
+	// keeping those held 6% more live heap for 2.6% fewer bytes
+	// allocated (the executor's sessionKeep, measured together).
+	snapTableKeep = 64
+	// snapFreeMax bounds the free list of emptied snapshot tables. A
+	// cache serves its VM's few threads and the DAGs that read through
+	// it, so a handful of tables covers the requests in flight.
+	snapFreeMax = 8
 )
 
 // Config carries what a deployment sets per cache.
@@ -108,8 +118,12 @@ type Cache struct {
 	store map[string]lattice.Lattice
 
 	// snapshots holds per-request version snapshots: reqID → key →
-	// exact capsule read (or written) by this DAG at this cache.
+	// exact capsule read (or written) by this DAG at this cache. DAGDone
+	// empties a finished request's table onto freeSnaps, at most
+	// snapFreeMax tables of at most snapTableKeep keys, and the next
+	// request's first snapshot takes one from there.
 	snapshots map[string]map[string]lattice.Lattice
+	freeSnaps []map[string]lattice.Lattice
 
 	// keys is the store's key set in ascending order as Keys last lent it.
 	// keysChurn holds the keys whose membership changed since that call,
@@ -233,10 +247,17 @@ func (c *Cache) handlePush(_ simnet.Message, b anna.KeyUpdatePush) {
 }
 
 // handleDAGDone evicts a completed request's version snapshots
-// (Algorithm 1's sink notification).
+// (Algorithm 1's sink notification) and keeps the emptied table for the
+// next request.
 func (c *Cache) handleDAGDone(_ simnet.Message, b core.DAGDone) {
 	c.mu.Lock()
-	delete(c.snapshots, b.ReqID)
+	if snaps, ok := c.snapshots[b.ReqID]; ok {
+		delete(c.snapshots, b.ReqID)
+		if len(snaps) <= snapTableKeep && len(c.freeSnaps) < snapFreeMax {
+			clear(snaps)
+			c.freeSnaps = append(c.freeSnaps, snaps)
+		}
+	}
 	c.mu.Unlock()
 }
 
@@ -630,10 +651,21 @@ func (c *Cache) snapshotWriteLocked(reqID, key string, lat lattice.Lattice) {
 	snaps[key] = lat
 }
 
+// snapshotMapLocked returns reqID's snapshot table, taking an emptied
+// one off the free list for a request's first snapshot. Caller holds mu.
 func (c *Cache) snapshotMapLocked(reqID string) map[string]lattice.Lattice {
 	snaps, ok := c.snapshots[reqID]
 	if !ok {
-		snaps = make(map[string]lattice.Lattice)
+		if n := len(c.freeSnaps); n > 0 {
+			snaps = c.freeSnaps[n-1]
+			// The slot must not keep the table: a request that never
+			// finishes, or one whose table outgrows snapTableKeep, would
+			// hold its capsules alive through the free list's array.
+			c.freeSnaps[n-1] = nil
+			c.freeSnaps = c.freeSnaps[:n-1]
+		} else {
+			snaps = make(map[string]lattice.Lattice)
+		}
 		c.snapshots[reqID] = snaps
 	}
 	return snaps

@@ -177,61 +177,44 @@ func (c *Cache) readMK(rctx trace.Ctx, key string, meta *core.SessionMeta) ([]by
 // consistency): reads must not observe versions older than those read by
 // upstream functions (read set) or required by their dependencies.
 func (c *Cache) readDSC(rctx trace.Ctx, reqID, key string, meta *core.SessionMeta) ([]byte, core.VersionRef, error) {
-	var cap *lattice.Causal
-	needCheck := func(required core.VersionRef) (*lattice.Causal, error) {
-		c.mu.Lock()
-		cur, ok := c.store[key]
-		if ok {
-			local := cur.(*lattice.Causal)
-			// valid: the local version is concurrent with or newer than
-			// the required version snapshot (lines 4-6, 11-12).
-			if !local.VC().HappensBefore(required.VC) {
-				c.mu.Unlock()
-				c.Stats.Hits++
-				return local, nil
-			}
+	// required is the version an upstream read (the read set) or a
+	// dependency of one pins the key to, if any.
+	var required core.VersionRef
+	pinned := false
+	if meta != nil {
+		if required, pinned = meta.ReadSet[key]; !pinned {
+			required, pinned = meta.Deps[key]
 		}
-		c.mu.Unlock()
+	}
+	c.mu.Lock()
+	cur, ok := c.store[key]
+	c.mu.Unlock()
+	var cap *lattice.Causal
+	switch {
+	case ok && (!pinned || !cur.(*lattice.Causal).VC().HappensBefore(required.VC)):
+		// The local version: any for an unpinned key; for a pinned one,
+		// valid when concurrent with or newer than the required version
+		// snapshot (lines 4-6, 11-12).
+		cap = cur.(*lattice.Causal)
+		c.Stats.Hits++
+	case pinned:
 		// Local version is causally too old (or absent): fetch the
 		// version snapshot from the upstream cache (lines 7-8, 13-14).
 		lat, err := c.fetchUpstream(rctx, required.Cache, reqID, key)
 		if err != nil {
-			return nil, err
-		}
-		return lat.(*lattice.Causal), nil
-	}
-
-	switch {
-	case meta != nil && hasKey(meta.ReadSet, key):
-		got, err := needCheck(meta.ReadSet[key])
-		if err != nil {
 			return nil, core.VersionRef{}, err
 		}
-		cap = got
-	case meta != nil && hasKey(meta.Deps, key):
-		got, err := needCheck(meta.Deps[key])
-		if err != nil {
-			return nil, core.VersionRef{}, err
-		}
-		cap = got
+		cap = lat.(*lattice.Causal)
 	default:
-		c.mu.Lock()
-		if cur, ok := c.store[key]; ok {
-			cap = cur.(*lattice.Causal)
-			c.mu.Unlock()
-			c.Stats.Hits++
-		} else {
-			c.mu.Unlock()
-			c.Stats.Misses++
-			lat, found, err := c.fetchFromAnna(rctx, key)
-			if err != nil {
-				return nil, core.VersionRef{}, err
-			}
-			if !found {
-				return nil, core.VersionRef{}, ErrNotFound
-			}
-			cap = lat.(*lattice.Causal)
+		c.Stats.Misses++
+		lat, found, err := c.fetchFromAnna(rctx, key)
+		if err != nil {
+			return nil, core.VersionRef{}, err
 		}
+		if !found {
+			return nil, core.VersionRef{}, ErrNotFound
+		}
+		cap = lat.(*lattice.Causal)
 	}
 
 	ver := core.VersionRef{Cache: c.ID(), VC: cap.VC(), VCD: cap.Digest()}
@@ -257,11 +240,6 @@ func (c *Cache) readDSC(rctx trace.Ctx, reqID, key string, meta *core.SessionMet
 		meta.ReadSet[key] = ver
 	}
 	return cap.DisplayValue(), ver, nil
-}
-
-func hasKey(m map[string]core.VersionRef, k string) bool {
-	_, ok := m[k]
-	return ok
 }
 
 // ReadAll is Read but returns every concurrent sibling payload (§5.2:

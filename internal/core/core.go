@@ -114,7 +114,11 @@ type VersionRef struct {
 
 // SessionMeta is the distributed-session metadata propagated from
 // upstream to downstream executors (§5.3): the versions read so far and,
-// in causal mode, their dependency sets.
+// in causal mode, their dependency sets. A session that rides a DSRR or
+// DSC DAG's triggers is the request's own; one that ends with its
+// invocation (a bare invocation's, an MK DAG function's) is the executor
+// thread's, emptied and reused for the thread's next invocation, so
+// nothing may keep its maps past the invocation.
 type SessionMeta struct {
 	// ReadSet maps each key read so far in the DAG to the version that
 	// was read (R in Algorithms 1 and 2).

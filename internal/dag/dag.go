@@ -5,6 +5,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -82,6 +83,20 @@ func (d *DAG) Children(f string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// SameTopology reports whether o declares d's functions in d's order and
+// d's edges in any order: the same positions and the same Index.
+func (d *DAG) SameTopology(o *DAG) bool {
+	if !slices.Equal(d.Functions, o.Functions) || len(d.Edges) != len(o.Edges) {
+		return false
+	}
+	for _, f := range d.Functions {
+		if !slices.Equal(d.Parents(f), o.Parents(f)) {
+			return false
+		}
+	}
+	return true
 }
 
 // Sources returns functions with no parents, in declaration order.

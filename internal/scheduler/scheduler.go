@@ -424,7 +424,10 @@ func (s *Scheduler) registerFunction(req RegisterFunctionReq) RegisterResp {
 
 // registerDAG validates the DAG, stores its topology in Anna (the
 // scheduler's only persistent metadata, §4.3), and pins each function
-// onto executors.
+// onto executors. A name already registered, here or through another
+// scheduler, registers again only with the same topology: every
+// scheduler and executor that resolved the name keeps the topology it
+// resolved, so another would split the cluster on what the name means.
 func (s *Scheduler) registerDAG(req RegisterDAGReq) RegisterResp {
 	d := req.DAG
 	if err := d.Validate(); err != nil {
@@ -435,9 +438,23 @@ func (s *Scheduler) registerDAG(req RegisterDAGReq) RegisterResp {
 			return RegisterResp{Err: fmt.Sprintf("scheduler: function %q not registered", fn)}
 		}
 	}
+	taken := RegisterResp{Err: fmt.Sprintf("scheduler: DAG %q is registered with another topology", d.Name)}
+	if prev, ok := s.dags[d.Name]; ok && !prev.SameTopology(&d) {
+		return taken
+	}
 	ts := lattice.Timestamp{Clock: int64(s.k.Now()), Node: 1}
-	if err := s.anna.Put(core.DAGKey(d.Name), lattice.NewLWW(ts, codec.MustEncode(d))); err != nil {
+	held, err := s.anna.PutIfAbsent(core.DAGKey(d.Name), lattice.NewLWW(ts, codec.MustEncode(d)))
+	if err != nil {
 		return RegisterResp{Err: err.Error()}
+	}
+	if held != nil {
+		var prev any
+		if l, ok := held.(*lattice.LWW); ok {
+			prev, _ = codec.Decode(l.Value)
+		}
+		if p, ok := prev.(dag.DAG); !ok || !p.SameTopology(&d) {
+			return taken
+		}
 	}
 	s.anna.Put(core.DAGListKey(), lattice.NewSet(d.Name))
 	s.dags[d.Name] = dag.NewIndex(d)

@@ -49,6 +49,66 @@ func TestRegistrationPersistsAcrossSchedulers(t *testing.T) {
 	})
 }
 
+// TestRegisterDAGKeepsItsTopology registers one DAG name through two
+// schedulers over one Anna. The same topology registers again anywhere,
+// its edges in any order. Another function list, function order or edge
+// set is refused by the scheduler that stored the name and, through
+// Anna, by one that never saw it, and Anna keeps the first topology.
+func TestRegisterDAGKeepsItsTopology(t *testing.T) {
+	k := vtime.NewKernel(1)
+	t.Cleanup(k.Stop)
+	net := simnet.New(k, simnet.Link{Latency: simnet.Constant(200 * time.Microsecond)})
+	kv := anna.NewKVS(k, net, anna.DefaultConfig())
+	var scheds []simnet.NodeID
+	for i := 0; i < 2; i++ {
+		ep := net.AddNode(simnet.NodeID(fmt.Sprintf("sched-%d", i)))
+		s := scheduler.New(k, ep, kv.NewClient(ep, 0), scheduler.DefaultConfig())
+		s.Start()
+		scheds = append(scheds, s.ID())
+	}
+	client := net.AddNode("client-0")
+	abc := []string{"a", "b", "c"}
+	fanIn := dag.New("d", abc, [][2]string{{"a", "c"}, {"b", "c"}})
+	cases := []struct {
+		name  string
+		sched int
+		d     *dag.DAG
+		ok    bool
+	}{
+		{"first", 0, fanIn, true},
+		{"identical", 0, fanIn, true},
+		{"edges reordered", 0, dag.New("d", abc, [][2]string{{"b", "c"}, {"a", "c"}}), true},
+		{"functions reordered", 0, dag.New("d", []string{"b", "a", "c"}, fanIn.Edges), false},
+		{"other functions", 0, dag.Linear("d", "a", "c"), false},
+		{"other edges", 0, dag.New("d", abc, [][2]string{{"a", "c"}, {"b", "a"}}), false},
+		{"a chain", 0, dag.Linear("chain", "a", "b", "c"), true},
+		{"its parents swapped", 0, dag.New("chain", abc, [][2]string{{"a", "c"}, {"c", "b"}}), false},
+		{"other edges via Anna", 1, dag.New("d", abc, [][2]string{{"a", "b"}, {"b", "c"}}), false},
+		{"other functions via Anna", 1, dag.Linear("d", "a", "b", "c"), false},
+		{"identical via Anna", 1, fanIn, true},
+	}
+	k.Run("test", func() {
+		for _, f := range abc {
+			if resp, err := client.Call(scheds[0], scheduler.RegisterFunctionReq{Name: f}, 64, 10*time.Second); err != nil || !resp.(scheduler.RegisterResp).OK {
+				t.Fatalf("register %s: %v, %v", f, resp, err)
+			}
+		}
+		for _, c := range cases {
+			resp, err := client.Call(scheds[c.sched], scheduler.RegisterDAGReq{DAG: *c.d, Replicas: 1}, 256, 10*time.Second)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if r := resp.(scheduler.RegisterResp); r.OK != c.ok {
+				t.Errorf("%s: registered %v (%q), want %v", c.name, r.OK, r.Err, c.ok)
+			}
+		}
+		stored, ok := core.Fetch[dag.DAG](kv.NewClient(client, 0), core.NewDecodeCache(), core.DAGKey("d"))
+		if !ok || !stored.SameTopology(fanIn) {
+			t.Errorf("Anna holds %+v, want the first topology %+v", stored, *fanIn)
+		}
+	})
+}
+
 func TestBurstSpreadsAcrossThreads(t *testing.T) {
 	cfg := cb.DefaultConfig()
 	cfg.VMs = 3 // 9 threads

@@ -15,55 +15,65 @@ import (
 )
 
 // TestInvokePathAllocations pins what one request allocates on a warm
-// LWW cluster whose arguments all hit the cache: a bare Invoke(...).Wait()
-// and a 3-function linear InvokeDAG(...).Wait(), client, scheduler,
-// executor and cache together. What is left is what outlives the request
-// or crosses the network: the Future, the request and its encoded
-// arguments, the scheduler's tracking record, each function's Ctx,
-// argument slice and encoded result, the boxed messages. A new
+// cluster whose arguments all hit the cache: under LWW a bare
+// Invoke(...).Wait() and a 3-function linear InvokeDAG(...).Wait(), and
+// under DSC a bare Invoke(...).Wait(), client, scheduler, executor and
+// cache together. What is left is what outlives the request or crosses
+// the network: the Future, the request and its encoded arguments, the
+// scheduler's tracking record, each function's Ctx, argument slice and
+// encoded result, the boxed messages. A DSC invocation's session is its
+// thread's own and its snapshot table comes off the cache's free list,
+// so it costs one more than LWW's: the boxed DAGDone notice. A new
 // allocation per request fails it; lower the numbers when one goes.
 func TestInvokePathAllocations(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.VMs = 1 // one cache: after the warm-up every reference hits it
-	c := testCluster(t, cfg)
-	for name, fn := range map[string]Function{
-		"sum": func(_ *Ctx, args []any) (any, error) { return args[0].(int) + args[1].(int), nil },
-		"inc": func(_ *Ctx, args []any) (any, error) { return args[0].(int) + 1, nil },
-		"dbl": func(_ *Ctx, args []any) (any, error) { return 2 * args[0].(int), nil },
-	} {
-		if err := c.RegisterFunction(name, fn); err != nil {
+	warm := func(mode core.Mode) *Cluster {
+		cfg := DefaultConfig()
+		cfg.Mode = mode
+		cfg.VMs = 1 // one cache: after the warm-up every reference hits it
+		c := testCluster(t, cfg)
+		for name, fn := range map[string]Function{
+			"sum": func(_ *Ctx, args []any) (any, error) { return args[0].(int) + args[1].(int), nil },
+			"inc": func(_ *Ctx, args []any) (any, error) { return args[0].(int) + 1, nil },
+			"dbl": func(_ *Ctx, args []any) (any, error) { return 2 * args[0].(int), nil },
+		} {
+			if err := c.RegisterFunction(name, fn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.RegisterDAG(LinearDAG("chain", "sum", "inc", "dbl"), 3); err != nil {
 			t.Fatal(err)
 		}
+		c.Run(func(cl *Client) {
+			if err := cl.Put("a", 20); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Put("b", 22); err != nil {
+				t.Fatal(err)
+			}
+			cl.Sleep(3 * time.Second) // metrics publish; the view warms
+		})
+		return c
 	}
-	if err := c.RegisterDAG(LinearDAG("chain", "sum", "inc", "dbl"), 3); err != nil {
-		t.Fatal(err)
-	}
+	lww, dsc := warm(LWW), warm(Causal)
 	refs := []any{Ref("a"), Ref("b")}
 	dagArgs := map[string][]any{"sum": refs}
-	c.Run(func(cl *Client) {
-		if err := cl.Put("a", 20); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Put("b", 22); err != nil {
-			t.Fatal(err)
-		}
-		cl.Sleep(3 * time.Second) // metrics publish; the view warms
-	})
 
 	cases := []struct {
 		name string
+		c    *Cluster
 		want float64 // measured; raise it only for an allocation that outlives the request
 		call func(cl *Client) *Future
 		out  int
 	}{
-		{"invoke", 10.5, func(cl *Client) *Future { return cl.Invoke("sum", refs) }, 42},
-		{"dag", 25.42, func(cl *Client) *Future { return cl.InvokeDAG("chain", dagArgs) }, 86},
+		{"invoke", lww, 10.5, func(cl *Client) *Future { return cl.Invoke("sum", refs) }, 42},
+		{"dag", lww, 25.42, func(cl *Client) *Future { return cl.InvokeDAG("chain", dagArgs) }, 86},
+		{"dsc-invoke", dsc, 11.42, func(cl *Client) *Future { return cl.Invoke("sum", refs) }, 42},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			calls := 0
 			run := func() {
-				c.Run(func(cl *Client) {
+				tc.c.Run(func(cl *Client) {
 					for i := 0; i < calls; i++ {
 						out, err := tc.call(cl).Wait()
 						if err != nil || out != tc.out {
@@ -82,6 +92,7 @@ func TestInvokePathAllocations(t *testing.T) {
 			// The fractions are the cluster's background ticks during the
 			// requests' virtual time; half an allocation of slack absorbs
 			// a pooled buffer a collection emptied, not one more per request.
+			t.Logf("%s: %.2f allocations per request", tc.name, got)
 			if got > tc.want+0.5 {
 				t.Fatalf("%s: %.2f allocations per request, want at most %.2f", tc.name, got, tc.want)
 			}
