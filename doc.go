@@ -4,12 +4,12 @@
 // on the principle of logical disaggregation with physical colocation
 // (LDPC).
 //
-// The platform combines an autoscaling lattice key-value store (a
-// reproduction of Anna) with mutable caches co-located with function
-// executors, DAG-structured function composition, direct
-// executor-to-executor messaging, autoscaling, and distributed session
-// consistency protocols (repeatable read and causal) that hold even when
-// one logical request executes across many machines.
+// The platform combines a lattice key-value store (a reproduction of
+// Anna) with mutable caches co-located with function executors,
+// DAG-structured function composition, direct executor-to-executor
+// messaging, autoscaling, and distributed session consistency protocols
+// (repeatable read and causal) that hold even when one logical request
+// executes across many machines.
 //
 // Because the paper's testbed is AWS, the whole system runs on a
 // deterministic virtual-time kernel (internal/vtime): components are

@@ -48,11 +48,10 @@ func referenceSends(n *Node, index mapIndex, kind dirtyKind) []sent {
 }
 
 // TestDirtyQueuesMatchFullScan drives one node through seeded random
-// histories of every operation that dirties, moves, replaces or drops an
-// entry, and at random points compares what gossipTick and pushTick send
-// against referenceSends — with an unbounded memory tier and with one
-// small enough that dirty entries are demoted to disk before they are
-// sent.
+// histories of every operation that dirties, replaces or drops an entry,
+// and at random points compares what gossipTick and pushTick send against
+// referenceSends — with an unbounded memory tier and with one small
+// enough that dirty entries are demoted to disk before they are sent.
 func TestDirtyQueuesMatchFullScan(t *testing.T) {
 	for _, memCapacity := range []int{0, 400} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -72,13 +71,9 @@ func runDirtyHistory(t *testing.T, seed int64, memCapacity int) {
 	k := vtime.NewKernel(seed)
 	defer k.Stop()
 	net := simnet.New(k, simnet.Link{Latency: simnet.Constant(latency)})
-	ring := NewRing(2, 8)
 	peers := []simnet.NodeID{"p1", "p2", "p3"}
 	caches := []simnet.NodeID{"c1", "c2", "c3"}
-	ring.AddNode("n0")
-	for _, p := range peers {
-		ring.AddNode(p)
-	}
+	ring := NewRing(2, 8, append([]simnet.NodeID{"n0"}, peers...))
 	cfg := DefaultNodeConfig()
 	cfg.MemCapacity = memCapacity
 	n := NewNode(k, net.AddNode("n0"), ring, cfg)
@@ -163,27 +158,18 @@ func runDirtyHistory(t *testing.T, seed int64, memCapacity int) {
 
 		for step := 0; step < steps && !t.Failed(); step++ {
 			switch r := rng.Intn(100); {
-			case r < 25:
+			case r < 30:
 				call(PutReq{Key: key(), Lat: value()})
-			case r < 33:
+			case r < 40:
 				cl.Send("n0", GossipMsg{Key: key(), Lat: value()}, 64)
 				k.Sleep(settle)
-			case r < 38:
-				var ents []TransferEntry
-				for i := rng.Intn(3); i >= 0; i-- {
-					te := TransferEntry{Key: key(), Lat: value(), Subscribers: []simnet.NodeID{caches[rng.Intn(len(caches))]}}
-					index.subscribe(te.Key, te.Subscribers[0])
-					ents = append(ents, te)
-				}
-				cl.Send("n0", TransferMsg{Entries: ents}, 64)
-				k.Sleep(settle)
-			case r < 46:
+			case r < 50:
 				call(DeleteReq{Key: key()})
-			case r < 54: // the same key gone and back between two ticks
+			case r < 60: // the same key gone and back between two ticks
 				kk := key()
 				call(DeleteReq{Key: kk})
 				call(PutReq{Key: kk, Lat: value()})
-			case r < 62: // a transaction over one or two keys, mostly committed
+			case r < 70: // a transaction over one or two keys, mostly committed
 				clock++
 				id := fmt.Sprintf("t%d", step)
 				items := []core.TxnWrite{{Key: key(), Payload: make([]byte, 20), Blind: true}}
@@ -193,9 +179,9 @@ func runDirtyHistory(t *testing.T, seed int64, memCapacity int) {
 				call(txn.PrepareReq{TxnID: id, ReqID: id, Clock: clock, Node: 1, Items: items})
 				cl.Send("n0", txn.DecisionMsg{TxnID: id, Commit: rng.Intn(4) > 0}, 16)
 				k.Sleep(settle)
-			case r < 70: // a read promotes a demoted entry, dirty or not
+			case r < 78: // a read promotes a demoted entry, dirty or not
 				call(GetReq{Key: key()})
-			case r < 74:
+			case r < 84:
 				u := KeysetUpdate{Cache: caches[rng.Intn(len(caches))]}
 				if rng.Intn(2) == 0 {
 					u.Added = []string{key(), key()}
@@ -204,17 +190,7 @@ func runDirtyHistory(t *testing.T, seed int64, memCapacity int) {
 				}
 				keyset(u)
 				k.Sleep(settle)
-			case r < 80: // membership change: re-mark what stays, ship what does not
-				p := peers[rng.Intn(len(peers))]
-				if ring.nodes[p] && ring.Size() > 2 {
-					ring.RemoveNode(p)
-				} else {
-					ring.AddNode(p)
-				}
-				index.dropUnowned(n)
-				n.transferForRing()
-				k.Sleep(settle)
-			case r < 90:
+			case r < 92:
 				check(forRepl)
 			default:
 				check(forPush)
@@ -241,9 +217,7 @@ func TestIdleTickAllocatesNothing(t *testing.T) {
 	k := vtime.NewKernel(1)
 	defer k.Stop()
 	net := simnet.New(k, simnet.Link{Latency: simnet.Constant(time.Millisecond)})
-	ring := NewRing(2, 8)
-	ring.AddNode("n0")
-	ring.AddNode("p1")
+	ring := NewRing(2, 8, []simnet.NodeID{"n0", "p1"})
 	net.AddNode("p1")
 	n := NewNode(k, net.AddNode("n0"), ring, DefaultNodeConfig())
 	for i := 0; i < 50000; i++ {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"cloudburst/internal/lattice"
 	"cloudburst/internal/simnet"
 	"cloudburst/internal/vtime"
 )
@@ -41,16 +40,6 @@ func (m mapIndex) apply(u KeysetUpdate) {
 	}
 }
 
-// dropUnowned forgets every key n stores but no longer owns: what
-// n.transferForRing hands away under the current ring.
-func (m mapIndex) dropUnowned(n *Node) {
-	n.st.each(func(e *entry, onDisk bool) {
-		if !slices.Contains(n.ring.OwnersFor(e.key), n.id) {
-			delete(m, e.key)
-		}
-	})
-}
-
 // sortedSubs returns a subscriber set in deterministic order.
 func sortedSubs(subs map[simnet.NodeID]bool) []simnet.NodeID {
 	out := make([]simnet.NodeID, 0, len(subs))
@@ -78,24 +67,16 @@ func (m mapIndex) mismatch(n *Node) string {
 
 // TestIndexMatchesMapOracle drives one node's key→cache index through
 // seeded histories of keyset deltas (subscriptions and unsubscriptions,
-// repeats included), incoming transfers carrying subscribers, and ring
-// changes that hand keys away, and holds it after every step to the
-// map-form index: each key's caches ascending and equal to the sorted
-// set, no key without a subscriber, and the same IndexOverheads total.
+// repeats included), and holds it after every step to the map-form index:
+// each key's caches ascending and equal to the sorted set, no key without
+// a subscriber, and the same IndexOverheads total.
 func TestIndexMatchesMapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			k := vtime.NewKernel(seed)
 			defer k.Stop()
 			net := simnet.New(k, simnet.Link{Latency: simnet.Constant(time.Millisecond)})
-			ring := NewRing(2, 8)
-			peers := []simnet.NodeID{"p1", "p2", "p3"}
-			ring.AddNode("n0")
-			for _, p := range peers {
-				ring.AddNode(p)
-				net.AddNode(p)
-			}
-			n := NewNode(k, net.AddNode("n0"), ring, DefaultNodeConfig())
+			n := NewNode(k, net.AddNode("n0"), NewRing(2, 8, []simnet.NodeID{"n0"}), DefaultNodeConfig())
 			caches := []simnet.NodeID{"c0", "c1", "c2", "c3", "c4"}
 			rng := rand.New(rand.NewSource(seed))
 			key := func() string { return fmt.Sprintf("k%02d", rng.Intn(30)) }
@@ -108,47 +89,19 @@ func TestIndexMatchesMapOracle(t *testing.T) {
 			}
 			cache := func() simnet.NodeID { return caches[rng.Intn(len(caches))] }
 			oracle := mapIndex{}
-			var removals, drops int
+			var removals int
 
 			k.Run("driver", func() {
 				for step := 0; step < 400 && !t.Failed(); step++ {
-					switch r := rng.Intn(100); {
-					case r < 40:
-						u := KeysetUpdate{Cache: cache(), Added: keys()}
-						n.applyKeyset(u)
-						oracle.apply(u)
-					case r < 70:
-						u := KeysetUpdate{Cache: cache(), Removed: keys()}
+					u := KeysetUpdate{Cache: cache()}
+					if rng.Intn(7) < 4 {
+						u.Added = keys()
+					} else {
+						u.Removed = keys()
 						removals += len(u.Removed)
-						n.applyKeyset(u)
-						oracle.apply(u)
-					case r < 85:
-						var ents []TransferEntry
-						for i := rng.Intn(3); i >= 0; i-- {
-							te := TransferEntry{Key: key(), Lat: lattice.NewLWW(lattice.Timestamp{Clock: int64(step)}, []byte("v"))}
-							for j := rng.Intn(3); j > 0; j-- {
-								te.Subscribers = append(te.Subscribers, cache())
-							}
-							slices.Sort(te.Subscribers)
-							te.Subscribers = slices.Compact(te.Subscribers)
-							for _, c := range te.Subscribers {
-								oracle.subscribe(te.Key, c)
-							}
-							ents = append(ents, te)
-						}
-						n.handleTransfer(simnet.Message{}, TransferMsg{Entries: ents})
-					default:
-						p := peers[rng.Intn(len(peers))]
-						if ring.nodes[p] && ring.Size() > 2 {
-							ring.RemoveNode(p)
-						} else {
-							ring.AddNode(p)
-						}
-						before := len(oracle)
-						oracle.dropUnowned(n)
-						drops += before - len(oracle)
-						n.transferForRing()
 					}
+					n.applyKeyset(u)
+					oracle.apply(u)
 					if msg := oracle.mismatch(n); msg != "" {
 						t.Fatalf("step %d: %s", step, msg)
 					}
@@ -167,8 +120,8 @@ func TestIndexMatchesMapOracle(t *testing.T) {
 					}
 				}
 			})
-			if removals == 0 || drops == 0 || len(oracle) == 0 {
-				t.Fatalf("history too thin: %d removals, %d keys handed away, %d keys left", removals, drops, len(oracle))
+			if removals == 0 || len(oracle) == 0 {
+				t.Fatalf("history too thin: %d removals, %d keys left", removals, len(oracle))
 			}
 		})
 	}

@@ -14,7 +14,7 @@ const vnodesPerNode = 32
 
 // Config sizes an Anna deployment.
 type Config struct {
-	// Nodes is the initial storage-node count.
+	// Nodes is the storage-node count, fixed at boot.
 	Nodes int
 	// Replication is the replication factor k (§4.5: Anna's replication
 	// provides k-fault tolerance).
@@ -32,35 +32,34 @@ func DefaultConfig() Config {
 	}
 }
 
-// KVS is the deployed Anna cluster: the ring and the storage nodes.
-// Storage autoscaling is exposed as AddNode/RemoveNode, invoked by
-// callers' policies.
+// KVS is the deployed Anna cluster: the ring and the storage nodes,
+// both fixed when it boots.
 type KVS struct {
 	k     *vtime.Kernel
-	net   *simnet.Network
 	ring  *Ring
-	cfg   Config
-	nodes map[simnet.NodeID]*Node
-	next  int
-
-	// ScaleEvents records node additions/removals for reports.
-	ScaleEvents []string
+	nodes []*Node // in ID string order
+	byID  map[simnet.NodeID]*Node
 }
 
-// NewKVS boots an Anna cluster on the given network.
+// NewKVS boots an Anna cluster of storage nodes anna-0 to anna-N-1 on the
+// given network.
 func NewKVS(k *vtime.Kernel, net *simnet.Network, cfg Config) *KVS {
-	if cfg.Nodes < 1 {
-		cfg.Nodes = 1
+	ids := make([]simnet.NodeID, max(cfg.Nodes, 1))
+	for i := range ids {
+		ids[i] = simnet.NodeID(fmt.Sprintf("anna-%d", i))
 	}
 	kv := &KVS{
-		k:     k,
-		net:   net,
-		ring:  NewRing(cfg.Replication, vnodesPerNode),
-		cfg:   cfg,
-		nodes: make(map[simnet.NodeID]*Node),
+		k:    k,
+		ring: NewRing(cfg.Replication, vnodesPerNode, ids),
+		byID: make(map[simnet.NodeID]*Node, len(ids)),
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		kv.addNodeNoRebalance()
+	for _, id := range ids {
+		n := NewNode(k, net.AddNode(id), kv.ring, cfg.Node)
+		kv.byID[id] = n
+		n.Start()
+	}
+	for _, id := range kv.ring.nodes {
+		kv.nodes = append(kv.nodes, kv.byID[id])
 	}
 	return kv
 }
@@ -70,64 +69,9 @@ func NewKVS(k *vtime.Kernel, net *simnet.Network, cfg Config) *KVS {
 // same information).
 func (kv *KVS) Ring() *Ring { return kv.ring }
 
-// Nodes returns the live storage nodes.
-func (kv *KVS) Nodes() []*Node {
-	out := make([]*Node, 0, len(kv.nodes))
-	for _, id := range kv.ring.Nodes() {
-		if n, ok := kv.nodes[id]; ok {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func (kv *KVS) addNodeNoRebalance() *Node {
-	id := simnet.NodeID(fmt.Sprintf("anna-%d", kv.next))
-	kv.next++
-	ep := kv.net.AddNode(id)
-	n := NewNode(kv.k, ep, kv.ring, kv.cfg.Node)
-	kv.nodes[id] = n
-	kv.ring.AddNode(id)
-	n.Start()
-	return n
-}
-
-// AddNode grows the cluster by one storage node and rebalances key
-// ownership onto it. Must be called from a kernel process.
-func (kv *KVS) AddNode() simnet.NodeID {
-	n := kv.addNodeNoRebalance()
-	kv.rebalance()
-	kv.ScaleEvents = append(kv.ScaleEvents, fmt.Sprintf("t=%v add %s", kv.k.Now(), n.ID()))
-	return n.ID()
-}
-
-// RemoveNode drains a storage node's keys to their new owners and takes
-// it out of service. Removing an unknown node does nothing; the last
-// node is refused with an error, the ring and the node untouched: its
-// keys would have no owner to drain to.
-func (kv *KVS) RemoveNode(id simnet.NodeID) error {
-	n, ok := kv.nodes[id]
-	if !ok {
-		return nil
-	}
-	if kv.ring.Size() == 1 {
-		return fmt.Errorf("anna: remove %s: the last storage node", id)
-	}
-	kv.ring.RemoveNode(id)
-	n.transferForRing() // node owns nothing now: everything drains
-	n.Stop()
-	delete(kv.nodes, id)
-	kv.ScaleEvents = append(kv.ScaleEvents, fmt.Sprintf("t=%v remove %s", kv.k.Now(), id))
-	return nil
-}
-
-// rebalance asks every node to migrate keys per the current ring, in
-// deterministic order.
-func (kv *KVS) rebalance() {
-	for _, n := range kv.Nodes() {
-		n.transferForRing()
-	}
-}
+// Nodes returns the storage nodes in ID string order (anna-10 before
+// anna-2). The slice is the KVS's own: callers must not write it.
+func (kv *KVS) Nodes() []*Node { return kv.nodes }
 
 // Preload inserts a key directly into its owners' stores, bypassing the
 // network. Experiment setup only: the paper's workloads preload a
@@ -135,9 +79,7 @@ func (kv *KVS) rebalance() {
 // time.
 func (kv *KVS) Preload(key string, lat lattice.Lattice) {
 	for _, o := range kv.ring.OwnersFor(key) {
-		if n, ok := kv.nodes[o]; ok {
-			n.st.merge(key, lat, kv.k.Now())
-		}
+		kv.byID[o].st.merge(key, lat, kv.k.Now())
 	}
 }
 

@@ -118,17 +118,3 @@ type KeyUpdatePush struct {
 	Key string
 	Lat lattice.Lattice
 }
-
-// TransferMsg hands keys (and their index entries) to a node that became
-// an owner after a ring change. Fire-and-forget; entries share the
-// sender's values.
-type TransferMsg struct {
-	Entries []TransferEntry
-}
-
-// TransferEntry is one migrated key.
-type TransferEntry struct {
-	Key         string
-	Lat         lattice.Lattice
-	Subscribers []simnet.NodeID // the key's caches from the key→cache index, ascending
-}

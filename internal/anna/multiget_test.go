@@ -100,10 +100,7 @@ func oracleMultiGet(c *Client, keys []string) (found map[string]lattice.Lattice,
 func TestGroupingMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for nodes := 1; nodes <= 8; nodes++ {
-		r := NewRing(1, 16)
-		for i := 0; i < nodes; i++ {
-			r.AddNode(simnet.NodeID(fmt.Sprintf("anna-%d", i)))
-		}
+		r := NewRing(1, 16, nodeIDs("anna-", nodes))
 		c := &Client{kv: &KVS{ring: r}}
 		for trial := 0; trial < 50; trial++ {
 			keys := randomKeyList(rng, 40)
@@ -273,10 +270,7 @@ func TestMultiGetFallbackKeepsPositions(t *testing.T) {
 			t.Fatalf("down %s: missing = %v, want the absent keys %v", down, o.missing, absent)
 		}
 		// The down group's absent keys close the list, in input order.
-		r := NewRing(2, vnodesPerNode)
-		for i := 0; i < 4; i++ {
-			r.AddNode(simnet.NodeID(fmt.Sprintf("anna-%d", i)))
-		}
+		r := NewRing(2, vnodesPerNode, nodeIDs("anna-", 4))
 		var downAbsent []string
 		for _, key := range absent {
 			if r.PrimaryFor(key) == r.PrimaryFor(down) {
@@ -302,11 +296,9 @@ func TestPublishKeysetMatchesMapOracle(t *testing.T) {
 	for nodes := 1; nodes <= 8; nodes++ {
 		k := vtime.NewKernel(1)
 		net := simnet.New(k, simnet.Link{Latency: simnet.Constant(100 * time.Microsecond)})
-		r := NewRing(1, 16)
+		r := NewRing(1, 16, nodeIDs("anna-", nodes))
 		var log []update
-		for i := 0; i < nodes; i++ {
-			id := simnet.NodeID(fmt.Sprintf("anna-%d", i))
-			r.AddNode(id)
+		for _, id := range r.nodes {
 			ep := net.AddNode(id)
 			k.Go(string(id), func() {
 				for {
@@ -421,7 +413,7 @@ func TestMultiGetLateReplyIsNeverRead(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes, cfg.Replication = 4, 2
 	k, net, kv, cl := harness(t, cfg)
-	nodes := kv.Ring().Nodes()
+	nodes := kv.Ring().nodes
 	slow, b, c := nodes[0], nodes[1], nodes[2]
 	// keysOn returns n keys with the given prefix whose primary is o.
 	keysOn := func(prefix string, o simnet.NodeID, n int) []string {
@@ -444,7 +436,7 @@ func TestMultiGetLateReplyIsNeverRead(t *testing.T) {
 	ghosts := func(o simnet.NodeID) []string {
 		keys := keysOn("ghost", o, 4)
 		for _, key := range keys {
-			kv.nodes[slow].st.merge(key, lattice.NewLWW(lattice.Timestamp{Clock: 1}, []byte("late")), 0)
+			kv.byID[slow].st.merge(key, lattice.NewLWW(lattice.Timestamp{Clock: 1}, []byte("late")), 0)
 		}
 		return keys
 	}

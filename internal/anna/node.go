@@ -107,7 +107,6 @@ func NewNode(k *vtime.Kernel, ep *simnet.Endpoint, ring *Ring, cfg NodeConfig) *
 	simnet.OnMessage(n.disp, n.handleTxnDecision)
 	simnet.OnMessage(n.disp, n.handleGossip)
 	simnet.OnMessage(n.disp, n.handleKeyset)
-	simnet.OnMessage(n.disp, n.handleTransfer)
 	return n
 }
 
@@ -123,10 +122,6 @@ func (n *Node) Start() {
 		n.disp.Every("txn-sweep", txnSweepInterval, n.txnSweepTick)
 	}
 }
-
-// Stop makes the node stop processing after in-flight work; used for
-// scale-in after its keys are drained.
-func (n *Node) Stop() { n.disp.Stop() }
 
 func (n *Node) handleGet(req *simnet.Request, b GetReq) {
 	e, fromDisk := n.st.get(b.Key, n.k.Now())
@@ -210,17 +205,6 @@ func (n *Node) handleGossip(_ simnet.Message, b GossipMsg) {
 
 func (n *Node) handleKeyset(_ simnet.Message, b KeysetUpdate) { n.applyKeyset(b) }
 
-func (n *Node) handleTransfer(_ simnet.Message, b TransferMsg) {
-	for _, te := range b.Entries {
-		e, _ := n.st.merge(te.Key, te.Lat, n.k.Now())
-		// forRepl: propagate to any further new replicas.
-		n.st.markDirty(e, forRepl, forPush)
-		for _, c := range te.Subscribers {
-			n.subscribe(te.Key, c)
-		}
-	}
-}
-
 // serviceTime is an operation's server time: its base cost, the disk
 // penalty when it touched the disk tier, and size bytes at serveBandwidth.
 func serviceTime(base time.Duration, disk bool, size int) time.Duration {
@@ -293,57 +277,6 @@ func (n *Node) IndexOverheads() []int {
 		out = append(out, b)
 	}
 	return out
-}
-
-// transferForRing migrates keys this node no longer owns to their new
-// primary, and re-marks still-owned keys dirty so gossip reaches any new
-// replicas. Called by the manager after a ring change.
-func (n *Node) transferForRing() {
-	type out struct {
-		dst     simnet.NodeID
-		entries []TransferEntry
-		bytes   int
-	}
-	batches := make(map[simnet.NodeID]*out)
-	var dropped []string
-	n.st.each(func(e *entry, onDisk bool) {
-		owners := n.ring.OwnersFor(e.key)
-		owned := false
-		for _, o := range owners {
-			if o == n.id {
-				owned = true
-				break
-			}
-		}
-		if owned {
-			n.st.markDirty(e, forRepl)
-			return
-		}
-		dst := owners[0]
-		b, ok := batches[dst]
-		if !ok {
-			b = &out{dst: dst}
-			batches[dst] = b
-		}
-		// The key leaves this node's index below, so the entry takes the
-		// stored subscriber slice as it is.
-		b.entries = append(b.entries, TransferEntry{Key: e.key, Lat: e.lat, Subscribers: n.index[e.key]})
-		b.bytes += e.size + len(e.key)
-		dropped = append(dropped, e.key)
-	})
-	dsts := make([]simnet.NodeID, 0, len(batches))
-	for d := range batches {
-		dsts = append(dsts, d)
-	}
-	slices.Sort(dsts)
-	for _, d := range dsts {
-		b := batches[d]
-		n.ep.Send(b.dst, TransferMsg{Entries: b.entries}, b.bytes)
-	}
-	for _, key := range dropped {
-		n.st.delete(key)
-		delete(n.index, key)
-	}
 }
 
 // StoredKeys returns the number of keys on the node (test hook).

@@ -9,7 +9,6 @@
 //     factor k;
 //   - asynchronous replica propagation (gossip);
 //   - a memory tier with LRU demotion to a slower disk tier;
-//   - storage-node autoscaling with key handoff;
 //   - the Cloudburst extension: a key→cache index built from periodic
 //     cached-keyset snapshots, used to push key updates to subscribed
 //     caches, partitioned across nodes like the key space.
@@ -29,35 +28,33 @@ type vnode struct {
 	node simnet.NodeID
 }
 
-// Ring is a consistent-hash ring with virtual nodes. All mutation happens
-// under the cooperative kernel (one runnable process at a time), so no
-// locking is needed.
+// Ring is a consistent-hash ring with virtual nodes over a membership
+// fixed when it is built. Nothing writes it after NewRing, so it is
+// shared without locking.
 type Ring struct {
 	vnodes []vnode
 	// owners[i] is the owner list of a key whose successor is vnodes[i],
-	// rebuilt into fresh storage on every membership change and never
-	// written after: a list handed out keeps the membership it was built
-	// for.
-	owners      [][]simnet.NodeID
-	nodes       map[simnet.NodeID]bool
-	replication int // replication factor k
-	perNode     int // virtual nodes per physical node
+	// all built by NewRing into one array.
+	owners [][]simnet.NodeID
+	nodes  []simnet.NodeID // the members, distinct and in string order
 }
 
-// NewRing creates a ring with replication factor k and vnodesPerNode
-// virtual nodes per storage node.
-func NewRing(k, vnodesPerNode int) *Ring {
-	if k < 1 {
-		k = 1
+// NewRing builds the ring of the given storage nodes with replication
+// factor k and perNode virtual nodes per storage node. A repeated node
+// counts once, and the order of nodes does not matter.
+func NewRing(k, perNode int, nodes []simnet.NodeID) *Ring {
+	if perNode < 1 {
+		perNode = 16
 	}
-	if vnodesPerNode < 1 {
-		vnodesPerNode = 16
+	r := &Ring{nodes: slices.Compact(slices.Sorted(slices.Values(nodes)))}
+	for _, id := range r.nodes {
+		for i := 0; i < perNode; i++ {
+			r.vnodes = append(r.vnodes, vnode{hash: hash64(fmt.Sprintf("%s#%d", id, i)), node: id})
+		}
 	}
-	return &Ring{
-		nodes:       make(map[simnet.NodeID]bool),
-		replication: k,
-		perNode:     vnodesPerNode,
-	}
+	sort.Slice(r.vnodes, func(i, j int) bool { return r.vnodes[i].hash < r.vnodes[j].hash })
+	r.buildOwners(min(max(k, 1), len(r.nodes)))
+	return r
 }
 
 // hash64 is FNV-1a (hash/fnv's New64a, inlined so a lookup allocates
@@ -79,40 +76,10 @@ func hash64(s string) uint64 {
 	return x
 }
 
-// AddNode inserts a storage node's virtual nodes.
-func (r *Ring) AddNode(id simnet.NodeID) {
-	if r.nodes[id] {
-		return
-	}
-	r.nodes[id] = true
-	for i := 0; i < r.perNode; i++ {
-		r.vnodes = append(r.vnodes, vnode{hash: hash64(fmt.Sprintf("%s#%d", id, i)), node: id})
-	}
-	sort.Slice(r.vnodes, func(i, j int) bool { return r.vnodes[i].hash < r.vnodes[j].hash })
-	r.buildOwners()
-}
-
-// RemoveNode deletes a storage node from the ring.
-func (r *Ring) RemoveNode(id simnet.NodeID) {
-	if !r.nodes[id] {
-		return
-	}
-	delete(r.nodes, id)
-	kept := r.vnodes[:0]
-	for _, v := range r.vnodes {
-		if v.node != id {
-			kept = append(kept, v)
-		}
-	}
-	r.vnodes = kept
-	r.buildOwners()
-}
-
 // buildOwners computes every vnode's owner list — the first k distinct
-// nodes clockwise from it — into one fresh array, each list capped so an
+// nodes clockwise from it — into one array, each list capped so an
 // append by a reader cannot reach the next.
-func (r *Ring) buildOwners() {
-	k := min(r.replication, len(r.nodes))
+func (r *Ring) buildOwners(k int) {
 	all := make([]simnet.NodeID, 0, len(r.vnodes)*k)
 	r.owners = make([][]simnet.NodeID, len(r.vnodes))
 	for i := range r.vnodes {
@@ -127,24 +94,13 @@ func (r *Ring) buildOwners() {
 	}
 }
 
-// Nodes returns the member nodes in sorted order.
-func (r *Ring) Nodes() []simnet.NodeID {
-	out := make([]simnet.NodeID, 0, len(r.nodes))
-	for id := range r.nodes {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Size reports the number of physical nodes.
 func (r *Ring) Size() int { return len(r.nodes) }
 
 // OwnersFor returns the distinct storage nodes responsible for key, in
 // preference order (primary first): the first k distinct nodes clockwise
 // from the key's hash. The list is the ring's own and allocates nothing:
-// callers must not write it. A membership change builds new lists, so a
-// caller holding one across a blocking call keeps the old membership.
+// callers must not write it.
 func (r *Ring) OwnersFor(key string) []simnet.NodeID {
 	if len(r.vnodes) == 0 {
 		return nil
