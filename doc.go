@@ -375,16 +375,16 @@
 // clients block on their own futures, so offered load collapses
 // exactly when the system slows down and saturation never shows. The
 // traffic plane (internal/traffic) is the open-loop alternative: a
-// seeded arrival process fires requests at their generated instants
+// seeded Poisson stream fires requests at their generated instants
 // whether or not earlier ones have completed, which is how real
 // aggregate load behaves and the only way a control-plane bottleneck
 // becomes visible as a diverging queue.
 //
 //	zip := traffic.NewZipfKeys(seed, 1.3, keys, "k")
 //	spec := traffic.Spec{
-//		Name:     "ramp",
+//		Name:     "open",
 //		Workers:  4,
-//		Arrivals: traffic.NewDiurnal(seed, 100, 1200, 5*time.Minute),
+//		Arrivals: traffic.NewPoisson(seed, 600),
 //		Window:   2 * time.Minute,
 //		Next: func(n int64) traffic.Invocation {
 //			return traffic.Invocation{Function: "serve",
@@ -392,17 +392,17 @@
 //		},
 //	}
 //	rec := traffic.NewPool(in.K, in, eps, spec).Run()
-//	p99 := rec.Capsule("ramp").Quantile(0.99)
+//	p99 := rec.Capsule("open").Quantile(0.99)
 //
-// Arrival processes — Poisson, a diurnal ramp, a flash-crowd spike —
-// all draw from their own seeded source, so a fixed seed replays the
-// identical request stream; ZipfKeys and Mix add hot-key skew and
-// per-tenant DAG mixes. The pool records latencies into a fixed-bucket
-// streaming histogram (no per-request sample slice), and the resulting
-// Capsule is a codec wire struct, so whole measurement windows travel
-// through Anna like any other control-plane state. A bounded reaper
-// re-issues requests that stay silent past RetryAfter, walking the
-// scheduler ranking so retries land on a different shard.
+// The arrival stream draws from its own seeded source, so a fixed
+// seed replays the identical request stream; ZipfKeys and Mix add
+// hot-key skew and per-tenant DAG mixes. The pool records latencies
+// into a fixed-bucket streaming histogram (no per-request sample
+// slice), and the resulting Capsule is a codec wire struct, so whole
+// measurement windows travel through Anna like any other control-plane
+// state. A bounded reaper re-issues requests that stay silent past
+// RetryAfter, walking the scheduler ranking so retries land on a
+// different shard.
 //
 // Offered load beyond one scheduler's dispatch capacity is the
 // headline experiment (cmd/cb-bench -run fig13-saturation): the
@@ -462,10 +462,10 @@
 // during a function body shadows the body), and its category — queue,
 // dispatch, kvs, cache, compute, retry, network — is charged the
 // interval. Summaries power Collector.Quantile (the p99 request by
-// wall time), Summary.Dominant (what to blame), Recorder sub-histograms
-// in the traffic plane, and the fig14 breakdown figure (cmd/cb-bench
-// -run fig14-breakdown), whose acceptance gate attributes ≥95% of the
-// p99 wall for the fig10 recovery spike and the fig13 saturation knee.
+// wall time), Summary.Dominant (what to blame), and the fig14
+// breakdown figure (cmd/cb-bench -run fig14-breakdown), whose
+// acceptance gate attributes ≥95% of the p99 wall for the fig10
+// recovery spike and the fig13 saturation knee.
 // Collector.ChromeJSON exports retained trees as Chrome trace-event
 // JSON (chrome://tracing / Perfetto), deterministic byte-for-byte for
 // a fixed seed.

@@ -11,15 +11,17 @@ package bench
 // per-request dispatch cost on a serial dispatcher, so one scheduler
 // caps at ~1/DispatchCost req/s: past that, its inbox queue grows
 // without bound and p99 diverges. The headline is the saturation knee
-// — the highest offered load still served at p99 ≤ KneeP99 with
-// ≥ KneeFrac of offered load sustained — for 1 vs N schedulers, which
-// should scale ~linearly with the shard count (§3.2's "many
+// — the highest offered load still served at p99 ≤ fig13KneeP99 with
+// ≥ fig13KneeFrac of offered load sustained — for 1 vs N schedulers,
+// which should scale ~linearly with the shard count (§3.2's "many
 // schedulers behind a load balancer"). The sharded arm also runs the
 // partitioned monitor, so the whole control plane is sharded, not
 // just the schedulers.
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"time"
 
@@ -31,6 +33,17 @@ import (
 	"cloudburst/internal/traffic"
 )
 
+// The sweep's fixed parameters: every fig13 configuration, and fig14's
+// knee cell, runs with these.
+const (
+	fig13ThreadsPerVM = 3
+	fig13ZipfS        = 1.3                   // Zipf exponent of the hot-key draw
+	fig13DAGPercent   = 30                    // % of requests invoking the 2-function DAG
+	fig13KneeP99      = 30 * time.Millisecond // knee criterion: p99 at or under this
+	fig13KneeFrac     = 0.90                  // ...and sustained ≥ frac × offered
+	fig13Seed         = 23
+)
+
 // Fig13Config parameterizes the saturation sweep.
 type Fig13Config struct {
 	SchedulerCounts []int         // group sizes to sweep (first is the baseline)
@@ -38,27 +51,14 @@ type Fig13Config struct {
 	Window          time.Duration // open-loop generation window
 	Drain           time.Duration // post-window grace before pending counts Lost
 	VMs             int           // fixed fleet (MinVMs = MaxVMs = VMs)
-	ThreadsPerVM    int
 	MonitorShards   int           // partitioned monitor in the sharded arms
 	DispatchCost    time.Duration // per-request scheduler CPU cost
 	Compute         time.Duration // per-function modeled work
 	Keys            int           // Zipf hot-key space
-	ZipfS           float64
-	DAGPercent      int           // % of requests invoking the 2-function DAG
 	Workers         int           // traffic-pool client endpoints
-	KneeP99         time.Duration // knee criterion: p99 at or under this
-	KneeFrac        float64       // ...and sustained ≥ frac × offered
-	Seed            int64
-	// Breakdown, when true, traces every request through the tracing
-	// plane and adds a "dominant" column to the table: the
-	// critical-path category holding the largest share of total request
-	// time at each cell (the queue blow-up past the knee, made
-	// attributable). Off by default; the table is byte-identical with
-	// it off because tracing never touches the wire.
-	Breakdown bool
-	// traceInto, when non-nil, threads this collector through the cell
-	// cluster and pool instead of a private one — fig14 reuses the cell
-	// runner and needs the summaries afterwards.
+	// traceInto, when non-nil, traces the cell's cluster and pool into
+	// this collector — fig14 reuses the cell runner and needs the
+	// summaries afterwards.
 	traceInto *trace.Collector
 }
 
@@ -75,17 +75,11 @@ func Fig13Quick() Fig13Config {
 		Window:          4 * time.Second,
 		Drain:           2 * time.Second,
 		VMs:             6,
-		ThreadsPerVM:    3,
 		MonitorShards:   3,
 		DispatchCost:    3 * time.Millisecond,
 		Compute:         1500 * time.Microsecond,
 		Keys:            400,
-		ZipfS:           1.3,
-		DAGPercent:      30,
 		Workers:         4,
-		KneeP99:         30 * time.Millisecond,
-		KneeFrac:        0.90,
-		Seed:            23,
 	}
 }
 
@@ -98,17 +92,11 @@ func Fig13Paper() Fig13Config {
 		Window:          10 * time.Second,
 		Drain:           4 * time.Second,
 		VMs:             24,
-		ThreadsPerVM:    3,
 		MonitorShards:   4,
 		DispatchCost:    2 * time.Millisecond,
 		Compute:         2 * time.Millisecond,
 		Keys:            10_000,
-		ZipfS:           1.3,
-		DAGPercent:      30,
 		Workers:         8,
-		KneeP99:         30 * time.Millisecond,
-		KneeFrac:        0.90,
-		Seed:            23,
 	}
 }
 
@@ -123,9 +111,6 @@ type Fig13Point struct {
 	Done       int64
 	Failed     int64
 	Lost       int64
-	// Dominant is the cell's leading critical-path category ("queue
-	// 87%"); empty unless Fig13Config.Breakdown was set.
-	Dominant string
 }
 
 // Fig13Result is the sweep plus the knee digest.
@@ -137,39 +122,22 @@ type Fig13Result struct {
 	KneeRatio float64 // best sharded knee / single-scheduler knee
 }
 
-// Print renders the sweep table and the knee headline. The "dominant"
-// column only appears when at least one point carries a breakdown, so
-// a Breakdown-off sweep prints byte-identically to earlier versions.
+// Print renders the sweep table and the knee headline.
 func (r Fig13Result) Print() string {
-	breakdown := false
-	for _, p := range r.Points {
-		if p.Dominant != "" {
-			breakdown = true
-			break
-		}
-	}
-	headers := []string{"scheds", "offered req/s", "sustained req/s", "p50(ms)", "p99(ms)", "done/failed/lost"}
-	if breakdown {
-		headers = append(headers, "dominant")
-	}
 	rows := make([][]string, 0, len(r.Points))
 	for _, p := range r.Points {
-		row := []string{
+		rows = append(rows, []string{
 			strconv.Itoa(p.Schedulers),
 			fmt.Sprintf("%.0f", p.Offered),
 			fmt.Sprintf("%.0f", p.Sustained),
 			fmt.Sprintf("%.1f", ms(p.P50)),
 			fmt.Sprintf("%.1f", ms(p.P99)),
 			fmt.Sprintf("%d/%d/%d", p.Done, p.Failed, p.Lost),
-		}
-		if breakdown {
-			row = append(row, p.Dominant)
-		}
-		rows = append(rows, row)
+		})
 	}
 	out := Table("Figure 13: open-loop saturation, offered load × scheduler group",
-		headers, rows)
-	for _, n := range sortedKneeKeys(r.Knees) {
+		[]string{"scheds", "offered req/s", "sustained req/s", "p50(ms)", "p99(ms)", "done/failed/lost"}, rows)
+	for _, n := range slices.Sorted(maps.Keys(r.Knees)) {
 		out += fmt.Sprintf("knee (%d scheduler%s): %.0f req/s\n", n, plural(n), r.Knees[n])
 	}
 	out += fmt.Sprintf("saturation knee, sharded over single: %.1fx\n", r.KneeRatio)
@@ -181,19 +149,6 @@ func plural(n int) string {
 		return ""
 	}
 	return "s"
-}
-
-func sortedKneeKeys(m map[int]float64) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort; the sweep has 2-3 arms
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // RunFig13 sweeps every (scheduler count, offered load) cell on a
@@ -213,17 +168,16 @@ func RunFig13(cfg Fig13Config) Fig13Result {
 		}
 	}
 	res := Fig13Result{Knees: make(map[int]float64)}
+	for _, scount := range cfg.SchedulerCounts {
+		res.Knees[scount] = 0 // an arm that never meets the knee still prints its line
+	}
 	res.Points = parallel.Map(grid, func(_ int, cell cellSpec) Fig13Point {
 		return runFig13Point(cfg, cell.scount, cell.load)
 	})
 	for i, p := range res.Points {
 		load := grid[i].load
-		if p.P99 <= cfg.KneeP99 && p.Sustained >= cfg.KneeFrac*load {
-			if load > res.Knees[p.Schedulers] {
-				res.Knees[p.Schedulers] = load
-			}
-		} else {
-			_ = res.Knees[p.Schedulers] // ensure the arm has an entry even if 0
+		if p.P99 <= fig13KneeP99 && p.Sustained >= fig13KneeFrac*load && load > res.Knees[p.Schedulers] {
+			res.Knees[p.Schedulers] = load
 		}
 	}
 	base := res.Knees[cfg.SchedulerCounts[0]]
@@ -241,11 +195,11 @@ func RunFig13(cfg Fig13Config) Fig13Result {
 
 // runFig13Point runs one open-loop window against a fresh cluster.
 func runFig13Point(cfg Fig13Config, scount int, load float64) Fig13Point {
-	threads := cfg.VMs * cfg.ThreadsPerVM
+	threads := cfg.VMs * fig13ThreadsPerVM
 	ccfg := cb.DefaultConfig()
-	ccfg.Seed = cfg.Seed
+	ccfg.Seed = fig13Seed
 	ccfg.VMs = cfg.VMs
-	ccfg.ThreadsPerVM = cfg.ThreadsPerVM
+	ccfg.ThreadsPerVM = fig13ThreadsPerVM
 	ccfg.Schedulers = scount
 	ccfg.AnnaNodes = 4
 	// The monitor runs as a pure observer: a fixed fleet
@@ -256,12 +210,7 @@ func runFig13Point(cfg Fig13Config, scount int, load float64) Fig13Point {
 	ccfg.MaxVMs = cfg.VMs
 	ccfg.MinPinned = threads
 	ccfg.SchedulerDispatchCost = cfg.DispatchCost
-	if cfg.Breakdown {
-		ccfg.Trace = trace.New()
-	}
-	if cfg.traceInto != nil {
-		ccfg.Trace = cfg.traceInto
-	}
+	ccfg.Trace = cfg.traceInto
 	if scount > 1 {
 		ccfg.MonitorShards = cfg.MonitorShards
 	}
@@ -293,13 +242,13 @@ func runFig13Point(cfg Fig13Config, scount int, load float64) Fig13Point {
 		cl.Sleep(3 * time.Second) // let metrics publish and views warm
 	})
 
-	zip := traffic.NewZipfKeys(cfg.Seed+101, cfg.ZipfS, cfg.Keys, "sk")
-	mix := traffic.NewMix(cfg.Seed+211, 100-cfg.DAGPercent, cfg.DAGPercent)
+	zip := traffic.NewZipfKeys(fig13Seed+101, fig13ZipfS, cfg.Keys, "sk")
+	mix := traffic.NewMix(fig13Seed+211, 100-fig13DAGPercent, fig13DAGPercent)
 	name := fmt.Sprintf("fig13-s%d-l%d", scount, int(load))
 	spec := traffic.Spec{
 		Name:     name,
 		Workers:  cfg.Workers,
-		Arrivals: traffic.NewPoisson(cfg.Seed*1000+int64(load), load),
+		Arrivals: traffic.NewPoisson(fig13Seed*1000+int64(load), load),
 		Window:   cfg.Window,
 		Next: func(n int64) traffic.Invocation {
 			key := zip.Next()
@@ -316,7 +265,7 @@ func runFig13Point(cfg Fig13Config, scount int, load float64) Fig13Point {
 		RetryAfter:  cfg.Window + cfg.Drain + time.Second,
 		MaxAttempts: 1,
 		Drain:       cfg.Drain,
-		Trace:       c.Trace(), // nil unless Breakdown
+		Trace:       c.Trace(), // nil unless fig14 traces the cell
 	}
 	eps := make([]*simnet.Endpoint, cfg.Workers)
 	for i := range eps {
@@ -324,15 +273,9 @@ func runFig13Point(cfg Fig13Config, scount int, load float64) Fig13Point {
 	}
 
 	var capsule traffic.Capsule
-	var dominant string
 	c.Run(func(cl *cb.Client) {
 		pool := traffic.NewPool(in.K, in, eps, spec)
 		rec := pool.Run()
-		if cfg.Breakdown {
-			if cat, share := rec.Dominant(); share > 0 {
-				dominant = fmt.Sprintf("%s %.0f%%", cat, 100*share)
-			}
-		}
 		// Persist the window through the wire codec and read it back:
 		// the capsule is the measurement of record, so every figure-13
 		// number has crossed the wire codec.
@@ -357,6 +300,5 @@ func runFig13Point(cfg Fig13Config, scount int, load float64) Fig13Point {
 		Done:       capsule.Done,
 		Failed:     capsule.Failed,
 		Lost:       capsule.Lost,
-		Dominant:   dominant,
 	}
 }

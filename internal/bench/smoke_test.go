@@ -2,6 +2,7 @@ package bench
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -93,5 +94,24 @@ func TestSmokeFig13(t *testing.T) {
 	a, b := RunFig13(small), RunFig13(small)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("fig13 not deterministic under fixed seed:\n a: %+v\n b: %+v", a, b)
+	}
+}
+
+// TestFig13KneeLineForEveryArm: an arm that misses the knee criterion
+// at every load still gets its knee entry, at 0, and its table line.
+func TestFig13KneeLineForEveryArm(t *testing.T) {
+	cfg := Fig13Quick()
+	cfg.SchedulerCounts = []int{1, 4}
+	cfg.Loads = []float64{1200}
+	cfg.Window = 2 * time.Second
+	r := RunFig13(cfg)
+	if want := map[int]float64{1: 0, 4: 0}; !reflect.DeepEqual(r.Knees, want) {
+		t.Fatalf("knees = %v, want %v", r.Knees, want)
+	}
+	out := r.Print()
+	for _, line := range []string{"knee (1 scheduler): 0 req/s\n", "knee (4 schedulers): 0 req/s\n"} {
+		if !strings.Contains(out, line) {
+			t.Errorf("table lacks %q:\n%s", line, out)
+		}
 	}
 }

@@ -153,9 +153,9 @@ func TestMGetBatchesInOneRoundTrip(t *testing.T) {
 func TestProfilesAreOrdered(t *testing.T) {
 	// The relative latency ordering the figures depend on:
 	// Redis < Dynamo < S3 for small reads.
-	r := RedisProfile().ReadBase.Median()
-	d := DynamoProfile().ReadBase.Median()
-	s := S3Profile().ReadBase.Median()
+	r := RedisProfile().ReadBase.(simnet.LogNormal).Med
+	d := DynamoProfile().ReadBase.(simnet.LogNormal).Med
+	s := S3Profile().ReadBase.(simnet.LogNormal).Med
 	if !(r < d && d < s) {
 		t.Fatalf("profile ordering broken: redis=%v dynamo=%v s3=%v", r, d, s)
 	}

@@ -15,9 +15,6 @@ type LatencyModel interface {
 	// Sample returns one latency draw. Implementations must be
 	// deterministic functions of the supplied random source.
 	Sample(rng *rand.Rand) time.Duration
-	// Median returns the distribution's nominal central value, used in
-	// documentation and capacity planning, not in simulation.
-	Median() time.Duration
 }
 
 // Constant is a fixed latency.
@@ -25,25 +22,6 @@ type Constant time.Duration
 
 // Sample implements LatencyModel.
 func (c Constant) Sample(*rand.Rand) time.Duration { return time.Duration(c) }
-
-// Median implements LatencyModel.
-func (c Constant) Median() time.Duration { return time.Duration(c) }
-
-// Uniform draws uniformly from [Min, Max].
-type Uniform struct {
-	Min, Max time.Duration
-}
-
-// Sample implements LatencyModel.
-func (u Uniform) Sample(rng *rand.Rand) time.Duration {
-	if u.Max <= u.Min {
-		return u.Min
-	}
-	return u.Min + time.Duration(rng.Int63n(int64(u.Max-u.Min)))
-}
-
-// Median implements LatencyModel.
-func (u Uniform) Median() time.Duration { return (u.Min + u.Max) / 2 }
 
 // LogNormal draws from a log-normal distribution parameterised by its
 // median and the sigma of the underlying normal. This is the standard
@@ -59,22 +37,6 @@ func (l LogNormal) Sample(rng *rand.Rand) time.Duration {
 	z := rng.NormFloat64()
 	return time.Duration(float64(l.Med) * math.Exp(l.Sigma*z))
 }
-
-// Median implements LatencyModel.
-func (l LogNormal) Median() time.Duration { return l.Med }
-
-// Shifted adds a constant Base to every draw of Tail. It models a fixed
-// propagation/processing floor plus a variable component.
-type Shifted struct {
-	Base time.Duration
-	Tail LatencyModel
-}
-
-// Sample implements LatencyModel.
-func (s Shifted) Sample(rng *rand.Rand) time.Duration { return s.Base + s.Tail.Sample(rng) }
-
-// Median implements LatencyModel.
-func (s Shifted) Median() time.Duration { return s.Base + s.Tail.Median() }
 
 // Spiky wraps a base model and, with probability P, multiplies the draw by
 // Factor. It models GC pauses, cold starts, and other rare stalls that
@@ -93,6 +55,3 @@ func (s Spiky) Sample(rng *rand.Rand) time.Duration {
 	}
 	return d
 }
-
-// Median implements LatencyModel.
-func (s Spiky) Median() time.Duration { return s.Base.Median() }

@@ -49,7 +49,7 @@ func TestBandwidthAddsTransferTime(t *testing.T) {
 
 func TestPerLinkFIFOPreventsReordering(t *testing.T) {
 	// High-variance latency would reorder without the FIFO clamp.
-	k, n := testNet(t, Link{Latency: Uniform{Min: 0, Max: 10 * time.Millisecond}})
+	k, n := testNet(t, Link{Latency: LogNormal{Med: 2 * time.Millisecond, Sigma: 1}})
 	a := n.AddNode("a")
 	b := n.AddNode("b")
 	k.Run("main", func() {
@@ -152,13 +152,6 @@ func TestLatencyModels(t *testing.T) {
 	if d := (Constant(5 * time.Millisecond)).Sample(rng); d != 5*time.Millisecond {
 		t.Errorf("Constant = %v", d)
 	}
-	u := Uniform{Min: time.Millisecond, Max: 2 * time.Millisecond}
-	for i := 0; i < 100; i++ {
-		d := u.Sample(rng)
-		if d < u.Min || d > u.Max {
-			t.Fatalf("Uniform draw %v outside range", d)
-		}
-	}
 	ln := LogNormal{Med: 10 * time.Millisecond, Sigma: 0.3}
 	var below int
 	for i := 0; i < 2000; i++ {
@@ -168,13 +161,6 @@ func TestLatencyModels(t *testing.T) {
 	}
 	if below < 850 || below > 1150 {
 		t.Errorf("LogNormal median off: %d/2000 below", below)
-	}
-	sh := Shifted{Base: time.Second, Tail: Constant(time.Millisecond)}
-	if sh.Sample(rng) != time.Second+time.Millisecond {
-		t.Error("Shifted sample wrong")
-	}
-	if sh.Median() != time.Second+time.Millisecond {
-		t.Error("Shifted median wrong")
 	}
 	sp := Spiky{Base: Constant(time.Millisecond), P: 1.0, Factor: 10}
 	if sp.Sample(rng) != 10*time.Millisecond {

@@ -16,7 +16,6 @@ import (
 	"cloudburst/internal/anna"
 	"cloudburst/internal/codec"
 	"cloudburst/internal/lattice"
-	"cloudburst/internal/trace"
 	"cloudburst/internal/vtime"
 )
 
@@ -58,38 +57,11 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Count reports the number of observations.
-func (h *Histogram) Count() uint64 { return h.n }
-
-// Mean reports the exact mean latency (the sum is tracked outside the
-// buckets).
-func (h *Histogram) Mean() time.Duration {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.n)
-}
-
 // Quantile reports the q'th latency quantile as the upper bound of the
 // bucket holding that rank; the overflow bucket reports the exact
 // maximum.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	return quantile(h.bounds, h.counts, h.n, h.max, q)
-}
-
-// Merge folds another histogram with identical geometry into h.
-func (h *Histogram) Merge(o *Histogram) {
-	if h.first != o.first || h.growth != o.growth || len(h.counts) != len(o.counts) {
-		panic("traffic: merging histograms with different geometry")
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.n += o.n
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
 }
 
 func quantile(bounds []time.Duration, counts []uint64, n uint64, max time.Duration, q float64) time.Duration {
@@ -129,16 +101,6 @@ type Recorder struct {
 	Done   int64 // successful results
 	Failed int64 // system-reported error results
 	Lost   int64 // never completed (attempts exhausted or drain expired)
-
-	// ByCat holds one latency sub-histogram per critical-path category,
-	// fed by the tracing plane's per-request summaries (ObserveTrace):
-	// ByCat[trace.Queue] is the distribution of per-request queue time,
-	// and so on. Allocated lazily on the first traced delivery — a pool
-	// run without tracing leaves every slot nil. CatSum is the summed
-	// per-category time across traced requests, the basis for Dominant.
-	ByCat  [trace.NumCategories]*Histogram
-	CatSum [trace.NumCategories]time.Duration
-	Traced int64 // requests folded into ByCat/CatSum
 }
 
 // NewRecorder starts a recorder at the kernel's current instant. The
@@ -165,50 +127,6 @@ func (r *Recorder) Observe(latency time.Duration, ok bool) {
 		r.PerSec = append(r.PerSec, 0)
 	}
 	r.PerSec[sec]++
-}
-
-// ObserveTrace folds one request's critical-path summary into the
-// per-category sub-histograms.
-func (r *Recorder) ObserveTrace(s trace.Summary) {
-	r.Traced++
-	for c := trace.Category(0); c < trace.NumCategories; c++ {
-		d := s.ByCat[c]
-		if d == 0 {
-			continue
-		}
-		if r.ByCat[c] == nil {
-			r.ByCat[c] = NewHistogram(100*time.Microsecond, 1.05, 284)
-		}
-		r.ByCat[c].Observe(d)
-		r.CatSum[c] += d
-	}
-}
-
-// Dominant reports the category holding the largest share of total
-// attributed time across traced requests, and that share of the whole
-// (unattributed time included in the denominator). Returns share 0 when
-// nothing was traced.
-func (r *Recorder) Dominant() (trace.Category, float64) {
-	var total time.Duration
-	for _, d := range r.CatSum {
-		total += d
-	}
-	if total == 0 {
-		return trace.Unattributed, 0
-	}
-	best := trace.Category(1)
-	for c := best + 1; c < trace.NumCategories; c++ {
-		if r.CatSum[c] > r.CatSum[best] {
-			best = c
-		}
-	}
-	return best, float64(r.CatSum[best]) / float64(total)
-}
-
-// Sustained reports the successful-completion rate (req/s) over the
-// first window seconds of the recording.
-func (r *Recorder) Sustained(window time.Duration) float64 {
-	return Capsule{PerSec: r.PerSec}.Sustained(window)
 }
 
 // Capsule freezes the recording into its wire form.

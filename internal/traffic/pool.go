@@ -41,7 +41,7 @@ type Invocation struct {
 type Spec struct {
 	Name     string        // labels the recorder capsule
 	Workers  int           // client endpoints sharing the stream
-	Arrivals Arrivals      // seeded arrival process
+	Arrivals *Poisson      // seeded arrival process
 	Window   time.Duration // stop generating after this offset
 	// Next materializes the n'th request (n counts from 1). It is
 	// called in arrival order, so seeded selectors used inside stay
@@ -53,11 +53,11 @@ type Spec struct {
 	Drain       time.Duration // post-window grace for in-flight requests
 
 	// Trace, when non-nil, must be the target cluster's collector: the
-	// pool roots each request's trace at issue, folds the critical-path
-	// summary into the recorder's per-category sub-histograms at
-	// delivery, and records re-issues as retry spans. CPU-side only;
-	// nil disables at zero cost and leaves the recorder's category
-	// fields empty.
+	// pool roots each request's trace at issue, records the result's
+	// network hop and finishes the trace at delivery (its summary lands
+	// in the collector's Summaries), records re-issues as retry spans,
+	// and drops the traces of requests that end Lost. CPU-side only;
+	// nil disables at zero cost.
 	Trace *trace.Collector
 }
 
@@ -203,9 +203,7 @@ func (p *Pool) deliver(res core.Result, m simnet.Message) {
 	delete(p.pending, res.ReqID)
 	if ctx := p.spec.Trace.Attach(res.ReqID); ctx.Enabled() {
 		ctx.Record("net/result", trace.Network, m.SentAt, m.ArrivedAt)
-		if sum, done := p.spec.Trace.Finish(res.ReqID, p.k.Now()); done {
-			p.rec.ObserveTrace(sum)
-		}
+		p.spec.Trace.Finish(res.ReqID, p.k.Now())
 	}
 	p.rec.Observe(p.k.Now().Sub(f.firstAt), res.OK())
 }

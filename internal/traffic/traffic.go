@@ -1,8 +1,8 @@
-// Package traffic is the open-loop load plane: seeded arrival
-// generators (Poisson, diurnal ramp, flash-crowd spike), Zipfian
-// hot-key and weighted DAG-mix selectors, a fire-and-forget client
-// pool that issues invocations at the generated instants regardless of
-// completions, and a streaming latency/throughput recorder.
+// Package traffic is the open-loop load plane: a seeded Poisson
+// arrival stream, Zipfian hot-key and weighted DAG-mix selectors, a
+// fire-and-forget client pool that issues invocations at the generated
+// instants regardless of completions, and a streaming
+// latency/throughput recorder.
 //
 // Closed-loop drivers (the fig1–fig11 harnesses) put each simulated
 // client to sleep on its own future, so offered load collapses exactly
@@ -17,25 +17,10 @@
 package traffic
 
 import (
-	"math"
 	"math/rand"
 	"strconv"
 	"time"
 )
-
-// Arrivals produces a monotone stream of arrival instants as offsets
-// from the stream's start. Implementations are pure functions of their
-// seed: two generators built with the same parameters emit
-// byte-identical streams.
-type Arrivals interface {
-	// Next returns the offset of the next arrival. Offsets never
-	// decrease.
-	Next() time.Duration
-}
-
-func offset(seconds float64) time.Duration {
-	return time.Duration(seconds * float64(time.Second))
-}
 
 // Poisson is a homogeneous Poisson process: independent exponential
 // inter-arrival gaps with mean 1/rate.
@@ -50,59 +35,11 @@ func NewPoisson(seed int64, rate float64) *Poisson {
 	return &Poisson{rate: rate, rng: rand.New(rand.NewSource(seed))}
 }
 
+// Next returns the offset of the next arrival from the stream's start.
+// Offsets never decrease.
 func (p *Poisson) Next() time.Duration {
 	p.at += p.rng.ExpFloat64() / p.rate
-	return offset(p.at)
-}
-
-// nhpp is a non-homogeneous Poisson process realized by thinning
-// (Lewis–Shedler): propose arrivals at the peak rate, accept each with
-// probability rate(t)/peak. The accepted stream has instantaneous
-// intensity rate(t).
-type nhpp struct {
-	peak float64
-	rate func(tSeconds float64) float64
-	rng  *rand.Rand
-	at   float64
-}
-
-func (g *nhpp) Next() time.Duration {
-	for {
-		g.at += g.rng.ExpFloat64() / g.peak
-		if g.rng.Float64()*g.peak <= g.rate(g.at) {
-			return offset(g.at)
-		}
-	}
-}
-
-// NewDiurnal returns a sinusoidal day/night ramp: intensity moves
-// between base and peak requests/second over the given period,
-// starting at the trough.
-func NewDiurnal(seed int64, base, peak float64, period time.Duration) Arrivals {
-	p := period.Seconds()
-	return &nhpp{
-		peak: peak,
-		rate: func(t float64) float64 {
-			return base + (peak-base)*0.5*(1-math.Cos(2*math.Pi*t/p))
-		},
-		rng: rand.New(rand.NewSource(seed)),
-	}
-}
-
-// NewSpike returns a flash-crowd profile: base requests/second, except
-// during [start, start+width) where intensity jumps to peak.
-func NewSpike(seed int64, base, peak float64, start, width time.Duration) Arrivals {
-	s, e := start.Seconds(), (start + width).Seconds()
-	return &nhpp{
-		peak: peak,
-		rate: func(t float64) float64 {
-			if t >= s && t < e {
-				return peak
-			}
-			return base
-		},
-		rng: rand.New(rand.NewSource(seed)),
-	}
+	return time.Duration(p.at * float64(time.Second))
 }
 
 // ZipfKeys draws hot-skewed key names "<prefix><rank>" with

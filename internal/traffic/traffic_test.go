@@ -11,11 +11,12 @@ import (
 	"cloudburst/internal/core"
 	"cloudburst/internal/scheduler"
 	"cloudburst/internal/simnet"
+	"cloudburst/internal/trace"
 	"cloudburst/internal/vtime"
 )
 
 // drawOffsets materializes the first n arrivals of a stream.
-func drawOffsets(a Arrivals, n int) []time.Duration {
+func drawOffsets(a *Poisson, n int) []time.Duration {
 	out := make([]time.Duration, n)
 	for i := range out {
 		out[i] = a.Next()
@@ -24,23 +25,16 @@ func drawOffsets(a Arrivals, n int) []time.Duration {
 }
 
 // TestGeneratorsDeterministic: the same seed yields byte-identical
-// streams across independent generator instances, for every generator
-// kind and for the selectors.
+// streams across independent generator instances, for the arrival
+// stream and for the selectors.
 func TestGeneratorsDeterministic(t *testing.T) {
-	mk := map[string]func() Arrivals{
-		"poisson": func() Arrivals { return NewPoisson(7, 500) },
-		"diurnal": func() Arrivals { return NewDiurnal(7, 100, 900, 10*time.Second) },
-		"spike":   func() Arrivals { return NewSpike(7, 200, 2000, 3*time.Second, time.Second) },
+	a, b := drawOffsets(NewPoisson(7, 500), 5000), drawOffsets(NewPoisson(7, 500), 5000)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("poisson: same seed produced different streams")
 	}
-	for name, build := range mk {
-		a, b := drawOffsets(build(), 5000), drawOffsets(build(), 5000)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: same seed produced different streams", name)
-		}
-		for i := 1; i < len(a); i++ {
-			if a[i] < a[i-1] {
-				t.Fatalf("%s: offsets not monotone at %d: %v < %v", name, i, a[i], a[i-1])
-			}
+	for i := 1; i < len(a); i++ {
+		if a[i] < a[i-1] {
+			t.Fatalf("poisson: offsets not monotone at %d: %v < %v", i, a[i], a[i-1])
 		}
 	}
 
@@ -91,52 +85,8 @@ func TestZipfHeadFrequency(t *testing.T) {
 	}
 }
 
-// TestDiurnalRampShape: the diurnal stream puts more arrivals near the
-// peak half of the period than the trough half.
-func TestDiurnalRampShape(t *testing.T) {
-	period := 10 * time.Second
-	a := NewDiurnal(17, 50, 950, period)
-	trough, crest := 0, 0
-	for {
-		off := a.Next()
-		if off >= period {
-			break
-		}
-		phase := off % period
-		if phase >= period/4 && phase < 3*period/4 {
-			crest++ // middle of the period holds the sinusoid's crest
-		} else {
-			trough++
-		}
-	}
-	if crest < 2*trough {
-		t.Fatalf("diurnal ramp not peaked: crest-half %d, trough-half %d", crest, trough)
-	}
-}
-
-// TestSpikeShape: the flash-crowd window is denser than the baseline.
-func TestSpikeShape(t *testing.T) {
-	a := NewSpike(19, 100, 2000, 2*time.Second, time.Second)
-	base, spike := 0, 0
-	for {
-		off := a.Next()
-		if off >= 4*time.Second {
-			break
-		}
-		if off >= 2*time.Second && off < 3*time.Second {
-			spike++
-		} else {
-			base++
-		}
-	}
-	// ~2000 arrivals in the 1s spike vs ~300 across the 3 base seconds.
-	if spike < 3*base {
-		t.Fatalf("spike not visible: spike-second %d, base-seconds %d", spike, base)
-	}
-}
-
 // TestHistogramQuantiles: quantiles land on the right bucket bound and
-// merge is additive.
+// the count and sum the capsule carries are exact.
 func TestHistogramQuantiles(t *testing.T) {
 	h := NewHistogram(time.Millisecond, 2, 10)
 	for i := 0; i < 99; i++ {
@@ -149,14 +99,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got := h.Quantile(0.999); got != 3*time.Second {
 		t.Fatalf("p99.9 = %v, want the exact max 3s", got)
 	}
-	if h.Count() != 100 || h.Mean() != (99*1500*time.Microsecond+3*time.Second)/100 {
-		t.Fatalf("count/mean wrong: %d %v", h.Count(), h.Mean())
-	}
-	o := NewHistogram(time.Millisecond, 2, 10)
-	o.Observe(10 * time.Millisecond)
-	h.Merge(o)
-	if h.Count() != 101 {
-		t.Fatalf("merge: count %d, want 101", h.Count())
+	if h.n != 100 || h.sum != 99*1500*time.Microsecond+3*time.Second {
+		t.Fatalf("count/sum wrong: %d %v", h.n, h.sum)
 	}
 }
 
@@ -236,5 +180,51 @@ func TestPoolSendsDAGArgsInNameOrder(t *testing.T) {
 		if !slices.Equal(fns, []string{"a", "b", "c"}) {
 			t.Fatalf("request %d carried its arguments for %v, want [a b c]", i, fns)
 		}
+	}
+}
+
+// TestPoolTraceAccounting runs a traced pool against a scheduler that
+// answers some requests, fails some and never answers the rest, and
+// checks that every terminal result finishes its trace and every lost
+// request, whether the reaper or the drain gave up on it, drops its own.
+func TestPoolTraceAccounting(t *testing.T) {
+	k := vtime.NewKernel(1)
+	t.Cleanup(k.Stop)
+	net := simnet.New(k, simnet.Link{Latency: simnet.Constant(100 * time.Microsecond)})
+	sched := net.AddNode("sched-0")
+	k.Go("sched", func() {
+		for n := 0; ; n++ {
+			req := sched.Recv().Payload.(core.InvokeRequest)
+			switch n % 5 {
+			case 0: // silent: the request ends Lost
+			case 1:
+				sched.Send(req.RespondTo, core.Result{ReqID: req.ReqID, Err: "boom"}, 48)
+			default:
+				sched.Send(req.RespondTo, core.Result{ReqID: req.ReqID}, 48)
+			}
+		}
+	})
+	col := trace.New()
+	p := NewPool(k, routeTo(sched.ID()), []*simnet.Endpoint{net.AddNode("pool-0")}, Spec{
+		Name:        "traced",
+		Arrivals:    NewPoisson(5, 200),
+		Window:      time.Second,
+		RetryAfter:  300 * time.Millisecond,
+		MaxAttempts: 1,
+		Drain:       100 * time.Millisecond,
+		Next:        func(int64) Invocation { return Invocation{Function: "f"} },
+		Trace:       col,
+	})
+	var rec *Recorder
+	k.Run("pool", func() { rec = p.Run() })
+	if rec.Done == 0 || rec.Failed == 0 || rec.Lost == 0 {
+		t.Fatalf("done/failed/lost = %d/%d/%d, want each above 0", rec.Done, rec.Failed, rec.Lost)
+	}
+	st := col.Stats()
+	if st.TracesCompleted != rec.Done+rec.Failed {
+		t.Fatalf("%d traces completed, want done+failed = %d", st.TracesCompleted, rec.Done+rec.Failed)
+	}
+	if st.TracesCompleted+st.TracesDropped != rec.Issued {
+		t.Fatalf("%d completed + %d dropped traces, want issued = %d", st.TracesCompleted, st.TracesDropped, rec.Issued)
 	}
 }

@@ -36,9 +36,6 @@ func TestExportedSurface(t *testing.T) {
 		"simnet.Network.NodeCount",
 		"simnet.Network.SetLink",
 		"trace.AggregateSnapshot",
-		"traffic.Histogram.Mean",
-		"traffic.NewDiurnal",
-		"traffic.NewSpike",
 		"vtime.Kernel.YieldNow",
 		"vtime.Mutex.TryLock",
 		"vtime.Time.Milliseconds",
