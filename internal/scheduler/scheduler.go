@@ -627,16 +627,23 @@ func (s *Scheduler) untrack(o *tracked) {
 }
 
 // dispatch sends one attempt of a request, tracking it first if this is
-// the first, and is the only place the two kinds differ: a bare Invoke is
-// forwarded in its lean wire form to one executor; a DAG gets a schedule
-// (one executor per function, §4.3) and its sources are triggered.
-// exclude lists executors to avoid (re-executions).
+// admit's first, and is the only place the two kinds differ: a bare Invoke
+// is forwarded in its lean wire form to one executor; a DAG gets a
+// schedule (one executor per function, §4.3) and its sources are
+// triggered. exclude lists executors to avoid (re-executions). A
+// re-execution's request can end while it blocks (a completion notice, a
+// terminal failure from another expiry path); the re-execution then stops
+// at its next check, so a finished request is never dispatched again.
 func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
-	id := o.id
+	id, first := o.id, o.retries == 0
+	ended := func() bool { return !first && s.inflight[id] != o }
 	dctx := s.spans.Attach(id).Start("sched/dispatch", trace.Dispatch, s.k.Now())
 	defer func() { dctx.End(s.k.Now()) }()
 	if s.cfg.DispatchCost > 0 {
 		s.k.Sleep(s.cfg.DispatchCost)
+	}
+	if ended() {
+		return
 	}
 	var d *dag.Index
 	if o.isDAG() {
@@ -647,8 +654,10 @@ func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
 		}
 	}
 	s.ensureView()
-	if _, tracked := s.inflight[id]; !tracked {
+	if first {
 		s.track(o)
+	} else if ended() {
+		return
 	}
 	pick := func(fn string, args []core.Arg, pinnedOnly bool) simnet.NodeID {
 		t := s.pickExecutor(fn, args, exclude, pinnedOnly)

@@ -329,9 +329,10 @@ var requestKinds = []struct {
 // fails it, and what ends it.
 func TestRequestTracking(t *testing.T) {
 	type scenario struct {
-		name       string
-		dagTimeout time.Duration
-		execs      int
+		name         string
+		dagTimeout   time.Duration
+		execs        int
+		dispatchCost time.Duration
 		// run executes inside the simulation, after registration and a
 		// view warm-up; send issues the request under test.
 		run func(t *testing.T, r *rig, send func(deadline time.Duration))
@@ -339,7 +340,7 @@ func TestRequestTracking(t *testing.T) {
 	scenarios := []scenario{
 		// The completion notice clears the record, and a second one is
 		// ignored.
-		{"completion", 2 * time.Second, 1,
+		{"completion", 2 * time.Second, 1, 0,
 			func(t *testing.T, r *rig, send func(time.Duration)) {
 				r.execs[0].completes = true
 				send(0)
@@ -356,7 +357,7 @@ func TestRequestTracking(t *testing.T) {
 			}},
 		// An alive executor earns at most three extensions, and retries run
 		// out into a terminal Result.
-		{"extensions-then-exhaustion", 2 * time.Second, 1,
+		{"extensions-then-exhaustion", 2 * time.Second, 1, 0,
 			func(t *testing.T, r *rig, send func(time.Duration)) {
 				t0 := r.k.Now()
 				send(0)
@@ -383,7 +384,7 @@ func TestRequestTracking(t *testing.T) {
 				}
 			}},
 		// A stale executor's request is re-executed on a different executor.
-		{"stale-executor", 2 * time.Second, 2,
+		{"stale-executor", 2 * time.Second, 2, 0,
 			func(t *testing.T, r *rig, send func(time.Duration)) {
 				send(0)
 				r.k.Sleep(500 * time.Millisecond)
@@ -405,7 +406,7 @@ func TestRequestTracking(t *testing.T) {
 				}
 			}},
 		// A duplicated request datagram is not dispatched twice.
-		{"duplicate-datagram", 2 * time.Second, 1,
+		{"duplicate-datagram", 2 * time.Second, 1, 0,
 			func(t *testing.T, r *rig, send func(time.Duration)) {
 				send(0)
 				send(0)
@@ -416,7 +417,7 @@ func TestRequestTracking(t *testing.T) {
 			}},
 		// A Deadline shorter than DAGTimeout fires before the first retry
 		// tick.
-		{"short-deadline", time.Minute, 1,
+		{"short-deadline", time.Minute, 1, 0,
 			func(t *testing.T, r *rig, send func(time.Duration)) {
 				send(time.Second)
 				r.k.Sleep(5 * time.Second) // original + three extensions = 4s
@@ -427,8 +428,32 @@ func TestRequestTracking(t *testing.T) {
 					t.Errorf("checked at %v, after the first retry tick — the test proves nothing", now)
 				}
 			}},
+		// A request that completes while its re-execution still pays the
+		// dispatch cost is not dispatched again: the re-execution finds its
+		// record gone and stops.
+		{"completes-during-reexecution", 2 * time.Second, 2, time.Second,
+			func(t *testing.T, r *rig, send func(time.Duration)) {
+				send(0)
+				r.k.Sleep(1500 * time.Millisecond)
+				if len(r.work) != 1 {
+					t.Errorf("%d attempts after dispatch, want 1", len(r.work))
+					return
+				}
+				for _, e := range r.execs {
+					e.reporting = e.ep.ID() != r.work[0].exec
+				}
+				for r.sched.Reexecutions() == 0 {
+					r.k.Sleep(10 * time.Millisecond)
+				}
+				r.client.Send(r.sched.ID(), core.RequestComplete{ReqID: "req"}, 32)
+				r.k.Sleep(30 * time.Second)
+				if len(r.work) != 1 || r.sched.Inflight() != 0 || len(r.results) != 0 {
+					t.Errorf("%d attempts, %d tracked, client heard %v; want 1, 0 and nothing",
+						len(r.work), r.sched.Inflight(), r.results)
+				}
+			}},
 		// No executors: the client hears an error and nothing is tracked.
-		{"no-executors", 2 * time.Second, 0,
+		{"no-executors", 2 * time.Second, 0, 0,
 			func(t *testing.T, r *rig, send func(time.Duration)) {
 				send(0)
 				r.k.Sleep(5 * time.Second)
@@ -446,6 +471,7 @@ func TestRequestTracking(t *testing.T) {
 				cfg := scheduler.DefaultConfig()
 				cfg.DAGTimeout = sc.dagTimeout
 				cfg.StaleAfter = 3 * time.Second
+				cfg.DispatchCost = sc.dispatchCost
 				r := newRig(t, cfg, sc.execs)
 				r.k.Run("test", func() {
 					for _, req := range []any{
