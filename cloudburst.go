@@ -39,10 +39,12 @@ const (
 
 // Ctx is the per-invocation handle passed to functions: the paper's
 // Table 1 object API (Get/Put/Delete/Send/Recv/ID) plus Compute for
-// modeling CPU work.
+// modeling CPU work. It is valid until the function returns; the
+// executor thread reuses it for its next invocation.
 type Ctx = executor.Ctx
 
-// Function is a registered Cloudburst function body.
+// Function is a registered Cloudburst function body. Its Ctx and args
+// slice are valid until it returns; keep neither.
 type Function = executor.Function
 
 // DAG is a registered composition of functions; results flow from

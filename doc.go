@@ -189,6 +189,11 @@
 // The copies this removes are harness overhead, not modeled latency:
 // simulated metrics are identical with and without them.
 //
+// A function's *Ctx and its args slice, unlike the values in the slice,
+// are the executor thread's own and reset for every invocation: both are
+// valid until the function returns, and a function keeps neither.
+// Appending to args copies it, as appending to a decoded slice does.
+//
 // # Defining a wire struct
 //
 // Control-plane structs that cross the wire every metrics interval

@@ -17,7 +17,8 @@ import (
 // object API. KVS operations go through the VM's co-located cache with
 // the session's consistency protocol; send/recv do direct
 // executor-to-executor messaging with the Anna inbox as the fallback
-// channel (§3).
+// channel (§3). It is valid until the function returns: each thread owns
+// one Ctx and resets it for every invocation.
 type Ctx struct {
 	t    *Thread
 	req  string // DAG request id (session scope)

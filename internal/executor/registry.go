@@ -21,6 +21,9 @@ import (
 // cloudpickled Python; Go cannot serialize closures, so bodies live in
 // this process-wide registry while function *metadata* (existence,
 // pinning, DAG topology) still flows through Anna as the source of truth.
+// The ctx and the args slice belong to the call: the executor thread
+// resets both for its next invocation, so neither may be kept past
+// return (the argument values themselves may).
 type Function func(ctx *Ctx, args []any) (any, error)
 
 // Registry is the cluster-wide function table shared by all executors.

@@ -67,6 +67,11 @@ type Thread struct {
 	// run read the call from here, so a read spawns no closure.
 	call    resolveCall
 	readers []refReader
+	// ctx and args are the running invocation's Ctx and resolved
+	// arguments, reset for the next one: both belong to the call
+	// (Function), and invoke clears args once the result is encoded.
+	ctx  Ctx
+	args []any
 
 	pending map[string]*join // DAG fan-in assembly: reqID|fn → state
 
@@ -236,19 +241,23 @@ func (t *Thread) pin(fn string) {
 	t.pinned[fn] = true
 }
 
-// newCtx builds the per-invocation context. Every invocation takes the
-// thread's next sequence number; Ctx.ID spells it out on first use.
+// inboxKeep is the most inbox messages an invocation may have consumed
+// and still have its dedup set's storage kept for the thread's next one.
+const inboxKeep = 64
+
+// newCtx resets the thread's Ctx for an invocation. Every invocation takes
+// the thread's next sequence number; Ctx.ID spells it out on first use.
+// The inbox dedup set starts empty in the previous one's storage unless
+// that grew past inboxKeep.
 func (t *Thread) newCtx(reqID, dagName, fn string, meta *core.SessionMeta, tx *txnState) *Ctx {
 	t.seq++
-	return &Ctx{
-		t:    t,
-		req:  reqID,
-		dag:  dagName,
-		fn:   fn,
-		seq:  t.seq,
-		meta: meta,
-		txn:  tx,
+	seen := t.ctx.seenInbox
+	if len(seen) > inboxKeep {
+		seen = nil
 	}
+	clear(seen)
+	t.ctx = Ctx{t: t, req: reqID, dag: dagName, fn: fn, seq: t.seq, meta: meta, txn: tx, seenInbox: seen}
+	return &t.ctx
 }
 
 // resolveCall is the invocation whose arguments resolveArgs is reading.
@@ -274,9 +283,15 @@ func (r *refReader) Run() {
 
 // resolveArgs turns wire arguments into Go values, fetching KVS
 // references through the cache in parallel (§4.1), and appends the
-// decoded parent results after them.
+// decoded parent results after them, in the thread's argument slice.
+// Its capacity ends at the last argument, so a function that appends to
+// it copies rather than writing into the thread's storage.
 func (t *Thread) resolveArgs(reqID, dagName, fn string, args []core.Arg, inputs []core.DAGInput, meta *core.SessionMeta) ([]any, error) {
-	out := make([]any, len(args)+len(inputs))
+	n := len(args) + len(inputs)
+	if len(t.args) < n {
+		t.args = make([]any, n)
+	}
+	out := t.args[:n:n]
 	for j, in := range inputs {
 		v, err := codec.Decode(in.Val)
 		if err != nil {
@@ -664,6 +679,7 @@ func (t *Thread) invoke(s *core.DAGSchedule, fn string, args []core.Arg, inputs 
 	reqID, dagName, start := s.ReqID, s.DAG, t.k.Now()
 	ictx := t.spans.Attach(reqID).Start("exec/invoke", trace.Compute, start)
 	defer func() {
+		clear(t.args) // the decoded arguments die with the call
 		ictx.End(t.k.Now())
 		t.finish(start)
 	}()

@@ -548,9 +548,10 @@ func TestPickExecutorAllocationFree(t *testing.T) {
 	}
 }
 
-// TestTrackedStaysInItsSizeClass: every request, bare or DAG, allocates
-// one tracking record, so a field that pushes it past the 208-byte size
-// class costs each bare invocation 16 bytes it does not use.
+// TestTrackedStaysInItsSizeClass: a scheduler keeps up to freeRecords
+// tracking records between requests and allocates one whenever a burst
+// outruns them, so a field that pushes a record past the 208-byte size
+// class costs each of them 16 bytes a bare invocation does not use.
 func TestTrackedStaysInItsSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(tracked{}); n > 208 {
 		t.Fatalf("tracked is %d bytes, want at most 208", n)

@@ -219,8 +219,10 @@ func (v *view) indexOf(id simnet.NodeID) (int, bool) {
 
 // tracked is one in-flight request, held for §4.5 re-execution from its
 // first dispatch until its completion notice or terminal failure. One
-// wire form is set: inv (a bare Invoke) or, when inv is nil, dag. The
-// record stays in the 208-byte size class a bare invocation pays for.
+// wire form is set: inv (a bare Invoke) or, when inv is nil, dag.
+// untrack zeroes the record onto the scheduler's free list, which admit
+// takes from, so nothing may read a record after untracking it: later
+// code looks the request up by id.
 type tracked struct {
 	id        string
 	respondTo simnet.NodeID
@@ -244,6 +246,10 @@ type tracked struct {
 	// re-execution avoids; nil until the first one.
 	used map[simnet.NodeID]bool
 }
+
+// freeRecords bounds the free list of untracked records: a scheduler at
+// rest keeps at most this many for its next burst.
+const freeRecords = 64
 
 // isDAG reports whether the request is a DAG's.
 func (o *tracked) isDAG() bool { return o.inv == nil }
@@ -305,8 +311,10 @@ type Scheduler struct {
 	pins      map[string][]simnet.NodeID
 
 	// inflight holds every request this shard is answerable for, of
-	// either kind, by ReqID.
+	// either kind, by ReqID; free holds up to freeRecords untracked,
+	// zeroed records for the next requests.
 	inflight map[string]*tracked
+	free     []*tracked
 
 	// pickScratch holds pickExecutor's candidate slices, reused across
 	// calls: pickExecutor never blocks, so no two invocations overlap.
@@ -380,10 +388,10 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config) *Sch
 		req.Reply(s.registerDAG(b), 16)
 	})
 	simnet.OnMessage(s.disp, func(m simnet.Message, b core.InvokeRequest) {
-		s.admit(&tracked{id: b.ReqID, respondTo: b.RespondTo, timeout: b.Deadline, inv: m.Payload}, m)
+		s.admit(tracked{id: b.ReqID, respondTo: b.RespondTo, timeout: b.Deadline, inv: m.Payload}, m)
 	})
 	simnet.OnMessage(s.disp, func(m simnet.Message, b DAGInvokeReq) {
-		s.admit(&tracked{id: b.ReqID, respondTo: b.RespondTo, timeout: b.Deadline, dag: b}, m)
+		s.admit(tracked{id: b.ReqID, respondTo: b.RespondTo, timeout: b.Deadline, dag: b}, m)
 	})
 	simnet.OnMessage(s.disp, func(_ simnet.Message, b core.RequestComplete) {
 		// Each request's terminal outcome counts once: a re-executed
@@ -581,12 +589,20 @@ func (s *Scheduler) ensureView() bool {
 // invocation, so a tracked ReqID arriving again can only be a duplicated
 // datagram (fault-plan link duplication) — dispatching it would run the
 // whole request twice. Only expire re-enters dispatch for tracked
-// requests.
-func (s *Scheduler) admit(o *tracked, m simnet.Message) {
-	if _, dup := s.inflight[o.id]; dup {
+// requests. A new request's record comes off the free list (or is new)
+// and is filled from r.
+func (s *Scheduler) admit(r tracked, m simnet.Message) {
+	if _, dup := s.inflight[r.id]; dup {
 		return
 	}
-	s.recordArrival(o.id, m)
+	s.recordArrival(r.id, m)
+	var o *tracked
+	if n := len(s.free); n > 0 {
+		o, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		o = new(tracked)
+	}
+	*o = r
 	s.dispatch(o, nil)
 }
 
@@ -623,6 +639,10 @@ func (s *Scheduler) untrack(o *tracked) {
 	delete(s.inflight, o.id)
 	if o.isDAG() {
 		s.dagDone[o.dag.DAG]++
+	}
+	*o = tracked{} // keeps neither the request nor its schedule alive
+	if len(s.free) < freeRecords {
+		s.free = append(s.free, o)
 	}
 }
 
@@ -1045,8 +1065,8 @@ func (s *Scheduler) expire(id string) {
 		return
 	}
 	if o.retries >= maxRetries {
-		s.untrack(o)
 		s.ep.Send(o.respondTo, core.Result{ReqID: id, Err: "scheduler: request failed after retries"}, 64)
+		s.untrack(o)
 		return
 	}
 	o.retries++

@@ -19,12 +19,14 @@ import (
 // Invoke(...).Wait() and a 3-function linear InvokeDAG(...).Wait(), and
 // under DSC a bare Invoke(...).Wait(), client, scheduler, executor and
 // cache together. What is left is what outlives the request or crosses
-// the network: the Future, the request and its encoded arguments, the
-// scheduler's tracking record, each function's Ctx, argument slice and
-// encoded result, the boxed messages. A DSC invocation's session is its
-// thread's own and its snapshot table comes off the cache's free list,
-// so it costs one more than LWW's: the boxed DAGDone notice. A new
-// allocation per request fails it; lower the numbers when one goes.
+// the network: the Future, the request and its encoded arguments, each
+// function's encoded result, the boxed messages. The scheduler's tracking
+// record comes off its free list, and each function's Ctx and argument
+// slice are its thread's own, reset for every invocation. A DSC
+// invocation's session is its thread's own and its snapshot table comes
+// off the cache's free list, so it costs one more than LWW's: the boxed
+// DAGDone notice. A new allocation per request fails it; lower the
+// numbers when one goes.
 func TestInvokePathAllocations(t *testing.T) {
 	warm := func(mode core.Mode) *Cluster {
 		cfg := DefaultConfig()
@@ -65,9 +67,9 @@ func TestInvokePathAllocations(t *testing.T) {
 		call func(cl *Client) *Future
 		out  int
 	}{
-		{"invoke", lww, 10.5, func(cl *Client) *Future { return cl.Invoke("sum", refs) }, 42},
-		{"dag", lww, 25.42, func(cl *Client) *Future { return cl.InvokeDAG("chain", dagArgs) }, 86},
-		{"dsc-invoke", dsc, 11.42, func(cl *Client) *Future { return cl.Invoke("sum", refs) }, 42},
+		{"invoke", lww, 7.42, func(cl *Client) *Future { return cl.Invoke("sum", refs) }, 42},
+		{"dag", lww, 18.42, func(cl *Client) *Future { return cl.InvokeDAG("chain", dagArgs) }, 86},
+		{"dsc-invoke", dsc, 8.44, func(cl *Client) *Future { return cl.Invoke("sum", refs) }, 42},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
