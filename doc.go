@@ -190,8 +190,8 @@
 // simulated metrics are identical with and without them.
 //
 // A function's *Ctx and its args slice, unlike the values in the slice,
-// are the executor thread's own and reset for every invocation: both are
-// valid until the function returns, and a function keeps neither.
+// are the executor thread's own, cleared when the function returns and
+// reused for the next invocation: a function keeps neither.
 // Appending to args copies it, as appending to a decoded slice does.
 //
 // # Defining a wire struct

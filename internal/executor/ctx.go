@@ -18,7 +18,7 @@ import (
 // the session's consistency protocol; send/recv do direct
 // executor-to-executor messaging with the Anna inbox as the fallback
 // channel (§3). It is valid until the function returns: each thread owns
-// one Ctx and resets it for every invocation.
+// one Ctx, fills it in for each invocation and zeroes it on return.
 type Ctx struct {
 	t    *Thread
 	req  string // DAG request id (session scope)

@@ -23,12 +23,15 @@ type writeLog map[string][]string
 func (w writeLog) OnRead(TraceEvent)     {}
 func (w writeLog) OnWrite(ev TraceEvent) { w[ev.ReqID] = append(w[ev.ReqID], ev.WriteID) }
 
-// ctxSeen is what one invocation found in its Ctx.
+// ctxSeen is what one invocation found in its Ctx. Its session and
+// transaction are held weakly, so that the test can see them collected.
 type ctxSeen struct {
-	id, req string
-	meta    *core.SessionMeta
-	txn     bool
-	recv    int // messages Recv returned
+	id, req   string
+	meta, own bool // a session, and whether it is the thread's own
+	txn       bool
+	recv      int                            // messages Recv returned
+	session   weak.Pointer[core.SessionMeta] // unless the thread's own
+	tx        weak.Pointer[txnState]
 }
 
 // TestCtxStartsCleanOnReusedThread runs two invocations back to back on
@@ -38,9 +41,12 @@ type ctxSeen struct {
 // keys. The second must start clean: its own id, request and session
 // (the thread's own under DSC, none under TXN), no transaction, write ids
 // counted from /w1, and an empty inbox dedup set, so it receives its
-// message too. Its argument, decoded into the thread's argument slice, is
-// garbage once it returns (four ints: a smaller array could share a tiny
-// allocation block with a live object and so outlive its last reference).
+// message too. Once each returns, its Ctx keeps nothing alive: the DAG
+// hop's session (under DSC) and transaction (under TXN) are garbage before
+// the next request arrives, and the bare invocation's argument, decoded
+// into the thread's argument slice, is garbage at the end (four ints: a
+// smaller array could share a tiny allocation block with a live object and
+// so outlive its last reference).
 func TestCtxStartsCleanOnReusedThread(t *testing.T) {
 	for _, mode := range []core.Mode{core.DSC, core.TXN} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -51,14 +57,23 @@ func TestCtxStartsCleanOnReusedThread(t *testing.T) {
 			cacheEP := net.AddNode("cache-vm0")
 			ch := cache.New(k, cacheEP, kv.NewClient(cacheEP, 0), "vm0", cache.DefaultConfig(mode))
 			ch.Start()
-			var seen []ctxSeen
-			var arg weak.Pointer[int]
+			var (
+				th   *Thread
+				seen []ctxSeen
+				arg  weak.Pointer[int]
+			)
 			reg := NewRegistry()
 			reg.Register("f", func(ctx *Ctx, args []any) (any, error) {
 				if len(args) == 1 {
 					arg = weak.Make(&args[0].([]int)[0])
 				}
-				s := ctxSeen{id: ctx.ID(), req: ctx.ReqID(), meta: ctx.meta, txn: ctx.txn != nil}
+				s := ctxSeen{
+					id: ctx.ID(), req: ctx.ReqID(), meta: ctx.meta != nil, own: ctx.meta == &th.session,
+					txn: ctx.txn != nil, tx: weak.Make(ctx.txn),
+				}
+				if !s.own {
+					s.session = weak.Make(ctx.meta)
+				}
 				msgs, err := ctx.Recv()
 				if err != nil {
 					return nil, err
@@ -75,7 +90,7 @@ func TestCtxStartsCleanOnReusedThread(t *testing.T) {
 			index := dag.NewIndex(*dag.Linear("one", "f"))
 			ep := net.AddNode("exec-vm0-0")
 			writes := writeLog{}
-			th := NewThread(k, ep, "vm0", Deps{
+			th = NewThread(k, ep, "vm0", Deps{
 				Cache: ch, Anna: kv.NewClient(ep, 0), Registry: reg, Tracer: writes, TxnRing: kv.Ring(),
 				DAGFor: func(string) (*dag.Index, bool) { return index, true },
 			})
@@ -106,14 +121,14 @@ func TestCtxStartsCleanOnReusedThread(t *testing.T) {
 							break
 						}
 					}
+					runtime.GC()
+					if s := seen[len(seen)-1]; s.session.Value() != nil || s.tx.Value() != nil {
+						t.Errorf("%s: the thread keeps a returned call's session or transaction", s.req)
+					}
 				}
 			})
 			if len(seen) != 2 {
 				t.Fatalf("%d invocations ran, want 2", len(seen))
-			}
-			var own *core.SessionMeta // the session a bare invocation runs under
-			if mode == core.DSC {
-				own = &th.session
 			}
 			first, second := seen[0], seen[1]
 			for i, s := range seen {
@@ -131,9 +146,12 @@ func TestCtxStartsCleanOnReusedThread(t *testing.T) {
 			if first.req != "r1" || second.req != "r2" {
 				t.Errorf("requests %q and %q, want r1 and r2", first.req, second.req)
 			}
-			// Under DSC the DAG's session is its trigger's, not the thread's.
-			if firstOK := (own == nil) == (first.meta == nil) && (own == nil || first.meta != own); !firstOK || second.meta != own {
-				t.Errorf("sessions %p and %p; want the DAG's own, then the thread's (%p)", first.meta, second.meta, own)
+			// Under DSC the DAG's session is its trigger's, not the thread's,
+			// and a bare invocation's is the thread's; TXN keeps none.
+			dsc := mode == core.DSC
+			if first.meta != dsc || first.own || second.meta != dsc || second.own != dsc {
+				t.Errorf("sessions (present, thread's own): %v %v, then %v %v; want %v false, then %v %v",
+					first.meta, first.own, second.meta, second.own, dsc, dsc, dsc)
 			}
 			if first.txn != (mode == core.TXN) || second.txn {
 				t.Errorf("transactions %v and %v, want %v and false", first.txn, second.txn, mode == core.TXN)

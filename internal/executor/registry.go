@@ -22,8 +22,8 @@ import (
 // this process-wide registry while function *metadata* (existence,
 // pinning, DAG topology) still flows through Anna as the source of truth.
 // The ctx and the args slice belong to the call: the executor thread
-// resets both for its next invocation, so neither may be kept past
-// return (the argument values themselves may).
+// clears both when it returns and reuses them for its next invocation,
+// so neither may be kept (the argument values themselves may).
 type Function func(ctx *Ctx, args []any) (any, error)
 
 // Registry is the cluster-wide function table shared by all executors.

@@ -68,8 +68,8 @@ type Thread struct {
 	call    resolveCall
 	readers []refReader
 	// ctx and args are the running invocation's Ctx and resolved
-	// arguments, reset for the next one: both belong to the call
-	// (Function), and invoke clears args once the result is encoded.
+	// arguments: both belong to the call (Function), and invoke clears
+	// both once the result is encoded.
 	ctx  Ctx
 	args []any
 
@@ -241,22 +241,12 @@ func (t *Thread) pin(fn string) {
 	t.pinned[fn] = true
 }
 
-// inboxKeep is the most inbox messages an invocation may have consumed
-// and still have its dedup set's storage kept for the thread's next one.
-const inboxKeep = 64
-
-// newCtx resets the thread's Ctx for an invocation. Every invocation takes
-// the thread's next sequence number; Ctx.ID spells it out on first use.
-// The inbox dedup set starts empty in the previous one's storage unless
-// that grew past inboxKeep.
+// newCtx fills in the thread's Ctx for an invocation; invoke zeroes it on
+// return. Every invocation takes the thread's next sequence number;
+// Ctx.ID spells it out on first use.
 func (t *Thread) newCtx(reqID, dagName, fn string, meta *core.SessionMeta, tx *txnState) *Ctx {
 	t.seq++
-	seen := t.ctx.seenInbox
-	if len(seen) > inboxKeep {
-		seen = nil
-	}
-	clear(seen)
-	t.ctx = Ctx{t: t, req: reqID, dag: dagName, fn: fn, seq: t.seq, meta: meta, txn: tx, seenInbox: seen}
+	t.ctx = Ctx{t: t, req: reqID, dag: dagName, fn: fn, seq: t.seq, meta: meta, txn: tx}
 	return &t.ctx
 }
 
@@ -679,7 +669,8 @@ func (t *Thread) invoke(s *core.DAGSchedule, fn string, args []core.Arg, inputs 
 	reqID, dagName, start := s.ReqID, s.DAG, t.k.Now()
 	ictx := t.spans.Attach(reqID).Start("exec/invoke", trace.Compute, start)
 	defer func() {
-		clear(t.args) // the decoded arguments die with the call
+		clear(t.args) // the decoded arguments and the Ctx die with the call
+		t.ctx = Ctx{}
 		ictx.End(t.k.Now())
 		t.finish(start)
 	}()
