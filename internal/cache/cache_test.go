@@ -298,38 +298,49 @@ func TestMKCausalCutFetchesDependencies(t *testing.T) {
 	})
 }
 
+// figure4 sets up the paper's Figure 4 on the rig: cache B holds an old
+// l_w; a writer session at cache A advances l to l_u and writes k, which
+// depends on l_u; then a DAG session's f reads k at cache A. It returns
+// that session's metadata, which pins l to l_u, and l_u's version.
+func figure4(t *testing.T, r *rig) (core.SessionMeta, core.VersionRef) {
+	t.Helper()
+	// Old l_w lands in Anna and in cache B.
+	r.b.Write("init", "l", []byte("l_w"), core.NewSessionMetaP(), "w0")
+	r.b.FlushWrites()
+	r.k.Sleep(10 * time.Millisecond)
+	// Writer session on cache A: advance l to l_u, read it, write k.
+	metaW := core.NewSessionMeta()
+	if _, _, err := r.a.Read("wr", "l", &metaW); err != nil {
+		t.Fatal(err)
+	}
+	r.a.Write("wr", "l", []byte("l_u"), &metaW, "wA")
+	_, lu, err := r.a.Read("wr", "l", &metaW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.a.Write("wr", "k", []byte("k_v"), &metaW, "wA")
+	r.a.FlushWrites()
+	r.k.Sleep(10 * time.Millisecond)
+
+	// DAG session: f reads k at cache A...
+	meta := core.NewSessionMeta()
+	kval, _, err := r.a.Read("dag", "k", &meta)
+	if err != nil || string(kval) != "k_v" {
+		t.Fatalf("f read k = %q, %v", kval, err)
+	}
+	if len(meta.Deps) == 0 {
+		t.Fatal("dependency metadata not shipped")
+	}
+	return meta, lu
+}
+
 func TestDSCFigure4Scenario(t *testing.T) {
 	// The paper's Figure 4: f reads k (which depends on l_u) on machine
 	// A; g then reads l on machine B whose cache holds an older l_w.
 	// Without the protocol g would read l_w, violating causality.
 	r := newRig(t, core.DSC)
 	r.k.Run("main", func() {
-		// Old l_w lands in Anna and in cache B.
-		r.b.Write("init", "l", []byte("l_w"), core.NewSessionMetaP(), "w0")
-		r.b.FlushWrites()
-		r.k.Sleep(10 * time.Millisecond)
-		// Writer session on cache A: advance l to l_u, read it, write k.
-		metaW := core.NewSessionMeta()
-		if _, _, err := r.a.Read("wr", "l", &metaW); err != nil {
-			t.Fatal(err)
-		}
-		r.a.Write("wr", "l", []byte("l_u"), &metaW, "wA")
-		if _, _, err := r.a.Read("wr", "l", &metaW); err != nil {
-			t.Fatal(err)
-		}
-		r.a.Write("wr", "k", []byte("k_v"), &metaW, "wA")
-		r.a.FlushWrites()
-		r.k.Sleep(10 * time.Millisecond)
-
-		// DAG session: f reads k at cache A...
-		meta := core.NewSessionMeta()
-		kval, _, err := r.a.Read("dag", "k", &meta)
-		if err != nil || string(kval) != "k_v" {
-			t.Fatalf("f read k = %q, %v", kval, err)
-		}
-		if len(meta.Deps) == 0 {
-			t.Fatal("dependency metadata not shipped")
-		}
+		meta, _ := figure4(t, r)
 		// ...and g reads l at cache B, which still has stale l_w.
 		lval, _, err := r.b.Read("dag", "l", &meta)
 		if err != nil {
@@ -342,6 +353,32 @@ func TestDSCFigure4Scenario(t *testing.T) {
 			t.Fatal("expected an upstream snapshot fetch")
 		}
 	})
+}
+
+// TestDSCReadAllReturnsTheVersionItRead is Figure 4 with g reading l's
+// siblings: ReadAll must return the upstream snapshot the protocol read,
+// under the version ref that names it, whether cache B holds the stale
+// l_w or no l at all.
+func TestDSCReadAllReturnsTheVersionItRead(t *testing.T) {
+	for _, local := range []string{"stale", "absent"} {
+		r := newRig(t, core.DSC)
+		r.k.Run("main", func() {
+			meta, lu := figure4(t, r)
+			if local == "absent" {
+				r.b.Evict("l")
+			}
+			sibs, ver, err := r.b.ReadAll("dag", "l", &meta)
+			if err != nil {
+				t.Fatalf("%s local l: ReadAll: %v", local, err)
+			}
+			if len(sibs) != 1 || string(sibs[0]) != "l_u" {
+				t.Fatalf("%s local l: ReadAll = %q, want [l_u]", local, sibs)
+			}
+			if ver.VC.String() != lu.VC.String() || ver.VCD == 0 {
+				t.Fatalf("%s local l: version %s (digest %x), want l_u's %s", local, ver.VC, ver.VCD, lu.VC)
+			}
+		})
+	}
 }
 
 func TestDSCWithoutMetadataWouldReadStale(t *testing.T) {

@@ -21,6 +21,19 @@ var ErrNotFound = errors.New("cache: key not found")
 // with the cache (and possibly the KVS and other readers) rather than
 // copied; callers must treat it as read-only.
 func (c *Cache) Read(reqID, key string, meta *core.SessionMeta) ([]byte, core.VersionRef, error) {
+	lat, ver, err := c.read(reqID, key, meta)
+	if err != nil {
+		return nil, ver, err
+	}
+	if cap, ok := lat.(*lattice.Causal); ok {
+		return cap.DisplayValue(), ver, nil
+	}
+	return lat.(*lattice.LWW).Value, ver, nil
+}
+
+// read runs the mode's read protocol and returns the capsule it read,
+// which ver names.
+func (c *Cache) read(reqID, key string, meta *core.SessionMeta) (lattice.Lattice, core.VersionRef, error) {
 	rctx := c.spans.Attach(reqID).Start("cache/read", trace.Cache, c.k.Now())
 	defer func() { rctx.End(c.k.Now()) }()
 	c.k.Sleep(ipc)
@@ -47,15 +60,13 @@ func (c *Cache) Read(reqID, key string, meta *core.SessionMeta) ([]byte, core.Ve
 
 // readLWW is the default path: local value if cached, else fill from
 // Anna. No session metadata.
-func (c *Cache) readLWW(rctx trace.Ctx, key string) ([]byte, core.VersionRef, error) {
+func (c *Cache) readLWW(rctx trace.Ctx, key string) (lattice.Lattice, core.VersionRef, error) {
 	c.mu.Lock()
 	if cur, ok := c.store[key]; ok {
-		l := cur.(*lattice.LWW)
-		val := l.Value // immutable payload: shared, not copied
-		ver := core.VersionRef{Cache: c.ID(), TS: l.TS}
+		l := cur.(*lattice.LWW) // immutable capsule: shared, not copied
 		c.mu.Unlock()
 		c.Stats.Hits++
-		return val, ver, nil
+		return l, core.VersionRef{Cache: c.ID(), TS: l.TS}, nil
 	}
 	c.mu.Unlock()
 	c.Stats.Misses++
@@ -66,12 +77,11 @@ func (c *Cache) readLWW(rctx trace.Ctx, key string) ([]byte, core.VersionRef, er
 	if !found {
 		return nil, core.VersionRef{}, ErrNotFound
 	}
-	l := lat.(*lattice.LWW)
-	return l.Value, core.VersionRef{Cache: c.ID(), TS: l.TS}, nil
+	return lat, core.VersionRef{Cache: c.ID(), TS: lat.(*lattice.LWW).TS}, nil
 }
 
 // readRR implements Algorithm 1 (distributed session repeatable read).
-func (c *Cache) readRR(rctx trace.Ctx, reqID, key string, meta *core.SessionMeta) ([]byte, core.VersionRef, error) {
+func (c *Cache) readRR(rctx trace.Ctx, reqID, key string, meta *core.SessionMeta) (lattice.Lattice, core.VersionRef, error) {
 	if meta != nil {
 		if prior, ok := meta.ReadSet[key]; ok {
 			// Key previously read in this DAG: an exact version match
@@ -79,11 +89,10 @@ func (c *Cache) readRR(rctx trace.Ctx, reqID, key string, meta *core.SessionMeta
 			c.mu.Lock()
 			cur, hasLocal := c.store[key]
 			if hasLocal {
-				if l := cur.(*lattice.LWW); l.TS == prior.TS {
-					val := l.Value
+				if cur.(*lattice.LWW).TS == prior.TS {
 					c.mu.Unlock()
 					c.Stats.Hits++
-					return val, prior, nil
+					return cur, prior, nil
 				}
 			}
 			c.mu.Unlock()
@@ -93,8 +102,7 @@ func (c *Cache) readRR(rctx trace.Ctx, reqID, key string, meta *core.SessionMeta
 			if err != nil {
 				return nil, core.VersionRef{}, err
 			}
-			l := lat.(*lattice.LWW)
-			return l.Value, prior, nil
+			return lat, prior, nil
 		}
 	}
 	// First read of this key in the DAG: any available version (line 9),
@@ -105,13 +113,12 @@ func (c *Cache) readRR(rctx trace.Ctx, reqID, key string, meta *core.SessionMeta
 		c.Stats.Hits++
 		l := cur.(*lattice.LWW)
 		c.snapshotLocked(reqID, key, l)
-		val := l.Value
 		ver := core.VersionRef{Cache: c.ID(), TS: l.TS}
 		c.mu.Unlock()
 		if meta != nil {
 			meta.ReadSet[key] = ver
 		}
-		return val, ver, nil
+		return l, ver, nil
 	}
 	c.mu.Unlock()
 	c.Stats.Misses++
@@ -130,20 +137,19 @@ func (c *Cache) readRR(rctx trace.Ctx, reqID, key string, meta *core.SessionMeta
 	if meta != nil {
 		meta.ReadSet[key] = ver
 	}
-	return l.Value, ver, nil
+	return l, ver, nil
 }
 
 // readSK is single-key causality: causal capsules with per-key vector
 // clocks (siblings preserved), but no cross-key or cross-node metadata.
-func (c *Cache) readSK(rctx trace.Ctx, key string) ([]byte, core.VersionRef, error) {
+func (c *Cache) readSK(rctx trace.Ctx, key string) (lattice.Lattice, core.VersionRef, error) {
 	c.mu.Lock()
 	if cur, ok := c.store[key]; ok {
 		cap := cur.(*lattice.Causal)
-		val := cap.DisplayValue()
 		ver := core.VersionRef{Cache: c.ID(), VC: cap.VC(), VCD: cap.Digest()}
 		c.mu.Unlock()
 		c.Stats.Hits++
-		return val, ver, nil
+		return cap, ver, nil
 	}
 	c.mu.Unlock()
 	c.Stats.Misses++
@@ -155,28 +161,28 @@ func (c *Cache) readSK(rctx trace.Ctx, key string) ([]byte, core.VersionRef, err
 		return nil, core.VersionRef{}, ErrNotFound
 	}
 	cap := lat.(*lattice.Causal)
-	return cap.DisplayValue(), core.VersionRef{Cache: c.ID(), VC: cap.VC(), VCD: cap.Digest()}, nil
+	return cap, core.VersionRef{Cache: c.ID(), VC: cap.VC(), VCD: cap.Digest()}, nil
 }
 
 // readMK is multi-key (bolt-on) causality: the local store is maintained
 // as a causal cut (fills run ensureCut), and the session's read set is
 // tracked locally so writes can record their dependencies — but nothing
 // is shipped across executors.
-func (c *Cache) readMK(rctx trace.Ctx, key string, meta *core.SessionMeta) ([]byte, core.VersionRef, error) {
-	val, ver, err := c.readSK(rctx, key)
+func (c *Cache) readMK(rctx trace.Ctx, key string, meta *core.SessionMeta) (lattice.Lattice, core.VersionRef, error) {
+	cap, ver, err := c.readSK(rctx, key)
 	if err != nil {
 		return nil, ver, err
 	}
 	if meta != nil {
 		meta.ReadSet[key] = ver
 	}
-	return val, ver, nil
+	return cap, ver, nil
 }
 
 // readDSC implements Algorithm 2 (distributed session causal
 // consistency): reads must not observe versions older than those read by
 // upstream functions (read set) or required by their dependencies.
-func (c *Cache) readDSC(rctx trace.Ctx, reqID, key string, meta *core.SessionMeta) ([]byte, core.VersionRef, error) {
+func (c *Cache) readDSC(rctx trace.Ctx, reqID, key string, meta *core.SessionMeta) (lattice.Lattice, core.VersionRef, error) {
 	// required is the version an upstream read (the read set) or a
 	// dependency of one pins the key to, if any.
 	var required core.VersionRef
@@ -239,36 +245,25 @@ func (c *Cache) readDSC(rctx trace.Ctx, reqID, key string, meta *core.SessionMet
 	if meta != nil {
 		meta.ReadSet[key] = ver
 	}
-	return cap.DisplayValue(), ver, nil
+	return cap, ver, nil
 }
 
-// ReadAll is Read but returns every concurrent sibling payload (§5.2:
-// applications can retrieve all concurrent versions and resolve updates
-// manually — Retwis merges timeline siblings this way). In the LWW modes
-// there is exactly one version. The session protocol runs exactly as in
-// Read; the version ref covers the joined clock.
+// ReadAll is Read but returns every concurrent sibling payload of the
+// capsule the session protocol read (§5.2: applications can retrieve all
+// concurrent versions and resolve updates manually — Retwis merges
+// timeline siblings this way), so the version ref names exactly what it
+// returns, an upstream snapshot included. In the LWW modes there is
+// exactly one version. The sibling slice is the call's; the immutable
+// payloads are shared.
 func (c *Cache) ReadAll(reqID, key string, meta *core.SessionMeta) ([][]byte, core.VersionRef, error) {
-	if !c.cfg.Mode.Causal() {
-		val, ver, err := c.Read(reqID, key, meta)
-		if err != nil {
-			return nil, ver, err
-		}
-		return [][]byte{val}, ver, nil
-	}
-	// Run the mode's protocol for its session effects, then surface the
-	// local capsule's full sibling set.
-	_, ver, err := c.Read(reqID, key, meta)
+	lat, ver, err := c.read(reqID, key, meta)
 	if err != nil {
 		return nil, ver, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cur, ok := c.store[key]
-	if !ok {
-		return nil, ver, ErrNotFound
+	if cap, ok := lat.(*lattice.Causal); ok {
+		return cap.Siblings(), ver, nil
 	}
-	// Siblings builds a fresh slice; the immutable payloads are shared.
-	return cur.(*lattice.Causal).Siblings(), ver, nil
+	return [][]byte{lat.(*lattice.LWW).Value}, ver, nil
 }
 
 // Write performs a consistency-mode-aware write: update locally,

@@ -95,8 +95,9 @@ func (c *Ctx) Get(key string) (val any, found bool, err error) {
 
 // GetSiblings retrieves all concurrent versions of a key through the
 // cache (causal modes let applications resolve conflicts manually, §5.2
-// — Retwis merges timeline siblings this way). In LWW modes it returns
-// the single current value. Missing keys yield an empty slice.
+// — Retwis merges timeline siblings this way), those of the capsule the
+// session protocol read; the first, Get's value, decodes through Get's
+// memo. LWW modes return the single current value, missing keys nothing.
 func (c *Ctx) GetSiblings(key string) ([]any, error) {
 	payloads, ver, err := c.t.cache.ReadAll(c.req, key, c.meta)
 	if err == cache.ErrNotFound {
@@ -106,7 +107,7 @@ func (c *Ctx) GetSiblings(key string) ([]any, error) {
 		return nil, err
 	}
 	out := make([]any, 0, len(payloads))
-	for _, p := range payloads {
+	for i, p := range payloads {
 		writeID, inner := untag(p)
 		if c.t.tracer != nil {
 			c.t.tracer.OnRead(TraceEvent{
@@ -114,7 +115,11 @@ func (c *Ctx) GetSiblings(key string) ([]any, error) {
 				WriteID: writeID, Ver: ver, Cache: ver.Cache, At: c.t.k.Now(),
 			})
 		}
-		v, err := codec.Decode(inner)
+		named := ver // only the first sibling is memoized under ver
+		if i > 0 {
+			named = core.VersionRef{}
+		}
+		v, err := c.t.decodeVersioned(key, named, inner)
 		if err != nil {
 			return nil, err
 		}
