@@ -100,13 +100,14 @@ func (cl *Client) Get(key string) (val any, found bool, err error) {
 	return v, true, nil
 }
 
-// GetMany fetches several keys in bulk: one grouped multi-get round
-// trip per storage node instead of one round trip per key. Keys that
-// exist nowhere are simply absent from the result map. Capsules decode
-// in argument order, so a decode error is the first failing key's, and
-// the map returned with it holds the found keys before that one.
+// GetMany fetches several keys in bulk, into results of its own: one
+// grouped multi-get round trip per storage node instead of one per key.
+// Keys that exist nowhere are absent from the result map. Capsules
+// decode in argument order, so a decode error is the first failing key's,
+// and the map returned with it holds the found keys before that one.
 func (cl *Client) GetMany(keys ...string) (map[string]any, error) {
-	found, missing, err := cl.anna.MultiGet(keys)
+	found := make([]lattice.Lattice, len(keys))
+	missing, err := cl.anna.MultiGet(keys, found...)
 	if err != nil {
 		return nil, err
 	}

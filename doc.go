@@ -84,7 +84,9 @@
 // primary owner, the groups fetched concurrently in ascending owner
 // order, and results returned by position; an unreachable owner's keys
 // fall back to the per-key replica walk. GetMany decodes in argument
-// order, so its first decode error is the first failing key's.
+// order, so its first decode error is the first failing key's. The
+// cache's cold read batches without allocating: its miss list, results,
+// grouped keys and reply space are records reused from read to read.
 //
 // The pre-Future Call* family (Call, CallAsync, CallDAG, CallDAGDetail,
 // CallDAGAsync) has been removed after one release as deprecated shims;

@@ -65,7 +65,8 @@ func TestMultiGetGroupsByPrimary(t *testing.T) {
 			}
 		}
 		before := cl.Stats
-		found, missing, err := cl.MultiGet(append(append([]string{}, keys...), "mg-absent"))
+		found := make([]lattice.Lattice, len(keys)+1)
+		missing, err := cl.MultiGet(append(append([]string{}, keys...), "mg-absent"), found...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +107,8 @@ func TestMultiGetFallsBackWhenPrimaryDown(t *testing.T) {
 		// must still find the value.
 		k.Sleep(200 * time.Millisecond)
 		net.SetDown(kv.Ring().PrimaryFor("fb-k"), true)
-		found, missing, err := cl.MultiGet([]string{"fb-k"})
+		found := make([]lattice.Lattice, 1)
+		missing, err := cl.MultiGet([]string{"fb-k"}, found...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +292,7 @@ func TestEmptyRingIsUnavailable(t *testing.T) {
 		if _, _, err := cl.Get("k1"); !errors.Is(err, ErrUnavailable) {
 			t.Fatalf("Get = %v, want ErrUnavailable", err)
 		}
-		if _, _, err := cl.MultiGet([]string{"k1"}); !errors.Is(err, ErrUnavailable) {
+		if _, err := cl.MultiGet([]string{"k1"}); !errors.Is(err, ErrUnavailable) {
 			t.Fatalf("MultiGet = %v, want ErrUnavailable", err)
 		}
 	})

@@ -193,25 +193,29 @@ func (c *Client) PutAny(key string, lat lattice.Lattice) (int, error) {
 
 // MultiGet fetches many keys with one round trip per storage node,
 // grouping keys by their primary owner exactly as PublishKeyset
-// partitions keyset deltas. found is aligned with keys: found[i] is
-// keys[i]'s lattice, nil when it was not found (a duplicated key gets
-// its own entry at each position). Keys whose primary answered
-// not-found are returned in missing without further probing — a key can
-// still live on a secondary during replication lag, so callers that need
-// single-Get semantics should retry missing keys through Get's replica
-// walk. When an owner is unreachable, its whole group falls back to
-// per-key Gets. missing lists keys group by group as the groups finish,
-// each group's in request order.
-func (c *Client) MultiGet(keys []string) (found []lattice.Lattice, missing []string, err error) {
+// partitions keyset deltas. found is the caller's, aligned with keys and
+// written only before MultiGet returns: found[i] is set to keys[i]'s
+// lattice, left alone when it was not found (a duplicated key gets its
+// own entry at each position); with no found, only missing is learnt.
+// Keys whose primary answered not-found are returned in missing without
+// further probing — a key can still live on a secondary during
+// replication lag, so callers that need single-Get semantics should retry
+// missing keys through Get's replica walk. When an owner is unreachable,
+// its whole group falls back to per-key Gets. missing lists keys group by
+// group as the groups finish, each group's in request order.
+func (c *Client) MultiGet(keys []string, found ...lattice.Lattice) (missing []string, err error) {
 	if len(keys) == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	if c.kv.ring.Size() == 0 {
-		return nil, nil, ErrUnavailable
+		return nil, ErrUnavailable
+	}
+	if found == nil {
+		found = make([]lattice.Lattice, len(keys))
 	}
 	call := c.getCall()
 	call.group(c.kv.ring, keys)
-	call.found = make([]lattice.Lattice, len(keys))
+	call.found = found
 	call.lats = slices.Grow(call.lats, len(keys))[:len(keys)]
 	// One grouped call per owner, issued concurrently so total latency
 	// is the slowest node's round trip — the same overlap the per-key
@@ -225,17 +229,17 @@ func (c *Client) MultiGet(keys []string) (found []lattice.Lattice, missing []str
 		}
 		call.wg.Wait()
 	}
-	found, missing = call.found, call.missing
+	missing = call.missing
 	c.putCall(call)
-	return found, missing, nil
+	return missing, nil
 }
 
 // groupCall is one grouped call's working state: its keys regrouped by
 // primary owner and, for MultiGet, the per-owner requests and results.
 // Records cycle through the client's free list, so a warm MultiGet
-// allocates only what leaves the call: the grouped keys (fresh per call,
-// since PublishKeyset's one-way updates carry them past it) and found.
-// The rest is scratch kept between calls: the grouping tables, each
+// allocates nothing: found is the caller's, the rest scratch kept between
+// calls: the grouping tables, the grouped keys (fresh only in
+// PublishKeyset, whose one-way updates carry them past the call), each
 // group's request body and lats, the reply space the owners fill.
 //
 // A record any of whose fetches timed out is never recycled: its owner
@@ -244,10 +248,10 @@ type groupCall struct {
 	c       *Client
 	prim    []simnet.NodeID   // scratch: the primary owner of each input key
 	pos     []int             // scratch: keys[j] is input key pos[j]
-	keys    []string          // the input keys, group by group; fresh per call
+	keys    []string          // scratch: the input keys, group by group
 	lats    []lattice.Lattice // scratch: keys[j]'s lattice, filled by its owner
 	groups  []ownerGroup      // ascending owner order
-	found   []lattice.Lattice
+	found   []lattice.Lattice // the caller's
 	missing []string
 	late    bool // a fetch timed out: an owner may still write lats
 	wg      *vtime.WaitGroup
@@ -295,19 +299,20 @@ func (c *Client) putCall(g *groupCall) {
 	if g.late {
 		return
 	}
+	clear(g.keys)
 	clear(g.lats)
 	clear(g.groups) // the requests share keys and lats
-	g.keys, g.lats, g.found, g.missing = nil, g.lats[:0], nil, nil
+	g.keys, g.lats, g.found, g.missing = g.keys[:0], g.lats[:0], nil, nil
 	if cap(g.prim) > maxScratchKeys {
-		g.prim, g.pos, g.lats = nil, nil, nil
+		g.prim, g.pos, g.keys, g.lats = nil, nil, nil, nil
 	}
 	c.free = append(c.free, g)
 }
 
 // group partitions keys by primary owner without a map: one pass records
 // each key's primary and collects the distinct owners in ascending order,
-// a second fills a fresh key buffer group by group, keys in input order
-// within a group (duplicates included).
+// a second fills the record's key buffer group by group, keys in input
+// order within a group (duplicates included).
 func (g *groupCall) group(r *Ring, keys []string) {
 	g.prim, g.pos, g.groups = g.prim[:0], g.pos[:0], g.groups[:0]
 	for _, key := range keys {
@@ -328,7 +333,7 @@ func (g *groupCall) group(r *Ring, keys []string) {
 		g.groups[i].lo, g.groups[i].hi = lo, lo // hi is now the fill cursor
 		lo += n
 	}
-	g.keys = make([]string, len(keys))
+	g.keys = slices.Grow(g.keys[:0], len(keys))[:len(keys)]
 	g.pos = slices.Grow(g.pos, len(keys))[:len(keys)]
 	for i, o := range g.prim {
 		grp := &g.groups[0]
@@ -432,6 +437,8 @@ func (c *Client) RemoveFromSet(key string, elems []string) error {
 // Fire-and-forget.
 func (c *Client) PublishKeyset(cache simnet.NodeID, added, removed []string) {
 	add, rm := c.getCall(), c.getCall()
+	scratchA, scratchR := add.keys, rm.keys // fresh keys: the updates keep them
+	add.keys, rm.keys = nil, nil
 	add.group(c.kv.ring, added)
 	rm.group(c.kv.ring, removed)
 	// Merge the two ascending group tables: one update per owner, sent in
@@ -460,6 +467,7 @@ func (c *Client) PublishKeyset(cache simnet.NodeID, added, removed []string) {
 		}
 		c.ep.Send(o, KeysetUpdate{Cache: cache, Added: a, Removed: r}, size)
 	}
+	add.keys, rm.keys = scratchA, scratchR
 	c.putCall(add)
 	c.putCall(rm)
 }

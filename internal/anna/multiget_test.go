@@ -185,11 +185,12 @@ func runMultiGets(t *testing.T, seed int64, nodes, replication int, down string,
 				}
 				o.missing = missing
 			} else {
-				found, missing, err := cl.MultiGet(keys)
+				lats = make([]lattice.Lattice, len(keys))
+				missing, err := cl.MultiGet(keys, lats...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				lats, o.missing = found, missing
+				o.missing = missing
 			}
 			if len(lats) != len(keys) {
 				t.Fatalf("found has %d entries for %d keys", len(lats), len(keys))
@@ -347,11 +348,11 @@ func TestPublishKeysetMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// TestMultiGetAllocations pins the grouped read's cost on a warm client:
-// 10 LWW keys allocate the grouped keys and found once per call, whether
-// they have 1 owner group or 4. Nothing is per group (the request body
-// and the owners' reply space are the pooled record's) or per key (a
-// slot shares the stored capsule), and no map, closure, WaitGroup or sort.
+// TestMultiGetAllocations pins the grouped read's cost on a warm client
+// whose caller owns found: 10 LWW keys allocate nothing, whether they
+// have 1 owner group or 4. The grouped keys, the request bodies and the
+// owners' reply space are the pooled record's, a slot shares the stored
+// capsule, and there is no map, closure, WaitGroup or sort.
 func TestMultiGetAllocations(t *testing.T) {
 	for _, groups := range []int{1, 4} {
 		cfg := DefaultConfig()
@@ -370,11 +371,13 @@ func TestMultiGetAllocations(t *testing.T) {
 			kv.Preload(key, lattice.NewLWW(lattice.Timestamp{Clock: 1}, make([]byte, 64)))
 		}
 		calls := 0
+		found := make([]lattice.Lattice, len(keys))
 		body := func() {
 			for i := 0; i < calls; i++ {
-				found, missing, err := cl.MultiGet(keys)
+				clear(found)
+				missing, err := cl.MultiGet(keys, found...)
 				if err != nil || len(missing) != 0 || found[9] == nil {
-					t.Fatalf("MultiGet = %d found, missing %v, %v", len(found), missing, err)
+					t.Fatalf("MultiGet = found[9] %v, missing %v, %v", found[9], missing, err)
 				}
 			}
 		}
@@ -393,8 +396,8 @@ func TestMultiGetAllocations(t *testing.T) {
 		// Rounded: the kernel's and network's shared tables still grow now
 		// and then (a few hundredths of an allocation per call), a cost of
 		// the pools, not of MultiGet.
-		if math.Round(got) != 2 {
-			t.Fatalf("MultiGet of 10 keys in %d groups: %.2f allocations, want 2", groups, got)
+		if math.Round(got) != 0 {
+			t.Fatalf("MultiGet of 10 keys in %d groups: %.2f allocations, want 0", groups, got)
 		}
 	}
 }
@@ -408,7 +411,10 @@ func TestMultiGetAllocations(t *testing.T) {
 // and reply space, must see only their own owners' answers in every
 // slot. Their absent keys are ghosts: missing on their primary, whose
 // slots it leaves alone, but stored on the late owner, which would fill
-// them.
+// them. The timed-out call grouped its keys in the key buffer the
+// record kept from the warm call; when the late owner gets to it, that
+// buffer must still hold the call's own keys, which it answers in the
+// record's reply space.
 func TestMultiGetLateReplyIsNeverRead(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes, cfg.Replication = 4, 2
@@ -466,22 +472,31 @@ func TestMultiGetLateReplyIsNeverRead(t *testing.T) {
 			t.Fatalf("missing = %v, want the absent keys %v", missing, absent)
 		}
 	}
+	mget := func(keys []string) ([]lattice.Lattice, []string, error) {
+		found := make([]lattice.Lattice, len(keys))
+		missing, err := cl.MultiGet(keys, found...)
+		return found, missing, err
+	}
 	const late = 3 * time.Second
 	k.Run("main", func() {
 		// Warm one record at the largest call's size, so every later call
 		// reuses its tables rather than growing them.
-		found, missing, err := cl.MultiGet(multi)
+		found, missing, err := mget(multi)
 		check(multi, found, missing, err)
 		if len(cl.free) != 1 {
 			t.Fatalf("%d pooled records after one call, want 1", len(cl.free))
 		}
 		rec := cl.free[0]
+		keyBuf := rec.keys[:1]
 		net.SetLinkPolicy(cl.ep.ID(), slow, simnet.LinkPolicy{ExtraLatency: late})
 		t0 := k.Now()
-		found, missing, err = cl.MultiGet(lateKeys)
+		found, missing, err = mget(lateKeys)
 		check(lateKeys, found, missing, err)
 		if slices.Contains(cl.free, rec) {
 			t.Fatal("the timed-out call's record is back on the free list")
+		}
+		if &rec.keys[:1][0] != &keyBuf[0] {
+			t.Fatal("the timed-out call did not group its keys in the record's kept buffer")
 		}
 		if k.Now()-t0 >= vtime.Time(late) {
 			t.Fatalf("the timed-out call took %v, past the late owner's %v", k.Now()-t0, late)
@@ -495,12 +510,22 @@ func TestMultiGetLateReplyIsNeverRead(t *testing.T) {
 			if calls%2 == 1 {
 				keys = multi
 			}
-			found, missing, err := cl.MultiGet(keys)
+			found, missing, err := mget(keys)
 			check(keys, found, missing, err)
 			calls++
 		}
 		if calls < 50 {
 			t.Fatalf("only %d calls overlapped the late owner", calls)
+		}
+		// The late owner read the timed-out call's own keys from the
+		// buffer and answered each in its slot.
+		if got := rec.groups[0].req.Keys; !slices.Equal(rec.keys, lateKeys) || !slices.Equal(got, lateKeys) {
+			t.Fatalf("the late owner's request holds %v (buffer %v), want %v", got, rec.keys, lateKeys)
+		}
+		for j, key := range lateKeys {
+			if lat := rec.lats[j]; lat == nil || string(lat.(*lattice.LWW).Value) != key+"!" {
+				t.Fatalf("the late owner's answer for %s = %v", key, lat)
+			}
 		}
 	})
 }

@@ -57,6 +57,11 @@ const (
 	// cache serves its VM's few threads and the DAGs that read through
 	// it, so a handful of tables covers the requests in flight.
 	snapFreeMax = 8
+	// prefetchKeep is the most keys a reused Prefetch record may hold. A
+	// reference list has at most 10 (sum10's), fig10's preload 24 (40 at
+	// paper size); a whole-keyspace warm-up (the benchmark's hot-open, 1,000
+	// per VM) pays for its record rather than pin it for the cache's life.
+	prefetchKeep = 64
 )
 
 // Config carries what a deployment sets per cache.
@@ -122,8 +127,9 @@ type Cache struct {
 	// empties a finished request's table onto freeSnaps, at most
 	// snapFreeMax tables of at most snapTableKeep keys, and the next
 	// request's first snapshot takes one from there.
-	snapshots map[string]map[string]lattice.Lattice
-	freeSnaps []map[string]lattice.Lattice
+	snapshots    map[string]map[string]lattice.Lattice
+	freeSnaps    []map[string]lattice.Lattice
+	freePrefetch []*prefetchCall // emptied; as many as have run at once
 
 	// keys is the store's key set in ascending order as Keys last lent it.
 	// keysChurn holds the keys whose membership changed since that call,
@@ -463,34 +469,34 @@ func (c *Cache) Delete(key string) error {
 // in flight together, so a cold read of N keys costs one round trip per
 // owning node instead of N, and the same allocations whatever the number
 // of owners: each owner fills the client's pooled reply space. Results
-// come back by position and install in sorted key order. The fill is
-// best-effort — keys the grouped fetch misses (replication lag, an
-// unreachable primary) are simply left to the per-key Read path, whose
-// protocol (and its consistency obligations) is unchanged. In the causal modes each installed capsule
-// maintains the local causal cut, exactly as a per-key fill would.
+// come back by position into a reused record and install in sorted key
+// order, so a read set, warm or cold, allocates only its installs. The
+// fill is best-effort — keys the grouped fetch misses (replication lag,
+// an unreachable primary) are left to the per-key Read path, whose
+// protocol (and its consistency obligations) is unchanged. In the causal
+// modes each installed capsule maintains the local causal cut, exactly as
+// a per-key fill would.
 func (c *Cache) Prefetch(keys []string) {
+	p := c.getPrefetch()
+	defer c.putPrefetch(p)
 	c.mu.Lock()
-	var missing []string // made at the first miss: a warm read set allocates nothing
 	for _, k := range keys {
 		if _, ok := c.store[k]; !ok {
-			if missing == nil {
-				missing = make([]string, 0, len(keys))
-			}
-			missing = append(missing, k)
+			p.missing = append(p.missing, k)
 		}
 	}
 	c.mu.Unlock()
-	if len(missing) < 2 {
+	if len(p.missing) < 2 {
 		return // nothing to batch: the per-key path is already one round trip
 	}
-	sort.Strings(missing)
-	got, _, err := c.anna.MultiGet(missing)
-	if err != nil {
+	sort.Strings(p.missing)
+	p.found = slices.Grow(p.found, len(p.missing))[:len(p.missing)]
+	if _, err := c.anna.MultiGet(p.missing, p.found...); err != nil {
 		return
 	}
 	c.Stats.Prefetches++
-	for i, k := range missing {
-		lat := got[i]
+	for i, k := range p.missing {
+		lat := p.found[i]
 		if lat == nil {
 			continue
 		}
@@ -503,6 +509,34 @@ func (c *Cache) Prefetch(keys []string) {
 		c.mergeLocked(k, lat)
 		c.mu.Unlock()
 		c.Stats.PrefetchedKeys++
+	}
+}
+
+// prefetchCall is one Prefetch's keys absent locally and, aligned, their
+// results, which only MultiGet writes, and only before it returns.
+type prefetchCall struct {
+	missing []string
+	found   []lattice.Lattice
+}
+
+// getPrefetch takes a record off the free list, or makes one.
+func (c *Cache) getPrefetch() *prefetchCall {
+	if n := len(c.freePrefetch); n > 0 {
+		p := c.freePrefetch[n-1]
+		c.freePrefetch = c.freePrefetch[:n-1]
+		return p
+	}
+	return &prefetchCall{}
+}
+
+// putPrefetch empties a record, so it holds no key or lattice, and
+// returns it to the free list unless it grew past prefetchKeep.
+func (c *Cache) putPrefetch(p *prefetchCall) {
+	clear(p.missing)
+	clear(p.found)
+	p.missing, p.found = p.missing[:0], p.found[:0]
+	if cap(p.missing) <= prefetchKeep {
+		c.freePrefetch = append(c.freePrefetch, p)
 	}
 }
 

@@ -461,10 +461,11 @@ func (c *DecodeCache) DecodeVersion(key string, ts lattice.Timestamp, vcd uint64
 }
 
 // Reader is the read half of an Anna client (*anna.Client): what the
-// control plane needs to read system metadata.
+// control plane needs to read system metadata. MultiGet fills the
+// caller's found, aligned with keys, and returns the keys it missed.
 type Reader interface {
 	Get(key string) (lattice.Lattice, bool, error)
-	MultiGet(keys []string) ([]lattice.Lattice, []string, error)
+	MultiGet(keys []string, found ...lattice.Lattice) ([]string, error)
 }
 
 // decodeAs returns the payload of key's capsule lat as a T, decoded
@@ -495,13 +496,16 @@ func Fetch[T any](kv Reader, c *DecodeCache, key string) (T, bool) {
 	return decodeAs[T](c, key, lat)
 }
 
-// FetchAll reads keys with one grouped multi-get and returns, in key
-// order, the payloads that decode to a T through c. A key the grouped
-// read misses (replication lag at its primary) or whose capsule holds
-// anything else is skipped: the next read picks it up.
+// FetchAll reads keys with one grouped multi-get into results of its own
+// and returns, in key order, the payloads that decode to a T through c.
+// A key the grouped read misses (replication lag at its primary) or whose
+// capsule holds anything else is skipped: the next read picks it up.
 func FetchAll[T any](kv Reader, c *DecodeCache, keys []string) []T {
-	got, _, err := kv.MultiGet(keys)
-	if err != nil || len(got) == 0 {
+	if len(keys) == 0 {
+		return nil
+	}
+	got := make([]lattice.Lattice, len(keys))
+	if _, err := kv.MultiGet(keys, got...); err != nil {
 		return nil
 	}
 	out := make([]T, 0, len(got))

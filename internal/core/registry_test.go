@@ -21,13 +21,14 @@ func (f *mapKV) Get(key string) (lattice.Lattice, bool, error) {
 	return l, ok, nil
 }
 
-func (f *mapKV) MultiGet(keys []string) ([]lattice.Lattice, []string, error) {
+func (f *mapKV) MultiGet(keys []string, found ...lattice.Lattice) ([]string, error) {
 	f.multigets++
-	out := make([]lattice.Lattice, len(keys))
 	for i, k := range keys {
-		out[i] = f.m[k]
+		if l, ok := f.m[k]; ok {
+			found[i] = l
+		}
 	}
-	return out, nil, nil
+	return nil, nil
 }
 
 func capsule(ts int64, v any) *lattice.LWW {
