@@ -237,8 +237,9 @@
 // trip. Forgetting RegisterStruct is an immediate error from the first
 // Encode of the type, naming it. A Strs field decodes as one copy of
 // its string bytes that every element shares, two allocations whatever
-// its length, so a cache's whole key set costs no more to read back than
-// one key. Encoded size is the struct's actual
+// its length; a codec.StrList field, the same bytes on the wire, decodes
+// as a view of the payload instead, read in place: a cache's key set.
+// Encoded size is the struct's actual
 // field bytes, which the simulated transfer and KVS service times see —
 // changing a layout changes the control-plane byte schedule, so compare
 // the tables and the benchmark against your base (scripts/tablediff.sh,
@@ -273,8 +274,9 @@
 // backpressure-filtered candidate pools (every thread's, and each
 // function's pinned threads'). Beside them sits an index from each key a
 // cache advertises to the VMs holding it. A cache keeps its key set
-// sorted and merges in only the keys that entered or left, and the index
-// moves by each new report's difference from the last, so the key-set
+// sorted and merges in only the keys that entered or left. The index
+// merge-walks each new report's key list, read in place, against the
+// last, and copies only the names of keys that enter, so the key-set
 // plane costs what changed, not what is cached. A pick walks those slices
 // and allocates nothing, and client routing to a
 // scheduler shard allocates nothing either. A DAG's parents, children and

@@ -288,8 +288,9 @@ func errTruncated(tag byte) error {
 // and values) are substrings of one string copied from it, so they share
 // one backing allocation, which stays live while any of them does. A
 // []string's copy holds only its string bytes, as does a wire struct's
-// string list (Reader.Strs). Bytes left over after a container's last
-// element are an error, as they are after a fixed-size value's.
+// string list (Reader.Strs), but a StrList field views data in place.
+// Bytes left over after a container's last element are an error, as they
+// are after a fixed-size value's.
 func Decode(data []byte) (any, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("codec: decode: empty input")
@@ -360,11 +361,11 @@ func Decode(data []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, rest, ok := cutStrings(body, n)
+		l, rest, ok := cutStrList(body, n)
 		if !ok || len(rest) != 0 {
 			return nil, errTruncated(tag)
 		}
-		return out, nil
+		return l.strings(), nil
 	case tagAnys:
 		n, body, err := readCount(tag, body, 0)
 		if err != nil {
@@ -497,49 +498,70 @@ func readChunk(tag byte, body []byte) (chunk, rest []byte, err error) {
 	return body[:n:n], body[n:], nil
 }
 
-// cutStrings cuts n u32-length-prefixed strings off the front of body
-// and returns them with the bytes that follow. The elements are
-// substrings of one copy of their string bytes (the prefixes are not
-// copied), so a list costs two allocations, the copy and the slice,
-// whatever its length; n = 0 yields nil. ok is false when n is negative
-// or larger than body could hold (each element needs a 4-byte prefix),
-// or a prefix runs past the end; nothing is allocated then.
-func cutStrings(body []byte, n int) (out []string, rest []byte, ok bool) {
+// cutStrList cuts n u32-length-prefixed strings off the front of body
+// as a view of body, and returns it with the bytes that follow; n = 0
+// yields the empty list. ok is false when n is negative or larger than
+// body could hold (each element needs a 4-byte prefix), or a prefix runs
+// past the end. Every string-list reader checks its input here.
+func cutStrList(body []byte, n int) (l StrList, rest []byte, ok bool) {
 	// n < 0 guards 32-bit ints, where a >=2^31 count or prefix wraps
 	// negative; the bound is a division, never an overflowable multiply.
 	if n < 0 || n > len(body)/4 {
-		return nil, nil, false
+		return StrList{}, nil, false
 	}
-	total := 0
 	rest = body
 	for i := 0; i < n; i++ {
 		if len(rest) < 4 {
-			return nil, nil, false
+			return StrList{}, nil, false
 		}
-		l := int(binary.LittleEndian.Uint32(rest))
-		if l < 0 || l > len(rest)-4 {
-			return nil, nil, false
+		if k := int(binary.LittleEndian.Uint32(rest)); k < 0 || k > len(rest)-4 {
+			return StrList{}, nil, false
 		}
-		total += l
-		rest = rest[4+l:]
+		_, rest = cutElem(rest)
 	}
 	if n == 0 {
-		return nil, rest, true
+		return StrList{}, rest, true
+	}
+	m := len(body) - len(rest)
+	return StrList{n: n, enc: body[:m:m]}, rest, true
+}
+
+// elems returns l's elements as a view holds them, encoding StrListOf's.
+func (l StrList) elems() []byte {
+	if l.enc == nil && l.n > 0 {
+		return AppendStrs(nil, l.strs)[4:]
+	}
+	return l.enc
+}
+
+// cutElem cuts the first element off elems, which cutStrList checked.
+func cutElem(elems []byte) (elem, rest []byte) {
+	if len(elems) == 0 {
+		return nil, nil
+	}
+	k := 4 + int(binary.LittleEndian.Uint32(elems))
+	return elems[4:k:k], elems[k:]
+}
+
+// strings copies the view l's elements out as substrings of one copy of
+// their bytes (the prefixes are not copied): two allocations, the copy
+// and the slice, whatever l's length; nil when l is empty.
+func (l StrList) strings() []string {
+	if l.n == 0 {
+		return nil
 	}
 	// Grown to the exact total, the builder never reallocates, so every
 	// String() below views the same array, and each element is the tail
 	// written since the previous one.
 	var b strings.Builder
-	b.Grow(total)
-	out = make([]string, n)
-	for i := range out {
-		l := int(binary.LittleEndian.Uint32(body))
+	b.Grow(len(l.enc) - 4*l.n)
+	out := make([]string, 0, l.n)
+	StrList{}.Diff(l, nil, func(s []byte) {
 		start := b.Len()
-		b.Write(body[4 : 4+l])
-		out[i] = b.String()[start:]
-		body = body[4+l:]
-	}
-	return out, rest, true
+		b.Write(s)
+		out = append(out, b.String()[start:])
+	})
+	return out
 }
 
 // substr returns chunk — which readChunk just cut from the tail of a

@@ -150,8 +150,8 @@ func TestDecodedStringsOutliveBuffer(t *testing.T) {
 	}
 }
 
-// oracleStrs is Reader.Strs as it was before cutStrings: one Str, so
-// one string, per element.
+// oracleStrs is Reader.Strs as it was before it cut its list with one
+// helper (now cutStrList): one Str, so one string, per element.
 func oracleStrs(r *Reader) []string {
 	n := r.Count(4)
 	if r.err != nil || n == 0 {
@@ -168,7 +168,7 @@ func oracleStrs(r *Reader) []string {
 }
 
 // oracleDecodeStrings is Decode's []string case as it was before
-// cutStrings: one copy of the whole body, prefixes included, cut
+// cutStrList: one copy of the whole body, prefixes included, cut
 // element by element with readChunk.
 func oracleDecodeStrings(data []byte) ([]string, error) {
 	tag, body := data[0], data[1:]

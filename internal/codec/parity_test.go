@@ -248,6 +248,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add(MustEncode(wireProbe{S: "q"})[:12])         // truncated struct body
 	f.Add(append(MustEncode([]string{"a", "bc"}), 0)) // trailing byte
 	f.Add(MustEncode(wireProbe{S: "r", Ss: []string{"x", "", "yz", "w"}}))
+	f.Add(MustEncode(viewProbe{S: "v", L: StrListOf([]string{"k", "k1", "", "\xff"}), I: 3}))
+	f.Add(MustEncode(viewProbe{S: "e"}))                                         // an empty view
+	f.Add(MustEncode(viewProbe{S: "t", L: StrListOf([]string{"ab", "c"})})[:28]) // a view's first prefix cut
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := Decode(data)
 		if err != nil {

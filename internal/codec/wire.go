@@ -10,6 +10,7 @@ package codec
 // defining a wire struct.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -204,7 +205,7 @@ func sortedKeysI64(m map[string]int64) []string {
 // Append* helpers. Errors are sticky: after the first malformed field
 // every subsequent read returns a zero value, and Done reports the
 // error, so DecodeWire implementations read unconditionally and check
-// once at the end.
+// once at the end. Only StrList's view aliases the body; the rest copy.
 type Reader struct {
 	body []byte
 	err  error
@@ -288,18 +289,67 @@ func (r *Reader) Count(minElem int) int {
 // nil (gob struct-field parity). The list is one copy of its string
 // bytes, shared by its elements: two allocations (the copy and the
 // slice) whatever its length, and none of the body stays referenced.
-func (r *Reader) Strs() []string {
-	n := r.Count(4)
-	if r.err != nil {
-		return nil
-	}
-	out, rest, ok := cutStrings(r.body, n)
-	if !ok {
+func (r *Reader) Strs() []string { return r.StrList().strings() }
+
+// StrList reads a string slice written by AppendStrs as a view of the
+// body: it accepts exactly what Strs does, allocates and copies nothing,
+// and keeps the body referenced while the view lives.
+func (r *Reader) StrList() StrList {
+	l, rest, ok := cutStrList(r.body, r.Count(4))
+	if r.err != nil || !ok {
 		r.fail()
-		return nil
+		return StrList{}
 	}
 	r.body = rest
-	return out
+	return l
+}
+
+// StrList is a string list that encodes as AppendStrs does: a []string
+// (StrListOf), or a read-only view of a decoded body (Reader.StrList).
+// The zero StrList is the empty list.
+type StrList struct {
+	strs []string // StrListOf's elements
+	n    int      // the element count
+	enc  []byte   // a view's elements in AppendStrs's layout, count excluded
+}
+
+// StrListOf returns xs as a StrList; xs must not change while it is used.
+func StrListOf(xs []string) StrList { return StrList{strs: xs, n: len(xs)} }
+
+// Append appends l as AppendStrs does.
+func (l StrList) Append(dst []byte) []byte {
+	if l.enc == nil {
+		return AppendStrs(dst, l.strs)
+	}
+	return append(AppendU32(dst, uint32(l.n)), l.enc...)
+}
+
+// Diff merge-walks l and m, both ascending in byte order, and calls left
+// with each element only l holds and entered with each only m holds; the
+// empty list's Diff with m walks m. A view's elements alias its body and
+// are walked without allocating (a StrListOf list is encoded first).
+func (l StrList) Diff(m StrList, left, entered func([]byte)) {
+	a, b := l.elems(), m.elems()
+	for len(a) > 0 || len(b) > 0 {
+		x, restA := cutElem(a)
+		y, restB := cutElem(b)
+		switch c := bytes.Compare(x, y); {
+		case len(b) == 0 || len(a) > 0 && c < 0:
+			left(x)
+			a = restA
+		case len(a) == 0 || c > 0:
+			entered(y)
+			b = restB
+		default:
+			a, b = restA, restB
+		}
+	}
+}
+
+// Same reports, without reading an element, whether l and m are views of
+// the same bytes, or both empty. A StrListOf list is Same only as empty.
+func (l StrList) Same(m StrList) bool {
+	return l.n == m.n && (l.n == 0 || len(l.enc) > 0 && len(m.enc) > 0 && &l.enc[0] == &m.enc[0])
 }
 
 // U64s reads a uint64 slice written by AppendU64s; count 0 decodes as

@@ -5,10 +5,12 @@ package codec
 // shared property/fuzz harness) and malformed input.
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -146,6 +148,189 @@ func TestWireStringListAllocations(t *testing.T) {
 		enc := MustEncode(w)
 		if got := testing.AllocsPerRun(100, func() { MustDecode(enc) }); got != 4 {
 			t.Errorf("decoding a wire struct with a %d-element string list allocates %.0f times, want 4", n, got)
+		}
+	}
+}
+
+// viewProbe carries a string list read in place (Reader.StrList) between
+// two other fields; gob cannot carry a StrList, so it has no gob side.
+type viewProbe struct {
+	S string
+	L StrList
+	I int64
+}
+
+func (w viewProbe) AppendWire(dst []byte) []byte {
+	dst = AppendStr(dst, w.S)
+	dst = w.L.Append(dst)
+	return AppendI64(dst, w.I)
+}
+
+func (w *viewProbe) DecodeWire(body []byte) error {
+	r := NewReader(body)
+	w.S = r.Str()
+	w.L = r.StrList()
+	w.I = r.I64()
+	return r.Done()
+}
+
+func init() { RegisterStruct[viewProbe, *viewProbe]("codec.viewProbe") }
+
+// strListElems copies a list's elements out, walked as the empty list's
+// Diff; nil for the empty list.
+func strListElems(l StrList) []string {
+	var out []string
+	StrList{}.Diff(l, nil, func(s []byte) { out = append(out, string(s)) })
+	return out
+}
+
+// TestStrListMatchesStrs holds Reader.StrList to Reader.Strs, and both
+// to oracleStrs (one Str per element) as the oracle: all accept and
+// reject the same bodies (Done's verdict), an accepted body yields the
+// same elements, and the view re-encodes to the bytes it consumed.
+func TestStrListMatchesStrs(t *testing.T) {
+	le := func(ws ...uint32) []byte {
+		var b []byte
+		for _, w := range ws {
+			b = AppendU32(b, w)
+		}
+		return b
+	}
+	r := rand.New(rand.NewSource(50))
+	bodies := map[string][]byte{
+		"count 0":             le(0),
+		"no count":            nil,
+		"short count":         {1, 0},
+		"count past the body": le(3, 0, 0),
+		"huge count":          le(0xffffffff, 0),
+		"truncated prefix":    append(le(2, 1), 'a', 1, 0),
+		"prefix past the end": append(le(1, 5), "abcd"...),
+		"huge prefix":         append(le(1, 0xffffffff), "abcd"...),
+		"trailing byte":       append(AppendStrs(nil, []string{"a", "bc"}), 0),
+		"count 0, trailing":   le(0, 7),
+		"empty elements":      AppendStrs(nil, []string{"", "", ""}),
+		"high bytes":          AppendStrs(nil, []string{"\x80", "k\xff", "\xc3\xa9"}),
+	}
+	for i := 0; i < 100; i++ {
+		xs := make([]string, r.Intn(20))
+		for j := range xs {
+			xs[j] = randString(r)
+		}
+		body := AppendStrs(nil, xs)
+		bodies[fmt.Sprintf("random %d", i)] = body
+		bodies[fmt.Sprintf("random %d, cut", i)] = body[:r.Intn(len(body))]
+	}
+	for name, body := range bodies {
+		oracle, want, got := NewReader(body), NewReader(body), NewReader(body)
+		os := oracleStrs(&oracle)
+		ws := want.Strs()
+		l := got.StrList()
+		oerr, werr, gerr := oracle.Done(), want.Done(), got.Done()
+		if (oerr == nil) != (werr == nil) || (werr == nil) != (gerr == nil) {
+			t.Fatalf("%s: oracle err %v, Strs err %v, StrList err %v", name, oerr, werr, gerr)
+		}
+		if werr != nil {
+			continue
+		}
+		if g := strListElems(l); !reflect.DeepEqual(g, ws) || !reflect.DeepEqual(ws, os) {
+			t.Fatalf("%s: StrList walks %q, Strs read %q, the oracle %q", name, g, ws, os)
+		}
+		if re := l.Append(nil); !bytes.Equal(re, body) {
+			t.Fatalf("%s: re-encodes as %x, was %x", name, re, body)
+		}
+	}
+}
+
+// TestStrListInPlace: a view's walk allocates nothing and its elements
+// alias the body; Same tells one view from an equal list held apart, and
+// holds a StrListOf list Same only as empty.
+func TestStrListInPlace(t *testing.T) {
+	xs := make([]string, 100)
+	for i := range xs {
+		xs[i] = fmt.Sprintf("key-%d", i)
+	}
+	body := AppendStrs(nil, xs)
+	r := NewReader(body)
+	l := r.StrList()
+	var first []byte
+	n := 0
+	count := func(s []byte) {
+		if n++; n == 1 {
+			first = s
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { StrList{}.Diff(l, nil, count) }); allocs != 0 {
+		t.Errorf("walking a 100-element view allocates %.1f times, want 0", allocs)
+	}
+	if &first[0] != &body[4+4] {
+		t.Error("a view's first element does not alias the body")
+	}
+	again := NewReader(body)
+	apart := NewReader(bytes.Clone(body))
+	shared := StrListOf(xs)
+	for _, c := range []struct {
+		name string
+		a, b StrList
+		same bool
+	}{
+		{"one view", l, l, true},
+		{"two views of one body", l, again.StrList(), true},
+		{"views of equal bodies", l, apart.StrList(), false},
+		{"one slice", shared, StrListOf(xs), false},
+		{"a view and a slice", l, shared, false},
+		{"a shorter list", l, StrListOf(xs[1:]), false},
+		{"empty lists", StrList{}, StrListOf(nil), true},
+	} {
+		if got := c.a.Same(c.b); got != c.same {
+			t.Errorf("%s: Same = %v, want %v", c.name, got, c.same)
+		}
+	}
+	if got := strListElems(shared); !reflect.DeepEqual(got, xs) {
+		t.Errorf("a StrListOf list walks %q", got)
+	}
+}
+
+// TestStrListDiff holds Diff to a set difference on random ascending
+// lists drawn from keys that are byte-prefixes of others, the empty key
+// and keys with bytes of 0x80 and above, as views and as StrListOf lists:
+// left sees exactly the keys only the first list holds, entered exactly
+// those only the second holds, each once and in ascending order.
+func TestStrListDiff(t *testing.T) {
+	pool := []string{"", "k", "k1", "k10", "k1\x80", "k\x7f", "k\x80", "k\xff", "\xc3\xa9", "z"}
+	slices.Sort(pool)
+	r := rand.New(rand.NewSource(51))
+	draw := func() []string {
+		var out []string
+		for _, k := range pool {
+			if r.Intn(2) == 0 {
+				out = append(out, k)
+			}
+		}
+		return out
+	}
+	view := func(xs []string) StrList {
+		rd := NewReader(AppendStrs(nil, xs))
+		return rd.StrList()
+	}
+	for i := 0; i < 500; i++ {
+		was, now := draw(), draw()
+		var wantLeft, wantEntered []string
+		for _, k := range was {
+			if !slices.Contains(now, k) {
+				wantLeft = append(wantLeft, k)
+			}
+		}
+		for _, k := range now {
+			if !slices.Contains(was, k) {
+				wantEntered = append(wantEntered, k)
+			}
+		}
+		for _, pair := range [][2]StrList{{view(was), view(now)}, {StrListOf(was), StrListOf(now)}, {view(was), StrListOf(now)}} {
+			var left, entered []string
+			pair[0].Diff(pair[1], func(s []byte) { left = append(left, string(s)) }, func(s []byte) { entered = append(entered, string(s)) })
+			if !slices.Equal(left, wantLeft) || !slices.Equal(entered, wantEntered) {
+				t.Fatalf("Diff(%q, %q): left %q, entered %q; want %q, %q", was, now, left, entered, wantLeft, wantEntered)
+			}
 		}
 	}
 }

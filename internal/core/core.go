@@ -390,10 +390,11 @@ type ExecutorMetrics struct {
 }
 
 // CacheMetrics is each VM cache's periodically-published key set (§4.2).
+// A decoded report's Keys views its capsule's payload in place.
 type CacheMetrics struct {
 	VM          string
 	Cache       simnet.NodeID
-	Keys        []string
+	Keys        codec.StrList
 	ReportedAtS float64
 }
 

@@ -85,7 +85,7 @@ func TestRegistryKeys(t *testing.T) {
 // of another type are all skipped.
 func TestFetchAllSkipsWhatIsNotAT(t *testing.T) {
 	kv := &mapKV{m: map[string]lattice.Lattice{
-		"a/ok":      capsule(1, CacheMetrics{VM: "vm0", Keys: []string{"k"}}),
+		"a/ok":      capsule(1, CacheMetrics{VM: "vm0", Keys: codec.StrListOf([]string{"k"})}),
 		"b/set":     lattice.NewSet("x"),
 		"c/garbage": lattice.NewLWW(lattice.Timestamp{Clock: 1}, []byte{0xff, 0xfe}),
 		"d/other":   capsule(1, ExecutorMetrics{Thread: "t"}),

@@ -64,7 +64,7 @@ func (m *ExecutorMetrics) DecodeWire(body []byte) error {
 func (m CacheMetrics) AppendWire(dst []byte) []byte {
 	dst = codec.AppendStr(dst, m.VM)
 	dst = codec.AppendStr(dst, string(m.Cache))
-	dst = codec.AppendStrs(dst, m.Keys)
+	dst = m.Keys.Append(dst)
 	return codec.AppendF64(dst, m.ReportedAtS)
 }
 
@@ -73,7 +73,7 @@ func (m *CacheMetrics) DecodeWire(body []byte) error {
 	r := codec.NewReader(body)
 	m.VM = r.Str()
 	m.Cache = simnet.NodeID(r.Str())
-	m.Keys = r.Strs()
+	m.Keys = r.StrList()
 	m.ReportedAtS = r.F64()
 	return r.Done()
 }

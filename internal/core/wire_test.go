@@ -9,7 +9,9 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cloudburst/internal/codec"
@@ -17,7 +19,6 @@ import (
 
 func init() {
 	gob.Register(ExecutorMetrics{})
-	gob.Register(CacheMetrics{})
 	gob.Register(SchedulerMetrics{})
 }
 
@@ -54,9 +55,6 @@ func TestMetricsWireParity(t *testing.T) {
 		},
 		ExecutorMetrics{},                   // zero value
 		ExecutorMetrics{Pinned: []string{}}, // empty slice → nil, like gob
-		CacheMetrics{VM: "vm1", Cache: "cache-vm1", Keys: []string{"a", "b"}, ReportedAtS: 4},
-		CacheMetrics{},
-		CacheMetrics{Keys: []string{}},
 		SchedulerMetrics{
 			Scheduler:   "sched-0",
 			DAGCalls:    map[string]int64{"d1": 3, "d2": 9},
@@ -67,6 +65,46 @@ func TestMetricsWireParity(t *testing.T) {
 		SchedulerMetrics{DAGCalls: map[string]int64{}, FnCalls: map[string]int64{}}, // empty maps → nil, like gob
 	} {
 		assertWireParity(t, v)
+	}
+}
+
+// TestCacheMetricsWireRoundTrip: a CacheMetrics decodes to its fields
+// with its key list viewed in place, element for element, and re-encodes
+// to the same bytes, an empty list (nil, empty or absent) as count 0.
+// (Its key list is a codec.StrList, which gob cannot carry, so it has no
+// gob parity case.)
+func TestCacheMetricsWireRoundTrip(t *testing.T) {
+	for _, keys := range [][]string{{"a", "b"}, {"", "k", "k1", "\xff"}, {}, nil} {
+		in := CacheMetrics{VM: "vm1", Cache: "cache-vm1", Keys: codec.StrListOf(keys), ReportedAtS: 4}
+		enc := codec.MustEncode(in)
+		out := codec.MustDecode(enc).(CacheMetrics)
+		var got []string
+		codec.StrList{}.Diff(out.Keys, nil, func(k []byte) { got = append(got, string(k)) })
+		if out.VM != in.VM || out.Cache != in.Cache || out.ReportedAtS != in.ReportedAtS || !slices.Equal(got, keys) {
+			t.Fatalf("round trip of %q: %+v with keys %q", keys, out, got)
+		}
+		if re := codec.MustEncode(out); !bytes.Equal(re, enc) {
+			t.Fatalf("%q re-encodes as %x, was %x", keys, re, enc)
+		}
+	}
+}
+
+// TestCacheMetricsDecodeAllocations: a decoded key set is a view of the
+// payload, so a cache's report decodes in the same 4 allocations whatever
+// its length: its VM and cache names, the decoded struct and its box. (A
+// []string key list made 2 more, its copy and its slice.)
+func TestCacheMetricsDecodeAllocations(t *testing.T) {
+	counts := map[int]float64{}
+	for _, n := range []int{10, 1000} {
+		keys := make([]string, n)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("key-%06d", i)
+		}
+		enc := codec.MustEncode(CacheMetrics{VM: "vm0", Cache: "cache-vm0", Keys: codec.StrListOf(keys)})
+		counts[n] = testing.AllocsPerRun(100, func() { codec.MustDecode(enc) })
+	}
+	if counts[10] != 4 || counts[1000] != 4 {
+		t.Fatalf("decoding a CacheMetrics allocates %.1f times for 10 keys and %.1f for 1,000, want 4 for both", counts[10], counts[1000])
 	}
 }
 

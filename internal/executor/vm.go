@@ -102,7 +102,7 @@ func (vm *VM) publishMetrics() {
 	cm := core.CacheMetrics{
 		VM:          vm.Name,
 		Cache:       vm.Threads[0].cache.ID(),
-		Keys:        vm.Threads[0].cache.Keys(),
+		Keys:        codec.StrListOf(vm.Threads[0].cache.Keys()),
 		ReportedAtS: vm.k.Now().Seconds(),
 	}
 	vm.metricsClient.Put(core.CacheKeysKey(vm.Name),

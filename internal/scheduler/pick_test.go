@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"cloudburst/internal/codec"
 	"cloudburst/internal/core"
 	"cloudburst/internal/simnet"
 	"cloudburst/internal/vtime"
@@ -134,7 +135,7 @@ func pickScheduler(seed int64, random bool) *Scheduler {
 	return &Scheduler{
 		k:            vtime.NewKernel(seed),
 		cfg:          Config{RandomPolicy: random},
-		cacheKeys:    make(map[string][]string),
+		cacheKeys:    make(map[string]codec.StrList),
 		pins:         make(map[string][]simnet.NodeID),
 		lastAssigned: make(map[simnet.NodeID]int64),
 	}
@@ -152,6 +153,19 @@ func (s *Scheduler) stamps() map[simnet.NodeID]int64 {
 	return out
 }
 
+// published is vm's key list as a scheduler reads it: a CacheMetrics
+// publication encoded and decoded, whose Keys view the encoding.
+func published(vm string, keys []string) core.CacheMetrics {
+	return codec.MustDecode(codec.MustEncode(core.CacheMetrics{VM: vm, Keys: codec.StrListOf(keys)})).(core.CacheMetrics)
+}
+
+// elems copies a key list's elements out.
+func elems(l codec.StrList) []string {
+	var out []string
+	codec.StrList{}.Diff(l, nil, func(k []byte) { out = append(out, string(k)) })
+	return out
+}
+
 // TestPickExecutorMatchesPerThreadScoring drives pickExecutor over the
 // view and the map-form oracle through the same seeded histories: random
 // views, polls between picks in which threads leave, re-enter and change
@@ -159,12 +173,17 @@ func (s *Scheduler) stamps() map[simnet.NodeID]int64 {
 // five under the random policy. The view is pure bookkeeping, so every
 // pick, every assignment stamp and the kernel's next random draw must
 // agree: a pool or tie set that differs by one thread moves a draw, and
-// with it every table.
+// with it every table. Caches publish encoded key lists, which the index
+// merge-walks in byte order; the pool holds keys that are byte-prefixes
+// of others (k, k1, k10), the empty key, keys with bytes of 0x80 and above, and one
+// longer than a string conversion's stack buffer.
 func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
-	keys := make([]string, 12)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%02d", i)
+	keys := []string{"", "k", "k1", "k1\x80", "k\x7f", "k\x80", "k\xff", "\xc3\xa9t\xc3\xa9",
+		"a-key-name-longer-than-thirty-two-bytes/0", "a-key-name-longer-than-thirty-two-bytes/01"}
+	for i := 0; i < 12; i++ {
+		keys = append(keys, fmt.Sprintf("k%02d", i))
 	}
+	slices.Sort(keys)
 	var singleWinner, allTie, multiTie, excluded, randomPicks int
 	var reentries, retained, inserted int
 	var entered, left, vmSetChanges int
@@ -234,7 +253,7 @@ func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
 					set[k] = true
 				}
 			}
-			got.setKeys([]core.CacheMetrics{{VM: vm, Keys: list}})
+			got.setKeys([]core.CacheMetrics{published(vm, list)})
 			checkIndex(t, got)
 			want.cacheKeys[vm] = set
 		}
@@ -253,7 +272,7 @@ func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
 					entered++
 				}
 			}
-			got.setKeys([]core.CacheMetrics{{VM: vm, Keys: slices.Sorted(maps.Keys(set))}})
+			got.setKeys([]core.CacheMetrics{published(vm, slices.Sorted(maps.Keys(set)))})
 			checkIndex(t, got)
 			want.cacheKeys[vm] = set
 		}
@@ -385,7 +404,7 @@ func rebuiltIndex(s *Scheduler) (map[string]int, []uint64) {
 	holders := make(map[string]int)
 	var bits []uint64
 	for vm, name := range v.vms {
-		for _, k := range s.cacheKeys[name] {
+		for _, k := range elems(s.cacheKeys[name]) {
 			o, ok := holders[k]
 			if !ok {
 				o = len(bits)
@@ -428,11 +447,13 @@ func checkIndex(t *testing.T, s *Scheduler) {
 	}
 }
 
-// TestKeyIndexDeltaAllocations: a cache's new key list moves the index by
-// its difference, so what a publication costs follows the keys that
-// entered or left, not the keys held. A list one key shorter than the
-// last allocates nothing; one key longer allocates the index's copy of the
-// name, the same at 1,000 and at 10,000 keys. (Rebuilding the index made
+// TestKeyIndexDeltaAllocations: a cache's new key list, an encoded
+// publication read in place, moves the index by its difference, so what
+// a publication costs follows the keys that entered or left, not the
+// keys held. A list one key shorter than the last allocates nothing, its
+// key's lookup and delete included (the keys are longer than a string
+// conversion's stack buffer); one key longer allocates the index's copy
+// of the name, the same at 1,000 and at 10,000 keys. (Rebuilding the index made
 // a map and bitsets sized by every key.) A change to the set of VMs
 // re-indexes every key under the name the index already holds, so it
 // too allocates the same at both sizes.
@@ -445,16 +466,16 @@ func TestKeyIndexDeltaAllocations(t *testing.T) {
 		for v := 0; v < 4; v++ {
 			vm := fmt.Sprintf("vm%d", v)
 			reports = append(reports, core.ExecutorMetrics{Thread: simnet.NodeID("exec-" + vm), VM: vm})
-			s.cacheKeys[vm] = []string{"shared"}
+			s.cacheKeys[vm] = published(vm, []string{"shared"}).Keys
 		}
 		s.setThreads(reports)
 		full := make([]string, n)
 		for i := range full {
-			full[i] = fmt.Sprintf("vm0/key%05d", i)
+			full[i] = fmt.Sprintf("vm0/a-key-longer-than-32-bytes/%05d", i)
 		}
 		// list(i) is full without its first i keys: each step one key
 		// leaves (or, walked back, enters), in a slice of its own.
-		list := func(i int) []core.CacheMetrics { return []core.CacheMetrics{{VM: "vm0", Keys: full[i:]}} }
+		list := func(i int) []core.CacheMetrics { return []core.CacheMetrics{published("vm0", full[i:])} }
 		lists := make([][]core.CacheMetrics, steps+2)
 		for i := range lists {
 			lists[i] = list(i)
@@ -481,7 +502,7 @@ func TestKeyIndexDeltaAllocations(t *testing.T) {
 		// The VM set changes: vm4 joins holding one of vm0's keys and one
 		// of its own, then leaves, and so on. The held keys keep their
 		// names; only vm4's own enters anew.
-		s.cacheKeys["vm4"] = []string{full[0], "vm4/own"}
+		s.cacheKeys["vm4"] = published("vm4", []string{full[0], "vm4/own"}).Keys
 		fleets := [][]core.ExecutorMetrics{reports, append(slices.Clone(reports), core.ExecutorMetrics{Thread: "exec-vm4", VM: "vm4"})}
 		j := 0
 		changed[n] = testing.AllocsPerRun(steps, func() {
@@ -520,7 +541,7 @@ func TestPickExecutorAllocationFree(t *testing.T) {
 			}
 			reports = append(reports, em)
 		}
-		s.cacheKeys[vm] = []string{fmt.Sprintf("k%d", v%3)}
+		s.cacheKeys[vm] = published(vm, []string{fmt.Sprintf("k%d", v%3)}).Keys
 	}
 	s.setThreads(reports)
 	refs := []core.Arg{{Ref: "k1"}, {Ref: "k2"}, {Val: []byte{7}}}

@@ -12,10 +12,10 @@
 // backpressure-filtered candidate pools — every thread's and each
 // function's pinned threads'. It also keeps an index from each advertised
 // key to the VMs whose caches hold it, which moves by difference: a
-// cache's new key set flips the bits of only the keys that entered or
-// left it. A pick then walks precomputed slices, compares VM indices and
-// reads one map entry per referenced key; it reads no per-thread map and
-// allocates nothing.
+// cache's new key set, read in place from its report, flips the bits of
+// only the keys that entered or left it. A pick then walks precomputed
+// slices, compares VM indices and reads one map entry per referenced key;
+// it reads no per-thread map and allocates nothing.
 //
 // Schedulers also own the compute tier's fault-tolerance story (§4.5):
 // every request — a registered DAG or a bare Invoke, which is the DAG of
@@ -34,6 +34,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unsafe"
 
 	"cloudburst/internal/anna"
 	"cloudburst/internal/codec"
@@ -148,8 +149,8 @@ const (
 
 // view is the scheduler's local index of the compute tier (§4.3), read by
 // every pick. Its threads and pools are rebuilt from the published metrics
-// once per poll; its key index moves by each cache's published difference
-// and is rebuilt only when the set of VMs changes.
+// once per poll; its key index moves by each cache's published difference,
+// walked in place, and is rebuilt only when the set of VMs changes.
 type view struct {
 	// threads holds one record per thread with a fresh report, ascending by
 	// id; a pool is a list of indices into it, so it is ascending too.
@@ -299,15 +300,15 @@ type Scheduler struct {
 	dags  map[string]*dag.Index
 	funcs map[string]bool
 	// view is what pickExecutor reads; cacheKeys and pins are what it is
-	// built from, kept across polls. cacheKeys maps each VM that ever
-	// published to the keys it last advertised, ascending (a VM that stops
-	// publishing keeps them); the slices are decoded metrics, shared
-	// read-only, and the view's key index holds exactly its VMs' lists.
+	// built from, kept across polls. cacheKeys maps each VM in the cache
+	// registry that published to the keys it last advertised, ascending
+	// (a VM that stops publishing keeps them): a decoded report's view,
+	// read-only. The view's key index holds exactly its VMs' lists.
 	// pins maps each function to the threads pinned with it, ascending, as
 	// last reported or registered here; a function no report mentions
 	// keeps its last list.
 	view      view
-	cacheKeys map[string][]string
+	cacheKeys map[string]codec.StrList
 	pins      map[string][]simnet.NodeID
 
 	// inflight holds every request this shard is answerable for, of
@@ -365,7 +366,7 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config) *Sch
 		cfg:          cfg,
 		dags:         make(map[string]*dag.Index),
 		funcs:        make(map[string]bool),
-		cacheKeys:    make(map[string][]string),
+		cacheKeys:    make(map[string]codec.StrList),
 		pins:         make(map[string][]simnet.NodeID),
 		inflight:     make(map[string]*tracked),
 		lastAssigned: make(map[simnet.NodeID]int64),
@@ -861,7 +862,9 @@ func (s *Scheduler) refreshView() {
 		}
 	}
 	s.setThreads(fresh)
-	s.setKeys(core.FetchAll[core.CacheMetrics](s.anna, s.decoded, s.cacheReg.Keys(s.anna, nil)))
+	members := s.cacheReg.Keys(s.anna, nil)
+	s.setKeys(core.FetchAll[core.CacheMetrics](s.anna, s.decoded, members))
+	s.pruneKeys(members)
 }
 
 // setThreads rebuilds the view from one poll's fresh executor reports, one
@@ -916,18 +919,35 @@ func (s *Scheduler) setThreads(reports []core.ExecutorMetrics) {
 
 // setKeys takes one poll's cache key-set reports and moves the view's
 // key index by each new list's difference from the last. An unchanged
-// publication is the very slice the last poll stored (the decode cache
+// publication is the very view the last poll stored (the decode cache
 // hands every poll the same value until the VM publishes again), so the
 // index moves once per publication, not once per poll.
 func (s *Scheduler) setKeys(reports []core.CacheMetrics) {
 	for _, cm := range reports {
 		old := s.cacheKeys[cm.VM]
-		if len(old) == len(cm.Keys) && (len(old) == 0 || &old[0] == &cm.Keys[0]) {
+		if old.Same(cm.Keys) {
 			continue
 		}
 		s.cacheKeys[cm.VM] = cm.Keys
 		if vm := slices.Index(s.view.vms, cm.VM); vm >= 0 {
 			s.view.moveKeys(vm, old, cm.Keys)
+		}
+	}
+}
+
+// pruneKeys drops from cacheKeys and the index each VM whose cache left
+// the registry's sorted members, so no departed VM's publication stays
+// referenced. An unreadable listing (nil) prunes nothing.
+func (s *Scheduler) pruneKeys(members []string) {
+	for name, keys := range s.cacheKeys {
+		if _, ok := slices.BinarySearchFunc(members, name, func(m, name string) int {
+			return strings.Compare(strings.TrimPrefix(m, core.CacheKeysKey("")), name)
+		}); ok || members == nil {
+			continue
+		}
+		delete(s.cacheKeys, name)
+		if vm := slices.Index(s.view.vms, name); vm >= 0 {
+			s.view.moveKeys(vm, keys, codec.StrList{})
 		}
 	}
 }
@@ -952,7 +972,7 @@ func (s *Scheduler) syncKeys() {
 		o += words
 	}
 	for vm, name := range v.vms {
-		v.moveKeys(vm, nil, s.cacheKeys[name])
+		v.moveKeys(vm, codec.StrList{}, s.cacheKeys[name])
 	}
 	for key, o := range v.holders {
 		v.release(key, o)
@@ -960,28 +980,17 @@ func (s *Scheduler) syncKeys() {
 }
 
 // moveKeys moves VM vm's bits in the key index from the keys of was to
-// those of now, both ascending: one merge walk sets the bit of each key
-// only now holds and clears the bit of each key only was holds.
-func (v *view) moveKeys(vm int, was, now []string) {
-	for len(was) > 0 || len(now) > 0 {
-		switch {
-		case len(now) == 0 || len(was) > 0 && was[0] < now[0]:
-			v.unhold(was[0], vm)
-			was = was[1:]
-		case len(was) == 0 || now[0] < was[0]:
-			v.hold(now[0], vm)
-			now = now[1:]
-		default:
-			was, now = was[1:], now[1:]
-		}
-	}
+// those of now, both ascending: one in-place merge walk sets the bit of
+// each key only now holds and clears each only was holds.
+func (v *view) moveKeys(vm int, was, now codec.StrList) {
+	was.Diff(now, func(key []byte) { v.unhold(key, vm) }, func(key []byte) { v.hold(key, vm) })
 }
 
 // hold sets vm's bit for key, indexing the key first if no VM held it.
-// The index keeps its own copy of the name: a decoded list's strings
-// share one buffer per publication, which must not outlive it.
-func (v *view) hold(key string, vm int) {
-	o, ok := v.holders[key]
+// Only then does the index copy the name: a key read in place is a view
+// of a publication, which must not outlive it.
+func (v *view) hold(key []byte, vm int) {
+	o, ok := v.holders[string(key)]
 	if !ok {
 		if n := len(v.free); n > 0 {
 			o, v.free = v.free[n-1], v.free[:n-1]
@@ -989,16 +998,17 @@ func (v *view) hold(key string, vm int) {
 			o = len(v.bits)
 			v.bits = append(v.bits, make([]uint64, (len(v.vms)+63)/64)...)
 		}
-		v.holders[strings.Clone(key)] = o
+		v.holders[string(key)] = o
 	}
 	v.bits[o+vm/64] |= 1 << (vm % 64)
 }
 
 // unhold clears vm's bit for key, dropping the key once no VM holds it.
-func (v *view) unhold(key string, vm int) {
-	o := v.holders[key]
+// release's delete keeps no reference to key, so key is not copied.
+func (v *view) unhold(key []byte, vm int) {
+	o := v.holders[string(key)]
 	v.bits[o+vm/64] &^= 1 << (vm % 64)
-	v.release(key, o)
+	v.release(unsafe.String(unsafe.SliceData(key), len(key)), o)
 }
 
 // release drops key, whose bitset is at offset o, once no VM holds it.
