@@ -262,7 +262,10 @@
 // allocation-free: the virtual-time kernel (internal/vtime) reuses
 // parked coroutines for new processes and pools its timer entries and
 // channel waiters, and the network (internal/simnet) pools message
-// delivery events and RPC request/reply state. Replaying minutes of
+// delivery events and RPC request/reply state. Every such pool, in the
+// substrate and above it, is one type, vtime.FreeList: a LIFO list that
+// clears the slot it pops, so a value dropped after reuse is not kept
+// alive, and that holds its own bound. Replaying minutes of
 // cluster traffic costs milliseconds of real time and (steady-state)
 // no garbage; regression tests pin the substrate's allocs-per-message
 // and the kernel's process-reuse rate.

@@ -33,8 +33,8 @@ type Client struct {
 	kv       *KVS
 	ep       *simnet.Endpoint
 	timeout  time.Duration
-	mgetName string       // precomputed process name for parallel group fetches
-	free     []*groupCall // idle grouped-call records
+	mgetName string                     // precomputed process name for parallel group fetches
+	free     vtime.FreeList[*groupCall] // idle grouped-call records
 
 	// Stats tallies this client's round trips.
 	Stats ClientStats
@@ -284,9 +284,7 @@ const maxScratchKeys = 64
 
 // getCall takes a record off the free list, or makes one.
 func (c *Client) getCall() *groupCall {
-	if n := len(c.free); n > 0 {
-		g := c.free[n-1]
-		c.free = c.free[:n-1]
+	if g, ok := c.free.Get(); ok {
 		return g
 	}
 	return &groupCall{c: c, wg: vtime.NewWaitGroup(c.kv.k)}
@@ -306,7 +304,7 @@ func (c *Client) putCall(g *groupCall) {
 	if cap(g.prim) > maxScratchKeys {
 		g.prim, g.pos, g.keys, g.lats = nil, nil, nil, nil
 	}
-	c.free = append(c.free, g)
+	c.free.Put(g)
 }
 
 // group partitions keys by primary owner without a map: one pass records

@@ -483,17 +483,25 @@ func TestMultiGetLateReplyIsNeverRead(t *testing.T) {
 		// reuses its tables rather than growing them.
 		found, missing, err := mget(multi)
 		check(multi, found, missing, err)
-		if len(cl.free) != 1 {
-			t.Fatalf("%d pooled records after one call, want 1", len(cl.free))
+		if cl.free.Len() != 1 {
+			t.Fatalf("%d pooled records after one call, want 1", cl.free.Len())
 		}
-		rec := cl.free[0]
+		rec, _ := cl.free.Get()
+		cl.free.Put(rec)
 		keyBuf := rec.keys[:1]
 		net.SetLinkPolicy(cl.ep.ID(), slow, simnet.LinkPolicy{ExtraLatency: late})
 		t0 := k.Now()
 		found, missing, err = mget(lateKeys)
 		check(lateKeys, found, missing, err)
-		if slices.Contains(cl.free, rec) {
+		var pooled []*groupCall
+		for g, ok := cl.free.Get(); ok; g, ok = cl.free.Get() {
+			pooled = append(pooled, g)
+		}
+		if slices.Contains(pooled, rec) {
 			t.Fatal("the timed-out call's record is back on the free list")
+		}
+		for _, g := range slices.Backward(pooled) {
+			cl.free.Put(g)
 		}
 		if &rec.keys[:1][0] != &keyBuf[0] {
 			t.Fatal("the timed-out call did not group its keys in the record's kept buffer")

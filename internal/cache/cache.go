@@ -128,8 +128,8 @@ type Cache struct {
 	// snapFreeMax tables of at most snapTableKeep keys, and the next
 	// request's first snapshot takes one from there.
 	snapshots    map[string]map[string]lattice.Lattice
-	freeSnaps    []map[string]lattice.Lattice
-	freePrefetch []*prefetchCall // emptied; as many as have run at once
+	freeSnaps    vtime.FreeList[map[string]lattice.Lattice]
+	freePrefetch vtime.FreeList[*prefetchCall] // emptied; as many as have run at once
 
 	// keys is the store's key set in ascending order as Keys last lent it.
 	// keysChurn holds the keys whose membership changed since that call,
@@ -169,6 +169,7 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, vm string, cfg C
 		mu:        vtime.NewMutex(k),
 		store:     make(map[string]lattice.Lattice),
 		snapshots: make(map[string]map[string]lattice.Lattice),
+		freeSnaps: vtime.FreeList[map[string]lattice.Lattice]{Max: snapFreeMax},
 		wbq:       vtime.NewChan[wbItem](k, -1),
 		wbName:    string(ep.ID()) + "/wb",
 		spans:     cfg.Trace,
@@ -259,9 +260,9 @@ func (c *Cache) handleDAGDone(_ simnet.Message, b core.DAGDone) {
 	c.mu.Lock()
 	if snaps, ok := c.snapshots[b.ReqID]; ok {
 		delete(c.snapshots, b.ReqID)
-		if len(snaps) <= snapTableKeep && len(c.freeSnaps) < snapFreeMax {
+		if len(snaps) <= snapTableKeep {
 			clear(snaps)
-			c.freeSnaps = append(c.freeSnaps, snaps)
+			c.freeSnaps.Put(snaps)
 		}
 	}
 	c.mu.Unlock()
@@ -477,7 +478,10 @@ func (c *Cache) Delete(key string) error {
 // modes each installed capsule maintains the local causal cut, exactly as
 // a per-key fill would.
 func (c *Cache) Prefetch(keys []string) {
-	p := c.getPrefetch()
+	p, ok := c.freePrefetch.Get()
+	if !ok {
+		p = &prefetchCall{}
+	}
 	defer c.putPrefetch(p)
 	c.mu.Lock()
 	for _, k := range keys {
@@ -519,16 +523,6 @@ type prefetchCall struct {
 	found   []lattice.Lattice
 }
 
-// getPrefetch takes a record off the free list, or makes one.
-func (c *Cache) getPrefetch() *prefetchCall {
-	if n := len(c.freePrefetch); n > 0 {
-		p := c.freePrefetch[n-1]
-		c.freePrefetch = c.freePrefetch[:n-1]
-		return p
-	}
-	return &prefetchCall{}
-}
-
 // putPrefetch empties a record, so it holds no key or lattice, and
 // returns it to the free list unless it grew past prefetchKeep.
 func (c *Cache) putPrefetch(p *prefetchCall) {
@@ -536,7 +530,7 @@ func (c *Cache) putPrefetch(p *prefetchCall) {
 	clear(p.found)
 	p.missing, p.found = p.missing[:0], p.found[:0]
 	if cap(p.missing) <= prefetchKeep {
-		c.freePrefetch = append(c.freePrefetch, p)
+		c.freePrefetch.Put(p)
 	}
 }
 
@@ -690,14 +684,7 @@ func (c *Cache) snapshotWriteLocked(reqID, key string, lat lattice.Lattice) {
 func (c *Cache) snapshotMapLocked(reqID string) map[string]lattice.Lattice {
 	snaps, ok := c.snapshots[reqID]
 	if !ok {
-		if n := len(c.freeSnaps); n > 0 {
-			snaps = c.freeSnaps[n-1]
-			// The slot must not keep the table: a request that never
-			// finishes, or one whose table outgrows snapTableKeep, would
-			// hold its capsules alive through the free list's array.
-			c.freeSnaps[n-1] = nil
-			c.freeSnaps = c.freeSnaps[:n-1]
-		} else {
+		if snaps, ok = c.freeSnaps.Get(); !ok {
 			snaps = make(map[string]lattice.Lattice)
 		}
 		c.snapshots[reqID] = snaps

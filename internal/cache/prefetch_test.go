@@ -49,8 +49,8 @@ func TestPrefetchedCapsulesAreCollectable(t *testing.T) {
 		if r.a.Stats.PrefetchedKeys != int64(len(keys)) {
 			t.Fatalf("prefetch installed %d keys, want %d", r.a.Stats.PrefetchedKeys, len(keys))
 		}
-		if len(r.a.freePrefetch) != 1 {
-			t.Fatalf("%d free prefetch records, want 1", len(r.a.freePrefetch))
+		if r.a.freePrefetch.Len() != 1 {
+			t.Fatalf("%d free prefetch records, want 1", r.a.freePrefetch.Len())
 		}
 		for _, key := range keys {
 			r.a.Evict(key)
@@ -91,28 +91,60 @@ func TestPrefetchRecordsBoundedAtQuiescence(t *testing.T) {
 				})
 			}
 			r.k.Sleep(10 * time.Microsecond) // each is now in its grouped read
-			if len(r.a.freePrefetch) != 0 {
-				t.Fatalf("round %d: %d free records while every thread prefetches", round, len(r.a.freePrefetch))
+			if r.a.freePrefetch.Len() != 0 {
+				t.Fatalf("round %d: %d free records while every thread prefetches", round, r.a.freePrefetch.Len())
 			}
 			wg.Wait()
 		}
-		if len(r.a.freePrefetch) != threadsPerVM {
-			t.Fatalf("%d free records after rounds of %d prefetches at once, want %d", len(r.a.freePrefetch), threadsPerVM, threadsPerVM)
+		if r.a.freePrefetch.Len() != threadsPerVM {
+			t.Fatalf("%d free records after rounds of %d prefetches at once, want %d", r.a.freePrefetch.Len(), threadsPerVM, threadsPerVM)
 		}
-		for _, p := range r.a.freePrefetch {
+		for _, p := range listed(&r.a.freePrefetch) {
 			if len(p.missing) != 0 || len(p.found) != 0 || slices.ContainsFunc(p.found[:cap(p.found)], func(l lattice.Lattice) bool { return l != nil }) {
 				t.Fatalf("a free record holds %d keys and %d results", len(p.missing), len(p.found))
 			}
 		}
 		r.a.Prefetch(coldKeys(r, "big", prefetchKeep+1))
 	})
-	if n := len(r.a.freePrefetch); n > threadsPerVM {
+	if n := r.a.freePrefetch.Len(); n > threadsPerVM {
 		t.Fatalf("%d free records, want at most %d", n, threadsPerVM)
 	}
-	for _, p := range r.a.freePrefetch {
+	for _, p := range listed(&r.a.freePrefetch) {
 		if cap(p.missing) > prefetchKeep || cap(p.found) > prefetchKeep {
 			t.Fatalf("a free record keeps room for %d keys and %d results, past prefetchKeep %d", cap(p.missing), cap(p.found), prefetchKeep)
 		}
+	}
+}
+
+// TestDroppedPrefetchRecordIsCollectable: after a round of prefetches
+// leaves records on the free list, a prefetch of more than prefetchKeep
+// keys takes the newest, grows it past the bound and drops it. Nothing
+// may keep the dropped record alive, the slot it was taken from included.
+func TestDroppedPrefetchRecordIsCollectable(t *testing.T) {
+	r := newRig(t, core.LWW)
+	var rec weak.Pointer[prefetchCall]
+	r.k.Run("main", func() {
+		wg := vtime.NewWaitGroup(r.k)
+		for th := 0; th < threadsPerVM; th++ {
+			keys := coldKeys(r, fmt.Sprintf("t%d", th), 10)
+			wg.Add(1)
+			r.k.Go(keys[0], func() {
+				defer wg.Done()
+				r.a.Prefetch(keys)
+			})
+		}
+		wg.Wait()
+		p, _ := r.a.freePrefetch.Get()
+		rec = weak.Make(p)
+		r.a.freePrefetch.Put(p)
+		r.a.Prefetch(coldKeys(r, "big", prefetchKeep+1))
+		if n := r.a.freePrefetch.Len(); n != threadsPerVM-1 {
+			t.Fatalf("%d free records after the big prefetch dropped its own, want %d", n, threadsPerVM-1)
+		}
+	})
+	runtime.GC()
+	if rec.Value() != nil {
+		t.Fatal("the record the big prefetch grew and dropped is still reachable")
 	}
 }
 
@@ -147,8 +179,8 @@ func TestInterleavedPrefetchesMatchPerKeyReads(t *testing.T) {
 			for _, key := range warm {
 				r.a.Evict(key)
 			}
-			if len(r.a.freePrefetch) != 1 {
-				t.Fatalf("%s: %d free records after one prefetch, want 1", mode, len(r.a.freePrefetch))
+			if r.a.freePrefetch.Len() != 1 {
+				t.Fatalf("%s: %d free records after one prefetch, want 1", mode, r.a.freePrefetch.Len())
 			}
 			// Reverse order on one side: each sorts its own misses.
 			first := slices.Clone(keys[:11])

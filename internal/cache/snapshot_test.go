@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"weak"
@@ -57,17 +58,17 @@ func TestSnapshotTablesBoundedAtQuiescence(t *testing.T) {
 		if len(c.snapshots) != 0 {
 			t.Errorf("%s holds %d requests' snapshots at quiescence, want 0", c.ID(), len(c.snapshots))
 		}
-		if len(c.freeSnaps) > snapFreeMax {
-			t.Errorf("%s keeps %d free tables, want at most %d", c.ID(), len(c.freeSnaps), snapFreeMax)
+		if c.freeSnaps.Len() > snapFreeMax {
+			t.Errorf("%s keeps %d free tables, want at most %d", c.ID(), c.freeSnaps.Len(), snapFreeMax)
 		}
-		for _, snaps := range c.freeSnaps {
+		for _, snaps := range listed(&c.freeSnaps) {
 			if len(snaps) != 0 {
 				t.Errorf("%s keeps a free table holding %d snapshots", c.ID(), len(snaps))
 			}
 		}
 	}
-	if len(r.a.freeSnaps) != snapFreeMax {
-		t.Errorf("a keeps %d free tables, want its bound %d", len(r.a.freeSnaps), snapFreeMax)
+	if r.a.freeSnaps.Len() != snapFreeMax {
+		t.Errorf("a keeps %d free tables, want its bound %d", r.a.freeSnaps.Len(), snapFreeMax)
 	}
 }
 
@@ -85,8 +86,8 @@ func TestFinishedSnapshotsAreCollectable(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.a.handleDAGDone(simnet.Message{}, core.DAGDone{ReqID: "warm"})
-		if len(r.a.freeSnaps) != 1 {
-			t.Fatalf("%d free tables after the first request, want 1", len(r.a.freeSnaps))
+		if r.a.freeSnaps.Len() != 1 {
+			t.Fatalf("%d free tables after the first request, want 1", r.a.freeSnaps.Len())
 		}
 		// The next request takes that table and snapshots more keys than
 		// a kept table may hold.
@@ -102,8 +103,8 @@ func TestFinishedSnapshotsAreCollectable(t *testing.T) {
 			install(r.a, fmt.Sprintf("big%d", i), 2) // overwrites the snapshotted version
 		}
 	})
-	if len(r.a.snapshots) != 0 || len(r.a.freeSnaps) != 0 {
-		t.Fatalf("a holds %d requests' snapshots and %d free tables, want 0 and 0", len(r.a.snapshots), len(r.a.freeSnaps))
+	if len(r.a.snapshots) != 0 || r.a.freeSnaps.Len() != 0 {
+		t.Fatalf("a holds %d requests' snapshots and %d free tables, want 0 and 0", len(r.a.snapshots), r.a.freeSnaps.Len())
 	}
 	runtime.GC()
 	live := 0
@@ -125,4 +126,16 @@ func install(c *Cache, key string, n uint64) *lattice.Causal {
 	c.mergeLocked(key, cap)
 	c.mu.Unlock()
 	return cap
+}
+
+// listed returns the values on l, newest first, and leaves l as it was.
+func listed[T any](l *vtime.FreeList[T]) []T {
+	var vs []T
+	for v, ok := l.Get(); ok; v, ok = l.Get() {
+		vs = append(vs, v)
+	}
+	for _, v := range slices.Backward(vs) {
+		l.Put(v)
+	}
+	return vs
 }

@@ -241,10 +241,10 @@ func TestStrListMatchesStrs(t *testing.T) {
 	}
 }
 
-// TestStrListInPlace: a view's walk allocates nothing and its elements
-// alias the body; Same tells one view from an equal list held apart, and
-// holds a StrListOf list Same only as empty.
-func TestStrListInPlace(t *testing.T) {
+// TestStrListInPlaceAllocationFree: a view's walk allocates nothing and
+// its elements alias the body; Same tells one view from an equal list
+// held apart, and holds a StrListOf list Same only as empty.
+func TestStrListInPlaceAllocationFree(t *testing.T) {
 	xs := make([]string, 100)
 	for i := range xs {
 		xs[i] = fmt.Sprintf("key-%d", i)

@@ -35,11 +35,12 @@ func capsule(ts int64, v any) *lattice.LWW {
 	return lattice.NewLWW(lattice.Timestamp{Clock: ts, Node: 1}, codec.MustEncode(v))
 }
 
-// TestRegistryKeys holds Registry to its contract: members sorted; the
-// same slice, with no allocation, while the stored Set is unchanged; a
-// new list when it changes; no listing read while the list equals a
-// non-empty expectation; nil when the listing is missing or not a Set.
-func TestRegistryKeys(t *testing.T) {
+// TestRegistryKeysReusedWithoutAllocating holds Registry to its
+// contract: members sorted; the same slice, with no allocation, while the
+// stored Set is unchanged; a new list when it changes; no listing read
+// while the list equals a non-empty expectation; nil when the listing is
+// missing or not a Set.
+func TestRegistryKeysReusedWithoutAllocating(t *testing.T) {
 	set := lattice.NewSet("c", "a", "b")
 	kv := &mapKV{m: map[string]lattice.Lattice{"list": set, "notaset": capsule(1, "x")}}
 	r := Registry{ListKey: "list"}

@@ -84,11 +84,11 @@ func TestFinishedRecordKeepsNothingAlive(t *testing.T) {
 				r.client.Send(r.s.ID(), req, 128)
 				r.k.Sleep(time.Second)
 			})
-			if len(r.got) != 1 || len(r.s.inflight) != 0 || len(r.s.free) != 1 {
-				t.Fatalf("%d attempts, %d tracked, %d free records; want 1, 0 and 1", len(r.got), len(r.s.inflight), len(r.s.free))
+			if len(r.got) != 1 || len(r.s.inflight) != 0 || r.s.free.Len() != 1 {
+				t.Fatalf("%d attempts, %d tracked, %d free records; want 1, 0 and 1", len(r.got), len(r.s.inflight), r.s.free.Len())
 			}
-			if !reflect.ValueOf(*r.s.free[0]).IsZero() {
-				t.Errorf("the free record is not zeroed: %+v", *r.s.free[0])
+			if o, _ := r.s.free.Get(); !reflect.ValueOf(*o).IsZero() {
+				t.Errorf("the free record is not zeroed: %+v", *o)
 			}
 			runtime.GC()
 			if args.Value() != nil {
@@ -124,11 +124,11 @@ func TestFreeRecordsBoundedAtQuiescence(t *testing.T) {
 	if len(r.got) != 2*burst || len(r.s.inflight) != 0 {
 		t.Fatalf("%d attempts, %d tracked; want %d and 0", len(r.got), len(r.s.inflight), 2*burst)
 	}
-	if len(r.s.free) != freeRecords {
-		t.Fatalf("%d free records at quiescence, want the bound %d", len(r.s.free), freeRecords)
+	if r.s.free.Len() != freeRecords {
+		t.Fatalf("%d free records at quiescence, want the bound %d", r.s.free.Len(), freeRecords)
 	}
-	for i, o := range r.s.free {
-		if !reflect.ValueOf(*o).IsZero() {
+	for i := 0; i < freeRecords; i++ {
+		if o, _ := r.s.free.Get(); !reflect.ValueOf(*o).IsZero() {
 			t.Fatalf("free record %d is not zeroed: %+v", i, *o)
 		}
 	}
@@ -148,10 +148,11 @@ func TestDeadlineWatcherLeavesReusedRecordAlone(t *testing.T) {
 	r.k.Run("test", func() {
 		r.client.Send(r.s.ID(), core.InvokeRequest{ReqID: "a", Function: "f", RespondTo: r.client.ID(), Deadline: time.Second}, 128)
 		r.k.Sleep(10 * time.Millisecond)
-		if len(r.s.inflight) != 0 || len(r.s.free) != 1 {
-			t.Fatalf("after a: %d tracked, %d free records; want 0 and 1", len(r.s.inflight), len(r.s.free))
+		if len(r.s.inflight) != 0 || r.s.free.Len() != 1 {
+			t.Fatalf("after a: %d tracked, %d free records; want 0 and 1", len(r.s.inflight), r.s.free.Len())
 		}
-		rec := r.s.free[0]
+		rec, _ := r.s.free.Get()
+		r.s.free.Put(rec)
 		r.client.Send(r.s.ID(), core.InvokeRequest{ReqID: "b", Function: "f", RespondTo: r.client.ID()}, 128)
 		r.k.Sleep(10 * time.Millisecond)
 		if r.s.inflight["b"] != rec {

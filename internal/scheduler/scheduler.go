@@ -160,7 +160,9 @@ type view struct {
 	// bitset over VM indices (bit b of word w is vms[64w+b]) marking the
 	// VMs that hold it, so scoring a reference against every VM is one
 	// map read. A key leaves holders when its bitset empties, and free
-	// lists the offsets of such all-zero bitsets for the next key to take.
+	// lists the offsets of such all-zero bitsets for the next key to take:
+	// a plain slice, not a vtime.FreeList, since syncKeys empties it in
+	// place and an offset keeps nothing alive.
 	vms     []string
 	holders map[string]int
 	bits    []uint64
@@ -315,7 +317,7 @@ type Scheduler struct {
 	// either kind, by ReqID; free holds up to freeRecords untracked,
 	// zeroed records for the next requests.
 	inflight map[string]*tracked
-	free     []*tracked
+	free     vtime.FreeList[*tracked]
 
 	// pickScratch holds pickExecutor's candidate slices, reused across
 	// calls: pickExecutor never blocks, so no two invocations overlap.
@@ -369,6 +371,7 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config) *Sch
 		cacheKeys:    make(map[string]codec.StrList),
 		pins:         make(map[string][]simnet.NodeID),
 		inflight:     make(map[string]*tracked),
+		free:         vtime.FreeList[*tracked]{Max: freeRecords},
 		lastAssigned: make(map[simnet.NodeID]int64),
 		dagCalls:     make(map[string]int64),
 		fnCalls:      make(map[string]int64),
@@ -597,10 +600,8 @@ func (s *Scheduler) admit(r tracked, m simnet.Message) {
 		return
 	}
 	s.recordArrival(r.id, m)
-	var o *tracked
-	if n := len(s.free); n > 0 {
-		o, s.free = s.free[n-1], s.free[:n-1]
-	} else {
+	o, ok := s.free.Get()
+	if !ok {
 		o = new(tracked)
 	}
 	*o = r
@@ -642,9 +643,7 @@ func (s *Scheduler) untrack(o *tracked) {
 		s.dagDone[o.dag.DAG]++
 	}
 	*o = tracked{} // keeps neither the request nor its schedule alive
-	if len(s.free) < freeRecords {
-		s.free = append(s.free, o)
-	}
+	s.free.Put(o)
 }
 
 // dispatch sends one attempt of a request, tracking it first if this is

@@ -49,9 +49,8 @@ type Dispatcher struct {
 
 	// freeTasks recycles concurrent-dispatch units: each inbound payload
 	// of a Concurrent dispatcher rides one dispatchTask onto a kernel
-	// process instead of allocating a fresh closure. The kernel runs one
-	// party at a time, so the free list is a plain slice.
-	freeTasks []*dispatchTask
+	// process instead of allocating a fresh closure.
+	freeTasks vtime.FreeList[*dispatchTask]
 }
 
 // dispatchTask is one in-flight concurrent dispatch: the resolved
@@ -79,14 +78,12 @@ func (t *dispatchTask) Run() {
 		t.msgH, t.msg = nil, Message{}
 		h(m)
 	}
-	t.d.freeTasks = append(t.d.freeTasks, t)
+	t.d.freeTasks.Put(t)
 }
 
 // getTask pops a pooled dispatch unit (or makes the pool's next one).
 func (d *Dispatcher) getTask() *dispatchTask {
-	if n := len(d.freeTasks); n > 0 {
-		t := d.freeTasks[n-1]
-		d.freeTasks = d.freeTasks[:n-1]
+	if t, ok := d.freeTasks.Get(); ok {
 		return t
 	}
 	return &dispatchTask{d: d}

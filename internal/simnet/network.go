@@ -127,10 +127,10 @@ type Network struct {
 	linkPolicies map[[2]NodeID]LinkPolicy
 	nodePolicies map[NodeID]LinkPolicy
 
-	// Free lists. The kernel runs one party at a time, so plain slices
-	// need no locking.
-	freeDeliveries []*delivery
-	freeReqs       []*Request
+	// Free lists: as many deliveries as were ever in flight at once, and
+	// the requests of answered calls (a timed-out call's never returns).
+	freeDeliveries vtime.FreeList[*delivery]
+	freeReqs       vtime.FreeList[*Request]
 
 	// Stats.
 	MessagesSent  int64
@@ -294,9 +294,7 @@ func (d *delivery) Fire() {
 }
 
 func (n *Network) getDelivery() *delivery {
-	if l := len(n.freeDeliveries); l > 0 {
-		d := n.freeDeliveries[l-1]
-		n.freeDeliveries = n.freeDeliveries[:l-1]
+	if d, ok := n.freeDeliveries.Get(); ok {
 		return d
 	}
 	return &delivery{n: n}
@@ -307,7 +305,7 @@ func (n *Network) releaseDelivery(d *delivery) {
 	d.msg = Message{}
 	d.reply = nil
 	d.resp = nil
-	n.freeDeliveries = append(n.freeDeliveries, d)
+	n.freeDeliveries.Put(d)
 }
 
 // Send delivers payload from→to after the link's latency plus bandwidth

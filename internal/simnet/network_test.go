@@ -3,8 +3,10 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"cloudburst/internal/vtime"
 )
@@ -334,4 +336,37 @@ func TestSmallMessagesDoNotQueueAtNIC(t *testing.T) {
 			t.Fatalf("small messages serialized: %v", k.Now())
 		}
 	})
+}
+
+// TestTimedOutRequestIsCollectable: a Call that times out never recycles
+// its Request, which it took off the free list from an answered call.
+// Once the callee has dropped the request unanswered, nothing may keep it
+// alive, nor the caller's body with it: the slot the request was taken
+// from included.
+func TestTimedOutRequestIsCollectable(t *testing.T) {
+	k, n := testNet(t, Link{Latency: Constant(time.Millisecond)})
+	a := n.AddNode("a")
+	b := n.AddNode("b")
+	var req weak.Pointer[Request]
+	var body weak.Pointer[[1 << 20]byte]
+	k.Run("main", func() {
+		k.Go("b", func() {
+			b.Recv().Payload.(*Request).Reply(nil, 8)
+			req = weak.Make(b.Recv().Payload.(*Request)) // never answered
+		})
+		if _, err := a.Call("b", "ping", 8, 0); err != nil {
+			t.Fatal(err)
+		}
+		big := new([1 << 20]byte)
+		body = weak.Make(big)
+		if _, err := a.Call("b", big, 8, 10*time.Millisecond); err != ErrTimeout {
+			t.Fatalf("err = %v, want ErrTimeout", err)
+		}
+	})
+	runtime.GC()
+	if req.Value() != nil || body.Value() != nil {
+		t.Fatalf("after the timeout: request reachable %v, its 1 MiB body %v; want neither",
+			req.Value() != nil, body.Value() != nil)
+	}
+	runtime.KeepAlive(n) // and with it the free list
 }

@@ -43,23 +43,13 @@ func (r *Request) Reply(resp any, size int) {
 	r.net.deliver(r.To, r.From, size, d)
 }
 
-// getRequest takes a pooled request record (with its reply channel).
-func (n *Network) getRequest() *Request {
-	if l := len(n.freeReqs); l > 0 {
-		r := n.freeReqs[l-1]
-		n.freeReqs = n.freeReqs[:l-1]
-		return r
-	}
-	return &Request{net: n, reply: vtime.NewChan[any](n.k, 1)}
-}
-
 // releaseRequest recycles a request whose reply has been consumed. Timed
 // out requests are never recycled: a late reply may still land in their
 // channel.
 func (n *Network) releaseRequest(r *Request) {
 	r.From, r.To, r.Body = "", "", nil
 	r.replied = false
-	n.freeReqs = append(n.freeReqs, r)
+	n.freeReqs.Put(r)
 }
 
 // Call performs a synchronous RPC from this endpoint: it sends body to the
@@ -69,7 +59,10 @@ func (n *Network) releaseRequest(r *Request) {
 // Reply, the caller's reply space; after a timeout the receiver may
 // still write it, so the caller must not reuse it.
 func (e *Endpoint) Call(to NodeID, body any, size int, timeout time.Duration) (any, error) {
-	req := e.net.getRequest()
+	req, ok := e.net.freeReqs.Get()
+	if !ok {
+		req = &Request{net: e.net, reply: vtime.NewChan[any](e.net.k, 1)}
+	}
 	req.From, req.To, req.Body = e.node.id, to, body
 	e.net.Send(e.node.id, to, req, size)
 	if timeout <= 0 {

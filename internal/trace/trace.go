@@ -169,7 +169,7 @@ type Collector struct {
 	done      []*Trace // ring of finished traces, oldest overwritten
 	donePos   int
 	ring      int
-	free      []*Trace
+	free      vtime.FreeList[*Trace]
 	summaries []Summary
 	stats     Stats
 }
@@ -209,11 +209,8 @@ func (c *Collector) Root(reqID, name string, at vtime.Time) Ctx {
 	if old, ok := c.active[reqID]; ok {
 		c.recycle(old)
 	}
-	var t *Trace
-	if n := len(c.free); n > 0 {
-		t = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
+	t, ok := c.free.Get()
+	if !ok {
 		t = &Trace{}
 	}
 	t.ReqID = reqID
@@ -314,7 +311,7 @@ func (c *Collector) recycle(t *Trace) {
 	t.ReqID = ""
 	t.Spans = t.Spans[:0]
 	t.gen++ // invalidate outstanding Ctxs into the recycled arena
-	c.free = append(c.free, t)
+	c.free.Put(t)
 }
 
 // Done returns the retained finished traces, oldest first. The slice

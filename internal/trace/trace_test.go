@@ -93,7 +93,7 @@ func TestRingRecyclesTraces(t *testing.T) {
 	if len(done) != 2 || done[0].ReqID != "d" || done[1].ReqID != "e" {
 		t.Fatalf("ring holds %d traces, first %q", len(done), done[0].ReqID)
 	}
-	if len(c.free) == 0 {
+	if c.free.Len() == 0 {
 		t.Fatal("evicted traces were not recycled")
 	}
 	if len(c.Summaries()) != 5 {

@@ -19,8 +19,8 @@ type Chan[T any] struct {
 	recvq  fifo[*recvWaiter[T]]
 	closed bool
 
-	freeS []*sendWaiter[T]
-	freeR []*recvWaiter[T]
+	freeS FreeList[*sendWaiter[T]]
+	freeR FreeList[*recvWaiter[T]]
 }
 
 type sendWaiter[T any] struct {
@@ -57,9 +57,7 @@ func (c *Chan[T]) Len() int { return c.buf.len() }
 
 // getRecvWaiter takes a pooled waiter for the current process.
 func (c *Chan[T]) getRecvWaiter() *recvWaiter[T] {
-	if n := len(c.freeR); n > 0 {
-		w := c.freeR[n-1]
-		c.freeR = c.freeR[:n-1]
+	if w, ok := c.freeR.Get(); ok {
 		w.p = c.k.current
 		return w
 	}
@@ -72,13 +70,11 @@ func (c *Chan[T]) putRecvWaiter(w *recvWaiter[T]) {
 	var zero T
 	w.p, w.val = nil, zero
 	w.ok, w.done, w.timedOut = false, false, false
-	c.freeR = append(c.freeR, w)
+	c.freeR.Put(w)
 }
 
 func (c *Chan[T]) getSendWaiter(v T) *sendWaiter[T] {
-	if n := len(c.freeS); n > 0 {
-		w := c.freeS[n-1]
-		c.freeS = c.freeS[:n-1]
+	if w, ok := c.freeS.Get(); ok {
 		w.p, w.val = c.k.current, v
 		return w
 	}
@@ -89,7 +85,7 @@ func (c *Chan[T]) putSendWaiter(w *sendWaiter[T]) {
 	var zero T
 	w.p, w.val = nil, zero
 	w.done, w.onClosed = false, false
-	c.freeS = append(c.freeS, w)
+	c.freeS.Put(w)
 }
 
 // Close closes the channel. Blocked receivers observe zero values;

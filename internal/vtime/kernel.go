@@ -25,7 +25,7 @@
 // paths are amortized allocation-free:
 //
 //   - Kernel.Go reuses parked coroutines: when a process body returns, its
-//     coroutine (and proc state) parks on a free list and the next Go
+//     coroutine (and proc state) parks on a FreeList and the next Go
 //     re-arms it instead of creating one. Kernel.Stats reports the
 //     spawn/reuse split so tests can assert reuse.
 //   - Timer-heap entries come from a pool, and no scheduling takes a
@@ -39,8 +39,7 @@
 //     channel buffers, waiter lists) reset to their start when drained, so
 //     steady-state traffic reuses one backing array.
 //
-// Because exactly one party runs at a time, all pools are lock-free plain
-// slices.
+// Every pool is a FreeList, the one free-list type of the simulation.
 //
 // All blocking must go through kernel primitives: Kernel.Sleep, Chan
 // send/receive, Mutex, WaitGroup, Semaphore. Calling a kernel primitive
@@ -184,8 +183,8 @@ type Kernel struct {
 	live    map[int64]*proc // all non-done procs, for Stop and deadlock dumps
 	rng     *rand.Rand
 
-	freeProcs  []*proc  // parked coroutines awaiting a new body
-	freeTimers []*timer // recycled heap entries
+	freeProcs  FreeList[*proc]  // parked coroutines awaiting a new body
+	freeTimers FreeList[*timer] // recycled heap entries
 
 	stats Stats
 }
@@ -235,10 +234,8 @@ func (k *Kernel) launch(name string, fn func(), r Runner) {
 		panic("vtime: Go on stopped kernel")
 	}
 	k.nextID++
-	var p *proc
-	if n := len(k.freeProcs); n > 0 {
-		p = k.freeProcs[n-1]
-		k.freeProcs = k.freeProcs[:n-1]
+	p, ok := k.freeProcs.Get()
+	if ok {
 		p.id, p.name, p.body, p.runner = k.nextID, name, fn, r
 		p.state = stateRunnable
 		p.killed = false
@@ -274,7 +271,7 @@ func (p *proc) top(yield func(struct{}) bool) {
 		p.state = stateDone
 		delete(p.k.live, p.id)
 		p.body, p.runner = nil, nil
-		p.k.freeProcs = append(p.k.freeProcs, p)
+		p.k.freeProcs.Put(p)
 		if !yield(struct{}{}) {
 			return
 		}
@@ -359,11 +356,8 @@ func (k *Kernel) addTimer(d time.Duration) *timer {
 		d = 0
 	}
 	k.nextSeq++
-	var t *timer
-	if n := len(k.freeTimers); n > 0 {
-		t = k.freeTimers[n-1]
-		k.freeTimers = k.freeTimers[:n-1]
-	} else {
+	t, ok := k.freeTimers.Get()
+	if !ok {
 		t = &timer{}
 	}
 	t.when = k.now.Add(d)
@@ -378,7 +372,7 @@ func (k *Kernel) releaseTimer(t *timer) {
 	t.gen++
 	t.wake = nil
 	t.ev = nil
-	k.freeTimers = append(k.freeTimers, t)
+	k.freeTimers.Put(t)
 }
 
 // cancelTimer takes t out of the heap and recycles it, unless it already
@@ -493,12 +487,12 @@ func (k *Kernel) Stop() {
 			p.next()
 		}
 	}
-	// Unwound processes park on the free list; end their coroutines.
-	for _, p := range k.freeProcs {
+	// Unwound processes park on the free list; end their coroutines. An
+	// idle coroutine's end runs no body, so the order is unobservable.
+	for p, ok := k.freeProcs.Get(); ok; p, ok = k.freeProcs.Get() {
 		p.stop()
 	}
-	k.freeProcs = nil
-	k.freeTimers = nil
+	k.freeTimers = FreeList[*timer]{}
 	k.stopped = true
 	k.runq = fifo[*proc]{}
 	k.timers = nil
@@ -524,6 +518,39 @@ func (k *Kernel) dumpLive() string {
 	}
 	return s
 }
+
+// FreeList is a LIFO list of values kept for reuse. Get clears the slot
+// it pops, so a value taken off the list and then dropped is not kept
+// alive by the list's array. Put keeps at most Max values; a zero Max
+// keeps every value, as many as were ever out at once. A FreeList has
+// no lock: its callers are kernel processes (or run between Run calls),
+// and only one of those runs at a time.
+type FreeList[T any] struct {
+	Max  int
+	vals []T
+}
+
+// Get pops the newest value, reporting false if the list is empty.
+func (l *FreeList[T]) Get() (v T, ok bool) {
+	n := len(l.vals)
+	if n == 0 {
+		return v, false
+	}
+	v = l.vals[n-1]
+	l.vals[n-1] = *new(T)
+	l.vals = l.vals[:n-1]
+	return v, true
+}
+
+// Put keeps v for reuse, unless the list already holds Max values.
+func (l *FreeList[T]) Put(v T) {
+	if l.Max == 0 || len(l.vals) < l.Max {
+		l.vals = append(l.vals, v)
+	}
+}
+
+// Len returns the number of values the list holds.
+func (l *FreeList[T]) Len() int { return len(l.vals) }
 
 // fifo is an allocation-amortized FIFO queue: a slice with a head index
 // that resets to the array start whenever the queue drains, so

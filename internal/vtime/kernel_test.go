@@ -517,6 +517,8 @@ func TestStopRetiresFreeListGoroutines(t *testing.T) {
 	}
 }
 
+// TestSleepAllocationFree: a Sleep on a warm kernel, its timer entry
+// taken off the kernel's free list, costs no allocation.
 func TestSleepAllocationFree(t *testing.T) {
 	k := NewKernel(1)
 	defer k.Stop()
