@@ -179,14 +179,17 @@
 // value per version, read-only by the same convention. A causal version's
 // vector clock and dependency set need no convention: each is a sorted
 // value behind an unexported field, immutable by construction, and shared
-// by reference the same way. Two conventions make the payloads sound,
+// by reference the same way; a capsule joins its siblings' clocks once,
+// where it is built. Two conventions make the payloads sound,
 // both enforced by tests (the lattice payload guard):
 //
 //   - Writers always allocate a fresh buffer; nothing mutates payload
 //     bytes in place.
 //   - Values handed to functions (decoded arguments, Ctx.Get results)
-//     are read-only; copy before mutating. Appending to a decoded slice
-//     is safe — decoded slices carry no spare capacity.
+//     are read-only; copy before mutating. A decoded []byte, and each
+//     element of a decoded []string, views the payload itself. Appending
+//     to a decoded slice is safe — decoded slices carry no spare
+//     capacity.
 //
 // The copies this removes are harness overhead, not modeled latency:
 // simulated metrics are identical with and without them.

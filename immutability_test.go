@@ -22,6 +22,7 @@ func TestPayloadImmutabilityAllModes(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Mode = mode
 			c := testCluster(t, cfg)
+			var final []string // the client's last read of "list"
 			if err := c.RegisterFunction("rmw", func(ctx *Ctx, args []any) (any, error) {
 				key := args[0].(string)
 				cur, found, err := ctx.Get(key)
@@ -55,12 +56,26 @@ func TestPayloadImmutabilityAllModes(t *testing.T) {
 						t.Fatalf("blob read = %v %v %v", v, found, err)
 					}
 				}
-				if v, found, err := cl.Get("list"); err != nil || !found || len(v.([]string)) == 0 {
+				v, found, err := cl.Get("list")
+				if err != nil || !found {
 					t.Fatalf("list read = %v %v %v", v, found, err)
 				}
+				final = v.([]string)
 			})
 			if err := lattice.VerifyPayloads(); err != nil {
 				t.Fatal(err)
+			}
+			// A decoded list's elements view its capsule's payload, so a
+			// payload rewritten under them shows here by value, wherever
+			// the rewrite happened. The client reads Anna, which the
+			// caches' write-back may not have reached with every append.
+			if len(final) == 0 {
+				t.Fatal("the list read is empty")
+			}
+			for i, x := range final {
+				if want := fmt.Sprintf("e%d", i); x != want {
+					t.Fatalf("list = %q at the end: element %d is %q, want %q", final, i, x, want)
+				}
 			}
 		})
 	}

@@ -44,8 +44,8 @@ func TestCausalPathAllocations(t *testing.T) {
 		r.a.Write("warm", "rmw", payload, &meta, "wa")
 		r.a.FlushWrites()
 		r.k.Sleep(time.Second) // the keyset publishes; Anna indexes the cache
-		if tl, _, _ := r.client.Get("tl"); len(tl.(*lattice.Causal).Versions) != 3 {
-			t.Fatalf("timeline capsule has %d siblings, want 3", len(tl.(*lattice.Causal).Versions))
+		if tl, _, _ := r.client.Get("tl"); len(tl.(*lattice.Causal).Siblings()) != 3 {
+			t.Fatalf("timeline capsule has %d siblings, want 3", len(tl.(*lattice.Causal).Siblings()))
 		}
 	})
 

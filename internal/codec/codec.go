@@ -55,12 +55,12 @@
 //
 // # Zero-copy
 //
-// Decode is zero-copy for []byte: the returned slice aliases the input
-// buffer. This is the data plane's key fast path — capsule payloads are
-// immutable by convention (see the lattice package), so readers share
-// the bytes instead of copying 80MB arrays around. Callers that need to
-// mutate a decoded value must copy it first; the runtime itself never
-// does.
+// Decode is zero-copy for []byte and for a []string's elements: the
+// returned slice, or each string, aliases the input buffer. This is the
+// data plane's key fast path — capsule payloads are immutable by
+// convention (see the lattice package), so readers share the bytes
+// instead of copying 80MB arrays around. Callers that need to mutate a
+// decoded value must copy it first; the runtime itself never does.
 package codec
 
 import (
@@ -72,6 +72,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // Type tags; see the package comment for the wire format. 0x00 is
@@ -283,14 +284,14 @@ func errTruncated(tag byte) error {
 }
 
 // Decode deserializes a value produced by Encode. The result may alias
-// data (the []byte path is zero-copy); treat both as read-only. A decoded
-// []string or map[string]string never aliases data: its elements (keys
-// and values) are substrings of one string copied from it, so they share
-// one backing allocation, which stays live while any of them does. A
-// []string's copy holds only its string bytes, as does a wire struct's
-// string list (Reader.Strs), but a StrList field views data in place.
-// Bytes left over after a container's last element are an error, as they
-// are after a fixed-size value's.
+// data, so data must never be written again while the result lives: a
+// []byte and the elements of a []string (at any depth) view data in
+// place, as does a wire struct's StrList field. A string, a
+// map[string]string and a wire struct's other fields (Reader.Strs
+// included) never alias data: a map's keys and values are substrings of
+// one string copied from it, so they share one backing allocation, which
+// stays live while any of them does. Bytes left over after a container's
+// last element are an error, as they are after a fixed-size value's.
 func Decode(data []byte) (any, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("codec: decode: empty input")
@@ -365,7 +366,7 @@ func Decode(data []byte) (any, error) {
 		if !ok || len(rest) != 0 {
 			return nil, errTruncated(tag)
 		}
-		return l.strings(), nil
+		return l.views(), nil
 	case tagAnys:
 		n, body, err := readCount(tag, body, 0)
 		if err != nil {
@@ -543,24 +544,34 @@ func cutElem(elems []byte) (elem, rest []byte) {
 	return elems[4:k:k], elems[k:]
 }
 
-// strings copies the view l's elements out as substrings of one copy of
-// their bytes (the prefixes are not copied): two allocations, the copy
-// and the slice, whatever l's length; nil when l is empty.
-func (l StrList) strings() []string {
+// views returns the view l's elements as strings over its bytes, which
+// must never be written again: one allocation, the slice, whatever l's
+// length; nil when l is empty.
+func (l StrList) views() []string {
 	if l.n == 0 {
 		return nil
 	}
-	// Grown to the exact total, the builder never reallocates, so every
-	// String() below views the same array, and each element is the tail
-	// written since the previous one.
-	var b strings.Builder
-	b.Grow(len(l.enc) - 4*l.n)
 	out := make([]string, 0, l.n)
 	StrList{}.Diff(l, nil, func(s []byte) {
-		start := b.Len()
-		b.Write(s)
-		out = append(out, b.String()[start:])
+		out = append(out, unsafe.String(unsafe.SliceData(s), len(s)))
 	})
+	return out
+}
+
+// strings returns the view l's elements as substrings of one copy of
+// their bytes (the prefixes are not copied): two allocations, the copy
+// and the slice, whatever l's length; nil when l is empty.
+func (l StrList) strings() []string {
+	out := l.views()
+	// Grown to the exact total, the builder never reallocates, so every
+	// String() below views the same array, and each element is the tail
+	// just written.
+	var b strings.Builder
+	b.Grow(len(l.enc) - 4*l.n)
+	for i, s := range out {
+		b.WriteString(s)
+		out[i] = b.String()[b.Len()-len(s):]
+	}
 	return out
 }
 

@@ -30,11 +30,15 @@ type Version struct {
 // single-key anomaly counted in Table 2. For such a capsule VC and the
 // Deps walk give that version's own clocks.
 type Causal struct {
-	// Versions is canonical: an antichain (no clock strictly dominates
+	// versions is canonical: an antichain (no clock strictly dominates
 	// another), one entry per (clock, payload), sorted by the clock's
 	// String() and then the payload. Like the versions, the slice is
 	// never written once capsuled: a capsule is an immutable value.
-	Versions []Version
+	versions []Version
+	// vc is the join of the versions' clocks, set by the capsule's
+	// constructor: the sibling set never changes, so neither does its
+	// join.
+	vc Clock
 }
 
 // NewCausal builds a capsule holding one write from clock literals. It
@@ -62,32 +66,33 @@ func NewCausalClock(vc Clock, deps Deps, value []byte) *Causal {
 		c Causal
 		v [1]Version
 	}{v: [1]Version{{VC: vc, Deps: deps, Value: value}}}
-	one.c.Versions = one.v[:]
+	one.c.versions = one.v[:]
+	one.c.vc = vc.nonZero()
 	return &one.c
 }
 
 // VC returns the capsule's effective vector clock: the join of all
-// sibling clocks. Algorithm 2's validity checks compare these. A
-// one-sibling capsule returns its version's own clock without
-// allocating; several siblings are joined in one merge.
-func (c *Causal) VC() Clock { return joinAll(c.Versions) }
+// sibling clocks, which Algorithm 2's validity checks compare. It was
+// joined where the capsule was built (a one-sibling capsule's is its
+// version's own clock), so reading it allocates nothing.
+func (c *Causal) VC() Clock { return c.vc }
 
 // DisplayValue returns the single payload surfaced to the user program.
 // The paper de-encapsulates multi-sibling capsules with an arbitrary but
 // deterministic tie-break; the canonical ordering makes the first sibling
 // that choice.
 func (c *Causal) DisplayValue() []byte {
-	if len(c.Versions) == 0 {
+	if len(c.versions) == 0 {
 		return nil
 	}
-	return c.Versions[0].Value
+	return c.versions[0].Value
 }
 
 // Siblings returns all concurrent payloads, for applications that resolve
 // conflicts manually.
 func (c *Causal) Siblings() [][]byte {
-	out := make([][]byte, len(c.Versions))
-	for i, v := range c.Versions {
+	out := make([][]byte, len(c.versions))
+	for i, v := range c.versions {
 		out[i] = v.Value
 	}
 	return out
@@ -97,22 +102,25 @@ func (c *Causal) Siblings() [][]byte {
 // absorbs the other, the join is that side itself (the receiver first).
 // Otherwise the receiver's siblings are copied once into a slice with room
 // for the join, and other's versions, both sides canonical, are inserted.
+// The new capsule's clock is the join of the two sides' clocks: every
+// version the insert drops is covered by a survivor, so that is the join
+// of the survivors' clocks.
 func (c *Causal) Merge(other Lattice) Lattice {
 	o, ok := other.(*Causal)
 	if !ok {
 		panic(mismatch(c.TypeName(), other))
 	}
 	switch {
-	case absorbs(c.Versions, o.Versions):
+	case absorbs(c.versions, o.versions):
 		return c
-	case absorbs(o.Versions, c.Versions):
+	case absorbs(o.versions, c.versions):
 		return o
 	}
-	vs := append(make([]Version, 0, len(c.Versions)+len(o.Versions)), c.Versions...)
-	for _, v := range o.Versions {
+	vs := append(make([]Version, 0, len(c.versions)+len(o.versions)), c.versions...)
+	for _, v := range o.versions {
 		vs = insert(vs, v)
 	}
-	return &Causal{Versions: vs}
+	return &Causal{versions: vs, vc: c.vc.Join(o.vc)}
 }
 
 // absorbs reports whether inserting every version of ws leaves the
@@ -193,7 +201,7 @@ func canonicalIndex(vs []Version, v Version) int {
 // (core.DecodeCache).
 func (c *Causal) Digest() uint64 {
 	var h uint64
-	for _, v := range c.Versions {
+	for _, v := range c.versions {
 		d := v.VC.Digest()
 		d ^= d >> 33
 		d *= 0xFF51AFD7ED558CCD
@@ -207,7 +215,7 @@ func (c *Causal) Digest() uint64 {
 // dependency sets), the quantity §6.2.1 reports medians and p99s for.
 func (c *Causal) MetadataSize() int {
 	n := 0
-	for _, v := range c.Versions {
+	for _, v := range c.versions {
 		n += v.VC.ByteSize()
 		for _, d := range v.Deps.e {
 			n += len(d.key) + d.vc.ByteSize()
@@ -219,7 +227,7 @@ func (c *Causal) MetadataSize() int {
 // ByteSize implements Lattice.
 func (c *Causal) ByteSize() int {
 	n := c.MetadataSize()
-	for _, v := range c.Versions {
+	for _, v := range c.versions {
 		n += len(v.Value)
 	}
 	return n

@@ -42,7 +42,7 @@ type mapVersion struct {
 // thawVersions returns c's versions in the map form, nil deps as nil.
 func thawVersions(c *Causal) []mapVersion {
 	var out []mapVersion
-	for _, v := range c.Versions {
+	for _, v := range c.versions {
 		m := mapVersion{VC: thaw(v.VC), Value: v.Value}
 		if v.Deps.e != nil {
 			m.Deps = thawDeps(v.Deps)
@@ -52,13 +52,52 @@ func thawVersions(c *Causal) []mapVersion {
 	return out
 }
 
-// freezeVersions builds the capsule holding vs as they are.
+// freezeVersions builds the capsule holding vs as they are, with the
+// clock a constructor would store.
 func freezeVersions(vs []mapVersion) *Causal {
 	c := &Causal{}
 	for _, v := range vs {
-		c.Versions = append(c.Versions, Version{VC: v.VC.Freeze(), Deps: freezeDeps(v.Deps), Value: v.Value})
+		c.versions = append(c.versions, Version{VC: v.VC.Freeze(), Deps: freezeDeps(v.Deps), Value: v.Value})
 	}
+	c.vc = joinAll(c.versions)
 	return c
+}
+
+// joinAll is the join VC once computed on every call, and the clock a
+// capsule's constructor must store: the versions' clocks, each observed
+// in turn into an empty clock, so an entry that is zero in every version
+// is dropped.
+func joinAll(vs []Version) Clock {
+	n := 0
+	for _, v := range vs {
+		n += v.VC.Len()
+	}
+	out := make([]clockEntry, 0, n)
+	for _, v := range vs {
+		for _, x := range v.VC.e {
+			if x.n > 0 {
+				out = append(out, x)
+			}
+		}
+	}
+	slices.SortFunc(out, byID)
+	w := 0
+	for _, x := range out {
+		if w > 0 && out[w-1].id == x.id {
+			out[w-1].n = max(out[w-1].n, x.n)
+			continue
+		}
+		out[w] = x
+		w++
+	}
+	return Clock{e: out[:w]}
+}
+
+// storedJoin reports whether l's stored clock is, entry for entry, the
+// join of its versions' clocks, which VC once computed on every call.
+func storedJoin(l Lattice) bool {
+	c := l.(*Causal)
+	return slices.Equal(c.VC().e, joinAll(c.versions).e)
 }
 
 func oracleCloneVersion(v mapVersion) mapVersion {
@@ -271,7 +310,7 @@ func TestMergeMatchesUnionNormalize(t *testing.T) {
 			argVersions := g.capsule(16)
 			arg := freezeVersions(argVersions)
 			argBefore := canon(arg)
-			widest = max(widest, len(got.Versions), len(arg.Versions))
+			widest = max(widest, len(got.versions), len(arg.versions))
 			for _, v := range argVersions {
 				for _, u := range want {
 					switch ord := v.VC.Compare(u.VC); {
@@ -294,6 +333,9 @@ func TestMergeMatchesUnionNormalize(t *testing.T) {
 			}
 			want = oracleMergeMaps(want, argVersions)
 			got = got.Merge(arg).(*Causal)
+			if !storedJoin(got) {
+				t.Fatalf("trial %d step %d: VC() = %v, the versions join to %v", trial, step, got.VC(), joinAll(got.versions))
+			}
 			if !reflect.DeepEqual(thawVersions(got), want) {
 				t.Fatalf("trial %d step %d: merge diverged from union-then-normalize\n got  %s\n want %s",
 					trial, step, canon(got), canon(freezeVersions(want)))
@@ -326,6 +368,43 @@ func TestMergeMatchesUnionNormalize(t *testing.T) {
 	}
 	if widest < 8 {
 		t.Errorf("widest capsule had %d siblings, want at least 8", widest)
+	}
+}
+
+// TestStoredClockIsTheJoin holds the clock a capsule's constructor
+// stores to the join VC once computed on every read (joinAll of the
+// versions), in the cases a merge history may not reach: zero entries in
+// a clock literal, equal clocks under different payloads, and a merge in
+// which one side absorbs the other. TestMergeMatchesUnionNormalize and
+// TestValueMergeWritesNeitherSide check every merge of their histories
+// the same way; storing either side's clock instead of the join fails
+// all three.
+func TestStoredClockIsTheJoin(t *testing.T) {
+	zeros := NewCausal(VectorClock{"w1": 0, "w2": 1}, nil, []byte("a"))
+	allZero := NewCausal(VectorClock{"w1": 0}, nil, []byte("z"))
+	older := NewCausal(VectorClock{"w1": 1, "w2": 1}, nil, []byte("old"))
+	newer := NewCausal(VectorClock{"w1": 2, "w2": 1}, nil, []byte("new"))
+	for _, c := range []struct {
+		name     string
+		got      Lattice
+		siblings int
+		want     VectorClock
+	}{
+		{"zero entries in a literal", zeros, 1, VectorClock{"w2": 1}},
+		{"a literal of zero entries only", allZero, 1, VectorClock{}},
+		{"concurrent, zero entries dropped", zeros.Merge(NewCausal(VectorClock{"w1": 0, "w3": 1}, nil, []byte("b"))), 2, VectorClock{"w2": 1, "w3": 1}},
+		{"a write absorbs a zero-entry clock", allZero.Merge(older), 1, VectorClock{"w1": 1, "w2": 1}},
+		{"equal clocks, different payloads", older.Merge(NewCausal(VectorClock{"w1": 1, "w2": 1}, nil, []byte("sib"))), 2, VectorClock{"w1": 1, "w2": 1}},
+		{"the receiver absorbs", newer.Merge(older), 1, VectorClock{"w1": 2, "w2": 1}},
+		{"the argument absorbs", older.Merge(newer), 1, VectorClock{"w1": 2, "w2": 1}},
+		{"a repeat absorbs, zero entry aside", zeros.Merge(NewCausal(VectorClock{"w2": 1}, nil, []byte("a"))), 1, VectorClock{"w2": 1}},
+	} {
+		if n := len(c.got.(*Causal).versions); n != c.siblings {
+			t.Fatalf("%s: %d siblings, want %d", c.name, n, c.siblings)
+		}
+		if !storedJoin(c.got) || !reflect.DeepEqual(thaw(c.got.(*Causal).VC()), c.want) {
+			t.Errorf("%s: VC() = %v, the versions join to %v, want %v", c.name, c.got.(*Causal).VC(), joinAll(c.got.(*Causal).versions), c.want)
+		}
 	}
 }
 
@@ -376,8 +455,9 @@ func TestCanonicalOrderMatchesString(t *testing.T) {
 
 // TestCausalMergeCloneAllocations is the tripwire for a copy coming back:
 // a merge whose join is one side returns that side, and a merge that
-// changes the sibling set pays for one capsule and one slice, never for
-// clocks or dependency sets.
+// changes the sibling set pays for one capsule, one slice and the joined
+// clock every later VC() returns, never for copies of clocks or
+// dependency sets.
 func TestCausalMergeCloneAllocations(t *testing.T) {
 	deps := map[string]VectorClock{"dep": {"w9": 3}, "dep2": {"w9": 1, "w8": 2}}
 	older := NewCausal(VectorClock{"w1": 1, "w2": 1}, deps, []byte("old"))
@@ -397,10 +477,10 @@ func TestCausalMergeCloneAllocations(t *testing.T) {
 	}
 	before := canon(five)
 	sixth := NewCausal(VectorClock{"w25": 1}, deps, []byte("six")) // sorts into the middle
-	if n := testing.AllocsPerRun(100, func() { got = five.Merge(sixth) }); n > 2 {
-		t.Errorf("merging one concurrent sibling into five allocates %.0f times, want at most 2 (capsule, sibling slice)", n)
+	if n := testing.AllocsPerRun(100, func() { got = five.Merge(sixth) }); n > 3 {
+		t.Errorf("merging one concurrent sibling into five allocates %.0f times, want at most 3 (capsule, sibling slice, joined clock)", n)
 	}
-	if want := oracleMerge(five, sixth); canon(got) != canon(want) || string(got.(*Causal).Versions[2].Value) != "six" {
+	if want := oracleMerge(five, sixth); canon(got) != canon(want) || string(got.(*Causal).versions[2].Value) != "six" {
 		t.Fatalf("sibling merge left %s, want %s", canon(got), canon(want))
 	}
 	if canon(five) != before {
@@ -445,6 +525,9 @@ func TestValueMergeWritesNeitherSide(t *testing.T) {
 		t.Helper()
 		xBefore, yBefore := canon(x), canon(y)
 		got := x.Merge(y)
+		if _, causal := got.(*Causal); causal && !storedJoin(got) {
+			t.Fatalf("causal merge of %s and %s stored the clock %v", xBefore, yBefore, got.(*Causal).VC())
+		}
 		if canon(x) != xBefore || canon(y) != yBefore {
 			t.Fatalf("%s merge wrote a side\n receiver %s -> %s\n argument %s -> %s",
 				x.TypeName(), xBefore, canon(x), yBefore, canon(y))

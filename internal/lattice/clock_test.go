@@ -317,7 +317,12 @@ func TestClockMatchesVectorClock(t *testing.T) {
 		}
 		if len(vs) == 1 {
 			seen["one sibling"]++
-			if own := c.Versions[0].VC; !own.zeroEntry() && !sameEntries(c.VC(), own) {
+			own := c.versions[0].VC
+			built := NewCausalClock(own, c.versions[0].Deps, nil)
+			if got, want := thaw(built.VC()), oracleVC(vs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("VC() of a capsule built on %s = %v, want %v", own, got, want)
+			}
+			if !slices.ContainsFunc(own.e, func(x clockEntry) bool { return x.n == 0 }) && !sameEntries(built.VC(), own) {
 				t.Fatalf("VC() of one sibling %s is a copy, not its clock", own)
 			}
 		}
@@ -341,13 +346,21 @@ var sink struct {
 }
 
 // TestClockAllocations is the tripwire for clock work allocating again:
-// comparisons, a one-sibling capsule's VC() and the walk of its
-// dependencies are free, a tick or a join that adds an entry is one
-// allocation.
+// comparisons, a capsule's VC() (one sibling or several: the join was
+// made where the capsule was built) and the walk of a one-sibling
+// capsule's dependencies are free, a tick or a join that adds an entry
+// is one allocation.
 func TestClockAllocations(t *testing.T) {
 	a := VectorClock{"w1": 3, "w2": 1, "w3": 7}.Freeze()
 	b := VectorClock{"w1": 3, "w2": 2, "w4": 1}.Freeze()
 	one := NewCausal(VectorClock{"w1": 2, "w2": 1}, map[string]VectorClock{"dep": {"w9": 3}}, []byte("v"))
+	six := NewCausal(VectorClock{"w0": 1}, nil, []byte("v"))
+	for i := 1; i < 6; i++ {
+		six = six.Merge(NewCausal(VectorClock{fmt.Sprintf("w%d", i): 1}, nil, []byte("v"))).(*Causal)
+	}
+	if len(six.versions) != 6 {
+		t.Fatalf("six concurrent writes left %d siblings", len(six.versions))
+	}
 	required := VectorClock{"w1": 1}.Freeze() // a read set's clock for the key
 	for _, c := range []struct {
 		name string
@@ -357,6 +370,7 @@ func TestClockAllocations(t *testing.T) {
 		{"Clock.Compare", 0, func() { sink.ord = a.Compare(b) }},
 		{"Clock.HappensBefore", 0, func() { sink.ok = a.HappensBefore(b) }},
 		{"VC() of one sibling", 0, func() { sink.clock = one.VC() }},
+		{"VC() of six siblings", 0, func() { sink.clock = six.VC() }},
 		{"the Deps() walk of one sibling", 0, func() {
 			for _, vc := range one.Deps() {
 				sink.n += vc.Len()

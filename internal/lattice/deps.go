@@ -66,7 +66,7 @@ func (b *DepsBuilder) Deps() Deps {
 // Join of two concurrent clocks.
 func (c *Causal) Deps() iter.Seq2[string, Clock] {
 	return func(yield func(string, Clock) bool) {
-		vs := c.Versions
+		vs := c.versions
 		if len(vs) == 1 {
 			for _, x := range vs[0].Deps.e {
 				if !yield(x.key, x.vc) {

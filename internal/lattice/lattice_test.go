@@ -49,12 +49,12 @@ func TestCausalDominationReplaces(t *testing.T) {
 	v1 := NewCausal(VectorClock{"e1": 1}, nil, []byte("a"))
 	v2 := NewCausal(VectorClock{"e1": 2}, nil, []byte("b"))
 	v1 = v1.Merge(v2).(*Causal)
-	if len(v1.Versions) != 1 || string(v1.DisplayValue()) != "b" {
-		t.Fatalf("dominating merge: %+v", v1.Versions)
+	if len(v1.versions) != 1 || string(v1.DisplayValue()) != "b" {
+		t.Fatalf("dominating merge: %+v", v1.versions)
 	}
 	// Merging the older version back in changes nothing.
 	v1 = v1.Merge(NewCausal(VectorClock{"e1": 1}, nil, []byte("a"))).(*Causal)
-	if len(v1.Versions) != 1 || string(v1.DisplayValue()) != "b" {
+	if len(v1.versions) != 1 || string(v1.DisplayValue()) != "b" {
 		t.Fatalf("dominated merge resurrected old version")
 	}
 }
@@ -63,8 +63,8 @@ func TestCausalConcurrentSiblingsPreserved(t *testing.T) {
 	a := NewCausal(VectorClock{"e1": 1}, nil, []byte("a"))
 	b := NewCausal(VectorClock{"e2": 1}, nil, []byte("b"))
 	a = a.Merge(b).(*Causal)
-	if len(a.Versions) != 2 {
-		t.Fatalf("siblings = %d, want 2", len(a.Versions))
+	if len(a.versions) != 2 {
+		t.Fatalf("siblings = %d, want 2", len(a.versions))
 	}
 	sib := a.Siblings()
 	if !bytes.Equal(sib[0], []byte("a")) || !bytes.Equal(sib[1], []byte("b")) {
@@ -77,8 +77,8 @@ func TestCausalConcurrentSiblingsPreserved(t *testing.T) {
 	// A write dominating both collapses the siblings.
 	c := NewCausal(VectorClock{"e1": 2, "e2": 1}, nil, []byte("c"))
 	a = a.Merge(c).(*Causal)
-	if len(a.Versions) != 1 || string(a.DisplayValue()) != "c" {
-		t.Fatalf("dominating write did not collapse: %+v", a.Versions)
+	if len(a.versions) != 1 || string(a.DisplayValue()) != "c" {
+		t.Fatalf("dominating write did not collapse: %+v", a.versions)
 	}
 }
 
@@ -238,7 +238,7 @@ func canon(l Lattice) string {
 		return fmt.Sprintf("%v/%x", v.TS, v.Value)
 	case *Causal:
 		s := ""
-		for _, ver := range v.Versions {
+		for _, ver := range v.versions {
 			s += fmt.Sprintf("[%s=%x deps=%v]", ver.VC, ver.Value, ver.Deps)
 		}
 		return s
@@ -357,8 +357,8 @@ func TestCausalAntichainInvariant(t *testing.T) {
 		for j := 0; j < 5; j++ {
 			acc = acc.Merge(genLattice(rng, "causal")).(*Causal)
 		}
-		for x, vx := range acc.Versions {
-			for y, vy := range acc.Versions {
+		for x, vx := range acc.versions {
+			for y, vy := range acc.versions {
 				if x == y {
 					continue
 				}

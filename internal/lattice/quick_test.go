@@ -193,7 +193,7 @@ func TestQuickCausalMergeConvergesAcrossOrders(t *testing.T) {
 		for i := n - 2; i >= 0; i-- {
 			b = b.Merge(mk(i))
 		}
-		return canon(a) == canon(b)
+		return canon(a) == canon(b) && storedJoin(a) && storedJoin(b)
 	}
 	if err := quick.Check(prop, quickCfg()); err != nil {
 		t.Fatal(err)

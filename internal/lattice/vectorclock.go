@@ -174,47 +174,16 @@ func (c Clock) Tick(id string) Clock {
 	return Clock{e: out}
 }
 
-// zeroEntry reports whether any entry is zero.
-func (c Clock) zeroEntry() bool {
-	for _, x := range c.e {
-		if x.n == 0 {
-			return true
-		}
+// nonZero returns c without its zero entries, which count as missing:
+// c itself when it has none, else one allocation. It is the clock of a
+// one-version capsule, and Merge joins two capsules' clocks, so no entry
+// of a capsule's clock is zero.
+func (c Clock) nonZero() Clock {
+	zero := func(x clockEntry) bool { return x.n == 0 }
+	if !slices.ContainsFunc(c.e, zero) {
+		return c
 	}
-	return false
-}
-
-// joinAll returns the join of the versions' clocks, each observed in
-// turn into an empty clock — so an entry that is zero in every version
-// is dropped. One version without zero entries is its own join and
-// costs nothing; any other set is one allocation.
-func joinAll(vs []Version) Clock {
-	if len(vs) == 1 && !vs[0].VC.zeroEntry() {
-		return vs[0].VC
-	}
-	n := 0
-	for _, v := range vs {
-		n += v.VC.Len()
-	}
-	out := make([]clockEntry, 0, n)
-	for _, v := range vs {
-		for _, x := range v.VC.e {
-			if x.n > 0 {
-				out = append(out, x)
-			}
-		}
-	}
-	slices.SortFunc(out, byID)
-	w := 0
-	for _, x := range out {
-		if w > 0 && out[w-1].id == x.id {
-			out[w-1].n = max(out[w-1].n, x.n)
-			continue
-		}
-		out[w] = x
-		w++
-	}
-	return Clock{e: out[:w]}
+	return Clock{e: slices.DeleteFunc(slices.Clone(c.e), zero)}
 }
 
 // Digest returns a canonical 64-bit key for the clock: entries are

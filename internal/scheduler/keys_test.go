@@ -80,3 +80,90 @@ func TestDepartedCacheLeavesKeyIndex(t *testing.T) {
 		t.Error("a failed registry read pruned a key list")
 	}
 }
+
+// TestDepartedThreadLeavesStampTable: a thread's saved assignment stamp
+// is kept while its metrics key is in the executor registry or its last
+// report is fresh, and not after. The threads of vm0 and vm1 report and
+// are assigned to; the reaper scrubs vm1's keys from the registry and vm1
+// reports no more. Meanwhile a listing misses the live exec-vm0-1 for two
+// polls, as a read from a lagging replica does. Once vm1's reports are
+// stale no vm1 thread holds a stamp, while vm0's keep theirs. A scheduler
+// whose registry read fails keeps every stamp.
+func TestDepartedThreadLeavesStampTable(t *testing.T) {
+	k := vtime.NewKernel(1)
+	defer k.Stop()
+	net := simnet.New(k, simnet.Link{Latency: simnet.Constant(200 * time.Microsecond)})
+	kv := anna.NewKVS(k, net, anna.DefaultConfig())
+	ep := net.AddNode("sched-0")
+	s := New(k, ep, kv.NewClient(ep, 0), DefaultConfig())
+	vms := kv.NewClient(net.AddNode("vms"), 0)
+	threads := map[string][]string{"vm0": {"exec-vm0-0", "exec-vm0-1"}, "vm1": {"exec-vm1-0", "exec-vm1-1"}}
+	keys := func(vm string) []string {
+		var out []string
+		for _, th := range threads[vm] {
+			out = append(out, core.ExecMetricsKey(th))
+		}
+		return out
+	}
+	// The VMs' metrics publications, as each VM's daemon runs them.
+	publish := func(vm string) {
+		for _, th := range threads[vm] {
+			em := core.ExecutorMetrics{Thread: simnet.NodeID(th), VM: vm, ReportedAtS: k.Now().Seconds()}
+			ts := lattice.Timestamp{Clock: int64(k.Now()), Node: lattice.NodeHash(th)}
+			if err := vms.Put(core.ExecMetricsKey(th), lattice.NewLWW(ts, codec.MustEncode(em))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	list := func(f func(string, []string) error, keys []string) {
+		if err := f(executor.MetricListKey, keys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add := func(key string, keys []string) error { return vms.Put(key, lattice.NewSet(keys...)) }
+	k.Run("test", func() {
+		s.Start()
+		publish("vm0")
+		publish("vm1")
+		list(add, append(keys("vm0"), keys("vm1")...))
+		k.Sleep(2 * pollInterval)
+		if len(s.view.threads) != 4 {
+			t.Fatalf("the view holds %d threads, want 4", len(s.view.threads))
+		}
+		for i := range s.view.threads {
+			s.assign(i)
+		}
+		list(vms.RemoveFromSet, keys("vm1")) // the reaper
+		list(vms.RemoveFromSet, keys("vm0")[1:])
+		for i := 0; i < 2; i++ {
+			publish("vm0")
+			k.Sleep(pollInterval)
+		}
+		list(add, keys("vm0")[1:])
+		for at := 2 * pollInterval; at < DefaultConfig().StaleAfter+2*pollInterval; at += pollInterval {
+			publish("vm0")
+			k.Sleep(pollInterval)
+		}
+	})
+	want := map[simnet.NodeID]int64{"exec-vm0-0": 1, "exec-vm0-1": 2}
+	if got := s.stamps(); !maps.Equal(got, want) {
+		t.Fatalf("after the reaper the scheduler holds the stamps %v, want %v", got, want)
+	}
+
+	// A registry that cannot be read (here: never written) prunes nothing.
+	k2 := vtime.NewKernel(1)
+	defer k2.Stop()
+	net2 := simnet.New(k2, simnet.Link{Latency: simnet.Constant(200 * time.Microsecond)})
+	ep2 := net2.AddNode("sched-0")
+	lone := New(k2, ep2, anna.NewKVS(k2, net2, anna.DefaultConfig()).NewClient(ep2, 0), DefaultConfig())
+	for id, stamp := range want {
+		lone.lastAssigned[id] = savedStamp{stamp: stamp}
+	}
+	k2.Run("lone", func() {
+		k2.Sleep(2 * DefaultConfig().StaleAfter) // every saved stamp's report is stale
+		lone.refreshView()
+	})
+	if got := lone.stamps(); !maps.Equal(got, want) {
+		t.Errorf("a failed registry read left the stamps %v, want %v", got, want)
+	}
+}

@@ -137,14 +137,17 @@ func pickScheduler(seed int64, random bool) *Scheduler {
 		cfg:          Config{RandomPolicy: random},
 		cacheKeys:    make(map[string]codec.StrList),
 		pins:         make(map[string][]simnet.NodeID),
-		lastAssigned: make(map[simnet.NodeID]int64),
+		lastAssigned: make(map[simnet.NodeID]savedStamp),
 	}
 }
 
 // stamps is every assignment stamp the scheduler holds, saved or in the
 // view.
 func (s *Scheduler) stamps() map[simnet.NodeID]int64 {
-	out := maps.Clone(s.lastAssigned)
+	out := make(map[simnet.NodeID]int64, len(s.lastAssigned))
+	for id, saved := range s.lastAssigned {
+		out[id] = saved.stamp
+	}
 	for _, r := range s.view.threads {
 		if r.stamp != 0 {
 			out[r.id] = r.stamp

@@ -182,6 +182,15 @@ type threadRec struct {
 	// stamp is the thread's lastAssigned stamp, carried here between
 	// rebuilds so spread reads no map.
 	stamp int64
+	// reportedS is when the thread's report in the view was taken.
+	reportedS float64
+}
+
+// savedStamp is the stamp of a thread that left the view, and when the
+// thread last reported.
+type savedStamp struct {
+	stamp     int64
+	reportedS float64
 }
 
 // pinPool is one function's pinned threads in the view, ascending: live
@@ -347,8 +356,12 @@ type Scheduler struct {
 	// value is a logical stamp: virtual time can stand still across
 	// consecutive assignments. Between view rebuilds the stamps live in the
 	// thread records; each rebuild saves them here first, so a thread that
-	// leaves the view and re-enters it keeps its stamp.
-	lastAssigned map[simnet.NodeID]int64
+	// leaves the view and re-enters it keeps its stamp. A saved stamp goes
+	// once its thread's report is stale and its metrics key has left the
+	// executor registry: the reaper removed it, and a reaped thread
+	// reports no more. (The listing alone would not do: a read from a
+	// lagging replica can miss a live thread for a poll or two.)
+	lastAssigned map[simnet.NodeID]savedStamp
 	assignSeq    int64
 
 	// Call-count stats, published for the monitor (§4.4).
@@ -372,7 +385,7 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config) *Sch
 		pins:         make(map[string][]simnet.NodeID),
 		inflight:     make(map[string]*tracked),
 		free:         vtime.FreeList[*tracked]{Max: freeRecords},
-		lastAssigned: make(map[simnet.NodeID]int64),
+		lastAssigned: make(map[simnet.NodeID]savedStamp),
 		dagCalls:     make(map[string]int64),
 		fnCalls:      make(map[string]int64),
 		dagDone:      make(map[string]int64),
@@ -853,7 +866,8 @@ func (s *Scheduler) assign(i int) simnet.NodeID {
 // reads, so a pick running while the poll waits sees one or the other.
 func (s *Scheduler) refreshView() {
 	nowS := s.k.Now().Seconds()
-	reports := core.FetchAll[core.ExecutorMetrics](s.anna, s.decoded, s.execReg.Keys(s.anna, nil))
+	threads := s.execReg.Keys(s.anna, nil)
+	reports := core.FetchAll[core.ExecutorMetrics](s.anna, s.decoded, threads)
 	fresh := reports[:0]
 	for _, em := range reports {
 		if nowS-em.ReportedAtS <= s.cfg.StaleAfter.Seconds() {
@@ -861,6 +875,11 @@ func (s *Scheduler) refreshView() {
 		}
 	}
 	s.setThreads(fresh)
+	for id, saved := range s.lastAssigned {
+		if nowS-saved.reportedS > s.cfg.StaleAfter.Seconds() && !listed(threads, core.ExecMetricsKey(""), string(id)) {
+			delete(s.lastAssigned, id)
+		}
+	}
 	members := s.cacheReg.Keys(s.anna, nil)
 	s.setKeys(core.FetchAll[core.CacheMetrics](s.anna, s.decoded, members))
 	s.pruneKeys(members)
@@ -887,7 +906,7 @@ func (s *Scheduler) setThreads(reports []core.ExecutorMetrics) {
 	v := &s.view
 	for _, r := range v.threads {
 		if r.stamp != 0 {
-			s.lastAssigned[r.id] = r.stamp
+			s.lastAssigned[r.id] = savedStamp{r.stamp, r.reportedS}
 		}
 	}
 	slices.SortFunc(reports, func(a, b core.ExecutorMetrics) int { return cmp.Compare(a.Thread, b.Thread) })
@@ -902,7 +921,7 @@ func (s *Scheduler) setThreads(reports []core.ExecutorMetrics) {
 			vmIndex[em.VM] = vm
 			vms = append(vms, em.VM)
 		}
-		v.threads[i] = threadRec{id: em.Thread, vm: vm, util: em.Utilization, stamp: s.lastAssigned[em.Thread]}
+		v.threads[i] = threadRec{id: em.Thread, vm: vm, util: em.Utilization, stamp: s.lastAssigned[em.Thread].stamp, reportedS: em.ReportedAtS}
 		v.all[i] = i
 	}
 	v.pool = backpressure(v.all, v.healthy(nil, v.all))
@@ -934,14 +953,21 @@ func (s *Scheduler) setKeys(reports []core.CacheMetrics) {
 	}
 }
 
+// listed reports whether a registry's sorted members hold prefix+name.
+// An unreadable listing (nil) holds every name, so it prunes nothing.
+func listed(members []string, prefix, name string) bool {
+	_, ok := slices.BinarySearchFunc(members, name, func(m, name string) int {
+		return strings.Compare(strings.TrimPrefix(m, prefix), name)
+	})
+	return ok || members == nil
+}
+
 // pruneKeys drops from cacheKeys and the index each VM whose cache left
 // the registry's sorted members, so no departed VM's publication stays
-// referenced. An unreadable listing (nil) prunes nothing.
+// referenced.
 func (s *Scheduler) pruneKeys(members []string) {
 	for name, keys := range s.cacheKeys {
-		if _, ok := slices.BinarySearchFunc(members, name, func(m, name string) int {
-			return strings.Compare(strings.TrimPrefix(m, core.CacheKeysKey("")), name)
-		}); ok || members == nil {
+		if listed(members, core.CacheKeysKey(""), name) {
 			continue
 		}
 		delete(s.cacheKeys, name)
