@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"cloudburst/internal/cluster"
 	"cloudburst/internal/core"
 	"cloudburst/internal/lattice"
+	"cloudburst/internal/scheduler"
 	"cloudburst/internal/simnet"
 )
 
@@ -734,6 +736,88 @@ func TestNoSnapshotOutlivesItsRequest(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestAbandonedAttemptLeavesNoSnapshots: a DAG attempt whose sink dies
+// with its VM sends no DAGDone, so the version snapshot the upstream
+// function's cache took for it is never evicted by one. With one thread
+// per VM and both functions on every thread, the re-execution avoids the
+// two threads the attempt used and runs on the third VM, away from that
+// cache, so only the cache's age bound frees the table.
+func TestAbandonedAttemptLeavesNoSnapshots(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Mode = Causal
+	cfg.VMs = 3
+	cfg.ThreadsPerVM = 1
+	cfg.DAGTimeout = time.Second
+	cfg.StaleAfter = 3 * time.Second
+	c := testCluster(t, cfg)
+	var srcID, sinkID string
+	if err := c.RegisterFunction("src", func(ctx *Ctx, args []any) (any, error) {
+		if srcID == "" {
+			srcID = ctx.ID()
+		}
+		return args[0], nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterFunction("sink", func(ctx *Ctx, args []any) (any, error) {
+		if sinkID == "" {
+			sinkID = ctx.ID()
+		}
+		ctx.Compute(2 * time.Second)
+		return args[0], nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterDAG(LinearDAG("src-sink", "src", "sink"), 3); err != nil {
+		t.Fatal(err)
+	}
+	vmOf := func(id string) *cluster.VMHandle {
+		for _, vm := range c.Internal().VMs() {
+			if strings.HasPrefix(id, "exec-"+vm.Name+"-") {
+				return vm
+			}
+		}
+		t.Fatalf("no VM runs %q", id)
+		return nil
+	}
+	c.Run(func(cl *Client) {
+		cl.Timeout = time.Minute
+		cl.Sleep(3 * time.Second)
+		if err := cl.Put("k", 7); err != nil {
+			t.Errorf("put: %v", err)
+			return
+		}
+		fut := cl.InvokeDAG("src-sink", map[string][]any{"src": {Ref("k")}})
+		for sinkID == "" {
+			cl.Sleep(10 * time.Millisecond)
+		}
+		src, sink := vmOf(srcID), vmOf(sinkID)
+		if src == sink {
+			t.Errorf("src and sink both ran on %s; the test needs them apart", src.Name)
+			return
+		}
+		if n := src.Cache.SnapshotCount(); n != 1 {
+			t.Errorf("%s holds %d snapshot tables while the request runs, want 1", src.Name, n)
+		}
+		c.Internal().KillVM(sink.Name)
+		if out, err := fut.Wait(); err != nil || out.(int) != 7 {
+			t.Errorf("re-executed request = %v, %v", out, err)
+		}
+		// Younger than the bound, the table stays: the sweep must not
+		// drop a request that may still be running.
+		cl.Sleep(5 * time.Second)
+		if n := src.Cache.SnapshotCount(); n != 1 {
+			t.Errorf("%s holds %d snapshot tables at %v, younger than the age bound, want 1", src.Name, n, cl.Now())
+		}
+		cl.Sleep(2 * scheduler.RequestLifetime(cfg.DAGTimeout))
+	})
+	for _, vm := range c.Internal().VMs() {
+		if n := vm.Cache.SnapshotCount(); n != 0 {
+			t.Errorf("%s holds %d snapshot tables at quiescence, want 0", vm.Name, n)
 		}
 	}
 }

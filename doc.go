@@ -180,7 +180,9 @@
 // vector clock and dependency set need no convention: each is a sorted
 // value behind an unexported field, immutable by construction, and shared
 // by reference the same way; a capsule joins its siblings' clocks once,
-// where it is built. Two conventions make the payloads sound,
+// where it is built. A clock entry names its writer by a pointer to the
+// process's one interned copy of the name (16 bytes an entry, not 24),
+// and entries order by the name itself. Two conventions make the payloads sound,
 // both enforced by tests (the lattice payload guard):
 //
 //   - Writers always allocate a fresh buffer; nothing mutates payload

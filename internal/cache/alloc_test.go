@@ -14,18 +14,18 @@ import (
 // TestCausalPathAllocations pins what the DSC data plane allocates on a
 // warm cache, the write-back and Anna's side of it included. A first read
 // of a 3-sibling timeline capsule, each sibling depending on its own
-// post, costs the capsule's joined clock (1) and nothing per sibling or
-// dependency: the dependency walk and the snapshots allocate nothing.
-// ReadAll adds only the sibling slice it returns (2). A
+// post, allocates nothing: the capsule's joined clock was stored where it
+// was built, and the dependency walk and the snapshots allocate nothing.
+// ReadAll adds only the sibling slice it returns (1). A
 // read-modify-write declaring one dependency costs the ticked clock, the
-// one-entry dependency set, the capsule, the write-back's process closure
-// and its boxed Put (5): its two reads hit one-sibling capsules, the
-// merge returns the new capsule, and the Put's owner list is the ring's.
-// The session metadata and the request's snapshot table are reused, so
-// neither is counted. A new request's first read after the previous
-// request's DAGDone takes that request's emptied table off the free list
-// and costs the read's 1. A new allocation per call fails it; lower the
-// numbers when one goes.
+// one-entry dependency set, the capsule and its boxed Put (4): its two
+// reads hit one-sibling capsules, the merge returns the new capsule, the
+// write-back's put runs on a pooled record, and the Put's owner list is
+// the ring's. The session metadata and the request's snapshot table are
+// reused, so neither is counted. A new request's first read after the
+// previous request's DAGDone takes that request's emptied table off the
+// free list and allocates nothing. A new allocation per call fails it;
+// lower the numbers when one goes.
 func TestCausalPathAllocations(t *testing.T) {
 	r := newRig(t, core.DSC)
 	meta := core.NewSessionMeta()
@@ -56,17 +56,17 @@ func TestCausalPathAllocations(t *testing.T) {
 		want float64 // measured; raise it only for an allocation that outlives the call
 		call func()
 	}{
-		{"read of 3 siblings", 1, func() {
+		{"read of 3 siblings", 0, func() {
 			if _, _, err := r.a.Read("req", "tl", &meta); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"ReadAll of 3 siblings", 2, func() {
+		{"ReadAll of 3 siblings", 1, func() {
 			if sibs, _, err := r.a.ReadAll("req", "tl", &meta); err != nil || len(sibs) != 3 {
 				t.Fatalf("ReadAll = %d siblings, %v", len(sibs), err)
 			}
 		}},
-		{"read-modify-write, one dependency", 5, func() {
+		{"read-modify-write, one dependency", 4, func() {
 			if _, _, err := r.a.Read("req", "post-0", &meta); err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func TestCausalPathAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"new request's read after DAGDone", 1, func() {
+		{"new request's read after DAGDone", 0, func() {
 			id := done[next%2]
 			next++
 			if _, _, err := r.a.Read(id, "tl", &meta); err != nil {

@@ -49,9 +49,9 @@ const (
 	depFetchBackoff = 5 * time.Millisecond
 	// snapTableKeep is the most snapshots a finished request's table may
 	// have held and still be kept for reuse. 97% of causal-rw's tables
-	// end with at most 64; the rest, a post's fan-out, reach ~350, and
-	// keeping those held 6% more live heap for 2.6% fewer bytes
-	// allocated (the executor's sessionKeep, measured together).
+	// end with at most 64; the rest, a post's fan-out, reach ~350.
+	// Keeping tables of up to 256 cut causal-rw's (seed 1) bytes by 1.0%
+	// but held 3.4% more live heap, so a larger table is dropped.
 	snapTableKeep = 64
 	// snapFreeMax bounds the free list of emptied snapshot tables. A
 	// cache serves its VM's few threads and the DAGs that read through
@@ -62,6 +62,11 @@ const (
 	// paper size); a whole-keyspace warm-up (the benchmark's hot-open, 1,000
 	// per VM) pays for its record rather than pin it for the cache's life.
 	prefetchKeep = 64
+	// wbFreeMax bounds the free list of idle write-back records. A record
+	// is held only while its put is in flight; causal-rw's post fan-out
+	// keeps up to ~30 in flight on one cache, and a larger burst pays for
+	// the records past this.
+	wbFreeMax = 64
 )
 
 // Config carries what a deployment sets per cache.
@@ -123,11 +128,15 @@ type Cache struct {
 	store map[string]lattice.Lattice
 
 	// snapshots holds per-request version snapshots: reqID → key →
-	// exact capsule read (or written) by this DAG at this cache. DAGDone
-	// empties a finished request's table onto freeSnaps, at most
-	// snapFreeMax tables of at most snapTableKeep keys, and the next
-	// request's first snapshot takes one from there.
-	snapshots    map[string]map[string]lattice.Lattice
+	// exact capsule read (or written) by this DAG at this cache, and when
+	// the request's first snapshot was taken. DAGDone empties a finished
+	// request's table onto freeSnaps, at most snapFreeMax tables of at
+	// most snapTableKeep keys, and the next request's first snapshot
+	// takes one from there. A request whose sink died with its VM sends
+	// no DAGDone; keysetTick drops its table once it is older than
+	// maxReqAge, longer than any request can stay in flight.
+	snapshots    map[string]snapTable
+	maxReqAge    time.Duration // BoundSnapshotAge; 0: only DAGDone frees a table
 	freeSnaps    vtime.FreeList[map[string]lattice.Lattice]
 	freePrefetch vtime.FreeList[*prefetchCall] // emptied; as many as have run at once
 
@@ -140,15 +149,22 @@ type Cache struct {
 	// wbq is the asynchronous write-back queue to Anna: writes are
 	// acknowledged locally and merged into the KVS in the background
 	// (§4.2).
-	wbq        *vtime.Chan[wbItem]
-	wbInFlight int
-	wbName     string // precomputed write-back process name
-	stopped    bool   // guards Stop idempotence
+	wbq       *vtime.Chan[wbItem]
+	wbPending int                    // queued or in flight; FlushWrites waits for 0
+	freeWB    vtime.FreeList[*wbPut] // idle put records, at most wbFreeMax
+	wbName    string                 // precomputed write-back process name
+	stopped   bool                   // guards Stop idempotence
 
 	// spans is the cluster's trace collector (nil = tracing off).
 	spans *trace.Collector
 
 	Stats Stats
+}
+
+// snapTable is one request's version snapshots at this cache.
+type snapTable struct {
+	keys map[string]lattice.Lattice
+	born vtime.Time
 }
 
 // wbItem is one queued write-back.
@@ -168,8 +184,9 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, vm string, cfg C
 		vm:        vm,
 		mu:        vtime.NewMutex(k),
 		store:     make(map[string]lattice.Lattice),
-		snapshots: make(map[string]map[string]lattice.Lattice),
+		snapshots: make(map[string]snapTable),
 		freeSnaps: vtime.FreeList[map[string]lattice.Lattice]{Max: snapFreeMax},
+		freeWB:    vtime.FreeList[*wbPut]{Max: wbFreeMax},
 		wbq:       vtime.NewChan[wbItem](k, -1),
 		wbName:    string(ep.ID()) + "/wb",
 		spans:     cfg.Trace,
@@ -181,9 +198,16 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, vm string, cfg C
 	return c
 }
 
+// BoundSnapshotAge makes the cache drop a request's version snapshots
+// once they are older than age, whether or not its DAGDone came. The
+// cluster sets it above the longest a request can stay in flight; a
+// cache on which it is never called frees a table only at DAGDone.
+func (c *Cache) BoundSnapshotAge(age time.Duration) { c.maxReqAge = age }
+
 // writeBack enqueues an asynchronous KVS merge of lat (which the queue
 // takes ownership of).
 func (c *Cache) writeBack(key string, lat lattice.Lattice) {
+	c.wbPending++
 	c.wbq.TrySend(wbItem{key: key, lat: lat})
 }
 
@@ -198,21 +222,39 @@ func (c *Cache) writeBackLoop() {
 		if !ok {
 			return
 		}
-		c.wbInFlight++
-		c.k.Go(c.wbName, func() {
-			// Errors are dropped: an unreachable replica set converges
-			// via a later write or gossip; the local cache remains the
-			// freshest copy meanwhile.
-			_ = c.anna.Put(item.key, item.lat)
-			c.wbInFlight--
-		})
+		p, ok := c.freeWB.Get()
+		if !ok {
+			p = &wbPut{c: c}
+		}
+		p.item = item
+		c.k.GoRunner(c.wbName, p)
 	}
 }
 
-// FlushWrites blocks until the write-back queue is drained and all
-// in-flight puts have completed (test hook and graceful-drain aid).
+// wbPut is one write-back put in flight, run as a closure-free
+// vtime.Runner. It clears its item and returns itself to the cache's
+// free list once the put is done.
+type wbPut struct {
+	c    *Cache
+	item wbItem
+}
+
+// Run implements vtime.Runner. Errors are dropped: an unreachable
+// replica set converges via a later write or gossip; the local cache
+// remains the freshest copy meanwhile.
+func (p *wbPut) Run() {
+	_ = p.c.anna.Put(p.item.key, p.item.lat)
+	p.item = wbItem{}
+	p.c.wbPending--
+	p.c.freeWB.Put(p)
+}
+
+// FlushWrites blocks until every write-back queued so far has completed
+// its put (test hook and graceful-drain aid). It counts from the enqueue:
+// a write handed straight to the parked drainer is in neither the queue
+// nor a put until the drainer runs.
 func (c *Cache) FlushWrites() {
-	for c.wbq.Len() > 0 || c.wbInFlight > 0 {
+	for c.wbPending > 0 {
 		c.k.Sleep(time.Millisecond)
 	}
 }
@@ -254,18 +296,23 @@ func (c *Cache) handlePush(_ simnet.Message, b anna.KeyUpdatePush) {
 }
 
 // handleDAGDone evicts a completed request's version snapshots
-// (Algorithm 1's sink notification) and keeps the emptied table for the
-// next request.
+// (Algorithm 1's sink notification).
 func (c *Cache) handleDAGDone(_ simnet.Message, b core.DAGDone) {
 	c.mu.Lock()
-	if snaps, ok := c.snapshots[b.ReqID]; ok {
-		delete(c.snapshots, b.ReqID)
-		if len(snaps) <= snapTableKeep {
-			clear(snaps)
-			c.freeSnaps.Put(snaps)
-		}
+	if t, ok := c.snapshots[b.ReqID]; ok {
+		c.dropSnapshotsLocked(b.ReqID, t)
 	}
 	c.mu.Unlock()
+}
+
+// dropSnapshotsLocked evicts reqID's table t and keeps it, emptied, for
+// the next request. Caller holds mu.
+func (c *Cache) dropSnapshotsLocked(reqID string, t snapTable) {
+	delete(c.snapshots, reqID)
+	if len(t.keys) <= snapTableKeep {
+		clear(t.keys)
+		c.freeSnaps.Put(t.keys)
+	}
 }
 
 // handleSnapshotFetch serves a peer cache's version-snapshot request
@@ -279,8 +326,8 @@ func (c *Cache) handleSnapshotFetch(req *simnet.Request, rb SnapshotFetchReq) {
 		if lat, ok := c.store[rb.Key]; ok {
 			resp = SnapshotFetchResp{Lat: lat, Found: true}
 		}
-	} else if snaps, ok := c.snapshots[rb.ReqID]; ok {
-		if lat, ok := snaps[rb.Key]; ok {
+	} else if t, ok := c.snapshots[rb.ReqID]; ok {
+		if lat, ok := t.keys[rb.Key]; ok {
 			resp = SnapshotFetchResp{Lat: lat, Found: true}
 		}
 	}
@@ -356,10 +403,18 @@ func (ch *churn) drain(stored int) []string {
 }
 
 // keysetTick publishes the cached-keyset delta to Anna so storage nodes
-// can maintain the key→cache index (§4.2).
+// can maintain the key→cache index (§4.2), and drops the snapshot tables
+// of requests older than maxReqAge, which no DAGDone will free.
 func (c *Cache) keysetTick() {
 	c.mu.Lock()
 	added, removed := c.takeDelta()
+	if c.maxReqAge > 0 {
+		for id, t := range c.snapshots {
+			if c.k.Now().Sub(t.born) > c.maxReqAge {
+				c.dropSnapshotsLocked(id, t)
+			}
+		}
+	}
 	c.mu.Unlock()
 	if len(added) > 0 || len(removed) > 0 {
 		c.anna.PublishKeyset(c.ep.ID(), added, removed)
@@ -442,7 +497,7 @@ func (c *Cache) Contains(key string) bool {
 // §5.3's upstream-cache-failure path).
 func (c *Cache) DropSnapshots() {
 	c.mu.Lock()
-	c.snapshots = make(map[string]map[string]lattice.Lattice)
+	c.snapshots = make(map[string]snapTable)
 	c.mu.Unlock()
 }
 
@@ -682,14 +737,15 @@ func (c *Cache) snapshotWriteLocked(reqID, key string, lat lattice.Lattice) {
 // snapshotMapLocked returns reqID's snapshot table, taking an emptied
 // one off the free list for a request's first snapshot. Caller holds mu.
 func (c *Cache) snapshotMapLocked(reqID string) map[string]lattice.Lattice {
-	snaps, ok := c.snapshots[reqID]
+	t, ok := c.snapshots[reqID]
 	if !ok {
-		if snaps, ok = c.freeSnaps.Get(); !ok {
-			snaps = make(map[string]lattice.Lattice)
+		if t.keys, ok = c.freeSnaps.Get(); !ok {
+			t.keys = make(map[string]lattice.Lattice)
 		}
-		c.snapshots[reqID] = snaps
+		t.born = c.k.Now()
+		c.snapshots[reqID] = t
 	}
-	return snaps
+	return t.keys
 }
 
 // fetchUpstream retrieves a version snapshot from the upstream cache that

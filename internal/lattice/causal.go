@@ -62,13 +62,32 @@ func NewCausal(vc VectorClock, deps map[string]VectorClock, value []byte) *Causa
 // of value; the caller must not mutate it afterwards.
 func NewCausalClock(vc Clock, deps Deps, value []byte) *Causal {
 	recordPayload(value)
-	one := &struct {
-		c Causal
-		v [1]Version
-	}{v: [1]Version{{VC: vc, Deps: deps, Value: value}}}
-	one.c.versions = one.v[:]
-	one.c.vc = vc.nonZero()
-	return &one.c
+	return newCapsule([]Version{{VC: vc, Deps: deps, Value: value}}, vc.nonZero())
+}
+
+// newCapsule returns a capsule holding a copy of the canonical sibling set
+// vs under its joined clock vc. One or two siblings share the capsule's
+// allocation; more take a second, exactly len(vs) long.
+func newCapsule(vs []Version, vc Clock) *Causal {
+	switch len(vs) {
+	case 1:
+		one := &struct {
+			c Causal
+			v [1]Version
+		}{v: [1]Version(vs)}
+		one.c = Causal{versions: one.v[:], vc: vc}
+		return &one.c
+	case 2:
+		two := &struct {
+			c Causal
+			v [2]Version
+		}{v: [2]Version(vs)}
+		two.c = Causal{versions: two.v[:], vc: vc}
+		return &two.c
+	}
+	c := &Causal{versions: make([]Version, len(vs)), vc: vc}
+	copy(c.versions, vs)
+	return c
 }
 
 // VC returns the capsule's effective vector clock: the join of all
@@ -100,11 +119,12 @@ func (c *Causal) Siblings() [][]byte {
 
 // Merge implements Lattice without writing either side. When one side
 // absorbs the other, the join is that side itself (the receiver first).
-// Otherwise the receiver's siblings are copied once into a slice with room
-// for the join, and other's versions, both sides canonical, are inserted.
-// The new capsule's clock is the join of the two sides' clocks: every
-// version the insert drops is covered by a survivor, so that is the join
-// of the survivors' clocks.
+// Otherwise the join is worked out in scratch, on the stack for up to
+// mergeScratch versions: the receiver's siblings, into which other's
+// versions, both sides canonical, are inserted. The new capsule holds
+// exactly the survivors, and its clock is the join of the two sides'
+// clocks: every version the insert drops is covered by a survivor, so
+// that is the join of the survivors' clocks.
 func (c *Causal) Merge(other Lattice) Lattice {
 	o, ok := other.(*Causal)
 	if !ok {
@@ -116,12 +136,22 @@ func (c *Causal) Merge(other Lattice) Lattice {
 	case absorbs(o.versions, c.versions):
 		return o
 	}
-	vs := append(make([]Version, 0, len(c.versions)+len(o.versions)), c.versions...)
+	var scratch [mergeScratch]Version
+	vs := scratch[:0]
+	if n := len(c.versions) + len(o.versions); n > mergeScratch {
+		vs = make([]Version, 0, n)
+	}
+	vs = append(vs, c.versions...)
 	for _, v := range o.versions {
 		vs = insert(vs, v)
 	}
-	return &Causal{versions: vs, vc: c.vc.Join(o.vc)}
+	return newCapsule(vs, c.vc.Join(o.vc))
 }
+
+// mergeScratch is how many versions a merge works out on the stack; a
+// capsule of more siblings than that is rare, and its merge takes one
+// more allocation.
+const mergeScratch = 8
 
 // absorbs reports whether inserting every version of ws leaves the
 // sibling set vs as it is — each is dominated by a sibling, or repeats a
@@ -171,7 +201,6 @@ func insert(vs []Version, v Version) []Version {
 	kept = append(kept, Version{})
 	copy(kept[at+1:], kept[at:])
 	kept[at] = v
-	clear(vs[min(len(kept), len(vs)):]) // drop the replaced versions' references
 	return kept
 }
 

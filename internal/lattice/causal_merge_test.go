@@ -301,7 +301,7 @@ func (g *histGen) capsule(n int) []mapVersion {
 // appending v instead of inserting it at canonicalIndex.
 func TestMergeMatchesUnionNormalize(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	var dropped, replaced, repeats, repeatsNewDeps, nilVsEmpty, equalClockSiblings, widest int
+	var dropped, replaced, repeats, repeatsNewDeps, nilVsEmpty, equalClockSiblings, widest, pastScratch int
 	for trial := 0; trial < 100; trial++ {
 		g := newHistGen(rng)
 		want := g.capsule(16)
@@ -311,6 +311,9 @@ func TestMergeMatchesUnionNormalize(t *testing.T) {
 			arg := freezeVersions(argVersions)
 			argBefore := canon(arg)
 			widest = max(widest, len(got.versions), len(arg.versions))
+			if len(got.versions)+len(arg.versions) > mergeScratch {
+				pastScratch++
+			}
 			for _, v := range argVersions {
 				for _, u := range want {
 					switch ord := v.VC.Compare(u.VC); {
@@ -332,7 +335,11 @@ func TestMergeMatchesUnionNormalize(t *testing.T) {
 				}
 			}
 			want = oracleMergeMaps(want, argVersions)
-			got = got.Merge(arg).(*Causal)
+			merged := got.Merge(arg).(*Causal)
+			if merged != got && merged != arg && cap(merged.versions) != len(merged.versions) {
+				t.Fatalf("trial %d step %d: %d siblings in room for %d", trial, step, len(merged.versions), cap(merged.versions))
+			}
+			got = merged
 			if !storedJoin(got) {
 				t.Fatalf("trial %d step %d: VC() = %v, the versions join to %v", trial, step, got.VC(), joinAll(got.versions))
 			}
@@ -361,6 +368,7 @@ func TestMergeMatchesUnionNormalize(t *testing.T) {
 		"equal clock and payload, deps to union":     repeatsNewDeps,
 		"equal clock and payload, nil vs empty deps": nilVsEmpty,
 		"equal clock, different payload":             equalClockSiblings,
+		"more versions than the stack scratch":       pastScratch,
 	} {
 		if n == 0 {
 			t.Errorf("no history had the case %q", name)
@@ -455,9 +463,10 @@ func TestCanonicalOrderMatchesString(t *testing.T) {
 
 // TestCausalMergeCloneAllocations is the tripwire for a copy coming back:
 // a merge whose join is one side returns that side, and a merge that
-// changes the sibling set pays for one capsule, one slice and the joined
-// clock every later VC() returns, never for copies of clocks or
-// dependency sets.
+// changes the sibling set pays for its capsule, a sibling slice exactly
+// as long as the survivors (inside the capsule's allocation for two) and
+// the joined clock every later VC() returns, never for copies of clocks
+// or dependency sets.
 func TestCausalMergeCloneAllocations(t *testing.T) {
 	deps := map[string]VectorClock{"dep": {"w9": 3}, "dep2": {"w9": 1, "w8": 2}}
 	older := NewCausal(VectorClock{"w1": 1, "w2": 1}, deps, []byte("old"))
@@ -471,14 +480,25 @@ func TestCausalMergeCloneAllocations(t *testing.T) {
 		t.Errorf("1x1 merge of a dominating version allocates %.0f times (argument returned: %v), want 0 and the argument", n, got == newer)
 	}
 
+	other := NewCausal(VectorClock{"w1": 1, "w3": 1}, deps, []byte("other"))
+	if n := testing.AllocsPerRun(100, func() { got = newer.Merge(other) }); n != 2 {
+		t.Errorf("1x1 merge of a concurrent version allocates %.0f times, want 2 (capsule with its two siblings, joined clock)", n)
+	}
+	if vs := got.(*Causal).versions; len(vs) != 2 || cap(vs) != 2 {
+		t.Errorf("1x1 concurrent merge holds %d siblings in room for %d, want 2 in 2", len(vs), cap(vs))
+	}
+
 	five := &Causal{}
 	for i := 0; i < 5; i++ {
 		five = five.Merge(NewCausal(VectorClock{fmt.Sprintf("w%d", i): 1}, deps, []byte{byte(i)})).(*Causal)
 	}
 	before := canon(five)
 	sixth := NewCausal(VectorClock{"w25": 1}, deps, []byte("six")) // sorts into the middle
-	if n := testing.AllocsPerRun(100, func() { got = five.Merge(sixth) }); n > 3 {
-		t.Errorf("merging one concurrent sibling into five allocates %.0f times, want at most 3 (capsule, sibling slice, joined clock)", n)
+	if n := testing.AllocsPerRun(100, func() { got = five.Merge(sixth) }); n != 3 {
+		t.Errorf("merging one concurrent sibling into five allocates %.0f times, want 3 (capsule, sibling slice, joined clock)", n)
+	}
+	if vs := got.(*Causal).versions; len(vs) != 6 || cap(vs) != 6 {
+		t.Errorf("merging one concurrent sibling into five holds %d siblings in room for %d, want 6 in 6", len(vs), cap(vs))
 	}
 	if want := oracleMerge(five, sixth); canon(got) != canon(want) || string(got.(*Causal).versions[2].Value) != "six" {
 		t.Fatalf("sibling merge left %s, want %s", canon(got), canon(want))

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strconv"
 	"testing"
+	"unsafe"
 )
 
 // The map form's methods, moved here unchanged when Clock replaced
@@ -134,10 +135,10 @@ func (vc VectorClock) appendCanonical(dst []byte) []byte {
 func thaw(c Clock) VectorClock {
 	m := make(VectorClock, len(c.e))
 	for i, x := range c.e {
-		if i > 0 && c.e[i-1].id >= x.id {
+		if i > 0 && c.e[i-1].id.Value() >= x.id.Value() {
 			panic(fmt.Sprintf("clock %q: ids not strictly ascending", c.String()))
 		}
-		m[x.id] = x.n
+		m[x.id.Value()] = x.n
 	}
 	return m
 }
@@ -224,8 +225,9 @@ func genClock(rng *rand.Rand) VectorClock {
 // map form's fold over random sibling sets in the same way.
 //
 // Mutations this was seen to fail under: Compare ignoring ids only one
-// side has; Join keeping the receiver's counter on a shared id; Tick
-// appending a new id instead of inserting it in order.
+// side has; Join keeping the receiver's counter on a shared id; Join
+// sizing its result for both sides' entries; Tick appending a new id
+// instead of inserting it in order.
 func TestClockMatchesVectorClock(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	seen := map[string]int{}
@@ -270,6 +272,9 @@ func TestClockMatchesVectorClock(t *testing.T) {
 		}
 		if a.DominatesOrEqual(b) != sameEntries(join, A) {
 			t.Fatalf("%v.Join(%v): receiver returned = %v, want %v", a, b, sameEntries(join, A), a.DominatesOrEqual(b))
+		}
+		if cap(join.e) != len(join.e) {
+			t.Fatalf("%v.Join(%v) holds %d entries in room for %d", a, b, len(join.e), cap(join.e))
 		}
 
 		id := clockIDs[rng.Intn(len(clockIDs))]
@@ -334,6 +339,31 @@ func TestClockMatchesVectorClock(t *testing.T) {
 		if seen[name] == 0 {
 			t.Errorf("no trial had the case %q", name)
 		}
+	}
+}
+
+// TestTickedClockMatchesFrozenLiteral: a clock a writer's ticks built
+// and a literal of the same names frozen apart from it are one clock to
+// every reader — Compare, Digest and String — and an entry is a name
+// handle and a counter, 16 bytes.
+func TestTickedClockMatchesFrozenLiteral(t *testing.T) {
+	if n := unsafe.Sizeof(clockEntry{}); n != 16 {
+		t.Errorf("a clock entry is %d bytes, want 16", n)
+	}
+	var ticked Clock
+	for _, id := range []string{"exec-vm1-2", "preload", "exec-vm1-2", "exec-vm0-1", "exec-vm1-2"} {
+		ticked = ticked.Tick(string([]byte(id))) // a name built apart from the literal's
+	}
+	literal := VectorClock{"exec-vm0-1": 1, "exec-vm1-2": 3, "preload": 1}.Freeze()
+	if o := ticked.Compare(literal); o != Equal {
+		t.Errorf("ticked %s vs literal %s: %v, want equal", ticked, literal, o)
+	}
+	if ticked.Digest() != literal.Digest() || ticked.String() != literal.String() {
+		t.Errorf("ticked %s (%#x) and literal %s (%#x) differ", ticked, ticked.Digest(), literal, literal.Digest())
+	}
+	later := literal.Tick("exec-vm0-1")
+	if o := ticked.Compare(later); o != DominatedBy {
+		t.Errorf("ticked %s vs %s: %v, want dominated-by", ticked, later, o)
 	}
 }
 

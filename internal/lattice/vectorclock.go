@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unique"
 )
 
 // VectorClock is the literal form of a vector clock (§5.2): one
@@ -20,7 +21,7 @@ func (vc VectorClock) Freeze() Clock {
 	}
 	e := make([]clockEntry, 0, len(vc))
 	for id, n := range vc {
-		e = append(e, clockEntry{id: id, n: n})
+		e = append(e, clockEntry{id: unique.Make(id), n: n})
 	}
 	slices.SortFunc(e, byID)
 	return Clock{e: e}
@@ -50,15 +51,27 @@ func (o Ordering) String() string {
 	}
 }
 
-// clockEntry is one writer's slot of a Clock.
+// clockEntry is one writer's slot of a Clock: 16 bytes, a handle to the
+// writer's name and its counter, where a string would make it 24. The
+// handle points at the process's one copy of the name, which package
+// unique interns; only Freeze and Tick make one.
 type clockEntry struct {
-	id string
+	id unique.Handle[string]
 	n  uint64
 }
 
-func byID(a, b clockEntry) int { return strings.Compare(a.id, b.id) }
+// cmpID orders writer names. Equal handles are the same name, a fast
+// path; any other pair compares the names themselves.
+func cmpID(a, b unique.Handle[string]) int {
+	if a == b {
+		return 0
+	}
+	return strings.Compare(a.Value(), b.Value())
+}
 
-// Clock is an immutable vector clock: its entries in ascending id order,
+func byID(a, b clockEntry) int { return cmpID(a.id, b.id) }
+
+// Clock is an immutable vector clock: its entries in ascending name order,
 // behind an unexported field so that nothing outside this package can
 // write one. An operation that would change a clock returns a new one,
 // and one that changes nothing returns its receiver, so clocks are shared
@@ -82,7 +95,7 @@ func (c Clock) Compare(other Clock) Ordering {
 	}
 	greater, less := false, false
 	for len(a) > 0 && len(b) > 0 && !(greater && less) {
-		switch d := strings.Compare(a[0].id, b[0].id); {
+		switch d := cmpID(a[0].id, b[0].id); {
 		case d < 0:
 			greater = greater || a[0].n > 0
 			a = a[1:]
@@ -126,16 +139,38 @@ func (c Clock) HappensBefore(other Clock) bool {
 
 // Join returns what observing other into c gives: c's entries, each
 // raised to other's where that is larger, plus other's non-zero entries
-// that c lacks. When other adds nothing it returns c itself; otherwise
-// the result is one allocation.
+// that c lacks. When other adds nothing it returns c itself; otherwise a
+// first walk counts the result's entries and the second fills exactly
+// that many, one allocation.
 func (c Clock) Join(other Clock) Clock {
-	if c.DominatesOrEqual(other) {
+	n, adds := 0, false
+	a, b := c.e, other.e
+	for len(a) > 0 && len(b) > 0 {
+		switch d := cmpID(a[0].id, b[0].id); {
+		case d < 0:
+			a = a[1:]
+		case d > 0:
+			if b[0].n > 0 {
+				n, adds = n+1, true
+			}
+			b = b[1:]
+		default:
+			adds = adds || b[0].n > a[0].n
+			a, b = a[1:], b[1:]
+		}
+	}
+	for _, y := range b {
+		if y.n > 0 {
+			n, adds = n+1, true
+		}
+	}
+	if !adds {
 		return c
 	}
-	a, b := c.e, other.e
-	out := make([]clockEntry, 0, len(a)+len(b))
+	out := make([]clockEntry, 0, len(c.e)+n)
+	a, b = c.e, other.e
 	for len(a) > 0 && len(b) > 0 {
-		switch d := strings.Compare(a[0].id, b[0].id); {
+		switch d := cmpID(a[0].id, b[0].id); {
 		case d < 0:
 			out = append(out, a[0])
 			a = a[1:]
@@ -159,9 +194,11 @@ func (c Clock) Join(other Clock) Clock {
 }
 
 // Tick returns c with id's entry incremented (added at 1 if absent): a
-// binary search and one allocation.
+// binary search and one allocation. A new entry takes the name's interned
+// handle, which allocates only the first time a process names that
+// writer.
 func (c Clock) Tick(id string) Clock {
-	i, found := slices.BinarySearchFunc(c.e, id, func(x clockEntry, id string) int { return strings.Compare(x.id, id) })
+	i, found := slices.BinarySearchFunc(c.e, id, func(x clockEntry, id string) int { return strings.Compare(x.id.Value(), id) })
 	if found {
 		out := slices.Clone(c.e)
 		out[i].n++
@@ -169,7 +206,7 @@ func (c Clock) Tick(id string) Clock {
 	}
 	out := make([]clockEntry, len(c.e)+1)
 	copy(out, c.e[:i])
-	out[i] = clockEntry{id: id, n: 1}
+	out[i] = clockEntry{id: unique.Make(id), n: 1}
 	copy(out[i+1:], c.e[i:])
 	return Clock{e: out}
 }
@@ -199,8 +236,9 @@ func (c Clock) Digest() uint64 {
 	var h uint64
 	for _, x := range c.e {
 		e := uint64(14695981039346656037) // FNV-1a offset basis
-		for i := 0; i < len(x.id); i++ {
-			e ^= uint64(x.id[i])
+		id := x.id.Value()
+		for i := 0; i < len(id); i++ {
+			e ^= uint64(id[i])
 			e *= 1099511628211
 		}
 		for s := 0; s < 64; s += 8 {
@@ -222,7 +260,7 @@ func (c Clock) Digest() uint64 {
 func (c Clock) ByteSize() int {
 	n := 0
 	for _, x := range c.e {
-		n += len(x.id) + 8
+		n += len(x.id.Value()) + 8
 	}
 	return n
 }
@@ -239,7 +277,7 @@ func (c Clock) appendCanonical(dst []byte) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(append(dst, x.id...), ':')
+		dst = append(append(dst, x.id.Value()...), ':')
 		dst = strconv.AppendUint(dst, x.n, 10)
 	}
 	return append(dst, '}')

@@ -147,6 +147,14 @@ const (
 	maxAliveExtensions = 3
 )
 
+// RequestLifetime bounds how long a scheduler keeps a request in flight
+// under the re-execution timeout dagTimeout: maxRetries+1 attempts, each
+// extended maxAliveExtensions times, and each expiry seen up to one retry
+// scan (dagTimeout/4) late.
+func RequestLifetime(dagTimeout time.Duration) time.Duration {
+	return (maxRetries + 1) * (maxAliveExtensions + 1) * (dagTimeout + dagTimeout/4)
+}
+
 // view is the scheduler's local index of the compute tier (§4.3), read by
 // every pick. Its threads and pools are rebuilt from the published metrics
 // once per poll; its key index moves by each cache's published difference,
