@@ -24,6 +24,7 @@ func TestConfigSurface(t *testing.T) {
 		"anna.NodeConfig.Hooks",
 		"anna.NodeConfig.MemCapacity",
 		"anna.NodeConfig.TxnSweep",
+		"cache.Config.MaxRequestAge",
 		"cache.Config.Mode",
 		"cache.Config.Trace",
 		"cluster.Config.AnnaNodes",

@@ -77,6 +77,11 @@ type Config struct {
 	// the Anna round trips under them) into the cluster's collector.
 	// CPU-side only — nothing on the wire; nil disables at zero cost.
 	Trace *trace.Collector
+	// MaxRequestAge is how long a request's version snapshots may stay at
+	// the cache when no DAGDone frees them, as when the request's sink
+	// died with its VM. The cluster sets it above the longest a request
+	// can stay in flight; zero leaves every table to its DAGDone.
+	MaxRequestAge time.Duration
 }
 
 // DefaultConfig returns a cache in the given mode; the calibrated
@@ -134,9 +139,8 @@ type Cache struct {
 	// most snapTableKeep keys, and the next request's first snapshot
 	// takes one from there. A request whose sink died with its VM sends
 	// no DAGDone; keysetTick drops its table once it is older than
-	// maxReqAge, longer than any request can stay in flight.
+	// cfg.MaxRequestAge.
 	snapshots    map[string]snapTable
-	maxReqAge    time.Duration // BoundSnapshotAge; 0: only DAGDone frees a table
 	freeSnaps    vtime.FreeList[map[string]lattice.Lattice]
 	freePrefetch vtime.FreeList[*prefetchCall] // emptied; as many as have run at once
 
@@ -197,12 +201,6 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, vm string, cfg C
 	simnet.OnRequest(c.disp, c.handleSnapshotFetch)
 	return c
 }
-
-// BoundSnapshotAge makes the cache drop a request's version snapshots
-// once they are older than age, whether or not its DAGDone came. The
-// cluster sets it above the longest a request can stay in flight; a
-// cache on which it is never called frees a table only at DAGDone.
-func (c *Cache) BoundSnapshotAge(age time.Duration) { c.maxReqAge = age }
 
 // writeBack enqueues an asynchronous KVS merge of lat (which the queue
 // takes ownership of).
@@ -404,13 +402,13 @@ func (ch *churn) drain(stored int) []string {
 
 // keysetTick publishes the cached-keyset delta to Anna so storage nodes
 // can maintain the key→cache index (§4.2), and drops the snapshot tables
-// of requests older than maxReqAge, which no DAGDone will free.
+// of requests older than cfg.MaxRequestAge, which no DAGDone will free.
 func (c *Cache) keysetTick() {
 	c.mu.Lock()
 	added, removed := c.takeDelta()
-	if c.maxReqAge > 0 {
+	if age := c.cfg.MaxRequestAge; age > 0 {
 		for id, t := range c.snapshots {
-			if c.k.Now().Sub(t.born) > c.maxReqAge {
+			if c.k.Now().Sub(t.born) > age {
 				c.dropSnapshotsLocked(id, t)
 			}
 		}

@@ -286,12 +286,14 @@ func (c *Cluster) bootVMNamed(name string) *VMHandle {
 	cacheEP := c.Net.AddNode(simnet.NodeID("cache-" + name))
 	// The cache moves multi-MB objects; give its KVS client headroom
 	// beyond the default RPC timeout.
-	ch := cache.New(c.K, cacheEP, c.KV.NewClient(cacheEP, 2*time.Second), name,
-		cache.Config{Mode: c.cfg.Mode, Trace: c.cfg.Trace})
 	// A request's snapshots may outlive it by twice the longest a
 	// scheduler tracks one: a client that re-routes a request to the next
 	// scheduler shard starts its tracking over.
-	ch.BoundSnapshotAge(2 * scheduler.RequestLifetime(c.cfg.DAGTimeout))
+	ch := cache.New(c.K, cacheEP, c.KV.NewClient(cacheEP, 2*time.Second), name, cache.Config{
+		Mode:          c.cfg.Mode,
+		Trace:         c.cfg.Trace,
+		MaxRequestAge: 2 * scheduler.RequestLifetime(c.cfg.DAGTimeout),
+	})
 	ch.Start()
 
 	h := &VMHandle{Name: name, Cache: ch}

@@ -119,12 +119,14 @@ func (c *Causal) Siblings() [][]byte {
 
 // Merge implements Lattice without writing either side. When one side
 // absorbs the other, the join is that side itself (the receiver first).
-// Otherwise the join is worked out in scratch, on the stack for up to
-// mergeScratch versions: the receiver's siblings, into which other's
-// versions, both sides canonical, are inserted. The new capsule holds
-// exactly the survivors, and its clock is the join of the two sides'
-// clocks: every version the insert drops is covered by a survivor, so
-// that is the join of the survivors' clocks.
+// Otherwise the join is worked out in scratch: the receiver's siblings,
+// into which other's versions, both sides canonical, are inserted. Up to
+// mergeScratch versions the scratch is on the stack and the new capsule
+// holds a copy of exactly the survivors; past that it is one heap slice
+// with room for both sides, which the capsule keeps. The new capsule's
+// clock is the join of the two sides' clocks: every version the insert
+// drops is covered by a survivor, so that is the join of the survivors'
+// clocks.
 func (c *Causal) Merge(other Lattice) Lattice {
 	o, ok := other.(*Causal)
 	if !ok {
@@ -136,21 +138,28 @@ func (c *Causal) Merge(other Lattice) Lattice {
 	case absorbs(o.versions, c.versions):
 		return o
 	}
-	var scratch [mergeScratch]Version
-	vs := scratch[:0]
+	// Two loops, so that the stack scratch never flows into a capsule and
+	// stays on the stack.
 	if n := len(c.versions) + len(o.versions); n > mergeScratch {
-		vs = make([]Version, 0, n)
+		vs := append(make([]Version, 0, n), c.versions...)
+		for _, v := range o.versions {
+			vs = insert(vs, v)
+		}
+		clear(vs[len(vs):cap(vs)]) // drop the replaced versions' references
+		return &Causal{versions: vs, vc: c.vc.Join(o.vc)}
 	}
-	vs = append(vs, c.versions...)
+	var scratch [mergeScratch]Version
+	vs := append(scratch[:0], c.versions...)
 	for _, v := range o.versions {
 		vs = insert(vs, v)
 	}
 	return newCapsule(vs, c.vc.Join(o.vc))
 }
 
-// mergeScratch is how many versions a merge works out on the stack; a
-// capsule of more siblings than that is rare, and its merge takes one
-// more allocation.
+// mergeScratch is how many versions of its two sides a merge works out on
+// the stack. In the benchmark's causal-rw workload no concurrent merge
+// had more (at seeds 1 and 13, of about 25,700 a run, the largest result
+// held 5 siblings).
 const mergeScratch = 8
 
 // absorbs reports whether inserting every version of ws leaves the

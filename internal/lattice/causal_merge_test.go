@@ -336,8 +336,16 @@ func TestMergeMatchesUnionNormalize(t *testing.T) {
 			}
 			want = oracleMergeMaps(want, argVersions)
 			merged := got.Merge(arg).(*Causal)
-			if merged != got && merged != arg && cap(merged.versions) != len(merged.versions) {
-				t.Fatalf("trial %d step %d: %d siblings in room for %d", trial, step, len(merged.versions), cap(merged.versions))
+			if merged != got && merged != arg {
+				vs := merged.versions
+				if len(got.versions)+len(arg.versions) <= mergeScratch && cap(vs) != len(vs) {
+					t.Fatalf("trial %d step %d: %d siblings in room for %d", trial, step, len(vs), cap(vs))
+				}
+				if slices.ContainsFunc(vs[len(vs):cap(vs)], func(v Version) bool {
+					return v.VC.e != nil || v.Deps.e != nil || v.Value != nil
+				}) {
+					t.Fatalf("trial %d step %d: the room past %d siblings still holds a replaced version", trial, step, len(vs))
+				}
 			}
 			got = merged
 			if !storedJoin(got) {
@@ -505,6 +513,18 @@ func TestCausalMergeCloneAllocations(t *testing.T) {
 	}
 	if canon(five) != before {
 		t.Fatalf("sibling merge changed its receiver to %s", canon(five))
+	}
+
+	// Past mergeScratch versions the capsule keeps the merge's heap slice.
+	others := &Causal{}
+	for i := 5; i < 10; i++ {
+		others = others.Merge(NewCausal(VectorClock{fmt.Sprintf("w%d", i): 1}, deps, []byte{byte(i)})).(*Causal)
+	}
+	if n := testing.AllocsPerRun(100, func() { got = five.Merge(others) }); n != 3 {
+		t.Errorf("merging five concurrent siblings into five allocates %.0f times, want 3 (capsule, sibling slice, joined clock)", n)
+	}
+	if want := oracleMerge(five, others); canon(got) != canon(want) {
+		t.Fatalf("ten-sibling merge left %s, want %s", canon(got), canon(want))
 	}
 }
 
