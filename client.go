@@ -267,10 +267,12 @@ func (cl *Client) Invoke(fn string, args []any, opts ...InvokeOption) *Future {
 		return cl.failedFuture(err)
 	}
 	reqID, key := cl.nextReq()
-	f := cl.register(reqID, key, o)
-	cl.spans.Root(reqID, "invoke", cl.k.Now())
-	// Boxed once: the first send and the future's re-route share it.
-	var req any = core.InvokeRequest{
+	// The future and its request are one allocation; the first send and
+	// the future's re-route share the request, which nothing writes.
+	call := &struct {
+		f   Future
+		req core.InvokeRequest
+	}{req: core.InvokeRequest{
 		ReqID:      reqID,
 		Function:   fn,
 		Args:       wireArgs,
@@ -279,13 +281,11 @@ func (cl *Client) Invoke(fn string, args []any, opts ...InvokeOption) *Future {
 		Direct:     o.direct,
 		WantHops:   o.wantHops,
 		Txn:        o.txn,
-		ResultKey:  f.Key,
+		ResultKey:  key,
 		Deadline:   o.timeout,
-	}
-	size := 96 + core.ArgBytes(wireArgs)
-	f.resend, f.resendSize = req, size
-	cl.ep.Send(cl.c.in.RouteScheduler(reqID, 0), req, size)
-	return f
+	}}
+	cl.spans.Root(reqID, "invoke", cl.k.Now())
+	return cl.send(&call.f, reqID, key, o, &call.req, 96+core.ArgBytes(wireArgs))
 }
 
 // InvokeDAG dispatches a registered DAG and immediately returns its
@@ -310,10 +310,10 @@ func (cl *Client) InvokeDAG(dagName string, args map[string][]any, opts ...Invok
 		wire[i].Args, size = ea, size+core.ArgBytes(ea)
 	}
 	reqID, key := cl.nextReq()
-	f := cl.register(reqID, key, o)
-	cl.spans.Root(reqID, "invoke-dag", cl.k.Now())
-	// Boxed once: the first send and the future's re-route share it.
-	var req any = scheduler.DAGInvokeReq{
+	call := &struct {
+		f   Future
+		req scheduler.DAGInvokeReq
+	}{req: scheduler.DAGInvokeReq{
 		ReqID:      reqID,
 		DAG:        dagName,
 		Args:       wire,
@@ -322,12 +322,11 @@ func (cl *Client) InvokeDAG(dagName string, args map[string][]any, opts ...Invok
 		Direct:     o.direct,
 		WantHops:   o.wantHops,
 		Txn:        o.txn,
-		ResultKey:  f.Key,
+		ResultKey:  key,
 		Deadline:   o.timeout,
-	}
-	f.resend, f.resendSize = req, size
-	cl.ep.Send(cl.c.in.RouteScheduler(reqID, 0), req, size)
-	return f
+	}}
+	cl.spans.Root(reqID, "invoke-dag", cl.k.Now())
+	return cl.send(&call.f, reqID, key, o, &call.req, size)
 }
 
 // Invocation describes one entry in a Batch: a function call (Function
@@ -359,10 +358,12 @@ func (cl *Client) Batch(invs []Invocation) []*Future {
 	return out
 }
 
-// register creates and tracks the future for a dispatched request.
-func (cl *Client) register(reqID, key string, o callOpts) *Future {
-	f := &Future{cl: cl, reqID: reqID, Key: key, store: o.store, timeout: o.timeout}
+// send fills in and tracks f, the future of request reqID, and sends req,
+// the request allocated with it, to the request's scheduler.
+func (cl *Client) send(f *Future, reqID, key string, o callOpts, req any, size int) *Future {
+	*f = Future{cl: cl, reqID: reqID, Key: key, store: o.store, timeout: o.timeout, resend: req, resendSize: size}
 	cl.pending[reqID] = f
+	cl.ep.Send(cl.c.in.RouteScheduler(reqID, 0), req, size)
 	return f
 }
 
@@ -385,7 +386,7 @@ func (cl *Client) drain() {
 
 // demux routes one inbound message; non-Result payloads are dropped.
 func (cl *Client) demux(m simnet.Message) {
-	if res, ok := m.Payload.(core.Result); ok {
+	if res, ok := m.Payload.(*core.Result); ok {
 		cl.deliver(res, m)
 	}
 }
@@ -394,7 +395,7 @@ func (cl *Client) demux(m simnet.Message) {
 // stale results — a re-executed DAG's second sink reply, a late
 // scheduler failure notice after success — find no pending future and
 // are dropped.
-func (cl *Client) deliver(res core.Result, m simnet.Message) {
+func (cl *Client) deliver(res *core.Result, m simnet.Message) {
 	f, ok := cl.pending[res.ReqID]
 	if !ok {
 		return
@@ -432,7 +433,7 @@ func (cl *Client) deliver(res core.Result, m simnet.Message) {
 }
 
 // decodeResult unwraps a successful Result's payload.
-func (cl *Client) decodeResult(res core.Result) (any, error) {
+func (cl *Client) decodeResult(res *core.Result) (any, error) {
 	if !res.OK() {
 		return nil, errors.New(res.Err)
 	}

@@ -210,8 +210,8 @@ func TestDuplicateAndStaleResultDelivery(t *testing.T) {
 		// A duplicate result for the completed request (a re-executed
 		// DAG's second sink reply) and a result for a request this
 		// client never made must both be dropped silently.
-		dup := core.Result{ReqID: fut.reqID, Err: "late failure notice"}
-		stale := core.Result{ReqID: "nobody-r99", Val: []byte{0x01}}
+		dup := &core.Result{ReqID: fut.reqID, Err: "late failure notice"}
+		stale := &core.Result{ReqID: "nobody-r99", Val: []byte{0x01}}
 		cl.ep.Send(cl.ep.ID(), dup, 16)
 		cl.ep.Send(cl.ep.ID(), stale, 16)
 		cl.Sleep(10 * time.Millisecond)
@@ -237,7 +237,7 @@ func TestLateFailureAfterStoredSuccess(t *testing.T) {
 		// Let the success notice land in the inbox, then enqueue a stale
 		// failure notice behind it before anything is drained.
 		cl.Sleep(200 * time.Millisecond)
-		cl.ep.Send(cl.ep.ID(), core.Result{ReqID: fut.reqID, Err: "stale retry failure"}, 16)
+		cl.ep.Send(cl.ep.ID(), &core.Result{ReqID: fut.reqID, Err: "stale retry failure"}, 16)
 		cl.Sleep(10 * time.Millisecond)
 		out, err := fut.Wait()
 		if err != nil || out.(int) != 64 {

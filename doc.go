@@ -301,7 +301,7 @@
 // once the invocation completes; a DSRR or DSC DAG's rides its triggers
 // and is the request's. A cache empties a finished request's snapshot
 // table at DAGDone and hands it to the next request's first snapshot.
-// A thread keeps a session of at most 64 keys and a cache at most 8
+// A thread keeps a session of at most 256 keys and a cache at most 8
 // tables of at most 64 snapshots; anything larger is dropped.
 //
 // # Writing a server component
@@ -311,10 +311,11 @@
 // simnet.Dispatcher and registers typed handlers:
 //
 //	d := simnet.NewDispatcher(ep, "my-node")
-//	simnet.OnRequest(d, func(req *simnet.Request, b GetReq) {
-//		req.Reply(GetResp{...}, respSize) // exactly once
+//	simnet.OnRequest(d, func(req *simnet.Request, b *GetReq) {
+//		b.Lat, b.Found = held, true // the caller's reply space
+//		req.Reply(Filled{}, respSize) // exactly once
 //	})
-//	simnet.OnMessage(d, func(m simnet.Message, b GossipMsg) { ... })
+//	simnet.OnMessage(d, func(m simnet.Message, b *GossipMsg) { ... }) // reads b
 //	d.Every("gossip", interval, func() { ... }) // periodic daemon
 //	d.Start()                                   // serve loop process
 //	...
@@ -330,6 +331,15 @@
 // Concurrent with its own vtime.Semaphore. Handlers for request bodies
 // must call Reply exactly once: requests are pooled and recycled after
 // the caller consumes the reply.
+//
+// The message rule: a message goes by pointer and is immutable once
+// sent, and one event costs one allocation however many sends it makes
+// (a request's end sends its Result, RequestComplete and one DAGDone
+// pointer to every cache from one record; a pushed version is one
+// message to all its subscribers). An RPC body carries its reply space,
+// which the owner fills before its one Reply (Anna's GetReq, PutReq and
+// MultiGetReq); a body whose call timed out may still be filled late, so
+// it is never reused.
 //
 // # Injecting faults
 //

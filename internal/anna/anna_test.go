@@ -351,7 +351,7 @@ func TestKeysetIndexAndUpdatePush(t *testing.T) {
 		if !ok {
 			t.Fatal("no update push received")
 		}
-		push, isPush := m.Payload.(KeyUpdatePush)
+		push, isPush := m.Payload.(*KeyUpdatePush)
 		if !isPush || push.Key != "watched" {
 			t.Fatalf("unexpected message %+v", m.Payload)
 		}

@@ -35,6 +35,8 @@ type Client struct {
 	timeout  time.Duration
 	mgetName string                     // precomputed process name for parallel group fetches
 	free     vtime.FreeList[*groupCall] // idle grouped-call records
+	gets     vtime.FreeList[*GetReq]    // idle single-key Get bodies
+	puts     vtime.FreeList[*PutReq]    // idle single-key Put bodies
 
 	// Stats tallies this client's round trips.
 	Stats ClientStats
@@ -49,7 +51,8 @@ func (kv *KVS) NewClient(ep *simnet.Endpoint, timeout time.Duration) *Client {
 }
 
 // Get fetches the lattice stored at key. found is false when no replica
-// has the key.
+// has the key. Each attempt sends a GetReq off the client's free list,
+// which the owner fills, so a warm Get allocates nothing.
 func (c *Client) Get(key string) (lat lattice.Lattice, found bool, err error) {
 	owners := c.kv.ring.OwnersFor(key)
 	if len(owners) == 0 {
@@ -80,14 +83,20 @@ func (c *Client) Get(key string) (lat lattice.Lattice, found bool, err error) {
 		}
 		o := owners[i]
 		c.Stats.GetRPCs++
-		resp, err := c.ep.Call(o, GetReq{Key: key}, 24+len(key), c.timeout)
-		if err != nil {
-			continue // replica down; try the next owner
+		req, ok := c.gets.Get()
+		if !ok {
+			req = new(GetReq)
+		}
+		req.Key = key
+		if _, err := c.ep.Call(o, req, 24+len(key), c.timeout); err != nil {
+			continue // replica down; try the next owner (req stays off the list: its owner may still fill it)
 		}
 		answered = true
-		gr := resp.(GetResp)
-		if gr.Found {
-			return gr.Lat, true, nil
+		lat, found := req.Lat, req.Found
+		*req = GetReq{}
+		c.gets.Put(req)
+		if found {
+			return lat, true, nil
 		}
 		// A miss on a non-primary may be replication lag — keep going.
 	}
@@ -123,13 +132,8 @@ func (c *Client) Put(key string, lat lattice.Lattice) error {
 	// owner for load spreading and walk the list on failure.
 	first := c.kv.k.Rand().Intn(len(owners))
 	for i := 0; i < len(owners); i++ {
-		o := owners[(first+i)%len(owners)]
 		c.Stats.PutRPCs++
-		resp, err := c.ep.Call(o, PutReq{Key: key, Lat: lat}, size, c.timeout)
-		if err != nil {
-			continue
-		}
-		if pr, ok := resp.(PutResp); ok && pr.OK {
+		if c.put(owners[(first+i)%len(owners)], key, lat, size) {
 			return nil
 		}
 	}
@@ -153,14 +157,8 @@ func (c *Client) PutIfAbsent(key string, lat lattice.Lattice) (held lattice.Latt
 		if err != nil {
 			continue
 		}
-		switch r := resp.(type) {
-		case PutResp:
-			if r.OK {
-				return nil, nil
-			}
-		case PutIfAbsentResp:
-			return r.Held, nil
-		}
+		r, _ := resp.(PutIfAbsentResp) // or Filled: the owner stored lat
+		return r.Held, nil
 	}
 	return nil, fmt.Errorf("anna: put %q: %w", key, ErrUnavailable)
 }
@@ -177,11 +175,7 @@ func (c *Client) PutAny(key string, lat lattice.Lattice) (int, error) {
 	acks := 0
 	for _, o := range owners {
 		c.Stats.PutRPCs++
-		resp, err := c.ep.Call(o, PutReq{Key: key, Lat: lat}, size, c.timeout)
-		if err != nil {
-			continue
-		}
-		if pr, ok := resp.(PutResp); ok && pr.OK {
+		if c.put(o, key, lat, size) {
 			acks++
 		}
 	}
@@ -189,6 +183,23 @@ func (c *Client) PutAny(key string, lat lattice.Lattice) (int, error) {
 		return 0, fmt.Errorf("anna: put-any %q: %w", key, ErrUnavailable)
 	}
 	return acks, nil
+}
+
+// put merges lat into key on owner o with one PutReq off the free list,
+// and reports whether o applied it. A body whose call timed out stays off
+// the list: its owner may still read it.
+func (c *Client) put(o simnet.NodeID, key string, lat lattice.Lattice, size int) bool {
+	req, ok := c.puts.Get()
+	if !ok {
+		req = new(PutReq)
+	}
+	req.Key, req.Lat = key, lat
+	if _, err := c.ep.Call(o, req, size, c.timeout); err != nil {
+		return false
+	}
+	*req = PutReq{}
+	c.puts.Put(req)
+	return true
 }
 
 // MultiGet fetches many keys with one round trip per storage node,

@@ -88,9 +88,9 @@ func runDirtyHistory(t *testing.T, seed int64, memCapacity int) {
 		k.Go("sink", func() {
 			for {
 				switch b := ep.Recv().Payload.(type) {
-				case GossipMsg:
+				case *GossipMsg:
 					gossiped = append(gossiped, sent{ep.ID(), b.Key})
-				case KeyUpdatePush:
+				case *KeyUpdatePush:
 					pushed = append(pushed, sent{ep.ID(), b.Key})
 				}
 			}
@@ -159,16 +159,16 @@ func runDirtyHistory(t *testing.T, seed int64, memCapacity int) {
 		for step := 0; step < steps && !t.Failed(); step++ {
 			switch r := rng.Intn(100); {
 			case r < 30:
-				call(PutReq{Key: key(), Lat: value()})
+				call(&PutReq{Key: key(), Lat: value()})
 			case r < 40:
-				cl.Send("n0", GossipMsg{Key: key(), Lat: value()}, 64)
+				cl.Send("n0", &GossipMsg{Key: key(), Lat: value()}, 64)
 				k.Sleep(settle)
 			case r < 50:
 				call(DeleteReq{Key: key()})
 			case r < 60: // the same key gone and back between two ticks
 				kk := key()
 				call(DeleteReq{Key: kk})
-				call(PutReq{Key: kk, Lat: value()})
+				call(&PutReq{Key: kk, Lat: value()})
 			case r < 70: // a transaction over one or two keys, mostly committed
 				clock++
 				id := fmt.Sprintf("t%d", step)
@@ -180,7 +180,7 @@ func runDirtyHistory(t *testing.T, seed int64, memCapacity int) {
 				cl.Send("n0", txn.DecisionMsg{TxnID: id, Commit: rng.Intn(4) > 0}, 16)
 				k.Sleep(settle)
 			case r < 78: // a read promotes a demoted entry, dirty or not
-				call(GetReq{Key: key()})
+				call(&GetReq{Key: key()})
 			case r < 84:
 				u := KeysetUpdate{Cache: caches[rng.Intn(len(caches))]}
 				if rng.Intn(2) == 0 {

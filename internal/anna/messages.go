@@ -5,30 +5,28 @@ import (
 	"cloudburst/internal/simnet"
 )
 
-// GetReq fetches a key's lattice.
+// GetReq fetches a key's lattice. Like MultiGetReq it travels by pointer
+// with its reply space: before its one Reply (Filled) the owner sets Found
+// and Lat, the stored lattice itself, which the caller shares. An owner may
+// still fill a request whose call timed out, so the caller never reuses one.
 type GetReq struct {
-	Key string
-}
-
-// GetResp answers a GetReq. Lat is the stored value itself: a lattice is
-// immutable, so the receiver shares it with the store.
-type GetResp struct {
 	Key   string
 	Lat   lattice.Lattice
 	Found bool
 }
 
-// PutReq merges a lattice into a key. The receiver keeps Lat as it is,
-// shared with the sender.
+// PutReq merges a lattice into a key, which the owner keeps as it is,
+// shared with the sender, before replying Filled. It travels by pointer;
+// the caller never reuses one whose call timed out.
 type PutReq struct {
 	Key string
 	Lat lattice.Lattice
 }
 
-// PutResp acknowledges a PutReq.
-type PutResp struct {
-	OK bool
-}
+// Filled answers a request whose reply space the owner has filled, or a
+// put it has applied: a GetReq, a PutReq or a MultiGetReq. It is empty,
+// so boxing it allocates nothing.
+type Filled struct{}
 
 // PutIfAbsentReq stores Lat under Key unless the receiver already holds
 // the key, which it then leaves as it is.
@@ -37,8 +35,9 @@ type PutIfAbsentReq struct {
 	Lat lattice.Lattice
 }
 
-// PutIfAbsentResp answers a PutIfAbsentReq: Held is the value the
-// receiver already held (shared with its store), nil when it stored Lat.
+// PutIfAbsentResp answers a PutIfAbsentReq whose key the receiver already
+// held: Held is that value, shared with its store. A receiver that stored
+// Lat answers Filled, as for a PutReq.
 type PutIfAbsentResp struct {
 	Held lattice.Lattice
 }
@@ -52,7 +51,7 @@ type PutIfAbsentResp struct {
 // It travels by pointer and carries its own reply space, as net/rpc's
 // reply argument does: Lats is aligned with Keys, all nil when sent, and
 // before its one Reply the owner stores each held key's lattice at its
-// position (shared with the store, as in GetResp), leaving an absent
+// position (shared with the store, as in GetReq), leaving an absent
 // key's slot nil. RPCs are at-most-once, so the owner touches nothing
 // after that Reply; but a call that timed out may still reach its owner,
 // which then reads Keys and writes Lats late, so the caller must not
@@ -61,10 +60,6 @@ type MultiGetReq struct {
 	Keys []string
 	Lats []lattice.Lattice
 }
-
-// MultiGetResp answers a MultiGetReq whose Lats the owner has filled. It
-// is empty, so boxing it allocates nothing.
-type MultiGetResp struct{}
 
 // DeleteReq removes a key from one storage node. True lattice deletion
 // needs tombstones; Cloudburst's delete is the pragmatic operational kind
@@ -105,15 +100,15 @@ type KeysetUpdate struct {
 	Removed []string
 }
 
-// GossipMsg propagates a key's lattice to a replica. Fire-and-forget;
-// Lat is shared with the sender's store, as in GetResp.
+// GossipMsg propagates a key's lattice to every other owner, all sharing
+// one message and Lat with the sender's store. Fire-and-forget.
 type GossipMsg struct {
 	Key string
 	Lat lattice.Lattice
 }
 
 // KeyUpdatePush notifies a subscribed cache that a key changed, carrying
-// the merged lattice (§4.2's update propagation). Fire-and-forget.
+// the merged lattice (§4.2). Fire-and-forget, shared by every subscriber.
 type KeyUpdatePush struct {
 	Key string
 	Lat lattice.Lattice

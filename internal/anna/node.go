@@ -123,15 +123,16 @@ func (n *Node) Start() {
 	}
 }
 
-func (n *Node) handleGet(req *simnet.Request, b GetReq) {
+func (n *Node) handleGet(req *simnet.Request, b *GetReq) {
 	e, fromDisk := n.st.get(b.Key, n.k.Now())
 	if e == nil {
 		n.k.Sleep(serviceTime(getServiceTime, fromDisk, 0))
-		req.Reply(GetResp{Key: b.Key, Found: false}, 24)
+		req.Reply(Filled{}, 24)
 		return
 	}
 	n.k.Sleep(serviceTime(getServiceTime, fromDisk, e.size))
-	req.Reply(GetResp{Key: b.Key, Lat: e.lat, Found: true}, 24+e.size)
+	b.Lat, b.Found = e.lat, true
+	req.Reply(Filled{}, 24+e.size)
 }
 
 func (n *Node) handleMultiGet(req *simnet.Request, b *MultiGetReq) {
@@ -150,14 +151,14 @@ func (n *Node) handleMultiGet(req *simnet.Request, b *MultiGetReq) {
 		size += 24 + e.size
 	}
 	n.k.Sleep(svc)
-	req.Reply(MultiGetResp{}, size)
+	req.Reply(Filled{}, size)
 }
 
-func (n *Node) handlePut(req *simnet.Request, b PutReq) {
+func (n *Node) handlePut(req *simnet.Request, b *PutReq) {
 	e, fromDisk := n.st.merge(b.Key, b.Lat, n.k.Now())
 	n.st.markDirty(e, forRepl, forPush)
 	n.k.Sleep(serviceTime(putServiceTime, fromDisk, e.size))
-	req.Reply(PutResp{OK: true}, 8)
+	req.Reply(Filled{}, 8)
 }
 
 func (n *Node) handlePutIfAbsent(req *simnet.Request, b PutIfAbsentReq) {
@@ -166,7 +167,7 @@ func (n *Node) handlePutIfAbsent(req *simnet.Request, b PutIfAbsentReq) {
 		req.Reply(PutIfAbsentResp{Held: e.lat}, 8+e.size)
 		return
 	}
-	n.handlePut(req, PutReq(b))
+	n.handlePut(req, (*PutReq)(&b))
 }
 
 func (n *Node) handleDelete(req *simnet.Request, b DeleteReq) {
@@ -195,7 +196,7 @@ func (n *Node) handleSetRemove(req *simnet.Request, b SetRemoveReq) {
 	req.Reply(SetRemoveResp{OK: removed}, 8)
 }
 
-func (n *Node) handleGossip(_ simnet.Message, b GossipMsg) {
+func (n *Node) handleGossip(_ simnet.Message, b *GossipMsg) {
 	e, _ := n.st.merge(b.Key, b.Lat, n.k.Now())
 	// Replicas do not re-gossip (the writer reaches all owners),
 	// but must push to their own subscribed caches.
@@ -243,23 +244,34 @@ func (n *Node) subscribe(key string, cache simnet.NodeID) {
 }
 
 // gossipTick propagates dirty keys to the other owners — Anna's
-// asynchronous replica propagation, run on the gossip cadence.
+// asynchronous replica propagation, run on the gossip cadence. Each
+// version is one message, shared by every owner it goes to.
 func (n *Node) gossipTick() {
 	n.st.drainDirty(forRepl, func(e *entry) {
+		var msg *GossipMsg
 		for _, owner := range n.ring.OwnersFor(e.key) {
 			if owner == n.id {
 				continue
 			}
-			n.ep.Send(owner, GossipMsg{Key: e.key, Lat: e.lat}, 24+e.size)
+			if msg == nil {
+				msg = &GossipMsg{Key: e.key, Lat: e.lat}
+			}
+			n.ep.Send(owner, msg, 24+e.size)
 		}
 	})
 }
 
-// pushTick sends updated keys to their subscribed caches (§4.2).
+// pushTick sends updated keys to their subscribed caches (§4.2). Each
+// version is one message, shared by every subscriber.
 func (n *Node) pushTick() {
 	n.st.drainDirty(forPush, func(e *entry) {
-		for _, cache := range n.index[e.key] {
-			n.ep.Send(cache, KeyUpdatePush{Key: e.key, Lat: e.lat}, 24+e.size)
+		subs := n.index[e.key]
+		if len(subs) == 0 {
+			return
+		}
+		msg := &KeyUpdatePush{Key: e.key, Lat: e.lat}
+		for _, cache := range subs {
+			n.ep.Send(cache, msg, 24+e.size)
 		}
 	})
 }

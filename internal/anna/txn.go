@@ -167,15 +167,12 @@ func (n *Node) resolveInDoubt(p *preparedTxn) {
 				lat, found = e.lat, true
 			}
 		} else {
-			resp, err := n.ep.Call(o, GetReq{Key: logKey}, 24+len(logKey), 200*time.Millisecond)
-			if err != nil {
+			req := &GetReq{Key: logKey} // fresh: a timed-out one may still be filled
+			if _, err := n.ep.Call(o, req, 24+len(logKey), 200*time.Millisecond); err != nil {
 				allMissing = false // unreachable: cannot presume abort yet
 				continue
 			}
-			gr := resp.(GetResp)
-			if gr.Found {
-				lat, found = gr.Lat, true
-			}
+			lat, found = req.Lat, req.Found
 		}
 		if !found {
 			continue

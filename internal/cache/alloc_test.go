@@ -17,11 +17,11 @@ import (
 // post, allocates nothing: the capsule's joined clock was stored where it
 // was built, and the dependency walk and the snapshots allocate nothing.
 // ReadAll adds only the sibling slice it returns (1). A
-// read-modify-write declaring one dependency costs the ticked clock, the
-// one-entry dependency set, the capsule and its boxed Put (4): its two
+// read-modify-write declaring one dependency costs the ticked clock and
+// the capsule, which holds the one-entry dependency set (2): its two
 // reads hit one-sibling capsules, the merge returns the new capsule, the
-// write-back's put runs on a pooled record, and the Put's owner list is
-// the ring's. The session metadata and the request's snapshot table are
+// write-back's put runs on a pooled record, the Put's body comes off the
+// Anna client's free list, and its owner list is the ring's. The session metadata and the request's snapshot table are
 // reused, so neither is counted. A new request's first read after the
 // previous request's DAGDone takes that request's emptied table off the
 // free list and allocates nothing. A new allocation per call fails it;
@@ -66,7 +66,7 @@ func TestCausalPathAllocations(t *testing.T) {
 				t.Fatalf("ReadAll = %d siblings, %v", len(sibs), err)
 			}
 		}},
-		{"read-modify-write, one dependency", 4, func() {
+		{"read-modify-write, one dependency", 2, func() {
 			if _, _, err := r.a.Read("req", "post-0", &meta); err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func TestCausalPathAllocations(t *testing.T) {
 			if _, _, err := r.a.Read(id, "tl", &meta); err != nil {
 				t.Fatal(err)
 			}
-			r.a.handleDAGDone(simnet.Message{}, core.DAGDone{ReqID: id})
+			r.a.handleDAGDone(simnet.Message{}, &core.DAGDone{ReqID: id})
 		}},
 	}
 	for _, c := range cases {

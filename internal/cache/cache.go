@@ -288,14 +288,15 @@ func (c *Cache) Stop() {
 	c.wbq.Close()
 }
 
-// handlePush ingests an update pushed by Anna (§4.2).
-func (c *Cache) handlePush(_ simnet.Message, b anna.KeyUpdatePush) {
+// handlePush ingests an update pushed by Anna (§4.2), a message every
+// subscriber shares.
+func (c *Cache) handlePush(_ simnet.Message, b *anna.KeyUpdatePush) {
 	c.ingestUpdate(b.Key, b.Lat)
 }
 
 // handleDAGDone evicts a completed request's version snapshots
 // (Algorithm 1's sink notification).
-func (c *Cache) handleDAGDone(_ simnet.Message, b core.DAGDone) {
+func (c *Cache) handleDAGDone(_ simnet.Message, b *core.DAGDone) {
 	c.mu.Lock()
 	if t, ok := c.snapshots[b.ReqID]; ok {
 		c.dropSnapshotsLocked(b.ReqID, t)

@@ -212,7 +212,7 @@ func TestRRSnapshotEvictionOnDAGDone(t *testing.T) {
 			t.Fatalf("snapshots = %d", r.a.SnapshotCount())
 		}
 		// Sink notifies completion.
-		r.net.Send("elsewhere", r.a.ID(), core.DAGDone{ReqID: "dag1"}, 16)
+		r.net.Send("elsewhere", r.a.ID(), &core.DAGDone{ReqID: "dag1"}, 16)
 		r.k.Sleep(5 * time.Millisecond)
 		if r.a.SnapshotCount() != 0 {
 			t.Fatal("snapshots survived DAGDone")

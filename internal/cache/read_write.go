@@ -325,32 +325,7 @@ func (c *Cache) write(reqID, key string, payload []byte, meta *core.SessionMeta,
 			vc = cur.(*lattice.Causal).VC()
 		}
 		vc = vc.Tick(writerID)
-		var deps lattice.Deps
-		if c.cfg.Mode != core.SK && meta != nil {
-			// The write causally depends on the versions this session
-			// read (bolt-on dependency tracking) — restricted to the
-			// explicitly-declared keys when the caller provided any. A
-			// self-dependency is implied by the clock; read clocks are
-			// immutable, so the set shares them.
-			var b lattice.DepsBuilder
-			if depKeys == nil {
-				b = lattice.NewDepsBuilder(len(meta.ReadSet))
-				for rk, rv := range meta.ReadSet {
-					if rk != key {
-						b.Add(rk, rv.VC)
-					}
-				}
-			} else {
-				b = lattice.NewDepsBuilder(len(depKeys))
-				for _, dk := range depKeys {
-					if rv, ok := meta.ReadSet[dk]; ok && dk != key {
-						b.Add(dk, rv.VC)
-					}
-				}
-			}
-			deps = b.Deps()
-		}
-		cap := lattice.NewCausalClock(vc, deps, payload)
+		cap := newCausalWrite(key, vc, payload, meta, depKeys, c.cfg.Mode != core.SK)
 		ver = core.VersionRef{Cache: c.ID(), VC: vc}
 		c.mergeLocked(key, cap)
 		if c.cfg.Mode == core.DSC {
@@ -366,4 +341,37 @@ func (c *Cache) write(reqID, key string, payload []byte, meta *core.SessionMeta,
 	}
 	c.writeBack(key, wb)
 	return ver, nil
+}
+
+// newCausalWrite builds the capsule of a causal write of payload at vc.
+// With track and a session, the write depends on the versions the session
+// read (bolt-on tracking), only the declared keys when depKeys is not nil;
+// the clock implies a self-dependency, and the set shares the immutable
+// read clocks. One declared key rides in the capsule's allocation.
+func newCausalWrite(key string, vc lattice.Clock, payload []byte, meta *core.SessionMeta, depKeys []string, track bool) *lattice.Causal {
+	if !track || meta == nil {
+		return lattice.NewCausalClock(vc, lattice.Deps{}, payload)
+	}
+	if len(depKeys) == 1 {
+		if rv, ok := meta.ReadSet[depKeys[0]]; ok && depKeys[0] != key {
+			return lattice.NewCausalDep(vc, depKeys[0], rv.VC, payload)
+		}
+	}
+	var b lattice.DepsBuilder
+	if depKeys == nil {
+		b = lattice.NewDepsBuilder(len(meta.ReadSet))
+		for rk, rv := range meta.ReadSet {
+			if rk != key {
+				b.Add(rk, rv.VC)
+			}
+		}
+	} else {
+		b = lattice.NewDepsBuilder(len(depKeys))
+		for _, dk := range depKeys {
+			if rv, ok := meta.ReadSet[dk]; ok && dk != key {
+				b.Add(dk, rv.VC)
+			}
+		}
+	}
+	return lattice.NewCausalClock(vc, b.Deps(), payload)
 }

@@ -47,7 +47,7 @@ func TestSnapshotTablesBoundedAtQuiescence(t *testing.T) {
 					}
 				}
 				for _, c := range []*Cache{r.a, r.b} {
-					sink.Send(c.ID(), core.DAGDone{ReqID: id}, 24)
+					sink.Send(c.ID(), &core.DAGDone{ReqID: id}, 24)
 				}
 			})
 		}
@@ -85,7 +85,7 @@ func TestFinishedSnapshotsAreCollectable(t *testing.T) {
 		if _, _, err := r.a.Read("warm", "warm", nil); err != nil {
 			t.Fatal(err)
 		}
-		r.a.handleDAGDone(simnet.Message{}, core.DAGDone{ReqID: "warm"})
+		r.a.handleDAGDone(simnet.Message{}, &core.DAGDone{ReqID: "warm"})
 		if r.a.freeSnaps.Len() != 1 {
 			t.Fatalf("%d free tables after the first request, want 1", r.a.freeSnaps.Len())
 		}
@@ -98,7 +98,7 @@ func TestFinishedSnapshotsAreCollectable(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		r.a.handleDAGDone(simnet.Message{}, core.DAGDone{ReqID: "big"})
+		r.a.handleDAGDone(simnet.Message{}, &core.DAGDone{ReqID: "big"})
 		for i := 0; i <= snapTableKeep; i++ {
 			install(r.a, fmt.Sprintf("big%d", i), 2) // overwrites the snapshotted version
 		}

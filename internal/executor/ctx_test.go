@@ -109,12 +109,12 @@ func TestCtxStartsCleanOnReusedThread(t *testing.T) {
 					Assignments: []simnet.NodeID{th.ID()}, Txn: mode == core.TXN,
 				}
 				for _, req := range []any{
-					core.DAGTrigger{Schedule: sched},
-					core.InvokeRequest{ReqID: "r2", Function: "f", RespondTo: client.ID(), Args: []core.Arg{{Val: codec.MustEncode([]int{7, 7, 7, 7})}}},
+					&core.DAGTrigger{Schedule: sched},
+					&core.InvokeRequest{ReqID: "r2", Function: "f", RespondTo: client.ID(), Args: []core.Arg{{Val: codec.MustEncode([]int{7, 7, 7, 7})}}},
 				} {
 					client.Send(th.ID(), req, 128)
 					for {
-						if res, ok := client.Recv().Payload.(core.Result); ok {
+						if res, ok := client.Recv().Payload.(*core.Result); ok {
 							if !res.OK() {
 								t.Fatalf("%s: %s", res.ReqID, res.Err)
 							}

@@ -18,6 +18,7 @@ import (
 // the session they start under.
 type sessionRig struct {
 	k      *vtime.Kernel
+	net    *simnet.Network
 	kv     *anna.KVS
 	ch     *cache.Cache
 	th     *Thread
@@ -32,6 +33,7 @@ func newSessionRig(t *testing.T, mode core.Mode, d *dag.DAG) *sessionRig {
 	r := &sessionRig{k: vtime.NewKernel(1)}
 	t.Cleanup(r.k.Stop)
 	net := simnet.New(r.k, simnet.Link{Latency: simnet.Constant(100 * time.Microsecond)})
+	r.net = net
 	r.kv = anna.NewKVS(r.k, net, anna.DefaultConfig())
 	cacheEP := net.AddNode("cache-vm0")
 	r.ch = cache.New(r.k, cacheEP, r.kv.NewClient(cacheEP, 0), "vm0", cache.DefaultConfig(mode))
@@ -64,10 +66,10 @@ func rwArgs(op, key string) []core.Arg {
 }
 
 // result waits for reqID's Result, passing over completion notices.
-func (r *sessionRig) result(t *testing.T, reqID string) core.Result {
+func (r *sessionRig) result(t *testing.T, reqID string) *core.Result {
 	t.Helper()
 	for {
-		if res, ok := r.client.Recv().Payload.(core.Result); ok {
+		if res, ok := r.client.Recv().Payload.(*core.Result); ok {
 			if res.ReqID != reqID {
 				t.Fatalf("result for %q, want %q", res.ReqID, reqID)
 			}
@@ -94,7 +96,7 @@ func TestBareSessionEndsWithItsInvocation(t *testing.T) {
 				}
 				r.ch.Evict("k")
 			}
-			r.client.Send(r.th.ID(), core.InvokeRequest{ReqID: id, Function: "rw", Args: rwArgs("get", "k"), RespondTo: r.client.ID()}, 128)
+			r.client.Send(r.th.ID(), &core.InvokeRequest{ReqID: id, Function: "rw", Args: rwArgs("get", "k"), RespondTo: r.client.ID()}, 128)
 			if res := r.result(t, id); !res.OK() {
 				t.Fatalf("%s: %s", id, res.Err)
 			}
@@ -125,7 +127,7 @@ func TestMKHopSessionEndsWithItsHop(t *testing.T) {
 				Assignments: []simnet.NodeID{r.th.ID()},
 				Args:        []core.FnArgs{{Fn: "rw", Args: rwArgs(req.op, req.key)}},
 			}
-			r.client.Send(r.th.ID(), core.DAGTrigger{Schedule: sched}, 128)
+			r.client.Send(r.th.ID(), &core.DAGTrigger{Schedule: sched}, 128)
 			if res := r.result(t, req.id); !res.OK() {
 				t.Fatalf("%s: %s", req.id, res.Err)
 			}

@@ -160,11 +160,11 @@ func NewThread(k *vtime.Kernel, ep *simnet.Endpoint, vm string, d Deps) *Thread 
 		t.txnCoord = &txn.Coordinator{K: k, EP: ep, Ring: d.TxnRing, KV: d.Anna, Hooks: d.Hooks, Entity: vm}
 	}
 	t.disp = simnet.NewDispatcher(ep, string(t.id))
-	simnet.OnMessage(t.disp, func(m simnet.Message, b core.InvokeRequest) {
+	simnet.OnMessage(t.disp, func(m simnet.Message, b *core.InvokeRequest) {
 		t.recordArrival(b.ReqID, m)
 		t.runSingle(b, m.From)
 	})
-	simnet.OnMessage(t.disp, func(m simnet.Message, b core.DAGTrigger) {
+	simnet.OnMessage(t.disp, func(m simnet.Message, b *core.DAGTrigger) {
 		t.recordArrival(b.Schedule.ReqID, m)
 		t.runTrigger(b)
 	})
@@ -394,7 +394,7 @@ func (t *Thread) decodeVersioned(key string, ver core.VersionRef, payload []byte
 
 // runSingle serves a bare invocation as the DAG of one node it is (§3):
 // make the session metadata, invoke, complete.
-func (t *Thread) runSingle(req core.InvokeRequest, scheduler simnet.NodeID) {
+func (t *Thread) runSingle(req *core.InvokeRequest, scheduler simnet.NodeID) {
 	// The one-node schedule never leaves this frame, so it costs no
 	// allocation; its empty DAG name marks the request as a bare invoke.
 	s := core.DAGSchedule{
@@ -421,8 +421,9 @@ func (t *Thread) runSingle(req core.InvokeRequest, scheduler simnet.NodeID) {
 }
 
 // runTrigger serves one DAG hop: assemble fan-in inputs, execute, and
-// either trigger children or complete the request at the sink.
-func (t *Thread) runTrigger(tr core.DAGTrigger) {
+// either trigger children or complete the request at the sink. It never
+// writes tr; tr's session maps pass to this hop.
+func (t *Thread) runTrigger(tr *core.DAGTrigger) {
 	s := tr.Schedule
 	d, ok := t.dagFor(s.DAG)
 	if !ok || len(d.Functions) != len(s.Assignments) { // or a topology the schedule was not built from
@@ -440,6 +441,7 @@ func (t *Thread) runTrigger(tr core.DAGTrigger) {
 	inputs := tr.Inputs
 	meta := tr.Meta
 	hops := tr.Hops + 1
+	upstream := tr.TxnWrites
 	if need > 1 {
 		key := s.ReqID + "|" + fn
 		j, exists := t.pending[key]
@@ -460,8 +462,10 @@ func (t *Thread) runTrigger(tr core.DAGTrigger) {
 			return // wait for remaining parents
 		}
 		delete(t.pending, key)
-		inputs, meta, hops = j.inputs, j.meta, j.hops
-		tr.TxnWrites = j.txnWrites
+		inputs, meta, hops, upstream = j.inputs, j.meta, j.hops, j.txnWrites
+		// Argument order: client-supplied args first, then parent
+		// results in parent-name order.
+		slices.SortFunc(inputs, func(a, b core.DAGInput) int { return strings.Compare(d.Functions[a.From], d.Functions[b.From]) })
 	}
 
 	var metaP *core.SessionMeta
@@ -477,10 +481,7 @@ func (t *Thread) runTrigger(tr core.DAGTrigger) {
 		defer t.endSession()
 	}
 
-	// Argument order: client-supplied args first, then parent results in
-	// parent-name order.
-	slices.SortFunc(inputs, func(a, b core.DAGInput) int { return strings.Compare(d.Functions[a.From], d.Functions[b.From]) })
-	payload, invID, tx, err := t.invoke(s, fn, core.ArgsFor(s.Args, fn), inputs, metaP, tr.TxnWrites)
+	payload, invID, tx, err := t.invoke(s, fn, core.ArgsFor(s.Args, fn), inputs, metaP, upstream)
 	children := d.Children(tr.Target)
 	if err != nil || len(children) == 0 {
 		t.complete(s, fn, metaP, hops, tx, invID, payload, err)
@@ -501,16 +502,21 @@ func (t *Thread) runTrigger(tr core.DAGTrigger) {
 		if i < len(children)-1 {
 			m = outMeta.Clone() // sibling branches must not alias
 		}
-		trigger := core.DAGTrigger{
+		// The trigger and its one input are one allocation.
+		next := &struct {
+			tr core.DAGTrigger
+			in [1]core.DAGInput
+		}{in: [1]core.DAGInput{{From: tr.Target, Val: payload}}}
+		next.tr = core.DAGTrigger{
 			Schedule:  s,
 			Target:    child,
-			Inputs:    []core.DAGInput{{From: tr.Target, Val: payload}},
+			Inputs:    next.in[:],
 			Meta:      m,
 			Hops:      hops,
 			TxnWrites: outWrites,
 		}
 		size := 96 + len(payload) + m.Size() + core.TxnWritesSize(outWrites)
-		t.ep.Send(s.Assignments[child], trigger, size)
+		t.ep.Send(s.Assignments[child], &next.tr, size)
 	}
 }
 
@@ -554,15 +560,22 @@ func (t *Thread) endSession() {
 // answer. Only a VM crash mid-commit leaves without a word. metaP is the
 // session the function ran under (nil in the modes that keep none).
 func (t *Thread) complete(s *core.DAGSchedule, fn string, metaP *core.SessionMeta, hops int, tx *txnState, invID string, payload []byte, err error) {
-	res := core.Result{ReqID: s.ReqID}
-	if s.WantHops {
-		res.Hops = hops
-	}
 	if err == nil && tx != nil {
 		payload, err = t.commitTxn(s.ReqID, s.DAG, fn, invID, tx, payload)
 		if err == txn.ErrCrashed {
 			return // VM died mid-commit; the scheduler's §4.5 tracking re-executes
 		}
+	}
+	// What the request's end sends, in one allocation that nothing writes
+	// once it is sent: every cache gets the same DAGDone.
+	out := &struct {
+		res  core.Result
+		done core.DAGDone
+		rc   core.RequestComplete
+	}{res: core.Result{ReqID: s.ReqID}, done: core.DAGDone{ReqID: s.ReqID}, rc: core.RequestComplete{ReqID: s.ReqID}}
+	res := &out.res
+	if s.WantHops {
+		res.Hops = hops
 	}
 	if err == nil && s.StoreInKVS {
 		if _, err = t.cache.Write(s.ReqID, s.ResultKey, payload, metaP, string(t.id)); err == nil {
@@ -594,12 +607,12 @@ func (t *Thread) complete(s *core.DAGSchedule, fn string, metaP *core.SessionMet
 		}
 		slices.Sort(ids)
 		for _, c := range ids {
-			t.ep.Send(c, core.DAGDone{ReqID: s.ReqID}, 24)
+			t.ep.Send(c, &out.done, 24)
 		}
 		t.doneScratch = ids
 	}
 	if s.Scheduler != "" {
-		t.ep.Send(s.Scheduler, core.RequestComplete{ReqID: s.ReqID}, 32)
+		t.ep.Send(s.Scheduler, &out.rc, 32)
 	}
 }
 

@@ -58,8 +58,8 @@ func TestSessionMetaOnlyWhereTheModeReadsIt(t *testing.T) {
 			}
 
 			k.Run("test", func() {
-				client.Send(ep.ID(), core.DAGTrigger{Schedule: sched, Target: 0}, 128)
-				tr, ok := sink.Recv().Payload.(core.DAGTrigger)
+				client.Send(ep.ID(), &core.DAGTrigger{Schedule: sched, Target: 0}, 128)
+				tr, ok := sink.Recv().Payload.(*core.DAGTrigger)
 				if !ok || tr.Target != 2 {
 					t.Fatalf("sink received %+v, want b's trigger to c", tr)
 				}
@@ -199,10 +199,10 @@ func TestPositionRoutingMatchesNameOracle(t *testing.T) {
 			clear(ran)
 			x := index[d.Name]
 			for _, src := range x.Sources() {
-				client.Send(sched.Assignments[src], core.DAGTrigger{Schedule: sched, Target: src}, 128)
+				client.Send(sched.Assignments[src], &core.DAGTrigger{Schedule: sched, Target: src}, 128)
 			}
 			for range sinks(d) {
-				if res := client.Recv().Payload.(core.Result); !res.OK() || res.ReqID != sched.ReqID {
+				if res := client.Recv().Payload.(*core.Result); !res.OK() || res.ReqID != sched.ReqID {
 					t.Fatalf("%s %v: result %+v", d.Name, d.Edges, res)
 				}
 			}
@@ -221,8 +221,8 @@ func TestPositionRoutingMatchesNameOracle(t *testing.T) {
 		// (the DAG re-registered after the thread resolved it) fails the
 		// request instead of routing by positions the thread's DAG lacks.
 		stale := &core.DAGSchedule{ReqID: "stale", DAG: "chain", RespondTo: client.ID(), Assignments: threads}
-		client.Send(threads[0], core.DAGTrigger{Schedule: stale, Target: 3}, 128)
-		if res := client.Recv().Payload.(core.Result); res.OK() || res.ReqID != "stale" {
+		client.Send(threads[0], &core.DAGTrigger{Schedule: stale, Target: 3}, 128)
+		if res := client.Recv().Payload.(*core.Result); res.OK() || res.ReqID != "stale" {
 			t.Fatalf("a 4-function schedule for the 3-function chain: %+v, want an error", res)
 		}
 	})

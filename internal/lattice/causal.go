@@ -65,6 +65,21 @@ func NewCausalClock(vc Clock, deps Deps, value []byte) *Causal {
 	return newCapsule([]Version{{VC: vc, Deps: deps, Value: value}}, vc.nonZero())
 }
 
+// NewCausalDep is NewCausalClock with the Deps of the one dependency (key,
+// dep), built with the capsule and its one-version array in a single
+// allocation.
+func NewCausalDep(vc Clock, key string, dep Clock, value []byte) *Causal {
+	recordPayload(value)
+	one := &struct {
+		c Causal
+		v [1]Version
+		d [1]depEntry
+	}{d: [1]depEntry{{key: key, vc: dep}}}
+	one.v[0] = Version{VC: vc, Deps: Deps{e: one.d[:]}, Value: value}
+	one.c = Causal{versions: one.v[:], vc: vc.nonZero()}
+	return &one.c
+}
+
 // newCapsule returns a capsule holding a copy of the canonical sibling set
 // vs under its joined clock vc. One or two siblings share the capsule's
 // allocation; more take a second, exactly len(vs) long.

@@ -128,3 +128,40 @@ func TestDepsMatchMapOracle(t *testing.T) {
 func sameDeps(a, b Deps) bool {
 	return len(a.e) == len(b.e) && (a.e == nil) == (b.e == nil) && (len(a.e) == 0 || &a.e[0] == &b.e[0])
 }
+
+// TestCausalDepAllocatesOnce holds NewCausalDep to the capsule a
+// one-entry DepsBuilder gives NewCausalClock (digest, clock, payload, the
+// dependency walk) and pins it at one allocation, the builder's form at
+// two; its dependency set has no room past its entry.
+func TestCausalDepAllocatesOnce(t *testing.T) {
+	vc := VectorClock{"w1": 3, "w2": 1}.Freeze()
+	dep := VectorClock{"w9": 2}.Freeze()
+	payload := []byte("timeline")
+	built := func() *Causal {
+		b := NewDepsBuilder(1)
+		b.Add("post", dep)
+		return NewCausalClock(vc, b.Deps(), payload)
+	}
+	one, want := NewCausalDep(vc, "post", dep, payload), built()
+	if one.Digest() != want.Digest() || one.VC().Compare(want.VC()) != Equal || string(one.DisplayValue()) != string(want.DisplayValue()) {
+		t.Fatalf("NewCausalDep = %v, the builder's capsule %v", one, want)
+	}
+	var walked []string
+	for k, c := range one.Deps() {
+		walked = append(walked, k+"@"+c.String())
+	}
+	if len(walked) != 1 || walked[0] != "post@"+dep.String() {
+		t.Fatalf("dependency walk = %v, want post@%s", walked, dep)
+	}
+	if e := one.versions[0].Deps.e; cap(e) != 1 {
+		t.Fatalf("dependency set has room for %d, want 1", cap(e))
+	}
+	var got *Causal
+	if n := testing.AllocsPerRun(100, func() { got = NewCausalDep(vc, "post", dep, payload) }); n != 1 {
+		t.Errorf("a one-dependency capsule allocates %.0f times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { got = built() }); n != 2 {
+		t.Errorf("the builder's one-dependency capsule allocates %.0f times, want 2", n)
+	}
+	_ = got
+}

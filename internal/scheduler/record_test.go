@@ -44,9 +44,9 @@ func newRecordRig(t *testing.T, cfg Config) *recordRig {
 		for {
 			var id string
 			switch b := exec.Recv().Payload.(type) {
-			case core.InvokeRequest:
+			case *core.InvokeRequest:
 				id = b.ReqID
-			case core.DAGTrigger:
+			case *core.DAGTrigger:
 				id = b.Schedule.ReqID
 				if r.onTrigger != nil {
 					r.onTrigger(b.Schedule)
@@ -56,7 +56,7 @@ func newRecordRig(t *testing.T, cfg Config) *recordRig {
 			}
 			r.got = append(r.got, id)
 			if !r.hold[id] {
-				exec.Send(r.s.ID(), core.RequestComplete{ReqID: id}, 32)
+				exec.Send(r.s.ID(), &core.RequestComplete{ReqID: id}, 32)
 			}
 		}
 	})
@@ -64,8 +64,9 @@ func newRecordRig(t *testing.T, cfg Config) *recordRig {
 }
 
 // TestFinishedRecordKeepsNothingAlive: untrack zeroes a record before it
-// waits on the free list, so a finished request's wire form (the boxed
-// InvokeRequest, or the DAGInvokeReq) and its DAG schedule are garbage.
+// waits on the free list, so a finished request's wire form (the
+// InvokeRequest or DAGInvokeReq it arrived as) and its DAG schedule are
+// garbage.
 // Each request's argument array is referenced only through its wire form.
 func TestFinishedRecordKeepsNothingAlive(t *testing.T) {
 	for _, kind := range []string{"single", "DAG"} {
@@ -77,9 +78,9 @@ func TestFinishedRecordKeepsNothingAlive(t *testing.T) {
 			r.k.Run("test", func() {
 				a := []core.Arg{{Val: []byte{1}}}
 				args = weak.Make(&a[0])
-				var req any = core.InvokeRequest{ReqID: "req", Function: "f", Args: a, RespondTo: r.client.ID()}
+				var req any = &core.InvokeRequest{ReqID: "req", Function: "f", Args: a, RespondTo: r.client.ID()}
 				if kind == "DAG" {
-					req = DAGInvokeReq{ReqID: "req", DAG: "d", Args: []core.FnArgs{{Fn: "f", Args: a}}, RespondTo: r.client.ID()}
+					req = &DAGInvokeReq{ReqID: "req", DAG: "d", Args: []core.FnArgs{{Fn: "f", Args: a}}, RespondTo: r.client.ID()}
 				}
 				r.client.Send(r.s.ID(), req, 128)
 				r.k.Sleep(time.Second)
@@ -112,7 +113,7 @@ func TestFreeRecordsBoundedAtQuiescence(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			for i := 0; i < burst; i++ {
 				id := fmt.Sprintf("r%d", round*burst+i)
-				r.client.Send(r.s.ID(), core.InvokeRequest{ReqID: id, Function: "f", RespondTo: r.client.ID()}, 128)
+				r.client.Send(r.s.ID(), &core.InvokeRequest{ReqID: id, Function: "f", RespondTo: r.client.ID()}, 128)
 			}
 			r.k.Sleep(300 * time.Microsecond) // admitted; no notice has landed
 			if len(r.s.inflight) != burst {
@@ -146,14 +147,14 @@ func TestDeadlineWatcherLeavesReusedRecordAlone(t *testing.T) {
 	r := newRecordRig(t, cfg)
 	r.hold["b"] = true
 	r.k.Run("test", func() {
-		r.client.Send(r.s.ID(), core.InvokeRequest{ReqID: "a", Function: "f", RespondTo: r.client.ID(), Deadline: time.Second}, 128)
+		r.client.Send(r.s.ID(), &core.InvokeRequest{ReqID: "a", Function: "f", RespondTo: r.client.ID(), Deadline: time.Second}, 128)
 		r.k.Sleep(10 * time.Millisecond)
 		if len(r.s.inflight) != 0 || r.s.free.Len() != 1 {
 			t.Fatalf("after a: %d tracked, %d free records; want 0 and 1", len(r.s.inflight), r.s.free.Len())
 		}
 		rec, _ := r.s.free.Get()
 		r.s.free.Put(rec)
-		r.client.Send(r.s.ID(), core.InvokeRequest{ReqID: "b", Function: "f", RespondTo: r.client.ID()}, 128)
+		r.client.Send(r.s.ID(), &core.InvokeRequest{ReqID: "b", Function: "f", RespondTo: r.client.ID()}, 128)
 		r.k.Sleep(10 * time.Millisecond)
 		if r.s.inflight["b"] != rec {
 			t.Fatal("b did not take a's record")

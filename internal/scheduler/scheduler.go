@@ -239,18 +239,18 @@ func (v *view) indexOf(id simnet.NodeID) (int, bool) {
 
 // tracked is one in-flight request, held for §4.5 re-execution from its
 // first dispatch until its completion notice or terminal failure. One
-// wire form is set: inv (a bare Invoke) or, when inv is nil, dag.
+// wire form is set: inv (a bare Invoke) or, when inv is nil, dag, each the
+// message as it arrived, which the record reads and resends, never writes.
 // untrack zeroes the record onto the scheduler's free list, which admit
 // takes from, so nothing may read a record after untracking it: later
 // code looks the request up by id.
 type tracked struct {
 	id        string
 	respondTo simnet.NodeID
-	// inv is a bare Invoke's core.InvokeRequest in the box it arrived in,
-	// forwarded to the executor as is: the executor reads the tracking
-	// scheduler off the message's sender.
-	inv any
-	dag DAGInvokeReq
+	// inv is a bare Invoke's request, forwarded to the executor as is:
+	// the executor reads the tracking scheduler off the message's sender.
+	inv *core.InvokeRequest
+	dag *DAGInvokeReq
 
 	timeout      time.Duration // re-execution period; the wire Deadline until track clamps it
 	deadline     vtime.Time
@@ -412,13 +412,13 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config) *Sch
 	simnet.OnRequest(s.disp, func(req *simnet.Request, b RegisterDAGReq) {
 		req.Reply(s.registerDAG(b), 16)
 	})
-	simnet.OnMessage(s.disp, func(m simnet.Message, b core.InvokeRequest) {
-		s.admit(tracked{id: b.ReqID, respondTo: b.RespondTo, timeout: b.Deadline, inv: m.Payload}, m)
+	simnet.OnMessage(s.disp, func(m simnet.Message, b *core.InvokeRequest) {
+		s.admit(tracked{id: b.ReqID, respondTo: b.RespondTo, timeout: b.Deadline, inv: b}, m)
 	})
-	simnet.OnMessage(s.disp, func(m simnet.Message, b DAGInvokeReq) {
+	simnet.OnMessage(s.disp, func(m simnet.Message, b *DAGInvokeReq) {
 		s.admit(tracked{id: b.ReqID, respondTo: b.RespondTo, timeout: b.Deadline, dag: b}, m)
 	})
-	simnet.OnMessage(s.disp, func(_ simnet.Message, b core.RequestComplete) {
+	simnet.OnMessage(s.disp, func(_ simnet.Message, b *core.RequestComplete) {
 		// Each request's terminal outcome counts once: a re-executed
 		// original finishing late, or a notice arriving after the terminal
 		// failure was already reported, finds the record gone.
@@ -635,7 +635,7 @@ func (s *Scheduler) track(o *tracked) {
 	if o.isDAG() {
 		s.dagCalls[o.dag.DAG]++
 	} else {
-		s.fnCalls[o.inv.(core.InvokeRequest).Function]++
+		s.fnCalls[o.inv.Function]++
 	}
 	// The record arrives with the wire Deadline as its timeout, which
 	// only ever shortens the re-execution timer: a patient WithTimeout
@@ -690,7 +690,7 @@ func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
 	if o.isDAG() {
 		var ok bool
 		if d, ok = s.dagView(o.dag.DAG); !ok {
-			s.ep.Send(o.respondTo, core.Result{ReqID: id, Err: fmt.Sprintf("scheduler: unknown DAG %q", o.dag.DAG)}, 64)
+			s.ep.Send(o.respondTo, &core.Result{ReqID: id, Err: fmt.Sprintf("scheduler: unknown DAG %q", o.dag.DAG)}, 64)
 			return
 		}
 	}
@@ -706,27 +706,27 @@ func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
 			t = s.pickExecutor(fn, args, nil, pinnedOnly) // no healthy alternative: reuse
 		}
 		if t == "" {
-			s.ep.Send(o.respondTo, core.Result{ReqID: id, Err: "scheduler: no executors available"}, 64)
+			s.ep.Send(o.respondTo, &core.Result{ReqID: id, Err: "scheduler: no executors available"}, 64)
 			s.untrack(o)
 		}
 		return t
 	}
 	if !o.isDAG() {
-		inv := o.inv.(core.InvokeRequest)
-		if o.target = pick(inv.Function, inv.Args, false); o.target == "" {
+		if o.target = pick(o.inv.Function, o.inv.Args, false); o.target == "" {
 			return
 		}
-		s.ep.Send(o.target, o.inv, 96+core.ArgBytes(inv.Args))
+		s.ep.Send(o.target, o.inv, 96+core.ArgBytes(o.inv.Args))
 		return
 	}
-	req := &o.dag
-	assignments := make([]simnet.NodeID, len(d.Functions))
+	req := o.dag
+	sources := d.Sources()
+	sched, assignments, triggers := newAttempt(len(d.Functions), len(sources))
 	for i, fn := range d.Functions {
 		if assignments[i] = pick(fn, core.ArgsFor(req.Args, fn), true); assignments[i] == "" {
 			return
 		}
 	}
-	o.sched = &core.DAGSchedule{
+	*sched = core.DAGSchedule{
 		ReqID:       id,
 		DAG:         req.DAG,
 		Assignments: assignments,
@@ -739,11 +739,27 @@ func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
 		Txn:         req.Txn,
 		ResultKey:   req.ResultKey,
 	}
-	for _, src := range d.Sources() {
+	o.sched = sched
+	for i, src := range sources {
 		// No session metadata: the executor makes it where the mode keeps one.
-		trigger := core.DAGTrigger{Schedule: o.sched, Target: src}
-		s.ep.Send(assignments[src], trigger, 128)
+		triggers[i] = core.DAGTrigger{Schedule: sched, Target: src}
+		s.ep.Send(assignments[src], &triggers[i], 128)
 	}
+}
+
+// newAttempt allocates a DAG attempt's schedule, its fns assignments and
+// its srcs source triggers, messages nothing writes once sent: in one
+// allocation for one source and at most three functions, else in three.
+func newAttempt(fns, srcs int) (*core.DAGSchedule, []simnet.NodeID, []core.DAGTrigger) {
+	if srcs == 1 && fns <= 3 {
+		a := new(struct {
+			s core.DAGSchedule
+			n [3]simnet.NodeID
+			t [1]core.DAGTrigger
+		})
+		return &a.s, a.n[:fns:fns], a.t[:]
+	}
+	return new(core.DAGSchedule), make([]simnet.NodeID, fns), make([]core.DAGTrigger, srcs)
 }
 
 // dagView resolves a DAG topology locally or from Anna (other schedulers
@@ -1108,7 +1124,7 @@ func (s *Scheduler) expire(id string) {
 		return
 	}
 	if o.retries >= maxRetries {
-		s.ep.Send(o.respondTo, core.Result{ReqID: id, Err: "scheduler: request failed after retries"}, 64)
+		s.ep.Send(o.respondTo, &core.Result{ReqID: id, Err: "scheduler: request failed after retries"}, 64)
 		s.untrack(o)
 		return
 	}

@@ -231,8 +231,8 @@ type rig struct {
 	sched   *scheduler.Scheduler
 	client  *simnet.Endpoint
 	execs   []*fakeExec
-	work    []work        // every attempt any executor received, in arrival order
-	results []core.Result // everything the client heard
+	work    []work         // every attempt any executor received, in arrival order
+	results []*core.Result // everything the client heard
 }
 
 type fakeExec struct {
@@ -260,7 +260,7 @@ func newRig(t *testing.T, cfg scheduler.Config, execs int) *rig {
 	r.sched.Start()
 	k.Go("client", func() {
 		for {
-			if res, ok := r.client.Recv().Payload.(core.Result); ok {
+			if res, ok := r.client.Recv().Payload.(*core.Result); ok {
 				r.results = append(r.results, res)
 			}
 		}
@@ -275,10 +275,10 @@ func newRig(t *testing.T, cfg scheduler.Config, execs int) *rig {
 				m := e.ep.Recv()
 				w := work{exec: e.ep.ID(), at: k.Now()}
 				switch b := m.Payload.(type) {
-				case core.InvokeRequest:
+				case *core.InvokeRequest:
 					w.reqID = b.ReqID
-				case core.DAGTrigger:
-					w.reqID, w.trigger = b.Schedule.ReqID, &b
+				case *core.DAGTrigger:
+					w.reqID, w.trigger = b.Schedule.ReqID, b
 				case core.PinFunction:
 					e.pinned[b.Function] = true
 					continue
@@ -288,7 +288,7 @@ func newRig(t *testing.T, cfg scheduler.Config, execs int) *rig {
 				r.work = append(r.work, w)
 				reqID := w.reqID
 				if e.completes {
-					e.ep.Send(r.sched.ID(), core.RequestComplete{ReqID: reqID}, 32)
+					e.ep.Send(r.sched.ID(), &core.RequestComplete{ReqID: reqID}, 32)
 				}
 			}
 		})
@@ -317,10 +317,10 @@ var requestKinds = []struct {
 	make func(id string, respondTo simnet.NodeID, deadline time.Duration) any
 }{
 	{"single", func(id string, respondTo simnet.NodeID, deadline time.Duration) any {
-		return core.InvokeRequest{ReqID: id, Function: "f", RespondTo: respondTo, Deadline: deadline}
+		return &core.InvokeRequest{ReqID: id, Function: "f", RespondTo: respondTo, Deadline: deadline}
 	}},
 	{"DAG", func(id string, respondTo simnet.NodeID, deadline time.Duration) any {
-		return scheduler.DAGInvokeReq{ReqID: id, DAG: "d", RespondTo: respondTo, Deadline: deadline}
+		return &scheduler.DAGInvokeReq{ReqID: id, DAG: "d", RespondTo: respondTo, Deadline: deadline}
 	}},
 }
 
@@ -348,7 +348,7 @@ func TestRequestTracking(t *testing.T) {
 				if len(r.work) != 1 || r.sched.Inflight() != 0 {
 					t.Errorf("after completion: %d attempts, %d tracked; want 1 and 0", len(r.work), r.sched.Inflight())
 				}
-				r.client.Send(r.sched.ID(), core.RequestComplete{ReqID: "req"}, 32)
+				r.client.Send(r.sched.ID(), &core.RequestComplete{ReqID: "req"}, 32)
 				r.k.Sleep(10 * time.Second)
 				if len(r.work) != 1 || r.sched.Inflight() != 0 || r.sched.Reexecutions() != 0 {
 					t.Errorf("after a second notice: %d attempts, %d tracked, %d re-executions",
@@ -445,7 +445,7 @@ func TestRequestTracking(t *testing.T) {
 				for r.sched.Reexecutions() == 0 {
 					r.k.Sleep(10 * time.Millisecond)
 				}
-				r.client.Send(r.sched.ID(), core.RequestComplete{ReqID: "req"}, 32)
+				r.client.Send(r.sched.ID(), &core.RequestComplete{ReqID: "req"}, 32)
 				r.k.Sleep(30 * time.Second)
 				if len(r.work) != 1 || r.sched.Inflight() != 0 || len(r.results) != 0 {
 					t.Errorf("%d attempts, %d tracked, client heard %v; want 1, 0 and nothing",
@@ -543,7 +543,7 @@ func TestDispatchScheduleMatchesNameOracle(t *testing.T) {
 			core.SortFnArgs(args)
 			reqID := fmt.Sprintf("req-%d", n)
 			from := len(r.work)
-			r.client.Send(r.sched.ID(), scheduler.DAGInvokeReq{ReqID: reqID, DAG: d.Name, Args: args, RespondTo: r.client.ID()}, 128)
+			r.client.Send(r.sched.ID(), &scheduler.DAGInvokeReq{ReqID: reqID, DAG: d.Name, Args: args, RespondTo: r.client.ID()}, 128)
 			r.k.Sleep(100 * time.Millisecond)
 
 			var triggered []string

@@ -98,7 +98,7 @@ func NewPool(k *vtime.Kernel, route Router, eps []*simnet.Endpoint, spec Spec) *
 	p := &Pool{k: k, route: route, spec: spec, eps: eps, pending: make(map[string]*flight)}
 	for i, ep := range eps {
 		d := simnet.NewDispatcher(ep, "traffic/"+spec.Name+"/w"+strconv.Itoa(i))
-		simnet.OnMessage(d, func(m simnet.Message, res core.Result) { p.deliver(res, m) })
+		simnet.OnMessage(d, func(m simnet.Message, res *core.Result) { p.deliver(res, m) })
 		p.disps = append(p.disps, d)
 	}
 	return p
@@ -170,7 +170,7 @@ func (p *Pool) issue() {
 		for _, fa := range inv.DAGArgs {
 			size += core.ArgBytes(fa.Args)
 		}
-		payload = scheduler.DAGInvokeReq{
+		payload = &scheduler.DAGInvokeReq{
 			ReqID:     reqID,
 			DAG:       inv.DAG,
 			Args:      inv.DAGArgs,
@@ -178,7 +178,7 @@ func (p *Pool) issue() {
 		}
 	} else {
 		size = 96 + core.ArgBytes(inv.Args)
-		payload = core.InvokeRequest{
+		payload = &core.InvokeRequest{
 			ReqID:     reqID,
 			Function:  inv.Function,
 			Args:      inv.Args,
@@ -195,7 +195,7 @@ func (p *Pool) issue() {
 
 // deliver consumes a result; late duplicates from re-issued requests
 // find no pending entry and are dropped.
-func (p *Pool) deliver(res core.Result, m simnet.Message) {
+func (p *Pool) deliver(res *core.Result, m simnet.Message) {
 	f, ok := p.pending[res.ReqID]
 	if !ok {
 		return

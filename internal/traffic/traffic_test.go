@@ -149,13 +149,13 @@ func TestPoolSendsDAGArgsInNameOrder(t *testing.T) {
 	k.Go("sched", func() {
 		for {
 			m := sched.Recv()
-			req := m.Payload.(scheduler.DAGInvokeReq)
+			req := m.Payload.(*scheduler.DAGInvokeReq)
 			var fns []string
 			for _, fa := range req.Args {
 				fns = append(fns, fa.Fn)
 			}
 			got = append(got, fns)
-			sched.Send(req.RespondTo, core.Result{ReqID: req.ReqID}, 48)
+			sched.Send(req.RespondTo, &core.Result{ReqID: req.ReqID}, 48)
 		}
 	})
 	p := NewPool(k, routeTo(sched.ID()), []*simnet.Endpoint{net.AddNode("pool-0"), net.AddNode("pool-1")}, Spec{
@@ -194,13 +194,13 @@ func TestPoolTraceAccounting(t *testing.T) {
 	sched := net.AddNode("sched-0")
 	k.Go("sched", func() {
 		for n := 0; ; n++ {
-			req := sched.Recv().Payload.(core.InvokeRequest)
+			req := sched.Recv().Payload.(*core.InvokeRequest)
 			switch n % 5 {
 			case 0: // silent: the request ends Lost
 			case 1:
-				sched.Send(req.RespondTo, core.Result{ReqID: req.ReqID, Err: "boom"}, 48)
+				sched.Send(req.RespondTo, &core.Result{ReqID: req.ReqID, Err: "boom"}, 48)
 			default:
-				sched.Send(req.RespondTo, core.Result{ReqID: req.ReqID}, 48)
+				sched.Send(req.RespondTo, &core.Result{ReqID: req.ReqID}, 48)
 			}
 		}
 	})

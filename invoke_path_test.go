@@ -19,14 +19,16 @@ import (
 // Invoke(...).Wait() and a 3-function linear InvokeDAG(...).Wait(), and
 // under DSC a bare Invoke(...).Wait(), client, scheduler, executor and
 // cache together. What is left is what outlives the request or crosses
-// the network: the Future, the request and its encoded arguments, each
-// function's encoded result, the boxed messages. The scheduler's tracking
-// record comes off its free list, and each function's Ctx and argument
-// slice are its thread's own, reset for every invocation. A DSC
-// invocation's session is its thread's own and its snapshot table comes
-// off the cache's free list, so it costs one more than LWW's: the boxed
-// DAGDone notice. A new allocation per request fails it; lower the
-// numbers when one goes.
+// the network, one allocation per event: the Future with its request, the
+// encoded arguments, each function's encoded result, each hop's trigger
+// with its input, the scheduler's schedule with its assignments and
+// source trigger, and the end's Result, DAGDone and RequestComplete in one
+// record. The scheduler's tracking record comes off its free list, and
+// each function's Ctx and argument slice are its thread's own, reset for
+// every invocation. A DSC invocation's session is its thread's own and its
+// snapshot table comes off the cache's free list, and its DAGDone rides the
+// completion record, so it costs what LWW's does. A new allocation per
+// request fails it; lower the numbers when one goes.
 func TestInvokePathAllocations(t *testing.T) {
 	warm := func(mode core.Mode) *Cluster {
 		cfg := DefaultConfig()
@@ -67,9 +69,9 @@ func TestInvokePathAllocations(t *testing.T) {
 		call func(cl *Client) *Future
 		out  int
 	}{
-		{"invoke", lww, 7.42, func(cl *Client) *Future { return cl.Invoke("sum", refs) }, 42},
-		{"dag", lww, 18.42, func(cl *Client) *Future { return cl.InvokeDAG("chain", dagArgs) }, 86},
-		{"dsc-invoke", dsc, 8.44, func(cl *Client) *Future { return cl.Invoke("sum", refs) }, 42},
+		{"invoke", lww, 5.38, func(cl *Client) *Future { return cl.Invoke("sum", refs) }, 42},
+		{"dag", lww, 11.38, func(cl *Client) *Future { return cl.InvokeDAG("chain", dagArgs) }, 86},
+		{"dsc-invoke", dsc, 5.38, func(cl *Client) *Future { return cl.Invoke("sum", refs) }, 42},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,7 +158,7 @@ func TestCompletionReachesForwardingShard(t *testing.T) {
 		quiescent("after 24 requests")
 
 		// The next request's first shard is down: the client re-routes the
-		// request it boxed at dispatch to the second-ranked shard.
+		// request it allocated with its future to the second-ranked shard.
 		next := string(cl.ep.ID()) + "-r" + strconv.FormatInt(cl.seq+1, 10)
 		primary := c.in.RouteScheduler(next, 0)
 		c.in.Net.SetDown(primary, true)
