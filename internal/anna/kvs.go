@@ -83,6 +83,15 @@ func (kv *KVS) Preload(key string, lat lattice.Lattice) {
 	}
 }
 
+// Unsubscribe applies at each key's primary owner the removal of cache a
+// KeysetUpdate carries. Like Preload it bypasses the network: a message
+// would shift the random stream for an update that changes no delivery.
+func (kv *KVS) Unsubscribe(cache simnet.NodeID, keys []string) {
+	for i, key := range keys {
+		kv.byID[kv.ring.PrimaryFor(key)].applyKeyset(KeysetUpdate{Cache: cache, Removed: keys[i : i+1]})
+	}
+}
+
 // IndexOverheads gathers per-key index sizes across all nodes (Figure 7's
 // index-overhead measurement).
 func (kv *KVS) IndexOverheads() []int {

@@ -484,6 +484,15 @@ func (c *Cache) Keys() []string {
 	return keys
 }
 
+// Unsubscribe removes this dead cache from Anna's key→cache index for
+// every key it holds or dropped since its last keyset publication.
+func (c *Cache) Unsubscribe(kv *anna.KVS) {
+	c.mu.Lock()
+	_, left := c.takeDelta()
+	c.mu.Unlock()
+	kv.Unsubscribe(c.ID(), append(slices.Clone(c.Keys()), left...))
+}
+
 // Contains reports whether key is cached (test hook).
 func (c *Cache) Contains(key string) bool {
 	c.mu.Lock()

@@ -502,7 +502,8 @@ func (c *Cluster) RestartVM(name string, warm bool) string {
 // metric keys out of the Anna discovery registries. Without the scrub,
 // every crash leaves a tombstone ExecMetricsKey per thread plus a
 // CacheKeysKey in the grow-only registry sets, and each monitor refresh
-// multi-gets and fails to decode them forever.
+// multi-gets and fails to decode them forever. It also ends its cache's
+// subscriptions, which would otherwise draw every later push of its keys.
 func (c *Cluster) reapGeneration(h *VMHandle) {
 	h.VM.Stop()
 	h.Cache.Stop()
@@ -523,6 +524,7 @@ func (c *Cluster) reapGeneration(h *VMHandle) {
 	c.lifecycle.Delete(core.CacheKeysKey(h.Name))
 	c.lifecycle.RemoveFromSet(executor.MetricListKey, threadKeys)
 	c.lifecycle.RemoveFromSet(executor.CacheListKey, []string{core.CacheKeysKey(h.Name)})
+	h.Cache.Unsubscribe(c.KV)
 }
 
 // recordWarmSeed snapshots what the dying generation held — its cached

@@ -227,3 +227,66 @@ func TestDrainVMKeepsServingInFlight(t *testing.T) {
 		}
 	})
 }
+
+// TestReapedCacheLeavesAnnaIndex: a reaped generation's cache holds no
+// subscription in Anna's key→cache index. vm1's cache reads ten keys and
+// publishes them, and a write to each is pushed to it; after a RemoveVMs
+// or a RestartVM reap, a sink listening at the dead cache's address
+// receives nothing when every one of those keys is written again.
+func TestReapedCacheLeavesAnnaIndex(t *testing.T) {
+	for _, how := range []string{"RemoveVMs", "RestartVM"} {
+		t.Run(how, func(t *testing.T) {
+			c := testCluster(t, func(cfg *Config) { cfg.VMs = 2; cfg.VMSpinUp = 2 * time.Second })
+			c.K.Run("main", func() {
+				kv := c.AnnaClientFor(c.NewClientEndpoint())
+				write := func(key string) {
+					ts := lattice.Timestamp{Clock: int64(c.K.Now()), Node: 7}
+					if err := kv.Put(key, lattice.NewLWW(ts, []byte(key))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var keys []string
+				for i := 0; i < 10; i++ {
+					keys = append(keys, fmt.Sprintf("held-%d", i))
+					write(keys[i])
+				}
+				h := c.vms["vm1"]
+				for _, key := range keys {
+					if _, _, err := h.Cache.Read("warm", key, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				c.K.Sleep(time.Second) // the keyset tick publishes them
+				before := h.Cache.Stats.UpdatesPushed
+				for _, key := range keys {
+					write(key)
+				}
+				c.K.Sleep(time.Second)
+				if got := h.Cache.Stats.UpdatesPushed - before; got != int64(len(keys)) {
+					t.Fatalf("the live cache took %d pushes for %d writes, want one each", got, len(keys))
+				}
+				dead := h.Cache.ID()
+				switch how {
+				case "RemoveVMs":
+					if c.RemoveVMs(1) != 1 || c.vms["vm1"] != nil {
+						t.Fatal("RemoveVMs did not remove vm1")
+					}
+				case "RestartVM":
+					c.KillVM("vm1")
+					c.RestartVM("vm1", false)
+					c.K.Sleep(3 * time.Second) // spin-up, then the reap
+				}
+				c.K.Sleep(time.Second) // the unsubscriptions land
+				sink := c.Net.AddNode(dead)
+				c.Net.SetDown(dead, false)
+				for _, key := range keys {
+					write(key)
+				}
+				c.K.Sleep(time.Second)
+				if m, ok := sink.TryRecv(); ok {
+					t.Fatalf("after the reap Anna still sent %T to the dead cache %s", m.Payload, dead)
+				}
+			})
+		})
+	}
+}
