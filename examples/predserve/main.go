@@ -31,7 +31,7 @@ func main() {
 		cl.Sleep(3 * time.Second)
 
 		fmt.Printf("pipeline compute floor: %v (resize %v + model %v + combine %v)\n",
-			p.ComputeTotal(), p.ResizeTime, p.ModelTime, p.CombineTime)
+			p.ComputeTotal(), workload.ResizeTime, p.ModelTime, workload.CombineTime)
 
 		for i := 0; i < 5; i++ {
 			start := cl.Now()

@@ -33,7 +33,7 @@ func main() {
 	g := r.Generate(rand.New(rand.NewSource(7)))
 	r.Preload(cb, g)
 	fmt.Printf("seeded %d users (%d follows each), %d tweets (half replies)\n",
-		r.Users, r.Follows, r.Tweets)
+		r.Users, workload.FollowsPerUser, r.Tweets)
 
 	cb.Run(func(cl *cloudburst.Client) {
 		cl.Timeout = time.Minute

@@ -153,11 +153,6 @@ func (f *Future) TryGet() (val any, ok bool, err error) {
 	return f.val, true, f.err
 }
 
-// Get blocks until the result is available.
-//
-// Deprecated: use Wait (or the typed As).
-func (f *Future) Get() (any, error) { return f.Wait() }
-
 // Hops reports the executor-transition count of the completed
 // invocation (0 until completion; request it with WithHopCount).
 func (f *Future) Hops() int { return f.hops }

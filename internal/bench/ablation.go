@@ -109,20 +109,19 @@ func RunAblationLocality(cfg AblationConfig) AblationPair {
 func RunAblationCaching(cfg AblationConfig) AblationPair {
 	rows := parallel.MapN(2, func(i int) Summary {
 		if i == 0 {
-			return ablationRun(cfg, "with cache", false, false)
+			return ablationRun(cfg, "with cache", false)
 		}
-		return ablationRun(cfg, "cache disabled", false, true)
+		return ablationRun(cfg, "cache disabled", true)
 	})
 	return AblationPair{Cached: rows[0], Uncached: rows[1]}
 }
 
-func ablationRun(cfg AblationConfig, name string, randomSched, evict bool) Summary {
+func ablationRun(cfg AblationConfig, name string, evict bool) Summary {
 	a := workload.ArraySum{NumArrays: 10, Elems: cfg.Elems}
 	ccfg := cb.DefaultConfig()
 	ccfg.Seed = cfg.Seed
 	ccfg.VMs = 7
 	ccfg.AnnaNodes = 4
-	ccfg.RandomScheduling = randomSched
 	c := cb.NewCluster(ccfg)
 	defer c.Close()
 	if err := a.Register(c); err != nil {
@@ -131,15 +130,7 @@ func ablationRun(cfg AblationConfig, name string, randomSched, evict bool) Summa
 	a.Preload(c, 0)
 	args := a.RefArgs(0)
 	var durs []time.Duration
-	c.Run(func(cl *cb.Client) {
-		cl.Timeout = time.Minute
-		for w := 0; w < 3; w++ { // warm caches + metrics
-			if _, err := cl.Invoke("sum10", args).Wait(); err != nil {
-				panic(fmt.Sprintf("ablation warmup: %v", err))
-			}
-		}
-		cl.Sleep(5 * time.Second)
-	})
+	warmSum(c, args, time.Minute, "ablation")
 	c.RunN(cfg.Clients, func(i int, cl *cb.Client) {
 		cl.Timeout = time.Minute
 		for t := 0; t < cfg.Trials; t++ {

@@ -34,7 +34,6 @@ type ChaosConfig struct {
 	Requests  int              // chaos-phase logical requests per client
 	Window    time.Duration    // chaos window the fault plan fills
 	Faults    int              // fault/heal pairs per randomized plan
-	Probes    int              // post-heal liveness probes per client
 	Seed      int64
 	// Lifecycle appends three deterministic scenario cells to the
 	// randomized matrix: a rolling upgrade (drain → warm replace → rejoin,
@@ -62,7 +61,7 @@ func ChaosQuick() ChaosConfig {
 		Workloads: []string{"retwis", "predserve", "gossip"},
 		Modes:     AllModes,
 		Clients:   3, Requests: 5, Window: 20 * time.Second,
-		Faults: 3, Probes: 2, Seed: 97, Lifecycle: true, Txn: true,
+		Faults: 3, Seed: 97, Lifecycle: true, Txn: true,
 	}
 }
 
@@ -186,16 +185,10 @@ func runChaosCell(cfg ChaosConfig, wl string, mode cb.Consistency, seed int64, s
 	}
 	rec := audit.NewRecorder()
 
-	ccfg := cb.DefaultConfig()
-	ccfg.Seed = seed
+	ccfg := crashCluster(seed, 3, 6*time.Second, 4*time.Second)
 	ccfg.Mode = mode
-	ccfg.VMs = 3
 	ccfg.ThreadsPerVM = 2
-	ccfg.AnnaNodes = 3
-	ccfg.Replication = 2 // replica loss must be survivable
-	ccfg.VMSpinUp = 6 * time.Second
 	ccfg.DAGTimeout = 4 * time.Second
-	ccfg.StaleAfter = 4 * time.Second
 	if scenario == "traffic" {
 		// The open-loop cell runs the whole sharded control plane: a
 		// 3-scheduler group (consistent-hash routed, retries walk the
@@ -203,9 +196,7 @@ func runChaosCell(cfg ChaosConfig, wl string, mode cb.Consistency, seed int64, s
 		// (MaxVMs = VMs, everything pinned) so the split-brain has a real
 		// monitor shard to blind.
 		ccfg.Schedulers = 3
-		ccfg.Autoscale = true
-		ccfg.MaxVMs = ccfg.VMs
-		ccfg.MinPinned = ccfg.VMs * ccfg.ThreadsPerVM
+		fixedFleet(&ccfg)
 		ccfg.MonitorShards = 2
 	}
 	ccfg.Tracer = rec
@@ -213,7 +204,7 @@ func runChaosCell(cfg ChaosConfig, wl string, mode cb.Consistency, seed int64, s
 	defer c.Close()
 	in := c.Internal()
 
-	driver, bank := registerChaosWorkload(c, wl, cfg, seed)
+	driver, bank := registerChaosWorkload(c, wl, seed)
 	c.Run(func(cl *cb.Client) { cl.Sleep(3 * time.Second) })
 
 	// Draw the cell's randomized plan and start it.
@@ -358,13 +349,7 @@ func runChaosCell(cfg ChaosConfig, wl string, mode cb.Consistency, seed int64, s
 		// stuck in doubt, and at least one transfer actually committed
 		// through 2PC (otherwise the cell proved nothing).
 		cell.BankWant = bank.Total()
-		c.Run(func(cl *cb.Client) {
-			sum, err := bank.Sum(cl)
-			if err != nil {
-				sum = -1
-			}
-			cell.BankSum = sum
-		})
+		cell.BankSum = bankSum(c, bank)
 		cell.InDoubt = in.KV.PreparedTxns()
 		cell.TxnCommits = rec.TxnCommits()
 	}
@@ -378,19 +363,14 @@ func settleChaosCell(cfg ChaosConfig, c *cb.Cluster, in *cluster.Cluster, inj *f
 	rec *audit.Recorder, driver chaosDriver, seed int64, cell ChaosCell) ChaosCell {
 	// Settle: wait for the plan to finish, replacements to boot, and the
 	// control plane to re-learn the fleet.
-	c.Run(func(cl *cb.Client) {
-		for inj.Running() || in.PendingVMs() > 0 {
-			cl.Sleep(time.Second)
-		}
-		cl.Sleep(8 * time.Second)
-	})
+	waitHealed(c, inj)
 
 	// Liveness probes: the healed cluster must serve every probe.
 	probesOK := true
 	c.RunN(cfg.Clients, func(i int, cl *cb.Client) {
 		cl.Timeout = 30 * time.Second
 		rng := rand.New(rand.NewSource(seed + 900 + int64(i)))
-		for r := 0; r < cfg.Probes; r++ {
+		for r := 0; r < chaosProbes; r++ {
 			var err error
 			for attempt := 0; attempt < 3; attempt++ {
 				if err = driver(cl, rng); err == nil {
@@ -403,10 +383,7 @@ func settleChaosCell(cfg ChaosConfig, c *cb.Cluster, in *cluster.Cluster, inj *f
 		}
 	})
 	cell.ProbesOK = probesOK
-
-	for _, s := range in.Schedulers() {
-		cell.Reexecs += s.Reexecutions()
-	}
+	cell.Reexecs = reexecutions(in)
 	// Every crashed generation was replaced by now, so its reaper ran:
 	// the discovery registries must describe exactly the live fleet.
 	c.Run(func(cl *cb.Client) { cell.GhostKeys = countGhostKeys(in) })
@@ -445,7 +422,7 @@ func countGhostKeys(in *cluster.Cluster) int {
 // registerChaosWorkload installs one workload and returns its request
 // driver, plus the bank handle when the workload is the transactional
 // bank (nil otherwise).
-func registerChaosWorkload(c *cb.Cluster, wl string, cfg ChaosConfig, seed int64) (chaosDriver, *workload.Bank) {
+func registerChaosWorkload(c *cb.Cluster, wl string, seed int64) (chaosDriver, *workload.Bank) {
 	switch wl {
 	case "bank":
 		b, err := workload.RegisterBank(c, 8, 100)
@@ -455,11 +432,7 @@ func registerChaosWorkload(c *cb.Cluster, wl string, cfg ChaosConfig, seed int64
 		b.Preload(c)
 		useTxn := c.Internal().Mode() == core.TXN
 		return func(cl *cb.Client, rng *rand.Rand) error {
-			i := rng.Intn(b.Accounts)
-			j := rng.Intn(b.Accounts - 1)
-			if j >= i {
-				j++
-			}
+			i, j := accountPair(rng, b.Accounts)
 			return b.Transfer(cl, i, j, 1+rng.Intn(5), useTxn)
 		}, b
 	case "retwis":
@@ -542,5 +515,7 @@ func registerChaosWorkload(c *cb.Cluster, wl string, cfg ChaosConfig, seed int64
 	}
 }
 
-// chaosTrafficKeys sizes the open-loop cell's Zipf keyspace.
-const chaosTrafficKeys = 80
+const (
+	chaosTrafficKeys = 80 // the open-loop cell's Zipf keyspace
+	chaosProbes      = 2  // post-heal liveness probes per client
+)

@@ -127,6 +127,20 @@ func newBaselineRig(seed int64) *baselineRig {
 	return r
 }
 
+// trials runs op(i) for i in [0, n) back to back in one kernel process
+// named proc and digests each call's latency under name.
+func (r *baselineRig) trials(proc, name string, n int, op func(i int)) Summary {
+	var durs []time.Duration
+	r.k.Run(proc, func() {
+		for i := 0; i < n; i++ {
+			start := r.k.Now()
+			op(i)
+			durs = append(durs, time.Duration(r.k.Now()-start))
+		}
+	})
+	return Summarize(name, durs)
+}
+
 // fig1Baselines measures Dask, SAND, Lambda variants, and Step Functions
 // on the composition workload.
 func fig1Baselines(cfg Fig1Config) []Summary {
@@ -150,15 +164,7 @@ func fig1Baselines(cfg Fig1Config) []Summary {
 	}
 	out := make([]Summary, 0, len(systems))
 	for _, sys := range systems {
-		var durs []time.Duration
-		r.k.Run("fig1-"+sys.name, func() {
-			for i := 0; i < cfg.Trials; i++ {
-				start := r.k.Now()
-				sys.run()
-				durs = append(durs, time.Duration(r.k.Now()-start))
-			}
-		})
-		out = append(out, Summarize(sys.name, durs))
+		out = append(out, r.trials("fig1-"+sys.name, sys.name, cfg.Trials, func(int) { sys.run() }))
 	}
 	return out
 }
@@ -168,13 +174,7 @@ func fig1LambdaSingle(cfg Fig1Config) Summary {
 	r := newBaselineRig(cfg.Seed + 2)
 	defer r.k.Stop()
 	l := baseline.NewLambda(r.k, r.env)
-	var durs []time.Duration
-	r.k.Run("fig1-lambda-single", func() {
-		for i := 0; i < cfg.Trials; i++ {
-			start := r.k.Now()
-			l.Invoke(func(env *baseline.Env) any { return nil })
-			durs = append(durs, time.Duration(r.k.Now()-start))
-		}
+	return r.trials("fig1-lambda-single", "Lambda (Single)", cfg.Trials, func(int) {
+		l.Invoke(func(env *baseline.Env) any { return nil })
 	})
-	return Summarize("Lambda (Single)", durs)
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -20,11 +19,8 @@ type Fig10FailureConfig struct {
 	Clients  int           // closed-loop clients
 	Compute  time.Duration // per-request simulated work
 	Deadline time.Duration // per-request §4.5 re-execution deadline (wire Deadline)
-	KillAt   time.Duration // when the victim VM is crashed
-	RestFor  time.Duration // crash→restart gap
-	VMSpinUp time.Duration // replacement boot delay
-	RunFor   time.Duration // total load duration
-	Seed     int64
+	Crash
+	Seed int64
 	// Trace, when set, is threaded through as the cluster's span
 	// collector — fig14 runs this scenario traced to attribute the
 	// recovery spike. CPU-side only: the timeline and every latency are
@@ -37,8 +33,11 @@ func Fig10FailureQuick() Fig10FailureConfig {
 	return Fig10FailureConfig{
 		VMs: 4, Clients: 12,
 		Compute: 40 * time.Millisecond, Deadline: 3 * time.Second,
-		KillAt: 25 * time.Second, RestFor: 20 * time.Second,
-		VMSpinUp: 10 * time.Second, RunFor: 90 * time.Second, Seed: 43,
+		Crash: Crash{
+			KillAt: 25 * time.Second, RestFor: 20 * time.Second,
+			VMSpinUp: 10 * time.Second, RunFor: 90 * time.Second,
+		},
+		Seed: 43,
 	}
 }
 
@@ -49,8 +48,11 @@ func Fig10FailurePaper() Fig10FailureConfig {
 	return Fig10FailureConfig{
 		VMs: 12, Clients: 60,
 		Compute: 40 * time.Millisecond, Deadline: 4 * time.Second,
-		KillAt: 60 * time.Second, RestFor: 60 * time.Second,
-		VMSpinUp: 30 * time.Second, RunFor: 240 * time.Second, Seed: 43,
+		Crash: Crash{
+			KillAt: 60 * time.Second, RestFor: 60 * time.Second,
+			VMSpinUp: 30 * time.Second, RunFor: 240 * time.Second,
+		},
+		Seed: 43,
 	}
 }
 
@@ -66,21 +68,14 @@ type Fig10Bucket struct {
 // Fig10FailureResult is the §4.5 figure: phase digests, the 1s-bucket
 // timeline, and the fault/recovery bookkeeping aligned with it.
 type Fig10FailureResult struct {
-	Pre    Summary // [0, KillAt)
-	During Summary // [KillAt, recovery) — recovery = restart + spin-up
-	Post   Summary // [recovery, end]
-
+	CrashOutcome
 	Buckets      []Fig10Bucket
-	Timeline     []string // injector events, virtual-time stamped
-	RecoveredAtS float64  // when the replacement VM joined
+	RecoveredAtS float64 // when the replacement VM joined
 	// PeakBucketP99 is the worst 1s-bucket p99 (ms) inside the failure
 	// window — the recovery spike the §4.5 figure is about, which the
 	// whole-phase digest dilutes (only the requests in flight at the
 	// kill ride the re-execution path).
 	PeakBucketP99 float64
-	Completed     int
-	Failed        int   // requests with a terminal error
-	Reexecutions  int64 // §4.5 re-executions issued by the schedulers
 }
 
 // Print renders the phase table, a downsampled timeline, and the fault
@@ -113,19 +108,8 @@ func (r Fig10FailureResult) Print() string {
 // plan that kills one executor VM mid-run and restarts it, and
 // per-completion latency samples aligned against the injector timeline.
 func RunFig10Failure(cfg Fig10FailureConfig) Fig10FailureResult {
-	ccfg := cb.DefaultConfig()
-	ccfg.Seed = cfg.Seed
-	ccfg.VMs = cfg.VMs
-	ccfg.AnnaNodes = 3
-	ccfg.Replication = 2 // ride out storage-adjacent chaos in derived plans
-	ccfg.VMSpinUp = cfg.VMSpinUp
-	ccfg.StaleAfter = 5 * time.Second // failure-detection horizon
-	// The monitor re-admits the replacement VM and re-pins the function
-	// after the crash; node counts are clamped so the only lifecycle
-	// events on the timeline are the injected ones.
-	ccfg.Autoscale = true
-	ccfg.MaxVMs = cfg.VMs
-	ccfg.MinPinned = cfg.VMs * 3 // pinned everywhere; see RegisterDAG below
+	ccfg := crashCluster(cfg.Seed, cfg.VMs, cfg.VMSpinUp, 5*time.Second)
+	fixedFleet(&ccfg)
 	ccfg.Trace = cfg.Trace
 	c := cb.NewCluster(ccfg)
 	defer c.Close()
@@ -143,93 +127,19 @@ func RunFig10Failure(cfg Fig10FailureConfig) Fig10FailureResult {
 	// Pin the function on every thread: the victim VM then carries a
 	// proportional share of in-flight requests when it dies, and the
 	// monitor re-pins the replacement's threads after recovery.
-	if err := c.RegisterDAG(cb.LinearDAG("ff-dag", "ff"), cfg.VMs*3); err != nil {
+	if err := c.RegisterDAG(cb.LinearDAG("ff-dag", "ff"), ccfg.MinPinned); err != nil {
 		panic(err)
 	}
 	c.Run(func(cl *cb.Client) { cl.Sleep(3 * time.Second) })
 
-	// The fault plan: kill the second VM mid-run, restart it later. The
-	// victim is fixed so equal seeds give identical runs.
-	victim := in.VMs()[1].Name
-	inj := fault.NewInjector(in)
-	plan := fault.NewPlan("fig10").
-		During(cfg.KillAt, cfg.KillAt+cfg.RestFor, fault.CrashVM{VM: victim})
-	c.Run(func(cl *cb.Client) { inj.Start(plan) })
-
-	type sample struct {
-		at  time.Duration // completion time
-		lat time.Duration
-	}
-	var samples []sample
-	failed := 0
-	errBuckets := make(map[int]int)
-	start := c.Now() // load begins here; virtual time is frozen between Runs
-	c.RunN(cfg.Clients, func(i int, cl *cb.Client) {
-		end := start + cfg.RunFor
-		for time.Duration(cl.Now()) < end {
-			issued := time.Duration(cl.Now())
+	inj, load := cfg.run(c, cfg.plan(in, "fig10", false), cfg.Clients, func(_ int, cl *cb.Client) request {
+		return func() func() error {
 			fut := cl.InvokeDAG("ff-dag", nil, cb.WithTimeout(cfg.Deadline))
-			for {
-				_, err := fut.Wait()
-				if err == nil {
-					samples = append(samples, sample{at: time.Duration(cl.Now()), lat: time.Duration(cl.Now()) - issued})
-					break
-				}
-				// The wait bound equals the re-execution deadline, so a
-				// request riding a §4.5 retry times out client-side while
-				// still in flight — keep waiting for the terminal outcome
-				// (that latency IS the figure). Non-timeout errors are
-				// terminal.
-				if !errors.Is(err, cb.ErrTimedOut) || time.Duration(cl.Now())-issued > time.Minute {
-					failed++
-					errBuckets[int((time.Duration(cl.Now())-start)/time.Second)]++
-					break
-				}
-			}
+			return func() error { _, err := fut.Wait(); return err }
 		}
 	})
-
-	res := Fig10FailureResult{
-		Completed:    len(samples),
-		Failed:       failed,
-		Timeline:     inj.TimelineStrings(),
-		RecoveredAtS: (start + cfg.KillAt + cfg.RestFor + cfg.VMSpinUp).Seconds(),
-	}
-	for _, s := range in.Schedulers() {
-		res.Reexecutions += s.Reexecutions()
-	}
-
-	killAt := start + cfg.KillAt
-	recoverAt := start + cfg.KillAt + cfg.RestFor + cfg.VMSpinUp
-	var pre, during, post []time.Duration
-	byBucket := make(map[int][]time.Duration)
-	for _, s := range samples {
-		switch {
-		case s.at < killAt:
-			pre = append(pre, s.lat)
-		case s.at < recoverAt:
-			during = append(during, s.lat)
-		default:
-			post = append(post, s.lat)
-		}
-		byBucket[int((s.at-start)/time.Second)] = append(byBucket[int((s.at-start)/time.Second)], s.lat)
-	}
-	res.Pre = Summarize("pre-failure", pre)
-	res.During = Summarize("during-failure", during)
-	res.Post = Summarize("post-recovery", post)
-	for sec := 0; sec <= int(cfg.RunFor/time.Second); sec++ {
-		durs, errs := byBucket[sec], errBuckets[sec]
-		if len(durs) == 0 && errs == 0 {
-			continue
-		}
-		sum := Summarize("", durs)
-		res.Buckets = append(res.Buckets, Fig10Bucket{
-			AtS: float64(sec), N: sum.N, P50: sum.Median, P99: sum.P99, Errs: errs,
-		})
-		if at := start + time.Duration(sec)*time.Second; at >= killAt && at < recoverAt && sum.P99 > res.PeakBucketP99 {
-			res.PeakBucketP99 = sum.P99
-		}
-	}
+	res := Fig10FailureResult{CrashOutcome: load.outcome(in, inj), RecoveredAtS: load.recoverAt().Seconds()}
+	res.Buckets, res.PeakBucketP99 = load.timeline(load.killAt(), load.recoverAt())
 	return res
 }
 
@@ -244,18 +154,20 @@ func RunFig10Failure(cfg Fig10FailureConfig) Fig10FailureResult {
 type Fig10LifecycleConfig struct {
 	VMs        int
 	Clients    int
-	Keys       int           // working-set size
-	ValueBytes int           // per-key payload (drives the refault cost)
-	Compute    time.Duration // per-request simulated work
-	Deadline   time.Duration // §4.5 re-execution deadline (wire Deadline)
-	KillAt     time.Duration // victim crash (also the rolling-restart start)
-	RestFor    time.Duration // crash → restart issued
-	VMSpinUp   time.Duration
-	RunFor     time.Duration // per-scenario load duration
-	SpikeWin   time.Duration // post-recovery window the spike is measured in
-	RollSettle time.Duration // per-VM settle grace in the rolling upgrade
-	Seed       int64
+	Keys       int // working-set size
+	ValueBytes int // per-key payload (drives the refault cost)
+	// Crash times each scenario's load; the rolling upgrade starts at
+	// KillAt.
+	Crash
+	SpikeWin time.Duration // post-recovery window the spike is measured in
+	Seed     int64
 }
+
+const (
+	lifecycleCompute    = 2 * time.Millisecond // per-request simulated work
+	lifecycleDeadline   = 3 * time.Second      // §4.5 re-execution deadline (wire Deadline)
+	lifecycleRollSettle = 4 * time.Second      // per-VM settle grace in the rolling upgrade
+)
 
 // Fig10LifecycleQuick returns CI-friendly parameters. The value size is
 // chosen so a refault from Anna (~25ms: storage serve + transfer) dwarfs
@@ -264,10 +176,11 @@ type Fig10LifecycleConfig struct {
 func Fig10LifecycleQuick() Fig10LifecycleConfig {
 	return Fig10LifecycleConfig{
 		VMs: 3, Clients: 6, Keys: 24, ValueBytes: 6 << 20,
-		Compute: 2 * time.Millisecond, Deadline: 3 * time.Second,
-		KillAt: 15 * time.Second, RestFor: 5 * time.Second,
-		VMSpinUp: 8 * time.Second, RunFor: 80 * time.Second,
-		SpikeWin: 12 * time.Second, RollSettle: 4 * time.Second, Seed: 47,
+		Crash: Crash{
+			KillAt: 15 * time.Second, RestFor: 5 * time.Second,
+			VMSpinUp: 8 * time.Second, RunFor: 80 * time.Second,
+		},
+		SpikeWin: 12 * time.Second, Seed: 47,
 	}
 }
 
@@ -282,14 +195,11 @@ func Fig10LifecyclePaper() Fig10LifecycleConfig {
 
 // LifecycleRun is one scenario's timeline and digests.
 type LifecycleRun struct {
-	Name       string
-	Steady     Summary // pre-fault phase
+	Name string
+	CrashOutcome
 	Buckets    []Fig10Bucket
-	Timeline   []string
 	SpikeP99   float64 // peak 1s-bucket p99 (ms) in the measured window
 	WarmFilled int64   // keys restored by the warm handoff (warm runs)
-	Completed  int
-	Failed     int
 }
 
 // Fig10LifecycleResult is the figure: cold vs warm recovery plus the
@@ -312,9 +222,9 @@ func (r Fig10LifecycleResult) Print() string {
 	out := Table("Figure 10b: state lifecycle — cold vs warm recovery, rolling upgrade",
 		[]string{"scenario", "steady p99(ms)", "spike p99(ms)", "warm-filled", "completed", "failed"},
 		[][]string{
-			{r.Cold.Name, fmt.Sprintf("%.2f", r.Cold.Steady.P99), fmt.Sprintf("%.2f", r.Cold.SpikeP99), "-", fmt.Sprintf("%d", r.Cold.Completed), fmt.Sprintf("%d", r.Cold.Failed)},
-			{r.Warm.Name, fmt.Sprintf("%.2f", r.Warm.Steady.P99), fmt.Sprintf("%.2f", r.Warm.SpikeP99), fmt.Sprintf("%d", r.Warm.WarmFilled), fmt.Sprintf("%d", r.Warm.Completed), fmt.Sprintf("%d", r.Warm.Failed)},
-			{r.Rolling.Name, fmt.Sprintf("%.2f", r.Rolling.Steady.P99), fmt.Sprintf("%.2f", r.Rolling.SpikeP99), fmt.Sprintf("%d", r.Rolling.WarmFilled), fmt.Sprintf("%d", r.Rolling.Completed), fmt.Sprintf("%d", r.Rolling.Failed)},
+			{r.Cold.Name, fmt.Sprintf("%.2f", r.Cold.Pre.P99), fmt.Sprintf("%.2f", r.Cold.SpikeP99), "-", fmt.Sprintf("%d", r.Cold.Completed), fmt.Sprintf("%d", r.Cold.Failed)},
+			{r.Warm.Name, fmt.Sprintf("%.2f", r.Warm.Pre.P99), fmt.Sprintf("%.2f", r.Warm.SpikeP99), fmt.Sprintf("%d", r.Warm.WarmFilled), fmt.Sprintf("%d", r.Warm.Completed), fmt.Sprintf("%d", r.Warm.Failed)},
+			{r.Rolling.Name, fmt.Sprintf("%.2f", r.Rolling.Pre.P99), fmt.Sprintf("%.2f", r.Rolling.SpikeP99), fmt.Sprintf("%d", r.Rolling.WarmFilled), fmt.Sprintf("%d", r.Rolling.Completed), fmt.Sprintf("%d", r.Rolling.Failed)},
 		})
 	out += fmt.Sprintf("cold/warm recovery-spike ratio %.1fx, rolling peak/steady ratio %.1fx\n",
 		r.SpikeRatio, r.RollingPeakRatio)
@@ -336,21 +246,14 @@ func RunFig10Lifecycle(cfg Fig10LifecycleConfig) Fig10LifecycleResult {
 	if r.Warm.SpikeP99 > 0 {
 		r.SpikeRatio = r.Cold.SpikeP99 / r.Warm.SpikeP99
 	}
-	if r.Rolling.Steady.P99 > 0 {
-		r.RollingPeakRatio = r.Rolling.SpikeP99 / r.Rolling.Steady.P99
+	if r.Rolling.Pre.P99 > 0 {
+		r.RollingPeakRatio = r.Rolling.SpikeP99 / r.Rolling.Pre.P99
 	}
 	return r
 }
 
 func runLifecycleScenario(cfg Fig10LifecycleConfig, name string, warm, rolling bool) LifecycleRun {
-	run := LifecycleRun{Name: name}
-	ccfg := cb.DefaultConfig()
-	ccfg.Seed = cfg.Seed
-	ccfg.VMs = cfg.VMs
-	ccfg.AnnaNodes = 3
-	ccfg.Replication = 2
-	ccfg.VMSpinUp = cfg.VMSpinUp
-	ccfg.StaleAfter = 4 * time.Second
+	ccfg := crashCluster(cfg.Seed, cfg.VMs, cfg.VMSpinUp, 4*time.Second)
 	ccfg.DAGTimeout = 4 * time.Second
 	// Random placement isolates the cache-state effect this figure is
 	// about: under locality routing a cold replacement scores zero on
@@ -364,7 +267,7 @@ func runLifecycleScenario(cfg Fig10LifecycleConfig, name string, warm, rolling b
 	in := c.Internal()
 
 	if err := c.RegisterFunction("wf", func(ctx *cb.Ctx, args []any) (any, error) {
-		ctx.Compute(cfg.Compute)
+		ctx.Compute(lifecycleCompute)
 		b, _ := args[0].([]byte)
 		return len(b), nil
 	}); err != nil {
@@ -394,85 +297,33 @@ func runLifecycleScenario(cfg Fig10LifecycleConfig, name string, warm, rolling b
 		cl.Sleep(3 * time.Second)
 	})
 
-	victim := in.VMs()[1].Name
-	inj := fault.NewInjector(in)
-	plan := fault.NewPlan(name)
+	var plan *fault.Plan
 	if rolling {
-		plan.At(cfg.KillAt, fault.RollingRestart{Drain: 6 * time.Second, Settle: cfg.RollSettle})
+		plan = fault.NewPlan(name).At(cfg.KillAt, fault.RollingRestart{Drain: 6 * time.Second, Settle: lifecycleRollSettle})
 	} else {
-		plan.During(cfg.KillAt, cfg.KillAt+cfg.RestFor, fault.CrashVM{VM: victim, Warm: warm})
+		plan = cfg.plan(in, name, warm)
 	}
-	c.Run(func(cl *cb.Client) { inj.Start(plan) })
-
-	type sample struct{ at, lat time.Duration }
-	var samples []sample
-	failed := 0
-	errBuckets := make(map[int]int)
-	start := c.Now()
-	c.RunN(cfg.Clients, func(i int, cl *cb.Client) {
+	inj, load := cfg.run(c, plan, cfg.Clients, func(i int, cl *cb.Client) request {
 		rng := rand.New(rand.NewSource(cfg.Seed + 1000 + int64(i)))
-		end := start + cfg.RunFor
-		for time.Duration(cl.Now()) < end {
-			issued := time.Duration(cl.Now())
+		return func() func() error {
 			key := keys[rng.Intn(len(keys))]
-			fut := cl.Invoke("wf", []any{cb.Ref(key)}, cb.WithTimeout(cfg.Deadline))
-			for {
-				_, err := fut.Wait()
-				if err == nil {
-					samples = append(samples, sample{at: time.Duration(cl.Now()), lat: time.Duration(cl.Now()) - issued})
-					break
-				}
-				// Like the failure experiment: the wait bound doubles as the
-				// §4.5 re-execution deadline, so client-side timeouts mean
-				// "still in flight" — keep waiting for the terminal outcome.
-				if !errors.Is(err, cb.ErrTimedOut) || time.Duration(cl.Now())-issued > time.Minute {
-					failed++
-					errBuckets[int((time.Duration(cl.Now())-start)/time.Second)]++
-					break
-				}
-			}
+			fut := cl.Invoke("wf", []any{cb.Ref(key)}, cb.WithTimeout(lifecycleDeadline))
+			return func() error { _, err := fut.Wait(); return err }
 		}
 	})
-
-	run.Completed = len(samples)
-	run.Failed = failed
-	run.Timeline = inj.TimelineStrings()
+	run := LifecycleRun{Name: name, CrashOutcome: load.outcome(in, inj)}
 	for _, h := range in.VMs() {
 		run.WarmFilled += h.Cache.Stats.WarmFilledKeys
 	}
 
-	// Bucketize; the spike window starts when the replacement joins (the
-	// cold refault storm happens after recovery, not during the outage).
-	// The rolling scenario has no single recovery instant — its window is
+	// The spike window starts when the replacement joins (the cold
+	// refault storm happens after recovery, not during the outage). The
+	// rolling scenario has no single recovery instant — its window is
 	// the whole upgrade, from the first drain to the end of the run.
-	spikeFrom := start + cfg.KillAt + cfg.RestFor + cfg.VMSpinUp
-	spikeTo := spikeFrom + cfg.SpikeWin
+	from, to := load.recoverAt(), load.recoverAt()+cfg.SpikeWin
 	if rolling {
-		spikeFrom = start + cfg.KillAt
-		spikeTo = start + cfg.RunFor
+		from, to = load.killAt(), load.start+cfg.RunFor
 	}
-	killAt := start + cfg.KillAt
-	var steady []time.Duration
-	byBucket := make(map[int][]time.Duration)
-	for _, s := range samples {
-		if s.at < killAt {
-			steady = append(steady, s.lat)
-		}
-		byBucket[int((s.at-start)/time.Second)] = append(byBucket[int((s.at-start)/time.Second)], s.lat)
-	}
-	run.Steady = Summarize("steady", steady)
-	for sec := 0; sec <= int(cfg.RunFor/time.Second); sec++ {
-		durs, errs := byBucket[sec], errBuckets[sec]
-		if len(durs) == 0 && errs == 0 {
-			continue
-		}
-		sum := Summarize("", durs)
-		run.Buckets = append(run.Buckets, Fig10Bucket{
-			AtS: float64(sec), N: sum.N, P50: sum.Median, P99: sum.P99, Errs: errs,
-		})
-		if at := start + time.Duration(sec)*time.Second; at >= spikeFrom && at < spikeTo && sum.P99 > run.SpikeP99 {
-			run.SpikeP99 = sum.P99
-		}
-	}
+	run.Buckets, run.SpikeP99 = load.timeline(from, to)
 	return run
 }

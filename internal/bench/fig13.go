@@ -206,9 +206,7 @@ func runFig13Point(cfg Fig13Config, scount int, load float64) Fig13Point {
 	// (MinVMs = MaxVMs) with every function pinned everywhere
 	// (MinPinned = fleet), so its registry scans exercise the
 	// partitioned aggregation without perturbing capacity between arms.
-	ccfg.Autoscale = true
-	ccfg.MaxVMs = cfg.VMs
-	ccfg.MinPinned = threads
+	fixedFleet(&ccfg)
 	ccfg.SchedulerDispatchCost = cfg.DispatchCost
 	ccfg.Trace = cfg.traceInto
 	if scount > 1 {

@@ -34,9 +34,7 @@ import (
 
 // Fig14Config parameterizes the breakdown figure.
 type Fig14Config struct {
-	// ReadElems is the fig5-style per-array element count (×10 arrays
-	// ×8B); ReadTrials is the measured invocation count per read row.
-	ReadElems  int
+	// ReadTrials is the measured invocation count per read row.
 	ReadTrials int
 	// Spike is the fig10 failure rig run traced for the spike row.
 	Spike Fig10FailureConfig
@@ -49,6 +47,10 @@ type Fig14Config struct {
 	ChromeOut string
 	Seed      int64
 }
+
+// fig14ReadElems is the fig5-style per-array element count of the read
+// rows (×10 arrays ×8B).
+const fig14ReadElems = 100000
 
 // Fig14Quick returns CI-friendly parameters: the fig10 rig trimmed to
 // ~40 virtual seconds and a 3-second open-loop window at roughly twice
@@ -63,7 +65,6 @@ func Fig14Quick() Fig14Config {
 	knee := Fig13Quick()
 	knee.Window, knee.Drain = 3*time.Second, 2*time.Second
 	return Fig14Config{
-		ReadElems:  100000,
 		ReadTrials: 16,
 		Spike:      spike,
 		Knee:       knee,
@@ -77,7 +78,6 @@ func Fig14Paper() Fig14Config {
 	cfg := Fig14Quick()
 	cfg.ReadTrials = 48
 	cfg.Spike = Fig10FailureQuick()
-	cfg.Spike.Trace = nil
 	cfg.Knee = Fig13Quick()
 	cfg.Knee.Window, cfg.Knee.Drain = 6*time.Second, 3*time.Second
 	cfg.KneeLoad = 900
@@ -167,7 +167,7 @@ func fig14Read(cfg Fig14Config, cold bool) Fig14Row {
 	c := cb.NewCluster(ccfg)
 	defer c.Close()
 
-	a := workload.ArraySum{NumArrays: 10, Elems: cfg.ReadElems}
+	a := workload.ArraySum{NumArrays: 10, Elems: fig14ReadElems}
 	if err := a.Register(c); err != nil {
 		panic(err)
 	}
@@ -175,15 +175,7 @@ func fig14Read(cfg Fig14Config, cold bool) Fig14Row {
 	args := a.RefArgs(0)
 	c.Run(func(cl *cb.Client) { cl.Sleep(3 * time.Second) })
 	if !cold {
-		c.Run(func(cl *cb.Client) {
-			cl.Timeout = 5 * time.Minute
-			for w := 0; w < 3; w++ {
-				if _, err := cl.Invoke("sum10", args).Wait(); err != nil {
-					panic(fmt.Sprintf("fig14 warmup: %v", err))
-				}
-			}
-			cl.Sleep(5 * time.Second)
-		})
+		warmSum(c, args, 5*time.Minute, "fig14")
 	}
 
 	// Warmup invocations above were traced too; measure from here.

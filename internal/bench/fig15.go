@@ -1,15 +1,14 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
 	cb "cloudburst"
 	"cloudburst/internal/core"
-	"cloudburst/internal/fault"
 	"cloudburst/internal/parallel"
 	"cloudburst/internal/workload"
 )
@@ -19,28 +18,28 @@ import (
 // only in Transactional mode), plus a fig10-style kill/restart run in
 // Transactional mode to price recovery.
 type Fig15Config struct {
-	Accounts int // bank accounts
-	Initial  int // starting balance per account
 	Clients  int // closed-loop clients per mode
 	Requests int // transfers per client
-	VMs      int
-
-	// Failure-panel knobs (fig10 shape: kill one VM mid-run, restart).
-	KillAt   time.Duration
-	RestFor  time.Duration
-	VMSpinUp time.Duration
-	RunFor   time.Duration
-
+	// Crash times the failure panel (fig10 shape: kill one VM mid-run,
+	// restart).
+	Crash
 	Seed int64
 }
+
+const (
+	fig15Accounts = 10  // bank accounts
+	fig15Initial  = 100 // starting balance per account
+	fig15VMs      = 3
+)
 
 // Fig15Quick returns CI-friendly parameters.
 func Fig15Quick() Fig15Config {
 	return Fig15Config{
-		Accounts: 10, Initial: 100,
-		Clients: 3, Requests: 40, VMs: 3,
-		KillAt: 10 * time.Second, RestFor: 10 * time.Second,
-		VMSpinUp: 6 * time.Second, RunFor: 45 * time.Second,
+		Clients: 3, Requests: 40,
+		Crash: Crash{
+			KillAt: 10 * time.Second, RestFor: 10 * time.Second,
+			VMSpinUp: 6 * time.Second, RunFor: 45 * time.Second,
+		},
 		Seed: 71,
 	}
 }
@@ -55,9 +54,7 @@ func Fig15Paper() Fig15Config {
 
 // fig15Modes is the six-mode sweep: the five §6.2 levels plus the
 // transactional mode this figure is about.
-var fig15Modes = []cb.Consistency{
-	cb.LWW, cb.RepeatableRead, cb.SingleKeyCausal, cb.MultiKeyCausal, cb.Causal, cb.Transactional,
-}
+var fig15Modes = append(slices.Clip(AllModes), cb.Transactional)
 
 // Fig15Row is one mode's outcome.
 type Fig15Row struct {
@@ -72,13 +69,10 @@ type Fig15Row struct {
 
 // Fig15FailurePanel is the kill/restart run under Transactional mode.
 type Fig15FailurePanel struct {
-	Pre, During, Post Summary
-
-	Completed, Aborts, Failed int
-	Reexecutions              int64
-	SumDrift                  int
-	InDoubt                   int
-	Timeline                  []string
+	CrashOutcome
+	Aborts   int // 2PC validation aborts, not counted as failed
+	SumDrift int
+	InDoubt  int
 }
 
 // Fig15Result is the full figure.
@@ -136,14 +130,14 @@ func fig15Mode(cfg Fig15Config, mode cb.Consistency) Fig15Row {
 	ccfg := cb.DefaultConfig()
 	ccfg.Seed = cfg.Seed
 	ccfg.Mode = mode
-	ccfg.VMs = cfg.VMs
+	ccfg.VMs = fig15VMs
 	ccfg.AnnaNodes = 3
 	ccfg.Replication = 2
 	c := cb.NewCluster(ccfg)
 	defer c.Close()
 	in := c.Internal()
 
-	b, err := workload.RegisterBank(c, cfg.Accounts, cfg.Initial)
+	b, err := workload.RegisterBank(c, fig15Accounts, fig15Initial)
 	if err != nil {
 		panic(err)
 	}
@@ -157,11 +151,7 @@ func fig15Mode(cfg Fig15Config, mode cb.Consistency) Fig15Row {
 		cl.Timeout = 30 * time.Second
 		rng := rand.New(rand.NewSource(cfg.Seed + 100 + int64(i)))
 		for t := 0; t < cfg.Requests; t++ {
-			from := rng.Intn(b.Accounts)
-			to := rng.Intn(b.Accounts - 1)
-			if to >= from {
-				to++
-			}
+			from, to := accountPair(rng, b.Accounts)
 			row.Issued++
 			start := cl.Now()
 			err := b.Transfer(cl, from, to, 1+rng.Intn(5), useTxn)
@@ -178,13 +168,7 @@ func fig15Mode(cfg Fig15Config, mode cb.Consistency) Fig15Row {
 
 	// Quiesce the write-behind caches, then check the invariant.
 	c.Run(func(cl *cb.Client) { cl.Sleep(5 * time.Second) })
-	c.Run(func(cl *cb.Client) {
-		sum, serr := b.Sum(cl)
-		if serr != nil {
-			sum = -1
-		}
-		row.SumDrift = sum - b.Total()
-	})
+	row.SumDrift = bankSum(c, b) - b.Total()
 	row.InDoubt = in.KV.PreparedTxns()
 	row.Summary = Summarize(modeLabel(mode), durs)
 	if row.Issued > 0 {
@@ -193,112 +177,57 @@ func fig15Mode(cfg Fig15Config, mode cb.Consistency) Fig15Row {
 	return row
 }
 
+// accountPair draws a transfer's two distinct accounts out of n.
+func accountPair(rng *rand.Rand, n int) (from, to int) {
+	from = rng.Intn(n)
+	if to = rng.Intn(n - 1); to >= from {
+		to++
+	}
+	return from, to
+}
+
 // fig15Failure is the fig10-shaped panel: steady transactional
 // transfers, one executor VM (a 2PC coordinator) killed mid-run and
 // restarted. The invariant must hold through the crash and the
 // participants must end clean.
 func fig15Failure(cfg Fig15Config) Fig15FailurePanel {
-	ccfg := cb.DefaultConfig()
-	ccfg.Seed = cfg.Seed + 1
+	ccfg := crashCluster(cfg.Seed+1, fig15VMs, cfg.VMSpinUp, 5*time.Second)
 	ccfg.Mode = cb.Transactional
-	ccfg.VMs = cfg.VMs
-	ccfg.AnnaNodes = 3
-	ccfg.Replication = 2
-	ccfg.VMSpinUp = cfg.VMSpinUp
-	ccfg.StaleAfter = 5 * time.Second
-	ccfg.Autoscale = true
-	ccfg.MaxVMs = cfg.VMs
-	ccfg.MinPinned = cfg.VMs * ccfg.ThreadsPerVM
+	fixedFleet(&ccfg)
 	c := cb.NewCluster(ccfg)
 	defer c.Close()
 	in := c.Internal()
 
-	b, err := workload.RegisterBank(c, cfg.Accounts, cfg.Initial)
+	b, err := workload.RegisterBank(c, fig15Accounts, fig15Initial)
 	if err != nil {
 		panic(err)
 	}
 	b.Preload(c)
 	c.Run(func(cl *cb.Client) { cl.Sleep(3 * time.Second) })
 
-	victim := in.VMs()[1].Name
-	inj := fault.NewInjector(in)
-	plan := fault.NewPlan("fig15").
-		During(cfg.KillAt, cfg.KillAt+cfg.RestFor, fault.CrashVM{VM: victim})
-	c.Run(func(cl *cb.Client) { inj.Start(plan) })
-
-	type sample struct{ at, lat time.Duration }
-	var samples []sample
 	panel := Fig15FailurePanel{}
-	start := c.Now()
-	c.RunN(cfg.Clients, func(i int, cl *cb.Client) {
+	inj, load := cfg.run(c, cfg.plan(in, "fig15", false), cfg.Clients, func(i int, cl *cb.Client) request {
 		cl.Timeout = 5 * time.Second
 		rng := rand.New(rand.NewSource(cfg.Seed + 300 + int64(i)))
-		end := start + cfg.RunFor
-		for time.Duration(cl.Now()) < end {
-			from := rng.Intn(b.Accounts)
-			to := rng.Intn(b.Accounts - 1)
-			if to >= from {
-				to++
-			}
-			issued := time.Duration(cl.Now())
-			for {
+		return func() func() error {
+			from, to := accountPair(rng, b.Accounts)
+			// A timed-out transfer is issued again, with a new amount.
+			return func() error {
 				err := b.Transfer(cl, from, to, 1+rng.Intn(5), true)
-				if err == nil {
-					samples = append(samples, sample{at: time.Duration(cl.Now()), lat: time.Duration(cl.Now()) - issued})
-					break
-				}
 				if isTxnAbort(err) {
 					panel.Aborts++
-					break
 				}
-				// A request riding the §4.5 re-execution path times out
-				// client-side while still in flight — keep waiting for its
-				// terminal outcome; that latency IS the figure.
-				if !errors.Is(err, cb.ErrTimedOut) || time.Duration(cl.Now())-issued > time.Minute {
-					panel.Failed++
-					break
-				}
+				return err
 			}
 		}
 	})
-	panel.Completed = len(samples)
 
 	// Settle: the plan is done, the replacement joined, the sweep has had
 	// time to resolve anything the crash left in doubt.
-	c.Run(func(cl *cb.Client) {
-		for inj.Running() || in.PendingVMs() > 0 {
-			cl.Sleep(time.Second)
-		}
-		cl.Sleep(8 * time.Second)
-	})
-	c.Run(func(cl *cb.Client) {
-		sum, serr := b.Sum(cl)
-		if serr != nil {
-			sum = -1
-		}
-		panel.SumDrift = sum - b.Total()
-	})
+	waitHealed(c, inj)
+	panel.SumDrift = bankSum(c, b) - b.Total()
 	panel.InDoubt = in.KV.PreparedTxns()
-	panel.Timeline = inj.TimelineStrings()
-	for _, s := range in.Schedulers() {
-		panel.Reexecutions += s.Reexecutions()
-	}
-
-	killAt := start + cfg.KillAt
-	recoverAt := killAt + cfg.RestFor + cfg.VMSpinUp
-	var pre, during, post []time.Duration
-	for _, s := range samples {
-		switch {
-		case s.at < killAt:
-			pre = append(pre, s.lat)
-		case s.at < recoverAt:
-			during = append(during, s.lat)
-		default:
-			post = append(post, s.lat)
-		}
-	}
-	panel.Pre = Summarize("pre-failure", pre)
-	panel.During = Summarize("during-failure", during)
-	panel.Post = Summarize("post-recovery", post)
+	panel.CrashOutcome = load.outcome(in, inj)
+	panel.Failed -= panel.Aborts // an abort ends its transfer, but is not a failure
 	return panel
 }

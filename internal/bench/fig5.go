@@ -136,18 +136,7 @@ func fig5Cloudburst(cfg Fig5Config, a workload.ArraySum, cold bool) (Summary, fl
 	var durs []time.Duration
 	c.Run(func(cl *cb.Client) { cl.Sleep(3 * time.Second) })
 	if !cold {
-		// Warm the caches and let keyset metrics reach the schedulers,
-		// so the locality policy can route to cached copies ("every
-		// retrieval after the first is a cache hit", §6.1.2).
-		c.Run(func(cl *cb.Client) {
-			cl.Timeout = 5 * time.Minute
-			for w := 0; w < 3; w++ {
-				if _, err := cl.Invoke("sum10", args).Wait(); err != nil {
-					panic(fmt.Sprintf("fig5 warmup: %v", err))
-				}
-			}
-			cl.Sleep(5 * time.Second)
-		})
+		warmSum(c, args, 5*time.Minute, "fig5")
 	}
 	readRTTs := func() int64 {
 		var n int64
@@ -177,6 +166,22 @@ func fig5Cloudburst(cfg Fig5Config, a workload.ArraySum, cold bool) (Summary, fl
 	})
 	perReq := float64(readRTTs()-rttBefore) / float64(cfg.Clients*cfg.Trials)
 	return Summarize(name, durs), perReq
+}
+
+// warmSum invokes the sum over args three times, which warms the caches,
+// then waits for the keyset metrics to reach the schedulers, so the
+// locality policy can route to cached copies ("every retrieval after the
+// first is a cache hit", §6.1.2).
+func warmSum(c *cb.Cluster, args []any, timeout time.Duration, what string) {
+	c.Run(func(cl *cb.Client) {
+		cl.Timeout = timeout
+		for w := 0; w < 3; w++ {
+			if _, err := cl.Invoke("sum10", args).Wait(); err != nil {
+				panic(fmt.Sprintf("%s warmup: %v", what, err))
+			}
+		}
+		cl.Sleep(5 * time.Second)
+	})
 }
 
 // fig5Lambda measures the Lambda implementation fetching the arrays from

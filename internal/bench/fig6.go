@@ -14,15 +14,17 @@ import (
 // experiment.
 type Fig6Config struct {
 	Rounds int // sequential aggregation rounds; the paper runs 1000
-	Actors int // participants per round; the paper uses 10
 	Seed   int64
 }
 
+// fig6Actors is the participants per round, as in the paper.
+const fig6Actors = 10
+
 // Fig6Quick returns CI-friendly parameters.
-func Fig6Quick() Fig6Config { return Fig6Config{Rounds: 40, Actors: 10, Seed: 13} }
+func Fig6Quick() Fig6Config { return Fig6Config{Rounds: 40, Seed: 13} }
 
 // Fig6Paper returns the paper's parameters.
-func Fig6Paper() Fig6Config { return Fig6Config{Rounds: 1000, Actors: 10, Seed: 13} }
+func Fig6Paper() Fig6Config { return Fig6Config{Rounds: 1000, Seed: 13} }
 
 // Fig6Result holds one summary per protocol/system.
 type Fig6Result struct {
@@ -56,7 +58,7 @@ func fig6Cloudburst(cfg Fig6Config) (gossip, gather Summary) {
 	c := cb.NewCluster(ccfg)
 	defer c.Close()
 	g := workload.DefaultGossip()
-	g.Actors = cfg.Actors
+	g.Actors = fig6Actors
 	if err := g.Register(c); err != nil {
 		panic(err)
 	}
@@ -64,7 +66,7 @@ func fig6Cloudburst(cfg Fig6Config) (gossip, gather Summary) {
 	c.Run(func(cl *cb.Client) {
 		cl.Timeout = 2 * time.Minute
 		cl.Sleep(3 * time.Second)
-		values := make([]float64, cfg.Actors)
+		values := make([]float64, fig6Actors)
 		for round := 0; round < cfg.Rounds; round++ {
 			for i := range values {
 				values[i] = 10 + float64((round*7+i*13)%50)
@@ -102,50 +104,44 @@ func fig6LambdaGather(cfg Fig6Config, store string) Summary {
 	apiSubmit := 7 * time.Millisecond // per-invocation API call from the driver
 	pollEvery := 20 * time.Millisecond
 
-	var durs []time.Duration
-	r.k.Run("fig6-lambda-"+store, func() {
-		for round := 0; round < cfg.Rounds; round++ {
-			start := r.k.Now()
-			wg := vtime.NewWaitGroup(r.k)
-			for i := 0; i < cfg.Actors; i++ {
-				key := fmt.Sprintf("agg/%d/%d", round, i)
-				r.k.Sleep(apiSubmit)
-				wg.Add(1)
-				r.k.Go("publisher", func() {
-					defer wg.Done()
-					l.Invoke(func(env *baseline.Env) any {
-						env.Stores[store].Put(key, []byte("41.5"))
-						return nil
-					})
-				})
-			}
-			r.k.Sleep(apiSubmit)
-			leaderDone := vtime.NewChan[bool](r.k, 1)
-			r.k.Go("leader", func() {
-				l.Invoke(func(env *baseline.Env) any {
-					for i := 0; i < cfg.Actors; i++ {
-						key := fmt.Sprintf("agg/%d/%d", round, i)
-						for {
-							_, found, err := env.Stores[store].Get(key)
-							if err == nil && found {
-								break
-							}
-							env.Compute(pollEvery)
-						}
-					}
-					return nil
-				})
-				leaderDone.Send(true)
-			})
-			wg.Wait()
-			leaderDone.Recv()
-			durs = append(durs, time.Duration(r.k.Now()-start))
-		}
-	})
 	name := map[string]string{
 		"redis":  "Lambda+Redis (gather)",
 		"dynamo": "Lambda+Dynamo (gather)",
 		"s3":     "Lambda+S3 (gather)",
 	}[store]
-	return Summarize(name, durs)
+	return r.trials("fig6-lambda-"+store, name, cfg.Rounds, func(round int) {
+		wg := vtime.NewWaitGroup(r.k)
+		for i := 0; i < fig6Actors; i++ {
+			key := fmt.Sprintf("agg/%d/%d", round, i)
+			r.k.Sleep(apiSubmit)
+			wg.Add(1)
+			r.k.Go("publisher", func() {
+				defer wg.Done()
+				l.Invoke(func(env *baseline.Env) any {
+					env.Stores[store].Put(key, []byte("41.5"))
+					return nil
+				})
+			})
+		}
+		r.k.Sleep(apiSubmit)
+		leaderDone := vtime.NewChan[bool](r.k, 1)
+		r.k.Go("leader", func() {
+			l.Invoke(func(env *baseline.Env) any {
+				for i := 0; i < fig6Actors; i++ {
+					key := fmt.Sprintf("agg/%d/%d", round, i)
+					for {
+						_, found, err := env.Stores[store].Get(key)
+						if err == nil && found {
+							break
+						}
+						env.Compute(pollEvery)
+					}
+				}
+				return nil
+			})
+			leaderDone.Send(true)
+		})
+		wg.Wait()
+		leaderDone.Recv()
+	})
 }

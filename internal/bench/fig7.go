@@ -11,16 +11,19 @@ import (
 
 // Fig7Config parameterizes the §6.1.4 autoscaling experiment.
 type Fig7Config struct {
-	InitialVMs  int           // ×3 threads each; the paper starts at 60 VMs (180 threads)
-	Clients     int           // closed-loop clients (the paper uses 400)
-	Keys        int           // Zipf(1.0) keyspace (the paper uses 1M)
-	LoadFor     time.Duration // client duration (the paper runs 10 min)
-	DrainFor    time.Duration // observation window after clients stop
-	VMSpinUp    time.Duration // EC2 boot delay (2.5 min in the paper)
-	ScaleUpVMs  int           // VMs added per saturation event (20)
-	MaxVMFactor int           // cap = InitialVMs × factor (the paper doubles)
-	Seed        int64
+	InitialVMs int           // ×3 threads each; the paper starts at 60 VMs (180 threads)
+	Clients    int           // closed-loop clients (the paper uses 400)
+	Keys       int           // Zipf(1.0) keyspace (the paper uses 1M)
+	LoadFor    time.Duration // client duration (the paper runs 10 min)
+	DrainFor   time.Duration // observation window after clients stop
+	VMSpinUp   time.Duration // EC2 boot delay (2.5 min in the paper)
+	ScaleUpVMs int           // VMs added per saturation event (20)
+	Seed       int64
 }
+
+// fig7MaxVMFactor caps the fleet at InitialVMs × factor (the paper
+// doubles).
+const fig7MaxVMFactor = 2
 
 // Fig7Quick returns CI-friendly parameters (everything scaled ~1/8).
 // The client count is set well past the initial fleet's capacity knee
@@ -33,7 +36,7 @@ func Fig7Quick() Fig7Config {
 	return Fig7Config{
 		InitialVMs: 8, Clients: 88, Keys: 50_000,
 		LoadFor: 150 * time.Second, DrainFor: 40 * time.Second,
-		VMSpinUp: 30 * time.Second, ScaleUpVMs: 4, MaxVMFactor: 2, Seed: 17,
+		VMSpinUp: 30 * time.Second, ScaleUpVMs: 4, Seed: 17,
 	}
 }
 
@@ -42,7 +45,7 @@ func Fig7Paper() Fig7Config {
 	return Fig7Config{
 		InitialVMs: 60, Clients: 400, Keys: 1_000_000,
 		LoadFor: 10 * time.Minute, DrainFor: 3 * time.Minute,
-		VMSpinUp: 150 * time.Second, ScaleUpVMs: 20, MaxVMFactor: 2, Seed: 17,
+		VMSpinUp: 150 * time.Second, ScaleUpVMs: 20, Seed: 17,
 	}
 }
 
@@ -97,7 +100,7 @@ func RunFig7(cfg Fig7Config) Fig7Result {
 	ccfg.Autoscale = true
 	ccfg.VMSpinUp = cfg.VMSpinUp
 	ccfg.ScaleUpVMs = cfg.ScaleUpVMs
-	ccfg.MaxVMs = cfg.InitialVMs * cfg.MaxVMFactor
+	ccfg.MaxVMs = cfg.InitialVMs * fig7MaxVMFactor
 	ccfg.MinPinned = 2
 	c := cb.NewCluster(ccfg)
 	defer c.Close()

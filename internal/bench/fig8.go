@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	cb "cloudburst"
@@ -18,18 +19,20 @@ type Fig8Config struct {
 	DAGs     int // random linear DAGs (250 in the paper)
 	Clients  int // 8 in the paper
 	Requests int // per client (500 in the paper)
-	VMs      int // 5 execution nodes (15 threads) in the paper
 	Seed     int64
 }
 
+// fig8VMs is the paper's 5 execution nodes (15 threads).
+const fig8VMs = 5
+
 // Fig8Quick returns CI-friendly parameters.
 func Fig8Quick() Fig8Config {
-	return Fig8Config{Keys: 10_000, DAGs: 40, Clients: 4, Requests: 40, VMs: 5, Seed: 23}
+	return Fig8Config{Keys: 10_000, DAGs: 40, Clients: 4, Requests: 40, Seed: 23}
 }
 
 // Fig8Paper returns the paper's parameters.
 func Fig8Paper() Fig8Config {
-	return Fig8Config{Keys: 1_000_000, DAGs: 250, Clients: 8, Requests: 500, VMs: 5, Seed: 23}
+	return Fig8Config{Keys: 1_000_000, DAGs: 250, Clients: 8, Requests: 500, Seed: 23}
 }
 
 // Fig8Row is one consistency level's digest.
@@ -63,25 +66,13 @@ func (r Fig8Result) Print() string {
 		[]string{"mode", "n", "median(ms)", "p99(ms)", "meta-med(B)", "meta-p99(B)"}, rows)
 }
 
-// fig8Modes is the figure's mode order.
-var fig8Modes = []cb.Consistency{cb.LWW, cb.RepeatableRead, cb.SingleKeyCausal, cb.MultiKeyCausal, cb.Causal}
-
+// modeLabel is a mode's row label: its name in capitals (§6.2's DSRR,
+// SK, MK, DSC), and Txn for the transactional mode.
 func modeLabel(m cb.Consistency) string {
-	switch m {
-	case cb.LWW:
-		return "LWW"
-	case cb.RepeatableRead:
-		return "DSRR"
-	case cb.SingleKeyCausal:
-		return "SK"
-	case cb.MultiKeyCausal:
-		return "MK"
-	case cb.Causal:
-		return "DSC"
-	case cb.Transactional:
+	if m == cb.Transactional {
 		return "Txn"
 	}
-	return m.String()
+	return strings.ToUpper(m.String())
 }
 
 // RunFig8 measures per-depth-normalized DAG latency under all five
@@ -89,7 +80,7 @@ func modeLabel(m cb.Consistency) string {
 // five run as parallel tasks; rows land by mode index, identical to a
 // serial sweep.
 func RunFig8(cfg Fig8Config) Fig8Result {
-	rows := parallel.Map(fig8Modes, func(i int, mode cb.Consistency) Fig8Row {
+	rows := parallel.Map(AllModes, func(i int, mode cb.Consistency) Fig8Row {
 		sum, meta := fig8Mode(cfg, mode, nil)
 		return Fig8Row{
 			Summary:     sum,
@@ -106,7 +97,7 @@ func fig8Mode(cfg Fig8Config, mode cb.Consistency, tracer *audit.Recorder) (Summ
 	ccfg := cb.DefaultConfig()
 	ccfg.Seed = cfg.Seed
 	ccfg.Mode = mode
-	ccfg.VMs = cfg.VMs
+	ccfg.VMs = fig8VMs
 	ccfg.AnnaNodes = 3
 	if tracer != nil { // a nil *Recorder in the interface would not read as nil
 		ccfg.Tracer = tracer
@@ -151,23 +142,18 @@ func fig8Mode(cfg Fig8Config, mode cb.Consistency, tracer *audit.Recorder) (Summ
 
 // Table2Config parameterizes the §6.2.2 anomaly count.
 type Table2Config struct {
-	Fig8       Fig8Config
-	Executions int // total DAG executions (4000 in the paper)
+	Fig8       Fig8Config // its Requests is set from Executions
+	Executions int        // total DAG executions (4000 in the paper)
 }
 
 // Table2Quick returns CI-friendly parameters.
 func Table2Quick() Table2Config {
-	c := Fig8Quick()
-	c.Clients = 4
-	c.Requests = 150
-	return Table2Config{Fig8: c, Executions: 600}
+	return Table2Config{Fig8: Fig8Quick(), Executions: 600}
 }
 
 // Table2Paper returns the paper's parameters.
 func Table2Paper() Table2Config {
-	c := Fig8Paper()
-	c.Requests = 500
-	return Table2Config{Fig8: c, Executions: 4000}
+	return Table2Config{Fig8: Fig8Paper(), Executions: 4000}
 }
 
 // Table2Result is the audit report.

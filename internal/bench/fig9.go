@@ -48,9 +48,9 @@ func RunFig9(cfg Fig9Config) Fig9Result {
 // data movement is added per system).
 func pipelineStages(p workload.PredServe) []baseline.Work {
 	return []baseline.Work{
-		func(env *baseline.Env) any { env.Compute(p.ResizeTime); return nil },
+		func(env *baseline.Env) any { env.Compute(workload.ResizeTime); return nil },
 		func(env *baseline.Env) any { env.Compute(p.ModelTime); return nil },
-		func(env *baseline.Env) any { env.Compute(p.CombineTime); return nil },
+		func(env *baseline.Env) any { env.Compute(workload.CombineTime); return nil },
 	}
 }
 
@@ -59,15 +59,7 @@ func fig9Python(cfg Fig9Config, p workload.PredServe) Summary {
 	defer r.k.Stop()
 	py := baseline.NewPython(r.k, r.env)
 	stages := pipelineStages(p)
-	var durs []time.Duration
-	r.k.Run("fig9-python", func() {
-		for i := 0; i < cfg.Trials; i++ {
-			start := r.k.Now()
-			py.RunChain(stages...)
-			durs = append(durs, time.Duration(r.k.Now()-start))
-		}
-	})
-	return Summarize("Python", durs)
+	return r.trials("fig9-python", "Python", cfg.Trials, func(int) { py.RunChain(stages...) })
 }
 
 func fig9Cloudburst(cfg Fig9Config, p workload.PredServe) Summary {
@@ -106,7 +98,11 @@ func fig9Lambda(cfg Fig9Config, p workload.PredServe, actual bool) Summary {
 	r.svc["s3"].Preload("model", make([]byte, p.ModelBytes))
 	depLoad := 130 * time.Millisecond // TensorFlow import from the trimmed package
 	stages := pipelineStages(p)
-	run := func() {
+	name := "Lambda (Mock)"
+	if actual {
+		name = "Lambda (Actual)"
+	}
+	return r.trials("fig9-lambda", name, cfg.Trials, func(int) {
 		for i, stage := range stages {
 			i, stage := i, stage
 			l.Invoke(func(env *baseline.Env) any {
@@ -121,25 +117,12 @@ func fig9Lambda(cfg Fig9Config, p workload.PredServe, actual bool) Summary {
 				}
 				out := stage(env)
 				if actual {
-					env.Stores["s3"].Put(fmt.Sprintf("stage-%d", i), make([]byte, p.ImageBytes/4))
+					env.Stores["s3"].Put(fmt.Sprintf("stage-%d", i), make([]byte, workload.ImageBytes/4))
 				}
 				return out
 			})
 		}
-	}
-	name := "Lambda (Mock)"
-	if actual {
-		name = "Lambda (Actual)"
-	}
-	var durs []time.Duration
-	r.k.Run("fig9-lambda", func() {
-		for i := 0; i < cfg.Trials; i++ {
-			start := r.k.Now()
-			run()
-			durs = append(durs, time.Duration(r.k.Now()-start))
-		}
 	})
-	return Summarize(name, durs)
 }
 
 func fig9SageMaker(cfg Fig9Config, p workload.PredServe) Summary {
@@ -147,15 +130,7 @@ func fig9SageMaker(cfg Fig9Config, p workload.PredServe) Summary {
 	defer r.k.Stop()
 	sm := baseline.NewSageMaker(r.k, r.env)
 	stages := pipelineStages(p)
-	var durs []time.Duration
-	r.k.Run("fig9-sagemaker", func() {
-		for i := 0; i < cfg.Trials; i++ {
-			start := r.k.Now()
-			sm.RunPipeline(stages...)
-			durs = append(durs, time.Duration(r.k.Now()-start))
-		}
-	})
-	return Summarize("AWS SageMaker", durs)
+	return r.trials("fig9-sagemaker", "AWS SageMaker", cfg.Trials, func(int) { sm.RunPipeline(stages...) })
 }
 
 // Fig10Config parameterizes the prediction-serving scaling sweep.

@@ -15,23 +15,26 @@ import (
 // leader's estimate converges to within 5% of the true mean.
 type Gossip struct {
 	Actors int
-	// StepInterval paces protocol steps (message exchange plus local
-	// work); it models the Python actor loop of the paper's 60-line
-	// implementation.
-	StepInterval time.Duration
 	// MaxSteps bounds a round in case of pathological schedules.
 	MaxSteps int
-	// PeerWait bounds how long an actor waits for a peer's ID to appear
+}
+
+const (
+	// stepInterval paces protocol steps (message exchange plus local
+	// work); it models the Python actor loop of the paper's 60-line
+	// implementation.
+	stepInterval = 8 * time.Millisecond
+	// peerWait bounds how long an actor waits for a peer's ID to appear
 	// before abandoning the round. Unbounded waiting turns one lost
 	// peer invocation (its dispatch message died with a crashed VM)
 	// into a permanently wedged executor thread — under fault
-	// injection, enough of those starve the whole fleet. Zero means 5s.
-	PeerWait time.Duration
-}
+	// injection, enough of those starve the whole fleet.
+	peerWait = 5 * time.Second
+)
 
 // DefaultGossip returns the paper's configuration: 10 actors.
 func DefaultGossip() Gossip {
-	return Gossip{Actors: 10, StepInterval: 8 * time.Millisecond, MaxSteps: 400, PeerWait: 5 * time.Second}
+	return Gossip{Actors: 10, MaxSteps: 400}
 }
 
 // Register installs the gossip actor and the gather functions.
@@ -61,10 +64,6 @@ func (g Gossip) actor(ctx *cb.Ctx, args []any) (any, error) {
 	idKey := func(i int) string { return fmt.Sprintf("gossip/%s/id/%d", round, i) }
 	if err := ctx.Put(idKey(idx), ctx.ID()); err != nil {
 		return nil, err
-	}
-	peerWait := g.PeerWait
-	if peerWait <= 0 {
-		peerWait = 5 * time.Second
 	}
 	peers := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -128,7 +127,7 @@ func (g Gossip) actor(ctx *cb.Ctx, args []any) (any, error) {
 				return nil, nil
 			}
 		}
-		ctx.Compute(g.StepInterval)
+		ctx.Compute(stepInterval)
 	}
 	if leader {
 		ctx.Put(doneKey, true)

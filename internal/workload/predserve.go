@@ -16,27 +16,26 @@ import (
 // native Python on CPU); the weights blob is real KVS state fetched
 // through the cache, exercising the data-locality path.
 type PredServe struct {
-	ResizeTime  time.Duration
-	ModelTime   time.Duration
-	CombineTime time.Duration
-	ModelBytes  int
-	ImageBytes  int
+	ModelTime  time.Duration
+	ModelBytes int
 }
+
+// The pipeline's fixed stages: the resize and combine stages' compute
+// and the size of the inline input image.
+const (
+	ResizeTime  = 25 * time.Millisecond
+	CombineTime = 20 * time.Millisecond
+	ImageBytes  = 200 << 10
+)
 
 // DefaultPredServe returns the calibrated pipeline.
 func DefaultPredServe() PredServe {
-	return PredServe{
-		ResizeTime:  25 * time.Millisecond,
-		ModelTime:   160 * time.Millisecond,
-		CombineTime: 20 * time.Millisecond,
-		ModelBytes:  8 << 20,
-		ImageBytes:  200 << 10,
-	}
+	return PredServe{ModelTime: 160 * time.Millisecond, ModelBytes: 8 << 20}
 }
 
 // ComputeTotal is the pure-compute floor of one prediction.
 func (p PredServe) ComputeTotal() time.Duration {
-	return p.ResizeTime + p.ModelTime + p.CombineTime
+	return ResizeTime + p.ModelTime + CombineTime
 }
 
 // ModelKey is where the weights blob lives in the KVS.
@@ -66,7 +65,7 @@ func (p PredServe) Register(c *cb.Cluster, replicas int) error {
 		if !ok {
 			return nil, fmt.Errorf("pred-resize: arg is %T", args[0])
 		}
-		ctx.Compute(p.ResizeTime)
+		ctx.Compute(ResizeTime)
 		return img[:len(img)/4], nil // downsampled image
 	}); err != nil {
 		return err
@@ -89,7 +88,7 @@ func (p PredServe) Register(c *cb.Cluster, replicas int) error {
 		if !ok {
 			return nil, fmt.Errorf("pred-combine: scores arg is %T", args[len(args)-1])
 		}
-		ctx.Compute(p.CombineTime)
+		ctx.Compute(CombineTime)
 		best, arg := -1.0, 0
 		for i, s := range scores {
 			if s > best {
@@ -107,7 +106,7 @@ func (p PredServe) Register(c *cb.Cluster, replicas int) error {
 // resize stage and the weights reference for the model stage.
 func (p PredServe) Args() map[string][]any {
 	return map[string][]any{
-		"pred-resize": {make([]byte, p.ImageBytes)},
+		"pred-resize": {make([]byte, ImageBytes)},
 		"pred-model":  {cb.Ref(ModelKey)},
 	}
 }

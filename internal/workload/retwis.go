@@ -18,16 +18,22 @@ import (
 // anomaly the paper reports causal mode preventing on >60% of timeline
 // requests.
 type Retwis struct {
-	Users       int
-	Follows     int // followings per user, drawn Zipf(1.5) by popularity
-	Tweets      int // prepopulated tweets; half are replies
-	TimelineCap int
-	FetchPosts  int // posts materialized per timeline request
+	Users  int
+	Tweets int // prepopulated tweets; half are replies
 }
+
+// FollowsPerUser is how many users each user follows, drawn Zipf(1.5)
+// by popularity.
+const FollowsPerUser = 50
+
+const (
+	timelineCap = 50 // posts a timeline keeps
+	fetchPosts  = 10 // posts materialized per timeline request
+)
 
 // DefaultRetwis returns the paper's dataset shape.
 func DefaultRetwis() Retwis {
-	return Retwis{Users: 1000, Follows: 50, Tweets: 5000, TimelineCap: 50, FetchPosts: 10}
+	return Retwis{Users: 1000, Tweets: 5000}
 }
 
 func userKey(u int, field string) string { return "rt/user/" + strconv.Itoa(u) + "/" + field }
@@ -104,6 +110,7 @@ func (r Retwis) fnPost(ctx *cb.Ctx, args []any) (any, error) {
 	author := args[0].(int)
 	text := args[1].(string)
 	replyTo := args[2].(string)
+	var parent []string
 	if replyTo != "" {
 		// Reading the parent before writing the reply creates the
 		// causal dependency parent → reply that the causal modes
@@ -111,15 +118,16 @@ func (r Retwis) fnPost(ctx *cb.Ctx, args []any) (any, error) {
 		if _, _, err := ctx.Get(postKey(replyTo)); err != nil {
 			return nil, err
 		}
+		parent = []string{postKey(replyTo)}
 	}
 	id := ctx.ID()
 	post := map[string]string{"author": fmt.Sprint(author), "text": text, "reply": replyTo}
-	// Explicit causality (§7): the tweet depends on the tweet it
-	// replies to; each timeline delivery depends on the tweet it
-	// delivers. Depending on the whole session read set would make
-	// every timeline transitively depend on every other timeline the
-	// fan-out loop touched.
-	if err := ctx.PutWithDeps(postKey(id), post, postKey(replyTo)); err != nil {
+	// Explicit causality (§7): a reply depends on the tweet it replies
+	// to, and a tweet that replies to nothing on nothing; each timeline
+	// delivery depends on the tweet it delivers. Depending on the whole
+	// session read set would make every timeline transitively depend on
+	// every other timeline the fan-out loop touched.
+	if err := ctx.PutWithDeps(postKey(id), post, parent...); err != nil {
 		return nil, err
 	}
 	if err := appendStringDeps(ctx, userKey(author, "posts"), id, 0, postKey(id)); err != nil {
@@ -130,7 +138,7 @@ func (r Retwis) fnPost(ctx *cb.Ctx, args []any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := prependString(ctx, timelineKey(author), id, r.TimelineCap); err != nil {
+	if err := prependString(ctx, timelineKey(author), id, timelineCap); err != nil {
 		return nil, err
 	}
 	for _, f := range followers {
@@ -138,7 +146,7 @@ func (r Retwis) fnPost(ctx *cb.Ctx, args []any) (any, error) {
 		if err != nil {
 			return nil, fmt.Errorf("retwis: follower id: %w", err)
 		}
-		if err := prependString(ctx, timelineKey(fu), id, r.TimelineCap); err != nil {
+		if err := prependString(ctx, timelineKey(fu), id, timelineCap); err != nil {
 			return nil, err
 		}
 	}
@@ -171,8 +179,8 @@ func (r Retwis) fnTimeline(ctx *cb.Ctx, args []any) (any, error) {
 			}
 		}
 	}
-	if len(ids) > r.FetchPosts {
-		ids = ids[:r.FetchPosts]
+	if len(ids) > fetchPosts {
+		ids = ids[:fetchPosts]
 	}
 	res := TimelineResult{}
 	for _, id := range ids {
@@ -214,8 +222,8 @@ func (r Retwis) fnUserPosts(ctx *cb.Ctx, args []any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(ids) > r.FetchPosts {
-		ids = ids[len(ids)-r.FetchPosts:]
+	if len(ids) > fetchPosts {
+		ids = ids[len(ids)-fetchPosts:]
 	}
 	n := 0
 	for _, id := range ids {
@@ -294,7 +302,7 @@ type Graph struct {
 	Timelines [][]string
 }
 
-// Generate builds the dataset: Users users each following Follows others
+// Generate builds the dataset: Users users each following FollowsPerUser others
 // (Zipf 1.5 popularity, §6.3.2), and Tweets prepopulated tweets, half of
 // them replies to earlier tweets.
 func (r Retwis) Generate(rng *rand.Rand) *Graph {
@@ -307,7 +315,7 @@ func (r Retwis) Generate(rng *rand.Rand) *Graph {
 	zipf := rand.NewZipf(rng, 1.5, 1, uint64(r.Users-1))
 	for u := 0; u < r.Users; u++ {
 		seen := map[int]bool{u: true}
-		for len(g.Following[u]) < r.Follows && len(seen) < r.Users {
+		for len(g.Following[u]) < FollowsPerUser && len(seen) < r.Users {
 			v := int(zipf.Uint64())
 			if seen[v] {
 				continue
@@ -327,9 +335,9 @@ func (r Retwis) Generate(rng *rand.Rand) *Graph {
 		g.PostIDs = append(g.PostIDs, id)
 		g.PostOf[id] = map[string]string{"author": fmt.Sprint(author), "text": fmt.Sprintf("tweet %d", i), "reply": reply}
 		// Deliver to the author's and followers' timelines.
-		g.Timelines[author] = prepend(g.Timelines[author], id, r.TimelineCap)
+		g.Timelines[author] = prepend(g.Timelines[author], id, timelineCap)
 		for _, f := range g.Followers[author] {
-			g.Timelines[f] = prepend(g.Timelines[f], id, r.TimelineCap)
+			g.Timelines[f] = prepend(g.Timelines[f], id, timelineCap)
 		}
 	}
 	return g
@@ -470,8 +478,8 @@ func (ro RedisOps) Timeline(u int) (TimelineResult, error) {
 	if err != nil {
 		return res, err
 	}
-	if len(ids) > ro.R.FetchPosts {
-		ids = ids[:ro.R.FetchPosts]
+	if len(ids) > fetchPosts {
+		ids = ids[:fetchPosts]
 	}
 	if len(ids) == 0 {
 		return res, nil
@@ -530,7 +538,7 @@ func (ro RedisOps) Post(author int, id, text, replyTo string, now time.Duration)
 		if err != nil {
 			return err
 		}
-		ids = prepend(ids, id, ro.R.TimelineCap)
+		ids = prepend(ids, id, timelineCap)
 		return ro.Redis.Put(timelineKey(u), codec.MustEncode(ids))
 	}
 	if err := deliver(author); err != nil {

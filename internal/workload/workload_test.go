@@ -49,8 +49,8 @@ func TestRetwisGraphInvariants(t *testing.T) {
 	}
 	// Follower/following edges are symmetric.
 	for u, fs := range g.Following {
-		if len(fs) != r.Follows {
-			t.Fatalf("user %d follows %d, want %d", u, len(fs), r.Follows)
+		if len(fs) != FollowsPerUser {
+			t.Fatalf("user %d follows %d, want %d", u, len(fs), FollowsPerUser)
 		}
 		for _, v := range fs {
 			found := false
@@ -82,7 +82,7 @@ func TestRetwisGraphInvariants(t *testing.T) {
 	}
 	// Timelines are capped and only contain real posts.
 	for u, tl := range g.Timelines {
-		if len(tl) > r.TimelineCap {
+		if len(tl) > timelineCap {
 			t.Fatalf("user %d timeline over cap: %d", u, len(tl))
 		}
 	}
@@ -276,4 +276,54 @@ func TestRetwisMalformedFollowerIsAnError(t *testing.T) {
 			t.Fatal("post delivered to user 0's timeline")
 		}
 	})
+}
+
+// TestNonReplyPostAllocations pins what one rt-post that replies to
+// nothing allocates on a warm causal cluster: a post declares a causal
+// dependency only on the tweet it replies to, so a post that replies to
+// nothing builds no dependency set. The author has no followers, so the
+// post writes three keys (the post, the author's posts list and the
+// author's timeline). A new allocation per post fails it; lower the
+// number when one goes.
+func TestNonReplyPostAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	cfg := cb.DefaultConfig()
+	cfg.Mode = cb.Causal
+	cfg.VMs = 1
+	c := cb.NewCluster(cfg)
+	defer c.Close()
+	r := DefaultRetwis()
+	r.Users, r.Tweets = 2, 0
+	if err := r.Register(c); err != nil {
+		t.Fatal(err)
+	}
+	g := &Graph{Following: make([][]int, 2), Followers: make([][]int, 2), Timelines: make([][]string, 2)}
+	r.Preload(c, g)
+	calls := 0
+	run := func() {
+		c.Run(func(cl *cb.Client) {
+			cl.Timeout = time.Minute
+			for i := 0; i < calls; i++ {
+				if _, err := cl.Invoke("rt-post", []any{1, "hello", ""}).Wait(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	calls = 50
+	run() // warm the cache, the decode cache, the kernel's processes and the pools
+	// The difference between 100 and 50 posts per Run is 50 posts' cost,
+	// without what one Run and its client cost.
+	base := testing.AllocsPerRun(5, run)
+	calls = 100
+	got := (testing.AllocsPerRun(5, run) - base) / 50
+	// Measured; the fraction is the cluster's background ticks, and half
+	// an allocation of slack absorbs a pooled buffer a collection emptied.
+	const want = 50.26
+	t.Logf("%.2f allocations per non-reply post", got)
+	if got > want+0.5 {
+		t.Fatalf("%.2f allocations per non-reply post, want at most %.2f", got, want)
+	}
 }

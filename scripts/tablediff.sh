@@ -12,10 +12,22 @@
 # under the git-ignored .bench_build/tablediff/ of the checkout, so it
 # runs where git worktree and the system temp directory are off limits.
 #
-# Usage: scripts/tablediff.sh <git-ref>
+# -full compares the paper-size configurations (cb-bench -full) instead of
+# the quick ones; a comma-separated list of experiments limits the run to
+# those, so a change to some paper-size presets can be checked without
+# running every experiment at paper size (fig7 alone takes minutes).
+#
+# Usage: scripts/tablediff.sh [-full] <git-ref> [exp,exp,...]
 set -euo pipefail
 
-REF=${1:?usage: tablediff.sh <git-ref>}
+USAGE='usage: tablediff.sh [-full] <git-ref> [exp,exp,...]'
+FULL=()
+if [ "${1:-}" = -full ]; then
+  FULL=(-full)
+  shift
+fi
+REF=${1:?$USAGE}
+EXPS=${2:-}
 ROOT=$(git rev-parse --show-toplevel)
 TMP=$ROOT/.bench_build/tablediff
 rm -rf "$TMP"
@@ -26,11 +38,17 @@ git -C "$ROOT" archive "$REF" | tar -x -C "$TMP/ref"
 go build -C "$TMP/ref" -o "$TMP/old" ./cmd/cb-bench
 go build -C "$ROOT" -o "$TMP/new" ./cmd/cb-bench
 
+ALL=$("$TMP/new" -list | awk '{print $1}')
+EXPS=${EXPS:-$ALL}
+for exp in ${EXPS//,/ }; do
+  grep -qx -- "$exp" <<<"$ALL" || { echo "tablediff: unknown experiment $exp" >&2; exit 2; }
+done
+
 moved=0
-for exp in $("$TMP/new" -list | awk '{print $1}'); do
+for exp in ${EXPS//,/ }; do
   walls=()
   for side in old new; do
-    "$TMP/$side" -run "$exp" -parallel 1 >"$TMP/$side.out" 2>&1 || true
+    "$TMP/$side" "${FULL[@]}" -run "$exp" -parallel 1 >"$TMP/$side.out" 2>&1 || true
     grep -v 'completed in\|runner width' "$TMP/$side.out" >"$TMP/$side.$exp.txt" || true
     walls+=("$(sed -n 's/.*completed in \([0-9.]*s\) of real time.*/\1/p' "$TMP/$side.out")")
   done
