@@ -100,46 +100,6 @@ func (cl *Client) Get(key string) (val any, found bool, err error) {
 	return v, true, nil
 }
 
-// GetMany fetches several keys in bulk, into results of its own: one
-// grouped multi-get round trip per storage node instead of one per key.
-// Keys that exist nowhere are absent from the result map. Capsules
-// decode in argument order, so a decode error is the first failing key's,
-// and the map returned with it holds the found keys before that one.
-func (cl *Client) GetMany(keys ...string) (map[string]any, error) {
-	found := make([]lattice.Lattice, len(keys))
-	missing, err := cl.anna.MultiGet(keys, found...)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]any, len(keys))
-	for i, lat := range found {
-		if lat == nil {
-			continue
-		}
-		v, derr := cl.decodeCapsule(lat)
-		if derr != nil {
-			return out, derr
-		}
-		out[keys[i]] = v
-	}
-	// A key can live only on a secondary replica during replication lag;
-	// retry misses through the single-key replica walk before concluding
-	// absence, preserving Get's semantics.
-	for _, key := range missing {
-		v, ok, gerr := cl.Get(key)
-		if gerr != nil {
-			return out, gerr
-		}
-		if ok {
-			out[key] = v
-		}
-	}
-	return out, nil
-}
-
-// Delete removes a key from the KVS.
-func (cl *Client) Delete(key string) error { return cl.anna.Delete(key) }
-
 // capsulePayload unwraps a lattice capsule to the stored payload.
 func capsulePayload(lat lattice.Lattice) ([]byte, error) {
 	var p []byte
@@ -201,7 +161,6 @@ type InvokeOption func(*callOpts)
 type callOpts struct {
 	timeout  time.Duration // wait bound for the future; 0 → Client.Timeout
 	store    bool          // persist the result in the KVS under the future's Key
-	direct   bool          // carry the value inline in the Result even when storing
 	wantHops bool          // ask the runtime to report executor hop counts
 	txn      bool          // commit the request's writes atomically (Transactional mode)
 }
@@ -234,11 +193,6 @@ func WithTimeout(d time.Duration) InvokeOption { return func(o *callOpts) { o.ti
 // key once the completion notice arrives, and any client can Get the
 // key directly.
 func WithStoreInKVS() InvokeOption { return func(o *callOpts) { o.store = true } }
-
-// WithDirectResponse carries the result inline in the push notification
-// even when WithStoreInKVS is set — respond directly and persist.
-// Invocations without WithStoreInKVS always respond directly.
-func WithDirectResponse() InvokeOption { return func(o *callOpts) { o.direct = true } }
 
 // WithHopCount asks the runtime to report the executor hop count,
 // exposed afterwards by Future.Hops (the per-depth latency
@@ -278,7 +232,6 @@ func (cl *Client) Invoke(fn string, args []any, opts ...InvokeOption) *Future {
 		Args:       wireArgs,
 		RespondTo:  cl.ep.ID(),
 		StoreInKVS: o.store,
-		Direct:     o.direct,
 		WantHops:   o.wantHops,
 		Txn:        o.txn,
 		ResultKey:  key,
@@ -319,7 +272,6 @@ func (cl *Client) InvokeDAG(dagName string, args map[string][]any, opts ...Invok
 		Args:       wire,
 		RespondTo:  cl.ep.ID(),
 		StoreInKVS: o.store,
-		Direct:     o.direct,
 		WantHops:   o.wantHops,
 		Txn:        o.txn,
 		ResultKey:  key,
@@ -421,7 +373,7 @@ func (cl *Client) deliver(res *core.Result, m simnet.Message) {
 	}
 	if res.ResultKey != "" && f.store {
 		// The value was persisted instead of carried inline: the future
-		// resolves from the KVS (Wait/TryGet poll it from here on). No
+		// resolves from the KVS (Wait polls it from here on). No
 		// further message matters for this request, so stop tracking it —
 		// a re-executed DAG's duplicate reply or a late failure notice
 		// after this success must not overwrite the outcome.
@@ -443,10 +395,6 @@ func (cl *Client) decodeResult(res *core.Result) (any, error) {
 	_, inner := executor.Untag(res.Val)
 	return codec.Decode(inner)
 }
-
-// Endpoint exposes the client's network endpoint for advanced uses
-// (benchmarks that need raw messaging).
-func (cl *Client) Endpoint() *simnet.Endpoint { return cl.ep }
 
 // Kernel exposes the virtual-time kernel for in-simulation helpers.
 func (cl *Client) Kernel() *vtime.Kernel { return cl.k }

@@ -38,9 +38,12 @@ const (
 )
 
 // Ctx is the per-invocation handle passed to functions: the paper's
-// Table 1 object API (Get/Put/Delete/Send/Recv/ID) plus Compute for
-// modeling CPU work. It is valid until the function returns; the
-// executor thread reuses it for its next invocation.
+// Table 1 object API (Get/Put/Send/Recv/ID) plus Compute for modeling
+// CPU work. Table 1's delete is not offered: a removal fanned out to
+// every owner is not a lattice merge, so a replica that missed it would
+// hand the value back; it returns as a tombstone write (ROADMAP 17(c)).
+// A Ctx is valid until the function returns; the executor thread reuses
+// it for its next invocation.
 type Ctx = executor.Ctx
 
 // Function is a registered Cloudburst function body. Its Ctx and args

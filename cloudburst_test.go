@@ -9,7 +9,6 @@ import (
 
 	"cloudburst/internal/cluster"
 	"cloudburst/internal/core"
-	"cloudburst/internal/lattice"
 	"cloudburst/internal/scheduler"
 	"cloudburst/internal/simnet"
 )
@@ -107,27 +106,6 @@ func TestStoreInKVSFuture(t *testing.T) {
 	})
 }
 
-func TestStoreWithDirectResponse(t *testing.T) {
-	// WithStoreInKVS + WithDirectResponse: the value rides inline in the
-	// push notification (no KVS poll needed) and is still persisted.
-	c := testCluster(t, DefaultConfig())
-	registerArith(t, c)
-	c.Run(func(cl *Client) {
-		fut := cl.Invoke("square", []any{6}, WithStoreInKVS(), WithDirectResponse())
-		out, err := fut.Wait()
-		if err != nil || out.(int) != 36 {
-			t.Fatalf("direct+store future = %v, %v", out, err)
-		}
-		// Give the asynchronous write-back time to land, then check the
-		// KVS copy.
-		cl.Sleep(100 * time.Millisecond)
-		v, found, err := cl.Get(fut.Key)
-		if err != nil || !found || v.(int) != 36 {
-			t.Fatalf("stored copy = %v %v %v", v, found, err)
-		}
-	})
-}
-
 func TestBatchAndAll(t *testing.T) {
 	c := testCluster(t, DefaultConfig())
 	registerArith(t, c)
@@ -173,31 +151,6 @@ func TestAllWithFailingMember(t *testing.T) {
 	})
 }
 
-func TestTryGetBeforeCompletion(t *testing.T) {
-	c := testCluster(t, DefaultConfig())
-	if err := c.RegisterFunction("slow", func(ctx *Ctx, args []any) (any, error) {
-		ctx.Compute(50 * time.Millisecond)
-		return "done", nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c.Run(func(cl *Client) {
-		fut := cl.Invoke("slow", nil)
-		if _, ok, err := fut.TryGet(); ok || err != nil {
-			t.Fatalf("TryGet before completion: ok=%v err=%v", ok, err)
-		}
-		out, err := fut.Wait()
-		if err != nil || out.(string) != "done" {
-			t.Fatalf("Wait = %v, %v", out, err)
-		}
-		// After completion TryGet reports the same result.
-		v, ok, err := fut.TryGet()
-		if !ok || err != nil || v.(string) != "done" {
-			t.Fatalf("TryGet after completion: %v %v %v", v, ok, err)
-		}
-	})
-}
-
 func TestDuplicateAndStaleResultDelivery(t *testing.T) {
 	c := testCluster(t, DefaultConfig())
 	registerArith(t, c)
@@ -220,8 +173,8 @@ func TestDuplicateAndStaleResultDelivery(t *testing.T) {
 		if err != nil || out2 != 25 {
 			t.Fatalf("invoke after stale delivery = %v, %v", out2, err)
 		}
-		if v, ok, gerr := fut.TryGet(); !ok || gerr != nil || v.(int) != 16 {
-			t.Fatalf("duplicate overwrote completed future: %v %v %v", v, ok, gerr)
+		if v, gerr := fut.Wait(); gerr != nil || v.(int) != 16 {
+			t.Fatalf("duplicate overwrote completed future: %v %v", v, gerr)
 		}
 	})
 }
@@ -260,62 +213,6 @@ func TestExpiredFutureFailsImmediately(t *testing.T) {
 		}
 		if elapsed := cl.Now() - start; elapsed >= 2*time.Millisecond {
 			t.Fatalf("expired future slept a poll interval: %v", elapsed)
-		}
-	})
-}
-
-func TestGetMany(t *testing.T) {
-	c := testCluster(t, DefaultConfig())
-	c.Run(func(cl *Client) {
-		want := map[string]any{"mk-a": "va", "mk-b": 7, "mk-c": []byte("vc")}
-		for k, v := range map[string]any{"mk-a": "va", "mk-b": 7} {
-			if err := cl.Put(k, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := cl.Put("mk-c", []byte("vc")); err != nil {
-			t.Fatal(err)
-		}
-		got, err := cl.GetMany("mk-a", "mk-b", "mk-c", "mk-missing")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 3 {
-			t.Fatalf("GetMany returned %d keys: %v", len(got), got)
-		}
-		if got["mk-a"] != want["mk-a"] || got["mk-b"] != want["mk-b"] || string(got["mk-c"].([]byte)) != "vc" {
-			t.Fatalf("GetMany = %v", got)
-		}
-	})
-}
-
-// TestGetManyReportsFirstDecodeErrorInArgumentOrder: with two capsules
-// that fail to decode, GetMany reports the one that comes first among its
-// arguments, with only the found keys before it in the map — in either
-// argument order and on every repetition, not by map iteration luck.
-func TestGetManyReportsFirstDecodeErrorInArgumentOrder(t *testing.T) {
-	c := testCluster(t, DefaultConfig())
-	// Two unknown codec tags, so each error names its capsule.
-	c.Internal().KV.Preload("bad-x", lattice.NewLWW(lattice.Timestamp{Clock: 1}, []byte{0x00}))
-	c.Internal().KV.Preload("bad-y", lattice.NewLWW(lattice.Timestamp{Clock: 1}, []byte{0xf0}))
-	c.Run(func(cl *Client) {
-		if err := cl.Put("ok", "v"); err != nil {
-			t.Fatal(err)
-		}
-		for rep := 0; rep < 20; rep++ {
-			for _, tc := range []struct{ first, second, tag string }{
-				{"bad-x", "bad-y", "0x0"},
-				{"bad-y", "bad-x", "0xf0"},
-			} {
-				got, err := cl.GetMany("ok", tc.first, "ok-missing", tc.second)
-				if err == nil || !strings.HasSuffix(err.Error(), "unknown tag "+tc.tag) {
-					t.Fatalf("GetMany(ok, %s, ok-missing, %s) err = %v, want %s's unknown tag %s",
-						tc.first, tc.second, err, tc.first, tc.tag)
-				}
-				if len(got) != 1 || got["ok"] != "v" {
-					t.Fatalf("GetMany(ok, %s, ok-missing, %s) = %v with the error, want only ok", tc.first, tc.second, got)
-				}
-			}
 		}
 	})
 }
@@ -441,7 +338,11 @@ func TestDirectMessagingBetweenFunctions(t *testing.T) {
 		if err := ctx.Put("responder-id", ctx.ID()); err != nil {
 			return nil, err
 		}
-		msgs, err := ctx.RecvWait(5*time.Second, 2*time.Millisecond)
+		msgs, err := ctx.Recv()
+		for deadline := ctx.Now().Add(5 * time.Second); err == nil && len(msgs) == 0 && ctx.Now() < deadline; {
+			ctx.Compute(2 * time.Millisecond)
+			msgs, err = ctx.Recv()
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -1093,10 +994,10 @@ func TestDuplicateResultUnderInjectedReexecutionRace(t *testing.T) {
 			t.Fatalf("first result = %v, %v", out, err)
 		}
 		// Let the re-executed attempt finish and deliver its duplicate
-		// Result; TryGet drains the endpoint past it.
+		// Result; Wait drains the endpoint past it.
 		cl.Sleep(20 * time.Second)
-		if v, ok, gerr := fut.TryGet(); !ok || gerr != nil || v.(string) != "done" {
-			t.Errorf("duplicate corrupted the completed future: %v %v %v", v, ok, gerr)
+		if v, gerr := fut.Wait(); gerr != nil || v.(string) != "done" {
+			t.Errorf("duplicate corrupted the completed future: %v %v", v, gerr)
 		}
 	})
 	if t.Failed() {

@@ -61,7 +61,6 @@
 //
 //	fut := cl.Invoke("square", []any{3})           // dispatch, don't wait
 //	v, err := fut.Wait()                           // block in virtual time
-//	v, ok, err := fut.TryGet()                     // non-blocking check
 //	n, err := cloudburst.As[int](fut)              // typed result
 //	vals, err := cloudburst.All(futA, futB, futC)  // fan-in
 //	futs := cl.Batch(invs)                         // pipeline N requests
@@ -71,22 +70,25 @@
 //   - WithStoreInKVS persists the result under Future.Key (Figure 2's
 //     store_in_kvs=True); the future resolves by reading that key, and
 //     other clients can Get it directly.
-//   - WithDirectResponse carries the value inline in the push
-//     notification even when it is also stored.
 //   - WithHopCount reports the executor hop count via Future.Hops
 //     (Figure 8's per-depth normalization).
 //   - WithTimeout bounds the future's Wait; the default is the
 //     client's Timeout field.
 //
-// Multi-key reads batch the same way: Client.GetMany (and the cache's
-// cold-read path under Invoke) issue one grouped multi-get round trip
-// per Anna storage node instead of one per key. The keys are grouped by
-// primary owner, the groups fetched concurrently in ascending owner
-// order, and results returned by position; an unreachable owner's keys
-// fall back to the per-key replica walk. GetMany decodes in argument
-// order, so its first decode error is the first failing key's. The
-// cache's cold read batches without allocating: its miss list, results,
-// grouped keys and reply space are records reused from read to read.
+// Multi-key reads batch: the cache's cold-read path under Invoke issues
+// one grouped multi-get round trip per Anna storage node instead of one
+// per key. The keys are grouped by primary owner, the groups fetched
+// concurrently in ascending owner order, and results returned by
+// position; an unreachable owner's keys fall back to the per-key replica
+// walk. The cache's cold read batches without allocating: its miss list,
+// results, grouped keys and reply space are records reused from read to
+// read.
+//
+// Inside a function, Ctx is the paper's Table 1 object API: Get, Put,
+// Send, Recv and ID. Table 1's delete is not offered: a removal fanned
+// out to every owner is not a lattice merge, so a replica that missed it
+// would hand the value back once replicas repair each other. It returns
+// as a tombstone write (ROADMAP 17(c)).
 //
 // The pre-Future Call* family (Call, CallAsync, CallDAG, CallDAGDetail,
 // CallDAGAsync) has been removed after one release as deprecated shims;
@@ -353,24 +355,21 @@
 //	in := cb.Internal()
 //	inj := fault.NewInjector(in)
 //	plan := fault.NewPlan("demo").
-//		During(30*time.Second, 60*time.Second, fault.CrashVM{VM: "vm1"}).
-//		During(40*time.Second, 55*time.Second, fault.DegradeLink{From: "sched-0", To: "anna-0",
-//			Policy: simnet.LinkPolicy{Drop: 0.3, Jitter: 2 * time.Millisecond}})
+//		During(30*time.Second, 60*time.Second, fault.CrashVM{VM: "vm1"})
 //	cb.Run(func(cl *cloudburst.Client) { inj.Start(plan) })
 //
 // The primitives compose three fault families:
 //
 //   - Network: simnet.LinkPolicy overlays (drop probability, added
-//     latency, jitter, duplication) installed per directed link
-//     (DegradeLink) or per node (DegradeNode, DegradeVM), each cleared
-//     by its heal. Drop ≥ 1 is a full partition — asymmetric when
-//     installed on one direction only. Network.SetDown (and
-//     Cluster.KillVM on top of it) is the thin full-drop special case.
-//     Duplication applies to one-way datagrams only; RPCs ride pooled
-//     at-most-once records. SplitBrain composes link
-//     drops into a control-plane partition: one VM blinded from the
-//     monitor's scanner endpoints (or half the scheduler group) while
-//     the rest of the control plane keeps scheduling onto it.
+//     latency, jitter, duplication) installed per node (DegradeNode,
+//     DegradeVM), each cleared by its heal. Drop ≥ 1 is a full
+//     partition. Network.SetDown (and Cluster.KillVM on top of it) is
+//     the thin full-drop special case. Duplication applies to one-way
+//     datagrams only; RPCs ride pooled at-most-once records. SplitBrain
+//     composes directed link drops into an asymmetric control-plane
+//     partition: one VM blinded from the monitor's scanner endpoints (or
+//     half the scheduler group) while the rest of the control plane
+//     keeps scheduling onto it.
 //   - Compute: CrashVM partitions a VM away mid-flight (§4.5 — the
 //     scheduler keeps one tracked record per request, a bare Invoke
 //     being the DAG of one node, until the executor that ends it, in

@@ -63,7 +63,7 @@ func (f *Future) timeoutErr() error {
 
 // Wait blocks (in virtual time) until the future completes and returns
 // its value. On timeout the future stays pending: the result can still
-// arrive, and a later Wait or TryGet picks it up.
+// arrive, and a later Wait picks it up.
 func (f *Future) Wait() (any, error) {
 	cl := f.cl
 	budget := f.waitTimeout()
@@ -132,25 +132,6 @@ func (f *Future) Wait() (any, error) {
 			cl.demux(m)
 		}
 	}
-}
-
-// TryGet reports the result if the invocation has already completed,
-// without waiting: messages already delivered to the endpoint are
-// drained, and for a persisted result whose completion notice has
-// arrived one KVS read is attempted. ok is false while the invocation
-// is still in flight.
-func (f *Future) TryGet() (val any, ok bool, err error) {
-	f.cl.drain()
-	if !f.done && f.store && f.notified {
-		// Transient read errors leave the future unresolved, like Wait.
-		if v, found, gerr := f.cl.Get(f.Key); gerr == nil && found {
-			f.complete(v, nil)
-		}
-	}
-	if !f.done {
-		return nil, false, nil
-	}
-	return f.val, true, f.err
 }
 
 // Hops reports the executor-transition count of the completed

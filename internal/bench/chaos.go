@@ -425,7 +425,7 @@ func countGhostKeys(in *cluster.Cluster) int {
 func registerChaosWorkload(c *cb.Cluster, wl string, seed int64) (chaosDriver, *workload.Bank) {
 	switch wl {
 	case "bank":
-		b, err := workload.RegisterBank(c, 8, 100)
+		b, err := workload.RegisterBank(c, 8)
 		if err != nil {
 			panic(err)
 		}

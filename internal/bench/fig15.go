@@ -27,8 +27,7 @@ type Fig15Config struct {
 }
 
 const (
-	fig15Accounts = 10  // bank accounts
-	fig15Initial  = 100 // starting balance per account
+	fig15Accounts = 10 // bank accounts
 	fig15VMs      = 3
 )
 
@@ -137,7 +136,7 @@ func fig15Mode(cfg Fig15Config, mode cb.Consistency) Fig15Row {
 	defer c.Close()
 	in := c.Internal()
 
-	b, err := workload.RegisterBank(c, fig15Accounts, fig15Initial)
+	b, err := workload.RegisterBank(c, fig15Accounts)
 	if err != nil {
 		panic(err)
 	}
@@ -198,7 +197,7 @@ func fig15Failure(cfg Fig15Config) Fig15FailurePanel {
 	defer c.Close()
 	in := c.Internal()
 
-	b, err := workload.RegisterBank(c, fig15Accounts, fig15Initial)
+	b, err := workload.RegisterBank(c, fig15Accounts)
 	if err != nil {
 		panic(err)
 	}

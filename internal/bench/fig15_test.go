@@ -30,7 +30,7 @@ func TestBankTornUnderLWW(t *testing.T) {
 	defer c.Close()
 	in := c.Internal()
 
-	b, err := workload.RegisterBank(c, 8, 100)
+	b, err := workload.RegisterBank(c, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

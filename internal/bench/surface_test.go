@@ -106,7 +106,6 @@ func TestParamSurface(t *testing.T) {
 		"workload.ArraySum.Elems",
 		"workload.ArraySum.NumArrays",
 		"workload.Bank.Accounts",
-		"workload.Bank.Initial",
 		"workload.Gossip.Actors",
 		"workload.Gossip.MaxSteps",
 		"workload.PredServe.ModelBytes",

@@ -509,7 +509,8 @@ func (c *Cache) DropSnapshots() {
 	c.mu.Unlock()
 }
 
-// Evict removes key locally (test hook; also used by delete).
+// Evict removes key locally, leaving the KVS copy, so the next read of it
+// misses (the cold-read experiments and probes).
 func (c *Cache) Evict(key string) {
 	c.mu.Lock()
 	if _, ok := c.store[key]; ok {
@@ -518,13 +519,6 @@ func (c *Cache) Evict(key string) {
 		c.deltaChurn.add(key)
 	}
 	c.mu.Unlock()
-}
-
-// Delete removes key locally and from the KVS.
-func (c *Cache) Delete(key string) error {
-	c.k.Sleep(ipc)
-	c.Evict(key)
-	return c.anna.Delete(key)
 }
 
 // Prefetch warm-fills the local store for a read set with one grouped

@@ -501,22 +501,3 @@ func TestPrefetchMaintainsCausalCut(t *testing.T) {
 		}
 	})
 }
-
-func TestCacheDelete(t *testing.T) {
-	r := newRig(t, core.LWW)
-	r.k.Run("main", func() {
-		r.a.Write("req", "dk", []byte("v"), nil, "w")
-		r.a.FlushWrites()
-		r.k.Sleep(5 * time.Millisecond)
-		if err := r.a.Delete("dk"); err != nil {
-			t.Fatal(err)
-		}
-		if r.a.Contains("dk") {
-			t.Fatal("still cached after delete")
-		}
-		_, found, _ := r.client.Get("dk")
-		if found {
-			t.Fatal("still in KVS after delete")
-		}
-	})
-}

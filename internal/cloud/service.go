@@ -142,9 +142,6 @@ func NewService(k *vtime.Kernel, ep *simnet.Endpoint, p Profile) *Service {
 	return s
 }
 
-// ID returns the service's network id.
-func (s *Service) ID() simnet.NodeID { return s.ep.ID() }
-
 // acquire takes the master thread when the profile is serial; release
 // undoes it.
 func (s *Service) acquire() {

@@ -216,7 +216,6 @@ type InvokeRequest struct {
 	RespondTo  simnet.NodeID // where the Result goes
 	Deadline   time.Duration // client timeout; drives scheduler re-execution when lost
 	StoreInKVS bool          // persist the result in the KVS under ResultKey
-	Direct     bool          // carry the value inline in the Result even when storing
 	WantHops   bool          // report the executor hop count in the Result
 	Txn        bool          // buffer writes and commit atomically (internal/txn)
 	ResultKey  string
@@ -254,7 +253,6 @@ type DAGSchedule struct {
 	RespondTo   simnet.NodeID
 	Scheduler   simnet.NodeID // tracks the request (§4.5); receives its RequestComplete; a bare invoke's is its InvokeRequest's sender
 	StoreInKVS  bool
-	Direct      bool // carry the value inline in the Result even when storing
 	WantHops    bool // report the executor hop count in the Result
 	Txn         bool // commit the DAG's write set atomically at the sink
 	ResultKey   string

@@ -14,11 +14,13 @@ import (
 )
 
 // Ctx is the per-invocation handle passed to user functions: the Table 1
-// object API. KVS operations go through the VM's co-located cache with
-// the session's consistency protocol; send/recv do direct
-// executor-to-executor messaging with the Anna inbox as the fallback
-// channel (§3). It is valid until the function returns: each thread owns
-// one Ctx, fills it in for each invocation and zeroes it on return.
+// object API, without delete (a removal fanned out to every owner is not
+// a lattice merge; it returns as a tombstone write). KVS operations go
+// through the VM's co-located cache with the session's consistency
+// protocol; send/recv do direct executor-to-executor messaging with the
+// Anna inbox as the fallback channel (§3). It is valid until the
+// function returns: each thread owns one Ctx, fills it in for each
+// invocation and zeroes it on return.
 type Ctx struct {
 	t    *Thread
 	req  string // DAG request id (session scope)
@@ -51,9 +53,6 @@ func (c *Ctx) ID() string {
 	}
 	return c.id
 }
-
-// ReqID returns the DAG request id this invocation belongs to.
-func (c *Ctx) ReqID() string { return c.req }
 
 // Now returns the current virtual time.
 func (c *Ctx) Now() vtime.Time { return c.t.k.Now() }
@@ -235,9 +234,6 @@ func (c *Ctx) txnGet(key string) (any, bool, error) {
 // pays one map lookup.
 func (c *Ctx) Hook(name string) bool { return c.t.hooks.Fire(name, c.t.vm) }
 
-// Delete removes a key from the cache and the KVS.
-func (c *Ctx) Delete(key string) error { return c.t.cache.Delete(key) }
-
 // CachedLocally reports whether key is present in this VM's co-located
 // cache without falling through to the KVS. In the causal modes the
 // cache's causal-cut maintenance guarantees that a cached value's
@@ -322,21 +318,4 @@ func (c *Ctx) Recv() ([]any, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// RecvWait blocks until at least one message is available or the timeout
-// elapses, polling the inbox fallback at pollEvery. It is a convenience
-// for protocol code (the paper's gossip example busy-polls recv).
-func (c *Ctx) RecvWait(timeout, pollEvery time.Duration) ([]any, error) {
-	deadline := c.t.k.Now().Add(timeout)
-	for {
-		msgs, err := c.Recv()
-		if err != nil || len(msgs) > 0 {
-			return msgs, err
-		}
-		if c.t.k.Now() >= deadline {
-			return nil, nil
-		}
-		c.t.k.Sleep(pollEvery)
-	}
 }

@@ -68,7 +68,7 @@ func TestCtxStartsCleanOnReusedThread(t *testing.T) {
 					arg = weak.Make(&args[0].([]int)[0])
 				}
 				s := ctxSeen{
-					id: ctx.ID(), req: ctx.ReqID(), meta: ctx.meta != nil, own: ctx.meta == &th.session,
+					id: ctx.ID(), req: ctx.req, meta: ctx.meta != nil, own: ctx.meta == &th.session,
 					txn: ctx.txn != nil, tx: weak.Make(ctx.txn),
 				}
 				if !s.own {

@@ -3,14 +3,13 @@
 // cache. Threads serve single-function invocations and DAG triggers,
 // resolve KVS-reference arguments through the cache, propagate results
 // and distributed-session metadata to downstream DAG functions, expose
-// the Table 1 object API (get/put/delete/send/recv/get_id) to user code,
-// and periodically publish utilization and pinned-function metrics to
-// Anna.
+// the Table 1 object API (get/put/send/recv/get_id; delete is not
+// offered, see Ctx) to user code, and periodically publish utilization
+// and pinned-function metrics to Anna.
 package executor
 
 import (
 	"fmt"
-	"sort"
 
 	"cloudburst/internal/core"
 	"cloudburst/internal/simnet"
@@ -41,16 +40,6 @@ func (r *Registry) Register(name string, fn Function) { r.fns[name] = fn }
 func (r *Registry) Lookup(name string) (Function, bool) {
 	fn, ok := r.fns[name]
 	return fn, ok
-}
-
-// Names lists registered functions, sorted.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.fns))
-	for n := range r.fns {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // TraceEvent is one read or write observed by the consistency audit

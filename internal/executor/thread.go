@@ -402,7 +402,6 @@ func (t *Thread) runSingle(req *core.InvokeRequest, scheduler simnet.NodeID) {
 		RespondTo:  req.RespondTo,
 		Scheduler:  scheduler,
 		StoreInKVS: req.StoreInKVS,
-		Direct:     req.Direct,
 		WantHops:   req.WantHops,
 		Txn:        req.Txn,
 		ResultKey:  req.ResultKey,
@@ -579,10 +578,7 @@ func (t *Thread) complete(s *core.DAGSchedule, fn string, metaP *core.SessionMet
 	}
 	if err == nil && s.StoreInKVS {
 		if _, err = t.cache.Write(s.ReqID, s.ResultKey, payload, metaP, string(t.id)); err == nil {
-			res.ResultKey = s.ResultKey
-			if !s.Direct {
-				payload = nil
-			}
+			res.ResultKey, payload = s.ResultKey, nil
 		}
 	}
 	size := 48 + len(payload)

@@ -93,17 +93,6 @@ type heal struct{ f Healer }
 // Apply implements Action.
 func (h heal) Apply(inj *Injector) string { return h.f.Heal(inj) }
 
-// Duration reports the offset of the last event.
-func (p *Plan) Duration() time.Duration {
-	var max time.Duration
-	for _, e := range p.Events {
-		if e.At > max {
-			max = e.At
-		}
-	}
-	return max
-}
-
 // sorted returns the events in firing order without mutating the plan.
 func (p *Plan) sorted() []Event {
 	out := append([]Event(nil), p.Events...)
@@ -463,38 +452,6 @@ func (inj *Injector) blindShard() []simnet.NodeID {
 		}
 	}
 	return out
-}
-
-// DegradeLink installs a directed (or, with Symmetric, bidirectional)
-// link policy between two endpoints — the asymmetric-partition
-// primitive. Its heal clears the policy (both directions with
-// Symmetric).
-type DegradeLink struct {
-	From, To  simnet.NodeID
-	Policy    simnet.LinkPolicy
-	Symmetric bool
-}
-
-// Apply implements Action.
-func (a DegradeLink) Apply(inj *Injector) string {
-	inj.c.Net.SetLinkPolicy(a.From, a.To, a.Policy)
-	arrow := "->"
-	if a.Symmetric {
-		inj.c.Net.SetLinkPolicy(a.To, a.From, a.Policy)
-		arrow = "<->"
-	}
-	return fmt.Sprintf("degrade link %s%s%s %s", a.From, arrow, a.To, policyString(a.Policy))
-}
-
-// Heal implements Healer.
-func (a DegradeLink) Heal(inj *Injector) string {
-	inj.c.Net.ClearLinkPolicy(a.From, a.To)
-	arrow := "->"
-	if a.Symmetric {
-		inj.c.Net.ClearLinkPolicy(a.To, a.From)
-		arrow = "<->"
-	}
-	return fmt.Sprintf("heal link %s%s%s", a.From, arrow, a.To)
 }
 
 // CrashAnnaNode partitions one storage node away (replica loss). Reads

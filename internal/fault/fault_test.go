@@ -138,12 +138,12 @@ func TestRandomPlanIsReproducibleAndHealed(t *testing.T) {
 	}
 	// Every fault must heal inside the window, each healable fault once
 	// and strictly after it applied.
-	if d := a.Duration(); d >= opts.Start+opts.Window {
-		t.Fatalf("plan extends to %v, past the window end %v", d, opts.Start+opts.Window)
-	}
 	applied := map[Action]time.Duration{}
 	faults, heals := 0, 0
 	for _, ev := range a.Events {
+		if ev.At >= opts.Start+opts.Window {
+			t.Fatalf("event at %v, past the window end %v", ev.At, opts.Start+opts.Window)
+		}
 		switch act := ev.Action.(type) {
 		case heal:
 			heals++
@@ -184,8 +184,6 @@ func TestDuringTimelineIsGolden(t *testing.T) {
 		At(time.Millisecond, CrashAt{Hook: "test/golden", Entity: string(anna0), HealAfter: time.Second}).
 		During(time.Second, 2*time.Second, DegradeVM{VM: "vm0", Policy: simnet.LinkPolicy{Drop: 0.5, ExtraLatency: 3 * time.Millisecond}}).
 		During(time.Second, 3*time.Second, DegradeNode{Node: "sched-0", Policy: simnet.LinkPolicy{Jitter: 2 * time.Millisecond, Duplicate: 0.25}}).
-		During(2*time.Second, 4*time.Second, DegradeLink{From: "sched-0", To: anna0, Policy: simnet.LinkPolicy{Drop: 1}}).
-		During(2*time.Second, 5*time.Second, DegradeLink{From: "sched-1", To: "sched-0", Policy: simnet.LinkPolicy{ExtraLatency: 7 * time.Millisecond}, Symmetric: true}).
 		During(3*time.Second, 6*time.Second, CrashAnnaNode{Index: 1}).
 		During(3*time.Second, 7*time.Second, SplitBrain{VM: "vm1"}).
 		During(4*time.Second, 8*time.Second, CrashVM{VM: "vm0"}).
@@ -209,17 +207,13 @@ func TestDuringTimelineIsGolden(t *testing.T) {
 		"t=1s golden: degrade vm0 {drop 0.50 lat +3ms jitter 0s dup 0.00}",
 		"t=1s golden: degrade node sched-0 {drop 0.00 lat +0s jitter 2ms dup 0.25}",
 		"t=2s golden: heal vm0",
-		"t=2s golden: degrade link sched-0->anna-0 {drop 1.00 lat +0s jitter 0s dup 0.00}",
-		"t=2s golden: degrade link sched-1<->sched-0 {drop 0.00 lat +7ms jitter 0s dup 0.00}",
 		"t=3s golden: heal node sched-0",
 		"t=3s golden: crash anna replica anna-1",
 		"t=3s golden: split-brain vm1: blinded from 1 control endpoint(s)",
-		"t=4s golden: heal link sched-0->anna-0",
 		"t=4s golden: crash vm0",
 		"t=4s golden: crash vm1",
 		"t=4.5s crash-at test/golden: crash vm2",
 		"t=4.5s crash-at test/golden: partition anna-0",
-		"t=5s golden: heal link sched-1<->sched-0",
 		"t=5s golden: crash vm9: already gone",
 		"t=5s golden: degrade vm9: not live",
 		"t=5.5s crash-at test/golden: revive anna-0",

@@ -42,9 +42,6 @@ func NewInjector(c *cluster.Cluster) *Injector {
 	}
 }
 
-// Cluster returns the injected cluster.
-func (inj *Injector) Cluster() *cluster.Cluster { return inj.c }
-
 // Run executes a plan to completion, sleeping the virtual clock between
 // events. It must be called from a kernel process; use Start for the
 // daemon form.

@@ -200,9 +200,6 @@ func (m *Monitor) Start() {
 	m.disp.Every("policy", policyInterval, m.tick)
 }
 
-// Stop halts the policy loop after its current tick.
-func (m *Monitor) Stop() { m.disp.Stop() }
-
 func (m *Monitor) tick() {
 	calls, done := m.refresh()
 	elapsed := m.k.Now().Sub(m.lastTick).Seconds()

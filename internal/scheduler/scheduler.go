@@ -77,7 +77,6 @@ type DAGInvokeReq struct {
 	Args       []core.FnArgs
 	RespondTo  simnet.NodeID
 	StoreInKVS bool // persist the sink's result in the KVS under ResultKey
-	Direct     bool // carry the value inline in the Result even when storing
 	WantHops   bool // report the executor hop count in the Result
 	Txn        bool // commit the request's writes atomically (Transactional mode)
 	ResultKey  string
@@ -734,7 +733,6 @@ func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
 		RespondTo:   req.RespondTo,
 		Scheduler:   s.id,
 		StoreInKVS:  req.StoreInKVS,
-		Direct:      req.Direct,
 		WantHops:    req.WantHops,
 		Txn:         req.Txn,
 		ResultKey:   req.ResultKey,

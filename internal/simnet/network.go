@@ -1,6 +1,6 @@
 // Package simnet is the simulated datacenter network the Cloudburst
-// reproduction runs on: virtual-time message delivery with per-link
-// latency models, bandwidth/NIC contention, per-sender FIFO ordering,
+// reproduction runs on: virtual-time message delivery over one link
+// model (latency and bandwidth), NIC contention, per-sender FIFO ordering,
 // fault injection (per-link and per-node policies: probabilistic drops,
 // added latency and jitter, duplication, full partitions), synchronous
 // RPC, and a typed dispatch layer (Dispatcher) that server components
@@ -115,10 +115,9 @@ type node struct {
 // Network is a simulated datacenter network. All methods must be called
 // from kernel processes (or between kernel runs for setup).
 type Network struct {
-	k           *vtime.Kernel
-	defaultLink Link
-	links       map[[2]NodeID]Link
-	nodes       map[NodeID]*node
+	k     *vtime.Kernel
+	link  Link // every direction's latency and bandwidth
+	nodes map[NodeID]*node
 
 	// Fault overlays (see LinkPolicy). Empty maps are the fast path: the
 	// delivery code skips all policy work (and consumes no extra random
@@ -139,30 +138,15 @@ type Network struct {
 	MessagesDuped int64
 }
 
-// New creates a network whose unspecified links use defaultLink.
-func New(k *vtime.Kernel, defaultLink Link) *Network {
+// New creates a network whose every direction uses link.
+func New(k *vtime.Kernel, link Link) *Network {
 	return &Network{
 		k:            k,
-		defaultLink:  defaultLink,
-		links:        make(map[[2]NodeID]Link),
+		link:         link,
 		nodes:        make(map[NodeID]*node),
 		linkPolicies: make(map[[2]NodeID]LinkPolicy),
 		nodePolicies: make(map[NodeID]LinkPolicy),
 	}
-}
-
-// Kernel returns the kernel this network runs on.
-func (n *Network) Kernel() *vtime.Kernel { return n.k }
-
-// SetLink overrides the link model for the from→to direction.
-func (n *Network) SetLink(from, to NodeID, l Link) { n.links[[2]NodeID{from, to}] = l }
-
-// linkFor resolves the effective link for a direction.
-func (n *Network) linkFor(from, to NodeID) Link {
-	if l, ok := n.links[[2]NodeID{from, to}]; ok {
-		return l
-	}
-	return n.defaultLink
 }
 
 // AddNode registers id and returns its endpoint handle. Adding an existing
@@ -335,15 +319,14 @@ func (n *Network) deliver(from, to NodeID, size int, d *delivery) {
 	}
 	n.MessagesSent++
 	n.BytesSent += int64(size)
-	link := n.linkFor(from, to)
-	propagation := link.Latency.Sample(n.k.Rand())
+	propagation := n.link.Latency.Sample(n.k.Rand())
 	if faulty {
 		propagation += pol.ExtraLatency
 		if pol.Jitter > 0 {
 			propagation += time.Duration(n.k.Rand().Int63n(int64(pol.Jitter)))
 		}
 	}
-	transfer := link.transfer(size)
+	transfer := n.link.transfer(size)
 
 	arrival := n.k.Now().Add(propagation)
 	if dst, ok := n.nodes[to]; ok {
@@ -372,7 +355,7 @@ func (n *Network) deliver(from, to NodeID, size int, d *delivery) {
 			dup := n.getDelivery()
 			dup.to, dup.msg = d.to, d.msg
 			n.MessagesDuped++
-			n.k.AfterEvent(arrival.Sub(n.k.Now())+link.Latency.Sample(n.k.Rand()), dup)
+			n.k.AfterEvent(arrival.Sub(n.k.Now())+n.link.Latency.Sample(n.k.Rand()), dup)
 		}
 	}
 }

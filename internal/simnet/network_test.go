@@ -67,20 +67,6 @@ func TestPerLinkFIFOPreventsReordering(t *testing.T) {
 	})
 }
 
-func TestLinkOverride(t *testing.T) {
-	k, n := testNet(t, Link{Latency: Constant(time.Millisecond)})
-	a := n.AddNode("a")
-	b := n.AddNode("b")
-	n.SetLink("a", "b", Link{Latency: Constant(30 * time.Millisecond)})
-	k.Run("main", func() {
-		a.Send("b", 1, 0)
-		b.Recv()
-		if k.Now() != vtime.Time(30*time.Millisecond) {
-			t.Errorf("override not applied, t=%v", k.Now())
-		}
-	})
-}
-
 func TestDownNodeDropsAndRPCTimesOut(t *testing.T) {
 	k, n := testNet(t, Link{Latency: Constant(time.Millisecond)})
 	a := n.AddNode("a")

@@ -185,9 +185,6 @@ func NewRing(ring int) *Collector {
 	return &Collector{active: make(map[string]*Trace), ring: ring}
 }
 
-// Enabled reports whether the collector records anything.
-func (c *Collector) Enabled() bool { return c != nil }
-
 // traceID derives the deterministic trace ID from a request ID and
 // attempt (FNV-1a, attempt folded in last).
 func traceID(reqID string, attempt int32) uint64 {

@@ -70,10 +70,6 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 // Seconds reports t as floating-point seconds since the simulation start.
 func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 
-// Milliseconds reports t as floating-point milliseconds since the
-// simulation start.
-func (t Time) Milliseconds() float64 { return float64(t) / float64(time.Millisecond) }
-
 func (t Time) String() string { return time.Duration(t).String() }
 
 // procState records where a process currently is in its lifecycle. It is

@@ -21,15 +21,6 @@ func (m *Mutex) Lock() {
 	// Ownership was transferred to us by Unlock; locked stays true.
 }
 
-// TryLock acquires the lock without blocking and reports success.
-func (m *Mutex) TryLock() bool {
-	if m.locked {
-		return false
-	}
-	m.locked = true
-	return true
-}
-
 // Unlock releases the lock, handing it to the longest waiter if any.
 func (m *Mutex) Unlock() {
 	if !m.locked {

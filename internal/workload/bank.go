@@ -16,6 +16,9 @@ import (
 // transactional mode does not.
 const BankMidTransfer = "wl/bank/mid-transfer"
 
+// bankInitial is every account's starting balance.
+const bankInitial = 100
+
 // Bank is the bank-transfer workload: a fixed set of accounts, each
 // preloaded with the same balance, and a transfer function that debits
 // one account and credits another. The invariant is that the balance
@@ -26,7 +29,6 @@ const BankMidTransfer = "wl/bank/mid-transfer"
 // all.
 type Bank struct {
 	Accounts int
-	Initial  int
 }
 
 // Key returns the i'th account's KVS key.
@@ -34,13 +36,13 @@ func (b *Bank) Key(i int) string { return fmt.Sprintf("bank-%04d", i) }
 
 // Total is the invariant: the sum of all balances at any quiescent
 // point.
-func (b *Bank) Total() int { return b.Accounts * b.Initial }
+func (b *Bank) Total() int { return b.Accounts * bankInitial }
 
 // RegisterBank installs the transfer and audit functions and returns
 // the workload handle. Preload must still be called before driving
 // traffic.
-func RegisterBank(c *cb.Cluster, accounts, initial int) (*Bank, error) {
-	b := &Bank{Accounts: accounts, Initial: initial}
+func RegisterBank(c *cb.Cluster, accounts int) (*Bank, error) {
+	b := &Bank{Accounts: accounts}
 	err := c.RegisterFunction("bank-transfer", func(ctx *cb.Ctx, args []any) (any, error) {
 		from, to := args[0].(string), args[1].(string)
 		amount := args[2].(int)
@@ -100,7 +102,7 @@ func (b *Bank) Preload(c *cb.Cluster) {
 	in := c.Internal()
 	causal := in.Mode().Causal()
 	for i := 0; i < b.Accounts; i++ {
-		payload := codec.MustEncode(b.Initial)
+		payload := codec.MustEncode(bankInitial)
 		var lat lattice.Lattice
 		if causal {
 			lat = lattice.NewCausal(lattice.VectorClock{"preload": 1}, nil, payload)

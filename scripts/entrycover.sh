@@ -6,7 +6,8 @@
 # percentage and every function that no entry point ran (0.0% in
 # go tool cover -func). A mechanism on that list either gets an entry
 # point or is deleted. The entry points:
-#   - cb-bench: every experiment at its quick config (-run all);
+#   - cb-bench: every experiment at its quick config (-run all), and
+#     its listing (-list);
 #   - the four examples;
 #   - cb-cluster in each of its six consistency modes;
 #   - the benchmark (benchmark/, a module of its own) with --smoke, as
@@ -63,6 +64,7 @@ measure() (
     fi
   }
   run cb-bench -run all -parallel 1
+  run cb-bench -list
   for ex in quickstart retwis gossip predserve; do
     run "$ex"
   done
