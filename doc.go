@@ -418,17 +418,16 @@
 //		},
 //	}
 //	rec := traffic.NewPool(in.K, in, eps, spec).Run()
-//	p99 := rec.Capsule("open").Quantile(0.99)
+//	p99 := rec.Hist.Quantile(0.99)
 //
 // The arrival stream draws from its own seeded source, so a fixed
 // seed replays the identical request stream; ZipfKeys and Mix add
 // hot-key skew and per-tenant DAG mixes. The pool records latencies
 // into a fixed-bucket streaming histogram (no per-request sample
-// slice), and the resulting Capsule is a codec wire struct, so whole
-// measurement windows travel through Anna like any other control-plane
-// state. A bounded reaper re-issues requests that stay silent past
-// RetryAfter, walking the scheduler ranking so retries land on a
-// different shard.
+// slice), and the figure reads its quantiles and the sustained rate
+// (Recorder.Sustained) off the recorder in place. A bounded reaper
+// re-issues requests that stay silent past RetryAfter, walking the
+// scheduler ranking so retries land on a different shard.
 //
 // Offered load beyond one scheduler's dispatch capacity is the
 // headline experiment (cmd/cb-bench -run fig13-saturation): the

@@ -308,11 +308,12 @@ func runChaosCell(cfg ChaosConfig, wl string, mode cb.Consistency, seed int64, s
 	}
 
 	// Closed-loop logical requests with bounded client-side re-issue. A
-	// timeout is not terminal — single-function workloads (Retwis,
-	// gossip) have no §4.5 retry tracking, and a request to a degraded
-	// scheduler can vanish before being tracked — so the client
-	// re-issues, as a real application would. Only a request with no
-	// terminal outcome across all attempts counts as lost.
+	// timeout is not terminal: the scheduler re-executes a tracked
+	// request, a single function (Retwis, gossip) as well as a DAG
+	// (§4.5), but a request to a degraded scheduler can vanish before
+	// being tracked, and a re-execution can outlast the client's wait, so
+	// the client re-issues, as a real application would. Only a request
+	// with no terminal outcome across all attempts counts as lost.
 	const maxAttempts = 5
 	windowEnd := c.Now() + cfg.Window
 	c.RunN(cfg.Clients, func(i int, cl *cb.Client) {

@@ -270,33 +270,20 @@ func runFig13Point(cfg Fig13Config, scount int, load float64) Fig13Point {
 		eps[i] = in.NewClientEndpoint()
 	}
 
-	var capsule traffic.Capsule
-	c.Run(func(cl *cb.Client) {
-		pool := traffic.NewPool(in.K, in, eps, spec)
-		rec := pool.Run()
-		// Persist the window through the wire codec and read it back:
-		// the capsule is the measurement of record, so every figure-13
-		// number has crossed the wire codec.
-		ac := in.AnnaClientFor(in.NewClientEndpoint())
-		if err := traffic.PublishCapsule(in.K, ac, rec.Capsule(name)); err != nil {
-			panic(err)
-		}
-		got, err := traffic.LoadCapsule(ac, name)
-		if err != nil {
-			panic(err)
-		}
-		capsule = got
+	var rec *traffic.Recorder
+	c.Run(func(*cb.Client) {
+		rec = traffic.NewPool(in.K, in, eps, spec).Run()
 	})
 
 	return Fig13Point{
 		Schedulers: scount,
 		Offered:    load,
-		Sustained:  capsule.Sustained(cfg.Window),
-		P50:        capsule.Quantile(0.50),
-		P99:        capsule.Quantile(0.99),
-		Issued:     capsule.Issued,
-		Done:       capsule.Done,
-		Failed:     capsule.Failed,
-		Lost:       capsule.Lost,
+		Sustained:  rec.Sustained(cfg.Window),
+		P50:        rec.Hist.Quantile(0.50),
+		P99:        rec.Hist.Quantile(0.99),
+		Issued:     rec.Issued,
+		Done:       rec.Done,
+		Failed:     rec.Failed,
+		Lost:       rec.Lost,
 	}
 }

@@ -121,6 +121,13 @@ type Stats struct {
 // Cache is one VM's co-located cache process. Network traffic — update
 // pushes from Anna, snapshot fetches from peer caches, DAG-completion
 // notices — dispatches through a serial simnet.Dispatcher.
+//
+// The kernel runs one process at a time, so the cache takes no lock. The
+// dispatcher, the keyset tick, write-backs and executor reads all run
+// cache methods, and a method reads and writes the store, the snapshot
+// tables and the churn sets only between blocking calls: after a blocking
+// call (an Anna call, an upstream fetch, Sleep) it reads the store again,
+// as ensureCutDepth does, rather than trust what it read before.
 type Cache struct {
 	k    *vtime.Kernel
 	ep   *simnet.Endpoint
@@ -129,7 +136,6 @@ type Cache struct {
 	vm   string
 	disp *simnet.Dispatcher
 
-	mu    *vtime.Mutex
 	store map[string]lattice.Lattice
 
 	// snapshots holds per-request version snapshots: reqID → key →
@@ -186,7 +192,6 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, vm string, cfg C
 		anna:      ac,
 		cfg:       cfg,
 		vm:        vm,
-		mu:        vtime.NewMutex(k),
 		store:     make(map[string]lattice.Lattice),
 		snapshots: make(map[string]snapTable),
 		freeSnaps: vtime.FreeList[map[string]lattice.Lattice]{Max: snapFreeMax},
@@ -297,16 +302,14 @@ func (c *Cache) handlePush(_ simnet.Message, b *anna.KeyUpdatePush) {
 // handleDAGDone evicts a completed request's version snapshots
 // (Algorithm 1's sink notification).
 func (c *Cache) handleDAGDone(_ simnet.Message, b *core.DAGDone) {
-	c.mu.Lock()
 	if t, ok := c.snapshots[b.ReqID]; ok {
-		c.dropSnapshotsLocked(b.ReqID, t)
+		c.dropTable(b.ReqID, t)
 	}
-	c.mu.Unlock()
 }
 
-// dropSnapshotsLocked evicts reqID's table t and keeps it, emptied, for
-// the next request. Caller holds mu.
-func (c *Cache) dropSnapshotsLocked(reqID string, t snapTable) {
+// dropTable evicts reqID's table t and keeps it, emptied, for the next
+// request.
+func (c *Cache) dropTable(reqID string, t snapTable) {
 	delete(c.snapshots, reqID)
 	if len(t.keys) <= snapTableKeep {
 		clear(t.keys)
@@ -319,7 +322,6 @@ func (c *Cache) dropSnapshotsLocked(reqID string, t snapTable) {
 // warm-handoff form: the peer asks for this cache's current version of
 // the key (WarmFill), not a per-request snapshot.
 func (c *Cache) handleSnapshotFetch(req *simnet.Request, rb SnapshotFetchReq) {
-	c.mu.Lock()
 	var resp SnapshotFetchResp
 	if rb.ReqID == "" {
 		if lat, ok := c.store[rb.Key]; ok {
@@ -330,7 +332,6 @@ func (c *Cache) handleSnapshotFetch(req *simnet.Request, rb SnapshotFetchReq) {
 			resp = SnapshotFetchResp{Lat: lat, Found: true}
 		}
 	}
-	c.mu.Unlock()
 	size := 16
 	if resp.Found {
 		size += resp.Lat.ByteSize()
@@ -348,14 +349,12 @@ func (c *Cache) ingestUpdate(key string, lat lattice.Lattice) {
 			c.ensureCut(cap)
 		}
 	}
-	c.mu.Lock()
-	c.mergeLocked(key, lat)
-	c.mu.Unlock()
+	c.merge(key, lat)
 }
 
-// mergeLocked stores the join of the cached capsule and lat; caller holds
-// mu. Capsules are values, so the store, snapshots and replies share them.
-func (c *Cache) mergeLocked(key string, lat lattice.Lattice) {
+// merge stores the join of the cached capsule and lat. Capsules are
+// values, so the store, snapshots and replies share them.
+func (c *Cache) merge(key string, lat lattice.Lattice) {
 	if cur, ok := c.store[key]; ok {
 		c.store[key] = cur.Merge(lat)
 		return
@@ -405,16 +404,14 @@ func (ch *churn) drain(stored int) []string {
 // can maintain the key→cache index (§4.2), and drops the snapshot tables
 // of requests older than cfg.MaxRequestAge, which no DAGDone will free.
 func (c *Cache) keysetTick() {
-	c.mu.Lock()
 	added, removed := c.takeDelta()
 	if age := c.cfg.MaxRequestAge; age > 0 {
 		for id, t := range c.snapshots {
 			if c.k.Now().Sub(t.born) > age {
-				c.dropSnapshotsLocked(id, t)
+				c.dropTable(id, t)
 			}
 		}
 	}
-	c.mu.Unlock()
 	if len(added) > 0 || len(removed) > 0 {
 		c.anna.PublishKeyset(c.ep.ID(), added, removed)
 	}
@@ -423,7 +420,7 @@ func (c *Cache) keysetTick() {
 // takeDelta drains the keyset delta: the keys that entered the store
 // since the last drain and the keys that left it, each ascending. added
 // is the churn's scratch, valid until the next drain (PublishKeyset
-// copies what it sends). Caller holds mu.
+// copies what it sends).
 func (c *Cache) takeDelta() (added, removed []string) {
 	changed := c.deltaChurn.drain(len(c.store))
 	added = changed[:0]
@@ -445,8 +442,6 @@ func (c *Cache) takeDelta() (added, removed []string) {
 // the last call: O(N + c log c) for c changed keys, never a sort of the
 // whole set.
 func (c *Cache) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if len(c.keysChurn.set) == 0 {
 		return c.keys
 	}
@@ -487,16 +482,12 @@ func (c *Cache) Keys() []string {
 // Unsubscribe removes this dead cache from Anna's key→cache index for
 // every key it holds or dropped since its last keyset publication.
 func (c *Cache) Unsubscribe(kv *anna.KVS) {
-	c.mu.Lock()
 	_, left := c.takeDelta()
-	c.mu.Unlock()
 	kv.Unsubscribe(c.ID(), append(slices.Clone(c.Keys()), left...))
 }
 
 // Contains reports whether key is cached (test hook).
 func (c *Cache) Contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	_, ok := c.store[key]
 	return ok
 }
@@ -504,21 +495,17 @@ func (c *Cache) Contains(key string) bool {
 // DropSnapshots discards all version snapshots (failure injection for
 // §5.3's upstream-cache-failure path).
 func (c *Cache) DropSnapshots() {
-	c.mu.Lock()
 	c.snapshots = make(map[string]snapTable)
-	c.mu.Unlock()
 }
 
 // Evict removes key locally, leaving the KVS copy, so the next read of it
 // misses (the cold-read experiments and probes).
 func (c *Cache) Evict(key string) {
-	c.mu.Lock()
 	if _, ok := c.store[key]; ok {
 		delete(c.store, key)
 		c.keysChurn.add(key)
 		c.deltaChurn.add(key)
 	}
-	c.mu.Unlock()
 }
 
 // Prefetch warm-fills the local store for a read set with one grouped
@@ -540,13 +527,11 @@ func (c *Cache) Prefetch(keys []string) {
 		p = &prefetchCall{}
 	}
 	defer c.putPrefetch(p)
-	c.mu.Lock()
 	for _, k := range keys {
 		if _, ok := c.store[k]; !ok {
 			p.missing = append(p.missing, k)
 		}
 	}
-	c.mu.Unlock()
 	if len(p.missing) < 2 {
 		return // nothing to batch: the per-key path is already one round trip
 	}
@@ -566,9 +551,7 @@ func (c *Cache) Prefetch(keys []string) {
 				c.ensureCut(cap)
 			}
 		}
-		c.mu.Lock()
-		c.mergeLocked(k, lat)
-		c.mu.Unlock()
+		c.merge(k, lat)
 		c.Stats.PrefetchedKeys++
 	}
 }
@@ -601,10 +584,7 @@ func (c *Cache) putPrefetch(p *prefetchCall) {
 // are fetched in that order. Returns the number of keys restored.
 func (c *Cache) WarmFill(peer simnet.NodeID, keys []string) (filled int) {
 	for _, k := range keys {
-		c.mu.Lock()
-		_, have := c.store[k]
-		c.mu.Unlock()
-		if have {
+		if _, have := c.store[k]; have {
 			continue
 		}
 		c.Stats.WarmFetches++
@@ -621,9 +601,7 @@ func (c *Cache) WarmFill(peer simnet.NodeID, keys []string) (filled int) {
 				c.ensureCut(cap)
 			}
 		}
-		c.mu.Lock()
-		c.mergeLocked(k, r.Lat)
-		c.mu.Unlock()
+		c.merge(k, r.Lat)
 		filled++
 		c.Stats.WarmFilledKeys++
 	}
@@ -647,11 +625,8 @@ func (c *Cache) fetchFromAnna(rctx trace.Ctx, key string) (lattice.Lattice, bool
 			c.ensureCut(cap)
 		}
 	}
-	c.mu.Lock()
-	c.mergeLocked(key, lat)
-	cur := c.store[key]
-	c.mu.Unlock()
-	return cur, true, nil
+	c.merge(key, lat)
+	return c.store[key], true, nil
 }
 
 // ensureCut makes the local store satisfy cap's dependency requirements
@@ -678,19 +653,9 @@ func (c *Cache) ensureCutDepth(cap *lattice.Causal, depth int) {
 	// so blocking fetches below cannot change what is left of the walk.
 	for dk, need := range cap.Deps() {
 		for attempt := 0; ; attempt++ {
-			c.mu.Lock()
-			cur, ok := c.store[dk]
-			satisfied := false
-			if ok {
-				if cached, isCausal := cur.(*lattice.Causal); isCausal {
-					// Satisfied when the cached version did not happen
-					// before the required version (concurrent or newer
-					// both preserve the cut).
-					satisfied = !cached.VC().HappensBefore(need)
-				}
-			}
-			c.mu.Unlock()
-			if satisfied {
+			// Satisfied when the cached version did not happen before the
+			// required version (concurrent or newer both preserve the cut).
+			if cached, ok := c.store[dk].(*lattice.Causal); ok && !cached.VC().HappensBefore(need) {
 				break
 			}
 			if attempt >= depFetchRetries {
@@ -705,9 +670,7 @@ func (c *Cache) ensureCutDepth(cap *lattice.Causal, depth int) {
 					// stay a causal cut.
 					c.ensureCutDepth(fetched, depth+1)
 				}
-				c.mu.Lock()
-				c.mergeLocked(dk, lat)
-				c.mu.Unlock()
+				c.merge(dk, lat)
 				continue // re-check satisfaction
 			}
 			c.k.Sleep(depFetchBackoff)
@@ -715,30 +678,30 @@ func (c *Cache) ensureCutDepth(cap *lattice.Causal, depth int) {
 	}
 }
 
-// snapshotLocked records the exact capsule a DAG read here; the first
-// read's version sticks for the DAG's lifetime. Caller holds mu.
-func (c *Cache) snapshotLocked(reqID, key string, lat lattice.Lattice) {
-	snaps := c.snapshotMapLocked(reqID)
+// snapshot records the exact capsule a DAG read here; the first read's
+// version sticks for the DAG's lifetime.
+func (c *Cache) snapshot(reqID, key string, lat lattice.Lattice) {
+	snaps := c.snapshotMap(reqID)
 	if _, exists := snaps[key]; !exists {
 		snaps[key] = lat
 		c.Stats.SnapshotsTaken++
 	}
 }
 
-// snapshotWriteLocked records a DAG's own write, which supersedes any
-// earlier read snapshot: downstream functions must observe the most
-// recent update made within the DAG. Caller holds mu.
-func (c *Cache) snapshotWriteLocked(reqID, key string, lat lattice.Lattice) {
-	snaps := c.snapshotMapLocked(reqID)
+// snapshotWrite records a DAG's own write, which supersedes any earlier
+// read snapshot: downstream functions must observe the most recent update
+// made within the DAG.
+func (c *Cache) snapshotWrite(reqID, key string, lat lattice.Lattice) {
+	snaps := c.snapshotMap(reqID)
 	if _, exists := snaps[key]; !exists {
 		c.Stats.SnapshotsTaken++
 	}
 	snaps[key] = lat
 }
 
-// snapshotMapLocked returns reqID's snapshot table, taking an emptied
-// one off the free list for a request's first snapshot. Caller holds mu.
-func (c *Cache) snapshotMapLocked(reqID string) map[string]lattice.Lattice {
+// snapshotMap returns reqID's snapshot table, taking an emptied one off
+// the free list for a request's first snapshot.
+func (c *Cache) snapshotMap(reqID string) map[string]lattice.Lattice {
 	t, ok := c.snapshots[reqID]
 	if !ok {
 		if t.keys, ok = c.freeSnaps.Get(); !ok {
@@ -769,7 +732,5 @@ func (c *Cache) fetchUpstream(rctx trace.Ctx, upstream simnet.NodeID, reqID, key
 
 // SnapshotCount reports live snapshot requests (test hook).
 func (c *Cache) SnapshotCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return len(c.snapshots)
 }

@@ -46,9 +46,7 @@ func TestKeySetMatchesMapOracle(t *testing.T) {
 				added[k] = true
 				delete(removed, k)
 			}
-			c.mu.Lock()
-			c.mergeLocked(k, lat)
-			c.mu.Unlock()
+			c.merge(k, lat)
 		}
 		for step := 0; step < 300; step++ {
 			k := fmt.Sprintf("k%04d", rng.Intn(universe))
@@ -75,13 +73,11 @@ func TestKeySetMatchesMapOracle(t *testing.T) {
 					t.Fatalf("seed %d step %d: Keys = %v, want %v", seed, step, got, want)
 				}
 			default:
-				c.mu.Lock()
 				listed := c.deltaChurn.set != nil
 				a, r := c.takeDelta()
 				if listed && c.deltaChurn.set == nil {
 					released++
 				}
-				c.mu.Unlock()
 				if !slices.Equal(a, setToSlice(added)) || !slices.Equal(r, setToSlice(removed)) {
 					t.Fatalf("seed %d step %d: delta +%v -%v, want +%v -%v", seed, step, a, r, setToSlice(added), setToSlice(removed))
 				}
@@ -106,11 +102,9 @@ func TestKeySetMatchesMapOracle(t *testing.T) {
 func TestKeysUnchangedAllocationFree(t *testing.T) {
 	c := newRig(t, core.LWW).a
 	lat := lattice.NewLWW(lattice.Timestamp{Clock: 1}, []byte("v"))
-	c.mu.Lock()
 	for i := 0; i < 1000; i++ {
-		c.mergeLocked(fmt.Sprintf("k%04d", i), lat)
+		c.merge(fmt.Sprintf("k%04d", i), lat)
 	}
-	c.mu.Unlock()
 	first := c.Keys()
 	if len(first) != 1000 || !slices.IsSorted(first) {
 		t.Fatalf("Keys = %d keys, sorted %v; want 1000 sorted", len(first), slices.IsSorted(first))

@@ -216,6 +216,66 @@ func TestInterleavedPrefetchesMatchPerKeyReads(t *testing.T) {
 	}
 }
 
+// TestPushWriteAndColdReadAtOneInstant starts a cold read, a local write
+// and an ingest of a pushed update of one key in three kernel processes at
+// one virtual instant. The read misses and waits on Anna while the write
+// and the push land, so each method touches the store only between its
+// blocking calls. The store must hold the join of the pushed and the
+// written versions, and the read must return it; the key must enter the
+// key list and the keyset delta once.
+func TestPushWriteAndColdReadAtOneInstant(t *testing.T) {
+	r := newRig(t, core.MK)
+	const key = "k"
+	pushed := lattice.NewCausal(lattice.VectorClock{"x": 1}, nil, []byte("pushed"))
+	r.kv.Preload(key, pushed)
+	var read []byte
+	r.k.Run("main", func() {
+		wg := vtime.NewWaitGroup(r.k)
+		wg.Add(3)
+		r.k.Go("read", func() {
+			defer wg.Done()
+			var err error
+			if read, _, err = r.a.Read("read", key, nil); err != nil {
+				t.Error(err)
+			}
+		})
+		r.k.Go("write", func() {
+			defer wg.Done()
+			if _, err := r.a.Write("write", key, []byte("written"), nil, "w"); err != nil {
+				t.Error(err)
+			}
+		})
+		r.k.Go("push", func() {
+			defer wg.Done()
+			r.k.Sleep(ipc) // beside the read's and the write's IPC hop
+			r.a.ingestUpdate(key, pushed)
+		})
+		wg.Wait()
+	})
+	if r.a.Stats.Misses != 1 || r.a.Stats.Hits != 0 || r.a.Stats.UpdatesPushed != 1 {
+		t.Fatalf("stats %+v, want the read to miss and one push", r.a.Stats)
+	}
+	got := r.a.store[key].(*lattice.Causal)
+	wantVC := lattice.VectorClock{"x": 1, "w": 1}
+	var sibs []string
+	for _, s := range got.Siblings() {
+		sibs = append(sibs, string(s))
+	}
+	slices.Sort(sibs)
+	if got.VC().Compare(wantVC.Freeze()) != lattice.Equal || !slices.Equal(sibs, []string{"pushed", "written"}) {
+		t.Fatalf("store holds %v with siblings %q, want the join %v of both versions", got.VC(), sibs, wantVC)
+	}
+	if want := got.DisplayValue(); string(read) != string(want) {
+		t.Fatalf("the cold read returned %q, want the stored join's %q", read, want)
+	}
+	if keys := r.a.Keys(); !slices.Equal(keys, []string{key}) {
+		t.Fatalf("Keys = %q, want [%s] once", keys, key)
+	}
+	if added, removed := r.a.takeDelta(); !slices.Equal(added, []string{key}) || len(removed) != 0 {
+		t.Fatalf("keyset delta +%q -%q, want +[%s] once", added, removed, key)
+	}
+}
+
 // TestPrefetchAllocations pins what a cold read set of 10 keys costs on a
 // warm cache whose prefetch and grouped-read records are reused: the miss
 // list, the results and the grouped keys are theirs, so what remains is

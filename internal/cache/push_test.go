@@ -51,9 +51,7 @@ func TestPushedMessageIsSharedAndUnchanged(t *testing.T) {
 		if push.Key != "k" || len(sibs) != 2 {
 			t.Fatalf("pushed %s with %d siblings, want k with 2", push.Key, len(sibs))
 		}
-		r.a.mu.Lock()
-		r.a.mergeLocked("k", lattice.NewCausal(lattice.VectorClock{"z": 1}, nil, []byte("z")))
-		r.a.mu.Unlock()
+		r.a.merge("k", lattice.NewCausal(lattice.VectorClock{"z": 1}, nil, []byte("z")))
 		for i, m := range msgs {
 			c := []*Cache{r.a, r.b}[i%2]
 			c.handlePush(m, push)

@@ -61,14 +61,11 @@ func (c *Cache) read(reqID, key string, meta *core.SessionMeta) (lattice.Lattice
 // readLWW is the default path: local value if cached, else fill from
 // Anna. No session metadata.
 func (c *Cache) readLWW(rctx trace.Ctx, key string) (lattice.Lattice, core.VersionRef, error) {
-	c.mu.Lock()
 	if cur, ok := c.store[key]; ok {
 		l := cur.(*lattice.LWW) // immutable capsule: shared, not copied
-		c.mu.Unlock()
 		c.Stats.Hits++
 		return l, core.VersionRef{Cache: c.ID(), TS: l.TS}, nil
 	}
-	c.mu.Unlock()
 	c.Stats.Misses++
 	lat, found, err := c.fetchFromAnna(rctx, key)
 	if err != nil {
@@ -86,16 +83,10 @@ func (c *Cache) readRR(rctx trace.Ctx, reqID, key string, meta *core.SessionMeta
 		if prior, ok := meta.ReadSet[key]; ok {
 			// Key previously read in this DAG: an exact version match
 			// is required.
-			c.mu.Lock()
-			cur, hasLocal := c.store[key]
-			if hasLocal {
-				if cur.(*lattice.LWW).TS == prior.TS {
-					c.mu.Unlock()
-					c.Stats.Hits++
-					return cur, prior, nil
-				}
+			if cur, ok := c.store[key]; ok && cur.(*lattice.LWW).TS == prior.TS {
+				c.Stats.Hits++
+				return cur, prior, nil
 			}
-			c.mu.Unlock()
 			// Local version missing or different: fetch the snapshot
 			// from the upstream cache that recorded it (line 5).
 			lat, err := c.fetchUpstream(rctx, prior.Cache, reqID, key)
@@ -107,20 +98,16 @@ func (c *Cache) readRR(rctx trace.Ctx, reqID, key string, meta *core.SessionMeta
 	}
 	// First read of this key in the DAG: any available version (line 9),
 	// snapshotted for the DAG's lifetime.
-	c.mu.Lock()
-	cur, ok := c.store[key]
-	if ok {
+	if cur, ok := c.store[key]; ok {
 		c.Stats.Hits++
 		l := cur.(*lattice.LWW)
-		c.snapshotLocked(reqID, key, l)
+		c.snapshot(reqID, key, l)
 		ver := core.VersionRef{Cache: c.ID(), TS: l.TS}
-		c.mu.Unlock()
 		if meta != nil {
 			meta.ReadSet[key] = ver
 		}
 		return l, ver, nil
 	}
-	c.mu.Unlock()
 	c.Stats.Misses++
 	lat, found, err := c.fetchFromAnna(rctx, key)
 	if err != nil {
@@ -130,9 +117,7 @@ func (c *Cache) readRR(rctx trace.Ctx, reqID, key string, meta *core.SessionMeta
 		return nil, core.VersionRef{}, ErrNotFound
 	}
 	l := lat.(*lattice.LWW)
-	c.mu.Lock()
-	c.snapshotLocked(reqID, key, l)
-	c.mu.Unlock()
+	c.snapshot(reqID, key, l)
 	ver := core.VersionRef{Cache: c.ID(), TS: l.TS}
 	if meta != nil {
 		meta.ReadSet[key] = ver
@@ -143,15 +128,12 @@ func (c *Cache) readRR(rctx trace.Ctx, reqID, key string, meta *core.SessionMeta
 // readSK is single-key causality: causal capsules with per-key vector
 // clocks (siblings preserved), but no cross-key or cross-node metadata.
 func (c *Cache) readSK(rctx trace.Ctx, key string) (lattice.Lattice, core.VersionRef, error) {
-	c.mu.Lock()
 	if cur, ok := c.store[key]; ok {
 		cap := cur.(*lattice.Causal)
 		ver := core.VersionRef{Cache: c.ID(), VC: cap.VC(), VCD: cap.Digest()}
-		c.mu.Unlock()
 		c.Stats.Hits++
 		return cap, ver, nil
 	}
-	c.mu.Unlock()
 	c.Stats.Misses++
 	lat, found, err := c.fetchFromAnna(rctx, key)
 	if err != nil {
@@ -192,9 +174,7 @@ func (c *Cache) readDSC(rctx trace.Ctx, reqID, key string, meta *core.SessionMet
 			required, pinned = meta.Deps[key]
 		}
 	}
-	c.mu.Lock()
 	cur, ok := c.store[key]
-	c.mu.Unlock()
 	var cap *lattice.Causal
 	switch {
 	case ok && (!pinned || !cur.(*lattice.Causal).VC().HappensBefore(required.VC)):
@@ -224,15 +204,14 @@ func (c *Cache) readDSC(rctx trace.Ctx, reqID, key string, meta *core.SessionMet
 	}
 
 	ver := core.VersionRef{Cache: c.ID(), VC: cap.VC(), VCD: cap.Digest()}
-	c.mu.Lock()
 	// Snapshot the version read and the locally-held versions of its
 	// dependencies, so downstream caches can fetch them (§5.3: "caches
 	// upstream store version snapshots of these causal dependencies"),
 	// and ship the dependencies downstream.
-	c.snapshotLocked(reqID, key, cap)
+	c.snapshot(reqID, key, cap)
 	for dk, dvc := range cap.Deps() {
 		if dep, ok := c.store[dk]; ok {
-			c.snapshotLocked(reqID, dk, dep)
+			c.snapshot(reqID, dk, dep)
 		}
 		if meta == nil {
 			continue
@@ -241,7 +220,6 @@ func (c *Cache) readDSC(rctx trace.Ctx, reqID, key string, meta *core.SessionMet
 			meta.Deps[dk] = core.VersionRef{Cache: c.ID(), VC: dvc}
 		}
 	}
-	c.mu.Unlock()
 	if meta != nil {
 		meta.ReadSet[key] = ver
 	}
@@ -305,21 +283,18 @@ func (c *Cache) write(reqID, key string, payload []byte, meta *core.SessionMeta,
 	case core.LWW, core.DSRR, core.TXN:
 		l := lattice.NewLWW(lattice.Timestamp{Clock: int64(c.k.Now()), Node: lattice.NodeHash(writerID)}, payload)
 		ver = core.VersionRef{Cache: c.ID(), TS: l.TS}
-		c.mu.Lock()
-		c.mergeLocked(key, l)
+		c.merge(key, l)
 		if c.cfg.Mode == core.DSRR {
 			// The DAG's own update becomes the version downstream
 			// functions must see (the RR invariant), so snapshot it and
 			// replace the read-set entry.
-			c.snapshotWriteLocked(reqID, key, l)
+			c.snapshotWrite(reqID, key, l)
 		}
-		c.mu.Unlock()
 		if c.cfg.Mode == core.DSRR && meta != nil {
 			meta.ReadSet[key] = ver
 		}
 		wb = l
 	case core.SK, core.MK, core.DSC:
-		c.mu.Lock()
 		var vc lattice.Clock
 		if cur, ok := c.store[key]; ok {
 			vc = cur.(*lattice.Causal).VC()
@@ -327,11 +302,10 @@ func (c *Cache) write(reqID, key string, payload []byte, meta *core.SessionMeta,
 		vc = vc.Tick(writerID)
 		cap := newCausalWrite(key, vc, payload, meta, depKeys, c.cfg.Mode != core.SK)
 		ver = core.VersionRef{Cache: c.ID(), VC: vc}
-		c.mergeLocked(key, cap)
+		c.merge(key, cap)
 		if c.cfg.Mode == core.DSC {
-			c.snapshotWriteLocked(reqID, key, cap)
+			c.snapshotWrite(reqID, key, cap)
 		}
-		c.mu.Unlock()
 		if meta != nil && c.cfg.Mode != core.SK {
 			meta.ReadSet[key] = ver
 		}

@@ -122,9 +122,7 @@ func TestFinishedSnapshotsAreCollectable(t *testing.T) {
 // and returns its capsule; nothing else holds it.
 func install(c *Cache, key string, n uint64) *lattice.Causal {
 	cap := lattice.NewCausal(lattice.VectorClock{"w": n}, nil, []byte(key))
-	c.mu.Lock()
-	c.mergeLocked(key, cap)
-	c.mu.Unlock()
+	c.merge(key, cap)
 	return cap
 }
 

@@ -158,18 +158,6 @@ func AppendStrs(dst []byte, xs []string) []byte {
 	return dst
 }
 
-// AppendU64s appends a u32 count followed by each value as a fixed
-// 8-byte little-endian word (histogram bucket counts and other dense
-// numeric rows). Nil and empty slices encode identically (count 0) and
-// decode as nil, matching how gob round-trips empty struct fields.
-func AppendU64s(dst []byte, xs []uint64) []byte {
-	dst = AppendU32(dst, uint32(len(xs)))
-	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint64(dst, x)
-	}
-	return dst
-}
-
 // AppendI64Map appends a presence byte, then a u32 count followed by
 // (string key, int64 value) pairs in sorted key order. Unlike slices,
 // maps keep their nilness on the wire: gob transmits zero-length
@@ -350,23 +338,6 @@ func (l StrList) Diff(m StrList, left, entered func([]byte)) {
 // the same bytes, or both empty. A StrListOf list is Same only as empty.
 func (l StrList) Same(m StrList) bool {
 	return l.n == m.n && (l.n == 0 || len(l.enc) > 0 && len(m.enc) > 0 && &l.enc[0] == &m.enc[0])
-}
-
-// U64s reads a uint64 slice written by AppendU64s; count 0 decodes as
-// nil (gob struct-field parity).
-func (r *Reader) U64s() []uint64 {
-	n := r.Count(8)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, uint64(r.I64()))
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
 }
 
 // I64Map reads a map written by AppendI64Map; a nil map round-trips

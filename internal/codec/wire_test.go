@@ -24,7 +24,6 @@ type wireProbe struct {
 	I  int64
 	B  bool
 	Ss []string
-	Us []uint64
 	M  map[string]int64
 }
 
@@ -34,7 +33,6 @@ func (w wireProbe) AppendWire(dst []byte) []byte {
 	dst = AppendI64(dst, w.I)
 	dst = AppendBool(dst, w.B)
 	dst = AppendStrs(dst, w.Ss)
-	dst = AppendU64s(dst, w.Us)
 	return AppendI64Map(dst, w.M)
 }
 
@@ -45,7 +43,6 @@ func (w *wireProbe) DecodeWire(body []byte) error {
 	w.I = r.I64()
 	w.B = r.Bool()
 	w.Ss = r.Strs()
-	w.Us = r.U64s()
 	w.M = r.I64Map()
 	return r.Done()
 }
@@ -62,12 +59,11 @@ func randWireProbe(r *rand.Rand) wireProbe {
 	switch r.Intn(3) {
 	case 0: // nil containers
 	case 1:
-		w.Ss, w.Us, w.M = []string{}, []uint64{}, map[string]int64{}
+		w.Ss, w.M = []string{}, map[string]int64{}
 	default:
 		w.M = map[string]int64{}
 		for i := r.Intn(4); i > 0; i-- {
 			w.Ss = append(w.Ss, randString(r))
-			w.Us = append(w.Us, r.Uint64())
 			w.M[randString(r)] = r.Int63()
 		}
 	}
@@ -76,9 +72,9 @@ func randWireProbe(r *rand.Rand) wireProbe {
 
 func TestWireStructRoundTrip(t *testing.T) {
 	for _, w := range []wireProbe{
-		{S: "s", F: 1.5, I: -9, B: true, Ss: []string{"a", ""}, Us: []uint64{0, 1 << 63, ^uint64(0)}, M: map[string]int64{"k": 7, "": -1}},
+		{S: "s", F: 1.5, I: -9, B: true, Ss: []string{"a", ""}, M: map[string]int64{"k": 7, "": -1}},
 		{},
-		{Ss: []string{}, Us: []uint64{}, M: map[string]int64{}},
+		{Ss: []string{}, M: map[string]int64{}},
 	} {
 		enc := MustEncode(w)
 		if enc[0] != tagStruct {
@@ -112,7 +108,7 @@ func TestDecodeUnregisteredWireName(t *testing.T) {
 }
 
 func TestDecodeTruncatedWireStruct(t *testing.T) {
-	enc := MustEncode(wireProbe{S: "sss", Ss: []string{"a"}, Us: []uint64{42}, M: map[string]int64{"k": 1}})
+	enc := MustEncode(wireProbe{S: "sss", Ss: []string{"a"}, M: map[string]int64{"k": 1}})
 	for cut := 1; cut < len(enc); cut++ {
 		if _, err := Decode(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d of %d decoded without error", cut, len(enc))

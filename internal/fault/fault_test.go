@@ -103,23 +103,6 @@ func TestAnnaReplicaLossAndSnapshotDrop(t *testing.T) {
 	}
 }
 
-func TestStopAbortsPlan(t *testing.T) {
-	c := testCluster(t)
-	inj := NewInjector(c)
-	plan := NewPlan("").
-		At(time.Second, DropSnapshots{}).
-		At(time.Hour, DropSnapshots{})
-	c.K.Run("main", func() {
-		inj.Start(plan)
-		c.K.Sleep(2 * time.Second)
-		inj.Stop()
-		c.K.Sleep(time.Second)
-	})
-	if len(inj.Timeline) != 1 {
-		t.Fatalf("timeline after stop = %v", inj.TimelineStrings())
-	}
-}
-
 func TestRandomPlanIsReproducibleAndHealed(t *testing.T) {
 	opts := RandomOpts{
 		Start: 2 * time.Second, Window: 20 * time.Second, Faults: 5,

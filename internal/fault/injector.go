@@ -14,9 +14,8 @@ type Entry struct {
 
 // Injector applies fault plans to a cluster. It owns a network endpoint
 // and a simnet.Dispatcher, so plans run as ordinary named daemons on the
-// virtual clock and stop with one Stop call; the applied events
-// accumulate on Timeline, which experiments align with their latency
-// samples.
+// virtual clock; the applied events accumulate on Timeline, which
+// experiments align with their latency samples.
 //
 // The kernel runs one party at a time, so an injector needs no locking;
 // like every other component it must only be driven from kernel
@@ -29,7 +28,6 @@ type Injector struct {
 	Timeline []Entry
 
 	splitBrains map[string][][2]simnet.NodeID
-	stopped     bool
 	running     int
 }
 
@@ -54,9 +52,6 @@ func (inj *Injector) Run(p *Plan) {
 		if due > inj.c.K.Now() {
 			inj.c.K.Sleep(due.Sub(inj.c.K.Now()))
 		}
-		if inj.stopped {
-			return
-		}
 		desc := ev.Action.Apply(inj)
 		if p.Name != "" {
 			desc = p.Name + ": " + desc
@@ -76,13 +71,6 @@ func (inj *Injector) Start(p *Plan) { inj.disp.Go("plan", func() { inj.Run(p) })
 
 // Running reports whether a Start-ed plan is still executing.
 func (inj *Injector) Running() bool { return inj.running > 0 }
-
-// Stop aborts any running plans after their current event and stops the
-// dispatcher's daemons. Already-applied faults are not healed.
-func (inj *Injector) Stop() {
-	inj.stopped = true
-	inj.disp.Stop()
-}
 
 // TimelineStrings renders the timeline for reports, each entry stamped
 // with its virtual time.

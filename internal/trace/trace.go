@@ -16,8 +16,7 @@
 // every figure table are byte-identical with tracing on or off
 // (enforced by diff tests in internal/bench). A collector is a harness
 // observer: per-cluster handles keep parallel experiment cells
-// isolated, and a package-level atomic aggregate keeps whole-process
-// tripwires possible.
+// isolated.
 //
 // A nil *Collector (and the zero Ctx) disables everything: every
 // method is nil-receiver-safe and allocation-free, pinned by
@@ -25,7 +24,6 @@
 package trace
 
 import (
-	"sync/atomic"
 	"time"
 
 	"cloudburst/internal/vtime"
@@ -132,28 +130,12 @@ func (s Summary) Dominant() (Category, float64) {
 	return best, float64(s.ByCat[best]) / float64(s.Wall)
 }
 
-// Stats is the collector's bookkeeping, mirrored into a package-level
-// atomic aggregate so a whole process can assert "tracing was off".
+// Stats is the collector's bookkeeping.
 type Stats struct {
 	SpansStarted    int64
 	TracesStarted   int64
 	TracesCompleted int64
 	TracesDropped   int64
-}
-
-var agg struct {
-	spans, started, completed, dropped atomic.Int64
-}
-
-// AggregateSnapshot returns the process-wide totals across every
-// collector (the disabled-path tripwire reads it before and after).
-func AggregateSnapshot() Stats {
-	return Stats{
-		SpansStarted:    agg.spans.Load(),
-		TracesStarted:   agg.started.Load(),
-		TracesCompleted: agg.completed.Load(),
-		TracesDropped:   agg.dropped.Load(),
-	}
 }
 
 // DefaultRing is how many finished traces a collector retains in full
@@ -219,8 +201,6 @@ func (c *Collector) Root(reqID, name string, at vtime.Time) Ctx {
 	c.active[reqID] = t
 	c.stats.TracesStarted++
 	c.stats.SpansStarted++
-	agg.started.Add(1)
-	agg.spans.Add(1)
 	return Ctx{tr: t, idx: 0, gen: t.gen}
 }
 
@@ -254,7 +234,6 @@ func (c *Collector) Reissue(reqID string, at vtime.Time) {
 		Name: "retry", Cat: Retry, Start: t.attemptStart, End: at, Parent: 0,
 	})
 	c.stats.SpansStarted++
-	agg.spans.Add(1)
 	t.Attempt++
 	t.ID = traceID(t.ReqID, t.Attempt)
 	t.attemptStart = at
@@ -277,7 +256,6 @@ func (c *Collector) Finish(reqID string, at vtime.Time) (Summary, bool) {
 	s := Analyze(t)
 	c.summaries = append(c.summaries, s)
 	c.stats.TracesCompleted++
-	agg.completed.Add(1)
 	// Retain the finished tree; recycle whatever the ring evicts.
 	if len(c.done) < c.ring {
 		c.done = append(c.done, t)
@@ -301,7 +279,6 @@ func (c *Collector) Drop(reqID string) {
 	delete(c.active, reqID)
 	c.recycle(t)
 	c.stats.TracesDropped++
-	agg.dropped.Add(1)
 }
 
 func (c *Collector) recycle(t *Trace) {
@@ -407,7 +384,6 @@ func (x Ctx) Start(name string, cat Category, at vtime.Time) Ctx {
 	idx := int32(len(x.tr.Spans))
 	x.tr.Spans = append(x.tr.Spans, Span{Name: name, Cat: cat, Start: at, End: at, Parent: x.idx})
 	x.tr.col.stats.SpansStarted++
-	agg.spans.Add(1)
 	return Ctx{tr: x.tr, idx: idx, gen: x.gen}
 }
 
@@ -426,5 +402,4 @@ func (x Ctx) Record(name string, cat Category, start, end vtime.Time) {
 	}
 	x.tr.Spans = append(x.tr.Spans, Span{Name: name, Cat: cat, Start: start, End: end, Parent: x.idx})
 	x.tr.col.stats.SpansStarted++
-	agg.spans.Add(1)
 }

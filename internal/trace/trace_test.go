@@ -194,16 +194,3 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		t.Fatalf("disabled tracing allocated %.1f/op, want 0", allocs)
 	}
 }
-
-// And the aggregate tripwire: disabled operations bump no counters.
-func TestDisabledPathNoAggregateMovement(t *testing.T) {
-	before := AggregateSnapshot()
-	var c *Collector
-	c.Root("req", "invoke", 0)
-	c.Attach("req").Record("r", KVS, 0, 1)
-	c.Finish("req", 1)
-	after := AggregateSnapshot()
-	if before != after {
-		t.Fatalf("aggregate moved while disabled: %+v -> %+v", before, after)
-	}
-}

@@ -39,7 +39,7 @@ type Invocation struct {
 
 // Spec parameterizes a pool run.
 type Spec struct {
-	Name     string        // labels the recorder capsule
+	Name     string        // labels the pool's processes
 	Workers  int           // client endpoints sharing the stream
 	Arrivals *Poisson      // seeded arrival process
 	Window   time.Duration // stop generating after this offset

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"cloudburst/internal/codec"
 	"cloudburst/internal/core"
 	"cloudburst/internal/scheduler"
 	"cloudburst/internal/simnet"
@@ -86,7 +85,7 @@ func TestZipfHeadFrequency(t *testing.T) {
 }
 
 // TestHistogramQuantiles: quantiles land on the right bucket bound and
-// the count and sum the capsule carries are exact.
+// the overflow bucket reports the exact maximum.
 func TestHistogramQuantiles(t *testing.T) {
 	h := NewHistogram(time.Millisecond, 2, 10)
 	for i := 0; i < 99; i++ {
@@ -99,34 +98,41 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got := h.Quantile(0.999); got != 3*time.Second {
 		t.Fatalf("p99.9 = %v, want the exact max 3s", got)
 	}
-	if h.n != 100 || h.sum != 99*1500*time.Microsecond+3*time.Second {
-		t.Fatalf("count/sum wrong: %d %v", h.n, h.sum)
+	if h.n != 100 {
+		t.Fatalf("count = %d, want 100", h.n)
 	}
 }
 
-// TestCapsuleRoundTrip: the wire capsule survives the struct codec
-// and reconstructs the same quantiles.
-func TestCapsuleRoundTrip(t *testing.T) {
-	h := NewHistogram(100*time.Microsecond, 1.05, 284)
-	for i := 1; i <= 1000; i++ {
-		h.Observe(time.Duration(i) * 37 * time.Microsecond)
-	}
-	c := Capsule{
-		Name: "w", FirstNS: int64(h.first), Growth: h.growth,
-		Counts: h.counts, SumNS: int64(h.sum), MaxNS: int64(h.max),
-		PerSec: []uint64{10, 20, 0, 5}, Issued: 1010, Done: 1000, Failed: 7, Lost: 3,
-	}
-	enc := codec.MustEncode(c)
-	got := codec.MustDecode(enc).(Capsule)
-	if !reflect.DeepEqual(got, c) {
-		t.Fatalf("capsule round trip diverged:\n got  %#v\n want %#v", got, c)
+// TestRecorderWindow: a recorder's histogram holds exactly its successful
+// latencies, and Sustained reads the rate off the per-second timeline.
+func TestRecorderWindow(t *testing.T) {
+	k := vtime.NewKernel(1)
+	t.Cleanup(k.Stop)
+	want := NewHistogram(100*time.Microsecond, 1.05, 284)
+	var rec *Recorder
+	k.Run("rec", func() {
+		rec = NewRecorder(k)
+		i := 0
+		for _, n := range []int{10, 20, 0, 5} {
+			for range n {
+				i++
+				d := time.Duration(i) * 37 * time.Millisecond
+				rec.Observe(d, true)
+				want.Observe(d)
+			}
+			rec.Observe(time.Hour, false) // a failure counts, but not its latency
+			k.Sleep(time.Second)
+		}
+	})
+	if rec.Done != 35 || rec.Failed != 4 {
+		t.Fatalf("done %d failed %d, want 35 and 4", rec.Done, rec.Failed)
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if got.Quantile(q) != h.Quantile(q) {
-			t.Fatalf("q%.2f: capsule %v, histogram %v", q, got.Quantile(q), h.Quantile(q))
+		if got := rec.Hist.Quantile(q); got != want.Quantile(q) {
+			t.Fatalf("q%.2f: recorder %v, histogram %v", q, got, want.Quantile(q))
 		}
 	}
-	if s := got.Sustained(2 * time.Second); s != 15 {
+	if s := rec.Sustained(2 * time.Second); s != 15 {
 		t.Fatalf("sustained over 2s = %v, want 15", s)
 	}
 }

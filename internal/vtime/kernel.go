@@ -1,7 +1,7 @@
 // Package vtime implements a deterministic virtual-time kernel: a
 // discrete-event simulation substrate on which concurrent processes are
-// written in ordinary blocking Go style (goroutines, channels, mutexes,
-// sleeps) while time advances only when every process is blocked.
+// written in ordinary blocking Go style (goroutines, channels, sleeps)
+// while time advances only when every process is blocked.
 //
 // The kernel runs exactly one process at a time, which makes every
 // simulation run fully deterministic for a fixed seed and program: there is
@@ -42,8 +42,8 @@
 // Every pool is a FreeList, the one free-list type of the simulation.
 //
 // All blocking must go through kernel primitives: Kernel.Sleep, Chan
-// send/receive, Mutex, WaitGroup, Semaphore. Calling a kernel primitive
-// from a goroutine that is not a kernel process is a programming error and
+// send/receive, WaitGroup, Semaphore. Calling a kernel primitive from a
+// goroutine that is not a kernel process is a programming error and
 // panics.
 package vtime
 

@@ -299,36 +299,6 @@ func TestChanRecvTimeoutThenLateSendGoesToNextReceiver(t *testing.T) {
 	})
 }
 
-func TestMutexMutualExclusionAndFIFO(t *testing.T) {
-	k := NewKernel(1)
-	defer k.Stop()
-	var order []int
-	k.Run("main", func() {
-		mu := NewMutex(k)
-		wg := NewWaitGroup(k)
-		mu.Lock()
-		for i := 0; i < 3; i++ {
-			i := i
-			wg.Add(1)
-			k.Go("locker", func() {
-				mu.Lock()
-				order = append(order, i)
-				k.Sleep(time.Millisecond)
-				mu.Unlock()
-				wg.Done()
-			})
-		}
-		k.Sleep(10 * time.Millisecond) // let all goroutines queue up
-		mu.Unlock()
-		wg.Wait()
-	})
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("lock order = %v, want FIFO", order)
-		}
-	}
-}
-
 func TestSemaphoreModelsOccupancy(t *testing.T) {
 	k := NewKernel(1)
 	defer k.Stop()

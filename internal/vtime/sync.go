@@ -1,38 +1,5 @@
 package vtime
 
-// Mutex is a kernel-scheduled mutual-exclusion lock with FIFO hand-off.
-type Mutex struct {
-	k      *Kernel
-	locked bool
-	waitq  fifo[*proc]
-}
-
-// NewMutex creates a mutex on kernel k.
-func NewMutex(k *Kernel) *Mutex { return &Mutex{k: k} }
-
-// Lock blocks the calling process until it holds the lock.
-func (m *Mutex) Lock() {
-	if !m.locked {
-		m.locked = true
-		return
-	}
-	m.waitq.push(m.k.current)
-	m.k.park()
-	// Ownership was transferred to us by Unlock; locked stays true.
-}
-
-// Unlock releases the lock, handing it to the longest waiter if any.
-func (m *Mutex) Unlock() {
-	if !m.locked {
-		panic("vtime: Unlock of unlocked Mutex")
-	}
-	if m.waitq.len() > 0 {
-		m.k.wake(m.waitq.pop()) // lock stays held, now by the waiter
-		return
-	}
-	m.locked = false
-}
-
 // WaitGroup mirrors sync.WaitGroup on virtual time.
 type WaitGroup struct {
 	k     *Kernel

@@ -6,7 +6,6 @@ import (
 
 	cb "cloudburst"
 	"cloudburst/internal/codec"
-	"cloudburst/internal/lattice"
 )
 
 // BankMidTransfer is the point-cut a transfer fires between its debit
@@ -99,17 +98,9 @@ func RegisterBank(c *cb.Cluster, accounts int) (*Bank, error) {
 // Preload seeds every account with the initial balance directly in
 // Anna, encapsulated for the cluster's consistency mode.
 func (b *Bank) Preload(c *cb.Cluster) {
-	in := c.Internal()
-	causal := in.Mode().Causal()
+	payload := codec.MustEncode(bankInitial)
 	for i := 0; i < b.Accounts; i++ {
-		payload := codec.MustEncode(bankInitial)
-		var lat lattice.Lattice
-		if causal {
-			lat = lattice.NewCausal(lattice.VectorClock{"preload": 1}, nil, payload)
-		} else {
-			lat = lattice.NewLWW(lattice.Timestamp{Clock: 1, Node: 0}, payload)
-		}
-		in.KV.Preload(b.Key(i), lat)
+		preload(c, b.Key(i), 1, nil, payload)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	cb "cloudburst"
 	"cloudburst/internal/codec"
-	"cloudburst/internal/lattice"
 )
 
 // PredServe is the §6.3.1 prediction-serving pipeline: resize an input
@@ -42,17 +41,9 @@ func (p PredServe) ComputeTotal() time.Duration {
 const ModelKey = "model/mobilenet-v1"
 
 // Preload stores the model weights in Anna, encapsulated for the
-// cluster's consistency mode (a causal-mode cache read asserts a causal
-// capsule, so an LWW preload would poison it).
+// cluster's consistency mode.
 func (p PredServe) Preload(c *cb.Cluster) {
-	blob := codec.MustEncode(make([]byte, p.ModelBytes))
-	var lat lattice.Lattice
-	if c.Internal().Mode().Causal() {
-		lat = lattice.NewCausal(lattice.VectorClock{"preload": 1}, nil, blob)
-	} else {
-		lat = lattice.NewLWW(lattice.Timestamp{Clock: 1}, blob)
-	}
-	c.Internal().KV.Preload(ModelKey, lat)
+	preload(c, ModelKey, 1, nil, codec.MustEncode(make([]byte, p.ModelBytes)))
 }
 
 // Register installs the three pipeline stages and the DAG. The model

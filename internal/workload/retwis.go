@@ -354,18 +354,10 @@ func prepend(s []string, e string, max int) []string {
 // Preload writes the generated dataset directly into Anna, encapsulated
 // per the cluster's consistency mode.
 func (r Retwis) Preload(c *cb.Cluster, g *Graph) {
-	causal := c.Internal().Mode().Causal()
 	seq := uint64(0)
 	put := func(key string, val any, deps map[string]lattice.VectorClock) {
-		payload := codec.MustEncode(val)
-		var lat lattice.Lattice
-		if causal {
-			seq++
-			lat = lattice.NewCausal(lattice.VectorClock{"preload": seq}, deps, payload)
-		} else {
-			lat = lattice.NewLWW(lattice.Timestamp{Clock: 1}, payload)
-		}
-		c.Internal().KV.Preload(key, lat)
+		seq++
+		preload(c, key, seq, deps, codec.MustEncode(val))
 	}
 	toStrs := func(xs []int) []string {
 		out := make([]string, len(xs))

@@ -51,19 +51,24 @@ func (ks *Keyspace) SampleIndex() int { return int(ks.zipf.Uint64()) }
 // Preload inserts every key directly into Anna with payload bytes of the
 // given size, encapsulated per the cluster's consistency mode.
 func (ks *Keyspace) Preload(c *cb.Cluster, payloadSize int) {
-	in := c.Internal()
 	payload := codec.MustEncode(string(make([]byte, payloadSize)))
-	causal := in.Mode().Causal()
 	for i := 0; i < ks.N; i++ {
-		key := ks.Key(i)
-		var lat lattice.Lattice
-		if causal {
-			lat = lattice.NewCausal(lattice.VectorClock{"preload": 1}, nil, payload)
-		} else {
-			lat = lattice.NewLWW(lattice.Timestamp{Clock: 1, Node: 0}, payload)
-		}
-		in.KV.Preload(key, lat)
+		preload(c, ks.Key(i), 1, nil, payload)
 	}
+}
+
+// preload stores payload under key directly in Anna, in the capsule of the
+// cluster's consistency mode: the n'th write of the "preload" writer,
+// depending on deps, in the causal modes, and an LWW write at clock 1
+// otherwise (a causal-mode cache read asserts a causal capsule).
+func preload(c *cb.Cluster, key string, n uint64, deps map[string]lattice.VectorClock, payload []byte) {
+	var lat lattice.Lattice
+	if c.Internal().Mode().Causal() {
+		lat = lattice.NewCausal(lattice.VectorClock{"preload": n}, deps, payload)
+	} else {
+		lat = lattice.NewLWW(lattice.Timestamp{Clock: 1}, payload)
+	}
+	c.Internal().KV.Preload(key, lat)
 }
 
 // RegisterArithmetic installs the §6.1.1 microbenchmark functions:

@@ -39,16 +39,13 @@ func TestExportedSurface(t *testing.T) {
 		"cloudburst.NewDAG":             "fan-in DAGs and the join path (§3) have no entry point yet",
 		"cloudburst.SetDefaultTracing":  "runs whole figures traced in the zero-perturbation test",
 		"executor.Thread.Completed":     "the only view of a thread's finished invocations, which its metrics publish",
-		"fault.Injector.Stop":           "ends a plan early; the fault tests hold that nothing fires after it",
 		"lattice.GuardPayloads":         "the oracle of the payload immutability test",
 		"lattice.VerifyPayloads":        "the oracle of the payload immutability test",
 		"monitor.Monitor.KVSStats":      "the only view of the monitor's own Anna reads (the listing skip)",
 		"monitor.Monitor.PinnedThreads": "the only view of which threads a function is pinned on",
 		"scheduler.Scheduler.Inflight":  "the only view of the scheduler's tracked requests (ROADMAP 12)",
 		"simnet.Network.NodeCount":      "the only view of whether crash and restart cycles retire endpoints",
-		"trace.AggregateSnapshot":       "the only view of the process-wide span counters, which the disabled path leaves still",
 		"trace.Collector.Stats":         "the only view of a collector's started, completed and dropped traces",
-		"traffic.Histogram.Quantile":    "the oracle a capsule's quantile is held to",
 		"vtime.Chan.Len":                "the only view of the cache's write-back queue depth",
 		"vtime.FreeList.Len":            "the only view of a free list's size (ROADMAP 12)",
 		"vtime.Kernel.YieldNow":         "TestFixedScriptCounts' pinned script interleaves processes with it",
