@@ -50,17 +50,13 @@ type Ctx = executor.Ctx
 // slice are valid until it returns; keep neither.
 type Function = executor.Function
 
-// DAG is a registered composition of functions; results flow from
-// producers to consumers automatically (§3).
+// DAG is a registered composition of functions (§3), a chain: each
+// function's result flows automatically into the next, as its last
+// argument.
 type DAG = dag.DAG
 
-// LinearDAG builds the common chain f1 → f2 → ... → fn.
+// LinearDAG builds the chain f1 → f2 → ... → fn.
 func LinearDAG(name string, functions ...string) *DAG { return dag.Linear(name, functions...) }
-
-// NewDAG builds an arbitrary DAG from vertices and edges.
-func NewDAG(name string, functions []string, edges [][2]string) *DAG {
-	return dag.New(name, functions, edges)
-}
 
 // Config sizes a Cloudburst deployment; see DefaultConfig.
 type Config = cluster.Config

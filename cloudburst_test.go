@@ -256,38 +256,34 @@ func TestDAGHopsReported(t *testing.T) {
 	})
 }
 
-func TestFanOutFanInDAG(t *testing.T) {
+// TestDAGArgsForAFunctionItLacksFail: arguments for a function the DAG
+// does not have (a misspelled key in InvokeDAG's map) fail the request at
+// the scheduler, before any function runs and without tracking it,
+// rather than being dropped while the DAG runs without them.
+func TestDAGArgsForAFunctionItLacksFail(t *testing.T) {
 	c := testCluster(t, DefaultConfig())
-	for _, spec := range []struct {
-		name string
-		fn   Function
-	}{
-		{"src", func(ctx *Ctx, args []any) (any, error) { return 10, nil }},
-		{"left", func(ctx *Ctx, args []any) (any, error) { return args[0].(int) * 2, nil }},
-		{"right", func(ctx *Ctx, args []any) (any, error) { return args[0].(int) * 3, nil }},
-		{"join", func(ctx *Ctx, args []any) (any, error) {
-			// Parent results arrive sorted by parent name: left, right.
-			return args[0].(int) + args[1].(int), nil
-		}},
-	} {
-		if err := c.RegisterFunction(spec.name, spec.fn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d := NewDAG("diamond", []string{"src", "left", "right", "join"},
-		[][2]string{{"src", "left"}, {"src", "right"}, {"left", "join"}, {"right", "join"}})
-	if err := c.RegisterDAG(d, 1); err != nil {
+	registerArith(t, c)
+	if err := c.RegisterDAG(LinearDAG("pipeline", "increment", "square"), 1); err != nil {
 		t.Fatal(err)
 	}
+	sched := c.Internal().Schedulers()[0]
 	c.Run(func(cl *Client) {
-		out, err := cl.InvokeDAG("diamond", nil).Wait()
-		if err != nil {
-			t.Fatal(err)
+		_, err := cl.InvokeDAG("pipeline", map[string][]any{"increment": {5}, "sqaure": {2}}).Wait()
+		want := `scheduler: DAG "pipeline" has no function "sqaure"`
+		if err == nil || err.Error() != want {
+			t.Fatalf("err = %v, want %s", err, want)
 		}
-		if out.(int) != 50 { // 10*2 + 10*3
-			t.Fatalf("diamond = %v, want 50", out)
+		if n := sched.Inflight(); n != 0 {
+			t.Fatalf("scheduler tracks %d requests after rejecting one", n)
+		}
+		out, err := cl.InvokeDAG("pipeline", map[string][]any{"increment": {5}}).Wait()
+		if err != nil || out.(int) != 36 {
+			t.Fatalf("valid request after the rejected one = %v, %v", out, err)
 		}
 	})
+	if runs := sched.Reexecutions(); runs != 0 {
+		t.Fatalf("%d re-executions", runs)
+	}
 }
 
 func TestStatefulFunctionPutGet(t *testing.T) {

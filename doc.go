@@ -289,22 +289,24 @@
 // last, and copies only the names of keys that enter, so the key-set
 // plane costs what changed, not what is cached. A pick walks those slices
 // and allocates nothing, and client routing to a
-// scheduler shard allocates nothing either. A DAG's parents, children and
-// sources are computed once, when its decoded topology is cached
-// (dag.Index), as positions in the DAG's function list. Names stay at the
-// edge: a request's client arguments are one list sorted by function
-// name, and inside the cluster a schedule assigns threads, and a trigger
-// names its target, by position, so no hop builds or probes a map keyed
-// by function name. Session metadata exists only in the modes that read it:
-// under LWW, SK, MK and Transactional a DAG trigger carries none. Its
-// tables live as long as the request and are then reused, not rebuilt. A
-// session that ends with its invocation (a bare invocation's under DSRR,
-// DSC and MK, an MK DAG function's) is the executor thread's own, emptied
-// once the invocation completes; a DSRR or DSC DAG's rides its triggers
-// and is the request's. A cache empties a finished request's snapshot
-// table at DAGDone and hands it to the next request's first snapshot.
-// A thread keeps a session of at most 256 keys and a cache at most 8
-// tables of at most 64 snapshots; anything larger is dropped.
+// scheduler shard allocates nothing either. A DAG is a chain, so a
+// function's position in the DAG's function list says where its input
+// comes from and where its result goes: function i is triggered by
+// function i-1 and triggers function i+1, and a trigger carries one
+// input, the previous function's result (none at function 0). Names stay
+// at the edge: a request's client arguments are one list sorted by
+// function name, and inside the cluster a schedule assigns threads, and a
+// trigger names its target, by position, so no hop builds or probes a map
+// keyed by function name. Session metadata exists only in the modes that
+// read it: under LWW, SK, MK and Transactional a DAG trigger carries
+// none. Its tables live as long as the request and are then reused, not
+// rebuilt. A session that ends with its invocation (a bare invocation's
+// under DSRR, DSC and MK, an MK DAG function's) is the executor thread's
+// own, emptied once the invocation completes; a DSRR or DSC DAG's rides
+// its triggers and is the request's. A cache empties a finished request's
+// snapshot table at DAGDone and hands it to the next request's first
+// snapshot. A thread keeps a session of at most 256 keys and a cache at
+// most 8 tables of at most 64 snapshots; anything larger is dropped.
 //
 // # Writing a server component
 //

@@ -158,7 +158,7 @@ type Cluster struct {
 	nextVM     int
 	nextClient int
 
-	dagCache  map[string]*dag.Index
+	dagCache  map[string]*dag.DAG
 	dagClient *anna.Client
 	// decoded is the cluster's one decode cache, shared by the control
 	// plane and every executor thread.
@@ -206,7 +206,7 @@ func New(cfg Config) *Cluster {
 		Trace:    cfg.Trace,
 		cfg:      cfg,
 		vms:      make(map[string]*VMHandle),
-		dagCache: make(map[string]*dag.Index),
+		dagCache: make(map[string]*dag.DAG),
 		decoded:  core.NewDecodeCache(),
 		down:     make(map[simnet.NodeID]bool),
 		gens:     make(map[string]int),
@@ -343,9 +343,8 @@ func (c *Cluster) removeVM(h *VMHandle) {
 	c.vmList = slices.Clip(slices.Concat(c.vmList[:i], c.vmList[i+1:]))
 }
 
-// dagFor resolves DAG topologies for executors, memoizing Anna lookups
-// and indexing each DAG once.
-func (c *Cluster) dagFor(name string) (*dag.Index, bool) {
+// dagFor resolves DAG topologies for executors, memoizing Anna lookups.
+func (c *Cluster) dagFor(name string) (*dag.DAG, bool) {
 	if d, ok := c.dagCache[name]; ok {
 		return d, true
 	}
@@ -353,9 +352,8 @@ func (c *Cluster) dagFor(name string) (*dag.Index, bool) {
 	if !ok {
 		return nil, false
 	}
-	x := dag.NewIndex(d)
-	c.dagCache[name] = x
-	return x, true
+	c.dagCache[name] = &d
+	return &d, true
 }
 
 // Alive reports whether a node is reachable (Ctx.Send uses it to decide

@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -150,42 +149,6 @@ func NewSessionMetaP() *SessionMeta {
 	return &m
 }
 
-// Clone copies the metadata's maps so sibling DAG branches do not alias;
-// the immutable clocks inside are shared. The zero SessionMeta, which the
-// modes without a distributed session carry, clones to itself.
-func (s SessionMeta) Clone() SessionMeta {
-	if s.ReadSet == nil && s.Deps == nil && s.Caches == nil {
-		return SessionMeta{}
-	}
-	c := NewSessionMeta()
-	maps.Copy(c.ReadSet, s.ReadSet)
-	maps.Copy(c.Deps, s.Deps)
-	for id := range s.Caches {
-		c.Caches[id] = true
-	}
-	return c
-}
-
-// Merge folds another branch's metadata in (used at DAG join points):
-// read-set entries keep the first-arrived version (the version the DAG
-// "committed" to), dependency entries keep the causally newest clock.
-func (s *SessionMeta) Merge(o SessionMeta) {
-	for k, v := range o.ReadSet {
-		if _, ok := s.ReadSet[k]; !ok {
-			s.ReadSet[k] = v
-		}
-	}
-	for k, v := range o.Deps {
-		cur, ok := s.Deps[k]
-		if !ok || cur.VC.HappensBefore(v.VC) {
-			s.Deps[k] = v
-		}
-	}
-	for id := range o.Caches {
-		s.Caches[id] = true
-	}
-}
-
 // Size estimates the metadata's serialized footprint in bytes — the
 // overhead the consistency-model experiments in §6.2.1 measure. It is 0
 // for the zero and the empty SessionMeta alike.
@@ -281,13 +244,6 @@ func ArgsFor(list []FnArgs, fn string) []Arg {
 	return list[i].Args
 }
 
-// DAGInput carries one upstream function's result to its downstream
-// function.
-type DAGInput struct {
-	From int    // producing function's position in the DAG
-	Val  []byte // codec-encoded result
-}
-
 // DAGTrigger starts (or continues) a DAG execution at Target, a function
 // position in the DAG, on the executor the schedule assigns to it. The
 // name is the DAG's Functions[Target], resolved where it is needed: the
@@ -295,15 +251,15 @@ type DAGInput struct {
 type DAGTrigger struct {
 	Schedule *DAGSchedule
 	Target   int
-	Inputs   []DAGInput
+	Input    []byte // function Target-1's codec-encoded result; nil at function 0
 	Meta     SessionMeta
 	// Hops counts executor transitions so far, reported in the Result
 	// for per-depth latency normalization (Figure 8).
 	Hops int
 	// TxnWrites carries a transactional DAG's buffered write set down
-	// the DAG (unioned at fan-in joins, committed at the sink). Empty
-	// unless the request was invoked with the Txn option, so non-txn
-	// runs stay byte-identical.
+	// the DAG (committed at the last function). Empty unless the request
+	// was invoked with the Txn option, so non-txn runs stay
+	// byte-identical.
 	TxnWrites []TxnWrite
 }
 

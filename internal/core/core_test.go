@@ -46,73 +46,12 @@ func TestInvocationIDs(t *testing.T) {
 	}
 }
 
-// TestSessionMetaCloneIsDeep: a clone's maps are its own — entries
-// added, replaced or deleted on one side never show on the other — while
-// the immutable clocks inside are the same values, shared by design.
-func TestSessionMetaCloneIsDeep(t *testing.T) {
-	m := NewSessionMeta()
-	m.ReadSet["k"] = VersionRef{Cache: "c1", VC: lattice.VectorClock{"e": 1}.Freeze()}
-	m.ReadSet["j"] = VersionRef{Cache: "c1", VC: lattice.VectorClock{"e": 4}.Freeze()}
-	m.Deps["d"] = VersionRef{Cache: "c2", VC: lattice.VectorClock{"f": 2}.Freeze()}
-	m.Caches["c1"] = true
-	c := m.Clone()
-	for k, v := range m.ReadSet {
-		if c.ReadSet[k].VC.String() != v.VC.String() || c.ReadSet[k].VC.Compare(v.VC) != lattice.Equal {
-			t.Fatalf("clone's clock for %q = %v, want %v", k, c.ReadSet[k].VC, v.VC)
-		}
-	}
-	if c.Deps["d"].VC.String() != "{f:2}" {
-		t.Fatalf("clone's dependency clock = %v", c.Deps["d"].VC)
-	}
-	c.ReadSet["k2"] = VersionRef{}
-	c.ReadSet["k"] = VersionRef{Cache: "c3", VC: c.ReadSet["k"].VC.Tick("e")}
-	delete(c.ReadSet, "j")
-	c.Deps["d"] = VersionRef{Cache: "c4"}
-	c.Caches["c9"] = true
-	if len(m.ReadSet) != 2 || m.ReadSet["k"].Cache != "c1" || m.ReadSet["k"].VC.String() != "{e:1}" ||
-		m.Deps["d"].Cache != "c2" || m.Caches["c9"] {
-		t.Fatal("clone aliases original")
-	}
-	m.Deps["d2"] = VersionRef{}
-	if _, ok := c.Deps["d2"]; ok {
-		t.Fatal("original aliases clone")
-	}
-}
-
-func TestSessionMetaMerge(t *testing.T) {
-	a := NewSessionMeta()
-	a.ReadSet["k"] = VersionRef{Cache: "c1", TS: lattice.Timestamp{Clock: 1}}
-	a.Deps["d"] = VersionRef{VC: lattice.VectorClock{"e": 1}.Freeze()}
-	a.Caches["c1"] = true
-	b := NewSessionMeta()
-	b.ReadSet["k"] = VersionRef{Cache: "c2", TS: lattice.Timestamp{Clock: 9}} // loses: first wins
-	b.ReadSet["j"] = VersionRef{Cache: "c2"}
-	b.Deps["d"] = VersionRef{VC: lattice.VectorClock{"e": 5}.Freeze()} // wins: newer
-	b.Caches["c2"] = true
-	a.Merge(b)
-	if a.ReadSet["k"].Cache != "c1" {
-		t.Error("read-set merge did not keep first version")
-	}
-	if a.ReadSet["j"].Cache != "c2" {
-		t.Error("new read-set entry missing")
-	}
-	if a.Deps["d"].VC.String() != "{e:5}" {
-		t.Error("deps merge did not keep newest clock")
-	}
-	if !a.Caches["c1"] || !a.Caches["c2"] {
-		t.Error("caches union missing entries")
-	}
-}
-
 func TestSessionMetaSize(t *testing.T) {
 	// The modes without a distributed session carry the zero value: it must
-	// cost what empty metadata costs on the wire, and clone without maps.
+	// cost what empty metadata costs on the wire.
 	var zero SessionMeta
 	if zero.Size() != 0 {
 		t.Fatalf("zero meta size = %d", zero.Size())
-	}
-	if c := zero.Clone(); c.ReadSet != nil || c.Deps != nil || c.Caches != nil {
-		t.Fatalf("zero meta cloned to %+v, want the zero value", c)
 	}
 	m := NewSessionMeta()
 	if m.Size() != 0 {

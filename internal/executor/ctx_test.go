@@ -87,12 +87,12 @@ func TestCtxStartsCleanOnReusedThread(t *testing.T) {
 				}
 				return 0, nil
 			})
-			index := dag.NewIndex(*dag.Linear("one", "f"))
+			one := dag.Linear("one", "f")
 			ep := net.AddNode("exec-vm0-0")
 			writes := writeLog{}
 			th = NewThread(k, ep, "vm0", Deps{
 				Cache: ch, Anna: kv.NewClient(ep, 0), Registry: reg, Tracer: writes, TxnRing: kv.Ring(),
-				DAGFor: func(string) (*dag.Index, bool) { return index, true },
+				DAGFor: func(string) (*dag.DAG, bool) { return one, true },
 			})
 			th.Start()
 			client := net.AddNode("client-0")

@@ -50,11 +50,10 @@ func newSessionRig(t *testing.T, mode core.Mode, d *dag.DAG) *sessionRig {
 		_, _, err := ctx.Get(key)
 		return 0, err
 	})
-	index := dag.NewIndex(*d)
 	ep := net.AddNode("exec-vm0-0")
 	r.th = NewThread(r.k, ep, "vm0", Deps{
 		Cache: r.ch, Anna: r.kv.NewClient(ep, 0), Registry: reg,
-		DAGFor: func(string) (*dag.Index, bool) { return index, true },
+		DAGFor: func(string) (*dag.DAG, bool) { return d, true },
 	})
 	r.th.Start()
 	r.client = net.AddNode("client-0")

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"cloudburst/internal/anna"
@@ -44,7 +43,7 @@ type Thread struct {
 	tracer      Tracer
 	spans       *trace.Collector // latency tracing; distinct from the consistency audit's tracer
 	alive       func(simnet.NodeID) bool
-	dagFor      func(name string) (*dag.Index, bool)
+	dagFor      func(name string) (*dag.DAG, bool)
 	disp        *simnet.Dispatcher
 	resolveName string // precomputed process name for parallel arg reads
 	hooks       *hook.Registry
@@ -73,8 +72,6 @@ type Thread struct {
 	ctx  Ctx
 	args []any
 
-	pending map[string]*join // DAG fan-in assembly: reqID|fn → state
-
 	// session is the thread's own session (§5.3): a bare invocation's
 	// under DSRR, DSC or MK, and an MK DAG function's. A DSRR or DSC DAG
 	// session rides the triggers downstream and is the request's.
@@ -94,16 +91,6 @@ type Thread struct {
 	latencyN    int64
 }
 
-// join accumulates a fan-in function's inputs until every parent
-// delivered.
-type join struct {
-	inputs    []core.DAGInput
-	meta      core.SessionMeta
-	hops      int
-	need      int
-	txnWrites []core.TxnWrite // union of the branches' buffered write sets
-}
-
 // Deps bundles a thread's environment, supplied by the cluster.
 type Deps struct {
 	Cache    *cache.Cache
@@ -115,7 +102,7 @@ type Deps struct {
 	Alive func(simnet.NodeID) bool
 	// DAGFor resolves a registered DAG's topology (from the local
 	// schedule cache or Anna).
-	DAGFor func(name string) (*dag.Index, bool)
+	DAGFor func(name string) (*dag.DAG, bool)
 	// Trace, when non-nil, records per-request latency spans (queue,
 	// overhead, argument resolution, compute) into the cluster's
 	// collector. CPU-side only; nil disables at zero cost.
@@ -148,7 +135,6 @@ func NewThread(k *vtime.Kernel, ep *simnet.Endpoint, vm string, d Deps) *Thread 
 		dagFor:      d.DAGFor,
 		resolveName: string(ep.ID()) + "/resolve",
 		pinned:      make(map[string]bool),
-		pending:     make(map[string]*join),
 		decoded:     d.Decoded,
 		windowStart: k.Now(),
 		hooks:       d.Hooks,
@@ -273,21 +259,25 @@ func (r *refReader) Run() {
 
 // resolveArgs turns wire arguments into Go values, fetching KVS
 // references through the cache in parallel (§4.1), and appends the
-// decoded parent results after them, in the thread's argument slice.
-// Its capacity ends at the last argument, so a function that appends to
-// it copies rather than writing into the thread's storage.
-func (t *Thread) resolveArgs(reqID, dagName, fn string, args []core.Arg, inputs []core.DAGInput, meta *core.SessionMeta) ([]any, error) {
-	n := len(args) + len(inputs)
+// decoded upstream result (input, nil for none) after them, in the
+// thread's argument slice. Its capacity ends at the last argument, so a
+// function that appends to it copies rather than writing into the
+// thread's storage.
+func (t *Thread) resolveArgs(reqID, dagName, fn string, args []core.Arg, input []byte, meta *core.SessionMeta) ([]any, error) {
+	n := len(args)
+	if input != nil {
+		n++
+	}
 	if len(t.args) < n {
 		t.args = make([]any, n)
 	}
 	out := t.args[:n:n]
-	for j, in := range inputs {
-		v, err := codec.Decode(in.Val)
+	if input != nil {
+		v, err := codec.Decode(input)
 		if err != nil {
 			return nil, err
 		}
-		out[len(args)+j] = v
+		out[len(args)] = v
 	}
 	errs := t.errScratch[:0]
 	for range args {
@@ -419,9 +409,10 @@ func (t *Thread) runSingle(req *core.InvokeRequest, scheduler simnet.NodeID) {
 	t.complete(&s, req.Function, metaP, 1, tx, invID, payload, err)
 }
 
-// runTrigger serves one DAG hop: assemble fan-in inputs, execute, and
-// either trigger children or complete the request at the sink. It never
-// writes tr; tr's session maps pass to this hop.
+// runTrigger serves one DAG hop: execute function Target, then either
+// trigger function Target+1 with its result or, at the last function,
+// complete the request. It never writes tr; tr's session maps pass to
+// this hop.
 func (t *Thread) runTrigger(tr *core.DAGTrigger) {
 	s := tr.Schedule
 	d, ok := t.dagFor(s.DAG)
@@ -430,49 +421,19 @@ func (t *Thread) runTrigger(tr *core.DAGTrigger) {
 		return
 	}
 	fn := d.Functions[tr.Target]
+	hops := tr.Hops + 1
 	// Session metadata propagates along the DAG only in the distributed
 	// session modes; bolt-on (MK) tracks a per-function session and the
 	// other modes carry none (§5.3, §6.2), so their triggers hold the zero
 	// SessionMeta and nothing here allocates one for them.
 	mode := t.cache.Mode()
 	session := mode == core.DSRR || mode == core.DSC
-	need := len(d.Parents(tr.Target))
-	inputs := tr.Inputs
-	meta := tr.Meta
-	hops := tr.Hops + 1
-	upstream := tr.TxnWrites
-	if need > 1 {
-		key := s.ReqID + "|" + fn
-		j, exists := t.pending[key]
-		if !exists {
-			j = &join{need: need}
-			if session {
-				j.meta = core.NewSessionMeta()
-			}
-			t.pending[key] = j
-		}
-		j.inputs = append(j.inputs, tr.Inputs...)
-		j.meta.Merge(tr.Meta)
-		j.txnWrites = append(j.txnWrites, tr.TxnWrites...)
-		if hops > j.hops {
-			j.hops = hops
-		}
-		if len(j.inputs) < j.need {
-			return // wait for remaining parents
-		}
-		delete(t.pending, key)
-		inputs, meta, hops, upstream = j.inputs, j.meta, j.hops, j.txnWrites
-		// Argument order: client-supplied args first, then parent
-		// results in parent-name order.
-		slices.SortFunc(inputs, func(a, b core.DAGInput) int { return strings.Compare(d.Functions[a.From], d.Functions[b.From]) })
-	}
-
 	var metaP *core.SessionMeta
 	switch {
 	case session:
-		m := meta
+		m := tr.Meta
 		if m.ReadSet == nil {
-			m = core.NewSessionMeta() // a source: the scheduler's trigger carries none
+			m = core.NewSessionMeta() // function 0: the scheduler's trigger carries none
 		}
 		metaP = &m
 	case mode == core.MK: // the function's own session, ending with it
@@ -480,43 +441,32 @@ func (t *Thread) runTrigger(tr *core.DAGTrigger) {
 		defer t.endSession()
 	}
 
-	payload, invID, tx, err := t.invoke(s, fn, core.ArgsFor(s.Args, fn), inputs, metaP, upstream)
-	children := d.Children(tr.Target)
-	if err != nil || len(children) == 0 {
+	payload, invID, tx, err := t.invoke(s, fn, core.ArgsFor(s.Args, fn), tr.Input, metaP, tr.TxnWrites)
+	next := tr.Target + 1
+	if err != nil || next == len(d.Functions) {
 		t.complete(s, fn, metaP, hops, tx, invID, payload, err)
 		return
 	}
 	var outWrites []core.TxnWrite
 	if tx != nil {
-		// The buffered write set rides the trigger downstream; the sink's
-		// coordinator commits the union once.
+		// The buffered write set rides the trigger downstream; the last
+		// function's coordinator commits it once.
 		outWrites = tx.items()
 	}
 	var outMeta core.SessionMeta
 	if session {
 		outMeta = *metaP
 	}
-	for i, child := range children {
-		m := outMeta
-		if i < len(children)-1 {
-			m = outMeta.Clone() // sibling branches must not alias
-		}
-		// The trigger and its one input are one allocation.
-		next := &struct {
-			tr core.DAGTrigger
-			in [1]core.DAGInput
-		}{in: [1]core.DAGInput{{From: tr.Target, Val: payload}}}
-		next.tr = core.DAGTrigger{
-			Schedule:  s,
-			Target:    child,
-			Inputs:    next.in[:],
-			Meta:      m,
-			Hops:      hops,
-			TxnWrites: outWrites,
-		}
-		size := 96 + len(payload) + m.Size() + core.TxnWritesSize(outWrites)
-		t.ep.Send(s.Assignments[child], &next.tr, size)
+	out := &core.DAGTrigger{
+		Schedule:  s,
+		Target:    next,
+		Input:     payload,
+		Meta:      outMeta,
+		Hops:      hops,
+		TxnWrites: outWrites,
 	}
+	size := 96 + len(payload) + outMeta.Size() + core.TxnWritesSize(outWrites)
+	t.ep.Send(s.Assignments[next], out, size)
 }
 
 // sessionKeep is the most keys (read set and dependencies together) a
@@ -666,7 +616,7 @@ func (t *Thread) commitTxn(reqID, dagName, fn, txnID string, tx *txnState, paylo
 // cache's own read spans open later and so shadow it for their windows
 // (the analyzer's stack semantics), leaving the body's remainder as
 // compute.
-func (t *Thread) invoke(s *core.DAGSchedule, fn string, args []core.Arg, inputs []core.DAGInput, meta *core.SessionMeta, upstream []core.TxnWrite) ([]byte, string, *txnState, error) {
+func (t *Thread) invoke(s *core.DAGSchedule, fn string, args []core.Arg, input []byte, meta *core.SessionMeta, upstream []core.TxnWrite) ([]byte, string, *txnState, error) {
 	var tx *txnState
 	if s.Txn {
 		if t.cache.Mode() != core.TXN || t.txnCoord == nil {
@@ -690,7 +640,7 @@ func (t *Thread) invoke(s *core.DAGSchedule, fn string, args []core.Arg, inputs 
 	o0 := t.k.Now()
 	t.k.Sleep(invokeOverhead)
 	ictx.Record("exec/overhead", trace.Dispatch, o0, t.k.Now())
-	resolved, err := t.resolveArgs(reqID, dagName, fn, args, inputs, meta)
+	resolved, err := t.resolveArgs(reqID, dagName, fn, args, input, meta)
 	if err != nil {
 		return nil, "", tx, fnError(fn, err)
 	}

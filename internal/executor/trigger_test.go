@@ -43,11 +43,11 @@ func TestSessionMetaOnlyWhereTheModeReadsIt(t *testing.T) {
 					return fn, err
 				})
 			}
-			chain := dag.NewIndex(*dag.Linear("chain", "a", "b", "c"))
+			chain := dag.Linear("chain", "a", "b", "c")
 			ep := net.AddNode("exec-vm0-0")
 			th := NewThread(k, ep, "vm0", Deps{
 				Cache: ch, Anna: kv.NewClient(ep, 0), Registry: reg,
-				DAGFor: func(string) (*dag.Index, bool) { return chain, true },
+				DAGFor: func(string) (*dag.DAG, bool) { return chain, true },
 			})
 			th.Start()
 			sink := net.AddNode("exec-vm0-1")
@@ -82,45 +82,30 @@ func TestSessionMetaOnlyWhereTheModeReadsIt(t *testing.T) {
 	}
 }
 
-// routingDAGs returns the fixed shapes (chain, fan-out, fan-in, diamond)
-// and n seeded random DAGs whose edges run from lower to higher
-// declaration index. Every DAG declares its functions out of name order,
-// so a position table that fell back to declaration order, or a name
-// table to positions, would show.
-func routingDAGs(rng *rand.Rand, n int) []*dag.DAG {
-	ds := []*dag.DAG{
-		dag.Linear("chain", "c", "b", "a"),
-		dag.New("fan-out", []string{"z", "b", "a"}, [][2]string{{"z", "b"}, {"z", "a"}}),
-		dag.New("fan-in", []string{"d", "c", "b", "a"}, [][2]string{{"c", "a"}, {"d", "a"}, {"b", "a"}}),
-		dag.New("diamond", []string{"d", "b", "c", "a"}, [][2]string{{"d", "b"}, {"d", "c"}, {"b", "a"}, {"c", "a"}}),
-	}
+// routingChains returns the chain c → b → a and n seeded random chains
+// of 1 to 6 functions. Every chain declares its functions out of name
+// order, so a routing that fell back to name order, or to any order but
+// the declared one, would show.
+func routingChains(rng *rand.Rand, n int) []*dag.DAG {
+	ds := []*dag.DAG{dag.Linear("chain", "c", "b", "a")}
 	for i := 0; i < n; i++ {
 		k := rng.Intn(6) + 1
 		fns := make([]string, k)
 		for j, p := range rng.Perm(k) {
 			fns[j] = string(rune('a' + p))
 		}
-		var edges [][2]string
-		for a := 0; a < k; a++ {
-			for b := a + 1; b < k; b++ {
-				if rng.Intn(3) == 0 {
-					edges = append(edges, [2]string{fns[a], fns[b]})
-				}
-			}
-		}
-		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-		ds = append(ds, dag.New(fmt.Sprintf("rnd-%d", i), fns, edges))
+		ds = append(ds, dag.Linear(fmt.Sprintf("rnd-%d", i), fns...))
 	}
 	return ds
 }
 
-// TestPositionRoutingMatchesNameOracle runs seeded random DAGs over four
-// threads from a position-indexed schedule and holds every hop to a
+// TestPositionRoutingMatchesNameOracle runs seeded random chains over
+// four threads from a position-indexed schedule and holds every hop to a
 // name-keyed oracle: each function runs once, on the thread a
-// name→thread map gives it (so every child trigger went there), with its
-// own client arguments first and then its parents' results in
-// parent-name order, and every sink answers the client. A schedule whose
-// function count is not the resolved DAG's fails with an error.
+// name→thread map gives it (so every trigger went there), with its own
+// client arguments first and then its upstream function's result, and
+// the last function answers the client. A schedule whose function count
+// is not the resolved DAG's fails with an error.
 func TestPositionRoutingMatchesNameOracle(t *testing.T) {
 	k := vtime.NewKernel(1)
 	t.Cleanup(k.Stop)
@@ -149,45 +134,44 @@ func TestPositionRoutingMatchesNameOracle(t *testing.T) {
 		})
 	}
 	rng := rand.New(rand.NewSource(44))
-	dags := routingDAGs(rng, 200)
-	index := map[string]*dag.Index{}
-	for _, d := range dags {
+	chains := routingChains(rng, 200)
+	byName := map[string]*dag.DAG{}
+	for _, d := range chains {
 		if err := d.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		index[d.Name] = dag.NewIndex(*d)
+		byName[d.Name] = d
 	}
 	var threads []simnet.NodeID
 	for i := 0; i < 4; i++ {
 		ep := net.AddNode(simnet.NodeID(fmt.Sprintf("exec-vm0-%d", i)))
 		th := NewThread(k, ep, "vm0", Deps{
 			Cache: ch, Anna: kv.NewClient(ep, 0), Registry: reg,
-			DAGFor: func(name string) (*dag.Index, bool) { x, ok := index[name]; return x, ok },
+			DAGFor: func(name string) (*dag.DAG, bool) { d, ok := byName[name]; return d, ok },
 		})
 		th.Start()
 		threads = append(threads, ep.ID())
 	}
 	client := net.AddNode("client-0")
 
-	fanIn, fanOut := 0, 0
+	lengths := map[int]bool{}
 	k.Run("test", func() {
-		for n, d := range dags {
+		for n, d := range chains {
+			lengths[len(d.Functions)] = true
 			// The oracle, by name: a thread and maybe client arguments for
-			// each function.
+			// each function, and each function's upstream.
 			owner := map[string]simnet.NodeID{}
 			clientArg := map[string]string{}
+			upstream := map[string]string{}
 			var args []core.FnArgs
-			for _, f := range d.Functions {
+			for i, f := range d.Functions {
 				owner[f] = threads[rng.Intn(len(threads))]
 				if rng.Intn(2) == 0 {
 					clientArg[f] = "arg-" + f
 					args = append(args, core.FnArgs{Fn: f, Args: []core.Arg{{Val: codec.MustEncode(clientArg[f])}}})
 				}
-				if len(d.Parents(f)) > 1 {
-					fanIn++
-				}
-				if len(d.Children(f)) > 1 {
-					fanOut++
+				if i > 0 {
+					upstream[f] = d.Functions[i-1]
 				}
 			}
 			core.SortFnArgs(args)
@@ -197,23 +181,20 @@ func TestPositionRoutingMatchesNameOracle(t *testing.T) {
 				sched.Assignments = append(sched.Assignments, owner[f])
 			}
 			clear(ran)
-			x := index[d.Name]
-			for _, src := range x.Sources() {
-				client.Send(sched.Assignments[src], &core.DAGTrigger{Schedule: sched, Target: src}, 128)
-			}
-			for range sinks(d) {
-				if res := client.Recv().Payload.(*core.Result); !res.OK() || res.ReqID != sched.ReqID {
-					t.Fatalf("%s %v: result %+v", d.Name, d.Edges, res)
-				}
+			client.Send(sched.Assignments[0], &core.DAGTrigger{Schedule: sched}, 128)
+			if res := client.Recv().Payload.(*core.Result); !res.OK() || res.ReqID != sched.ReqID {
+				t.Fatalf("%s %v: result %+v", d.Name, d.Functions, res)
 			}
 			for _, f := range d.Functions {
 				var want []string
 				if a, ok := clientArg[f]; ok {
 					want = append(want, a)
 				}
-				want = append(want, d.Parents(f)...)
+				if u, ok := upstream[f]; ok {
+					want = append(want, u)
+				}
 				if got := ran[f]; len(got) != 1 || got[0].thread != owner[f] || !slices.Equal(got[0].args, want) {
-					t.Fatalf("%s %v: %s ran %+v, want once on %s with %v", d.Name, d.Edges, f, got, owner[f], want)
+					t.Fatalf("%s %v: %s ran %+v, want once on %s with %v", d.Name, d.Functions, f, got, owner[f], want)
 				}
 			}
 		}
@@ -226,18 +207,7 @@ func TestPositionRoutingMatchesNameOracle(t *testing.T) {
 			t.Fatalf("a 4-function schedule for the 3-function chain: %+v, want an error", res)
 		}
 	})
-	if fanIn < 50 || fanOut < 50 {
-		t.Fatalf("coverage: %d fan-in and %d fan-out vertices, want 50 of each", fanIn, fanOut)
+	if len(lengths) != 6 {
+		t.Fatalf("coverage: chain lengths %v, want each of 1 to 6", lengths)
 	}
-}
-
-// sinks returns d's functions with no children.
-func sinks(d *dag.DAG) []string {
-	var out []string
-	for _, f := range d.Functions {
-		if len(d.Children(f)) == 0 {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -37,7 +37,7 @@ func newRecordRig(t *testing.T, cfg Config) *recordRig {
 	ep := net.AddNode("sched-0")
 	r := &recordRig{k: k, s: New(k, ep, kv.NewClient(ep, 0), cfg), client: net.AddNode("client-0"), hold: map[string]bool{}}
 	r.s.setThreads([]core.ExecutorMetrics{{Thread: "exec-0", VM: "vm-0"}}) // no poll replaces it
-	r.s.dags["d"] = dag.NewIndex(*dag.Linear("d", "f"))
+	r.s.dags["d"] = dag.Linear("d", "f")
 	r.s.Start()
 	exec := net.AddNode("exec-0")
 	k.Go("exec-0", func() {

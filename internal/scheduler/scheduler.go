@@ -315,7 +315,7 @@ type Scheduler struct {
 	cfg  Config
 	disp *simnet.Dispatcher
 
-	dags  map[string]*dag.Index
+	dags  map[string]*dag.DAG
 	funcs map[string]bool
 	// view is what pickExecutor reads; cacheKeys and pins are what it is
 	// built from, kept across polls. cacheKeys maps each VM in the cache
@@ -386,7 +386,7 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config) *Sch
 		k:            k,
 		anna:         ac,
 		cfg:          cfg,
-		dags:         make(map[string]*dag.Index),
+		dags:         make(map[string]*dag.DAG),
 		funcs:        make(map[string]bool),
 		cacheKeys:    make(map[string]codec.StrList),
 		pins:         make(map[string][]simnet.NodeID),
@@ -457,9 +457,10 @@ func (s *Scheduler) registerFunction(req RegisterFunctionReq) RegisterResp {
 // registerDAG validates the DAG, stores its topology in Anna (the
 // scheduler's only persistent metadata, §4.3), and pins each function
 // onto executors. A name already registered, here or through another
-// scheduler, registers again only with the same topology: every
-// scheduler and executor that resolved the name keeps the topology it
-// resolved, so another would split the cluster on what the name means.
+// scheduler, registers again only with the same functions in the same
+// order: every scheduler and executor that resolved the name keeps the
+// chain it resolved, so another would split the cluster on what the name
+// means.
 func (s *Scheduler) registerDAG(req RegisterDAGReq) RegisterResp {
 	d := req.DAG
 	if err := d.Validate(); err != nil {
@@ -471,7 +472,7 @@ func (s *Scheduler) registerDAG(req RegisterDAGReq) RegisterResp {
 		}
 	}
 	taken := RegisterResp{Err: fmt.Sprintf("scheduler: DAG %q is registered with another topology", d.Name)}
-	if prev, ok := s.dags[d.Name]; ok && !prev.SameTopology(&d) {
+	if prev, ok := s.dags[d.Name]; ok && !slices.Equal(prev.Functions, d.Functions) {
 		return taken
 	}
 	ts := lattice.Timestamp{Clock: int64(s.k.Now()), Node: 1}
@@ -484,12 +485,12 @@ func (s *Scheduler) registerDAG(req RegisterDAGReq) RegisterResp {
 		if l, ok := held.(*lattice.LWW); ok {
 			prev, _ = codec.Decode(l.Value)
 		}
-		if p, ok := prev.(dag.DAG); !ok || !p.SameTopology(&d) {
+		if p, ok := prev.(dag.DAG); !ok || !slices.Equal(p.Functions, d.Functions) {
 			return taken
 		}
 	}
 	s.anna.Put(core.DAGListKey(), lattice.NewSet(d.Name))
-	s.dags[d.Name] = dag.NewIndex(d)
+	s.dags[d.Name] = &d
 
 	replicas := req.Replicas
 	if replicas < 1 {
@@ -669,11 +670,13 @@ func (s *Scheduler) untrack(o *tracked) {
 // dispatch sends one attempt of a request, tracking it first if this is
 // admit's first, and is the only place the two kinds differ: a bare Invoke
 // is forwarded in its lean wire form to one executor; a DAG gets a
-// schedule (one executor per function, §4.3) and its sources are
-// triggered. exclude lists executors to avoid (re-executions). A
-// re-execution's request can end while it blocks (a completion notice, a
-// terminal failure from another expiry path); the re-execution then stops
-// at its next check, so a finished request is never dispatched again.
+// schedule (one executor per function, §4.3) and its first function is
+// triggered. A DAG request whose arguments name a function the DAG lacks
+// fails on its first attempt, untracked, rather than run without them.
+// exclude lists executors to avoid (re-executions). A re-execution's
+// request can end while it blocks (a completion notice, a terminal
+// failure from another expiry path); the re-execution then stops at its
+// next check, so a finished request is never dispatched again.
 func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
 	id, first := o.id, o.retries == 0
 	ended := func() bool { return !first && s.inflight[id] != o }
@@ -685,12 +688,18 @@ func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
 	if ended() {
 		return
 	}
-	var d *dag.Index
+	var d *dag.DAG
 	if o.isDAG() {
 		var ok bool
 		if d, ok = s.dagView(o.dag.DAG); !ok {
 			s.ep.Send(o.respondTo, &core.Result{ReqID: id, Err: fmt.Sprintf("scheduler: unknown DAG %q", o.dag.DAG)}, 64)
 			return
+		}
+		for _, a := range o.dag.Args {
+			if first && !slices.Contains(d.Functions, a.Fn) {
+				s.ep.Send(o.respondTo, &core.Result{ReqID: id, Err: fmt.Sprintf("scheduler: DAG %q has no function %q", d.Name, a.Fn)}, 64)
+				return
+			}
 		}
 	}
 	s.ensureView()
@@ -718,8 +727,7 @@ func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
 		return
 	}
 	req := o.dag
-	sources := d.Sources()
-	sched, assignments, triggers := newAttempt(len(d.Functions), len(sources))
+	sched, assignments, trigger := newAttempt(len(d.Functions))
 	for i, fn := range d.Functions {
 		if assignments[i] = pick(fn, core.ArgsFor(req.Args, fn), true); assignments[i] == "" {
 			return
@@ -738,31 +746,29 @@ func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
 		ResultKey:   req.ResultKey,
 	}
 	o.sched = sched
-	for i, src := range sources {
-		// No session metadata: the executor makes it where the mode keeps one.
-		triggers[i] = core.DAGTrigger{Schedule: sched, Target: src}
-		s.ep.Send(assignments[src], &triggers[i], 128)
-	}
+	// No session metadata: the executor makes it where the mode keeps one.
+	*trigger = core.DAGTrigger{Schedule: sched}
+	s.ep.Send(assignments[0], trigger, 128)
 }
 
 // newAttempt allocates a DAG attempt's schedule, its fns assignments and
-// its srcs source triggers, messages nothing writes once sent: in one
-// allocation for one source and at most three functions, else in three.
-func newAttempt(fns, srcs int) (*core.DAGSchedule, []simnet.NodeID, []core.DAGTrigger) {
-	if srcs == 1 && fns <= 3 {
-		a := new(struct {
-			s core.DAGSchedule
-			n [3]simnet.NodeID
-			t [1]core.DAGTrigger
-		})
-		return &a.s, a.n[:fns:fns], a.t[:]
+// its trigger to function 0, messages nothing writes once sent: in one
+// allocation for at most three functions, else in two.
+func newAttempt(fns int) (*core.DAGSchedule, []simnet.NodeID, *core.DAGTrigger) {
+	a := new(struct {
+		s core.DAGSchedule
+		t core.DAGTrigger
+		n [3]simnet.NodeID
+	})
+	if fns <= 3 {
+		return &a.s, a.n[:fns:fns], &a.t
 	}
-	return new(core.DAGSchedule), make([]simnet.NodeID, fns), make([]core.DAGTrigger, srcs)
+	return &a.s, make([]simnet.NodeID, fns), &a.t
 }
 
 // dagView resolves a DAG topology locally or from Anna (other schedulers
-// may have registered it), indexing each DAG once.
-func (s *Scheduler) dagView(name string) (*dag.Index, bool) {
+// may have registered it).
+func (s *Scheduler) dagView(name string) (*dag.DAG, bool) {
 	if d, ok := s.dags[name]; ok {
 		return d, true
 	}
@@ -770,9 +776,8 @@ func (s *Scheduler) dagView(name string) (*dag.Index, bool) {
 	if !ok {
 		return nil, false
 	}
-	x := dag.NewIndex(d)
-	s.dags[name] = x
-	return x, true
+	s.dags[name] = &d
+	return &d, true
 }
 
 // pickExecutor implements the §4.3 policy: prefer executors that have

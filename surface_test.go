@@ -36,7 +36,6 @@ func TestExportedSurface(t *testing.T) {
 	testOnly := map[string]string{
 		"anna.Node.HasKey":              "the only view of which keys a storage node holds, and on which tier",
 		"cache.Cache.SnapshotCount":     "the only view of the snapshot tables a causal session leaves (ROADMAP 12)",
-		"cloudburst.NewDAG":             "fan-in DAGs and the join path (§3) have no entry point yet",
 		"cloudburst.SetDefaultTracing":  "runs whole figures traced in the zero-perturbation test",
 		"executor.Thread.Completed":     "the only view of a thread's finished invocations, which its metrics publish",
 		"lattice.GuardPayloads":         "the oracle of the payload immutability test",
