@@ -147,10 +147,14 @@ func (cl *Client) encodeArgs(args []any) ([]core.Arg, error) {
 const resultSuffix = "-result"
 
 // nextReq names the next request: its id, and the Future.Key its result
-// is stored under. Both come from one string, the id being its prefix.
+// is stored under. Both come from one exact-size allocation, the key, the
+// id being its prefix: it is built in buf, on the stack (a "client-N" id,
+// the number and the suffix fit), and copied out once.
 func (cl *Client) nextReq() (reqID, key string) {
 	cl.seq++
-	key = string(cl.ep.ID()) + "-r" + strconv.FormatInt(cl.seq, 10) + resultSuffix
+	var buf [64]byte
+	b := append(append(buf[:0], cl.ep.ID()...), "-r"...)
+	key = string(append(strconv.AppendInt(b, cl.seq, 10), resultSuffix...))
 	return key[:len(key)-len(resultSuffix)], key
 }
 

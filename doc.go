@@ -190,10 +190,12 @@
 //   - Writers always allocate a fresh buffer; nothing mutates payload
 //     bytes in place.
 //   - Values handed to functions (decoded arguments, Ctx.Get results)
-//     are read-only; copy before mutating. A decoded []byte, and each
-//     element of a decoded []string, views the payload itself. Appending
-//     to a decoded slice is safe — decoded slices carry no spare
-//     capacity.
+//     are read-only; copy before mutating. One rule: a generic value
+//     views its payload and a wire struct copies. A decoded []byte and
+//     every decoded string (list elements and map keys included) keep
+//     the payload alive, which the caches hold anyway, as they always
+//     did for a []byte. Appending to a decoded slice is safe — decoded
+//     slices carry no spare capacity.
 //
 // The copies this removes are harness overhead, not modeled latency:
 // simulated metrics are identical with and without them.

@@ -55,12 +55,16 @@
 //
 // # Zero-copy
 //
-// Decode is zero-copy for []byte and for a []string's elements: the
-// returned slice, or each string, aliases the input buffer. This is the
-// data plane's key fast path — capsule payloads are immutable by
-// convention (see the lattice package), so readers share the bytes
-// instead of copying 80MB arrays around. Callers that need to mutate a
-// decoded value must copy it first; the runtime itself never does.
+// One rule: a generic value views its payload, a wire struct copies.
+// Decode copies no bytes for a []byte, a string, a []string's elements,
+// or a map's string keys and values, at any depth: each aliases the
+// input buffer. Capsule payloads are immutable by convention (see the
+// lattice package) and already held by the caches, so a view keeps
+// alive only bytes that are live anyway, as a decoded []byte always
+// has. A wire struct's string fields (Reader.Str, Reader.Strs) are
+// copies, since the control plane keeps them as long-lived map keys;
+// its StrList fields are views. Callers that need to mutate a decoded
+// value must copy it first; the runtime itself never does.
 package codec
 
 import (
@@ -283,14 +287,12 @@ func errTruncated(tag byte) error {
 	return fmt.Errorf("codec: decode: truncated input (tag %#x)", tag)
 }
 
-// Decode deserializes a value produced by Encode. The result may alias
-// data, so data must never be written again while the result lives: a
-// []byte and the elements of a []string (at any depth) view data in
-// place, as does a wire struct's StrList field. A string, a
-// map[string]string and a wire struct's other fields (Reader.Strs
-// included) never alias data: a map's keys and values are substrings of
-// one string copied from it, so they share one backing allocation, which
-// stays live while any of them does. Bytes left over after a container's
+// Decode deserializes a value produced by Encode. One rule: a generic
+// value views data and a wire struct copies. A []byte and every string
+// (a []string's elements and a map's keys and values, at any depth)
+// alias data, so data must never be written again while they live; a
+// wire struct's Str and Strs fields are copies, since the control plane
+// keeps them as long-lived map keys. Bytes left over after a container's
 // last element are an error, as they are after a fixed-size value's.
 func Decode(data []byte) (any, error) {
 	if len(data) == 0 {
@@ -310,7 +312,7 @@ func Decode(data []byte) (any, error) {
 		// reach into the shared buffer beyond the value's own bytes.
 		return body[:len(body):len(body)], nil
 	case tagString:
-		return string(body), nil
+		return view(body), nil
 	case tagInt:
 		if len(body) != 8 {
 			return nil, errTruncated(tag)
@@ -396,18 +398,16 @@ func Decode(data []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		all := string(body) // the one copy: every key and value is a substring
 		out := make(map[string]string, n)
 		for i := 0; i < n; i++ {
 			var k, v []byte
 			if k, body, err = readChunk(tag, body); err != nil {
 				return nil, err
 			}
-			key := substr(all, body, k)
 			if v, body, err = readChunk(tag, body); err != nil {
 				return nil, err
 			}
-			out[key] = substr(all, body, v)
+			out[view(k)] = view(v)
 		}
 		if len(body) != 0 {
 			return nil, errTruncated(tag)
@@ -431,7 +431,7 @@ func Decode(data []byte) (any, error) {
 			if err != nil {
 				return nil, err
 			}
-			out[string(k)] = v
+			out[view(k)] = v
 		}
 		if len(body) != 0 {
 			return nil, errTruncated(tag)
@@ -451,7 +451,7 @@ func Decode(data []byte) (any, error) {
 			if len(body) < 8 {
 				return nil, errTruncated(tag)
 			}
-			out[string(k)] = math.Float64frombits(binary.LittleEndian.Uint64(body))
+			out[view(k)] = math.Float64frombits(binary.LittleEndian.Uint64(body))
 			body = body[8:]
 		}
 		if len(body) != 0 {
@@ -552,9 +552,7 @@ func (l StrList) views() []string {
 		return nil
 	}
 	out := make([]string, 0, l.n)
-	StrList{}.Diff(l, nil, func(s []byte) {
-		out = append(out, unsafe.String(unsafe.SliceData(s), len(s)))
-	})
+	StrList{}.Diff(l, nil, func(s []byte) { out = append(out, view(s)) })
 	return out
 }
 
@@ -575,11 +573,13 @@ func (l StrList) strings() []string {
 	return out
 }
 
-// substr returns chunk — which readChunk just cut from the tail of a
-// buffer copied into all, leaving rest — as the same bytes of all.
-func substr(all string, rest, chunk []byte) string {
-	end := len(all) - len(rest)
-	return all[end-len(chunk) : end]
+// view returns b as a string over its bytes, which must never be written
+// again; an empty b is "", so it keeps no buffer alive.
+func view(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }
 
 // MustDecode deserializes and panics on failure.

@@ -108,8 +108,9 @@ func TestSizeReflectsPayload(t *testing.T) {
 
 // TestDecodeStringListsAllocations is the tripwire for a decoded string
 // list allocating per element, or copying, again: a []string is the slice
-// of views and the interface box, whatever its length; a
-// map[string]string is one string copy and the map.
+// of views and the interface box, whatever its length; a small
+// map[string]string is the map's header and table, its keys and values
+// views; a string is the interface box alone.
 func TestDecodeStringListsAllocations(t *testing.T) {
 	ids := make([]string, 50) // a Retwis timeline
 	for i := range ids {
@@ -122,7 +123,8 @@ func TestDecodeStringListsAllocations(t *testing.T) {
 		want float64
 	}{
 		{"[]string of 50", ids, 2},
-		{"3-entry map[string]string", post, 3},
+		{"3-entry map[string]string", post, 2},
+		{"string", "a function's string result", 1},
 	} {
 		enc := MustEncode(tc.v)
 		if n := testing.AllocsPerRun(100, func() { MustDecode(enc) }); n != tc.want {
@@ -131,47 +133,84 @@ func TestDecodeStringListsAllocations(t *testing.T) {
 	}
 }
 
-// TestDecodedStringsOutliveBuffer: a decoded string, map[string]string
-// and wire struct's string list are copies, not views of the input, so
-// overwriting the encoded buffer after Decode leaves them unchanged.
+// TestDecodedStringsOutliveBuffer: a wire struct's Str and Strs
+// fields are copies, not views of the input, so overwriting the encoded
+// buffer after Decode leaves them unchanged.
 func TestDecodedStringsOutliveBuffer(t *testing.T) {
-	for _, v := range []any{
-		"a string",
-		map[string]string{"k1": "v1", "k2": "", "": "v3"},
-		map[string]any{"m": map[string]string{"a": "b"}, "s": "nested"},
-		wireProbe{S: "probe", Ss: []string{"alpha", "", "beta"}, M: map[string]int64{"k": 1}},
-	} {
-		enc := MustEncode(v)
-		got := MustDecode(enc)
-		for i := range enc {
-			enc[i] = 0xff
-		}
-		if !reflect.DeepEqual(got, v) {
-			t.Fatalf("after overwriting the buffer, decoded %#v, want %#v", got, v)
+	v := wireProbe{S: "probe", Ss: []string{"alpha", "", "beta"}, M: map[string]int64{"k": 1}}
+	enc := MustEncode(v)
+	got := MustDecode(enc)
+	for i := range enc {
+		enc[i] = 0xff
+	}
+	if !reflect.DeepEqual(got, v) {
+		t.Fatalf("after overwriting the buffer, decoded %#v, want %#v", got, v)
+	}
+}
+
+// outside reports whether the n bytes at p do not all lie inside data.
+func outside(data []byte, p unsafe.Pointer, n int) bool {
+	lo, at := uintptr(unsafe.Pointer(unsafe.SliceData(data))), uintptr(p)
+	return at < lo || at+uintptr(n) > lo+uintptr(len(data))
+}
+
+// viewsOutside returns every non-empty string, []byte and []string
+// element in a decoded generic value, map keys included, whose bytes do
+// not lie inside data. Wire structs copy, so it does not look inside
+// them.
+func viewsOutside(data []byte, v any) []string {
+	var out []string
+	str := func(s string) {
+		if s != "" && outside(data, unsafe.Pointer(unsafe.StringData(s)), len(s)) {
+			out = append(out, s)
 		}
 	}
+	switch x := v.(type) {
+	case string:
+		str(x)
+	case []byte:
+		if len(x) > 0 && outside(data, unsafe.Pointer(unsafe.SliceData(x)), len(x)) {
+			out = append(out, string(x))
+		}
+	case []string:
+		for _, s := range x {
+			str(s)
+		}
+	case []any:
+		for _, e := range x {
+			out = append(out, viewsOutside(data, e)...)
+		}
+	case map[string]string:
+		for k, s := range x {
+			str(k)
+			str(s)
+		}
+	case map[string]any:
+		for k, e := range x {
+			str(k)
+			out = append(out, viewsOutside(data, e)...)
+		}
+	case map[string]float64:
+		for k := range x {
+			str(k)
+		}
+	}
+	return out
 }
 
 // TestDecodedStringListAliasesInput: a decoded []string, at the top
 // level or nested in a map[string]any, views the encoded buffer, as a
 // []byte does: each non-empty element's bytes lie inside it.
 func TestDecodedStringListAliasesInput(t *testing.T) {
-	within := func(t *testing.T, data []byte, xs []string) {
-		t.Helper()
-		lo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
-		for _, x := range xs {
-			if p := uintptr(unsafe.Pointer(unsafe.StringData(x))); x != "" && (p < lo || p+uintptr(len(x)) > lo+uintptr(len(data))) {
-				t.Errorf("element %q does not lie inside the encoded buffer", x)
-			}
-		}
-	}
 	top := []string{"alpha", "", "beta", "gamma"}
 	enc := MustEncode(top)
 	got := MustDecode(enc).([]string)
 	if !slices.Equal(got, top) {
 		t.Fatalf("decoded %q, want %q", got, top)
 	}
-	within(t, enc, got)
+	if bad := viewsOutside(enc, got); len(bad) > 0 {
+		t.Errorf("elements %q do not lie inside the encoded buffer", bad)
+	}
 
 	nested := map[string]any{"xs": []string{"nested", "list"}, "m": map[string]string{"a": "b"}}
 	enc = MustEncode(nested)
@@ -179,7 +218,31 @@ func TestDecodedStringListAliasesInput(t *testing.T) {
 	if !reflect.DeepEqual(m, nested) {
 		t.Fatalf("decoded %#v, want %#v", m, nested)
 	}
-	within(t, enc, m["xs"].([]string))
+	if bad := viewsOutside(enc, m["xs"]); len(bad) > 0 {
+		t.Errorf("elements %q do not lie inside the encoded buffer", bad)
+	}
+}
+
+// TestDecodedStringsAliasInput: a decoded string, a map[string]string's
+// keys and values and any map's keys, at the top level or nested in a
+// container, view the encoded buffer too.
+func TestDecodedStringsAliasInput(t *testing.T) {
+	for _, v := range []any{
+		"a string",
+		map[string]string{"k1": "v1", "k2": "", "": "v3"},
+		map[string]any{"m": map[string]string{"a": "b"}, "s": "nested"},
+		map[string]float64{"x": 1, "yy": 2},
+		[]any{"a", []byte("bytes"), map[string]any{"k": "v"}},
+	} {
+		enc := MustEncode(v)
+		got := MustDecode(enc)
+		if !reflect.DeepEqual(got, v) {
+			t.Fatalf("decoded %#v, want %#v", got, v)
+		}
+		if bad := viewsOutside(enc, got); len(bad) > 0 {
+			t.Errorf("decoding %#v: %q do not lie inside the encoded buffer", v, bad)
+		}
+	}
 }
 
 // oracleStrs is Reader.Strs as it was before it cut its list with one
@@ -218,7 +281,8 @@ func oracleDecodeStrings(data []byte) ([]string, error) {
 		if s, body, err = readChunk(tag, body); err != nil {
 			return nil, err
 		}
-		out = append(out, substr(all, body, s))
+		end := len(all) - len(body)
+		out = append(out, all[end-len(s):end])
 	}
 	return out, nil
 }

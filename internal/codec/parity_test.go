@@ -232,8 +232,8 @@ func TestDecodedBytesCapacityClamped(t *testing.T) {
 }
 
 // FuzzDecode: Decode must reject or parse arbitrary input without
-// panicking, and whatever parses must re-encode and decode to an equal
-// value.
+// panicking, whatever parses must view its input (viewsOutside finds
+// nothing), and it must re-encode and decode to an equal value.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00}) // the reserved tag
@@ -255,6 +255,9 @@ func FuzzDecode(f *testing.F) {
 		v, err := Decode(data)
 		if err != nil {
 			return
+		}
+		if bad := viewsOutside(data, v); len(bad) > 0 {
+			t.Fatalf("decoded %q do not lie inside the input", bad)
 		}
 		re, err := Encode(v)
 		if err != nil {

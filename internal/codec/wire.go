@@ -193,7 +193,9 @@ func sortedKeysI64(m map[string]int64) []string {
 // Append* helpers. Errors are sticky: after the first malformed field
 // every subsequent read returns a zero value, and Done reports the
 // error, so DecodeWire implementations read unconditionally and check
-// once at the end. Only StrList's view aliases the body; the rest copy.
+// once at the end. Only StrList's view aliases the body; the rest copy,
+// unlike Decode's generic values, because the control plane keeps these
+// fields as keys of long-lived tables that must not pin a payload.
 type Reader struct {
 	body []byte
 	err  error

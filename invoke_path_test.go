@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"cloudburst/internal/codec"
 	"cloudburst/internal/core"
@@ -102,6 +103,26 @@ func TestInvokePathAllocations(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNextReqAllocatesOnce: naming a request is one exact-size
+// allocation, its result key, whose prefix is its id. The ids here are
+// past 99, where strconv's table of small numbers ends.
+func TestNextReqAllocatesOnce(t *testing.T) {
+	c := testCluster(t, DefaultConfig())
+	c.Run(func(cl *Client) {
+		cl.seq = 1233
+		id, key := cl.nextReq()
+		if want := string(cl.ep.ID()) + "-r1234"; id != want || key != want+resultSuffix {
+			t.Fatalf("nextReq = %q, %q; want %q, %q", id, key, want, want+resultSuffix)
+		}
+		if unsafe.StringData(id) != unsafe.StringData(key) {
+			t.Errorf("the id %q is not the key's prefix", id)
+		}
+		if n := testing.AllocsPerRun(100, func() { cl.nextReq() }); n != 1 {
+			t.Errorf("nextReq allocates %.0f times, want 1", n)
+		}
+	})
 }
 
 // TestCompletionReachesForwardingShard: a scheduler forwards a bare
