@@ -167,3 +167,83 @@ func TestDepartedThreadLeavesStampTable(t *testing.T) {
 		t.Errorf("a failed registry read left the stamps %v, want %v", got, want)
 	}
 }
+
+// TestVanishedPinsLeavePinTable: a function's pin list goes once every
+// thread on it is gone by the stamp table's double check (no fresh
+// report, unlisted, its last report stale), and not before. vm1's two
+// threads pin "f" and report once, half a second in; the reaper scrubs them from the
+// executor registry at the next poll, while vm0 reports every second.
+// A listing misses vm0's "h" thread for two polls, as a read from a
+// lagging replica does, and "h" stays. addPin pins "k" on vm2's thread,
+// whose one report is about to go stale, just as the reaper scrubs it:
+// "k" stays through the next poll and goes at the one after. vm3's
+// thread pins "j", reports once and is never reaped: a stale thread the
+// registry still lists keeps its pins. Polls are by hand, one a second.
+func TestVanishedPinsLeavePinTable(t *testing.T) {
+	k := vtime.NewKernel(1)
+	defer k.Stop()
+	net := simnet.New(k, simnet.Link{Latency: simnet.Constant(200 * time.Microsecond)})
+	kv := anna.NewKVS(k, net, anna.DefaultConfig())
+	ep := net.AddNode("sched-0")
+	s := New(k, ep, kv.NewClient(ep, 0), DefaultConfig())
+	vms := kv.NewClient(net.AddNode("vms"), 0)
+	threads := map[string][]string{"vm0": {"exec-vm0-0", "exec-vm0-1"}, "vm1": {"exec-vm1-0", "exec-vm1-1"}, "vm2": {"exec-vm2-0"}, "vm3": {"exec-vm3-0"}}
+	pinned := map[string][]string{"exec-vm0-0": {"g"}, "exec-vm0-1": {"h"}, "exec-vm1-0": {"f"}, "exec-vm1-1": {"f"}, "exec-vm3-0": {"j"}}
+	publish := func(vm string) {
+		for _, th := range threads[vm] {
+			em := core.ExecutorMetrics{Thread: simnet.NodeID(th), VM: vm, ReportedAtS: k.Now().Seconds(), Pinned: pinned[th]}
+			ts := lattice.Timestamp{Clock: int64(k.Now()), Node: lattice.NodeHash(th)}
+			if err := vms.Put(core.ExecMetricsKey(th), lattice.NewLWW(ts, codec.MustEncode(em))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	list := func(f func(string, []string) error, ths ...string) {
+		var keys []string
+		for _, th := range ths {
+			keys = append(keys, core.ExecMetricsKey(th))
+		}
+		if err := f(executor.MetricListKey, keys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add := func(key string, keys []string) error { return vms.Put(key, lattice.NewSet(keys...)) }
+	holds := func(at int, want ...string) {
+		t.Helper()
+		if got := slices.Sorted(maps.Keys(s.pins)); !slices.Equal(got, want) {
+			t.Fatalf("after the poll at %d s the scheduler pins %q, want %q", at, got, want)
+		}
+	}
+	k.Run("test", func() {
+		publish("vm0")
+		list(add, "exec-vm0-0", "exec-vm0-1", "exec-vm1-0", "exec-vm1-1", "exec-vm2-0", "exec-vm3-0")
+		k.Sleep(time.Second / 2) // half a second off the polls: no report is stale at a poll by a hair
+		publish("vm1")
+		publish("vm2")
+		publish("vm3")
+		for at := 1; at <= 12; at++ {
+			k.Sleep(time.Duration(at)*time.Second - time.Duration(k.Now()))
+			publish("vm0")
+			s.refreshView()
+			switch at {
+			case 1:
+				if !slices.Equal(s.pins["f"], []simnet.NodeID{"exec-vm1-0", "exec-vm1-1"}) {
+					t.Fatalf("f is pinned on %v, want both vm1 threads", s.pins["f"])
+				}
+				list(vms.RemoveFromSet, "exec-vm1-0", "exec-vm1-1", "exec-vm0-1") // the reaper; the lag
+			case 2:
+				holds(at, "f", "g", "h", "j")
+			case 3:
+				holds(at, "f", "g", "h", "j")
+				list(add, "exec-vm0-1")
+			case 10:
+				holds(at, "f", "g", "h", "j")
+				list(vms.RemoveFromSet, "exec-vm2-0")
+				s.addPin("k", "exec-vm2-0")
+			case 11:
+				holds(at, "g", "h", "j", "k")
+			}
+		}
+	})
+	holds(12, "g", "h", "j")
+}

@@ -146,7 +146,9 @@ func pickScheduler(seed int64, random bool) *Scheduler {
 func (s *Scheduler) stamps() map[simnet.NodeID]int64 {
 	out := make(map[simnet.NodeID]int64, len(s.lastAssigned))
 	for id, saved := range s.lastAssigned {
-		out[id] = saved.stamp
+		if saved.stamp != 0 {
+			out[id] = saved.stamp
+		}
 	}
 	for _, r := range s.view.threads {
 		if r.stamp != 0 {

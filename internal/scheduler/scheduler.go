@@ -193,8 +193,8 @@ type threadRec struct {
 	reportedS float64
 }
 
-// savedStamp is the stamp of a thread that left the view, and when the
-// thread last reported.
+// savedStamp is the stamp of a thread that left the view (0 if it was
+// never assigned to), and when the thread last reported.
 type savedStamp struct {
 	stamp     int64
 	reportedS float64
@@ -324,7 +324,8 @@ type Scheduler struct {
 	// read-only. The view's key index holds exactly its VMs' lists.
 	// pins maps each function to the threads pinned with it, ascending, as
 	// last reported or registered here; a function no report mentions
-	// keeps its last list.
+	// keeps its last list until every thread on it is gone
+	// (dropVanishedPins).
 	view      view
 	cacheKeys map[string]codec.StrList
 	pins      map[string][]simnet.NodeID
@@ -362,8 +363,9 @@ type Scheduler struct {
 	// serialize, since each thread runs one invocation at a time). The
 	// value is a logical stamp: virtual time can stand still across
 	// consecutive assignments. Between view rebuilds the stamps live in the
-	// thread records; each rebuild saves them here first, so a thread that
-	// leaves the view and re-enters it keeps its stamp. A saved stamp goes
+	// thread records; each rebuild saves them here first, with each
+	// thread's last report time, so a thread that leaves the view and
+	// re-enters it keeps its stamp. A saved stamp goes
 	// once its thread's report is stale and its metrics key has left the
 	// executor registry: the reaper removed it, and a reaped thread
 	// reports no more. (The listing alone would not do: a read from a
@@ -901,6 +903,9 @@ func (s *Scheduler) refreshView() {
 			fresh = append(fresh, em)
 		}
 	}
+	if len(fresh) > 0 {
+		s.dropVanishedPins(fresh, threads, nowS)
+	}
 	s.setThreads(fresh)
 	for id, saved := range s.lastAssigned {
 		if nowS-saved.reportedS > s.cfg.StaleAfter.Seconds() && !listed(threads, core.ExecMetricsKey(""), string(id)) {
@@ -910,6 +915,29 @@ func (s *Scheduler) refreshView() {
 	members := s.cacheReg.Keys(s.anna, nil)
 	s.setKeys(core.FetchAll[core.CacheMetrics](s.anna, s.decoded, members))
 	s.pruneKeys(members)
+}
+
+// dropVanishedPins forgets the pin list of each function every thread of
+// which is gone by lastAssigned's double check. It runs before the poll's
+// fresh reports rebuild the view, and a gone thread has no fresh report
+// and was not in the last view: that view holds every pin addPin made
+// since the last poll, and the threads this poll's rebuild has yet to
+// save. Its saved report is stale while the registry listing lacks it, or
+// that check already pruned it. Only view threads are ever picked, so
+// this changes no pick: it bounds the table by the live threads.
+func (s *Scheduler) dropVanishedPins(fresh []core.ExecutorMetrics, listing []string, nowS float64) {
+	gone := func(id simnet.NodeID) bool {
+		if _, ok := s.view.indexOf(id); ok || slices.ContainsFunc(fresh, func(em core.ExecutorMetrics) bool { return em.Thread == id }) {
+			return false
+		}
+		saved, ok := s.lastAssigned[id]
+		return !ok || nowS-saved.reportedS > s.cfg.StaleAfter.Seconds() && !listed(listing, core.ExecMetricsKey(""), string(id))
+	}
+	for fn, ts := range s.pins {
+		if !slices.ContainsFunc(ts, func(id simnet.NodeID) bool { return !gone(id) }) {
+			delete(s.pins, fn)
+		}
+	}
 }
 
 // setThreads rebuilds the view from one poll's fresh executor reports, one
@@ -932,9 +960,7 @@ func (s *Scheduler) setThreads(reports []core.ExecutorMetrics) {
 
 	v := &s.view
 	for _, r := range v.threads {
-		if r.stamp != 0 {
-			s.lastAssigned[r.id] = savedStamp{r.stamp, r.reportedS}
-		}
+		s.lastAssigned[r.id] = savedStamp{r.stamp, r.reportedS}
 	}
 	slices.SortFunc(reports, func(a, b core.ExecutorMetrics) int { return cmp.Compare(a.Thread, b.Thread) })
 	v.threads = make([]threadRec, len(reports))
