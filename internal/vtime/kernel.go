@@ -48,7 +48,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"iter"
 	"math/rand"
@@ -119,39 +118,76 @@ type Event interface{ Fire() }
 // timer is a scheduled callback. Exactly one of wake and ev is set: wake
 // resumes a parked process (Sleep), ev fires a pooled Event.
 type timer struct {
-	when  Time
-	seq   int64 // tie-break so equal-time timers fire in creation order
 	wake  *proc
 	ev    Event
-	index int    // position in the heap, kept by Swap/Push so cancel can remove it
+	index int    // position of its slot in the heap, so cancel can remove it
 	gen   uint64 // bumped on recycle, so stale cancels are no-ops
 }
 
-type timerHeap []*timer
+// slot is a timer-heap entry: a timer and its key, held in the slot so a
+// sift compares without following the pointer. seq breaks ties so
+// equal-time timers fire in creation order; it is unique, so the order is
+// total and every heap pops the same sequence.
+type slot struct {
+	when Time
+	seq  int64
+	t    *timer
+}
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+func (a slot) before(b slot) bool { return a.when < b.when || a.when == b.when && a.seq < b.seq }
+
+// timerHeap is a 4-ary min-heap of slots by (when, seq): half the depth
+// of a binary heap, and a node's four children share a cache line or two.
+type timerHeap []slot
+
+// set puts s at i and tells its timer where it is.
+func (h timerHeap) set(i int, s slot) { h[i] = s; s.t.index = i }
+
+// remove takes out the slot at i and returns it.
+func (h *timerHeap) remove(i int) slot {
+	old, n := *h, len(*h)-1
+	s := old[i]
+	old[i], old[n] = old[n], slot{} // drop the reference for GC
+	*h = old[:n]
+	if i < n && !h.down(i) {
+		h.up(i)
 	}
-	return h[i].seq < h[j].seq
+	return s
 }
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
+
+// up moves the slot at i toward the root until its parent is before it.
+func (h timerHeap) up(i int) {
+	s := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !s.before(h[p]) {
+			break
+		}
+		h.set(i, h[p])
+		i = p
+	}
+	h.set(i, s)
 }
-func (h *timerHeap) Push(x any) {
-	t := x.(*timer)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil // drop the reference for GC
-	*h = old[:n-1]
-	return t
+
+// down moves the slot at i toward the leaves until it is before its
+// children, and reports whether it moved.
+func (h timerHeap) down(i int) bool {
+	s, at := h[i], i
+	for c := 4*i + 1; c < len(h); c = 4*i + 1 {
+		m := c
+		for j := c + 1; j < c+4 && j < len(h); j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(s) {
+			break
+		}
+		h.set(i, h[m])
+		i = m
+	}
+	h.set(i, s)
+	return i > at
 }
 
 // Stats are the kernel's lifetime counters, exposed for tests and
@@ -356,9 +392,8 @@ func (k *Kernel) addTimer(d time.Duration) *timer {
 	if !ok {
 		t = &timer{}
 	}
-	t.when = k.now.Add(d)
-	t.seq = k.nextSeq
-	heap.Push(&k.timers, t)
+	k.timers = append(k.timers, slot{k.now.Add(d), k.nextSeq, t})
+	k.timers.up(len(k.timers) - 1)
 	return t
 }
 
@@ -379,7 +414,7 @@ func (k *Kernel) cancelTimer(t *timer, gen uint64) {
 	if t.gen != gen {
 		return
 	}
-	heap.Remove(&k.timers, t.index)
+	k.timers.remove(t.index)
 	k.releaseTimer(t)
 }
 
@@ -444,9 +479,10 @@ func (k *Kernel) advance() bool {
 	if len(k.timers) == 0 {
 		return false
 	}
-	t := heap.Pop(&k.timers).(*timer)
-	if t.when > k.now {
-		k.now = t.when
+	s := k.timers.remove(0)
+	t := s.t
+	if s.when > k.now {
+		k.now = s.when
 	}
 	k.stats.TimerFires++
 	if t.wake != nil {

@@ -1,6 +1,8 @@
 package vtime
 
 import (
+	"container/heap"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -128,7 +130,7 @@ func TestCancelIgnoresRecycledTimer(t *testing.T) {
 		// Two fresh timers drain the pool: the Sleep's entry and old.
 		k.AfterEvent(time.Millisecond, &recordEvent{&fired, 2})
 		k.AfterEvent(2*time.Millisecond, &recordEvent{&fired, 3})
-		if !slices.Contains(k.timers, old) {
+		if !slices.ContainsFunc(k.timers, func(s slot) bool { return s.t == old }) {
 			t.Error("test premise: the pool did not hand the fired timer out again")
 			return
 		}
@@ -203,5 +205,118 @@ func TestEqualTimersKeepOrderAfterRemovals(t *testing.T) {
 		if fired[i] != want[i] {
 			t.Fatalf("fire order diverges at %d: got %d, want %d", i, fired[i], want[i])
 		}
+	}
+}
+
+// refHeap is the container/heap form the kernel's timer heap replaced,
+// kept as the oracle for TestTimerHeapMatchesContainerHeap.
+type refHeap []slot
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].when != h[j].when {
+		return h[i].when < h[j].when
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].t.index, h[j].t.index = i, j
+}
+func (h *refHeap) Push(x any) {
+	s := x.(slot)
+	s.t.index = len(*h)
+	*h = append(*h, s)
+}
+func (h *refHeap) Pop() any {
+	old := *h
+	s := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return s
+}
+
+// TestTimerHeapMatchesContainerHeap runs seeded random schedules of
+// pushes (with many equal instants), cancels of random pending timers and
+// pops on the 4-ary heap and on container/heap side by side: every pop
+// and every cancel must return the same timer, the sizes must agree, and
+// every pending timer's index must name its own slot.
+func TestTimerHeapMatchesContainerHeap(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var got timerHeap
+		var want refHeap
+		var live []*timer // pending on got; each has a twin pending on want
+		twin := map[*timer]*timer{}
+		seq := int64(0)
+		for op := 0; op < 2000; op++ {
+			switch n := r.Intn(10); {
+			case n < 5: // push; a narrow time range makes ties common
+				seq++
+				when := Time(r.Intn(50))
+				a, b := &timer{}, &timer{}
+				got = append(got, slot{when, seq, a})
+				got.up(len(got) - 1)
+				heap.Push(&want, slot{when, seq, b})
+				live = append(live, a)
+				twin[a] = b
+			case n < 7 && len(live) > 0: // cancel
+				i := r.Intn(len(live))
+				a := live[i]
+				live = slices.Delete(live, i, i+1)
+				g, w := got.remove(a.index), heap.Remove(&want, twin[a].index).(slot)
+				if g.t != a || w.t != twin[a] || g.seq != w.seq {
+					t.Fatalf("seed %d op %d: cancel removed seq %d, oracle %d", seed, op, g.seq, w.seq)
+				}
+			case len(live) > 0: // pop
+				g, w := got.remove(0), heap.Pop(&want).(slot)
+				if g.when != w.when || g.seq != w.seq || twin[g.t] != w.t {
+					t.Fatalf("seed %d op %d: popped (%d, %d), oracle (%d, %d)", seed, op, g.when, g.seq, w.when, w.seq)
+				}
+				live = slices.DeleteFunc(live, func(x *timer) bool { return x == g.t })
+			}
+			if len(got) != len(want) || len(got) != len(live) {
+				t.Fatalf("seed %d op %d: %d pending, oracle %d, live %d", seed, op, len(got), len(want), len(live))
+			}
+			for i, s := range got {
+				if s.t.index != i {
+					t.Fatalf("seed %d op %d: slot %d's timer has index %d", seed, op, i, s.t.index)
+				}
+			}
+		}
+	}
+}
+
+// countEvent counts its fires.
+type countEvent struct{ n int }
+
+func (e *countEvent) Fire() { e.n++ }
+
+// TestTimerHeapAllocationFree pins the timer heap at no allocation: on a
+// warm kernel, arming 64 timers over a range of instants, cancelling
+// every third and firing the rest allocate nothing.
+func TestTimerHeapAllocationFree(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Stop()
+	ev := &countEvent{}
+	armed := make([]*timer, 0, 64)
+	cycle := func() {
+		armed = armed[:0]
+		for i := 0; i < 64; i++ {
+			tm := k.addTimer(time.Duration(i*37%16) * time.Millisecond)
+			tm.ev = ev
+			armed = append(armed, tm)
+		}
+		for i := 0; i < len(armed); i += 3 {
+			k.cancelTimer(armed[i], armed[i].gen)
+		}
+		for k.advance() {
+		}
+	}
+	cycle() // grow the heap and fill the timer pool
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a cycle of 64 timers allocates %.1f times, want 0", n)
+	}
+	if want := 42 * 102; ev.n != want {
+		t.Fatalf("%d events fired, want %d", ev.n, want)
 	}
 }
