@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"time"
 
@@ -334,11 +335,19 @@ func (r Retwis) Generate(rng *rand.Rand) *Graph {
 		}
 		g.PostIDs = append(g.PostIDs, id)
 		g.PostOf[id] = map[string]string{"author": fmt.Sprint(author), "text": fmt.Sprintf("tweet %d", i), "reply": reply}
-		// Deliver to the author's and followers' timelines.
-		g.Timelines[author] = prepend(g.Timelines[author], id, timelineCap)
+		// Deliver to the author's and followers' timelines, oldest first.
+		g.Timelines[author] = append(g.Timelines[author], id)
 		for _, f := range g.Followers[author] {
-			g.Timelines[f] = prepend(g.Timelines[f], id, timelineCap)
+			g.Timelines[f] = append(g.Timelines[f], id)
 		}
+	}
+	// Newest first, as prepend keeps a timeline: the last timelineCap.
+	for u, tl := range g.Timelines {
+		if len(tl) > timelineCap {
+			tl = slices.Clone(tl[len(tl)-timelineCap:])
+		}
+		slices.Reverse(tl)
+		g.Timelines[u] = tl
 	}
 	return g
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -36,6 +37,63 @@ func TestArraySumAccounting(t *testing.T) {
 	}
 	if SumCompute(80<<20) < 20*time.Millisecond {
 		t.Fatal("80MB compute cost unrealistically low")
+	}
+}
+
+// oracleGenerate is Retwis.Generate as it was when it built each
+// timeline by prepending every delivered post, capped at timelineCap.
+func oracleGenerate(r Retwis, rng *rand.Rand) *Graph {
+	g := &Graph{
+		Following: make([][]int, r.Users),
+		Followers: make([][]int, r.Users),
+		PostOf:    make(map[string]map[string]string),
+		Timelines: make([][]string, r.Users),
+	}
+	zipf := rand.NewZipf(rng, 1.5, 1, uint64(r.Users-1))
+	for u := 0; u < r.Users; u++ {
+		seen := map[int]bool{u: true}
+		for len(g.Following[u]) < FollowsPerUser && len(seen) < r.Users {
+			v := int(zipf.Uint64())
+			if seen[v] {
+				continue
+			}
+			seen[v] = true
+			g.Following[u] = append(g.Following[u], v)
+			g.Followers[v] = append(g.Followers[v], u)
+		}
+	}
+	for i := 0; i < r.Tweets; i++ {
+		author := rng.Intn(r.Users)
+		id := fmt.Sprintf("seed-%d", i)
+		reply := ""
+		if i > 0 && i%2 == 1 {
+			reply = g.PostIDs[rng.Intn(len(g.PostIDs))]
+		}
+		g.PostIDs = append(g.PostIDs, id)
+		g.PostOf[id] = map[string]string{"author": fmt.Sprint(author), "text": fmt.Sprintf("tweet %d", i), "reply": reply}
+		g.Timelines[author] = prepend(g.Timelines[author], id, timelineCap)
+		for _, f := range g.Followers[author] {
+			g.Timelines[f] = prepend(g.Timelines[f], id, timelineCap)
+		}
+	}
+	return g
+}
+
+// TestRetwisGenerateMatchesPrependOracle: the generated graph, timelines
+// included, is the one the prepending generator built, at sizes where
+// every timeline stays nil (no tweets), stays under the cap, or passes it
+// (with 50 follows per user, a graph has little of a mix).
+func TestRetwisGenerateMatchesPrependOracle(t *testing.T) {
+	for _, size := range []struct{ users, tweets int }{{5, 0}, {300, 100}, {200, 500}, {100, 80}} {
+		for seed := int64(1); seed <= 3; seed++ {
+			r := DefaultRetwis()
+			r.Users, r.Tweets = size.users, size.tweets
+			got := r.Generate(rand.New(rand.NewSource(seed)))
+			want := oracleGenerate(r, rand.New(rand.NewSource(seed)))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d users, %d tweets, seed %d: the graph differs from the prepending generator's", size.users, size.tweets, seed)
+			}
+		}
 	}
 }
 
