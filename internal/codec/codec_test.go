@@ -148,20 +148,15 @@ func TestDecodedStringsOutliveBuffer(t *testing.T) {
 	}
 }
 
-// outside reports whether the n bytes at p do not all lie inside data.
-func outside(data []byte, p unsafe.Pointer, n int) bool {
-	lo, at := uintptr(unsafe.Pointer(unsafe.SliceData(data))), uintptr(p)
-	return at < lo || at+uintptr(n) > lo+uintptr(len(data))
-}
-
 // viewsOutside returns every non-empty string, []byte and []string
 // element in a decoded generic value, map keys included, whose bytes do
 // not lie inside data. Wire structs copy, so it does not look inside
 // them.
 func viewsOutside(data []byte, v any) []string {
 	var out []string
+	lo, n := uintptr(unsafe.Pointer(unsafe.SliceData(data))), uintptr(len(data))
 	str := func(s string) {
-		if s != "" && outside(data, unsafe.Pointer(unsafe.StringData(s)), len(s)) {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); s != "" && (p < lo || p+uintptr(len(s)) > lo+n) {
 			out = append(out, s)
 		}
 	}
@@ -169,9 +164,7 @@ func viewsOutside(data []byte, v any) []string {
 	case string:
 		str(x)
 	case []byte:
-		if len(x) > 0 && outside(data, unsafe.Pointer(unsafe.SliceData(x)), len(x)) {
-			out = append(out, string(x))
-		}
+		str(view(x))
 	case []string:
 		for _, s := range x {
 			str(s)
