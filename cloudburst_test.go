@@ -1085,10 +1085,10 @@ func TestCausalDecodeMemoHitsOnRepeatedReads(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = Causal
 	c := testCluster(t, cfg)
-	decoded := map[*any]bool{}
+	decoded := map[*string]bool{}
 	vms := map[string]bool{}
 	if err := c.RegisterFunction("readkey", func(ctx *Ctx, args []any) (any, error) {
-		v := args[0].([]any)
+		v := args[0].([]string)
 		decoded[&v[0]] = true
 		thread, _, _ := strings.Cut(ctx.ID(), "#")
 		vms[thread[:strings.LastIndexByte(thread, '-')]] = true
@@ -1098,7 +1098,7 @@ func TestCausalDecodeMemoHitsOnRepeatedReads(t *testing.T) {
 	}
 	threads := c.Internal().ThreadCount()
 	c.Run(func(cl *Client) {
-		if err := cl.Put("memo-key", []any{"memo-payload"}); err != nil {
+		if err := cl.Put("memo-key", []string{"memo-payload"}); err != nil {
 			t.Fatal(err)
 		}
 		cl.Sleep(2e9) // let executors boot and publish metrics

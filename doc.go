@@ -166,8 +166,8 @@
 // # The zero-copy data plane
 //
 // User values are serialized by internal/codec, the one encoder: a
-// tagged binary format for []byte, string, int/int64/float64/bool, flat
-// slices, string maps, []any/map[string]any of those, and registered
+// tagged binary format for []byte, string, int/float64/bool, []float64,
+// []string, map[string]string, map[string]any of those, and registered
 // wire structs (next section) — the wire format is documented in that
 // package. A value of any other type is an error from Client.Put,
 // Ctx.Put, Invoke (as an argument) or the future (as a function
@@ -534,9 +534,9 @@
 // walks a VM list one at a time (drain → warm replace → wait for the
 // replacement to join → settle), keeping per-second p99 within a small
 // factor of steady state for the whole upgrade; fault.RackFailure
-// models the correlated cousin — several VMs lost at once, recovered
-// cold or warm. Both appear in fault.RandomPlan's draw (AllowRolling,
-// AllowRackFailure) and as dedicated chaos-matrix cells.
+// models the correlated cousin — two VMs lost at once, recovered warm.
+// Each runs as a dedicated chaos-matrix cell; fault.RandomPlan draws
+// neither.
 //
 // # Running experiments in parallel
 //

@@ -223,7 +223,7 @@ func runChaosCell(cfg ChaosConfig, wl string, mode cb.Consistency, seed int64, s
 			fault.RollingRestart{VMs: vms[:2], Drain: 5 * time.Second, Settle: 2 * time.Second})
 	case "rack":
 		plan = fault.NewPlan("rack").At(2*time.Second,
-			fault.RackFailure{Count: 2, After: 4 * time.Second, Warm: true})
+			fault.RackFailure{})
 	case "txn-coord":
 		// Coordinator VM dies between collecting prepare acks and writing
 		// the commit log: presumed abort must release every lock. Armed
@@ -249,7 +249,7 @@ func runChaosCell(cfg ChaosConfig, wl string, mode cb.Consistency, seed int64, s
 		plan = fault.RandomPlan(planRng, fault.RandomOpts{
 			Start: 0, Window: cfg.Window, Faults: cfg.Faults,
 			VMs: vms, Nodes: scheds, AnnaNodes: 3,
-			AllowCrash: true, AllowWarmRestart: true, AllowSplitBrain: true,
+			AllowWarmRestart: true, AllowSplitBrain: true,
 		})
 		// A deterministic split-brain bracket on the first VM guarantees
 		// the divergent-view path fires every run, whatever the random
@@ -260,7 +260,7 @@ func runChaosCell(cfg ChaosConfig, wl string, mode cb.Consistency, seed int64, s
 		plan = fault.RandomPlan(planRng, fault.RandomOpts{
 			Start: 0, Window: cfg.Window, Faults: cfg.Faults,
 			VMs: vms, Nodes: scheds, AnnaNodes: 3,
-			AllowCrash: true, AllowWarmRestart: true,
+			AllowWarmRestart: true,
 		})
 	}
 	inj := fault.NewInjector(in)

@@ -6,39 +6,41 @@
 // # Wire format
 //
 // Every encoding starts with a one-byte type tag, and there is exactly
-// one encoder. The supported types are nil, []byte, string, int, int64,
-// float64, bool, []float64, []int, []string, []any, map[string]string,
-// map[string]any, map[string]float64 (container elements drawn from the
-// same list, recursively) and any struct registered with RegisterStruct.
-// Encode of anything else — an int32, a []int64, an unregistered struct,
-// at the top level or nested in a container — returns an error naming
-// the type; nothing is serialized by reflection.
+// one encoder. The supported types are nil, []byte, string, int,
+// float64, bool, []float64, []string, map[string]string, map[string]any
+// (its values drawn from the same list, recursively) and any struct
+// registered with RegisterStruct. Encode of anything else — an int64, a
+// []int, an []any, an unregistered struct, at the top level or nested in
+// a map[string]any — returns an error naming the type; nothing is
+// serialized by reflection.
 //
 //	0x00 reserved| never written; decodes to an "unknown tag" error
 //	0x01 nil     | nothing follows
 //	0x02 []byte  | raw bytes to end of buffer
 //	0x03 string  | raw bytes to end of buffer
 //	0x04 int     | 8 bytes little-endian two's complement
-//	0x05 int64   | 8 bytes little-endian two's complement
+//	0x05 reserved| never written
 //	0x06 float64 | 8 bytes little-endian IEEE 754 bits
 //	0x07 bool    | 1 byte, 0 or 1
 //	0x08 []float64        | u32 count, then count x 8 bytes LE bits
-//	0x09 []int            | u32 count, then count x 8 bytes LE
+//	0x09 reserved         | never written
 //	0x0a []string         | u32 count, then count x (u32 len, bytes)
-//	0x0b []any            | u32 count, then count x (u32 len, encoding)
+//	0x0b reserved         | never written
 //	0x0c map[string]string| u32 count, then count x (u32 klen, key,
 //	                      |   u32 vlen, value), sorted by key
 //	0x0d map[string]any   | u32 count, then count x (u32 klen, key,
 //	                      |   u32 vlen, encoding), sorted by key
-//	0x0e map[string]float64| u32 count, then count x (u32 klen, key,
-//	                      |   8 bytes LE IEEE 754 bits), sorted by key
+//	0x0e reserved         | never written
 //	0x0f wire struct      | u8 name length, registered wire name, then
 //	                      |   the struct's hand-laid-out fields
 //
-// Container elements tagged 0x0b/0x0d are full encodings themselves, so
-// a map[string]any holding a wire struct round-trips. Map entries are
-// emitted in sorted key order so encoding is deterministic, which
-// run-to-run-reproducible simulation output depends on.
+// The gaps at 0x05, 0x09, 0x0b and 0x0e are left open rather than closed
+// up, so the other tags, and with them every encoding's bytes, stay
+// fixed; each decodes to an "unknown tag" error, as 0x00 does. A
+// map[string]any's values are full encodings themselves, so one holding
+// a wire struct round-trips. Map entries are emitted in sorted key order
+// so encoding is deterministic, which run-to-run-reproducible simulation
+// output depends on.
 //
 // Tag 0x0f is the struct path: a struct that implements the two-method
 // Struct interface (AppendWire/DecodeWire) and registers a wire name via
@@ -79,23 +81,20 @@ import (
 	"unsafe"
 )
 
-// Type tags; see the package comment for the wire format. 0x00 is
-// reserved: never written, and an "unknown tag" error on decode.
+// Type tags; see the package comment for the wire format. 0x00, 0x05,
+// 0x09, 0x0b and 0x0e are reserved: never written, and an "unknown tag"
+// error on decode.
 const (
 	tagNil     = 0x01
 	tagBytes   = 0x02
 	tagString  = 0x03
 	tagInt     = 0x04
-	tagInt64   = 0x05
 	tagFloat64 = 0x06
 	tagBool    = 0x07
 	tagFloats  = 0x08
-	tagInts    = 0x09
 	tagStrings = 0x0a
-	tagAnys    = 0x0b
 	tagMapSS   = 0x0c
 	tagMapSA   = 0x0d
-	tagMapSF   = 0x0e
 	tagStruct  = 0x0f
 )
 
@@ -155,15 +154,13 @@ func exactSize(v any) (int, bool) {
 		return 1, true
 	case bool:
 		return 2, true
-	case int, int64, float64:
+	case int, float64:
 		return 9, true
 	case []byte:
 		return 1 + len(x), true
 	case string:
 		return 1 + len(x), true
 	case []float64:
-		return 5 + 8*len(x), true
-	case []int:
 		return 5 + 8*len(x), true
 	}
 	return 0, false
@@ -183,9 +180,6 @@ func appendValue(dst []byte, v any) ([]byte, error) {
 	case int:
 		dst = append(dst, tagInt)
 		return binary.LittleEndian.AppendUint64(dst, uint64(x)), nil
-	case int64:
-		dst = append(dst, tagInt64)
-		return binary.LittleEndian.AppendUint64(dst, uint64(x)), nil
 	case float64:
 		dst = append(dst, tagFloat64)
 		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(x)), nil
@@ -202,29 +196,12 @@ func appendValue(dst []byte, v any) ([]byte, error) {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 		}
 		return dst, nil
-	case []int:
-		dst = append(dst, tagInts)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(x)))
-		for _, n := range x {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(n))
-		}
-		return dst, nil
 	case []string:
 		dst = append(dst, tagStrings)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(x)))
 		for _, s := range x {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
 			dst = append(dst, s...)
-		}
-		return dst, nil
-	case []any:
-		dst = append(dst, tagAnys)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(x)))
-		for _, e := range x {
-			var err error
-			if dst, err = appendBlob(dst, e); err != nil {
-				return nil, err
-			}
 		}
 		return dst, nil
 	case map[string]string:
@@ -249,15 +226,6 @@ func appendValue(dst []byte, v any) ([]byte, error) {
 			}
 		}
 		return dst, nil
-	case map[string]float64:
-		dst = append(dst, tagMapSF)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(x)))
-		for _, k := range slices.Sorted(maps.Keys(x)) {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(k)))
-			dst = append(dst, k...)
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x[k]))
-		}
-		return dst, nil
 	}
 	if e, ok := structsByType[reflect.TypeOf(v)]; ok {
 		return appendStruct(dst, e, v), nil
@@ -265,8 +233,8 @@ func appendValue(dst []byte, v any) ([]byte, error) {
 	return nil, fmt.Errorf("unsupported type %T: implement codec.Struct and register it with codec.RegisterStruct", v)
 }
 
-// appendBlob appends a length-prefixed full encoding of v (container
-// element format).
+// appendBlob appends a length-prefixed full encoding of v (a
+// map[string]any value's format).
 func appendBlob(dst []byte, v any) ([]byte, error) {
 	lenAt := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, 0) // patched below
@@ -318,11 +286,6 @@ func Decode(data []byte) (any, error) {
 			return nil, errTruncated(tag)
 		}
 		return int(binary.LittleEndian.Uint64(body)), nil
-	case tagInt64:
-		if len(body) != 8 {
-			return nil, errTruncated(tag)
-		}
-		return int64(binary.LittleEndian.Uint64(body)), nil
 	case tagFloat64:
 		if len(body) != 8 {
 			return nil, errTruncated(tag)
@@ -346,19 +309,6 @@ func Decode(data []byte) (any, error) {
 			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 		}
 		return out, nil
-	case tagInts:
-		n, body, err := readCount(tag, body, 8)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return []int(nil), nil
-		}
-		out := make([]int, n)
-		for i := range out {
-			out[i] = int(binary.LittleEndian.Uint64(body[8*i:]))
-		}
-		return out, nil
 	case tagStrings:
 		n, body, err := readCount(tag, body, 0)
 		if err != nil {
@@ -369,30 +319,6 @@ func Decode(data []byte) (any, error) {
 			return nil, errTruncated(tag)
 		}
 		return l.views(), nil
-	case tagAnys:
-		n, body, err := readCount(tag, body, 0)
-		if err != nil {
-			return nil, err
-		}
-		var out []any // count 0 decodes as nil (gob parity)
-		if n > 0 {
-			out = make([]any, 0, n)
-		}
-		for i := 0; i < n; i++ {
-			var blob []byte
-			if blob, body, err = readChunk(tag, body); err != nil {
-				return nil, err
-			}
-			v, err := Decode(blob)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v)
-		}
-		if len(body) != 0 {
-			return nil, errTruncated(tag)
-		}
-		return out, nil
 	case tagMapSS:
 		n, body, err := readCount(tag, body, 0)
 		if err != nil {
@@ -432,27 +358,6 @@ func Decode(data []byte) (any, error) {
 				return nil, err
 			}
 			out[view(k)] = v
-		}
-		if len(body) != 0 {
-			return nil, errTruncated(tag)
-		}
-		return out, nil
-	case tagMapSF:
-		n, body, err := readCount(tag, body, 0)
-		if err != nil {
-			return nil, err
-		}
-		out := make(map[string]float64, n)
-		for i := 0; i < n; i++ {
-			var k []byte
-			if k, body, err = readChunk(tag, body); err != nil {
-				return nil, err
-			}
-			if len(body) < 8 {
-				return nil, errTruncated(tag)
-			}
-			out[view(k)] = math.Float64frombits(binary.LittleEndian.Uint64(body))
-			body = body[8:]
 		}
 		if len(body) != 0 {
 			return nil, errTruncated(tag)

@@ -22,14 +22,11 @@ type envelope struct {
 }
 
 func init() {
-	gob.Register([]any{})
 	gob.Register(map[string]any{})
 	gob.Register([]string{})
 	gob.Register([]float64{})
-	gob.Register([]int{})
 	gob.Register([]byte{})
 	gob.Register(map[string]string{})
-	gob.Register(map[string]float64{})
 }
 
 // gobRoundTrip is the reference: v through encoding/gob and back.
@@ -68,14 +65,11 @@ var supported = []any{
 	[]byte{1, 2, 3},
 	"hello",
 	int(-9),
-	int64(1 << 40),
 	float64(2.75),
 	[]float64{1, 2.5},
-	[]int{3, -4},
 	[]string{"a", "bb"},
 	map[string]any{"k": 1},
 	map[string]string{"k": "v"},
-	map[string]float64{"a": 1.5, "b": -0.25},
 }
 
 func TestSupportedTypesParity(t *testing.T) {
@@ -86,32 +80,43 @@ func TestSupportedTypesParity(t *testing.T) {
 
 // TestDecodeReservedTag: tag 0x00 is never assigned, so it is an error
 // whatever follows it — a real gob stream included — at the top level
-// and as a container element.
+// and as a map[string]any value. So are the retired tags 0x05 (int64),
+// 0x09 ([]int), 0x0b ([]any) and 0x0e (map[string]float64), each
+// followed by the body its type was once written with.
 func TestDecodeReservedTag(t *testing.T) {
 	var gobStream bytes.Buffer
 	if err := gob.NewEncoder(&gobStream).Encode(envelope{V: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, data := range [][]byte{{0x00}, {0x00, 1, 2, 3}, append([]byte{0x00}, gobStream.Bytes()...)} {
+	reserved := [][]byte{
+		{0x00}, {0x00, 1, 2, 3}, append([]byte{0x00}, gobStream.Bytes()...),
+		{0x05, 7, 0, 0, 0, 0, 0, 0, 0},             // int64(7)
+		{0x09, 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0}, // []int{7}
+		{0x0b, 0, 0, 0, 0},                         // []any{}
+		{0x0e, 0, 0, 0, 0},                         // map[string]float64{}
+	}
+	for _, data := range reserved {
 		if v, err := Decode(data); err == nil || !strings.Contains(err.Error(), "unknown tag") {
 			t.Errorf("Decode(%x) = %#v, %v; want an unknown-tag error", data, v, err)
 		}
-	}
-	// Nested, too: a container element carrying the reserved tag.
-	nested := MustEncode([]any{"a"})
-	nested[len(nested)-2] = 0x00 // the element's tag byte
-	if v, err := Decode(nested); err == nil {
-		t.Errorf("Decode of a nested 0x00 element = %#v, want an error", v)
+		// Nested, too: a map[string]any whose one value is that encoding.
+		nested := AppendU32([]byte{tagMapSA}, 1)
+		nested = AppendU32(nested, 1)
+		nested = append(nested, 'k')
+		nested = AppendU32(nested, uint32(len(data)))
+		nested = append(nested, data...)
+		if v, err := Decode(nested); err == nil || !strings.Contains(err.Error(), "unknown tag") {
+			t.Errorf("Decode of %x nested in a map[string]any = %#v, %v; want an unknown-tag error", data, v, err)
+		}
 	}
 }
 
 func TestParityEmptyAndNil(t *testing.T) {
 	for _, v := range []any{
 		nil, "", []byte{}, []byte(nil), []float64{}, []float64(nil),
-		[]int{}, []string{}, []any{}, map[string]string{}, map[string]any{},
-		map[string]string(nil), map[string]any(nil), []string(nil), []int(nil),
-		map[string]float64{}, map[string]float64(nil),
-		int(0), int64(0), float64(0), false, true,
+		[]string{}, map[string]string{}, map[string]any{},
+		map[string]string(nil), map[string]any(nil), []string(nil),
+		int(0), float64(0), false, true,
 		math.Inf(1), math.Inf(-1), math.MaxInt64, math.MinInt64,
 	} {
 		assertParity(t, v)
@@ -126,12 +131,12 @@ func TestParityEmptyAndNil(t *testing.T) {
 // with nested containers (and the occasional wire struct) up to the
 // given depth.
 func randValue(r *rand.Rand, depth int) any {
-	max := 14
+	max := 10
 	if depth <= 0 {
-		max = 8 // leaves only
+		max = 7 // leaves only
 	}
 	switch r.Intn(max) {
-	case 12:
+	case 8:
 		return randWireProbe(r) // struct path (tag 0x0f)
 	case 0:
 		return nil
@@ -144,53 +149,29 @@ func randValue(r *rand.Rand, depth int) any {
 	case 3:
 		return int(r.Int63()) - (1 << 40)
 	case 4:
-		return r.Int63()
-	case 5:
 		return r.NormFloat64()
-	case 6:
+	case 5:
 		out := make([]float64, r.Intn(5))
 		for i := range out {
 			out[i] = r.NormFloat64()
 		}
 		return out
-	case 7:
+	case 6:
 		out := make([]string, r.Intn(5))
 		for i := range out {
 			out[i] = randString(r)
 		}
 		return out
-	case 8:
-		out := make([]int, r.Intn(5))
-		for i := range out {
-			out[i] = int(r.Int31()) - (1 << 20)
-		}
-		return out
-	case 9:
+	case 7:
 		out := make(map[string]string, 3)
 		for i := r.Intn(4); i > 0; i-- {
 			out[randString(r)] = randString(r)
 		}
 		return out
-	case 10:
+	default:
 		out := make(map[string]any, 3)
 		for i := r.Intn(4); i > 0; i-- {
 			out[randString(r)] = randValue(r, depth-1)
-		}
-		return out
-	case 11:
-		out := make(map[string]float64, 3)
-		for i := r.Intn(4); i > 0; i-- {
-			out[randString(r)] = r.NormFloat64()
-		}
-		return out
-	default:
-		n := r.Intn(4)
-		out := make([]any, 0, n)
-		for i := 0; i < n; i++ {
-			out = append(out, randValue(r, depth-1))
-		}
-		if len(out) == 0 {
-			return []any(nil) // gob decodes empty []any as nil
 		}
 		return out
 	}
@@ -215,15 +196,15 @@ func TestParityProperty(t *testing.T) {
 // carry spare capacity into the shared buffer — an append to a decoded
 // slice has to reallocate, never overwrite sibling data in place.
 func TestDecodedBytesCapacityClamped(t *testing.T) {
-	enc := MustEncode([]any{[]byte("aaaa"), []byte("bbbb")})
-	first := MustDecode(enc).([]any)[0].([]byte)
+	enc := MustEncode(map[string]any{"a": []byte("aaaa"), "b": []byte("bbbb")})
+	first := MustDecode(enc).(map[string]any)["a"].([]byte)
 	if cap(first) != len(first) {
 		t.Fatalf("nested []byte decode has spare capacity: len=%d cap=%d", len(first), cap(first))
 	}
 	_ = append(first, []byte("overwrite-attempt")...)
-	got := MustDecode(enc).([]any) // must still parse and be intact
-	if string(got[1].([]byte)) != "bbbb" {
-		t.Fatalf("sibling corrupted by append: %q", got[1])
+	got := MustDecode(enc).(map[string]any) // must still parse and be intact
+	if string(got["b"].([]byte)) != "bbbb" {
+		t.Fatalf("sibling corrupted by append: %q", got["b"])
 	}
 	top := MustDecode(MustEncode([]byte("top-level"))).([]byte)
 	if cap(top) != len(top) {
@@ -239,7 +220,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0x00}) // the reserved tag
 	f.Add([]byte{tagBytes, 1, 2, 3})
 	f.Add(MustEncode(map[string]any{"xs": []float64{1, 2}, "n": 3}))
-	f.Add(MustEncode([]any{"a", []string{"b"}, map[string]string{"c": "d"}}))
+	f.Add(MustEncode(map[string]any{"a": "a", "b": []string{"b"}, "c": map[string]string{"c": "d"}}))
 	f.Add([]byte{tagMapSA, 255, 255, 255, 255})
 	f.Add([]byte{tagFloats, 4, 0, 0, 0, 1})
 	f.Add(MustEncode(wireProbe{S: "p", Ss: []string{"a"}, M: map[string]int64{"k": 1}}))
@@ -297,18 +278,6 @@ func containsNaN(v any) bool {
 	case []float64:
 		for _, f := range x {
 			if math.IsNaN(f) {
-				return true
-			}
-		}
-	case map[string]float64:
-		for _, f := range x {
-			if math.IsNaN(f) {
-				return true
-			}
-		}
-	case []any:
-		for _, e := range x {
-			if containsNaN(e) {
 				return true
 			}
 		}

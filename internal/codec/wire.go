@@ -32,7 +32,6 @@ type Struct interface {
 // structEntry is one registered wire struct.
 type structEntry struct {
 	name   string
-	encode func(dst []byte, v any) []byte
 	decode func(body []byte) (any, error)
 }
 
@@ -45,8 +44,9 @@ var (
 // (conventionally "pkg.Type"); an unregistered struct is an Encode
 // error. The name travels in the encoding, so it must be stable and
 // unique; registration normally happens in the defining package's init.
-// Values encode as T (not *T), and Decode returns a T.
-func RegisterStruct[T any, PT interface {
+// Values encode as T (not *T), and Decode returns a T; T's AppendWire is
+// on the value receiver, so Encode calls it on the boxed value.
+func RegisterStruct[T wireAppender, PT interface {
 	*T
 	Struct
 }](name string) {
@@ -62,10 +62,6 @@ func RegisterStruct[T any, PT interface {
 	}
 	e := &structEntry{
 		name: name,
-		encode: func(dst []byte, v any) []byte {
-			t := v.(T)
-			return PT(&t).AppendWire(dst)
-		},
 		decode: func(body []byte) (any, error) {
 			var t T
 			if err := PT(&t).DecodeWire(body); err != nil {
@@ -88,10 +84,7 @@ type wireAppender interface{ AppendWire(dst []byte) []byte }
 func appendStruct(dst []byte, e *structEntry, v any) []byte {
 	dst = append(dst, tagStruct, byte(len(e.name)))
 	dst = append(dst, e.name...)
-	if a, ok := v.(wireAppender); ok {
-		return a.AppendWire(dst)
-	}
-	return e.encode(dst, v) // AppendWire on the pointer receiver only
+	return v.(wireAppender).AppendWire(dst)
 }
 
 // decodeStruct parses a tagStruct body (everything after the tag byte).

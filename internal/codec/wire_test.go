@@ -90,7 +90,7 @@ func TestWireStructRoundTrip(t *testing.T) {
 
 func TestWireStructParityInContainers(t *testing.T) {
 	assertParity(t, map[string]any{"probe": wireProbe{S: "x", Ss: []string{"y"}}, "n": 3})
-	assertParity(t, []any{wireProbe{I: 5}, "tail"})
+	assertParity(t, map[string]any{"m": map[string]any{"probe": wireProbe{I: 5}}, "tail": "t"})
 }
 
 func TestWireStructPropertyParity(t *testing.T) {

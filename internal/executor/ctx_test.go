@@ -60,12 +60,12 @@ func TestCtxStartsCleanOnReusedThread(t *testing.T) {
 			var (
 				th   *Thread
 				seen []ctxSeen
-				arg  weak.Pointer[int]
+				arg  weak.Pointer[float64]
 			)
 			reg := NewRegistry()
 			reg.Register("f", func(ctx *Ctx, args []any) (any, error) {
 				if len(args) == 1 {
-					arg = weak.Make(&args[0].([]int)[0])
+					arg = weak.Make(&args[0].([]float64)[0])
 				}
 				s := ctxSeen{
 					id: ctx.ID(), req: ctx.req, meta: ctx.meta != nil, own: ctx.meta == &th.session,
@@ -110,7 +110,7 @@ func TestCtxStartsCleanOnReusedThread(t *testing.T) {
 				}
 				for _, req := range []any{
 					&core.DAGTrigger{Schedule: sched},
-					&core.InvokeRequest{ReqID: "r2", Function: "f", RespondTo: client.ID(), Args: []core.Arg{{Val: codec.MustEncode([]int{7, 7, 7, 7})}}},
+					&core.InvokeRequest{ReqID: "r2", Function: "f", RespondTo: client.ID(), Args: []core.Arg{{Val: codec.MustEncode([]float64{7, 7, 7, 7})}}},
 				} {
 					client.Send(th.ID(), req, 128)
 					for {

@@ -15,17 +15,17 @@ func memoThread(vm string, d *core.DecodeCache) *Thread {
 }
 
 // decodeRef reads payload as key's version ver on th and returns the
-// address of the decoded []any's first element: two reads return the
+// address of the decoded []string's first element: two reads return the
 // same address only when the second hit the decode cache.
-func decodeRef(t *testing.T, th *Thread, key string, ver core.VersionRef, payload []byte) *any {
+func decodeRef(t *testing.T, th *Thread, key string, ver core.VersionRef, payload []byte) *string {
 	t.Helper()
 	v, err := th.decodeVersioned(key, ver, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ok := v.([]any)
+	s, ok := v.([]string)
 	if !ok || len(s) != 1 {
-		t.Fatalf("%s decoded to %#v, want a one-element []any", key, v)
+		t.Fatalf("%s decoded to %#v, want a one-element []string", key, v)
 	}
 	return &s[0]
 }
@@ -41,7 +41,7 @@ func causalVer(vc lattice.VectorClock, payload []byte) core.VersionRef {
 // non-memoizable digest-free causal case.
 func TestDecodeVersionedMemoKeys(t *testing.T) {
 	th := memoThread("vm0", core.NewDecodeCache())
-	payload := codec.MustEncode([]any{"value"})
+	payload := codec.MustEncode([]string{"value"})
 
 	// LWW: named by timestamp.
 	lwwVer := core.VersionRef{TS: lattice.Timestamp{Clock: 5, Node: 1}}
@@ -98,7 +98,7 @@ func TestDecodedOncePerCluster(t *testing.T) {
 	shared := core.NewDecodeCache()
 	a, b := memoThread("vm0", shared), memoThread("vm1", shared)
 	other := memoThread("vm0", core.NewDecodeCache())
-	payload := codec.MustEncode([]any{"value"})
+	payload := codec.MustEncode([]string{"value"})
 	for _, ver := range []core.VersionRef{
 		{TS: lattice.Timestamp{Clock: 7, Node: 2}},
 		causalVer(lattice.VectorClock{"w": 3}, payload),
@@ -118,7 +118,7 @@ func TestDecodedOncePerCluster(t *testing.T) {
 // own payload, and never hits the newer one's value.
 func TestNewerVersionReplacesEntry(t *testing.T) {
 	th := memoThread("vm0", core.NewDecodeCache())
-	oldBytes, newBytes := codec.MustEncode([]any{"old"}), codec.MustEncode([]any{"new"})
+	oldBytes, newBytes := codec.MustEncode([]string{"old"}), codec.MustEncode([]string{"new"})
 	for _, vers := range [][2]core.VersionRef{
 		{{TS: lattice.Timestamp{Clock: 1, Node: 1}}, {TS: lattice.Timestamp{Clock: 2, Node: 1}}},
 		{causalVer(lattice.VectorClock{"w": 1}, oldBytes), causalVer(lattice.VectorClock{"w": 2}, newBytes)},
@@ -140,7 +140,7 @@ func TestNewerVersionReplacesEntry(t *testing.T) {
 // holds allocates nothing, LWW or causal.
 func TestDecodedHitAllocationFree(t *testing.T) {
 	th := memoThread("vm0", core.NewDecodeCache())
-	payload := codec.MustEncode([]any{"value"})
+	payload := codec.MustEncode([]string{"value"})
 	for _, ver := range []core.VersionRef{
 		{TS: lattice.Timestamp{Clock: 5, Node: 1}},
 		causalVer(lattice.VectorClock{"w": 1}, payload),

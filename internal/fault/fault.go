@@ -27,11 +27,11 @@
 // at a time — each replacement must finish spinning up and get a
 // settle grace before the next VM is touched — the rolling-upgrade
 // primitive.
-// RackFailure crashes several VMs at the same instant (correlated
-// failure) and launches their replacements together after the outage.
+// RackFailure crashes two VMs at the same instant (correlated failure)
+// and launches their warm replacements together after the outage.
 // Composite actions sleep inside Apply, so events scheduled after them
-// in the same plan are pushed out accordingly; RandomPlan only draws
-// them when the corresponding RandomOpts flag is set.
+// in the same plan are pushed out accordingly. RandomPlan never draws
+// them; the chaos matrix runs each as a cell of its own.
 package fault
 
 import (
@@ -236,11 +236,11 @@ type RollingRestart struct {
 	VMs []string
 	// Drain is how long to wait after taking a VM out of rotation before
 	// killing it — it must cover the schedulers' StaleAfter horizon plus
-	// the tail of in-flight work (default 6s).
+	// the tail of in-flight work.
 	Drain time.Duration
-	// Settle is the post-spin-up health grace per VM (default 5s: a
-	// couple of metrics/poll intervals, so schedulers and monitor see the
-	// replacement before the next drain).
+	// Settle is the post-spin-up health grace per VM: a couple of
+	// metrics/poll intervals, so schedulers and monitor see the
+	// replacement before the next drain.
 	Settle time.Duration
 }
 
@@ -252,89 +252,59 @@ func (a RollingRestart) Apply(inj *Injector) string {
 			vms = append(vms, h.Name)
 		}
 	}
-	drain := a.Drain
-	if drain <= 0 {
-		drain = 6 * time.Second
-	}
-	settle := a.Settle
-	if settle <= 0 {
-		settle = 5 * time.Second
-	}
 	n := 0
 	for _, vm := range vms {
 		if !inj.c.DrainVM(vm) {
 			continue
 		}
-		inj.c.K.Sleep(drain)
+		inj.c.K.Sleep(a.Drain)
 		if inj.c.RestartVM(vm, true) == "" {
 			continue
 		}
 		for inj.c.PendingVMs() > 0 {
 			inj.c.K.Sleep(500 * time.Millisecond)
 		}
-		inj.c.K.Sleep(settle)
+		inj.c.K.Sleep(a.Settle)
 		n++
 	}
 	return fmt.Sprintf("rolling restart: replaced %d VM(s)", n)
 }
 
-// RackFailure crashes several VMs at the same instant — the correlated
-// failure a real rack or AZ outage produces — and launches all their
-// replacements together once the outage ends. At least one VM is always
-// left standing.
-type RackFailure struct {
-	// VMs names the victims; empty draws Count random live VMs.
-	VMs []string
-	// Count is how many random victims to draw when VMs is empty
-	// (default 2, capped to leave one VM standing).
-	Count int
-	// After is the outage duration before replacements launch
-	// (default 10s).
-	After time.Duration
-	// Warm restores the replacements' caches from surviving peers.
-	Warm bool
-}
+// RackFailure crashes rackVictims random live VMs at the same instant —
+// the correlated failure a real rack or AZ outage produces — and, after
+// rackOutage, launches all their replacements together, each restoring
+// its cache from a surviving peer. At least one VM is always left
+// standing.
+type RackFailure struct{}
+
+const (
+	rackVictims = 2
+	rackOutage  = 4 * time.Second
+)
 
 // Apply implements Action.
-func (a RackFailure) Apply(inj *Injector) string {
-	victims := a.VMs
-	if len(victims) == 0 {
-		count := a.Count
-		if count <= 0 {
-			count = 2
-		}
-		live := inj.c.VMs()
-		if count >= len(live) {
-			count = len(live) - 1
-		}
-		if count < 1 {
-			return "rack failure: no eligible VMs"
-		}
-		perm := inj.c.K.Rand().Perm(len(live))
-		for _, i := range perm[:count] {
-			victims = append(victims, live[i].Name)
-		}
-		sort.Strings(victims)
+func (RackFailure) Apply(inj *Injector) string {
+	live := inj.c.VMs()
+	count := min(rackVictims, len(live)-1)
+	if count < 1 {
+		return "rack failure: no eligible VMs"
 	}
+	var victims []string
+	for _, i := range inj.c.K.Rand().Perm(len(live))[:count] {
+		victims = append(victims, live[i].Name)
+	}
+	sort.Strings(victims)
 	n := 0
 	for _, vm := range victims {
 		if inj.kill(vm) {
 			n++
 		}
 	}
-	after := a.After
-	if after <= 0 {
-		after = 10 * time.Second
-	}
-	inj.c.K.Sleep(after)
+	inj.c.K.Sleep(rackOutage)
 	for _, vm := range victims {
-		inj.c.RestartVM(vm, a.Warm)
+		inj.c.RestartVM(vm, true)
 	}
-	mode := "cold"
-	if a.Warm {
-		mode = "warm"
-	}
-	return fmt.Sprintf("rack failure: %d VM(s) down %s, %s replacements launched", n, after, mode)
+	return fmt.Sprintf("rack failure: %d VM(s) down %s, warm replacements launched", n, rackOutage)
 }
 
 // DegradeVM installs a simnet node policy on every endpoint of a VM —

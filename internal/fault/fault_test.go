@@ -107,7 +107,7 @@ func TestRandomPlanIsReproducibleAndHealed(t *testing.T) {
 	opts := RandomOpts{
 		Start: 2 * time.Second, Window: 20 * time.Second, Faults: 5,
 		VMs: []string{"vm0", "vm1", "vm2"}, Nodes: []simnet.NodeID{"sched-0"},
-		AnnaNodes: 3, AllowCrash: true,
+		AnnaNodes: 3,
 	}
 	a := RandomPlan(rand.New(rand.NewSource(9)), opts)
 	b := RandomPlan(rand.New(rand.NewSource(9)), opts)

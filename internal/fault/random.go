@@ -9,15 +9,17 @@ import (
 
 // RandomOpts parameterizes RandomPlan.
 type RandomOpts struct {
-	// Start is the offset of the first possible event; Window bounds the
-	// whole plan — every injected fault is healed (or its VM restarted)
-	// strictly before Start+Window, so a workload phase after the window
-	// runs against a fully-healed cluster.
+	// Start is the offset of the first possible event; Window (positive)
+	// bounds the whole plan — every injected fault is healed (or its VM
+	// restarted) strictly before Start+Window, so a workload phase after
+	// the window runs against a fully-healed cluster.
 	Start, Window time.Duration
-	// Faults is how many fault/heal pairs to draw (default 3).
+	// Faults is how many fault/heal pairs to draw.
 	Faults int
 	// VMs are the candidate victims for crash/degrade faults (live VM
-	// names at plan-build time). Empty disables VM faults.
+	// names at plan-build time). Empty disables VM faults, and crash
+	// faults need at least two (the spin-up delay must be short enough
+	// to complete inside Window).
 	VMs []string
 	// Nodes are extra candidate endpoints for node-level degradation
 	// (schedulers, typically). Empty disables node faults.
@@ -25,17 +27,9 @@ type RandomOpts struct {
 	// AnnaNodes is the storage-node count; > 0 enables replica-loss
 	// faults.
 	AnnaNodes int
-	// AllowCrash enables VM crash+restart pairs (needs a spin-up delay
-	// short enough to complete inside Window).
-	AllowCrash bool
-	// AllowWarmRestart makes drawn crash faults (and rack failures)
-	// recover through the warm cache handoff instead of a cold restart.
+	// AllowWarmRestart makes drawn crash faults recover through the warm
+	// cache handoff instead of a cold restart.
 	AllowWarmRestart bool
-	// AllowRolling adds rolling-restart composites over two random VMs to
-	// the draw (needs AllowCrash-grade spin-up headroom inside Window).
-	AllowRolling bool
-	// AllowRackFailure adds correlated two-VM failures to the draw.
-	AllowRackFailure bool
 	// AllowSplitBrain adds control-plane split-brain pairs to the draw: a
 	// VM is blinded from the monitor shard (or half the scheduler group)
 	// while the rest of the control plane keeps scheduling onto it, then
@@ -46,16 +40,11 @@ type RandomOpts struct {
 // RandomPlan draws a reproducible randomized chaos plan from rng: a mix
 // of VM crash+restart pairs, transient VM/node degradations (partial
 // drops, added latency, jitter, duplication, and full partitions), Anna
-// replica loss, and cache snapshot drops. Equal rng streams and options
+// replica loss, cache snapshot drops and, with AllowSplitBrain,
+// control-plane split-brains. Equal rng streams and options
 // yield identical plans, so chaos-matrix runs stay deterministic under a
 // fixed seed.
 func RandomPlan(rng *rand.Rand, o RandomOpts) *Plan {
-	if o.Faults <= 0 {
-		o.Faults = 3
-	}
-	if o.Window <= 0 {
-		o.Window = 30 * time.Second
-	}
 	p := NewPlan("chaos")
 	// Each fault occupies a sub-interval of [Start, Start+Window): begin
 	// in the first two thirds, heal strictly inside the window.
@@ -80,7 +69,7 @@ func RandomPlan(rng *rand.Rand, o RandomOpts) *Plan {
 		}
 	}
 	kinds := []int{}
-	if o.AllowCrash && len(o.VMs) > 1 {
+	if len(o.VMs) > 1 {
 		kinds = append(kinds, 0)
 	}
 	if len(o.VMs) > 0 {
@@ -93,14 +82,8 @@ func RandomPlan(rng *rand.Rand, o RandomOpts) *Plan {
 		kinds = append(kinds, 3)
 	}
 	kinds = append(kinds, 4) // snapshot drops are always available
-	if o.AllowRolling && len(o.VMs) > 1 {
-		kinds = append(kinds, 5)
-	}
-	if o.AllowRackFailure && len(o.VMs) > 2 {
-		kinds = append(kinds, 6)
-	}
 	if o.AllowSplitBrain && len(o.VMs) > 0 {
-		kinds = append(kinds, 7)
+		kinds = append(kinds, 5)
 	}
 	for i := 0; i < o.Faults; i++ {
 		from, to := interval()
@@ -120,15 +103,6 @@ func RandomPlan(rng *rand.Rand, o RandomOpts) *Plan {
 		case 3:
 			p.During(from, to, CrashAnnaNode{Index: rng.Intn(o.AnnaNodes)})
 		case 5:
-			// Two-VM rolling restart: one VM's capacity missing at a time.
-			a, b := rng.Intn(len(o.VMs)), rng.Intn(len(o.VMs))
-			for b == a {
-				b = rng.Intn(len(o.VMs))
-			}
-			p.At(from, RollingRestart{VMs: []string{o.VMs[a], o.VMs[b]}, Settle: 3 * time.Second})
-		case 6:
-			p.At(from, RackFailure{Count: 2, After: 5 * time.Second, Warm: o.AllowWarmRestart})
-		case 7:
 			p.During(from, to, SplitBrain{VM: o.VMs[rng.Intn(len(o.VMs))]})
 		default:
 			p.At(from, DropSnapshots{})

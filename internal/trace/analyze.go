@@ -1,6 +1,9 @@
 package trace
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Analyze folds a trace's span tree into its critical-path category
 // breakdown: every instant of the root window [root.Start, root.End]
@@ -43,8 +46,8 @@ func Analyze(t *Trace) Summary {
 		}
 		bounds = append(bounds, a, b)
 	}
-	sortInt64(bounds)
-	bounds = dedupInt64(bounds)
+	slices.Sort(bounds)
+	bounds = slices.Compact(bounds)
 
 	for bi := 0; bi+1 < len(bounds); bi++ {
 		a, b := bounds[bi], bounds[bi+1]
@@ -70,38 +73,5 @@ func Analyze(t *Trace) Summary {
 }
 
 func clamp(sp, root Span) (int64, int64) {
-	a, b := int64(sp.Start), int64(sp.End)
-	if a < int64(root.Start) {
-		a = int64(root.Start)
-	}
-	if b > int64(root.End) {
-		b = int64(root.End)
-	}
-	return a, b
-}
-
-func sortInt64(s []int64) {
-	for gap := len(s) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(s); i++ {
-			v := s[i]
-			j := i
-			for ; j >= gap && v < s[j-gap]; j -= gap {
-				s[j] = s[j-gap]
-			}
-			s[j] = v
-		}
-	}
-}
-
-func dedupInt64(s []int64) []int64 {
-	if len(s) == 0 {
-		return s
-	}
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	return max(int64(sp.Start), int64(root.Start)), min(int64(sp.End), int64(root.End))
 }

@@ -3,9 +3,12 @@
 # Builds every entry point with coverage over the root module's packages
 # (go build -cover -coverpkg, Go 1.20+), runs each with GOCOVERDIR set,
 # merges the counters with go tool covdata, and prints the statement
-# percentage and every function that no entry point ran (0.0% in
-# go tool cover -func). A mechanism on that list either gets an entry
-# point or is deleted. The entry points:
+# percentage, every function that no entry point ran (0.0% in
+# go tool cover -func), and each file's count of statements no entry
+# point ran, largest first (unrun branches inside live functions show
+# there). A mechanism on those lists either gets an entry point or is
+# deleted.
+# The entry points:
 #   - cb-bench: every experiment at its quick config (-run all), and
 #     its listing (-list);
 #   - the four examples;
@@ -15,7 +18,8 @@
 # Given a <git-ref>, it measures that ref's tree too (unpacked with
 # git archive), prints both sides' summary lines, and lists the
 # functions that left the unrun list (deleted, or now run) and the ones
-# that joined it, before the working tree's full list.
+# that joined it, before the working tree's full list and per-file
+# counts.
 # Runs offline. Everything it writes stays under the git-ignored
 # .bench_build/entrycover/ of the checkout; the benchmark's output
 # files are not written.
@@ -32,9 +36,11 @@ trap 'rm -rf "$TMP"' EXIT
 export GOFLAGS=-mod=readonly GOTOOLCHAIN=local GOWORK=off GOPROXY=off
 
 # measure <tree> <out> runs every entry point of the checkout at <tree>
-# and leaves under <out>: summary.txt (the two summary lines) and
-# unrun.txt (one "  <file:line:> <function>" line per function no entry
-# point ran, file relative to the module root).
+# and leaves under <out>: summary.txt (the two summary lines), files.txt
+# (one "  <unrun> of <all>  <file>" line per file with a statement no
+# entry point ran, most unrun first) and unrun.txt (one
+# "  <file:line:> <function>" line per function no entry point ran);
+# files are relative to the module root.
 measure() (
   tree=$1 out=$2
   mkdir -p "$out/bin" "$out/cov"
@@ -76,6 +82,10 @@ measure() (
   go tool covdata textfmt -i "$out/cov" -o "$out/profile.txt"
   go tool cover -func="$out/profile.txt" >"$out/func.txt"
   awk '$NF == "0.0%" {sub("^" m "/", "", $1); printf "  %-48s %s\n", $1, $2}' m="$(go list -m)" "$out/func.txt" >"$out/unrun.txt"
+  # A profile line is "<file>:<start>,<end> <statements> <count>".
+  awk 'NR > 1 {f = $1; sub(/:[^:]*$/, "", f); sub("^" m "/", "", f); all[f] += $2; if ($3 == 0) unrun[f] += $2}
+    END {for (f in unrun) if (unrun[f] > 0) printf "  %5d of %5d  %s\n", unrun[f], all[f], f}' \
+    m="$(go list -m)" "$out/profile.txt" | LC_ALL=C sort -k1,1nr -k4,4 >"$out/files.txt"
   {
     awk 'NR > 1 {all += $2; if ($3 > 0) ran += $2}
       END {printf "statements run by an entry point: %d of %d (%.1f%%)\n", ran, all, 100 * ran / all}' "$out/profile.txt"
@@ -86,6 +96,8 @@ measure() (
 measure "$ROOT" "$TMP/new"
 if [ -z "$REF" ]; then
   cat "$TMP/new/summary.txt" "$TMP/new/unrun.txt"
+  echo "statements no entry point runs, by file:"
+  cat "$TMP/new/files.txt"
   exit 0
 fi
 
@@ -109,3 +121,5 @@ echo "joined the unrun list: $(wc -l <"$TMP/joined.txt")"
 cat "$TMP/joined.txt"
 echo "functions no entry point runs in the working tree:"
 cat "$TMP/new/unrun.txt"
+echo "statements no entry point runs in the working tree, by file:"
+cat "$TMP/new/files.txt"
