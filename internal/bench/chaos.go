@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"time"
 
@@ -93,10 +94,11 @@ type ChaosCell struct {
 	Anomalies     audit.Report
 
 	// Transactional cells (scenario txn-*) only.
-	BankSum    int // balance sum after heal — must equal BankWant
-	BankWant   int // the invariant (accounts × initial); 0 for non-bank cells
-	InDoubt    int // prepared-but-unresolved txns left on Anna — must be 0
-	TxnCommits int // requests that committed through 2PC
+	BankSum    int   // balance sum after heal — must equal BankWant
+	BankWant   int   // the invariant (accounts × initial); 0 for non-bank cells
+	InDoubt    int   // prepared-but-unresolved txns left on Anna — must be 0
+	TxnCommits int   // requests that committed through 2PC
+	ledger     error // bankLedger.check after heal — must be nil
 }
 
 // ChaosResult is the full matrix.
@@ -350,9 +352,10 @@ func runChaosCell(cfg ChaosConfig, wl string, mode cb.Consistency, seed int64, s
 		// stuck in doubt, and at least one transfer actually committed
 		// through 2PC (otherwise the cell proved nothing).
 		cell.BankWant = bank.Total()
-		cell.BankSum = bankSum(c, bank)
+		cell.BankSum = bankSum(c, bank.Bank)
 		cell.InDoubt = in.KV.PreparedTxns()
 		cell.TxnCommits = rec.TxnCommits()
+		cell.ledger = bank.check(c)
 	}
 	return cell
 }
@@ -420,10 +423,34 @@ func countGhostKeys(in *cluster.Cluster) int {
 	return ghosts
 }
 
+// bankLedger is a bank and what its client saw: each account's balance
+// as the transfers that succeeded leave it, and how many timed out.
+type bankLedger struct {
+	*workload.Bank
+	want   []int
+	unseen int
+}
+
+// check reads every balance from the KVS and holds it to the ledger.
+func (l *bankLedger) check(c *cb.Cluster) (err error) {
+	if l.unseen > 0 {
+		return fmt.Errorf("%d transfers timed out, their outcome unseen", l.unseen)
+	}
+	c.Run(func(cl *cb.Client) {
+		for i, want := range l.want {
+			if v, _, gerr := cl.Get(l.Key(i)); gerr != nil || v != want {
+				err = fmt.Errorf("account %d: balance %v (%v), want %d from the transfers seen", i, v, gerr, want)
+				return
+			}
+		}
+	})
+	return err
+}
+
 // registerChaosWorkload installs one workload and returns its request
-// driver, plus the bank handle when the workload is the transactional
-// bank (nil otherwise).
-func registerChaosWorkload(c *cb.Cluster, wl string, seed int64) (chaosDriver, *workload.Bank) {
+// driver, plus the bank and its ledger when the workload is the
+// transactional bank (nil otherwise).
+func registerChaosWorkload(c *cb.Cluster, wl string, seed int64) (chaosDriver, *bankLedger) {
 	switch wl {
 	case "bank":
 		b, err := workload.RegisterBank(c, 8)
@@ -431,11 +458,19 @@ func registerChaosWorkload(c *cb.Cluster, wl string, seed int64) (chaosDriver, *
 			panic(err)
 		}
 		b.Preload(c)
+		l := &bankLedger{Bank: b, want: slices.Repeat([]int{b.Total() / b.Accounts}, b.Accounts)}
 		useTxn := c.Internal().Mode() == core.TXN
 		return func(cl *cb.Client, rng *rand.Rand) error {
 			i, j := accountPair(rng, b.Accounts)
-			return b.Transfer(cl, i, j, 1+rng.Intn(5), useTxn)
-		}, b
+			amount := 1 + rng.Intn(5)
+			err := b.Transfer(cl, i, j, amount, useTxn)
+			if err == nil {
+				l.want[i], l.want[j] = l.want[i]-amount, l.want[j]+amount
+			} else if errors.Is(err, cb.ErrTimedOut) {
+				l.unseen++
+			}
+			return err
+		}, l
 	case "retwis":
 		r := workload.DefaultRetwis()
 		r.Users = 60

@@ -1,8 +1,12 @@
 package bench
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
+
+	cb "cloudburst"
 )
 
 // TestChaosMatrix is the chaos-plane smoke: every workload × every
@@ -64,6 +68,11 @@ func TestChaosMatrix(t *testing.T) {
 			if c.TxnCommits == 0 {
 				t.Errorf("%s: no transfer committed through 2PC — cell proved nothing", name)
 			}
+			// Stronger than the sum: each account holds exactly what the
+			// transfers the client saw succeed, probes included, leave it.
+			if c.ledger != nil {
+				t.Errorf("%s: bank ledger: %v", name, c.ledger)
+			}
 		}
 		for _, f := range c.Faults {
 			if strings.Contains(f, "rolling restart") {
@@ -108,5 +117,46 @@ func TestChaosMatrixDeterministic(t *testing.T) {
 	}
 	if a.Cells[0].OK != b.Cells[0].OK || a.Cells[0].Failed != b.Cells[0].Failed {
 		t.Fatalf("outcomes diverged: %+v vs %+v", a.Cells[0], b.Cells[0])
+	}
+}
+
+// TestBankLedgerCatchesDoubleTransfer is the ledger check's positive
+// control: on a healthy Transactional cluster the check passes after a
+// few transfers the driver recorded, and fails, naming the account, once
+// a transfer the ledger saw once is applied twice, or once a transfer's
+// outcome went unseen.
+func TestBankLedgerCatchesDoubleTransfer(t *testing.T) {
+	cfg := cb.DefaultConfig()
+	cfg.Mode = cb.Transactional
+	cfg.VMs = 1
+	c := cb.NewCluster(cfg)
+	defer c.Close()
+	driver, l := registerChaosWorkload(c, "bank", 1)
+	c.Run(func(cl *cb.Client) {
+		cl.Timeout = time.Minute
+		rng := rand.New(rand.NewSource(1))
+		for range 4 {
+			if err := driver(cl, rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if err := l.check(c); err != nil {
+		t.Fatalf("healthy run: %v", err)
+	}
+	c.Run(func(cl *cb.Client) {
+		for range 2 { // seen once, applied twice
+			if err := l.Transfer(cl, 0, 1, 3, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	l.want[0], l.want[1] = l.want[0]-3, l.want[1]+3
+	if err := l.check(c); err == nil || !strings.Contains(err.Error(), "account 0") {
+		t.Fatalf("a transfer applied twice: check = %v, want account 0 named", err)
+	}
+	l.unseen = 1
+	if err := l.check(c); err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("an unseen transfer: check = %v, want a timed-out error", err)
 	}
 }

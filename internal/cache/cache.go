@@ -486,7 +486,8 @@ func (c *Cache) Unsubscribe(kv *anna.KVS) {
 	kv.Unsubscribe(c.ID(), append(slices.Clone(c.Keys()), left...))
 }
 
-// Contains reports whether key is cached (test hook).
+// Contains reports whether key is cached, in no simulated time: its
+// callers (Ctx.CachedLocally, resolveArgs) have slept the hop.
 func (c *Cache) Contains(key string) bool {
 	_, ok := c.store[key]
 	return ok

@@ -21,7 +21,16 @@ var ErrNotFound = errors.New("cache: key not found")
 // with the cache (and possibly the KVS and other readers) rather than
 // copied; callers must treat it as read-only.
 func (c *Cache) Read(reqID, key string, meta *core.SessionMeta) ([]byte, core.VersionRef, error) {
-	lat, ver, err := c.read(reqID, key, meta)
+	rctx := c.spans.Attach(reqID).Start("cache/read", trace.Cache, c.k.Now())
+	c.k.Sleep(ipc)
+	return c.ReadHopped(rctx, reqID, key, meta)
+}
+
+// ReadHopped is Read after a hop the caller slept, one for several reads,
+// with the read's "cache/read" span, rctx, opened at the hop's start. It
+// runs the mode's read protocol and closes rctx.
+func (c *Cache) ReadHopped(rctx trace.Ctx, reqID, key string, meta *core.SessionMeta) ([]byte, core.VersionRef, error) {
+	lat, ver, err := c.read(rctx, reqID, key, meta)
 	if err != nil {
 		return nil, ver, err
 	}
@@ -31,12 +40,10 @@ func (c *Cache) Read(reqID, key string, meta *core.SessionMeta) ([]byte, core.Ve
 	return lat.(*lattice.LWW).Value, ver, nil
 }
 
-// read runs the mode's read protocol and returns the capsule it read,
-// which ver names.
-func (c *Cache) read(reqID, key string, meta *core.SessionMeta) (lattice.Lattice, core.VersionRef, error) {
-	rctx := c.spans.Attach(reqID).Start("cache/read", trace.Cache, c.k.Now())
+// read runs the mode's read protocol after the hop, closes rctx, and
+// returns the capsule it read, which ver names.
+func (c *Cache) read(rctx trace.Ctx, reqID, key string, meta *core.SessionMeta) (lattice.Lattice, core.VersionRef, error) {
 	defer func() { rctx.End(c.k.Now()) }()
-	c.k.Sleep(ipc)
 	if meta != nil && meta.Caches != nil {
 		meta.Caches[c.ID()] = true
 	}
@@ -234,7 +241,9 @@ func (c *Cache) readDSC(rctx trace.Ctx, reqID, key string, meta *core.SessionMet
 // exactly one version. The sibling slice is the call's; the immutable
 // payloads are shared.
 func (c *Cache) ReadAll(reqID, key string, meta *core.SessionMeta) ([][]byte, core.VersionRef, error) {
-	lat, ver, err := c.read(reqID, key, meta)
+	rctx := c.spans.Attach(reqID).Start("cache/read", trace.Cache, c.k.Now())
+	c.k.Sleep(ipc)
+	lat, ver, err := c.read(rctx, reqID, key, meta)
 	if err != nil {
 		return nil, ver, err
 	}

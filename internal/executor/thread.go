@@ -135,6 +135,7 @@ func NewThread(k *vtime.Kernel, ep *simnet.Endpoint, vm string, d Deps) *Thread 
 		dagFor:      d.DAGFor,
 		resolveName: string(ep.ID()) + "/resolve",
 		pinned:      make(map[string]bool),
+		wg:          vtime.NewWaitGroup(k),
 		decoded:     d.Decoded,
 		windowStart: k.Now(),
 		hooks:       d.Hooks,
@@ -246,15 +247,17 @@ type resolveCall struct {
 
 // refReader is one parallel argument read, a kernel-process body
 // (vtime.Runner) reused across invocations: it reads argument i of the
-// thread's current call.
+// thread's current call; hopRefs slept a hopped read's hop and opened rctx.
 type refReader struct {
-	t *Thread
-	i int
+	t      *Thread
+	i      int
+	hopped bool
+	rctx   trace.Ctx
 }
 
 func (r *refReader) Run() {
 	defer r.t.wg.Done()
-	r.t.readRef(r.i)
+	r.t.readRef(r)
 }
 
 // resolveArgs turns wire arguments into Go values, fetching KVS
@@ -312,22 +315,20 @@ func (t *Thread) resolveArgs(reqID, dagName, fn string, args []core.Arg, input [
 		t.spans.Attach(reqID).Record("exec/prefetch", trace.KVS, p0, t.k.Now())
 	}
 	t.call = resolveCall{reqID: reqID, dagName: dagName, fn: fn, args: args, meta: meta, out: out}
-	if len(refIdx) == 1 {
-		t.readRef(refIdx[0])
-	} else if len(refIdx) > 1 {
-		if t.wg == nil {
-			t.wg = vtime.NewWaitGroup(t.k)
-		}
-		for len(t.readers) < len(refIdx) {
-			t.readers = append(t.readers, refReader{t: t})
-		}
-		for j, i := range refIdx {
-			r := &t.readers[j]
-			r.i = i
-			t.wg.Add(1)
-			t.k.GoRunner(t.resolveName, r)
-		}
-		t.wg.Wait()
+	rs := slices.Grow(t.readers[:0], len(refIdx))[:len(refIdx)]
+	t.readers = rs
+	for j, i := range refIdx {
+		rs[j] = refReader{t: t, i: i}
+	}
+	switch m := t.cache.Mode(); {
+	case len(rs) == 1:
+		t.readRef(&rs[0])
+	case len(rs) > 1 && (m == core.LWW || m == core.TXN):
+		t.hopRefs(rs)
+	case len(rs) > 1:
+		// A causal or session hit can block (on the causal cut, an
+		// upstream snapshot), so there every reference hops on its own.
+		t.readAll(rs)
 	}
 	t.call = resolveCall{}
 	for _, i := range refIdx {
@@ -338,12 +339,53 @@ func (t *Thread) resolveArgs(reqID, dagName, fn string, args []core.Arg, input [
 	return out, nil
 }
 
-// readRef reads argument i of the current call, a KVS reference, through
-// the cache into the call's output, or its error into errScratch[i].
-func (t *Thread) readRef(i int) {
-	c := &t.call
+// readAll reads rs on a process each, started in order, and waits.
+func (t *Thread) readAll(rs []refReader) {
+	for j := range rs {
+		t.wg.Add(1)
+		t.k.GoRunner(t.resolveName, &rs[j])
+	}
+	t.wg.Wait()
+}
+
+// hopRefs reads rs, two or more LWW references, after one IPC hop, not
+// one per readAll reader. Those ran back to back, so their hop timers
+// fired at one instant with nothing between them: a resident LWW read
+// blocks on nothing and wakes nothing. Yielding takes the first reader's
+// run-queue place, so every event keeps its (when, seq) order, span and
+// random draw. From the first key no longer resident, readers go on.
+func (t *Thread) hopRefs(rs []refReader) {
+	if t.k.Runnable() {
+		t.k.YieldNow() // what runs first may set timers for the hop's instant
+	}
+	for j := range rs {
+		rs[j].hopped = true // Cache.Read's span, opened as its hop starts
+		rs[j].rctx = t.spans.Attach(t.call.reqID).Start("cache/read", trace.Cache, t.k.Now())
+	}
+	t.k.Sleep(t.cache.IPC())
+	for j := range rs {
+		if !t.cache.Contains(t.call.args[rs[j].i].Ref) {
+			t.readAll(rs[j:])
+			return
+		}
+		t.readRef(&rs[j])
+	}
+}
+
+// readRef reads r's argument of the current call, a KVS reference,
+// through the cache into the call's output, or its error into
+// errScratch.
+func (t *Thread) readRef(r *refReader) {
+	c, i := &t.call, r.i
 	key := c.args[i].Ref
-	payload, ver, err := t.cache.Read(c.reqID, key, c.meta)
+	var payload []byte
+	var ver core.VersionRef
+	var err error
+	if r.hopped {
+		payload, ver, err = t.cache.ReadHopped(r.rctx, c.reqID, key, c.meta)
+	} else {
+		payload, ver, err = t.cache.Read(c.reqID, key, c.meta)
+	}
 	if err != nil {
 		t.errScratch[i] = err
 		return

@@ -247,6 +247,10 @@ func (k *Kernel) Stats() Stats {
 	return s
 }
 
+// Runnable reports whether a process waits in the run queue: asked by
+// the running process, whether another will run before the clock moves.
+func (k *Kernel) Runnable() bool { return k.runq.len() > 0 }
+
 // Go spawns fn as a new kernel process. It may be called from a running
 // process or from outside the kernel between Run invocations. The process
 // is runnable immediately but does not execute until the scheduler

@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -445,6 +446,25 @@ func TestStatsCountsDispatchesAndTimers(t *testing.T) {
 	st := k.Stats()
 	if st.Dispatches == 0 || st.TimerFires == 0 {
 		t.Fatalf("stats not counting: %+v", st)
+	}
+}
+
+// TestRunnableSeesOtherProcesses: the running process is not in the run
+// queue, so Runnable is false for it alone and true while a process it
+// spawned or woke waits to run.
+func TestRunnableSeesOtherProcesses(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Stop()
+	var got []bool
+	k.Run("main", func() {
+		got = append(got, k.Runnable())
+		k.Go("w", func() { got = append(got, k.Runnable()) })
+		got = append(got, k.Runnable())
+		k.YieldNow() // w runs with main queued behind it, then main
+		got = append(got, k.Runnable())
+	})
+	if want := []bool{false, true, true, false}; !slices.Equal(got, want) {
+		t.Fatalf("Runnable = %v, want %v", got, want)
 	}
 }
 

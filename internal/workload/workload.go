@@ -8,8 +8,8 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	cb "cloudburst"
 	"cloudburst/internal/codec"
@@ -39,8 +39,15 @@ func NewKeyspace(rng *rand.Rand, prefix string, n int, s float64) *Keyspace {
 	}
 }
 
-// Key returns the i'th key's name.
-func (ks *Keyspace) Key(i int) string { return fmt.Sprintf("%s-%07d", ks.Prefix, i) }
+// Key returns the i'th key's name, Prefix-%07d for i ≥ 0, built on the
+// stack so the string is its one allocation.
+func (ks *Keyspace) Key(i int) string {
+	var num [20]byte
+	d := strconv.AppendInt(num[:0], int64(i), 10)
+	var buf [48]byte
+	b := append(append(buf[:0], ks.Prefix...), "-000000"[:max(1, 8-len(d))]...)
+	return string(append(b, d...))
+}
 
 // Sample draws a key by popularity.
 func (ks *Keyspace) Sample() string { return ks.Key(int(ks.zipf.Uint64())) }

@@ -27,6 +27,31 @@ func TestKeyspaceZipfSkew(t *testing.T) {
 	}
 }
 
+// TestKeyspaceKeyMatchesSprintf holds Key byte-equal to the fmt form it
+// replaced, on both sides of the seven-digit pad.
+func TestKeyspaceKeyMatchesSprintf(t *testing.T) {
+	for _, prefix := range []string{"k", "", "a-long-keyspace-prefix-past-the-stack-buffer-of-key"} {
+		ks := &Keyspace{Prefix: prefix}
+		for _, i := range []int{0, 9, 10, 9_999_999, 10_000_000, 12_345_678} {
+			if got, want := ks.Key(i), fmt.Sprintf("%s-%07d", prefix, i); got != want {
+				t.Fatalf("Key(%d) = %q, want %q", i, got, want)
+			}
+		}
+	}
+}
+
+// TestKeyspaceKeyAllocations pins Key at one allocation, the string.
+func TestKeyspaceKeyAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	ks := &Keyspace{Prefix: "k"}
+	i := 0
+	if got := testing.AllocsPerRun(100, func() { i++; _ = ks.Key(i) }); got != 1 {
+		t.Fatalf("Key allocates %v times, want 1", got)
+	}
+}
+
 func TestArraySumAccounting(t *testing.T) {
 	a := ArraySum{NumArrays: 10, Elems: 1000}
 	if a.TotalBytes() != 80_000 {

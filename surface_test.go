@@ -47,7 +47,6 @@ func TestExportedSurface(t *testing.T) {
 		"trace.Collector.Stats":         "the only view of a collector's started, completed and dropped traces",
 		"vtime.Chan.Len":                "the only view of the cache's write-back queue depth",
 		"vtime.FreeList.Len":            "the only view of a free list's size (ROADMAP 12)",
-		"vtime.Kernel.YieldNow":         "TestFixedScriptCounts' pinned script interleaves processes with it",
 	}
 
 	unused, onlyTests, err := scanSurface(os.DirFS("."), "cloudburst")
