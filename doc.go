@@ -413,7 +413,6 @@
 //	zip := traffic.NewZipfKeys(seed, 1.3, keys, "k")
 //	spec := traffic.Spec{
 //		Name:     "open",
-//		Workers:  4,
 //		Arrivals: traffic.NewPoisson(seed, 600),
 //		Window:   2 * time.Minute,
 //		Next: func(n int64) traffic.Invocation {

@@ -21,7 +21,6 @@ type ClientStats struct {
 	GetRPCs      int64 // single-key GetReq calls (replica walks count each hop)
 	PutRPCs      int64 // PutReq calls
 	MultiGetRPCs int64 // grouped MultiGetReq calls (one per owner group)
-	MultiGetKeys int64 // keys carried by those grouped calls
 }
 
 // Client is a caller's handle to the KVS, bound to that caller's network
@@ -364,7 +363,6 @@ func (g *groupCall) fetch(grp *ownerGroup) {
 		size += 4 + len(k)
 	}
 	c.Stats.MultiGetRPCs++
-	c.Stats.MultiGetKeys += int64(len(keys))
 	grp.req = MultiGetReq{Keys: keys, Lats: g.lats[grp.lo:grp.hi:grp.hi]}
 	if _, err := c.ep.Call(grp.owner, &grp.req, size, c.timeout); err != nil {
 		g.late = true

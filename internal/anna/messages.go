@@ -70,9 +70,7 @@ type DeleteReq struct {
 }
 
 // DeleteResp acknowledges a DeleteReq.
-type DeleteResp struct {
-	OK bool
-}
+type DeleteResp struct{}
 
 // SetRemoveReq removes elements from the Set lattice stored at Key on
 // one node. Grow-only sets have no lattice-theoretic deletion, so like
@@ -85,11 +83,8 @@ type SetRemoveReq struct {
 	Elems []string
 }
 
-// SetRemoveResp acknowledges a SetRemoveReq. OK reports whether any
-// element was present and removed on this node.
-type SetRemoveResp struct {
-	OK bool
-}
+// SetRemoveResp acknowledges a SetRemoveReq.
+type SetRemoveResp struct{}
 
 // KeysetUpdate is a cache's periodic snapshot delta of its cached keys
 // (§4.2), already partitioned by the sender so every key belongs to the

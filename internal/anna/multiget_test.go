@@ -56,7 +56,6 @@ func oracleMultiGet(c *Client, keys []string) (found map[string]lattice.Lattice,
 			size += 4 + len(k)
 		}
 		c.Stats.MultiGetRPCs++
-		c.Stats.MultiGetKeys += int64(len(g.keys))
 		req := &MultiGetReq{Keys: g.keys, Lats: make([]lattice.Lattice, len(g.keys))}
 		if _, err := c.ep.Call(g.owner, req, size, c.timeout); err != nil {
 			for _, k := range g.keys {

@@ -171,14 +171,13 @@ func (n *Node) handlePutIfAbsent(req *simnet.Request, b PutIfAbsentReq) {
 }
 
 func (n *Node) handleDelete(req *simnet.Request, b DeleteReq) {
-	ok := n.st.delete(b.Key)
+	n.st.delete(b.Key)
 	n.k.Sleep(serviceTime(putServiceTime, false, 0))
-	req.Reply(DeleteResp{OK: ok}, 8)
+	req.Reply(DeleteResp{}, 8)
 }
 
 func (n *Node) handleSetRemove(req *simnet.Request, b SetRemoveReq) {
 	e, fromDisk := n.st.get(b.Key, n.k.Now())
-	removed := false
 	if e != nil {
 		if s, isSet := e.lat.(*lattice.Set); isSet {
 			// A new value replaces the stored one, so a reader holding the
@@ -188,12 +187,11 @@ func (n *Node) handleSetRemove(req *simnet.Request, b SetRemoveReq) {
 			if kept := s.Without(b.Elems); kept != s {
 				e.lat = kept
 				n.st.resize(e)
-				removed = true
 			}
 		}
 	}
 	n.k.Sleep(serviceTime(putServiceTime, fromDisk, 0))
-	req.Reply(SetRemoveResp{OK: removed}, 8)
+	req.Reply(SetRemoveResp{}, 8)
 }
 
 func (n *Node) handleGossip(_ simnet.Message, b *GossipMsg) {

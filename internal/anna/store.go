@@ -86,18 +86,14 @@ func (s *tieredStore) merge(key string, lat lattice.Lattice, now vtime.Time) (e 
 	return e, fromDisk
 }
 
-// delete removes key from both tiers and reports whether it existed.
-func (s *tieredStore) delete(key string) bool {
+// delete removes key from both tiers.
+func (s *tieredStore) delete(key string) {
 	if e, ok := s.mem[key]; ok {
 		s.memBytes -= e.size
 		delete(s.mem, key)
-		return true
+		return
 	}
-	if _, ok := s.disk[key]; ok {
-		delete(s.disk, key)
-		return true
-	}
-	return false
+	delete(s.disk, key)
 }
 
 // resize re-accounts e's size after its value was replaced outside a

@@ -36,7 +36,7 @@ func (n *Node) handleTxnPrepare(req *simnet.Request, b txn.PrepareReq) {
 	if _, ok := n.prepared[b.TxnID]; ok {
 		// Duplicate prepare (coordinator retry): the earlier vote stands.
 		n.k.Sleep(putServiceTime)
-		req.Reply(txn.PrepareResp{TxnID: b.TxnID, Vote: true}, 16)
+		req.Reply(txn.PrepareResp{Vote: true}, 16)
 		return
 	}
 	// Validate every item first, then lock atomically — a conflict votes
@@ -76,7 +76,7 @@ func (n *Node) handleTxnPrepare(req *simnet.Request, b txn.PrepareReq) {
 	if reason != "" {
 		// Presumed abort: a no vote keeps no state.
 		n.k.Sleep(putServiceTime)
-		req.Reply(txn.PrepareResp{TxnID: b.TxnID, Vote: false, Reason: reason}, 16+len(reason))
+		req.Reply(txn.PrepareResp{Vote: false, Reason: reason}, 16+len(reason))
 		return
 	}
 	for _, it := range b.Items {
@@ -89,7 +89,7 @@ func (n *Node) handleTxnPrepare(req *simnet.Request, b txn.PrepareReq) {
 		items: b.Items, at: n.k.Now(),
 	}
 	n.k.Sleep(serviceTime(putServiceTime, false, payloadBytes))
-	req.Reply(txn.PrepareResp{TxnID: b.TxnID, Vote: true}, 16)
+	req.Reply(txn.PrepareResp{Vote: true}, 16)
 	n.cfg.Hooks.Fire(txn.HookPostPrepareAck, string(n.id))
 }
 

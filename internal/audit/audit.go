@@ -31,8 +31,6 @@ type Write struct {
 	ID    string
 	Key   string
 	ReqID string
-	DAG   string
-	Fn    string
 	Seq   int
 	Deps  []string // write-ids the session had seen when this was written
 }
@@ -40,7 +38,6 @@ type Write struct {
 // Read is one traced read.
 type Read struct {
 	ReqID   string
-	DAG     string
 	Fn      string
 	Key     string
 	WriteID string // version observed; "" for preloaded initial values
@@ -79,7 +76,7 @@ var _ executor.Tracer = (*Recorder)(nil)
 func (r *Recorder) OnRead(ev executor.TraceEvent) {
 	r.seq++
 	r.reads = append(r.reads, &Read{
-		ReqID: ev.ReqID, DAG: ev.DAG, Fn: ev.Function, Key: ev.Key,
+		ReqID: ev.ReqID, Fn: ev.Function, Key: ev.Key,
 		WriteID: ev.WriteID, Seq: r.seq,
 	})
 	if ev.WriteID != "" {
@@ -91,8 +88,7 @@ func (r *Recorder) OnRead(ev executor.TraceEvent) {
 func (r *Recorder) OnWrite(ev executor.TraceEvent) {
 	r.seq++
 	w := &Write{
-		ID: ev.WriteID, Key: ev.Key, ReqID: ev.ReqID, DAG: ev.DAG,
-		Fn: ev.Function, Seq: r.seq,
+		ID: ev.WriteID, Key: ev.Key, ReqID: ev.ReqID, Seq: r.seq,
 		Deps: append([]string(nil), r.session[ev.ReqID]...),
 	}
 	r.writes[w.ID] = w

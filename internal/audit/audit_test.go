@@ -12,11 +12,11 @@ type tr struct{ r *Recorder }
 func newTr() *tr { return &tr{r: NewRecorder()} }
 
 func (t *tr) read(req, fn, key, writeID string) {
-	t.r.OnRead(executor.TraceEvent{ReqID: req, DAG: "d", Function: fn, Key: key, WriteID: writeID})
+	t.r.OnRead(executor.TraceEvent{ReqID: req, Function: fn, Key: key, WriteID: writeID})
 }
 
 func (t *tr) write(req, fn, key, writeID string) {
-	t.r.OnWrite(executor.TraceEvent{ReqID: req, DAG: "d", Function: fn, Key: key, WriteID: writeID})
+	t.r.OnWrite(executor.TraceEvent{ReqID: req, Function: fn, Key: key, WriteID: writeID})
 }
 
 func TestCleanTraceHasNoAnomalies(t *testing.T) {

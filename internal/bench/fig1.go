@@ -99,7 +99,6 @@ func fig1Cloudburst(cfg Fig1Config, single bool) Summary {
 // for baseline experiments.
 type baselineRig struct {
 	k   *vtime.Kernel
-	net *simnet.Network
 	env *baseline.Env
 	svc map[string]*cloud.Service
 }
@@ -110,7 +109,7 @@ func newBaselineRig(seed int64) *baselineRig {
 		Latency:   simnet.LogNormal{Med: 200 * time.Microsecond, Sigma: 0.25},
 		Bandwidth: 1.25e9,
 	})
-	r := &baselineRig{k: k, net: net, svc: make(map[string]*cloud.Service)}
+	r := &baselineRig{k: k, svc: make(map[string]*cloud.Service)}
 	profiles := map[string]cloud.Profile{
 		"s3":     cloud.S3Profile(),
 		"dynamo": cloud.DynamoProfile(),

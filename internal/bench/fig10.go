@@ -197,7 +197,6 @@ func Fig10LifecyclePaper() Fig10LifecycleConfig {
 type LifecycleRun struct {
 	Name string
 	CrashOutcome
-	Buckets    []Fig10Bucket
 	SpikeP99   float64 // peak 1s-bucket p99 (ms) in the measured window
 	WarmFilled int64   // keys restored by the warm handoff (warm runs)
 }
@@ -324,6 +323,6 @@ func runLifecycleScenario(cfg Fig10LifecycleConfig, name string, warm, rolling b
 	if rolling {
 		from, to = load.killAt(), load.start+cfg.RunFor
 	}
-	run.Buckets, run.SpikeP99 = load.timeline(from, to)
+	_, run.SpikeP99 = load.timeline(from, to)
 	return run
 }

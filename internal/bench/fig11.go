@@ -36,7 +36,6 @@ func Fig11Paper() Fig11Config {
 // requests.
 type Fig11Row struct {
 	Summary     Summary
-	Timelines   int
 	AnomalyRate float64
 }
 
@@ -119,7 +118,7 @@ func fig11Cloudburst(cfg Fig11Config, mode cb.Consistency, name string) Fig11Row
 			}
 		}
 	})
-	row := Fig11Row{Summary: Summarize(name, durs), Timelines: timelines}
+	row := Fig11Row{Summary: Summarize(name, durs)}
 	if timelines > 0 {
 		row.AnomalyRate = float64(anomalies) / float64(timelines)
 	}
@@ -174,7 +173,7 @@ func fig11Redis(cfg Fig11Config) Fig11Row {
 		}
 		wg.Wait()
 	})
-	row := Fig11Row{Summary: Summarize("Redis (serverful)", durs), Timelines: timelines}
+	row := Fig11Row{Summary: Summarize("Redis (serverful)", durs)}
 	if timelines > 0 {
 		row.AnomalyRate = float64(anomalies) / float64(timelines)
 	}

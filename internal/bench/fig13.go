@@ -245,7 +245,6 @@ func runFig13Point(cfg Fig13Config, scount int, load float64) Fig13Point {
 	name := fmt.Sprintf("fig13-s%d-l%d", scount, int(load))
 	spec := traffic.Spec{
 		Name:     name,
-		Workers:  cfg.Workers,
 		Arrivals: traffic.NewPoisson(fig13Seed*1000+int64(load), load),
 		Window:   cfg.Window,
 		Next: func(n int64) traffic.Invocation {

@@ -60,7 +60,6 @@ type Fig15Row struct {
 	Summary          // latency of successful transfers
 	Issued   int     // transfers attempted
 	Aborts   int     // 2PC validation aborts (Transactional mode only)
-	Failed   int     // other terminal errors
 	SumDrift int     // final balance sum minus the invariant — 0 iff atomic
 	InDoubt  int     // prepared leftovers on Anna — must be 0
 	AbortPct float64 // Aborts / Issued
@@ -159,8 +158,6 @@ func fig15Mode(cfg Fig15Config, mode cb.Consistency) Fig15Row {
 				durs = append(durs, cl.Now()-start)
 			case isTxnAbort(err):
 				row.Aborts++
-			default:
-				row.Failed++
 			}
 		}
 	})

@@ -22,7 +22,6 @@ type Summary struct {
 	Median float64 // milliseconds
 	P95    float64
 	P99    float64
-	Mean   float64
 }
 
 // Summarize digests a latency sample set.
@@ -31,10 +30,8 @@ func Summarize(name string, durs []time.Duration) Summary {
 		return Summary{Name: name}
 	}
 	ms := make([]float64, len(durs))
-	total := 0.0
 	for i, d := range durs {
 		ms[i] = float64(d) / float64(time.Millisecond)
-		total += ms[i]
 	}
 	sort.Float64s(ms)
 	return Summary{
@@ -43,7 +40,6 @@ func Summarize(name string, durs []time.Duration) Summary {
 		Median: percentile(ms, 0.50),
 		P95:    percentile(ms, 0.95),
 		P99:    percentile(ms, 0.99),
-		Mean:   total / float64(len(ms)),
 	}
 }
 

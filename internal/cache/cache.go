@@ -108,13 +108,9 @@ type Stats struct {
 	Hits           int64
 	Misses         int64
 	UpstreamFetch  int64 // version-snapshot fetches from other caches
-	DepFetches     int64 // causal-cut dependency fills from Anna
 	UpdatesPushed  int64 // updates ingested from Anna's push path
-	WritesAcked    int64
-	SnapshotsTaken int64
 	Prefetches     int64 // grouped multi-get warm fills issued
 	PrefetchedKeys int64 // keys installed by those fills
-	WarmFetches    int64 // peer current-version fetches issued by WarmFill
 	WarmFilledKeys int64 // keys restored from a peer by WarmFill
 }
 
@@ -588,7 +584,6 @@ func (c *Cache) WarmFill(peer simnet.NodeID, keys []string) (filled int) {
 		if _, have := c.store[k]; have {
 			continue
 		}
-		c.Stats.WarmFetches++
 		resp, err := c.ep.Call(peer, SnapshotFetchReq{Key: k}, 32+len(k), 500*time.Millisecond)
 		if err != nil {
 			continue // peer unreachable; remaining keys refault cold
@@ -662,7 +657,6 @@ func (c *Cache) ensureCutDepth(cap *lattice.Causal, depth int) {
 			if attempt >= depFetchRetries {
 				break // expose best-effort; anti-entropy will converge
 			}
-			c.Stats.DepFetches++
 			lat, found, err := c.anna.Get(dk)
 			if err == nil && found {
 				if fetched, isCausal := lat.(*lattice.Causal); isCausal {
@@ -685,7 +679,6 @@ func (c *Cache) snapshot(reqID, key string, lat lattice.Lattice) {
 	snaps := c.snapshotMap(reqID)
 	if _, exists := snaps[key]; !exists {
 		snaps[key] = lat
-		c.Stats.SnapshotsTaken++
 	}
 }
 
@@ -693,11 +686,7 @@ func (c *Cache) snapshot(reqID, key string, lat lattice.Lattice) {
 // read snapshot: downstream functions must observe the most recent update
 // made within the DAG.
 func (c *Cache) snapshotWrite(reqID, key string, lat lattice.Lattice) {
-	snaps := c.snapshotMap(reqID)
-	if _, exists := snaps[key]; !exists {
-		c.Stats.SnapshotsTaken++
-	}
-	snaps[key] = lat
+	c.snapshotMap(reqID)[key] = lat
 }
 
 // snapshotMap returns reqID's snapshot table, taking an emptied one off

@@ -285,7 +285,6 @@ func (c *Cache) write(reqID, key string, payload []byte, meta *core.SessionMeta,
 	if meta != nil && meta.Caches != nil {
 		meta.Caches[c.ID()] = true
 	}
-	c.Stats.WritesAcked++
 	var ver core.VersionRef
 	var wb lattice.Lattice
 	switch c.cfg.Mode {

@@ -121,8 +121,6 @@ type Service struct {
 	store   map[string]object
 	// master serializes command execution when the profile is Serial.
 	master *vtime.Semaphore
-
-	Ops int64
 }
 
 // NewService boots a storage service on endpoint ep.
@@ -159,7 +157,6 @@ func (s *Service) release() {
 func (s *Service) handleGet(req *simnet.Request, b GetReq) {
 	s.acquire()
 	defer s.release()
-	s.Ops++
 	s.k.Sleep(s.profile.ReadBase.Sample(s.k.Rand()))
 	obj, found := s.store[b.Key]
 	if found && s.k.Now() < obj.visibleAt {
@@ -178,7 +175,6 @@ func (s *Service) handleGet(req *simnet.Request, b GetReq) {
 func (s *Service) handleMGet(req *simnet.Request, b MGetReq) {
 	s.acquire()
 	defer s.release()
-	s.Ops++
 	s.k.Sleep(s.profile.ReadBase.Sample(s.k.Rand()))
 	resp := MGetResp{Vals: make([][]byte, len(b.Keys))}
 	size := 32
@@ -198,7 +194,6 @@ func (s *Service) handleMGet(req *simnet.Request, b MGetReq) {
 func (s *Service) handlePut(req *simnet.Request, b PutReq) {
 	s.acquire()
 	defer s.release()
-	s.Ops++
 	s.k.Sleep(s.profile.WriteBase.Sample(s.k.Rand()))
 	s.k.Sleep(s.transfer(len(b.Val)))
 	s.store[b.Key] = object{

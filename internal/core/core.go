@@ -314,8 +314,7 @@ type RequestComplete struct {
 
 // DirectMessage is executor-to-executor communication (Table 1 send/recv).
 type DirectMessage struct {
-	FromID string // sender invocation id
-	Body   []byte
+	Body []byte
 }
 
 // WarmSeed is a dead VM generation's working-set record, written to Anna

@@ -24,7 +24,6 @@ import (
 type Ctx struct {
 	t    *Thread
 	req  string // DAG request id (session scope)
-	dag  string
 	fn   string
 	seq  int64  // the thread's count of invocations, this one included
 	id   string // this invocation's unique id, spelt out by ID on first use
@@ -81,8 +80,7 @@ func (c *Ctx) Get(key string) (val any, found bool, err error) {
 	writeID, inner := untag(payload)
 	if c.t.tracer != nil {
 		c.t.tracer.OnRead(TraceEvent{
-			ReqID: c.req, DAG: c.dag, Function: c.fn, Key: key,
-			WriteID: writeID, Ver: ver, Cache: ver.Cache, At: c.t.k.Now(),
+			ReqID: c.req, Function: c.fn, Key: key, WriteID: writeID, Ver: ver,
 		})
 	}
 	v, err := c.t.decodeVersioned(key, ver, inner)
@@ -110,8 +108,7 @@ func (c *Ctx) GetSiblings(key string) ([]any, error) {
 		writeID, inner := untag(p)
 		if c.t.tracer != nil {
 			c.t.tracer.OnRead(TraceEvent{
-				ReqID: c.req, DAG: c.dag, Function: c.fn, Key: key,
-				WriteID: writeID, Ver: ver, Cache: ver.Cache, At: c.t.k.Now(),
+				ReqID: c.req, Function: c.fn, Key: key, WriteID: writeID, Ver: ver,
 			})
 		}
 		named := ver // only the first sibling is memoized under ver
@@ -176,8 +173,7 @@ func (c *Ctx) put(key string, val any, deps []string) error {
 	}
 	if c.t.tracer != nil {
 		c.t.tracer.OnWrite(TraceEvent{
-			ReqID: c.req, DAG: c.dag, Function: c.fn, Key: key,
-			WriteID: writeID, Ver: ver, Cache: ver.Cache, At: c.t.k.Now(),
+			ReqID: c.req, Function: c.fn, Key: key, WriteID: writeID, Ver: ver,
 		})
 	}
 	return nil
@@ -215,8 +211,7 @@ func (c *Ctx) txnGet(key string) (any, bool, error) {
 	ver := core.VersionRef{TS: l.TS}
 	if c.t.tracer != nil {
 		c.t.tracer.OnRead(TraceEvent{
-			ReqID: c.req, DAG: c.dag, Function: c.fn, Key: key,
-			WriteID: writeID, Ver: ver, At: c.t.k.Now(),
+			ReqID: c.req, Function: c.fn, Key: key, WriteID: writeID, Ver: ver,
 		})
 	}
 	v, err := c.t.decodeVersioned(key, ver, inner)
@@ -257,7 +252,7 @@ func (c *Ctx) Send(recvID string, msg any) error {
 	if !ok {
 		return fmt.Errorf("executor: malformed recipient id %q", recvID)
 	}
-	dm := core.DirectMessage{FromID: c.ID(), Body: payload}
+	dm := core.DirectMessage{Body: payload}
 	if c.t.alive == nil || c.t.alive(thread) {
 		c.t.ep.Send(thread, dm, 32+len(payload))
 		return nil

@@ -104,7 +104,7 @@ func (r *fanRig) resolve(t *testing.T, reqID string) {
 	}
 	r.t0 = r.k.Now()
 	r.col.Root(reqID, "req", r.t0)
-	out, err := r.th.resolveArgs(reqID, "", "f", r.refs(), nil, meta)
+	out, err := r.th.resolveArgs(reqID, "f", r.refs(), nil, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,6 @@ func TestRefFanOutAlone(t *testing.T) {
 		read k2 at 50µs version 3
 		read k3 at 50µs version 4
 		resolved [0 1 2 3] at 50µs
-		span exec/prefetch 0s-0s under 0
 		span cache/read 0s-50µs under 0
 		span cache/read 0s-50µs under 0
 		span cache/read 0s-50µs under 0
@@ -175,7 +174,6 @@ func TestRefFanOutBehindRunnable(t *testing.T) {
 		read k2 at 50µs version 3
 		read k3 at 50µs version 4
 		resolved [0 100 2 3] at 50µs
-		span exec/prefetch 0s-0s under 0
 		span cache/read 0s-50µs under 0
 		span cache/read 0s-50µs under 0
 		span cache/read 0s-50µs under 0
@@ -196,12 +194,34 @@ func TestRefFanOutEvictedDuringHop(t *testing.T) {
 		read k3 at 50µs version 4
 		read k2 at 275.056µs version 3
 		resolved [0 1 2 3] at 275.056µs
-		span exec/prefetch 0s-0s under 0
 		span cache/read 0s-50µs under 0
 		span cache/read 0s-50µs under 0
 		span cache/read 0s-275.056µs under 0
 		span cache/read 0s-50µs under 0
-		span anna/get 50µs-275.056µs under 4
+		span anna/get 50µs-275.056µs under 3
+	`)
+}
+
+// TestRefFanOutColdPrefetch: no key is cached, so the grouped fetch
+// takes a round trip to Anna before the reads, and records it as the
+// call's exec/prefetch span; the reads then hit.
+func TestRefFanOutColdPrefetch(t *testing.T) {
+	r := newFanRig(t, core.LWW, 4)
+	for i := range r.n {
+		r.ch.Evict(fmt.Sprintf("k%d", i))
+	}
+	r.k.Run("script", func() { r.resolve(t, "cold") })
+	r.check(t, `
+		read k0 at 325.168µs version 1
+		read k1 at 325.168µs version 2
+		read k2 at 325.168µs version 3
+		read k3 at 325.168µs version 4
+		resolved [0 1 2 3] at 325.168µs
+		span exec/prefetch 0s-275.168µs under 0
+		span cache/read 275.168µs-325.168µs under 0
+		span cache/read 275.168µs-325.168µs under 0
+		span cache/read 275.168µs-325.168µs under 0
+		span cache/read 275.168µs-325.168µs under 0
 	`)
 }
 
@@ -232,7 +252,6 @@ func TestRefFanOutPushAtHop(t *testing.T) {
 		read k2 at 50µs version 3
 		read k3 at 50µs version 4
 		resolved [0 50 2 3] at 50µs
-		span exec/prefetch 0s-0s under 0
 		span cache/read 0s-50µs under 0
 		span cache/read 0s-50µs under 0
 		span cache/read 0s-50µs under 0
@@ -256,12 +275,11 @@ func TestRefFanOutCausalPerKey(t *testing.T) {
 		read k3 at 50µs version f74cb185b7f19bee
 		read k2 at 275.059µs version e5aaed240dda3c6c
 		resolved [0 1 2 3] at 275.059µs
-		span exec/prefetch 0s-0s under 0
 		span cache/read 0s-50µs under 0
 		span cache/read 0s-50µs under 0
 		span cache/read 0s-275.059µs under 0
 		span cache/read 0s-50µs under 0
-		span anna/get 50µs-275.059µs under 4
+		span anna/get 50µs-275.059µs under 3
 		16 dispatches, 8 timer fires
 	`)
 }

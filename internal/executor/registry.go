@@ -12,8 +12,6 @@ import (
 	"fmt"
 
 	"cloudburst/internal/core"
-	"cloudburst/internal/simnet"
-	"cloudburst/internal/vtime"
 )
 
 // Function is a registered Cloudburst function body. The paper ships
@@ -47,13 +45,10 @@ func (r *Registry) Lookup(name string) (Function, bool) {
 // and the write-id tag recovered from the payload.
 type TraceEvent struct {
 	ReqID    string
-	DAG      string
 	Function string
 	Key      string
 	WriteID  string // tag of the value written, or of the value read
 	Ver      core.VersionRef
-	Cache    simnet.NodeID
-	At       vtime.Time
 }
 
 // Tracer observes executor reads/writes. Implementations must be cheap

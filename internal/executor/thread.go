@@ -82,12 +82,12 @@ type Thread struct {
 	decoded *core.DecodeCache
 
 	// Metrics window (§4.1: executors publish utilization, cached
-	// functions, and execution latencies).
+	// functions, and execution latencies). busy is also the window's
+	// latency sum: a thread runs one invocation at a time, so its busy
+	// time is the sum of their latencies.
 	busy        time.Duration
 	windowStart vtime.Time
 	completed   int64
-	winDone     int64
-	latencySum  time.Duration
 	latencyN    int64
 }
 
@@ -231,18 +231,18 @@ func (t *Thread) pin(fn string) {
 // newCtx fills in the thread's Ctx for an invocation; invoke zeroes it on
 // return. Every invocation takes the thread's next sequence number;
 // Ctx.ID spells it out on first use.
-func (t *Thread) newCtx(reqID, dagName, fn string, meta *core.SessionMeta, tx *txnState) *Ctx {
+func (t *Thread) newCtx(reqID, fn string, meta *core.SessionMeta, tx *txnState) *Ctx {
 	t.seq++
-	t.ctx = Ctx{t: t, req: reqID, dag: dagName, fn: fn, seq: t.seq, meta: meta, txn: tx}
+	t.ctx = Ctx{t: t, req: reqID, fn: fn, seq: t.seq, meta: meta, txn: tx}
 	return &t.ctx
 }
 
 // resolveCall is the invocation whose arguments resolveArgs is reading.
 type resolveCall struct {
-	reqID, dagName, fn string
-	args               []core.Arg
-	meta               *core.SessionMeta
-	out                []any
+	reqID, fn string
+	args      []core.Arg
+	meta      *core.SessionMeta
+	out       []any
 }
 
 // refReader is one parallel argument read, a kernel-process body
@@ -266,7 +266,7 @@ func (r *refReader) Run() {
 // thread's argument slice. Its capacity ends at the last argument, so a
 // function that appends to it copies rather than writing into the
 // thread's storage.
-func (t *Thread) resolveArgs(reqID, dagName, fn string, args []core.Arg, input []byte, meta *core.SessionMeta) ([]any, error) {
+func (t *Thread) resolveArgs(reqID, fn string, args []core.Arg, input []byte, meta *core.SessionMeta) ([]any, error) {
 	n := len(args)
 	if input != nil {
 		n++
@@ -303,7 +303,8 @@ func (t *Thread) resolveArgs(reqID, dagName, fn string, args []core.Arg, input [
 	// Warm-fill the cache for the whole reference list in one grouped
 	// Anna multi-get before the per-key protocol reads: a cold cache pays
 	// one round trip per storage node instead of one per key (§4.2's
-	// fan-out collapse; the per-key Read below then hits locally).
+	// fan-out collapse; the per-key Read below then hits locally). A warm
+	// cache fetches nothing and takes no time, so it records no span.
 	if len(refIdx) > 1 {
 		keys := t.keyScratch[:0]
 		for _, i := range refIdx {
@@ -312,9 +313,11 @@ func (t *Thread) resolveArgs(reqID, dagName, fn string, args []core.Arg, input [
 		t.keyScratch = keys
 		p0 := t.k.Now()
 		t.cache.Prefetch(keys)
-		t.spans.Attach(reqID).Record("exec/prefetch", trace.KVS, p0, t.k.Now())
+		if now := t.k.Now(); now > p0 {
+			t.spans.Attach(reqID).Record("exec/prefetch", trace.KVS, p0, now)
+		}
 	}
-	t.call = resolveCall{reqID: reqID, dagName: dagName, fn: fn, args: args, meta: meta, out: out}
+	t.call = resolveCall{reqID: reqID, fn: fn, args: args, meta: meta, out: out}
 	rs := slices.Grow(t.readers[:0], len(refIdx))[:len(refIdx)]
 	t.readers = rs
 	for j, i := range refIdx {
@@ -393,8 +396,7 @@ func (t *Thread) readRef(r *refReader) {
 	writeID, inner := untag(payload)
 	if t.tracer != nil {
 		t.tracer.OnRead(TraceEvent{
-			ReqID: c.reqID, DAG: c.dagName, Function: c.fn, Key: key,
-			WriteID: writeID, Ver: ver, Cache: ver.Cache, At: t.k.Now(),
+			ReqID: c.reqID, Function: c.fn, Key: key, WriteID: writeID, Ver: ver,
 		})
 	}
 	v, err := t.decodeVersioned(key, ver, inner)
@@ -552,7 +554,7 @@ func (t *Thread) endSession() {
 // session the function ran under (nil in the modes that keep none).
 func (t *Thread) complete(s *core.DAGSchedule, fn string, metaP *core.SessionMeta, hops int, tx *txnState, invID string, payload []byte, err error) {
 	if err == nil && tx != nil {
-		payload, err = t.commitTxn(s.ReqID, s.DAG, fn, invID, tx, payload)
+		payload, err = t.commitTxn(s.ReqID, fn, invID, tx, payload)
 		if err == txn.ErrCrashed {
 			return // VM died mid-commit; the scheduler's §4.5 tracking re-executes
 		}
@@ -619,7 +621,7 @@ type TxnMarker interface {
 // must not commit twice). txn.ErrCrashed means the VM died at an armed
 // crash point: send nothing; recovery owns the request now. Other
 // errors are aborts, reported to the client as the Result error.
-func (t *Thread) commitTxn(reqID, dagName, fn, txnID string, tx *txnState, payload []byte) ([]byte, error) {
+func (t *Thread) commitTxn(reqID, fn, txnID string, tx *txnState, payload []byte) ([]byte, error) {
 	items := tx.items()
 	recorded, err := t.txnCoord.Commit(reqID, txnID, items, payload)
 	if err != nil {
@@ -634,16 +636,12 @@ func (t *Thread) commitTxn(reqID, dagName, fn, txnID string, tx *txnState, paylo
 		if tm, ok := t.tracer.(TxnMarker); ok {
 			tm.OnTxnCommit(reqID)
 		}
-		now := t.k.Now()
 		for _, it := range items {
 			if it.ReadOnly {
 				continue
 			}
 			writeID, _ := untag(it.Payload)
-			t.tracer.OnWrite(TraceEvent{
-				ReqID: reqID, DAG: dagName, Function: fn, Key: it.Key,
-				WriteID: writeID, At: now,
-			})
+			t.tracer.OnWrite(TraceEvent{ReqID: reqID, Function: fn, Key: it.Key, WriteID: writeID})
 		}
 	}
 	return payload, nil
@@ -667,7 +665,7 @@ func (t *Thread) invoke(s *core.DAGSchedule, fn string, args []core.Arg, input [
 		tx = newTxnState()
 		tx.seed(upstream)
 	}
-	reqID, dagName, start := s.ReqID, s.DAG, t.k.Now()
+	reqID, start := s.ReqID, t.k.Now()
 	ictx := t.spans.Attach(reqID).Start("exec/invoke", trace.Compute, start)
 	defer func() {
 		clear(t.args) // the decoded arguments and the Ctx die with the call
@@ -682,11 +680,11 @@ func (t *Thread) invoke(s *core.DAGSchedule, fn string, args []core.Arg, input [
 	o0 := t.k.Now()
 	t.k.Sleep(invokeOverhead)
 	ictx.Record("exec/overhead", trace.Dispatch, o0, t.k.Now())
-	resolved, err := t.resolveArgs(reqID, dagName, fn, args, input, meta)
+	resolved, err := t.resolveArgs(reqID, fn, args, input, meta)
 	if err != nil {
 		return nil, "", tx, fnError(fn, err)
 	}
-	ctx := t.newCtx(reqID, dagName, fn, meta, tx)
+	ctx := t.newCtx(reqID, fn, meta, tx)
 	invID := ""
 	if tx != nil {
 		invID = ctx.ID()
@@ -703,10 +701,8 @@ func (t *Thread) invoke(s *core.DAGSchedule, fn string, args []core.Arg, input [
 func (t *Thread) finish(start vtime.Time) {
 	d := t.k.Now().Sub(start)
 	t.busy += d
-	t.latencySum += d
 	t.latencyN++
 	t.completed++
-	t.winDone++
 }
 
 // MetricsSnapshot builds the thread's report and resets the window.
@@ -721,7 +717,7 @@ func (t *Thread) MetricsSnapshot() core.ExecutorMetrics {
 	}
 	avg := 0.0
 	if t.latencyN > 0 {
-		avg = (t.latencySum / time.Duration(t.latencyN)).Seconds()
+		avg = (t.busy / time.Duration(t.latencyN)).Seconds()
 	}
 	m := core.ExecutorMetrics{
 		Thread:      t.id,
@@ -733,9 +729,7 @@ func (t *Thread) MetricsSnapshot() core.ExecutorMetrics {
 		ReportedAtS: t.k.Now().Seconds(),
 	}
 	t.busy = 0
-	t.latencySum = 0
 	t.latencyN = 0
-	t.winDone = 0
 	t.windowStart = t.k.Now()
 	return m
 }

@@ -136,16 +136,6 @@ type Monitor struct {
 	execReg, schedReg core.Registry
 
 	Events []Event
-	// ReplicaSamples records (time, total pinned replicas) per tick —
-	// the dotted line in Figure 7.
-	ReplicaSamples []ReplicaSample
-}
-
-// ReplicaSample is one point of the replica-count timeline.
-type ReplicaSample struct {
-	At       vtime.Time
-	Replicas int
-	VMs      int
 }
 
 // New creates a monitor bound to endpoint ep.
@@ -210,14 +200,6 @@ func (m *Monitor) tick() {
 
 	m.scaleReplicas(calls, done, elapsed)
 	m.scaleNodes(calls, done)
-
-	total := 0
-	for _, ts := range m.pins {
-		total += len(ts)
-	}
-	m.ReplicaSamples = append(m.ReplicaSamples, ReplicaSample{
-		At: m.k.Now(), Replicas: total, VMs: m.pool.VMCount(),
-	})
 }
 
 // refresh pulls executor and scheduler metrics from Anna and returns the

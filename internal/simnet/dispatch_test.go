@@ -142,7 +142,7 @@ func TestDispatcherInjectRunsBeforeInbox(t *testing.T) {
 	var order []string
 	d := NewDispatcher(b, "b")
 	OnMessage(d, func(m Message, body dtMsg) { order = append(order, body.S) })
-	d.Inject(Message{From: "self", To: "b", Payload: dtMsg{S: "injected"}})
+	d.Inject(Message{From: "self", Payload: dtMsg{S: "injected"}})
 	d.Start()
 
 	k.Run("main", func() {

@@ -32,10 +32,9 @@ type NodeID string
 
 // Message is one delivered datagram.
 type Message struct {
-	From, To NodeID
-	Payload  any
-	Size     int // serialized size in bytes, for bandwidth accounting
-	SentAt   vtime.Time
+	From    NodeID
+	Payload any
+	SentAt  vtime.Time
 	// ArrivedAt is stamped when the datagram lands in the destination
 	// inbox. Like SentAt it is CPU-side delivery metadata, not wire
 	// content: the tracing plane reads [SentAt, ArrivedAt] as the
@@ -297,7 +296,7 @@ func (n *Network) releaseDelivery(d *delivery) {
 // kernel timer and lands in the destination's unbounded inbox.
 func (n *Network) Send(from, to NodeID, payload any, size int) {
 	d := n.getDelivery()
-	d.msg = Message{From: from, To: to, Payload: payload, Size: size, SentAt: n.k.Now()}
+	d.msg = Message{From: from, Payload: payload, SentAt: n.k.Now()}
 	n.deliver(from, to, size, d)
 }
 

@@ -17,7 +17,7 @@ import (
 // wall time no instrumented component accounts for, which the fig14
 // acceptance gate bounds from above.
 func Analyze(t *Trace) Summary {
-	s := Summary{ReqID: t.ReqID, Attempts: t.Attempt + 1, Spans: len(t.Spans)}
+	s := Summary{ReqID: t.ReqID, Attempts: t.Attempt + 1}
 	if len(t.Spans) == 0 {
 		return s
 	}

@@ -75,7 +75,6 @@ type Trace struct {
 	Attempt int32
 	Spans   []Span // Spans[0] is the root
 
-	col          *Collector // owning collector (per-handle span stats)
 	attemptStart vtime.Time // current attempt's start (retry accounting)
 	// gen invalidates outstanding Ctxs when the trace is finished,
 	// dropped, or re-rooted: a component can still hold an open span
@@ -102,7 +101,6 @@ type Summary struct {
 	Wall     time.Duration
 	ByCat    [NumCategories]time.Duration
 	Attempts int32
-	Spans    int
 }
 
 // Attributed returns the share of wall time charged to a named
@@ -132,8 +130,6 @@ func (s Summary) Dominant() (Category, float64) {
 
 // Stats is the collector's bookkeeping.
 type Stats struct {
-	SpansStarted    int64
-	TracesStarted   int64
 	TracesCompleted int64
 	TracesDropped   int64
 }
@@ -193,14 +189,11 @@ func (c *Collector) Root(reqID, name string, at vtime.Time) Ctx {
 		t = &Trace{}
 	}
 	t.ReqID = reqID
-	t.col = c
 	t.Attempt = 0
 	t.ID = traceID(reqID, 0)
 	t.attemptStart = at
 	t.Spans = append(t.Spans[:0], Span{Name: name, Start: at, End: at, Parent: -1})
 	c.active[reqID] = t
-	c.stats.TracesStarted++
-	c.stats.SpansStarted++
 	return Ctx{tr: t, idx: 0, gen: t.gen}
 }
 
@@ -233,7 +226,6 @@ func (c *Collector) Reissue(reqID string, at vtime.Time) {
 	t.Spans = append(t.Spans, Span{
 		Name: "retry", Cat: Retry, Start: t.attemptStart, End: at, Parent: 0,
 	})
-	c.stats.SpansStarted++
 	t.Attempt++
 	t.ID = traceID(t.ReqID, t.Attempt)
 	t.attemptStart = at
@@ -383,7 +375,6 @@ func (x Ctx) Start(name string, cat Category, at vtime.Time) Ctx {
 	}
 	idx := int32(len(x.tr.Spans))
 	x.tr.Spans = append(x.tr.Spans, Span{Name: name, Cat: cat, Start: at, End: at, Parent: x.idx})
-	x.tr.col.stats.SpansStarted++
 	return Ctx{tr: x.tr, idx: idx, gen: x.gen}
 }
 
@@ -401,5 +392,4 @@ func (x Ctx) Record(name string, cat Category, start, end vtime.Time) {
 		return
 	}
 	x.tr.Spans = append(x.tr.Spans, Span{Name: name, Cat: cat, Start: start, End: end, Parent: x.idx})
-	x.tr.col.stats.SpansStarted++
 }

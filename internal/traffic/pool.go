@@ -1,6 +1,6 @@
 package traffic
 
-// The fire-and-forget pool: Workers client endpoints share one arrival
+// The fire-and-forget pool: its client endpoints share one arrival
 // stream and issue requests at the generated instants whether or not
 // earlier requests have completed — the open-loop discipline. A
 // bounded reaper re-issues requests that miss RetryAfter (routing the
@@ -40,7 +40,6 @@ type Invocation struct {
 // Spec parameterizes a pool run.
 type Spec struct {
 	Name     string        // labels the pool's processes
-	Workers  int           // client endpoints sharing the stream
 	Arrivals *Poisson      // seeded arrival process
 	Window   time.Duration // stop generating after this offset
 	// Next materializes the n'th request (n counts from 1). It is

@@ -54,7 +54,6 @@ type PrepareReq struct {
 
 // PrepareResp is a participant's vote.
 type PrepareResp struct {
-	TxnID  string
 	Vote   bool
 	Reason string // set when Vote is false
 }
@@ -136,11 +135,6 @@ type Coordinator struct {
 	KV     KV
 	Hooks  *hook.Registry
 	Entity string // VM name, the identity CrashAt point-cuts match on
-
-	// Counters (report/test hooks).
-	Commits   int64
-	Aborts    int64
-	Recovered int64 // commits resolved from a prior attempt's log
 }
 
 // prepareTimeout bounds each participant's prepare round trip; a
@@ -171,7 +165,6 @@ func (c *Coordinator) Commit(reqID, txnID string, writes []core.TxnWrite, result
 		if derr != nil {
 			return nil, derr
 		}
-		c.Recovered++
 		c.sendDecisions(c.participantsFor(keysOf(rec.Keys)), rec.TxnID, true)
 		return rec.Result, nil
 	}
@@ -214,7 +207,6 @@ func (c *Coordinator) Commit(reqID, txnID string, writes []core.TxnWrite, result
 	for _, v := range votes {
 		if v != "" {
 			c.sendDecisions(order, txnID, false)
-			c.Aborts++
 			return nil, &AbortError{Reason: v}
 		}
 	}
@@ -226,13 +218,11 @@ func (c *Coordinator) Commit(reqID, txnID string, writes []core.TxnWrite, result
 	body, eerr := codec.Encode(rec)
 	if eerr != nil {
 		c.sendDecisions(order, txnID, false)
-		c.Aborts++
 		return nil, &AbortError{Reason: "encode commit record: " + eerr.Error()}
 	}
 	acks, perr := c.KV.PutAny(logKey, lattice.NewLWW(lattice.Timestamp{Clock: clock, Node: node}, body))
 	if perr != nil || acks == 0 {
 		c.sendDecisions(order, txnID, false)
-		c.Aborts++
 		reason := "commit log write failed"
 		if perr != nil {
 			reason += ": " + perr.Error()
@@ -248,7 +238,6 @@ func (c *Coordinator) Commit(reqID, txnID string, writes []core.TxnWrite, result
 
 	// Phase 2: one-way commit messages.
 	c.sendDecisions(order, txnID, true)
-	c.Commits++
 	return nil, nil
 }
 

@@ -44,21 +44,64 @@ func TestExportedSurface(t *testing.T) {
 		"monitor.Monitor.PinnedThreads": "the only view of which threads a function is pinned on",
 		"scheduler.Scheduler.Inflight":  "the only view of the scheduler's tracked requests (ROADMAP 12)",
 		"simnet.Network.NodeCount":      "the only view of whether crash and restart cycles retire endpoints",
-		"trace.Collector.Stats":         "the only view of a collector's started, completed and dropped traces",
+		"trace.Collector.Stats":         "the only view of a collector's completed and dropped traces",
 		"vtime.Chan.Len":                "the only view of the cache's write-back queue depth",
 		"vtime.FreeList.Len":            "the only view of a free list's size (ROADMAP 12)",
 	}
 
-	unused, onlyTests, err := scanSurface(os.DirFS("."), "cloudburst")
+	found, err := scanSurface(os.DirFS("."), "cloudburst")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(unused) > 0 {
-		t.Errorf("exported and referenced nowhere, delete them: %q", unused)
+	if len(found.unused) > 0 {
+		t.Errorf("exported and referenced nowhere, delete them: %q", found.unused)
 	}
 	pinned := slices.Sorted(maps.Keys(testOnly))
-	if !slices.Equal(onlyTests, pinned) {
-		t.Errorf("test-only surface changed: new %q, gone %q", minus(onlyTests, pinned), minus(pinned, onlyTests))
+	if !slices.Equal(found.onlyTests, pinned) {
+		t.Errorf("test-only surface changed: new %q, gone %q", minus(found.onlyTests, pinned), minus(pinned, found.onlyTests))
+	}
+}
+
+// TestFieldsRead holds every struct field declared outside benchmark/ to
+// a read, found by the same scan: a field that is only written (assigned,
+// incremented, appended to itself, set in a composite literal) costs work
+// on every write and shows nothing, so it fails the test and should be
+// deleted with its writes. The fields only
+// tests read, and the ones nothing reads that must stay, are pinned here
+// with the reason each stays.
+func TestFieldsRead(t *testing.T) {
+	testRead := map[string]string{
+		"audit.Report.Serial":          "the rw-antidependency detector's count, which the transactional audit tests assert",
+		"audit.Report.Torn":            "the fractured-read detector's count, which the transactional audit tests assert",
+		"bench.ChaosCell.Anomalies":    "each chaos cell's audit, which TestChaosMatrix checks (ROADMAP 20)",
+		"bench.ChaosCell.GhostKeys":    "TestChaosMatrix's oracle for the generation reaper: dead-generation registry keys must be 0",
+		"bench.ChaosCell.Reads":        "TestChaosMatrix's check that the audit saw the cell's traffic",
+		"bench.ChaosCell.Writes":       "TestChaosMatrix's check that the audit saw the cell's traffic",
+		"bench.ChaosCell.ledger":       "TestChaosMatrix's bank ledger oracle: each balance is the transfers the client saw succeed",
+		"bench.Fig13Point.Issued":      "the smoke test's check that the open-loop pool issued requests",
+		"cache.Stats.Prefetches":       "the only view of how many grouped warm fills a cache issued",
+		"executor.TraceEvent.Ver":      "the only view of which version an audited read saw (the reference fan-out order tests)",
+		"simnet.Network.MessagesDropt": "the only view of what a link fault dropped",
+		"simnet.Network.MessagesDuped": "the only view of what a link fault duplicated",
+		"trace.Stats.TracesCompleted":  "the only view of a collector's completed traces",
+		"trace.Stats.TracesDropped":    "the only view of a collector's dropped traces",
+		"trace.Summary.Attempts":       "the only view of how many attempts a summarized request took",
+	}
+	unread := map[string]string{
+		"cache.Cache.vm": "cache.New's vm parameter fills it, and benchmark/probes.go calls cache.New, so both stay (ROADMAP 11)",
+	}
+
+	found, err := scanSurface(os.DirFS("."), "cloudburst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exempt := slices.Sorted(maps.Keys(unread))
+	if !slices.Equal(found.unreadFields, exempt) {
+		t.Errorf("fields written but read nowhere, delete them: %q; no longer unread, unpin them: %q", minus(found.unreadFields, exempt), minus(exempt, found.unreadFields))
+	}
+	pinned := slices.Sorted(maps.Keys(testRead))
+	if !slices.Equal(found.testReadFields, pinned) {
+		t.Errorf("test-read fields changed: new %q, gone %q", minus(found.testReadFields, pinned), minus(pinned, found.testReadFields))
 	}
 }
 
@@ -113,42 +156,129 @@ func main() {
 }
 `),
 	}
-	unused, onlyTests, err := scanSurface(module, "m")
+	found, err := scanSurface(module, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"a.Solo"}; !slices.Equal(onlyTests, want) {
-		t.Errorf("test-only = %q, want %q", onlyTests, want)
+	if want := []string{"a.Solo"}; !slices.Equal(found.onlyTests, want) {
+		t.Errorf("test-only = %q, want %q", found.onlyTests, want)
 	}
-	if want := []string{"a.Plan.Duration"}; !slices.Equal(unused, want) {
-		t.Errorf("referenced nowhere = %q, want %q", unused, want)
+	if want := []string{"a.Plan.Duration"}; !slices.Equal(found.unused, want) {
+		t.Errorf("referenced nowhere = %q, want %q", found.unused, want)
 	}
+}
+
+// TestFieldScanSeesWrites runs the field check over a small module held
+// in memory: each of Counter's unread fields is only written, in one of
+// the ways a write is spelt, and each struct beside it is read whole by
+// one rule. A map keyed by a pointer compares addresses, so it reads
+// nothing of Ptr.
+func TestFieldScanSeesWrites(t *testing.T) {
+	module := fstest.MapFS{
+		"internal/a/a.go": &fstest.MapFile{Data: []byte(`package a
+
+import "fmt"
+
+type Counter struct {
+	assigned, bumped, added, keyed int
+	log                            []int
+	inner                          Inner
+	read, tested                   int
+	tagged                         int ` + "`json:\"t\"`" + `
+	elems                          []int
+}
+
+type Inner struct{ n int }
+
+type (
+	From    struct{ a int }
+	To      struct{ a int }
+	Cmp     struct{ a int }
+	Key     struct{ a int }
+	Printed struct{ a int }
+	Ptr     struct{ a int }
+)
+
+func Use(c *Counter, f From, x, y Cmp, p *Printed) (int, *To, bool, string, map[Key]bool, map[*Ptr]bool) {
+	*c = Counter{keyed: 1}
+	c.assigned = 1
+	c.bumped++
+	c.added += 2
+	c.log = append(c.log, 1)
+	c.inner.n = 1
+	c.elems[0] = 1
+	return c.read, (*To)(&f), x == y, fmt.Sprint(p), nil, nil
+}
+`)},
+		"internal/a/a_test.go": &fstest.MapFile{Data: []byte(`package a
+
+func tested(c *Counter) int { return c.tested }
+`)},
+	}
+	found, err := scanSurface(module, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a.Counter.added", "a.Counter.assigned", "a.Counter.bumped", "a.Counter.inner", "a.Counter.keyed", "a.Counter.log", "a.Inner.n", "a.Ptr.a"}
+	if !slices.Equal(found.unreadFields, want) {
+		t.Errorf("unread fields = %q, want %q", found.unreadFields, want)
+	}
+	if want := []string{"a.Counter.tested"}; !slices.Equal(found.testReadFields, want) {
+		t.Errorf("test-read fields = %q, want %q", found.testReadFields, want)
+	}
+}
+
+// surface is what scanSurface finds, each list sorted. unused and
+// onlyTests are the exported identifiers of the module's root package and
+// of internal/... that no file references, or that only _test.go files
+// reference, named package.Name or package.Type.Method. unreadFields and
+// testReadFields are the struct fields declared in the non-test files of
+// every package but benchmark/'s (a module of its own) that no file
+// reads, or that only _test.go files read, named package.Type.field
+// (package.Type.field.inner inside an anonymous struct,
+// package.file:line.field for a struct type without a name; package is
+// the directory's name).
+type surface struct {
+	unused, onlyTests            []string
+	unreadFields, testReadFields []string
 }
 
 // scanSurface type-checks the module in fsys, whose module path is module
 // (a directory with a go.mod of its own, such as benchmark/, is read as
-// part of it), and returns the exported identifiers of its root package
-// and of internal/... that no file references (unused) and those that
-// only _test.go files reference (onlyTests), each sorted and named
-// package.Name or package.Type.Method.
-func scanSurface(fsys fs.FS, module string) (unused, onlyTests []string, err error) {
+// part of it), and reports its unreferenced surface and unread fields.
+//
+// A field is written, not read, where it is the left-hand side of an
+// assignment (compound operators and range clauses included, and
+// through struct values and arrays: x.f.g = v writes g and f, and so does
+// x.f[i] = v when f is an array), the operand of ++ or --, the x.f inside
+// x.f = append(x.f, ...), or a key of a composite literal. An element
+// assignment to a slice or map reads the field, whose elements may be
+// shared. Every other use of a field reads it, and so does a use of a
+// field it promotes, and a field with a struct tag is read. A struct
+// converted to another struct type, compared or used as a map key has
+// every field read, through struct fields and arrays; passed to fmt, log
+// or testing, also through the pointer, slice or map holding it; passed
+// to reflect or encoding/..., through every pointer, slice and map.
+// Embedded and blank fields are not checked.
+func scanSurface(fsys fs.FS, module string) (found surface, err error) {
 	s := &surfaceScan{
-		fset:     token.NewFileSet(),
-		module:   module,
-		pkgs:     map[string]*pkgFiles{},
-		checked:  map[string]*types.Package{},
-		refs:     map[string]refs{},
-		selected: map[ifaceMethod]bool{},
-		receiver: map[*ast.Ident]bool{},
+		fset:      token.NewFileSet(),
+		module:    module,
+		pkgs:      map[string]*pkgFiles{},
+		checked:   map[string]*types.Package{},
+		refs:      map[string]refs{},
+		selected:  map[ifaceMethod]bool{},
+		receiver:  map[*ast.Ident]bool{},
+		fieldRefs: map[token.Pos]refs{},
 	}
 	s.std = importer.ForCompiler(s.fset, "source", nil)
 	if err := s.parse(fsys); err != nil {
-		return nil, nil, err
+		return found, err
 	}
 	paths := slices.Sorted(maps.Keys(s.pkgs))
 	for _, p := range paths {
 		if _, err := s.Import(p); err != nil {
-			return nil, nil, err
+			return found, err
 		}
 	}
 	for _, p := range paths {
@@ -156,7 +286,7 @@ func scanSurface(fsys fs.FS, module string) (unused, onlyTests []string, err err
 		variant := s.checked[p]
 		if len(files.tests) > 0 {
 			if variant, err = s.check(p, append(slices.Clip(files.files), files.tests...), s); err != nil {
-				return nil, nil, err
+				return found, err
 			}
 		}
 		if len(files.xtests) > 0 {
@@ -167,23 +297,30 @@ func scanSurface(fsys fs.FS, module string) (unused, onlyTests []string, err err
 				return s.Import(q)
 			})
 			if _, err := s.check(p+"_test", files.xtests, imp); err != nil {
-				return nil, nil, err
+				return found, err
 			}
 		}
 	}
 
 	for _, p := range paths {
+		short := path.Base(p)
+		if !strings.HasPrefix(p, module+"/benchmark") {
+			for _, f := range s.pkgs[p].files {
+				for pos, name := range declaredFields(s.fset, short, f) {
+					classify(name, s.fieldRefs[pos], &found.unreadFields, &found.testReadFields)
+				}
+			}
+		}
 		if p != module && !strings.HasPrefix(p, module+"/internal/") {
 			continue
 		}
 		pkg := s.checked[p]
-		short := path.Base(p)
 		for _, name := range pkg.Scope().Names() {
 			obj := pkg.Scope().Lookup(name)
 			if !obj.Exported() {
 				continue
 			}
-			classify(short+"."+name, s.refs[objKey(obj)], &unused, &onlyTests)
+			classify(short+"."+name, s.refs[objKey(obj)], &found.unused, &found.onlyTests)
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
 				continue
@@ -194,14 +331,15 @@ func scanSurface(fsys fs.FS, module string) (unused, onlyTests []string, err err
 			}
 			for i := range named.NumMethods() {
 				if m := named.Method(i); m.Exported() {
-					classify(short+"."+name+"."+m.Name(), s.methodRefs(named, m), &unused, &onlyTests)
+					classify(short+"."+name+"."+m.Name(), s.methodRefs(named, m), &found.unused, &found.onlyTests)
 				}
 			}
 		}
 	}
-	slices.Sort(unused)
-	slices.Sort(onlyTests)
-	return unused, onlyTests, nil
+	for _, l := range []*[]string{&found.unused, &found.onlyTests, &found.unreadFields, &found.testReadFields} {
+		slices.Sort(*l)
+	}
+	return found, nil
 }
 
 // surfaceScan is one run of scanSurface.
@@ -216,6 +354,9 @@ type surfaceScan struct {
 	// receiver every identifier inside a method's receiver.
 	selected map[ifaceMethod]bool
 	receiver map[*ast.Ident]bool
+	// fieldRefs is where each field, by the position of its name in its
+	// declaration, is read from.
+	fieldRefs map[token.Pos]refs
 }
 
 // pkgFiles is one directory's files: the package, its in-package tests
@@ -324,7 +465,12 @@ func (s *surfaceScan) Import(p string) (*types.Package, error) {
 func (s *surfaceScan) check(p string, files []*ast.File, imp types.Importer) (*types.Package, error) {
 	var errs []error
 	conf := types.Config{Importer: imp, Error: func(err error) { errs = append(errs, err) }}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Defs:       map[*ast.Ident]types.Object{},
+	}
 	pkg, _ := conf.Check(p, s.fset, files, info)
 	if len(errs) > 0 {
 		return nil, errs[0]
@@ -345,7 +491,7 @@ func (s *surfaceScan) check(p string, files []*ast.File, imp types.Importer) (*t
 		if s.receiver[id] {
 			continue
 		}
-		test := strings.HasSuffix(s.fset.Position(id.Pos()).Filename, "_test.go")
+		test := s.inTest(id.Pos())
 		if f, ok := obj.(*types.Func); ok {
 			if recv := f.Type().(*types.Signature).Recv(); recv != nil {
 				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
@@ -359,7 +505,280 @@ func (s *surfaceScan) check(p string, files []*ast.File, imp types.Importer) (*t
 			s.refs[key] = r
 		}
 	}
+	s.fieldReads(files, info)
 	return pkg, nil
+}
+
+// inTest reports whether pos lies in a _test.go file.
+func (s *surfaceScan) inTest(pos token.Pos) bool {
+	return strings.HasSuffix(s.fset.Position(pos).Filename, "_test.go")
+}
+
+// fieldReads records the fields that files read, by the rules
+// scanSurface states; info is their type-check.
+func (s *surfaceScan) fieldReads(files []*ast.File, info *types.Info) {
+	test := false // whether the read being recorded is in a test file
+	read := func(v *types.Var) {
+		r := s.fieldRefs[v.Origin().Pos()]
+		r.mark(test)
+		s.fieldRefs[v.Origin().Pos()] = r
+	}
+	// readAll reads every field of a value of type t: through struct
+	// fields and array elements, and through pointers, slices and maps
+	// too if deep.
+	type visit struct {
+		t          types.Type
+		deep, test bool
+	}
+	seen := map[visit]bool{}
+	var readAll func(t types.Type, deep bool)
+	readAll = func(t types.Type, deep bool) {
+		if t == nil || seen[visit{t, deep, test}] {
+			return
+		}
+		seen[visit{t, deep, test}] = true
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for v := range u.Fields() {
+				read(v)
+				readAll(v.Type(), deep)
+			}
+		case *types.Array:
+			readAll(u.Elem(), deep)
+		case *types.Pointer:
+			if deep {
+				readAll(u.Elem(), deep)
+			}
+		case *types.Slice:
+			if deep {
+				readAll(u.Elem(), deep)
+			}
+		case *types.Map:
+			if deep {
+				readAll(u.Key(), deep)
+				readAll(u.Elem(), deep)
+			}
+		}
+	}
+	// printed reads what fmt prints of a value of type t: the struct
+	// behind a pointer, and the elements of a slice or map, at the top.
+	printed := func(t types.Type) {
+		for t != nil {
+			switch u := t.Underlying().(type) {
+			case *types.Pointer:
+				t = u.Elem()
+				continue
+			case *types.Slice:
+				t = u.Elem()
+				continue
+			case *types.Map:
+				readAll(u.Key(), false)
+				t = u.Elem()
+				continue
+			}
+			break
+		}
+		readAll(t, false)
+	}
+	typeOf := func(e ast.Expr) types.Type { return info.Types[e].Type }
+
+	// written holds the selectors of fields that are only written.
+	written := map[*ast.Ident]bool{}
+	var write func(e ast.Expr)
+	write = func(e ast.Expr) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			if sel := info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+				written[e.Sel] = true
+				if _, ptr := typeOf(e.X).Underlying().(*types.Pointer); !ptr {
+					write(e.X)
+				}
+			}
+		case *ast.IndexExpr:
+			if _, ok := typeOf(e.X).Underlying().(*types.Array); ok {
+				write(e.X)
+			}
+		}
+	}
+	builtin := func(call *ast.CallExpr, name string) bool {
+		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+		if !ok {
+			return false
+		}
+		b, ok := info.Uses[id].(*types.Builtin)
+		return ok && b.Name() == name
+	}
+	inspect := func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				write(lhs)
+				if len(n.Rhs) != len(n.Lhs) {
+					continue
+				}
+				if call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr); ok && builtin(call, "append") &&
+					len(call.Args) > 0 && types.ExprString(call.Args[0]) == types.ExprString(lhs) {
+					write(call.Args[0])
+				}
+			}
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				for _, e := range []ast.Expr{n.Key, n.Value} {
+					if e != nil {
+						write(e)
+					}
+				}
+			}
+		case *ast.IncDecStmt:
+			write(n.X)
+		case *ast.CompositeLit:
+			if _, ok := typeOf(n).Underlying().(*types.Struct); ok {
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							written[id] = true
+						}
+					}
+				}
+			}
+		case *ast.CallExpr:
+			if tv := info.Types[n.Fun]; tv.IsType() {
+				if len(n.Args) == 1 && !types.Identical(tv.Type, typeOf(n.Args[0])) {
+					readAll(elem(tv.Type), false)
+					readAll(elem(typeOf(n.Args[0])), false)
+				}
+				break
+			}
+			fn := calledFunc(n, info)
+			if fn == nil || fn.Pkg() == nil {
+				break
+			}
+			switch p := fn.Pkg().Path(); {
+			case p == "reflect" || strings.HasPrefix(p, "encoding/"):
+				for _, a := range n.Args {
+					readAll(typeOf(a), true)
+				}
+			case p == "fmt" || p == "log" || p == "testing":
+				for _, a := range n.Args {
+					printed(typeOf(a))
+				}
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				readAll(typeOf(n.X), false)
+				readAll(typeOf(n.Y), false)
+			}
+		case *ast.MapType:
+			readAll(typeOf(n.Key), false)
+		case *ast.Field:
+			if n.Tag != nil {
+				for _, id := range n.Names {
+					if v, ok := info.Defs[id].(*types.Var); ok {
+						read(v)
+					}
+				}
+			}
+		}
+		return true
+	}
+	for _, f := range files {
+		test = s.inTest(f.Pos())
+		ast.Inspect(f, inspect)
+	}
+	for id, obj := range info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+			test = s.inTest(id.Pos())
+			read(v)
+		}
+	}
+	for e, sel := range info.Selections {
+		test = s.inTest(e.Pos())
+		t := sel.Recv()
+		for _, i := range sel.Index()[:len(sel.Index())-1] {
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			read(st.Field(i))
+			t = st.Field(i).Type()
+		}
+	}
+}
+
+// elem is the type a pointer type points to, or t itself.
+func elem(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// calledFunc is the function or method call calls, or nil.
+func calledFunc(call *ast.CallExpr, info *types.Info) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}
+
+// declaredFields names the fields of every struct type declared in f,
+// keyed by the position of each field's name.
+func declaredFields(fset *token.FileSet, short string, f *ast.File) map[token.Pos]string {
+	names := map[token.Pos]string{}
+	done := map[*ast.StructType]bool{}
+	var declare func(prefix string, st *ast.StructType)
+	declare = func(prefix string, st *ast.StructType) {
+		done[st] = true
+		for _, field := range st.Fields.List {
+			inner := field.Type
+			for {
+				switch t := inner.(type) {
+				case *ast.StarExpr:
+					inner = t.X
+					continue
+				case *ast.ArrayType:
+					inner = t.Elt
+					continue
+				case *ast.MapType:
+					inner = t.Value
+					continue
+				}
+				break
+			}
+			for _, id := range field.Names {
+				if id.Name == "_" {
+					continue
+				}
+				names[id.Pos()] = prefix + "." + id.Name
+				if st, ok := inner.(*ast.StructType); ok {
+					declare(prefix+"."+id.Name, st)
+				}
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.TypeSpec:
+			if st, ok := n.Type.(*ast.StructType); ok {
+				declare(short+"."+n.Name.Name, st)
+			}
+		case *ast.StructType:
+			if !done[n] {
+				p := fset.Position(n.Pos())
+				declare(fmt.Sprintf("%s.%s:%d", short, path.Base(p.Filename), p.Line), n)
+			}
+		}
+		return true
+	})
+	return names
 }
 
 // methodRefs is where method m of named is referenced from: selected
