@@ -33,7 +33,6 @@ func TestConfigSurface(t *testing.T) {
 		"cluster.Config.MaxVMs",
 		"cluster.Config.MinPinned",
 		"cluster.Config.Mode",
-		"cluster.Config.MonitorShards",
 		"cluster.Config.RandomScheduling",
 		"cluster.Config.Replication",
 		"cluster.Config.ScaleUpVMs",
@@ -50,10 +49,8 @@ func TestConfigSurface(t *testing.T) {
 		"monitor.Config.MaxVMs",
 		"monitor.Config.MinPin",
 		"monitor.Config.MinVMs",
-		"monitor.Config.NewShardEP",
 		"monitor.Config.ScaleUp",
 		"monitor.Config.SchedKeys",
-		"monitor.Config.Shards",
 		"scheduler.Config.DAGTimeout",
 		"scheduler.Config.Decoded",
 		"scheduler.Config.DispatchCost",

@@ -371,9 +371,9 @@
 //     the thin full-drop special case. Duplication applies to one-way
 //     datagrams only; RPCs ride pooled at-most-once records. SplitBrain
 //     composes directed link drops into an asymmetric control-plane
-//     partition: one VM blinded from the monitor's scanner endpoints (or
-//     half the scheduler group) while the rest of the control plane
-//     keeps scheduling onto it.
+//     partition: one VM blinded from the monitor (or half the
+//     scheduler group) while the rest of the control plane keeps
+//     scheduling onto it.
 //   - Compute: CrashVM partitions a VM away mid-flight (§4.5 — the
 //     scheduler keeps one tracked record per request, a bare Invoke
 //     being the DAG of one node, until the executor that ends it, in
@@ -436,11 +436,10 @@
 // headline experiment (cmd/cb-bench -run fig13-saturation): the
 // scheduler group is sharded behind consistent request hashing
 // (Config.Schedulers), each request's ranking of shards is stable and
-// client-computed, the monitor's registry scan partitions across
-// scanner endpoints (Config.MonitorShards), and Future.Wait re-routes a
-// still-silent request to the next-ranked shard at half its wait budget
-// — so the saturation knee scales with the shard count (§3.2's "many
-// schedulers behind a load balancer").
+// client-computed, and Future.Wait re-routes a still-silent request to
+// the next-ranked shard at half its wait budget — so the saturation
+// knee scales with the shard count (§3.2's "many schedulers behind a
+// load balancer").
 //
 // # Tracing a request
 //

@@ -40,8 +40,8 @@ type ChaosConfig struct {
 	// randomized matrix: a rolling upgrade (drain → warm replace → rejoin,
 	// one VM at a time), a correlated rack failure with warm recovery, and
 	// an open-loop traffic cell — the internal/traffic pool firing at a
-	// sharded scheduler group while a split-brain blinds the monitor shard
-	// from a VM the schedulers keep using.
+	// sharded scheduler group while a split-brain blinds the monitor from
+	// a VM the schedulers keep using.
 	Lifecycle bool
 	// Txn appends the three transactional cells: the bank workload in
 	// Transactional mode with a CrashAt armed on each 2PC point-cut —
@@ -192,14 +192,12 @@ func runChaosCell(cfg ChaosConfig, wl string, mode cb.Consistency, seed int64, s
 	ccfg.ThreadsPerVM = 2
 	ccfg.DAGTimeout = 4 * time.Second
 	if scenario == "traffic" {
-		// The open-loop cell runs the whole sharded control plane: a
-		// 3-scheduler group (consistent-hash routed, retries walk the
-		// ranking), plus the partitioned monitor on a fixed fleet
-		// (MaxVMs = VMs, everything pinned) so the split-brain has a real
-		// monitor shard to blind.
+		// The open-loop cell runs a sharded scheduler group: 3 schedulers
+		// (consistent-hash routed, retries walk the ranking), plus the
+		// monitor on a fixed fleet (MaxVMs = VMs, everything pinned) so
+		// the split-brain has a real monitor to blind.
 		ccfg.Schedulers = 3
 		fixedFleet(&ccfg)
-		ccfg.MonitorShards = 2
 	}
 	ccfg.Tracer = rec
 	c := cb.NewCluster(ccfg)

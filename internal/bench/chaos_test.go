@@ -15,8 +15,8 @@ import (
 // links, Anna replica loss, cache snapshot drops), plus three
 // deterministic scenario cells: a rolling upgrade, a rack failure, and
 // an open-loop traffic cell (the internal/traffic pool against a
-// 3-scheduler group and partitioned monitor, with a control-plane
-// split-brain blinding the monitor shard from a VM mid-window).
+// 3-scheduler group and the monitor, with a control-plane split-brain
+// blinding the monitor from a VM mid-window).
 // Asserted per cell: liveness after heal, no lost requests, zero ghost
 // registry keys left by dead VM generations, and audit detectors that
 // run cleanly over the traced chaotic execution. CI runs this as a

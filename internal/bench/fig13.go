@@ -14,9 +14,8 @@ package bench
 // — the highest offered load still served at p99 ≤ fig13KneeP99 with
 // ≥ fig13KneeFrac of offered load sustained — for 1 vs N schedulers,
 // which should scale ~linearly with the shard count (§3.2's "many
-// schedulers behind a load balancer"). The sharded arm also runs the
-// partitioned monitor, so the whole control plane is sharded, not
-// just the schedulers.
+// schedulers behind a load balancer"). The monitor runs in every arm
+// as a pure observer of a fixed fleet.
 
 import (
 	"fmt"
@@ -51,7 +50,6 @@ type Fig13Config struct {
 	Window          time.Duration // open-loop generation window
 	Drain           time.Duration // post-window grace before pending counts Lost
 	VMs             int           // fixed fleet (MinVMs = MaxVMs = VMs)
-	MonitorShards   int           // partitioned monitor in the sharded arms
 	DispatchCost    time.Duration // per-request scheduler CPU cost
 	Compute         time.Duration // per-function modeled work
 	Keys            int           // Zipf hot-key space
@@ -75,7 +73,6 @@ func Fig13Quick() Fig13Config {
 		Window:          4 * time.Second,
 		Drain:           2 * time.Second,
 		VMs:             6,
-		MonitorShards:   3,
 		DispatchCost:    3 * time.Millisecond,
 		Compute:         1500 * time.Microsecond,
 		Keys:            400,
@@ -92,7 +89,6 @@ func Fig13Paper() Fig13Config {
 		Window:          10 * time.Second,
 		Drain:           4 * time.Second,
 		VMs:             24,
-		MonitorShards:   4,
 		DispatchCost:    2 * time.Millisecond,
 		Compute:         2 * time.Millisecond,
 		Keys:            10_000,
@@ -204,14 +200,11 @@ func runFig13Point(cfg Fig13Config, scount int, load float64) Fig13Point {
 	ccfg.AnnaNodes = 4
 	// The monitor runs as a pure observer: a fixed fleet
 	// (MinVMs = MaxVMs) with every function pinned everywhere
-	// (MinPinned = fleet), so its registry scans exercise the
-	// partitioned aggregation without perturbing capacity between arms.
+	// (MinPinned = fleet), so its registry scans run without perturbing
+	// capacity between arms.
 	fixedFleet(&ccfg)
 	ccfg.SchedulerDispatchCost = cfg.DispatchCost
 	ccfg.Trace = cfg.traceInto
-	if scount > 1 {
-		ccfg.MonitorShards = cfg.MonitorShards
-	}
 	c := cb.NewCluster(ccfg)
 	defer c.Close()
 	in := c.Internal()

@@ -63,7 +63,6 @@ func TestParamSurface(t *testing.T) {
 		"bench.Fig13Config.Drain",
 		"bench.Fig13Config.Keys",
 		"bench.Fig13Config.Loads",
-		"bench.Fig13Config.MonitorShards",
 		"bench.Fig13Config.SchedulerCounts",
 		"bench.Fig13Config.VMs",
 		"bench.Fig13Config.Window",

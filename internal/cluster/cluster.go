@@ -80,10 +80,6 @@ type Config struct {
 	// time; a positive cost caps one scheduler at ~1/cost req/s and the
 	// serial dispatcher queues the excess. Zero keeps dispatch free.
 	SchedulerDispatchCost time.Duration
-	// MonitorShards > 1 partitions the monitor's metric-registry scan
-	// across that many concurrent scanner endpoints; the policy inputs
-	// are the same at any shard count.
-	MonitorShards int
 
 	// Trace, when set, is this cluster's span collector for the
 	// virtual-time tracing plane: every request's path (client dispatch,
@@ -252,15 +248,7 @@ func New(cfg Config) *Cluster {
 			ScaleUp:   cfg.ScaleUpVMs,
 			MinPin:    cfg.MinPinned,
 			Decoded:   c.decoded,
-			Shards:    cfg.MonitorShards,
 			SchedKeys: schedKeys,
-			// Shard scanners (MonitorShards > 1) get their own endpoints
-			// so their partition multi-gets overlap; the closure is inert
-			// unless the monitor asks for shards.
-			NewShardEP: func(i int) (*simnet.Endpoint, *anna.Client) {
-				sep := net.AddNode(simnet.NodeID(fmt.Sprintf("monitor-0.s%d", i)))
-				return sep, c.KV.NewClient(sep, 0)
-			},
 		})
 		c.Monitor.Start()
 	}
@@ -379,8 +367,9 @@ func (c *Cluster) AddVMs(n int) {
 	})
 }
 
-// RemoveVMs deallocates up to n VMs (highest-numbered first, never below
-// one) and returns how many were removed.
+// RemoveVMs deallocates up to n VMs, never below one, and returns how
+// many were removed. It takes the live VMs in reverse order of their
+// names as strings, so on vm0..vm11 it removes vm9 and vm8 before vm11.
 func (c *Cluster) RemoveVMs(n int) int {
 	names := c.vmNames()
 	removed := 0

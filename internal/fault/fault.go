@@ -359,14 +359,14 @@ func (a DegradeNode) Heal(inj *Injector) string {
 	return fmt.Sprintf("heal node %s", a.Node)
 }
 
-// SplitBrain severs one VM from the monitor's scanner endpoints (or,
-// on a monitor-less cluster, from half the scheduler group) while every
+// SplitBrain severs one VM from the monitor's endpoint (or, on a
+// monitor-less cluster, from half the scheduler group) while every
 // other path stays intact: schedulers still see the VM's metrics and
-// keep dispatching work to it, but the blinded control-plane shard can
+// keep dispatching work to it, but the blinded control-plane member can
 // no longer reach it directly — its pin/unpin commands and health RPCs
-// black-hole. The two shards now act on divergent views of the fleet,
-// the classic split-brain between control-plane partitions. Its heal
-// clears the link policies.
+// black-hole. The two halves of the control plane now act on divergent
+// views of the fleet, the classic split-brain. Its heal clears the link
+// policies.
 type SplitBrain struct {
 	VM string
 }
@@ -409,11 +409,11 @@ func (a SplitBrain) Heal(inj *Injector) string {
 }
 
 // blindShard picks the control-plane endpoints a SplitBrain blinds: the
-// monitor's scanner endpoints when the monitoring system is running,
-// else the odd-indexed half of the scheduler group.
+// monitor's endpoint when the monitoring system is running, else the
+// odd-indexed half of the scheduler group.
 func (inj *Injector) blindShard() []simnet.NodeID {
 	if inj.c.Monitor != nil {
-		return inj.c.Monitor.Endpoints()
+		return []simnet.NodeID{inj.c.Monitor.ID()}
 	}
 	var out []simnet.NodeID
 	for i, s := range inj.c.Schedulers() {

@@ -31,7 +31,7 @@ type RandomOpts struct {
 	// cache handoff instead of a cold restart.
 	AllowWarmRestart bool
 	// AllowSplitBrain adds control-plane split-brain pairs to the draw: a
-	// VM is blinded from the monitor shard (or half the scheduler group)
+	// VM is blinded from the monitor (or half the scheduler group)
 	// while the rest of the control plane keeps scheduling onto it, then
 	// healed inside the window.
 	AllowSplitBrain bool

@@ -18,7 +18,6 @@ package monitor
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -38,8 +37,8 @@ type ComputePool interface {
 	// AddVMs asynchronously boots n VMs; they join after the spin-up
 	// delay.
 	AddVMs(n int)
-	// RemoveVMs tears down up to n of the least-loaded VMs and returns
-	// how many were removed.
+	// RemoveVMs tears down up to n VMs, chosen by the pool (not by
+	// load), and returns how many were removed.
 	RemoveVMs(n int) int
 	// VMCount reports live VMs; PendingVMs reports VMs still booting.
 	VMCount() int
@@ -72,14 +71,6 @@ type Config struct {
 	// Decoded is an optional cluster-shared decoded-metrics cache; nil
 	// gives the monitor a private one.
 	Decoded *core.DecodeCache
-	// Shards is how many endpoints read the metric registries: each
-	// registry's keys are hash-split across them and their multi-gets run
-	// concurrently. Shards <= 1 is one shard, the monitor's own endpoint,
-	// which reads every key.
-	Shards int
-	// NewShardEP allocates shard i's endpoint and KVS client (i >= 1;
-	// shard 0 rides the monitor's own endpoint). Set by the cluster.
-	NewShardEP func(i int) (*simnet.Endpoint, *anna.Client)
 	// SchedKeys is the scheduler-registry key set the deployment is
 	// expected to converge to (sorted). The scheduler group is static
 	// for a cluster's lifetime, so once the cached sched-list matches
@@ -126,9 +117,6 @@ type Monitor struct {
 	// once instead of on every policy tick. Shared cluster-wide when
 	// Config.Decoded is set.
 	decoded *core.DecodeCache
-	// shards read the registries' keys; shard 0 is the monitor's own
-	// endpoint and client.
-	shards []shard
 	// execReg/schedReg keep each registry's sorted key list between
 	// policy ticks: fleet membership changes rarely, so most ticks
 	// neither re-sort nor, once the list matches the expected membership,
@@ -152,37 +140,18 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, pool ComputePool
 		prevCalls:     make(map[string]int64),
 		prevDone:      make(map[string]int64),
 		decoded:       cfg.Decoded,
-		shards:        []shard{{"monitor/shard-0", ep.ID(), ac}},
 		execReg:       core.Registry{ListKey: executor.MetricListKey},
 		schedReg:      core.Registry{ListKey: scheduler.SchedListKey},
 	}
 	if m.decoded == nil {
 		m.decoded = core.NewDecodeCache()
 	}
-	for i := 1; i < cfg.Shards && cfg.NewShardEP != nil; i++ {
-		sep, sac := cfg.NewShardEP(i)
-		m.shards = append(m.shards, shard{fmt.Sprintf("monitor/shard-%d", i), sep.ID(), sac})
-	}
 	return m
 }
 
-// shard is one registry reader: an endpoint and its KVS client, so its
-// multi-gets overlap the other shards'.
-type shard struct {
-	proc string // its kernel process name
-	id   simnet.NodeID
-	kv   *anna.Client
-}
-
-// Endpoints lists the monitor's network endpoints (the policy endpoint
-// plus any further shards) — the surface a fault plan partitions.
-func (m *Monitor) Endpoints() []simnet.NodeID {
-	out := make([]simnet.NodeID, len(m.shards))
-	for i, s := range m.shards {
-		out[i] = s.id
-	}
-	return out
-}
+// ID is the monitor's network endpoint, which sends its pin commands and
+// reads the registries — the surface a fault plan partitions.
+func (m *Monitor) ID() simnet.NodeID { return m.ep.ID() }
 
 // Start launches the policy loop.
 func (m *Monitor) Start() {
@@ -205,11 +174,10 @@ func (m *Monitor) tick() {
 // refresh pulls executor and scheduler metrics from Anna and returns the
 // cumulative per-DAG call and completion counters. Like the schedulers'
 // refreshView, each metric registry is read with one grouped multi-get
-// per shard instead of one Get per key; keys the grouped read misses
-// (replication lag at the primary) are simply absent this tick. The
-// executor registry is read in full before the scheduler registry is
-// listed, and the counters are summed afresh every tick, at any shard
-// count.
+// instead of one Get per key; keys the grouped read misses (replication
+// lag at the primary) are simply absent this tick. The executor registry
+// is read in full before the scheduler registry is listed, and the
+// counters are summed afresh every tick.
 func (m *Monitor) refresh() (calls, done map[string]int64) {
 	// The compute pool is the authoritative thread-liveness source (the
 	// monitor owns VM lifecycle): a crashed or deallocated VM's threads
@@ -223,7 +191,7 @@ func (m *Monitor) refresh() (calls, done map[string]int64) {
 	}
 	fresh := make(map[simnet.NodeID]core.ExecutorMetrics)
 	pins := make(map[string][]simnet.NodeID)
-	for _, em := range scan[core.ExecutorMetrics](m, m.execReg.Keys(m.anna, m.expectedExecKeys())) {
+	for _, em := range core.FetchAll[core.ExecutorMetrics](m.anna, m.decoded, m.execReg.Keys(m.anna, m.expectedExecKeys())) {
 		if !live[em.Thread] {
 			continue
 		}
@@ -242,7 +210,7 @@ func (m *Monitor) refresh() (calls, done map[string]int64) {
 
 	calls = make(map[string]int64)
 	done = make(map[string]int64)
-	for _, sm := range scan[core.SchedulerMetrics](m, m.schedReg.Keys(m.anna, m.cfg.SchedKeys)) {
+	for _, sm := range core.FetchAll[core.SchedulerMetrics](m.anna, m.decoded, m.schedReg.Keys(m.anna, m.cfg.SchedKeys)) {
 		for d, n := range sm.DAGCalls {
 			calls[d] += n
 		}
@@ -266,42 +234,6 @@ func (m *Monitor) expectedExecKeys() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// scan reads a registry's keys through every shard at once, each shard
-// multi-getting the keys that hash to it, and returns the payloads that
-// decode to a T, shard by shard and in key order within a shard. One
-// shard reads every key itself, in the calling process.
-func scan[T any](m *Monitor, keys []string) []T {
-	if len(m.shards) == 1 {
-		return core.FetchAll[T](m.shards[0].kv, m.decoded, keys)
-	}
-	parts := make([][]string, len(m.shards))
-	for _, key := range keys {
-		i := shardOf(key, len(parts))
-		parts[i] = append(parts[i], key)
-	}
-	got := make([][]T, len(m.shards))
-	wg := vtime.NewWaitGroup(m.k)
-	for i, s := range m.shards {
-		wg.Add(1)
-		m.k.Go(s.proc, func() {
-			defer wg.Done()
-			got[i] = core.FetchAll[T](s.kv, m.decoded, parts[i])
-		})
-	}
-	wg.Wait()
-	return slices.Concat(got...)
-}
-
-// shardOf places a registry key on a shard (FNV-1a).
-func shardOf(key string, n int) int {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * prime
-	}
-	return int(h % uint64(n))
 }
 
 // scaleReplicas adjusts per-function pin counts. Growth is driven by two
@@ -478,9 +410,7 @@ func (m *Monitor) pinMore(fn string, n int) {
 // unpinSome releases up to n replicas of fn, most-utilized last.
 func (m *Monitor) unpinSome(fn string, n int) {
 	cur := m.pins[fn]
-	if n <= 0 || len(cur)-n < m.cfg.MinPin {
-		n = len(cur) - m.cfg.MinPin
-	}
+	n = min(n, len(cur)-m.cfg.MinPin)
 	if n <= 0 {
 		return
 	}
@@ -542,7 +472,6 @@ func (m *Monitor) event(action string) {
 
 // KVSStats reports the monitor's own Anna-client counters (test hook:
 // the listing-skip assertions count Get RPCs across refresh ticks).
-// Sharded monitors' extra scanner clients are not included.
 func (m *Monitor) KVSStats() anna.ClientStats { return m.anna.Stats }
 
 // Pins reports the current replica count for fn (test hook).

@@ -59,54 +59,6 @@ func TestReplicaScalingUnderLoad(t *testing.T) {
 	}
 }
 
-// TestShardedMonitorDrivesSamePolicies runs the replica-scaling
-// scenario with the metric-registry scan partitioned across three
-// scanner endpoints: the partitioned reads must feed the same policy
-// decisions (grow under saturation, shrink after drain) as one shard.
-func TestShardedMonitorDrivesSamePolicies(t *testing.T) {
-	cfg := cb.DefaultConfig()
-	cfg.VMs = 4
-	cfg.Autoscale = true
-	cfg.MinPinned = 2
-	cfg.VMSpinUp = 20 * time.Second
-	cfg.MaxVMs = 4
-	cfg.MonitorShards = 3
-	c := cb.NewCluster(cfg)
-	defer c.Close()
-	if err := c.RegisterFunction("busy", func(ctx *cb.Ctx, args []any) (any, error) {
-		ctx.Compute(40 * time.Millisecond)
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RegisterDAG(cb.LinearDAG("busy-dag", "busy"), 2); err != nil {
-		t.Fatal(err)
-	}
-	mon := c.Internal().Monitor
-	if got := len(mon.Endpoints()); got != 3 {
-		t.Fatalf("sharded monitor endpoints = %d, want 3", got)
-	}
-	c.Run(func(cl *cb.Client) { cl.Sleep(3 * time.Second) })
-	c.RunN(16, func(i int, cl *cb.Client) {
-		cl.Timeout = 2 * time.Minute
-		deadline := time.Duration(cl.Now()) + 45*time.Second
-		for time.Duration(cl.Now()) < deadline {
-			cl.InvokeDAG("busy-dag", nil).Wait()
-		}
-	})
-	grown := mon.Pins("busy")
-	if grown < 6 {
-		t.Fatalf("sharded scan: replicas did not grow under saturation: %d", grown)
-	}
-	c.Run(func(cl *cb.Client) { cl.Sleep(40 * time.Second) })
-	if shrunk := mon.Pins("busy"); shrunk >= grown {
-		t.Fatalf("sharded scan: replicas did not shrink after drain: %d -> %d", grown, shrunk)
-	}
-	if len(mon.Events) == 0 {
-		t.Fatal("sharded scan recorded no scaling events")
-	}
-}
-
 func TestNodeScalingAddsAndRemovesVMs(t *testing.T) {
 	cfg := cb.DefaultConfig()
 	cfg.VMs = 2 // 6 threads

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -51,6 +52,28 @@ func TestPinMoreSpreadsAcrossVMs(t *testing.T) {
 	}
 	if len(vms) < 2 {
 		t.Fatalf("new pins concentrated on one VM: %v", pins)
+	}
+}
+
+// TestUnpinSomeReleasesUpToN holds unpinSome to its "up to n": n = 0
+// releases nothing, a small n releases exactly n from the end of the
+// list, and a large n stops at the MinPin floor.
+func TestUnpinSomeReleasesUpToN(t *testing.T) {
+	k := vtime.NewKernel(1)
+	defer k.Stop()
+	net := simnet.New(k, simnet.Link{Latency: simnet.Constant(time.Millisecond)})
+	ep := net.AddNode("monitor-0")
+	var threads []simnet.NodeID
+	for i := range 5 {
+		threads = append(threads, simnet.NodeID(fmt.Sprintf("exec-vm0-%d", i)))
+	}
+	m := New(k, ep, nil, &fakePool{threads: threads}, DefaultConfig())
+	m.pins["f"] = slices.Clone(threads)
+	for _, step := range []struct{ n, want int }{{0, 5}, {2, 3}, {10, 1}} {
+		k.Run("unpin", func() { m.unpinSome("f", step.n) })
+		if got := m.pins["f"]; !slices.Equal(got, threads[:step.want]) {
+			t.Fatalf("unpinSome(f, %d) left %v, want %v", step.n, got, threads[:step.want])
+		}
 	}
 }
 

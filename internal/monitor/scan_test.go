@@ -97,71 +97,44 @@ func newRegistrySnapshot() registrySnapshot {
 	return s
 }
 
-// TestScanIsShardCountInvariant reads one registry state with 1 to 5
-// shards: every refresh must produce the map-form policy inputs, each
-// shard reads through its own endpoint, and with several shards more
-// than one of them issues a multi-get.
-func TestScanIsShardCountInvariant(t *testing.T) {
+// TestRefreshComputesPolicyInputs reads one registry state: the refresh
+// must produce the map-form policy inputs, and a scheduler capsule that
+// vanishes between ticks must drop out of the next tick's counters.
+func TestRefreshComputesPolicyInputs(t *testing.T) {
 	snap := newRegistrySnapshot()
-	for shards := 1; shards <= 5; shards++ {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			k := vtime.NewKernel(1)
-			defer k.Stop()
-			net := simnet.New(k, simnet.Link{Latency: simnet.Constant(time.Millisecond)})
-			kv := anna.NewKVS(k, net, anna.DefaultConfig())
-			for key, lat := range snap.caps {
-				kv.Preload(key, lat)
-			}
-			var clients []*anna.Client
-			cfg := DefaultConfig()
-			cfg.Shards = shards
-			cfg.NewShardEP = func(i int) (*simnet.Endpoint, *anna.Client) {
-				ep := net.AddNode(simnet.NodeID(fmt.Sprintf("monitor-0.s%d", i)))
-				clients = append(clients, kv.NewClient(ep, 0))
-				return ep, clients[len(clients)-1]
-			}
-			ep := net.AddNode("monitor-0")
-			own := kv.NewClient(ep, 0)
-			m := New(k, ep, own, &fakePool{threads: snap.live}, cfg)
-			if got := len(m.Endpoints()); got != shards {
-				t.Fatalf("%d endpoints, want %d", got, shards)
-			}
+	k := vtime.NewKernel(1)
+	defer k.Stop()
+	net := simnet.New(k, simnet.Link{Latency: simnet.Constant(time.Millisecond)})
+	kv := anna.NewKVS(k, net, anna.DefaultConfig())
+	for key, lat := range snap.caps {
+		kv.Preload(key, lat)
+	}
+	ep := net.AddNode("monitor-0")
+	own := kv.NewClient(ep, 0)
+	m := New(k, ep, own, &fakePool{threads: snap.live}, DefaultConfig())
 
-			var calls, done map[string]int64
-			k.Run("refresh", func() { calls, done = m.refresh() })
-			if !maps.Equal(calls, snap.wantCalls) || !maps.Equal(done, snap.wantDone) {
-				t.Fatalf("counters calls %v done %v, want %v and %v", calls, done, snap.wantCalls, snap.wantDone)
-			}
-			if !reflect.DeepEqual(m.threadMetrics, snap.wantMetrics) {
-				t.Fatalf("thread metrics %v, want %v", m.threadMetrics, snap.wantMetrics)
-			}
-			if !maps.EqualFunc(m.pins, snap.wantPins, slices.Equal) {
-				t.Fatalf("pins %v, want %v", m.pins, snap.wantPins)
-			}
+	var calls, done map[string]int64
+	k.Run("refresh", func() { calls, done = m.refresh() })
+	if !maps.Equal(calls, snap.wantCalls) || !maps.Equal(done, snap.wantDone) {
+		t.Fatalf("counters calls %v done %v, want %v and %v", calls, done, snap.wantCalls, snap.wantDone)
+	}
+	if !reflect.DeepEqual(m.threadMetrics, snap.wantMetrics) {
+		t.Fatalf("thread metrics %v, want %v", m.threadMetrics, snap.wantMetrics)
+	}
+	if !maps.EqualFunc(m.pins, snap.wantPins, slices.Equal) {
+		t.Fatalf("pins %v, want %v", m.pins, snap.wantPins)
+	}
 
-			readers := 0
-			for _, c := range append([]*anna.Client{own}, clients...) {
-				if c.Stats.MultiGetRPCs > 0 {
-					readers++
-				}
-			}
-			if shards > 1 && readers < 2 {
-				t.Fatalf("%d shards but %d of them read", shards, readers)
-			}
-
-			// A scheduler whose capsule the next read misses counts for
-			// nothing that tick, at any shard count: the counters are
-			// summed afresh, not carried.
-			k.Run("refresh", func() {
-				own.Delete(core.SchedMetricsKey("sched-2"))
-				calls, done = m.refresh()
-			})
-			if want := map[string]int64{"d0": 3, "d1": 10}; !maps.Equal(calls, want) {
-				t.Fatalf("calls %v after sched-2's capsule vanished, want %v", calls, want)
-			}
-			if want := map[string]int64{"d0": 1}; !maps.Equal(done, want) {
-				t.Fatalf("done %v after sched-2's capsule vanished, want %v", done, want)
-			}
-		})
+	// A scheduler whose capsule the next read misses counts for nothing
+	// that tick: the counters are summed afresh, not carried.
+	k.Run("refresh", func() {
+		own.Delete(core.SchedMetricsKey("sched-2"))
+		calls, done = m.refresh()
+	})
+	if want := map[string]int64{"d0": 3, "d1": 10}; !maps.Equal(calls, want) {
+		t.Fatalf("calls %v after sched-2's capsule vanished, want %v", calls, want)
+	}
+	if want := map[string]int64{"d0": 1}; !maps.Equal(done, want) {
+		t.Fatalf("done %v after sched-2's capsule vanished, want %v", done, want)
 	}
 }

@@ -2,8 +2,10 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"weak"
@@ -157,6 +159,42 @@ func TestLatencyModels(t *testing.T) {
 	sp.P = 0
 	if sp.Sample(rng) != time.Millisecond {
 		t.Error("Spiky with P=0 spiked")
+	}
+}
+
+// TestDeliveredLatencyMatchesLogNormal holds the delivery path to the
+// link's latency model in closed form: zero-size messages, each sent
+// after the previous one arrived (so neither the NIC queue nor the FIFO
+// clamp adds time), must fly with the LogNormal's quantiles, the median
+// at Med and the 99th percentile at Med·exp(2.326σ), each within 2%.
+func TestDeliveredLatencyMatchesLogNormal(t *testing.T) {
+	const n = 20_000
+	ln := LogNormal{Med: 200 * time.Microsecond, Sigma: 0.25}
+	k, net := testNet(t, Link{Latency: ln})
+	a := net.AddNode("a")
+	b := net.AddNode("b")
+	flights := make([]time.Duration, 0, n)
+	k.Run("main", func() {
+		for range n {
+			a.Send("b", nil, 0)
+			m := b.Recv()
+			flights = append(flights, time.Duration(m.ArrivedAt-m.SentAt))
+		}
+	})
+	slices.Sort(flights)
+	for _, q := range []struct {
+		name string
+		p    float64
+		want float64
+	}{
+		{"p50", 0.50, float64(ln.Med)},
+		{"p99", 0.99, float64(ln.Med) * math.Exp(2.326*ln.Sigma)},
+	} {
+		got := float64(flights[int(q.p*n)])
+		if dev := got/q.want - 1; math.Abs(dev) > 0.02 {
+			t.Errorf("%s flight %v, want %v within 2%% (off %+.2f%%)",
+				q.name, time.Duration(got), time.Duration(q.want), 100*dev)
+		}
 	}
 }
 
