@@ -97,10 +97,17 @@ func newRegistrySnapshot() registrySnapshot {
 	return s
 }
 
-// TestRefreshComputesPolicyInputs reads one registry state: the refresh
+// TestScanIsShardCountInvariant reads one registry state: the refresh
 // must produce the map-form policy inputs, and a scheduler capsule that
-// vanishes between ticks must drop out of the next tick's counters.
-func TestRefreshComputesPolicyInputs(t *testing.T) {
+// vanishes between ticks must drop out of the next tick's counters. The
+// monitor reads every registry on its one endpoint, so the shards=1 arm
+// is the whole test; the name and the arm are those it had when the
+// scan could be split across scanner endpoints.
+func TestScanIsShardCountInvariant(t *testing.T) {
+	t.Run("shards=1", testRefreshComputesPolicyInputs)
+}
+
+func testRefreshComputesPolicyInputs(t *testing.T) {
 	snap := newRegistrySnapshot()
 	k := vtime.NewKernel(1)
 	defer k.Stop()
