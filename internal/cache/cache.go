@@ -133,6 +133,10 @@ type Cache struct {
 	disp *simnet.Dispatcher
 
 	store map[string]lattice.Lattice
+	// floors keeps evicted causal capsules' clocks, joined per key, for
+	// the key's next write to tick from: Anna's older versions of the key
+	// then cannot dominate it.
+	floors map[string]lattice.Clock
 
 	// snapshots holds per-request version snapshots: reqID → key →
 	// exact capsule read (or written) by this DAG at this cache, and when
@@ -189,6 +193,7 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, vm string, cfg C
 		cfg:       cfg,
 		vm:        vm,
 		store:     make(map[string]lattice.Lattice),
+		floors:    make(map[string]lattice.Clock),
 		snapshots: make(map[string]snapTable),
 		freeSnaps: vtime.FreeList[map[string]lattice.Lattice]{Max: snapFreeMax},
 		freeWB:    vtime.FreeList[*wbPut]{Max: wbFreeMax},
@@ -496,9 +501,13 @@ func (c *Cache) DropSnapshots() {
 }
 
 // Evict removes key locally, leaving the KVS copy, so the next read of it
-// misses (the cold-read experiments and probes).
+// misses (the cold-read experiments and probes). A causal capsule leaves
+// its clock as the key's floor for the next write.
 func (c *Cache) Evict(key string) {
-	if _, ok := c.store[key]; ok {
+	if cur, ok := c.store[key]; ok {
+		if cap, ok := cur.(*lattice.Causal); ok {
+			c.floors[key] = cap.VC().Join(c.floors[key])
+		}
 		delete(c.store, key)
 		c.keysChurn.add(key)
 		c.deltaChurn.add(key)

@@ -2,6 +2,8 @@ package cache
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -500,4 +502,35 @@ func TestPrefetchMaintainsCausalCut(t *testing.T) {
 			t.Fatal("prefetch installed a causal capsule without its dependency")
 		}
 	})
+}
+
+// TestCausalWriteAfterEvictSurvives: one thread writes k three times, the
+// cache evicts k, and the thread writes it once more. The fourth write
+// must reach Anna, as the value or as a sibling: a clock ticked from an
+// empty store would read {writer:1}, which Anna's {writer:3} dominates.
+func TestCausalWriteAfterEvictSurvives(t *testing.T) {
+	for _, mode := range []core.Mode{core.SK, core.MK, core.DSC} {
+		r := newRig(t, mode)
+		r.k.Run("main", func() {
+			for i := 1; i <= 3; i++ {
+				if _, err := r.a.Write("r", "k", fmt.Appendf(nil, "v%d", i), nil, "exec-vm0-0"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.a.FlushWrites()
+			r.a.Evict("k")
+			if _, err := r.a.Write("r", "k", []byte("v4"), nil, "exec-vm0-0"); err != nil {
+				t.Fatal(err)
+			}
+			r.a.FlushWrites()
+			r.k.Sleep(300 * time.Millisecond) // gossip settle
+			lat, found, err := r.client.Get("k")
+			if err != nil || !found {
+				t.Fatalf("%v: Get(k) = %v, %v", mode, found, err)
+			}
+			if sib := lat.(*lattice.Causal).Siblings(); !slices.ContainsFunc(sib, func(v []byte) bool { return string(v) == "v4" }) {
+				t.Errorf("%v: Anna holds %q, %v; the write after the eviction is lost", mode, sib, lat.(*lattice.Causal).VC())
+			}
+		})
+	}
 }

@@ -307,6 +307,10 @@ func (c *Cache) write(reqID, key string, payload []byte, meta *core.SessionMeta,
 		if cur, ok := c.store[key]; ok {
 			vc = cur.(*lattice.Causal).VC()
 		}
+		if floor, ok := c.floors[key]; ok {
+			vc = vc.Join(floor) // merged below, so the store covers the floor
+			delete(c.floors, key)
+		}
 		vc = vc.Tick(writerID)
 		cap := newCausalWrite(key, vc, payload, meta, depKeys, c.cfg.Mode != core.SK)
 		ver = core.VersionRef{Cache: c.ID(), VC: vc}

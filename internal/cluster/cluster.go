@@ -345,8 +345,9 @@ func (c *Cluster) dagFor(name string) (*dag.DAG, bool) {
 }
 
 // Alive reports whether a node is reachable (Ctx.Send uses it to decide
-// between direct messaging and the Anna inbox fallback).
-func (c *Cluster) Alive(id simnet.NodeID) bool { return !c.down[id] }
+// between direct messaging and the Anna inbox fallback): a killed VM's
+// endpoint is in down until its reap removes it from the network.
+func (c *Cluster) Alive(id simnet.NodeID) bool { return !c.down[id] && c.Net.Registered(id) }
 
 // --- monitor.ComputePool -------------------------------------------------
 
@@ -501,6 +502,7 @@ func (c *Cluster) reapGeneration(h *VMHandle) {
 		// zombie process still sends keeps vanishing.
 		c.Net.RemoveNode(ep.ID())
 		ep.Close()
+		delete(c.down, ep.ID())
 	}
 	threadKeys := make([]string, 0, len(h.Threads))
 	for _, t := range h.Threads {

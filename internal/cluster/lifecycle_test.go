@@ -9,6 +9,7 @@ import (
 	"cloudburst/internal/core"
 	"cloudburst/internal/executor"
 	"cloudburst/internal/lattice"
+	"cloudburst/internal/simnet"
 )
 
 // registrySet fetches a discovery Set's members from Anna (none when
@@ -32,9 +33,9 @@ func registrySet(t *testing.T, c *Cluster, key string) []string {
 
 func TestReaperScrubsDeadGenerations(t *testing.T) {
 	// N crash/restart cycles must not leak anything: no ghost metric keys
-	// in the Anna registries, no orphaned simnet endpoints, and a flat
-	// kernel process count (parked procs of dead generations are
-	// released, not accumulated).
+	// in the Anna registries, no orphaned simnet endpoints, no reaped
+	// endpoint left in the down set, and a flat kernel process count
+	// (parked procs of dead generations are released, not accumulated).
 	c := testCluster(t, func(cfg *Config) {
 		cfg.VMs = 3
 		cfg.ThreadsPerVM = 2
@@ -63,6 +64,9 @@ func TestReaperScrubsDeadGenerations(t *testing.T) {
 		}
 		if got := c.K.Stats().LiveProcs; got != baseProcs {
 			t.Errorf("kernel procs not flat: %d live, want %d", got, baseProcs)
+		}
+		if len(c.down) != 0 {
+			t.Errorf("down set holds %d endpoints of reaped generations", len(c.down))
 		}
 
 		// The discovery registries must contain exactly the live fleet.
@@ -97,7 +101,11 @@ func TestReaperScrubsDeadGenerations(t *testing.T) {
 		cl := c.AnnaClientFor(c.NewClientEndpoint())
 		for _, gen := range deadGens {
 			for i := 0; i < 2; i++ {
-				key := core.ExecMetricsKey(fmt.Sprintf("exec-%s-%d", gen, i))
+				thread := fmt.Sprintf("exec-%s-%d", gen, i)
+				if c.Alive(simnet.NodeID(thread)) {
+					t.Errorf("reaped thread %s reported alive", thread)
+				}
+				key := core.ExecMetricsKey(thread)
 				if _, found, _ := cl.Get(key); found {
 					t.Errorf("dead generation metric %q survived the reaper", key)
 				}

@@ -1,7 +1,7 @@
 // Package simnet provides a simulated point-to-point message network on
 // top of the vtime kernel: named nodes with unbounded inboxes, per-link
-// latency and bandwidth models, FIFO delivery per link (TCP-like), node
-// failure injection, and a synchronous request/response (RPC) helper.
+// latency and bandwidth models, FIFO delivery per link (TCP-like, by the
+// receiver's NIC queue), node failure injection, and a synchronous RPC.
 package simnet
 
 import (

@@ -1,9 +1,10 @@
 // Package simnet is the simulated datacenter network the Cloudburst
 // reproduction runs on: virtual-time message delivery over one link
-// model (latency and bandwidth), NIC contention, per-sender FIFO ordering,
-// fault injection (per-link and per-node policies: probabilistic drops,
-// added latency and jitter, duplication, full partitions), synchronous
-// RPC, and a typed dispatch layer (Dispatcher) that server components
+// model (latency and bandwidth), NIC contention (each receiver's queue
+// serves it in send order, which alone keeps every link FIFO), fault
+// injection (per-link and per-node policies: probabilistic drops, added
+// latency and jitter, duplication, full partitions), synchronous RPC,
+// and a typed dispatch layer (Dispatcher) that server components
 // register handlers with instead of writing receive loops by hand.
 //
 // Faults are dynamic overlays on the static Link model: SetLinkPolicy
@@ -97,14 +98,10 @@ func (p LinkPolicy) combine(q LinkPolicy) LinkPolicy {
 type node struct {
 	id    NodeID
 	inbox *vtime.Chan[Message]
-	// lastArrival enforces per-sender FIFO delivery (TCP-like): a later
-	// message on the same link never overtakes an earlier one even when
-	// its latency draw is smaller.
-	lastArrival map[NodeID]vtime.Time
 	// nicFreeAt models the receiver's shared ingress capacity: payload
 	// transfer time is serialized at the destination NIC, so ten
 	// parallel large fetches to one machine contend (the §6.1.2
-	// cache-miss path depends on this).
+	// cache-miss path depends on this). It also keeps each link FIFO.
 	nicFreeAt vtime.Time
 	// closed guards Endpoint.Close idempotence (vtime.Chan panics on a
 	// double close).
@@ -149,16 +146,12 @@ func New(k *vtime.Kernel, link Link) *Network {
 }
 
 // AddNode registers id and returns its endpoint handle. Adding an existing
-// id panics: node identity is load-bearing for FIFO state.
+// id panics: node identity is load-bearing for the receiver queue.
 func (n *Network) AddNode(id NodeID) *Endpoint {
 	if _, ok := n.nodes[id]; ok {
 		panic(fmt.Sprintf("simnet: duplicate node %q", id))
 	}
-	nd := &node{
-		id:          id,
-		inbox:       vtime.NewChan[Message](n.k, -1),
-		lastArrival: make(map[NodeID]vtime.Time),
-	}
+	nd := &node{id: id, inbox: vtime.NewChan[Message](n.k, -1)}
 	n.nodes[id] = nd
 	return &Endpoint{net: n, node: nd}
 }
@@ -166,6 +159,9 @@ func (n *Network) AddNode(id NodeID) *Endpoint {
 // RemoveNode deletes a node; in-flight messages to it are dropped on
 // arrival.
 func (n *Network) RemoveNode(id NodeID) { delete(n.nodes, id) }
+
+// Registered reports whether id is a node of the network.
+func (n *Network) Registered(id NodeID) bool { _, ok := n.nodes[id]; return ok }
 
 // NodeCount reports how many nodes are currently registered — the
 // lifecycle tests use it to assert that crash/restart cycles retire the
@@ -301,8 +297,8 @@ func (n *Network) Send(from, to NodeID, payload any, size int) {
 }
 
 // deliver schedules d's arrival with full path modeling: fault overlay,
-// link latency, per-sender FIFO, and receiver-NIC transfer
-// serialization.
+// link latency, and receiver-NIC transfer serialization, whose queue
+// also keeps each link FIFO.
 func (n *Network) deliver(from, to NodeID, size int, d *delivery) {
 	// Fault overlay. A fully-down node neither receives nor sends:
 	// without the outbound drop, a "killed" VM's daemons would keep
@@ -335,11 +331,6 @@ func (n *Network) deliver(from, to NodeID, size int, d *delivery) {
 		}
 		arrival = arrival.Add(transfer)
 		dst.nicFreeAt = arrival
-		// Per-sender FIFO (TCP ordering).
-		if last := dst.lastArrival[from]; arrival < last {
-			arrival = last
-		}
-		dst.lastArrival[from] = arrival
 	} else {
 		arrival = arrival.Add(transfer)
 	}
