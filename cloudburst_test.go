@@ -570,6 +570,63 @@ func TestCausalModeEndToEnd(t *testing.T) {
 	})
 }
 
+// TestDSCDependencyWithoutSnapshotReadsAnna: under DSC a cache that reads
+// a capsule ships each of its dependencies downstream, but it can snapshot
+// only a dependency it holds. Here one VM holds A, which depends on B, and
+// no longer holds B: a DAG that reads A and then B must read B from Anna
+// at a version no older than A's dependency, not ask the cache for a
+// snapshot it never took (which failed the request with ErrSnapshotGone).
+func TestDSCDependencyWithoutSnapshotReadsAnna(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Mode = Causal
+	cfg.VMs = 1
+	c := testCluster(t, cfg)
+	get := func(key string) Function {
+		return func(ctx *Ctx, args []any) (any, error) {
+			v, _, err := ctx.Get(key)
+			if err != nil {
+				return nil, err
+			}
+			return fmt.Sprintf("%v%v", args, v), nil
+		}
+	}
+	for name, fn := range map[string]Function{
+		"write-a": func(ctx *Ctx, args []any) (any, error) {
+			if _, _, err := ctx.Get("B"); err != nil {
+				return nil, err
+			}
+			return nil, ctx.Put("A", "a")
+		},
+		"read-a": get("A"),
+		"read-b": get("B"),
+	} {
+		if err := c.RegisterFunction(name, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.RegisterDAG(LinearDAG("a-then-b", "read-a", "read-b"), 1); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(func(cl *Client) {
+		cl.Timeout = time.Minute
+		if err := cl.Put("B", "b"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Invoke("write-a", nil).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		vm := c.Internal().VMs()[0]
+		if !vm.Cache.Contains("A") || !vm.Cache.Contains("B") {
+			t.Fatal("write-a left A or B out of the VM's cache")
+		}
+		vm.Cache.Evict("B")
+		out, err := cl.InvokeDAG("a-then-b", nil).Wait()
+		if err != nil || out != "[[]a]b" {
+			t.Fatalf("a-then-b = %v, %v; want [[]a]b", out, err)
+		}
+	})
+}
+
 // TestNoSnapshotOutlivesItsRequest: the version snapshots a request pins
 // in the caches it read from (Algorithm 1) are released when the request
 // ends, whatever its shape — so is the scheduler's tracking record. At

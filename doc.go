@@ -290,7 +290,10 @@
 // merge-walks each new report's key list, read in place, against the
 // last, and copies only the names of keys that enter, so the key-set
 // plane costs what changed, not what is cached. A pick walks those slices
-// and allocates nothing, and client routing to a
+// and allocates nothing. Among the threads that tie on locality it takes
+// one with none of its scheduler's requests outstanding, a count each
+// record carries from dispatch to the request's end, and then the one
+// assigned to least recently. Client routing to a
 // scheduler shard allocates nothing either. A DAG is a chain, so a
 // function's position in the DAG's function list says where its input
 // comes from and where its result goes: function i is triggered by

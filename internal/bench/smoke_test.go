@@ -115,3 +115,16 @@ func TestFig13KneeLineForEveryArm(t *testing.T) {
 		}
 	}
 }
+
+// TestFig8CompletesEverySample: fig8 runs its DAGs on a fault-free
+// cluster, so every request of every client completes and each mode's row
+// counts Clients × Requests samples. A request that fails leaves its
+// sample out of n.
+func TestFig8CompletesEverySample(t *testing.T) {
+	cfg := Fig8Quick()
+	for i, row := range RunFig8(cfg).Rows {
+		if want := cfg.Clients * cfg.Requests; row.Summary.N != want {
+			t.Errorf("%s: %d samples, want %d", modeLabel(AllModes[i]), row.Summary.N, want)
+		}
+	}
+}

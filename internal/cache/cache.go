@@ -657,28 +657,33 @@ func (c *Cache) ensureCutDepth(cap *lattice.Causal, depth int) {
 	// deterministic fetch order without sorting. The capsule is a value,
 	// so blocking fetches below cannot change what is left of the walk.
 	for dk, need := range cap.Deps() {
-		for attempt := 0; ; attempt++ {
-			// Satisfied when the cached version did not happen before the
-			// required version (concurrent or newer both preserve the cut).
-			if cached, ok := c.store[dk].(*lattice.Causal); ok && !cached.VC().HappensBefore(need) {
-				break
-			}
-			if attempt >= depFetchRetries {
-				break // expose best-effort; anti-entropy will converge
-			}
-			lat, found, err := c.anna.Get(dk)
-			if err == nil && found {
-				if fetched, isCausal := lat.(*lattice.Causal); isCausal {
-					// Recurse (depth-bounded): the fetched version's
-					// own deps must also hold locally for the store to
-					// stay a causal cut.
-					c.ensureCutDepth(fetched, depth+1)
-				}
-				c.merge(dk, lat)
-				continue // re-check satisfaction
-			}
-			c.k.Sleep(depFetchBackoff)
+		c.fill(dk, need, depth)
+	}
+}
+
+// fill fetches key from Anna, with bounded retries, until the store holds
+// a version that did not happen before need (concurrent or newer both
+// preserve the cut), filling each fetched version's own dependencies one
+// level deeper.
+func (c *Cache) fill(key string, need lattice.Clock, depth int) {
+	for attempt := 0; ; attempt++ {
+		if cached, ok := c.store[key].(*lattice.Causal); ok && !cached.VC().HappensBefore(need) {
+			return
 		}
+		if attempt >= depFetchRetries {
+			return // expose best-effort; anti-entropy will converge
+		}
+		lat, found, err := c.anna.Get(key)
+		if err == nil && found {
+			if fetched, isCausal := lat.(*lattice.Causal); isCausal {
+				// Recurse (depth-bounded): the fetched version's own deps
+				// must also hold locally for the store to stay a causal cut.
+				c.ensureCutDepth(fetched, depth+1)
+			}
+			c.merge(key, lat)
+			continue // re-check satisfaction
+		}
+		c.k.Sleep(depFetchBackoff)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"cloudburst/internal/core"
 	"cloudburst/internal/lattice"
+	"cloudburst/internal/simnet"
 	"cloudburst/internal/trace"
 )
 
@@ -190,6 +191,15 @@ func (c *Cache) readDSC(rctx trace.Ctx, reqID, key string, meta *core.SessionMet
 		// snapshot (lines 4-6, 11-12).
 		cap = cur.(*lattice.Causal)
 		c.Stats.Hits++
+	case pinned && required.Cache == "":
+		// A dependency no upstream cache holds a snapshot of: read Anna
+		// until its version is not older than the required one, as a
+		// causal cut's fill does.
+		c.Stats.Misses++
+		c.fill(key, required.VC, 0)
+		if cap, ok = c.store[key].(*lattice.Causal); !ok {
+			return nil, core.VersionRef{}, ErrNotFound
+		}
 	case pinned:
 		// Local version is causally too old (or absent): fetch the
 		// version snapshot from the upstream cache (lines 7-8, 13-14).
@@ -214,17 +224,20 @@ func (c *Cache) readDSC(rctx trace.Ctx, reqID, key string, meta *core.SessionMet
 	// Snapshot the version read and the locally-held versions of its
 	// dependencies, so downstream caches can fetch them (§5.3: "caches
 	// upstream store version snapshots of these causal dependencies"),
-	// and ship the dependencies downstream.
+	// and ship the dependencies downstream. A dependency this cache does
+	// not hold names no cache, so a downstream read goes to Anna for it.
 	c.snapshot(reqID, key, cap)
 	for dk, dvc := range cap.Deps() {
+		var from simnet.NodeID
 		if dep, ok := c.store[dk]; ok {
 			c.snapshot(reqID, dk, dep)
+			from = c.ID()
 		}
 		if meta == nil {
 			continue
 		}
 		if cur, ok := meta.Deps[dk]; !ok || cur.VC.HappensBefore(dvc) {
-			meta.Deps[dk] = core.VersionRef{Cache: c.ID(), VC: dvc}
+			meta.Deps[dk] = core.VersionRef{Cache: from, VC: dvc}
 		}
 	}
 	if meta != nil {

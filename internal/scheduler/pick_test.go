@@ -26,6 +26,9 @@ type mapView struct {
 	pins         map[string][]simnet.NodeID // function → threads pinned, ascending
 	lastAssigned map[simnet.NodeID]int64
 	assignSeq    int64
+	// out counts each thread's outstanding attempts, kept across polls
+	// as the scheduler keeps them.
+	out map[simnet.NodeID]int32
 }
 
 // refresh applies one poll's fresh reports: a poll with any replaces the
@@ -49,7 +52,7 @@ func (m *mapView) refresh(reports []core.ExecutorMetrics) {
 	}
 }
 
-func (m *mapView) pick(fn string, args []core.Arg, exclude map[simnet.NodeID]bool, pinnedOnly bool) simnet.NodeID {
+func (m *mapView) pick(fn string, args []core.Arg, exclude map[simnet.NodeID]int32, pinnedOnly bool) simnet.NodeID {
 	var pool []simnet.NodeID
 	if pinnedOnly {
 		for _, t := range m.pins[fn] {
@@ -61,7 +64,7 @@ func (m *mapView) pick(fn string, args []core.Arg, exclude map[simnet.NodeID]boo
 	if len(pool) == 0 {
 		pool = slices.Sorted(maps.Keys(m.threads))
 	}
-	pool = slices.DeleteFunc(pool, func(id simnet.NodeID) bool { return exclude[id] })
+	pool = slices.DeleteFunc(pool, func(id simnet.NodeID) bool { return exclude[id] > 0 })
 	if len(pool) == 0 {
 		return ""
 	}
@@ -110,6 +113,9 @@ func (m *mapView) pick(fn string, args []core.Arg, exclude map[simnet.NodeID]boo
 }
 
 func (m *mapView) spread(pool []simnet.NodeID) simnet.NodeID {
+	if idle := slices.DeleteFunc(slices.Clone(pool), func(id simnet.NodeID) bool { return m.out[id] > 0 }); len(idle) > 0 {
+		pool = idle
+	}
 	oldest := int64(1<<62 - 1)
 	var ties []simnet.NodeID
 	for _, id := range pool {
@@ -158,6 +164,20 @@ func (s *Scheduler) stamps() map[simnet.NodeID]int64 {
 	return out
 }
 
+// Outstanding is every nonzero outstanding count the scheduler holds,
+// saved or in the view (test hook).
+func (s *Scheduler) Outstanding() map[simnet.NodeID]int32 {
+	out := make(map[simnet.NodeID]int32)
+	for id, saved := range s.lastAssigned {
+		out[id] = saved.out
+	}
+	for _, r := range s.view.threads {
+		out[r.id] = r.out
+	}
+	maps.DeleteFunc(out, func(_ simnet.NodeID, n int32) bool { return n == 0 })
+	return out
+}
+
 // published is vm's key list as a scheduler reads it: a CacheMetrics
 // publication encoded and decoded, whose Keys view the encoding.
 func published(vm string, keys []string) core.CacheMetrics {
@@ -174,11 +194,12 @@ func elems(l codec.StrList) []string {
 // TestPickExecutorMatchesPerThreadScoring drives pickExecutor over the
 // view and the map-form oracle through the same seeded histories: random
 // views, polls between picks in which threads leave, re-enter and change
-// load, pins inserted by registration between polls, and one history in
-// five under the random policy. The view is pure bookkeeping, so every
-// pick, every assignment stamp and the kernel's next random draw must
-// agree: a pool or tie set that differs by one thread moves a draw, and
-// with it every table. Caches publish encoded key lists, which the index
+// load, pins inserted by registration between polls, attempts counted on
+// live threads and ended on threads in or out of the view, and one
+// history in five under the random policy. The view is pure bookkeeping,
+// so every pick, every assignment stamp and outstanding count and the
+// kernel's next random draw must agree: a pool or tie set that differs by
+// one thread moves a draw, and with it every table. Caches publish encoded key lists, which the index
 // merge-walks in byte order; the pool holds keys that are byte-prefixes
 // of others (k, k1, k10), the empty key, keys with bytes of 0x80 and above, and one
 // longer than a string conversion's stack buffer.
@@ -190,7 +211,7 @@ func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
 	}
 	slices.Sort(keys)
 	var singleWinner, allTie, multiTie, excluded, randomPicks int
-	var reentries, retained, inserted int
+	var reentries, retained, inserted, busyPicks, endedOutside int
 	var entered, left, vmSetChanges int
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -245,6 +266,7 @@ func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
 			cacheKeys:    make(map[string]map[string]bool),
 			pins:         make(map[string][]simnet.NodeID),
 			lastAssigned: make(map[simnet.NodeID]int64),
+			out:          make(map[simnet.NodeID]int32),
 		}
 		// Overlapping key sets; one VM in four has published none and is
 		// absent from cacheKeys. Every tenth history has no cached key at
@@ -340,6 +362,27 @@ func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
 				}
 			case 3: // a cache publishes a few keys in or out
 				nudge(vms[rng.Intn(len(vms))])
+			case 4, 5: // dispatch counts an attempt on a live thread, or untrack ends one
+				if busy := slices.Sorted(maps.Keys(want.out)); len(busy) > 0 && rng.Intn(2) == 0 {
+					id := busy[rng.Intn(len(busy))]
+					if _, ok := got.view.indexOf(id); !ok {
+						endedOutside++
+					}
+					got.count(id, -1)
+					if want.out[id]--; want.out[id] == 0 {
+						delete(want.out, id)
+					}
+				} else if n := len(got.view.threads); n > 0 {
+					id := got.view.threads[rng.Intn(n)].id
+					got.count(id, 1)
+					want.out[id]++
+				}
+				if !maps.Equal(got.Outstanding(), want.out) {
+					t.Fatalf("seed %d call %d: outstanding counts diverged", seed, call)
+				}
+			}
+			if len(want.out) > 0 {
+				busyPicks++
 			}
 
 			var args []core.Arg
@@ -349,12 +392,12 @@ func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				args = append(args, core.Arg{Val: []byte{7}})
 			}
-			var exclude map[simnet.NodeID]bool
+			var exclude map[simnet.NodeID]int32
 			if rng.Intn(3) == 0 {
-				exclude = make(map[simnet.NodeID]bool)
+				exclude = make(map[simnet.NodeID]int32)
 				for _, em := range universe {
 					if rng.Intn(4) == 0 {
-						exclude[em.Thread] = true
+						exclude[em.Thread] = 1
 					}
 				}
 				excluded++
@@ -366,7 +409,7 @@ func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
 			if g != w {
 				t.Fatalf("seed %d call %d: picked %q, per-thread scoring picks %q", seed, call, g, w)
 			}
-			if got.assignSeq != want.assignSeq || !maps.Equal(got.stamps(), want.lastAssigned) {
+			if got.assignSeq != want.assignSeq || !maps.Equal(got.stamps(), want.lastAssigned) || !maps.Equal(got.Outstanding(), want.out) {
 				t.Fatalf("seed %d call %d: assignment stamps diverged", seed, call)
 			}
 			switch n := len(got.pickScratch.ties); {
@@ -392,11 +435,46 @@ func TestPickExecutorMatchesPerThreadScoring(t *testing.T) {
 		"single-winner": singleWinner, "all-tie": allTie, "partial-tie": multiTie,
 		"exclude": excluded, "random-policy": randomPicks,
 		"re-entry with a stamp": reentries, "pins retained": retained, "pin inserted": inserted,
+		"pick beside a busy thread": busyPicks, "attempt ended outside the view": endedOutside,
 		"key entered": entered, "key left": left, "VM set change": vmSetChanges,
 	} {
 		if n == 0 {
 			t.Errorf("coverage: no %s case", name)
 		}
+	}
+}
+
+// TestSpreadPrefersAnIdleThread: of two threads that tie on locality, a
+// pick takes the one with no attempt outstanding even when the busy one
+// was assigned to less recently; when both are busy, or both idle, it
+// takes the least-recently-assigned. Each pick draws once from the
+// kernel's stream, as it did before the counts.
+func TestSpreadPrefersAnIdleThread(t *testing.T) {
+	s := pickScheduler(1, false)
+	defer s.k.Stop()
+	s.setThreads([]core.ExecutorMetrics{{Thread: "exec-a", VM: "vm0"}, {Thread: "exec-b", VM: "vm1"}})
+	s.view.threads[0].stamp, s.view.threads[1].stamp, s.assignSeq = 1, 2, 2
+	for _, c := range []struct {
+		name   string
+		a, b   int32 // each thread's outstanding count before the pick
+		picked simnet.NodeID
+	}{
+		{"a busy, assigned longer ago", 1, 0, "exec-b"},
+		{"both busy", 1, 1, "exec-a"},
+		{"both idle", 0, 0, "exec-b"},
+	} {
+		s.view.threads[0].out, s.view.threads[1].out = c.a, c.b
+		if got := s.pickExecutor("f", nil, nil, false); got != c.picked {
+			t.Errorf("%s: picked %s, want %s", c.name, got, c.picked)
+		}
+	}
+	twin := vtime.NewKernel(1)
+	defer twin.Stop()
+	for range 3 {
+		twin.Rand().Int63()
+	}
+	if s.k.Rand().Int63() != twin.Rand().Int63() {
+		t.Error("three picks did not draw three times")
 	}
 }
 
@@ -550,11 +628,11 @@ func TestPickExecutorAllocationFree(t *testing.T) {
 	}
 	s.setThreads(reports)
 	refs := []core.Arg{{Ref: "k1"}, {Ref: "k2"}, {Val: []byte{7}}}
-	exclude := map[simnet.NodeID]bool{"exec-vm1-0": true, "exec-vm2-1": true}
+	exclude := map[simnet.NodeID]int32{"exec-vm1-0": 1, "exec-vm2-1": 1}
 	for _, c := range []struct {
 		name       string
 		args       []core.Arg
-		exclude    map[simnet.NodeID]bool
+		exclude    map[simnet.NodeID]int32
 		pinnedOnly bool
 	}{
 		{"refs", refs, nil, false},

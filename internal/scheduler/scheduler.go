@@ -4,7 +4,9 @@
 // pick executors with pluggable policies. The default policy prioritizes
 // data locality using each cache's advertised key set and avoids
 // executors above the utilization threshold (backpressure replication of
-// hot data, §4.3); a random policy exists for the locality ablation.
+// hot data, §4.3); among the threads it ranks equal, it takes one with
+// none of this scheduler's requests outstanding, then the one assigned
+// to least recently. A random policy exists for the locality ablation.
 //
 // §4.3's "local index" is the scheduler's view: once per metrics poll it
 // turns the executors' published metrics into an ascending slice of
@@ -186,17 +188,20 @@ type threadRec struct {
 	id   simnet.NodeID
 	vm   int // index into view.vms
 	util float64
-	// stamp is the thread's lastAssigned stamp, carried here between
-	// rebuilds so spread reads no map.
+	// stamp is the thread's lastAssigned stamp, and out the count of this
+	// scheduler's attempts on it whose requests have not ended, carried
+	// here between rebuilds so spread reads no map.
 	stamp int64
+	out   int32
 	// reportedS is when the thread's report in the view was taken.
 	reportedS float64
 }
 
-// savedStamp is the stamp of a thread that left the view (0 if it was
-// never assigned to), and when the thread last reported.
+// savedStamp is the stamp and count of a thread that left the view (0 if
+// it was never assigned to), and when the thread last reported.
 type savedStamp struct {
 	stamp     int64
+	out       int32
 	reportedS float64
 }
 
@@ -231,9 +236,8 @@ func backpressure(cands, healthy []int) []int {
 
 // indexOf finds a thread's record.
 func (v *view) indexOf(id simnet.NodeID) (int, bool) {
-	return slices.BinarySearchFunc(v.threads, id, func(r threadRec, id simnet.NodeID) int {
-		return cmp.Compare(r.id, id)
-	})
+	i := sort.Search(len(v.threads), func(i int) bool { return v.threads[i].id >= id })
+	return i, i < len(v.threads) && v.threads[i].id == id
 }
 
 // tracked is one in-flight request, held for §4.5 re-execution from its
@@ -261,9 +265,9 @@ type tracked struct {
 	// from a past attempt does not condemn every later one.
 	sched  *core.DAGSchedule
 	target simnet.NodeID
-	// used holds the executors of abandoned attempts, which the next
-	// re-execution avoids; nil until the first one.
-	used map[simnet.NodeID]bool
+	// used counts the attempts abandoned on each executor, which the next
+	// re-execution avoids and untrack takes off; nil until the first one.
+	used map[simnet.NodeID]int32
 }
 
 // freeRecords bounds the free list of untracked records: a scheduler at
@@ -273,14 +277,22 @@ const freeRecords = 64
 // isDAG reports whether the request is a DAG's.
 func (o *tracked) isDAG() bool { return o.inv == nil }
 
+// attempt lists the latest attempt's executors: none before dispatch
+// sends one, or once abandon folded it into used.
+func (o *tracked) attempt() []simnet.NodeID {
+	switch {
+	case o.sched != nil:
+		return o.sched.Assignments
+	case o.target != "":
+		return unsafe.Slice(&o.target, 1)
+	}
+	return nil
+}
+
 // alive reports whether every executor of the latest attempt still
 // publishes fresh metrics.
 func (s *Scheduler) alive(o *tracked) bool {
-	if !o.isDAG() {
-		_, fresh := s.view.indexOf(o.target)
-		return fresh
-	}
-	for _, t := range o.sched.Assignments {
+	for _, t := range o.attempt() {
 		if _, fresh := s.view.indexOf(t); !fresh {
 			return false
 		}
@@ -290,17 +302,14 @@ func (s *Scheduler) alive(o *tracked) bool {
 
 // abandon folds the latest attempt's executors into the set the next
 // re-execution avoids, and returns it.
-func (o *tracked) abandon() map[simnet.NodeID]bool {
+func (o *tracked) abandon() map[simnet.NodeID]int32 {
 	if o.used == nil {
-		o.used = make(map[simnet.NodeID]bool)
+		o.used = make(map[simnet.NodeID]int32)
 	}
-	if !o.isDAG() {
-		o.used[o.target] = true
-	} else {
-		for _, t := range o.sched.Assignments {
-			o.used[t] = true
-		}
+	for _, t := range o.attempt() {
+		o.used[t]++
 	}
+	o.target, o.sched = "", nil
 	return o.used
 }
 
@@ -361,11 +370,12 @@ type Scheduler struct {
 	// utilization reports lag by the metrics interval, so without local
 	// memory a burst of invocations would stack onto one thread (and
 	// serialize, since each thread runs one invocation at a time). The
-	// value is a logical stamp: virtual time can stand still across
-	// consecutive assignments. Between view rebuilds the stamps live in the
-	// thread records; each rebuild saves them here first, with each
-	// thread's last report time, so a thread that leaves the view and
-	// re-enters it keeps its stamp. A saved stamp goes
+	// stamp is logical: virtual time can stand still across consecutive
+	// assignments. The outstanding count beside it is this scheduler's own
+	// knowledge of which threads are busy, which no report lags. Between
+	// view rebuilds both live in the thread records; each rebuild saves
+	// them here first, with each thread's last report time, so a thread
+	// that leaves the view and re-enters it keeps them. A saved stamp goes
 	// once its thread's report is stale and its metrics key has left the
 	// executor registry: the reaper removed it, and a reaped thread
 	// reports no more. (The listing alone would not do: a read from a
@@ -662,6 +672,12 @@ func (s *Scheduler) track(o *tracked) {
 // accumulate a residue from failed requests.
 func (s *Scheduler) untrack(o *tracked) {
 	delete(s.inflight, o.id)
+	for _, t := range o.attempt() {
+		s.count(t, -1)
+	}
+	for t, n := range o.used {
+		s.count(t, -n)
+	}
 	if o.isDAG() {
 		s.dagDone[o.dag.DAG]++
 	}
@@ -679,7 +695,7 @@ func (s *Scheduler) untrack(o *tracked) {
 // request can end while it blocks (a completion notice, a terminal
 // failure from another expiry path); the re-execution then stops at its
 // next check, so a finished request is never dispatched again.
-func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
+func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]int32) {
 	id, first := o.id, o.retries == 0
 	ended := func() bool { return !first && s.inflight[id] != o }
 	dctx := s.spans.Attach(id).Start("sched/dispatch", trace.Dispatch, s.k.Now())
@@ -725,6 +741,7 @@ func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
 		if o.target = pick(o.inv.Function, o.inv.Args, false); o.target == "" {
 			return
 		}
+		s.count(o.target, 1)
 		s.ep.Send(o.target, o.inv, 96+core.ArgBytes(o.inv.Args))
 		return
 	}
@@ -748,6 +765,9 @@ func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]bool) {
 		ResultKey:   req.ResultKey,
 	}
 	o.sched = sched
+	for _, t := range assignments {
+		s.count(t, 1)
+	}
 	// No session metadata: the executor makes it where the mode keeps one.
 	*trigger = core.DAGTrigger{Schedule: sched}
 	s.ep.Send(assignments[0], trigger, 128)
@@ -788,7 +808,7 @@ func (s *Scheduler) dagView(name string) (*dag.DAG, bool) {
 // requested KVS references; otherwise pick uniformly at random. With
 // nothing to exclude, the candidates are the view's precomputed pools;
 // a re-execution's exclude set filters them into scratch slices.
-func (s *Scheduler) pickExecutor(fn string, args []core.Arg, exclude map[simnet.NodeID]bool, pinnedOnly bool) simnet.NodeID {
+func (s *Scheduler) pickExecutor(fn string, args []core.Arg, exclude map[simnet.NodeID]int32, pinnedOnly bool) simnet.NodeID {
 	v, sc := &s.view, &s.pickScratch
 	sc.ties, sc.held = sc.ties[:0], sc.held[:0]
 	// The function's live pinned threads when asked and there are any, else
@@ -803,7 +823,7 @@ func (s *Scheduler) pickExecutor(fn string, args []core.Arg, exclude map[simnet.
 	if exclude != nil {
 		sc.pool = sc.pool[:0]
 		for _, i := range live {
-			if !exclude[v.threads[i].id] {
+			if exclude[v.threads[i].id] == 0 {
 				sc.pool = append(sc.pool, i)
 			}
 		}
@@ -857,25 +877,40 @@ func (s *Scheduler) pickExecutor(fn string, args []core.Arg, exclude map[simnet.
 	return s.assign(best)
 }
 
-// spread picks the least-recently-assigned thread (ties broken
-// randomly), compensating for the lag between assignments and the
-// utilization reports they eventually show up in.
+// spread picks the least-recently-assigned thread (ties broken randomly)
+// among the idle ones, with none of this scheduler's requests outstanding,
+// or among all if none is idle: both make up for the lag between
+// assignments and the utilization reports they eventually show up in.
 func (s *Scheduler) spread(pool []int) int {
-	oldest := int64(1<<62 - 1)
+	const busy = 1 << 62 // above every stamp: a busy thread ranks after every idle one
+	oldest := int64(1<<63 - 1)
 	ties := s.pickScratch.spreadTies[:0]
 	for _, i := range pool {
 		at := s.view.threads[i].stamp
+		if s.view.threads[i].out > 0 {
+			at += busy
+		}
 		switch {
 		case at < oldest:
 			oldest = at
-			ties = ties[:0]
-			ties = append(ties, i)
+			ties = append(ties[:0], i)
 		case at == oldest:
 			ties = append(ties, i)
 		}
 	}
 	s.pickScratch.spreadTies = ties
 	return ties[s.k.Rand().Intn(len(ties))]
+}
+
+// count moves a thread's outstanding count by d: in its view record, or
+// saved in lastAssigned once it left the view (a reaped thread's is gone).
+func (s *Scheduler) count(id simnet.NodeID, d int32) {
+	if i, ok := s.view.indexOf(id); ok {
+		s.view.threads[i].out += d
+	} else if saved, ok := s.lastAssigned[id]; ok {
+		saved.out += d
+		s.lastAssigned[id] = saved
+	}
 }
 
 // assign stamps the picked thread for spread and returns its id.
@@ -960,7 +995,7 @@ func (s *Scheduler) setThreads(reports []core.ExecutorMetrics) {
 
 	v := &s.view
 	for _, r := range v.threads {
-		s.lastAssigned[r.id] = savedStamp{r.stamp, r.reportedS}
+		s.lastAssigned[r.id] = savedStamp{r.stamp, r.out, r.reportedS}
 	}
 	slices.SortFunc(reports, func(a, b core.ExecutorMetrics) int { return cmp.Compare(a.Thread, b.Thread) })
 	v.threads = make([]threadRec, len(reports))
@@ -974,7 +1009,8 @@ func (s *Scheduler) setThreads(reports []core.ExecutorMetrics) {
 			vmIndex[em.VM] = vm
 			vms = append(vms, em.VM)
 		}
-		v.threads[i] = threadRec{id: em.Thread, vm: vm, util: em.Utilization, stamp: s.lastAssigned[em.Thread].stamp, reportedS: em.ReportedAtS}
+		saved := s.lastAssigned[em.Thread]
+		v.threads[i] = threadRec{id: em.Thread, vm: vm, util: em.Utilization, stamp: saved.stamp, out: saved.out, reportedS: em.ReportedAtS}
 		v.all[i] = i
 	}
 	v.pool = backpressure(v.all, v.healthy(nil, v.all))

@@ -325,7 +325,12 @@ var requestKinds = []struct {
 
 // TestRequestTracking is the §4.5 state machine, one table over both
 // request kinds: what starts a record, what extends, re-executes and
-// fails it, and what ends it.
+// fails it, and what ends it. Every attempt counts outstanding on its
+// executor until its request ends, so once nothing is tracked every
+// thread's count is back to 0: after completion, terminal failure and
+// re-execution (the abandoned attempts' counts come off with the
+// request's), and after a pick that fails (no-executors; a DAG's picks
+// run against one view, so only its first function's can fail).
 func TestRequestTracking(t *testing.T) {
 	type scenario struct {
 		name         string
@@ -413,6 +418,9 @@ func TestRequestTracking(t *testing.T) {
 				if len(r.work) != 1 || r.sched.Inflight() != 1 {
 					t.Errorf("%d attempts, %d tracked; want 1 and 1", len(r.work), r.sched.Inflight())
 				}
+				if out := r.sched.Outstanding(); len(out) != 1 || out["exec-0"] != 1 {
+					t.Errorf("outstanding %v, want the one attempt on exec-0", out)
+				}
 			}},
 		// A Deadline shorter than DAGTimeout fires before the first retry
 		// tick.
@@ -488,6 +496,9 @@ func TestRequestTracking(t *testing.T) {
 						r.client.Send(r.sched.ID(), kind.make("req", r.client.ID(), deadline), 128)
 					})
 				})
+				if out := r.sched.Outstanding(); r.sched.Inflight() == 0 && len(out) != 0 {
+					t.Errorf("nothing tracked, yet outstanding %v", out)
+				}
 			})
 		}
 	}
