@@ -699,7 +699,10 @@ func TestNoSnapshotOutlivesItsRequest(t *testing.T) {
 // function's cache took for it is never evicted by one. With one thread
 // per VM and both functions on every thread, the re-execution avoids the
 // two threads the attempt used and runs on the third VM, away from that
-// cache, so only the cache's age bound frees the table.
+// cache, so only the cache's age bound frees the table. sink reads a
+// reference of its own, to a key no cache holds, so that it is placed by
+// a pick of its own, apart from src, rather than run in place on src's
+// thread.
 func TestAbandonedAttemptLeavesNoSnapshots(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = Causal
@@ -722,7 +725,7 @@ func TestAbandonedAttemptLeavesNoSnapshots(t *testing.T) {
 			sinkID = ctx.ID()
 		}
 		ctx.Compute(2 * time.Second)
-		return args[0], nil
+		return args[1], nil // args[0] is its own reference's value
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -745,7 +748,11 @@ func TestAbandonedAttemptLeavesNoSnapshots(t *testing.T) {
 			t.Errorf("put: %v", err)
 			return
 		}
-		fut := cl.InvokeDAG("src-sink", map[string][]any{"src": {Ref("k")}})
+		if err := cl.Put("far", 0); err != nil { // in Anna only
+			t.Errorf("put: %v", err)
+			return
+		}
+		fut := cl.InvokeDAG("src-sink", map[string][]any{"src": {Ref("k")}, "sink": {Ref("far")}})
 		for sinkID == "" {
 			cl.Sleep(10 * time.Millisecond)
 		}

@@ -293,12 +293,20 @@
 // and allocates nothing. Among the threads that tie on locality it takes
 // one with none of its scheduler's requests outstanding, a count each
 // record carries from dispatch to the request's end, and then the one
-// assigned to least recently. Client routing to a
+// assigned to least recently. A scheduler counts only its own requests,
+// so in a group of n schedulers the k-th takes the idle threads of the
+// VMs whose view index is k modulo n first, then any other idle thread,
+// then a busy one. Client routing to a
 // scheduler shard allocates nothing either. A DAG is a chain, so a
 // function's position in the DAG's function list says where its input
 // comes from and where its result goes: function i is triggered by
 // function i-1 and triggers function i+1, and a trigger carries one
-// input, the previous function's result (none at function 0). Names stay
+// input, the previous function's result (none at function 0). A function
+// after the first that reads no reference of its own is assigned its
+// upstream's thread, when that thread has it pinned (or it has no pins),
+// and the thread runs it next, in place, with no trigger on the wire; it
+// is still its own hop, its session begun and ended as if it had
+// arrived. Names stay
 // at the edge: a request's client arguments are one list sorted by
 // function name, and inside the cluster a schedule assigns threads, and a
 // trigger names its target, by position, so no hop builds or probes a map

@@ -229,12 +229,14 @@ func New(cfg Config) *Cluster {
 	}
 	// The scheduler group is static for the cluster's lifetime, so the
 	// monitor can validate its cached sched-registry listing against
-	// this exact key set and skip the per-tick listing read.
+	// this exact key set and skip the per-tick listing read, and each
+	// scheduler knows its rank in the group, which names its share of
+	// the VMs.
 	var schedKeys []string
 	for i := 0; i < cfg.Schedulers; i++ {
 		id := simnet.NodeID(fmt.Sprintf("sched-%d", i))
 		ep := net.AddNode(id)
-		s := scheduler.New(k, ep, c.KV.NewClient(ep, 0), scfg)
+		s := scheduler.New(k, ep, c.KV.NewClient(ep, 0), scfg, i, cfg.Schedulers)
 		s.Start()
 		c.schedulers = append(c.schedulers, s)
 		schedKeys = append(schedKeys, core.SchedMetricsKey(string(id)))

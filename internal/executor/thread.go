@@ -453,10 +453,12 @@ func (t *Thread) runSingle(req *core.InvokeRequest, scheduler simnet.NodeID) {
 	t.complete(&s, req.Function, metaP, 1, tx, invID, payload, err)
 }
 
-// runTrigger serves one DAG hop: execute function Target, then either
-// trigger function Target+1 with its result or, at the last function,
-// complete the request. It never writes tr; tr's session maps pass to
-// this hop.
+// runTrigger serves a DAG trigger: it runs function Target and then each
+// following function the schedule assigns to this thread too, in place,
+// with no message between them, until the next function is another
+// thread's (it sends that one its trigger) or the request ends. Each
+// function is one hop, served to its end, sessions included, before the
+// next starts.
 func (t *Thread) runTrigger(tr *core.DAGTrigger) {
 	s := tr.Schedule
 	d, ok := t.dagFor(s.DAG)
@@ -464,6 +466,23 @@ func (t *Thread) runTrigger(tr *core.DAGTrigger) {
 		t.complete(s, "", &tr.Meta, tr.Hops+1, nil, "", nil, fmt.Errorf("executor: unknown DAG %q", s.DAG))
 		return
 	}
+	for {
+		if tr = t.runHop(d, tr); tr == nil {
+			return
+		}
+		if next := s.Assignments[tr.Target]; next != t.id {
+			t.ep.Send(next, tr, 96+len(tr.Input)+tr.Meta.Size()+core.TxnWritesSize(tr.TxnWrites))
+			return
+		}
+	}
+}
+
+// runHop serves one DAG hop of d: execute function Target, then return
+// the trigger of function Target+1 with its result or, at the last
+// function, complete the request and return nil. It never writes tr; tr's
+// session maps pass to this hop.
+func (t *Thread) runHop(d *dag.DAG, tr *core.DAGTrigger) *core.DAGTrigger {
+	s := tr.Schedule
 	fn := d.Functions[tr.Target]
 	hops := tr.Hops + 1
 	// Session metadata propagates along the DAG only in the distributed
@@ -489,7 +508,7 @@ func (t *Thread) runTrigger(tr *core.DAGTrigger) {
 	next := tr.Target + 1
 	if err != nil || next == len(d.Functions) {
 		t.complete(s, fn, metaP, hops, tx, invID, payload, err)
-		return
+		return nil
 	}
 	var outWrites []core.TxnWrite
 	if tx != nil {
@@ -501,7 +520,7 @@ func (t *Thread) runTrigger(tr *core.DAGTrigger) {
 	if session {
 		outMeta = *metaP
 	}
-	out := &core.DAGTrigger{
+	return &core.DAGTrigger{
 		Schedule:  s,
 		Target:    next,
 		Input:     payload,
@@ -509,8 +528,6 @@ func (t *Thread) runTrigger(tr *core.DAGTrigger) {
 		Hops:      hops,
 		TxnWrites: outWrites,
 	}
-	size := 96 + len(payload) + outMeta.Size() + core.TxnWritesSize(outWrites)
-	t.ep.Send(s.Assignments[next], out, size)
 }
 
 // sessionKeep is the most keys (read set and dependencies together) a

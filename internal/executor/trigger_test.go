@@ -13,6 +13,7 @@ import (
 	"cloudburst/internal/codec"
 	"cloudburst/internal/core"
 	"cloudburst/internal/dag"
+	"cloudburst/internal/lattice"
 	"cloudburst/internal/simnet"
 	"cloudburst/internal/vtime"
 )
@@ -210,4 +211,60 @@ func TestPositionRoutingMatchesNameOracle(t *testing.T) {
 	if len(lengths) != 6 {
 		t.Fatalf("coverage: chain lengths %v, want each of 1 to 6", lengths)
 	}
+}
+
+// TestInPlaceHopStartsItsOwnSession runs the MK chain rd → wr with both
+// functions on one thread, so wr runs in place after rd. Under MK each
+// function's session is its own and ends with it: rd's read of x must not
+// reach wr's session, so wr's write of y depends on nothing but itself.
+// A thread that ran wr inside rd's hop (before rd's session ended) would
+// give y a dependency on x.
+func TestInPlaceHopStartsItsOwnSession(t *testing.T) {
+	k := vtime.NewKernel(1)
+	t.Cleanup(k.Stop)
+	net := simnet.New(k, simnet.Link{Latency: simnet.Constant(100 * time.Microsecond)})
+	kv := anna.NewKVS(k, net, anna.DefaultConfig())
+	cacheEP := net.AddNode("cache-vm0")
+	ch := cache.New(k, cacheEP, kv.NewClient(cacheEP, 0), "vm0", cache.DefaultConfig(core.MK))
+	ch.Start()
+
+	reg := NewRegistry()
+	reg.Register("rd", func(ctx *Ctx, _ []any) (any, error) {
+		_, _, err := ctx.Get("x")
+		return nil, err
+	})
+	reg.Register("wr", func(ctx *Ctx, _ []any) (any, error) {
+		return nil, ctx.Put("y", 1)
+	})
+	chain := dag.Linear("chain", "rd", "wr")
+	ep := net.AddNode("exec-vm0-0")
+	th := NewThread(k, ep, "vm0", Deps{
+		Cache: ch, Anna: kv.NewClient(ep, 0), Registry: reg,
+		DAGFor: func(string) (*dag.DAG, bool) { return chain, true },
+	})
+	th.Start()
+	client := net.AddNode("client-0")
+	kc := kv.NewClient(client, 0)
+	sched := &core.DAGSchedule{
+		ReqID: "r1", DAG: "chain", RespondTo: client.ID(),
+		Assignments: []simnet.NodeID{ep.ID(), ep.ID()},
+	}
+
+	k.Run("test", func() {
+		if err := kc.Put("x", lattice.NewCausal(lattice.VectorClock{"w": 1}, nil, codec.MustEncode(7))); err != nil {
+			t.Fatal(err)
+		}
+		client.Send(ep.ID(), &core.DAGTrigger{Schedule: sched}, 128)
+		if res, ok := client.Recv().Payload.(*core.Result); !ok || !res.OK() {
+			t.Fatalf("the chain answered %+v, want a result", res)
+		}
+		ch.FlushWrites()
+		l, found, err := kc.Get("y")
+		if err != nil || !found {
+			t.Fatalf("y: found %v, %v", found, err)
+		}
+		for key := range l.(*lattice.Causal).Deps() {
+			t.Errorf("wr's write of y depends on %s, which only rd read", key)
+		}
+	})
 }

@@ -27,7 +27,7 @@ func TestDepartedCacheLeavesKeyIndex(t *testing.T) {
 	net := simnet.New(k, simnet.Link{Latency: simnet.Constant(200 * time.Microsecond)})
 	kv := anna.NewKVS(k, net, anna.DefaultConfig())
 	ep := net.AddNode("sched-0")
-	s := New(k, ep, kv.NewClient(ep, 0), DefaultConfig())
+	s := New(k, ep, kv.NewClient(ep, 0), DefaultConfig(), 0, 1)
 	vms := kv.NewClient(net.AddNode("vms"), 0)
 	// Boot and the reaper, as the executor VMs and the cluster run them.
 	publish := func(vm string, keys ...string) {
@@ -73,7 +73,7 @@ func TestDepartedCacheLeavesKeyIndex(t *testing.T) {
 	defer k2.Stop()
 	net2 := simnet.New(k2, simnet.Link{Latency: simnet.Constant(200 * time.Microsecond)})
 	ep2 := net2.AddNode("sched-0")
-	lone := New(k2, ep2, anna.NewKVS(k2, net2, anna.DefaultConfig()).NewClient(ep2, 0), DefaultConfig())
+	lone := New(k2, ep2, anna.NewKVS(k2, net2, anna.DefaultConfig()).NewClient(ep2, 0), DefaultConfig(), 0, 1)
 	lone.cacheKeys["vm0"] = s.cacheKeys["vm0"]
 	k2.Run("lone", lone.refreshView)
 	if _, ok := lone.cacheKeys["vm0"]; !ok {
@@ -95,7 +95,7 @@ func TestDepartedThreadLeavesStampTable(t *testing.T) {
 	net := simnet.New(k, simnet.Link{Latency: simnet.Constant(200 * time.Microsecond)})
 	kv := anna.NewKVS(k, net, anna.DefaultConfig())
 	ep := net.AddNode("sched-0")
-	s := New(k, ep, kv.NewClient(ep, 0), DefaultConfig())
+	s := New(k, ep, kv.NewClient(ep, 0), DefaultConfig(), 0, 1)
 	vms := kv.NewClient(net.AddNode("vms"), 0)
 	threads := map[string][]string{"vm0": {"exec-vm0-0", "exec-vm0-1"}, "vm1": {"exec-vm1-0", "exec-vm1-1"}}
 	keys := func(vm string) []string {
@@ -155,7 +155,7 @@ func TestDepartedThreadLeavesStampTable(t *testing.T) {
 	defer k2.Stop()
 	net2 := simnet.New(k2, simnet.Link{Latency: simnet.Constant(200 * time.Microsecond)})
 	ep2 := net2.AddNode("sched-0")
-	lone := New(k2, ep2, anna.NewKVS(k2, net2, anna.DefaultConfig()).NewClient(ep2, 0), DefaultConfig())
+	lone := New(k2, ep2, anna.NewKVS(k2, net2, anna.DefaultConfig()).NewClient(ep2, 0), DefaultConfig(), 0, 1)
 	for id, stamp := range want {
 		lone.lastAssigned[id] = savedStamp{stamp: stamp}
 	}
@@ -185,7 +185,7 @@ func TestVanishedPinsLeavePinTable(t *testing.T) {
 	net := simnet.New(k, simnet.Link{Latency: simnet.Constant(200 * time.Microsecond)})
 	kv := anna.NewKVS(k, net, anna.DefaultConfig())
 	ep := net.AddNode("sched-0")
-	s := New(k, ep, kv.NewClient(ep, 0), DefaultConfig())
+	s := New(k, ep, kv.NewClient(ep, 0), DefaultConfig(), 0, 1)
 	vms := kv.NewClient(net.AddNode("vms"), 0)
 	threads := map[string][]string{"vm0": {"exec-vm0-0", "exec-vm0-1"}, "vm1": {"exec-vm1-0", "exec-vm1-1"}, "vm2": {"exec-vm2-0"}, "vm3": {"exec-vm3-0"}}
 	pinned := map[string][]string{"exec-vm0-0": {"g"}, "exec-vm0-1": {"h"}, "exec-vm1-0": {"f"}, "exec-vm1-1": {"f"}, "exec-vm3-0": {"j"}}

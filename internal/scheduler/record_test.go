@@ -35,7 +35,7 @@ func newRecordRig(t *testing.T, cfg Config) *recordRig {
 	net := simnet.New(k, simnet.Link{Latency: simnet.Constant(200 * time.Microsecond)})
 	kv := anna.NewKVS(k, net, anna.DefaultConfig())
 	ep := net.AddNode("sched-0")
-	r := &recordRig{k: k, s: New(k, ep, kv.NewClient(ep, 0), cfg), client: net.AddNode("client-0"), hold: map[string]bool{}}
+	r := &recordRig{k: k, s: New(k, ep, kv.NewClient(ep, 0), cfg, 0, 1), client: net.AddNode("client-0"), hold: map[string]bool{}}
 	r.s.setThreads([]core.ExecutorMetrics{{Thread: "exec-0", VM: "vm-0"}}) // no poll replaces it
 	r.s.dags["d"] = dag.Linear("d", "f")
 	r.s.Start()

@@ -6,7 +6,12 @@
 // executors above the utilization threshold (backpressure replication of
 // hot data, §4.3); among the threads it ranks equal, it takes one with
 // none of this scheduler's requests outstanding, then the one assigned
-// to least recently. A random policy exists for the locality ablation.
+// to least recently. In a group of schedulers, each counts only its own
+// requests, so each takes the idle threads of its own share of the VMs
+// before any other idle one. A DAG's function that reads no reference of
+// its own goes to its upstream's thread, where its only input already
+// is, and runs there in place. A random policy exists for the locality
+// ablation.
 //
 // §4.3's "local index" is the scheduler's view: once per metrics poll it
 // turns the executors' published metrics into an ascending slice of
@@ -323,6 +328,10 @@ type Scheduler struct {
 	anna *anna.Client
 	cfg  Config
 	disp *simnet.Dispatcher
+	// rank and group place this scheduler in the cluster's static
+	// scheduler group: the VMs whose view index modulo group is rank are
+	// its share, whose idle threads spread takes first.
+	rank, group int
 
 	dags  map[string]*dag.DAG
 	funcs map[string]bool
@@ -390,14 +399,17 @@ type Scheduler struct {
 	reexecs  int64 // §4.5 re-executions issued
 }
 
-// New creates (but does not start) a scheduler on endpoint ep.
-func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config) *Scheduler {
+// New creates (but does not start) a scheduler on endpoint ep, the
+// rank-th of a static group of group schedulers (0 of 1 when it is alone).
+func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, cfg Config, rank, group int) *Scheduler {
 	s := &Scheduler{
 		id:           ep.ID(),
 		ep:           ep,
 		k:            k,
 		anna:         ac,
 		cfg:          cfg,
+		rank:         rank,
+		group:        group,
 		dags:         make(map[string]*dag.DAG),
 		funcs:        make(map[string]bool),
 		cacheKeys:    make(map[string]codec.StrList),
@@ -688,9 +700,11 @@ func (s *Scheduler) untrack(o *tracked) {
 // dispatch sends one attempt of a request, tracking it first if this is
 // admit's first, and is the only place the two kinds differ: a bare Invoke
 // is forwarded in its lean wire form to one executor; a DAG gets a
-// schedule (one executor per function, §4.3) and its first function is
-// triggered. A DAG request whose arguments name a function the DAG lacks
-// fails on its first attempt, untracked, rather than run without them.
+// schedule (one executor per function, §4.3; a reference-free function
+// after the first shares its upstream's where mayRun allows) and its
+// first function is triggered. A DAG request whose arguments name a
+// function the DAG lacks fails on its first attempt, untracked, rather
+// than run without them.
 // exclude lists executors to avoid (re-executions). A re-execution's
 // request can end while it blocks (a completion notice, a terminal
 // failure from another expiry path); the re-execution then stops at its
@@ -748,7 +762,14 @@ func (s *Scheduler) dispatch(o *tracked, exclude map[simnet.NodeID]int32) {
 	req := o.dag
 	sched, assignments, trigger := newAttempt(len(d.Functions))
 	for i, fn := range d.Functions {
-		if assignments[i] = pick(fn, core.ArgsFor(req.Args, fn), true); assignments[i] == "" {
+		args := core.ArgsFor(req.Args, fn)
+		// Without a reference of its own, its only input is already on
+		// its upstream's thread.
+		if i > 0 && !slices.ContainsFunc(args, core.Arg.IsRef) && s.mayRun(fn, assignments[i-1]) {
+			assignments[i] = assignments[i-1]
+			continue
+		}
+		if assignments[i] = pick(fn, args, true); assignments[i] == "" {
 			return
 		}
 	}
@@ -800,6 +821,16 @@ func (s *Scheduler) dagView(name string) (*dag.DAG, bool) {
 	}
 	s.dags[name] = &d
 	return &d, true
+}
+
+// mayRun reports whether a DAG's function fn may run on thread id: the
+// thread is in the view, and it is one of fn's live pinned threads or fn
+// has none.
+func (s *Scheduler) mayRun(fn string, id simnet.NodeID) bool {
+	live := s.view.pinned[fn].live
+	i, inView := s.view.indexOf(id)
+	_, pinned := slices.BinarySearch(live, i)
+	return inView && (pinned || len(live) == 0)
 }
 
 // pickExecutor implements the §4.3 policy: prefer executors that have
@@ -881,14 +912,25 @@ func (s *Scheduler) pickExecutor(fn string, args []core.Arg, exclude map[simnet.
 // among the idle ones, with none of this scheduler's requests outstanding,
 // or among all if none is idle: both make up for the lag between
 // assignments and the utilization reports they eventually show up in.
+// Each scheduler counts only its own requests, so in a group of several
+// it takes the idle threads of its own share of the VMs first: an idle
+// thread outside it may be running another scheduler's request, which
+// would queue this one behind it.
 func (s *Scheduler) spread(pool []int) int {
-	const busy = 1 << 62 // above every stamp: a busy thread ranks after every idle one
+	const (
+		busy    = 1 << 62 // above every stamp: a busy thread ranks after every idle one
+		foreign = 1 << 61 // and an idle one outside this scheduler's share between them
+	)
 	oldest := int64(1<<63 - 1)
 	ties := s.pickScratch.spreadTies[:0]
 	for _, i := range pool {
-		at := s.view.threads[i].stamp
-		if s.view.threads[i].out > 0 {
+		r := &s.view.threads[i]
+		at := r.stamp
+		switch {
+		case r.out > 0:
 			at += busy
+		case s.group > 1 && r.vm%s.group != s.rank:
+			at += foreign
 		}
 		switch {
 		case at < oldest:

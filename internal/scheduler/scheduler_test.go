@@ -62,7 +62,7 @@ func TestRegisterDAGKeepsItsTopology(t *testing.T) {
 	var scheds []simnet.NodeID
 	for i := 0; i < 2; i++ {
 		ep := net.AddNode(simnet.NodeID(fmt.Sprintf("sched-%d", i)))
-		s := scheduler.New(k, ep, kv.NewClient(ep, 0), scheduler.DefaultConfig())
+		s := scheduler.New(k, ep, kv.NewClient(ep, 0), scheduler.DefaultConfig(), i, 2)
 		s.Start()
 		scheds = append(scheds, s.ID())
 	}
@@ -255,7 +255,7 @@ func newRig(t *testing.T, cfg scheduler.Config, execs int) *rig {
 	kv := anna.NewKVS(k, net, anna.DefaultConfig())
 	r := &rig{k: k, client: net.AddNode("client-0")}
 	ep := net.AddNode("sched-0")
-	r.sched = scheduler.New(k, ep, kv.NewClient(ep, 0), cfg)
+	r.sched = scheduler.New(k, ep, kv.NewClient(ep, 0), cfg, 0, 1)
 	r.sched.Start()
 	k.Go("client", func() {
 		for {

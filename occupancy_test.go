@@ -1,6 +1,7 @@
 package cloudburst
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -8,17 +9,23 @@ import (
 	"cloudburst/internal/trace"
 )
 
-// closedLoop runs clients closed-loop clients on a one-VM cluster of
-// threads executor threads for warm+window of virtual time, each invoking
-// "work" with the duration work(client, request) picks, which the function
-// spends in Compute. It returns the requests that completed inside the
-// window, and the cluster's span collector.
-func closedLoop(t *testing.T, seed int64, threads, clients int, warm, window time.Duration, work func(c, n int) time.Duration) (int, *trace.Collector) {
+// shape is a closed loop's cluster and load: vms VMs of threads executor
+// threads each, behind schedulers schedulers, driven by clients
+// closed-loop clients.
+type shape struct{ vms, threads, schedulers, clients int }
+
+// closedLoop runs sh's clients closed-loop on sh's cluster for warm+window
+// of virtual time, each invoking "work" with the duration work(client,
+// request) picks, which the function spends in Compute. It returns the
+// requests that completed inside the window, and the cluster's span
+// collector.
+func closedLoop(t *testing.T, seed int64, sh shape, warm, window time.Duration, work func(c, n int) time.Duration) (int, *trace.Collector) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Seed = seed
-	cfg.VMs = 1
-	cfg.ThreadsPerVM = threads
+	cfg.VMs = sh.vms
+	cfg.ThreadsPerVM = sh.threads
+	cfg.Schedulers = sh.schedulers
 	cfg.Trace = trace.NewRing(1 << 14)
 	c := testCluster(t, cfg)
 	if err := c.RegisterFunction("work", func(ctx *Ctx, args []any) (any, error) {
@@ -29,7 +36,7 @@ func closedLoop(t *testing.T, seed int64, threads, clients int, warm, window tim
 	}
 	from, to := 3*time.Second+warm, 3*time.Second+warm+window
 	done := 0
-	c.RunN(clients, func(i int, cl *Client) {
+	c.RunN(sh.clients, func(i int, cl *Client) {
 		cl.Sleep(3 * time.Second) // the scheduler's view fills
 		for n := 0; cl.Now() < to; n++ {
 			if _, err := cl.Invoke("work", []any{int(work(i, n))}).Wait(); err != nil {
@@ -65,7 +72,7 @@ func TestVMThroughputSaturatesAtThreadsOverD(t *testing.T) {
 	}{{4, 20 * time.Millisecond}, {2, 5 * time.Millisecond}} {
 		want := float64(c.threads) / (c.d + overhead).Seconds()
 		for _, seed := range []int64{1, 2, 3, 4, 5} {
-			done, _ := closedLoop(t, seed, c.threads, 3*c.threads, time.Second, window, func(int, int) time.Duration { return c.d })
+			done, _ := closedLoop(t, seed, shape{1, c.threads, 1, 3 * c.threads}, time.Second, window, func(int, int) time.Duration { return c.d })
 			got := float64(done) / window.Seconds()
 			if dev := got/want - 1; math.Abs(dev) > 0.01 {
 				t.Errorf("%d threads, d = %v, seed %d: %.1f requests/s, want threads/(d+overhead) = %.1f within 1%% (off %+.2f%%)",
@@ -79,34 +86,137 @@ func TestVMThroughputSaturatesAtThreadsOverD(t *testing.T) {
 // threads, some thread is always idle when a request arrives, so no
 // invocation waits in a busy thread's inbox (exec/queue) — even when the
 // requests mix 1 ms and 30 ms of compute, so the thread assigned to least
-// recently is often the one still running a long request.
+// recently is often the one still running a long request. With two
+// schedulers, each counting only its own requests, the idle thread must
+// also be one the other scheduler is not using: each takes the idle
+// threads of its own share of the VMs first. Two clients never fill one
+// share of two threads, so no request waits there either; with a
+// placement that treated every idle-looking thread alike, 49, 99 and 61
+// of about 1,600 invocations waited at seeds 1 to 3.
 func TestNoInboxWaitWhileAThreadIsIdle(t *testing.T) {
-	const threads, clients = 4, 3
 	mixed := func(c, n int) time.Duration {
 		if (c+n)%3 == 0 {
 			return 30 * time.Millisecond
 		}
 		return time.Millisecond
 	}
-	done, col := closedLoop(t, 1, threads, clients, 0, 2*time.Second, mixed)
-	if done == 0 {
-		t.Fatal("no request completed")
-	}
-	var queued time.Duration
-	var waits int
-	traces := col.Done()
-	for _, tr := range traces {
-		for _, s := range tr.Spans {
-			if s.Name == "exec/queue" && s.End > s.Start {
-				queued += s.End.Sub(s.Start)
-				waits++
+	for _, c := range []struct {
+		name   string
+		sh     shape
+		window time.Duration
+		seeds  []int64
+	}{
+		{"one scheduler", shape{1, 4, 1, 3}, 2 * time.Second, []int64{1}},
+		{"two schedulers", shape{2, 2, 2, 2}, 10 * time.Second, []int64{1, 2, 3}},
+	} {
+		for _, seed := range c.seeds {
+			done, col := closedLoop(t, seed, c.sh, 0, c.window, mixed)
+			if done == 0 {
+				t.Fatalf("%s, seed %d: no request completed", c.name, seed)
+			}
+			var queued time.Duration
+			var waits int
+			traces := col.Done()
+			for _, tr := range traces {
+				for _, s := range tr.Spans {
+					if s.Name == "exec/queue" && s.End > s.Start {
+						queued += s.End.Sub(s.Start)
+						waits++
+					}
+				}
+			}
+			if len(traces) < done {
+				t.Fatalf("%s, seed %d: %d traces kept for %d requests: the ring is too small", c.name, seed, len(traces), done)
+			}
+			if waits > 0 {
+				t.Errorf("%s, seed %d: %d of %d invocations waited in an inbox, %v in all; want none", c.name, seed, waits, len(traces), queued)
 			}
 		}
 	}
-	if len(traces) < done {
-		t.Fatalf("%d traces kept for %d requests: the ring is too small", len(traces), done)
+}
+
+// TestReferenceFreeChainRunsInPlace holds a chain of k reference-free
+// functions, each spending d in Compute, to its closed form. On an idle
+// cluster where every thread has every function pinned, each function
+// after the first reads only its upstream's result, so the scheduler
+// assigns it to its upstream's thread and the thread runs it there, in
+// place: the request takes the client's three network legs (to the
+// scheduler, to the first function's thread, and the result back) plus
+// k·(d + 800 µs), and the only DAGTrigger that crosses the network is the
+// scheduler's, one net/exec span. A function that hopped to its thread
+// over the network would add a net/exec span and its flight.
+func TestReferenceFreeChainRunsInPlace(t *testing.T) {
+	const (
+		d        = 5 * time.Millisecond
+		overhead = 800 * time.Microsecond
+		longest  = 4
+	)
+	cfg := DefaultConfig()
+	cfg.Trace = trace.NewRing(1 << 10)
+	c := testCluster(t, cfg)
+	var fns []string
+	for i := range longest {
+		fns = append(fns, fmt.Sprintf("step%d", i))
+		if err := c.RegisterFunction(fns[i], func(ctx *Ctx, args []any) (any, error) {
+			ctx.Compute(d)
+			return len(args), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if waits > 0 {
-		t.Errorf("%d of %d invocations waited in an inbox, %v in all; want none", waits, len(traces), queued)
+	for k := 1; k <= longest; k++ {
+		if err := c.RegisterDAG(LinearDAG(fmt.Sprintf("chain%d", k), fns[:k]...), cfg.VMs*cfg.ThreadsPerVM); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Run(func(cl *Client) {
+		cl.Sleep(3 * time.Second) // the scheduler's view fills
+		// One request of each chain first: the executors resolve a DAG's
+		// topology from Anna on its first trigger.
+		for k := 1; k <= longest; k++ {
+			if _, err := cl.InvokeDAG(fmt.Sprintf("chain%d", k), nil).Wait(); err != nil {
+				t.Errorf("chain%d: %v", k, err)
+				return
+			}
+		}
+		for k := 1; k <= longest; k++ {
+			for range 5 {
+				if _, err := cl.InvokeDAG(fmt.Sprintf("chain%d", k), nil).Wait(); err != nil {
+					t.Errorf("chain%d: %v", k, err)
+					return
+				}
+				cl.Sleep(100 * time.Millisecond) // idle again before the next
+			}
+		}
+	})
+	// Traces come in finish order, the warm-up's first.
+	seen := map[int]int{} // chain length → requests
+	for _, tr := range cfg.Trace.Done()[longest:] {
+		var legs time.Duration
+		var k, hops int
+		for _, s := range tr.Spans {
+			switch s.Name {
+			case "net/sched", "net/result":
+				legs += s.End.Sub(s.Start)
+			case "net/exec":
+				if hops++; hops == 1 { // the scheduler's trigger
+					legs += s.End.Sub(s.Start)
+				}
+			case "exec/invoke":
+				k++
+			}
+		}
+		seen[k]++
+		root := tr.Root()
+		want := legs + time.Duration(k)*(d+overhead)
+		if got := root.End.Sub(root.Start); got != want || hops != 1 {
+			t.Errorf("%d-function chain %s: %v with %d triggers over the network, want the legs plus k·(d + overhead) = %v with 1",
+				k, tr.ReqID, got, hops, want)
+		}
+	}
+	for k := 1; k <= longest; k++ {
+		if seen[k] != 5 {
+			t.Errorf("%d requests of the %d-function chain traced, want 5", seen[k], k)
+		}
 	}
 }
