@@ -124,7 +124,7 @@ func fig6LambdaGather(cfg Fig6Config, store string) Summary {
 			})
 		}
 		r.k.Sleep(apiSubmit)
-		leaderDone := vtime.NewChan[bool](r.k, 1)
+		leaderDone := vtime.NewChan[bool](r.k, -1)
 		r.k.Go("leader", func() {
 			l.Invoke(func(env *baseline.Env) any {
 				for i := 0; i < fig6Actors; i++ {

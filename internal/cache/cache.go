@@ -212,7 +212,7 @@ func New(k *vtime.Kernel, ep *simnet.Endpoint, ac *anna.Client, vm string, cfg C
 // takes ownership of).
 func (c *Cache) writeBack(key string, lat lattice.Lattice) {
 	c.wbPending++
-	c.wbq.TrySend(wbItem{key: key, lat: lat})
+	c.wbq.Send(wbItem{key: key, lat: lat})
 }
 
 // writeBackLoop drains the write-back queue into Anna. Each put runs in

@@ -74,7 +74,7 @@ func TestRedisSerializesCommands(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			k.Go("reader", func() {
 				cl.Get("k")
-				done.TrySend(k.Now())
+				done.Send(k.Now())
 			})
 		}
 		t1, _ := done.Recv()
@@ -94,7 +94,7 @@ func TestParallelServiceOverlaps(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			k.Go("reader", func() {
 				cl.Get("k")
-				done.TrySend(k.Now())
+				done.Send(k.Now())
 			})
 		}
 		var last vtime.Time

@@ -264,10 +264,10 @@ func (d *delivery) Fire() {
 	case !ok || n.Down(d.to):
 		n.MessagesDropt++
 	case d.reply != nil:
-		d.reply.TrySend(d.resp)
+		d.reply.Send(d.resp)
 	default:
 		d.msg.ArrivedAt = n.k.Now()
-		dst.inbox.TrySend(d.msg)
+		dst.inbox.Send(d.msg)
 	}
 	n.releaseDelivery(d)
 }

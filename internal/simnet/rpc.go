@@ -61,7 +61,7 @@ func (n *Network) releaseRequest(r *Request) {
 func (e *Endpoint) Call(to NodeID, body any, size int, timeout time.Duration) (any, error) {
 	req, ok := e.net.freeReqs.Get()
 	if !ok {
-		req = &Request{net: e.net, reply: vtime.NewChan[any](e.net.k, 1)}
+		req = &Request{net: e.net, reply: vtime.NewChan[any](e.net.k, -1)}
 	}
 	req.From, req.To, req.Body = e.node.id, to, body
 	e.net.Send(e.node.id, to, req, size)

@@ -2,32 +2,23 @@ package vtime
 
 import "time"
 
-// Chan is a kernel-scheduled CSP channel. Capacity semantics match Go
-// channels: capacity 0 is a rendezvous channel, capacity n buffers up to n
-// values. A negative capacity makes the channel unbounded, which is the
-// right shape for network inboxes that must accept deliveries from timer
-// callbacks (callbacks cannot block).
+// Chan is a kernel-scheduled mailbox: an unbounded FIFO whose Send never
+// parks, so processes, timer callbacks and non-process code may all send
+// on it. Only receivers block: Recv and RecvTimeout park until a value
+// arrives or the mailbox is closed. That is the shape of every inbox in
+// the simulation, where a network delivery lands from a timer callback
+// and a sender never waits for its receiver.
 //
-// Channels are allocation-free in steady state: waiter records are pooled
-// per channel and the buffer/waiter queues reset to their array start
-// whenever they drain (see fifo).
+// Mailboxes are allocation-free in steady state: receive waiters are
+// pooled per mailbox and the buffer and waiter queues reset to their
+// array start whenever they drain (see fifo).
 type Chan[T any] struct {
 	k      *Kernel
 	buf    fifo[T]
-	cap    int
-	sendq  fifo[*sendWaiter[T]]
 	recvq  fifo[*recvWaiter[T]]
 	closed bool
 
-	freeS FreeList[*sendWaiter[T]]
 	freeR FreeList[*recvWaiter[T]]
-}
-
-type sendWaiter[T any] struct {
-	p        *proc
-	val      T
-	done     bool // value consumed by a receiver
-	onClosed bool // channel closed while waiting
 }
 
 type recvWaiter[T any] struct {
@@ -47,9 +38,10 @@ func (w *recvWaiter[T]) Fire() {
 	}
 }
 
-// NewChan creates a channel on kernel k. capacity < 0 means unbounded.
+// NewChan creates a mailbox on kernel k. capacity is ignored: every
+// mailbox is unbounded, and callers pass -1.
 func NewChan[T any](k *Kernel, capacity int) *Chan[T] {
-	return &Chan[T]{k: k, cap: capacity}
+	return &Chan[T]{k: k}
 }
 
 // Len reports the number of buffered values.
@@ -73,23 +65,8 @@ func (c *Chan[T]) putRecvWaiter(w *recvWaiter[T]) {
 	c.freeR.Put(w)
 }
 
-func (c *Chan[T]) getSendWaiter(v T) *sendWaiter[T] {
-	if w, ok := c.freeS.Get(); ok {
-		w.p, w.val = c.k.current, v
-		return w
-	}
-	return &sendWaiter[T]{p: c.k.current, val: v}
-}
-
-func (c *Chan[T]) putSendWaiter(w *sendWaiter[T]) {
-	var zero T
-	w.p, w.val = nil, zero
-	w.done, w.onClosed = false, false
-	c.freeS.Put(w)
-}
-
-// Close closes the channel. Blocked receivers observe zero values;
-// blocked senders unwind with a panic, as in Go.
+// Close closes the mailbox. Blocked receivers observe zero values; values
+// already buffered are still received before the closed indication.
 func (c *Chan[T]) Close() {
 	if c.closed {
 		panic("vtime: close of closed Chan")
@@ -103,35 +80,11 @@ func (c *Chan[T]) Close() {
 		}
 	})
 	c.recvq.reset()
-	c.sendq.each(func(w *sendWaiter[T]) {
-		if !w.done {
-			w.onClosed = true
-			c.k.wake(w.p)
-		}
-	})
-	c.sendq.reset()
 }
 
-// Send blocks until the value is accepted by the channel. Sending on a
-// closed channel panics.
+// Send delivers v without blocking: it hands v to the oldest waiting
+// receiver, or buffers it. Sending on a closed mailbox panics.
 func (c *Chan[T]) Send(v T) {
-	if c.TrySend(v) {
-		return
-	}
-	w := c.getSendWaiter(v)
-	c.sendq.push(w)
-	c.k.park()
-	if w.onClosed {
-		panic("vtime: send on closed Chan")
-	}
-	// done: a receiver detached us from the queue; safe to recycle.
-	c.putSendWaiter(w)
-}
-
-// TrySend delivers v without blocking and reports whether it succeeded.
-// Timer callbacks and non-process code may use it only on channels where
-// it cannot fail to wake state correctly — in practice, unbounded inboxes.
-func (c *Chan[T]) TrySend(v T) bool {
 	if c.closed {
 		panic("vtime: send on closed Chan")
 	}
@@ -145,19 +98,15 @@ func (c *Chan[T]) TrySend(v T) bool {
 		w.ok = true
 		w.done = true
 		c.k.wake(w.p)
-		return true
+		return
 	}
-	if c.cap < 0 || c.buf.len() < c.cap {
-		c.buf.push(v)
-		return true
-	}
-	return false
+	c.buf.push(v)
 }
 
-// Recv blocks until a value is available. ok is false when the channel is
+// Recv blocks until a value is available. ok is false when the mailbox is
 // closed and drained.
 func (c *Chan[T]) Recv() (v T, ok bool) {
-	if v, ok, got := c.tryRecv(); got {
+	if v, ok, got := c.TryRecv(); got {
 		return v, ok
 	}
 	w := c.getRecvWaiter()
@@ -172,50 +121,19 @@ func (c *Chan[T]) Recv() (v T, ok bool) {
 // TryRecv receives without blocking. got reports whether a value (or a
 // closed indication) was available.
 func (c *Chan[T]) TryRecv() (v T, ok bool, got bool) {
-	return c.tryRecv()
-}
-
-func (c *Chan[T]) tryRecv() (v T, ok bool, got bool) {
 	if c.buf.len() > 0 {
-		v = c.buf.pop()
-		c.refillFromSenders()
-		return v, true, true
-	}
-	// Rendezvous with a blocked sender.
-	for c.sendq.len() > 0 {
-		w := c.sendq.pop()
-		if w.done {
-			continue
-		}
-		w.done = true
-		c.k.wake(w.p)
-		return w.val, true, true
+		return c.buf.pop(), true, true
 	}
 	if c.closed {
-		var zero T
-		return zero, false, true
+		return v, false, true
 	}
 	return v, false, false
-}
-
-// refillFromSenders moves one blocked sender's value into freed buffer
-// space, preserving FIFO order.
-func (c *Chan[T]) refillFromSenders() {
-	for c.sendq.len() > 0 && (c.cap < 0 || c.buf.len() < c.cap) {
-		w := c.sendq.pop()
-		if w.done {
-			continue
-		}
-		w.done = true
-		c.buf.push(w.val)
-		c.k.wake(w.p)
-	}
 }
 
 // RecvTimeout receives with a deadline. timedOut is true when the deadline
 // elapsed with no value; ok mirrors Recv's closed semantics.
 func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, ok bool, timedOut bool) {
-	if v, ok, got := c.tryRecv(); got {
+	if v, ok, got := c.TryRecv(); got {
 		return v, ok, false
 	}
 	w := c.getRecvWaiter()

@@ -37,8 +37,9 @@ func TestFixedScriptCounts(t *testing.T) {
 		}
 		wg.Wait()
 
-		// A rendezvous ping-pong: every Send and Recv parks.
-		ping, pong := NewChan[int](k, 0), NewChan[int](k, 0)
+		// A ping-pong: no Send parks, and every Recv that finds no value
+		// does.
+		ping, pong := NewChan[int](k, -1), NewChan[int](k, -1)
 		k.Go("ponger", func() {
 			for {
 				v, ok := ping.Recv()
@@ -112,7 +113,7 @@ func TestFixedScriptCounts(t *testing.T) {
 func TestChanPingPongAllocationFree(t *testing.T) {
 	k := NewKernel(1)
 	defer k.Stop()
-	ping, pong := NewChan[int](k, 0), NewChan[int](k, 0)
+	ping, pong := NewChan[int](k, -1), NewChan[int](k, -1)
 	k.Run("setup", func() {
 		k.Go("ponger", func() {
 			for {

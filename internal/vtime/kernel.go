@@ -35,16 +35,16 @@
 //     to the pool at once, so the heap holds only timers that will fire: its
 //     size follows the number of parked sleepers and in-flight events, not
 //     the number of answered calls whose deadline has yet to pass.
-//   - Chan waiters are pooled per channel, and queue slices (run queue,
-//     channel buffers, waiter lists) reset to their start when drained, so
-//     steady-state traffic reuses one backing array.
+//   - Chan receive waiters are pooled per mailbox, and queue slices (run
+//     queue, mailbox buffers, waiter lists) reset to their start when
+//     drained, so steady-state traffic reuses one backing array.
 //
 // Every pool is a FreeList, the one free-list type of the simulation.
 //
 // All blocking must go through kernel primitives: Kernel.Sleep, Chan
-// send/receive, WaitGroup, Semaphore. Calling a kernel primitive from a
+// receive, WaitGroup, Semaphore. Calling a blocking primitive from a
 // goroutine that is not a kernel process is a programming error and
-// panics.
+// panics. Chan.Send never blocks, so timer callbacks may send.
 package vtime
 
 import (

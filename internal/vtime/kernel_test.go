@@ -152,7 +152,7 @@ func TestDeadlockPanics(t *testing.T) {
 		}
 	}()
 	k.Run("main", func() {
-		ch := NewChan[int](k, 0)
+		ch := NewChan[int](k, -1)
 		ch.Recv() // nobody will ever send
 	})
 }
@@ -160,7 +160,7 @@ func TestDeadlockPanics(t *testing.T) {
 func TestStopTerminatesParkedProcesses(t *testing.T) {
 	k := NewKernel(1)
 	k.Run("main", func() {
-		ch := NewChan[int](k, 0)
+		ch := NewChan[int](k, -1)
 		for i := 0; i < 4; i++ {
 			k.Go("stuck", func() { ch.Recv() })
 		}
@@ -179,7 +179,7 @@ func TestChanRendezvous(t *testing.T) {
 	k := NewKernel(1)
 	defer k.Stop()
 	k.Run("main", func() {
-		ch := NewChan[string](k, 0)
+		ch := NewChan[string](k, -1)
 		k.Go("sender", func() {
 			k.Sleep(time.Millisecond)
 			ch.Send("hello")
@@ -195,32 +195,44 @@ func TestChanRendezvous(t *testing.T) {
 	})
 }
 
-func TestChanBufferedBlocksWhenFull(t *testing.T) {
+// TestChanSendNeverParks pins the mailbox contract: Send never gives up
+// the kernel's token, whatever capacity NewChan was passed, and a timer
+// callback may send too. A receiver started afterwards reads every value
+// in send order.
+func TestChanSendNeverParks(t *testing.T) {
+	const n = 1000
 	k := NewKernel(1)
 	defer k.Stop()
 	k.Run("main", func() {
-		ch := NewChan[int](k, 2)
-		var sentThird Time
-		k.Go("sender", func() {
-			ch.Send(1)
-			ch.Send(2)
-			ch.Send(3) // must block until a receive frees space
-			sentThird = k.Now()
+		ch := NewChan[int](k, 0)
+		before := k.Stats().Dispatches
+		for i := 0; i < n; i++ {
+			ch.Send(i)
+		}
+		if moved := k.Stats().Dispatches - before; moved != 0 {
+			t.Errorf("%d sends took %d dispatches, want 0", n, moved)
+		}
+		k.AfterEvent(time.Millisecond, &deliverEvent{ch})
+		k.Sleep(2 * time.Millisecond)
+		if got := ch.Len(); got != n+1 {
+			t.Fatalf("buffered %d values, want %d", got, n+1)
+		}
+		wg := NewWaitGroup(k)
+		wg.Add(1)
+		k.Go("receiver", func() {
+			defer wg.Done()
+			for i := 0; i <= n; i++ {
+				want := i
+				if i == n {
+					want = 7 // the callback's value
+				}
+				if v, ok := ch.Recv(); !ok || v != want {
+					t.Errorf("recv %d = %d, %v; want %d", i, v, ok, want)
+					return
+				}
+			}
 		})
-		k.Sleep(5 * time.Millisecond)
-		if v, _ := ch.Recv(); v != 1 {
-			t.Errorf("first recv = %d", v)
-		}
-		k.Sleep(time.Millisecond)
-		if sentThird != Time(5*time.Millisecond) {
-			t.Errorf("third send completed at %v, want 5ms", sentThird)
-		}
-		if v, _ := ch.Recv(); v != 2 {
-			t.Errorf("second recv = %d", v)
-		}
-		if v, _ := ch.Recv(); v != 3 {
-			t.Errorf("third recv = %d", v)
-		}
+		wg.Wait()
 	})
 }
 
@@ -230,9 +242,7 @@ func TestChanUnboundedNeverBlocksSender(t *testing.T) {
 	k.Run("main", func() {
 		ch := NewChan[int](k, -1)
 		for i := 0; i < 1000; i++ {
-			if !ch.TrySend(i) {
-				t.Fatalf("TrySend failed at %d", i)
-			}
+			ch.Send(i)
 		}
 		for i := 0; i < 1000; i++ {
 			v, ok := ch.Recv()

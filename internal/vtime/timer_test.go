@@ -59,7 +59,7 @@ func TestPendingTimersTrackSleepers(t *testing.T) {
 // delivery does.
 type deliverEvent struct{ ch *Chan[int] }
 
-func (e *deliverEvent) Fire() { e.ch.TrySend(7) }
+func (e *deliverEvent) Fire() { e.ch.Send(7) }
 
 // TestRecvTimeoutSameInstantAsDelivery covers a deadline and a delivery
 // that land on the same instant, in both creation orders. Whichever fires

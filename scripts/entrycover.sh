@@ -15,6 +15,11 @@
 #   - cb-cluster in each of its six consistency modes;
 #   - the benchmark (benchmark/, a module of its own) with --smoke, as
 #     benchmark/run.sh --smoke runs it, but built with coverage.
+# The benchmark runs its layer probes only with --trace 1, so it also
+# runs --smoke --trace 1, into coverage counters of their own: the
+# functions that only that run reaches (the probes keep them alive) are
+# printed as a list of their own, and still count as unrun everywhere
+# else.
 # Given a <git-ref>, it measures that ref's tree too (unpacked with
 # git archive), prints both sides' summary lines, and lists the
 # functions that left the unrun list (deleted, or now run) and the ones
@@ -38,18 +43,21 @@ export GOFLAGS=-mod=readonly GOTOOLCHAIN=local GOWORK=off GOPROXY=off
 # measure <tree> <out> runs every entry point of the checkout at <tree>
 # and leaves under <out>: summary.txt (the two summary lines), files.txt
 # (one "  <unrun> of <all>  <file>" line per file with a statement no
-# entry point ran, most unrun first) and unrun.txt (one
-# "  <file:line:> <function>" line per function no entry point ran);
-# files are relative to the module root.
+# entry point ran, most unrun first), unrun.txt (one
+# "  <file:line:> <function>" line per function no entry point ran),
+# probeonly.txt (the lines of unrun.txt that the traced benchmark run,
+# with its layer probes, does run) and probefiles.txt (one
+# "  <statements>  <file>" line per file with statements that only that
+# run reaches); files are relative to the module root.
 measure() (
   tree=$1 out=$2
   mkdir -p "$out/bin" "$out/cov"
   cd "$tree"
   pkgs=$(go list ./... | paste -sd, -)
-  build() { # build <output> <dir> <package>; go build warns about every
-    # package of the list the binary does not import, so its output is
-    # only shown on failure
-    if ! go build -C "$2" -cover -coverpkg="$pkgs" -o "$out/bin/$1" "$3" >"$out/log.txt" 2>&1; then
+  build() { # build <output> <dir> <package> [<more coverpkg>]; go build
+    # warns about every package of the list the binary does not import,
+    # so its output is only shown on failure
+    if ! go build -C "$2" -cover -coverpkg="$pkgs${4:+,$4}" -o "$out/bin/$1" "$3" >"$out/log.txt" 2>&1; then
       cat "$out/log.txt" >&2
       exit 1
     fi
@@ -59,7 +67,10 @@ measure() (
   for ex in quickstart retwis gossip predserve; do
     build "$ex" . "./examples/$ex"
   done
-  build benchmark benchmark .
+  # A binary writes its counters at exit only if its main package is
+  # instrumented, so the benchmark's main is added to the list; the
+  # profiles below keep the root module's packages alone.
+  build benchmark benchmark . cloudburst/benchmark
 
   export GOCOVERDIR=$out/cov
   run() { # run <binary> [args...]; the output is only kept on failure
@@ -78,10 +89,24 @@ measure() (
     run cb-cluster -mode "$mode"
   done
   run benchmark --smoke
+  mkdir -p "$out/covprobe"
+  export GOCOVERDIR=$out/covprobe
+  run benchmark --smoke --trace 1
 
-  go tool covdata textfmt -i "$out/cov" -o "$out/profile.txt"
+  go tool covdata textfmt -i "$out/cov" -pkg="$pkgs" -o "$out/profile.txt"
   go tool cover -func="$out/profile.txt" >"$out/func.txt"
   awk '$NF == "0.0%" {sub("^" m "/", "", $1); printf "  %-48s %s\n", $1, $2}' m="$(go list -m)" "$out/func.txt" >"$out/unrun.txt"
+  go tool covdata textfmt -i "$out/covprobe" -pkg="$pkgs" -o "$out/probeprofile.txt"
+  go tool cover -func="$out/probeprofile.txt" >"$out/probefunc.txt"
+  awk 'NR == FNR {if ($NF != "0.0%") ran[$1 " " $2]; next}
+    $NF == "0.0%" && ($1 " " $2) in ran {sub("^" m "/", "", $1); printf "  %-48s %s\n", $1, $2}' \
+    m="$(go list -m)" "$out/probefunc.txt" "$out/func.txt" >"$out/probeonly.txt"
+  awk 'FNR == 1 {next}
+    NR == FNR {probe[$1] += $3; next}
+    {ran[$1] += $3; n[$1] = $2}
+    END {for (b in n) if (ran[b] == 0 && probe[b] > 0) {f = b; sub(/:[^:]*$/, "", f); sub("^" m "/", "", f); only[f] += n[b]}
+      for (f in only) printf "  %5d  %s\n", only[f], f}' \
+    m="$(go list -m)" "$out/probeprofile.txt" "$out/profile.txt" | LC_ALL=C sort -k1,1nr -k2,2 >"$out/probefiles.txt"
   # A profile line is "<file>:<start>,<end> <statements> <count>".
   awk 'NR > 1 {f = $1; sub(/:[^:]*$/, "", f); sub("^" m "/", "", f); all[f] += $2; if ($3 == 0) unrun[f] += $2}
     END {for (f in unrun) if (unrun[f] > 0) printf "  %5d of %5d  %s\n", unrun[f], all[f], f}' \
@@ -93,11 +118,21 @@ measure() (
   } >"$out/summary.txt"
 )
 
+# probeonly <out> prints the functions of <out>'s unrun list that only the
+# benchmark's layer probes run, and each file's count of such statements.
+probeonly() {
+  echo "functions no entry point runs but the benchmark's layer probes do (--smoke --trace 1; counted as unrun above): $(wc -l <"$1/probeonly.txt")"
+  cat "$1/probeonly.txt"
+  echo "statements no entry point runs but the layer probes do, by file:"
+  cat "$1/probefiles.txt"
+}
+
 measure "$ROOT" "$TMP/new"
 if [ -z "$REF" ]; then
   cat "$TMP/new/summary.txt" "$TMP/new/unrun.txt"
   echo "statements no entry point runs, by file:"
   cat "$TMP/new/files.txt"
+  probeonly "$TMP/new"
   exit 0
 fi
 
@@ -123,3 +158,4 @@ echo "functions no entry point runs in the working tree:"
 cat "$TMP/new/unrun.txt"
 echo "statements no entry point runs in the working tree, by file:"
 cat "$TMP/new/files.txt"
+probeonly "$TMP/new"
